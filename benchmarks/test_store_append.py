@@ -94,7 +94,7 @@ def bench_results(tmp_path_factory):
     results = {
         "n_runs": N_RUNS,
         "observations_per_run": N_OBS,
-        "backend": store.backend_name,
+        "backend": "sqlite",
         "schema_version": store.schema_version,
         "append_total_s": t_append,
         "appends_per_s": N_RUNS / t_append,

@@ -9,8 +9,9 @@ Commands
     Continue a checkpointed trajectory for more steps.
 ``sweep CONFIG``
     Expand a config with a ``[sweep]`` section into a run grid and
-    execute it (``--workers``/``--scheduler``), or list the grid with
-    ``--dry-run``; saves an ensemble ``.npz``.
+    execute it (``--workers N``: in process for 1, on N spawned worker
+    processes otherwise), or list the grid with ``--dry-run``; saves an
+    ensemble ``.npz``.
 ``validate CONFIG``
     Parse + validate a config and print its normalized JSON (including
     the ``[sweep] store`` target / ``--store`` path when given).
@@ -27,11 +28,11 @@ Commands
 ``lint [PATHS]``
     Run the project-invariant static analysis (AST rules: sqlite
     discipline, atomic IO, FFT isolation, determinism, config
-    immutability, pickle safety) over source files; supports inline
+    immutability, pickle safety, removed API) over source files; supports inline
     suppressions, a committed baseline, and text/JSON output.
 ``components``
     List every registered cell / functional / field / propagator /
-    store backend / lint rule.
+    backend / lint rule.
 ``perf``
     Print the paper-evaluation performance projection report.
 
@@ -120,12 +121,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep = sub.add_parser("sweep", help="expand and run a config sweep ([sweep] section)")
     sweep.add_argument("config", help="path to a .toml or .json config with a [sweep] section")
     sweep.add_argument("--workers", type=int, default=None, help="override sweep.workers")
-    sweep.add_argument(
-        "--scheduler",
-        choices=("auto", "serial", "thread", "process"),
-        default=None,
-        help="override sweep.scheduler",
-    )
     sweep.add_argument(
         "--dry-run", action="store_true", help="list the expanded run grid and exit"
     )
@@ -342,6 +337,7 @@ def _finish(sim: Simulation, result, args) -> None:
 
 def _cmd_run(args) -> int:
     from repro.api.config import ConfigError, load_sweep_file
+    from repro.api.runs import run_one
 
     base, sweep = load_sweep_file(args.config)
     if sweep.axes:
@@ -376,31 +372,6 @@ def _cmd_run(args) -> int:
         from repro.store import ResultStore
 
         store = ResultStore.ensure(args.store)
-        if not args.rerun:
-            done = store.find_completed(cfg)
-            if done is not None:
-                # idempotent by content: the store already holds this exact
-                # config's completed run — reuse it instead of appending a
-                # recomputed copy of the same trajectory
-                print(
-                    f"run {done.run_id} reused from {store.root} "
-                    f"(identical config already completed; --rerun to recompute)"
-                )
-                result = store.load_result(
-                    done.run_id, with_ground_state=bool(args.checkpoint)
-                )
-                sim = Simulation(
-                    cfg,
-                    ground_state=result.ground_state,
-                    state=result.final_state,
-                )
-                _finish(sim, result, args)
-                return 0
-        cached = store.load_ground_state(cfg)
-        if cached is not None:
-            sim._gs = cached
-            if not args.quiet:
-                print(f"ground state restored from store {store.root}")
     if not args.quiet:
         print(
             f"system: {cfg.system.cell} | ecut {cfg.system.ecut} Ha | "
@@ -412,24 +383,39 @@ def _cmd_run(args) -> int:
                 f"parallel: {cfg.parallel.ranks} ranks | pattern "
                 f"{cfg.parallel.pattern} | machine {cfg.parallel.machine} | shm {shm}"
             )
-        print(f"converging ground state ({cfg.scf.temperature_k:.0f} K) ...")
-    gs = sim.ground_state()
-    if not args.quiet:
-        print(
-            f"  converged={gs.converged}  E = {gs.total_energy:.6f} Ha  "
-            f"mu = {gs.fermi_level:.4f} Ha  ({gs.scf_iterations} SCF iterations)"
-        )
-        n = args.steps if args.steps is not None else cfg.propagation.n_steps
-        print(
-            f"propagating {n} x {cfg.propagation.dt_as:g} as with "
-            f"{cfg.propagation.propagator} ..."
-        )
-    result = sim.propagate(n_steps=args.steps, store=store)
-    if store is not None:
-        from repro.store import run_id_for
 
-        print(f"run {run_id_for(cfg)} stored in {store.root}")
-    _finish(sim, result, args)
+    def _propagation_starts(step: int, n_steps: int) -> None:
+        if step == 0 and not args.quiet:
+            gs = sim.ground_state()
+            print(
+                f"ground state ({cfg.scf.temperature_k:.0f} K): converged={gs.converged}  "
+                f"E = {gs.total_energy:.6f} Ha  mu = {gs.fermi_level:.4f} Ha  "
+                f"({gs.scf_iterations} SCF iterations)"
+            )
+            print(
+                f"propagating {n_steps} x {cfg.propagation.dt_as:g} as with "
+                f"{cfg.propagation.propagator} ..."
+            )
+
+    outcome = run_one(
+        sim, store, _propagation_starts, reuse=not args.rerun, n_steps=args.steps
+    )
+    if outcome.reused:
+        # idempotent by content: the store already holds this exact
+        # config's completed run — reused instead of appending a
+        # recomputed copy of the same trajectory
+        print(
+            f"run {outcome.run_id} reused from {store.root} "
+            f"(identical config already completed; --rerun to recompute)"
+        )
+        sim = Simulation(
+            cfg,
+            ground_state=outcome.result.ground_state,
+            state=outcome.result.final_state,
+        )
+    elif store is not None:
+        print(f"run {outcome.run_id} stored in {store.root}")
+    _finish(sim, outcome.result, args)
     return 0
 
 
@@ -449,20 +435,18 @@ def _cmd_resume(args) -> int:
 
 def _cmd_sweep(args) -> int:
     from repro.api.config import load_sweep_file
-    from repro.api.ensemble import expand_sweep, resolve_scheduler, run_ensemble
+    from repro.api.ensemble import expand_sweep, run_ensemble
 
     base, sweep = load_sweep_file(args.config)
     variants = expand_sweep(base, sweep)
     workers = sweep.workers if args.workers is None else args.workers
-    scheduler = resolve_scheduler(
-        sweep.scheduler if args.scheduler is None else args.scheduler, workers
-    )
 
     if args.dry_run or not args.quiet:
         print(
             f"sweep: {len(variants)} runs "
             f"({' x '.join(f'{k}[{len(v)}]' for k, v in sweep.axes.items()) or 'base only'}, "
-            f"mode {sweep.mode}) | scheduler {scheduler}, workers {workers}"
+            f"mode {sweep.mode}) | workers {workers} "
+            f"({'in process' if workers == 1 else 'spawned processes'})"
         )
     if args.dry_run:
         print(f"{'run':>4}  overrides")
@@ -474,10 +458,7 @@ def _cmd_sweep(args) -> int:
     if store and not args.quiet:
         print(f"store: {store} (completed variants restore instead of re-running)")
     progress = None if args.quiet else print
-    result = run_ensemble(
-        base, sweep, workers=workers, scheduler=scheduler, progress=progress,
-        store=store,
-    )
+    result = run_ensemble(base, sweep, workers=workers, progress=progress, store=store)
     print(result.summary())
     output = args.output if args.output is not None else sweep.output
     if output:

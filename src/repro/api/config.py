@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 import numpy as np
 
 from repro.constants import SPIN_DEGENERACY
+from repro.removed import REMOVED_CONFIG_KEYS
 
 
 class ConfigError(ValueError):
@@ -74,6 +75,8 @@ class _Section:
     @classmethod
     def from_dict(cls: Type[T], data: Optional[Mapping[str, Any]]) -> T:
         data = dict(data or {})
+        for key, advice in REMOVED_CONFIG_KEYS.get(cls._context, {}).items():
+            _check(key not in data, f"{cls._context}.{key} was {advice}")
         valid = {f.name for f in fields(cls) if not f.name.startswith("_")}
         unknown = sorted(set(data) - valid)
         _check(
@@ -339,11 +342,11 @@ class SweepConfig(_Section):
     (default) takes the cartesian product of all axes; ``"zip"`` pairs
     them element-wise (all axes must then have equal length).
 
-    ``scheduler`` picks how :func:`repro.api.ensemble.run_ensemble`
-    executes the expanded runs: ``"serial"``, ``"thread"``, or
-    ``"process"``; the default ``"auto"`` selects ``"process"`` whenever
-    ``workers > 1``.  ``output`` is the default ``EnsembleResult`` npz
-    path used by ``repro sweep`` when ``--output`` is not given.
+    ``workers`` picks where :func:`repro.api.ensemble.run_ensemble`
+    executes the expanded runs: 1 (the default) in the calling process,
+    more on that many spawned worker processes.  ``output`` is the
+    default ``EnsembleResult`` npz path used by ``repro sweep`` when
+    ``--output`` is not given.
 
     ``store`` (or ``repro sweep --store DIR``) points at a
     :class:`repro.store.ResultStore` study directory: finished runs are
@@ -357,17 +360,12 @@ class SweepConfig(_Section):
 
     axes: Dict[str, Any] = field(default_factory=dict)
     mode: str = "grid"
-    scheduler: str = "auto"
     workers: int = 1
     output: Optional[str] = None
     store: Optional[str] = None
 
     def __post_init__(self) -> None:
         _check(self.mode in ("grid", "zip"), f"sweep.mode must be 'grid' or 'zip', got {self.mode!r}")
-        _check(
-            self.scheduler in ("auto", "serial", "thread", "process"),
-            f"sweep.scheduler must be one of auto, serial, thread, process, got {self.scheduler!r}",
-        )
         _check(self.workers >= 1, f"sweep.workers must be >= 1, got {self.workers}")
         if self.store is not None:
             _check(

@@ -11,11 +11,11 @@ so the facade gets a first-class multi-run layer:
 
 :func:`expand_sweep` crosses the :class:`~repro.api.config.SweepConfig`
 axes into concrete :class:`~repro.api.config.SimulationConfig` variants;
-:func:`run_ensemble` executes them on a pluggable scheduler (serial,
-thread pool, or ``ProcessPoolExecutor``) while converging each distinct
-(system, scf) ground state exactly once and sharing it across variants
-(the in-memory analogue of :meth:`Simulation.derive`); and
-:class:`EnsembleResult` collects per-run observables, status and errors
+:func:`run_ensemble` executes them — in this process, or on spawned
+worker processes draining the store's job queue — through the one run
+kernel of :mod:`repro.api.runs`, converging each distinct (system, scf)
+ground state exactly once and each distinct config hash at most once;
+and :class:`EnsembleResult` collects per-run observables, status and errors
 with ``save_npz``/``load_npz`` and spectrum aggregation built in.
 
 ``repro sweep`` exposes the same engine on the command line.
@@ -23,17 +23,11 @@ with ``save_npz``/``load_npz`` and spectrum aggregation built in.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
-import time
+import tempfile
 import traceback
-from concurrent.futures import (
-    Executor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -47,13 +41,14 @@ from repro.api.config import (
     SweepConfig,
     open_result_npz,
 )
+from repro.api import runs
 from repro.api.simulation import Simulation, SimulationResult
-from repro.utils.io import atomic_savez
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
-from repro.rt.propagator import TDState
-from repro.scf.groundstate import GroundState
+from repro.removed import REMOVED_CONFIG_KEYS
+from repro.store.common import config_hash, group_key
+from repro.utils.io import atomic_savez
 
 
 class FFTCoverage(NamedTuple):
@@ -69,9 +64,6 @@ class FFTCoverage(NamedTuple):
 
 #: schema version stamped into ensemble ``.npz`` files
 ENSEMBLE_VERSION = 1
-
-#: schedulers accepted by :func:`run_ensemble` (``auto`` resolves by workers)
-SCHEDULERS = ("serial", "thread", "process")
 
 
 # --------------------------------------------------------------------------
@@ -162,10 +154,7 @@ class RunRecord:
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     #: this run's own *propagation* FFT tally — the shared group SCF runs
     #: before any per-run snapshot and is attributed to no run.  None only
-    #: when the variant's backend is uncounted: every scheduler reports an
-    #: exact tally, because each variant computes through its own
-    #: :class:`~repro.backend.CountingBackend` view (private counters,
-    #:  shared engine) — including concurrent thread-scheduled runs.
+    #: when the variant's backend is uncounted.
     fft: Optional[FFTCounters] = None
     #: communication accounting (``ParallelRunInfo.to_dict()`` form) when
     #: the variant ran under an active ``[parallel]`` section, else None
@@ -470,6 +459,9 @@ class EnsembleResult:
                         parallel=entry.get("parallel"),
                     )
                 )
+        # files written before a sweep key was removed still carry it
+        for key in REMOVED_CONFIG_KEYS["sweep"]:
+            meta["sweep"].pop(key, None)
         return cls(
             base_config=SimulationConfig.from_dict(meta["base_config"]),
             sweep=SweepConfig.from_dict(meta["sweep"]),
@@ -482,394 +474,146 @@ class EnsembleResult:
 # --------------------------------------------------------------------------
 
 
-def _gs_key(config: SimulationConfig) -> str:
-    """Variants sharing (system, scf, backend-engine) share one SCF solve.
-
-    Sections hold free-form parameter dicts and are not hashable, so the
-    grouping key is their canonical (sorted) JSON.  The backend *name* is
-    part of the key so a backend-override axis converges each engine from
-    scratch — full-stack parity, no engine state crossing variant
-    boundaries.  Tuning knobs of the same engine (``fft_workers``,
-    ``count_ffts``) are deliberately excluded: the converged ground state
-    is plain arrays, and re-solving an identical SCF per thread-count
-    would dominate a threading sweep.  The ``parallel`` section is also
-    excluded: the distributed exchange is bit-identical to serial at
-    every rank count and pattern (tested), so a pattern/rank sweep shares
-    one SCF and measures only what it should — the communication ledgers.
-
-    The grouping rule itself lives in :func:`repro.store.group_key` —
-    the result store addresses its deduplicated ground-state blobs by
-    the same key, so in-memory sharing and on-disk sharing can never
-    disagree about what "the same SCF" means.
-    """
-    from repro.store.common import group_key
-
-    return group_key(config)
-
-
-def _execute_sim(
-    sim: Simulation,
-) -> Tuple[Dict[str, np.ndarray], Optional[FFTCounters], Optional[Dict[str, Any]], SimulationResult, float]:
-    """Run one prepared simulation (serial/thread worker body).
-
-    Times itself so pooled runs report true compute duration, not queue
-    wait + collection order.  The FFT tally comes off the run's own
-    counter scope: every derived variant was re-pointed at a private
-    :class:`~repro.backend.CountingBackend` view by
-    :meth:`Simulation.isolate_counters`, so concurrent thread-scheduled
-    runs each report an exact per-run tally (they share the engine, not
-    the counters).
-    """
-    started = time.perf_counter()
-    result = sim.run()
-    parallel = result.parallel.to_dict() if result.parallel is not None else None
-    return result.observables(), result.fft, parallel, result, time.perf_counter() - started
-
-
-def _execute_variant_json(
-    config_json: str, ground_state: Optional[GroundState]
-) -> Tuple[
-    Dict[str, np.ndarray],
-    Optional[FFTCounters],
-    Optional[Dict[str, Any]],
-    Tuple[np.ndarray, np.ndarray, float],
-    float,
-]:
-    """Process-pool entry: configs travel as JSON, arrays come back.
-
-    The FFT tally and communication accounting are snapshotted *in the
-    worker* and pickled back with the observables — previously they were
-    recorded into the worker's process-global state and discarded with
-    the process.  The final state travels back as a plain
-    ``(phi, sigma, time)`` tuple so the parent can persist it to a
-    result store (the store is single-writer: only the parent appends).
-    """
-    started = time.perf_counter()
-    sim = Simulation(
-        SimulationConfig.from_json(config_json), ground_state=ground_state
-    )
-    result = sim.run()
-    arrays = result.observables()
-    # result.fft is the propagation-window tally (same window the other
-    # schedulers report), not the worker-cumulative count — the two differ
-    # by the Hamiltonian-construction transforms
-    parallel = result.parallel.to_dict() if result.parallel is not None else None
-    final = result.final_state
-    state = (np.asarray(final.phi), np.asarray(final.sigma), float(final.time))
-    return arrays, result.fft, parallel, state, time.perf_counter() - started
-
-
-def _converge_json(config_json: str) -> GroundState:
-    """Pool entry for one group's SCF solve (config as JSON)."""
-    return Simulation(SimulationConfig.from_json(config_json)).ground_state()
-
-
-def _group_configs(variants: Sequence[SweepVariant]) -> Dict[str, SimulationConfig]:
-    """First-seen config per distinct (system, scf) group, in grid order."""
-    groups: Dict[str, SimulationConfig] = {}
-    for v in variants:
-        groups.setdefault(_gs_key(v.config), v.config)
-    return groups
-
-
-def _announce_group(
-    progress: Optional[Callable[[str], None]], number: int, config: SimulationConfig
-) -> None:
-    if progress is not None:
-        progress(
-            f"converging ground state {number} ({config.system.cell}, "
-            f"{config.system.functional}, ecut {config.system.ecut:g})"
-        )
-
-
-def _stored_ground_state(store, config: SimulationConfig) -> Optional[GroundState]:
-    """The store's SCF blob for this config's group, if one is cached."""
-    if store is None:
-        return None
-    return store.load_ground_state(config)
-
-
-def _converge_shared_ground_states(
-    variants: Sequence[SweepVariant],
-    progress: Optional[Callable[[str], None]],
-    store=None,
-) -> Dict[str, Any]:
-    """One prototype :class:`Simulation` (one SCF) per distinct
-    (system, scf) pair; every variant derives from its group's prototype,
-    sharing the converged ground state and cell/grid caches.
-
-    With a ``store``, a group whose SCF blob is already cached is
-    restored instead of re-converged (the resume path), and freshly
-    converged ground states are written back so the next resume skips
-    them too.
-
-    A group whose SCF raises maps to the exception instead of a
-    prototype — its variants are marked failed without aborting the
-    other groups."""
-    shared: Dict[str, Any] = {}
-    for i, (key, config) in enumerate(_group_configs(variants).items()):
-        cached = _stored_ground_state(store, config)
+def _announce_groups(plan: runs.RunPlan, say):
+    """Yield each pending group's ``(key, config, stored ground state)``, announced."""
+    for number, (key, (config, cached)) in enumerate(plan.groups.items(), 1):
         if cached is not None:
-            if progress is not None:
-                progress(f"ground state {i + 1} restored from store")
-            shared[key] = Simulation(config, ground_state=cached)
-            continue
-        _announce_group(progress, i + 1, config)
-        proto = Simulation(config)
+            say(f"ground state {number} restored from store")
+        else:
+            say(
+                f"converging ground state {number} ({config.system.cell}, "
+                f"{config.system.functional}, ecut {config.system.ecut:g})"
+            )
+        yield key, config, cached
+
+
+def _run_in_process(plan: runs.RunPlan, store, labels, settle, fail, say) -> None:
+    """``workers == 1``: a loop over the kernel in this process, every variant
+    derived from its group's prototype :class:`Simulation` (shared ground
+    state, cell and grid).  A group whose SCF raises fails only its variants."""
+    protos: Dict[str, Any] = {}
+    for key, config, cached in _announce_groups(plan, say):
+        protos[key] = proto = Simulation(config, ground_state=cached)
         try:
-            proto.ground_state()
+            proto.ground_state(store)
+            proto.grid  # built once here, or every variant builds its own
         except Exception as exc:  # noqa: BLE001 — reported per affected run
-            shared[key] = exc
+            protos[key] = exc
+    for chash, config in plan.pending.items():
+        proto = protos[group_key(config)]
+        if isinstance(proto, Exception):
+            fail(chash, proto)
             continue
         if store is not None:
-            store.put_ground_state(config, proto.ground_state())
-        shared[key] = proto
-    return shared
+            store.begin_run(config, overrides=labels[chash])
+        try:
+            outcome = runs.run_one(proto.derive(**vars(config)), store, overrides=labels[chash])
+        except Exception as exc:  # noqa: BLE001 — per-run isolation is the point
+            fail(chash, exc)
+            continue
+        r = outcome.result
+        parallel = r.parallel.to_dict() if r.parallel is not None else None
+        settle(chash, r.observables(), r.fft, parallel, outcome.elapsed, r)
 
 
-def _derive_from(proto: Simulation, config: SimulationConfig) -> Simulation:
-    """The variant simulation, cache-sharing with its group prototype.
+def _run_on_pool(plan: runs.RunPlan, store, n_workers: int, labels, settle_stored, fail, say) -> None:
+    """``workers > 1``: the pending hashes go through the store's job queue,
+    drained by the job service's own spawned workers (each runs the kernel
+    against the store); a variant that raises, or whose worker is killed,
+    comes back as an ``error`` job and becomes an ``error`` record."""
+    from repro.serve.pool import drain
 
-    The derived simulation is re-scoped onto its own FFT-counter view
-    (:meth:`Simulation.isolate_counters`): same engine and plan cache as
-    the prototype, private counters — so every scheduler (including
-    concurrent threads) reports an exact per-run tally.
-    """
-    # materialize the prototype's grid (and with it the engine) before
-    # deriving: a pool-converged prototype never computed in this
-    # process, and an unbuilt backend would leave each variant creating
-    # its own engine/plan cache/G-vector setup instead of sharing one
-    proto.grid
-    return proto.derive(
-        system=config.system,
-        scf=config.scf,
-        field=config.field,
-        propagation=config.propagation,
-        backend=config.backend,
-        parallel=config.parallel,
-    ).isolate_counters()
+    firsts = {config_hash(config) for _, config, _ in _announce_groups(plan, say)}
+    # each group's first variant ahead of the rest, so the group SCFs
+    # converge side by side instead of one worker idling on a lease
+    order = sorted(plan.pending, key=lambda chash: chash not in firsts)
+    for chash in order:
+        store.begin_run(plan.pending[chash], overrides=labels[chash])
 
+    def on_done(job) -> None:
+        if job["status"] == "ok":
+            settle_stored(job["config_hash"], store.get(job["run_id"]))
+        else:
+            fail(job["config_hash"], (job["error"] or job["status"]).splitlines()[0])
 
-def resolve_scheduler(scheduler: str, workers: int) -> str:
-    """Map ``"auto"`` to a concrete scheduler and validate the name."""
-    if scheduler == "auto":
-        return "process" if workers > 1 else "serial"
-    if scheduler not in SCHEDULERS:
-        raise ConfigError(
-            f"unknown scheduler {scheduler!r}; valid: auto, {', '.join(SCHEDULERS)}"
-        )
-    return scheduler
+    drain(store.root, [plan.pending[h] for h in order], min(n_workers, len(order)), on_done)
 
 
 def run_ensemble(
     base: SimulationConfig,
     sweep: SweepConfig,
     workers: Optional[int] = None,
-    scheduler: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
     store=None,
 ) -> EnsembleResult:
     """Expand ``sweep`` over ``base`` and execute every grid point.
 
-    Parameters
-    ----------
-    base:
-        The common :class:`SimulationConfig` all variants derive from.
-    sweep:
-        Axes + execution policy; ``workers``/``scheduler`` arguments
-        override the corresponding config fields when given.
-    progress:
-        Optional callable receiving one human-readable line per event
-        (ground-state solves, run completions) — the CLI passes ``print``.
-    store:
-        A :class:`~repro.store.ResultStore` or study-directory path
-        (defaults to ``sweep.store`` when set).  Finished runs append to
-        the store as they complete, and the sweep becomes *resumable*: a
-        variant whose config hash already maps to a completed stored run
-        is restored instead of recomputed (its SCF too — ground-state
-        blobs are cached per shared-SCF group), while interrupted
-        (``running``) and failed (``error``) runs are re-queued.  All
-        store writes happen in the parent process, so any scheduler is
-        safe.
+    ``workers`` (default ``sweep.workers``) decides where: 1 runs every
+    variant in this process; more runs them on that many **spawned**
+    worker processes (at most one per pending variant), so a script
+    calling this needs an ``if __name__ == "__main__":`` guard.
+    ``progress`` receives one line per event (the CLI passes ``print``).
 
-    Ground states are converged once per distinct (system, scf) section
-    pair — serially in the parent for the serial scheduler, on the pool
-    for thread/process schedulers — and shared across the group's
-    variants: by reference on threads, by pickling per task on
-    processes.  That per-task pickling ships the orbital block to the
-    worker for every run; for very large systems with many variants per
-    group, ``scheduler="thread"`` avoids the copy entirely (BLAS/FFT
-    release the GIL).  Per-run failures (including a group's SCF
-    failing) are captured in the returned :class:`EnsembleResult` rather
-    than aborting the sweep.
+    ``store`` (a :class:`~repro.store.ResultStore` or study directory;
+    default ``sweep.store``) makes the sweep resumable: runs append to it
+    as they finish, a variant whose config hash maps to a completed stored
+    run is restored instead of recomputed (its SCF too, from the group's
+    blob), and interrupted or failed runs are re-queued.  Workers share
+    the store's job queue, blobs and cache hits with any job service on
+    it; without a store they share a temporary one, removed on return.
+
+    Each distinct config hash runs once (duplicate grid points are filled
+    from that one run) and each (system, scf, backend-engine) group
+    converges once.  Per-run failures, a group's SCF failing included,
+    are captured in the :class:`EnsembleResult`, never aborting the sweep.
     """
+    from repro.store import ResultStore
+
     n_workers = sweep.workers if workers is None else int(workers)
     if n_workers < 1:
         raise ConfigError(f"workers must be >= 1, got {n_workers}")
-    mode = resolve_scheduler(sweep.scheduler if scheduler is None else scheduler, n_workers)
-
+    say = progress if progress is not None else (lambda line: None)
     variants = expand_sweep(base, sweep)
     records = [RunRecord(v.index, v.overrides, v.config) for v in variants]
+    by_hash: Dict[str, List[RunRecord]] = {}
+    for record in records:
+        by_hash.setdefault(config_hash(record.config), []).append(record)
+    labels = {chash: group[0].overrides for chash, group in by_hash.items()}
+
+    def settle(chash, arrays, fft, parallel, elapsed, result=None, restored_from=None):
+        how = f"restored from store ({restored_from})" if restored_from else f"ok ({elapsed:.2f} s)"
+        for record in by_hash[chash]:
+            record.status, record.arrays, record.result = "ok", dict(arrays), result
+            record.fft, record.parallel, record.elapsed = fft, parallel, elapsed
+            say(f"run {record.index} [{record.label()}]: {how}")
+
+    def settle_stored(chash, done, restored=False):
+        fft = FFTCounters.from_dict(done.fft) if done.fft else None
+        arrays = store_obj.load_arrays(done.run_id)
+        settle(chash, arrays, fft, done.parallel, done.elapsed, None, done.run_id if restored else None)
+
+    def fail(chash, error):
+        if not isinstance(error, str):
+            error = "".join(traceback.format_exception_only(type(error), error)).strip()
+        # persisted before announced, should the progress callback abort the sweep
+        if store_obj is not None:
+            store_obj.mark_error(by_hash[chash][0].config, error, overrides=labels[chash])
+        for record in by_hash[chash]:
+            record.status, record.error = "error", error
+            say(f"run {record.index} [{record.label()}]: error (0.00 s)")
 
     store_like = store if store is not None else sweep.store
-    store_obj = None
-    if store_like is not None:
-        from repro.store import ResultStore
-
-        store_obj = ResultStore.ensure(store_like)
-
-    # resume: restore variants whose exact config already completed
-    restored: set = set()
-    if store_obj is not None:
-        for v, record in zip(variants, records):
-            done = store_obj.find_completed(v.config)
-            if done is None:
-                continue
-            record.status = "ok"
-            record.arrays = store_obj.load_arrays(done.run_id)
-            record.fft = FFTCounters.from_dict(done.fft) if done.fft else None
-            record.parallel = done.parallel
-            record.elapsed = done.elapsed
-            restored.add(record.index)
-            if progress is not None:
-                progress(
-                    f"run {record.index} [{record.label()}]: restored from "
-                    f"store ({done.run_id})"
-                )
-    pending = [v for v in variants if v.index not in restored]
-
-    def _finish(
-        record: RunRecord, elapsed: float, arrays=None, fft=None, parallel=None,
-        result=None, state=None, exc=None,
-    ):
-        record.elapsed = elapsed
-        if exc is None:
-            record.status = "ok"
-            record.arrays = arrays
-            record.fft = fft
-            record.parallel = parallel
-            record.result = result
-        else:
-            record.status = "error"
-            record.error = "".join(
-                traceback.format_exception_only(type(exc), exc)
-            ).strip()
-        # persist before announcing: if the progress callback (or the
-        # user behind it) aborts the sweep, every completed run is
-        # already durable and the next --store invocation restores it
-        if store_obj is not None:
-            if exc is None:
-                final_state = result.final_state if result is not None else state
-                store_obj.add_run(
-                    record.config,
-                    arrays,
-                    final_state,
-                    overrides=record.overrides,
-                    fft=fft,
-                    parallel=parallel,
-                    elapsed=elapsed,
-                )
-            else:
-                store_obj.mark_error(
-                    record.config, record.error,
-                    overrides=record.overrides, elapsed=elapsed,
-                )
-        if progress is not None:
-            progress(
-                f"run {record.index} [{record.label()}]: {record.status} "
-                f"({record.elapsed:.2f} s)"
-            )
-
-    if mode == "serial":
-        shared = _converge_shared_ground_states(pending, progress, store=store_obj)
-        for v, record in zip(variants, records):
-            if record.index in restored:
-                continue
-            started = time.perf_counter()
-            proto = shared[_gs_key(v.config)]
-            if isinstance(proto, Exception):
-                _finish(record, time.perf_counter() - started, exc=proto)
-                continue
-            if store_obj is not None:
-                store_obj.begin_run(v.config, overrides=v.overrides)
-            try:
-                arrays, fft, parallel, result, elapsed = _execute_sim(
-                    _derive_from(proto, v.config)
-                )
-            except Exception as exc:  # noqa: BLE001 — per-run isolation is the point
-                _finish(record, time.perf_counter() - started, exc=exc)
-            else:
-                _finish(
-                    record, elapsed, arrays=arrays, fft=fft, parallel=parallel,
-                    result=result,
-                )
-        return EnsembleResult(base_config=base, sweep=sweep, runs=records)
-
-    pool: Executor
-    if mode == "thread":
-        pool = ThreadPoolExecutor(max_workers=n_workers)
-    else:
-        pool = ProcessPoolExecutor(max_workers=n_workers)
-    with pool:
-        # group SCF solves run on the pool too — with several (system, scf)
-        # groups the dominant cost parallelizes, not just the propagations;
-        # groups whose SCF blob the store already holds skip the pool
-        groups = _group_configs(pending)
-        gs_futures = {}
-        shared: Dict[str, Any] = {}
-        for i, (key, config) in enumerate(groups.items()):
-            cached = _stored_ground_state(store_obj, config)
-            if cached is not None:
-                if progress is not None:
-                    progress(f"ground state {i + 1} restored from store")
-                shared[key] = Simulation(config, ground_state=cached)
-                continue
-            _announce_group(progress, i + 1, config)
-            gs_futures[key] = pool.submit(_converge_json, config.to_json())
-        for key, fut in gs_futures.items():
-            try:
-                gs = fut.result()
-            except Exception as exc:  # noqa: BLE001 — reported per affected run
-                shared[key] = exc
-                continue
-            if store_obj is not None:
-                store_obj.put_ground_state(groups[key], gs)
-            shared[key] = Simulation(groups[key], ground_state=gs)
-
-        futures: Dict[Future, RunRecord] = {}
-        for v, record in zip(variants, records):
-            if record.index in restored:
-                continue
-            proto = shared[_gs_key(v.config)]
-            if isinstance(proto, Exception):
-                _finish(record, 0.0, exc=proto)
-                continue
-            if store_obj is not None:
-                store_obj.begin_run(v.config, overrides=v.overrides)
-            if mode == "thread":
-                fut = pool.submit(_execute_sim, _derive_from(proto, v.config))
-            else:
-                fut = pool.submit(_execute_variant_json, v.config.to_json(), proto._gs)
-            futures[fut] = record
-        for fut in as_completed(futures):
-            record = futures[fut]
-            try:
-                out = fut.result()
-            except Exception as exc:  # noqa: BLE001
-                _finish(record, 0.0, exc=exc)
-            else:
-                if mode == "thread":
-                    arrays, fft, parallel, result, elapsed = out
-                    state = None
-                else:
-                    arrays, fft, parallel, state_t, elapsed = out
-                    result = None
-                    state = TDState(
-                        phi=state_t[0], sigma=state_t[1], time=state_t[2]
-                    )
-                _finish(
-                    record, elapsed, arrays=arrays, fft=fft, parallel=parallel,
-                    result=result, state=state,
-                )
-
+    with contextlib.ExitStack() as stack:
+        if store_like is None and n_workers > 1:
+            store_like = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-sweep-"))
+        store_obj = ResultStore.ensure(store_like) if store_like is not None else None
+        if store_obj is not store_like:
+            stack.callback(store_obj.close)  # opened here, closed here
+        plan = runs.plan_runs((v.config for v in variants), store_obj)
+        for chash, done in plan.restored.items():
+            settle_stored(chash, done, restored=True)
+        if plan.pending and n_workers > 1:
+            _run_on_pool(plan, store_obj, n_workers, labels, settle_stored, fail, say)
+        elif plan.pending:
+            _run_in_process(plan, store_obj, labels, settle, fail, say)
     return EnsembleResult(base_config=base, sweep=sweep, runs=records)

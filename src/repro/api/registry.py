@@ -124,14 +124,12 @@ def available_components() -> Dict[str, List[str]]:
     """
     from repro.backend import available_backends
     from repro.lint import available_rules
-    from repro.store.index import available_store_backends
 
     out = {
         reg.kind: reg.names()
         for reg in (CELLS, FUNCTIONALS, FIELDS, PROPAGATORS)
     }
     out["backend"] = available_backends()
-    out["store"] = available_store_backends()
     out["lint"] = available_rules()
     return out
 

@@ -17,7 +17,6 @@ whenever the high-level surface is too coarse.
 
 from __future__ import annotations
 
-import time as _time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Mapping, Optional, Tuple, Union
@@ -33,7 +32,7 @@ from repro.api.config import (
     open_result_npz,
 )
 from repro.api.registry import CELLS, FIELDS, FUNCTIONALS, PROPAGATORS
-from repro.backend import Backend, CountingBackend, FFTCounters, make_backend
+from repro.backend import Backend, FFTCounters, make_backend
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.hamiltonian import Hamiltonian
@@ -332,30 +331,6 @@ class Simulation:
             )
         return self._parallel
 
-    def isolate_counters(self) -> "Simulation":
-        """Re-scope this simulation's FFT tallies onto a private counter view.
-
-        Used by the ensemble engine on cache-sharing derived variants:
-        the view shares the parent's engine (plan cache, numerics
-        bit-for-bit) but owns fresh :class:`FFTCounters`, so concurrent
-        thread-scheduled runs each report an exact per-run tally instead
-        of sharing — and corrupting — one counter set.  Must be called
-        before any compute on this simulation; returns ``self``.
-        """
-        backend = self._backend
-        if not isinstance(backend, CountingBackend):
-            return self
-        view = backend.view()
-        self._backend = view
-        if self._grid is not None:
-            import copy as _copy
-
-            grid = _copy.copy(self._grid)
-            grid.backend = view
-            self._grid = grid
-        self._ham = None  # rebuilt lazily on the re-scoped grid
-        return self
-
     @property
     def functional(self):
         sys = self.config.system
@@ -384,10 +359,26 @@ class Simulation:
         return self._ham
 
     # -- ground state --------------------------------------------------------
-    def ground_state(self) -> GroundState:
-        """Converge (once) and cache the SCF ground state."""
+    def ground_state(self, store=None) -> GroundState:
+        """Converge (once) and cache the SCF ground state.
+
+        With a ``store`` (an open :class:`~repro.store.ResultStore`) the
+        group's ground state is obtained exactly once across every
+        process using that store: loaded from the blob cache when
+        present, otherwise converged here under the group's lease and
+        published (:func:`repro.store.lease.coalesced_ground_state`).
+        """
         if self._gs is None:
-            self._gs = run_scf(self.hamiltonian, self.config.scf.to_options())
+
+            def converge() -> GroundState:
+                return run_scf(self.hamiltonian, self.config.scf.to_options())
+
+            if store is None:
+                self._gs = converge()
+            else:
+                from repro.store.lease import coalesced_ground_state
+
+                self._gs = coalesced_ground_state(store, self.config, converge)
         return self._gs
 
     @property
@@ -430,14 +421,19 @@ class Simulation:
         to the study's result store before returning.
 
         ``progress`` is an optional ``callable(step, n_steps)`` invoked
-        after every completed propagation step — the hook ``repro
-        serve`` workers use to publish live job progress.
+        after every completed propagation step (and, with a ``store``,
+        once with step 0 before the first) — the hook ``repro serve``
+        workers use to publish live job progress.
         """
         if store is not None:
-            from repro.store import ResultStore
+            from repro.api.runs import run_one
 
-            store = ResultStore.ensure(store)
-        started = _time.perf_counter()
+            # persisting is the kernel's job; reuse=False because this
+            # call continues *this* simulation's trajectory
+            return run_one(
+                self, store, progress, reuse=False,
+                n_steps=n_steps, dt_as=dt_as, observe_every=observe_every,
+            ).result
         prop_cfg = self.config.propagation
         n_steps = prop_cfg.n_steps if n_steps is None else int(n_steps)
         dt_as = prop_cfg.dt_as if dt_as is None else float(dt_as)
@@ -483,25 +479,22 @@ class Simulation:
             fft=fft,
             parallel=ctx.run_info(ledger_mark) if ctx is not None else None,
         )
-        if store is not None:
-            store.add_result(result, elapsed=_time.perf_counter() - started)
         return result
 
     def run(self, store=None, progress=None) -> SimulationResult:
         """Ground state + full configured propagation (the CLI entry).
 
-        With a ``store``, the SCF for this config's shared-SCF group is
-        loaded from the store's blob cache when present (skipping
-        :func:`run_scf` entirely) and the finished run is appended.
+        With a ``store`` this is :func:`repro.api.runs.run_one`: an
+        identical completed run in the store is returned instead of
+        recomputed, the SCF for this config's shared-SCF group comes
+        from the store's blob cache when present (skipping
+        :func:`run_scf` entirely), and the finished run is appended.
+        ``progress(step, n_steps)`` is called with step 0 when the
+        propagation starts, then after every step.
         """
-        if store is not None:
-            from repro.store import ResultStore
+        from repro.api.runs import run_one
 
-            store = ResultStore.ensure(store)
-            if self._gs is None:
-                self._gs = store.load_ground_state(self.config)
-        self.ground_state()
-        return self.propagate(store=store, progress=progress)
+        return run_one(self, store, progress).result
 
     # -- checkpointing --------------------------------------------------------
     def save_checkpoint(self, path) -> Path:

@@ -179,7 +179,7 @@ class Backend(ABC):
         unspecified.  Meant for repeated-transform workspaces (e.g. the
         FFT strategy benchmark's in-place ``out=`` buffer); package hot
         paths stay allocation-based because grids — and therefore
-        backends — are shared by the ensemble thread scheduler.
+        backends — are shared between the variants of a sweep group.
         """
         key = (tuple(int(n) for n in shape), np.dtype(dtype).str)
         buf = self._scratch.get(key)

@@ -1,7 +1,7 @@
 """The default numpy backend — bit-compatible with the original engine.
 
 ``np.fft`` (pocketfft) batched transforms with the package normalization
-applied exactly as the seed :class:`repro.fft.backend.FFTEngine` did
+applied exactly as the seed's process-global engine did
 (``fftn * (1/Ngrid)`` / ``ifftn * Ngrid``), so switching the package to
 the backend API changes no trajectory bits.  numpy's pocketfft is
 single-threaded; ``fft_workers`` is accepted for config compatibility

@@ -69,11 +69,6 @@ class PlaneWaveGrid:
             self.gvec if self.dual == 1 else GVectors(self.cell, dshape, 4.0 * self.ecut)
         )
 
-    @property
-    def engine(self) -> Backend:
-        """Deprecated alias for :attr:`backend` (pre-backend-API name)."""
-        return self.backend
-
     # -- sizes ---------------------------------------------------------------
     @property
     def ngrid(self) -> int:

@@ -11,7 +11,7 @@ registered with a name and a one-line description::
             yield module.finding(node, "my-rule", "message", hint="fix")
 
 Registered rules surface in ``repro lint --list``, ``repro components``
-(alongside cells/functionals/fields/propagators/backends/stores), and
+(alongside cells/functionals/fields/propagators/backends), and
 the README catalogue.
 """
 
@@ -48,7 +48,7 @@ class LintRule:
 
 
 #: the lint-rule registry (fifth registry of the project, after cells /
-#: functionals / fields / propagators and the backend + store registries)
+#: functionals / fields / propagators and the backend registry)
 RULES = Registry("lint rule")
 
 

@@ -6,9 +6,9 @@ substrate promises *bitwise* serial parity; both are void the moment a
 physics module consults ``time.time()`` or global random state.  Inside
 the physics packages this rule bans:
 
-- ``time.time()`` / ``time.time_ns()`` (wall clock in numerics;
-  instrumentation belongs in ``repro.utils.timing``, metadata
-  timestamps in the store layer);
+- ``time.time()`` / ``time.time_ns()`` (wall clock in numerics; timing
+  belongs to the caller that reports it — the run kernel in
+  ``repro/api/runs.py`` — and metadata timestamps to the store layer);
 - the stdlib ``random`` module entirely (unseeded global state);
 - NumPy's legacy global-state API (``np.random.rand``, ``np.random.seed``,
   ...) and ``np.random.default_rng()`` *without an explicit seed* — the
@@ -103,7 +103,7 @@ def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
                     node, RULE,
                     f"wall clock ({dotted}) in physics code breaks bitwise "
                     f"reproducibility",
-                    hint="instrument with repro.utils.timing instead",
+                    hint="time the call from outside (the run kernel, repro/api/runs.py, does)",
                 )
             elif dotted == "numpy.random.default_rng":
                 if _unseeded_default_rng(node):

@@ -1,6 +1,6 @@
 """``pickle-safety`` — nothing unpicklable crosses the spawn boundary.
 
-The serve worker pool and the ensemble process scheduler ship work to
+The serve worker pool — which parallel sweeps run on too — ships work to
 **spawned** processes: every ``Process(args=...)`` tuple and every
 ``executor.submit(...)`` argument is pickled.  SQLite connections,
 locks, and open file handles don't pickle — and worse, the failure is
@@ -9,12 +9,12 @@ on first use at worst).  The established discipline is to pass *paths
 and plain data* (``store_root``, config JSON) and let each process open
 its own handles.
 
-In the boundary modules (``serve/pool.py``, ``serve/worker.py``,
-``api/ensemble.py``) this rule flags known-unpicklable constructors —
+In the boundary modules (``serve/pool.py``, ``serve/worker.py``) this
+rule flags known-unpicklable constructors —
 ``sqlite3.connect`` / ``connect_sqlite``, ``threading``/
 ``multiprocessing`` locks and events, builtin ``open`` — when they are:
 
-- stored on ``self`` (worker-pool/scheduler objects outlive submits;
+- stored on ``self`` (worker-pool objects outlive submits;
   a handle attribute is one refactor away from riding a closure into
   ``submit``), or
 - passed (directly, or via a local variable assigned from one) into
@@ -34,7 +34,7 @@ from repro.lint.rules import in_scope
 RULE = "pickle-safety"
 
 #: modules whose objects/arguments cross the multiprocessing spawn boundary
-SCOPE_FILES = ("serve/pool.py", "serve/worker.py", "api/ensemble.py")
+SCOPE_FILES = ("serve/pool.py", "serve/worker.py")
 
 #: constructors whose results never survive pickling
 HAZARDS = {

@@ -98,6 +98,9 @@ class AndersonMixer:
         c[:-1] = coef
         c[-1] = 1.0 - coef.sum()
 
+        # dead from here on: release its (n, m-1) block before the next
+        # (n, m) one is stacked, so the peak holds four of them, not five
+        del df
         x_mat = np.stack(self._xs, axis=1)
         x_opt = x_mat @ c
         f_opt = f_mat @ c

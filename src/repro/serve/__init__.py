@@ -4,7 +4,8 @@ Built on :mod:`repro.store`: jobs are durable rows in the store's own
 schema-versioned index (they survive server restarts), results land in
 the same content-addressed store every other entry point reads, and
 concurrent jobs sharing a ``(system, scf, backend)`` group coalesce
-onto one SCF through the store's ground-state blob cache.
+onto one SCF through the store's ground-state lease
+(:mod:`repro.store.lease`).
 
 Layers
 ------
@@ -12,11 +13,13 @@ Layers
     The durable queue: submit/claim/retry/recover as atomic SQLite
     transactions against the study's ``index.sqlite``.
 :mod:`repro.serve.worker`
-    The worker-process entry point: claim → (cached? shared SCF?) →
-    propagate with live progress → append to the store.
+    The worker-process entry point: claim → the run kernel
+    (:func:`repro.api.runs.run_one`) with live progress → report.
 :class:`~repro.serve.pool.WorkerPool`
     Spawned worker processes plus the supervisor logic: respawn dead
-    workers, requeue their jobs, enforce per-job deadlines.
+    workers, requeue their jobs, enforce per-job deadlines;
+    :func:`~repro.serve.pool.drain` is its batch form, which parallel
+    sweeps run on.
 :class:`~repro.serve.service.JobService`
     The composed server: store + queue + pool + a stdlib
     ``ThreadingHTTPServer`` JSON API.
@@ -27,10 +30,26 @@ Entry points: ``repro serve CONFIG``, ``repro submit CONFIG --url``,
 ``repro jobs ls|show|watch|fetch|cancel``.
 """
 
-from repro.serve.client import ServeClient, ServeError
-from repro.serve.pool import WorkerPool
-from repro.serve.queue import JOB_STATUSES, JobQueue
-from repro.serve.service import JobService
+import importlib
+
+#: public name -> submodule, imported on first use: a spawned worker
+#: imports :mod:`repro.serve.worker` and should not pay, in start-up
+#: time and resident memory, for the HTTP server and client it never runs
+_EXPORTS = {
+    "JOB_STATUSES": "queue",
+    "JobQueue": "queue",
+    "JobService": "service",
+    "ServeClient": "client",
+    "ServeError": "client",
+    "WorkerPool": "pool",
+}
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"repro.serve.{_EXPORTS[name]}"), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "JOB_STATUSES",

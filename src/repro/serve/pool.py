@@ -21,10 +21,13 @@ a few times a second:
 from __future__ import annotations
 
 import multiprocessing as mp
-from typing import Any, Dict, List, Optional
+import time
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
-from repro.serve.queue import JobQueue
+from repro.api.config import SimulationConfig
+from repro.serve.queue import TERMINAL_STATUSES, JobQueue
 from repro.serve.worker import worker_main
+from repro.store.common import pid_alive
 
 
 class WorkerPool:
@@ -80,9 +83,6 @@ class WorkerPool:
         self._ids.clear()
 
     # -- supervision ----------------------------------------------------------
-    def worker_ids(self) -> List[str]:
-        return [self._ids[slot] for slot in sorted(self._ids)]
-
     def pid_of(self, worker_id: str) -> Optional[int]:
         for slot, wid in self._ids.items():
             if wid == worker_id:
@@ -135,3 +135,47 @@ class WorkerPool:
                 )
             self.queue.remove_worker(worker_id)
             self._spawn(slot)
+
+
+DRAIN_POLL_S = 0.1  #: seconds between a draining parent's looks at its jobs
+
+
+def drain(
+    store_root,
+    configs: Sequence[SimulationConfig],
+    n_workers: int,
+    on_done: Callable[[Dict[str, Any]], None],
+) -> None:
+    """Run ``configs`` through the store's queue on a pool of this call's own.
+
+    The batch form of the service (``run_ensemble(workers > 1)`` uses
+    it): submit, supervise, hand each job row to ``on_done`` as it turns
+    terminal, return when all have.  ``max_attempts=1``: a config that
+    raises, or whose worker is killed, is an ``error`` job, not a retry.
+    A job some other pool on the same store already holds is waited for,
+    not duplicated.  On the way out, by return or by exception, the
+    workers are stopped and nothing of this batch is left claimable.
+    """
+    queue = JobQueue(store_root)
+    pool = WorkerPool(str(store_root), queue, n_workers=n_workers)
+    waiting: List[str] = []
+    try:
+        if not any(pid_alive(w["pid"]) for w in queue.workers()):
+            # nobody is alive to finish a claim left behind by a batch or
+            # server that was killed outright: requeue, as a booting server does
+            queue.recover()
+        waiting = [queue.submit(config, max_attempts=1)["job_id"] for config in configs]
+        pool.start()
+        while waiting:
+            pool.tick(backoff=0.0)
+            for job_id in list(waiting):
+                job = queue.get(job_id)
+                if job is not None and job["status"] in TERMINAL_STATUSES:
+                    waiting.remove(job_id)
+                    on_done(job)
+            time.sleep(DRAIN_POLL_S if waiting else 0.0)
+    finally:
+        pool.stop()
+        for job_id in waiting:
+            queue.cancel(job_id)
+        queue.close()

@@ -31,7 +31,6 @@ from repro.store.common import (
     config_hash,
     connect_sqlite,
     run_immediate,
-    run_id_for,
     utc_now,
 )
 from repro.store.migrate import ensure_schema
@@ -452,7 +451,3 @@ def job_config(job: Dict[str, Any]) -> SimulationConfig:
     """The :class:`SimulationConfig` a job row was submitted with."""
     return SimulationConfig.from_json(job["config_json"])
 
-
-def job_run_id(job: Dict[str, Any]) -> str:
-    """The run id this job's result is (or will be) stored under."""
-    return job["run_id"] or run_id_for(job_config(job))

@@ -2,9 +2,8 @@
 
 One :class:`JobService` owns everything ``repro serve`` runs:
 
-- the study's :class:`~repro.store.ResultStore` (sqlite-backed — the
-  queue lives inside the index database, so the jsonl backend cannot
-  host a service);
+- the study's :class:`~repro.store.ResultStore` (the queue lives
+  inside its index database);
 - a :class:`~repro.serve.queue.JobQueue` over that index;
 - a :class:`~repro.serve.pool.WorkerPool` of spawned processes plus a
   supervisor thread ticking it (respawn dead workers, requeue their
@@ -26,8 +25,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.api.config import SimulationConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.pool import WorkerPool
-from repro.serve.queue import JobQueue
-from repro.store.common import StoreError, utc_now
+from repro.serve.queue import JobQueue, job_id_for
+from repro.store.common import utc_now
 
 #: seconds between supervisor passes
 SUPERVISE_EVERY_S = 0.25
@@ -56,12 +55,6 @@ class JobService:
         from repro.store import ResultStore
 
         self.store = ResultStore.ensure(store_root)
-        if self.store.backend_name != "sqlite":
-            raise StoreError(
-                f"repro serve needs a sqlite-backed store (the job queue "
-                f"lives in its index); {self.store.root} uses "
-                f"{self.store.backend_name!r}"
-            )
         self.queue = JobQueue(self.store.root)
         self.host = host
         self.requested_port = int(port)
@@ -162,7 +155,7 @@ class JobService:
         if not isinstance(config, SimulationConfig):
             config = SimulationConfig.from_dict(config)
         cached = self.store.find_completed(config)
-        before = self.queue.get(_job_id(config))
+        before = self.queue.get(job_id_for(config))
         job = self.queue.submit(
             config,
             max_attempts=self.retries if max_attempts is None else int(max_attempts),
@@ -232,8 +225,3 @@ class JobService:
             time.sleep(poll_s)
         return False
 
-
-def _job_id(config: SimulationConfig) -> str:
-    from repro.serve.queue import job_id_for
-
-    return job_id_for(config)

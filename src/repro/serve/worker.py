@@ -8,18 +8,13 @@ loops: claim the oldest runnable job, execute it through the ordinary
 :class:`~repro.api.simulation.Simulation` facade, append the result to
 the store, report the outcome.
 
-Execution order per job:
-
-1. *cache hit* — the store already holds a completed run for the exact
-   config: finish immediately, pointing the job at it;
-2. *ground state* — via :func:`~repro.serve.gscache.coalesced_ground_state`,
-   so concurrent jobs sharing a ``(system, scf, backend)`` group elect
-   one SCF;
-3. *propagation* — with a throttled progress callback publishing
-   ``step / n_steps`` into the job row for ``GET /jobs/<id>``;
-4. *append + finish* — result lands in the store first, then the job
-   flips to ``ok`` (a crash between the two re-runs the job, which then
-   resolves as a cache hit).
+Each job is one call of the run kernel (:func:`repro.api.runs.run_one`)
+against the shared store — cache hit, else the group's ground state
+(blob, or one lease-elected SCF across all workers), propagation,
+append — with a throttled progress callback publishing ``step /
+n_steps`` into the job row for ``GET /jobs/<id>``.  The result lands in
+the store first, then the job flips to ``ok`` (a crash between the two
+re-runs the job, which then resolves as a cache hit).
 
 Failures are reported as failed attempts (the queue requeues with
 backoff or gives up); a worker killed outright reports nothing — the
@@ -33,9 +28,9 @@ import time
 import traceback
 from typing import Any, Dict, Optional
 
+from repro.api.runs import run_one
 from repro.api.simulation import Simulation
-from repro.serve.gscache import coalesced_ground_state
-from repro.serve.queue import JobQueue, job_config, job_run_id
+from repro.serve.queue import JobQueue, job_config
 
 #: how often an idle worker polls the queue for work
 IDLE_POLL_S = 0.1
@@ -48,45 +43,26 @@ PROGRESS_EVERY_S = 0.25
 def execute_job(store, queue: JobQueue, job: Dict[str, Any], options: Dict[str, Any]) -> None:
     """Run one claimed job to a terminal report (ok or failed attempt)."""
     backoff = float(options.get("backoff", 0.5))
-    started = time.perf_counter()
+    job_id = job["job_id"]
+    last = [0.0]
+
+    def _progress(step: int, n_steps: int) -> None:
+        now = time.monotonic()
+        if step in (0, n_steps) or now - last[0] >= PROGRESS_EVERY_S:
+            last[0] = now
+            queue.progress(
+                job_id,
+                step / n_steps if n_steps else 1.0,
+                f"step {step}/{n_steps}" if step else "propagating",
+            )
+
     try:
-        config = job_config(job)
-        run_id = job_run_id(job)
-        cached = store.find_completed(config)
-        if cached is not None:
-            queue.finish_ok(job["job_id"], cached.run_id)
-            return
-        queue.progress(job["job_id"], 0.0, "converging ground state")
-        sim = Simulation(config)
-        gs, _ = coalesced_ground_state(
-            store,
-            config,
-            converge=sim.ground_state,
-            wait_s=float(options.get("gs_wait_s", 600.0)),
-        )
-        sim._gs = gs
-
-        last = [0.0]
-
-        def _progress(step: int, n_steps: int) -> None:
-            now = time.monotonic()
-            if step == n_steps or now - last[0] >= PROGRESS_EVERY_S:
-                last[0] = now
-                queue.progress(
-                    job["job_id"],
-                    step / n_steps if n_steps else 1.0,
-                    f"step {step}/{n_steps}",
-                )
-
-        queue.progress(job["job_id"], 0.0, "propagating")
-        result = sim.propagate(progress=_progress)
-        store.add_result(
-            result, run_id=run_id, elapsed=time.perf_counter() - started
-        )
-        queue.finish_ok(job["job_id"], run_id)
+        queue.progress(job_id, 0.0, "converging ground state")
+        outcome = run_one(Simulation(job_config(job)), store, _progress)
+        queue.finish_ok(job_id, outcome.run_id)
     except Exception as exc:  # noqa: BLE001 - every job error becomes a report
         error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=5)}"
-        queue.fail_attempt(job["job_id"], error, backoff=backoff)
+        queue.fail_attempt(job_id, error, backoff=backoff)
 
 
 def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any]] = None) -> None:

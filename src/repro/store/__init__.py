@@ -25,15 +25,9 @@ from repro.store.common import (
     group_key,
     run_id_for,
 )
-from repro.store.index import (
-    JsonlRunIndex,
-    SqliteRunIndex,
-    available_store_backends,
-    make_run_index,
-    register_store_backend,
-)
+from repro.store.index import SqliteRunIndex
 from repro.store.migrate import SCHEMA_VERSION, ensure_schema
-from repro.store.query import StoredRun, parse_when, parse_where, query_runs
+from repro.store.query import StoredRun, parse_when, parse_where
 from repro.store.records import (
     read_chunks,
     read_state,
@@ -51,28 +45,23 @@ from repro.store.store import (
 __all__ = [
     "BlobStore",
     "DEFAULT_CHUNK_STEPS",
-    "JsonlRunIndex",
     "ResultStore",
     "SCHEMA_VERSION",
     "STORE_VERSION",
     "SqliteRunIndex",
     "StoreError",
     "StoredRun",
-    "available_store_backends",
     "canonical_json",
     "config_hash",
     "ensure_schema",
     "flatten_dotted",
     "group_address",
     "group_key",
-    "make_run_index",
     "parse_when",
     "parse_where",
-    "query_runs",
     "read_chunks",
     "read_state",
     "record_from_arrays",
-    "register_store_backend",
     "run_id_for",
     "store_schema_info",
     "write_chunks",

@@ -50,12 +50,6 @@ class BlobStore:
             atomic_write_text(path, config.to_json())
         return address
 
-    def get_config(self, address: str) -> SimulationConfig:
-        path = self.configs_dir / f"{address}.json"
-        if not path.exists():
-            raise StoreError(f"store has no config blob {address} ({path})")
-        return SimulationConfig.from_json(path.read_text())
-
     # -- ground states -------------------------------------------------------
     def put_ground_state(self, config: SimulationConfig, gs: GroundState) -> str:
         """Store a group's converged SCF; returns the group address.

@@ -11,6 +11,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
+import os
 import sqlite3
 import time
 from typing import Any, Dict, Mapping
@@ -94,6 +95,24 @@ def flatten_dotted(data: Mapping[str, Any], prefix: str = "") -> Dict[str, Any]:
 def utc_now() -> float:
     """Unix timestamp used for index ``created``/``updated`` columns."""
     return time.time()
+
+
+def pid_alive(pid: int) -> bool:
+    """Is a process with this pid running on this host?
+
+    The liveness test behind stale ground-state leases and stale job
+    claims; both are same-host by construction (a lock file and a
+    database on a local directory).
+    """
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    except PermissionError:
+        return True
+    return True
 
 
 # --------------------------------------------------------------------------

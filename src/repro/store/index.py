@@ -1,26 +1,17 @@
-"""The queryable run index: one row per run, pluggable backends.
+"""The queryable run index: one row (a plain dict) per run.
 
-Two registered backends share one row contract (plain dicts):
-
-``sqlite`` (default)
-    A single ``index.sqlite`` file, schema-versioned and migrated by
-    :mod:`repro.store.migrate`; dotted-key filters run in SQL against
-    the flattened ``config_kv`` table.
-``jsonl``
-    An append-only ``index.jsonl`` manifest (one JSON row per line,
-    latest row per run id wins) for environments where a single
-    append-only text file beats a database — filters run in Python.
-
-Register more with :func:`register_store_backend`; ``repro components``
-lists whatever is registered.
+A single ``index.sqlite`` file, schema-versioned and migrated by
+:mod:`repro.store.migrate`; dotted-key filters run in SQL against the
+flattened ``config_kv`` table.  The job queue (:mod:`repro.serve.queue`)
+lives in the same database, which is why every parallel sweep and the
+job service can share one study directory.
 """
 
 from __future__ import annotations
 
 import json
-import sqlite3
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Mapping, Optional
+from typing import Any, Dict, List, Mapping, Optional
 
 from repro.store.common import (
     StoreError,
@@ -29,10 +20,9 @@ from repro.store.common import (
     flatten_dotted,
     run_immediate,
 )
-from repro.store.migrate import SCHEMA_VERSION, ensure_schema
-from repro.utils.io import atomic_write_text
+from repro.store.migrate import ensure_schema
 
-#: row keys every backend stores and returns
+#: row keys the index stores and returns
 ROW_KEYS = (
     "run_id",
     "config_hash",
@@ -63,32 +53,9 @@ def _normalize_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     return out
 
 
-def _matches(
-    row: Dict[str, Any],
-    status: Optional[str],
-    where: Optional[Mapping[str, Any]],
-    since: Optional[float],
-    until: Optional[float],
-) -> bool:
-    """Python-side filter (jsonl backend; semantics match the SQL path)."""
-    if status is not None and row["status"] != status:
-        return False
-    if since is not None and row["created"] < since:
-        return False
-    if until is not None and row["created"] > until:
-        return False
-    if where:
-        flat = flatten_dotted(row["config"])
-        for key, value in where.items():
-            if key not in flat or canonical_json(flat[key]) != canonical_json(value):
-                return False
-    return True
-
-
 class SqliteRunIndex:
-    """SQLite-backed run index (the default store backend)."""
+    """SQLite-backed run index."""
 
-    name = "sqlite"
     filename = "index.sqlite"
 
     def __init__(self, root) -> None:
@@ -240,134 +207,3 @@ class SqliteRunIndex:
 
     def count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0])
-
-
-class JsonlRunIndex:
-    """Append-only JSON-lines manifest index (latest row per run wins)."""
-
-    name = "jsonl"
-    filename = "index.jsonl"
-
-    def __init__(self, root) -> None:
-        self.path = Path(root) / self.filename
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if not self.path.exists():
-            # atomic: a crash mid-header-write must not leave a truncated
-            # first line that poisons every later open of this index
-            atomic_write_text(
-                self.path,
-                json.dumps({"jsonl_header": True, "schema_version": SCHEMA_VERSION})
-                + "\n",
-            )
-        header = json.loads(self.path.read_text().splitlines()[0])
-        self.schema_version = int(header.get("schema_version", 1))
-        if self.schema_version > SCHEMA_VERSION:
-            raise StoreError(
-                f"store index {self.path} has schema version "
-                f"{self.schema_version}, newer than this build's "
-                f"{SCHEMA_VERSION}; upgrade repro to open this store"
-            )
-
-    def close(self) -> None:
-        pass
-
-    def _replay(self) -> Dict[str, Dict[str, Any]]:
-        live: Dict[str, Dict[str, Any]] = {}
-        for line in self.path.read_text().splitlines()[1:]:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            if row.get("deleted"):
-                live.pop(row["run_id"], None)
-            else:
-                # rows from older schema versions pick up new keys as
-                # None/{} defaults during normalization — the jsonl
-                # analogue of the sqlite column migrations
-                live[row["run_id"]] = _normalize_row(row)
-        return live
-
-    def upsert(self, row: Mapping[str, Any]) -> None:
-        with self.path.open("a") as fh:
-            fh.write(canonical_json(_normalize_row(row)) + "\n")
-
-    def delete(self, run_id: str) -> None:
-        with self.path.open("a") as fh:
-            fh.write(canonical_json({"run_id": run_id, "deleted": True}) + "\n")
-
-    def get(self, run_id: str) -> Optional[Dict[str, Any]]:
-        return self._replay().get(run_id)
-
-    def find_by_config(self, config_hash: str) -> Optional[Dict[str, Any]]:
-        matches = [
-            row for row in self._replay().values() if row["config_hash"] == config_hash
-        ]
-        matches.sort(key=lambda r: r["updated"])
-        return matches[-1] if matches else None
-
-    def rows(
-        self,
-        status: Optional[str] = None,
-        where: Optional[Mapping[str, Any]] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> List[Dict[str, Any]]:
-        out = [
-            row
-            for row in self._replay().values()
-            if _matches(row, status, where, since, until)
-        ]
-        out.sort(key=lambda r: (r["created"], r["run_id"]))
-        if offset:
-            out = out[int(offset):]
-        if limit is not None:
-            out = out[: int(limit)]
-        return out
-
-    def count(self) -> int:
-        return len(self._replay())
-
-
-# --------------------------------------------------------------------------
-# backend registry
-# --------------------------------------------------------------------------
-
-IndexFactory = Callable[..., Any]
-
-_BACKENDS: Dict[str, IndexFactory] = {}
-
-
-def register_store_backend(name: str, factory: Optional[IndexFactory] = None):
-    """Register an index backend ``factory(root) -> RunIndex``; decorator-friendly."""
-
-    def _add(fn: IndexFactory) -> IndexFactory:
-        key = name.strip().lower()
-        if key in _BACKENDS:
-            raise StoreError(
-                f"store backend {key!r} is already registered; pick another name"
-            )
-        _BACKENDS[key] = fn
-        return fn
-
-    return _add if factory is None else _add(factory)
-
-
-def available_store_backends() -> List[str]:
-    """Registered index-backend names (``repro components`` lists these)."""
-    return sorted(_BACKENDS)
-
-
-def make_run_index(name: str, root):
-    """Build the index backend ``name`` rooted at the study directory."""
-    key = str(name).strip().lower()
-    if key not in _BACKENDS:
-        raise StoreError(
-            f"unknown store backend {name!r}; "
-            f"registered: {', '.join(available_store_backends())}"
-        )
-    return _BACKENDS[key](root)
-
-
-register_store_backend("sqlite", SqliteRunIndex)
-register_store_backend("jsonl", JsonlRunIndex)

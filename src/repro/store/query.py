@@ -2,10 +2,10 @@
 
 :class:`StoredRun` is the user-facing view of one index row (config
 parsed back into a :class:`SimulationConfig`, overrides labeled the same
-way sweep variants are); :func:`query_runs` applies the standard filter
-set — status, dotted config keys, creation-time window — and the CLI
-helpers parse ``--where key=value`` / ``--since 2026-08-01`` arguments
-into those filters.
+way sweep variants are); the CLI helpers parse ``--where key=value`` /
+``--since 2026-08-01`` arguments into the filters
+:meth:`ResultStore.query <repro.store.store.ResultStore.query>` takes —
+status, dotted config keys, creation-time window.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Dict, Mapping, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.store.common import StoreError
@@ -73,30 +73,6 @@ class StoredRun:
         return _dt.datetime.fromtimestamp(
             self.created, tz=_dt.timezone.utc
         ).strftime("%Y-%m-%d %H:%M:%S")
-
-
-def query_runs(
-    index,
-    status: Optional[str] = None,
-    where: Optional[Mapping[str, Any]] = None,
-    since: Optional[float] = None,
-    until: Optional[float] = None,
-    limit: Optional[int] = None,
-    offset: int = 0,
-) -> List[StoredRun]:
-    """Filtered, creation-ordered runs from an index backend.
-
-    ``limit``/``offset`` page through the filtered set in creation
-    order — a store holding thousands of service runs is listed a page
-    at a time instead of materializing every row.
-    """
-    return [
-        StoredRun.from_row(row)
-        for row in index.rows(
-            status=status, where=where, since=since, until=until,
-            limit=limit, offset=offset,
-        )
-    ]
 
 
 def parse_where(pairs: Sequence[str]) -> Dict[str, Any]:

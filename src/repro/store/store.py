@@ -3,8 +3,8 @@
 On-disk layout::
 
     study/
-      store.json            # store metadata: version, index backend, chunking
-      index.sqlite          # queryable run index (or index.jsonl)
+      store.json            # store metadata: version, chunking
+      index.sqlite          # queryable run index (and the job queue)
       blobs/
         configs/<sha>.json         # content-addressed config provenance
         ground_states/<sha>.npz    # one SCF per (system, scf, engine) group
@@ -45,9 +45,9 @@ from repro.store.common import (
     run_id_for,
     utc_now,
 )
-from repro.store.index import make_run_index
+from repro.store.index import SqliteRunIndex
 from repro.store.migrate import SCHEMA_VERSION
-from repro.store.query import StoredRun, query_runs
+from repro.store.query import StoredRun
 from repro.store.records import (
     read_chunks,
     read_state,
@@ -66,6 +66,22 @@ DEFAULT_CHUNK_STEPS = 256
 StoreLike = Union["ResultStore", str, Path]
 
 
+#: the one index backend; ``store.json`` records it so an older build
+#: that still had others refuses a store it cannot read
+INDEX_BACKEND = "sqlite"
+
+
+def _check_index_backend(meta: Mapping[str, Any], root: Path) -> None:
+    """``store.json`` comes from disk: a backend this build lacks is refused by name."""
+    backend = str(meta.get("backend", INDEX_BACKEND))
+    if backend != INDEX_BACKEND:
+        raise StoreError(
+            f"store {root} uses index backend {backend!r}, which was removed in "
+            f"1.8.0 ({INDEX_BACKEND} is the only run index); open it with "
+            f"repro < 1.8 and re-add its runs to a new store"
+        )
+
+
 def _fft_dict(fft) -> Optional[Dict[str, Any]]:
     if fft is None:
         return None
@@ -80,11 +96,7 @@ class ResultStore:
     root:
         The study directory.  Created (with metadata) when missing and
         ``create=True``; opening an existing store reads its metadata,
-        so ``backend``/``chunk_steps`` only matter at creation time.
-    backend:
-        Index backend name (``"sqlite"`` default, ``"jsonl"``, or
-        anything registered via
-        :func:`repro.store.register_store_backend`).
+        so ``chunk_steps`` only matters at creation time.
     chunk_steps:
         Maximum observations per trajectory chunk file.
     """
@@ -92,7 +104,6 @@ class ResultStore:
     def __init__(
         self,
         root,
-        backend: str = "sqlite",
         chunk_steps: int = DEFAULT_CHUNK_STEPS,
         create: bool = True,
     ) -> None:
@@ -106,7 +117,7 @@ class ResultStore:
                     f"store {self.root} has store_version {version}, newer than "
                     f"this build's {STORE_VERSION}; upgrade repro to open it"
                 )
-            backend = str(meta.get("backend", backend))
+            _check_index_backend(meta, self.root)
             chunk_steps = int(meta.get("chunk_steps", chunk_steps))
         elif self.root.exists() and any(self.root.iterdir()):
             raise StoreError(
@@ -122,7 +133,7 @@ class ResultStore:
                 json.dumps(
                     {
                         "store_version": STORE_VERSION,
-                        "backend": backend,
+                        "backend": INDEX_BACKEND,
                         "chunk_steps": int(chunk_steps),
                         "created": utc_now(),
                     },
@@ -133,11 +144,10 @@ class ResultStore:
             )
         if chunk_steps < 1:
             raise StoreError(f"chunk_steps must be >= 1, got {chunk_steps}")
-        self.backend_name = backend
         self.chunk_steps = int(chunk_steps)
         self.blobs = BlobStore(self.root / "blobs")
         self.runs_dir = self.root / "runs"
-        self.index = make_run_index(backend, self.root)
+        self.index = SqliteRunIndex(self.root)
 
     # -- lifecycle -----------------------------------------------------------
     @classmethod
@@ -154,10 +164,7 @@ class ResultStore:
         return self.index.count()
 
     def __repr__(self) -> str:
-        return (
-            f"ResultStore({str(self.root)!r}, backend={self.backend_name!r}, "
-            f"runs={len(self)})"
-        )
+        return f"ResultStore({str(self.root)!r}, runs={len(self)})"
 
     @property
     def schema_version(self) -> int:
@@ -180,28 +187,48 @@ class ResultStore:
         Re-registering an existing run keeps its original ``created``
         timestamp.
         """
+        return self._write_row(config, run_id, "running", overrides)
+
+    def _write_row(
+        self,
+        config: SimulationConfig,
+        run_id: Optional[str],
+        status: str,
+        overrides: Optional[Mapping[str, Any]],
+        **fields,
+    ) -> str:
+        """Upsert the run's index row — every writer's one way in.
+
+        ``created``, ``gs_address`` and the sweep label carry over from
+        the row already there unless the writer sets them: a sweep's
+        parent labels the row in :meth:`begin_run`, and the worker that
+        later finishes the run knows only the config and must not blank
+        the label.
+        """
         run_id = run_id or run_id_for(config)
         prior = self.index.get(run_id)
         now = utc_now()
         self.blobs.put_config(config)
-        self.index.upsert(
-            {
-                "run_id": run_id,
-                "config_hash": config_hash(config),
-                "gs_address": prior["gs_address"] if prior else None,
-                "status": "running",
-                "error": None,
-                "created": prior["created"] if prior else now,
-                "updated": now,
-                "elapsed": 0.0,
-                "n_chunks": 0,
-                "n_times": 0,
-                "config": config.to_dict(),
-                "overrides": dict(overrides or {}),
-                "fft": None,
-                "parallel": None,
-            }
-        )
+        if overrides is None:
+            overrides = prior["overrides"] if prior else {}
+        row = {
+            "run_id": run_id,
+            "config_hash": config_hash(config),
+            "gs_address": prior["gs_address"] if prior else None,
+            "status": status,
+            "error": None,
+            "created": prior["created"] if prior else now,
+            "updated": now,
+            "elapsed": 0.0,
+            "n_chunks": 0,
+            "n_times": 0,
+            "config": config.to_dict(),
+            "overrides": dict(overrides),
+            "fft": None,
+            "parallel": None,
+        }
+        row.update(fields)
+        self.index.upsert(row)
         return run_id
 
     def add_run(
@@ -226,7 +253,6 @@ class ResultStore:
         (latest wins).
         """
         run_id = run_id or run_id_for(config)
-        self.blobs.put_config(config)
         if ground_state is not None:
             gs_address = self.blobs.put_ground_state(config, ground_state)
         else:
@@ -241,27 +267,18 @@ class ResultStore:
         n_chunks = write_chunks(run_dir, arrays, self.chunk_steps)
         parallel = dict(parallel) if parallel is not None else None
         write_state(run_dir, final_state, parallel)
-        prior = self.index.get(run_id)
-        now = utc_now()
-        self.index.upsert(
-            {
-                "run_id": run_id,
-                "config_hash": config_hash(config),
-                "gs_address": gs_address,
-                "status": "ok",
-                "error": None,
-                "created": prior["created"] if prior else now,
-                "updated": now,
-                "elapsed": float(elapsed),
-                "n_chunks": n_chunks,
-                "n_times": int(arrays["times"].shape[0]) if "times" in arrays else 0,
-                "config": config.to_dict(),
-                "overrides": dict(overrides or {}),
-                "fft": _fft_dict(fft),
-                "parallel": parallel,
-            }
+        return self._write_row(
+            config,
+            run_id,
+            "ok",
+            overrides,
+            gs_address=gs_address,
+            elapsed=float(elapsed),
+            n_chunks=n_chunks,
+            n_times=int(arrays["times"].shape[0]) if "times" in arrays else 0,
+            fft=_fft_dict(fft),
+            parallel=parallel,
         )
-        return run_id
 
     def add_result(
         self,
@@ -345,29 +362,9 @@ class ResultStore:
         elapsed: float = 0.0,
     ) -> str:
         """Record a failed run (kept in the index, re-queued on resume)."""
-        run_id = run_id or run_id_for(config)
-        prior = self.index.get(run_id)
-        now = utc_now()
-        self.blobs.put_config(config)
-        self.index.upsert(
-            {
-                "run_id": run_id,
-                "config_hash": config_hash(config),
-                "gs_address": prior["gs_address"] if prior else None,
-                "status": "error",
-                "error": str(error),
-                "created": prior["created"] if prior else now,
-                "updated": now,
-                "elapsed": float(elapsed),
-                "n_chunks": 0,
-                "n_times": 0,
-                "config": config.to_dict(),
-                "overrides": dict(overrides or {}),
-                "fft": None,
-                "parallel": None,
-            }
+        return self._write_row(
+            config, run_id, "error", overrides, error=str(error), elapsed=float(elapsed)
         )
-        return run_id
 
     # -- ground-state cache ---------------------------------------------------
     def put_ground_state(self, config: SimulationConfig, gs: GroundState) -> str:
@@ -456,10 +453,10 @@ class ResultStore:
         ``limit``/``offset`` page through the match set in creation
         order (service stores accumulate thousands of runs).
         """
-        return query_runs(
-            self.index, status=status, where=where, since=since, until=until,
-            limit=limit, offset=offset,
+        rows = self.index.rows(
+            status=status, where=where, since=since, until=until, limit=limit, offset=offset
         )
+        return [StoredRun.from_row(row) for row in rows]
 
 
 def store_schema_info(root) -> Dict[str, Any]:
@@ -474,10 +471,9 @@ def store_schema_info(root) -> Dict[str, Any]:
     if not meta_path.exists():
         raise StoreError(f"no result store at {root} (missing store.json)")
     meta = json.loads(meta_path.read_text())
-    backend = str(meta.get("backend", "sqlite"))
+    _check_index_backend(meta, root)
     version: Optional[int] = None
     sqlite_path = root / "index.sqlite"
-    jsonl_path = root / "index.jsonl"
     if sqlite_path.exists():
         from repro.store.common import connect_sqlite
         from repro.store.migrate import schema_version as _sqlite_version
@@ -490,12 +486,9 @@ def store_schema_info(root) -> Dict[str, Any]:
             version = _sqlite_version(conn)
         finally:
             conn.close()
-    elif jsonl_path.exists():
-        header = json.loads(jsonl_path.read_text().splitlines()[0])
-        version = int(header.get("schema_version", 1))
     return {
         "store_version": int(meta.get("store_version", 0)),
-        "backend": backend,
+        "backend": INDEX_BACKEND,
         "schema_version": version,
         "code_schema_version": SCHEMA_VERSION,
     }

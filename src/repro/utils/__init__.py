@@ -1,4 +1,4 @@
-"""Shared helpers: validation, timers, deterministic RNG."""
+"""Shared helpers: validation, atomic IO, deterministic RNG."""
 
 from repro.utils.validation import (
     check_hermitian,
@@ -6,7 +6,6 @@ from repro.utils.validation import (
     check_unitary,
     require,
 )
-from repro.utils.timing import Stopwatch, Timings
 from repro.utils.rng import default_rng
 
 __all__ = [
@@ -14,7 +13,5 @@ __all__ = [
     "check_square",
     "check_unitary",
     "require",
-    "Stopwatch",
-    "Timings",
     "default_rng",
 ]

@@ -1,10 +1,10 @@
-"""Ensemble sweep engine: expansion, schedulers, collection, CLI.
+"""Ensemble sweep engine: expansion, execution, collection, CLI.
 
 The execution tests run the shipped ``examples/configs/sweep_absorption``
-sweep once serially (module fixture) and compare every other path —
-process pool via the real CLI, thread pool via the API — against it:
-same machine, same ground state, the trajectories must agree to
-round-off regardless of scheduler (the acceptance bar for the engine).
+sweep once in process (module fixture) and compare the spawned-worker
+path — via the real CLI and via the API — against it: same machine,
+same ground state, the trajectories must agree to round-off wherever
+the runs execute (the acceptance bar for the engine).
 """
 
 import json
@@ -25,7 +25,6 @@ from repro.api import (
     run_ensemble,
 )
 from repro.api.cli import main as cli_main
-from repro.api.ensemble import resolve_scheduler
 
 SWEEP_TOML = Path(__file__).parent.parent / "examples" / "configs" / "sweep_absorption.toml"
 
@@ -135,14 +134,6 @@ def test_load_sweep_file_roundtrip(tmp_path):
     assert sweep0.n_runs == 1
 
 
-def test_resolve_scheduler():
-    assert resolve_scheduler("auto", 1) == "serial"
-    assert resolve_scheduler("auto", 4) == "process"
-    assert resolve_scheduler("thread", 1) == "thread"
-    with pytest.raises(ConfigError, match="unknown scheduler"):
-        resolve_scheduler("mpi", 2)
-
-
 # ---------------- EnsembleResult (synthetic, no SCF) -------------------------
 
 
@@ -215,6 +206,23 @@ def test_ensemble_npz_round_trip(tmp_path):
     assert loaded.runs[1].fft is None
 
 
+def test_ensemble_load_reads_files_written_before_scheduler_was_removed(tmp_path):
+    """A version-1 ensemble file records ``sweep.scheduler``; the strict
+    parser rejects that key in configs, but our own old files still load."""
+    result = _fake_result(("ok", "ok"))
+    path = result.save_npz(tmp_path / "ens.npz")
+    with np.load(path) as data:
+        payload = {name: data[name] for name in data.files}
+    meta = json.loads(str(payload["ensemble_json"]))
+    meta["sweep"]["scheduler"] = "thread"
+    payload["ensemble_json"] = np.str_(json.dumps(meta))
+    np.savez(tmp_path / "old.npz", **payload)
+    loaded = EnsembleResult.load_npz(tmp_path / "old.npz")
+    assert loaded.sweep == result.sweep
+    with pytest.raises(ConfigError, match=r"sweep\.scheduler was removed in 1\.8\.0"):
+        SweepConfig.from_dict(meta["sweep"])
+
+
 def test_ensemble_load_rejects_foreign_npz(tmp_path):
     path = tmp_path / "junk.npz"
     np.savez(path, a=np.zeros(3))
@@ -230,7 +238,7 @@ def test_summary_lists_every_run():
     assert len(text.splitlines()) == 2 + len(result.runs)
 
 
-# ---------------- execution (one shared SCF per scheduler path) --------------
+# ---------------- execution (one shared SCF wherever the runs execute) ------
 
 
 @pytest.fixture(scope="module")
@@ -238,7 +246,7 @@ def serial_run():
     """The shipped absorption sweep executed serially — the reference."""
     base, sweep = load_sweep_file(SWEEP_TOML)
     messages = []
-    result = run_ensemble(base, sweep, workers=1, scheduler="serial", progress=messages.append)
+    result = run_ensemble(base, sweep, workers=1, progress=messages.append)
     return result, messages
 
 
@@ -301,9 +309,9 @@ def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
     loaded = EnsembleResult.load_npz(out_path)
     assert [r.status for r in loaded.runs] == ["ok"] * 4
     assert [r.overrides for r in loaded.runs] == [r.overrides for r in serial_result.runs]
-    # the counter-loss fix: process workers' FFT tallies come back with the
-    # results (and survive the npz round trip) instead of dying with the
-    # worker's engine — and match the serial propagation tallies exactly
+    # worker processes' FFT tallies come back with the results (through
+    # the store row, and survive the npz round trip) instead of dying with
+    # the worker's engine — and match the in-process tallies exactly
     for got, ref in zip(loaded.runs, serial_result.runs):
         assert got.fft is not None
         assert got.fft == ref.fft
@@ -316,43 +324,84 @@ def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
     np.testing.assert_allclose(s_p, s_s, rtol=0.0, atol=1e-12)
 
 
-def test_thread_pool_matches_serial(serial_run):
-    result_serial, _ = serial_run
+def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypatch):
+    """One engine: the same four configs through ``run_ensemble`` on spawned
+    workers (with and without a store) and through ``JobService.submit``
+    give the in-process loop's observables bit for bit and its per-run FFT
+    tallies exactly, converge one ground state per group, and leave no
+    temporary store behind."""
+    import tempfile
+
+    from repro.serve import JobService
+    from repro.store import ResultStore
+
+    reference, _ = serial_run
     base, sweep = load_sweep_file(SWEEP_TOML)
-    result = run_ensemble(base, sweep, workers=2, scheduler="thread")
-    assert [r.status for r in result.runs] == ["ok"] * 4
-    np.testing.assert_allclose(
-        result.stacked("dipole"), result_serial.stacked("dipole"), rtol=0.0, atol=1e-12
+    scratch = tmp_path / "tmp"
+    scratch.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+
+    unstored = run_ensemble(base, sweep, workers=2)
+    assert list(scratch.iterdir()) == []  # the temporary store is gone
+    stored = run_ensemble(base, sweep, workers=2, store=tmp_path / "study")
+    with JobService(tmp_path / "served", port=0, workers=2, backoff=0.0) as service:
+        jobs = [service.submit(run.config)[0] for run in reference.runs]
+        assert service.wait_all(timeout_s=300.0)
+        finals = [service.queue.get(job["job_id"]) for job in jobs]
+        assert [job["status"] for job in finals] == ["ok"] * 4
+        served = [service.store.load_result(job["run_id"]) for job in finals]
+        assert len(service.store.blobs.ground_state_addresses()) == 1
+
+    for ensemble in (unstored, stored):
+        assert [r.status for r in ensemble.runs] == ["ok"] * 4
+        assert [r.overrides for r in ensemble.runs] == [r.overrides for r in reference.runs]
+    for i, ref in enumerate(reference.runs):
+        legs = (unstored.runs[i].arrays, stored.runs[i].arrays, served[i].observables())
+        tallies = (unstored.runs[i].fft, stored.runs[i].fft, served[i].fft)
+        for arrays, fft in zip(legs, tallies):
+            assert set(arrays) == set(ref.arrays)
+            for key, expected in ref.arrays.items():
+                # energy is NaN when not recorded; everything else bit for bit
+                assert np.array_equal(arrays[key], expected, equal_nan=True), (i, key)
+            assert fft == ref.fft, i
+
+    store = ResultStore(tmp_path / "study", create=False)
+    assert len(store.blobs.ground_state_addresses()) == 1
+    # the parent labels the row, the worker finishes it: the label survives
+    assert sorted(str(r.overrides) for r in store.query(status="ok")) == sorted(
+        str(r.overrides) for r in reference.runs
     )
-    # concurrent runs share one engine but each computes through its own
-    # CountingBackend view, so every record carries an exact tally that
-    # matches the serial scheduler's
-    for got, ref in zip(result.runs, result_serial.runs):
-        assert got.fft is not None
-        assert got.fft == ref.fft
-    coverage = result.fft_totals()
-    assert coverage.complete
-    assert coverage.totals == result_serial.fft_totals().totals
+    store.close()
 
 
-def test_derived_variants_share_engine_behind_private_counter_views():
-    """The isolate_counters mechanism must engage even for a prototype
-    that never computed in this process (the thread-pool path, where the
-    group SCF ran on a worker): variants get private counters over ONE
-    shared engine and plan cache, not engines of their own."""
-    from repro.api import Simulation
-    from repro.api.ensemble import _derive_from
-    from repro.backend import CountingBackend
+def test_duplicate_grid_points_run_once(tmp_path, monkeypatch):
+    """Two grid points with one config hash are one run: the kernel is
+    called once per distinct hash and every record sharing it is filled."""
+    import repro.api.runs as runs_mod
 
     base, _ = load_sweep_file(SWEEP_TOML)
-    proto = Simulation(base)  # no compute: backend/grid still unbuilt
-    a = _derive_from(proto, base)
-    b = _derive_from(proto, base.replace(propagation={"n_steps": 1}))
-    assert isinstance(a._backend, CountingBackend)
-    assert a._backend is not proto._backend  # private counter scope ...
-    assert a._backend.inner is proto._backend.inner  # ... shared engine
-    assert b._backend.inner is a._backend.inner
-    assert a._grid is not proto._grid and a._grid.gvec is proto._grid.gvec
+    base = base.replace(propagation={"n_steps": 1})
+    sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [1e-3, 1e-3, 2e-3]}})
+    calls = []
+    real_run_one = runs_mod.run_one
+
+    def counting_run_one(sim, *args, **kwargs):
+        calls.append(sim.config.field.params["kick"])
+        return real_run_one(sim, *args, **kwargs)
+
+    monkeypatch.setattr(runs_mod, "run_one", counting_run_one)
+    result = run_ensemble(base, sweep, store=tmp_path / "study")
+    assert calls == [1e-3, 2e-3]
+    assert [r.status for r in result.runs] == ["ok"] * 3
+    for key, arr in result.runs[0].arrays.items():
+        assert np.array_equal(result.runs[1].arrays[key], arr, equal_nan=True), key
+    assert result.runs[1].fft == result.runs[0].fft
+
+    from repro.store import ResultStore
+
+    store = ResultStore(tmp_path / "study", create=False)
+    assert len(store.query(status="ok")) == 2  # one row per distinct hash
+    store.close()
 
 
 def test_fft_totals_flags_partial_coverage():

@@ -238,7 +238,6 @@ def test_grid_owns_fresh_counting_backend(si_cell_local):
     g2 = PlaneWaveGrid(si_cell_local, ecut=2.0)
     assert g1.backend is not g2.backend  # no shared global engine
     assert g1.backend.counters is not None
-    assert g1.engine is g1.backend  # deprecated alias
 
 
 def test_grid_accepts_backend_name(si_cell_local):
@@ -258,24 +257,6 @@ def test_grid_consume_matches_plain(si_cell_local, name):
     assert np.allclose(back, grid.g_to_r(ref), atol=1e-13)
 
 
-def test_global_engine_shim_warns_and_counts():
-    import repro.fft as fft_shim
-
-    with pytest.warns(DeprecationWarning, match="deprecated"):
-        eng = fft_shim.global_engine()
-    with pytest.warns(DeprecationWarning):
-        assert fft_shim.global_engine() is eng  # still a process-wide singleton
-    before = eng.counters.transforms
-    eng.forward(np.zeros((2, 4, 4, 4), dtype=complex))
-    assert eng.counters.transforms == before + 2
-    assert isinstance(eng, CountingBackend)
-    assert fft_shim.FFTCounters is FFTCounters
-
-
-# ---------------- SCF-level backend parity -----------------------------------
-
-
-@needs_scipy
 @pytest.mark.parametrize("section", [{"name": "scipy", "fft_workers": 2}])
 def test_scf_energy_parity_scipy(section):
     """From-scratch SCF on scipy agrees with numpy at physical tolerance.

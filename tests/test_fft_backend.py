@@ -1,15 +1,15 @@
-"""The counting FFT engine: correctness and instrumentation."""
+"""The counting numpy backend (the seed engine): correctness and instrumentation."""
 
 import numpy as np
 import pytest
 
-from repro.fft.backend import FFTCounters, FFTEngine
+from repro.backend import CountingBackend, NumpyBackend
 from repro.utils.rng import default_rng
 
 
 @pytest.fixture()
 def engine():
-    return FFTEngine()
+    return CountingBackend(NumpyBackend())
 
 
 def test_roundtrip_identity(engine):

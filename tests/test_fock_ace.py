@@ -62,7 +62,7 @@ def test_fft_count_reduction(grid):
     fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=64)
     phi, sigma = _setup(grid, 7, n=4)
     sigma = hermitize(sigma)
-    eng = grid.engine
+    eng = grid.backend
     n = 4
 
     snap = eng.counters.snapshot()

@@ -40,6 +40,7 @@ ALL_RULES = (
     "determinism",
     "fft-isolation",
     "pickle-safety",
+    "removed-api",
     "sqlite-discipline",
 )
 
@@ -59,7 +60,7 @@ def findings_of(source: str, rel: str, rule: str):
 # ---------------- registry --------------------------------------------------
 
 
-def test_all_six_rules_registered():
+def test_all_rules_registered():
     assert available_rules() == sorted(ALL_RULES)
 
 
@@ -175,7 +176,7 @@ def test_atomic_io_skips_fd_lease_pattern():
         "import os\n"
         "fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)\n"
     )
-    assert not findings_of(src, "serve/gscache.py", "atomic-io")
+    assert not findings_of(src, "store/lease.py", "atomic-io")
 
 
 # ---------------- fft-isolation ---------------------------------------------
@@ -373,6 +374,85 @@ def test_pickle_safety_scopes_to_boundary_modules():
     # a connection held by the queue (one per process, never pickled) is
     # that module's own business
     assert not findings_of(PICKLE_BAD, "serve/queue.py", "pickle-safety")
+
+
+# ---------------- removed-api -----------------------------------------------
+
+
+REMOVED_BAD = """\
+import repro.fft
+from repro.fft.backend import FFTEngine
+from repro.utils.timing import Stopwatch
+from repro.utils import timing
+from repro.api.ensemble import resolve_scheduler, run_ensemble
+from repro.store import ResultStore, register_store_backend
+
+def sweep(base, sw, grid, sim, backend_module):
+    eng = backend_module.global_engine()
+    same = grid.engine
+    sim.derive().isolate_counters()
+    ResultStore("study", backend="sqlite")
+    return run_ensemble(base, sw, workers=2, scheduler="thread")
+"""
+
+REMOVED_CLEAN = """\
+import repro.lint
+from repro.api.ensemble import run_ensemble
+from repro.backend import make_backend
+from repro.store import ResultStore
+
+def sweep(base, sw, grid):
+    eng = grid.backend
+    rules = repro.lint.engine.resolve_rules()
+    scheduler = "a local name is nobody's business"
+    return run_ensemble(base, sw, workers=2, store=ResultStore("study"))
+"""
+
+
+def test_removed_api_flags_imports_attributes_and_keywords():
+    found = findings_of(REMOVED_BAD, "api/custom.py", "removed-api")
+    flagged = "\n".join(f.message for f in found)
+    for name in (
+        "repro.fft",
+        "repro.utils.timing",
+        "global_engine",
+        "PlaneWaveGrid.engine",
+        "Simulation.isolate_counters",
+        "resolve_scheduler",
+        "register_store_backend",
+        "run_ensemble(scheduler=...)",
+        "ResultStore(backend=...)",
+    ):
+        assert name in flagged, name
+    # one finding per offending site: 6 import lines + 5 uses
+    assert sorted({f.line for f in found}) == [1, 2, 3, 4, 5, 6, 9, 10, 11, 12, 13]
+    assert all(f.hint.startswith("instead: ") for f in found)
+
+
+def test_removed_api_clean_code_passes():
+    assert not findings_of(REMOVED_CLEAN, "api/custom.py", "removed-api")
+
+
+def test_removed_api_table_matches_the_package():
+    """Every name in the table is really gone (the rule guards a deletion,
+    not a wish), and the strict sweep parser points at the same table."""
+    import importlib
+
+    from repro.api import ConfigError, Simulation, SweepConfig
+    from repro.grid.fftgrid import PlaneWaveGrid
+    from repro.removed import REMOVED_CONFIG_KEYS, REMOVED_NAMES
+
+    for module in ("repro.fft", "repro.utils.timing"):
+        assert module in REMOVED_NAMES
+        with pytest.raises(ImportError):
+            importlib.import_module(module)
+    assert not hasattr(PlaneWaveGrid, "engine")
+    assert not hasattr(Simulation, "isolate_counters")
+    for section, keys in REMOVED_CONFIG_KEYS.items():
+        assert section == "sweep"
+        for key in keys:
+            with pytest.raises(ConfigError, match=rf"sweep\.{key} was removed in 1\.8\.0"):
+                SweepConfig.from_dict({key: "serial"})
 
 
 # ---------------- suppressions ----------------------------------------------

@@ -281,7 +281,7 @@ def test_sweep_over_patterns_yields_per_pattern_ledgers(serial_sim):
     sweep = SweepConfig.from_dict(
         {"axes": {"parallel.pattern": ["bcast", "ring", "async-ring"]}}
     )
-    result = run_ensemble(base, sweep, workers=1, scheduler="serial")
+    result = run_ensemble(base, sweep, workers=1)
     assert [r.status for r in result.runs] == ["ok"] * 3
     # patterns share one SCF group and land bitwise on the serial trajectory
     dip = result.stacked("dipole")
@@ -312,7 +312,7 @@ def test_sweep_parallel_npz_round_trips_ledgers(serial_sim, tmp_path):
     base = SimulationConfig.from_dict({**CFG, "parallel": _parallel_cfg(2, "bcast")})
     base = base.replace(propagation={"n_steps": 0})
     sweep = SweepConfig.from_dict({"axes": {"parallel.ranks": [2, 3]}})
-    result = run_ensemble(base, sweep, workers=1, scheduler="serial")
+    result = run_ensemble(base, sweep, workers=1)
     path = result.save_npz(tmp_path / "par_sweep.npz")
     loaded = EnsembleResult.load_npz(path)
     for got, ref in zip(loaded.runs, result.runs):

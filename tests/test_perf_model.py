@@ -61,7 +61,7 @@ def test_fock_fft_counts_match_analytic():
     sigma = hermitize(random_hermitian_sigma(n, rng))
     fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=64)
 
-    eng = grid.engine
+    eng = grid.backend
     snap = eng.counters.snapshot()
     fock.apply_mixed_tripleloop(phi, sigma)
     measured_triple = eng.counters.since(snap).transforms

@@ -32,7 +32,7 @@ from repro.store import (
     parse_where,
     run_id_for,
 )
-from repro.store.index import SqliteRunIndex, make_run_index
+from repro.store.index import SqliteRunIndex
 from repro.store.migrate import SCHEMA_VERSION, _create_baseline
 from repro.store.records import read_chunks, write_chunks
 from repro.store.store import store_schema_info
@@ -44,9 +44,6 @@ CFG = {
     "propagation": {"propagator": "ptim", "dt_as": 50.0, "n_steps": 2,
                     "track_sigma": [[0, 2]]},
 }
-
-BACKENDS = ("sqlite", "jsonl")
-
 
 def make_config(**field_params) -> SimulationConfig:
     data = json.loads(json.dumps(CFG))
@@ -85,11 +82,10 @@ def real_result() -> SimulationResult:
 
 
 def test_store_metadata_persists_across_reopen(tmp_path):
-    store = ResultStore(tmp_path / "study", backend="jsonl", chunk_steps=7)
+    store = ResultStore(tmp_path / "study", chunk_steps=7)
     store.close()
-    again = ResultStore.ensure(tmp_path / "study")
+    again = ResultStore(tmp_path / "study", chunk_steps=99)
     # creation-time choices are read back from store.json, not the args
-    assert again.backend_name == "jsonl"
     assert again.chunk_steps == 7
     again.close()
 
@@ -179,12 +175,11 @@ def test_run_ids_are_config_addressed():
     assert run_id_for(a) == "r" + config_hash(a)[:12]
 
 
-# ---------------- index backends ----------------------------------------------
+# ---------------- the run index ------------------------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_index_queries(tmp_path, backend):
-    store = ResultStore(tmp_path / backend, backend=backend)
+def test_index_queries(tmp_path):
+    store = ResultStore(tmp_path / "study")
     for i, kick in enumerate((0.001, 0.002, 0.003)):
         store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
     failing = make_config(kick=0.009)
@@ -206,9 +201,8 @@ def test_index_queries(tmp_path, backend):
     store.close()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_rerun_replaces_and_delete_forgets(tmp_path, backend):
-    store = ResultStore(tmp_path / backend, backend=backend)
+def test_rerun_replaces_and_delete_forgets(tmp_path):
+    store = ResultStore(tmp_path / "study")
     cfg = make_config()
     rid = store.add_run(cfg, synth_arrays(n=4), synth_state())
     first_created = store.get(rid).created
@@ -307,29 +301,29 @@ def test_newer_sqlite_schema_refused(tmp_path):
     assert info["code_schema_version"] == SCHEMA_VERSION
 
 
-def test_newer_jsonl_schema_refused(tmp_path):
-    root = tmp_path / "study"
-    ResultStore(root, backend="jsonl").close()
-    lines = (root / "index.jsonl").read_text().splitlines()
-    lines[0] = json.dumps({"jsonl_header": True, "schema_version": 99})
-    (root / "index.jsonl").write_text("\n".join(lines) + "\n")
-    with pytest.raises(StoreError, match="schema version 99"):
+def test_store_naming_a_removed_index_backend_is_refused(tmp_path):
+    """``store.json`` is outside input: a backend this build no longer has
+    is rejected by name, never silently opened as sqlite."""
+    root = tmp_path / "old"
+    root.mkdir()
+    (root / "store.json").write_text(
+        json.dumps({"store_version": 1, "backend": "jsonl", "chunk_steps": 256})
+    )
+    (root / "index.jsonl").write_text('{"jsonl_header": true, "schema_version": 3}\n')
+    with pytest.raises(StoreError, match=r"'jsonl'.*removed in 1\.8\.0"):
         ResultStore(root)
-
-
-def test_unknown_backend_rejected(tmp_path):
-    with pytest.raises(StoreError, match="unknown store backend"):
-        make_run_index("mongodb", tmp_path)
+    with pytest.raises(StoreError, match=r"removed in 1\.8\.0"):
+        store_schema_info(root)
+    assert not (root / "index.sqlite").exists()  # nothing was created on the way
 
 
 # ---------------- materialization round-trips ---------------------------------
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_stored_run_exports_bit_identical_npz(tmp_path, backend, real_result):
+def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
     """store -> load_result -> save_npz == the original save_npz payload."""
     direct = real_result.save_npz(tmp_path / "direct.npz")
-    store = ResultStore(tmp_path / "study", backend=backend, chunk_steps=2)
+    store = ResultStore(tmp_path / "study", chunk_steps=2)
     rid = store.add_result(real_result)
     exported = store.export(rid, tmp_path / "exported.npz")
     with np.load(direct) as a, np.load(exported) as b:
@@ -431,9 +425,8 @@ def test_parse_when_end_of_day():
     assert parse_when("1754000000", end=True) == 1754000000.0
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_query_limit_offset_pages_in_order(tmp_path, backend):
-    store = ResultStore(tmp_path / backend, backend=backend)
+def test_query_limit_offset_pages_in_order(tmp_path):
+    store = ResultStore(tmp_path / "study")
     for i, kick in enumerate((0.001, 0.002, 0.003, 0.004, 0.005)):
         store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
     everything = [r.run_id for r in store.query()]

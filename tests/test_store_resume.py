@@ -78,7 +78,7 @@ def test_interrupted_sweep_resumes_without_recomputation(
     store.close()
 
     # -- phase 2: resume; completed variants must not recompute ------------
-    import repro.api.ensemble as ens_mod
+    import repro.api.runs as runs_mod
     import repro.api.simulation as sim_mod
 
     # the shared SCF is in the store's blob cache: converging again is a bug
@@ -89,13 +89,13 @@ def test_interrupted_sweep_resumes_without_recomputation(
 
     # record exactly which variants execute a propagation
     executed = []
-    real_execute = ens_mod._execute_sim
+    real_run_one = runs_mod.run_one
 
-    def counting_execute(sim):
+    def counting_run_one(sim, *args, **kwargs):
         executed.append(float(sim.config.field.params["kick"]))
-        return real_execute(sim)
+        return real_run_one(sim, *args, **kwargs)
 
-    monkeypatch.setattr(ens_mod, "_execute_sim", counting_execute)
+    monkeypatch.setattr(runs_mod, "run_one", counting_run_one)
 
     messages = []
     resumed = run_ensemble(
@@ -146,25 +146,25 @@ def test_failed_runs_are_requeued(tmp_path, base_config, monkeypatch):
     sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [0.001, 0.002]}})
     store_dir = tmp_path / "study"
 
-    import repro.api.ensemble as ens_mod
+    import repro.api.runs as runs_mod
 
-    real_execute = ens_mod._execute_sim
+    real_run_one = runs_mod.run_one
     calls = {"n": 0}
 
-    def flaky_execute(sim):
+    def flaky_run_one(sim, *args, **kwargs):
         calls["n"] += 1
         if float(sim.config.field.params["kick"]) == 0.002:
             raise RuntimeError("transient failure")
-        return real_execute(sim)
+        return real_run_one(sim, *args, **kwargs)
 
-    monkeypatch.setattr(ens_mod, "_execute_sim", flaky_execute)
+    monkeypatch.setattr(runs_mod, "run_one", flaky_run_one)
     first = run_ensemble(base_config, sweep, store=store_dir)
     assert [r.status for r in first.runs] == ["ok", "error"]
     store = ResultStore.ensure(store_dir)
     assert [r.status for r in store.query()] == ["ok", "error"]
     store.close()
 
-    monkeypatch.setattr(ens_mod, "_execute_sim", real_execute)
+    monkeypatch.setattr(runs_mod, "run_one", real_run_one)
     second = run_ensemble(base_config, sweep, store=store_dir)
     assert all(r.ok for r in second.runs)  # the error row was re-queued
     store = ResultStore.ensure(store_dir)
@@ -172,32 +172,104 @@ def test_failed_runs_are_requeued(tmp_path, base_config, monkeypatch):
     store.close()
 
 
-def test_store_backed_sweep_on_pool_schedulers(tmp_path, base_config):
-    """Thread and process schedulers persist full runs (parent-side writes)."""
+def test_store_backed_sweep_on_worker_pool(tmp_path, base_config, monkeypatch):
+    """``workers=2`` persists full runs from the worker processes, and a
+    second call on the finished store restores them without spawning."""
     sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [0.001, 0.002]}})
-    for mode in ("thread", "process"):
-        store_dir = tmp_path / mode
-        result = run_ensemble(
-            base_config, sweep, workers=2, scheduler=mode, store=store_dir
-        )
-        assert all(r.ok for r in result.runs)
-        store = ResultStore.ensure(store_dir)
-        runs = store.query(status="ok")
-        assert len(runs) == 2
-        for run in runs:
-            back = store.load_result(run.run_id)  # state.npz present + parses
-            assert back.final_state.phi.size > 0
-            assert back.fft is not None and back.fft.transforms > 0
-        store.close()
+    store_dir = tmp_path / "study"
+    result = run_ensemble(base_config, sweep, workers=2, store=store_dir)
+    assert all(r.ok for r in result.runs)
+    store = ResultStore.ensure(store_dir)
+    runs = store.query(status="ok")
+    assert len(runs) == 2
+    for run in runs:
+        back = store.load_result(run.run_id)  # state.npz present + parses
+        assert back.final_state.phi.size > 0
+        assert back.fft is not None and back.fft.transforms > 0
+    store.close()
+
+    from repro.serve.pool import WorkerPool
+
+    def _no_spawn(self):
+        raise AssertionError("a finished sweep must not start workers")
+
+    monkeypatch.setattr(WorkerPool, "start", _no_spawn)
+    messages = []
+    again = run_ensemble(
+        base_config, sweep, workers=2, store=store_dir, progress=messages.append
+    )
+    assert all(r.ok for r in again.runs)
+    assert sum(": restored from store" in m for m in messages) == 2
+    for ours, ref in zip(again.runs, result.runs):
+        for key, arr in ref.arrays.items():
+            assert np.array_equal(ours.arrays[key], arr), key
+
+
+def test_worker_pool_isolates_a_raising_and_a_killed_variant(tmp_path, base_config):
+    """On spawned workers, a variant that raises and a variant whose worker
+    is SIGKILLed mid-propagation each end as one ``error`` record after a
+    single attempt; the rest finish, and nothing is left half-done."""
+    import os
+    import signal
+    import threading
+    import time
+
+    from repro.serve.queue import JobQueue, job_id_for
+
+    sweep = SweepConfig.from_dict(
+        {
+            "mode": "zip",
+            "axes": {
+                "propagation.propagator": ["ptim", "warp-drive", "ptim"],
+                "propagation.n_steps": [2, 2, 5000],  # the last one never finishes
+            },
+        }
+    )
+    store_dir = tmp_path / "study"
+    ResultStore(store_dir).close()
+    victim = job_id_for(
+        base_config.replace(propagation={"propagator": "ptim", "n_steps": 5000})
+    )
+
+    def kill_victims_worker():
+        queue = JobQueue(store_dir)
+        try:
+            deadline = time.monotonic() + 240.0
+            while time.monotonic() < deadline:
+                job = queue.get(victim)
+                if job and job["status"] == "running" and job["progress"] > 0.0:
+                    pids = {w["worker_id"]: w["pid"] for w in queue.workers()}
+                    os.kill(pids[job["worker"]], signal.SIGKILL)
+                    return
+                time.sleep(0.05)
+        finally:
+            queue.close()
+
+    killer = threading.Thread(target=kill_victims_worker)
+    killer.start()
+    result = run_ensemble(base_config, sweep, workers=2, store=store_dir)
+    killer.join(timeout=10.0)
+    assert not killer.is_alive()
+
+    assert [r.status for r in result.runs] == ["ok", "error", "error"]
+    assert "warp-drive" in result.runs[1].error
+    assert "died" in result.runs[2].error
+    store = ResultStore.ensure(store_dir)
+    assert sorted(r.status for r in store.query()) == ["error", "error", "ok"]
+    assert store.query(status="running") == []
+    assert list(store.blobs.ground_states_dir.glob("*.lock")) == []
+    store.close()
+    queue = JobQueue(store_dir)
+    jobs = {job["job_id"]: job for job in queue.jobs()}
+    queue.close()
+    assert sorted(job["status"] for job in jobs.values()) == ["error", "error", "ok"]
+    assert all(job["attempts"] == 1 for job in jobs.values())
 
 
 def test_cli_sweep_store_resume(tmp_path, capsys):
     """``repro sweep --store`` end-to-end: second invocation restores all."""
     config = dict(BASE)
-    config["sweep"] = {
-        "axes": {"field.params.kick": [0.001, 0.002]},
-        "scheduler": "serial",
-    }
+    config["sweep"] = {"axes": {"field.params.kick": [0.001, 0.002]}}
     config_path = tmp_path / "sweep.json"
     config_path.write_text(json.dumps(config))
     store_dir = str(tmp_path / "study")
