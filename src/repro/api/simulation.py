@@ -165,9 +165,17 @@ class SimulationResult:
                 f"{t / AU_PER_ATTOSECOND:9.1f} {r.dipole[i][0]:12.6f} {e_str} "
                 f"{r.particle_number[i]:10.6f} "
                 f"{stats.outer_iterations:>5}/{stats.scf_iterations:<5}"
+                + ("" if stats.converged else " not converged")
             )
         if self.parallel is not None:
             lines.extend(self.parallel.summary_lines())
+        steps = r.stats[1:]  # row 0 is the initial state, not a step
+        failed = [s.residual for s in steps if not s.converged]
+        if failed:
+            lines.append(
+                f"{len(failed)} of {len(steps)} steps did not converge "
+                f"(worst residual {max(failed):.2e})"
+            )
         return "\n".join(lines)
 
 

@@ -8,7 +8,8 @@ solves the fixed point
 ``Phi_{n+1} = Phi_n - i dt/2 [ H_{n+1/2} Phi_{n+1/2}
              - Phi_{n+1/2} (Phi*_{n+1/2} H_{n+1/2} Phi_{n+1/2}) ]``
 
-with the same Anderson-accelerated SCF machinery as PT-IM.  Included for
+with PT-IM's own Anderson-accelerated fixed-point driver: the step is a
+PT-IM step whose sigma update returns the frozen matrix.  Included for
 completeness and as a cross-check: for a diagonal constant sigma, PT-IM
 and PT-CN trajectories agree to the integrator order.
 """
@@ -18,13 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from repro.occupation.sigma import hermitize
-from repro.rt.propagator import PropagatorBase, StepStats, TDState
-from repro.rt.ptim import PTIMOptions
-from repro.scf.eigensolver import lowdin_orthonormalize
-from repro.scf.mixing import AndersonMixer
+from repro.rt.propagator import StepStats, TDState
+from repro.rt.ptim import PTIMOptions, PTIMPropagator
 
 
 @dataclass
@@ -32,7 +29,7 @@ class PTCNOptions(PTIMOptions):
     """Same knobs as PT-IM (the fixed-point machinery is shared)."""
 
 
-class PTCNPropagator(PropagatorBase):
+class PTCNPropagator(PTIMPropagator):
     """Parallel-transport Crank–Nicolson for (near-)pure states.
 
     ``sigma`` is held fixed during the step; only the orbitals evolve.
@@ -44,62 +41,16 @@ class PTCNPropagator(PropagatorBase):
     name = "pt-cn"
 
     def __init__(self, ham, options: Optional[PTCNOptions] = None, **kwargs) -> None:
-        super().__init__(ham, **kwargs)
-        self.options = options or PTCNOptions()
+        super().__init__(ham, options or PTCNOptions(), **kwargs)
+
+    def _fixed_point_update(self, state, phi_mid, sigma_mid, dt, phi_out, sigma_out) -> None:
+        """The PT-IM orbital update with the occupation matrix frozen."""
+        super()._fixed_point_update(state, phi_mid, sigma_mid, dt, phi_out, sigma_out)
+        sigma_out[...] = state.sigma
 
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
-        opts = self.options
-        grid = self.grid
-        ham = self.ham
-        phi_n = state.phi
-        sigma = hermitize(state.sigma)
-        t_mid = state.time + 0.5 * dt
-        nb = state.nbands
-
-        phi_g = phi_n.copy()
-        mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
-        from repro.occupation.sigma import density_from_orbitals_diag
-
-        def density(phi):
-            rho = density_from_orbitals_diag(grid, phi, sigma, ham.degeneracy)
-            rho = np.maximum(rho, 0.0)
-            total = rho.sum() * grid.dv
-            if total > 0:
-                rho *= ham.n_electrons / total
-            return rho
-
-        rho_prev = density(phi_g)
-        n_scf = 0
-        resid = np.inf
-        converged = False
-        for _ in range(opts.max_scf):
-            n_scf += 1
-            phi_mid = 0.5 * (phi_n + phi_g)
-            ham.update_density(density(phi_mid))
-            ham.set_time(t_mid)
-            if ham.functional.is_hybrid:
-                ham.set_exchange_sources(phi_mid, sigma, mode=opts.fock_mode)
-            h_phi = ham.apply(phi_mid)
-            s = grid.inner(phi_mid, phi_mid)
-            c = grid.inner(phi_mid, h_phi)
-            coeff = np.linalg.solve(s, c)
-            h_perp = h_phi - coeff.T @ phi_mid
-            phi_new = phi_n - 1j * dt * h_perp
-
-            rho_out = density(phi_new)
-            resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
-            rho_prev = rho_out
-            phi_g = mixer.mix(phi_g.ravel(), phi_new.ravel()).reshape(nb, grid.ngrid)
-            if resid < opts.density_tol:
-                converged = True
-                break
-
-        phi_g = lowdin_orthonormalize(grid, phi_g)
-        stats = StepStats(
-            scf_iterations=n_scf,
-            outer_iterations=1,
-            fock_applications=n_scf if ham.functional.is_hybrid else 0,
-            residual=resid,
-            converged=converged,
-        )
-        return TDState(phi_g, sigma.copy(), state.time + dt), stats
+        frozen = TDState(state.phi, hermitize(state.sigma), state.time)
+        new, stats = super().step(frozen, dt)
+        # the mixed sigma is a sum-to-one combination of copies of the
+        # frozen one: equal to round-off, so hand back the exact matrix
+        return TDState(new.phi, frozen.sigma, new.time), stats

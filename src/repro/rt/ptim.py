@@ -60,6 +60,9 @@ class PTIMPropagator(PropagatorBase):
     def __init__(self, ham, options: Optional[PTIMOptions] = None, **kwargs) -> None:
         super().__init__(ham, **kwargs)
         self.options = options or PTIMOptions()
+        # one mixer for the propagator's lifetime: every fixed-point loop
+        # resets it, so its history buffers are allocated once
+        self._mixer = AndersonMixer(history=self.options.mix_history, beta=self.options.mix_beta)
 
     # -- helpers ---------------------------------------------------------------
     def _density(self, phi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -77,30 +80,34 @@ class PTIMPropagator(PropagatorBase):
             rho *= self.ham.n_electrons / total
         return rho
 
-    def _set_midpoint_hamiltonian(
-        self, phi_mid: np.ndarray, sigma_mid: np.ndarray, t_mid: float
-    ) -> np.ndarray:
-        """Update H to the midpoint state; returns the midpoint density."""
-        rho_mid = self._density(phi_mid, sigma_mid)
-        self.ham.update_density(rho_mid)
-        self.ham.set_time(t_mid)
+    def _unpack(self, x: np.ndarray, nb: int) -> Tuple[np.ndarray, np.ndarray]:
+        """``(phi, sigma)`` views of a packed ``nb*ngrid + nb*nb`` vector."""
+        cut = nb * self.grid.ngrid
+        return x[:cut].reshape(nb, self.grid.ngrid), x[cut:].reshape(nb, nb)
+
+    def _midpoint(self, state: TDState, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Midpoint averages Eq. (4) of ``state`` and the packed guess ``x``."""
+        phi_g, sigma_g = self._unpack(x, state.nbands)
+        return 0.5 * (state.phi + phi_g), 0.5 * (state.sigma + sigma_g)
+
+    def _set_midpoint_exchange(self, phi_mid: np.ndarray, sigma_mid: np.ndarray) -> None:
+        """Point the dense exchange at the midpoint density matrix."""
         if self.ham.functional.is_hybrid:
             self.ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=self.options.fock_mode)
-        return rho_mid
 
     def _fixed_point_update(
         self,
-        phi_n: np.ndarray,
-        sigma_n: np.ndarray,
-        phi_guess: np.ndarray,
-        sigma_guess: np.ndarray,
+        state: TDState,
+        phi_mid: np.ndarray,
+        sigma_mid: np.ndarray,
         dt: float,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """One evaluation of the map T (Eq. (6)) at the current guess."""
+        phi_out: np.ndarray,
+        sigma_out: np.ndarray,
+    ) -> None:
+        """One evaluation of the map T (Eq. (6)) at the midpoint of
+        ``state`` and the current guess, written into ``phi_out`` /
+        ``sigma_out``."""
         grid = self.grid
-        phi_mid = 0.5 * (phi_n + phi_guess)
-        sigma_mid = 0.5 * (sigma_n + sigma_guess)
-
         h_phi = self.ham.apply(phi_mid)
         # projector P~ built from the (non-orthonormal) midpoint block
         s = grid.inner(phi_mid, phi_mid)
@@ -108,59 +115,56 @@ class PTIMPropagator(PropagatorBase):
         coeff = np.linalg.solve(s, c)  # S^{-1} (Phi* H Phi)
         h_perp = h_phi - coeff.T @ phi_mid  # (I - P~) H Phi_mid
 
-        phi_new = phi_n - 1j * dt * h_perp
+        h_perp *= 1j * dt
+        np.subtract(state.phi, h_perp, out=phi_out)
         h_sub = 0.5 * (c + c.conj().T)
-        sigma_new = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
-        return phi_new, sigma_new
+        sigma_out[...] = state.sigma - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
+
+    def _solve_fixed_point(
+        self, state: TDState, dt: float, x: np.ndarray, max_iter: int
+    ) -> Tuple[np.ndarray, int, float, bool]:
+        """Anderson-accelerated fixed-point loop (Alg. 1 lines 4-11).
+
+        ``x`` packs the guess for ``{Phi_{n+1}, sigma_{n+1}}`` as one
+        vector (Alg. 1 line 8 mixes them together).  Returns the mixed
+        iterate, the iterations used, the last density residual and
+        whether it fell below ``density_tol``.
+        """
+        grid, ham = self.grid, self.ham
+        gx = np.empty_like(x)
+        phi_new, sigma_new = self._unpack(gx, state.nbands)
+        self._mixer.reset()
+        rho_prev = self._density(*self._unpack(x, state.nbands))
+        resid = np.inf
+        for n_iter in range(1, max_iter + 1):
+            phi_mid, sigma_mid = self._midpoint(state, x)
+            ham.update_density(self._density(phi_mid, sigma_mid))
+            ham.set_time(state.time + 0.5 * dt)
+            self._set_midpoint_exchange(phi_mid, sigma_mid)
+            self._fixed_point_update(state, phi_mid, sigma_mid, dt, phi_new, sigma_new)
+
+            rho_out = self._density(phi_new, sigma_new)
+            resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
+            rho_prev = rho_out
+            x = self._mixer.mix(x, gx)
+            if resid < self.options.density_tol:
+                return x, n_iter, resid, True
+        return x, max_iter, resid, False
+
+    def _finish_step(self, state: TDState, dt: float, x: np.ndarray) -> TDState:
+        """Löwdin orthonormalization + sigma symmetrization (Alg. 1 line 13)."""
+        phi, sigma = self._unpack(x, state.nbands)
+        return TDState(lowdin_orthonormalize(self.grid, phi), hermitize(sigma), state.time + dt)
 
     # -- the step -------------------------------------------------------------
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
-        opts = self.options
-        grid = self.grid
-        phi_n, sigma_n = state.phi, state.sigma
-        t_mid = state.time + 0.5 * dt
-        nb = state.nbands
-
-        phi_g = phi_n.copy()
-        sigma_g = sigma_n.copy()
-        mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
-        rho_prev = self._density(phi_g, sigma_g)
-
-        n_scf = 0
-        n_fock = 0
-        resid = np.inf
-        converged = False
-        for _ in range(opts.max_scf):
-            n_scf += 1
-            phi_mid = 0.5 * (phi_n + phi_g)
-            sigma_mid = 0.5 * (sigma_n + sigma_g)
-            self._set_midpoint_hamiltonian(phi_mid, sigma_mid, t_mid)
-            if self.ham.functional.is_hybrid:
-                n_fock += 1
-            phi_new, sigma_new = self._fixed_point_update(phi_n, sigma_n, phi_g, sigma_g, dt)
-
-            rho_out = self._density(phi_new, sigma_new)
-            resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / self.ham.n_electrons
-            rho_prev = rho_out
-
-            # Anderson mixing on the concatenated unknowns (Alg. 1 line 8)
-            x = np.concatenate([phi_g.ravel(), sigma_g.ravel()])
-            gx = np.concatenate([phi_new.ravel(), sigma_new.ravel()])
-            x_next = mixer.mix(x, gx)
-            phi_g = x_next[: nb * grid.ngrid].reshape(nb, grid.ngrid)
-            sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
-
-            if resid < opts.density_tol:
-                converged = True
-                break
-
-        phi_g = lowdin_orthonormalize(grid, phi_g)
-        sigma_g = hermitize(sigma_g)
+        x = np.concatenate([state.phi.ravel(), state.sigma.ravel()])
+        x, n_scf, resid, converged = self._solve_fixed_point(state, dt, x, self.options.max_scf)
         stats = StepStats(
             scf_iterations=n_scf,
             outer_iterations=1,
-            fock_applications=n_fock,
+            fock_applications=n_scf if self.ham.functional.is_hybrid else 0,
             residual=resid,
             converged=converged,
         )
-        return TDState(phi_g, sigma_g, state.time + dt), stats
+        return self._finish_step(state, dt, x), stats

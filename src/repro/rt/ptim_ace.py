@@ -21,12 +21,9 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.hamiltonian.ace import ACEOperator
 from repro.occupation.sigma import hermitize
 from repro.rt.propagator import StepStats, TDState
 from repro.rt.ptim import PTIMOptions, PTIMPropagator
-from repro.scf.eigensolver import lowdin_orthonormalize
-from repro.scf.mixing import AndersonMixer
 
 
 @dataclass
@@ -46,88 +43,49 @@ class PTIMACEPropagator(PTIMPropagator):
     def __init__(self, ham, options: Optional[PTIMACEOptions] = None, **kwargs) -> None:
         super().__init__(ham, options or PTIMACEOptions(), **kwargs)
 
-    def _build_midpoint_ace(
-        self, phi_mid: np.ndarray, sigma_mid: np.ndarray
-    ) -> ACEOperator:
-        """One dense (diagonalized, N^2-FFT) exchange evaluation + compression."""
-        return self.ham.build_ace(phi_mid, hermitize(sigma_mid))
+    def _set_midpoint_exchange(self, phi_mid: np.ndarray, sigma_mid: np.ndarray) -> None:
+        """Exchange is the fixed compressed operator for a whole inner loop."""
 
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
         opts: PTIMACEOptions = self.options  # type: ignore[assignment]
-        grid = self.grid
         ham = self.ham
-        phi_n, sigma_n = state.phi, state.sigma
-        t_mid = state.time + 0.5 * dt
-        nb = state.nbands
-
         if not ham.functional.is_hybrid:
             # without exact exchange the double loop degenerates to PT-IM
             return super().step(state, dt)
 
-        phi_g = phi_n.copy()
-        sigma_g = sigma_n.copy()
-
+        x = np.concatenate([state.phi.ravel(), state.sigma.ravel()])
         n_inner_total = 0
         n_outer = 0
-        n_fock = 0
-        n_ace_builds = 0
         prev_ex: Optional[float] = None
         resid = np.inf
         converged = False
 
-        for outer in range(opts.max_outer):
+        for _ in range(opts.max_outer):
             n_outer += 1
-            phi_mid = 0.5 * (phi_n + phi_g)
-            sigma_mid = hermitize(0.5 * (sigma_n + sigma_g))
-            ace_mid = self._build_midpoint_ace(phi_mid, sigma_mid)
-            n_fock += 1  # the dense evaluation inside the ACE build
-            n_ace_builds += 1
+            # one dense (diagonalized, N^2-FFT) exchange evaluation + compression
+            phi_mid, sigma_mid = self._midpoint(state, x)
+            ace_mid = ham.build_ace(phi_mid, hermitize(sigma_mid))
             ham.set_ace(ace_mid)
 
-            mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
-            rho_prev = self._density(phi_g, sigma_g)
-            inner_converged = False
-            for _ in range(opts.max_inner):
-                n_inner_total += 1
-                phi_mid = 0.5 * (phi_n + phi_g)
-                sigma_mid = 0.5 * (sigma_n + sigma_g)
-                # midpoint H: density-dependent pieces + A(t); exchange is
-                # the fixed compressed operator for the whole inner loop
-                rho_mid = self._density(phi_mid, sigma_mid)
-                ham.update_density(rho_mid)
-                ham.set_time(t_mid)
-                phi_new, sigma_new = self._fixed_point_update(
-                    phi_n, sigma_n, phi_g, sigma_g, dt
-                )
-                rho_out = self._density(phi_new, sigma_new)
-                resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
-                rho_prev = rho_out
-                x = np.concatenate([phi_g.ravel(), sigma_g.ravel()])
-                gx = np.concatenate([phi_new.ravel(), sigma_new.ravel()])
-                x_next = mixer.mix(x, gx)
-                phi_g = x_next[: nb * grid.ngrid].reshape(nb, grid.ngrid)
-                sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
-                if resid < opts.density_tol:
-                    inner_converged = True
-                    break
+            x, n_inner, resid, inner_converged = self._solve_fixed_point(
+                state, dt, x, opts.max_inner
+            )
+            n_inner_total += n_inner
 
             # outer convergence: exchange-energy stability (Fig. 4(b))
-            ex = ace_mid.exchange_energy(
-                0.5 * (phi_n + phi_g), hermitize(0.5 * (sigma_n + sigma_g)), ham.degeneracy
-            )
+            phi_mid, sigma_mid = self._midpoint(state, x)
+            ex = ace_mid.exchange_energy(phi_mid, hermitize(sigma_mid), ham.degeneracy)
             if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
                 converged = inner_converged
                 break
             prev_ex = ex
 
-        phi_g = lowdin_orthonormalize(grid, phi_g)
-        sigma_g = hermitize(sigma_g)
         stats = StepStats(
             scf_iterations=n_inner_total,
             outer_iterations=n_outer,
-            fock_applications=n_fock,
-            ace_builds=n_ace_builds,
+            fock_applications=n_outer,
+            ace_builds=n_outer,
             residual=resid,
             converged=converged,
         )
-        return TDState(phi_g, sigma_g, state.time + dt), stats
+        return self._finish_step(state, dt, x), stats

@@ -198,6 +198,25 @@ def test_cli_run_store_reuses_completed_run(tmp_path, capsys):
     assert "final" in second or "t (" in second or len(second) > 0
 
 
+def test_cli_run_reports_steps_that_did_not_converge(tmp_path, capsys):
+    """A step that stops at its iteration cap is marked in the table and
+    counted in a closing line; a run whose steps all converge prints neither."""
+    cfg = tmp_path / "capped.toml"
+    cfg.write_text(TINY_TOML + "max_scf = 1\n")
+    assert main(["run", str(cfg)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = next(i for i, line in enumerate(lines) if "outer/inner" in line)
+    table = lines[header + 1 :]
+    assert "not converged" not in table[0]  # the initial state is not a step
+    assert table[1].endswith("1/1     not converged")
+    assert table[2].endswith("1/1     not converged")
+    assert table[3].startswith("2 of 2 steps did not converge (worst residual ")
+
+    cfg.write_text(TINY_TOML)
+    assert main(["run", str(cfg)]) == 0
+    assert "not converge" not in capsys.readouterr().out
+
+
 def test_cli_results_ls_paging_summary(tmp_path, capsys):
     """--limit/--offset page and the summary line says what was shown."""
     import json as _json

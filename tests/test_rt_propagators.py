@@ -16,7 +16,9 @@ from repro.rt import (
     ZeroField,
 )
 from repro.rt.gauge import density_matrix_distance
-from repro.occupation.sigma import trace_sigma
+from repro.occupation.sigma import hermitize, trace_sigma
+from repro.scf.eigensolver import lowdin_orthonormalize
+from repro.scf.mixing import AndersonMixer
 
 DT_50AS = 50.0 * AU_PER_ATTOSECOND
 
@@ -141,6 +143,125 @@ def test_baseline_fock_mode_matches_diag_mode(hse_ground_state):
         out["dense-tripleloop"].sigma,
     )
     assert dist < 1e-7
+
+
+# ---------------- the shared fixed-point driver -------------------------------------
+def _small_hse_state(hse_ground_state, n=8):
+    """An ``n``-band sub-block under a pulse: cheap, and several iterations per loop."""
+    ham, gs = hse_ground_state
+    ham.field = GaussianLaserPulse(amplitude=0.02, center_fs=0.05, fwhm_fs=0.08)
+    return ham, TDState(gs.orbitals[:n].copy(), gs.sigma[:n, :n].copy(), 0.0)
+
+
+def test_ace_propagator_reuse_is_bit_identical(hse_ground_state):
+    """The mixer an instance keeps carries nothing from one step into the
+    next, so a resumed run (fresh propagator) continues bit-identically."""
+    ham, state = _small_hse_state(hse_ground_state)
+    prop = PTIMACEPropagator(
+        ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
+    )
+    first, stats_first = prop.step(state, DT_50AS)
+    again, stats_again = prop.step(state, DT_50AS)
+    assert stats_first.scf_iterations > stats_first.outer_iterations > 1
+    np.testing.assert_array_equal(again.phi, first.phi)
+    np.testing.assert_array_equal(again.sigma, first.sigma)
+    assert stats_again == stats_first
+
+
+def _hand_written_loop(prop, state, dt, phi_g, sigma_g, max_iter, dense_exchange):
+    """The inner loop as ``ptim.py`` and ``ptim_ace.py`` each spelled it out
+    before they shared ``_solve_fixed_point``: a mixer per loop, the unknowns
+    concatenated and split on every iteration."""
+    grid, ham, opts = prop.grid, prop.ham, prop.options
+    phi_n, sigma_n, nb = state.phi, state.sigma, state.nbands
+    mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
+    rho_prev = prop._density(phi_g, sigma_g)
+    n_iter, resid, converged = 0, np.inf, False
+    for _ in range(max_iter):
+        n_iter += 1
+        phi_mid = 0.5 * (phi_n + phi_g)
+        sigma_mid = 0.5 * (sigma_n + sigma_g)
+        ham.update_density(prop._density(phi_mid, sigma_mid))
+        ham.set_time(state.time + 0.5 * dt)
+        if dense_exchange:
+            ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=opts.fock_mode)
+        h_phi = ham.apply(phi_mid)
+        c = grid.inner(phi_mid, h_phi)
+        h_perp = h_phi - np.linalg.solve(grid.inner(phi_mid, phi_mid), c).T @ phi_mid
+        h_sub = 0.5 * (c + c.conj().T)
+        phi_new = phi_n - 1j * dt * h_perp
+        sigma_new = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
+        rho_out = prop._density(phi_new, sigma_new)
+        resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
+        rho_prev = rho_out
+        x_next = mixer.mix(
+            np.concatenate([phi_g.ravel(), sigma_g.ravel()]),
+            np.concatenate([phi_new.ravel(), sigma_new.ravel()]),
+        )
+        phi_g = x_next[: nb * grid.ngrid].reshape(nb, grid.ngrid)
+        sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
+        if resid < opts.density_tol:
+            converged = True
+            break
+    return phi_g, sigma_g, n_iter, resid, converged
+
+
+def _hand_written_step(prop, state, dt):
+    """(state, (inner, outer, fock, ace builds, residual, converged)) of the old steps."""
+    grid, ham, opts = prop.grid, prop.ham, prop.options
+    phi_g, sigma_g = state.phi.copy(), state.sigma.copy()
+    if isinstance(prop, PTIMACEPropagator):
+        n_inner = n_outer = 0
+        prev_ex, converged = None, False
+        for _ in range(opts.max_outer):
+            n_outer += 1
+            ace = ham.build_ace(
+                0.5 * (state.phi + phi_g), hermitize(0.5 * (state.sigma + sigma_g))
+            )
+            ham.set_ace(ace)
+            phi_g, sigma_g, n, resid, inner_ok = _hand_written_loop(
+                prop, state, dt, phi_g, sigma_g, opts.max_inner, False
+            )
+            n_inner += n
+            ex = ace.exchange_energy(
+                0.5 * (state.phi + phi_g), hermitize(0.5 * (state.sigma + sigma_g)), ham.degeneracy
+            )
+            if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
+                converged = inner_ok
+                break
+            prev_ex = ex
+        counts = (n_inner, n_outer, n_outer, n_outer, resid, converged)
+    else:
+        phi_g, sigma_g, n, resid, converged = _hand_written_loop(
+            prop, state, dt, phi_g, sigma_g, opts.max_scf, True
+        )
+        counts = (n, 1, n, 0, resid, converged)
+    new = TDState(lowdin_orthonormalize(grid, phi_g), hermitize(sigma_g), state.time + dt)
+    return new, counts
+
+
+@pytest.mark.parametrize("kind", ["ptim", "ptim_ace"])
+def test_shared_driver_matches_hand_written_loops(hse_ground_state, kind):
+    """Same iteration counts, and the same state to round-off, as the
+    per-propagator loops the shared driver replaced."""
+    ham, state = _small_hse_state(hse_ground_state)
+    if kind == "ptim":
+        prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-7, max_scf=30), record_energy=False)
+    else:
+        prop = PTIMACEPropagator(
+            ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
+        )
+    ref, (n_inner, n_outer, n_fock, n_ace, resid, converged) = _hand_written_step(
+        prop, state, DT_50AS
+    )
+    new, stats = prop.step(state, DT_50AS)
+    assert n_inner > 3 and converged
+    assert (stats.scf_iterations, stats.outer_iterations) == (n_inner, n_outer)
+    assert (stats.fock_applications, stats.ace_builds) == (n_fock, n_ace)
+    assert stats.converged == converged
+    assert stats.residual == pytest.approx(resid, rel=1e-6)
+    np.testing.assert_allclose(new.phi, ref.phi, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(new.sigma, ref.sigma, rtol=0.0, atol=1e-12)
 
 
 # ---------------- PT-IM vs RK4 (LDA for speed) ---------------------------------------

@@ -1,5 +1,8 @@
 """Eigensolver, mixers, and the ground-state SCF driver."""
 
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +166,150 @@ def test_anderson_any_history_converges(history, beta):
     for _ in range(120):
         x = mixer.mix(x, a @ x + b)
     assert np.linalg.norm(x - x_star) < 5e-2
+
+
+class StackAndSolveMixer:
+    """The pre-PR-13 ``AndersonMixer``: re-stacks the history and rebuilds
+    the Gram matrix on every call.  Kept as the oracle for the
+    incremental-Gram formulation."""
+
+    def __init__(self, history=20, beta=0.5, regularization=1e-12):
+        self.history, self.beta, self.regularization = history, beta, regularization
+        self._xs, self._fs = [], []
+
+    def mix(self, x, gx):
+        shape = x.shape
+        xf = np.asarray(x).ravel()
+        ff = np.asarray(gx).ravel() - xf
+        self._xs.append(xf.copy())
+        self._fs.append(ff.copy())
+        if len(self._xs) > self.history:
+            self._xs.pop(0)
+            self._fs.pop(0)
+        m = len(self._xs)
+        if m == 1:
+            return (xf + self.beta * ff).reshape(shape)
+        f_mat = np.stack(self._fs, axis=1)  # (n, m)
+        df = f_mat[:, :-1] - f_mat[:, -1:]
+        rhs = -f_mat[:, -1]
+        a = df.conj().T @ df
+        a += self.regularization * np.trace(a).real / max(a.shape[0], 1) * np.eye(a.shape[0])
+        b = df.conj().T @ rhs
+        try:
+            coef = np.linalg.solve(a, b)
+        except np.linalg.LinAlgError:
+            coef = np.linalg.lstsq(df, rhs, rcond=None)[0]
+        c = np.empty(m, dtype=f_mat.dtype)
+        c[:-1] = coef
+        c[-1] = 1.0 - coef.sum()
+        x_mat = np.stack(self._xs, axis=1)
+        return (x_mat @ c + self.beta * (f_mat @ c)).reshape(shape)
+
+
+def _mix_sequence(seed, n, calls, is_complex, converging):
+    """``calls`` pairs ``(x, g(x))``: independent draws, or residuals that
+    shrink by half per call so the Gram entries span several decades."""
+    rng = np.random.default_rng(seed)
+
+    def draw():
+        v = rng.standard_normal(n)
+        return v + 1j * rng.standard_normal(n) if is_complex else v
+
+    pairs = []
+    for k in range(calls):
+        x = draw()
+        pairs.append((x, x + draw() * (0.5**k if converging else 1.0)))
+    return pairs
+
+
+@given(
+    history=st.integers(min_value=1, max_value=6),
+    extra=st.integers(min_value=1, max_value=8),
+    is_complex=st.booleans(),
+    converging=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_anderson_matches_stack_and_solve_oracle(history, extra, is_complex, converging, seed):
+    """More calls than ``history`` (the ring wraps): every output agrees
+    with the stack-and-solve oracle, and a reset mixer replays bit-equal."""
+    pairs = _mix_sequence(seed, 48, history + extra, is_complex, converging)
+    mixer = AndersonMixer(history=history, beta=0.5)
+    oracle = StackAndSolveMixer(history=history, beta=0.5)
+    first = []
+    for x, gx in pairs:
+        out = mixer.mix(x, gx)
+        ref = oracle.mix(x, gx)
+        np.testing.assert_allclose(out, ref, rtol=1e-9, atol=1e-9 * np.abs(ref).max())
+        first.append(out)
+    mixer.reset()
+    for (x, gx), out in zip(pairs, first):
+        np.testing.assert_array_equal(mixer.mix(x, gx), out)
+
+
+@pytest.mark.parametrize("history", [1, 3])
+def test_anderson_degenerate_history_returns_x(history):
+    """``g(x) == x`` twice: the Gram matrix and the system are all zeros."""
+    mixer = AndersonMixer(history=history)
+    x = np.arange(5.0) + 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for _ in range(3):
+            out = mixer.mix(x, x.copy())
+            np.testing.assert_array_equal(out, x)
+
+
+@pytest.mark.parametrize("history", [1, 2, 4])
+def test_anderson_output_is_fresh_and_inputs_untouched(history):
+    """No result aliases a ring row (a later call would rewrite it) or an input."""
+    pairs = _mix_sequence(5, 16, 6, True, False)
+    mixer = AndersonMixer(history=history)
+    kept = []
+    for x, gx in pairs:
+        x0, gx0 = x.copy(), gx.copy()
+        out = mixer.mix(x, gx)
+        np.testing.assert_array_equal(x, x0)
+        np.testing.assert_array_equal(gx, gx0)
+        assert not any(np.shares_memory(out, a) for a in (x, gx, mixer._f, mixer._y))
+        kept.append((out, out.copy()))
+    for out, snapshot in kept:
+        np.testing.assert_array_equal(out, snapshot)
+
+
+def test_anderson_reallocates_after_reset():
+    """A new length or dtype after ``reset()`` starts over; without one it is an error."""
+    mixer = AndersonMixer(history=3)
+    for x, gx in _mix_sequence(0, 8, 4, False, False):
+        mixer.mix(x, gx)
+    with pytest.raises(ValueError):
+        mixer.mix(np.zeros(9), np.ones(9))
+    for n, is_complex in ((9, False), (9, True), (4, True)):
+        mixer.reset()
+        fresh = AndersonMixer(history=3)
+        for x, gx in _mix_sequence(1, n, 5, is_complex, False):
+            out = mixer.mix(x, gx)
+            np.testing.assert_array_equal(out, fresh.mix(x, gx))
+            assert out.dtype == x.dtype
+
+
+def test_anderson_warm_call_allocates_no_history_sized_block():
+    """A warm ``mix`` peaks below 4 n itemsize: the result and the
+    conjugated residual, never an ``(n, m)`` re-stack of the history."""
+    n, history = 20000, 8
+    pairs = _mix_sequence(2, n, history + 3, True, False)
+    mixer = AndersonMixer(history=history)
+    for x, gx in pairs[:-1]:
+        mixer.mix(x, gx)
+    x, gx = pairs[-1]
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        mixer.mix(x, gx)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * n * x.itemsize
 
 
 def test_kerker_conserves_electron_count(grid):
