@@ -9,9 +9,10 @@ backend (scipy: normalization folded into the transform, in-place via
 (``fft_workers = cpu count``; on single-core CI runners this leg
 degenerates to the batched one, and the JSON says so honestly).
 
-Emits ``BENCH_fft.json`` at the repo root — the start of the measured
-perf trajectory (numbers, not claims).  Two grid sizes; the paper-scale
-one is 64^3 with the paper's Fock batch of 16 pair densities.
+Emits ``BENCH_fft.json`` — the start of the measured perf trajectory
+(numbers, not claims) — at the repo root under ``--write-bench``, under
+pytest's tmp dir otherwise.  Two grid sizes; the paper-scale one is 64^3
+with the paper's Fock batch of 16 pair densities.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from __future__ import annotations
 import json
 import os
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +27,7 @@ import pytest
 from repro.backend import HAVE_SCIPY, NumpyBackend, make_backend
 from repro.utils.rng import default_rng
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_fft.json"
+BENCH_NAME = "BENCH_fft.json"
 
 #: the paper's multi-batch size (fock_batch_size default)
 BATCH = 16
@@ -91,7 +91,7 @@ def _measure(grid) -> dict:
 
 
 @pytest.fixture(scope="module")
-def bench_results():
+def bench_results(bench_dir):
     results = {
         "batch": BATCH,
         "reps": REPS,
@@ -99,12 +99,12 @@ def bench_results():
         "have_scipy": HAVE_SCIPY,
         "grids": {"x".join(map(str, g)): _measure(g) for g in GRIDS},
     }
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    (bench_dir / BENCH_NAME).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return results
 
 
-def test_bench_fft_json_written(bench_results):
-    data = json.loads(BENCH_PATH.read_text())
+def test_bench_fft_json_written(bench_results, bench_dir):
+    data = json.loads((bench_dir / BENCH_NAME).read_text())
     assert set(data["grids"]) == {"x".join(map(str, g)) for g in GRIDS}
     for entry in data["grids"].values():
         assert entry["bandbyband_ms"] > 0 and entry["batched_ms"] > 0

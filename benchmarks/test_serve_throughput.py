@@ -8,9 +8,9 @@ then submitted again: every config now maps to a completed stored run,
 so the jobs are born ``ok`` without touching a worker — the cache-hit
 column measures exactly the reuse fast path the store is for.
 
-Emits ``BENCH_serve.json`` at the repo root: per-submit HTTP latency,
-jobs/s through the 4-worker pool (cache-miss), and the hit/miss wall
-ratio.
+Emits ``BENCH_serve.json`` (at the repo root under ``--write-bench``,
+under pytest's tmp dir otherwise): per-submit HTTP latency, jobs/s
+through the 4-worker pool (cache-miss), and the hit/miss wall ratio.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import statistics
 import time
-from pathlib import Path
 
 import pytest
 
@@ -26,7 +25,7 @@ from repro.api import SimulationConfig
 from repro.api.ensemble import apply_overrides
 from repro.serve import JobService, ServeClient
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_serve.json"
+BENCH_NAME = "BENCH_serve.json"
 
 N_JOBS = 8
 N_WORKERS = 4
@@ -57,7 +56,7 @@ def _submit_burst(client: ServeClient):
 
 
 @pytest.fixture(scope="module")
-def bench_results(tmp_path_factory):
+def bench_results(tmp_path_factory, bench_dir):
     root = tmp_path_factory.mktemp("serve_bench") / "store"
     with JobService(root, port=0, workers=N_WORKERS, backoff=0.2) as service:
         client = ServeClient(service.url)
@@ -92,12 +91,12 @@ def bench_results(tmp_path_factory):
             "hit_submit_latency_ms_p50": statistics.median(hit_latencies) * 1e3,
             "hit_speedup": miss_wall / hit_wall,
         }
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    (bench_dir / BENCH_NAME).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return results
 
 
-def test_bench_serve_json_written(bench_results):
-    data = json.loads(BENCH_PATH.read_text())
+def test_bench_serve_json_written(bench_results, bench_dir):
+    data = json.loads((bench_dir / BENCH_NAME).read_text())
     assert data["n_jobs"] == N_JOBS
     assert data["jobs_per_s_4workers"] > 0
 

@@ -6,16 +6,16 @@ appending a finished run (blob dedup + chunk write + index upsert) and
 querying the index by dotted config key — over 1000 synthetic tiny runs
 on the default sqlite backend.
 
-Emits ``BENCH_store.json`` at the repo root: appends/s, dotted-key query
-latency, and single-run lookup latency, measured against the populated
-store (not an empty one).
+Emits ``BENCH_store.json`` (at the repo root under ``--write-bench``,
+under pytest's tmp dir otherwise): appends/s, dotted-key query latency,
+and single-run lookup latency, measured against the populated store (not
+an empty one).
 """
 
 from __future__ import annotations
 
 import json
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +25,7 @@ from repro.api.ensemble import apply_overrides
 from repro.rt.propagator import TDState
 from repro.store import ResultStore, run_id_for
 
-BENCH_PATH = Path(__file__).resolve().parent.parent / "BENCH_store.json"
+BENCH_NAME = "BENCH_store.json"
 
 N_RUNS = 1000
 
@@ -62,7 +62,7 @@ def _synthetic_run(i: int):
 
 
 @pytest.fixture(scope="module")
-def bench_results(tmp_path_factory):
+def bench_results(tmp_path_factory, bench_dir):
     store = ResultStore(tmp_path_factory.mktemp("bench") / "study")
 
     t0 = time.perf_counter()
@@ -103,12 +103,12 @@ def bench_results(tmp_path_factory):
         "full_scan_ms": t_scan * 1e3,
     }
     store.close()
-    BENCH_PATH.write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
+    (bench_dir / BENCH_NAME).write_text(json.dumps(results, indent=2, sort_keys=True) + "\n")
     return results
 
 
-def test_bench_store_json_written(bench_results):
-    data = json.loads(BENCH_PATH.read_text())
+def test_bench_store_json_written(bench_results, bench_dir):
+    data = json.loads((bench_dir / BENCH_NAME).read_text())
     assert data["n_runs"] == N_RUNS
     assert data["appends_per_s"] > 0
 

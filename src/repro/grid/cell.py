@@ -9,6 +9,7 @@ exactly this family.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import List, Sequence, Tuple
 
 import numpy as np
@@ -52,7 +53,7 @@ class UnitCell:
     def natom(self) -> int:
         return len(self.species)
 
-    @property
+    @cached_property
     def volume(self) -> float:
         """Cell volume in bohr^3 (always positive)."""
         return float(abs(np.linalg.det(self.lattice)))

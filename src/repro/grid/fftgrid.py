@@ -69,22 +69,22 @@ class PlaneWaveGrid:
             self.gvec if self.dual == 1 else GVectors(self.cell, dshape, 4.0 * self.ecut)
         )
 
-    # -- sizes ---------------------------------------------------------------
-    @property
+    # -- sizes (``shape`` is fixed after ``__post_init__``: computed once) -----
+    @cached_property
     def ngrid(self) -> int:
         """Number of wavefunction grid points (the paper's Ng)."""
         return int(np.prod(self.shape))
 
-    @property
+    @cached_property
     def ngrid_dense(self) -> int:
         return int(np.prod(self.gvec_dense.shape))
 
-    @property
+    @cached_property
     def dv(self) -> float:
         """Real-space quadrature weight on the wavefunction grid."""
         return self.cell.volume / self.ngrid
 
-    @property
+    @cached_property
     def dv_dense(self) -> float:
         return self.cell.volume / self.ngrid_dense
 

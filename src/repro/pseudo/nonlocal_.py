@@ -11,13 +11,23 @@ so that with our FFT convention (coefficients ``c(G)``, real-space norm
 
 Applying ``V_nl`` to a band block is two skinny GEMMs (project then
 expand) — exactly the structure PWDFT exploits on GPU/ARM.
+
+What is evaluated once: the radial factor ``p̃_i^l(|G|)`` (a 512-point
+Fourier–Bessel quadrature per value) depends on the species, ``(l, i)``
+and ``|G|`` only — not on the atom and not on the direction of ``G``.
+Each ``(species, l, i)`` table is therefore computed once per object, on
+the distinct ``|G|`` values of the grid (77 of 1728 points at 12³), and
+gathered back to the grid; grid points that share ``|G|`` receive the
+very number the quadrature gives for that ``|G|``, so this is exact, not
+an interpolation.  Only the structure factor, ``Y_lm`` and the product
+are per atom.  Nothing outlives the object.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 import numpy as np
 
@@ -63,6 +73,8 @@ class NonlocalPseudopotential:
         with np.errstate(invalid="ignore", divide="ignore"):
             unit_g = grid.gvec.cartesian / np.where(q[..., None] > 1e-12, q[..., None], 1.0)
         unit_flat = unit_g.reshape(-1, 3)
+        q_shell, shell_of = np.unique(q_flat, return_inverse=True)
+        radial_of: Dict[Tuple[str, int], List[np.ndarray]] = {}
 
         betas: List[np.ndarray] = []
         blocks: List[np.ndarray] = []
@@ -79,9 +91,12 @@ class NonlocalPseudopotential:
                 nproj = params.nproj(l)
                 if nproj == 0:
                     continue
-                radial = [
-                    projector_fourier(params, l, i, q_flat) for i in range(nproj)
-                ]
+                if (symbol, l) not in radial_of:
+                    radial_of[symbol, l] = [
+                        projector_fourier(params, l, i, q_shell)[shell_of]
+                        for i in range(nproj)
+                    ]
+                radial = radial_of[symbol, l]
                 h = h_matrix(params, l)
                 for m in range(-l, l + 1):
                     ylm = _real_sph_harm(l, m, unit_flat)

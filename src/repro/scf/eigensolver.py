@@ -17,6 +17,13 @@ from repro.grid.fftgrid import PlaneWaveGrid
 from repro.utils.validation import require
 
 
+def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
+    """``S^{-1/2}`` of a Hermitian positive-definite overlap matrix."""
+    lam, u = np.linalg.eigh(s)
+    require(bool(lam.min() > 1e-14), "orbital block is numerically rank deficient")
+    return (u / np.sqrt(lam)[None, :]) @ u.conj().T
+
+
 def lowdin_orthonormalize(grid: PlaneWaveGrid, phi: np.ndarray) -> np.ndarray:
     """Löwdin (symmetric) orthonormalization ``Phi S^{-1/2}``.
 
@@ -24,11 +31,7 @@ def lowdin_orthonormalize(grid: PlaneWaveGrid, phi: np.ndarray) -> np.ndarray:
     orthonormalization closest to the input block, preserving the
     parallel-transport property better than QR.
     """
-    s = grid.inner(phi, phi)
-    lam, u = np.linalg.eigh(s)
-    require(bool(lam.min() > 1e-14), "orbital block is numerically rank deficient")
-    s_inv_half = (u / np.sqrt(lam)[None, :]) @ u.conj().T
-    return np.ascontiguousarray(s_inv_half.T @ phi)
+    return np.ascontiguousarray(_inverse_sqrt(grid.inner(phi, phi)).T @ phi)
 
 
 def canonical_orthonormalize(
@@ -118,20 +121,30 @@ def davidson(
     The search space is ``[X, K r]`` (block size 2N) with Rayleigh–Ritz
     restart each iteration — a memory-lean variant adequate for the
     band counts used here.
+
+    ``H`` is applied once to the entry block and afterwards only to the
+    new directions ``t``.  ``H`` (cutoff projection and exchange term
+    included) is linear in the block, so every later ``H X`` is the same
+    row combination of stored products that built ``X``: the subspace
+    rotation gives ``X <- V^T X``, ``H X <- V^T (H X)``, and the restart
+    ``X <- R [X; t]``, ``H X <- R [H X; H t]`` with the one ``(N, 2N)``
+    matrix ``R = (S'^{-1/2})^T V_2^T`` (``V_2`` the Ritz vectors of the
+    expanded space, ``S' = V_2^* S V_2`` the overlap of ``V_2^T [X; t]``).
+    That is 6N 3-D transforms per iteration where re-applying ``H`` to
+    ``X`` and to ``[X; t]`` took 12N.  ``H`` changes between calls, so
+    nothing is kept across them.
     """
     phi = lowdin_orthonormalize(grid, phi0.copy())
     nb = phi.shape[0]
     nconv = nb if nconv is None else min(nconv, nb)
     eig = np.zeros(nb)
     res_norms = np.full(nb, np.inf)
-    prev_dir: Optional[np.ndarray] = None
+    h_phi = apply_h(phi)
 
     for it in range(1, max_iter + 1):
-        h_phi = apply_h(phi)
         h_sub = grid.inner(phi, h_phi)
         h_sub = 0.5 * (h_sub + h_sub.conj().T)
         eig, vec = np.linalg.eigh(h_sub)
-        phi_old = phi
         phi = np.ascontiguousarray(vec.T @ phi)
         h_phi = np.ascontiguousarray(vec.T @ h_phi)
 
@@ -164,13 +177,15 @@ def davidson(
         corr = canonical_orthonormalize(grid, corr, drop_tol=1e-8)
         corr -= grid.inner(phi, corr).T @ phi  # re-project (round-off)
         basis = np.vstack([phi, corr])
-        h_basis = apply_h(basis)
+        h_basis = np.vstack([h_phi, apply_h(corr)])
         h_sub2 = grid.inner(basis, h_basis)
         h_sub2 = 0.5 * (h_sub2 + h_sub2.conj().T)
         s_sub2 = grid.inner(basis, basis)
         s_sub2 = 0.5 * (s_sub2 + s_sub2.conj().T)
-        eig2, vec2 = _generalized_lowest(h_sub2, s_sub2, nb)
-        phi = np.ascontiguousarray(vec2.T @ basis)
-        phi = lowdin_orthonormalize(grid, phi)
+        _, vec2 = _generalized_lowest(h_sub2, s_sub2, nb)
+        # Rayleigh–Ritz restart and Löwdin step as one rotation R
+        rot = _inverse_sqrt(vec2.conj().T @ s_sub2 @ vec2).T @ vec2.T
+        phi = np.ascontiguousarray(rot @ basis)
+        h_phi = np.ascontiguousarray(rot @ h_basis)
 
     return DavidsonResult(eig, phi, res_norms, max_iter, False)

@@ -17,6 +17,7 @@ import numpy as np
 
 from repro.constants import SPIN_DEGENERACY, kelvin_to_hartree
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
 from repro.occupation.fermi import fermi_occupations, smearing_entropy
@@ -167,13 +168,13 @@ def run_scf(
 
     outer_range = range(opts.max_outer) if ham.functional.is_hybrid else range(1)
     prev_ex = None
+    vx_phi = None  # dense V_x Phi of the pass just ended, on phi[:nbands]
     for outer in outer_range:
         if ham.functional.is_hybrid:
             if outer == 0:
                 ham.clear_exchange()  # first pass: semilocal only (bootstrap)
             else:
-                sigma = initial_sigma(occ)
-                ham.set_ace(ham.build_ace(phi[:nbands], sigma))
+                ham.set_ace(ACEOperator.from_dense_action(grid, phi[:nbands], vx_phi))
             # the fixed-point map changed (new exchange operator): stale
             # mixing history would poison the extrapolation
             mixer.reset()
@@ -204,17 +205,18 @@ def run_scf(
         if not ham.functional.is_hybrid:
             converged = history[-1] < opts.density_tol
             break
-        # hybrid outer convergence: exchange energy change
+        # hybrid outer convergence: exchange energy change.  One dense
+        # (N^2-FFT) application per pass serves this energy and the ACE
+        # operator of the next pass (or of the returned state).
         sigma = initial_sigma(occ)
-        ex = (
-            ham.fock.exchange_energy(phi[:nbands], sigma, degeneracy=ham.degeneracy)
-            if ham.fock is not None
-            else 0.0
+        vx_phi, _, _ = ham.fock.apply_mixed_via_diagonalization(phi[:nbands], sigma)
+        ex = ham.fock.exchange_energy(
+            phi[:nbands], sigma, degeneracy=ham.degeneracy, vx_phi=vx_phi
         )
         if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
             converged = True
             # refresh ACE one final time so the returned state is consistent
-            ham.set_ace(ham.build_ace(phi[:nbands], initial_sigma(occ)))
+            ham.set_ace(ACEOperator.from_dense_action(grid, phi[:nbands], vx_phi))
             break
         prev_ex = ex
 

@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
-from repro.grid import PlaneWaveGrid, silicon_cubic_cell
+import repro.pseudo.nonlocal_ as nonlocal_module
+from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.pseudo.database import PSEUDO_DATABASE, get_pseudopotential
 from repro.pseudo.hgh import (
     h_matrix,
@@ -16,7 +18,7 @@ from repro.pseudo.hgh import (
     projector_radial,
 )
 from repro.pseudo.local import LocalPseudopotential
-from repro.pseudo.nonlocal_ import NonlocalPseudopotential
+from repro.pseudo.nonlocal_ import NonlocalPseudopotential, _real_sph_harm
 from repro.utils.rng import default_rng
 
 
@@ -130,3 +132,56 @@ def test_nonlocal_energy_real_and_matches_apply(small_grid):
     v_g = nl.apply_g(phi_g)
     per_band = small_grid.cell.volume * np.einsum("ng,ng->n", phi_g.conj(), v_g).real
     assert e == pytest.approx(float(np.dot(w, per_band)), rel=1e-12)
+
+
+# ---------------- radial tables once per species and |G| shell ---------------------
+def per_atom_projectors(grid):
+    """The pre-PR-14 construction: ``projector_fourier`` on every grid
+    point inside the atom loop.  Kept as the oracle for the per-species,
+    per-|G|-shell tables."""
+    cell = grid.cell
+    q = np.sqrt(grid.gvec.g2)
+    q_flat = grid.to_flat(q[None])[0]
+    unit_flat = (grid.gvec.cartesian / np.where(q[..., None] > 1e-12, q[..., None], 1.0)).reshape(-1, 3)
+    betas, blocks, labels = [], [], []
+    for atom_index, symbol in enumerate(cell.species):
+        params = get_pseudopotential(symbol)
+        sfac = grid.to_flat(grid.gvec.structure_factor(cell.positions[atom_index])[None])[0]
+        for l in range(params.lmax + 1):
+            nproj = params.nproj(l)
+            radial = [projector_fourier(params, l, i, q_flat) for i in range(nproj)]
+            for m in range(-l, l + 1):
+                ylm = _real_sph_harm(l, m, unit_flat)
+                for i in range(nproj):
+                    betas.append(((-1j) ** l / cell.volume) * radial[i] * ylm * sfac)
+                    labels.append((atom_index, symbol, l, m, i))
+                blocks.append(h_matrix(params, l))
+    return np.vstack(betas), block_diag(*blocks), labels
+
+
+@pytest.mark.parametrize("reps, ecut", [([1, 1, 1], 3.0), ([2, 1, 1], 2.0)])
+def test_nonlocal_matches_per_atom_oracle(reps, ecut):
+    grid = PlaneWaveGrid(silicon_supercell(reps), ecut=ecut)
+    nl = NonlocalPseudopotential(grid)
+    beta_ref, coupling_ref, labels_ref = per_atom_projectors(grid)
+    assert np.abs(nl.beta_g - beta_ref).max() <= 1e-15 * np.abs(beta_ref).max()
+    assert np.array_equal(nl.coupling, coupling_ref)
+    assert nl.labels == labels_ref
+
+
+def test_nonlocal_radial_tables_once_per_species_and_shell(monkeypatch):
+    """16 atoms of one species: one quadrature per (l, i), on the distinct
+    |G| values only — the cost guard, with no timer."""
+    grid = PlaneWaveGrid(silicon_supercell([2, 1, 1]), ecut=2.0)
+    n_shells = np.unique(grid.to_flat(np.sqrt(grid.gvec.g2)[None])[0]).size
+    calls = []
+
+    def counted(params, l, i, q, *args, **kwargs):
+        calls.append((params.symbol, l, i, np.size(q)))
+        return projector_fourier(params, l, i, q, *args, **kwargs)
+
+    monkeypatch.setattr(nonlocal_module, "projector_fourier", counted)
+    NonlocalPseudopotential(grid)
+    assert sorted(c[:3] for c in calls) == [("Si", 0, 0), ("Si", 0, 1), ("Si", 1, 0)]
+    assert n_shells < grid.ngrid // 10
+    assert all(nq <= n_shells for *_, nq in calls)

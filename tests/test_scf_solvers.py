@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
-from repro.scf.eigensolver import canonical_orthonormalize, davidson, lowdin_orthonormalize
+from repro.scf.eigensolver import (
+    DavidsonResult,
+    _generalized_lowest,
+    _normalize_rows,
+    canonical_orthonormalize,
+    davidson,
+    lowdin_orthonormalize,
+    teter_preconditioner,
+)
 from repro.scf.groundstate import default_nbands
 from repro.scf.mixing import AndersonMixer, KerkerMixer, LinearMixer
 from repro.utils.rng import default_rng
@@ -110,6 +118,109 @@ def test_davidson_warm_start_fast(grid):
     res2 = davidson(grid, h.apply, res1.orbitals, tol=1e-4, max_iter=200, nconv=4)
     # restarting from a converged block must be far cheaper than cold
     assert res2.iterations <= max(3, res1.iterations // 3)
+
+
+def reapplying_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
+    """The pre-PR-14 ``davidson``: applies ``H`` to ``X`` and then to all
+    of ``[X, t]`` every iteration and Löwdin-orthonormalizes on the grid.
+    Kept as the oracle for the carried-``H X`` formulation."""
+    phi = lowdin_orthonormalize(grid, phi0.copy())
+    nb = phi.shape[0]
+    nconv = nb if nconv is None else min(nconv, nb)
+    eig = np.zeros(nb)
+    res_norms = np.full(nb, np.inf)
+    for it in range(1, max_iter + 1):
+        h_phi = apply_h(phi)
+        h_sub = grid.inner(phi, h_phi)
+        h_sub = 0.5 * (h_sub + h_sub.conj().T)
+        eig, vec = np.linalg.eigh(h_sub)
+        phi = np.ascontiguousarray(vec.T @ phi)
+        h_phi = np.ascontiguousarray(vec.T @ h_phi)
+        resid = h_phi - eig[:, None] * phi
+        res_norms = np.sqrt(np.einsum("ij,ij->i", resid.conj(), resid).real * grid.dv)
+        if res_norms[:nconv].max() < tol:
+            return DavidsonResult(eig, phi, res_norms, it, True)
+        phi_g = grid.r_to_g(phi)
+        t_diag = grid.to_flat(grid.gvec.kinetic[None])[0]
+        ekin_band = grid.cell.volume * np.einsum("ng,g,ng->n", phi_g.conj(), t_diag, phi_g).real
+        corr_g = teter_preconditioner(grid, grid.r_to_g(resid), np.maximum(ekin_band, 0.1))
+        grid.apply_cutoff(corr_g)
+        corr = grid.g_to_r(corr_g)
+        corr -= grid.inner(phi, corr).T @ phi
+        corr = _normalize_rows(corr, grid.dv)
+        if corr.shape[0] == 0:
+            return DavidsonResult(eig, phi, res_norms, it, res_norms[:nconv].max() < tol)
+        corr = canonical_orthonormalize(grid, corr, drop_tol=1e-8)
+        corr -= grid.inner(phi, corr).T @ phi
+        basis = np.vstack([phi, corr])
+        h_basis = apply_h(basis)
+        h_sub2 = grid.inner(basis, h_basis)
+        h_sub2 = 0.5 * (h_sub2 + h_sub2.conj().T)
+        s_sub2 = grid.inner(basis, basis)
+        s_sub2 = 0.5 * (s_sub2 + s_sub2.conj().T)
+        _, vec2 = _generalized_lowest(h_sub2, s_sub2, nb)
+        phi = lowdin_orthonormalize(grid, np.ascontiguousarray(vec2.T @ basis))
+    return DavidsonResult(eig, phi, res_norms, max_iter, False)
+
+
+class RowCountingH:
+    """``ham.apply`` that records the row count of every block it is given."""
+
+    def __init__(self, ham):
+        self.apply_h, self.rows = ham.apply, []
+
+    def __call__(self, block):
+        self.rows.append(block.shape[0])
+        return self.apply_h(block)
+
+
+@pytest.fixture(scope="module")
+def split_ham(grid):
+    """LDA Hamiltonian with the cubic cell's degenerate multiplets lifted,
+    so an iteration count does not hang on round-off inside a cluster."""
+    h = Hamiltonian(grid, make_functional("lda"))
+    h.update_density(np.full(grid.ngrid, h.n_electrons / grid.cell.volume))
+    h.v_eff = h.v_eff + 0.05 * default_rng(6).standard_normal(grid.ngrid)
+    return h
+
+
+@pytest.mark.parametrize("nb, nconv, tol", [(8, 6, 1e-7), (16, 12, 1e-7)])
+def test_davidson_matches_reapplying_oracle(grid, split_ham, nb, nconv, tol):
+    phi0 = grid.random_orbitals(nb, default_rng(11))
+    new_h, old_h = RowCountingH(split_ham), RowCountingH(split_ham)
+    new = davidson(grid, new_h, phi0, tol=tol, max_iter=200, nconv=nconv)
+    old = reapplying_davidson(grid, old_h, phi0, tol=tol, max_iter=200, nconv=nconv)
+    assert new.converged and old.converged
+    assert new.iterations == old.iterations
+    assert np.abs(new.eigenvalues - old.eigenvalues).max() < 1e-10
+    assert new.residual_norms[:nconv].max() < tol
+    assert old.residual_norms[:nconv].max() < tol
+    # H sees the entry block, then one correction block per unconverged
+    # iteration; the oracle sees X and [X, t], ~3 nb rows per iteration
+    assert new_h.rows[0] == nb and max(new_h.rows) <= nb
+    assert len(new_h.rows) == new.iterations
+    assert sum(old_h.rows) > 2.5 * sum(new_h.rows)
+
+
+def test_davidson_carried_h_phi_does_not_drift(grid, split_ham):
+    """``H X`` is carried through 40 restarts and never recomputed.  Runs
+    capped at 40 and at 41 iterations share their first 40, so the Ritz
+    values and residuals of iteration 41 (both first order in an error of
+    the carried product) must be the ones a fresh ``H X`` gives on the
+    block the 40-iteration run returns."""
+    phi0 = grid.random_orbitals(8, default_rng(12))
+    r40 = davidson(grid, split_ham.apply, phi0, tol=0.0, max_iter=40)
+    r41 = davidson(grid, split_ham.apply, phi0, tol=0.0, max_iter=41)
+    assert not r41.converged and r41.iterations == 41
+    phi = r40.orbitals
+    h_phi = split_ham.apply(phi)
+    scale = np.sqrt(np.einsum("ij,ij->", h_phi.conj(), h_phi).real * grid.dv)
+    h_sub = grid.inner(phi, h_phi)
+    eig, vec = np.linalg.eigh(0.5 * (h_sub + h_sub.conj().T))
+    resid = vec.T @ h_phi - eig[:, None] * (vec.T @ phi)
+    res_norms = np.sqrt(np.einsum("ij,ij->i", resid.conj(), resid).real * grid.dv)
+    assert np.abs(r41.eigenvalues - eig).max() < 1e-10 * scale
+    assert np.abs(r41.residual_norms - res_norms).max() < 1e-10 * scale
 
 
 # ---------------- mixers ----------------------------------------------------------
@@ -397,3 +508,26 @@ def test_scf_rejects_nonpositive_nbands(ham):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="nbands must be a positive band count"):
             run_scf(ham, SCFOptions(nbands=bad, max_scf=1))
+
+
+@pytest.mark.parametrize(
+    "exchange_tol, passes, converged",
+    [(0.0, 3, False), (1e3, 2, True)],  # never met: all of max_outer; met at once: bootstrap + one
+)
+def test_hybrid_scf_one_dense_exchange_per_outer_pass(tiny_grid, exchange_tol, passes, converged):
+    """Each outer pass applies the dense operator once (its ``V_x Phi``
+    gives both the exchange energy and the next ACE operator); one more
+    application evaluates the returned state's energy."""
+    from repro.scf import SCFOptions, run_scf
+
+    h = Hamiltonian(tiny_grid, make_functional("hse"))
+    dense_calls = []
+    apply_diag = h.fock.apply_diag
+    h.fock.apply_diag = lambda *a, **k: dense_calls.append(1) or apply_diag(*a, **k)
+    gs = run_scf(
+        h,
+        SCFOptions(nbands=20, density_tol=1e-2, max_scf=2, max_outer=3, exchange_tol=exchange_tol),
+    )
+    assert gs.converged == converged
+    assert len(dense_calls) == passes + 1
+    assert h.exchange_mode == "ace"
