@@ -46,7 +46,7 @@ def test_bench_fock_diagonalized(fock_setup, benchmark):
 
 def test_bench_ace_apply(fock_setup, benchmark):
     grid, fock, phi, sigma = fock_setup
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma, targets=phi)
+    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     benchmark(lambda: ace.apply(phi))
 

@@ -15,8 +15,24 @@ Three evaluation strategies, all numerically equivalent (tested):
 
 ``apply_diag``
     Sec. IV-A1: after ``sigma = Q D Q*`` and ``phi_tilde = Phi Q``, the
-    operator takes the pure-state form Eq. (13) with diagonal weights —
-    N^2 FFTs and O(Ng N) broadcast volume.
+    operator takes the pure-state form Eq. (13) with diagonal weights.
+    It is evaluated tile pair by tile pair.  The bands are cut into
+    *tiles* of ``isqrt(batch_size)`` consecutive orbitals (4 for the
+    default 16), so the pair densities ``phi_a* phi_b`` of one *tile
+    pair* ``(I, J)``, ``a`` in ``I``, ``b`` in ``J``, fill one batched
+    FFT.  Its potentials ``pot_ab`` yield the partial sum
+    ``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
+    ``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
+    indices alone, which is what lets
+    :class:`~repro.parallel.distfock.DistributedFockExchange` hand tile
+    pairs to any rank and stay bit-identical.  When the operator acts on
+    its own sources (no ``targets``: every production call — midpoint
+    exchange, ACE build, exchange energy, the hybrid SCF) the kernel is
+    real and even in G, so ``pot_ba = conj(pot_ab)``: each unordered
+    pair ``{I <= J}`` is transformed once and also yields
+    ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
+    instead of the paper's N^2.  An arbitrary target block takes the
+    same kernel over all ``(I, J)`` and uses ``P[I->J]`` only.
 
 Conventions: orbitals are real-space rows ``(N, ngrid)``; pair densities
 carry the continuum normalization through ``grid.dv``-weighted inner
@@ -26,13 +42,50 @@ fraction alpha (applied by the Hamiltonian).
 
 from __future__ import annotations
 
-from typing import Optional, Protocol, Tuple, runtime_checkable
+from math import isqrt
+from typing import Iterator, List, Optional, Protocol, Tuple, runtime_checkable
 
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
-from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
+from repro.occupation.sigma import (
+    diagonalize_sigma,
+    hermitize,
+    rotate_orbitals,
+    unrotate_orbitals,
+)
 from repro.utils.validation import check_square, require
+
+#: occupation weights at or below this contribute nothing as sources
+WEIGHT_CUTOFF = 1e-14
+
+
+def band_tiles(nbands: int, batch_size: int) -> List[slice]:
+    """Consecutive band tiles whose pairs fill one ``batch_size`` FFT batch."""
+    size = max(isqrt(batch_size), 1)
+    return [slice(start, min(start + size, nbands)) for start in range(0, nbands, size)]
+
+
+def symmetric_tile_pairs(
+    tiles: List[slice], weights: np.ndarray
+) -> Iterator[Tuple[int, int, Optional[np.ndarray]]]:
+    """Unordered tile pairs ``(i, j, keep)``, ``i <= j``, of a self-application.
+
+    Lexicographic order, which visits the contributions to any one tile
+    in ascending source tile.  An orbital pair is needed unless *both*
+    weights are negligible (an empty orbital is still a target):
+    ``keep`` is the boolean ``(len I, len J)`` mask of needed pairs,
+    ``None`` for all of them, and tile pairs needing none are left out.
+    Decided from the full weight vector, so every rank count agrees.
+    """
+    active = np.abs(weights) > WEIGHT_CUTOFF
+    for i, tile_i in enumerate(tiles):
+        for j in range(i, len(tiles)):
+            keep = active[tile_i, None] | active[None, tiles[j]]
+            if keep.all():
+                yield i, j, None
+            elif keep.any():
+                yield i, j, keep
 
 
 @runtime_checkable
@@ -46,7 +99,7 @@ class FockOperatorLike(Protocol):
     kernel_g: np.ndarray
 
     def apply_diag(
-        self, phi_src: np.ndarray, weights: np.ndarray, targets: np.ndarray, *, bandbyband: bool = False
+        self, phi_src: np.ndarray, weights: np.ndarray, targets: Optional[np.ndarray] = None
     ) -> np.ndarray: ...
 
     def apply_mixed_tripleloop(
@@ -83,9 +136,17 @@ class FockExchangeOperator:
 
     def __init__(self, grid: PlaneWaveGrid, kernel_g: np.ndarray, batch_size: int = 16) -> None:
         require(kernel_g.shape == (grid.ngrid,), "kernel must be flat over the grid")
+        # the self-application reuses pot_ab as conj(pot_ba), which holds
+        # only for a kernel that is real and even under G -> -G
+        if np.iscomplexobj(kernel_g) and np.any(np.imag(kernel_g) != 0.0):
+            raise ValueError("exchange kernel must be real")
+        box = grid.to_box(np.real(kernel_g))
+        minus_g = np.ix_(*(-np.arange(n) % n for n in box.shape))
+        if not np.allclose(box, box[minus_g], rtol=1e-12, atol=0.0):
+            raise ValueError("exchange kernel must satisfy K(-G) = K(G)")
         self.grid = grid
         self.backend = grid.backend
-        self.kernel_g = np.asarray(kernel_g, dtype=float)
+        self.kernel_g = np.asarray(np.real(kernel_g), dtype=float)
         self.batch_size = int(batch_size)
 
     # -- pair-density convolution (the Poisson-like solves) -------------------
@@ -94,46 +155,100 @@ class FockExchangeOperator:
 
         Pair densities are always freshly formed temporaries, so both
         transforms run with ``consume=True`` — on in-place backends the
-        whole N^2-FFT hot loop allocates no transform results at all.
+        whole pair-FFT hot loop allocates no transform results at all.
         """
         pg = self.grid.r_to_g(pair_density, bandbyband=bandbyband, consume=True)
         pg *= self.kernel_g
         return self.grid.g_to_r(pg, bandbyband=bandbyband, consume=True)
 
+    # -- the tile-pair kernel ---------------------------------------------------
+    def tile_potentials(
+        self,
+        left: np.ndarray,
+        right: np.ndarray,
+        keep: Optional[np.ndarray] = None,
+        *,
+        hermitian: bool = False,
+    ) -> np.ndarray:
+        """``pot[a, b] = K * (left_a^* right_b)`` as one ``(nl, nr, ngrid)`` block.
+
+        Only the pairs in the boolean mask ``keep`` (default: all) are
+        transformed; the others stay zero.  ``hermitian`` says ``right``
+        is ``left``: of the kept pairs only ``a <= b`` are transformed
+        and ``pot[b, a]`` is filled in as ``conj(pot[a, b])``.
+        """
+        nl, nr = left.shape[0], right.shape[0]
+        if keep is None and not hermitian:
+            pair = left.conj()[:, None, :] * right[None, :, :]
+            return self._pair_potential(pair.reshape(nl * nr, -1)).reshape(nl, nr, -1)
+        mask = np.ones((nl, nr), dtype=bool) if keep is None else keep
+        ia, ib = np.nonzero(np.triu(mask) if hermitian else mask)
+        pot = self.backend.zeros((nl, nr, self.grid.ngrid))
+        pot[ia, ib] = self._pair_potential(left[ia].conj() * right[ib])
+        if hermitian:
+            off = ia != ib
+            pot[ib[off], ia[off]] = pot[ia[off], ib[off]].conj()
+        return pot
+
+    def tile_pair_partials(
+        self,
+        phi: np.ndarray,
+        weighted: np.ndarray,
+        tile_i: slice,
+        tile_j: slice,
+        keep: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Both partial sums of the unordered tile pair ``{I <= J}`` of ``phi``.
+
+        ``weighted`` is ``d[:, None] * phi``.  Returns ``(P[I->J],
+        P[J->I])`` from one set of transforms; the second is ``None``
+        on the diagonal ``I == J``.  The result depends on nothing but
+        the two tiles and ``keep`` — whoever computes it gets these bits.
+        """
+        diagonal = tile_i == tile_j
+        pot = self.tile_potentials(phi[tile_i], phi[tile_j], keep, hermitian=diagonal)
+        forward = np.einsum("ar,abr->br", weighted[tile_i], pot)
+        if diagonal:
+            return forward, None
+        # Σ_b w_b conj(pot_ab) = conj(Σ_b conj(w_b) pot_ab): no conj(pot) temporary
+        return forward, np.einsum("br,abr->ar", weighted[tile_j].conj(), pot).conj()
+
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
     def apply_diag(
-        self,
-        phi_src: np.ndarray,
-        weights: np.ndarray,
-        targets: np.ndarray,
-        *,
-        bandbyband: bool = False,
+        self, phi_src: np.ndarray, weights: np.ndarray, targets: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """``(V_x psi_j)(r) = -Σ_i d_i phi_i(r) [K * (phi_i^* psi_j)](r)``.
 
         ``phi_src``: source orbitals (rows), ``weights``: their occupation
-        weights ``d_i`` in [0, 1], ``targets``: orbitals the operator acts
-        on.  N_src x N_tgt FFT pairs, batched ``batch_size`` at a time.
+        weights ``d_i`` in [0, 1].  Without ``targets`` the operator acts
+        on its own sources and every unordered orbital pair is
+        transformed once (N(N+1)/2 FFT pairs); with ``targets`` it acts
+        on that block (N_active x N_tgt FFT pairs).  Tile pairs are
+        batched ``batch_size`` pair densities at a time either way.
         """
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source orbital")
-        nsrc = phi_src.shape[0]
-        out = self.backend.zeros_like(targets)
-        active = np.nonzero(np.abs(weights) > 1e-14)[0]
-        src = phi_src[active]
-        w = weights[active]
-        if src.shape[0] == 0:
-            return out
-        for j in range(targets.shape[0]):
-            psi_j = targets[j]
-            acc = self.backend.zeros(self.grid.ngrid)
-            for start in range(0, src.shape[0], self.batch_size):
-                blk = slice(start, start + self.batch_size)
-                pair = src[blk].conj() * psi_j[None, :]
-                pot = self._pair_potential(pair, bandbyband=bandbyband)
-                acc += np.einsum("i,ir,ir->r", w[blk], src[blk], pot)
-            out[j] = -acc
-        return out
+        if targets is None:
+            acc = self.backend.zeros_like(phi_src)
+            weighted = weights[:, None] * phi_src
+            tiles = band_tiles(phi_src.shape[0], self.batch_size)
+            for i, j, keep in symmetric_tile_pairs(tiles, weights):
+                forward, backward = self.tile_pair_partials(
+                    phi_src, weighted, tiles[i], tiles[j], keep
+                )
+                acc[tiles[j]] += forward
+                if backward is not None:
+                    acc[tiles[i]] += backward
+        else:
+            acc = self.backend.zeros_like(targets)
+            active = np.abs(weights) > WEIGHT_CUTOFF
+            src = phi_src[active]
+            weighted = weights[active, None] * src
+            for tile_j in band_tiles(targets.shape[0], self.batch_size):
+                for tile_i in band_tiles(src.shape[0], self.batch_size):
+                    pot = self.tile_potentials(src[tile_i], targets[tile_j])
+                    acc[tile_j] += np.einsum("ar,abr->br", weighted[tile_i], pot)
+        return np.negative(acc, out=acc)
 
     # -- mixed-state baseline (paper Alg. 2) -----------------------------------
     def apply_mixed_tripleloop(
@@ -193,15 +308,17 @@ class FockExchangeOperator:
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sec. IV-A1 pipeline: diagonalize sigma, rotate, apply Eq. (13).
 
+        Without ``targets`` this is ``V_x[P] Phi`` on the block that
+        defines ``P``: the rotated block is its own target and the
+        result is rotated back.
         Returns ``(vx_targets, d, q)`` so callers can reuse the
         decomposition (e.g. for the density and ACE construction).
         """
         d, q = diagonalize_sigma(hermitize(sigma))
         phi_t = rotate_orbitals(phi, q)
         if targets is None:
-            targets = phi
-        vx = self.apply_diag(phi_t, d, targets)
-        return vx, d, q
+            return unrotate_orbitals(self.apply_diag(phi_t, d), q), d, q
+        return self.apply_diag(phi_t, d, targets), d, q
 
     # -- energy -----------------------------------------------------------------
     def exchange_energy(

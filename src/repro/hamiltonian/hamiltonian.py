@@ -26,6 +26,12 @@ from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.hamiltonian.kinetic import KineticOperator
 from repro.hartree.poisson import hartree_energy, hartree_potential
+from repro.occupation.sigma import (
+    diagonalize_sigma,
+    hermitize,
+    rotate_orbitals,
+    unrotate_orbitals,
+)
 from repro.pseudo.local import LocalPseudopotential
 from repro.pseudo.nonlocal_ import NonlocalPseudopotential
 from repro.utils.validation import require
@@ -86,7 +92,8 @@ class Hamiltonian:
         self.time: float = 0.0
 
         self.exchange_mode: ExchangeMode = "none"
-        self._exx_sources: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (phi_t, d)
+        # (phi_t, d, q, phi): rotated sources, weights, rotation, the block given
+        self._exx_sources: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
         self._exx_sigma_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (phi, sigma)
         self._ace: Optional[ACEOperator] = None
 
@@ -133,14 +140,15 @@ class Hamiltonian:
 
         For ``dense-diag`` the sigma eigenbasis rotation is done once here
         (paper Fig. 2(b)); for ``dense-tripleloop`` the raw (Phi, sigma)
-        pair is kept and Alg. 2 runs on every application.
+        pair is kept and Alg. 2 runs on every application.  ``phi`` is
+        remembered by identity: applying the Hamiltonian to this very
+        array takes the half-cost self-application, so do not modify it
+        in place between this call and :meth:`apply`.
         """
         require(self.functional.is_hybrid, "exchange sources need a hybrid functional")
         if mode == "dense-diag":
-            from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
-
             d, q = diagonalize_sigma(hermitize(sigma))
-            self._exx_sources = (rotate_orbitals(phi, q), d)
+            self._exx_sources = (rotate_orbitals(phi, q), d, q, phi)
             self._exx_sigma_pair = None
         elif mode == "dense-tripleloop":
             self._exx_sigma_pair = (phi, np.asarray(sigma))
@@ -171,7 +179,7 @@ class Hamiltonian:
         dense (N^2-FFT) evaluation, then compression.
         """
         require(self.fock is not None, "ACE requires a hybrid functional")
-        w, _, _ = self.fock.apply_mixed_via_diagonalization(phi, sigma, targets=phi)
+        w, _, _ = self.fock.apply_mixed_via_diagonalization(phi, sigma)
         return ACEOperator.from_dense_action(self.grid, phi, w)
 
     # -- exchange application -------------------------------------------------------
@@ -185,7 +193,10 @@ class Hamiltonian:
             return alpha * self._ace.apply(phi_r)
         if self.exchange_mode == "dense-diag":
             require(self._exx_sources is not None, "exchange sources not set")
-            src, d = self._exx_sources
+            src, d, q, block = self._exx_sources
+            if phi_r is block:
+                # V_x[P] on the block that defines P: the self-application, rotated back
+                return alpha * unrotate_orbitals(self.fock.apply_diag(src, d), q)
             return alpha * self.fock.apply_diag(src, d, phi_r)
         if self.exchange_mode == "dense-tripleloop":
             require(self._exx_sigma_pair is not None, "exchange sources not set")

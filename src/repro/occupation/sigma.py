@@ -57,6 +57,11 @@ def rotate_orbitals(phi: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(q.T @ phi)
 
 
+def unrotate_orbitals(phi_tilde: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Inverse of :func:`rotate_orbitals` for unitary ``q``: rows ``conj(Q) @ Phi_tilde``."""
+    return q.conj() @ phi_tilde
+
+
 def sigma_commutator(h_sub: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """``[H_sub, sigma]`` — the generator of sigma dynamics in Eq. (6)."""
     return h_sub @ sigma - sigma @ h_sub

@@ -17,14 +17,30 @@ Fig. 5 are implemented *for real* on the shards:
 All three produce *bit-identical* results — to each other, at every rank
 count, and to the serial
 :class:`~repro.hamiltonian.fock.FockExchangeOperator`; they differ only
-in what the ledger records, which is the entire point of Sec. IV-B.  Two
-design rules make that exactness hold:
+in what the ledger records, which is the entire point of Sec. IV-B.
+That exactness holds by construction, not by luck of the shard sizes:
 
-* every rank's source bands genuinely arrive through the schedule (the
-  blocks are reassembled from the communicated copies, in band order),
-  but the local kernel then runs the *serial* operator on the rank's
-  target shard with the full source set — identical batch boundaries and
-  summation order, so the gathered rows are bitwise the serial rows;
+* the unit of work is the serial operator's **tile pair** (see
+  :mod:`repro.hamiltonian.fock`): tiles are cut from the band index and
+  ``batch_size`` alone, never from the rank count, and the partial sums
+  ``P[I->J]`` a tile pair yields depend only on the two tiles.  When the
+  operator acts on its own sources each unordered pair ``{I <= J}`` is
+  evaluated by exactly one rank — pair ``k`` of the serial enumeration
+  by rank ``k mod p``, which balances the transforms even where ranks
+  outnumber tiles — from the sources every rank has received through the
+  schedule (reassembled from the communicated copies, in band order);
+* ranks own whole tiles.  A partial destined for another rank's tile
+  really travels, *unreduced*, in a charged ``alltoallv``, and the
+  owner adds what it holds in ascending source tile — the serial
+  operator's own order, fixed by band indices alone — so the gathered
+  rows are bitwise the serial rows.  Reducing before sending would move
+  fewer bytes and make the sum depend on who computed what.  The pairs
+  go in *waves*, one per lower tile ``I`` (all ``(I, J >= I)``), each
+  closed by its own exchange and addition: a wave holds at most ``2N``
+  partial rows, where a single exchange at the end would hold ``N``
+  times the tile count (six orbital blocks at N = 24);
+* an arbitrary target block is sharded by whole target tiles and each
+  rank runs the serial operator on its shard (nothing to return);
 * each rank executes its FFTs through a rank-scoped
   :class:`~repro.backend.counting.CountingBackend` view (fresh counters,
   shared plan cache and engine), so per-rank tallies are exact and their
@@ -40,16 +56,22 @@ behind every SCF loop and RT propagator.
 from __future__ import annotations
 
 import copy
+from itertools import groupby
 from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.backend import Backend, CountingBackend, FFTCounters
 from repro.grid.fftgrid import PlaneWaveGrid
-from repro.hamiltonian.fock import FockExchangeOperator
-from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
+from repro.hamiltonian.fock import FockExchangeOperator, band_tiles, symmetric_tile_pairs
+from repro.occupation.sigma import (
+    diagonalize_sigma,
+    hermitize,
+    rotate_orbitals,
+    unrotate_orbitals,
+)
 from repro.parallel.comm import SimComm
-from repro.parallel.layouts import BandLayout
+from repro.parallel.layouts import BandLayout, partition_offsets, partition_sizes
 from repro.utils.validation import require
 
 Pattern = Literal["bcast", "ring", "async-ring"]
@@ -169,18 +191,25 @@ class DistributedFockExchange:
             return self.comm.nranks
         return self.comm.machine.nodes(self.comm.nranks)
 
-    def _block_compute_seconds(self, n_src: int, n_tgt: int) -> float:
-        """Modeled FFT time for one block's pair-density solves."""
+    def _block_compute_seconds(self, n_pairs: float) -> float:
+        """Modeled FFT time for ``n_pairs`` pair-density solves."""
         ng = self.grid.ngrid
-        flops = 2.0 * n_src * n_tgt * 5.0 * ng * np.log2(max(ng, 2))
+        flops = 2.0 * n_pairs * 5.0 * ng * np.log2(max(ng, 2))
         return self.comm.machine.fft_time(flops)
+
+    def _tile_shards(self, nbands: int) -> List[slice]:
+        """Per rank, the band range of the whole tiles it owns (may be empty)."""
+        tiles = band_tiles(nbands, self.batch_size)
+        edges = [t.start for t in tiles] + [nbands]
+        first = partition_offsets(len(tiles), self.comm.nranks) + [len(tiles)]
+        return [slice(edges[a], edges[b]) for a, b in zip(first[:-1], first[1:])]
 
     # -- schedules ------------------------------------------------------------
     def _collect_sources(
         self,
         arrays: Sequence[np.ndarray],
         pattern: Pattern,
-        n_tgt_max: int,
+        pairs_per_source: float,
     ) -> List[List[np.ndarray]]:
         """Move every source shard to every rank via ``pattern``.
 
@@ -188,7 +217,9 @@ class DistributedFockExchange:
         (orbitals + weights travel together).  Returns, per rank, each
         array reassembled *from the communicated copies* in band order —
         bitwise the serial input, but having genuinely ridden the
-        schedule (and charged the ledger for it).
+        schedule (and charged the ledger for it).  ``pairs_per_source``
+        is the number of pair-density solves a rank performs per source
+        orbital in hand — what an ``async-ring`` transfer can hide behind.
         """
         p = self.comm.nranks
         nbands = arrays[0].shape[0]
@@ -218,7 +249,7 @@ class DistributedFockExchange:
                     # in hand; the tiny weight vectors ride synchronous
                     # sendrecvs alongside
                     comp = self._block_compute_seconds(
-                        max(b.shape[0] for b in current[0]), n_tgt_max
+                        max(b.shape[0] for b in current[0]) * pairs_per_source
                     )
                     moved = [self.comm.ring_shift_async(current[0], comp)]
                     moved.extend(self.comm.ring_shift(cur) for cur in current[1:])
@@ -233,10 +264,10 @@ class DistributedFockExchange:
             for r in range(p)
         ]
 
-    def _gather(self, layout: BandLayout, shards: List[np.ndarray]) -> np.ndarray:
+    def _gather(self, shards: List[np.ndarray]) -> np.ndarray:
         """Reassemble target shards, charging the allgatherv that hands
         the sharded result back to the (serial) downstream consumers."""
-        out = layout.gather(shards)
+        out = np.concatenate(shards, axis=0)
         self.comm.charge_allgatherv(float(out.nbytes))
         return out
 
@@ -245,40 +276,78 @@ class DistributedFockExchange:
         self,
         phi_src: np.ndarray,
         weights: np.ndarray,
-        targets: np.ndarray,
+        targets: Optional[np.ndarray] = None,
         *,
-        bandbyband: bool = False,
         pattern: Optional[Pattern] = None,
     ) -> np.ndarray:
-        """Band-sharded ``V_x targets`` — serial-bitwise, schedule-charged.
+        """Band-parallel ``V_x`` — serial-bitwise, schedule-charged.
 
         ``phi_src``: (N_src, ngrid) diagonal-weight sources (post sigma
-        diagonalization); ``targets``: (N_tgt, ngrid).  Targets are
-        sharded across ranks; every source block reaches every rank via
-        the configured pattern; each rank runs the serial kernel on its
-        shard; the gathered result is returned.
+        diagonalization), which reach every rank via the configured
+        pattern.  Without ``targets`` the operator acts on its own
+        sources: the unordered tile pairs are dealt round-robin, partials
+        return to the tile owners in one ``alltoallv`` per wave and are
+        added in the serial order.  With ``targets`` (N_tgt, ngrid) each rank runs
+        the serial operator on its whole-tile target shard.
         """
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source")
         pattern = self.pattern if pattern is None else pattern
         p = self.comm.nranks
-        tgt_layout = BandLayout(targets.shape[0], self.grid.ngrid, p)
-        tgt_shards = tgt_layout.shard(targets)
-        n_tgt_max = max(t.shape[0] for t in tgt_shards)
-        per_rank = self._collect_sources([phi_src, weights], pattern, n_tgt_max)
-        acc_shards = [
-            self._rank_focks[r].apply_diag(
-                per_rank[r][0], per_rank[r][1], tgt_shards[r], bandbyband=bandbyband
+        if targets is not None:
+            shards = self._tile_shards(targets.shape[0])
+            n_tgt_max = max(s.stop - s.start for s in shards)
+            per_rank = self._collect_sources([phi_src, weights], pattern, n_tgt_max)
+            return self._gather(
+                [
+                    self._rank_focks[r].apply_diag(per_rank[r][0], per_rank[r][1], targets[shards[r]])
+                    for r in range(p)
+                ]
             )
-            for r in range(p)
-        ]
-        return self._gather(tgt_layout, acc_shards)
+
+        n = phi_src.shape[0]
+        per_rank = self._collect_sources([phi_src, weights], pattern, (n + 1) / (2.0 * p))
+        weighted = [w[:, None] * src for src, w in per_rank]
+        tiles = band_tiles(n, self.batch_size)
+        owner = np.repeat(np.arange(p), partition_sizes(len(tiles), p))
+        empty = np.empty((0, self.grid.ngrid), dtype=complex)
+        acc = self.backend.zeros_like(phi_src)
+        # one wave per lower tile i: its pairs (i, j >= i) are computed,
+        # their partials returned, and every owner adds what arrived in
+        # the order the serial loop adds it — ascending source tile for
+        # each of its tiles — before the next wave starts, so no rank
+        # ever holds more than one wave of partials
+        pairs = enumerate(symmetric_tile_pairs(tiles, weights))
+        for i, wave in groupby(pairs, key=lambda item: item[1][0]):
+            # sent[r][s]: the partials rank r computed for tiles rank s owns
+            sent: List[List[List[np.ndarray]]] = [[[] for _ in range(p)] for _ in range(p)]
+            order: List[Tuple[int, int]] = []  # (sender, target tile) as the serial loop adds
+            for k, (_, j, keep) in wave:
+                r = k % p
+                partials = self._rank_focks[r].tile_pair_partials(
+                    per_rank[r][0], weighted[r], tiles[i], tiles[j], keep
+                )
+                for t, partial in zip((j, i), partials):
+                    if partial is not None:
+                        sent[r][owner[t]].append(partial)
+                        order.append((r, t))
+            blocks = [[np.concatenate(b, axis=0) if b else empty for b in row] for row in sent]
+            del sent  # peak memory: one copy of the wave alive at a time
+            received = self.comm.alltoallv_blocks(blocks)
+            del blocks
+            taken = np.zeros((p, p), dtype=int)  # rows read so far from received[s][r]
+            for r, t in order:
+                s, rows = owner[t], tiles[t].stop - tiles[t].start
+                acc[tiles[t]] += received[s][r][taken[s, r] : taken[s, r] + rows]
+                taken[s, r] += rows
+        self.comm.charge_allgatherv(float(acc.nbytes))
+        return np.negative(acc, out=acc)
 
     def apply(
         self,
         phi_src: np.ndarray,
         weights: np.ndarray,
-        targets: np.ndarray,
+        targets: Optional[np.ndarray] = None,
         pattern: Optional[Pattern] = None,
     ) -> np.ndarray:
         """Alias of :meth:`apply_diag` (the original executor entry)."""
@@ -303,26 +372,7 @@ class DistributedFockExchange:
             )
             for r in range(p)
         ]
-        return self._gather(tgt_layout, out_shards)
-
-    def apply_mixed_grouped(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Distributed N^2-FFT mixed-state reference (sharded targets)."""
-        if targets is None:
-            targets = phi
-        p = self.comm.nranks
-        tgt_layout = BandLayout(targets.shape[0], self.grid.ngrid, p)
-        tgt_shards = tgt_layout.shard(targets)
-        n_tgt_max = max(t.shape[0] for t in tgt_shards)
-        per_rank = self._collect_sources([phi], self.pattern, n_tgt_max)
-        out_shards = [
-            self._rank_focks[r].apply_mixed_grouped(
-                per_rank[r][0], sigma, targets=tgt_shards[r]
-            )
-            for r in range(p)
-        ]
-        return self._gather(tgt_layout, out_shards)
+        return self._gather(out_shards)
 
     def apply_mixed_via_diagonalization(
         self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
@@ -341,9 +391,8 @@ class DistributedFockExchange:
         d, q = diagonalize_sigma(hermitize(sigma))
         phi_t = rotate_orbitals(phi, q)
         if targets is None:
-            targets = phi
-        vx = self.apply_diag(phi_t, d, targets)
-        return vx, d, q
+            return unrotate_orbitals(self.apply_diag(phi_t, d), q), d, q
+        return self.apply_diag(phi_t, d, targets), d, q
 
     # -- energy -----------------------------------------------------------------
     def exchange_energy(

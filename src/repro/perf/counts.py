@@ -114,6 +114,8 @@ def _dense_fock_counts(
     entries leaves an O(fill x N) band; the fill fraction is calibrated
     from Fig. 9's BL -> Diag speedup).
     """
+    # the paper's N^2: its machine does not use the pair symmetry that
+    # FockExchangeOperator.apply_diag does (N(N+1)/2 solves on its own sources)
     pairs = n * (n / p)  # (source, local target) pairs
     if triple_loop:
         pairs *= max(bl_sigma_fill * n, 1.0)

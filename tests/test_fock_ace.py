@@ -16,7 +16,7 @@ from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import hermitize
 from repro.utils.rng import default_rng
-from repro.xc.kernels import erfc_screened_kernel
+from repro.xc.kernels import bare_coulomb_kernel, erfc_screened_kernel
 from repro.utils.testing import random_hermitian_sigma
 
 
@@ -74,8 +74,9 @@ def test_fft_count_reduction(grid):
     diag = eng.counters.since(snap).transforms
 
     assert triple == 2 * n**3  # (k, i, j) loop, forward+inverse each
-    assert diag <= 2 * n**2  # weights may prune empty sources
-    assert diag >= 2 * n  # sanity
+    # every eigenvalue of this sigma is active: each unordered orbital
+    # pair is transformed once, forward+inverse
+    assert diag == n * (n + 1)
 
 
 def test_fock_operator_hermitian(grid, fock):
@@ -106,6 +107,99 @@ def test_apply_diag_skips_zero_weights(grid, fock):
     assert np.allclose(out_full, out_sub, atol=1e-12)
 
 
+def apply_diag_per_target(fock, phi_src, weights, targets):
+    """The per-target loop ``apply_diag`` was before the tile-pair kernel:
+    every (active source, target) pair transformed, no symmetry — the oracle."""
+    active = np.abs(weights) > 1e-14
+    src, w = phi_src[active], weights[active]
+    out = np.zeros_like(targets)
+    for j, psi_j in enumerate(targets):
+        for start in range(0, src.shape[0], fock.batch_size):
+            blk = slice(start, start + fock.batch_size)
+            pot = fock._pair_potential(src[blk].conj() * psi_j[None, :])
+            out[j] -= np.einsum("i,ir,ir->r", w[blk], src[blk], pot)
+    return out
+
+
+def _rel_err(a, ref):
+    return np.abs(a - ref).max() / np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n", [3, 10, 24])  # below one tile, ragged last tile, whole tiles
+def test_tile_pair_kernel_matches_per_target_oracle(grid, n):
+    """Complex orbitals, non-diagonal sigma: the self-application and the
+    arbitrary-target route both equal the per-target loop."""
+    fock = FockExchangeOperator(grid, erfc_screened_kernel(grid))  # tiles of 4
+    phi, sigma = _setup(grid, 20 + n, n=n)
+    sigma = hermitize(sigma)
+    assert np.abs(sigma - np.diag(np.diag(sigma))).max() > 1e-3
+    vx_self, d, q = fock.apply_mixed_via_diagonalization(phi, sigma)
+    phi_t = q.T @ phi
+    ref_t = apply_diag_per_target(fock, phi_t, d, phi_t)
+    assert _rel_err(fock.apply_diag(phi_t, d), ref_t) <= 1e-13
+    assert _rel_err(fock.apply_diag(phi_t, d, phi_t), ref_t) <= 1e-13
+    # V_x[P] Phi itself, and on a block that is not the source block
+    assert _rel_err(vx_self, apply_diag_per_target(fock, phi_t, d, phi)) <= 1e-13
+    other = grid.random_orbitals(5, np.random.default_rng(n))
+    vx_other, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma, targets=other)
+    assert _rel_err(vx_other, apply_diag_per_target(fock, phi_t, d, other)) <= 1e-13
+
+
+def test_self_application_transform_count(grid):
+    """All weights active: N(N+1)/2 Poisson solves, forward+inverse each;
+    the arbitrary-target route stays at N^2."""
+    fock = FockExchangeOperator(grid, erfc_screened_kernel(grid))
+    n = 10
+    phi, _ = _setup(grid, 31, n=n)
+    w = np.linspace(0.1, 1.0, n)
+    counters = grid.backend.counters
+    snap = counters.snapshot()
+    fock.apply_diag(phi, w)
+    assert counters.since(snap).transforms == n * (n + 1)
+    snap = counters.snapshot()
+    fock.apply_diag(phi, w, phi)
+    assert counters.since(snap).transforms == 2 * n * n
+
+
+def test_pruning_under_symmetry_keeps_empty_orbitals_as_targets(grid):
+    """Half the weights exactly zero, interleaved so no tile is empty: a
+    pair is skipped only when both weights are negligible, the empty
+    orbitals still get their V_x row, and the transforms never exceed the
+    2 N_active N of the per-target loop."""
+    fock = FockExchangeOperator(grid, erfc_screened_kernel(grid))
+    n = 10
+    phi, _ = _setup(grid, 32, n=n)
+    w = np.where(np.arange(n) % 2 == 0, np.linspace(0.2, 1.0, n), 0.0)
+    n_active = int(np.count_nonzero(w))
+    counters = grid.backend.counters
+    snap = counters.snapshot()
+    out = fock.apply_diag(phi, w)
+    used = counters.since(snap).transforms
+    # unordered pairs with at least one active member
+    assert used == 2 * (n_active * (n_active + 1) // 2 + n_active * (n - n_active))
+    assert used <= 2 * n_active * n
+    ref = apply_diag_per_target(fock, phi, w, phi)
+    assert _rel_err(out, ref) <= 1e-13
+    assert np.abs(out[1]).max() > 0.0  # an empty orbital is still a target
+    # nothing active: nothing transformed, zero result
+    snap = counters.snapshot()
+    assert not fock.apply_diag(phi, np.zeros(n)).any()
+    assert counters.since(snap).transforms == 0
+
+
+def test_kernel_must_be_real_and_even(grid):
+    """The conjugate reuse pot_ba = conj(pot_ab) needs K real, K(-G) = K(G)."""
+    for kernel in (erfc_screened_kernel(grid), bare_coulomb_kernel(grid)):
+        FockExchangeOperator(grid, kernel)
+    one_sided = erfc_screened_kernel(grid)
+    box = grid.to_box(one_sided)
+    box[1, 0, 0] *= 2.0  # G = +b1 only; its partner -b1 sits at index -1
+    with pytest.raises(ValueError, match=r"K\(-G\) = K\(G\)"):
+        FockExchangeOperator(grid, one_sided)
+    with pytest.raises(ValueError, match="real"):
+        FockExchangeOperator(grid, erfc_screened_kernel(grid) * (1.0 + 0.5j))
+
+
 def test_batch_size_invariance(grid):
     phi, sigma = _setup(grid, 9)
     sigma = hermitize(sigma)
@@ -121,7 +215,7 @@ def test_ace_exact_on_generating_orbitals(grid, fock):
     """Lin's construction: V_ACE phi_i == V_x phi_i for the generators."""
     phi, sigma = _setup(grid, 11)
     sigma = hermitize(sigma)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma, targets=phi)
+    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     assert np.allclose(ace.apply(phi), w, atol=1e-9)
 
@@ -130,7 +224,7 @@ def test_ace_negative_semidefinite(grid, fock):
     """<psi|V_ACE|psi> <= 0 for any psi — by construction -xi xi*."""
     phi, sigma = _setup(grid, 12)
     sigma = hermitize(sigma)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma, targets=phi)
+    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     rng = default_rng(13)
     psi = grid.random_orbitals(3, rng)
@@ -143,7 +237,7 @@ def test_ace_rank_adaptive(grid, fock):
     rng = default_rng(14)
     phi = grid.random_orbitals(5, rng)
     sigma = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma, targets=phi)
+    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     # the operator acts within the 2-orbital occupied span: rank <= 5 but
     # energy content concentrated; exactness still holds
@@ -162,7 +256,7 @@ def test_ace_zero_action_gives_zero_operator(grid):
 def test_ace_exchange_energy_matches_dense_on_generators(grid, fock):
     phi, sigma = _setup(grid, 16)
     sigma = hermitize(sigma)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma, targets=phi)
+    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     e_dense = fock.exchange_energy(phi, sigma, degeneracy=2.0, vx_phi=w)
     e_ace = ace.exchange_energy(phi, sigma, degeneracy=2.0)

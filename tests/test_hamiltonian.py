@@ -84,6 +84,33 @@ def test_exchange_modes_agree(ham_hse, grid):
     assert np.allclose(a, b, atol=1e-9)
 
 
+def test_dense_diag_self_and_arbitrary_target_routes_agree(ham_hse, grid):
+    """Applying H to the very array given to ``set_exchange_sources``
+    takes the half-cost self-application; an equal-valued copy is just
+    another block and takes the all-pairs route.  Same operator, and the
+    route follows identity, never a comparison of values."""
+    rng = default_rng(8)
+    n = 6
+    phi = grid.random_orbitals(n, rng)
+    sigma = hermitize(random_hermitian_sigma(n, rng))
+    ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
+    counters = grid.backend.counters
+
+    def exchange_transforms(block):
+        snap = counters.snapshot()
+        ham_hse.apply(block, include_exchange=False)
+        base = counters.since(snap).transforms
+        snap = counters.snapshot()
+        out = ham_hse.apply(block)
+        return out, counters.since(snap).transforms - base
+
+    via_self, n_self = exchange_transforms(phi)
+    via_targets, n_targets = exchange_transforms(phi.copy())
+    assert n_self == n * (n + 1)
+    assert n_targets == 2 * n * n
+    assert np.abs(via_self - via_targets).max() <= 1e-12 * np.abs(via_targets).max()
+
+
 def test_ace_mode_matches_dense_on_generators(ham_hse, grid):
     rng = default_rng(5)
     phi = grid.random_orbitals(3, rng)

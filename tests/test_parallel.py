@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
-from repro.hamiltonian.fock import FockExchangeOperator
+from repro.hamiltonian.fock import FockExchangeOperator, band_tiles
 from repro.parallel import (
     A100_GPU,
     CostLedger,
@@ -195,6 +195,63 @@ def test_distributed_fock_matches_serial(grid, pattern, nranks):
     dist = DistributedFockExchange(grid, kern, comm)
     out = dist.apply(phi, w, phi, pattern=pattern)
     assert np.allclose(out, serial, atol=1e-11)
+
+
+@pytest.mark.parametrize("pattern", ["bcast", "ring", "async-ring"])
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4, 5, 16])
+def test_distributed_self_application_bitwise_serial(grid, monkeypatch, pattern, nranks):
+    """The tile-pair schedule: bit-identical to serial at every rank count
+    (more ranks than the 6 tiles included), every unordered tile pair
+    evaluated by exactly one rank, partials returned under ``alltoallv``."""
+    rng = default_rng(11)
+    n = 22  # five whole tiles of 4 and a ragged one
+    phi = grid.random_orbitals(n, rng)
+    w = rng.random(n)
+    w[[3, 4, 5, 6, 7, 13]] = 0.0  # tile 1 is empty: pair (1, 1) is pruned, by every rank
+    kern = erfc_screened_kernel(grid)
+    serial_op = FockExchangeOperator(grid, kern)
+    counters = grid.backend.counters
+    snap = counters.snapshot()
+    serial = serial_op.apply_diag(phi, w)
+    serial_transforms = counters.since(snap).transforms
+
+    executed = []
+    kernel = FockExchangeOperator.tile_pair_partials
+
+    def recording(self, phi, weighted, tile_i, tile_j, keep=None):
+        executed.append((tile_i.start, tile_j.start))
+        return kernel(self, phi, weighted, tile_i, tile_j, keep)
+
+    monkeypatch.setattr(FockExchangeOperator, "tile_pair_partials", recording)
+    ledger = CostLedger()
+    dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM, ledger), pattern=pattern)
+    out = dist.apply_diag(phi, w)
+    np.testing.assert_array_equal(out, serial)
+
+    starts = [t.start for t in band_tiles(n, dist.batch_size)]
+    expected = {(a, b) for a in starts for b in starts if a <= b} - {(4, 4)}
+    assert sorted(executed) == sorted(expected)  # each once, none twice
+    assert dist.fft_totals().transforms == serial_transforms
+    by_rank = [c.transforms for c in dist.fft_by_rank()]
+    assert max(by_rank) - min(by_rank) <= 2 * 16 * 2  # dealt round-robin: within two tile pairs
+    returned = ledger.bytes_by_category()["alltoallv"]
+    assert (returned > 0.0) == (nranks > 1)
+    assert ledger.bytes_by_category()["allgatherv"] == out.nbytes
+
+
+def test_distributed_target_block_bitwise_serial(grid):
+    """An arbitrary target block: whole-tile target shards, nothing returned."""
+    rng = default_rng(12)
+    phi = grid.random_orbitals(10, rng)
+    targets = grid.random_orbitals(7, rng)
+    w = rng.random(10)
+    kern = erfc_screened_kernel(grid)
+    serial = FockExchangeOperator(grid, kern).apply_diag(phi, w, targets)
+    for nranks in (2, 3, 5):
+        ledger = CostLedger()
+        dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM, ledger))
+        np.testing.assert_array_equal(dist.apply_diag(phi, w, targets), serial)
+        assert ledger.bytes_by_category()["alltoallv"] == 0.0
 
 
 def test_pattern_cost_ordering(grid):
