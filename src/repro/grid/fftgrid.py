@@ -8,10 +8,22 @@ grid for both is accurate enough and halves memory, so
 ``dual=2`` layout, interpolating densities between the two grids in
 G-space.
 
-Wavefunction storage convention: an orbital block ``Phi`` is a complex
-array of shape ``(nbands, ngrid)`` in *real space*, C-ordered so each band
-is contiguous (fast batched FFTs).  Inner products carry the quadrature
-weight ``dV = volume / ngrid`` so ``<phi|phi> = dV * sum |phi|^2``.
+Wavefunction storage convention.  At the API boundary (``TDState.phi``,
+``GroundState.orbitals``, result and checkpoint files, the Fock operators)
+an orbital block is a complex ``(nbands, ngrid)`` array of *real-space*
+rows, C-ordered so each band is contiguous.  Inside the solvers
+(``Hamiltonian.apply``, ``davidson``, the PT-IM fixed point) it is a
+**sphere block** ``(nbands, npw)``: the plane-wave coefficients on
+:attr:`PlaneWaveGrid.sphere_index`, *unitary-scaled*
+``c~_G = sqrt(ngrid) c_G`` (``c_G`` the ``1/ngrid``-normalized amplitude
+:meth:`r_to_g` returns).  With that scaling the two transforms
+:meth:`PlaneWaveGrid.to_real` / :meth:`PlaneWaveGrid.to_sphere` are
+isometries, so :meth:`PlaneWaveGrid.inner` (quadrature weight
+``dV = volume / ngrid``, ``<phi|phi> = dV * sum |phi|^2``), Löwdin, and
+the Anderson metric over ``(Phi, sigma)`` are verbatim the same numbers
+on either representation (Parseval) while touching ``npw / ngrid`` (~15 %)
+of the data.  PWDFT's bare ``1/ngrid`` coefficients would re-weight
+``Phi`` against ``sigma`` inside the mixer's least squares.
 """
 
 from __future__ import annotations
@@ -140,32 +152,63 @@ class PlaneWaveGrid:
             fr = self.backend.backward(box, out=out)
         return self.to_flat(fr)
 
+    # -- the cutoff sphere: cached tables and the two orbital transforms ---------
+    @cached_property
+    def sphere_index(self) -> np.ndarray:
+        """Flat grid indices of the ``npw`` plane waves inside the cutoff sphere."""
+        return np.flatnonzero(self.gvec.sphere_mask)
+
+    @cached_property
+    def kinetic_flat(self) -> np.ndarray:
+        """``|G|^2 / 2`` on the flat grid, shape ``(ngrid,)``."""
+        return self.gvec.kinetic.ravel()
+
+    @cached_property
+    def kinetic_sphere(self) -> np.ndarray:
+        """``|G|^2 / 2`` of the sphere's plane waves, shape ``(npw,)``."""
+        return self.kinetic_flat[self.sphere_index]
+
+    def to_real(self, c: np.ndarray) -> np.ndarray:
+        """Sphere block ``(..., npw)`` -> real-space rows ``(..., ngrid)``.
+
+        Scatter into a zeroed box, one batched ``backward``.
+        """
+        fg = self.backend.zeros(c.shape[:-1] + (self.ngrid,))
+        fg[..., self.sphere_index] = c * (1.0 / np.sqrt(self.ngrid))
+        return self.g_to_r(fg, consume=True)
+
+    def to_sphere(self, fr: np.ndarray, *, consume: bool = False) -> np.ndarray:
+        """Real-space rows ``(..., ngrid)`` -> sphere block ``(..., npw)``.
+
+        One batched ``forward``, then gather: components outside the
+        sphere are dropped, so ``to_real(to_sphere(f))`` is
+        :meth:`low_pass` and the identity on band-limited blocks.
+        ``consume`` as in :meth:`r_to_g`.
+        """
+        c = self.r_to_g(fr, consume=consume)[..., self.sphere_index]
+        c *= np.sqrt(self.ngrid)
+        return c
+
     def apply_cutoff(self, fg_flat: np.ndarray) -> np.ndarray:
         """Zero G-space coefficients outside the cutoff sphere (in place)."""
-        mask = self.to_flat(self.gvec.sphere_mask[None])[0]
-        fg_flat[..., ~mask] = 0.0
+        kept = fg_flat[..., self.sphere_index]
+        fg_flat[...] = 0.0
+        fg_flat[..., self.sphere_index] = kept
         return fg_flat
 
     def low_pass(self, fr: np.ndarray) -> np.ndarray:
         """Project a real-space field onto the cutoff sphere."""
-        fg = self.r_to_g(fr)
-        self.apply_cutoff(fg)
-        return self.g_to_r(fg)
+        return self.to_real(self.to_sphere(fr))
 
     # -- linear algebra on orbital blocks ---------------------------------------
     def inner(self, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
         """Overlap block ``<bra_i|ket_j>`` with quadrature weight.
 
-        ``bra, ket``: shape ``(nbands, ngrid)`` real-space orbitals.
+        ``bra, ket``: real-space rows ``(nbands, ngrid)`` or sphere blocks
+        ``(nbands, npw)`` (same value, see the module docstring).
         Returns an ``(nb, nk)`` complex matrix.
         """
         return (bra.conj() @ ket.T) * self.dv
-
-    def normalize(self, phi: np.ndarray) -> np.ndarray:
-        """Normalize each row to unit norm (in place), return ``phi``."""
-        norms = np.sqrt(np.einsum("ij,ij->i", phi.conj(), phi).real * self.dv)
-        phi /= norms[:, None]
-        return phi
 
     def random_orbitals(self, nbands: int, rng: np.random.Generator) -> np.ndarray:
         """Random band block restricted to the cutoff sphere, orthonormalized."""

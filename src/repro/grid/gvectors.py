@@ -1,10 +1,14 @@
 """Reciprocal-lattice (G) vectors on an FFT grid.
 
 A plane-wave basis at the Γ point is the set of reciprocal lattice vectors
-``G`` with kinetic energy ``|G|^2 / 2 <= Ecut``.  We carry the *full* FFT
-grid and a boolean sphere mask: wavefunction coefficients outside the
-cutoff sphere are constrained to zero, mirroring how PWDFT stores
-wavefunctions on the sphere while performing FFTs on the full box.
+``G`` with kinetic energy ``|G|^2 / 2 <= Ecut``.  This class carries the
+*full* FFT box (every table below has the box shape) and the boolean
+sphere mask; :class:`~repro.grid.fftgrid.PlaneWaveGrid` turns the mask
+once into a flat index.  As in PWDFT, the solvers store each orbital as
+its ``npw`` coefficients on that index (unitary-scaled, see
+``grid/fftgrid.py``) and visit the full box only to multiply by a
+potential or form a density; real-space rows are the API-boundary
+representation.
 """
 
 from __future__ import annotations

@@ -16,6 +16,14 @@ Construction: ``M_kl = <phi_k|W_l>`` is Hermitian negative semidefinite
 factor ``-M = L L^*`` and set ``xi = W L^{-*}``.  We use an
 eigendecomposition-based factorization, robust to the rank deficiency
 that occurs when some occupations vanish.
+
+Representation.  Everything here is inner products and row combinations,
+so the operator lives in whichever isometric representation its ``xi``
+rows were built in (``grid/fftgrid.py``): the solvers build it from
+sphere blocks — ``W`` packed once per build — and apply it to sphere
+blocks, which is the ``P_ecut V_ACE P_ecut`` the Hamiltonian applies
+anyway at ``npw / ngrid`` of the GEMM width; real-space rows work the
+same way.
 """
 
 from __future__ import annotations
@@ -35,10 +43,13 @@ class ACEOperator:
     """
 
     def __init__(self, grid: PlaneWaveGrid, xi: np.ndarray) -> None:
-        require(xi.ndim == 2 and xi.shape[1] == grid.ngrid, "xi must be (rank, ngrid)")
+        require(
+            xi.ndim == 2 and xi.shape[1] in (grid.npw, grid.ngrid),
+            "xi must be (rank, npw) or (rank, ngrid)",
+        )
         self.grid = grid
         self.backend = grid.backend
-        #: compressed exchange vectors, rows on the real-space grid
+        #: compressed exchange vectors: sphere-block or real-space rows
         self.xi = xi
 
     @classmethod
@@ -54,9 +65,11 @@ class ACEOperator:
         Parameters
         ----------
         phi:
-            Generating orbitals, rows ``(N, ngrid)``.
+            Generating orbitals, a sphere block ``(N, npw)`` or real-space
+            rows ``(N, ngrid)``.
         w:
-            Dense action ``V_x Phi`` on the same orbitals.
+            Dense action ``V_x Phi`` on the same orbitals, same
+            representation.
         rank_tol:
             Relative eigenvalue threshold below which modes are dropped
             (rank adaptivity).
@@ -69,10 +82,10 @@ class ACEOperator:
         lam = np.where(lam > 0.0, lam, 0.0)
         keep = lam > rank_tol * max(lam.max(), 1e-300)
         if not np.any(keep):
-            return cls(grid, np.zeros((0, grid.ngrid), dtype=complex))
+            return cls(grid, np.zeros((0, phi.shape[1]), dtype=complex))
         # xi = W U lam^{-1/2} (kept modes); then V_ACE = -xi xi^*
         factors = u[:, keep] / np.sqrt(lam[keep])[None, :]
-        xi = (w.T @ factors).T  # (rank, ngrid)
+        xi = factors.T @ w  # (rank, width of w)
         return cls(grid, np.ascontiguousarray(xi))
 
     @property
@@ -80,9 +93,9 @@ class ACEOperator:
         return self.xi.shape[0]
 
     def apply(self, psi: np.ndarray) -> np.ndarray:
-        """``V_ACE psi = -xi (xi | psi)`` for a band block ``(nb, ngrid)``.
+        """``V_ACE psi = -xi (xi | psi)`` for a band block in ``xi``'s representation.
 
-        Two GEMMs of size ``rank x ngrid`` — the inner-SCF fast path.
+        Two GEMMs of size ``rank x npw`` — the inner-SCF fast path.
         """
         if self.rank == 0:
             return self.backend.zeros_like(psi)

@@ -11,7 +11,9 @@ changes during SCF / propagation:
   the compressed ACE operator.
 
 ``apply`` evaluates ``H Phi`` for a band block — the operation the whole
-paper optimizes.
+paper optimizes.  It is the one implementation of ``H`` and works on
+sphere blocks (``grid/fftgrid.py``); ``apply_real`` wraps it between the
+two transforms for callers that hold real-space rows.
 """
 
 from __future__ import annotations
@@ -172,25 +174,29 @@ class Hamiltonian:
         self._exx_sigma_pair = None
         self._ace = None
 
-    def build_ace(self, phi: np.ndarray, sigma: np.ndarray) -> ACEOperator:
+    def build_ace(
+        self, phi: np.ndarray, sigma: np.ndarray, c: Optional[np.ndarray] = None
+    ) -> ACEOperator:
         """Construct an ACE operator from the dense action on ``phi``.
 
         This is the outer-SCF "ACE preparation" step of Fig. 4(b): one
-        dense (N^2-FFT) evaluation, then compression.
+        dense (N^2-FFT) evaluation on the real-space rows ``phi``, then
+        compression on the sphere (``c`` is the sphere image of ``phi``
+        when the caller has it; ``W`` is packed here, once).
         """
         require(self.fock is not None, "ACE requires a hybrid functional")
         w, _, _ = self.fock.apply_mixed_via_diagonalization(phi, sigma)
-        return ACEOperator.from_dense_action(self.grid, phi, w)
+        c = self.grid.to_sphere(phi) if c is None else c
+        return ACEOperator.from_dense_action(self.grid, c, self.grid.to_sphere(w, consume=True))
 
     # -- exchange application -------------------------------------------------------
-    def apply_exchange(self, phi_r: np.ndarray) -> np.ndarray:
-        """``alpha * V_x phi`` in real space under the current configuration."""
-        if self.exchange_mode == "none" or not self.functional.is_hybrid:
-            return np.zeros_like(phi_r)
+    def apply_exchange(self, phi_r: np.ndarray) -> Optional[np.ndarray]:
+        """``alpha * V_x phi`` in real space for the dense modes; ``None``
+        when there is no dense exchange to add (semilocal, cleared, ACE —
+        the compressed operator acts on the sphere inside :meth:`apply`)."""
+        if self.exchange_mode in ("none", "ace"):
+            return None
         alpha = self.functional.alpha
-        if self.exchange_mode == "ace":
-            require(self._ace is not None, "ACE operator not set")
-            return alpha * self._ace.apply(phi_r)
         if self.exchange_mode == "dense-diag":
             require(self._exx_sources is not None, "exchange sources not set")
             src, d, q, block = self._exx_sources
@@ -205,29 +211,56 @@ class Hamiltonian:
         raise RuntimeError(f"unknown exchange mode {self.exchange_mode!r}")
 
     # -- full application ---------------------------------------------------------
-    def apply(self, phi_r: np.ndarray, *, include_exchange: bool = True) -> np.ndarray:
-        """``H Phi`` for a real-space band block ``(nb, ngrid)``.
+    def apply(
+        self,
+        c: np.ndarray,
+        phi_r: Optional[np.ndarray] = None,
+        *,
+        include_exchange: bool = True,
+    ) -> np.ndarray:
+        """``H Phi`` for a sphere block ``(nb, npw)``, as a sphere block.
 
-        The output is projected back onto the cutoff sphere — the
-        operator diagonalized/propagated is ``P_ecut H P_ecut``, the
-        standard plane-wave discretization (otherwise local-potential
-        scattering to high G makes eigen-residuals non-vanishing).
+        ``T c + V_nl c + gather(FFT(v_eff phi_r + alpha V_x^dense phi_r))
+        + alpha V_ACE c``: the kinetic diagonal, the projectors and the
+        ACE vectors act on the sphere, real space is visited for the
+        local product and the dense exchange only.  Gathering is the
+        cutoff projection — the operator diagonalized/propagated is
+        ``P_ecut H P_ecut``, the standard plane-wave discretization
+        (otherwise local-potential scattering to high G makes
+        eigen-residuals non-vanishing).
+
+        ``phi_r`` is the real-space image of ``c`` when the caller
+        already has it (the PT-IM loop transformed the midpoint block for
+        its density): two batched transforms per call without it, one
+        with it.  Dense-diag exchange recognizes its source block by the
+        identity of ``phi_r``.
         """
-        phi_g = self.grid.r_to_g(phi_r)
-        h_g = self.kinetic.apply_g(phi_g)
-        h_g += self.nonlocal_pseudo.apply_g(phi_g)
+        grid = self.grid
+        if phi_r is None:
+            phi_r = grid.to_real(c)
+        h = self.kinetic.apply_g(c)
+        h += self.nonlocal_pseudo.apply_g(c)
         local = self.v_eff[None, :] * phi_r
         if include_exchange:
-            local = local + self.apply_exchange(phi_r)
-        # `local` and `h_g` are step temporaries: let the backend
-        # transform them in place (values are identical)
-        h_g += self.grid.r_to_g(local, consume=True)
-        self.grid.apply_cutoff(h_g)
-        return self.grid.g_to_r(h_g, consume=True)
+            dense = self.apply_exchange(phi_r)
+            if dense is not None:
+                local += dense
+            if self.exchange_mode == "ace":
+                require(self._ace is not None, "ACE operator not set")
+                h += self.functional.alpha * self._ace.apply(c)
+        # `local` is a step temporary: the backend transforms it in place
+        h += grid.to_sphere(local, consume=True)
+        return h
 
-    def subspace_matrix(self, phi_r: np.ndarray, h_phi: Optional[np.ndarray] = None) -> np.ndarray:
-        """Rayleigh quotient block ``(Phi* H Phi)`` — hermitized."""
-        if h_phi is None:
-            h_phi = self.apply(phi_r)
-        m = self.grid.inner(phi_r, h_phi)
+    def apply_real(self, phi_r: np.ndarray, *, include_exchange: bool = True) -> np.ndarray:
+        """:meth:`apply` for real-space rows ``(nb, ngrid)``, returning
+        real-space rows (RK4, tests): pack, apply, unpack."""
+        c = self.grid.to_sphere(phi_r)
+        return self.grid.to_real(self.apply(c, phi_r, include_exchange=include_exchange))
+
+    def subspace_matrix(self, c: np.ndarray, h_c: Optional[np.ndarray] = None) -> np.ndarray:
+        """Rayleigh quotient block ``(Phi* H Phi)`` of a sphere block — hermitized."""
+        if h_c is None:
+            h_c = self.apply(c)
+        m = self.grid.inner(c, h_c)
         return 0.5 * (m + m.conj().T)

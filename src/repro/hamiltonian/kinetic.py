@@ -4,6 +4,8 @@ In the velocity gauge the time-dependent external field enters through
 the vector potential: ``T(t) = (1/2) |G + A(t)|^2`` — diagonal in G space,
 which keeps the propagation periodic-safe (no sawtooth potential needed
 for the dynamics; the length-gauge option lives in the local potential).
+The diagonal is held on the cutoff sphere and acts on sphere blocks
+``(..., npw)`` (see ``grid/fftgrid.py``).
 """
 
 from __future__ import annotations
@@ -20,10 +22,9 @@ class KineticOperator:
 
     def __init__(self, grid: PlaneWaveGrid) -> None:
         self.grid = grid
-        self._g_cart = grid.gvec.cartesian.reshape(-1, 3)  # (ngrid, 3)
-        self._g2 = grid.to_flat(grid.gvec.g2[None])[0]
+        self._g_cart = grid.gvec.cartesian.reshape(-1, 3)[grid.sphere_index]  # (npw, 3)
         self._a = np.zeros(3)
-        self._diag = 0.5 * self._g2.copy()
+        self._diag = grid.kinetic_sphere
 
     def set_vector_potential(self, a: Optional[np.ndarray]) -> None:
         """Update A(t); ``None`` resets to the field-free operator."""
@@ -34,9 +35,9 @@ class KineticOperator:
             raise ValueError(f"vector potential must be a 3-vector, got {a.shape}")
         self._a = a
         if np.any(a != 0.0):
-            self._diag = 0.5 * (self._g2 + 2.0 * (self._g_cart @ a) + float(a @ a))
+            self._diag = self.grid.kinetic_sphere + (self._g_cart @ a) + 0.5 * float(a @ a)
         else:
-            self._diag = 0.5 * self._g2
+            self._diag = self.grid.kinetic_sphere
 
     @property
     def vector_potential(self) -> np.ndarray:
@@ -44,18 +45,18 @@ class KineticOperator:
 
     @property
     def diagonal_g(self) -> np.ndarray:
-        """Current kinetic diagonal in G space (flat)."""
+        """Current kinetic diagonal on the cutoff sphere, shape ``(npw,)``."""
         return self._diag
 
     def apply_g(self, phi_g: np.ndarray) -> np.ndarray:
-        """Apply to a G-space coefficient block ``(..., ngrid)``."""
+        """Apply to a sphere block ``(..., npw)``."""
         out = self.grid.backend.empty_like(np.asarray(phi_g))
         np.multiply(phi_g, self._diag, out=out)
         return out
 
     def energy(self, phi_g: np.ndarray, weights: np.ndarray) -> float:
-        """``Σ_n w_n <phi_n|T|phi_n>`` for G-space orbitals (rows)."""
-        per_band = self.grid.cell.volume * np.einsum(
+        """``Σ_n w_n <phi_n|T|phi_n>`` for a sphere block (rows)."""
+        per_band = self.grid.dv * np.einsum(
             "ng,g,ng->n", phi_g.conj(), self._diag, phi_g
         ).real
         return float(np.dot(np.asarray(weights, float), per_band))

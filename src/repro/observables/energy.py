@@ -66,6 +66,9 @@ def td_total_energy(
 
     Parameters
     ----------
+    phi:
+        Real-space orbital rows; packed once here for the kinetic,
+        nonlocal and ACE terms, which live on the sphere.
     use_ace:
         Evaluate the exchange energy through the currently-set ACE
         operator instead of the dense operator (cheap; exact on the ACE
@@ -75,7 +78,8 @@ def td_total_energy(
     deg = ham.degeneracy
 
     d, q = diagonalize_sigma(hermitize(sigma))
-    phi_t = rotate_orbitals(phi, q)
+    c = grid.to_sphere(phi)
+    c_t = rotate_orbitals(c, q)
     w = deg * d
 
     rho = density_from_orbitals_diag(grid, phi, sigma, degeneracy=deg)
@@ -83,9 +87,8 @@ def td_total_energy(
     rho *= ham.n_electrons / (rho.sum() * grid.dv)
     ham.update_density(rho)
 
-    phi_g = grid.r_to_g(phi_t)
-    e_kin = ham.kinetic.energy(phi_g, w)
-    e_nl = ham.nonlocal_pseudo.energy(phi_g, w)
+    e_kin = ham.kinetic.energy(c_t, w)
+    e_nl = ham.nonlocal_pseudo.energy(c_t, w)
     e_loc = float(np.dot(rho, ham.local_pseudo.v_real)) * grid.dv
     e_h = ham.e_hartree
     e_xc = ham.e_xc_semilocal
@@ -96,7 +99,7 @@ def td_total_energy(
     e_x = 0.0
     if ham.functional.is_hybrid:
         if use_ace and ham.exchange_mode == "ace" and ham._ace is not None:
-            e_x = ham.functional.alpha * ham._ace.exchange_energy(phi, sigma, deg)
+            e_x = ham.functional.alpha * ham._ace.exchange_energy(c, sigma, deg)
         elif ham.fock is not None:
             e_x = ham.functional.alpha * ham.fock.exchange_energy(phi, sigma, deg)
 

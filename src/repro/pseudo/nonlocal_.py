@@ -10,7 +10,11 @@ so that with our FFT convention (coefficients ``c(G)``, real-space norm
 ``Ω Σ|c|²``) the matrix element is ``<β|φ> = Ω Σ_G β*(G) c_φ(G)``.
 
 Applying ``V_nl`` to a band block is two skinny GEMMs (project then
-expand) — exactly the structure PWDFT exploits on GPU/ARM.
+expand) — exactly the structure PWDFT exploits on GPU/ARM.  They run on
+the cutoff sphere: ``beta_sphere = sqrt(Ω) β`` gathered on
+``grid.sphere_index``, so for unitary-scaled sphere blocks ``c~`` (see
+``grid/fftgrid.py``) ``V_nl c~ = beta_sphere^T h (beta_sphere^* c~)``
+with no further factor and ``<β|φ> = sqrt(dV) beta_sphere^* c~``.
 
 What is evaluated once: the radial factor ``p̃_i^l(|G|)`` (a 512-point
 Fourier–Bessel quadrature per value) depends on the species, ``(l, i)``
@@ -57,6 +61,9 @@ class NonlocalPseudopotential:
     beta_g:
         Projector coefficient fields, shape ``(nprojectors, ngrid)`` in
         G space (flat).
+    beta_sphere:
+        The table the operator applies: ``sqrt(Ω) beta_g`` on the cutoff
+        sphere, shape ``(nprojectors, npw)``.
     coupling:
         Block-diagonal coupling matrix ``h`` over all projectors,
         shape ``(nprojectors, nprojectors)``.
@@ -123,30 +130,29 @@ class NonlocalPseudopotential:
             self.beta_g = np.zeros((0, grid.ngrid), dtype=complex)
             self.coupling = np.zeros((0, 0))
         self.labels = labels
+        self.beta_sphere: np.ndarray = np.sqrt(volume) * self.beta_g[:, grid.sphere_index]
 
     @property
     def nprojectors(self) -> int:
         return self.beta_g.shape[0]
 
     # -- application ---------------------------------------------------------
-    def project(self, phi_g: np.ndarray) -> np.ndarray:
-        """Projector amplitudes ``<beta_p | phi_n>``, shape ``(nproj, nbands)``.
+    def project(self, c: np.ndarray) -> np.ndarray:
+        """``beta_sphere^* c~`` for a sphere block ``(nbands, npw)``: the
+        projector amplitudes ``<beta_p | phi_n>`` over ``sqrt(dV)``,
+        shape ``(nproj, nbands)``."""
+        return self.beta_sphere.conj() @ c.T
 
-        ``phi_g``: G-space coefficient block, shape ``(nbands, ngrid)``.
-        """
-        return self.grid.cell.volume * (self.beta_g.conj() @ phi_g.T)
-
-    def apply_g(self, phi_g: np.ndarray) -> np.ndarray:
-        """``V_nl phi`` in G space for a band block ``(nbands, ngrid)``."""
+    def apply_g(self, c: np.ndarray) -> np.ndarray:
+        """``V_nl phi`` for a sphere block ``(nbands, npw)``."""
         if self.nprojectors == 0:
-            return np.zeros_like(phi_g)
-        amps = self.project(phi_g)  # (nproj, nbands)
-        return (self.beta_g.T @ (self.coupling @ amps)).T
+            return np.zeros_like(c)
+        return (self.coupling @ self.project(c)).T @ self.beta_sphere
 
-    def energy(self, phi_g: np.ndarray, weights: np.ndarray) -> float:
-        """Nonlocal energy ``Σ_n w_n <phi_n|V_nl|phi_n>``."""
+    def energy(self, c: np.ndarray, weights: np.ndarray) -> float:
+        """Nonlocal energy ``Σ_n w_n <phi_n|V_nl|phi_n>`` of a sphere block."""
         if self.nprojectors == 0:
             return 0.0
-        amps = self.project(phi_g)  # (nproj, nbands)
+        amps = self.project(c)  # (nproj, nbands)
         per_band = np.einsum("pn,pq,qn->n", amps.conj(), self.coupling, amps).real
-        return float(np.dot(np.asarray(weights, float), per_band))
+        return self.grid.dv * float(np.dot(np.asarray(weights, float), per_band))

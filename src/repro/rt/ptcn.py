@@ -43,9 +43,9 @@ class PTCNPropagator(PTIMPropagator):
     def __init__(self, ham, options: Optional[PTCNOptions] = None, **kwargs) -> None:
         super().__init__(ham, options or PTCNOptions(), **kwargs)
 
-    def _fixed_point_update(self, state, phi_mid, sigma_mid, dt, phi_out, sigma_out) -> None:
+    def _fixed_point_update(self, state, c_mid, phi_mid, sigma_mid, dt, c_out, sigma_out) -> None:
         """The PT-IM orbital update with the occupation matrix frozen."""
-        super()._fixed_point_update(state, phi_mid, sigma_mid, dt, phi_out, sigma_out)
+        super()._fixed_point_update(state, c_mid, phi_mid, sigma_mid, dt, c_out, sigma_out)
         sigma_out[...] = state.sigma
 
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:

@@ -20,6 +20,18 @@ Sec. IV-A1 optimized kernels:
 
 Both pairs are numerically identical (tested); they differ only in cost,
 which is the paper's point.
+
+Representation.  A step packs ``state.phi`` once (``real -> sphere``),
+iterates on the packed unknown ``x = (c~, sigma)`` — sphere block and
+occupation matrix, ``N npw + N^2`` numbers, same 2-norm as
+``(Phi_r, sigma)`` because the sphere block is unitary-scaled
+(``grid/fftgrid.py``) — and unpacks once in :meth:`_finish_step`.  One
+inner iteration makes three batched transforms: ``sphere -> real`` of the
+midpoint block (shared by the density, the dense-exchange sources and
+``v_eff phi``), ``real -> sphere`` of the local product inside
+``Hamiltonian.apply``, and ``sphere -> real`` of ``T(x)`` for the
+residual density.  The midpoint algebra, the projector ``(I - P~)``, the
+mixer history and Löwdin are all ``npw`` wide.
 """
 
 from __future__ import annotations
@@ -80,43 +92,52 @@ class PTIMPropagator(PropagatorBase):
             rho *= self.ham.n_electrons / total
         return rho
 
+    def _pack(self, state: TDState) -> Tuple[TDState, np.ndarray]:
+        """``state`` with its orbitals as a sphere block, and the packed
+        vector ``x = (c~, sigma)`` that starts the fixed-point iteration."""
+        packed = TDState(self.grid.to_sphere(state.phi), state.sigma, state.time)
+        return packed, np.concatenate([packed.phi.ravel(), packed.sigma.ravel()])
+
     def _unpack(self, x: np.ndarray, nb: int) -> Tuple[np.ndarray, np.ndarray]:
-        """``(phi, sigma)`` views of a packed ``nb*ngrid + nb*nb`` vector."""
-        cut = nb * self.grid.ngrid
-        return x[:cut].reshape(nb, self.grid.ngrid), x[cut:].reshape(nb, nb)
+        """``(c, sigma)`` views of a packed ``nb*npw + nb*nb`` vector."""
+        cut = nb * self.grid.npw
+        return x[:cut].reshape(nb, self.grid.npw), x[cut:].reshape(nb, nb)
 
     def _midpoint(self, state: TDState, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Midpoint averages Eq. (4) of ``state`` and the packed guess ``x``."""
-        phi_g, sigma_g = self._unpack(x, state.nbands)
-        return 0.5 * (state.phi + phi_g), 0.5 * (state.sigma + sigma_g)
+        """Midpoint averages Eq. (4) of the packed ``state`` and guess ``x``."""
+        c_g, sigma_g = self._unpack(x, state.nbands)
+        return 0.5 * (state.phi + c_g), 0.5 * (state.sigma + sigma_g)
 
     def _set_midpoint_exchange(self, phi_mid: np.ndarray, sigma_mid: np.ndarray) -> None:
-        """Point the dense exchange at the midpoint density matrix."""
+        """Point the dense exchange at the midpoint density matrix
+        (``phi_mid``: real-space rows)."""
         if self.ham.functional.is_hybrid:
             self.ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=self.options.fock_mode)
 
     def _fixed_point_update(
         self,
         state: TDState,
+        c_mid: np.ndarray,
         phi_mid: np.ndarray,
         sigma_mid: np.ndarray,
         dt: float,
-        phi_out: np.ndarray,
+        c_out: np.ndarray,
         sigma_out: np.ndarray,
     ) -> None:
-        """One evaluation of the map T (Eq. (6)) at the midpoint of
-        ``state`` and the current guess, written into ``phi_out`` /
+        """One evaluation of the map T (Eq. (6)) at the midpoint of the
+        packed ``state`` and the current guess (``c_mid`` and its
+        real-space image ``phi_mid``), written into ``c_out`` /
         ``sigma_out``."""
         grid = self.grid
-        h_phi = self.ham.apply(phi_mid)
+        h_phi = self.ham.apply(c_mid, phi_mid)
         # projector P~ built from the (non-orthonormal) midpoint block
-        s = grid.inner(phi_mid, phi_mid)
-        c = grid.inner(phi_mid, h_phi)  # <phi_k | H phi_l>
+        s = grid.inner(c_mid, c_mid)
+        c = grid.inner(c_mid, h_phi)  # <phi_k | H phi_l>
         coeff = np.linalg.solve(s, c)  # S^{-1} (Phi* H Phi)
-        h_perp = h_phi - coeff.T @ phi_mid  # (I - P~) H Phi_mid
+        h_perp = h_phi - coeff.T @ c_mid  # (I - P~) H Phi_mid
 
         h_perp *= 1j * dt
-        np.subtract(state.phi, h_perp, out=phi_out)
+        np.subtract(state.phi, h_perp, out=c_out)
         h_sub = 0.5 * (c + c.conj().T)
         sigma_out[...] = state.sigma - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
 
@@ -125,25 +146,29 @@ class PTIMPropagator(PropagatorBase):
     ) -> Tuple[np.ndarray, int, float, bool]:
         """Anderson-accelerated fixed-point loop (Alg. 1 lines 4-11).
 
-        ``x`` packs the guess for ``{Phi_{n+1}, sigma_{n+1}}`` as one
-        vector (Alg. 1 line 8 mixes them together).  Returns the mixed
-        iterate, the iterations used, the last density residual and
-        whether it fell below ``density_tol``.
+        ``state`` is the packed ``(c~_n, sigma_n)`` and ``x`` packs the
+        guess for ``{Phi_{n+1}, sigma_{n+1}}`` as one vector (Alg. 1 line
+        8 mixes them together).  Returns the mixed iterate, the
+        iterations used, the last density residual and whether it fell
+        below ``density_tol``.
         """
         grid, ham = self.grid, self.ham
+        nb = state.nbands
         gx = np.empty_like(x)
-        phi_new, sigma_new = self._unpack(gx, state.nbands)
+        c_new, sigma_new = self._unpack(gx, nb)
         self._mixer.reset()
-        rho_prev = self._density(*self._unpack(x, state.nbands))
+        c_g, sigma_g = self._unpack(x, nb)
+        rho_prev = self._density(grid.to_real(c_g), sigma_g)
         resid = np.inf
         for n_iter in range(1, max_iter + 1):
-            phi_mid, sigma_mid = self._midpoint(state, x)
+            c_mid, sigma_mid = self._midpoint(state, x)
+            phi_mid = grid.to_real(c_mid)
             ham.update_density(self._density(phi_mid, sigma_mid))
             ham.set_time(state.time + 0.5 * dt)
             self._set_midpoint_exchange(phi_mid, sigma_mid)
-            self._fixed_point_update(state, phi_mid, sigma_mid, dt, phi_new, sigma_new)
+            self._fixed_point_update(state, c_mid, phi_mid, sigma_mid, dt, c_new, sigma_new)
 
-            rho_out = self._density(phi_new, sigma_new)
+            rho_out = self._density(grid.to_real(c_new), sigma_new)
             resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
             rho_prev = rho_out
             x = self._mixer.mix(x, gx)
@@ -152,14 +177,16 @@ class PTIMPropagator(PropagatorBase):
         return x, max_iter, resid, False
 
     def _finish_step(self, state: TDState, dt: float, x: np.ndarray) -> TDState:
-        """Löwdin orthonormalization + sigma symmetrization (Alg. 1 line 13)."""
-        phi, sigma = self._unpack(x, state.nbands)
-        return TDState(lowdin_orthonormalize(self.grid, phi), hermitize(sigma), state.time + dt)
+        """Löwdin orthonormalization + sigma symmetrization (Alg. 1 line
+        13), then the one ``sphere -> real`` back to the public state."""
+        c, sigma = self._unpack(x, state.nbands)
+        phi = self.grid.to_real(lowdin_orthonormalize(self.grid, c))
+        return TDState(phi, hermitize(sigma), state.time + dt)
 
     # -- the step -------------------------------------------------------------
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
-        x = np.concatenate([state.phi.ravel(), state.sigma.ravel()])
-        x, n_scf, resid, converged = self._solve_fixed_point(state, dt, x, self.options.max_scf)
+        packed, x = self._pack(state)
+        x, n_scf, resid, converged = self._solve_fixed_point(packed, dt, x, self.options.max_scf)
         stats = StepStats(
             scf_iterations=n_scf,
             outer_iterations=1,
@@ -167,4 +194,4 @@ class PTIMPropagator(PropagatorBase):
             residual=resid,
             converged=converged,
         )
-        return self._finish_step(state, dt, x), stats
+        return self._finish_step(packed, dt, x), stats

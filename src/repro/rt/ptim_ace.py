@@ -5,7 +5,9 @@ where the two ACE operators are refreshed (at ``t_n`` — reused across
 outer iterations since ``Phi_n, sigma_n`` are fixed — and at the current
 midpoint estimate).  The *inner* loop then runs the PT-IM fixed-point
 iteration with the compressed midpoint operator, whose application is two
-skinny GEMMs instead of N^2 FFTs.
+skinny GEMMs instead of N^2 FFTs — on the cutoff sphere, like the whole
+fixed point (see ``rt/ptim.py``); only the dense evaluation that feeds an
+ACE build sees real-space rows.
 
 Outer convergence follows the paper: the exchange energy change between
 consecutive outer iterations falls below ``exchange_tol``; inner
@@ -53,7 +55,7 @@ class PTIMACEPropagator(PTIMPropagator):
             # without exact exchange the double loop degenerates to PT-IM
             return super().step(state, dt)
 
-        x = np.concatenate([state.phi.ravel(), state.sigma.ravel()])
+        packed, x = self._pack(state)
         n_inner_total = 0
         n_outer = 0
         prev_ex: Optional[float] = None
@@ -62,19 +64,20 @@ class PTIMACEPropagator(PTIMPropagator):
 
         for _ in range(opts.max_outer):
             n_outer += 1
-            # one dense (diagonalized, N^2-FFT) exchange evaluation + compression
-            phi_mid, sigma_mid = self._midpoint(state, x)
-            ace_mid = ham.build_ace(phi_mid, hermitize(sigma_mid))
+            # one dense (diagonalized, N^2-FFT) exchange evaluation on the
+            # real-space midpoint rows + compression on the sphere
+            c_mid, sigma_mid = self._midpoint(packed, x)
+            ace_mid = ham.build_ace(self.grid.to_real(c_mid), hermitize(sigma_mid), c_mid)
             ham.set_ace(ace_mid)
 
             x, n_inner, resid, inner_converged = self._solve_fixed_point(
-                state, dt, x, opts.max_inner
+                packed, dt, x, opts.max_inner
             )
             n_inner_total += n_inner
 
             # outer convergence: exchange-energy stability (Fig. 4(b))
-            phi_mid, sigma_mid = self._midpoint(state, x)
-            ex = ace_mid.exchange_energy(phi_mid, hermitize(sigma_mid), ham.degeneracy)
+            c_mid, sigma_mid = self._midpoint(packed, x)
+            ex = ace_mid.exchange_energy(c_mid, hermitize(sigma_mid), ham.degeneracy)
             if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
                 converged = inner_converged
                 break
@@ -88,4 +91,4 @@ class PTIMACEPropagator(PTIMPropagator):
             residual=resid,
             converged=converged,
         )
-        return self._finish_step(state, dt, x), stats
+        return self._finish_step(packed, dt, x), stats

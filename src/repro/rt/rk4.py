@@ -38,7 +38,7 @@ class RK4Propagator(PropagatorBase):
         ham.set_time(t)
         if ham.functional.is_hybrid:
             ham.set_exchange_sources(phi, sigma, mode="dense-diag")
-        return -1j * ham.apply(phi)
+        return -1j * ham.apply_real(phi)
 
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
         phi, sigma, t = state.phi, state.sigma, state.time

@@ -3,7 +3,11 @@
 Finds the lowest ``nbands`` eigenpairs of the (Hermitian) Kohn–Sham
 Hamiltonian, given only the ``H Phi`` application.  This is the
 Rayleigh–Ritz machinery PWDFT runs in grid-point parallelization; here it
-operates on real-space band blocks ``(nbands, ngrid)``.
+operates on sphere blocks ``(nbands, npw)`` (``grid/fftgrid.py``): the
+residual, the preconditioner, every projection and the Ritz rotations
+are ``npw`` wide and transform-free, and only ``H`` visits real space.
+The orthonormalization helpers are inner products and row combinations,
+so they serve real-space rows (the end of an RT step) just as well.
 """
 
 from __future__ import annotations
@@ -49,17 +53,17 @@ def canonical_orthonormalize(
     return np.ascontiguousarray(basis)
 
 
-def teter_preconditioner(grid: PlaneWaveGrid, phi_g: np.ndarray, ekin_band: np.ndarray) -> np.ndarray:
-    """Teter–Payne–Allan preconditioner applied in G space.
+def teter_preconditioner(grid: PlaneWaveGrid, c: np.ndarray, ekin_band: np.ndarray) -> np.ndarray:
+    """Teter–Payne–Allan preconditioner applied to a sphere block.
 
-    ``K(x) = poly(x) / (poly(x) + x^4)`` with ``x = |G|^2/2 / ekin_band``
+    ``K(x) = poly(x) / (poly(x) + 16 x^4)`` with ``x = |G|^2/2 / ekin_band``
     — damps high-G residual components scaled by each band's kinetic
     energy.
     """
-    t = grid.to_flat(grid.gvec.kinetic[None])[0]
-    x = t[None, :] / np.maximum(ekin_band, 1e-8)[:, None]
-    poly = 27.0 + 18.0 * x + 12.0 * x**2 + 8.0 * x**3
-    return phi_g * (poly / (poly + 16.0 * x**4))
+    x = grid.kinetic_sphere[None, :] / np.maximum(ekin_band, 1e-8)[:, None]
+    poly = 27.0 + x * (18.0 + x * (12.0 + x * 8.0))
+    x2 = x * x
+    return c * (poly / (poly + 16.0 * x2 * x2))
 
 
 def _generalized_lowest(h: np.ndarray, s: np.ndarray, nb: int):
@@ -107,9 +111,9 @@ def davidson(
     Parameters
     ----------
     apply_h:
-        Maps a band block ``(nb, ngrid)`` to ``H Phi``.
+        Maps a sphere block ``(nb, npw)`` to ``H Phi`` (a sphere block).
     phi0:
-        Orthonormal starting block (rows).
+        Starting sphere block (rows); ``DavidsonResult.orbitals`` is one too.
     tol:
         Convergence threshold on the max residual 2-norm.
     nconv:
@@ -130,9 +134,10 @@ def davidson(
     ``X <- R [X; t]``, ``H X <- R [H X; H t]`` with the one ``(N, 2N)``
     matrix ``R = (S'^{-1/2})^T V_2^T`` (``V_2`` the Ritz vectors of the
     expanded space, ``S' = V_2^* S V_2`` the overlap of ``V_2^T [X; t]``).
-    That is 6N 3-D transforms per iteration where re-applying ``H`` to
-    ``X`` and to ``[X; t]`` took 12N.  ``H`` changes between calls, so
-    nothing is kept across them.
+    ``H`` on the new directions is the only thing in the loop that
+    transforms: 2N 3-D transforms per iteration (``Hamiltonian.apply``),
+    where the real-space-row formulation spent 6N.  ``H`` changes between
+    calls, so nothing is kept across them.
     """
     phi = lowdin_orthonormalize(grid, phi0.copy())
     nb = phi.shape[0]
@@ -156,15 +161,10 @@ def davidson(
         # preconditioned correction directions; the TPA scale is the
         # band kinetic energy <phi|T|phi>, not the (possibly negative)
         # eigenvalue
-        phi_g = grid.r_to_g(phi)
-        t_diag = grid.to_flat(grid.gvec.kinetic[None])[0]
-        ekin_band = grid.cell.volume * np.einsum(
-            "ng,g,ng->n", phi_g.conj(), t_diag, phi_g
+        ekin_band = grid.dv * np.einsum(
+            "ng,g,ng->n", phi.conj(), grid.kinetic_sphere, phi
         ).real
-        resid_g = grid.r_to_g(resid)
-        corr_g = teter_preconditioner(grid, resid_g, np.maximum(ekin_band, 0.1))
-        grid.apply_cutoff(corr_g)
-        corr = grid.g_to_r(corr_g)
+        corr = teter_preconditioner(grid, resid, np.maximum(ekin_band, 0.1))
 
         # Davidson expansion space [X, t]: project the preconditioned
         # residuals against X, renormalize row-wise (near-converged bands

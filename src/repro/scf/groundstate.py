@@ -97,9 +97,9 @@ def total_energy(
     grid = ham.grid
     deg = ham.degeneracy
     w = deg * np.asarray(occ, float)
-    phi_g = grid.r_to_g(phi)
-    e_kin = ham.kinetic.energy(phi_g, w)
-    e_nl = ham.nonlocal_pseudo.energy(phi_g, w)
+    c = grid.to_sphere(phi)
+    e_kin = ham.kinetic.energy(c, w)
+    e_nl = ham.nonlocal_pseudo.energy(c, w)
     rho = ham.rho
     require(rho is not None, "update_density must run before total_energy")
     e_loc = float(np.dot(rho, ham.local_pseudo.v_real)) * grid.dv
@@ -145,13 +145,16 @@ def run_scf(
     ledger = getattr(ham.fock, "ledger", None)
     ledger_mark = ledger.mark() if ledger is not None else 0
 
+    # `phi_r` (real-space rows) feeds the density and the dense exchange;
+    # Davidson iterates on its sphere image `phi`, unpacked once per iteration
     rng = default_rng(opts.seed)
     if phi0 is not None and phi0.shape[0] >= nbands + nguard:
-        phi = phi0[: nbands + nguard].copy()
+        phi_r = phi0[: nbands + nguard].copy()
     else:
-        phi = grid.random_orbitals(nbands + nguard, rng)
+        phi_r = grid.random_orbitals(nbands + nguard, rng)
         if phi0 is not None:
-            phi[: phi0.shape[0]] = phi0
+            phi_r[: phi0.shape[0]] = phi0
+    phi = grid.to_sphere(phi_r)
 
     # neutral-atom superposition would be better; a uniform start is robust
     rho = np.full(grid.ngrid, ham.n_electrons / ham.cell.volume)
@@ -168,7 +171,7 @@ def run_scf(
 
     outer_range = range(opts.max_outer) if ham.functional.is_hybrid else range(1)
     prev_ex = None
-    vx_phi = None  # dense V_x Phi of the pass just ended, on phi[:nbands]
+    vx_phi = None  # dense V_x Phi of the pass just ended on phi[:nbands], packed
     for outer in outer_range:
         if ham.functional.is_hybrid:
             if outer == 0:
@@ -195,7 +198,8 @@ def run_scf(
             # the density oscillates instead of converging.
             occ_full, mu = fermi_occupations(eig_all, ham.n_electrons, kt, ham.degeneracy)
             occ = occ_full[:nbands]
-            rho_new = _density_from(ham, phi, occ_full)
+            phi_r = grid.to_real(phi)
+            rho_new = _density_from(ham, phi_r, occ_full)
             d_rho = float(np.abs(rho_new - rho).sum()) * grid.dv / ham.n_electrons
             history.append(d_rho)
             rho = mixer.mix(rho, rho_new)
@@ -209,10 +213,11 @@ def run_scf(
         # (N^2-FFT) application per pass serves this energy and the ACE
         # operator of the next pass (or of the returned state).
         sigma = initial_sigma(occ)
-        vx_phi, _, _ = ham.fock.apply_mixed_via_diagonalization(phi[:nbands], sigma)
+        vx_r, _, _ = ham.fock.apply_mixed_via_diagonalization(phi_r[:nbands], sigma)
         ex = ham.fock.exchange_energy(
-            phi[:nbands], sigma, degeneracy=ham.degeneracy, vx_phi=vx_phi
+            phi_r[:nbands], sigma, degeneracy=ham.degeneracy, vx_phi=vx_r
         )
+        vx_phi = grid.to_sphere(vx_r, consume=True)
         if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
             converged = True
             # refresh ACE one final time so the returned state is consistent
@@ -220,7 +225,7 @@ def run_scf(
             break
         prev_ex = ex
 
-    phi_phys = np.ascontiguousarray(phi[:nbands])
+    phi_phys = np.ascontiguousarray(phi_r[:nbands])
     # final occupations re-solved over the returned bands only, so the
     # initial sigma of the dynamics holds exactly n_electrons
     occ, mu = fermi_occupations(eig, ham.n_electrons, kt, ham.degeneracy)

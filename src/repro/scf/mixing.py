@@ -156,7 +156,7 @@ class KerkerMixer:
         self.grid = grid
         self.q0 = q0
         self.anderson = AndersonMixer(history=history, beta=beta)
-        g2 = grid.to_flat(grid.gvec.g2[None])[0]
+        g2 = 2.0 * grid.kinetic_flat
         self._filter = g2 / (g2 + q0 * q0)
         self._filter[g2 <= 1e-12] = 0.0
 

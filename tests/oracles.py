@@ -1,0 +1,194 @@
+"""Real-space-row oracles for the sphere-block solvers.
+
+Until PR 16 every orbital block inside ``Hamiltonian.apply``, ``davidson``
+and the PT-IM fixed point was ``(N, ngrid)`` real-space rows.  Those
+bodies left ``src`` when the solvers moved onto ``(N, npw)`` sphere
+blocks; they are kept here, verbatim up to the names they call, as the
+oracles the sphere kernels are tested against (the way
+``test_scf_solvers.py`` keeps the stack-and-solve mixer).
+"""
+
+import numpy as np
+
+from repro.hamiltonian.ace import ACEOperator
+from repro.occupation.sigma import hermitize
+from repro.rt import PTIMACEPropagator, TDState
+from repro.rt.ptcn import PTCNPropagator
+from repro.scf.eigensolver import (
+    DavidsonResult,
+    _generalized_lowest,
+    _inverse_sqrt,
+    _normalize_rows,
+    canonical_orthonormalize,
+    lowdin_orthonormalize,
+)
+from repro.scf.mixing import AndersonMixer
+
+
+def real_space_apply(ham, phi_r, *, include_exchange=True, ace=None):
+    """``H Phi`` on real-space rows: the pre-PR-16 ``Hamiltonian.apply``.
+
+    Three full-box transforms, kinetic and projectors over all ``ngrid``
+    coefficients, the mask applied at the end.  ``ace`` is a *real-space*
+    compressed operator (``ACEOperator.from_dense_action`` on real-space
+    rows) standing in for the one ``set_ace`` used to hold.
+    """
+    grid = ham.grid
+    mask = grid.gvec.sphere_mask.ravel()
+    phi_g = grid.r_to_g(phi_r)
+    g = grid.gvec.cartesian.reshape(-1, 3)
+    a = ham.kinetic.vector_potential
+    h_g = phi_g * (0.5 * (grid.gvec.g2.ravel() + 2.0 * (g @ a) + float(a @ a)))
+    nl = ham.nonlocal_pseudo
+    if nl.nprojectors:
+        amps = grid.cell.volume * (nl.beta_g.conj() @ phi_g.T)
+        h_g += (nl.beta_g.T @ (nl.coupling @ amps)).T
+    local = ham.v_eff[None, :] * phi_r
+    if include_exchange and ace is not None:
+        local = local + ham.functional.alpha * ace.apply(phi_r)
+    elif include_exchange and ham.exchange_mode != "none":
+        assert ham.exchange_mode != "ace", "pass the real-space ACE operator as ace="
+        local = local + ham.apply_exchange(phi_r)
+    h_g += grid.r_to_g(local)
+    h_g[..., ~mask] = 0.0
+    return grid.g_to_r(h_g)
+
+
+def real_space_teter(grid, phi_g, ekin_band):
+    """The pre-PR-16 ``teter_preconditioner`` on full-box coefficients."""
+    x = grid.gvec.kinetic.ravel()[None, :] / np.maximum(ekin_band, 1e-8)[:, None]
+    poly = 27.0 + 18.0 * x + 12.0 * x**2 + 8.0 * x**3
+    return phi_g * (poly / (poly + 16.0 * x**4))
+
+
+def real_space_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
+    """The pre-PR-16 ``davidson`` on real-space rows: three full-box
+    transforms per iteration besides ``H``, everything ``ngrid`` wide."""
+    phi = lowdin_orthonormalize(grid, phi0.copy())
+    nb = phi.shape[0]
+    nconv = nb if nconv is None else min(nconv, nb)
+    eig = np.zeros(nb)
+    res_norms = np.full(nb, np.inf)
+    h_phi = apply_h(phi)
+    mask = grid.gvec.sphere_mask.ravel()
+    t_diag = grid.gvec.kinetic.ravel()
+
+    for it in range(1, max_iter + 1):
+        h_sub = grid.inner(phi, h_phi)
+        h_sub = 0.5 * (h_sub + h_sub.conj().T)
+        eig, vec = np.linalg.eigh(h_sub)
+        phi = np.ascontiguousarray(vec.T @ phi)
+        h_phi = np.ascontiguousarray(vec.T @ h_phi)
+
+        resid = h_phi - eig[:, None] * phi
+        res_norms = np.sqrt(np.einsum("ij,ij->i", resid.conj(), resid).real * grid.dv)
+        if res_norms[:nconv].max() < tol:
+            return DavidsonResult(eig, phi, res_norms, it, True)
+
+        phi_g = grid.r_to_g(phi)
+        ekin_band = grid.cell.volume * np.einsum("ng,g,ng->n", phi_g.conj(), t_diag, phi_g).real
+        corr_g = real_space_teter(grid, grid.r_to_g(resid), np.maximum(ekin_band, 0.1))
+        corr_g[..., ~mask] = 0.0
+        corr = grid.g_to_r(corr_g)
+
+        corr -= grid.inner(phi, corr).T @ phi
+        corr = _normalize_rows(corr, grid.dv)
+        if corr.shape[0] == 0:
+            return DavidsonResult(eig, phi, res_norms, it, res_norms[:nconv].max() < tol)
+        corr = canonical_orthonormalize(grid, corr, drop_tol=1e-8)
+        corr -= grid.inner(phi, corr).T @ phi
+        basis = np.vstack([phi, corr])
+        h_basis = np.vstack([h_phi, apply_h(corr)])
+        h_sub2 = grid.inner(basis, h_basis)
+        h_sub2 = 0.5 * (h_sub2 + h_sub2.conj().T)
+        s_sub2 = grid.inner(basis, basis)
+        s_sub2 = 0.5 * (s_sub2 + s_sub2.conj().T)
+        _, vec2 = _generalized_lowest(h_sub2, s_sub2, nb)
+        rot = _inverse_sqrt(vec2.conj().T @ s_sub2 @ vec2).T @ vec2.T
+        phi = np.ascontiguousarray(rot @ basis)
+        h_phi = np.ascontiguousarray(rot @ h_basis)
+
+    return DavidsonResult(eig, phi, res_norms, max_iter, False)
+
+
+def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
+    """The PT-IM inner loop on real-space rows, a mixer per loop, the
+    ``(Phi_r, sigma)`` unknowns concatenated and split on every iteration.
+    ``ace`` (real-space) replaces the dense exchange when given."""
+    grid, ham, opts = prop.grid, prop.ham, prop.options
+    phi_n, sigma_n, nb = state.phi, state.sigma, state.nbands
+    mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
+    rho_prev = prop._density(phi_g, sigma_g)
+    n_iter, resid, converged = 0, np.inf, False
+    for _ in range(max_iter):
+        n_iter += 1
+        phi_mid = 0.5 * (phi_n + phi_g)
+        sigma_mid = 0.5 * (sigma_n + sigma_g)
+        ham.update_density(prop._density(phi_mid, sigma_mid))
+        ham.set_time(state.time + 0.5 * dt)
+        if ace is None and ham.functional.is_hybrid:
+            ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=opts.fock_mode)
+        h_phi = real_space_apply(ham, phi_mid, ace=ace)
+        c = grid.inner(phi_mid, h_phi)
+        h_perp = h_phi - np.linalg.solve(grid.inner(phi_mid, phi_mid), c).T @ phi_mid
+        h_sub = 0.5 * (c + c.conj().T)
+        phi_new = phi_n - 1j * dt * h_perp
+        if isinstance(prop, PTCNPropagator):
+            sigma_new = sigma_n.copy()
+        else:
+            sigma_new = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
+        rho_out = prop._density(phi_new, sigma_new)
+        resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
+        rho_prev = rho_out
+        x_next = mixer.mix(
+            np.concatenate([phi_g.ravel(), sigma_g.ravel()]),
+            np.concatenate([phi_new.ravel(), sigma_new.ravel()]),
+        )
+        phi_g = x_next[: nb * grid.ngrid].reshape(nb, grid.ngrid)
+        sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
+        if resid < opts.density_tol:
+            converged = True
+            break
+    return phi_g, sigma_g, n_iter, resid, converged
+
+
+def real_space_step(prop, state, dt):
+    """One step of ``prop``'s scheme (PT-IM, PT-IM-ACE or PT-CN) entirely
+    on real-space rows, with ``prop``'s options and Hamiltonian.
+
+    Returns ``(state, (inner, outer, fock applications, ACE builds,
+    residual, converged))``.
+    """
+    grid, ham, opts = prop.grid, prop.ham, prop.options
+    if isinstance(prop, PTCNPropagator):
+        state = TDState(state.phi, hermitize(state.sigma), state.time)
+    phi_g, sigma_g = state.phi.copy(), state.sigma.copy()
+    if isinstance(prop, PTIMACEPropagator) and ham.functional.is_hybrid:
+        ham.clear_exchange()
+        n_inner = n_outer = 0
+        prev_ex, converged = None, False
+        for _ in range(opts.max_outer):
+            n_outer += 1
+            phi_mid = 0.5 * (state.phi + phi_g)
+            sigma_mid = hermitize(0.5 * (state.sigma + sigma_g))
+            w, _, _ = ham.fock.apply_mixed_via_diagonalization(phi_mid, sigma_mid)
+            ace = ACEOperator.from_dense_action(grid, phi_mid, w)
+            phi_g, sigma_g, n, resid, inner_ok = _real_space_loop(
+                prop, state, dt, phi_g, sigma_g, opts.max_inner, ace
+            )
+            n_inner += n
+            ex = ace.exchange_energy(
+                0.5 * (state.phi + phi_g), hermitize(0.5 * (state.sigma + sigma_g)), ham.degeneracy
+            )
+            if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
+                converged = inner_ok
+                break
+            prev_ex = ex
+        counts = (n_inner, n_outer, n_outer, n_outer, resid, converged)
+    else:
+        phi_g, sigma_g, n, resid, converged = _real_space_loop(
+            prop, state, dt, phi_g, sigma_g, opts.max_scf, None
+        )
+        counts = (n, 1, n if ham.functional.is_hybrid else 0, 0, resid, converged)
+    sigma = state.sigma if isinstance(prop, PTCNPropagator) else hermitize(sigma_g)
+    return TDState(lowdin_orthonormalize(grid, phi_g), sigma, state.time + dt), counts

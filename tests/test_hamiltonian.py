@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import real_space_apply
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
+from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.kinetic import KineticOperator
 from repro.occupation.sigma import hermitize
 from repro.utils.rng import default_rng
@@ -40,7 +42,7 @@ def test_electron_count(ham):
 def test_subspace_hermitian(ham, grid):
     rng = default_rng(0)
     phi = grid.random_orbitals(5, rng)
-    m = ham.subspace_matrix(phi)
+    m = ham.subspace_matrix(grid.to_sphere(phi))
     assert np.abs(m - m.conj().T).max() < 1e-12
 
 
@@ -48,7 +50,7 @@ def test_apply_output_on_cutoff_sphere(ham, grid):
     """H Phi must stay inside the plane-wave sphere (P H P operator)."""
     rng = default_rng(1)
     phi = grid.random_orbitals(2, rng)
-    hphi = ham.apply(phi)
+    hphi = ham.apply_real(phi)
     fg = grid.r_to_g(hphi)
     mask = grid.to_flat(grid.gvec.sphere_mask[None])[0]
     assert np.abs(fg[:, ~mask]).max() < 1e-12
@@ -57,7 +59,7 @@ def test_apply_output_on_cutoff_sphere(ham, grid):
 def test_operator_hermiticity_cross_elements(ham, grid):
     rng = default_rng(2)
     x = grid.random_orbitals(2, rng)
-    hx = ham.apply(x)
+    hx = ham.apply_real(x)
     a = grid.inner(x[:1], hx[1:2])[0, 0]
     b = grid.inner(hx[:1], x[1:2])[0, 0]
     assert a == pytest.approx(b, abs=1e-12)
@@ -68,7 +70,8 @@ def test_hybrid_hamiltonian_hermitian_with_exchange(ham_hse, grid):
     phi = grid.random_orbitals(4, rng)
     sigma = hermitize(random_hermitian_sigma(4, rng))
     ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
-    m = ham_hse.subspace_matrix(phi)
+    c = grid.to_sphere(phi)
+    m = ham_hse.subspace_matrix(c, ham_hse.apply(c, phi))
     assert np.abs(m - m.conj().T).max() < 1e-10
 
 
@@ -78,9 +81,9 @@ def test_exchange_modes_agree(ham_hse, grid):
     phi = grid.random_orbitals(3, rng)
     sigma = hermitize(random_hermitian_sigma(3, rng))
     ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
-    a = ham_hse.apply(phi)
+    a = ham_hse.apply_real(phi)
     ham_hse.set_exchange_sources(phi, sigma, mode="dense-tripleloop")
-    b = ham_hse.apply(phi)
+    b = ham_hse.apply_real(phi)
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -98,10 +101,10 @@ def test_dense_diag_self_and_arbitrary_target_routes_agree(ham_hse, grid):
 
     def exchange_transforms(block):
         snap = counters.snapshot()
-        ham_hse.apply(block, include_exchange=False)
+        ham_hse.apply_real(block, include_exchange=False)
         base = counters.since(snap).transforms
         snap = counters.snapshot()
-        out = ham_hse.apply(block)
+        out = ham_hse.apply_real(block)
         return out, counters.since(snap).transforms - base
 
     via_self, n_self = exchange_transforms(phi)
@@ -116,9 +119,9 @@ def test_ace_mode_matches_dense_on_generators(ham_hse, grid):
     phi = grid.random_orbitals(3, rng)
     sigma = hermitize(random_hermitian_sigma(3, rng))
     ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
-    dense = ham_hse.apply(phi)
+    dense = ham_hse.apply_real(phi)
     ham_hse.set_ace(ham_hse.build_ace(phi, sigma))
-    compressed = ham_hse.apply(phi)
+    compressed = ham_hse.apply_real(phi)
     assert np.allclose(dense, compressed, atol=1e-8)
 
 
@@ -128,7 +131,9 @@ def test_clear_exchange(ham_hse, grid):
     sigma = np.diag([1.0, 0.5]).astype(complex)
     ham_hse.set_exchange_sources(phi, sigma)
     ham_hse.clear_exchange()
-    assert np.allclose(ham_hse.apply_exchange(phi), 0.0)
+    assert ham_hse.apply_exchange(phi) is None
+    c = grid.to_sphere(phi)
+    assert np.array_equal(ham_hse.apply(c), ham_hse.apply(c, include_exchange=False))
 
 
 def test_semilocal_rejects_exchange_config(ham, grid):
@@ -145,7 +150,7 @@ def test_kinetic_shift_by_vector_potential(grid):
     a = np.array([0.02, 0.0, 0.0])
     kin.set_vector_potential(a)
     shifted = kin.diagonal_g
-    g = grid.gvec.cartesian.reshape(-1, 3)
+    g = grid.gvec.cartesian.reshape(-1, 3)[grid.sphere_index]
     expected = 0.5 * np.einsum("ij,ij->i", g + a, g + a)
     assert np.allclose(shifted, expected, atol=1e-12)
     kin.set_vector_potential(None)
@@ -156,8 +161,7 @@ def test_kinetic_energy_positive(grid):
     kin = KineticOperator(grid)
     rng = default_rng(8)
     phi = grid.random_orbitals(3, rng)
-    phi_g = grid.r_to_g(phi)
-    assert kin.energy(phi_g, np.ones(3)) > 0.0
+    assert kin.energy(grid.to_sphere(phi), np.ones(3)) > 0.0
 
 
 def test_set_time_updates_field(grid):
@@ -172,3 +176,73 @@ def test_set_time_updates_field(grid):
     assert np.linalg.norm(a0) > 0.0
     ham.set_time(500.0)  # far in the tail
     assert np.linalg.norm(ham.kinetic.vector_potential) < np.linalg.norm(a0)
+
+
+# ---------------- the sphere kernel against the real-space-row oracle --------------
+def _rel_err(got, ref):
+    return np.abs(got - ref).max() / np.abs(ref).max()
+
+
+@pytest.fixture()
+def pulsed(grid):
+    """``ham(functional)`` at a time where ``A(t) != 0``, on a non-uniform density."""
+    from repro.rt.field import GaussianLaserPulse
+
+    def build(functional):
+        pulse = GaussianLaserPulse(amplitude=0.05, center_fs=0.0, fwhm_fs=1.0)
+        h = Hamiltonian(grid, make_functional(functional), field=pulse)
+        rho = 1.0 + 0.3 * default_rng(20).random(grid.ngrid)
+        h.update_density(rho * h.n_electrons / (rho.sum() * grid.dv))
+        h.set_time(0.3)
+        assert np.linalg.norm(h.kinetic.vector_potential) > 1e-3
+        return h
+
+    return build
+
+
+def test_sphere_kernel_matches_oracle_lda(pulsed, grid):
+    ham = pulsed("lda")
+    phi = grid.random_orbitals(6, default_rng(21))
+    ref = real_space_apply(ham, phi)
+    assert _rel_err(ham.apply_real(phi), ref) < 1e-12
+    # the kernel itself, with and without the real-space image handed in
+    c = grid.to_sphere(phi)
+    assert _rel_err(grid.to_real(ham.apply(c)), ref) < 1e-12
+    assert _rel_err(grid.to_real(ham.apply(c, phi)), ref) < 1e-12
+
+
+def test_sphere_kernel_matches_oracle_hse_ace(pulsed, grid):
+    ham = pulsed("hse")
+    rng = default_rng(22)
+    phi = grid.random_orbitals(6, rng)
+    sigma = hermitize(random_hermitian_sigma(6, rng))
+    w, _, _ = ham.fock.apply_mixed_via_diagonalization(phi, sigma)
+    ace_r = ACEOperator.from_dense_action(grid, phi, w)  # real-space rows, as before PR 16
+    ham.set_ace(ham.build_ace(phi, sigma))
+    assert ham._ace.xi.shape == (ace_r.rank, grid.npw)
+    for block in (phi, grid.random_orbitals(4, rng)):  # generators and foreign targets
+        ref = real_space_apply(ham, block, ace=ace_r)
+        assert _rel_err(ham.apply_real(block), ref) < 1e-12
+
+
+def test_sphere_kernel_matches_oracle_hse_dense_diag(pulsed, grid):
+    ham = pulsed("hse")
+    rng = default_rng(23)
+    phi = grid.random_orbitals(6, rng)
+    sigma = hermitize(random_hermitian_sigma(6, rng))
+    ham.set_exchange_sources(phi, sigma, mode="dense-diag")
+    # self-application (identity of the source block) and a foreign target block
+    for block in (phi, grid.random_orbitals(4, rng)):
+        ref = real_space_apply(ham, block)
+        assert _rel_err(ham.apply_real(block), ref) < 1e-12
+        assert _rel_err(ham.apply_real(block, include_exchange=False),
+                        real_space_apply(ham, block, include_exchange=False)) < 1e-12
+
+
+def test_lda_apply_adds_no_exchange_block(ham, grid, monkeypatch):
+    """With no exchange configured ``apply`` neither allocates nor adds an
+    ``(N, ngrid)`` zero block: ``apply_exchange`` answers ``None``."""
+    c = grid.to_sphere(grid.random_orbitals(3, default_rng(24)))
+    assert ham.apply_exchange(grid.to_real(c)) is None
+    monkeypatch.setattr(np, "zeros_like", lambda *a, **k: pytest.fail("zero block allocated"))
+    ham.apply(c)

@@ -115,10 +115,9 @@ def test_nonlocal_hermitian(small_grid):
     nl = NonlocalPseudopotential(small_grid)
     rng = default_rng(9)
     phi = small_grid.random_orbitals(3, rng)
-    phi_g = small_grid.r_to_g(phi)
-    v_g = nl.apply_g(phi_g)
-    # <x|V|y> == <V x|y> on the coefficient inner product
-    m = small_grid.cell.volume * (phi_g.conj() @ v_g.T)
+    c = small_grid.to_sphere(phi)
+    # <x|V|y> == <V x|y> on the sphere-block inner product
+    m = small_grid.inner(c, nl.apply_g(c))
     assert np.abs(m - m.conj().T).max() < 1e-10
 
 
@@ -126,12 +125,16 @@ def test_nonlocal_energy_real_and_matches_apply(small_grid):
     nl = NonlocalPseudopotential(small_grid)
     rng = default_rng(10)
     phi = small_grid.random_orbitals(4, rng)
-    phi_g = small_grid.r_to_g(phi)
+    c = small_grid.to_sphere(phi)
     w = np.array([1.0, 0.5, 0.25, 0.0])
-    e = nl.energy(phi_g, w)
-    v_g = nl.apply_g(phi_g)
-    per_band = small_grid.cell.volume * np.einsum("ng,ng->n", phi_g.conj(), v_g).real
+    e = nl.energy(c, w)
+    per_band = np.diag(small_grid.inner(c, nl.apply_g(c))).real
     assert e == pytest.approx(float(np.dot(w, per_band)), rel=1e-12)
+    # the sphere table is the full-box one, gathered: same energy from
+    # PWDFT coefficients and <beta|phi> = Omega sum_G beta*(G) c(G)
+    amps = small_grid.cell.volume * (nl.beta_g.conj() @ small_grid.r_to_g(phi).T)
+    full = np.einsum("pn,pq,qn->n", amps.conj(), nl.coupling, amps).real
+    assert e == pytest.approx(float(np.dot(w, full)), rel=1e-12)
 
 
 # ---------------- radial tables once per species and |G| shell ---------------------

@@ -4,6 +4,7 @@ claims at laptop scale."""
 import numpy as np
 import pytest
 
+from oracles import real_space_step
 from repro.constants import AU_PER_ATTOSECOND
 from repro.rt import (
     GaussianLaserPulse,
@@ -16,9 +17,9 @@ from repro.rt import (
     ZeroField,
 )
 from repro.rt.gauge import density_matrix_distance
-from repro.occupation.sigma import hermitize, trace_sigma
-from repro.scf.eigensolver import lowdin_orthonormalize
-from repro.scf.mixing import AndersonMixer
+from repro.observables.dipole import cell_centered_coordinates, dipole_moment
+from repro.occupation.sigma import trace_sigma
+from repro.rt.ptcn import PTCNOptions, PTCNPropagator
 
 DT_50AS = 50.0 * AU_PER_ATTOSECOND
 
@@ -168,82 +169,11 @@ def test_ace_propagator_reuse_is_bit_identical(hse_ground_state):
     assert stats_again == stats_first
 
 
-def _hand_written_loop(prop, state, dt, phi_g, sigma_g, max_iter, dense_exchange):
-    """The inner loop as ``ptim.py`` and ``ptim_ace.py`` each spelled it out
-    before they shared ``_solve_fixed_point``: a mixer per loop, the unknowns
-    concatenated and split on every iteration."""
-    grid, ham, opts = prop.grid, prop.ham, prop.options
-    phi_n, sigma_n, nb = state.phi, state.sigma, state.nbands
-    mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
-    rho_prev = prop._density(phi_g, sigma_g)
-    n_iter, resid, converged = 0, np.inf, False
-    for _ in range(max_iter):
-        n_iter += 1
-        phi_mid = 0.5 * (phi_n + phi_g)
-        sigma_mid = 0.5 * (sigma_n + sigma_g)
-        ham.update_density(prop._density(phi_mid, sigma_mid))
-        ham.set_time(state.time + 0.5 * dt)
-        if dense_exchange:
-            ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=opts.fock_mode)
-        h_phi = ham.apply(phi_mid)
-        c = grid.inner(phi_mid, h_phi)
-        h_perp = h_phi - np.linalg.solve(grid.inner(phi_mid, phi_mid), c).T @ phi_mid
-        h_sub = 0.5 * (c + c.conj().T)
-        phi_new = phi_n - 1j * dt * h_perp
-        sigma_new = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
-        rho_out = prop._density(phi_new, sigma_new)
-        resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
-        rho_prev = rho_out
-        x_next = mixer.mix(
-            np.concatenate([phi_g.ravel(), sigma_g.ravel()]),
-            np.concatenate([phi_new.ravel(), sigma_new.ravel()]),
-        )
-        phi_g = x_next[: nb * grid.ngrid].reshape(nb, grid.ngrid)
-        sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
-        if resid < opts.density_tol:
-            converged = True
-            break
-    return phi_g, sigma_g, n_iter, resid, converged
-
-
-def _hand_written_step(prop, state, dt):
-    """(state, (inner, outer, fock, ace builds, residual, converged)) of the old steps."""
-    grid, ham, opts = prop.grid, prop.ham, prop.options
-    phi_g, sigma_g = state.phi.copy(), state.sigma.copy()
-    if isinstance(prop, PTIMACEPropagator):
-        n_inner = n_outer = 0
-        prev_ex, converged = None, False
-        for _ in range(opts.max_outer):
-            n_outer += 1
-            ace = ham.build_ace(
-                0.5 * (state.phi + phi_g), hermitize(0.5 * (state.sigma + sigma_g))
-            )
-            ham.set_ace(ace)
-            phi_g, sigma_g, n, resid, inner_ok = _hand_written_loop(
-                prop, state, dt, phi_g, sigma_g, opts.max_inner, False
-            )
-            n_inner += n
-            ex = ace.exchange_energy(
-                0.5 * (state.phi + phi_g), hermitize(0.5 * (state.sigma + sigma_g)), ham.degeneracy
-            )
-            if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
-                converged = inner_ok
-                break
-            prev_ex = ex
-        counts = (n_inner, n_outer, n_outer, n_outer, resid, converged)
-    else:
-        phi_g, sigma_g, n, resid, converged = _hand_written_loop(
-            prop, state, dt, phi_g, sigma_g, opts.max_scf, True
-        )
-        counts = (n, 1, n, 0, resid, converged)
-    new = TDState(lowdin_orthonormalize(grid, phi_g), hermitize(sigma_g), state.time + dt)
-    return new, counts
-
-
 @pytest.mark.parametrize("kind", ["ptim", "ptim_ace"])
 def test_shared_driver_matches_hand_written_loops(hse_ground_state, kind):
     """Same iteration counts, and the same state to round-off, as the
-    per-propagator loops the shared driver replaced."""
+    per-propagator real-space-row loops the shared sphere-block driver
+    replaced (``oracles.real_space_step``)."""
     ham, state = _small_hse_state(hse_ground_state)
     if kind == "ptim":
         prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-7, max_scf=30), record_energy=False)
@@ -251,7 +181,7 @@ def test_shared_driver_matches_hand_written_loops(hse_ground_state, kind):
         prop = PTIMACEPropagator(
             ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
         )
-    ref, (n_inner, n_outer, n_fock, n_ace, resid, converged) = _hand_written_step(
+    ref, (n_inner, n_outer, n_fock, n_ace, resid, converged) = real_space_step(
         prop, state, DT_50AS
     )
     new, stats = prop.step(state, DT_50AS)
@@ -262,6 +192,47 @@ def test_shared_driver_matches_hand_written_loops(hse_ground_state, kind):
     assert stats.residual == pytest.approx(resid, rel=1e-6)
     np.testing.assert_allclose(new.phi, ref.phi, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(new.sigma, ref.sigma, rtol=0.0, atol=1e-12)
+
+
+def _trace_sigma2(sigma):
+    return float(np.trace(sigma @ sigma).real)
+
+
+@pytest.mark.parametrize("kind", ["ptim-lda", "ptim_ace-hse", "ptcn-lda"])
+def test_three_steps_match_real_space_oracle(lda_ground_state, hse_ground_state, kind):
+    """Three pulsed steps from one ground state, sphere-block propagator
+    against the oracle-built real-space-row propagation: the same
+    iterations every step and the same observables — needs no golden file."""
+    scheme, functional = kind.split("-")
+    ham, gs = hse_ground_state if functional == "hse" else lda_ground_state
+    ham.field = GaussianLaserPulse(amplitude=0.02, center_fs=0.05, fwhm_fs=0.08)
+    n = 10
+    state = TDState(gs.orbitals[:n].copy(), gs.sigma[:n, :n].copy(), 0.0)
+    if scheme == "ptim":
+        prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-7), record_energy=False)
+    elif scheme == "ptcn":
+        prop = PTCNPropagator(ham, PTCNOptions(density_tol=1e-7), record_energy=False)
+    else:
+        prop = PTIMACEPropagator(
+            ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
+        )
+    grid = ham.grid
+    new, ref = state, state
+    for _ in range(3):
+        ref, (n_inner, n_outer, _, _, _, converged) = real_space_step(prop, ref, DT_50AS)
+        new, stats = prop.step(new, DT_50AS)
+        assert converged and stats.converged
+        assert (stats.scf_iterations, stats.outer_iterations) == (n_inner, n_outer)
+        dip_new, dip_ref = (
+            dipole_moment(grid, prop.density(st), cell_centered_coordinates(grid)) for st in (new, ref)
+        )
+        assert np.abs(dip_new - dip_ref).max() < 1e-10
+        assert abs(_trace_sigma2(new.sigma) - _trace_sigma2(ref.sigma)) < 1e-10
+        assert abs(new.particle_number() - ref.particle_number()) < 1e-12
+    overlap = grid.inner(new.phi, new.phi)
+    assert np.abs(overlap - np.eye(n)).max() < 1e-12
+    assert np.abs(new.sigma - new.sigma.conj().T).max() < 1e-12
+    assert new.phi.shape == (n, grid.ngrid)  # the public state is real-space rows
 
 
 # ---------------- PT-IM vs RK4 (LDA for speed) ---------------------------------------

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import real_space_apply, real_space_davidson, real_space_teter
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
 from repro.scf.eigensolver import (
@@ -69,28 +70,19 @@ def test_canonical_drops_dependent_rows(grid):
 # ---------------- Davidson --------------------------------------------------------
 def test_davidson_matches_dense(grid, ham):
     """Eigenvalues agree with a dense diagonalization in the sphere basis."""
-    mask = grid.to_flat(grid.gvec.sphere_mask[None])[0]
-    idx = np.nonzero(mask)[0]
-    npw = len(idx)
-    h_dense = np.zeros((npw, npw), dtype=complex)
-    block = 64
-    for s in range(0, npw, block):
-        blk = idx[s : s + block]
-        cg = np.zeros((len(blk), grid.ngrid), dtype=complex)
-        cg[np.arange(len(blk)), blk] = 1.0
-        hg = grid.r_to_g(ham.apply(grid.g_to_r(cg)))
-        h_dense[:, s : s + len(blk)] = hg[:, idx].T
+    # column j of H in the sphere basis is H applied to the j-th unit sphere block
+    h_dense = ham.apply(np.eye(grid.npw, dtype=complex)).T
     ref = np.linalg.eigvalsh(0.5 * (h_dense + h_dense.conj().T))
 
     rng = default_rng(3)
-    phi = grid.random_orbitals(8, rng)
+    phi = grid.to_sphere(grid.random_orbitals(8, rng))
     res = davidson(grid, ham.apply, phi, tol=1e-8, max_iter=150, nconv=6)
     assert np.allclose(res.eigenvalues[:6], ref[:6], atol=1e-7)
 
 
 def test_davidson_residuals_converged(grid, ham):
     rng = default_rng(4)
-    phi = grid.random_orbitals(8, rng)
+    phi = grid.to_sphere(grid.random_orbitals(8, rng))
     res = davidson(grid, ham.apply, phi, tol=1e-7, max_iter=150, nconv=6)
     assert res.converged
     assert res.residual_norms[:6].max() < 1e-7
@@ -98,10 +90,12 @@ def test_davidson_residuals_converged(grid, ham):
 
 def test_davidson_output_orthonormal(grid, ham):
     rng = default_rng(5)
-    phi = grid.random_orbitals(6, rng)
+    phi = grid.to_sphere(grid.random_orbitals(6, rng))
     res = davidson(grid, ham.apply, phi, tol=1e-6, max_iter=80)
-    s = grid.inner(res.orbitals, res.orbitals)
-    assert np.abs(s - np.eye(6)).max() < 1e-9
+    assert res.orbitals.shape == (6, grid.npw)
+    for block in (res.orbitals, grid.to_real(res.orbitals)):
+        s = grid.inner(block, block)
+        assert np.abs(s - np.eye(6)).max() < 1e-9
 
 
 def test_davidson_warm_start_fast(grid):
@@ -112,7 +106,7 @@ def test_davidson_warm_start_fast(grid):
     h = Hamiltonian(grid, make_functional("lda"))
     h.update_density(np.full(grid.ngrid, h.n_electrons / grid.cell.volume))
     h.v_eff = h.v_eff + 0.05 * rng.standard_normal(grid.ngrid)
-    phi = grid.random_orbitals(6, rng)
+    phi = grid.to_sphere(grid.random_orbitals(6, rng))
     res1 = davidson(grid, h.apply, phi, tol=1e-4, max_iter=200, nconv=4)
     assert res1.converged
     res2 = davidson(grid, h.apply, res1.orbitals, tol=1e-4, max_iter=200, nconv=4)
@@ -122,7 +116,8 @@ def test_davidson_warm_start_fast(grid):
 
 def reapplying_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
     """The pre-PR-14 ``davidson``: applies ``H`` to ``X`` and then to all
-    of ``[X, t]`` every iteration and Löwdin-orthonormalizes on the grid.
+    of ``[X, t]`` every iteration and Löwdin-orthonormalizes on the grid
+    (real-space rows throughout, as the solver was then).
     Kept as the oracle for the carried-``H X`` formulation."""
     phi = lowdin_orthonormalize(grid, phi0.copy())
     nb = phi.shape[0]
@@ -143,7 +138,7 @@ def reapplying_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
         phi_g = grid.r_to_g(phi)
         t_diag = grid.to_flat(grid.gvec.kinetic[None])[0]
         ekin_band = grid.cell.volume * np.einsum("ng,g,ng->n", phi_g.conj(), t_diag, phi_g).real
-        corr_g = teter_preconditioner(grid, grid.r_to_g(resid), np.maximum(ekin_band, 0.1))
+        corr_g = real_space_teter(grid, grid.r_to_g(resid), np.maximum(ekin_band, 0.1))
         grid.apply_cutoff(corr_g)
         corr = grid.g_to_r(corr_g)
         corr -= grid.inner(phi, corr).T @ phi
@@ -164,10 +159,10 @@ def reapplying_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
 
 
 class RowCountingH:
-    """``ham.apply`` that records the row count of every block it is given."""
+    """An ``H`` application that records the row count of every block it is given."""
 
-    def __init__(self, ham):
-        self.apply_h, self.rows = ham.apply, []
+    def __init__(self, apply_h):
+        self.apply_h, self.rows = apply_h, []
 
     def __call__(self, block):
         self.rows.append(block.shape[0])
@@ -187,8 +182,9 @@ def split_ham(grid):
 @pytest.mark.parametrize("nb, nconv, tol", [(8, 6, 1e-7), (16, 12, 1e-7)])
 def test_davidson_matches_reapplying_oracle(grid, split_ham, nb, nconv, tol):
     phi0 = grid.random_orbitals(nb, default_rng(11))
-    new_h, old_h = RowCountingH(split_ham), RowCountingH(split_ham)
-    new = davidson(grid, new_h, phi0, tol=tol, max_iter=200, nconv=nconv)
+    new_h = RowCountingH(split_ham.apply)
+    old_h = RowCountingH(lambda block: real_space_apply(split_ham, block))
+    new = davidson(grid, new_h, grid.to_sphere(phi0), tol=tol, max_iter=200, nconv=nconv)
     old = reapplying_davidson(grid, old_h, phi0, tol=tol, max_iter=200, nconv=nconv)
     assert new.converged and old.converged
     assert new.iterations == old.iterations
@@ -208,7 +204,7 @@ def test_davidson_carried_h_phi_does_not_drift(grid, split_ham):
     values and residuals of iteration 41 (both first order in an error of
     the carried product) must be the ones a fresh ``H X`` gives on the
     block the 40-iteration run returns."""
-    phi0 = grid.random_orbitals(8, default_rng(12))
+    phi0 = grid.to_sphere(grid.random_orbitals(8, default_rng(12)))
     r40 = davidson(grid, split_ham.apply, phi0, tol=0.0, max_iter=40)
     r41 = davidson(grid, split_ham.apply, phi0, tol=0.0, max_iter=41)
     assert not r41.converged and r41.iterations == 41
@@ -221,6 +217,33 @@ def test_davidson_carried_h_phi_does_not_drift(grid, split_ham):
     res_norms = np.sqrt(np.einsum("ij,ij->i", resid.conj(), resid).real * grid.dv)
     assert np.abs(r41.eigenvalues - eig).max() < 1e-10 * scale
     assert np.abs(r41.residual_norms - res_norms).max() < 1e-10 * scale
+
+
+@pytest.mark.parametrize("tol", [1e-5, 1e-7])
+def test_sphere_davidson_matches_real_space_oracle(grid, split_ham, tol):
+    """Same start, same tolerance: the sphere-block solver makes the
+    iterations the real-space-row solver it replaced made, and finds the
+    same lowest eigenvalues."""
+    nb = 12  # gated bands; four guard bands keep the cut out of a cluster
+    phi0 = grid.random_orbitals(nb + 4, default_rng(13))
+    new = davidson(grid, split_ham.apply, grid.to_sphere(phi0), tol=tol, max_iter=200, nconv=nb)
+    old = real_space_davidson(
+        grid, lambda block: real_space_apply(split_ham, block), phi0, tol=tol, max_iter=200, nconv=nb
+    )
+    assert new.converged and old.converged
+    assert new.iterations == old.iterations
+    assert np.abs(new.eigenvalues[:nb] - old.eigenvalues[:nb]).max() < 1e-12
+    np.testing.assert_allclose(new.residual_norms[:nb], old.residual_norms[:nb], rtol=1e-6, atol=1e-12)
+
+
+def test_teter_horner_matches_power_form(grid):
+    rng = default_rng(14)
+    c = grid.to_sphere(grid.random_orbitals(5, rng))
+    ekin = rng.uniform(0.05, 3.0, size=5)
+    full = np.zeros((5, grid.ngrid), dtype=complex)
+    full[:, grid.sphere_index] = c
+    ref = real_space_teter(grid, full, ekin)[:, grid.sphere_index]
+    np.testing.assert_allclose(teter_preconditioner(grid, c, ekin), ref, rtol=1e-14, atol=0.0)
 
 
 # ---------------- mixers ----------------------------------------------------------
