@@ -37,14 +37,20 @@ GRIDS = ((48, 48, 48), (64, 64, 64))
 REPS = 5
 
 
-def _best_time(fn, reps: int = REPS) -> float:
-    """Best-of-N wall time in seconds (min is the standard noise filter)."""
-    fn()  # warm caches, plans, twiddle tables
-    best = float("inf")
+def _best_times(*legs, reps: int = REPS) -> list:
+    """Best-of-N wall time of each leg in seconds, the legs taking turns.
+
+    Min is the standard noise filter; taking turns makes a slow phase of a
+    shared host fall on every leg instead of on one side of a ratio.
+    """
+    for leg in legs:
+        leg()  # warm caches, plans, twiddle tables
+    best = [float("inf")] * len(legs)
     for _ in range(reps):
-        t0 = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - t0)
+        for i, leg in enumerate(legs):
+            t0 = time.perf_counter()
+            leg()
+            best[i] = min(best[i], time.perf_counter() - t0)
     return best
 
 
@@ -56,7 +62,7 @@ def _measure(grid) -> dict:
     reference = baseline.forward(a)
 
     # band-by-band: the seed default strategy — one engine call per band
-    t_bandbyband = _best_time(lambda: baseline.forward_bandbyband(a))
+    legs = [lambda: baseline.forward_bandbyband(a)]
 
     # batched: best available planned backend, transforming the backend's
     # cached scratch workspace in place (pair densities in the hot loop
@@ -65,7 +71,14 @@ def _measure(grid) -> dict:
     batched = make_backend(batched_name, count_ffts=False)
     work = batched.scratch(a.shape)
     np.copyto(work, a)
-    t_batched = _best_time(lambda: batched.forward(work, out=work))
+    legs.append(lambda: batched.forward(work, out=work))
+
+    if HAVE_SCIPY:
+        workers = os.cpu_count() or 1
+        threaded = make_backend("scipy", fft_workers=workers, count_ffts=False)
+        legs.append(lambda: threaded.forward(work, out=work))
+
+    t_bandbyband, t_batched, *t_threaded = _best_times(*legs)
     # correctness of the measured leg, not just speed
     np.copyto(work, a)
     assert np.allclose(batched.forward(work, out=work), reference, atol=1e-12)
@@ -77,15 +90,11 @@ def _measure(grid) -> dict:
         "batched_backend": batched_name,
         "speedup_batched": t_bandbyband / t_batched,
     }
-
-    if HAVE_SCIPY:
-        workers = os.cpu_count() or 1
-        threaded = make_backend("scipy", fft_workers=workers, count_ffts=False)
-        t_threaded = _best_time(lambda: threaded.forward(work, out=work))
+    for t in t_threaded:
         entry.update(
-            threaded_ms=t_threaded * 1e3,
+            threaded_ms=t * 1e3,
             threaded_workers=workers,
-            speedup_threaded=t_bandbyband / t_threaded,
+            speedup_threaded=t_bandbyband / t,
         )
     return entry
 

@@ -25,7 +25,7 @@ setup(
     package_dir={"": "src"},
     packages=find_packages("src"),
     python_requires=">=3.11",
-    install_requires=["numpy>=1.26", "scipy"],
+    install_requires=["numpy>=2.0", "scipy"],
     extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.__main__:main"]},
     classifiers=[

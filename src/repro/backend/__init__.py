@@ -7,10 +7,12 @@ allocation and planned, batched 3-D FFTs (see :mod:`repro.backend.base`);
 three implementations ship registered:
 
 ``numpy``
-    Default; bit-compatible with the seed package's engine.
+    Default; bit-compatible with the seed package's engine, transforms
+    run in the caller's ``out=`` buffer (needs NumPy >= 2.0).
 ``scipy``
-    pocketfft C++ with ``fft_workers`` threads, folded normalization and
-    in-place batched transforms — the fast CPU engine.
+    Also in place; what it adds is ``fft_workers`` threads and a
+    normalization folded into the transform — which is why it agrees
+    with ``numpy`` to round-off rather than bit for bit.
 ``counting``
     A numpy engine wrapped in :class:`CountingBackend`; any backend can
     be wrapped via ``make_backend(..., count_ffts=True)`` (the default),

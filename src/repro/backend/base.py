@@ -31,6 +31,7 @@ wrapper carrying :class:`FFTCounters`; plain backends do no bookkeeping.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -59,7 +60,7 @@ class FFTCounters:
     def record(self, shape: Tuple[int, int, int], batch: int) -> None:
         self.transforms += batch
         self.calls += 1
-        self.points += batch * int(np.prod(shape))
+        self.points += batch * math.prod(shape)
         self.by_shape[shape] = self.by_shape.get(shape, 0) + batch
 
     def reset(self) -> None:
@@ -228,9 +229,12 @@ class Backend(ABC):
     def forward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real space -> reciprocal space (normalized by 1/Ngrid).
 
-        ``out``, when given, receives the result (and is returned);
-        ``out is a`` requests a true in-place transform on a complex
-        input the caller no longer needs.
+        ``out``, when given, receives the result (and is returned): any
+        writeable complex array of ``a``'s shape, contiguous or a strided
+        view, for real or complex ``a``.  ``out is a`` is a true in-place
+        transform (no batch-sized allocation on either shipped engine) on
+        a complex input the caller no longer needs; a distinct ``out``
+        leaves ``a`` untouched; without ``out`` one new array is made.
         """
         a = np.asarray(a)
         self._split(a)

@@ -11,6 +11,7 @@ N^2 / N^3 counts against the real numerics).
 
 from __future__ import annotations
 
+import math
 from typing import Optional
 
 import numpy as np
@@ -66,8 +67,7 @@ class CountingBackend(Backend):
     # -- counted transforms --------------------------------------------------
     def _record(self, a: np.ndarray) -> None:
         batch_shape, grid = self._split(a)
-        batch = int(np.prod(batch_shape)) if batch_shape else 1
-        self.counters.record(grid, batch)
+        self.counters.record(grid, math.prod(batch_shape))
 
     def _fftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         self._record(a)

@@ -1,4 +1,7 @@
-"""Real-space-row oracles for the sphere-block solvers.
+"""Oracles: bodies that left ``src``, kept for the tests to compare against.
+
+Real-space-row oracles for the sphere-block solvers, and
+:class:`SeedNumpyBackend`, the copying default FFT engine.
 
 Until PR 16 every orbital block inside ``Hamiltonian.apply``, ``davidson``
 and the PT-IM fixed point was ``(N, ngrid)`` real-space rows.  Those
@@ -10,6 +13,7 @@ oracles the sphere kernels are tested against (the way
 
 import numpy as np
 
+from repro.backend import Backend
 from repro.hamiltonian.ace import ACEOperator
 from repro.occupation.sigma import hermitize
 from repro.rt import PTIMACEPropagator, TDState
@@ -23,6 +27,41 @@ from repro.scf.eigensolver import (
     lowdin_orthonormalize,
 )
 from repro.scf.mixing import AndersonMixer
+
+
+class SeedNumpyBackend(Backend):
+    """The default engine's transforms as they were until PR 17.
+
+    ``np.fft.fftn(a, axes=...)`` makes three out-of-place axis passes, each
+    into a fresh batch-sized array, and the result is then scaled into the
+    caller's ``out`` — twice the batch's bytes in transients even for
+    ``out is a``.  ``NumpyBackend`` now writes the same passes into ``out``
+    and must return the same bits.
+    """
+
+    name = "seed_numpy"
+    _axes = (-3, -2, -1)
+
+    def __init__(self, fft_workers=1):
+        super().__init__()
+
+    def _fftn(self, a, out):
+        scale = self.plan(a.shape[-3:]).scale_forward
+        r = np.fft.fftn(a, axes=self._axes)
+        if out is None:
+            r *= scale
+            return r
+        np.multiply(r, scale, out=out)
+        return out
+
+    def _ifftn(self, a, out):
+        scale = self.plan(a.shape[-3:]).scale_backward
+        r = np.fft.ifftn(a, axes=self._axes)
+        if out is None:
+            r *= scale
+            return r
+        np.multiply(r, scale, out=out)
+        return out
 
 
 def real_space_apply(ham, phi_r, *, include_exchange=True, ace=None):

@@ -1,10 +1,14 @@
 """The pluggable numerics backend: parity, out=/in-place, counting,
 registry, config wiring, and the package-wide np.fft isolation guard."""
 
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import SeedNumpyBackend
 
 from repro.api import BackendConfig, ConfigError, Simulation, SimulationConfig
 from repro.api.ensemble import apply_overrides
@@ -61,14 +65,19 @@ def test_bandbyband_matches_batched(backend, batch):
 
 
 def test_out_receives_result(backend, batch):
-    ref = backend.forward(batch)
-    out = np.empty_like(batch)
-    r = backend.forward(batch, out=out)
-    assert r is out
-    assert np.allclose(out, ref, atol=1e-14)
-    out2 = np.empty_like(batch)
-    assert backend.backward(batch, out=out2) is out2
-    assert np.allclose(out2, backend.backward(batch), atol=1e-14)
+    """What pair densities, ``to_real`` / ``to_sphere``, Hartree and Kerker
+    rely on: the result lands in ``out`` (``r is out``) whether ``out`` is
+    fresh or a strided view and ``a`` complex or real, and an ``a`` that is
+    not ``out`` is only ever read."""
+    strided = np.empty((5, 9, 6, 8), dtype=complex)[:, :4]
+    assert not strided.flags.c_contiguous
+    for transform in (backend.forward, backend.backward):
+        for a in (batch, batch.real.copy()):
+            ref, keep = transform(a), a.copy()
+            for out in (np.empty_like(batch), strided):
+                assert transform(a, out=out) is out
+                assert np.allclose(out, ref, atol=1e-14)
+                assert np.array_equal(a, keep)
 
 
 def test_inplace_transform(backend, batch):
@@ -107,6 +116,113 @@ def test_numpy_backend_bit_compatible_with_seed(batch):
         nb.backward(batch),
         np.fft.ifftn(batch, axes=(-3, -2, -1)) * float(np.prod(batch.shape[-3:])),
     )
+
+
+def _traced_peak(fn) -> int:
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_numpy_transforms_allocate_no_pass_buffers():
+    """The mechanism, without a stopwatch: ``out is a`` allocates nothing
+    batch-sized and a call without ``out`` makes exactly one array.  (The
+    copying seed engine peaks at 2.0 x the batch's bytes on all four.)"""
+    nb = NumpyBackend()
+    rng = default_rng(5)
+    w = rng.standard_normal((16, 12, 12, 12)) + 1j * rng.standard_normal((16, 12, 12, 12))
+    for transform in (nb.forward, nb.backward):
+        transform(w.copy())  # warm the plan and pocketfft's twiddle cache
+        assert _traced_peak(lambda: transform(w, out=w)) < 0.05 * w.nbytes
+        assert _traced_peak(lambda: transform(w)) < 1.05 * w.nbytes
+
+
+_AXIS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    batch_shape=st.lists(st.integers(1, 3), max_size=2),
+    grid=st.tuples(_AXIS, _AXIS, _AXIS),
+    is_complex=st.booleans(),
+    out_kind=st.sampled_from(["none", "inplace", "fresh", "strided"]),
+    method=st.sampled_from(
+        ["forward", "backward", "forward_bandbyband", "backward_bandbyband"]
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_numpy_backend_same_bits_as_seed_engine(
+    batch_shape, grid, is_complex, out_kind, method, seed
+):
+    """In-buffer passes return the copying seed engine's values bit for bit:
+    any batch and grid shape (odd and prime axes included), real or complex
+    input, every way of passing ``out``."""
+    rng = default_rng(seed)
+    shape = tuple(batch_shape) + grid
+    a = rng.standard_normal(shape)
+    if is_complex:
+        a = a + 1j * rng.standard_normal(shape)
+    ref = getattr(SeedNumpyBackend(), method)(a)
+    if out_kind == "none":
+        out = None
+    elif out_kind == "inplace" and is_complex:
+        out = a = a.copy()
+    elif out_kind == "strided":
+        out = np.empty(shape[:-1] + (2 * shape[-1],), dtype=complex)[..., ::2]
+    else:
+        out = np.empty(shape, dtype=complex)
+    got = getattr(NumpyBackend(), method)(a, out=out)
+    assert out is None or got is out
+    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+
+
+_STEP_CFG = {
+    "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "hse"},
+    "scf": {
+        "nbands": 20, "density_tol": 1e-4, "exchange_tol": 1e-4,
+        "max_scf": 10, "max_outer": 3,
+    },
+    "field": {"kind": "static_kick", "params": {"kick": 2e-3}},
+    "propagation": {
+        "propagator": "ptim_ace", "dt_as": 50.0, "n_steps": 2,
+        "options": {"density_tol": 1e-6, "exchange_tol": 1e-6},
+    },
+}
+_DENSE_R2 = {
+    "propagation": {
+        "propagator": "ptim",
+        "options": {"density_tol": 1e-6, "fock_mode": "dense-diag"},
+    },
+    "parallel": {"ranks": 2, "pattern": "ring"},
+}
+
+
+def test_trajectories_same_bits_as_seed_engine():
+    """Two steps of PT-IM-ACE and of dense PT-IM on 2 ring ranks, from one
+    ground state, on the default engine and on the seed oracle: identical
+    observables, final state and FFT tallies.  A trajectory gate that needs
+    no golden file."""
+    register_backend("seed_numpy", SeedNumpyBackend)
+    try:
+        base = Simulation(_STEP_CFG)
+        base.ground_state()
+        for sections in ({}, _DENSE_R2):
+            new, seed = (
+                base.derive(backend={"name": name}, **sections).propagate()
+                for name in ("numpy", "seed_numpy")
+            )
+            obs_new, obs_seed = new.observables(), seed.observables()
+            assert {"dipole", "energy"} <= set(obs_new)
+            for key in obs_new:
+                np.testing.assert_array_equal(obs_new[key], obs_seed[key], err_msg=key)
+            assert np.array_equal(new.final_state.phi, seed.final_state.phi)
+            assert np.array_equal(new.final_state.sigma, seed.final_state.sigma)
+            assert new.fft.transforms > 0 and new.fft == seed.fft
+    finally:
+        unregister_backend("seed_numpy")
 
 
 @needs_scipy
