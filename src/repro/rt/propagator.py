@@ -57,10 +57,13 @@ class TDState:
 class StepStats:
     """Per-step solver statistics (SCF counts drive the perf model)."""
 
+    #: applications of the fixed-point map T (one ``H`` each), all loops
     scf_iterations: int = 0
     outer_iterations: int = 0
     fock_applications: int = 0
     ace_builds: int = 0
+    #: the last stopping residual of the step's (last) fixed-point loop:
+    #: relative density change between its final two iterates
     residual: float = 0.0
     converged: bool = True
     #: modeled MPI seconds this step charged to the distributed-exchange

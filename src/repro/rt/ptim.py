@@ -7,9 +7,21 @@ One time step solves the fixed-point problem Eq. (6)-(7) in the unknowns
     sigma_{n+1} = sigma_n - i dt [Phi*_{n+1/2} H_{n+1/2} Phi_{n+1/2}, sigma_{n+1/2}]
 
 with midpoint averages Eq. (4), Anderson mixing of the concatenated
-(wavefunction, sigma) unknowns, density-change stopping, and a final
+(wavefunction, sigma) unknowns, midpoint-density stopping, and a final
 Löwdin orthonormalization + sigma conjugate-symmetrization (Alg. 1
 line 13).
+
+Stopping.  Iteration ``k`` builds ``rho_mid,k = rho[(X_n + x_k)/2]`` to
+update the Hamiltonian, and the same density is the test:
+``r_k = 2 ||rho_mid,k - rho_mid,k-1||_1 dv / N_e`` (the 2 reads a midpoint
+change as the end-of-step change it is half of, so ``density_tol`` bounds
+the relative density change of ``x_k``), taken before ``H`` is applied;
+the loop returns ``x_k`` once *two consecutive* residuals are below
+``density_tol``.  Two, because a density test is blind at first order
+where the density matrix is real (every ground state): the first move
+``-i dt [H, P]`` is imaginary and shows in the density at ``O(dt^2)``, so
+from ``x_0 = X_n`` the damped ``x_1`` passes one check at any tolerance,
+and ``x_2``, where ``H`` has acted on the imaginary part, does not.
 
 Algorithm-variant switches (``PTIMOptions``) select the baseline or the
 Sec. IV-A1 optimized kernels:
@@ -26,16 +38,16 @@ iterates on the packed unknown ``x = (c~, sigma)`` — sphere block and
 occupation matrix, ``N npw + N^2`` numbers, same 2-norm as
 ``(Phi_r, sigma)`` because the sphere block is unitary-scaled
 (``grid/fftgrid.py``) — and unpacks once in :meth:`_finish_step`.  One
-inner iteration makes three batched transforms: ``sphere -> real`` of the
-midpoint block (shared by the density, the dense-exchange sources and
-``v_eff phi``), ``real -> sphere`` of the local product inside
-``Hamiltonian.apply``, and ``sphere -> real`` of ``T(x)`` for the
-residual density.  The midpoint algebra, the projector ``(I - P~)``, the
-mixer history and Löwdin are all ``npw`` wide.
+inner iteration makes two batched transforms: ``sphere -> real`` of the
+midpoint block (shared by the density, the residual, the dense-exchange
+sources and ``v_eff phi``) and ``real -> sphere`` of the local product
+inside ``Hamiltonian.apply``.  The midpoint algebra, the projector
+``(I - P~)``, the mixer history and Löwdin are all ``npw`` wide.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Literal, Optional, Tuple
 
@@ -56,6 +68,8 @@ from repro.utils.validation import require
 class PTIMOptions:
     """Fixed-point solver knobs (paper Sec. VI defaults)."""
 
+    #: bound on the relative density change of each of the last two
+    #: iterates (the residual ``r_k`` of the module docstring)
     density_tol: float = 1.0e-6
     max_scf: int = 30
     mix_beta: float = 0.5
@@ -142,39 +156,48 @@ class PTIMPropagator(PropagatorBase):
         sigma_out[...] = state.sigma - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
 
     def _solve_fixed_point(
-        self, state: TDState, dt: float, x: np.ndarray, max_iter: int
-    ) -> Tuple[np.ndarray, int, float, bool]:
+        self,
+        state: TDState,
+        dt: float,
+        x: np.ndarray,
+        max_iter: int,
+        phi_mid: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, int, float, bool, np.ndarray]:
         """Anderson-accelerated fixed-point loop (Alg. 1 lines 4-11).
 
         ``state`` is the packed ``(c~_n, sigma_n)`` and ``x`` packs the
         guess for ``{Phi_{n+1}, sigma_{n+1}}`` as one vector (Alg. 1 line
-        8 mixes them together).  Returns the mixed iterate, the
-        iterations used, the last density residual and whether it fell
-        below ``density_tol``.
+        8 mixes them together); ``phi_mid`` is the real-space image of
+        their midpoint block when the caller already made it.  Returns
+        the accepted iterate, the number of applications of the map T
+        (at most ``max_iter``), the last midpoint-density residual,
+        whether two consecutive residuals fell below ``density_tol``,
+        and the real-space image of the accepted iterate's midpoint.
         """
         grid, ham = self.grid, self.ham
-        nb = state.nbands
+        tol = self.options.density_tol
         gx = np.empty_like(x)
-        c_new, sigma_new = self._unpack(gx, nb)
+        c_new, sigma_new = self._unpack(gx, state.nbands)
         self._mixer.reset()
-        c_g, sigma_g = self._unpack(x, nb)
-        rho_prev = self._density(grid.to_real(c_g), sigma_g)
-        resid = np.inf
-        for n_iter in range(1, max_iter + 1):
+        rho_prev, resid, converged = None, np.inf, False
+        for n_iter in itertools.count():
             c_mid, sigma_mid = self._midpoint(state, x)
-            phi_mid = grid.to_real(c_mid)
-            ham.update_density(self._density(phi_mid, sigma_mid))
+            if phi_mid is None:
+                phi_mid = grid.to_real(c_mid)
+            rho_mid = self._density(phi_mid, sigma_mid)
+            if rho_prev is not None:
+                last = resid
+                resid = 2.0 * float(np.abs(rho_mid - rho_prev).sum()) * grid.dv / ham.n_electrons
+                converged = max(last, resid) < tol
+            if converged or n_iter == max_iter:
+                return x, n_iter, resid, converged, phi_mid
+            rho_prev = rho_mid
+            ham.update_density(rho_mid)
             ham.set_time(state.time + 0.5 * dt)
             self._set_midpoint_exchange(phi_mid, sigma_mid)
             self._fixed_point_update(state, c_mid, phi_mid, sigma_mid, dt, c_new, sigma_new)
-
-            rho_out = self._density(grid.to_real(c_new), sigma_new)
-            resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
-            rho_prev = rho_out
             x = self._mixer.mix(x, gx)
-            if resid < self.options.density_tol:
-                return x, n_iter, resid, True
-        return x, max_iter, resid, False
+            phi_mid = None
 
     def _finish_step(self, state: TDState, dt: float, x: np.ndarray) -> TDState:
         """Löwdin orthonormalization + sigma symmetrization (Alg. 1 line
@@ -186,7 +209,7 @@ class PTIMPropagator(PropagatorBase):
     # -- the step -------------------------------------------------------------
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
         packed, x = self._pack(state)
-        x, n_scf, resid, converged = self._solve_fixed_point(packed, dt, x, self.options.max_scf)
+        x, n_scf, resid, converged, _ = self._solve_fixed_point(packed, dt, x, self.options.max_scf)
         stats = StepStats(
             scf_iterations=n_scf,
             outer_iterations=1,

@@ -4,7 +4,7 @@ claims at laptop scale."""
 import numpy as np
 import pytest
 
-from oracles import real_space_step
+from oracles import output_density_fixed_point, real_space_step
 from repro.constants import AU_PER_ATTOSECOND
 from repro.rt import (
     GaussianLaserPulse,
@@ -72,14 +72,65 @@ def test_ptim_scf_counts_reasonable(hse_run):
     assert all(s.converged for s in prop.record.stats)
 
 
-def test_ptim_stationary_state_dipole_static(hse_run):
+@pytest.fixture(scope="module")
+def hse_rk4_dipole(hse_ground_state):
+    """The same 150 as with RK4 at 1 as, sampled where ``hse_run`` is:
+    the integrator that shares no stopping rule with the fixed point."""
+    ham, gs = hse_ground_state
+    ham.field = ZeroField()
+    rk = RK4Propagator(ham, record_energy=False)
+    rk.propagate(_state(gs), dt=AU_PER_ATTOSECOND, n_steps=150, observe_every=50)
+    return np.asarray(rk.record.dipole)
+
+
+def test_ptim_stationary_state_dipole_static(hse_run, hse_rk4_dipole):
     ham, gs, prop, final = hse_run
     d = np.asarray(prop.record.dipole)
     # a small initial relaxation is expected: the ground state converged
     # against its ACE operator while the propagator applies the dense
     # exchange (O(1e-4) operator mismatch); beyond that, no drift
     assert np.abs(d - d[0]).max() < 2e-3
-    assert np.abs(d[-1] - d[-2]).max() < 5e-5
+    # ... and the relaxation is the one RK4 sees, sample for sample (what
+    # is left is the midpoint rule's own O(dt^2)); "the last two samples
+    # agree" also passes on a trajectory whose first step did not move and
+    # whose second jumped twice as far
+    assert np.abs(d - hse_rk4_dipole).max() < 1.5e-4
+
+
+def test_ptim_first_step_from_hybrid_ground_state_moves_with_rk4(hse_run, hse_rk4_dipole):
+    """A ground state's density matrix is real, so a density test sees the
+    first damped iteration only at second order: the output-density rule
+    left the fixed point after one iteration with ``converged = True`` and
+    the first step 3.0e-4 from RK4.  Two consecutive checks do not."""
+    ham, gs, prop, final = hse_run
+    first = prop.record.stats[1]
+    assert first.converged and first.scf_iterations > 1
+    d = np.asarray(prop.record.dipole)
+    assert np.abs(d[1] - hse_rk4_dipole[1]).max() < 1.5e-4
+
+
+def test_ptim_first_step_from_perturbed_occupations_is_tolerance_independent(lda_ground_state):
+    """LDA ground-state orbitals with the occupations pulled 1 % towards
+    their mean: ``P`` is real but not stationary, so the dipole moves 6e-3
+    in 50 as.  The output-density rule at the default ``density_tol`` took
+    one iteration and moved it 3e-7; the step must come out the same at
+    1e-6 as at 1e-8."""
+    ham, gs = lda_ground_state
+    ham.field = ZeroField()
+    f = gs.occupations
+    g = f + 0.01 * (f.mean() - f)
+    g *= f.sum() / g.sum()
+    state = TDState(gs.orbitals.copy(), np.diag(g), 0.0)
+    coords = cell_centered_coordinates(ham.grid)
+    dipoles = []
+    for tol in (1e-6, 1e-8):
+        prop = PTIMPropagator(ham, PTIMOptions(density_tol=tol, max_scf=40), record_energy=False)
+        new, stats = prop.step(state, DT_50AS)
+        assert stats.converged and stats.scf_iterations > 1
+        dipoles.append(dipole_moment(ham.grid, prop.density(new), coords))
+    start = dipole_moment(ham.grid, prop.density(state), coords)
+    assert np.abs(dipoles[1] - start).max() > 1e-3  # there is motion to miss
+    assert np.abs(dipoles[0] - dipoles[1]).max() < 1e-5
 
 
 # ---------------- PT-IM vs PT-IM-ACE ------------------------------------------------
@@ -194,6 +245,83 @@ def test_shared_driver_matches_hand_written_loops(hse_ground_state, kind):
     np.testing.assert_allclose(new.sigma, ref.sigma, rtol=0.0, atol=1e-12)
 
 
+def test_inner_iteration_costs_two_orbital_transforms_and_a_hartree_pair(lda_ground_state):
+    """Exact-repeat counter: one more application of T is one more
+    ``sphere -> real`` of the midpoint block, one more ``real -> sphere``
+    of the local product and one more Hartree pair — ``2 nb + 2``
+    transforms (``3 nb + 2`` while the loop transformed ``T(x)`` for its
+    residual).  A step capped at ``m`` applications: pack, ``m``
+    iterations, the image the last residual is taken on, finish."""
+    ham, gs = lda_ground_state
+    ham.field = GaussianLaserPulse(amplitude=0.02, center_fs=0.05, fwhm_fs=0.08)
+    nb = 10
+    state = TDState(gs.orbitals[:nb].copy(), gs.sigma[:nb, :nb].copy(), 0.0)
+    counters = ham.grid.backend.counters
+
+    def transforms(max_scf):
+        prop = PTIMPropagator(
+            ham, PTIMOptions(density_tol=1e-14, max_scf=max_scf), record_energy=False
+        )
+        snap = counters.snapshot()
+        _, stats = prop.step(state, DT_50AS)
+        assert not stats.converged and stats.scf_iterations == max_scf
+        assert np.isfinite(stats.residual)
+        return counters.since(snap).transforms
+
+    assert transforms(3) == 3 * nb + 3 * (2 * nb + 2)
+    assert transforms(4) - transforms(3) == 2 * nb + 2
+
+
+def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
+    """Exact-repeat counters of one PT-IM-ACE step (``nb`` bands,
+    ``n_inner`` applications of T over ``n_outer`` converged loops).
+
+    Outside the pair solves of the dense exchange the step transforms
+    ``(2 nb + 2) n_inner + nb (n_outer + 3)`` times.  An application of T
+    is the ``real -> sphere`` of the local product, the Hartree pair and
+    the ``sphere -> real`` of the *next* midpoint, so a loop that is
+    handed its first image and hands back its last (the one the closing
+    residual is taken on, and the one the next ``build_ace`` needs) makes
+    exactly ``2 nb + 2`` per application.  Each ``build_ace`` packs its
+    ``W`` block (``nb n_outer``); the rest is the first build's image,
+    ``_pack`` and ``_finish_step``.  The density is built once per
+    midpoint: ``n_inner + n_outer`` times, not ``2 n_inner + n_outer``.
+    """
+    import repro.rt.ptim as ptim_module
+
+    ham, state = _small_hse_state(hse_ground_state)
+    nb = state.nbands
+    counters = ham.grid.backend.counters
+    tally = {"fock": 0, "density": 0}
+
+    dense = ham.fock.apply_mixed_via_diagonalization
+
+    def counted_dense(*args, **kwargs):
+        snap = counters.snapshot()
+        out = dense(*args, **kwargs)
+        tally["fock"] += counters.since(snap).transforms
+        return out
+
+    density = ptim_module.density_from_orbitals_diag
+
+    def counted_density(*args, **kwargs):
+        tally["density"] += 1
+        return density(*args, **kwargs)
+
+    monkeypatch.setattr(ham.fock, "apply_mixed_via_diagonalization", counted_dense)
+    monkeypatch.setattr(ptim_module, "density_from_orbitals_diag", counted_density)
+    prop = PTIMACEPropagator(
+        ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
+    )
+    snap = counters.snapshot()
+    _, stats = prop.step(state, DT_50AS)
+    total = counters.since(snap).transforms
+    n_inner, n_outer = stats.scf_iterations, stats.outer_iterations
+    assert stats.converged and n_inner > n_outer > 1
+    assert total - tally["fock"] == (2 * nb + 2) * n_inner + nb * (n_outer + 3)
+    assert tally["density"] == n_inner + n_outer
+
+
 def _trace_sigma2(sigma):
     return float(np.trace(sigma @ sigma).real)
 
@@ -233,6 +361,54 @@ def test_three_steps_match_real_space_oracle(lda_ground_state, hse_ground_state,
     assert np.abs(overlap - np.eye(n)).max() < 1e-12
     assert np.abs(new.sigma - new.sigma.conj().T).max() < 1e-12
     assert new.phi.shape == (n, grid.ngrid)  # the public state is real-space rows
+
+
+@pytest.mark.parametrize("kind", ["ptim", "ptim_ace"])
+def test_stopping_rule_accuracy_against_output_density_rule(hse_ground_state, monkeypatch, kind):
+    """The midpoint-density rule buys its speed with no accuracy: under
+    the Fig. 7 pulse, each rule at ``density_tol = 1e-7`` against its own
+    1e-11 reference.
+
+    Bound, from the tolerance alone: a residual below ``tol`` leaves at
+    most ``tol * N_e`` of density (1-norm) misplaced per step, cell-centred
+    coordinates reach ``L / 2``, and errors of successive steps at worst
+    add: ``|delta d| <= n_steps * N_e * (L / 2) * tol``.
+    """
+    ham, gs = hse_ground_state
+    ham.field = GaussianLaserPulse(amplitude=0.02, wavelength_nm=380.0, center_fs=0.05, fwhm_fs=0.08)
+    grid, n_steps, tol = ham.grid, 3, 1e-7
+    coords = cell_centered_coordinates(grid)
+
+    def trajectory(density_tol):
+        if kind == "ptim":
+            prop = PTIMPropagator(
+                ham, PTIMOptions(density_tol=density_tol, max_scf=80), record_energy=False
+            )
+        else:
+            opts = PTIMACEOptions(
+                density_tol=density_tol, exchange_tol=density_tol, max_outer=40, max_inner=60
+            )
+            prop = PTIMACEPropagator(ham, opts, record_energy=False)
+        state, dipoles, purities = _state(gs), [], []
+        for _ in range(n_steps):
+            state, stats = prop.step(state, DT_50AS)
+            assert stats.converged
+            dipoles.append(dipole_moment(grid, prop.density(state), coords))
+            purities.append(_trace_sigma2(state.sigma))
+        return np.asarray(dipoles), np.asarray(purities)
+
+    new_ref, new_run = trajectory(1e-11), trajectory(tol)
+    with monkeypatch.context() as patch:
+        patch.setattr(PTIMPropagator, "_solve_fixed_point", output_density_fixed_point)
+        old_ref, old_run = trajectory(1e-11), trajectory(tol)
+
+    # dipole, then Tr sigma^2: both rules converge to the same trajectory,
+    # and at a working tolerance the new one is no further from it
+    for ref_n, ref_o, run_n, run_o in zip(new_ref, old_ref, new_run, old_run):
+        assert np.abs(ref_n - ref_o).max() < 1e-8
+        assert np.abs(run_n - ref_n).max() <= 3.0 * np.abs(run_o - ref_o).max()
+    half_box = 0.5 * np.linalg.norm(grid.cell.lattice, axis=1).max()
+    assert np.abs(new_run[0] - new_ref[0]).max() < n_steps * ham.n_electrons * half_box * tol
 
 
 # ---------------- PT-IM vs RK4 (LDA for speed) ---------------------------------------
