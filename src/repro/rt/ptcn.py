@@ -8,10 +8,10 @@ solves the fixed point
 ``Phi_{n+1} = Phi_n - i dt/2 [ H_{n+1/2} Phi_{n+1/2}
              - Phi_{n+1/2} (Phi*_{n+1/2} H_{n+1/2} Phi_{n+1/2}) ]``
 
-with PT-IM's own Anderson-accelerated fixed-point driver: the step is a
-PT-IM step whose sigma update returns the frozen matrix.  Included for
-completeness and as a cross-check: for a diagonal constant sigma, PT-IM
-and PT-CN trajectories agree to the integrator order.
+with PT-IM's own Anderson-accelerated fixed-point driver and IMEX map:
+the step is a PT-IM step whose sigma update returns the frozen matrix.
+Included for completeness and as a cross-check: for a diagonal constant
+sigma, PT-IM and PT-CN trajectories agree to the integrator order.
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ class PTCNPropagator(PTIMPropagator):
     def __init__(self, ham, options: Optional[PTCNOptions] = None, **kwargs) -> None:
         super().__init__(ham, options or PTCNOptions(), **kwargs)
 
-    def _fixed_point_update(self, state, c_mid, phi_mid, sigma_mid, dt, c_out, sigma_out) -> None:
-        """The PT-IM orbital update with the occupation matrix frozen."""
-        super()._fixed_point_update(state, c_mid, phi_mid, sigma_mid, dt, c_out, sigma_out)
+    def _sigma_update(self, state, h_sub, sigma_mid, dt, sigma_out) -> None:
+        """The occupation matrix frozen: its residual is zero, no resolvent."""
         sigma_out[...] = state.sigma
 
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:

@@ -15,7 +15,8 @@ convergence is the fixed point's midpoint-density test, and the image
 it is taken on is the one the next ACE build starts from.  Paper
 statistics for 384-atom silicon: ~5 outer x ~13 inner, reducing
 dense-exchange work by ~80 % versus the 25 dense applications of
-single-loop PT-IM.
+single-loop PT-IM; here, on the 8-atom ``si8-hse-ace`` benchmark with the
+IMEX map of ``rt/ptim.py``: 6.7 outer x 5.3 inner, versus 10.
 """
 
 from __future__ import annotations

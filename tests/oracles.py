@@ -1,8 +1,9 @@
 """Oracles: bodies that left ``src``, kept for the tests to compare against.
 
 Real-space-row oracles for the sphere-block solvers,
-:class:`SeedNumpyBackend`, the copying default FFT engine, and
-:func:`output_density_fixed_point`, the PT-IM stopping rule until PR 18.
+:class:`SeedNumpyBackend`, the copying default FFT engine,
+:func:`output_density_fixed_point`, the PT-IM stopping rule until PR 18,
+and :func:`plain_fixed_point_update`, the PT-IM map until PR 19.
 
 Until PR 16 every orbital block inside ``Hamiltonian.apply``, ``davidson``
 and the PT-IM fixed point was ``(N, ngrid)`` real-space rows.  Those
@@ -157,8 +158,11 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
     """The PT-IM inner loop on real-space rows, a mixer per loop, the
     ``(Phi_r, sigma)`` unknowns concatenated and split on every iteration.
     ``ace`` (real-space) replaces the dense exchange when given.  The
-    stopping rule is ``_solve_fixed_point``'s, verbatim: this oracle tests
-    the representation, so it must stop on the same iteration."""
+    stopping rule is ``_solve_fixed_point``'s and the map is the IMEX map of
+    ``_fixed_point_update`` (the orbital residual divided by
+    ``1 + i dt/2 |G|^2/2`` over the whole box, one FFT round trip; the sigma
+    resolvent as there): this oracle tests the representation, so it must
+    stop on the same iteration."""
     grid, ham, opts = prop.grid, prop.ham, prop.options
     phi_n, sigma_n, nb = state.phi, state.sigma, state.nbands
     mixer = AndersonMixer(history=opts.mix_history, beta=opts.mix_beta)
@@ -183,11 +187,15 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
         c = grid.inner(phi_mid, h_phi)
         h_perp = h_phi - np.linalg.solve(grid.inner(phi_mid, phi_mid), c).T @ phi_mid
         h_sub = 0.5 * (c + c.conj().T)
-        phi_new = phi_n - 1j * dt * h_perp
+        resid_g = grid.r_to_g(phi_n - 1j * dt * h_perp - phi_g)
+        phi_new = phi_g + grid.g_to_r(resid_g / (1.0 + 0.5j * dt * grid.kinetic_flat))
         if isinstance(prop, PTCNPropagator):
             sigma_new = sigma_n.copy()
         else:
-            sigma_new = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
+            eps, u = np.linalg.eigh(h_sub)
+            f_sigma = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub) - sigma_g
+            f_sigma = (u.conj().T @ f_sigma @ u) / (1.0 + 0.5j * dt * (eps[:, None] - eps[None, :]))
+            sigma_new = sigma_g + u @ f_sigma @ u.conj().T
         x_next = mixer.mix(
             np.concatenate([phi_g.ravel(), sigma_g.ravel()]),
             np.concatenate([phi_new.ravel(), sigma_new.ravel()]),
@@ -235,6 +243,33 @@ def output_density_fixed_point(prop, state, dt, x, max_iter, phi_mid=None):
             converged = True
             break
     return x, n_iter, resid, converged, grid.to_real(prop._midpoint(state, x)[0])
+
+
+def plain_fixed_point_update(prop, state, c_mid, phi_mid, sigma_mid, dt, c_out, sigma_out):
+    """``PTIMPropagator._fixed_point_update`` as it was until PR 19: the
+    *map* oracle, ``T`` of Eq. (6)-(7) itself with nothing inverted.
+
+    Its Jacobian ``-i dt/2 (I - P~) H`` has norm ``~dt ecut / 2`` (3.1 on
+    the hybrid test systems), which Anderson mixing at ``mix_beta = 0.5``
+    (the default then; pass it) had to resolve.  Same fixed points as the
+    IMEX map.  Drop-in for the method (``monkeypatch.setattr(PTIMPropagator,
+    "_fixed_point_update", plain_fixed_point_update)``); PT-CN, which
+    overrode it to freeze sigma, is folded in.
+    """
+    grid = prop.grid
+    h_phi = prop.ham.apply(c_mid, phi_mid)
+    # projector P~ built from the (non-orthonormal) midpoint block
+    s = grid.inner(c_mid, c_mid)
+    c = grid.inner(c_mid, h_phi)  # <phi_k | H phi_l>
+    coeff = np.linalg.solve(s, c)  # S^{-1} (Phi* H Phi)
+    h_perp = h_phi - coeff.T @ c_mid  # (I - P~) H Phi_mid
+
+    h_perp *= 1j * dt
+    np.subtract(state.phi, h_perp, out=c_out)
+    h_sub = 0.5 * (c + c.conj().T)
+    sigma_out[...] = state.sigma - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub)
+    if isinstance(prop, PTCNPropagator):
+        sigma_out[...] = state.sigma
 
 
 def real_space_step(prop, state, dt):

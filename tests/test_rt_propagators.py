@@ -4,8 +4,10 @@ claims at laptop scale."""
 import numpy as np
 import pytest
 
-from oracles import output_density_fixed_point, real_space_step
+from oracles import output_density_fixed_point, plain_fixed_point_update, real_space_step
 from repro.constants import AU_PER_ATTOSECOND
+from repro.grid import PlaneWaveGrid
+from repro.hamiltonian import Hamiltonian
 from repro.rt import (
     GaussianLaserPulse,
     PTIMACEOptions,
@@ -20,6 +22,9 @@ from repro.rt.gauge import density_matrix_distance
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
 from repro.occupation.sigma import trace_sigma
 from repro.rt.ptcn import PTCNOptions, PTCNPropagator
+from repro.scf import SCFOptions, run_scf
+from repro.utils.testing import random_hermitian_sigma
+from repro.xc.hybrid import make_functional
 
 DT_50AS = 50.0 * AU_PER_ATTOSECOND
 
@@ -65,10 +70,12 @@ def test_ptim_keeps_sigma_hermitian_and_physical(hse_run):
 
 
 def test_ptim_scf_counts_reasonable(hse_run):
-    """Field-free from the ground state: few SCF iterations per step."""
+    """Field-free from the ground state: few SCF iterations per step —
+    5 measured, 8-9 with the plain map of ``oracles.py``, so a lost
+    preconditioner fails here and not first in the benchmark."""
     ham, gs, prop, final = hse_run
     iters = [s.scf_iterations for s in prop.record.stats[1:]]
-    assert all(i <= 20 for i in iters)
+    assert all(i <= 7 for i in iters)
     assert all(s.converged for s in prop.record.stats)
 
 
@@ -99,7 +106,7 @@ def test_ptim_stationary_state_dipole_static(hse_run, hse_rk4_dipole):
 
 def test_ptim_first_step_from_hybrid_ground_state_moves_with_rk4(hse_run, hse_rk4_dipole):
     """A ground state's density matrix is real, so a density test sees the
-    first damped iteration only at second order: the output-density rule
+    first iteration only at second order: the output-density rule
     left the fixed point after one iteration with ``converged = True`` and
     the first step 3.0e-4 from RK4.  Two consecutive checks do not."""
     ham, gs, prop, final = hse_run
@@ -403,12 +410,158 @@ def test_stopping_rule_accuracy_against_output_density_rule(hse_ground_state, mo
         old_ref, old_run = trajectory(1e-11), trajectory(tol)
 
     # dipole, then Tr sigma^2: both rules converge to the same trajectory,
-    # and at a working tolerance the new one is no further from it
+    # and at a working tolerance the new one is no further from it.  Both
+    # rules run on the IMEX map, whose sigma block is a Cayley transform of
+    # sigma_n: Tr sigma^2 (15.2) is conserved to round-off at any tolerance
+    # (5e-15 against exactly 0.0 on the ptim_ace leg), so the factor 3,
+    # calibrated on the plain map's 4e-8 purity errors, needs the floor.
     for ref_n, ref_o, run_n, run_o in zip(new_ref, old_ref, new_run, old_run):
         assert np.abs(ref_n - ref_o).max() < 1e-8
-        assert np.abs(run_n - ref_n).max() <= 3.0 * np.abs(run_o - ref_o).max()
+        assert np.abs(run_n - ref_n).max() <= 3.0 * np.abs(run_o - ref_o).max() + 1e-12
     half_box = 0.5 * np.linalg.norm(grid.cell.lattice, axis=1).max()
     assert np.abs(new_run[0] - new_ref[0]).max() < n_steps * ham.n_electrons * half_box * tol
+
+
+# ---------------- the IMEX map against the plain map ---------------------------------
+def _converged_steps(prop, state, n_steps, plain):
+    """``(state, stats)`` after each of ``n_steps`` 50 as steps, every one
+    converged; ``plain`` swaps in the map ``_fixed_point_update`` replaced."""
+    with pytest.MonkeyPatch.context() as patch:
+        if plain:
+            patch.setattr(PTIMPropagator, "_fixed_point_update", plain_fixed_point_update)
+        for _ in range(n_steps):
+            state, stats = prop.step(state, DT_50AS)
+            assert stats.converged
+            yield state, stats
+
+
+@pytest.fixture(scope="module")
+def map_trajectory(lda_ground_state, hse_ground_state):
+    """``get(kind, tol, plain)``: three steps under the Fig. 7 pulse with the
+    IMEX map of ``_fixed_point_update`` or the plain map it replaced (at the
+    ``mix_beta = 0.5`` that went with it), cached across the tests below:
+    dipoles, ``Tr sigma^2`` per step and the applications of T."""
+    cache = {}
+
+    def get(kind, tol, plain):
+        if (kind, tol, plain) in cache:
+            return cache[kind, tol, plain]
+        scheme, functional = kind.split("-")
+        ham, gs = hse_ground_state if functional == "hse" else lda_ground_state
+        ham.field = GaussianLaserPulse(amplitude=0.02, wavelength_nm=380.0, center_fs=0.05, fwhm_fs=0.08)
+        common = dict(density_tol=tol, max_scf=120, mix_beta=0.5 if plain else 1.0)
+        if scheme == "ptim":
+            prop = PTIMPropagator(ham, PTIMOptions(**common), record_energy=False)
+        elif scheme == "ptcn":
+            prop = PTCNPropagator(ham, PTCNOptions(**common), record_energy=False)
+        else:
+            opts = PTIMACEOptions(exchange_tol=tol, max_outer=40, max_inner=60, **common)
+            prop = PTIMACEPropagator(ham, opts, record_energy=False)
+        coords = cell_centered_coordinates(ham.grid)
+        dipoles, purities, applications = [], [], 0
+        for state, stats in _converged_steps(prop, _state(gs), 3, plain):
+            dipoles.append(dipole_moment(ham.grid, prop.density(state), coords))
+            purities.append(_trace_sigma2(state.sigma))
+            applications += stats.scf_iterations
+        cache[kind, tol, plain] = np.asarray(dipoles), np.asarray(purities), applications
+        return cache[kind, tol, plain]
+
+    return get
+
+
+MAP_KINDS = ["ptim-hse", "ptim_ace-hse", "ptcn-lda"]
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_imex_map_has_the_plain_maps_fixed_point(map_trajectory, kind):
+    """``M`` is invertible, so ``x + M^{-1}(T(x) - x)`` and ``T`` have the
+    same fixed points: converged hard, the two loops walk one trajectory."""
+    dip_new, pur_new, _ = map_trajectory(kind, 1e-11, plain=False)
+    dip_old, pur_old, _ = map_trajectory(kind, 1e-11, plain=True)
+    assert np.abs(dip_new - dip_old).max() < 1e-8
+    assert np.abs(pur_new - pur_old).max() < 1e-8
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_imex_map_is_cheaper_and_no_less_accurate_at_working_tolerance(
+    map_trajectory, hse_ground_state, kind
+):
+    """At ``1e-6`` each loop against its own ``1e-11`` run: the IMEX loop is
+    no further from its reference than the plain loop, inside the bound
+    ``n_steps * N_e * (L / 2) * tol`` derived from the tolerance alone (see
+    ``test_stopping_rule_accuracy_against_output_density_rule``), for at
+    most 0.7 of the applications of T (measured 0.54 / 0.57 / 0.63)."""
+    tol, n_steps = 1e-6, 3
+    ham, _ = hse_ground_state  # N_e and the cell are the LDA fixture's too
+    (ref_new, _, _), (run_new, _, n_new) = (map_trajectory(kind, t, plain=False) for t in (1e-11, tol))
+    (ref_old, _, _), (run_old, _, n_old) = (map_trajectory(kind, t, plain=True) for t in (1e-11, tol))
+    err_new = np.abs(run_new - ref_new).max()
+    assert err_new <= np.abs(run_old - ref_old).max()
+    half_box = 0.5 * np.linalg.norm(ham.grid.cell.lattice, axis=1).max()
+    assert err_new < n_steps * ham.n_electrons * half_box * tol
+    assert n_new <= 0.7 * n_old
+
+
+def test_imex_iteration_count_does_not_grow_with_the_cutoff(si_cell):
+    """The plain map's Jacobian has norm ``dt ecut / 2`` from the kinetic
+    energy alone (1.0 at ``ecut`` 2, 2.6 at 5, 50 as), so its iteration
+    count climbs with the cutoff (measured 23 -> 34 at ``density_tol``
+    1e-8); with ``|G|^2/2`` inverted exactly it does not (14.0 -> 14.5)."""
+    mean_iterations = {}
+    for ecut in (2.0, 5.0):
+        ham = Hamiltonian(PlaneWaveGrid(si_cell, ecut=ecut), make_functional("lda"), field=ZeroField())
+        gs = run_scf(ham, SCFOptions(temperature_k=8000.0, nbands=20, density_tol=1e-6, max_scf=40))
+        ham.field = GaussianLaserPulse(amplitude=0.02, center_fs=0.05, fwhm_fs=0.08)
+        for plain in (False, True):
+            opts = PTIMOptions(density_tol=1e-8, max_scf=80, mix_beta=0.5 if plain else 1.0)
+            prop = PTIMPropagator(ham, opts, record_energy=False)
+            counts = [stats.scf_iterations for _, stats in _converged_steps(prop, _state(gs), 2, plain)]
+            mean_iterations[ecut, plain] = np.mean(counts)
+    assert abs(mean_iterations[5.0, False] - mean_iterations[2.0, False]) <= 2.0
+    assert mean_iterations[5.0, True] - mean_iterations[2.0, True] >= 5.0  # stiffness to miss
+
+
+def test_sigma_update_is_the_commutator_resolvent(lda_ground_state, rng, monkeypatch):
+    """``_sigma_update`` returns ``sigma_x + (1 + i dt/2 ad_h)^{-1} (T_sigma(x)
+    - sigma_x)``: checked against a dense solve of that linear system, and
+    unchanged when ``eigh`` hands back another basis of each degenerate
+    eigenspace of ``h_sub``."""
+    ham, _ = lda_ground_state
+    prop = PTIMPropagator(ham, record_energy=False)
+    eps = np.array([-0.3, -0.3, -0.3, 0.1, 0.1, 0.4])
+    n, dt = eps.size, DT_50AS
+
+    def random_unitary(m):
+        return np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0]
+
+    q = random_unitary(n)
+    h_sub = (q * eps) @ q.conj().T
+    h_sub = 0.5 * (h_sub + h_sub.conj().T)
+    sigma_n, sigma_mid = (random_hermitian_sigma(n, rng) for _ in range(2))
+    state = TDState(np.zeros((n, 1), dtype=complex), sigma_n, 0.0)
+    out = np.empty((n, n), dtype=complex)
+    prop._sigma_update(state, h_sub, sigma_mid, dt, out)
+
+    sigma_x = 2.0 * sigma_mid - sigma_n
+    resid = sigma_n - 1j * dt * (h_sub @ sigma_mid - sigma_mid @ h_sub) - sigma_x
+    eye = np.eye(n)
+    ad_h = np.kron(h_sub, eye) - np.kron(eye, h_sub.T)  # row-major vec of [h, .]
+    step = np.linalg.solve(np.eye(n * n) + 0.5j * dt * ad_h, resid.ravel()).reshape(n, n)
+    assert np.abs(out - (sigma_x + step)).max() < 1e-13
+
+    eigh = np.linalg.eigh
+
+    def rotated_eigh(a):
+        w, u = eigh(a)
+        u = u.copy()
+        u[:, :3] = u[:, :3] @ random_unitary(3)
+        u[:, 3:5] = u[:, 3:5] @ random_unitary(2)
+        return w, u
+
+    monkeypatch.setattr(np.linalg, "eigh", rotated_eigh)
+    rotated = np.empty_like(out)
+    prop._sigma_update(state, h_sub, sigma_mid, dt, rotated)
+    assert np.abs(rotated - out).max() < 1e-13
 
 
 # ---------------- PT-IM vs RK4 (LDA for speed) ---------------------------------------
