@@ -2,7 +2,7 @@
 
 The ROADMAP target is "a result store that survives a million runs";
 this benchmark measures the two operations that scale with study size —
-appending a finished run (blob dedup + chunk write + index upsert) and
+appending a finished run (blob dedup + result-file write + index upsert) and
 querying the index by dotted config key — over 1000 synthetic tiny runs
 on the default sqlite backend.
 

@@ -12,9 +12,8 @@ uninterrupted run (tested in ``tests/test_api_simulation.py``).
 
 from __future__ import annotations
 
-import dataclasses
 import json
-from dataclasses import MISSING, dataclass
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
 
@@ -27,9 +26,6 @@ from repro.scf.groundstate import GroundState
 from repro.utils.io import atomic_savez
 
 CHECKPOINT_VERSION = 1
-
-#: GroundState fields stored as 0-d/1-d arrays under a ``gs_`` prefix
-_GS_FIELDS = [f.name for f in dataclasses.fields(GroundState)]
 
 
 @dataclass(frozen=True)
@@ -60,8 +56,7 @@ def save_checkpoint(
         "time": np.float64(state.time),
     }
     if ground_state is not None:
-        for name in _GS_FIELDS:
-            payload[f"gs_{name}"] = np.asarray(getattr(ground_state, name))
+        payload.update(ground_state.to_arrays(prefix="gs_"))
     if parallel_ledger is not None:
         payload["parallel_ledger_json"] = np.str_(
             json.dumps(parallel_ledger.to_dict(), sort_keys=True)
@@ -103,22 +98,7 @@ def load_checkpoint(
         )
         ground_state = None
         if "gs_orbitals" in data:
-            kwargs = {}
-            for f in dataclasses.fields(GroundState):
-                key = f"gs_{f.name}"
-                if key not in data:
-                    # fields added after the checkpoint was written fall
-                    # back to their dataclass defaults (forward compat)
-                    if f.default is not MISSING or f.default_factory is not MISSING:
-                        continue
-                    raise ConfigError(f"{path} is not a repro checkpoint (missing {key!r})")
-                value = np.array(data[key])
-                if value.ndim == 0:
-                    value = value.item()
-                elif f.name == "history":
-                    value = [float(v) for v in value]
-                kwargs[f.name] = value
-            ground_state = GroundState(**kwargs)
+            ground_state = GroundState.from_arrays(data, f"checkpoint {path}", prefix="gs_")
         parallel_ledger = None
         if "parallel_ledger_json" in data:
             parallel_ledger = CostLedger.from_dict(

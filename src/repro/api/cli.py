@@ -597,40 +597,25 @@ def _validate_store_path(path) -> List[str]:
     """Validate a ``[store]`` target for ``repro validate``.
 
     Unusable paths (not a directory, unrelated non-empty directory, no
-    write permission) raise :class:`ConfigError`; a store written by a
-    *newer* build is reported as printable warnings — the config itself
-    is fine, the study just is not readable until the code is upgraded.
+    write permission) raise :class:`ConfigError`; a store this build
+    cannot open (written by a newer build, or by repro <= 1.9) is
+    reported as printable warnings — the config itself is fine, and the
+    peek creates and alters nothing.
     """
     import os
 
     from repro.api.config import ConfigError
-    from repro.store import SCHEMA_VERSION
-    from repro.store.store import STORE_VERSION, store_schema_info
+    from repro.store.store import store_schema_info
 
     from pathlib import Path
 
     p = Path(path)
     if (p / "store.json").exists():
         info = store_schema_info(p)
-        lines = [
+        return [
             f"store: {p} (backend {info['backend']}, "
             f"schema {info['schema_version']})"
-        ]
-        if info["store_version"] > STORE_VERSION:
-            lines.append(
-                f"warning: store {p} has store_version {info['store_version']}, "
-                f"newer than this build's {STORE_VERSION}; upgrade repro to open it"
-            )
-        if (
-            info["schema_version"] is not None
-            and info["schema_version"] > SCHEMA_VERSION
-        ):
-            lines.append(
-                f"warning: store {p} has index schema {info['schema_version']}, "
-                f"newer than this build's {SCHEMA_VERSION}; its runs are not "
-                f"readable until repro is upgraded"
-            )
-        return lines
+        ] + [f"warning: {problem}" for problem in info["problems"]]
     if p.exists():
         if not p.is_dir():
             raise ConfigError(f"store path {p} exists and is not a directory")
@@ -688,7 +673,7 @@ def _cmd_results(args) -> int:
             print(f"run {run.run_id} [{run.label()}]: {run.status}")
             print(
                 f"  created {run.created_iso()} UTC | elapsed {run.elapsed:.2f} s "
-                f"| {run.n_times} observations in {run.n_chunks} chunk(s)"
+                f"| {run.n_times} observations"
             )
             print(f"  config hash {run.config_hash}")
             if run.gs_address:

@@ -17,9 +17,10 @@ whenever the high-level surface is too coarse.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
@@ -40,10 +41,91 @@ from repro.parallel.context import ParallelContext, ParallelRunInfo
 from repro.parallel.ledger import CostLedger
 from repro.rt.propagator import PropagationRecord, TDState
 from repro.scf.groundstate import GroundState, run_scf
+from repro.utils.io import atomic_savez
 
 ConfigLike = Union[SimulationConfig, Mapping[str, Any]]
 
 RESULT_VERSION = 1
+
+
+def _final_state_arrays(state: TDState) -> Dict[str, Any]:
+    return {
+        "final_phi": np.asarray(state.phi, dtype=complex),
+        "final_sigma": np.asarray(state.sigma, dtype=complex),
+        "final_time": np.float64(state.time),
+    }
+
+
+def write_result_npz(
+    path,
+    config: SimulationConfig,
+    observables: Mapping[str, np.ndarray],
+    final_state: TDState,
+    parallel: Optional[Mapping[str, Any]] = None,
+) -> Path:
+    """The one writer of the result-file layout.
+
+    :meth:`SimulationResult.save_npz` and the result store's
+    ``runs/<run_id>.npz`` are this file: config provenance, the final
+    state, the optional ``parallel`` accounting dict, and every
+    observable series — written atomically, so replacing an existing
+    file leaves the old one or the new one, never a torn one.
+    """
+    payload: Dict[str, Any] = {
+        "result_version": np.int64(RESULT_VERSION),
+        "config_json": np.str_(config.to_json()),
+        **_final_state_arrays(final_state),
+    }
+    if parallel is not None:
+        payload["parallel_json"] = np.str_(json.dumps(dict(parallel), sort_keys=True))
+    payload.update(observables)
+    return atomic_savez(path, **payload)
+
+
+class StoredResult(NamedTuple):
+    """What a result file holds, parsed."""
+
+    config: SimulationConfig
+    #: the observable series, exactly as written
+    observables: Dict[str, np.ndarray]
+    final_state: TDState
+    #: :meth:`ParallelRunInfo.to_dict` of a parallel run, else ``None``
+    parallel: Optional[Dict[str, Any]]
+
+
+def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) -> StoredResult:
+    """The one reader of the layout :func:`write_result_npz` writes.
+
+    Raises :class:`ResultError` naming the path for a missing, unreadable,
+    wrong-kind or too-new file, and :class:`ConfigError` naming the
+    differing keys when the embedded config is not ``expected_config``.
+    """
+    path = Path(path)
+    with open_result_npz(path, "result") as data:
+        if "config_json" not in data:
+            raise ResultError(f"{path} is not a repro result file (missing config_json)")
+        if "final_phi" not in data:
+            raise ResultError(
+                f"{path} is not a repro result file (no final state); "
+                f"checkpoints are read by Simulation.resume / load_checkpoint"
+            )
+        version = int(data["result_version"]) if "result_version" in data else 0
+        if version > RESULT_VERSION:
+            raise ResultError(
+                f"result file {path} has result_version {version}; this "
+                f"build reads <= {RESULT_VERSION} — upgrade repro to read it"
+            )
+        config = SimulationConfig.from_json(str(data["config_json"]))
+        check_config_matches(config, expected_config, path, "result")
+        parallel = json.loads(str(data["parallel_json"])) if "parallel_json" in data else None
+        skip = ("config_json", "result_version", "parallel_json")
+        arrays = {k: np.array(data[k]) for k in data.files if k not in skip}
+    final_state = TDState(
+        phi=arrays.pop("final_phi"),
+        sigma=arrays.pop("final_sigma"),
+        time=float(arrays.pop("final_time")),
+    )
+    return StoredResult(config, arrays, final_state, parallel)
 
 
 @dataclass
@@ -80,24 +162,10 @@ class SimulationResult:
         complex128); :meth:`load_npz` round-trips the payload and can
         enforce that the file belongs to an expected config.
         """
-        import json as _json
-
-        from repro.utils.io import atomic_savez
-
-        payload: Dict[str, Any] = {
-            "result_version": np.int64(RESULT_VERSION),
-            "config_json": np.str_(self.config.to_json()),
-            "final_phi": np.asarray(self.final_state.phi, dtype=complex),
-            "final_sigma": np.asarray(self.final_state.sigma, dtype=complex),
-            "final_time": np.float64(self.final_state.time),
-        }
-        if self.parallel is not None:
-            payload["parallel_json"] = np.str_(
-                _json.dumps(self.parallel.to_dict(), sort_keys=True)
-            )
-        for key, arr in self.observables().items():
-            payload[key] = arr
-        return atomic_savez(path, **payload)
+        parallel = self.parallel.to_dict() if self.parallel is not None else None
+        return write_result_npz(
+            path, self.config, self.observables(), self.final_state, parallel
+        )
 
     @staticmethod
     def load_npz(
@@ -112,26 +180,8 @@ class SimulationResult:
         and a ``result_version`` newer than this build, raise
         :class:`ResultError` naming the path.
         """
-        path = Path(path)
-        with open_result_npz(path, "result") as data:
-            if "config_json" not in data:
-                raise ResultError(f"{path} is not a repro result file (missing config_json)")
-            if "final_phi" not in data:
-                raise ResultError(
-                    f"{path} is not a repro result file (no final state); "
-                    f"checkpoints are read by Simulation.resume / load_checkpoint"
-                )
-            version = int(data["result_version"]) if "result_version" in data else 0
-            if version > RESULT_VERSION:
-                raise ResultError(
-                    f"result file {path} has result_version {version}; this "
-                    f"build reads <= {RESULT_VERSION} — upgrade repro to read it"
-                )
-            config = SimulationConfig.from_json(str(data["config_json"]))
-            check_config_matches(config, expected_config, path, "result")
-            skip = ("config_json", "result_version", "parallel_json")
-            arrays = {k: np.array(data[k]) for k in data.files if k not in skip}
-        return config, arrays
+        stored = read_result_npz(path, expected_config)
+        return stored.config, {**_final_state_arrays(stored.final_state), **stored.observables}
 
     @staticmethod
     def load_parallel_npz(path) -> Optional[ParallelRunInfo]:
@@ -141,15 +191,8 @@ class SimulationResult:
         machine settings plus the per-category :class:`CostLedger`
         aggregates — separately from the observable arrays.
         """
-        import json as _json
-
-        path = Path(path)
-        with open_result_npz(path, "result") as data:
-            if "config_json" not in data:
-                raise ResultError(f"{path} is not a repro result file (missing config_json)")
-            if "parallel_json" not in data:
-                return None
-            return ParallelRunInfo.from_dict(_json.loads(str(data["parallel_json"])))
+        parallel = read_result_npz(path).parallel
+        return ParallelRunInfo.from_dict(parallel) if parallel else None
 
     def summary(self) -> str:
         """Human-readable observable table (what the CLI and examples print)."""

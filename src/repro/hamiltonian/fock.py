@@ -93,17 +93,15 @@ class FockOperatorLike(Protocol):
     """What the Hamiltonian, SCF loop and propagators require of an
     exchange operator — satisfied by :class:`FockExchangeOperator` and by
     :class:`~repro.parallel.distfock.DistributedFockExchange`, so the two
-    substitute behind one seam (``Hamiltonian(fock_factory=...)``)."""
+    substitute behind one seam (``Hamiltonian(fock_factory=...)``).  The
+    Alg. 2 baseline ``apply_mixed_tripleloop`` is not part of it: only the
+    serial operator keeps that reference."""
 
     batch_size: int
     kernel_g: np.ndarray
 
     def apply_diag(
         self, phi_src: np.ndarray, weights: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray: ...
-
-    def apply_mixed_tripleloop(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
     ) -> np.ndarray: ...
 
     def apply_mixed_via_diagonalization(

@@ -153,6 +153,11 @@ class Hamiltonian:
             self._exx_sources = (rotate_orbitals(phi, q), d, q, phi)
             self._exx_sigma_pair = None
         elif mode == "dense-tripleloop":
+            if not hasattr(self.fock, "apply_mixed_tripleloop"):
+                raise ValueError(
+                    f"exchange mode 'dense-tripleloop' is the serial Alg. 2 reference; "
+                    f"{type(self.fock).__name__} does not implement it (use 'dense-diag')"
+                )
             self._exx_sigma_pair = (phi, np.asarray(sigma))
             self._exx_sources = None
         else:

@@ -28,6 +28,9 @@ _MODULES = tuple(n for n in REMOVED_NAMES if n.startswith("repro."))
 _FUNCTIONS = {n for n in REMOVED_NAMES if "." not in n}
 #: ``Class.member`` entries by member name: what an attribute access can show
 _MEMBERS = {n.split(".")[1]: n for n in REMOVED_NAMES if "." in n and n not in _MODULES}
+#: member names other classes still define: flagged only where the receiver
+#: is the removed member's class being constructed (``Class(...).member``)
+_SHARED_MEMBERS = {"apply"}
 
 
 def _removed(dotted: Optional[str]) -> Optional[str]:
@@ -47,6 +50,13 @@ def _root_is_import(node: ast.Attribute, imports: ImportMap) -> bool:
     return isinstance(node, ast.Name) and (node.id in imports.modules or node.id in imports.names)
 
 
+def _constructs(node: ast.AST, member: str) -> bool:
+    """Is ``node`` a call of the class that owned ``Class.member``?"""
+    callee = node.func if isinstance(node, ast.Call) else None
+    name = getattr(callee, "attr", getattr(callee, "id", None))
+    return name == member.split(".")[0]
+
+
 def _hits(node: ast.AST, imports: ImportMap) -> Iterator[Optional[str]]:
     if isinstance(node, ast.Import):
         for alias in node.names:
@@ -58,12 +68,15 @@ def _hits(node: ast.AST, imports: ImportMap) -> Iterator[Optional[str]]:
         yield _removed(imports.resolve(node) or node.attr)
         # ``repro.lint.engine`` is a module; ``grid.engine`` is the member
         if node.attr in _MEMBERS and not _root_is_import(node, imports):
-            yield _MEMBERS[node.attr]
+            if node.attr not in _SHARED_MEMBERS or _constructs(node.value, _MEMBERS[node.attr]):
+                yield _MEMBERS[node.attr]
     elif isinstance(node, ast.Call):
         callee = (imports.resolve_call(node) or "").split(".")
-        for name, keyword in REMOVED_KEYWORDS.items():
-            if name in callee and any(kw.arg == keyword for kw in node.keywords):
-                yield f"{name}({keyword}=...)"
+        for name, keywords in REMOVED_KEYWORDS.items():
+            if name in callee:
+                for kw in node.keywords:
+                    if kw.arg in keywords:
+                        yield f"{name}({kw.arg}=...)"
 
 
 @register_rule(RULE, "modules, functions and keywords listed in repro.removed stay gone")

@@ -9,13 +9,9 @@ rollback-journal connection with a zero busy timeout — the exact
 SQLITE_BUSY hazard the 4-process write hammer exists to catch — and a
 bare ``conn.commit()`` / hand-rolled ``BEGIN`` reintroduces the
 mid-transaction lock-upgrade deadlocks ``run_immediate`` was built to
-kill.  So:
-
-- ``sqlite3.connect(...)`` is allowed only in ``store/common.py``;
-- explicit ``BEGIN``/``COMMIT``/``ROLLBACK`` statements and
-  ``.commit()``/``.rollback()`` calls are allowed only in
-  ``store/common.py`` and ``store/migrate.py`` (migrations run their
-  own long transaction, documented there).
+kill.  So ``sqlite3.connect(...)``, explicit ``BEGIN``/``COMMIT``/``ROLLBACK``
+statements and ``.commit()``/``.rollback()`` calls are allowed only in
+``store/common.py``.
 """
 
 from __future__ import annotations
@@ -31,9 +27,7 @@ from repro.lint.rules import in_scope
 RULE = "sqlite-discipline"
 
 #: the blessed home of connect_sqlite / run_immediate
-CONNECT_EXEMPT = ("store/common.py",)
-#: explicit transaction control also allowed in the migration runner
-TXN_EXEMPT = ("store/common.py", "store/migrate.py")
+EXEMPT = ("store/common.py",)
 
 _TXN_WORDS = ("BEGIN", "COMMIT", "ROLLBACK")
 
@@ -43,22 +37,18 @@ _TXN_WORDS = ("BEGIN", "COMMIT", "ROLLBACK")
     "SQLite only via store.common: connect_sqlite to open, run_immediate to write",
 )
 def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
-    connect_exempt = in_scope(module.rel, files=CONNECT_EXEMPT)
-    txn_exempt = in_scope(module.rel, files=TXN_EXEMPT)
-    if connect_exempt and txn_exempt:
+    if in_scope(module.rel, files=EXEMPT):
         return
     for node in ast.walk(module.tree):
         if not isinstance(node, ast.Call):
             continue
         dotted = imports.resolve_call(node)
-        if dotted == "sqlite3.connect" and not connect_exempt:
+        if dotted == "sqlite3.connect":
             yield module.finding(
                 node, RULE,
                 "raw sqlite3.connect() bypasses WAL mode and the busy timeout",
                 hint="open through repro.store.common.connect_sqlite",
             )
-        if txn_exempt:
-            continue
         if isinstance(node.func, ast.Attribute):
             attr = node.func.attr
             if attr in ("commit", "rollback") and not node.args and not node.keywords:
@@ -72,7 +62,6 @@ def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
                 if sql is not None and sql.lstrip().upper().startswith(_TXN_WORDS):
                     yield module.finding(
                         node, RULE,
-                        f"explicit {sql.split()[0].upper()} statement outside "
-                        f"store.common/store.migrate",
+                        f"explicit {sql.split()[0].upper()} statement outside store.common",
                         hint="wrap the write in repro.store.common.run_immediate",
                     )

@@ -48,7 +48,8 @@ That exactness holds by construction, not by luck of the shard sizes:
   into the shared grid backend.
 
 The class is a drop-in protocol twin of ``FockExchangeOperator``
-(``apply_diag`` / ``apply_mixed_*`` / ``exchange_energy``), which is how
+(``apply_diag`` / ``apply_mixed_via_diagonalization`` /
+``exchange_energy``), which is how
 :class:`~repro.hamiltonian.hamiltonian.Hamiltonian` substitutes it
 behind every SCF loop and RT propagator.
 """
@@ -343,37 +344,7 @@ class DistributedFockExchange:
         self.comm.charge_allgatherv(float(acc.nbytes))
         return np.negative(acc, out=acc)
 
-    def apply(
-        self,
-        phi_src: np.ndarray,
-        weights: np.ndarray,
-        targets: Optional[np.ndarray] = None,
-        pattern: Optional[Pattern] = None,
-    ) -> np.ndarray:
-        """Alias of :meth:`apply_diag` (the original executor entry)."""
-        return self.apply_diag(phi_src, weights, targets, pattern=pattern)
-
-    # -- mixed-state forms -----------------------------------------------------
-    def apply_mixed_tripleloop(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Distributed Alg. 2 baseline: N^3 band-by-band FFTs, sharded targets."""
-        if targets is None:
-            targets = phi
-        pattern = self.pattern
-        p = self.comm.nranks
-        tgt_layout = BandLayout(targets.shape[0], self.grid.ngrid, p)
-        tgt_shards = tgt_layout.shard(targets)
-        n_tgt_max = max(t.shape[0] for t in tgt_shards)
-        per_rank = self._collect_sources([phi], pattern, n_tgt_max)
-        out_shards = [
-            self._rank_focks[r].apply_mixed_tripleloop(
-                per_rank[r][0], sigma, targets=tgt_shards[r]
-            )
-            for r in range(p)
-        ]
-        return self._gather(out_shards)
-
+    # -- mixed-state form -------------------------------------------------------
     def apply_mixed_via_diagonalization(
         self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:

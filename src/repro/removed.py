@@ -8,7 +8,7 @@ itself, strip) the removed keys by name instead of as a typo.
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Tuple
 
 #: dotted module/function/attribute name -> where its job went
 REMOVED_NAMES: Dict[str, str] = {
@@ -19,12 +19,17 @@ REMOVED_NAMES: Dict[str, str] = {
     "Simulation.isolate_counters": "nothing: sweeps no longer run variants on threads",
     "resolve_scheduler": "nothing: run_ensemble picks the process model from workers",
     "register_store_backend": "nothing: sqlite is the only run index",
+    "ResultStore.append_result": "ResultStore.add_result (a run is stored once, whole)",
+    "repro.store.records": "repro.api.simulation.write_result_npz / read_result_npz "
+    "(a stored run is a result file) and PropagationRecord.from_arrays",
+    "repro.store.migrate": "repro.store.schema (one schema version; older stores are refused by name)",
+    "DistributedFockExchange.apply": "DistributedFockExchange.apply_diag",
 }
 
-#: callable -> keyword argument it no longer takes
-REMOVED_KEYWORDS: Dict[str, str] = {
-    "run_ensemble": "scheduler",
-    "ResultStore": "backend",
+#: callable -> keyword arguments it no longer takes
+REMOVED_KEYWORDS: Dict[str, Tuple[str, ...]] = {
+    "run_ensemble": ("scheduler",),
+    "ResultStore": ("backend", "chunk_steps"),
 }
 
 #: config section -> key removed from it -> what the user should do

@@ -8,8 +8,9 @@ the paper plots (dipole x, total energy, selected sigma elements).
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
@@ -23,6 +24,9 @@ from repro.occupation.sigma import (
     trace_sigma,
 )
 from repro.utils.validation import check_hermitian, require
+
+#: the ``sigma_<i>_<j>`` series :meth:`PropagationRecord.as_arrays` names
+_SIGMA_KEY = re.compile(r"sigma_(-?\d+)_(-?\d+)$")
 
 
 @dataclass
@@ -96,6 +100,32 @@ class PropagationRecord:
             # and break the complex round-trip through save_npz/load_npz
             out[f"sigma_{key[0]}_{key[1]}"] = np.asarray(series, dtype=complex)
         return out
+
+    @classmethod
+    def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "PropagationRecord":
+        """Inverse of :meth:`as_arrays`: ``from_arrays(a).as_arrays()``
+        reproduces ``a`` bit for bit.  Per-step solver stats are not part
+        of the arrays, so the rebuilt record carries default
+        :class:`StepStats`."""
+        required = ("times", "dipole", "energy", "particle_number", "field")
+        missing = [key for key in required if key not in arrays]
+        if missing:
+            raise ValueError(f"trajectory arrays are missing series: {', '.join(missing)}")
+        record = cls(
+            times=[float(t) for t in arrays["times"]],
+            dipole=list(np.asarray(arrays["dipole"])),
+            energy=[float(e) for e in arrays["energy"]],
+            particle_number=[float(x) for x in arrays["particle_number"]],
+            field_values=list(np.asarray(arrays["field"])),
+            stats=[StepStats() for _ in arrays["times"]],
+        )
+        for key, arr in arrays.items():
+            m = _SIGMA_KEY.match(key)
+            if m:
+                record.sigma_samples[(int(m.group(1)), int(m.group(2)))] = [
+                    complex(v) for v in arr
+                ]
+        return record
 
 
 class PropagatorBase:

@@ -40,7 +40,8 @@ Algorithm-variant switches (``PTIMOptions``) select the baseline or the
 Sec. IV-A1 optimized kernels:
 
 * ``fock_mode``: ``"dense-diag"`` (occupation-matrix diagonalization) or
-  ``"dense-tripleloop"`` (Alg. 2, N^3 FFTs — the baseline);
+  ``"dense-tripleloop"`` (Alg. 2, N^3 FFTs — the baseline, on the serial
+  exchange operator only);
 * ``density_mode``: ``"diag"`` or ``"pairwise"``.
 
 Both pairs are numerically identical (tested); they differ only in cost,

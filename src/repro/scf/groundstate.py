@@ -10,8 +10,8 @@ density at fixed exchange) — the ground-state analogue of Fig. 4(b).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -62,6 +62,33 @@ class GroundState:
     #: modeled MPI seconds the SCF charged to the distributed-exchange
     #: ledger (0.0 on the serial path)
     comm_seconds: float = 0.0
+
+    def to_arrays(self, prefix: str = "") -> Dict[str, np.ndarray]:
+        """Every field as an npz-ready array under ``prefix + field name``."""
+        return {prefix + f.name: np.asarray(getattr(self, f.name)) for f in fields(self)}
+
+    @classmethod
+    def from_arrays(cls, data: Mapping[str, np.ndarray], source, prefix: str = "") -> "GroundState":
+        """Inverse of :meth:`to_arrays` on a loaded npz (``source`` names it in errors).
+
+        The one codec of store blobs (no prefix) and checkpoints
+        (``gs_``).  A field added after the file was written falls back
+        to its dataclass default; one without a default is an error.
+        """
+        kwargs = {}
+        for f in fields(cls):
+            key = prefix + f.name
+            if key not in data:
+                if f.default is not MISSING or f.default_factory is not MISSING:
+                    continue
+                raise ValueError(f"{source} is missing ground-state field {key!r}")
+            value = np.array(data[key])
+            if value.ndim == 0:
+                value = value.item()
+            elif f.name == "history":
+                value = [float(v) for v in value]
+            kwargs[f.name] = value
+        return cls(**kwargs)
 
 
 def default_nbands(n_electrons: float, natom: int, extra_ratio: float = 0.5) -> int:

@@ -10,6 +10,7 @@ than a bare HTTP 409.
 from __future__ import annotations
 
 import json
+import shutil
 import urllib.error
 import urllib.request
 from pathlib import Path
@@ -137,10 +138,6 @@ class ServeClient:
             tmp = path.with_name(path.name + ".part")
             # streaming temp-then-rename: atomic-io implemented inline
             with tmp.open("wb") as fh:  # repro: lint-ignore[atomic-io]
-                while True:
-                    chunk = resp.read(1 << 16)
-                    if not chunk:
-                        break
-                    fh.write(chunk)
+                shutil.copyfileobj(resp, fh, 1 << 16)
             tmp.replace(path)
         return path

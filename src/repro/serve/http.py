@@ -20,6 +20,8 @@ service's thread-safe queue/store handles.  Errors come back as
 from __future__ import annotations
 
 import json
+import os
+import shutil
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlparse
@@ -78,18 +80,16 @@ class JobRequestHandler(BaseHTTPRequestHandler):
         self._json({"error": str(message)}, status=status)
 
     def _stream_file(self, path, filename: str) -> None:
-        size = path.stat().st_size
-        self.send_response(200)
-        self.send_header("Content-Type", "application/octet-stream")
-        self.send_header("Content-Disposition", f'attachment; filename="{filename}"')
-        self.send_header("Content-Length", str(size))
-        self.end_headers()
         with path.open("rb") as fh:
-            while True:
-                chunk = fh.read(1 << 16)
-                if not chunk:
-                    break
-                self.wfile.write(chunk)
+            # sized from the open handle: a re-run may replace the path
+            # under us, the handle keeps reading the file it opened
+            size = os.fstat(fh.fileno()).st_size
+            self.send_response(200)
+            self.send_header("Content-Type", "application/octet-stream")
+            self.send_header("Content-Disposition", f'attachment; filename="{filename}"')
+            self.send_header("Content-Length", str(size))
+            self.end_headers()
+            shutil.copyfileobj(fh, self.wfile, 1 << 16)
 
     # -- dispatch -------------------------------------------------------------
     def do_GET(self) -> None:  # noqa: N802 - http.server API
@@ -157,13 +157,7 @@ class JobRequestHandler(BaseHTTPRequestHandler):
                 409,
             )
             return
-        import tempfile
-        from pathlib import Path
-
-        with tempfile.TemporaryDirectory(prefix="repro-serve-") as tmp:
-            path = Path(tmp) / f"{job['run_id']}.npz"
-            service.store.export(job["run_id"], path)
-            self._stream_file(path, f"{job_id}.npz")
+        self._stream_file(service.store.result_path(job["run_id"]), f"{job_id}.npz")
 
     def _route_post(self) -> None:
         service = self.server.service

@@ -1,7 +1,7 @@
 """The durable job queue: rows in the store's own SQLite index.
 
-Jobs live in the ``jobs`` table created by index schema v3 (see
-:mod:`repro.store.migrate`), so the queue inherits everything the store
+Jobs live in the ``jobs`` table of the store's index schema (see
+:mod:`repro.store.schema`), so the queue inherits everything the store
 already guarantees: schema versioning, WAL-mode concurrent access, and
 durability — a server restart finds its queued and running jobs exactly
 where it left them.
@@ -33,7 +33,7 @@ from repro.store.common import (
     run_immediate,
     utc_now,
 )
-from repro.store.migrate import ensure_schema
+from repro.store.schema import ensure_schema
 
 #: every state a job row can be in
 JOB_STATUSES = ("queued", "running", "ok", "error", "cancelled")

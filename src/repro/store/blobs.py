@@ -17,7 +17,6 @@ blob under a valid address.
 
 from __future__ import annotations
 
-import dataclasses
 from pathlib import Path
 from typing import List, Optional
 
@@ -25,12 +24,8 @@ import numpy as np
 
 from repro.api.config import SimulationConfig
 from repro.scf.groundstate import GroundState
-from repro.store.common import StoreError, config_hash, group_address
+from repro.store.common import config_hash, group_address
 from repro.utils.io import atomic_savez, atomic_write_text
-
-#: GroundState fields serialized into a ground-state blob (same field-led
-#: scheme as the checkpoint format, so forward-compat rules match)
-_GS_FIELDS = [f.name for f in dataclasses.fields(GroundState)]
 
 
 class BlobStore:
@@ -59,39 +54,21 @@ class BlobStore:
         sweep group maps to the same single blob.
         """
         address = group_address(config)
-        path = self.ground_states_dir / f"{address}.npz"
+        path = self.ground_state_path(address)
         if not path.exists():
-            payload = {name: np.asarray(getattr(gs, name)) for name in _GS_FIELDS}
-            atomic_savez(path, **payload)
+            atomic_savez(path, **gs.to_arrays())
         return address
+
+    def ground_state_path(self, address: str) -> Path:
+        return self.ground_states_dir / f"{address}.npz"
 
     def get_ground_state(self, address: str) -> Optional[GroundState]:
         """The stored :class:`GroundState` at ``address`` (``None`` if absent)."""
-        path = self.ground_states_dir / f"{address}.npz"
+        path = self.ground_state_path(address)
         if not path.exists():
             return None
-        kwargs = {}
         with np.load(path, allow_pickle=False) as data:
-            for f in dataclasses.fields(GroundState):
-                if f.name not in data:
-                    # fields added after the blob was written fall back to
-                    # their dataclass defaults (forward compat, as for
-                    # checkpoints)
-                    if (
-                        f.default is not dataclasses.MISSING
-                        or f.default_factory is not dataclasses.MISSING
-                    ):
-                        continue
-                    raise StoreError(
-                        f"ground-state blob {path} is missing field {f.name!r}"
-                    )
-                value = np.array(data[f.name])
-                if value.ndim == 0:
-                    value = value.item()
-                elif f.name == "history":
-                    value = [float(v) for v in value]
-                kwargs[f.name] = value
-        return GroundState(**kwargs)
+            return GroundState.from_arrays(data, f"ground-state blob {path}")
 
     def ground_state_for(self, config: SimulationConfig) -> Optional[GroundState]:
         """Group lookup by config (the resume/shared-SCF entry point)."""

@@ -1,7 +1,7 @@
 """The queryable run index: one row (a plain dict) per run.
 
-A single ``index.sqlite`` file, schema-versioned and migrated by
-:mod:`repro.store.migrate`; dotted-key filters run in SQL against the
+A single ``index.sqlite`` file whose schema :mod:`repro.store.schema`
+creates and versions; dotted-key filters run in SQL against the
 flattened ``config_kv`` table.  The job queue (:mod:`repro.serve.queue`)
 lives in the same database, which is why every parallel sweep and the
 job service can share one study directory.
@@ -20,7 +20,7 @@ from repro.store.common import (
     flatten_dotted,
     run_immediate,
 )
-from repro.store.migrate import ensure_schema
+from repro.store.schema import ensure_schema
 
 #: row keys the index stores and returns
 ROW_KEYS = (
@@ -32,7 +32,6 @@ ROW_KEYS = (
     "created",
     "updated",
     "elapsed",
-    "n_chunks",
     "n_times",
     "config",
     "overrides",
@@ -48,7 +47,6 @@ def _normalize_row(row: Mapping[str, Any]) -> Dict[str, Any]:
     out["config"] = dict(out["config"] or {})
     out["overrides"] = dict(out["overrides"] or {})
     out["elapsed"] = float(out["elapsed"] or 0.0)
-    out["n_chunks"] = int(out["n_chunks"] or 0)
     out["n_times"] = int(out["n_times"] or 0)
     return out
 
@@ -81,9 +79,9 @@ class SqliteRunIndex:
             """
             INSERT OR REPLACE INTO runs (
                 run_id, config_hash, gs_address, status, error, created,
-                updated, elapsed, n_chunks, n_times, config_json,
-                overrides_json, fft_json, parallel_json
-            ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
+                updated, elapsed, n_times, config_json, overrides_json,
+                fft_json, parallel_json
+            ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
             """,
             (
                 r["run_id"],
@@ -94,7 +92,6 @@ class SqliteRunIndex:
                 r["created"],
                 r["updated"],
                 r["elapsed"],
-                r["n_chunks"],
                 r["n_times"],
                 canonical_json(r["config"]),
                 canonical_json(r["overrides"]),
@@ -121,15 +118,13 @@ class SqliteRunIndex:
     # -- reads ---------------------------------------------------------------
     _COLUMNS = (
         "run_id, config_hash, gs_address, status, error, created, updated, "
-        "elapsed, n_chunks, n_times, config_json, overrides_json, fft_json, "
-        "parallel_json"
+        "elapsed, n_times, config_json, overrides_json, fft_json, parallel_json"
     )
 
     def _row_from(self, record) -> Dict[str, Any]:
         (
             run_id, config_hash, gs_address, status, error, created, updated,
-            elapsed, n_chunks, n_times, config_json, overrides_json, fft_json,
-            parallel_json,
+            elapsed, n_times, config_json, overrides_json, fft_json, parallel_json,
         ) = record
         return _normalize_row(
             {
@@ -141,7 +136,6 @@ class SqliteRunIndex:
                 "created": created,
                 "updated": updated,
                 "elapsed": elapsed,
-                "n_chunks": n_chunks,
                 "n_times": n_times,
                 "config": json.loads(config_json),
                 "overrides": json.loads(overrides_json) if overrides_json else {},

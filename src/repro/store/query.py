@@ -31,7 +31,6 @@ class StoredRun:
     created: float
     updated: float
     elapsed: float
-    n_chunks: int
     n_times: int
     config: SimulationConfig
     overrides: Dict[str, Any]
@@ -49,7 +48,6 @@ class StoredRun:
             created=float(row["created"]),
             updated=float(row["updated"]),
             elapsed=float(row.get("elapsed") or 0.0),
-            n_chunks=int(row.get("n_chunks") or 0),
             n_times=int(row.get("n_times") or 0),
             config=SimulationConfig.from_dict(row["config"]),
             overrides=dict(row.get("overrides") or {}),

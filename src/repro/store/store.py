@@ -1,25 +1,30 @@
-""":class:`ResultStore` — one directory per study, runs appended as they finish.
+""":class:`ResultStore` — one directory per study, one result file per run.
 
 On-disk layout::
 
     study/
-      store.json            # store metadata: version, chunking
+      store.json            # store metadata: version, index backend
       index.sqlite          # queryable run index (and the job queue)
       blobs/
         configs/<sha>.json         # content-addressed config provenance
         ground_states/<sha>.npz    # one SCF per (system, scf, engine) group
       runs/
-        <run_id>/
-          chunk-000000.npz  # chunked observable series
-          state.npz         # final TDState + parallel accounting
+        <run_id>.npz        # the run's result file
+
+``runs/<run_id>.npz`` *is* the file
+:meth:`SimulationResult.save_npz <repro.api.simulation.SimulationResult.save_npz>`
+writes (one writer, :func:`~repro.api.simulation.write_result_npz`), so
+:meth:`ResultStore.export` is a file copy and ``SimulationResult.load_npz``
+reads a stored run in place.  It is written once, when the run
+finishes, by temp file + rename: re-running a config replaces the old
+file whole, and a writer killed part-way leaves the previous run
+readable.
 
 The store is the durable layer between the engines and the filesystem:
 :meth:`Simulation.propagate(store=...) <repro.api.simulation.Simulation.propagate>`
 and :func:`run_ensemble(store=...) <repro.api.ensemble.run_ensemble>`
-append into it, ``repro sweep --store`` resumes from it, and ``repro
-results`` queries it.  Every stored run materializes back into a
-bit-identical :class:`~repro.api.simulation.SimulationResult`
-(:meth:`load_result` / :meth:`export`).
+add finished runs to it, ``repro sweep --store`` resumes from it, and
+``repro results`` queries it.
 """
 
 from __future__ import annotations
@@ -32,36 +37,29 @@ from typing import Any, Dict, List, Mapping, Optional, Union
 import numpy as np
 
 from repro.api.config import SimulationConfig
-from repro.api.simulation import SimulationResult
+from repro.api.simulation import SimulationResult, read_result_npz, write_result_npz
 from repro.backend import FFTCounters
 from repro.parallel.context import ParallelRunInfo
-from repro.rt.propagator import TDState
+from repro.rt.propagator import PropagationRecord, TDState
 from repro.scf.groundstate import GroundState
 from repro.store.blobs import BlobStore
 from repro.store.common import (
     StoreError,
     config_hash,
+    connect_sqlite,
     group_address,
     run_id_for,
     utc_now,
 )
 from repro.store.index import SqliteRunIndex
-from repro.store.migrate import SCHEMA_VERSION
 from repro.store.query import StoredRun
-from repro.store.records import (
-    read_chunks,
-    read_state,
-    record_from_arrays,
-    write_chunks,
-    write_state,
-)
+from repro.store.schema import SCHEMA_VERSION, version_problem
+from repro.store.schema import schema_version as read_schema_version
 from repro.utils.io import atomic_write_text
 
-#: version of the store.json layout itself (not the index schema)
-STORE_VERSION = 1
-
-#: default maximum observations per chunk file
-DEFAULT_CHUNK_STEPS = 256
+#: version of the directory layout (not the index schema); 1 kept each
+#: run as a directory of several files (repro <= 1.9)
+STORE_VERSION = 2
 
 StoreLike = Union["ResultStore", str, Path]
 
@@ -89,36 +87,26 @@ def _fft_dict(fft) -> Optional[Dict[str, Any]]:
 
 
 class ResultStore:
-    """Append-able, resumable, content-addressed result store for one study.
+    """Resumable, content-addressed result store for one study.
 
     Parameters
     ----------
     root:
         The study directory.  Created (with metadata) when missing and
-        ``create=True``; opening an existing store reads its metadata,
-        so ``chunk_steps`` only matters at creation time.
-    chunk_steps:
-        Maximum observations per trajectory chunk file.
+        ``create=True``.
     """
 
-    def __init__(
-        self,
-        root,
-        chunk_steps: int = DEFAULT_CHUNK_STEPS,
-        create: bool = True,
-    ) -> None:
+    def __init__(self, root, create: bool = True) -> None:
         self.root = Path(root)
         meta_path = self.root / "store.json"
         if meta_path.exists():
             meta = json.loads(meta_path.read_text())
-            version = int(meta.get("store_version", 0))
-            if version > STORE_VERSION:
-                raise StoreError(
-                    f"store {self.root} has store_version {version}, newer than "
-                    f"this build's {STORE_VERSION}; upgrade repro to open it"
-                )
             _check_index_backend(meta, self.root)
-            chunk_steps = int(meta.get("chunk_steps", chunk_steps))
+            problem = version_problem(
+                "store_version", int(meta.get("store_version", 0)), STORE_VERSION
+            )
+            if problem:
+                raise StoreError(f"store {self.root} has {problem}")
         elif self.root.exists() and any(self.root.iterdir()):
             raise StoreError(
                 f"{self.root} exists and is not a result store (no store.json); "
@@ -134,7 +122,6 @@ class ResultStore:
                     {
                         "store_version": STORE_VERSION,
                         "backend": INDEX_BACKEND,
-                        "chunk_steps": int(chunk_steps),
                         "created": utc_now(),
                     },
                     sort_keys=True,
@@ -142,9 +129,6 @@ class ResultStore:
                 )
                 + "\n",
             )
-        if chunk_steps < 1:
-            raise StoreError(f"chunk_steps must be >= 1, got {chunk_steps}")
-        self.chunk_steps = int(chunk_steps)
         self.blobs = BlobStore(self.root / "blobs")
         self.runs_dir = self.root / "runs"
         self.index = SqliteRunIndex(self.root)
@@ -170,10 +154,10 @@ class ResultStore:
     def schema_version(self) -> int:
         return self.index.schema_version
 
-    def _run_dir(self, run_id: str) -> Path:
-        return self.runs_dir / run_id
+    def _run_path(self, run_id: str) -> Path:
+        return self.runs_dir / f"{run_id}.npz"
 
-    # -- registration / append ----------------------------------------------
+    # -- registration / writing ---------------------------------------------
     def begin_run(
         self,
         config: SimulationConfig,
@@ -220,7 +204,6 @@ class ResultStore:
             "created": prior["created"] if prior else now,
             "updated": now,
             "elapsed": 0.0,
-            "n_chunks": 0,
             "n_times": 0,
             "config": config.to_dict(),
             "overrides": dict(overrides),
@@ -244,29 +227,24 @@ class ResultStore:
         elapsed: float = 0.0,
         ground_state: Optional[GroundState] = None,
     ) -> str:
-        """Append one finished run (the low-level entry all writers share).
+        """Store one finished run (the low-level entry all writers share).
 
         Config and ground state go to the content-addressed blobs
-        (deduplicated), the observable series become chunk files, the
-        final state lands in ``state.npz``, and the index row flips to
-        ``ok``.  Re-adding an existing ``run_id`` replaces its payload
-        (latest wins).
+        (deduplicated), trajectory and final state become the run's
+        result file, and the index row flips to ``ok``.  Re-adding an
+        existing ``run_id`` replaces its file atomically (latest wins);
+        until the new file is complete the row keeps serving the old one.
         """
         run_id = run_id or run_id_for(config)
         if ground_state is not None:
             gs_address = self.blobs.put_ground_state(config, ground_state)
         else:
             gs_address = group_address(config)
-            if self.blobs.get_ground_state(gs_address) is None:
+            if not self.blobs.ground_state_path(gs_address).exists():
                 gs_address = None
-        run_dir = self._run_dir(run_id)
-        if run_dir.exists():
-            shutil.rmtree(run_dir)
-        run_dir.mkdir(parents=True)
         arrays = {key: np.asarray(arr) for key, arr in arrays.items()}
-        n_chunks = write_chunks(run_dir, arrays, self.chunk_steps)
         parallel = dict(parallel) if parallel is not None else None
-        write_state(run_dir, final_state, parallel)
+        write_result_npz(self._run_path(run_id), config, arrays, final_state, parallel)
         return self._write_row(
             config,
             run_id,
@@ -274,7 +252,6 @@ class ResultStore:
             overrides,
             gs_address=gs_address,
             elapsed=float(elapsed),
-            n_chunks=n_chunks,
             n_times=int(arrays["times"].shape[0]) if "times" in arrays else 0,
             fft=_fft_dict(fft),
             parallel=parallel,
@@ -288,7 +265,7 @@ class ResultStore:
         run_id: Optional[str] = None,
         elapsed: float = 0.0,
     ) -> str:
-        """Append a :class:`SimulationResult` (the facade entry point)."""
+        """Store a :class:`SimulationResult` (the facade entry point)."""
         return self.add_run(
             result.config,
             result.observables(),
@@ -300,58 +277,6 @@ class ResultStore:
             elapsed=elapsed,
             ground_state=result.ground_state,
         )
-
-    def append_result(
-        self, run_id: str, result: SimulationResult, elapsed: float = 0.0
-    ) -> str:
-        """Extend a stored run with a continued trajectory window.
-
-        New observations append as fresh chunks (existing chunk files
-        are never rewritten), the final state is replaced, and the FFT
-        tallies merge — the store-level analogue of calling
-        :meth:`Simulation.propagate` again on a live simulation.
-        """
-        row = self.index.get(run_id)
-        if row is None:
-            raise StoreError(f"store has no run {run_id!r} to append to")
-        if row["status"] != "ok":
-            raise StoreError(
-                f"run {run_id!r} has status {row['status']!r}; only completed "
-                f"runs can be extended"
-            )
-        if row["config_hash"] != config_hash(result.config):
-            raise StoreError(
-                f"run {run_id!r} was produced by a different config; "
-                f"refusing to append a mismatched trajectory"
-            )
-        run_dir = self._run_dir(run_id)
-        arrays = result.observables()
-        written = write_chunks(run_dir, arrays, self.chunk_steps)
-        parallel = (
-            result.parallel.to_dict() if result.parallel is not None else row["parallel"]
-        )
-        write_state(run_dir, result.final_state, parallel)
-        fft = row["fft"]
-        if result.fft is not None:
-            merged = (
-                FFTCounters.from_dict(fft) if fft else FFTCounters()
-            )
-            merged.merge(result.fft)
-            fft = merged.to_dict()
-        row.update(
-            {
-                "status": "ok",
-                "updated": utc_now(),
-                "elapsed": float(row["elapsed"]) + float(elapsed),
-                "n_chunks": int(row["n_chunks"]) + written,
-                "n_times": int(row["n_times"])
-                + int(np.asarray(arrays["times"]).shape[0]),
-                "fft": fft,
-                "parallel": parallel,
-            }
-        )
-        self.index.upsert(row)
-        return run_id
 
     def mark_error(
         self,
@@ -396,10 +321,24 @@ class ResultStore:
             return None
         return StoredRun.from_row(row)
 
+    def result_path(self, run_id: str) -> Path:
+        """The result file of a completed run (``runs/<run_id>.npz``)."""
+        return self._run_path(self._completed(run_id).run_id)
+
+    def _completed(self, run_id: str) -> StoredRun:
+        run = self.get(run_id)
+        if run.status != "ok":
+            raise StoreError(
+                f"run {run_id!r} has status {run.status!r} "
+                f"({run.error or 'no trajectory stored'}); only completed runs "
+                f"have a result"
+            )
+        return run
+
     def load_arrays(self, run_id: str) -> Dict[str, np.ndarray]:
-        """The run's full observable series (chunks concatenated, bitwise)."""
+        """The run's observable series (bitwise what was stored)."""
         self.get(run_id)  # raise the readable error for unknown ids
-        return read_chunks(self._run_dir(run_id))
+        return read_result_npz(self._run_path(run_id)).observables
 
     def load_result(
         self, run_id: str, with_ground_state: bool = False
@@ -407,36 +346,27 @@ class ResultStore:
         """Materialize a stored run back into a :class:`SimulationResult`.
 
         The result is bit-identical to the one originally stored:
-        ``save_npz`` on it reproduces the original run's file content
+        ``save_npz`` on it reproduces the stored file's content
         (round-trip tested).  ``with_ground_state=True`` also loads the
         group's SCF blob (off by default — it is the large block).
         """
-        run = self.get(run_id)
-        if run.status != "ok":
-            raise StoreError(
-                f"run {run_id!r} has status {run.status!r} "
-                f"({run.error or 'no trajectory stored'}); only completed runs "
-                f"materialize into results"
-            )
-        arrays = read_chunks(self._run_dir(run_id))
-        state, parallel_dict = read_state(self._run_dir(run_id))
+        run = self._completed(run_id)
+        stored = read_result_npz(self._run_path(run_id), expected_config=run.config)
         ground_state = None
         if with_ground_state and run.gs_address:
             ground_state = self.blobs.get_ground_state(run.gs_address)
         return SimulationResult(
             config=run.config,
-            record=record_from_arrays(arrays),
-            final_state=state,
+            record=PropagationRecord.from_arrays(stored.observables),
+            final_state=stored.final_state,
             ground_state=ground_state,
             fft=FFTCounters.from_dict(run.fft) if run.fft else None,
-            parallel=(
-                ParallelRunInfo.from_dict(parallel_dict) if parallel_dict else None
-            ),
+            parallel=ParallelRunInfo.from_dict(stored.parallel) if stored.parallel else None,
         )
 
     def export(self, run_id: str, path) -> Path:
-        """Write a stored run as a standalone ``save_npz`` result file."""
-        return self.load_result(run_id).save_npz(path)
+        """Copy a completed run's result file to ``path``."""
+        return Path(shutil.copyfile(self.result_path(run_id), path))
 
     # -- queries ---------------------------------------------------------------
     def query(
@@ -460,11 +390,13 @@ class ResultStore:
 
 
 def store_schema_info(root) -> Dict[str, Any]:
-    """Peek at a store's versions without opening (or migrating) it.
+    """Peek at a store's versions without opening, creating or altering it.
 
-    Returns ``{"store_version", "backend", "schema_version"}``;
-    ``repro validate`` uses this to warn about stores written by newer
-    builds instead of failing on them.
+    Returns ``{"store_version", "backend", "schema_version",
+    "code_schema_version", "problems"}``; ``problems`` lists, in the
+    words :class:`ResultStore` would raise, why this build cannot open
+    the store (empty when it can).  ``repro validate`` prints them as
+    warnings instead of failing on them.
     """
     root = Path(root)
     meta_path = root / "store.json"
@@ -472,23 +404,25 @@ def store_schema_info(root) -> Dict[str, Any]:
         raise StoreError(f"no result store at {root} (missing store.json)")
     meta = json.loads(meta_path.read_text())
     _check_index_backend(meta, root)
+    store_version = int(meta.get("store_version", 0))
+    problems = [version_problem("store_version", store_version, STORE_VERSION)]
     version: Optional[int] = None
     sqlite_path = root / "index.sqlite"
     if sqlite_path.exists():
-        from repro.store.common import connect_sqlite
-        from repro.store.migrate import schema_version as _sqlite_version
-
         # connect_sqlite, not a raw sqlite3.connect: even this read-only
         # peek must honor WAL mode and the busy timeout, or it races the
         # 4-process write hammer straight into SQLITE_BUSY
         conn = connect_sqlite(sqlite_path)
         try:
-            version = _sqlite_version(conn)
+            version = read_schema_version(conn)
         finally:
             conn.close()
+        if version:  # 0: an index no opener has initialized yet
+            problems.append(version_problem("index schema version", version, SCHEMA_VERSION))
     return {
-        "store_version": int(meta.get("store_version", 0)),
+        "store_version": store_version,
         "backend": INDEX_BACKEND,
         "schema_version": version,
         "code_schema_version": SCHEMA_VERSION,
+        "problems": [f"store {root} has {problem}" for problem in problems if problem],
     }

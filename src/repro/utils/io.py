@@ -1,7 +1,7 @@
 """Crash-safe file writing shared by every artifact writer.
 
-All persistent artifacts — results, checkpoints, ensembles, store blobs
-and chunks — go through :func:`atomic_savez` / :func:`atomic_write_text`:
+All persistent artifacts — results, checkpoints, ensembles, the store's
+blobs and run files — go through :func:`atomic_savez` / :func:`atomic_write_text`:
 the payload is written to a temporary file *in the target directory* and
 moved into place with :func:`os.replace`, which is atomic on POSIX and
 NTFS.  A process killed mid-write leaves either the old file or nothing,

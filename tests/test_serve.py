@@ -17,7 +17,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.api import Simulation, SimulationConfig
+from repro.api import Simulation, SimulationConfig, SimulationResult
 from repro.serve import JobQueue, JobService, ServeClient, ServeError
 from repro.serve.queue import TERMINAL_STATUSES, job_id_for
 from repro.store import ResultStore, group_address
@@ -129,11 +129,18 @@ def test_e2e_job_detail_carries_history_and_config(e2e):
 
 
 def test_e2e_fetch_round_trips_result_npz(e2e, tmp_path):
+    """``GET /jobs/<id>/result`` streams the stored run file itself."""
     job = e2e["finals"][0]
     path = e2e["client"].fetch(job["job_id"], tmp_path / "out.npz")
-    with np.load(path, allow_pickle=False) as data:
-        assert "dipole" in data
-        assert data["times"].shape == (BASE["propagation"]["n_steps"] + 1,)
+    stored = e2e["root"] / "runs" / f"{job['run_id']}.npz"
+    with np.load(path, allow_pickle=False) as got, np.load(stored, allow_pickle=False) as want:
+        assert set(got.files) == set(want.files)
+        for key in want.files:
+            assert np.array_equal(got[key], want[key]), key
+        assert got["times"].shape == (BASE["propagation"]["n_steps"] + 1,)
+    config, arrays = SimulationResult.load_npz(path, expected_config=e2e["configs"][0])
+    assert "dipole" in arrays and "final_phi" in arrays
+    assert [p.name for p in tmp_path.iterdir()] == ["out.npz"]  # no .part left
 
 
 def test_e2e_stats_and_healthz(e2e):

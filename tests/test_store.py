@@ -1,4 +1,4 @@
-"""repro.store: blobs, chunked records, the run index, and round-trips.
+"""repro.store: blobs, run files, the run index, and round-trips.
 
 The cheap structural tests run on synthetic trajectories; one real
 (tiny) simulation result backs the materialization round-trips — a
@@ -32,10 +32,9 @@ from repro.store import (
     parse_where,
     run_id_for,
 )
-from repro.store.index import SqliteRunIndex
-from repro.store.migrate import SCHEMA_VERSION, _create_baseline
-from repro.store.records import read_chunks, write_chunks
-from repro.store.store import store_schema_info
+from repro.store.common import connect_sqlite
+from repro.store.schema import SCHEMA_VERSION
+from repro.store.store import STORE_VERSION, store_schema_info
 
 CFG = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -82,12 +81,15 @@ def real_result() -> SimulationResult:
 
 
 def test_store_metadata_persists_across_reopen(tmp_path):
-    store = ResultStore(tmp_path / "study", chunk_steps=7)
-    store.close()
-    again = ResultStore(tmp_path / "study", chunk_steps=99)
-    # creation-time choices are read back from store.json, not the args
-    assert again.chunk_steps == 7
+    ResultStore(tmp_path / "study").close()
+    meta = json.loads((tmp_path / "study" / "store.json").read_text())
+    assert set(meta) == {"store_version", "backend", "created"}
+    assert meta["store_version"] == STORE_VERSION
+    again = ResultStore(tmp_path / "study", create=False)
+    assert json.loads((tmp_path / "study" / "store.json").read_text()) == meta
     again.close()
+    with pytest.raises(TypeError):
+        ResultStore(tmp_path / "other", chunk_steps=7)
 
 
 def test_store_refuses_foreign_directory(tmp_path):
@@ -110,36 +112,6 @@ def test_missing_store_not_created_when_create_false(tmp_path):
     with pytest.raises(StoreError, match="no result store"):
         ResultStore(tmp_path / "nope", create=False)
     assert not (tmp_path / "nope").exists()
-
-
-# ---------------- chunked trajectory records ----------------------------------
-
-
-def test_chunks_round_trip_bitwise(tmp_path):
-    arrays = synth_arrays(n=5)
-    n = write_chunks(tmp_path, arrays, chunk_steps=2)
-    assert n == 3  # 2 + 2 + 1 observations
-    back = read_chunks(tmp_path)
-    assert set(back) == set(arrays)
-    for key in arrays:
-        assert back[key].dtype == np.asarray(arrays[key]).dtype
-        assert np.array_equal(back[key], arrays[key])
-
-
-def test_chunks_append_after_existing(tmp_path):
-    write_chunks(tmp_path, synth_arrays(n=3, seed=0), chunk_steps=10)
-    write_chunks(tmp_path, synth_arrays(n=2, seed=9), chunk_steps=10)
-    back = read_chunks(tmp_path)
-    assert back["times"].shape == (5,)
-    assert np.array_equal(back["energy"][:3], synth_arrays(n=3, seed=0)["energy"])
-    assert np.array_equal(back["energy"][3:], synth_arrays(n=2, seed=9)["energy"])
-
-
-def test_ragged_series_rejected(tmp_path):
-    arrays = synth_arrays(n=4)
-    arrays["energy"] = arrays["energy"][:2]
-    with pytest.raises(StoreError, match="disagree on length"):
-        write_chunks(tmp_path, arrays, chunk_steps=10)
 
 
 # ---------------- content-addressed blobs -------------------------------------
@@ -227,22 +199,6 @@ def test_running_rows_are_not_completed(tmp_path):
     store.close()
 
 
-def test_append_result_guards(tmp_path, real_result):
-    store = ResultStore(tmp_path / "study")
-    with pytest.raises(StoreError, match="no run"):
-        store.append_result("r000000000000", real_result)
-    rid = store.add_result(real_result)
-    other = make_config(kick=0.42)
-    bad = SimulationResult(
-        config=other,
-        record=real_result.record,
-        final_state=real_result.final_state,
-    )
-    with pytest.raises(StoreError, match="different config"):
-        store.append_result(rid, bad)
-    store.close()
-
-
 def test_unknown_run_id_names_the_store(tmp_path):
     store = ResultStore(tmp_path / "study")
     with pytest.raises(StoreError, match="no run 'r123'"):
@@ -250,41 +206,63 @@ def test_unknown_run_id_names_the_store(tmp_path):
     store.close()
 
 
-# ---------------- schema migration --------------------------------------------
+# ---------------- schema versions ----------------------------------------------
 
 
-def _make_v1_store(root) -> str:
-    """Hand-build a version-1 store (pre-config_kv, pre-fft columns)."""
-    root.mkdir(parents=True)
+def _tree(root):
+    return sorted(str(p.relative_to(root)) for p in root.rglob("*"))
+
+
+def test_store_written_by_1_9_is_refused_by_name(tmp_path):
+    """``store_version`` 1 (run directories): refused with the remedy, on
+    open and in the peek, and nothing is created or altered on the way."""
+    root = tmp_path / "old"
+    (root / "runs" / "r000000000000").mkdir(parents=True)
     (root / "store.json").write_text(
         json.dumps({"store_version": 1, "backend": "sqlite", "chunk_steps": 256})
     )
-    cfg = make_config(kick=0.005)
-    conn = sqlite3.connect(root / "index.sqlite")
-    with conn:
-        _create_baseline(conn)
-        conn.execute(
-            "INSERT INTO runs (run_id, config_hash, status, created, updated,"
-            " config_json, overrides_json) VALUES (?, ?, 'ok', 1.0, 1.0, ?, '{}')",
-            (run_id_for(cfg), config_hash(cfg), cfg.to_json()),
-        )
+    before = _tree(root), (root / "store.json").read_bytes()
+    with pytest.raises(StoreError, match=r"store_version 1, written by repro <= 1\.9.*results export"):
+        ResultStore(root)
+    info = store_schema_info(root)
+    assert info["store_version"] == 1 and info["schema_version"] is None
+    assert len(info["problems"]) == 1
+    assert "store_version 1, written by repro <= 1.9" in info["problems"][0]
+    assert "repro results export" in info["problems"][0]
+    assert (_tree(root), (root / "store.json").read_bytes()) == before
+
+
+def test_schema_3_index_is_refused_by_name(tmp_path, capsys):
+    """An ``index.sqlite`` at schema 3 under a current ``store.json``."""
+    from repro.api.cli import main
+
+    root = tmp_path / "old"
+    ResultStore(root).close()
+    conn = connect_sqlite(root / "index.sqlite")
+    conn.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
+    conn.execute("ALTER TABLE runs ADD COLUMN n_chunks INTEGER NOT NULL DEFAULT 0")
     conn.close()
-    return run_id_for(cfg)
 
+    def columns():
+        conn = connect_sqlite(root / "index.sqlite")
+        try:
+            return [row[1] for row in conn.execute("PRAGMA table_info(runs)")]
+        finally:
+            conn.close()
 
-def test_migration_v1_to_v2_backfills_dotted_keys(tmp_path):
-    rid = _make_v1_store(tmp_path / "old")
-    store = ResultStore(tmp_path / "old")
-    assert store.schema_version == SCHEMA_VERSION
-    # the v1 row is intact and now queryable through the backfilled kv table
-    assert [r.run_id for r in store.query(where={"field.params.kick": 0.005})] == [rid]
-    run = store.get(rid)
-    assert run.status == "ok" and run.fft is None
-    store.close()
-    # idempotent: reopening an already-migrated store does nothing
-    again = ResultStore(tmp_path / "old")
-    assert again.schema_version == SCHEMA_VERSION
-    again.close()
+    before = _tree(root), columns()
+    with pytest.raises(StoreError, match=r"schema version 3, written by repro <= 1\.9.*results export"):
+        ResultStore(root)
+    info = store_schema_info(root)
+    assert info["schema_version"] == 3 and info["code_schema_version"] == SCHEMA_VERSION
+    assert [("schema version 3" in p, "repro results export" in p) for p in info["problems"]] == [(True, True)]
+    # repro validate --store prints the same words as a warning and exits 0
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG))
+    assert main(["validate", str(cfg), "--store", str(root)]) == 0
+    assert f"warning: {info['problems'][0]}" in capsys.readouterr().out
+    assert (_tree(root), columns()) == before
+    assert store_schema_info(root)["schema_version"] == 3
 
 
 def test_newer_sqlite_schema_refused(tmp_path):
@@ -299,6 +277,7 @@ def test_newer_sqlite_schema_refused(tmp_path):
     info = store_schema_info(tmp_path / "study")
     assert info["schema_version"] == 99
     assert info["code_schema_version"] == SCHEMA_VERSION
+    assert "schema version 99, newer than" in info["problems"][0]
 
 
 def test_store_naming_a_removed_index_backend_is_refused(tmp_path):
@@ -320,18 +299,35 @@ def test_store_naming_a_removed_index_backend_is_refused(tmp_path):
 # ---------------- materialization round-trips ---------------------------------
 
 
-def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
-    """store -> load_result -> save_npz == the original save_npz payload."""
-    direct = real_result.save_npz(tmp_path / "direct.npz")
-    store = ResultStore(tmp_path / "study", chunk_steps=2)
-    rid = store.add_result(real_result)
-    exported = store.export(rid, tmp_path / "exported.npz")
-    with np.load(direct) as a, np.load(exported) as b:
+def _same_npz(path_a, path_b):
+    with np.load(path_a) as a, np.load(path_b) as b:
         assert set(a.files) == set(b.files)
         for key in a.files:
             assert a[key].dtype == b[key].dtype, key
             assert np.array_equal(a[key], b[key]), key
+
+
+def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
+    """The stored file, its export, and load_result -> save_npz all equal
+    the original save_npz payload; the stored file *is* a result file."""
+    direct = real_result.save_npz(tmp_path / "direct.npz")
+    root = tmp_path / "study"
+    store = ResultStore(root)
+    rid = store.add_result(real_result)
+    stored = root / "runs" / f"{rid}.npz"
+    _same_npz(direct, stored)
+    _same_npz(direct, store.export(rid, tmp_path / "exported.npz"))
+    _same_npz(direct, store.load_result(rid).save_npz(tmp_path / "resaved.npz"))
+    config, arrays = SimulationResult.load_npz(stored, expected_config=real_result.config)
+    assert config == real_result.config
+    assert np.array_equal(arrays["final_phi"], real_result.final_state.phi)
+    with pytest.raises(ConfigError, match=r"field\.params\.kick"):
+        SimulationResult.load_npz(stored, expected_config=make_config(kick=0.5))
     store.close()
+    # one layout per object: nothing else lives in a store directory
+    assert sorted(p.name for p in root.iterdir()) == ["blobs", "index.sqlite", "runs", "store.json"]
+    assert [p.name for p in (root / "runs").iterdir()] == [f"{rid}.npz"]
+    assert sorted(p.name for p in (root / "blobs").iterdir()) == ["configs", "ground_states"]
 
 
 def test_load_result_restores_state_and_accounting(tmp_path, real_result):
@@ -507,32 +503,58 @@ def _partial_then_crash():
     return fake
 
 
-@pytest.mark.parametrize("what", ("result", "checkpoint"))
+@pytest.mark.parametrize("what", ("result", "checkpoint", "stored-run"))
 def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, monkeypatch):
+    """``stored-run``: re-running a completed config (``repro run --rerun``)
+    and dying inside the payload write must leave the ``ok`` row serving
+    the previous trajectory — the row and the file can never disagree."""
     sim = Simulation.from_config(CFG)
     sim._gs = real_result.ground_state
-    target = tmp_path / f"{what}.npz"
-    if what == "result":
-        real_result.save_npz(target)
+    if what == "stored-run":
+        store = ResultStore(tmp_path / "study")
+        target = store.runs_dir / f"{run_id_for(real_result.config)}.npz"
+
+        def write():
+            store.add_result(real_result)
+
+        def rewrite():
+            store.add_run(real_result.config, synth_arrays(n=9), synth_state())
     else:
-        sim.save_checkpoint(target)
+        target = tmp_path / f"{what}.npz"
+
+        def write():
+            real_result.save_npz(target) if what == "result" else sim.save_checkpoint(target)
+
+        rewrite = write
+    write()
     before = target.read_bytes()
 
     monkeypatch.setattr(np, "savez", _partial_then_crash())
     with pytest.raises(OSError, match="disk died"):
-        if what == "result":
-            real_result.save_npz(target)
-        else:
-            sim.save_checkpoint(target)
+        rewrite()
     monkeypatch.undo()
 
     # the previous complete file is untouched and no temp files leak
     assert target.read_bytes() == before
-    assert [p.name for p in tmp_path.iterdir()] == [target.name]
+    assert [p.name for p in target.parent.iterdir()] == [target.name]
     if what == "result":
         SimulationResult.load_npz(target)
-    else:
+    elif what == "checkpoint":
         Simulation.resume(target)
+    else:
+        done = store.find_completed(real_result.config)
+        assert done is not None and done.n_times == len(real_result.record.times)
+        back = store.load_result(done.run_id)
+        for key, arr in real_result.observables().items():
+            assert np.array_equal(back.observables()[key], arr), key
+        assert np.array_equal(back.final_state.phi, real_result.final_state.phi)
+        assert np.array_equal(back.final_state.sigma, real_result.final_state.sigma)
+        # a following clean re-run replaces it
+        rewrite()
+        assert store.get(done.run_id).n_times == 9
+        assert np.array_equal(store.load_arrays(done.run_id)["energy"], synth_arrays(n=9)["energy"])
+        assert [p.name for p in target.parent.iterdir()] == [target.name]
+        store.close()
 
 
 def test_crash_mid_ensemble_write_preserves_previous_file(tmp_path, monkeypatch):

@@ -183,7 +183,7 @@ def test_store_backed_sweep_on_worker_pool(tmp_path, base_config, monkeypatch):
     runs = store.query(status="ok")
     assert len(runs) == 2
     for run in runs:
-        back = store.load_result(run.run_id)  # state.npz present + parses
+        back = store.load_result(run.run_id)  # the run file is there and parses
         assert back.final_state.phi.size > 0
         assert back.fft is not None and back.fft.transforms > 0
     store.close()
