@@ -18,7 +18,7 @@ def pytest_addoption(parser):
     parser.addoption(
         "--write-bench",
         action="store_true",
-        help="write BENCH_fft/serve/store.json at the repo root (default: under pytest's tmp dir)",
+        help="write BENCH_serve/store.json at the repo root (default: under pytest's tmp dir)",
     )
 
 

@@ -65,4 +65,6 @@ def test_fig8_sigma_evolution(bench_hse_gs, benchmark):
         d, q = np.linalg.eigh(s)
         return d.sum()
 
-    benchmark(sigma_pipeline)
+    # one round: a 3840^2 eigh is ~10 s, and auto-calibrated rounds made
+    # this single test two thirds of the whole suite's wall time
+    benchmark.pedantic(sigma_pipeline, rounds=1, iterations=1)

@@ -7,9 +7,10 @@ Collection rules:
 * tests explicitly marked ``slow`` or ``bench`` stay out of the fast gate;
 * every remaining test is marked ``tier1``.
 
-So the fast correctness gate is ``pytest -m tier1`` (what CI runs per
-commit), ``pytest -m "bench"`` reproduces the paper figures, and a bare
-``pytest`` still runs everything.
+A bare ``pytest`` collects ``tests/`` only (``pytest.ini`` ``testpaths``):
+that is the tier-1 verify command, and it runs to its end in minutes.
+``pytest -m tier1`` is the same minus ``slow``; the paper figures are
+reproduced by path, ``pytest -m bench benchmarks/``.
 """
 
 from pathlib import Path

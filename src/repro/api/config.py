@@ -21,7 +21,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 import numpy as np
 
 from repro.constants import SPIN_DEGENERACY
-from repro.removed import REMOVED_CONFIG_KEYS
 
 
 class ConfigError(ValueError):
@@ -75,8 +74,6 @@ class _Section:
     @classmethod
     def from_dict(cls: Type[T], data: Optional[Mapping[str, Any]]) -> T:
         data = dict(data or {})
-        for key, advice in REMOVED_CONFIG_KEYS.get(cls._context, {}).items():
-            _check(key not in data, f"{cls._context}.{key} was {advice}")
         valid = {f.name for f in fields(cls) if not f.name.startswith("_")}
         unknown = sorted(set(data) - valid)
         _check(
@@ -236,15 +233,16 @@ class PropagationConfig(_Section):
 class BackendConfig(_Section):
     """Numerics engine selection (see :mod:`repro.backend`).
 
-    ``name`` is a backend registry key (``numpy``, ``scipy``,
-    ``counting``, or anything registered via
+    ``name`` is a backend registry key (``numpy``, the one engine that
+    ships, or anything registered via
     :func:`repro.backend.register_backend`); ``fft_workers`` sets the
-    transform thread count on backends that thread (scipy); and
-    ``count_ffts`` keeps the :class:`~repro.backend.FFTCounters`
-    instrumentation on (the default — it is how perf results tie back to
-    the paper's analytic FFT tallies).  Names are validated against the
-    registry when the simulation builds its backend, not at parse time,
-    so configs can be written before a plugin backend registers itself.
+    transform thread count (wall time only: a band's result does not
+    depend on it); and ``count_ffts`` keeps the
+    :class:`~repro.backend.FFTCounters` instrumentation on (the default
+    — it is how perf results tie back to the paper's analytic FFT
+    tallies).  Names are validated against the registry when the
+    simulation builds its backend, not at parse time, so configs can be
+    written before a plugin backend registers itself.
     """
 
     _context = "backend"

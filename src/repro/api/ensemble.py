@@ -46,7 +46,6 @@ from repro.api.simulation import Simulation, SimulationResult
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
-from repro.removed import REMOVED_CONFIG_KEYS
 from repro.store.common import config_hash, group_key
 from repro.utils.io import atomic_savez
 
@@ -459,9 +458,7 @@ class EnsembleResult:
                         parallel=entry.get("parallel"),
                     )
                 )
-        # files written before a sweep key was removed still carry it
-        for key in REMOVED_CONFIG_KEYS["sweep"]:
-            meta["sweep"].pop(key, None)
+        meta["sweep"].pop("scheduler", None)  # files written by <= 1.7 record it
         return cls(
             base_config=SimulationConfig.from_dict(meta["base_config"]),
             sweep=SweepConfig.from_dict(meta["sweep"]),

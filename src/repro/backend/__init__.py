@@ -3,25 +3,20 @@
 The paper's performance story is told in FFTs and won with batched
 transforms on swappable accelerator backends; this package is the seam
 every compute engine plugs into.  A :class:`Backend` owns array
-allocation and planned, batched 3-D FFTs (see :mod:`repro.backend.base`);
-three implementations ship registered:
+allocation and batched 3-D FFTs (see :mod:`repro.backend.base`); one
+implementation ships registered:
 
 ``numpy``
-    Default; bit-compatible with the seed package's engine, transforms
-    run in the caller's ``out=`` buffer (needs NumPy >= 2.0).
-``scipy``
-    Also in place; what it adds is ``fft_workers`` threads and a
-    normalization folded into the transform — which is why it agrees
-    with ``numpy`` to round-off rather than bit for bit.
-``counting``
-    A numpy engine wrapped in :class:`CountingBackend`; any backend can
-    be wrapped via ``make_backend(..., count_ffts=True)`` (the default),
-    which is how perf tests keep verifying the paper's analytic FFT
-    tallies against the real numerics.
+    One pocketfft call per batched transform, run in the caller's
+    ``out=`` buffer, on ``fft_workers`` threads
+    (:mod:`repro.backend.numpy_backend`).
 
-Construct engines through :func:`make_backend` (what the ``[backend]``
-config section resolves through) and register new ones — CuPy, MPI-FFT,
-... — with :func:`register_backend`::
+Any backend is wrapped in :class:`CountingBackend` by
+``make_backend(..., count_ffts=True)`` (the default), which is how perf
+tests keep verifying the paper's analytic FFT tallies against the real
+numerics.  Construct engines through :func:`make_backend` (what the
+``[backend]`` config section resolves through) and register new ones —
+CuPy, MPI-FFT, ... — with :func:`register_backend`::
 
     @register_backend("cupy")
     def _cupy(fft_workers=1):
@@ -42,21 +37,19 @@ from typing import Callable, Dict, List, Optional, Union
 
 import numpy as np
 
-from repro.backend.base import Backend, BackendError, FFTCounters, FFTPlan
+from repro.backend.base import Backend, BackendError, FFTCounters
 from repro.backend.counting import CountingBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.backend.scipy_backend import HAVE_SCIPY, ScipyBackend
+from repro.removed import REMOVED_BACKENDS
 
 __all__ = [
     "Backend",
     "BackendError",
     "CountingBackend",
     "FFTCounters",
-    "FFTPlan",
-    "HAVE_SCIPY",
     "NumpyBackend",
-    "ScipyBackend",
     "available_backends",
+    "backend_factory",
     "make_backend",
     "register_backend",
     "resolve_backend",
@@ -93,6 +86,22 @@ def available_backends() -> List[str]:
     return sorted(_REGISTRY)
 
 
+def backend_factory(name: str) -> BackendFactory:
+    """The factory registered under ``name``.
+
+    The one place a backend name is refused: a name this package used to
+    ship is refused with its remedy, any other with what is registered.
+    """
+    key = str(name).strip().lower()
+    if key in _REGISTRY:
+        return _REGISTRY[key]
+    if key in REMOVED_BACKENDS:
+        raise BackendError(f"backend {key!r} was {REMOVED_BACKENDS[key]}")
+    raise BackendError(
+        f"unknown backend {name!r}; registered: {', '.join(available_backends())}"
+    )
+
+
 def make_backend(
     name: str = "numpy", *, fft_workers: int = 1, count_ffts: bool = True
 ) -> Backend:
@@ -104,13 +113,7 @@ def make_backend(
     :class:`FFTCounters` (cheap — an integer update per call — and on by
     default so perf accounting always works).
     """
-    key = str(name).strip().lower()
-    factory = _REGISTRY.get(key)
-    if factory is None:
-        raise BackendError(
-            f"unknown backend {name!r}; registered: {', '.join(available_backends())}"
-        )
-    backend = factory(fft_workers=int(fft_workers))
+    backend = backend_factory(name)(fft_workers=int(fft_workers))
     if count_ffts and backend.counters is None:
         backend = CountingBackend(backend)
     return backend
@@ -119,21 +122,15 @@ def make_backend(
 def resolve_backend(spec: Union[Backend, str, None]) -> Backend:
     """Coerce a backend instance / registry name / ``None`` to a Backend.
 
-    ``None`` yields the default counting numpy engine — a *fresh*
-    instance, never process-global state.
+    ``None`` yields the default engine, counted — a *fresh* instance,
+    never process-global state.
     """
-    if spec is None:
-        return make_backend("numpy")
     if isinstance(spec, Backend):
         return spec
-    return make_backend(spec)
+    return make_backend("numpy" if spec is None else spec)
 
 
-register_backend("numpy", lambda fft_workers=1: NumpyBackend(fft_workers))
-register_backend("scipy", lambda fft_workers=1: ScipyBackend(fft_workers))
-register_backend(
-    "counting", lambda fft_workers=1: CountingBackend(NumpyBackend(fft_workers))
-)
+register_backend("numpy", NumpyBackend)
 
 
 # --------------------------------------------------------------------------

@@ -6,9 +6,8 @@ diagonalization) and wins its speedups with batched transforms on
 accelerator backends (multi-batch cuFFT, Sec. III-B).  A backend owns the
 two resources those optimizations revolve around:
 
-* **allocation** — ``empty``/``zeros``/``*_like`` plus a keyed
-  :meth:`Backend.scratch` buffer cache, so hot loops can reuse transform
-  workspaces instead of re-touching fresh pages every call;
+* **allocation** — ``empty``/``zeros``/``*_like``, so an engine with its
+  own memory space hands out arrays it can transform;
 * **transforms** — batched complex 3-D FFTs over the *last three* axes
   (any leading axes form the batch) with ``out=`` support, including
   ``out is a`` for true in-place transforms on donated temporaries.
@@ -18,12 +17,6 @@ scaled by ``1/Ngrid`` so plane-wave coefficients are directly the
 discrete Fourier amplitudes, and :meth:`Backend.backward` is the
 unscaled ``ifftn * Ngrid``; ``backward(forward(x)) == x`` to machine
 precision.
-
-Plan caching: a :class:`FFTPlan` per grid shape pins the normalization
-factors and the backend's per-shape transform configuration, so repeated
-same-shape transforms skip all per-call setup.  (The twiddle-factor
-tables themselves are cached inside pocketfft by shape in both numpy and
-scipy; the plan object is the package-level handle for everything else.)
 
 Counting lives in :class:`~repro.backend.counting.CountingBackend`, a
 wrapper carrying :class:`FFTCounters`; plain backends do no bookkeeping.
@@ -122,35 +115,20 @@ class FFTCounters:
         return out
 
 
-@dataclass(frozen=True)
-class FFTPlan:
-    """Per-grid-shape transform configuration, cached by the backend."""
-
-    grid: Tuple[int, int, int]
-    #: forward normalization 1/Ngrid
-    scale_forward: float
-    #: backward normalization Ngrid
-    scale_backward: float
-
-
 class Backend(ABC):
-    """Array allocation + planned, batched complex 3-D FFTs.
+    """Array allocation + batched complex 3-D FFTs.
 
     Subclasses implement :meth:`_fftn` / :meth:`_ifftn`; everything else
-    (validation, band-by-band strategy, plan/scratch caches) is shared.
-    The ``counters`` attribute is ``None`` for plain backends and an
-    :class:`FFTCounters` on the counting wrapper, so callers can always
-    write ``backend.counters and backend.counters.snapshot()``.
+    (validation, band-by-band strategy) is shared.  The ``counters``
+    attribute is ``None`` for plain backends and an :class:`FFTCounters`
+    on the counting wrapper, so callers can always write
+    ``backend.counters and backend.counters.snapshot()``.
     """
 
-    #: registry key of the implementation ("numpy", "scipy", ...)
+    #: registry key of the implementation ("numpy", a plugin's name, ...)
     name: str = "abstract"
     #: populated by the counting wrapper; None on plain backends
     counters: Optional[FFTCounters] = None
-
-    def __init__(self) -> None:
-        self._plans: Dict[Tuple[int, int, int], FFTPlan] = {}
-        self._scratch: Dict[Tuple[Tuple[int, ...], str], np.ndarray] = {}
 
     def describe(self) -> str:
         """One-line description for the CLI / logs."""
@@ -169,35 +147,6 @@ class Backend(ABC):
 
     def zeros_like(self, a: np.ndarray) -> np.ndarray:
         return self.zeros(a.shape, dtype=a.dtype)
-
-    def scratch(self, shape, dtype=np.complex128) -> np.ndarray:
-        """A cached reusable workspace for ``(shape, dtype)``.
-
-        One buffer per key: a second ``scratch`` call with the same shape
-        and dtype returns the *same* array, so callers must not hold two
-        live results for one key, and a backend shared across threads
-        must not hand the same key to concurrent users.  Contents are
-        unspecified.  Meant for repeated-transform workspaces (e.g. the
-        FFT strategy benchmark's in-place ``out=`` buffer); package hot
-        paths stay allocation-based because grids — and therefore
-        backends — are shared between the variants of a sweep group.
-        """
-        key = (tuple(int(n) for n in shape), np.dtype(dtype).str)
-        buf = self._scratch.get(key)
-        if buf is None:
-            buf = self.empty(key[0], dtype=dtype)
-            self._scratch[key] = buf
-        return buf
-
-    # -- plans ---------------------------------------------------------------
-    def plan(self, grid: Tuple[int, int, int]) -> FFTPlan:
-        """The cached :class:`FFTPlan` for one grid shape."""
-        p = self._plans.get(grid)
-        if p is None:
-            n = float(np.prod(grid))
-            p = FFTPlan(grid, 1.0 / n, n)
-            self._plans[grid] = p
-        return p
 
     # -- internals -----------------------------------------------------------
     @staticmethod
@@ -232,9 +181,10 @@ class Backend(ABC):
         ``out``, when given, receives the result (and is returned): any
         writeable complex array of ``a``'s shape, contiguous or a strided
         view, for real or complex ``a``.  ``out is a`` is a true in-place
-        transform (no batch-sized allocation on either shipped engine) on
-        a complex input the caller no longer needs; a distinct ``out``
-        leaves ``a`` untouched; without ``out`` one new array is made.
+        transform (no batch-sized allocation on the shipped engine) on a
+        complex input the caller no longer needs; a distinct ``out``
+        leaves ``a`` untouched; without ``out`` one new ``complex128``
+        array is made, whatever ``a``'s dtype.
         """
         a = np.asarray(a)
         self._split(a)
@@ -272,10 +222,7 @@ class Backend(ABC):
             return one(a, out=out)
         self._check_out(a, out)
         flat = a.reshape((-1,) + grid)
-        if out is None:
-            result = self.empty(a.shape, dtype=np.promote_types(a.dtype, np.complex128))
-        else:
-            result = out
+        result = self.empty(a.shape) if out is None else out
         out_flat = result.reshape((-1,) + grid)
         for b in range(flat.shape[0]):
             one(flat[b], out=out_flat[b])

@@ -17,20 +17,13 @@ from typing import Optional
 import numpy as np
 
 from repro.backend.base import Backend, FFTCounters
-from repro.backend.numpy_backend import NumpyBackend
 
 
 class CountingBackend(Backend):
-    """Transparent counting proxy around an inner backend.
+    """Transparent counting proxy around an inner backend, which also allocates."""
 
-    Defaults to wrapping a fresh :class:`NumpyBackend` — equivalent to
-    the seed package's instrumented engine.  Allocation, scratch buffers
-    and plans are delegated to (and shared with) the inner backend.
-    """
-
-    def __init__(self, inner: Optional[Backend] = None) -> None:
-        super().__init__()
-        self.inner = inner if inner is not None else NumpyBackend()
+    def __init__(self, inner: Backend) -> None:
+        self.inner = inner
         self.counters = FFTCounters()
 
     @property
@@ -43,11 +36,10 @@ class CountingBackend(Backend):
     def view(self) -> "CountingBackend":
         """A new counter scope over the *same* inner engine.
 
-        The view shares the inner backend's plan and scratch caches (and
-        therefore its numerics bit-for-bit) but owns fresh
-        :class:`FFTCounters` — how per-rank tallies in the simulated-MPI
-        substrate and per-variant tallies in thread-scheduled ensembles
-        stay exact without duplicating engine state.
+        The view shares the inner backend (and therefore its numerics
+        bit-for-bit) but owns fresh :class:`FFTCounters` — how per-rank
+        tallies in the simulated-MPI substrate stay exact without
+        duplicating engine state.
         """
         return CountingBackend(self.inner)
 
@@ -57,12 +49,6 @@ class CountingBackend(Backend):
 
     def zeros(self, shape, dtype=np.complex128) -> np.ndarray:
         return self.inner.zeros(shape, dtype=dtype)
-
-    def scratch(self, shape, dtype=np.complex128) -> np.ndarray:
-        return self.inner.scratch(shape, dtype=dtype)
-
-    def plan(self, grid):
-        return self.inner.plan(grid)
 
     # -- counted transforms --------------------------------------------------
     def _record(self, a: np.ndarray) -> None:

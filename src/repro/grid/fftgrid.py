@@ -56,7 +56,7 @@ class PlaneWaveGrid:
         Density grid refinement per dimension (paper uses 2).
     backend:
         Numerics engine — a :class:`repro.backend.Backend` instance or a
-        registry name (``"numpy"``, ``"scipy"``, ...).  Defaults to a
+        registry name (``"numpy"`` or a plugin's).  Defaults to a
         *fresh* counting numpy backend owned by this grid, so FFT
         tallies are per-grid instead of process-global.
     """

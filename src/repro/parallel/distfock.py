@@ -43,7 +43,7 @@ That exactness holds by construction, not by luck of the shard sizes:
   rank runs the serial operator on its shard (nothing to return);
 * each rank executes its FFTs through a rank-scoped
   :class:`~repro.backend.counting.CountingBackend` view (fresh counters,
-  shared plan cache and engine), so per-rank tallies are exact and their
+  shared engine), so per-rank tallies are exact and their
   merge equals the serial transform count — nothing is double-counted
   into the shared grid backend.
 

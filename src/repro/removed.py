@@ -2,8 +2,14 @@
 
 One table, two readers: the ``removed-api`` lint rule flags any import,
 attribute access or keyword in source that would bring a name back, and
-the strict config/file parsers reject (or, for files this package wrote
-itself, strip) the removed keys by name instead of as a typo.
+the backend registry refuses an engine name this package used to ship
+with its remedy instead of as a typo.
+
+A tombstone lives two minor versions after the one that removed the
+name: an entry added in 1.N.0 is deleted in 1.(N+3).0, and from then on
+the name is an ordinary unknown name.  Nothing outside this repository
+imports ``repro``, so that is long enough for a stale branch or notebook
+to be told where the name went.
 """
 
 from __future__ import annotations
@@ -12,30 +18,30 @@ from typing import Dict, Tuple
 
 #: dotted module/function/attribute name -> where its job went
 REMOVED_NAMES: Dict[str, str] = {
-    "repro.fft": "repro.backend (make_backend, Backend, FFTCounters)",
-    "global_engine": "an explicit backend: repro.backend.make_backend(...)",
-    "PlaneWaveGrid.engine": "PlaneWaveGrid.backend",
-    "repro.utils.timing": "time.perf_counter at the call site (nothing used Timings/Stopwatch)",
-    "Simulation.isolate_counters": "nothing: sweeps no longer run variants on threads",
-    "resolve_scheduler": "nothing: run_ensemble picks the process model from workers",
-    "register_store_backend": "nothing: sqlite is the only run index",
+    # 1.10.0
     "ResultStore.append_result": "ResultStore.add_result (a run is stored once, whole)",
     "repro.store.records": "repro.api.simulation.write_result_npz / read_result_npz "
     "(a stored run is a result file) and PropagationRecord.from_arrays",
     "repro.store.migrate": "repro.store.schema (one schema version; older stores are refused by name)",
     "DistributedFockExchange.apply": "DistributedFockExchange.apply_diag",
+    # 1.11.0
+    "repro.backend.scipy_backend": "repro.backend.numpy_backend (the one engine)",
+    "ScipyBackend": "NumpyBackend: its transforms are the pocketfft calls ScipyBackend made",
+    "HAVE_SCIPY": "nothing: scipy is a hard dependency",
+    "FFTPlan": "nothing: the normalization is folded into the transform",
+    "Backend.plan": "nothing: the normalization is folded into the transform",
+    "Backend.scratch": "Backend.empty (nothing in the package reused a workspace)",
 }
 
 #: callable -> keyword arguments it no longer takes
 REMOVED_KEYWORDS: Dict[str, Tuple[str, ...]] = {
-    "run_ensemble": ("scheduler",),
-    "ResultStore": ("backend", "chunk_steps"),
+    "ResultStore": ("chunk_steps",),  # 1.10.0
 }
 
-#: config section -> key removed from it -> what the user should do
-REMOVED_CONFIG_KEYS: Dict[str, Dict[str, str]] = {
-    "sweep": {
-        "scheduler": "removed in 1.8.0; delete the key: workers = 1 runs in "
-        "process, workers > 1 runs on spawned worker processes",
-    },
+#: ``[backend] name`` this package used to register -> what the user should do
+REMOVED_BACKENDS: Dict[str, str] = {
+    # 1.11.0
+    "scipy": "merged into the default engine in 1.11.0: delete `name`, keep `fft_workers`",
+    "counting": "removed in 1.11.0: delete `name`; `count_ffts = true` (the default) "
+    "counts transforms on any engine",
 }

@@ -3,12 +3,19 @@
 One tiny deterministic run per registered propagator: the LDA group
 (rk4, ptim, ptcn) shares one ground state, PT-IM-ACE runs on a small
 screened-hybrid ground state so the dense-Fock -> ACE path is locked in
-too.  Each ``.npz`` stores the exact config (JSON) plus the observable
-trajectories; ``tests/test_golden_trajectories.py`` re-propagates every
-config and asserts the dipole/energy/sigma series match to 1e-10, so a
-perf refactor can never silently change the numbers.
+too.  Each group's SCF is converged *once, here*, and committed as
+``gs_lda.npz`` / ``gs_hse.npz`` (``GroundState.to_arrays`` plus the
+group's store key: ``system`` + ``scf`` + engine name): an SCF re-converged on
+another host lands 1e-6 away, which no 1e-10 trajectory gate survives.
+Every trajectory is then propagated from the state *as loaded from that
+file*.  Each trajectory ``.npz`` stores the exact config (JSON) plus the
+observable series; ``tests/test_golden_trajectories.py`` re-propagates
+every config from the committed states and asserts the
+dipole/energy/sigma series match to 1e-10, so a perf refactor can never
+silently change the numbers.
 
-Regenerate (only when a change *intentionally* alters trajectories)::
+Regenerate (only when a change *intentionally* alters trajectories or
+the ground state)::
 
     PYTHONPATH=src python tests/make_golden.py
 
@@ -81,17 +88,52 @@ def golden_path(propagator: str) -> Path:
     return GOLDEN_DIR / f"{propagator}.npz"
 
 
+def ground_state_path(config: dict) -> Path:
+    """The committed ground state of ``config``'s (system, scf) group."""
+    return GOLDEN_DIR / f"gs_{config['system']['functional']}.npz"
+
+
+def group_key(config: dict) -> str:
+    """What a committed ground state was converged for: the store's group
+    key (system + scf + engine name)."""
+    from repro.api import SimulationConfig
+    from repro.store.common import group_key
+
+    return group_key(SimulationConfig.from_dict(config))
+
+
+def load_ground_state(config: dict):
+    """``config``'s committed ground state; a changed group means regenerate."""
+    from repro.scf.groundstate import GroundState
+
+    path = ground_state_path(config)
+    with np.load(path, allow_pickle=False) as data:
+        if str(data["group_key"]) != group_key(config):
+            raise ValueError(
+                f"{path} was converged for a different system/scf section than "
+                f"tests/make_golden.py now specifies; regenerate the goldens"
+            )
+        return GroundState.from_arrays(data, path)
+
+
 def run_config(config: dict):
-    """Propagate one golden config; returns its observable arrays."""
+    """Propagate one golden config from its committed ground state."""
     from repro.api import Simulation
 
-    return Simulation(config).run().observables()
+    return Simulation(config, ground_state=load_ground_state(config)).run().observables()
 
 
 def main() -> None:
-    from repro.api import SimulationConfig
+    from repro.api import Simulation, SimulationConfig
 
     GOLDEN_DIR.mkdir(exist_ok=True)
+    # one SCF per group; a config whose system/scf differs from its group's
+    # committed state fails in load_ground_state below
+    for path, config in {ground_state_path(c): c for c in CONFIGS.values()}.items():
+        print(f"converging ground state {path.name} ...")
+        gs = Simulation(config).ground_state()
+        np.savez_compressed(path, group_key=np.str_(group_key(config)), **gs.to_arrays())
+        print(f"  wrote {path} ({path.stat().st_size} bytes, converged={gs.converged})")
     for name, config in CONFIGS.items():
         print(f"generating golden trajectory for {name} ...")
         arrays = run_config(config)

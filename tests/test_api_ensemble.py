@@ -46,7 +46,6 @@ def test_sweep_defaults_and_n_runs():
     "data,match",
     [
         ({"mode": "cartesian"}, "sweep.mode"),
-        ({"scheduler": "mpi"}, "sweep.scheduler"),
         ({"workers": 0}, "sweep.workers"),
         ({"axes": {"ecut": [1]}}, "dotted config path"),
         ({"axes": {"system.ecut": []}}, "non-empty list"),
@@ -219,7 +218,7 @@ def test_ensemble_load_reads_files_written_before_scheduler_was_removed(tmp_path
     np.savez(tmp_path / "old.npz", **payload)
     loaded = EnsembleResult.load_npz(tmp_path / "old.npz")
     assert loaded.sweep == result.sweep
-    with pytest.raises(ConfigError, match=r"sweep\.scheduler was removed in 1\.8\.0"):
+    with pytest.raises(ConfigError, match=r"unknown key.*scheduler"):
         SweepConfig.from_dict(meta["sweep"])
 
 
@@ -427,16 +426,12 @@ def test_per_run_failures_are_captured_not_fatal():
     assert result.stacked("dipole").shape == (1, 2, 3)  # the good run survived
 
 
-def test_backend_axis_sweeps_engines_with_separate_scf_groups():
+def test_backend_axis_sweeps_engines_with_separate_scf_groups(seed_numpy):
     """`backend.name` as a sweep axis: per-variant engines, no shared
     mutable counters, physically identical trajectories."""
-    from repro.backend import HAVE_SCIPY
-
-    if not HAVE_SCIPY:
-        pytest.skip("scipy not installed")
     base, _ = load_sweep_file(SWEEP_TOML)
     base = base.replace(propagation={"n_steps": 1})
-    sweep = SweepConfig.from_dict({"axes": {"backend.name": ["numpy", "scipy"]}})
+    sweep = SweepConfig.from_dict({"axes": {"backend.name": ["numpy", seed_numpy]}})
     messages = []
     result = run_ensemble(base, sweep, progress=messages.append)
     assert [r.status for r in result.runs] == ["ok", "ok"]
@@ -448,7 +443,7 @@ def test_backend_axis_sweeps_engines_with_separate_scf_groups():
     # full-stack cross-engine agreement: each leg converges its own SCF,
     # whose iterative solvers stop at ~1e-6/1e-7 tolerances, so the two
     # states differ at solver-tolerance (not round-off) level — tight
-    # 1e-10 parity from a *shared* state is gated in the golden tests
+    # parity from a *shared* state is gated in tests/test_backend.py
     dip = result.stacked("dipole")
     np.testing.assert_allclose(dip[0], dip[1], rtol=0.0, atol=1e-2)
 

@@ -1,5 +1,5 @@
-"""The pluggable numerics backend: parity, out=/in-place, counting,
-registry, config wiring, and the package-wide np.fft isolation guard."""
+"""The pluggable numerics backend: parity with the seed oracle, out=/in-place,
+counting, registry, config wiring, and the package-wide FFT isolation guard."""
 
 import tracemalloc
 from pathlib import Path
@@ -13,7 +13,6 @@ from oracles import SeedNumpyBackend
 from repro.api import BackendConfig, ConfigError, Simulation, SimulationConfig
 from repro.api.ensemble import apply_overrides
 from repro.backend import (
-    HAVE_SCIPY,
     Backend,
     BackendError,
     CountingBackend,
@@ -28,14 +27,10 @@ from repro.backend import (
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.utils.rng import default_rng
 
-needs_scipy = pytest.mark.skipif(not HAVE_SCIPY, reason="scipy not installed")
 
-BACKENDS = ["numpy"] + (["scipy"] if HAVE_SCIPY else [])
-
-
-@pytest.fixture(params=BACKENDS)
-def backend(request) -> Backend:
-    return make_backend(request.param, count_ffts=False)
+@pytest.fixture()
+def backend() -> Backend:
+    return make_backend("numpy", count_ffts=False)
 
 
 @pytest.fixture()
@@ -107,15 +102,24 @@ def test_out_validation(backend, batch):
         backend.forward(np.zeros((4, 4), dtype=complex))
 
 
-def test_numpy_backend_bit_compatible_with_seed(batch):
-    """The default engine reproduces the seed convention bit for bit."""
+def _roundoff(ref: np.ndarray, multiple: float = 4.0) -> float:
+    """``multiple * eps * log2(Ngrid) * max|ref|``: an FFT's forward error
+    grows like ``eps * log2(N)`` and both sides of a comparison carry it
+    (measured over 3000 random shapes and dtypes: 0.61 of the unit)."""
+    ngrid = float(np.prod(ref.shape[-3:]))
+    return multiple * np.finfo(float).eps * max(1.0, np.log2(ngrid)) * np.abs(ref).max()
+
+
+def test_numpy_backend_matches_seed_convention(batch):
+    """The engine keeps the seed convention (``fftn / Ngrid``, ``ifftn *
+    Ngrid``), to round-off now that the scale is folded into the transform."""
     nb = NumpyBackend()
-    scale = 1.0 / np.prod(batch.shape[-3:])
-    assert np.array_equal(nb.forward(batch), np.fft.fftn(batch, axes=(-3, -2, -1)) * scale)
-    assert np.array_equal(
-        nb.backward(batch),
-        np.fft.ifftn(batch, axes=(-3, -2, -1)) * float(np.prod(batch.shape[-3:])),
-    )
+    n = float(np.prod(batch.shape[-3:]))
+    for got, ref in (
+        (nb.forward(batch), np.fft.fftn(batch, axes=(-3, -2, -1)) / n),
+        (nb.backward(batch), np.fft.ifftn(batch, axes=(-3, -2, -1)) * n),
+    ):
+        assert np.abs(got - ref).max() <= _roundoff(ref)
 
 
 def _traced_peak(fn) -> int:
@@ -135,7 +139,7 @@ def test_numpy_transforms_allocate_no_pass_buffers():
     rng = default_rng(5)
     w = rng.standard_normal((16, 12, 12, 12)) + 1j * rng.standard_normal((16, 12, 12, 12))
     for transform in (nb.forward, nb.backward):
-        transform(w.copy())  # warm the plan and pocketfft's twiddle cache
+        transform(w.copy())  # warm pocketfft's twiddle cache
         assert _traced_peak(lambda: transform(w, out=w)) < 0.05 * w.nbytes
         assert _traced_peak(lambda: transform(w)) < 1.05 * w.nbytes
 
@@ -147,36 +151,58 @@ _AXIS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13])
 @given(
     batch_shape=st.lists(st.integers(1, 3), max_size=2),
     grid=st.tuples(_AXIS, _AXIS, _AXIS),
-    is_complex=st.booleans(),
+    dtype=st.sampled_from([np.float64, np.complex128, np.float32, np.complex64]),
     out_kind=st.sampled_from(["none", "inplace", "fresh", "strided"]),
     method=st.sampled_from(
         ["forward", "backward", "forward_bandbyband", "backward_bandbyband"]
     ),
     seed=st.integers(0, 2**16),
 )
-def test_numpy_backend_same_bits_as_seed_engine(
-    batch_shape, grid, is_complex, out_kind, method, seed
+def test_numpy_backend_matches_seed_engine_to_roundoff(
+    batch_shape, grid, dtype, out_kind, method, seed
 ):
-    """In-buffer passes return the copying seed engine's values bit for bit:
-    any batch and grid shape (odd and prime axes included), real or complex
-    input, every way of passing ``out``."""
+    """One pocketfft call returns the per-axis seed engine's values to
+    round-off: any batch and grid shape (odd and prime axes included), real
+    or complex input in single or double precision, every way of passing
+    ``out`` — and ``complex128`` whenever the engine makes the array."""
     rng = default_rng(seed)
     shape = tuple(batch_shape) + grid
     a = rng.standard_normal(shape)
+    is_complex = np.issubdtype(dtype, np.complexfloating)
     if is_complex:
         a = a + 1j * rng.standard_normal(shape)
-    ref = getattr(SeedNumpyBackend(), method)(a)
+    a = a.astype(dtype)
+    # single precision converts to double exactly, so the oracle sees the same numbers
+    ref = getattr(SeedNumpyBackend(), method)(a.astype(np.result_type(dtype, np.float64)))
     if out_kind == "none":
         out = None
     elif out_kind == "inplace" and is_complex:
-        out = a = a.copy()
+        out = a = a.astype(np.complex128)
     elif out_kind == "strided":
         out = np.empty(shape[:-1] + (2 * shape[-1],), dtype=complex)[..., ::2]
     else:
         out = np.empty(shape, dtype=complex)
     got = getattr(NumpyBackend(), method)(a, out=out)
     assert out is None or got is out
-    assert got.dtype == ref.dtype and np.array_equal(got, ref)
+    assert got.dtype == ref.dtype == np.complex128
+    assert np.abs(got - ref).max() <= _roundoff(ref)
+
+
+@pytest.mark.parametrize("method", ["forward", "backward"])
+def test_band_result_independent_of_threads_and_batch(method):
+    """What the serial/distributed ``array_equal`` gates rest on now that the
+    default engine threads: a band's transform is the same bits on 1 or 2
+    ``fft_workers``, alone or inside a batch (ranks transform different
+    slices of the same bands)."""
+    rng = default_rng(11)
+    a = rng.standard_normal((6, 9, 10, 12)) + 1j * rng.standard_normal((6, 9, 10, 12))
+    one, two = (getattr(NumpyBackend(fft_workers=w), method) for w in (1, 2))
+    batched = one(a)
+    assert np.array_equal(two(a), batched)
+    assert np.array_equal(two(a.copy(), out=np.empty_like(a)), batched)
+    for b in range(a.shape[0]):
+        assert np.array_equal(one(a[b]), batched[b])
+    assert np.array_equal(one(a[2:5]), batched[2:5])
 
 
 _STEP_CFG = {
@@ -200,39 +226,34 @@ _DENSE_R2 = {
 }
 
 
-def test_trajectories_same_bits_as_seed_engine():
+def test_trajectories_match_seed_engine(seed_numpy):
     """Two steps of PT-IM-ACE and of dense PT-IM on 2 ring ranks, from one
-    ground state, on the default engine and on the seed oracle: identical
-    observables, final state and FFT tallies.  A trajectory gate that needs
-    no golden file."""
-    register_backend("seed_numpy", SeedNumpyBackend)
-    try:
-        base = Simulation(_STEP_CFG)
-        base.ground_state()
-        for sections in ({}, _DENSE_R2):
-            new, seed = (
-                base.derive(backend={"name": name}, **sections).propagate()
-                for name in ("numpy", "seed_numpy")
+    ground state, on the default engine and on the seed oracle: observables
+    and final state within 1e-12 (measured 6.4e-14: per-transform round-off
+    through two steps' fixed points) and *equal* FFT tallies, so no
+    iteration count moved.  A trajectory gate that needs no golden file."""
+    base = Simulation(_STEP_CFG)
+    base.ground_state()
+    for sections in ({}, _DENSE_R2):
+        new, seed = (
+            base.derive(backend={"name": name}, **sections).propagate()
+            for name in ("numpy", seed_numpy)
+        )
+        obs_new, obs_seed = new.observables(), seed.observables()
+        assert {"dipole", "energy"} <= set(obs_new)
+        for key in obs_new:
+            np.testing.assert_allclose(
+                obs_new[key], obs_seed[key], rtol=0.0, atol=1e-12, err_msg=key
             )
-            obs_new, obs_seed = new.observables(), seed.observables()
-            assert {"dipole", "energy"} <= set(obs_new)
-            for key in obs_new:
-                np.testing.assert_array_equal(obs_new[key], obs_seed[key], err_msg=key)
-            assert np.array_equal(new.final_state.phi, seed.final_state.phi)
-            assert np.array_equal(new.final_state.sigma, seed.final_state.sigma)
-            assert new.fft.transforms > 0 and new.fft == seed.fft
-    finally:
-        unregister_backend("seed_numpy")
+        for part in ("phi", "sigma"):
+            np.testing.assert_allclose(
+                getattr(new.final_state, part), getattr(seed.final_state, part),
+                rtol=0.0, atol=1e-12, err_msg=part,
+            )
+        assert new.fft.transforms > 0 and new.fft == seed.fft
 
 
-@needs_scipy
-def test_scipy_matches_numpy_to_roundoff(batch):
-    nb, sb = make_backend("numpy"), make_backend("scipy")
-    assert np.allclose(sb.forward(batch), nb.forward(batch), atol=1e-14)
-    assert np.allclose(sb.backward(batch), nb.backward(batch), atol=1e-12)
-
-
-# ---------------- allocation + plans -----------------------------------------
+# ---------------- allocation -------------------------------------------------
 
 
 def test_allocation_api(backend):
@@ -243,20 +264,6 @@ def test_allocation_api(backend):
     zl = backend.zeros_like(np.empty((5,), dtype=float))
     assert zl.dtype == np.float64 and not zl.any()
     assert backend.empty_like(a).shape == a.shape
-
-
-def test_scratch_buffers_are_cached(backend):
-    s1 = backend.scratch((4, 4, 4))
-    s2 = backend.scratch((4, 4, 4))
-    assert s1 is s2
-    assert backend.scratch((4, 4, 4), dtype=float) is not s1
-
-
-def test_plan_cache(backend):
-    p1 = backend.plan((4, 6, 8))
-    assert p1 is backend.plan((4, 6, 8))
-    assert p1.scale_forward == pytest.approx(1.0 / 192.0)
-    assert p1.scale_backward == pytest.approx(192.0)
 
 
 # ---------------- counting wrapper -------------------------------------------
@@ -302,13 +309,36 @@ def test_counters_merge_and_dict_roundtrip():
 
 
 def test_registry_lists_builtins():
-    names = available_backends()
-    assert {"numpy", "scipy", "counting"} <= set(names)
+    assert available_backends() == ["numpy"]
 
 
 def test_make_backend_unknown_name_lists_registered():
     with pytest.raises(BackendError, match="registered: .*numpy"):
         make_backend("cufft")
+
+
+@pytest.mark.parametrize(
+    "name,remedy",
+    [
+        ("scipy", r"merged into the default engine in 1\.11\.0: delete `name`, keep `fft_workers`"),
+        ("counting", r"removed in 1\.11\.0: delete `name`; `count_ffts = true`"),
+    ],
+)
+def test_removed_backend_names_are_refused_by_name(name, remedy, tmp_path, capsys):
+    """Engines this package used to register are refused with their remedy,
+    the same sentence from ``make_backend``, ``Simulation`` and ``repro
+    validate`` (one function, ``repro.backend.backend_factory``)."""
+    from repro.api.cli import main
+
+    with pytest.raises(BackendError, match=remedy) as direct:
+        make_backend(name, fft_workers=2)
+    with pytest.raises(BackendError) as facade:
+        Simulation({"backend": {"name": name}}).backend
+    assert str(facade.value) == str(direct.value)
+    path = tmp_path / "old.toml"
+    path.write_text(f'[backend]\nname = "{name}"\nfft_workers = 2\n')
+    assert main(["validate", str(path)]) != 0
+    assert str(direct.value) in capsys.readouterr().err
 
 
 def test_register_and_unregister_backend():
@@ -332,13 +362,13 @@ def test_resolve_backend_fresh_default():
     assert a.counters is not None
     eng = NumpyBackend()
     assert resolve_backend(eng) is eng
-    assert resolve_backend("counting").counters is not None
+    assert resolve_backend("numpy").counters is not None
 
 
-@needs_scipy
-def test_scipy_workers_validated():
+def test_fft_workers_validated_and_honoured():
     with pytest.raises(BackendError, match="fft_workers"):
-        make_backend("scipy", fft_workers=0)
+        make_backend("numpy", fft_workers=0)
+    assert make_backend("numpy", fft_workers=2, count_ffts=False).fft_workers == 2
 
 
 # ---------------- grid + deprecated shim -------------------------------------
@@ -357,13 +387,12 @@ def test_grid_owns_fresh_counting_backend(si_cell_local):
 
 
 def test_grid_accepts_backend_name(si_cell_local):
-    g = PlaneWaveGrid(si_cell_local, ecut=2.0, backend="counting")
+    g = PlaneWaveGrid(si_cell_local, ecut=2.0, backend="numpy")
     assert g.backend.counters is not None
 
 
-@pytest.mark.parametrize("name", BACKENDS)
-def test_grid_consume_matches_plain(si_cell_local, name):
-    grid = PlaneWaveGrid(si_cell_local, ecut=2.0, backend=name)
+def test_grid_consume_matches_plain(si_cell_local):
+    grid = PlaneWaveGrid(si_cell_local, ecut=2.0)
     rng = default_rng(1)
     x = rng.standard_normal((3, grid.ngrid)) + 1j * rng.standard_normal((3, grid.ngrid))
     ref = grid.r_to_g(x)
@@ -373,26 +402,26 @@ def test_grid_consume_matches_plain(si_cell_local, name):
     assert np.allclose(back, grid.g_to_r(ref), atol=1e-13)
 
 
-@pytest.mark.parametrize("section", [{"name": "scipy", "fft_workers": 2}])
-def test_scf_energy_parity_scipy(section):
-    """From-scratch SCF on scipy agrees with numpy at physical tolerance.
+def test_scf_energy_parity_with_seed_engine(seed_numpy):
+    """From-scratch SCF on the engine (2 threads) agrees with the seed
+    oracle at physical tolerance.
 
     Iterative solvers stop at davidson_tol/density_tol, so converged
-    *states* are backend-dependent at ~1e-7; the variational total
-    energy must agree far tighter.  (Trajectory-level 1e-10 parity from
-    a shared ground state is gated in test_golden_trajectories.py.)
+    *states* are engine-dependent at ~1e-7; the variational total
+    energy must agree far tighter.  (Trajectory-level parity from a
+    shared ground state is test_trajectories_match_seed_engine.)
     """
     base = {
         "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
         "scf": {"nbands": 20, "temperature_k": 8000.0, "density_tol": 1e-6},
     }
     e = {}
-    for backend_section in ({"name": "numpy"}, section):
-        cfg = SimulationConfig.from_dict({**base, "backend": backend_section})
+    for section in ({"name": "numpy", "fft_workers": 2}, {"name": seed_numpy}):
+        cfg = SimulationConfig.from_dict({**base, "backend": section})
         gs = Simulation(cfg).ground_state()
         assert gs.converged
         e[cfg.backend.name] = gs.total_energy
-    assert e["scipy"] == pytest.approx(e["numpy"], abs=1e-7)
+    assert e["numpy"] == pytest.approx(e[seed_numpy], abs=1e-7)
 
 
 # ---------------- config wiring ----------------------------------------------
@@ -424,13 +453,13 @@ def test_backend_config_rejects_bad_input(data, match):
 def test_backend_sweep_axis():
     """`backend.name` works as an ensemble sweep axis."""
     base = SimulationConfig.from_dict({})
-    cfg = apply_overrides(base, {"backend.name": "scipy", "backend.fft_workers": 4})
-    assert cfg.backend.name == "scipy" and cfg.backend.fft_workers == 4
+    cfg = apply_overrides(base, {"backend.name": "plugin", "backend.fft_workers": 4})
+    assert cfg.backend.name == "plugin" and cfg.backend.fft_workers == 4
 
 
 def test_simulation_builds_configured_backend():
-    sim = Simulation({"backend": {"name": "counting"}})
-    assert sim.backend.counters is not None
+    sim = Simulation({"backend": {"fft_workers": 2}})
+    assert sim.backend.counters is not None and sim.backend.inner.fft_workers == 2
     assert sim.grid.backend is sim.backend
 
 

@@ -11,6 +11,7 @@ from repro.rt.field import GaussianLaserPulse, StaticKick, ZeroField
 from repro.rt.gauge import (
     apply_gauge,
     density_matrix_distance,
+    density_matrix_product_trace,
     recover_gauge,
 )
 from repro.utils.rng import default_rng
@@ -29,7 +30,17 @@ def test_gauge_transform_preserves_density_matrix(grid):
     sigma = random_hermitian_sigma(4, rng)
     q, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     phi_u, sigma_u = apply_gauge(phi, sigma, q)
-    assert density_matrix_distance(grid, phi, sigma, phi_u, sigma_u) < 1e-9
+    # |P_A - P_B|_F^2 = Tr P_A^2 + Tr P_B^2 - 2 Tr P_A P_B, taken un-rooted and
+    # un-clamped: a wrong gauge puts it at O(Tr P^2), round-off at a few ulp of
+    # Tr P^2 with either sign (the root of one ulp of 2.7 already reads 3e-8,
+    # so a bare bound on the distance tests the sign of the round-off)
+    taa = density_matrix_product_trace(grid, phi, sigma, phi, sigma)
+    tbb = density_matrix_product_trace(grid, phi_u, sigma_u, phi_u, sigma_u)
+    tab = density_matrix_product_trace(grid, phi, sigma, phi_u, sigma_u)
+    ulps = 16 * np.finfo(float).eps * taa
+    assert abs(tbb - taa) <= ulps and abs(tab - taa) <= ulps
+    assert abs(taa + tbb - 2.0 * tab) <= ulps
+    assert density_matrix_distance(grid, phi, sigma, phi_u, sigma_u) ** 2 <= ulps
 
 
 def test_density_matrix_distance_zero_for_self(grid):

@@ -379,25 +379,21 @@ def test_pickle_safety_scopes_to_boundary_modules():
 
 
 REMOVED_BAD = """\
-import repro.fft
-from repro.fft.backend import FFTEngine
-from repro.utils.timing import Stopwatch
-from repro.utils import timing
-from repro.api.ensemble import resolve_scheduler, run_ensemble
-from repro.store import ResultStore, register_store_backend
+from repro.store import ResultStore
 from repro.store.records import read_chunks
 from repro.store import migrate
 from repro.parallel.distfock import DistributedFockExchange
+import repro.backend.scipy_backend
+from repro.backend import HAVE_SCIPY
+from repro.backend import ScipyBackend, make_backend
+from repro.backend.base import FFTPlan
 
-def sweep(base, sw, grid, sim, backend_module):
-    eng = backend_module.global_engine()
-    same = grid.engine
-    sim.derive().isolate_counters()
-    ResultStore("study", backend="sqlite")
+def sweep(grid, sim, kern, comm, phi, w):
     store = ResultStore("study", chunk_steps=64)
     store.append_result("r0", sim.run())
     DistributedFockExchange(grid, kern, comm).apply(phi, w, phi)
-    return run_ensemble(base, sw, workers=2, scheduler="thread")
+    work = grid.backend.scratch(phi.shape)
+    return work * grid.backend.plan(grid.shape).scale_forward
 """
 
 REMOVED_CLEAN = """\
@@ -409,7 +405,7 @@ from repro.store import ResultStore
 def sweep(base, sw, grid, ham, c):
     eng = grid.backend
     rules = repro.lint.engine.resolve_rules()
-    scheduler = "a local name is nobody's business"
+    plan = scratch = "local names are nobody's business"
     h_c = ham.apply(c)  # other classes still define .apply
     return run_ensemble(base, sw, workers=2, store=ResultStore("study"))
 """
@@ -419,24 +415,21 @@ def test_removed_api_flags_imports_attributes_and_keywords():
     found = findings_of(REMOVED_BAD, "api/custom.py", "removed-api")
     flagged = "\n".join(f.message for f in found)
     for name in (
-        "repro.fft",
-        "repro.utils.timing",
-        "global_engine",
-        "PlaneWaveGrid.engine",
-        "Simulation.isolate_counters",
-        "resolve_scheduler",
-        "register_store_backend",
-        "run_ensemble(scheduler=...)",
-        "ResultStore(backend=...)",
         "ResultStore(chunk_steps=...)",
         "ResultStore.append_result",
         "repro.store.records",
         "repro.store.migrate",
         "DistributedFockExchange.apply",
+        "repro.backend.scipy_backend",
+        "HAVE_SCIPY",
+        "ScipyBackend",
+        "FFTPlan",
+        "Backend.scratch",
+        "Backend.plan",
     ):
         assert name in flagged, name
-    # one finding per offending site: 8 import lines + 8 uses
-    assert sorted({f.line for f in found}) == [1, 2, 3, 4, 5, 6, 7, 8, 12, 13, 14, 15, 16, 17, 18, 19]
+    # one finding per offending site: 6 import lines + 5 uses
+    assert sorted({f.line for f in found}) == [2, 3, 5, 6, 7, 8, 11, 12, 13, 14, 15]
     assert all(f.hint.startswith("instead: ") for f in found)
 
 
@@ -446,30 +439,29 @@ def test_removed_api_clean_code_passes():
 
 def test_removed_api_table_matches_the_package():
     """Every name in the table is really gone (the rule guards a deletion,
-    not a wish), and the strict sweep parser points at the same table."""
+    not a wish), and the backend registry refuses from the same module."""
     import importlib
 
-    from repro.api import ConfigError, Simulation, SweepConfig
-    from repro.grid.fftgrid import PlaneWaveGrid
-    from repro.removed import REMOVED_CONFIG_KEYS, REMOVED_NAMES
+    import repro.backend
+    from repro.backend import Backend, BackendError, make_backend
+    from repro.removed import REMOVED_BACKENDS, REMOVED_NAMES
 
-    for module in ("repro.fft", "repro.utils.timing", "repro.store.records", "repro.store.migrate"):
+    for module in ("repro.store.records", "repro.store.migrate", "repro.backend.scipy_backend"):
         assert module in REMOVED_NAMES
         with pytest.raises(ImportError):
             importlib.import_module(module)
     from repro.parallel.distfock import DistributedFockExchange
     from repro.store import ResultStore
 
-    assert not hasattr(PlaneWaveGrid, "engine")
-    assert not hasattr(Simulation, "isolate_counters")
     assert not hasattr(ResultStore, "append_result")
     assert not hasattr(DistributedFockExchange, "apply")
     assert not hasattr(DistributedFockExchange, "apply_mixed_tripleloop")
-    for section, keys in REMOVED_CONFIG_KEYS.items():
-        assert section == "sweep"
-        for key in keys:
-            with pytest.raises(ConfigError, match=rf"sweep\.{key} was removed in 1\.8\.0"):
-                SweepConfig.from_dict({key: "serial"})
+    for name in ("ScipyBackend", "HAVE_SCIPY", "FFTPlan"):
+        assert name in REMOVED_NAMES and not hasattr(repro.backend, name)
+    assert not hasattr(Backend, "scratch") and not hasattr(Backend, "plan")
+    for name in REMOVED_BACKENDS:
+        with pytest.raises(BackendError, match=rf"backend '{name}' was .* 1\.11\.0"):
+            make_backend(name)
 
 
 # ---------------- suppressions ----------------------------------------------
