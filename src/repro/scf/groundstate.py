@@ -6,6 +6,31 @@ Kohn–Sham orbitals and the Fermi–Dirac occupation matrix ``sigma(0)``
 single SCF loop and hybrids with the nested ACE loop (outer loop refreshes
 the exchange operator from the current orbitals, inner loop converges the
 density at fixed exchange) — the ground-state analogue of Fig. 4(b).
+
+**Tolerances follow the error of the operator they are solved under.**
+Neither an eigensolve nor an inner density loop is asked for more than the
+fixed point it belongs to can use:
+
+* each ``davidson`` call is solved to ``_DAVIDSON_TOL_PER_DRHO`` times the
+  last density change *of the same outer pass*, never looser than
+  ``_DAVIDSON_TOL_CAP`` nor tighter than ``davidson_tol``.  A new exchange
+  operator moves the density by an amount the previous pass's converged
+  ``d_rho`` says nothing about, so every pass starts at the cap; the
+  density change that follows such a call measures that jump and is never
+  taken as a sign of convergence;
+* outer pass ``k > 0`` stops its inner loop at ``max(density_tol,
+  _INNER_TOL_PER_JUMP * jump)``: its operator is still off by about the
+  jump it caused, and the next pass replaces it.  The semilocal pass that
+  bootstraps a hybrid, and a semilocal functional's only pass, run to
+  ``density_tol``.
+
+``GroundState.converged`` means all of: the last density change is below
+``density_tol``, the eigensolve that produced it met its tolerance
+(``DavidsonResult.converged``; it is capped at 40 iterations) and, for a
+hybrid, the exchange energy moved by less than ``exchange_tol`` over the
+last pass.  The last eigensolves of a converged state are therefore at
+``max(_DAVIDSON_TOL_PER_DRHO * d_rho, davidson_tol)`` with ``d_rho`` a few
+``density_tol``.
 """
 
 from __future__ import annotations
@@ -26,6 +51,14 @@ from repro.scf.eigensolver import davidson
 from repro.scf.mixing import KerkerMixer
 from repro.utils.rng import default_rng
 from repro.utils.validation import require
+
+
+#: eigensolve tolerance per unit of density change: a residual r moves the output density by O(r)
+_DAVIDSON_TOL_PER_DRHO = 0.03
+#: loosest eigensolve, where every pass starts: its density error is unknown until one is built
+_DAVIDSON_TOL_CAP = 1e-3
+#: inner-loop stop per unit of jump: a pass leaves ~1/4 of the exchange error (0.3 doubles |dE|)
+_INNER_TOL_PER_JUMP = 0.1
 
 
 @dataclass
@@ -148,7 +181,11 @@ def run_scf(
     options: Optional[SCFOptions] = None,
     phi0: Optional[np.ndarray] = None,
 ) -> GroundState:
-    """Converge the ground state for the Hamiltonian's cell/functional."""
+    """Converge the ground state for the Hamiltonian's cell/functional.
+
+    The tolerance schedule and what ``converged`` certifies are in the
+    module docstring.
+    """
     opts = options or SCFOptions()
     grid = ham.grid
     kt = kelvin_to_hartree(opts.temperature_k)
@@ -208,12 +245,12 @@ def run_scf(
             # the fixed-point map changed (new exchange operator): stale
             # mixing history would poison the extrapolation
             mixer.reset()
-        d_rho = history[-1] if history else 1.0
+        # the density change under the operator just installed is not known
+        # yet: the pass starts at the cap, not at the previous pass's d_rho
+        dav_tol = _DAVIDSON_TOL_CAP
+        inner_tol = opts.density_tol
         for it in range(opts.max_scf):
             n_iter += 1
-            # adaptive inner tolerance: no point solving eigenpairs far
-            # below the current density error
-            dav_tol = max(min(1e-5, 0.03 * d_rho), opts.davidson_tol)
             result = davidson(
                 grid, ham.apply, phi, tol=dav_tol, max_iter=40, nconv=nbands
             )
@@ -231,10 +268,19 @@ def run_scf(
             history.append(d_rho)
             rho = mixer.mix(rho, rho_new)
             ham.update_density(rho)
-            if d_rho < opts.density_tol:
+            # the density change that follows the eigensolve at the cap says
+            # how far the new operator moved the density (the jump), never
+            # that the density has stopped moving
+            if it == 0 and outer > 0:
+                inner_tol = max(opts.density_tol, _INNER_TOL_PER_JUMP * d_rho)
+            if it > 0 and d_rho < inner_tol:
                 break
+            dav_tol = min(_DAVIDSON_TOL_CAP, _DAVIDSON_TOL_PER_DRHO * d_rho)
+            dav_tol = max(dav_tol, opts.davidson_tol)
+        # the state is only as converged as its last eigensolve
+        density_converged = d_rho < opts.density_tol and result.converged
         if not ham.functional.is_hybrid:
-            converged = history[-1] < opts.density_tol
+            converged = density_converged
             break
         # hybrid outer convergence: exchange energy change.  One dense
         # (N^2-FFT) application per pass serves this energy and the ACE
@@ -245,7 +291,7 @@ def run_scf(
             phi_r[:nbands], sigma, degeneracy=ham.degeneracy, vx_phi=vx_r
         )
         vx_phi = grid.to_sphere(vx_r, consume=True)
-        if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
+        if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol and density_converged:
             converged = True
             # refresh ACE one final time so the returned state is consistent
             ham.set_ace(ACEOperator.from_dense_action(grid, phi[:nbands], vx_phi))

@@ -1,6 +1,7 @@
 """Oracles: bodies that left ``src``, kept for the tests to compare against.
 
-Real-space-row oracles for the sphere-block solvers,
+Real-space-row oracles for the sphere-block solvers (and the
+generalized Ritz step they were written with),
 :class:`SeedNumpyBackend`, the copying default FFT engine,
 :func:`output_density_fixed_point`, the PT-IM stopping rule until PR 18,
 and :func:`plain_fixed_point_update`, the PT-IM map until PR 19.
@@ -24,7 +25,6 @@ from repro.rt import PTIMACEPropagator, TDState
 from repro.rt.ptcn import PTCNPropagator
 from repro.scf.eigensolver import (
     DavidsonResult,
-    _generalized_lowest,
     _inverse_sqrt,
     _normalize_rows,
     canonical_orthonormalize,
@@ -66,6 +66,24 @@ class SeedNumpyBackend(Backend):
             return r
         np.multiply(r, scale, out=out)
         return out
+
+
+def _generalized_lowest(h, s, nb):
+    """Lowest ``nb`` eigenpairs of the generalized problem ``H v = e S v``.
+
+    Solved via canonical orthogonalization of S (dropping null modes), so
+    mildly ill-conditioned expansion bases remain stable.  ``davidson``'s
+    Ritz step until PR 22, which stopped building ``S``: its expanded basis
+    is orthonormal by construction.  ``real_space_davidson`` below and
+    ``reapplying_davidson`` (``test_scf_solvers.py``) still call it.
+    """
+    lam, u = np.linalg.eigh(s)
+    keep = lam > 1e-12 * float(lam.max())
+    t = u[:, keep] / np.sqrt(lam[keep])[None, :]
+    h_t = t.conj().T @ h @ t
+    h_t = 0.5 * (h_t + h_t.conj().T)
+    e, v = np.linalg.eigh(h_t)
+    return e[:nb], (t @ v[:, :nb])
 
 
 def real_space_apply(ham, phi_r, *, include_exchange=True, ace=None):
