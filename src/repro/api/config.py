@@ -340,9 +340,10 @@ class SweepConfig(_Section):
     (default) takes the cartesian product of all axes; ``"zip"`` pairs
     them element-wise (all axes must then have equal length).
 
-    ``workers`` picks where :func:`repro.api.ensemble.run_ensemble`
-    executes the expanded runs: 1 (the default) in the calling process,
-    more on that many spawned worker processes.  ``output`` is the
+    ``workers`` is how many processes compute when
+    :func:`repro.api.ensemble.run_ensemble` executes the expanded runs:
+    1 (the default) is the calling process alone, N the calling process
+    and N - 1 spawned worker processes.  ``output`` is the
     default ``EnsembleResult`` npz path used by ``repro sweep`` when
     ``--output`` is not given.
 

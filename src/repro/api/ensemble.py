@@ -11,8 +11,8 @@ so the facade gets a first-class multi-run layer:
 
 :func:`expand_sweep` crosses the :class:`~repro.api.config.SweepConfig`
 axes into concrete :class:`~repro.api.config.SimulationConfig` variants;
-:func:`run_ensemble` executes them — in this process, or on spawned
-worker processes draining the store's job queue — through the one run
+:func:`run_ensemble` executes them — in this process, or in this process
+and spawned workers draining the store's job queue — through the one run
 kernel of :mod:`repro.api.runs`, converging each distinct (system, scf)
 ground state exactly once and each distinct config hash at most once;
 and :class:`EnsembleResult` collects per-run observables, status and errors
@@ -515,14 +515,15 @@ def _run_in_process(plan: runs.RunPlan, store, labels, settle, fail, say) -> Non
 
 def _run_on_pool(plan: runs.RunPlan, store, n_workers: int, labels, settle_stored, fail, say) -> None:
     """``workers > 1``: the pending hashes go through the store's job queue,
-    drained by the job service's own spawned workers (each runs the kernel
-    against the store); a variant that raises, or whose worker is killed,
-    comes back as an ``error`` job and becomes an ``error`` record."""
+    drained by this process and ``n_workers - 1`` of the job service's own
+    spawned workers (each runs the kernel against the store); a variant that
+    raises, or whose spawned worker is killed, comes back as an ``error``
+    job and becomes an ``error`` record."""
     from repro.serve.pool import drain
 
     firsts = {config_hash(config) for _, config, _ in _announce_groups(plan, say)}
     # each group's first variant ahead of the rest, so the group SCFs
-    # converge side by side instead of one worker idling on a lease
+    # converge side by side instead of one process blocked on a lease
     order = sorted(plan.pending, key=lambda chash: chash not in firsts)
     for chash in order:
         store.begin_run(plan.pending[chash], overrides=labels[chash])
@@ -533,7 +534,7 @@ def _run_on_pool(plan: runs.RunPlan, store, n_workers: int, labels, settle_store
         else:
             fail(job["config_hash"], (job["error"] or job["status"]).splitlines()[0])
 
-    drain(store.root, [plan.pending[h] for h in order], min(n_workers, len(order)), on_done)
+    drain(store, [plan.pending[h] for h in order], min(n_workers, len(order)), on_done)
 
 
 def run_ensemble(
@@ -545,11 +546,15 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Expand ``sweep`` over ``base`` and execute every grid point.
 
-    ``workers`` (default ``sweep.workers``) decides where: 1 runs every
-    variant in this process; more runs them on that many **spawned**
-    worker processes (at most one per pending variant), so a script
-    calling this needs an ``if __name__ == "__main__":`` guard.
-    ``progress`` receives one line per event (the CLI passes ``print``).
+    ``workers`` (default ``sweep.workers``) is how many processes
+    compute, at most one per pending variant: 1 runs every variant in
+    this process; N runs them on **this process and N - 1 spawned**
+    worker processes, so a script calling this needs an ``if __name__ ==
+    "__main__":`` guard.  A variant that hard-crashes a spawned worker
+    is an ``error`` record; one that hard-crashes this process ends the
+    sweep, as it does at ``workers=1``, and the store requeues it on the
+    next call.  ``progress`` receives one line per event (the CLI passes
+    ``print``).
 
     ``store`` (a :class:`~repro.store.ResultStore` or study directory;
     default ``sweep.store``) makes the sweep resumable: runs append to it

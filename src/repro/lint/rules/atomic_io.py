@@ -14,8 +14,9 @@ result writers in the api package:
 - ``Path.write_text`` / ``Path.write_bytes``.
 
 Append mode (``"a"``) is untouched — the JSON-lines index is an
-append-only log by design — as are fd-based ``os.open``/``os.fdopen``
-patterns (the O_EXCL lease files).  A writer that *implements* the
+append-only log by design — as are fd-based ``os.open`` patterns (the
+ground-state lease opens its ``.lock`` file ``O_CREAT | O_RDWR`` only to
+``flock`` it; nothing is ever written there).  A writer that *implements* the
 temp-then-rename dance inline can carry a
 ``# repro: lint-ignore[atomic-io]`` suppression.
 """
@@ -94,7 +95,7 @@ def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
             attr = node.func.attr
             if attr == "open":
                 # method-style .open() (Path.open and friends); os.open is
-                # the fd-based O_EXCL lease pattern, a different discipline
+                # the lease's open-to-flock pattern, a different discipline
                 if dotted == "os.open":
                     continue
                 mode = _write_mode(node, 0)

@@ -7,7 +7,6 @@ of them; this rule flags, anywhere in the package,
 - an ``import`` / ``from ... import`` of a removed module or function,
 - an attribute access that resolves to one, or that names a removed
   method or property (the table's ``Class.member`` entries),
-- a removed keyword argument of a callable that still exists,
 
 with the replacement from the table as the hint.
 """
@@ -20,7 +19,7 @@ from typing import Iterable, Iterator, Optional
 from repro.lint.astutil import ImportMap
 from repro.lint.findings import Finding, SourceModule
 from repro.lint.registry import register_rule
-from repro.removed import REMOVED_KEYWORDS, REMOVED_NAMES
+from repro.removed import REMOVED_NAMES
 
 RULE = "removed-api"
 
@@ -28,9 +27,6 @@ _MODULES = tuple(n for n in REMOVED_NAMES if n.startswith("repro."))
 _FUNCTIONS = {n for n in REMOVED_NAMES if "." not in n}
 #: ``Class.member`` entries by member name: what an attribute access can show
 _MEMBERS = {n.split(".")[1]: n for n in REMOVED_NAMES if "." in n and n not in _MODULES}
-#: member names other classes still define: flagged only where the receiver
-#: is the removed member's class being constructed (``Class(...).member``)
-_SHARED_MEMBERS = {"apply"}
 
 
 def _removed(dotted: Optional[str]) -> Optional[str]:
@@ -50,13 +46,6 @@ def _root_is_import(node: ast.Attribute, imports: ImportMap) -> bool:
     return isinstance(node, ast.Name) and (node.id in imports.modules or node.id in imports.names)
 
 
-def _constructs(node: ast.AST, member: str) -> bool:
-    """Is ``node`` a call of the class that owned ``Class.member``?"""
-    callee = node.func if isinstance(node, ast.Call) else None
-    name = getattr(callee, "attr", getattr(callee, "id", None))
-    return name == member.split(".")[0]
-
-
 def _hits(node: ast.AST, imports: ImportMap) -> Iterator[Optional[str]]:
     if isinstance(node, ast.Import):
         for alias in node.names:
@@ -68,18 +57,10 @@ def _hits(node: ast.AST, imports: ImportMap) -> Iterator[Optional[str]]:
         yield _removed(imports.resolve(node) or node.attr)
         # ``repro.lint.engine`` is a module; ``grid.engine`` is the member
         if node.attr in _MEMBERS and not _root_is_import(node, imports):
-            if node.attr not in _SHARED_MEMBERS or _constructs(node.value, _MEMBERS[node.attr]):
-                yield _MEMBERS[node.attr]
-    elif isinstance(node, ast.Call):
-        callee = (imports.resolve_call(node) or "").split(".")
-        for name, keywords in REMOVED_KEYWORDS.items():
-            if name in callee:
-                for kw in node.keywords:
-                    if kw.arg in keywords:
-                        yield f"{name}({kw.arg}=...)"
+            yield _MEMBERS[node.attr]
 
 
-@register_rule(RULE, "modules, functions and keywords listed in repro.removed stay gone")
+@register_rule(RULE, "modules, functions and members listed in repro.removed stay gone")
 def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
     for node in ast.walk(module.tree):
         for name in _hits(node, imports):
@@ -87,5 +68,5 @@ def check(module: SourceModule, imports: ImportMap) -> Iterable[Finding]:
                 yield module.finding(
                     node, RULE,
                     f"{name} was removed from the package",
-                    hint=f"instead: {REMOVED_NAMES.get(name, 'drop the keyword')}",
+                    hint=f"instead: {REMOVED_NAMES[name]}",
                 )

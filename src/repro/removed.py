@@ -1,7 +1,7 @@
 """Names this package used to export, and what replaced them.
 
-One table, two readers: the ``removed-api`` lint rule flags any import,
-attribute access or keyword in source that would bring a name back, and
+One table, two readers: the ``removed-api`` lint rule flags any import or
+attribute access in source that would bring a name back, and
 the backend registry refuses an engine name this package used to ship
 with its remedy instead of as a typo.
 
@@ -14,16 +14,10 @@ to be told where the name went.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Dict
 
 #: dotted module/function/attribute name -> where its job went
 REMOVED_NAMES: Dict[str, str] = {
-    # 1.10.0
-    "ResultStore.append_result": "ResultStore.add_result (a run is stored once, whole)",
-    "repro.store.records": "repro.api.simulation.write_result_npz / read_result_npz "
-    "(a stored run is a result file) and PropagationRecord.from_arrays",
-    "repro.store.migrate": "repro.store.schema (one schema version; older stores are refused by name)",
-    "DistributedFockExchange.apply": "DistributedFockExchange.apply_diag",
     # 1.11.0
     "repro.backend.scipy_backend": "repro.backend.numpy_backend (the one engine)",
     "ScipyBackend": "NumpyBackend: its transforms are the pocketfft calls ScipyBackend made",
@@ -31,11 +25,6 @@ REMOVED_NAMES: Dict[str, str] = {
     "FFTPlan": "nothing: the normalization is folded into the transform",
     "Backend.plan": "nothing: the normalization is folded into the transform",
     "Backend.scratch": "Backend.empty (nothing in the package reused a workspace)",
-}
-
-#: callable -> keyword arguments it no longer takes
-REMOVED_KEYWORDS: Dict[str, Tuple[str, ...]] = {
-    "ResultStore": ("chunk_steps",),  # 1.10.0
 }
 
 #: ``[backend] name`` this package used to register -> what the user should do

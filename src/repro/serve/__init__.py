@@ -19,7 +19,8 @@ Layers
     Spawned worker processes plus the supervisor logic: respawn dead
     workers, requeue their jobs, enforce per-job deadlines;
     :func:`~repro.serve.pool.drain` is its batch form, which parallel
-    sweeps run on.
+    sweeps run on: N computing processes are the caller and N - 1
+    spawned.
 :class:`~repro.serve.service.JobService`
     The composed server: store + queue + pool + a stdlib
     ``ThreadingHTTPServer`` JSON API.

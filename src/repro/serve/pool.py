@@ -3,6 +3,8 @@
 Workers are **spawned** processes (never forked: the server runs HTTP
 handler threads, and forking a threaded process is undefined behavior
 waiting to happen) running :func:`repro.serve.worker.worker_main`.
+:func:`drain`, the batch form a parallel sweep runs on, spawns one
+fewer than it was asked for and computes in the calling process too.
 
 The pool itself holds no job state — the queue is the single source of
 truth.  :meth:`WorkerPool.tick` is the supervisor pass the service runs
@@ -20,14 +22,19 @@ a few times a second:
 
 from __future__ import annotations
 
+import itertools
 import multiprocessing as mp
+import os
 import time
 from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.serve.queue import TERMINAL_STATUSES, JobQueue
-from repro.serve.worker import worker_main
+from repro.serve.worker import execute_job, worker_main
 from repro.store.common import pid_alive
+
+#: tells apart the pools one process creates (a sweep beside a service)
+_pool_numbers = itertools.count()
 
 
 class WorkerPool:
@@ -45,6 +52,10 @@ class WorkerPool:
         self.n_workers = int(n_workers)
         self.options = dict(options or {})
         self._ctx = mp.get_context("spawn")
+        #: prefix of every worker id of this pool: pools share the store's
+        #: ``workers`` table, and one pool must never take another's row
+        #: (or fail another's job) for its own
+        self.tag = f"p{os.getpid()}n{next(_pool_numbers)}"
         #: slot -> live process; worker ids encode slot + generation so a
         #: respawned worker never aliases its predecessor's claimed jobs
         self._procs: Dict[int, mp.process.BaseProcess] = {}
@@ -55,7 +66,7 @@ class WorkerPool:
     def _spawn(self, slot: int) -> None:
         gen = self._generation.get(slot, 0) + 1
         self._generation[slot] = gen
-        worker_id = f"w{slot}g{gen}"
+        worker_id = f"{self.tag}w{slot}g{gen}"
         proc = self._ctx.Process(
             target=worker_main,
             args=(self.store_root, worker_id, self.options),
@@ -137,45 +148,68 @@ class WorkerPool:
             self._spawn(slot)
 
 
-DRAIN_POLL_S = 0.1  #: seconds between a draining parent's looks at its jobs
+#: longest a draining caller that found nothing to claim sleeps before it
+#: looks again; a caller that did claim something does not sleep at all
+DRAIN_IDLE_S = 0.02
 
 
 def drain(
-    store_root,
+    store,
     configs: Sequence[SimulationConfig],
     n_workers: int,
     on_done: Callable[[Dict[str, Any]], None],
 ) -> None:
-    """Run ``configs`` through the store's queue on a pool of this call's own.
+    """Run ``configs`` through ``store``'s queue on ``n_workers`` processes.
 
     The batch form of the service (``run_ensemble(workers > 1)`` uses
-    it): submit, supervise, hand each job row to ``on_done`` as it turns
-    terminal, return when all have.  ``max_attempts=1``: a config that
-    raises, or whose worker is killed, is an ``error`` job, not a retry.
-    A job some other pool on the same store already holds is waited for,
-    not duplicated.  On the way out, by return or by exception, the
-    workers are stopped and nothing of this batch is left claimable.
+    it).  ``n_workers`` processes compute: **the caller and
+    ``n_workers - 1`` spawned**.  The caller submits, registers itself as
+    a worker of the queue, starts the others, and then does what they do
+    (claim, :func:`~repro.serve.worker.execute_job`) between supervisor
+    passes, handing each job row to ``on_done`` as it turns terminal; it
+    returns when all have.  So the first job starts at once, beside the
+    children's spawn and import instead of after them; the price is that
+    a job a child finishes is handed to ``on_done`` when the caller next
+    finishes its own, not the moment it lands.
+
+    ``max_attempts=1``: a config that raises, or whose spawned worker is
+    killed, is an ``error`` job, not a retry.  What kills the *caller*
+    ends the batch, as it would in process; its claim is requeued by the
+    next call on the store (:meth:`JobQueue.recover`).  A job some other
+    live pool on the same store already holds is waited for, not
+    duplicated.  On the way out, by return or by exception, the workers
+    are stopped and nothing of this batch is left claimable or running.
     """
-    queue = JobQueue(store_root)
-    pool = WorkerPool(str(store_root), queue, n_workers=n_workers)
+    queue = JobQueue(store.root)
+    pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1)
+    me = f"{pool.tag}caller"
     waiting: List[str] = []
     try:
-        if not any(pid_alive(w["pid"]) for w in queue.workers()):
-            # nobody is alive to finish a claim left behind by a batch or
-            # server that was killed outright: requeue, as a booting server does
-            queue.recover()
+        # a claim whose worker is gone (a batch or server that was killed
+        # outright) has nobody left to finish it: requeue, as a booting
+        # server does, and keep what live workers of other pools hold
+        queue.recover(
+            alive=[w["worker_id"] for w in queue.workers() if pid_alive(w["pid"])]
+        )
         waiting = [queue.submit(config, max_attempts=1)["job_id"] for config in configs]
+        queue.register_worker(me, os.getpid())
         pool.start()
         while waiting:
             pool.tick(backoff=0.0)
+            mine = queue.claim(me)
+            if mine is not None:
+                execute_job(store, queue, mine, {"backoff": 0.0})
+                queue.heartbeat(me)
             for job_id in list(waiting):
                 job = queue.get(job_id)
                 if job is not None and job["status"] in TERMINAL_STATUSES:
                     waiting.remove(job_id)
                     on_done(job)
-            time.sleep(DRAIN_POLL_S if waiting else 0.0)
+            if mine is None and waiting:
+                time.sleep(DRAIN_IDLE_S)
     finally:
         pool.stop()
         for job_id in waiting:
             queue.cancel(job_id)
+        queue.remove_worker(me)
         queue.close()

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import threading
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.store.common import (
@@ -315,17 +315,24 @@ class JobQueue:
         return self._txn(_cancel)
 
     # -- recovery / supervision ----------------------------------------------
-    def recover(self) -> int:
-        """Requeue every ``running`` job (server boot: their workers died).
+    def recover(self, alive: Sequence[str] = ()) -> int:
+        """Requeue every ``running`` job whose worker is not one of ``alive``.
 
-        Attempts already consumed stay consumed; the interrupted attempt
-        is closed in the history so a post-mortem can see it.
+        A booting server passes nothing (the workers of its last life are
+        all gone); a batch beside other pools passes the ids of the
+        workers that still live, and forgets the rest.  Attempts already
+        consumed stay consumed; the interrupted attempt is closed in the
+        history so a post-mortem can see it.
         """
         now = utc_now()
+        alive = list(alive)
+        gone = f"NOT IN ({', '.join('?' * len(alive))})"
 
         def _recover(conn):
             rows = conn.execute(
-                "SELECT job_id, attempts FROM jobs WHERE status = 'running'"
+                "SELECT job_id, attempts FROM jobs WHERE status = 'running' "
+                f"AND (worker IS NULL OR worker {gone})",
+                alive,
             ).fetchall()
             for job_id, attempt in rows:
                 conn.execute(
@@ -339,7 +346,7 @@ class JobQueue:
                     "outcome = 'interrupted' WHERE job_id = ? AND attempt = ?",
                     (now, job_id, attempt),
                 )
-            conn.execute("DELETE FROM workers")
+            conn.execute(f"DELETE FROM workers WHERE worker_id {gone}", alive)
             return len(rows)
 
         return self._txn(_recover)

@@ -32,8 +32,8 @@ from repro.api.runs import run_one
 from repro.api.simulation import Simulation
 from repro.serve.queue import JobQueue, job_config
 
-#: how often an idle worker polls the queue for work
-IDLE_POLL_S = 0.1
+#: seconds a worker that found nothing to claim sleeps before it looks again
+IDLE_SLEEP_S = 0.1
 
 #: minimum seconds between progress writes (keeps the index write rate
 #: independent of step rate)
@@ -68,10 +68,13 @@ def execute_job(store, queue: JobQueue, job: Dict[str, Any], options: Dict[str, 
 def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any]] = None) -> None:
     """The spawned worker process: register, then claim/execute forever.
 
-    The loop has no exit condition of its own — the pool terminates
-    workers on shutdown, and an unhandled crash is surfaced by the
-    supervisor (dead process → failed attempt → respawn).
+    The pool terminates workers on shutdown, and an unhandled crash is
+    surfaced by the supervisor (dead process → failed attempt → respawn).
+    The loop's one exit of its own is for a worker nobody supervises any
+    more: when the process that spawned it is gone (killed outright, so
+    it stopped nobody), the worker finishes the job it has and leaves.
     """
+    import multiprocessing as mp
     import os
 
     from repro.store import ResultStore
@@ -80,13 +83,13 @@ def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any
     store = ResultStore(store_root, create=False)
     queue = JobQueue(store_root)
     queue.register_worker(worker_id, os.getpid())
-    idle_poll = float(options.get("idle_poll_s", IDLE_POLL_S))
+    parent = mp.parent_process()
     try:
-        while True:
+        while parent is None or parent.is_alive():
             job = queue.claim(worker_id)
             if job is None:
                 queue.heartbeat(worker_id, state="idle")
-                time.sleep(idle_poll)
+                time.sleep(IDLE_SLEEP_S)
                 continue
             queue.heartbeat(worker_id, state="busy", job_id=job["job_id"])
             execute_job(store, queue, job, options)

@@ -100,9 +100,9 @@ def utc_now() -> float:
 def pid_alive(pid: int) -> bool:
     """Is a process with this pid running on this host?
 
-    The liveness test behind stale ground-state leases and stale job
-    claims; both are same-host by construction (a lock file and a
-    database on a local directory).
+    The liveness test behind stale job claims, same-host by construction
+    (a database on a local directory).  The ground-state lease needs
+    none: it is a kernel lock, dropped with its holder.
     """
     if pid <= 0:
         return False

@@ -1,0 +1,224 @@
+"""``workers = N`` is N computing processes: the caller and N - 1 spawned.
+
+Facts about who ran what, read off the queue's own rows — never
+stopwatches.  Every sweep here starts from the committed golden LDA
+ground state, put into the store up front, so no leg converges an SCF.
+"""
+
+import os
+import signal
+import subprocess
+import sys
+import textwrap
+import time
+
+import make_golden
+import pytest
+
+from repro.api import SimulationConfig, SweepConfig, run_ensemble
+from repro.serve.pool import WorkerPool
+from repro.serve.queue import JobQueue
+from repro.store import ResultStore
+
+CONFIG = {**make_golden.CONFIGS["ptim"]}
+CONFIG["propagation"] = {"propagator": "ptim", "dt_as": 25.0, "n_steps": 1}
+
+
+@pytest.fixture()
+def base():
+    return SimulationConfig.from_dict(CONFIG)
+
+
+@pytest.fixture()
+def store_dir(tmp_path, base):
+    with_gs = ResultStore(tmp_path / "study")
+    with_gs.put_ground_state(base, make_golden.load_ground_state(CONFIG))
+    with_gs.close()
+    return tmp_path / "study"
+
+
+def _kicks(n):
+    return SweepConfig.from_dict(
+        {"axes": {"field.params.kick": [1e-3 * (i + 1) for i in range(n)]}}
+    )
+
+
+def _rows(store_dir):
+    queue = JobQueue(store_dir)
+    try:
+        return queue.jobs(), queue.workers()
+    finally:
+        queue.close()
+
+
+def _assert_nothing_half_done(store_dir):
+    jobs, workers = _rows(store_dir)
+    assert [job for job in jobs if job["status"] == "running"] == []
+    assert [w for w in workers if w["pid"] == os.getpid()] == []
+    store = ResultStore(store_dir, create=False)
+    try:
+        assert list(store.blobs.ground_states_dir.glob("*.lock")) == []
+        finished = store.query(status="ok")
+        for run in finished:
+            assert store.load_result(run.run_id).final_state.phi.size > 0
+        return len(finished)
+    finally:
+        store.close()
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch):
+    spawned = []
+    real_spawn = WorkerPool._spawn
+
+    def counting_spawn(self, slot):
+        spawned.append(slot)
+        real_spawn(self, slot)
+
+    monkeypatch.setattr(WorkerPool, "_spawn", counting_spawn)
+    result = run_ensemble(base, _kicks(4), workers=workers, store=store_dir)
+    assert [r.status for r in result.runs] == ["ok"] * 4
+    assert len(spawned) == workers - 1
+
+    jobs, left = _rows(store_dir)
+    first = min(jobs, key=lambda job: job["started"])
+    assert first["worker"].endswith("caller")
+    # the caller's row is gone; those of children that got as far as
+    # registering stay until the next recover() and say when each came up:
+    # after the first job was already running
+    assert len(left) <= workers - 1 and all(w["pid"] != os.getpid() for w in left)
+    assert all(first["started"] < w["started"] for w in left)
+    assert all(job["attempts"] == 1 for job in jobs)
+
+
+def test_a_progress_callback_that_raises_leaves_nothing_half_done(store_dir, base):
+    """The first ``ok`` line is the caller's own variant (it starts before any
+    child is up); aborting there stops the children and keeps what finished."""
+
+    class Abort(Exception):
+        pass
+
+    def progress(line):
+        if line.startswith("run") and ": ok" in line:
+            raise Abort(line)
+
+    with pytest.raises(Abort):
+        run_ensemble(base, _kicks(4), workers=2, store=store_dir, progress=progress)
+    assert _assert_nothing_half_done(store_dir) >= 1
+    again = run_ensemble(base, _kicks(4), workers=2, store=store_dir)
+    assert [r.status for r in again.runs] == ["ok"] * 4
+
+
+def test_an_interrupt_in_the_callers_variant_leaves_nothing_half_done(
+    store_dir, base, monkeypatch
+):
+    """Ctrl-C while this process propagates its second variant: the claim is
+    given up, the first variant is durable, the next call finishes the rest."""
+    import repro.serve.worker as worker_mod
+
+    real_run_one = worker_mod.run_one
+    calls = []
+
+    def interrupted_run_one(sim, *args, **kwargs):  # patched in this process only
+        calls.append(sim.config.field.params["kick"])
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return real_run_one(sim, *args, **kwargs)
+
+    monkeypatch.setattr(worker_mod, "run_one", interrupted_run_one)
+    with pytest.raises(KeyboardInterrupt):
+        run_ensemble(base, _kicks(5), workers=2, store=store_dir)
+    assert len(calls) == 2
+    assert _assert_nothing_half_done(store_dir) >= 1
+    monkeypatch.setattr(worker_mod, "run_one", real_run_one)
+    again = run_ensemble(base, _kicks(5), workers=2, store=store_dir)
+    assert [r.status for r in again.runs] == ["ok"] * 5
+
+
+_HANGING_CALLER = """
+    import sys, time
+    sys.path[:0] = {path!r}
+    import make_golden
+    import repro.serve.worker as worker_mod
+    from repro.api import SimulationConfig, SweepConfig, run_ensemble
+
+    if __name__ == "__main__":  # not in the spawned child, which re-imports this file
+        worker_mod.run_one = lambda *args, **kwargs: time.sleep(600.0)
+        base = SimulationConfig.from_dict({config!r})
+        sweep = SweepConfig.from_dict({{"axes": {{"field.params.kick": [1e-3, 2e-3]}}}})
+        run_ensemble(base, sweep, workers=2, store={store!r})
+"""
+
+
+def test_a_killed_caller_is_requeued_by_the_next_call(store_dir, base, tmp_path):
+    """SIGKILL the calling process while it holds a claim: nobody is left to
+    report it, the orphaned child finishes what it has and leaves, and the
+    next ``run_ensemble`` on the store requeues the claim and completes."""
+    script = tmp_path / "hanging_caller.py"
+    script.write_text(
+        textwrap.dedent(_HANGING_CALLER).format(
+            path=[p for p in sys.path if p], config=CONFIG, store=str(store_dir)
+        )
+    )
+    caller = subprocess.Popen([sys.executable, str(script)], start_new_session=True)
+    try:
+        queue = JobQueue(store_dir)
+        try:
+            deadline = time.monotonic() + 120.0
+            held = []
+            while not held and time.monotonic() < deadline and caller.poll() is None:
+                held = [
+                    job for job in queue.jobs(status="running")
+                    if job["worker"].endswith("caller")
+                ]
+                time.sleep(0.02)
+            assert len(held) == 1
+            caller.kill()
+            caller.wait(timeout=10.0)
+        finally:
+            queue.close()
+        result = run_ensemble(base, _kicks(2), workers=2, store=store_dir)
+    finally:
+        try:  # whatever of the session is still alive
+            os.killpg(caller.pid, signal.SIGKILL)
+        except ProcessLookupError:
+            pass
+    assert [r.status for r in result.runs] == ["ok"] * 2
+    jobs, _ = _rows(store_dir)
+    attempts = {job["job_id"]: job["attempts"] for job in jobs}
+    assert attempts[held[0]["job_id"]] == 2  # the dead caller's, then the one that finished it
+    assert sorted(job["status"] for job in jobs) == ["ok", "ok"]
+
+
+def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):
+    """A sweep beside a service: killing a worker of one pool must not fail
+    the job a worker of the other is running (both used to be ``w0g1``)."""
+    queue = JobQueue(store_dir)
+    ours = WorkerPool(str(store_dir), queue, n_workers=1)
+    theirs = WorkerPool(str(store_dir), queue, n_workers=1)
+    config = base.replace(propagation={"n_steps": 12})
+    try:
+        job_id = queue.submit(config, max_attempts=3)["job_id"]
+        theirs.start()
+        deadline = time.monotonic() + 120.0
+        while queue.get(job_id)["status"] != "running" and time.monotonic() < deadline:
+            time.sleep(0.01)
+        holder = queue.get(job_id)["worker"]
+        assert holder and theirs.pid_of(holder) is not None and ours.pid_of(holder) is None
+
+        ours.start()
+        (doomed,) = ours._ids.values()
+        assert doomed != holder
+        assert ours.kill_worker(doomed)
+        ours.tick(backoff=0.0)  # reaps its own dead worker, and only its own
+
+        while queue.get(job_id)["status"] == "running" and time.monotonic() < deadline:
+            theirs.tick(backoff=0.0)
+            time.sleep(0.05)
+        job = queue.get(job_id)
+        assert (job["status"], job["attempts"]) == ("ok", 1)
+        assert [a["outcome"] for a in queue.attempts(job_id)] == ["ok"]
+    finally:
+        ours.stop()
+        theirs.stop()
+        queue.close()

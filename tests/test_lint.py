@@ -172,8 +172,11 @@ def test_atomic_io_only_in_durable_layers():
 
 def test_atomic_io_skips_fd_lease_pattern():
     src = (
-        "import os\n"
-        "fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)\n"
+        "import fcntl, os\n"
+        "fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)\n"
+        "fcntl.flock(fd, fcntl.LOCK_EX)\n"
+        "os.unlink(path)\n"
+        "os.close(fd)\n"
     )
     assert not findings_of(src, "store/lease.py", "atomic-io")
 
@@ -379,19 +382,12 @@ def test_pickle_safety_scopes_to_boundary_modules():
 
 
 REMOVED_BAD = """\
-from repro.store import ResultStore
-from repro.store.records import read_chunks
-from repro.store import migrate
-from repro.parallel.distfock import DistributedFockExchange
 import repro.backend.scipy_backend
 from repro.backend import HAVE_SCIPY
 from repro.backend import ScipyBackend, make_backend
 from repro.backend.base import FFTPlan
 
-def sweep(grid, sim, kern, comm, phi, w):
-    store = ResultStore("study", chunk_steps=64)
-    store.append_result("r0", sim.run())
-    DistributedFockExchange(grid, kern, comm).apply(phi, w, phi)
+def sweep(grid, phi):
     work = grid.backend.scratch(phi.shape)
     return work * grid.backend.plan(grid.shape).scale_forward
 """
@@ -402,24 +398,18 @@ from repro.api.ensemble import run_ensemble
 from repro.backend import make_backend
 from repro.store import ResultStore
 
-def sweep(base, sw, grid, ham, c):
+def sweep(base, sw, grid):
     eng = grid.backend
     rules = repro.lint.engine.resolve_rules()
     plan = scratch = "local names are nobody's business"
-    h_c = ham.apply(c)  # other classes still define .apply
     return run_ensemble(base, sw, workers=2, store=ResultStore("study"))
 """
 
 
-def test_removed_api_flags_imports_attributes_and_keywords():
+def test_removed_api_flags_imports_and_attributes():
     found = findings_of(REMOVED_BAD, "api/custom.py", "removed-api")
     flagged = "\n".join(f.message for f in found)
     for name in (
-        "ResultStore(chunk_steps=...)",
-        "ResultStore.append_result",
-        "repro.store.records",
-        "repro.store.migrate",
-        "DistributedFockExchange.apply",
         "repro.backend.scipy_backend",
         "HAVE_SCIPY",
         "ScipyBackend",
@@ -428,8 +418,8 @@ def test_removed_api_flags_imports_attributes_and_keywords():
         "Backend.plan",
     ):
         assert name in flagged, name
-    # one finding per offending site: 6 import lines + 5 uses
-    assert sorted({f.line for f in found}) == [2, 3, 5, 6, 7, 8, 11, 12, 13, 14, 15]
+    # one finding per offending site: 4 import lines + 2 uses
+    assert sorted({f.line for f in found}) == [1, 2, 3, 4, 7, 8]
     assert all(f.hint.startswith("instead: ") for f in found)
 
 
@@ -446,16 +436,9 @@ def test_removed_api_table_matches_the_package():
     from repro.backend import Backend, BackendError, make_backend
     from repro.removed import REMOVED_BACKENDS, REMOVED_NAMES
 
-    for module in ("repro.store.records", "repro.store.migrate", "repro.backend.scipy_backend"):
-        assert module in REMOVED_NAMES
-        with pytest.raises(ImportError):
-            importlib.import_module(module)
-    from repro.parallel.distfock import DistributedFockExchange
-    from repro.store import ResultStore
-
-    assert not hasattr(ResultStore, "append_result")
-    assert not hasattr(DistributedFockExchange, "apply")
-    assert not hasattr(DistributedFockExchange, "apply_mixed_tripleloop")
+    assert "repro.backend.scipy_backend" in REMOVED_NAMES
+    with pytest.raises(ImportError):
+        importlib.import_module("repro.backend.scipy_backend")
     for name in ("ScipyBackend", "HAVE_SCIPY", "FFTPlan"):
         assert name in REMOVED_NAMES and not hasattr(repro.backend, name)
     assert not hasattr(Backend, "scratch") and not hasattr(Backend, "plan")

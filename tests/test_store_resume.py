@@ -205,15 +205,18 @@ def test_store_backed_sweep_on_worker_pool(tmp_path, base_config, monkeypatch):
             assert np.array_equal(ours.arrays[key], arr), key
 
 
-def test_worker_pool_isolates_a_raising_and_a_killed_variant(tmp_path, base_config):
-    """On spawned workers, a variant that raises and a variant whose worker
-    is SIGKILLed mid-propagation each end as one ``error`` record after a
-    single attempt; the rest finish, and nothing is left half-done."""
+def test_worker_pool_isolates_a_raising_and_a_killed_variant(
+    tmp_path, base_config, monkeypatch
+):
+    """A variant that raises and a variant whose spawned worker is SIGKILLed
+    mid-propagation each end as one ``error`` record after a single attempt;
+    the rest finish, and nothing is left half-done."""
     import os
     import signal
     import threading
     import time
 
+    import repro.serve.pool as pool_mod
     from repro.serve.queue import JobQueue, job_id_for
 
     sweep = SweepConfig.from_dict(
@@ -230,6 +233,23 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(tmp_path, base_conf
     victim = job_id_for(
         base_config.replace(propagation={"propagator": "ptim", "n_steps": 5000})
     )
+
+    # The calling process computes too, and whoever is free takes the next
+    # job: left to the race, this process finishes its first variant before
+    # the child is up about one run in three, claims the victim, and the
+    # killer below SIGKILLs pytest.  So it sits on its first claim until the
+    # spawned worker has the victim.
+    real_execute_job = pool_mod.execute_job
+
+    def execute_once_the_victim_is_taken(store, queue, job, options):
+        deadline = time.monotonic() + 240.0
+        while queue.get(victim)["status"] == "queued" and time.monotonic() < deadline:
+            time.sleep(0.02)
+        taken = queue.get(victim)
+        assert taken["status"] != "queued" and taken["worker"] != job["worker"]
+        return real_execute_job(store, queue, job, options)
+
+    monkeypatch.setattr(pool_mod, "execute_job", execute_once_the_victim_is_taken)
 
     def kill_victims_worker():
         queue = JobQueue(store_dir)
