@@ -1,9 +1,6 @@
-"""Benchmark fixtures: one shared small hybrid ground state, and where
-the ``BENCH_*.json`` writers put their artifact."""
+"""Benchmark fixtures: one shared small hybrid ground state."""
 
 from __future__ import annotations
-
-from pathlib import Path
 
 import pytest
 
@@ -12,27 +9,6 @@ from repro.hamiltonian import Hamiltonian
 from repro.rt import ZeroField
 from repro.scf import SCFOptions, run_scf
 from repro.xc.hybrid import make_functional
-
-
-def pytest_addoption(parser):
-    parser.addoption(
-        "--write-bench",
-        action="store_true",
-        help="write BENCH_serve/store.json at the repo root (default: under pytest's tmp dir)",
-    )
-
-
-@pytest.fixture(scope="session")
-def bench_dir(request, tmp_path_factory) -> Path:
-    """Directory the ``BENCH_*.json`` writers write to and read back from.
-
-    The tracked files at the repo root change only when asked to
-    (``--write-bench``): a bare ``pytest`` is the tier-1 verify command
-    and must leave the working tree as it found it.
-    """
-    if request.config.getoption("--write-bench"):
-        return Path(__file__).resolve().parent.parent
-    return tmp_path_factory.mktemp("bench_json")
 
 
 @pytest.fixture(scope="session")

@@ -9,7 +9,6 @@ including ``repro sweep``.  The low-level modules (:mod:`repro.scf`,
 for custom wiring.
 """
 
-from repro.api.checkpoint import Checkpoint, load_checkpoint, save_checkpoint
 from repro.api.config import (
     BackendConfig,
     ConfigError,
@@ -65,9 +64,6 @@ def __getattr__(name):
 
 
 __all__ = [
-    "Checkpoint",
-    "load_checkpoint",
-    "save_checkpoint",
     "BackendConfig",
     "ConfigError",
     "ResultError",

@@ -5,8 +5,10 @@ Commands
 ``run CONFIG``
     Converge the ground state and run the configured propagation from a
     ``.toml``/``.json`` config file; optionally save results/checkpoint.
-``resume CKPT``
-    Continue a checkpointed trajectory for more steps.
+``resume NPZ``
+    Continue the trajectory a result file ends in for more steps: a
+    checkpoint (carries the ground state) or any ``--output`` /
+    ``results export`` / ``jobs fetch`` file.
 ``sweep CONFIG``
     Expand a config with a ``[sweep]`` section into a run grid and
     execute it (``--workers N``: in process for 1, otherwise on N
@@ -28,8 +30,8 @@ Commands
 ``lint [PATHS]``
     Run the project-invariant static analysis (AST rules: sqlite
     discipline, atomic IO, FFT isolation, determinism, config
-    immutability, pickle safety, removed API) over source files; supports inline
-    suppressions, a committed baseline, and text/JSON output.
+    immutability, pickle safety) over source files; supports inline
+    suppressions and text/JSON output.
 ``components``
     List every registered cell / functional / field / propagator /
     backend / lint rule.
@@ -45,7 +47,7 @@ Exit codes
     sweep variants, failed submitted/watched jobs.
 2
     Usage error: bad flags, unparseable or invalid config, unknown
-    registry keys, unreadable store/baseline paths.
+    registry keys, unreadable store paths.
 """
 
 from __future__ import annotations
@@ -111,8 +113,11 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument("--quiet", action="store_true", help="suppress the observable table")
 
-    resume = sub.add_parser("resume", help="continue a checkpointed trajectory")
-    resume.add_argument("checkpoint_file", help="checkpoint .npz from a previous run")
+    resume = sub.add_parser("resume", help="continue the trajectory a result file ends in")
+    resume.add_argument(
+        "result_file", metavar="NPZ",
+        help="checkpoint, --output, results-export or jobs-fetch .npz of a previous run",
+    )
     resume.add_argument("--steps", type=int, default=None, help="override propagation.n_steps")
     resume.add_argument("--output", default=None, metavar="NPZ", help="save observables + config")
     resume.add_argument("--checkpoint", default=None, metavar="NPZ", help="save a new checkpoint")
@@ -168,16 +173,6 @@ def _build_parser() -> argparse.ArgumentParser:
     lint.add_argument(
         "--format", choices=("text", "json"), default="text",
         help="report format (default %(default)s)",
-    )
-    lint.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="baseline file of tolerated findings (default: "
-             "lint-baseline.json in the current directory, when present)",
-    )
-    lint.add_argument(
-        "--update-baseline", action="store_true",
-        help="write the current findings to the baseline file and exit 0 "
-             "(subsequent runs fail only on new findings)",
     )
 
     results = sub.add_parser("results", help="query and export runs from a result store")
@@ -420,7 +415,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
-    sim = Simulation.resume(args.checkpoint_file)
+    sim = Simulation.resume(args.result_file)
     cfg = sim.config
     if not args.quiet:
         n = args.steps if args.steps is not None else cfg.propagation.n_steps
@@ -503,14 +498,14 @@ def _cmd_validate(args) -> int:
         # pre-flight the code itself before a long job: a determinism or
         # IO-discipline regression is cheaper to catch here than three
         # hours into a propagation
-        result = _lint_package()
+        from repro.lint import format_text, lint_paths
+
+        result = lint_paths(_default_lint_paths())
         print(
             f"lint: {len(result.findings)} finding(s) over "
             f"{result.files} file(s), {len(result.rules)} rule(s)"
         )
         if not result.clean:
-            from repro.lint import format_text
-
             print(format_text(result))
             return 1
     return 0
@@ -526,25 +521,8 @@ def _default_lint_paths() -> List[str]:
     return [str(Path(repro.__file__).parent)]
 
 
-def _lint_package():
-    """Lint the installed package against the repo baseline, if present."""
-    from pathlib import Path
-
-    from repro.lint import DEFAULT_BASELINE_NAME, Baseline, lint_paths
-
-    baseline = None
-    default = Path(DEFAULT_BASELINE_NAME)
-    if default.exists():
-        baseline = Baseline.load(default)
-    return lint_paths(_default_lint_paths(), baseline=baseline)
-
-
 def _cmd_lint(args) -> int:
-    from pathlib import Path
-
     from repro.lint import (
-        DEFAULT_BASELINE_NAME,
-        Baseline,
         LintError,
         format_json,
         format_text,
@@ -566,24 +544,7 @@ def _cmd_lint(args) -> int:
         if not rules:
             raise LintError("--rules given but no rule names parsed")
 
-    baseline_path = Path(args.baseline or DEFAULT_BASELINE_NAME)
-    if args.update_baseline:
-        result = lint_paths(paths, rules=rules)
-        Baseline.from_findings(result.findings).save(baseline_path)
-        print(
-            f"baseline {baseline_path} updated: {len(result.findings)} "
-            f"finding(s) tolerated"
-        )
-        return 0
-
-    baseline = None
-    if baseline_path.exists():
-        baseline = Baseline.load(baseline_path)
-    elif args.baseline is not None:
-        # an explicit --baseline that does not exist is a usage error;
-        # the implicit default is simply "no baseline"
-        raise LintError(f"lint baseline {baseline_path} does not exist")
-    result = lint_paths(paths, rules=rules, baseline=baseline)
+    result = lint_paths(paths, rules=rules)
     print(format_json(result) if args.format == "json" else format_text(result))
     return 0 if result.clean else 1
 

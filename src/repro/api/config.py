@@ -412,7 +412,7 @@ class SweepConfig(_Section):
 
 
 @dataclass(frozen=True)
-class ServeConfig:
+class ServeConfig(_Section):
     """``repro serve`` settings: bind address, worker pool, job policy.
 
     Lives in a ``[serve]`` section of an ordinary config file but —
@@ -425,6 +425,8 @@ class ServeConfig:
     in ``error`` (crashes and timeouts count); ``backoff`` seeds the
     exponential delay between retries.
     """
+
+    _context = "serve"
 
     host: str = "127.0.0.1"
     port: int = 8752
@@ -459,27 +461,6 @@ class ServeConfig:
                 f"serve.store must be a non-empty directory path, got {self.store!r}",
             )
 
-    @classmethod
-    def from_dict(cls, data: Optional[Mapping[str, Any]]) -> "ServeConfig":
-        data = dict(data or {})
-        valid = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - valid)
-        _check(
-            not unknown,
-            f"unknown key(s) {', '.join('serve.' + k for k in unknown)}; "
-            f"valid keys: {', '.join(sorted(valid))}",
-        )
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad serve section: {exc}") from exc
-
-    def to_dict(self) -> Dict[str, Any]:
-        out = {f.name: getattr(self, f.name) for f in fields(self)}
-        if out["store"] is None:
-            del out["store"]
-        return out
-
 
 def load_serve_file(path) -> Tuple["SimulationConfig", ServeConfig]:
     """Read a serve config: ordinary simulation sections + ``[serve]``.
@@ -499,20 +480,19 @@ def check_config_matches(
     found: "SimulationConfig",
     expected: Optional["SimulationConfig"],
     path,
-    kind: str,
 ) -> None:
     """Raise :class:`ConfigError` if ``found`` differs from ``expected``.
 
-    Shared by the result and checkpoint loaders (``expected = None``
-    skips the check); the message names the dotted keys on which the
-    file's embedded config disagrees with the expectation.
+    ``expected = None`` skips the check; the message names the dotted
+    keys on which the config embedded in the result file at ``path``
+    disagrees with the expectation.
     """
     if expected is None or found == expected:
         return
     diff = found.diff(expected)
     shown = "; ".join(diff[:6]) + (" ..." if len(diff) > 6 else "")
     raise ConfigError(
-        f"{kind} file {path} was produced by a different config; "
+        f"result file {path} was produced by a different config; "
         f"mismatched key(s): {shown}"
     )
 
@@ -622,8 +602,8 @@ class SimulationConfig:
     def diff(self, other: "SimulationConfig") -> List[str]:
         """Dotted keys on which the two configs disagree (both sides listed).
 
-        Empty when the configs are equal; used by the result/checkpoint
-        loaders to explain *why* a file was rejected.
+        Empty when the configs are equal; used by the result-file reader
+        to explain *why* a file was rejected.
         """
         out: List[str] = []
 

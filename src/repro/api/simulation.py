@@ -24,7 +24,6 @@ from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
 
 import numpy as np
 
-from repro.api.checkpoint import load_checkpoint, save_checkpoint
 from repro.api.config import (
     ConfigError,
     ResultError,
@@ -47,6 +46,13 @@ ConfigLike = Union[SimulationConfig, Mapping[str, Any]]
 
 RESULT_VERSION = 1
 
+#: a result file that can restart its run without an SCF (a checkpoint)
+#: carries ``GroundState.to_arrays`` under this prefix
+GS_PREFIX = "gs_"
+
+#: state keys of a checkpoint written by repro <= 1.13 -> their names here
+_LEGACY_STATE_KEYS = {"phi": "final_phi", "sigma": "final_sigma", "time": "final_time"}
+
 
 def _final_state_arrays(state: TDState) -> Dict[str, Any]:
     return {
@@ -62,14 +68,17 @@ def write_result_npz(
     observables: Mapping[str, np.ndarray],
     final_state: TDState,
     parallel: Optional[Mapping[str, Any]] = None,
+    ground_state: Optional[GroundState] = None,
 ) -> Path:
     """The one writer of the result-file layout.
 
-    :meth:`SimulationResult.save_npz` and the result store's
-    ``runs/<run_id>.npz`` are this file: config provenance, the final
-    state, the optional ``parallel`` accounting dict, and every
-    observable series — written atomically, so replacing an existing
-    file leaves the old one or the new one, never a torn one.
+    :meth:`SimulationResult.save_npz`, the result store's
+    ``runs/<run_id>.npz`` and :meth:`Simulation.save_checkpoint` are
+    this file: config provenance, the final state, the optional
+    ``parallel`` accounting dict, every observable series and, for a
+    checkpoint, the converged ground state under ``gs_*`` — written
+    atomically, so replacing an existing file leaves the old one or the
+    new one, never a torn one.
     """
     payload: Dict[str, Any] = {
         "result_version": np.int64(RESULT_VERSION),
@@ -79,6 +88,8 @@ def write_result_npz(
     if parallel is not None:
         payload["parallel_json"] = np.str_(json.dumps(dict(parallel), sort_keys=True))
     payload.update(observables)
+    if ground_state is not None:
+        payload.update(ground_state.to_arrays(prefix=GS_PREFIX))
     return atomic_savez(path, **payload)
 
 
@@ -91,6 +102,8 @@ class StoredResult(NamedTuple):
     final_state: TDState
     #: :meth:`ParallelRunInfo.to_dict` of a parallel run, else ``None``
     parallel: Optional[Dict[str, Any]]
+    #: the converged ground state a checkpoint carries, else ``None``
+    ground_state: Optional[GroundState] = None
 
 
 def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) -> StoredResult:
@@ -99,16 +112,15 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
     Raises :class:`ResultError` naming the path for a missing, unreadable,
     wrong-kind or too-new file, and :class:`ConfigError` naming the
     differing keys when the embedded config is not ``expected_config``.
+    A checkpoint written by repro <= 1.13 (``phi`` / ``sigma`` / ``time``
+    / ``parallel_ledger_json``, its own ``version``) reads as the file
+    :meth:`Simulation.save_checkpoint` writes now; of its ``parallel``
+    block only the ``ledger`` exists.
     """
     path = Path(path)
     with open_result_npz(path, "result") as data:
         if "config_json" not in data:
             raise ResultError(f"{path} is not a repro result file (missing config_json)")
-        if "final_phi" not in data:
-            raise ResultError(
-                f"{path} is not a repro result file (no final state); "
-                f"checkpoints are read by Simulation.resume / load_checkpoint"
-            )
         version = int(data["result_version"]) if "result_version" in data else 0
         if version > RESULT_VERSION:
             raise ResultError(
@@ -116,16 +128,27 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
                 f"build reads <= {RESULT_VERSION} — upgrade repro to read it"
             )
         config = SimulationConfig.from_json(str(data["config_json"]))
-        check_config_matches(config, expected_config, path, "result")
+        check_config_matches(config, expected_config, path)
         parallel = json.loads(str(data["parallel_json"])) if "parallel_json" in data else None
-        skip = ("config_json", "result_version", "parallel_json")
-        arrays = {k: np.array(data[k]) for k in data.files if k not in skip}
+        if "parallel_ledger_json" in data:
+            parallel = {"ledger": json.loads(str(data["parallel_ledger_json"]))}
+        ground_state = None
+        if GS_PREFIX + "orbitals" in data:
+            ground_state = GroundState.from_arrays(data, f"result file {path}", prefix=GS_PREFIX)
+        skip = ("config_json", "result_version", "parallel_json", "parallel_ledger_json", "version")
+        arrays = {
+            _LEGACY_STATE_KEYS.get(k, k): np.array(data[k])
+            for k in data.files
+            if k not in skip and not k.startswith(GS_PREFIX)
+        }
+    if "final_phi" not in arrays:
+        raise ResultError(f"{path} is not a repro result file (no final state)")
     final_state = TDState(
         phi=arrays.pop("final_phi"),
         sigma=arrays.pop("final_sigma"),
         time=float(arrays.pop("final_time")),
     )
-    return StoredResult(config, arrays, final_state, parallel)
+    return StoredResult(config, arrays, final_state, parallel, ground_state)
 
 
 @dataclass
@@ -275,19 +298,24 @@ class Simulation:
 
     @classmethod
     def resume(cls, path) -> "Simulation":
-        """Reload a checkpoint and continue the trajectory from it.
+        """Continue the trajectory a result file ends in.
 
-        When the checkpointed run was parallel, its cumulative
-        communication ledger seeds the resumed context, so the
-        accounting — like the trajectory — continues instead of
-        restarting.
+        Any file :func:`write_result_npz` wrote will do.  A step needs
+        only the state, so no SCF runs either way; a checkpoint also
+        restores the ground state, while after a ``save_npz`` / store /
+        ``jobs fetch`` file :meth:`ground_state` would converge one if
+        asked.  When the run was parallel, the file's communication
+        ledger seeds the resumed context, so the accounting — like the
+        trajectory — continues instead of restarting.
         """
-        ckpt = load_checkpoint(path)
+        stored = read_result_npz(path)
         return cls(
-            ckpt.config,
-            ground_state=ckpt.ground_state,
-            state=ckpt.state,
-            parallel_ledger=ckpt.parallel_ledger,
+            stored.config,
+            ground_state=stored.ground_state,
+            state=stored.final_state,
+            parallel_ledger=(
+                CostLedger.from_dict(stored.parallel["ledger"]) if stored.parallel else None
+            ),
         )
 
     def derive(self, **sections) -> "Simulation":
@@ -549,14 +577,16 @@ class Simulation:
 
     # -- checkpointing --------------------------------------------------------
     def save_checkpoint(self, path) -> Path:
-        """Snapshot state + config (+ ground state, + comm ledger) to one
-        ``.npz``.  Parallel runs persist their cumulative communication
-        tally so a resumed trajectory keeps accounting where it left off."""
+        """Snapshot state + config + ground state as a result file with
+        no observables, for :meth:`resume`.  Parallel runs persist their
+        cumulative communication tally so a resumed trajectory keeps
+        accounting where it left off."""
         ctx = self.parallel
-        return save_checkpoint(
+        return write_result_npz(
             path,
             self.config,
+            {},
             self.state,
-            self._gs,
-            parallel_ledger=ctx.ledger if ctx is not None else None,
+            ctx.run_info(0).to_dict() if ctx is not None else None,
+            ground_state=self._gs,
         )

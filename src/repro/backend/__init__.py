@@ -40,7 +40,6 @@ import numpy as np
 from repro.backend.base import Backend, BackendError, FFTCounters
 from repro.backend.counting import CountingBackend
 from repro.backend.numpy_backend import NumpyBackend
-from repro.removed import REMOVED_BACKENDS
 
 __all__ = [
     "Backend",
@@ -87,16 +86,11 @@ def available_backends() -> List[str]:
 
 
 def backend_factory(name: str) -> BackendFactory:
-    """The factory registered under ``name``.
-
-    The one place a backend name is refused: a name this package used to
-    ship is refused with its remedy, any other with what is registered.
-    """
+    """The factory registered under ``name``: the one place a backend
+    name is refused, with what is registered."""
     key = str(name).strip().lower()
     if key in _REGISTRY:
         return _REGISTRY[key]
-    if key in REMOVED_BACKENDS:
-        raise BackendError(f"backend {key!r} was {REMOVED_BACKENDS[key]}")
     raise BackendError(
         f"unknown backend {name!r}; registered: {', '.join(available_backends())}"
     )

@@ -9,20 +9,13 @@ AST-walking engine (:mod:`repro.lint.engine`) runs registered rules
 registries) over source files and reports per-rule findings with
 ``file:line:col`` locations and fix hints.
 
-Inline suppression::
+Inline suppression is the one way to tolerate a finding::
 
     with tmp.open("wb") as fh:  # repro: lint-ignore[atomic-io]
-
-Committed baseline: ``lint-baseline.json`` at the repo root lets the
-linter land on a tree with pre-existing findings — only *new* findings
-fail CI; regenerate with ``repro lint --update-baseline``.  (The repo's
-own baseline is empty: the violations the rules surfaced were fixed in
-the same PR that shipped them.)
 
 Exit codes of the CLI verb: 0 clean, 1 findings, 2 usage error.
 """
 
-from repro.lint.baseline import DEFAULT_BASELINE_NAME, Baseline
 from repro.lint.engine import (
     LintError,
     LintResult,
@@ -42,8 +35,6 @@ from repro.lint.registry import (
 from repro.lint.report import format_json, format_text
 
 __all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_NAME",
     "Finding",
     "LintError",
     "LintResult",

@@ -1,5 +1,5 @@
-"""The analysis engine: walk files, run rules, apply suppressions and
-the baseline, return a :class:`LintResult`.
+"""The analysis engine: walk files, run rules, apply suppressions,
+return a :class:`LintResult`.
 
 Scoping model
 -------------
@@ -16,14 +16,6 @@ Suppressions
 line directly above suppresses those rules there; a bare
 ``# repro: lint-ignore`` suppresses every rule on that line.  Suppressed
 findings are counted (``LintResult.suppressed``) but never reported.
-
-Baseline
---------
-A committed baseline (see :mod:`repro.lint.baseline`) maps finding keys
-to counts; pre-existing findings are consumed against it and only *new*
-findings fail the build.  The repo's own baseline is empty — the point
-of the satellite fixes — but the mechanism lets the linter land on a
-dirty tree without blocking CI.
 """
 
 from __future__ import annotations
@@ -36,7 +28,6 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.lint.astutil import ImportMap
-from repro.lint.baseline import Baseline
 from repro.lint.findings import Finding, SourceModule
 from repro.lint.registry import LintRule, available_rules, get_rule
 
@@ -63,7 +54,6 @@ class LintResult:
     files: int = 0
     rules: List[str] = field(default_factory=list)
     suppressed: int = 0
-    baselined: int = 0
 
     @property
     def clean(self) -> bool:
@@ -178,7 +168,6 @@ def lint_module(module: SourceModule, rules: Sequence[LintRule]) -> List[Finding
 def lint_sources(
     modules: Iterable[SourceModule],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint already-parsed modules (the testable core of the engine)."""
     resolved = resolve_rules(rules)
@@ -192,8 +181,6 @@ def lint_sources(
                 result.suppressed += 1
             else:
                 kept.append(finding)
-    if baseline is not None:
-        kept, result.baselined = baseline.filter(kept)
     result.findings = sorted(kept)
     return result
 
@@ -201,7 +188,6 @@ def lint_sources(
 def lint_paths(
     paths: Sequence[Union[str, Path]],
     rules: Optional[Sequence[str]] = None,
-    baseline: Optional[Baseline] = None,
 ) -> LintResult:
     """Lint files/directories; the entry point the CLI and tests use."""
     modules = []
@@ -214,4 +200,4 @@ def lint_paths(
             )
         except SyntaxError as exc:
             raise LintError(f"cannot parse {path}: {exc}") from exc
-    return lint_sources(modules, rules=rules, baseline=baseline)
+    return lint_sources(modules, rules=rules)

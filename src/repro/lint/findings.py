@@ -4,14 +4,10 @@ A :class:`SourceModule` is what every rule receives — parsed AST plus
 the raw lines, and two path views: ``path`` (where the file actually
 is, used for display) and ``rel`` (the file's location *inside the
 repro package*, used for scoping decisions like "is this under
-``store/``" and for baseline keys that survive checkouts at different
-absolute paths).
+``store/``", wherever the tree is checked out).
 
 A :class:`Finding` is one rule violation pinned to ``file:line:col``
-with a message and a fix hint.  ``line_text`` rides along so the
-baseline can key on the offending code itself instead of the line
-number — baselined findings keep matching while unrelated edits shift
-the file around them.
+with a message and a fix hint.
 """
 
 from __future__ import annotations
@@ -33,7 +29,6 @@ class Finding:
     message: str
     hint: str = ""
     rel: str = ""  #: package-relative path (``store/store.py``)
-    line_text: str = ""  #: stripped source line, the baseline anchor
 
     def format(self) -> str:
         text = f"{self.path}:{self.line}:{self.col}: {self.rule}: {self.message}"
@@ -50,12 +45,6 @@ class Finding:
             "message": self.message,
             "hint": self.hint,
         }
-
-    def baseline_key(self) -> str:
-        """Identity used by the committed baseline: rule + package-relative
-        path + the offending line's code (whitespace-normalized), so the
-        key is stable under line-number drift."""
-        return f"{self.rule}::{self.rel or self.path}::{' '.join(self.line_text.split())}"
 
 
 @dataclass
@@ -96,11 +85,6 @@ class SourceModule:
             display=display if display is not None else str(path),
         )
 
-    def line_at(self, lineno: int) -> str:
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1].strip()
-        return ""
-
     def finding(self, node: ast.AST, rule: str, message: str, hint: str = "") -> Finding:
         """Build a :class:`Finding` anchored at ``node``'s location."""
         line = getattr(node, "lineno", 1)
@@ -113,5 +97,4 @@ class SourceModule:
             message=message,
             hint=hint,
             rel=self.rel,
-            line_text=self.line_at(line),
         )

@@ -12,16 +12,11 @@ from typing import Dict
 
 from repro.lint.engine import LintResult
 
-REPORT_VERSION = 1
+REPORT_VERSION = 2
 
 
 def _summary_line(result: LintResult) -> str:
-    extras = []
-    if result.suppressed:
-        extras.append(f"{result.suppressed} suppressed")
-    if result.baselined:
-        extras.append(f"{result.baselined} baselined")
-    extra = f" ({', '.join(extras)})" if extras else ""
+    extra = f" ({result.suppressed} suppressed)" if result.suppressed else ""
     n = len(result.findings)
     noun = "finding" if n == 1 else "findings"
     return (
@@ -50,7 +45,6 @@ def format_json(result: LintResult) -> str:
         "files": result.files,
         "rules": result.rules,
         "suppressed": result.suppressed,
-        "baselined": result.baselined,
         "counts": result.counts_by_rule(),
         "findings": [f.to_dict() for f in result.findings],
     }

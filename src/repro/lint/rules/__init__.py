@@ -14,8 +14,7 @@ invariant PRs 1-9 established:
 - ``config-immutability`` — frozen config dataclasses are never
   mutated from outside;
 - ``pickle-safety`` — nothing unpicklable rides across the
-  ``multiprocessing`` spawn boundary;
-- ``removed-api`` — names listed in :mod:`repro.removed` stay gone.
+  ``multiprocessing`` spawn boundary.
 """
 
 from __future__ import annotations
@@ -35,6 +34,5 @@ from repro.lint.rules import (  # noqa: E402,F401  (import = registration)
     determinism,
     fft_isolation,
     pickle_safety,
-    removed_api,
     sqlite_discipline,
 )

@@ -5,8 +5,8 @@ explodes on the next load; the crash-safety PR therefore routed every
 artifact writer through :func:`repro.utils.io.atomic_savez` /
 :func:`atomic_write_text` (temp file in the target directory +
 ``os.replace``).  This rule keeps it that way for the layers that own
-durable state — the result store, the job service, and checkpoint /
-result writers in the api package:
+durable state — the result store, the job service, and the result /
+ensemble writers in the api package:
 
 - ``np.savez`` / ``np.savez_compressed`` / ``np.save`` direct to a path;
 - builtin ``open(path, "w"/"wb"/...)`` and ``Path.open`` in a
@@ -37,7 +37,6 @@ RULE = "atomic-io"
 #: in utils/io.py, outside this scope)
 SCOPE_DIRS = ("store/", "serve/")
 SCOPE_FILES = (
-    "api/checkpoint.py",
     "api/simulation.py",
     "api/ensemble.py",
 )

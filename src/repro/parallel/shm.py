@@ -3,73 +3,19 @@
 Square N x N objects (sigma, Phi*Phi, Phi*H Phi) are identical on every
 rank; with MPI-3 shared-memory windows, ranks on one node keep a single
 copy, cutting both the footprint and the allreduce participant count by
-the ranks-per-node factor.  :class:`NodeSharedMatrices` emulates the
-window semantics (one backing array per node, all ranks see it);
-:class:`MemoryModel` is the per-rank footprint calculator behind the
-paper's weak-scaling memory limits (Sec. VIII-C).
+the ranks-per-node factor.  :class:`MemoryModel` is the per-rank
+footprint calculator behind the paper's weak-scaling memory limits
+(Sec. VIII-C); the participant count is charged by
+:meth:`~repro.parallel.comm.SimComm.allreduce_sum`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
-
-import numpy as np
 
 from repro.parallel.machine import MachineSpec
-from repro.utils.validation import require
 
 COMPLEX_BYTES = 16.0
-
-
-@dataclass
-class NodeSharedMatrices:
-    """Emulated MPI_Win_allocate_shared windows.
-
-    Parameters
-    ----------
-    nranks:
-        Total ranks.
-    ranks_per_node:
-        Ranks sharing one window.
-
-    Each named matrix has one backing array per *node*; ``view(rank,
-    name)`` returns the node's array (ranks on a node literally share the
-    object, as with the real extension).
-    """
-
-    nranks: int
-    ranks_per_node: int
-
-    def __post_init__(self) -> None:
-        require(self.nranks >= 1 and self.ranks_per_node >= 1, "bad rank counts")
-        self._windows: Dict[str, List[np.ndarray]] = {}
-
-    @property
-    def nnodes(self) -> int:
-        return (self.nranks + self.ranks_per_node - 1) // self.ranks_per_node
-
-    def node_of(self, rank: int) -> int:
-        require(0 <= rank < self.nranks, f"rank {rank} out of range")
-        return rank // self.ranks_per_node
-
-    def allocate(self, name: str, shape, dtype=complex) -> None:
-        """Create one zeroed window per node under ``name``."""
-        self._windows[name] = [np.zeros(shape, dtype=dtype) for _ in range(self.nnodes)]
-
-    def view(self, rank: int, name: str) -> np.ndarray:
-        """The (single) node-local array this rank sees — writes are
-        visible to all node peers, as with a real SHM window."""
-        return self._windows[name][self.node_of(rank)]
-
-    def node_leader(self, rank: int) -> bool:
-        """True for the rank that performs inter-node collectives."""
-        return rank % self.ranks_per_node == 0
-
-    def bytes_per_rank(self, name: str) -> float:
-        """Effective per-rank footprint of a window (shared across peers)."""
-        win = self._windows[name][0]
-        return win.nbytes / min(self.ranks_per_node, self.nranks)
 
 
 @dataclass(frozen=True)

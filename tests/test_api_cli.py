@@ -88,6 +88,16 @@ def test_cli_run_resume_smoke(tiny_config):
     assert more["times"][0] == arrays["times"][-1]
     assert len(more["times"]) == 2
 
+    # the --output file is the same layout minus the ground state, and the
+    # state is all a step needs: same continuation, bit for bit
+    proc = _cli(["resume", "out.npz", "--steps", "1", "--output", "more2.npz"], cwd=workdir)
+    assert proc.returncode == 0, proc.stderr
+    assert "resuming at t = " in proc.stdout
+    _, more2 = SimulationResult.load_npz(workdir / "more2.npz")
+    assert sorted(more2) == sorted(more)
+    for key in more:
+        np.testing.assert_array_equal(more2[key], more[key])
+
 
 def test_cli_components(capsys):
     assert main(["components"]) == 0

@@ -144,13 +144,17 @@ def test_result_summary_mentions_all_times(trajectory):
     assert len(text.splitlines()) == 1 + len(straight.record.times)
 
 
-def test_checkpoint_rejects_non_checkpoint_npz(tmp_path):
-    from repro.api import load_checkpoint
+def test_resume_refuses_an_npz_that_is_not_a_result_file(trajectory, tmp_path):
+    from repro.api import ResultError
 
-    path = tmp_path / "junk.npz"
-    np.savez(path, a=np.zeros(3))
-    with pytest.raises(ConfigError, match="not a repro checkpoint"):
-        load_checkpoint(path)
+    junk = tmp_path / "junk.npz"
+    np.savez(junk, a=np.zeros(3))
+    with pytest.raises(ResultError, match="not a repro result file .missing config_json"):
+        Simulation.resume(junk)
+    stateless = tmp_path / "stateless.npz"
+    np.savez(stateless, config_json=np.str_(trajectory[0].config.to_json()))
+    with pytest.raises(ResultError, match="not a repro result file .no final state"):
+        Simulation.resume(stateless)
 
 
 # ---------------- round-trip dtype + config-mismatch guards --------------------
@@ -195,26 +199,74 @@ def test_result_load_rejects_mismatched_config(trajectory, tmp_path):
 
 
 def test_checkpoint_load_rejects_mismatched_config(trajectory, tmp_path):
-    from repro.api import load_checkpoint
+    from repro.api.simulation import read_result_npz
 
     _, _, resumed_sim = trajectory
     path = resumed_sim.save_checkpoint(tmp_path / "mm_ck.npz")
     other = resumed_sim.config.replace(system={"ecut": 2.5})
     with pytest.raises(ConfigError, match=r"system\.ecut"):
-        load_checkpoint(path, expected_config=other)
-    ck = load_checkpoint(path, expected_config=resumed_sim.config)
+        read_result_npz(path, expected_config=other)
+    ck = read_result_npz(path, expected_config=resumed_sim.config)
     assert ck.config == resumed_sim.config
-    assert ck.state.phi.dtype == np.complex128
+    assert ck.final_state.phi.dtype == np.complex128
     assert ck.ground_state.orbitals.dtype == np.complex128
 
 
-def test_loaders_reject_each_others_files(trajectory, tmp_path):
-    from repro.api import load_checkpoint
-
+def test_checkpoint_is_a_result_file_and_a_result_file_resumes(trajectory, base_sim, tmp_path):
+    """One layout: ``load_npz`` reads a checkpoint (state, no observables,
+    never a ``gs_*`` key), ``save_npz`` writes no ground state and the keys
+    it always wrote in the order it wrote them, and ``resume`` continues
+    from either, converging nothing, to the same bits."""
     straight, _, resumed_sim = trajectory
-    result_path = straight.save_npz(tmp_path / "xf.npz")
-    ckpt_path = resumed_sim.save_checkpoint(tmp_path / "xf_ck.npz")
-    with pytest.raises(ConfigError, match="result file, not a checkpoint"):
-        load_checkpoint(result_path)
-    with pytest.raises(ConfigError, match="not a repro result file"):
-        SimulationResult.load_npz(ckpt_path)
+    ckpt = resumed_sim.save_checkpoint(tmp_path / "ck.npz")
+    config, arrays = SimulationResult.load_npz(ckpt)
+    assert config == resumed_sim.config
+    assert sorted(arrays) == ["final_phi", "final_sigma", "final_time"]
+
+    two_steps = _fresh(base_sim).propagate(n_steps=2)
+    path = two_steps.save_npz(tmp_path / "two.npz")
+    with np.load(path) as data:
+        assert data.files == [
+            "result_version", "config_json", "final_phi", "final_sigma", "final_time",
+            *two_steps.observables(),
+        ]
+    from_result = Simulation.resume(path)
+    assert from_result._gs is None
+    third = from_result.propagate(n_steps=1)
+    assert from_result._gs is None  # the state is all a step needs
+    for key in OBSERVABLE_KEYS:
+        np.testing.assert_array_equal(third.observables()[key][-1], straight.observables()[key][-1])
+    np.testing.assert_array_equal(third.final_state.phi, straight.final_state.phi)
+
+
+def test_checkpoint_written_by_1_13_resumes_bitwise(trajectory, base_sim, tmp_path):
+    """Reading data is not a tombstone: the <= 1.13 checkpoint layout
+    (its own key names, version and ledger block), written here the way
+    1.13 wrote it, loads through the one reader."""
+    import json
+
+    straight, _, _ = trajectory
+    sim = _fresh(base_sim)
+    sim.propagate(n_steps=2)
+    gs = base_sim.ground_state()
+    old = tmp_path / "old_ck.npz"
+    np.savez(
+        old,
+        version=np.int64(1),
+        config_json=np.str_(sim.config.to_json()),
+        phi=sim.state.phi,
+        sigma=sim.state.sigma,
+        time=np.float64(sim.state.time),
+        parallel_ledger_json=np.str_(json.dumps({"allreduce": {"seconds": 0.5, "nbytes": 64.0, "count": 2}})),
+        **gs.to_arrays(prefix="gs_"),
+    )
+    resumed_sim = Simulation.resume(old)
+    assert resumed_sim._parallel_ledger_seed.total_seconds() == 0.5
+    np.testing.assert_array_equal(resumed_sim._gs.orbitals, gs.orbitals)
+    _, arrays = SimulationResult.load_npz(old)
+    assert sorted(arrays) == ["final_phi", "final_sigma", "final_time"]
+    resumed = resumed_sim.propagate(n_steps=1)
+    for key in OBSERVABLE_KEYS:
+        np.testing.assert_array_equal(resumed.observables()[key][-1], straight.observables()[key][-1])
+    np.testing.assert_array_equal(resumed.final_state.phi, straight.final_state.phi)
+    np.testing.assert_array_equal(resumed.final_state.sigma, straight.final_state.sigma)

@@ -317,26 +317,20 @@ def test_make_backend_unknown_name_lists_registered():
         make_backend("cufft")
 
 
-@pytest.mark.parametrize(
-    "name,remedy",
-    [
-        ("scipy", r"merged into the default engine in 1\.11\.0: delete `name`, keep `fft_workers`"),
-        ("counting", r"removed in 1\.11\.0: delete `name`; `count_ffts = true`"),
-    ],
-)
-def test_removed_backend_names_are_refused_by_name(name, remedy, tmp_path, capsys):
-    """Engines this package used to register are refused with their remedy,
-    the same sentence from ``make_backend``, ``Simulation`` and ``repro
-    validate`` (one function, ``repro.backend.backend_factory``)."""
+def test_unknown_backend_name_gets_one_sentence_everywhere(tmp_path, capsys):
+    """``scipy`` (an engine name until 1.11) is an ordinary unknown name,
+    answered with what is registered: the same sentence from
+    ``make_backend``, ``Simulation`` and ``repro validate`` (one function,
+    ``repro.backend.backend_factory``)."""
     from repro.api.cli import main
 
-    with pytest.raises(BackendError, match=remedy) as direct:
-        make_backend(name, fft_workers=2)
+    with pytest.raises(BackendError, match="unknown backend 'scipy'; registered: numpy") as direct:
+        make_backend("scipy", fft_workers=2)
     with pytest.raises(BackendError) as facade:
-        Simulation({"backend": {"name": name}}).backend
+        Simulation({"backend": {"name": "scipy"}}).backend
     assert str(facade.value) == str(direct.value)
     path = tmp_path / "old.toml"
-    path.write_text(f'[backend]\nname = "{name}"\nfft_workers = 2\n')
+    path.write_text('[backend]\nname = "scipy"\nfft_workers = 2\n')
     assert main(["validate", str(path)]) != 0
     assert str(direct.value) in capsys.readouterr().err
 

@@ -5,10 +5,10 @@ Three layers:
 * per-rule unit tests on small synthetic source snippets — a violating
   variant, a clean variant, and (via the engine) a suppressed variant;
 * engine mechanics — file walking, package-relative scoping, inline
-  suppressions, the committed-baseline mode, unknown-rule errors;
-* the acceptance gates — ``src/repro`` self-lints clean against the
-  committed (empty) baseline, and the CLI verb round-trips text/JSON
-  and the documented exit codes (0 clean / 1 findings / 2 usage error).
+  suppressions, unknown-rule errors;
+* the acceptance gates — ``src/repro`` self-lints clean, and the CLI
+  verb round-trips text/JSON and the documented exit codes (0 clean /
+  1 findings / 2 usage error).
 """
 
 import json
@@ -18,7 +18,6 @@ import pytest
 
 from repro.api.cli import main
 from repro.lint import (
-    Baseline,
     LintError,
     SourceModule,
     available_rules,
@@ -32,7 +31,6 @@ from repro.lint import (
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
-BASELINE = REPO / "lint-baseline.json"
 
 ALL_RULES = (
     "atomic-io",
@@ -40,7 +38,6 @@ ALL_RULES = (
     "determinism",
     "fft-isolation",
     "pickle-safety",
-    "removed-api",
     "sqlite-discipline",
 )
 
@@ -167,7 +164,7 @@ def test_atomic_io_only_in_durable_layers():
     # rule's business (e.g. perf reports, examples)
     assert not findings_of(ATOMIC_BAD, "perf/report.py", "atomic-io")
     assert findings_of(ATOMIC_BAD, "serve/http.py", "atomic-io")
-    assert findings_of(ATOMIC_BAD, "api/checkpoint.py", "atomic-io")
+    assert findings_of(ATOMIC_BAD, "api/simulation.py", "atomic-io")
 
 
 def test_atomic_io_skips_fd_lease_pattern():
@@ -378,75 +375,6 @@ def test_pickle_safety_scopes_to_boundary_modules():
     assert not findings_of(PICKLE_BAD, "serve/queue.py", "pickle-safety")
 
 
-# ---------------- removed-api -----------------------------------------------
-
-
-REMOVED_BAD = """\
-import repro.backend.scipy_backend
-from repro.backend import HAVE_SCIPY
-from repro.backend import ScipyBackend, make_backend
-from repro.backend.base import FFTPlan
-
-def sweep(grid, phi):
-    work = grid.backend.scratch(phi.shape)
-    return work * grid.backend.plan(grid.shape).scale_forward
-"""
-
-REMOVED_CLEAN = """\
-import repro.lint
-from repro.api.ensemble import run_ensemble
-from repro.backend import make_backend
-from repro.store import ResultStore
-
-def sweep(base, sw, grid):
-    eng = grid.backend
-    rules = repro.lint.engine.resolve_rules()
-    plan = scratch = "local names are nobody's business"
-    return run_ensemble(base, sw, workers=2, store=ResultStore("study"))
-"""
-
-
-def test_removed_api_flags_imports_and_attributes():
-    found = findings_of(REMOVED_BAD, "api/custom.py", "removed-api")
-    flagged = "\n".join(f.message for f in found)
-    for name in (
-        "repro.backend.scipy_backend",
-        "HAVE_SCIPY",
-        "ScipyBackend",
-        "FFTPlan",
-        "Backend.scratch",
-        "Backend.plan",
-    ):
-        assert name in flagged, name
-    # one finding per offending site: 4 import lines + 2 uses
-    assert sorted({f.line for f in found}) == [1, 2, 3, 4, 7, 8]
-    assert all(f.hint.startswith("instead: ") for f in found)
-
-
-def test_removed_api_clean_code_passes():
-    assert not findings_of(REMOVED_CLEAN, "api/custom.py", "removed-api")
-
-
-def test_removed_api_table_matches_the_package():
-    """Every name in the table is really gone (the rule guards a deletion,
-    not a wish), and the backend registry refuses from the same module."""
-    import importlib
-
-    import repro.backend
-    from repro.backend import Backend, BackendError, make_backend
-    from repro.removed import REMOVED_BACKENDS, REMOVED_NAMES
-
-    assert "repro.backend.scipy_backend" in REMOVED_NAMES
-    with pytest.raises(ImportError):
-        importlib.import_module("repro.backend.scipy_backend")
-    for name in ("ScipyBackend", "HAVE_SCIPY", "FFTPlan"):
-        assert name in REMOVED_NAMES and not hasattr(repro.backend, name)
-    assert not hasattr(Backend, "scratch") and not hasattr(Backend, "plan")
-    for name in REMOVED_BACKENDS:
-        with pytest.raises(BackendError, match=rf"backend '{name}' was .* 1\.11\.0"):
-            make_backend(name)
-
-
 # ---------------- suppressions ----------------------------------------------
 
 
@@ -479,68 +407,6 @@ def test_bare_suppression_covers_all_rules():
     )
     result = run_rule(src, "store/records.py")
     assert result.clean and result.suppressed >= 1
-
-
-# ---------------- baseline --------------------------------------------------
-
-
-def test_baseline_tolerates_old_findings_catches_new(tmp_path):
-    result = run_rule(ATOMIC_BAD, "store/records.py", rules=["atomic-io"])
-    assert len(result.findings) == 4
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(result.findings).save(path)
-    baseline = Baseline.load(path)
-
-    module = SourceModule.parse(
-        Path("/synthetic/store/records.py"), rel="store/records.py",
-        text=ATOMIC_BAD, display="store/records.py",
-    )
-    again = lint_sources([module], rules=["atomic-io"], baseline=baseline)
-    assert again.clean and again.baselined == 4
-
-    # a new, different violation is not covered
-    newer = ATOMIC_BAD + "\nnp.savez(other_path, **arrays)\n"
-    module2 = SourceModule.parse(
-        Path("/synthetic/store/records.py"), rel="store/records.py",
-        text=newer, display="store/records.py",
-    )
-    res2 = lint_sources([module2], rules=["atomic-io"], baseline=baseline)
-    assert len(res2.findings) == 1 and res2.baselined == 4
-    assert res2.findings[0].line == newer.count("\n")
-
-
-def test_baseline_counts_cap_duplicates(tmp_path):
-    one = "import numpy as np\nnp.savez(p, **a)\n"
-    result = run_rule(one, "store/records.py", rules=["atomic-io"])
-    path = tmp_path / "baseline.json"
-    Baseline.from_findings(result.findings).save(path)
-    # duplicating the exact baselined line still fails the build
-    two = one + "np.savez(p, **a)\n"
-    module = SourceModule.parse(
-        Path("/synthetic/store/records.py"), rel="store/records.py",
-        text=two, display="store/records.py",
-    )
-    res = lint_sources([module], rules=["atomic-io"], baseline=Baseline.load(path))
-    assert len(res.findings) == 1 and res.baselined == 1
-
-
-def test_baseline_key_survives_line_drift(tmp_path):
-    result = run_rule(ATOMIC_BAD, "store/records.py", rules=["atomic-io"])
-    baseline = Baseline.from_findings(result.findings)
-    shifted = "# a new comment line\n# another\n" + ATOMIC_BAD
-    module = SourceModule.parse(
-        Path("/synthetic/store/records.py"), rel="store/records.py",
-        text=shifted, display="store/records.py",
-    )
-    res = lint_sources([module], rules=["atomic-io"], baseline=baseline)
-    assert res.clean and res.baselined == 4
-
-
-def test_baseline_rejects_garbage(tmp_path):
-    bad = tmp_path / "baseline.json"
-    bad.write_text('{"not": "a baseline"}')
-    with pytest.raises(ValueError):
-        Baseline.load(bad)
 
 
 # ---------------- engine mechanics ------------------------------------------
@@ -590,15 +456,11 @@ def test_report_formats(tmp_path):
 # ---------------- acceptance: self-lint + CLI --------------------------------
 
 
-def test_self_lint_src_repro_is_clean_against_committed_baseline():
-    """The acceptance gate: all rules, whole package, empty baseline."""
-    result = lint_paths([SRC], baseline=Baseline.load(BASELINE))
+def test_self_lint_src_repro_is_clean():
+    """The acceptance gate: all rules, whole package."""
+    result = lint_paths([SRC])
     assert len(result.rules) == len(ALL_RULES)
     assert result.clean, format_text(result)
-
-
-def test_committed_baseline_is_empty():
-    assert len(Baseline.load(BASELINE)) == 0
 
 
 def test_cli_lint_clean_exits_zero(capsys):
@@ -636,31 +498,6 @@ def test_cli_lint_rule_subset_and_json(tmp_path, capsys):
 def test_cli_lint_unknown_rule_is_usage_error(capsys):
     assert main(["lint", str(SRC), "--rules", "nope"]) == 2
     assert "unknown lint rule" in capsys.readouterr().err
-
-
-def test_cli_lint_missing_explicit_baseline_is_usage_error(tmp_path, capsys):
-    assert main([
-        "lint", str(SRC), "--baseline", str(tmp_path / "nope.json"),
-    ]) == 2
-
-
-def test_cli_lint_update_baseline_roundtrip(tmp_path, capsys, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    pkg = tmp_path / "pkg"
-    pkg.mkdir()
-    (pkg / "__init__.py").write_text("")
-    (pkg / "store").mkdir()
-    (pkg / "store" / "__init__.py").write_text("")
-    (pkg / "store" / "index.py").write_text(SQLITE_BAD)
-    baseline = tmp_path / "base.json"
-    assert main([
-        "lint", str(pkg), "--baseline", str(baseline), "--update-baseline",
-    ]) == 0
-    assert baseline.exists()
-    # now the same tree is green against its own baseline
-    assert main(["lint", str(pkg), "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "baselined" in out
 
 
 def test_cli_lint_list_rules(capsys):

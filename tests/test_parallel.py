@@ -13,7 +13,6 @@ from repro.parallel import (
     DistributedFockExchange,
     FUGAKU_ARM,
     MemoryModel,
-    NodeSharedMatrices,
     SimComm,
     machine_by_name,
 )
@@ -271,23 +270,6 @@ def test_pattern_cost_ordering(grid):
 
 
 # ---------------- shared memory ---------------------------------------------------------
-def test_shm_windows_shared_within_node():
-    shm = NodeSharedMatrices(nranks=8, ranks_per_node=4)
-    shm.allocate("sigma", (3, 3))
-    shm.view(0, "sigma")[0, 0] = 7.0
-    assert shm.view(3, "sigma")[0, 0] == 7.0  # same node sees the write
-    assert shm.view(4, "sigma")[0, 0] == 0.0  # other node does not
-    assert shm.nnodes == 2
-    assert shm.node_leader(0) and not shm.node_leader(1)
-
-
-def test_shm_bytes_per_rank_reduction():
-    shm = NodeSharedMatrices(nranks=8, ranks_per_node=4)
-    shm.allocate("s", (100, 100))
-    full = 100 * 100 * 16
-    assert shm.bytes_per_rank("s") == pytest.approx(full / 4)
-
-
 def test_memory_model_shm_reduces_footprint():
     mm = MemoryModel(nbands=1920, ngrid=324000)
     with_shm = mm.per_rank_bytes(768, FUGAKU_ARM, shared_memory=True)

@@ -437,6 +437,24 @@ def test_query_limit_offset_pages_in_order(tmp_path):
     store.close()
 
 
+def test_dotted_key_query_finds_one_run_among_hundreds(tmp_path):
+    """The index at study size: every row lands, a dotted-key query is
+    exact (kicks 1e-6 apart), and lookup by id sees a completed run."""
+    n_runs = 300
+    kicks = [1e-3 + 1e-6 * i for i in range(n_runs)]
+    store = ResultStore(tmp_path / "study")
+    for i, kick in enumerate(kicks):
+        store.add_run(
+            make_config(kick=kick), synth_arrays(seed=i), synth_state(),
+            overrides={"field.params.kick": kick}, elapsed=0.1,
+        )
+    hits = store.query(where={"field.params.kick": kicks[n_runs // 2]}, status="ok")
+    assert [r.run_id for r in hits] == [run_id_for(make_config(kick=kicks[n_runs // 2]))]
+    assert store.get(run_id_for(make_config(kick=kicks[n_runs // 3]))).ok
+    assert len(store.query()) == n_runs
+    store.close()
+
+
 def test_flatten_dotted_covers_param_dicts():
     flat = flatten_dotted(make_config(kick=0.003).to_dict())
     assert flat["field.params.kick"] == 0.003
