@@ -11,9 +11,9 @@ Commands
     ``results export`` / ``jobs fetch`` file.
 ``sweep CONFIG``
     Expand a config with a ``[sweep]`` section into a run grid and
-    execute it (``--workers N``: in process for 1, otherwise on N
-    processes, this one and N - 1 spawned workers), or list the grid
-    with ``--dry-run``; saves an ensemble ``.npz``.
+    execute it (``--workers N``: N processes drain the store's job
+    queue, this one and N - 1 spawned workers), or list the grid with
+    ``--dry-run``; saves an ensemble ``.npz``.
 ``validate CONFIG``
     Parse + validate a config and print its normalized JSON (including
     the ``[sweep] store`` target / ``--store`` path when given).
@@ -440,8 +440,7 @@ def _cmd_sweep(args) -> int:
         print(
             f"sweep: {len(variants)} runs "
             f"({' x '.join(f'{k}[{len(v)}]' for k, v in sweep.axes.items()) or 'base only'}, "
-            f"mode {sweep.mode}) | workers {workers} "
-            f"({'in process' if workers == 1 else f'this process + {workers - 1} spawned'})"
+            f"mode {sweep.mode}) | workers {workers} (this process + {workers - 1} spawned)"
         )
     if args.dry_run:
         print(f"{'run':>4}  overrides")

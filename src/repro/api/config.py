@@ -365,7 +365,10 @@ class SweepConfig(_Section):
 
     def __post_init__(self) -> None:
         _check(self.mode in ("grid", "zip"), f"sweep.mode must be 'grid' or 'zip', got {self.mode!r}")
-        _check(self.workers >= 1, f"sweep.workers must be >= 1, got {self.workers}")
+        _check(
+            isinstance(self.workers, int) and self.workers >= 1,
+            f"sweep.workers must be an integer >= 1, got {self.workers!r}",
+        )
         if self.store is not None:
             _check(
                 isinstance(self.store, str) and self.store != "",

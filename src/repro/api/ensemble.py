@@ -11,8 +11,8 @@ so the facade gets a first-class multi-run layer:
 
 :func:`expand_sweep` crosses the :class:`~repro.api.config.SweepConfig`
 axes into concrete :class:`~repro.api.config.SimulationConfig` variants;
-:func:`run_ensemble` executes them — in this process, or in this process
-and spawned workers draining the store's job queue — through the one run
+:func:`run_ensemble` executes them — this process, alone or beside
+spawned workers, draining the store's job queue — through the one run
 kernel of :mod:`repro.api.runs`, converging each distinct (system, scf)
 ground state exactly once and each distinct config hash at most once;
 and :class:`EnsembleResult` collects per-run observables, status and errors
@@ -27,7 +27,6 @@ import contextlib
 import itertools
 import json
 import tempfile
-import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
@@ -42,11 +41,10 @@ from repro.api.config import (
     open_result_npz,
 )
 from repro.api import runs
-from repro.api.simulation import Simulation, SimulationResult
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
-from repro.store.common import config_hash, group_key
+from repro.store.common import config_hash
 from repro.utils.io import atomic_savez
 
 
@@ -158,8 +156,6 @@ class RunRecord:
     #: communication accounting (``ParallelRunInfo.to_dict()`` form) when
     #: the variant ran under an active ``[parallel]`` section, else None
     parallel: Optional[Dict[str, Any]] = None
-    #: full in-memory result (live runs only; not restored by load_npz)
-    result: Optional[SimulationResult] = None
 
     @property
     def ok(self) -> bool:
@@ -419,8 +415,8 @@ class EnsembleResult:
         """Rebuild an :class:`EnsembleResult` written by :meth:`save_npz`.
 
         Restored runs carry configs, statuses, errors and observable
-        arrays; the in-memory ``result`` objects (final states) are not
-        part of the ensemble file.
+        arrays; final states stay in the result store, not the ensemble
+        file.
         """
         path = Path(path)
         with open_result_npz(path, "ensemble") as data:
@@ -472,69 +468,16 @@ class EnsembleResult:
 
 
 def _announce_groups(plan: runs.RunPlan, say):
-    """Yield each pending group's ``(key, config, stored ground state)``, announced."""
-    for number, (key, (config, cached)) in enumerate(plan.groups.items(), 1):
-        if cached is not None:
+    """Yield the first config of each pending group, announced."""
+    for number, (config, stored) in enumerate(plan.groups.values(), 1):
+        if stored:
             say(f"ground state {number} restored from store")
         else:
             say(
                 f"converging ground state {number} ({config.system.cell}, "
                 f"{config.system.functional}, ecut {config.system.ecut:g})"
             )
-        yield key, config, cached
-
-
-def _run_in_process(plan: runs.RunPlan, store, labels, settle, fail, say) -> None:
-    """``workers == 1``: a loop over the kernel in this process, every variant
-    derived from its group's prototype :class:`Simulation` (shared ground
-    state, cell and grid).  A group whose SCF raises fails only its variants."""
-    protos: Dict[str, Any] = {}
-    for key, config, cached in _announce_groups(plan, say):
-        protos[key] = proto = Simulation(config, ground_state=cached)
-        try:
-            proto.ground_state(store)
-            proto.grid  # built once here, or every variant builds its own
-        except Exception as exc:  # noqa: BLE001 — reported per affected run
-            protos[key] = exc
-    for chash, config in plan.pending.items():
-        proto = protos[group_key(config)]
-        if isinstance(proto, Exception):
-            fail(chash, proto)
-            continue
-        if store is not None:
-            store.begin_run(config, overrides=labels[chash])
-        try:
-            outcome = runs.run_one(proto.derive(**vars(config)), store, overrides=labels[chash])
-        except Exception as exc:  # noqa: BLE001 — per-run isolation is the point
-            fail(chash, exc)
-            continue
-        r = outcome.result
-        parallel = r.parallel.to_dict() if r.parallel is not None else None
-        settle(chash, r.observables(), r.fft, parallel, outcome.elapsed, r)
-
-
-def _run_on_pool(plan: runs.RunPlan, store, n_workers: int, labels, settle_stored, fail, say) -> None:
-    """``workers > 1``: the pending hashes go through the store's job queue,
-    drained by this process and ``n_workers - 1`` of the job service's own
-    spawned workers (each runs the kernel against the store); a variant that
-    raises, or whose spawned worker is killed, comes back as an ``error``
-    job and becomes an ``error`` record."""
-    from repro.serve.pool import drain
-
-    firsts = {config_hash(config) for _, config, _ in _announce_groups(plan, say)}
-    # each group's first variant ahead of the rest, so the group SCFs
-    # converge side by side instead of one process blocked on a lease
-    order = sorted(plan.pending, key=lambda chash: chash not in firsts)
-    for chash in order:
-        store.begin_run(plan.pending[chash], overrides=labels[chash])
-
-    def on_done(job) -> None:
-        if job["status"] == "ok":
-            settle_stored(job["config_hash"], store.get(job["run_id"]))
-        else:
-            fail(job["config_hash"], (job["error"] or job["status"]).splitlines()[0])
-
-    drain(store, [plan.pending[h] for h in order], min(n_workers, len(order)), on_done)
+        yield config
 
 
 def run_ensemble(
@@ -546,15 +489,16 @@ def run_ensemble(
 ) -> EnsembleResult:
     """Expand ``sweep`` over ``base`` and execute every grid point.
 
-    ``workers`` (default ``sweep.workers``) is how many processes
-    compute, at most one per pending variant: 1 runs every variant in
-    this process; N runs them on **this process and N - 1 spawned**
-    worker processes, so a script calling this needs an ``if __name__ ==
-    "__main__":`` guard.  A variant that hard-crashes a spawned worker
-    is an ``error`` record; one that hard-crashes this process ends the
-    sweep, as it does at ``workers=1``, and the store requeues it on the
-    next call.  ``progress`` receives one line per event (the CLI passes
-    ``print``).
+    The pending variants go through the store's job queue, drained by
+    ``workers`` processes (default ``sweep.workers``, at most one per
+    pending variant): **this process and N - 1 spawned** workers, each
+    running the kernel against the store.  ``workers=1`` is this process
+    alone and spawns nothing; for more, a script calling this needs an
+    ``if __name__ == "__main__":`` guard.  A variant that raises, or
+    hard-crashes a spawned worker, is an ``error`` record; one that
+    hard-crashes this process ends the sweep, and the store requeues it
+    on the next call.  ``progress`` receives one line per event (the CLI
+    passes ``print``).
 
     ``store`` (a :class:`~repro.store.ResultStore` or study directory;
     default ``sweep.store``) makes the sweep resumable: runs append to it
@@ -569,6 +513,7 @@ def run_ensemble(
     converges once.  Per-run failures, a group's SCF failing included,
     are captured in the :class:`EnsembleResult`, never aborting the sweep.
     """
+    from repro.serve.pool import drain
     from repro.store import ResultStore
 
     n_workers = sweep.workers if workers is None else int(workers)
@@ -582,40 +527,43 @@ def run_ensemble(
         by_hash.setdefault(config_hash(record.config), []).append(record)
     labels = {chash: group[0].overrides for chash, group in by_hash.items()}
 
-    def settle(chash, arrays, fft, parallel, elapsed, result=None, restored_from=None):
-        how = f"restored from store ({restored_from})" if restored_from else f"ok ({elapsed:.2f} s)"
-        for record in by_hash[chash]:
-            record.status, record.arrays, record.result = "ok", dict(arrays), result
-            record.fft, record.parallel, record.elapsed = fft, parallel, elapsed
-            say(f"run {record.index} [{record.label()}]: {how}")
-
-    def settle_stored(chash, done, restored=False):
+    def settle(chash, done, restored=False):
+        how = f"restored from store ({done.run_id})" if restored else f"ok ({done.elapsed:.2f} s)"
         fft = FFTCounters.from_dict(done.fft) if done.fft else None
         arrays = store_obj.load_arrays(done.run_id)
-        settle(chash, arrays, fft, done.parallel, done.elapsed, None, done.run_id if restored else None)
+        for record in by_hash[chash]:
+            record.status, record.arrays, record.fft = "ok", dict(arrays), fft
+            record.parallel, record.elapsed = done.parallel, done.elapsed
+            say(f"run {record.index} [{record.label()}]: {how}")
 
-    def fail(chash, error):
-        if not isinstance(error, str):
-            error = "".join(traceback.format_exception_only(type(error), error)).strip()
+    def on_done(job) -> None:
+        chash = job["config_hash"]
+        if job["status"] == "ok":
+            settle(chash, store_obj.get(job["run_id"]))
+            return
+        error = (job["error"] or job["status"]).splitlines()[0]
         # persisted before announced, should the progress callback abort the sweep
-        if store_obj is not None:
-            store_obj.mark_error(by_hash[chash][0].config, error, overrides=labels[chash])
+        store_obj.mark_error(by_hash[chash][0].config, error, overrides=labels[chash])
         for record in by_hash[chash]:
             record.status, record.error = "error", error
             say(f"run {record.index} [{record.label()}]: error (0.00 s)")
 
     store_like = store if store is not None else sweep.store
     with contextlib.ExitStack() as stack:
-        if store_like is None and n_workers > 1:
+        if store_like is None:
             store_like = stack.enter_context(tempfile.TemporaryDirectory(prefix="repro-sweep-"))
-        store_obj = ResultStore.ensure(store_like) if store_like is not None else None
+        store_obj = ResultStore.ensure(store_like)
         if store_obj is not store_like:
             stack.callback(store_obj.close)  # opened here, closed here
         plan = runs.plan_runs((v.config for v in variants), store_obj)
         for chash, done in plan.restored.items():
-            settle_stored(chash, done, restored=True)
-        if plan.pending and n_workers > 1:
-            _run_on_pool(plan, store_obj, n_workers, labels, settle_stored, fail, say)
-        elif plan.pending:
-            _run_in_process(plan, store_obj, labels, settle, fail, say)
+            settle(chash, done, restored=True)
+        if plan.pending:
+            # each group's first variant ahead of the rest, so the group SCFs
+            # converge side by side instead of one process blocked on a lease
+            firsts = {config_hash(config) for config in _announce_groups(plan, say)}
+            order = sorted(plan.pending, key=lambda chash: chash not in firsts)
+            for chash in order:
+                store_obj.begin_run(plan.pending[chash], overrides=labels[chash])
+            drain(store_obj, [plan.pending[h] for h in order], min(n_workers, len(order)), on_done)
     return EnsembleResult(base_config=base, sweep=sweep, runs=records)

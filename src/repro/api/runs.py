@@ -5,21 +5,22 @@ memory / the store's blob / one lease-elected SCF) → propagate →
 persist, never redoing a finished config hash, timing itself once.
 :func:`plan_runs` is the same decision taken for a batch up front:
 which hashes the store already holds, which are left, and which
-shared-SCF groups those need.  ``Simulation.run(store=)``, ``repro run
---store``, :func:`~repro.api.ensemble.run_ensemble` and the job
-service's workers are all thin callers of these two, so resume,
+shared-SCF groups those need.  ``Simulation.run(store=)`` and ``repro
+run --store`` call the kernel directly; a sweep
+(:func:`~repro.api.ensemble.run_ensemble`) plans its batch and hands
+the pending hashes to the store's job queue, whose workers — the
+calling process among them — call the kernel per job.  So resume,
 coalescing, persistence and failure handling exist once.
 """
 
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, Iterable, Mapping, NamedTuple, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.api.config import SimulationConfig
 from repro.api.simulation import Simulation, SimulationResult
-from repro.scf.groundstate import GroundState
-from repro.store.common import config_hash, group_key
+from repro.store.common import config_hash, group_address, group_key
 
 
 class RunOutcome(NamedTuple):
@@ -41,7 +42,6 @@ def run_one(
     progress: Optional[Callable[[int, int], None]] = None,
     *,
     reuse: bool = True,
-    overrides: Optional[Mapping[str, Any]] = None,
     **window,
 ) -> RunOutcome:
     """Run ``sim``'s config to a stored result, doing only what is missing.
@@ -50,9 +50,8 @@ def run_one(
     ground state, a grid shared with its siblings).  ``progress(step,
     n_steps)`` is called with step 0 once the ground state is in hand
     and then after every completed step.  ``reuse=False`` recomputes
-    even when the store holds the config's completed run; ``overrides``
-    is the sweep label recorded on the stored row; ``window`` forwards
-    ``n_steps`` / ``dt_as`` / ``observe_every`` to
+    even when the store holds the config's completed run; ``window``
+    forwards ``n_steps`` / ``dt_as`` / ``observe_every`` to
     :meth:`Simulation.propagate`.
     """
     started = time.perf_counter()
@@ -70,7 +69,7 @@ def run_one(
         progress(0, sim.config.propagation.n_steps if n_steps is None else int(n_steps))
     result = sim.propagate(progress=progress, **window)
     elapsed = time.perf_counter() - started
-    run_id = None if store is None else store.add_result(result, overrides=overrides, elapsed=elapsed)
+    run_id = None if store is None else store.add_result(result, elapsed=elapsed)
     return RunOutcome(run_id, result, elapsed, False)
 
 
@@ -82,24 +81,24 @@ class RunPlan(NamedTuple):
     #: hashes left to run -> config, in first-seen order
     pending: Dict[str, SimulationConfig]
     #: shared-SCF groups of the pending configs: group key -> (first
-    #: config of the group, the store's ground-state blob or ``None``)
-    groups: Dict[str, Tuple[SimulationConfig, Optional[GroundState]]]
+    #: config of the group, whether the store holds its ground state)
+    groups: Dict[str, Tuple[SimulationConfig, bool]]
 
 
-def plan_runs(configs: Iterable[SimulationConfig], store=None) -> RunPlan:
+def plan_runs(configs: Iterable[SimulationConfig], store) -> RunPlan:
     """Split ``configs`` into restored / pending / groups, one entry per hash."""
     plan = RunPlan({}, {}, {})
     for config in configs:
         chash = config_hash(config)
         if chash in plan.restored or chash in plan.pending:
             continue
-        done = store.find_completed(config) if store is not None else None
+        done = store.find_completed(config)
         if done is not None:
             plan.restored[chash] = done
             continue
         plan.pending[chash] = config
         key = group_key(config)
         if key not in plan.groups:
-            cached = store.load_ground_state(config) if store is not None else None
-            plan.groups[key] = (config, cached)
+            blob = store.blobs.ground_state_path(group_address(config))
+            plan.groups[key] = (config, blob.exists())
     return plan

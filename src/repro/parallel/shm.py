@@ -49,28 +49,3 @@ class MemoryModel:
     def fits(self, nranks: int, machine: MachineSpec, shared_memory: bool, headroom: float = 0.8) -> bool:
         """Does the state fit in ``headroom`` x per-rank memory?"""
         return self.per_rank_bytes(nranks, machine, shared_memory) <= headroom * machine.mem_per_rank
-
-    def max_atoms(
-        self,
-        machine: MachineSpec,
-        nranks: int,
-        bands_per_atom: float = 2.5,
-        grid_per_atom: float = 422.0,
-        shared_memory: bool = True,
-        headroom: float = 0.8,
-    ) -> int:
-        """Largest silicon system fitting in memory (weak-scaling limit)."""
-        atoms = 8
-        while True:
-            probe = atoms * 2
-            trial = MemoryModel(
-                nbands=int(bands_per_atom * probe),
-                ngrid=int(grid_per_atom * probe),
-                anderson_history=self.anderson_history,
-                n_square_matrices=self.n_square_matrices,
-            )
-            if not trial.fits(nranks, machine, shared_memory, headroom):
-                return atoms
-            atoms = probe
-            if atoms > 10**7:
-                return atoms

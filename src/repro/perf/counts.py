@@ -21,8 +21,7 @@ performance tests), and ``Ng = 421.875 n_atom`` wavefunction grid points
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from dataclasses import dataclass
 
 #: paper SCF statistics (Sec. IV-A2 / VI)
 PTIM_SCF_PER_STEP = 25
@@ -55,10 +54,6 @@ class SystemSize:
     @property
     def ngrid(self) -> int:
         return int(round(self.grid_per_atom * self.natom))
-
-    @staticmethod
-    def paper_systems() -> Tuple["SystemSize", ...]:
-        return tuple(SystemSize(n) for n in (48, 96, 192, 384, 768, 1536, 3072))
 
 
 @dataclass

@@ -78,18 +78,14 @@ def scaling_report(machines: Iterable[str] = MACHINES) -> str:
     return "\n".join(machine_report(m) for m in machines)
 
 
-def measured_breakdown_report(
-    ledgers, machine, natom, nranks, fft=None, include_model: bool = False
-) -> str:
+def measured_breakdown_report(ledgers, machine, natom, nranks, fft=None) -> str:
     """Table-I-style text for *measured* run ledgers.
 
     ``ledgers``/``fft`` map row labels (patterns) to each run's
     :class:`~repro.parallel.ledger.CostLedger` / measured
     :class:`~repro.backend.FFTCounters`; rendering reuses
     :func:`~repro.perf.experiments.format_table1`, so the executed
-    accounting reads exactly like the analytic model's table.  With
-    ``include_model`` the calibrated paper-scale model table is appended
-    for the measured-vs-modeled comparison the docs describe.
+    accounting reads exactly like the analytic model's table.
     """
     from repro.perf.experiments import measured_table1
 
@@ -97,8 +93,4 @@ def measured_breakdown_report(
         "measured communication breakdown (modeled seconds, executed schedules)",
         format_table1(measured_table1(ledgers, machine, natom, nranks, fft=fft)),
     ]
-    if include_model:
-        lines.append("")
-        lines.append("calibrated paper-scale model (Table I):")
-        lines.append(format_table1(table1_communication(machine)))
     return "\n".join(lines)

@@ -3,7 +3,7 @@
 Workers are **spawned** processes (never forked: the server runs HTTP
 handler threads, and forking a threaded process is undefined behavior
 waiting to happen) running :func:`repro.serve.worker.worker_main`.
-:func:`drain`, the batch form a parallel sweep runs on, spawns one
+:func:`drain`, the batch form every sweep runs on, spawns one
 fewer than it was asked for and computes in the calling process too.
 
 The pool itself holds no job state — the queue is the single source of
@@ -161,21 +161,22 @@ def drain(
 ) -> None:
     """Run ``configs`` through ``store``'s queue on ``n_workers`` processes.
 
-    The batch form of the service (``run_ensemble(workers > 1)`` uses
+    The batch form of the service (every ``run_ensemble`` sweep runs on
     it).  ``n_workers`` processes compute: **the caller and
-    ``n_workers - 1`` spawned**.  The caller submits, registers itself as
-    a worker of the queue, starts the others, and then does what they do
-    (claim, :func:`~repro.serve.worker.execute_job`) between supervisor
-    passes, handing each job row to ``on_done`` as it turns terminal; it
-    returns when all have.  So the first job starts at once, beside the
+    ``n_workers - 1`` spawned**, so 1 is the caller alone.  The caller
+    submits, registers itself as a worker of the queue, starts the
+    others, and then does what they do (claim,
+    :func:`~repro.serve.worker.execute_job`) between supervisor passes,
+    handing each job row to ``on_done`` as it turns terminal; it returns
+    when all have.  So the first job starts at once, beside the
     children's spawn and import instead of after them; the price is that
     a job a child finishes is handed to ``on_done`` when the caller next
     finishes its own, not the moment it lands.
 
     ``max_attempts=1``: a config that raises, or whose spawned worker is
     killed, is an ``error`` job, not a retry.  What kills the *caller*
-    ends the batch, as it would in process; its claim is requeued by the
-    next call on the store (:meth:`JobQueue.recover`).  A job some other
+    ends the batch; its claim is requeued by the next call on the store
+    (:meth:`JobQueue.recover`).  A job some other
     live pool on the same store already holds is waited for, not
     duplicated.  On the way out, by return or by exception, the workers
     are stopped and nothing of this batch is left claimable or running.

@@ -1,8 +1,8 @@
 """Ensemble sweep engine: expansion, execution, collection, CLI.
 
 The execution tests run the shipped ``examples/configs/sweep_absorption``
-sweep once in process (module fixture) and compare the spawned-worker
-path — via the real CLI and via the API — against it: same machine,
+sweep once on the calling process alone (module fixture) and compare
+spawned workers — via the real CLI and via the API — against it: same machine,
 same ground state, the trajectories must agree to round-off wherever
 the runs execute (the acceptance bar for the engine).
 """
@@ -52,6 +52,7 @@ def test_sweep_defaults_and_n_runs():
         ({"axes": {"system.ecut": 2.0}}, "non-empty list"),
         ({"mode": "zip", "axes": {"scf.seed": [1, 2], "system.ecut": [3.0]}}, "equal-length"),
         ({"bogus": 1}, "unknown key"),
+        ({"workers": 2.5}, "sweep.workers"),
     ],
 )
 def test_sweep_config_rejects_bad_input(data, match):
@@ -255,7 +256,6 @@ def test_serial_run_all_ok_and_shares_ground_state(serial_run):
     solves = [m for m in messages if m.startswith("converging ground state")]
     assert len(solves) == 1  # one (system, scf, backend) group -> one SCF for 4 runs
     assert result.stacked("dipole").shape == (4, 5, 3)
-    assert all(r.result is not None for r in result.runs)  # live serial runs keep results
 
 
 def test_serial_runs_carry_fft_tallies(serial_run):
@@ -324,9 +324,10 @@ def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
 
 
 def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypatch):
-    """One engine: the same four configs through ``run_ensemble`` on spawned
-    workers (with and without a store) and through ``JobService.submit``
-    give the in-process loop's observables bit for bit and its per-run FFT
+    """One engine: the same four configs through ``run_ensemble`` on the
+    caller alone and beside a spawned worker (without a store), on a
+    spawned worker with a store, and through ``JobService.submit`` give
+    the reference sweep's observables bit for bit and its per-run FFT
     tallies exactly, converge one ground state per group, and leave no
     temporary store behind."""
     import tempfile
@@ -340,8 +341,9 @@ def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypa
     scratch.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
 
+    alone = run_ensemble(base, sweep, workers=1)
     unstored = run_ensemble(base, sweep, workers=2)
-    assert list(scratch.iterdir()) == []  # the temporary store is gone
+    assert list(scratch.iterdir()) == []  # the temporary stores are gone
     stored = run_ensemble(base, sweep, workers=2, store=tmp_path / "study")
     with JobService(tmp_path / "served", port=0, workers=2, backoff=0.0) as service:
         jobs = [service.submit(run.config)[0] for run in reference.runs]
@@ -351,12 +353,13 @@ def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypa
         served = [service.store.load_result(job["run_id"]) for job in finals]
         assert len(service.store.blobs.ground_state_addresses()) == 1
 
-    for ensemble in (unstored, stored):
+    for ensemble in (alone, unstored, stored):
         assert [r.status for r in ensemble.runs] == ["ok"] * 4
         assert [r.overrides for r in ensemble.runs] == [r.overrides for r in reference.runs]
     for i, ref in enumerate(reference.runs):
-        legs = (unstored.runs[i].arrays, stored.runs[i].arrays, served[i].observables())
-        tallies = (unstored.runs[i].fft, stored.runs[i].fft, served[i].fft)
+        ensembles = (alone, unstored, stored)
+        legs = (*(e.runs[i].arrays for e in ensembles), served[i].observables())
+        tallies = (*(e.runs[i].fft for e in ensembles), served[i].fft)
         for arrays, fft in zip(legs, tallies):
             assert set(arrays) == set(ref.arrays)
             for key, expected in ref.arrays.items():
@@ -376,19 +379,19 @@ def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypa
 def test_duplicate_grid_points_run_once(tmp_path, monkeypatch):
     """Two grid points with one config hash are one run: the kernel is
     called once per distinct hash and every record sharing it is filled."""
-    import repro.api.runs as runs_mod
+    import repro.serve.worker as worker_mod
 
     base, _ = load_sweep_file(SWEEP_TOML)
     base = base.replace(propagation={"n_steps": 1})
     sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [1e-3, 1e-3, 2e-3]}})
     calls = []
-    real_run_one = runs_mod.run_one
+    real_run_one = worker_mod.run_one
 
     def counting_run_one(sim, *args, **kwargs):
         calls.append(sim.config.field.params["kick"])
         return real_run_one(sim, *args, **kwargs)
 
-    monkeypatch.setattr(runs_mod, "run_one", counting_run_one)
+    monkeypatch.setattr(worker_mod, "run_one", counting_run_one)
     result = run_ensemble(base, sweep, store=tmp_path / "study")
     assert calls == [1e-3, 2e-3]
     assert [r.status for r in result.runs] == ["ok"] * 3

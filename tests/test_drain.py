@@ -66,7 +66,7 @@ def _assert_nothing_half_done(store_dir):
         store.close()
 
 
-@pytest.mark.parametrize("workers", [2, 3])
+@pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch):
     spawned = []
     real_spawn = WorkerPool._spawn
@@ -83,6 +83,8 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
     jobs, left = _rows(store_dir)
     first = min(jobs, key=lambda job: job["started"])
     assert first["worker"].endswith("caller")
+    if workers == 1:
+        assert all(job["worker"].endswith("caller") for job in jobs)
     # the caller's row is gone; those of children that got as far as
     # registering stay until the next recover() and say when each came up:
     # after the first job was already running

@@ -78,8 +78,8 @@ def test_interrupted_sweep_resumes_without_recomputation(
     store.close()
 
     # -- phase 2: resume; completed variants must not recompute ------------
-    import repro.api.runs as runs_mod
     import repro.api.simulation as sim_mod
+    import repro.serve.worker as worker_mod
 
     # the shared SCF is in the store's blob cache: converging again is a bug
     def _no_scf(*args, **kwargs):
@@ -89,13 +89,13 @@ def test_interrupted_sweep_resumes_without_recomputation(
 
     # record exactly which variants execute a propagation
     executed = []
-    real_run_one = runs_mod.run_one
+    real_run_one = worker_mod.run_one
 
     def counting_run_one(sim, *args, **kwargs):
         executed.append(float(sim.config.field.params["kick"]))
         return real_run_one(sim, *args, **kwargs)
 
-    monkeypatch.setattr(runs_mod, "run_one", counting_run_one)
+    monkeypatch.setattr(worker_mod, "run_one", counting_run_one)
 
     messages = []
     resumed = run_ensemble(
@@ -146,9 +146,9 @@ def test_failed_runs_are_requeued(tmp_path, base_config, monkeypatch):
     sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [0.001, 0.002]}})
     store_dir = tmp_path / "study"
 
-    import repro.api.runs as runs_mod
+    import repro.serve.worker as worker_mod
 
-    real_run_one = runs_mod.run_one
+    real_run_one = worker_mod.run_one
     calls = {"n": 0}
 
     def flaky_run_one(sim, *args, **kwargs):
@@ -157,14 +157,14 @@ def test_failed_runs_are_requeued(tmp_path, base_config, monkeypatch):
             raise RuntimeError("transient failure")
         return real_run_one(sim, *args, **kwargs)
 
-    monkeypatch.setattr(runs_mod, "run_one", flaky_run_one)
+    monkeypatch.setattr(worker_mod, "run_one", flaky_run_one)
     first = run_ensemble(base_config, sweep, store=store_dir)
     assert [r.status for r in first.runs] == ["ok", "error"]
     store = ResultStore.ensure(store_dir)
     assert [r.status for r in store.query()] == ["ok", "error"]
     store.close()
 
-    monkeypatch.setattr(runs_mod, "run_one", real_run_one)
+    monkeypatch.setattr(worker_mod, "run_one", real_run_one)
     second = run_ensemble(base_config, sweep, store=store_dir)
     assert all(r.ok for r in second.runs)  # the error row was re-queued
     store = ResultStore.ensure(store_dir)
