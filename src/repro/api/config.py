@@ -172,6 +172,10 @@ class SCFConfig(_Section):
             object.__setattr__(self, "nbands", int(self.nbands))
         _check(self.temperature_k >= 0.0, f"scf.temperature_k must be >= 0, got {self.temperature_k}")
         _check(self.density_tol > 0.0, f"scf.density_tol must be positive, got {self.density_tol}")
+        _check(self.exchange_tol > 0.0, f"scf.exchange_tol must be positive, got {self.exchange_tol}")
+        _check(self.davidson_tol > 0.0, f"scf.davidson_tol must be positive, got {self.davidson_tol}")
+        _check(0.0 < self.mix_beta <= 1.0, f"scf.mix_beta must be in (0, 1], got {self.mix_beta}")
+        _check(self.mix_history >= 1, f"scf.mix_history must be >= 1, got {self.mix_history}")
         _check(self.max_scf >= 1, f"scf.max_scf must be >= 1, got {self.max_scf}")
         _check(self.max_outer >= 1, f"scf.max_outer must be >= 1, got {self.max_outer}")
 

@@ -17,12 +17,7 @@ import numpy as np
 
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
-from repro.occupation.sigma import (
-    density_from_orbitals_diag,
-    diagonalize_sigma,
-    hermitize,
-    rotate_orbitals,
-)
+from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 
 
 @dataclass(frozen=True)
@@ -56,19 +51,23 @@ def td_total_energy(
     ham: Hamiltonian,
     phi: np.ndarray,
     sigma: np.ndarray,
+    rho: np.ndarray,
     e_ewald: Optional[float] = None,
     use_ace: bool = False,
 ) -> EnergyBreakdown:
     """Energy of the state ``(Phi, sigma)`` under the current Hamiltonian.
 
     Updates the Hamiltonian's density-dependent pieces as a side effect
-    (they are recomputed from this state's density).
+    (they are recomputed from ``rho``).
 
     Parameters
     ----------
     phi:
         Real-space orbital rows; packed once here for the kinetic,
         nonlocal and ACE terms, which live on the sphere.
+    rho:
+        The state's density, as ``PropagatorBase.density`` builds it
+        (the caller has it already for the dipole).
     use_ace:
         Evaluate the exchange energy through the currently-set ACE
         operator instead of the dense operator (cheap; exact on the ACE
@@ -81,10 +80,6 @@ def td_total_energy(
     c = grid.to_sphere(phi)
     c_t = rotate_orbitals(c, q)
     w = deg * d
-
-    rho = density_from_orbitals_diag(grid, phi, sigma, degeneracy=deg)
-    rho = np.maximum(rho, 0.0)
-    rho *= ham.n_electrons / (rho.sum() * grid.dv)
     ham.update_density(rho)
 
     e_kin = ham.kinetic.energy(c_t, w)

@@ -197,7 +197,7 @@ class PropagatorBase:
             i, j = key
             self.record.sigma_samples[key].append(complex(state.sigma[i, j]))
         if self.record_energy:
-            e = td_total_energy(self.ham, state.phi, state.sigma, self._e_ewald)
+            e = td_total_energy(self.ham, state.phi, state.sigma, rho, self._e_ewald)
             self.record.energy.append(e.total)
         else:
             self.record.energy.append(np.nan)

@@ -20,9 +20,27 @@ fixed point it belongs to can use:
   taken as a sign of convergence;
 * outer pass ``k > 0`` stops its inner loop at ``max(density_tol,
   _INNER_TOL_PER_JUMP * jump)``: its operator is still off by about the
-  jump it caused, and the next pass replaces it.  The semilocal pass that
-  bootstraps a hybrid, and a semilocal functional's only pass, run to
-  ``density_tol``.
+  jump it caused, and the next pass replaces it;
+* the semilocal pass that bootstraps a hybrid stops at ``max(density_tol,
+  _INNER_TOL_PER_JUMP * _DAVIDSON_TOL_CAP / _DAVIDSON_TOL_PER_DRHO)``
+  (3.3e-3).  The first hybrid pass opens with an eigensolve at the cap,
+  which by the first rule resolves no density change below ``cap / 0.03``;
+  that is the smallest jump it can measure, and like every pass the
+  bootstrap needs a tenth of the jump that follows it.  A semilocal
+  functional's only pass runs to ``density_tol``.
+
+**The start is built from the atoms.**  The density starts as each atom's
+valence charge ``Z_v`` in a normalised Gaussian, ``rho(G) = Omega^-1
+exp(-w^2 G^2 / 2) sum_a Z_a exp(-i G.tau_a)``, clipped at zero and scaled
+to ``N_e``.  Its rms radius ``sqrt(3) w`` is the Wigner–Seitz radius
+``(3 Omega / 4 pi N_atom)^(1/3)`` of one atom's share of the cell (1.84
+bohr in silicon): a bonded crystal's valence charge fills the cell, and
+the pseudopotential's core radius (0.44 bohr) starts barely better than a
+uniform density.  The orbitals start as the lowest-kinetic-energy plane
+waves of the sphere, the eigenvectors of ``H`` without its potential, each
+coefficient perturbed by seeded noise of ``_DAVIDSON_TOL_CAP / sqrt(npw)``:
+that breaks the degeneracy of a kinetic shell below anything the first
+eigensolve resolves, and ``seed`` still picks one start among equals.
 
 ``GroundState.converged`` means all of: the last density change is below
 ``density_tol``, the eigensolve that produced it met its tolerance
@@ -47,6 +65,7 @@ from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
 from repro.occupation.fermi import fermi_occupations, smearing_entropy
 from repro.occupation.sigma import initial_sigma
+from repro.pseudo.database import get_pseudopotential
 from repro.scf.eigensolver import davidson
 from repro.scf.mixing import KerkerMixer
 from repro.utils.rng import default_rng
@@ -59,6 +78,8 @@ _DAVIDSON_TOL_PER_DRHO = 0.03
 _DAVIDSON_TOL_CAP = 1e-3
 #: inner-loop stop per unit of jump: a pass leaves ~1/4 of the exchange error (0.3 doubles |dE|)
 _INNER_TOL_PER_JUMP = 0.1
+#: a hybrid's semilocal bootstrap stop: a tenth of the smallest jump an eigensolve at the cap resolves
+_BOOTSTRAP_TOL = _INNER_TOL_PER_JUMP * _DAVIDSON_TOL_CAP / _DAVIDSON_TOL_PER_DRHO
 
 
 @dataclass
@@ -132,12 +153,38 @@ def default_nbands(n_electrons: float, natom: int, extra_ratio: float = 0.5) -> 
     return int(round(n_electrons / SPIN_DEGENERACY + extra_ratio * natom))
 
 
-def _density_from(ham: Hamiltonian, phi: np.ndarray, occ: np.ndarray) -> np.ndarray:
-    rho = np.einsum("i,ir->r", occ, (phi.conj() * phi).real)
-    rho = np.maximum(rho * ham.degeneracy, 0.0)
+def _clip_and_normalize(ham: Hamiltonian, rho: np.ndarray) -> np.ndarray:
+    rho = np.maximum(rho, 0.0)
     # enforce exact electron count against quadrature drift
     rho *= ham.n_electrons / (rho.sum() * ham.grid.dv)
     return rho
+
+
+def _density_from(ham: Hamiltonian, phi: np.ndarray, occ: np.ndarray) -> np.ndarray:
+    rho = np.einsum("i,ir->r", occ, (phi.conj() * phi).real)
+    return _clip_and_normalize(ham, rho * ham.degeneracy)
+
+
+def _start_density(ham: Hamiltonian) -> np.ndarray:
+    """Superposed Gaussian valence charges of the atoms (module docstring)."""
+    grid, cell = ham.grid, ham.cell
+    r_ws = (3.0 * cell.volume / (4.0 * np.pi * cell.natom)) ** (1.0 / 3.0)
+    z_v = np.array([get_pseudopotential(s).zion for s in cell.species])
+    charge_g = np.tensordot(z_v, grid.gvec.structure_factors(cell.positions), axes=1)
+    # exp(-w^2 G^2 / 2) with w^2 = r_ws^2 / 3
+    rho_g = np.exp(-grid.gvec.g2 * (r_ws**2 / 6.0)) * charge_g / cell.volume
+    return _clip_and_normalize(ham, grid.g_to_r(rho_g.ravel(), consume=True).real)
+
+
+def _start_orbitals(grid: PlaneWaveGrid, nb: int, rng: np.random.Generator) -> np.ndarray:
+    """The ``nb`` lowest plane waves of the sphere, perturbed (module docstring)."""
+    require(nb <= grid.npw, f"{nb} bands exceed the {grid.npw} plane waves of the cutoff sphere")
+    lowest = np.argsort(grid.kinetic_sphere, kind="stable")[:nb]
+    shape = (nb, grid.npw)
+    c = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    c *= _DAVIDSON_TOL_CAP / np.sqrt(grid.npw)
+    c[np.arange(nb), lowest] += 1.0
+    return c / np.sqrt(grid.dv)
 
 
 def total_energy(
@@ -209,19 +256,13 @@ def run_scf(
     ledger = getattr(ham.fock, "ledger", None)
     ledger_mark = ledger.mark() if ledger is not None else 0
 
-    # `phi_r` (real-space rows) feeds the density and the dense exchange;
-    # Davidson iterates on its sphere image `phi`, unpacked once per iteration
-    rng = default_rng(opts.seed)
-    if phi0 is not None and phi0.shape[0] >= nbands + nguard:
-        phi_r = phi0[: nbands + nguard].copy()
-    else:
-        phi_r = grid.random_orbitals(nbands + nguard, rng)
-        if phi0 is not None:
-            phi_r[: phi0.shape[0]] = phi0
-    phi = grid.to_sphere(phi_r)
+    # Davidson iterates on sphere blocks `phi`; their real-space rows `phi_r`,
+    # unpacked once per iteration, feed the density and the dense exchange
+    phi = _start_orbitals(grid, nbands + nguard, default_rng(opts.seed))
+    if phi0 is not None:
+        phi[: phi0.shape[0]] = grid.to_sphere(phi0[: nbands + nguard])
 
-    # neutral-atom superposition would be better; a uniform start is robust
-    rho = np.full(grid.ngrid, ham.n_electrons / ham.cell.volume)
+    rho = _start_density(ham)
     ham.update_density(rho)
     mixer = KerkerMixer(grid, q0=1.5, history=opts.mix_history, beta=opts.mix_beta)
     e_ewald = ewald_energy(ham.cell)
@@ -237,18 +278,19 @@ def run_scf(
     prev_ex = None
     vx_phi = None  # dense V_x Phi of the pass just ended on phi[:nbands], packed
     for outer in outer_range:
+        # the density change under the operator just installed is not known
+        # yet: the pass starts at the cap, not at the previous pass's d_rho
+        dav_tol = _DAVIDSON_TOL_CAP
+        inner_tol = opts.density_tol
         if ham.functional.is_hybrid:
             if outer == 0:
                 ham.clear_exchange()  # first pass: semilocal only (bootstrap)
+                inner_tol = max(opts.density_tol, _BOOTSTRAP_TOL)
             else:
                 ham.set_ace(ACEOperator.from_dense_action(grid, phi[:nbands], vx_phi))
             # the fixed-point map changed (new exchange operator): stale
             # mixing history would poison the extrapolation
             mixer.reset()
-        # the density change under the operator just installed is not known
-        # yet: the pass starts at the cap, not at the previous pass's d_rho
-        dav_tol = _DAVIDSON_TOL_CAP
-        inner_tol = opts.density_tol
         for it in range(opts.max_scf):
             n_iter += 1
             result = davidson(

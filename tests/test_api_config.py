@@ -129,6 +129,11 @@ def test_unknown_section_key_names_dotted_path(section, key):
         ("propagation", {"dt_as": 0.0}, r"propagation\.dt_as"),
         ("propagation", {"observe_every": 0}, r"propagation\.observe_every"),
         ("propagation", {"track_sigma": [[1]]}, r"propagation\.track_sigma"),
+        ("scf", {"exchange_tol": 0.0}, r"scf\.exchange_tol"),
+        ("scf", {"davidson_tol": -1.0}, r"scf\.davidson_tol"),
+        ("scf", {"mix_beta": 0.0}, r"scf\.mix_beta"),
+        ("scf", {"mix_beta": 1.5}, r"scf\.mix_beta"),
+        ("scf", {"mix_history": 0}, r"scf\.mix_history"),
     ],
 )
 def test_invalid_values_name_the_key(section, patch, match):

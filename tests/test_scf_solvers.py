@@ -9,8 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import _generalized_lowest, real_space_apply, real_space_davidson, real_space_teter
-from repro.grid import PlaneWaveGrid, silicon_cubic_cell
+from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.hamiltonian import Hamiltonian
+from repro.scf import groundstate
 from repro.scf.eigensolver import (
     DavidsonResult,
     _normalize_rows,
@@ -580,6 +581,38 @@ def test_scf_reasonable_silicon_energy(lda_ground_state):
     assert -5.0 < per_atom < -3.0
 
 
+def test_start_density_holds_the_electrons_and_is_nonnegative(ham):
+    rho = groundstate._start_density(ham)
+    assert rho.min() >= 0.0
+    assert rho.sum() * ham.grid.dv == pytest.approx(ham.n_electrons, rel=1e-12)
+
+
+def test_start_density_of_a_supercell_repeats_the_cell(grid, ham):
+    """Built from the atoms alone: on a grid with twice the points along x,
+    the 2x1x1 supercell starts from the 8-atom cell's density twice over."""
+    n1, n2, n3 = grid.shape
+    sgrid = PlaneWaveGrid(silicon_supercell((2, 1, 1)), ecut=grid.ecut, shape=(2 * n1, n2, n3))
+    rho = grid.to_box(groundstate._start_density(ham))
+    rho_super = sgrid.to_box(groundstate._start_density(Hamiltonian(sgrid, make_functional("lda"))))
+    np.testing.assert_allclose(rho_super, np.concatenate([rho, rho]), rtol=0.0, atol=1e-12 * rho.max())
+
+
+def test_hybrid_bootstrap_stops_where_the_first_exchange_jump_begins(hse_ground_state):
+    """The semilocal pass ends at its first density change below a tenth of
+    the smallest jump an eigensolve at the cap resolves; the change after it
+    is the jump the first exchange operator causes, above that bound."""
+    _, gs = hse_ground_state
+    bound = (
+        groundstate._INNER_TOL_PER_JUMP
+        * groundstate._DAVIDSON_TOL_CAP
+        / groundstate._DAVIDSON_TOL_PER_DRHO
+    )
+    # the first change follows the eigensolve at the cap and never stops a pass
+    end = next(k for k in range(1, len(gs.history)) if gs.history[k] < bound)
+    assert gs.history[end + 1] > bound
+    assert gs.converged
+
+
 def test_scf_rejects_nonpositive_nbands(ham):
     """Regression: an explicit falsy nbands must error, not silently
     fall back to the default band count."""
@@ -588,6 +621,9 @@ def test_scf_rejects_nonpositive_nbands(ham):
     for bad in (0, -3):
         with pytest.raises(ValueError, match="nbands must be a positive band count"):
             run_scf(ham, SCFOptions(nbands=bad, max_scf=1))
+    # the start block (bands plus guards) needs that many plane waves
+    with pytest.raises(ValueError, match="plane waves of the cutoff sphere"):
+        run_scf(ham, SCFOptions(nbands=ham.grid.npw, max_scf=1))
 
 
 @pytest.mark.parametrize(
