@@ -27,24 +27,19 @@ Commands
     Submit a config (or its ``[sweep]`` expansion) to a running server.
 ``jobs ls|show|watch|fetch|cancel``
     Inspect and manage jobs on a running server.
-``lint [PATHS]``
-    Run the project-invariant static analysis (AST rules: sqlite
-    discipline, atomic IO, FFT isolation, determinism, config
-    immutability, pickle safety) over source files; supports inline
-    suppressions and text/JSON output.
 ``components``
     List every registered cell / functional / field / propagator /
-    backend / lint rule.
+    backend.
 ``perf``
     Print the paper-evaluation performance projection report.
 
 Exit codes
 ----------
 0
-    Success: the run/sweep/query completed, or ``lint`` found nothing.
+    Success: the run/sweep/query completed.
 1
-    The command ran but the outcome is a failure: lint findings, failed
-    sweep variants, failed submitted/watched jobs.
+    The command ran but the outcome is a failure: failed sweep
+    variants, failed submitted/watched jobs.
 2
     Usage error: bad flags, unparseable or invalid config, unknown
     registry keys, unreadable store paths.
@@ -146,33 +141,6 @@ def _build_parser() -> argparse.ArgumentParser:
     validate.add_argument(
         "--store", default=None, metavar="DIR",
         help="also validate this result-store path (overrides sweep.store)",
-    )
-    validate.add_argument(
-        "--lint", action="store_true",
-        help="also run the static-analysis rules over the installed repro "
-             "package before committing to a long job (exit 1 on findings)",
-    )
-
-    lint = sub.add_parser(
-        "lint", help="run project-invariant static analysis (AST rules)"
-    )
-    lint.add_argument(
-        "paths", nargs="*", metavar="PATH",
-        help="files or directories to analyze (default: the installed "
-             "repro package)",
-    )
-    lint.add_argument(
-        "--rules", default=None, metavar="R1,R2",
-        help="comma-separated subset of rules (default: all; "
-             "see --list for the catalogue)",
-    )
-    lint.add_argument(
-        "--list", dest="list_rules", action="store_true",
-        help="list registered rules with descriptions and exit",
-    )
-    lint.add_argument(
-        "--format", choices=("text", "json"), default="text",
-        help="report format (default %(default)s)",
     )
 
     results = sub.add_parser("results", help="query and export runs from a result store")
@@ -493,59 +461,7 @@ def _cmd_validate(args) -> int:
     if store:
         for line in _validate_store_path(store):
             print(line)
-    if args.lint:
-        # pre-flight the code itself before a long job: a determinism or
-        # IO-discipline regression is cheaper to catch here than three
-        # hours into a propagation
-        from repro.lint import format_text, lint_paths
-
-        result = lint_paths(_default_lint_paths())
-        print(
-            f"lint: {len(result.findings)} finding(s) over "
-            f"{result.files} file(s), {len(result.rules)} rule(s)"
-        )
-        if not result.clean:
-            print(format_text(result))
-            return 1
     return 0
-
-
-def _default_lint_paths() -> List[str]:
-    """The installed ``repro`` package source (what ``repro lint`` and
-    ``validate --lint`` analyze when no paths are given)."""
-    from pathlib import Path
-
-    import repro
-
-    return [str(Path(repro.__file__).parent)]
-
-
-def _cmd_lint(args) -> int:
-    from repro.lint import (
-        LintError,
-        format_json,
-        format_text,
-        lint_paths,
-        rule_catalogue,
-    )
-
-    if args.list_rules:
-        catalogue = rule_catalogue()
-        width = max(len(name) for name in catalogue)
-        for name, description in catalogue.items():
-            print(f"{name:<{width}}  {description}")
-        return 0
-
-    paths = args.paths or _default_lint_paths()
-    rules = None
-    if args.rules is not None:
-        rules = [part.strip() for part in args.rules.split(",") if part.strip()]
-        if not rules:
-            raise LintError("--rules given but no rule names parsed")
-
-    result = lint_paths(paths, rules=rules)
-    print(format_json(result) if args.format == "json" else format_text(result))
-    return 0 if result.clean else 1
 
 
 def _validate_store_path(path) -> List[str]:
@@ -844,7 +760,6 @@ _COMMANDS = {
     "resume": _cmd_resume,
     "sweep": _cmd_sweep,
     "validate": _cmd_validate,
-    "lint": _cmd_lint,
     "results": _cmd_results,
     "serve": _cmd_serve,
     "submit": _cmd_submit,

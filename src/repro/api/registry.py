@@ -123,14 +123,12 @@ def available_components() -> Dict[str, List[str]]:
     api registries.
     """
     from repro.backend import available_backends
-    from repro.lint import available_rules
 
     out = {
         reg.kind: reg.names()
         for reg in (CELLS, FUNCTIONALS, FIELDS, PROPAGATORS)
     }
     out["backend"] = available_backends()
-    out["lint"] = available_rules()
     return out
 
 

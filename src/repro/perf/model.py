@@ -9,6 +9,9 @@ The FFT term uses a size-dependent sustained efficiency: small
 distributed FFT boxes run far below peak, larger ones approach the
 machine's ``fft_efficiency`` (both platforms are bandwidth-bound,
 Sec. VIII-B/C).
+
+``MemoryModel`` is the per-rank footprint beside it, the paper's
+weak-scaling memory limit.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from dataclasses import dataclass
 from typing import Dict
 
 from repro.parallel.machine import MachineSpec
-from repro.perf.counts import StepCounts, SystemSize, scf_units, variant_counts
+from repro.perf.counts import CPLX, StepCounts, SystemSize, scf_units, variant_counts
 
 
 @dataclass
@@ -175,3 +178,38 @@ class StepTimeModel:
 
     def step_seconds(self, size: SystemSize, nranks: int, variant: str) -> float:
         return self.breakdown(size, nranks, variant).total
+
+
+@dataclass(frozen=True)
+class MemoryModel:
+    """Per-rank memory footprint of one PT-IM(-ACE) propagation state.
+
+    Mirrors the paper's inventory behind its weak-scaling memory limits
+    (Sec. VIII-C): scalable wavefunction storage (the band shard plus
+    Anderson history, ~20 copies) and non-scalable N x N matrices (sigma
+    and the overlap blocks), optionally kept once per node in shared
+    memory (Sec. IV-B3).
+    """
+
+    nbands: int
+    ngrid: int
+    anderson_history: int = 20
+    n_square_matrices: int = 4  # sigma, S, Phi*HPhi, scratch
+
+    def wavefunction_bytes_per_rank(self, nranks: int) -> float:
+        shard = self.nbands * self.ngrid * CPLX / nranks
+        return shard * (2.0 + self.anderson_history)
+
+    def square_matrix_bytes(self) -> float:
+        return self.n_square_matrices * self.nbands * self.nbands * CPLX
+
+    def per_rank_bytes(self, nranks: int, machine: MachineSpec, shared_memory: bool) -> float:
+        wf = self.wavefunction_bytes_per_rank(nranks)
+        sq = self.square_matrix_bytes()
+        if shared_memory:
+            sq /= min(machine.ranks_per_node, nranks)
+        return wf + sq
+
+    def fits(self, nranks: int, machine: MachineSpec, shared_memory: bool, headroom: float = 0.8) -> bool:
+        """Does the state fit in ``headroom`` x per-rank memory?"""
+        return self.per_rank_bytes(nranks, machine, shared_memory) <= headroom * machine.mem_per_rank

@@ -10,11 +10,12 @@ than a bare HTTP 409.
 from __future__ import annotations
 
 import json
-import shutil
 import urllib.error
 import urllib.request
 from pathlib import Path
 from typing import Any, Dict, List, Optional
+
+from repro.utils.io import atomic_write_stream
 
 
 class ServeError(ValueError):
@@ -132,12 +133,5 @@ class ServeClient:
 
     def fetch(self, job_id: str, path) -> Path:
         """Download a finished job's result ``.npz`` to ``path``."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
         with self._request(f"/jobs/{job_id}/result") as resp:
-            tmp = path.with_name(path.name + ".part")
-            # streaming temp-then-rename: atomic-io implemented inline
-            with tmp.open("wb") as fh:  # repro: lint-ignore[atomic-io]
-                shutil.copyfileobj(resp, fh, 1 << 16)
-            tmp.replace(path)
-        return path
+            return atomic_write_stream(path, resp)

@@ -1,7 +1,8 @@
 """Crash-safe file writing shared by every artifact writer.
 
 All persistent artifacts — results, checkpoints, ensembles, the store's
-blobs and run files — go through :func:`atomic_savez` / :func:`atomic_write_text`:
+blobs and run files, downloaded job results — go through
+:func:`atomic_savez` / :func:`atomic_write_text` / :func:`atomic_write_stream`:
 the payload is written to a temporary file *in the target directory* and
 moved into place with :func:`os.replace`, which is atomic on POSIX and
 NTFS.  A process killed mid-write leaves either the old file or nothing,
@@ -11,6 +12,7 @@ never a truncated ``.npz`` that explodes on the next load.
 from __future__ import annotations
 
 import os
+import shutil
 from pathlib import Path
 from typing import Any
 
@@ -55,6 +57,22 @@ def atomic_write_text(path, text: str) -> Path:
     tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
     try:
         tmp.write_text(text)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+    return path
+
+
+def atomic_write_stream(path, stream) -> Path:
+    """Copy the binary file-like ``stream`` to ``path`` via temp file +
+    :func:`os.replace`; a stream that fails mid-copy leaves ``path`` as
+    it was."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.parent / f".{path.name}.tmp-{os.getpid()}"
+    try:
+        with tmp.open("wb") as fh:
+            shutil.copyfileobj(stream, fh, 1 << 16)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)

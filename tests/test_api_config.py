@@ -181,6 +181,8 @@ def test_scf_config_maps_onto_scf_options():
 # ---------------- registries ---------------------------------------------------
 def test_builtin_components_registered():
     comps = available_components()
+    # `repro components` lists what the registries hold and nothing else
+    assert set(comps) == {"cell", "functional", "field", "propagator", "backend"}
     assert "silicon_cubic" in comps["cell"]
     assert {"lda", "hse", "pbe0"} <= set(comps["functional"])
     assert {"zero", "gaussian_pulse", "static_kick"} <= set(comps["field"])

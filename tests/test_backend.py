@@ -1,8 +1,8 @@
 """The pluggable numerics backend: parity with the seed oracle, out=/in-place,
-counting, registry, config wiring, and the package-wide FFT isolation guard."""
+counting, registry and config wiring (the package-wide FFT isolation guard
+is ``fft-isolation`` in ``tests/test_invariants.py``)."""
 
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -476,27 +476,6 @@ def test_derive_shares_grid_only_on_same_backend():
     other = sim.derive(backend={"count_ffts": False})
     assert other._grid is None  # grid owns the engine: must be rebuilt
     assert other._gs is sim._gs or sim._gs is None
-
-
-# ---------------- np.fft isolation guard -------------------------------------
-
-_SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
-
-
-def test_no_raw_fft_outside_backend_package():
-    """Every FFT in the package goes through repro.backend.
-
-    The ban itself now lives in the ``fft-isolation`` lint rule (the
-    AST promotion of the regex guard this test used to carry); this
-    thin tier-1 invocation keeps it enforced in the fast gate even when
-    the dedicated lint CI job is skipped.
-    """
-    from repro.lint import format_text, lint_paths
-
-    result = lint_paths([_SRC], rules=["fft-isolation"])
-    assert result.clean, (
-        "raw FFT-library usage outside repro/backend/:\n" + format_text(result)
-    )
 
 
 def test_spectrum_is_uncounted_analysis_path():

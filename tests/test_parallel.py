@@ -12,7 +12,6 @@ from repro.parallel import (
     CostLedger,
     DistributedFockExchange,
     FUGAKU_ARM,
-    MemoryModel,
     SimComm,
     machine_by_name,
 )
@@ -24,6 +23,7 @@ from repro.parallel.layouts import (
     transpose_band_to_grid,
     transpose_grid_to_band,
 )
+from repro.perf.model import MemoryModel
 from repro.utils.rng import default_rng
 from repro.xc.kernels import erfc_screened_kernel
 

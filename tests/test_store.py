@@ -6,6 +6,7 @@ stored run must export to exactly the bytes-for-bytes content that
 ``SimulationResult.save_npz`` would have written.
 """
 
+import io
 import json
 import os
 import sqlite3
@@ -573,6 +574,31 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         assert np.array_equal(store.load_arrays(done.run_id)["energy"], synth_arrays(n=9)["energy"])
         assert [p.name for p in target.parent.iterdir()] == [target.name]
         store.close()
+
+
+class _ResetAfterTwoChunks(io.BytesIO):
+    """A download whose connection resets after two chunks."""
+
+    reads = 0
+
+    def read(self, size=-1):
+        self.reads += 1
+        if self.reads > 2:
+            raise ConnectionResetError("connection reset by peer")
+        return b"x" * 16
+
+
+def test_dropped_fetch_preserves_previous_file(tmp_path, monkeypatch):
+    from repro.serve import ServeClient
+
+    target = tmp_path / "job.npz"
+    target.write_bytes(b"previous result")
+    client = ServeClient("http://127.0.0.1:1")
+    monkeypatch.setattr(client, "_request", lambda path: _ResetAfterTwoChunks())
+    with pytest.raises(ConnectionResetError):
+        client.fetch("j1", target)
+    assert target.read_bytes() == b"previous result"
+    assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
 def test_crash_mid_ensemble_write_preserves_previous_file(tmp_path, monkeypatch):
