@@ -4,8 +4,8 @@ Each check takes ``(rel, tree)`` — a file's path inside the ``repro``
 package (``store/index.py``) and its parsed module — and yields the nodes
 that break its invariant; :func:`flagged` turns them into line numbers.
 ``test_src_holds`` runs every check over the package and lists each
-violation as ``src/repro/<rel>:<line>``. The ``test_<rule>_cases`` tests
-pin what each check matches, and where, on small snippets placed at a
+violation as ``src/repro/<rel>:<line>``. ``tests/test_lint.py`` pins
+what each check matches, and where, on small snippets placed at a
 package-relative path. There is no suppression comment and no
 allowlist: a violation is fixed in the code.
 
@@ -345,226 +345,3 @@ def test_scopes_name_real_paths():
         if not ((SRC / entry).is_dir() if entry.endswith("/") else (SRC / entry).is_file())
     ]
     assert missing == []
-
-
-# ---------------- what each check matches, and where --------------------------
-
-
-def lines(check, source, rel):
-    return flagged(check, rel, ast.parse(source))
-
-
-SQLITE_BAD = """\
-import sqlite3
-
-def open_index(path):
-    conn = sqlite3.connect(path)
-    conn.execute("BEGIN IMMEDIATE")
-    conn.execute("INSERT INTO runs VALUES (1)")
-    conn.commit()
-    return conn
-"""
-
-SQLITE_CLEAN = """\
-from repro.store.common import connect_sqlite, run_immediate
-
-def open_index(path):
-    conn = connect_sqlite(path)
-    run_immediate(conn, lambda c: c.execute("INSERT INTO runs VALUES (1)"))
-    return conn
-"""
-
-
-def test_sqlite_discipline_cases():
-    assert lines(sqlite_discipline, SQLITE_BAD, "store/index.py") == [4, 5, 7]
-    assert lines(sqlite_discipline, SQLITE_CLEAN, "store/index.py") == []
-    assert lines(sqlite_discipline, SQLITE_BAD, "store/common.py") == []
-    # the schema module creates tables through run_immediate like everyone else
-    assert lines(sqlite_discipline, SQLITE_BAD, "store/schema.py") == [4, 5, 7]
-    aliased = "from sqlite3 import connect\nconn = connect('x.db')\n"
-    assert lines(sqlite_discipline, aliased, "serve/queue.py") == [2]
-
-
-ATOMIC_BAD = """\
-import numpy as np
-
-def persist(path, arrays, meta):
-    np.savez(path, **arrays)
-    with open(path + ".json", "w") as fh:
-        fh.write(meta)
-    path_obj.write_text(meta)
-    path_obj.open("wb")
-"""
-
-ATOMIC_CLEAN = """\
-from repro.utils.io import atomic_savez, atomic_write_text
-
-def persist(path, arrays, meta):
-    atomic_savez(path, **arrays)
-    atomic_write_text(str(path) + ".json", meta)
-    with open(path, "rb") as fh:          # reads are fine
-        fh.read()
-    with log_path.open("a") as fh:        # append-only logs are fine
-        fh.write(meta)
-"""
-
-LEASE = """\
-import fcntl, os
-fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
-fcntl.flock(fd, fcntl.LOCK_EX)
-os.unlink(path)
-os.close(fd)
-"""
-
-
-def test_atomic_io_cases():
-    assert lines(atomic_io, ATOMIC_BAD, "store/records.py") == [4, 5, 7, 8]
-    assert lines(atomic_io, ATOMIC_CLEAN, "store/records.py") == []
-    assert lines(atomic_io, LEASE, "store/lease.py") == []
-    # only the durable layers: perf reports and examples may write plainly
-    assert lines(atomic_io, ATOMIC_BAD, "perf/report.py") == []
-    assert lines(atomic_io, ATOMIC_BAD, "serve/http.py") == [4, 5, 7, 8]
-    assert lines(atomic_io, ATOMIC_BAD, "api/simulation.py") == [4, 5, 7, 8]
-
-
-FFT_BAD_ATTR = """\
-import numpy as np
-
-def hartree(density):
-    return np.fft.ifftn(np.fft.fftn(density))
-"""
-
-FFT_BAD_IMPORTS = """\
-import scipy.fft as sf
-from numpy import fft
-from numpy.fft import fftn
-import pyfftw
-"""
-
-FFT_CLEAN = """\
-def hartree(grid, density):
-    work = grid.backend.fftn(density)
-    return grid.backend.ifftn(work)
-"""
-
-
-def test_fft_isolation_cases():
-    # two sites, ifftn and fftn, on one line
-    assert lines(fft_isolation, FFT_BAD_ATTR, "hartree/poisson.py") == [4, 4]
-    assert lines(fft_isolation, FFT_BAD_IMPORTS, "rt/propagator.py") == [1, 2, 3, 4]
-    aliased = "from numpy import fft\nx = fft.fftn(y)\n"
-    assert lines(fft_isolation, aliased, "xc/lda.py") == [1, 2]
-    assert lines(fft_isolation, FFT_CLEAN, "hartree/poisson.py") == []
-    assert lines(fft_isolation, FFT_BAD_ATTR, "backend/numpy_backend.py") == []
-    prose = '"""np.fft is banned here (this is prose, not code)."""\n'
-    assert lines(fft_isolation, prose, "hartree/poisson.py") == []
-
-
-DET_BAD = """\
-import time
-import random
-import numpy as np
-
-def kick(orbitals):
-    seed = time.time()
-    jitter = random.random()
-    rng = np.random.default_rng()
-    noise = np.random.rand(4)
-    return orbitals
-"""
-
-DET_CLEAN = """\
-import time
-import numpy as np
-from repro.utils.rng import default_rng
-
-def kick(orbitals):
-    t0 = time.perf_counter()          # instrumentation clocks are fine
-    rng = default_rng(7)
-    seeded = np.random.default_rng(1234)
-    return orbitals
-"""
-
-
-def test_determinism_cases():
-    # import random, time.time(), random.random(), unseeded default_rng,
-    # legacy np.random.rand
-    assert lines(determinism, DET_BAD, "rt/field.py") == [2, 6, 7, 8, 9]
-    assert lines(determinism, DET_CLEAN, "rt/field.py") == []
-    unseeded = "import numpy as np\nrng = np.random.default_rng(seed=None)\n"
-    assert lines(determinism, unseeded, "constants.py") == [2]
-    # wall-clock timestamps are the store and serve layers' job
-    for rel in ("store/common.py", "serve/worker.py", "utils/rng.py"):
-        assert lines(determinism, DET_BAD, rel) == []
-
-
-FROZEN_FOREIGN = """\
-def tweak(config, nbands):
-    object.__setattr__(config, "nbands", nbands)
-"""
-
-FROZEN_SELF_AFTER = """\
-class Thing:
-    def rescale(self, factor):
-        object.__setattr__(self, "scale", factor)
-"""
-
-FROZEN_CLEAN = """\
-class Cell:
-    def __post_init__(self):
-        object.__setattr__(self, "species", tuple(self.species))
-
-def tweak(config, nbands):
-    return config.replace(scf={"nbands": nbands})
-"""
-
-
-def test_config_immutability_cases():
-    assert lines(config_immutability, FROZEN_FOREIGN, "api/ensemble.py") == [2]
-    assert lines(config_immutability, FROZEN_SELF_AFTER, "grid/cell.py") == [3]
-    assert lines(config_immutability, FROZEN_CLEAN, "grid/cell.py") == []
-    assert lines(config_immutability, FROZEN_FOREIGN, "api/config.py") == []
-
-
-PICKLE_BAD = """\
-import multiprocessing as mp
-import sqlite3
-import threading
-
-class Pool:
-    def __init__(self, path):
-        self.conn = sqlite3.connect(path)
-        self.lock = threading.Lock()
-
-    def launch(self, path):
-        conn = sqlite3.connect(path)
-        proc = mp.get_context("spawn").Process(target=work, args=(conn,))
-        proc.start()
-
-    def enqueue(self, pool, path):
-        pool.submit(work, open(path, "rb"))
-"""
-
-PICKLE_CLEAN = """\
-import multiprocessing as mp
-
-class Pool:
-    def __init__(self, store_root, queue):
-        self.store_root = str(store_root)
-        self.queue = queue
-
-    def launch(self, worker_id, options):
-        proc = mp.get_context("spawn").Process(
-            target=work, args=(self.store_root, worker_id, dict(options))
-        )
-        proc.start()
-"""
-
-
-def test_pickle_safety_cases():
-    # self.conn, self.lock, the tainted local shipped to Process, the open
-    # handle shipped to submit
-    assert lines(pickle_safety, PICKLE_BAD, "serve/pool.py") == [7, 8, 12, 16]
-    assert lines(pickle_safety, PICKLE_CLEAN, "serve/pool.py") == []
-    # the queue's own connection (one per process, never pickled) is its business
-    assert lines(pickle_safety, PICKLE_BAD, "serve/queue.py") == []
