@@ -9,8 +9,8 @@ or on the command line: ``python -m repro run config.toml``.
 
 Low-level building blocks remain public:
 
-* :mod:`repro.backend` — the pluggable numerics engine (batched FFTs +
-  allocation, counted) behind every transform in the package;
+* :mod:`repro.backend` — the FFT engine (batched, counted 3-D
+  transforms) behind every grid transform in the package;
 * :mod:`repro.grid` — cells and plane-wave grids;
 * :mod:`repro.hamiltonian` — the Kohn-Sham Hamiltonian with hybrid
   functionals (Fock exchange + ACE);
@@ -21,7 +21,7 @@ Low-level building blocks remain public:
   evaluation figures and tables.
 """
 
-__version__ = "1.17.0"
+__version__ = "1.18.0"
 
 __all__ = [
     "Simulation",

@@ -28,8 +28,7 @@ Commands
 ``jobs ls|show|watch|fetch|cancel``
     Inspect and manage jobs on a running server.
 ``components``
-    List every registered cell / functional / field / propagator /
-    backend.
+    List every registered cell / functional / field / propagator.
 ``perf``
     Print the paper-evaluation performance projection report.
 
@@ -72,10 +71,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run SCF + propagation from a config file")
     run.add_argument("config", help="path to a .toml or .json simulation config")
     run.add_argument("--steps", type=int, default=None, help="override propagation.n_steps")
-    run.add_argument(
-        "--backend", default=None, metavar="NAME",
-        help="override backend.name (numpy, or a registered plugin)",
-    )
     run.add_argument(
         "--fft-workers", type=int, default=None, metavar="N",
         help="override backend.fft_workers (transform threads; changes no bits)",
@@ -309,13 +304,8 @@ def _cmd_run(args) -> int:
             f"{args.config} defines a sweep of {sweep.n_runs} run(s); "
             f"execute it with: repro sweep {args.config}"
         )
-    overrides = {}
-    if args.backend is not None:
-        overrides["name"] = args.backend
     if args.fft_workers is not None:
-        overrides["fft_workers"] = args.fft_workers
-    if overrides:
-        base = base.replace(backend=overrides)
+        base = base.replace(backend={"fft_workers": args.fft_workers})
     par_overrides = {}
     if args.ranks is not None:
         par_overrides["ranks"] = args.ranks
@@ -432,7 +422,6 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.api.config import load_sweep_file
     from repro.api.ensemble import apply_overrides
-    from repro.backend import backend_factory
 
     cfg, sweep = load_sweep_file(args.config)
 
@@ -445,7 +434,6 @@ def _cmd_validate(args) -> int:
             (PROPAGATORS, vcfg.propagation.propagator),
         ):
             registry.get(key)
-        backend_factory(vcfg.backend.name)
 
     _check_registry_keys(cfg)
     # each axis value is validated independently (sum of axis lengths, not

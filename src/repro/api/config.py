@@ -64,6 +64,11 @@ def _check(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _is_int(value: Any) -> bool:
+    """An integer config value; ``True`` is not ``1`` (it would hash apart)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class _Section:
     """Shared strict dict IO for one config section."""
@@ -235,18 +240,16 @@ class PropagationConfig(_Section):
 
 @dataclass(frozen=True)
 class BackendConfig(_Section):
-    """Numerics engine selection (see :mod:`repro.backend`).
+    """FFT engine settings (see :mod:`repro.backend`).
 
-    ``name`` is a backend registry key (``numpy``, the one engine that
-    ships, or anything registered via
-    :func:`repro.backend.register_backend`); ``fft_workers`` sets the
-    transform thread count (wall time only: a band's result does not
-    depend on it); and ``count_ffts`` keeps the
+    ``name`` is fixed to ``"numpy"``, the one engine, and anything else
+    is refused at parse time: the key stays because it is part of every
+    stored ground state's address and of every config hash.
+    ``fft_workers`` sets the transform thread count (wall time only: a
+    band's result does not depend on it); and ``count_ffts`` keeps the
     :class:`~repro.backend.FFTCounters` instrumentation on (the default
     — it is how perf results tie back to the paper's analytic FFT
-    tallies).  Names are validated against the registry when the
-    simulation builds its backend, not at parse time, so configs can be
-    written before a plugin backend registers itself.
+    tallies).
     """
 
     _context = "backend"
@@ -257,11 +260,11 @@ class BackendConfig(_Section):
 
     def __post_init__(self) -> None:
         _check(
-            isinstance(self.name, str) and self.name != "",
-            "backend.name must be a non-empty string",
+            self.name == "numpy",
+            f"backend.name must be 'numpy' (the one FFT engine), got {self.name!r}",
         )
         _check(
-            isinstance(self.fft_workers, int) and self.fft_workers >= 1,
+            _is_int(self.fft_workers) and self.fft_workers >= 1,
             f"backend.fft_workers must be an integer >= 1, got {self.fft_workers!r}",
         )
         _check(
@@ -301,7 +304,7 @@ class ParallelConfig(_Section):
         from repro.parallel.distfock import PATTERNS
 
         _check(
-            isinstance(self.ranks, int) and self.ranks >= 1,
+            _is_int(self.ranks) and self.ranks >= 1,
             f"parallel.ranks must be an integer >= 1, got {self.ranks!r}",
         )
         _check(
@@ -370,7 +373,7 @@ class SweepConfig(_Section):
     def __post_init__(self) -> None:
         _check(self.mode in ("grid", "zip"), f"sweep.mode must be 'grid' or 'zip', got {self.mode!r}")
         _check(
-            isinstance(self.workers, int) and self.workers >= 1,
+            _is_int(self.workers) and self.workers >= 1,
             f"sweep.workers must be an integer >= 1, got {self.workers!r}",
         )
         if self.store is not None:
@@ -449,16 +452,16 @@ class ServeConfig(_Section):
             "serve.host must be a non-empty string",
         )
         _check(
-            isinstance(self.port, int) and 0 <= self.port <= 65535,
+            _is_int(self.port) and 0 <= self.port <= 65535,
             f"serve.port must be an integer in [0, 65535], got {self.port!r}",
         )
         _check(
-            isinstance(self.workers, int) and self.workers >= 1,
+            _is_int(self.workers) and self.workers >= 1,
             f"serve.workers must be an integer >= 1, got {self.workers!r}",
         )
         _check(self.timeout >= 0.0, f"serve.timeout must be >= 0, got {self.timeout}")
         _check(
-            isinstance(self.retries, int) and self.retries >= 1,
+            _is_int(self.retries) and self.retries >= 1,
             f"serve.retries must be an integer >= 1, got {self.retries!r}",
         )
         _check(self.backoff >= 0.0, f"serve.backoff must be >= 0, got {self.backoff}")

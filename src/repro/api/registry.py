@@ -115,21 +115,8 @@ def register_propagator(name: str, factory: Optional[Callable[..., Any]] = None)
 
 
 def available_components() -> Dict[str, List[str]]:
-    """Registered names per registry (CLI ``components`` / docs table).
-
-    Backends live in their own lower-level registry
-    (:func:`repro.backend.register_backend`) so the numerics layer never
-    imports the api package; they are surfaced here alongside the four
-    api registries.
-    """
-    from repro.backend import available_backends
-
-    out = {
-        reg.kind: reg.names()
-        for reg in (CELLS, FUNCTIONALS, FIELDS, PROPAGATORS)
-    }
-    out["backend"] = available_backends()
-    return out
+    """Registered names per registry (CLI ``components`` / docs table)."""
+    return {reg.kind: reg.names() for reg in (CELLS, FUNCTIONALS, FIELDS, PROPAGATORS)}
 
 
 # --------------------------------------------------------------------------

@@ -32,7 +32,7 @@ from repro.api.config import (
     open_result_npz,
 )
 from repro.api.registry import CELLS, FIELDS, FUNCTIONALS, PROPAGATORS
-from repro.backend import Backend, FFTCounters, make_backend
+from repro.backend import Backend, FFTCounters
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.hamiltonian import Hamiltonian
@@ -344,7 +344,7 @@ class Simulation:
                 new._grid = self._grid
             if new.config.scf == self.config.scf:
                 # the converged ground state is plain arrays — valid on
-                # any backend (engines agree to strict round-off)
+                # any [backend] section (its knobs move no bits)
                 new._gs = self._gs
         return new
 
@@ -361,9 +361,7 @@ class Simulation:
         """The numerics engine built from the ``[backend]`` config section."""
         if self._backend is None:
             cfg = self.config.backend
-            self._backend = make_backend(
-                cfg.name, fft_workers=cfg.fft_workers, count_ffts=cfg.count_ffts
-            )
+            self._backend = Backend(fft_workers=cfg.fft_workers, count_ffts=cfg.count_ffts)
         return self._backend
 
     @property

@@ -1,39 +1,52 @@
-"""The :class:`Backend` protocol: array allocation + batched 3-D FFTs.
+"""The :class:`Backend`: batched, counted 3-D FFTs on pocketfft.
 
 PWDFT's hot loop is FFTs: the paper counts Fock-exchange cost directly in
 "number of FFTs" (N^3 for the mixed-state baseline, N^2 after occupation
-diagonalization) and wins its speedups with batched transforms on
-accelerator backends (multi-batch cuFFT, Sec. III-B).  A backend owns the
-two resources those optimizations revolve around:
+diagonalization) and wins its speedups with batched transforms
+(multi-batch cuFFT, Sec. III-B).  The CPU analogue here, on
+``scipy.fft`` (the C++ pocketfft):
 
-* **allocation** — ``empty``/``zeros``/``*_like``, so an engine with its
-  own memory space hands out arrays it can transform;
-* **transforms** — batched complex 3-D FFTs over the *last three* axes
-  (any leading axes form the batch) with ``out=`` support, including
-  ``out is a`` for true in-place transforms on donated temporaries.
+* transforms are batched complex 3-D FFTs over the *last three* axes
+  (any leading axes form the batch), one pocketfft call each;
+* the ``1/Ngrid`` normalization is folded into the forward transform
+  (``norm="forward"``), so there is no separate full-array scale pass;
+* ``out is a`` runs truly in place (``overwrite_x``); a distinct ``out``
+  is filled with ``a`` and transformed in place, so ``a`` is only read; a
+  call without ``out`` makes exactly one ``complex128`` array, whatever
+  the input dtype;
+* ``workers=N`` fans one batch across threads, from ``[backend]
+  fft_workers``.  A band's result depends neither on the thread count
+  nor on where the band sits in a batch, so the setting moves wall time
+  and no bits — which the serial/distributed bitwise gates rest on;
+* every call is tallied into :class:`FFTCounters` unless the engine is
+  built with ``count_ffts=False``.
 
 Transforms use the PWDFT convention: :meth:`Backend.forward` is ``fftn``
 scaled by ``1/Ngrid`` so plane-wave coefficients are directly the
 discrete Fourier amplitudes, and :meth:`Backend.backward` is the
 unscaled ``ifftn * Ngrid``; ``backward(forward(x)) == x`` to machine
-precision.
-
-Counting lives in :class:`~repro.backend.counting.CountingBackend`, a
-wrapper carrying :class:`FFTCounters`; plain backends do no bookkeeping.
+precision.  The per-axis body this engine replaced in 1.11.0 is the
+``SeedNumpyBackend`` oracle in ``tests/oracles.py``; the two agree to
+round-off.
 """
 
 from __future__ import annotations
 
+import copy
 import math
-from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 import numpy as np
+import scipy.fft as _sfft
+
+_AXES = (-3, -2, -1)
+#: input dtypes pocketfft already transforms in double precision
+_DOUBLE = (np.dtype(np.float64), np.dtype(np.complex128))
 
 
 class BackendError(ValueError):
-    """Unknown backend name or invalid backend configuration."""
+    """Invalid backend configuration."""
 
 
 @dataclass
@@ -42,7 +55,7 @@ class FFTCounters:
 
     ``transforms`` counts individual 3-D transforms (a batch of ``B``
     counts ``B``); ``calls`` counts backend invocations (a batch counts 1),
-    so the band-by-band vs multi-batch strategies are distinguishable.
+    so a band-by-band loop and one batched call are distinguishable.
     """
 
     transforms: int = 0
@@ -115,64 +128,68 @@ class FFTCounters:
         return out
 
 
-class Backend(ABC):
-    """Array allocation + batched complex 3-D FFTs.
+def _landed_in(r: np.ndarray, out: np.ndarray) -> bool:
+    """True when ``r`` is ``out``'s buffer already holding the result.
 
-    Subclasses implement :meth:`_fftn` / :meth:`_ifftn`; everything else
-    (validation, band-by-band strategy) is shared.  The ``counters``
-    attribute is ``None`` for plain backends and an :class:`FFTCounters`
-    on the counting wrapper, so callers can always write
+    pocketfft's overwrite path transforms in place but returns a *new*
+    ndarray object wrapping the same memory; copying then would double
+    the cost of every in-place transform.
+    """
+    return (
+        r.shape == out.shape
+        and r.strides == out.strides
+        and r.__array_interface__["data"][0] == out.__array_interface__["data"][0]
+    )
+
+
+class Backend:
+    """Batched complex 3-D FFTs on pocketfft, run in the caller's buffer.
+
+    ``counters`` is an :class:`FFTCounters` when the engine counts (the
+    default) and ``None`` otherwise, so callers can always write
     ``backend.counters and backend.counters.snapshot()``.
     """
 
-    #: registry key of the implementation ("numpy", a plugin's name, ...)
-    name: str = "abstract"
-    #: populated by the counting wrapper; None on plain backends
-    counters: Optional[FFTCounters] = None
+    def __init__(self, fft_workers: int = 1, count_ffts: bool = True) -> None:
+        workers = int(fft_workers)
+        if workers < 1:
+            raise BackendError(f"fft_workers must be >= 1, got {fft_workers}")
+        self.fft_workers = workers
+        self.counters: Optional[FFTCounters] = FFTCounters() if count_ffts else None
 
     def describe(self) -> str:
         """One-line description for the CLI / logs."""
-        return self.name
+        counted = " + counters" if self.counters is not None else ""
+        return f"numpy (pocketfft, workers={self.fft_workers}){counted}"
 
-    # -- allocation ----------------------------------------------------------
-    def empty(self, shape, dtype=np.complex128) -> np.ndarray:
-        """Uninitialized array owned by this backend's memory space."""
-        return np.empty(shape, dtype=dtype)
+    def view(self) -> "Backend":
+        """A new counter scope over the same engine.
 
-    def zeros(self, shape, dtype=np.complex128) -> np.ndarray:
-        return np.zeros(shape, dtype=dtype)
+        The view transforms bit-for-bit as this engine does but owns
+        fresh :class:`FFTCounters` — how per-rank tallies in the
+        simulated-MPI substrate stay exact.  An uncounted engine has
+        nothing to scope and is its own view.
+        """
+        if self.counters is None:
+            return self
+        scoped = copy.copy(self)
+        scoped.counters = FFTCounters()
+        return scoped
 
-    def empty_like(self, a: np.ndarray) -> np.ndarray:
-        return self.empty(a.shape, dtype=a.dtype)
-
-    def zeros_like(self, a: np.ndarray) -> np.ndarray:
-        return self.zeros(a.shape, dtype=a.dtype)
-
-    # -- internals -----------------------------------------------------------
-    @staticmethod
-    def _split(a: np.ndarray) -> Tuple[Tuple[int, ...], Tuple[int, int, int]]:
+    # -- validation ------------------------------------------------------------
+    def _accept(self, a: np.ndarray, out: Optional[np.ndarray]) -> None:
+        """Validate a transform call and record it in the counters."""
         if a.ndim < 3:
             raise ValueError(f"FFT input must have >= 3 dims, got shape {a.shape}")
-        return a.shape[:-3], a.shape[-3:]
-
-    @staticmethod
-    def _check_out(a: np.ndarray, out: Optional[np.ndarray]) -> None:
-        if out is None:
-            return
-        if out.shape != a.shape:
-            raise ValueError(f"out shape {out.shape} != input shape {a.shape}")
-        if not np.issubdtype(out.dtype, np.complexfloating):
-            raise ValueError(f"out must be complex, got dtype {out.dtype}")
-        if not out.flags.writeable:
-            raise ValueError("out buffer is not writeable")
-
-    @abstractmethod
-    def _fftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        """Normalized forward transform over the last three axes."""
-
-    @abstractmethod
-    def _ifftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
-        """Unscaled inverse transform over the last three axes."""
+        if out is not None:
+            if out.shape != a.shape:
+                raise ValueError(f"out shape {out.shape} != input shape {a.shape}")
+            if not np.issubdtype(out.dtype, np.complexfloating):
+                raise ValueError(f"out must be complex, got dtype {out.dtype}")
+            if not out.flags.writeable:
+                raise ValueError("out buffer is not writeable")
+        if self.counters is not None:
+            self.counters.record(a.shape[-3:], math.prod(a.shape[:-3]))
 
     # -- public transform API ------------------------------------------------
     def forward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -181,49 +198,41 @@ class Backend(ABC):
         ``out``, when given, receives the result (and is returned): any
         writeable complex array of ``a``'s shape, contiguous or a strided
         view, for real or complex ``a``.  ``out is a`` is a true in-place
-        transform (no batch-sized allocation on the shipped engine) on a
-        complex input the caller no longer needs; a distinct ``out``
-        leaves ``a`` untouched; without ``out`` one new ``complex128``
-        array is made, whatever ``a``'s dtype.
+        transform (no batch-sized allocation) on a complex input the
+        caller no longer needs; a distinct ``out`` leaves ``a`` untouched;
+        without ``out`` one new ``complex128`` array is made, whatever
+        ``a``'s dtype.
         """
         a = np.asarray(a)
-        self._split(a)
-        self._check_out(a, out)
+        self._accept(a, out)
         return self._fftn(a, out)
 
     def backward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Reciprocal space -> real space (inverse of :meth:`forward`)."""
         a = np.asarray(a)
-        self._split(a)
-        self._check_out(a, out)
+        self._accept(a, out)
         return self._ifftn(a, out)
 
-    def forward_bandbyband(
-        self, a: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Loop over the batch one band at a time (baseline strategy).
+    # -- the pocketfft body ----------------------------------------------------
+    def _c2c(self, a: np.ndarray, out: Optional[np.ndarray], func) -> np.ndarray:
+        if out is None:
+            if a.dtype in _DOUBLE:
+                return func(a, axes=_AXES, norm="forward", workers=self.fft_workers)
+            out = a = a.astype(np.complex128)  # float32 in must not mean complex64 out
+        if out is not a:
+            np.copyto(out, a)
+        r = func(
+            out, axes=_AXES, norm="forward", overwrite_x=True, workers=self.fft_workers
+        )
+        if not _landed_in(r, out):  # pocketfft declined in-place (layout/dtype)
+            np.copyto(out, r)
+        return out
 
-        Numerically identical to :meth:`forward`; exists so the paper's
-        band-by-band vs multi-batch strategies can be compared honestly
-        (Fig. 9 micro-benchmarks, Alg. 2's per-pair transforms).
-        """
-        return self._bandbyband(a, out, self.forward)
+    def _fftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """Normalized forward transform over the last three axes."""
+        return self._c2c(a, out, _sfft.fftn)
 
-    def backward_bandbyband(
-        self, a: np.ndarray, out: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Band-by-band inverse transform (see :meth:`forward_bandbyband`)."""
-        return self._bandbyband(a, out, self.backward)
-
-    def _bandbyband(self, a, out, one) -> np.ndarray:
-        a = np.asarray(a)
-        batch_shape, grid = self._split(a)
-        if not batch_shape:
-            return one(a, out=out)
-        self._check_out(a, out)
-        flat = a.reshape((-1,) + grid)
-        result = self.empty(a.shape) if out is None else out
-        out_flat = result.reshape((-1,) + grid)
-        for b in range(flat.shape[0]):
-            one(flat[b], out=out_flat[b])
-        return result
+    def _ifftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
+        """Unscaled inverse transform over the last three axes (the
+        ``norm="forward"`` scaling lives on the forward leg)."""
+        return self._c2c(a, out, _sfft.ifftn)

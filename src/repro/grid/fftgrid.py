@@ -34,7 +34,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.backend import Backend, resolve_backend
+from repro.backend import Backend
 from repro.grid.cell import UnitCell
 from repro.grid.gvectors import GVectors, minimal_fft_shape
 from repro.utils.validation import require
@@ -55,10 +55,9 @@ class PlaneWaveGrid:
     dual:
         Density grid refinement per dimension (paper uses 2).
     backend:
-        Numerics engine — a :class:`repro.backend.Backend` instance or a
-        registry name (``"numpy"`` or a plugin's).  Defaults to a
-        *fresh* counting numpy backend owned by this grid, so FFT
-        tallies are per-grid instead of process-global.
+        FFT engine (:class:`repro.backend.Backend`).  Defaults to a
+        *fresh* counting engine owned by this grid, so FFT tallies are
+        per-grid instead of process-global.
     """
 
     cell: UnitCell
@@ -73,7 +72,8 @@ class PlaneWaveGrid:
         if self.shape is None:
             self.shape = minimal_fft_shape(self.cell, self.ecut, factor=1.0)
         self.shape = tuple(int(n) for n in self.shape)
-        self.backend = resolve_backend(self.backend)
+        if self.backend is None:
+            self.backend = Backend()
         self.gvec = GVectors(self.cell, self.shape, self.ecut)
         dshape = tuple(self.dual * n for n in self.shape)
         # density-grid G vectors: cutoff 4*ecut resolves all |phi|^2 products
@@ -122,9 +122,7 @@ class PlaneWaveGrid:
             return box
         return None
 
-    def r_to_g(
-        self, fr: np.ndarray, *, bandbyband: bool = False, consume: bool = False
-    ) -> np.ndarray:
+    def r_to_g(self, fr: np.ndarray, *, consume: bool = False) -> np.ndarray:
         """Real space ``(..., ngrid)`` -> G space ``(..., ngrid)`` (flat).
 
         ``consume=True`` declares ``fr`` a temporary the caller no longer
@@ -134,23 +132,13 @@ class PlaneWaveGrid:
         """
         box = self.to_box(np.asarray(fr))
         out = self._inplace_out(box) if consume else None
-        if bandbyband:
-            fg = self.backend.forward_bandbyband(box, out=out)
-        else:
-            fg = self.backend.forward(box, out=out)
-        return self.to_flat(fg)
+        return self.to_flat(self.backend.forward(box, out=out))
 
-    def g_to_r(
-        self, fg: np.ndarray, *, bandbyband: bool = False, consume: bool = False
-    ) -> np.ndarray:
+    def g_to_r(self, fg: np.ndarray, *, consume: bool = False) -> np.ndarray:
         """G space -> real space (inverse of :meth:`r_to_g`)."""
         box = self.to_box(np.asarray(fg))
         out = self._inplace_out(box) if consume else None
-        if bandbyband:
-            fr = self.backend.backward_bandbyband(box, out=out)
-        else:
-            fr = self.backend.backward(box, out=out)
-        return self.to_flat(fr)
+        return self.to_flat(self.backend.backward(box, out=out))
 
     # -- the cutoff sphere: cached tables and the two orbital transforms ---------
     @cached_property
@@ -173,7 +161,7 @@ class PlaneWaveGrid:
 
         Scatter into a zeroed box, one batched ``backward``.
         """
-        fg = self.backend.zeros(c.shape[:-1] + (self.ngrid,))
+        fg = np.zeros(c.shape[:-1] + (self.ngrid,), dtype=complex)
         fg[..., self.sphere_index] = c * (1.0 / np.sqrt(self.ngrid))
         return self.g_to_r(fg, consume=True)
 

@@ -48,7 +48,6 @@ class ACEOperator:
             "xi must be (rank, npw) or (rank, ngrid)",
         )
         self.grid = grid
-        self.backend = grid.backend
         #: compressed exchange vectors: sphere-block or real-space rows
         self.xi = xi
 
@@ -98,7 +97,7 @@ class ACEOperator:
         Two GEMMs of size ``rank x npw`` — the inner-SCF fast path.
         """
         if self.rank == 0:
-            return self.backend.zeros_like(psi)
+            return np.zeros_like(psi)
         amps = (self.xi.conj() @ psi.T) * self.grid.dv  # (rank, nb)
         return -(amps.T @ self.xi)
 

@@ -143,21 +143,20 @@ class FockExchangeOperator:
         if not np.allclose(box, box[minus_g], rtol=1e-12, atol=0.0):
             raise ValueError("exchange kernel must satisfy K(-G) = K(G)")
         self.grid = grid
-        self.backend = grid.backend
         self.kernel_g = np.asarray(np.real(kernel_g), dtype=float)
         self.batch_size = int(batch_size)
 
     # -- pair-density convolution (the Poisson-like solves) -------------------
-    def _pair_potential(self, pair_density: np.ndarray, bandbyband: bool = False) -> np.ndarray:
+    def _pair_potential(self, pair_density: np.ndarray) -> np.ndarray:
         """``K * (pair density)`` for a batch ``(..., ngrid)``.
 
         Pair densities are always freshly formed temporaries, so both
-        transforms run with ``consume=True`` — on in-place backends the
-        whole pair-FFT hot loop allocates no transform results at all.
+        transforms run with ``consume=True`` — in place, so the whole
+        pair-FFT hot loop allocates no transform results at all.
         """
-        pg = self.grid.r_to_g(pair_density, bandbyband=bandbyband, consume=True)
+        pg = self.grid.r_to_g(pair_density, consume=True)
         pg *= self.kernel_g
-        return self.grid.g_to_r(pg, bandbyband=bandbyband, consume=True)
+        return self.grid.g_to_r(pg, consume=True)
 
     # -- the tile-pair kernel ---------------------------------------------------
     def tile_potentials(
@@ -181,7 +180,7 @@ class FockExchangeOperator:
             return self._pair_potential(pair.reshape(nl * nr, -1)).reshape(nl, nr, -1)
         mask = np.ones((nl, nr), dtype=bool) if keep is None else keep
         ia, ib = np.nonzero(np.triu(mask) if hermitian else mask)
-        pot = self.backend.zeros((nl, nr, self.grid.ngrid))
+        pot = np.zeros((nl, nr, self.grid.ngrid), dtype=complex)
         pot[ia, ib] = self._pair_potential(left[ia].conj() * right[ib])
         if hermitian:
             off = ia != ib
@@ -227,7 +226,7 @@ class FockExchangeOperator:
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source orbital")
         if targets is None:
-            acc = self.backend.zeros_like(phi_src)
+            acc = np.zeros_like(phi_src)
             weighted = weights[:, None] * phi_src
             tiles = band_tiles(phi_src.shape[0], self.batch_size)
             for i, j, keep in symmetric_tile_pairs(tiles, weights):
@@ -238,7 +237,7 @@ class FockExchangeOperator:
                 if backward is not None:
                     acc[tiles[i]] += backward
         else:
-            acc = self.backend.zeros_like(targets)
+            acc = np.zeros_like(targets)
             active = np.abs(weights) > WEIGHT_CUTOFF
             src = phi_src[active]
             weighted = weights[active, None] * src
@@ -263,7 +262,7 @@ class FockExchangeOperator:
         require(sigma.shape[0] == n, "sigma must match band count")
         if targets is None:
             targets = phi
-        out = self.backend.zeros_like(targets)
+        out = np.zeros_like(targets)
         for k in range(n):
             for i in range(n):
                 s_ik = sigma[i, k]
@@ -271,7 +270,7 @@ class FockExchangeOperator:
                     continue
                 for j in range(targets.shape[0]):
                     pair = phi[k].conj() * targets[j]
-                    pot = self._pair_potential(pair, bandbyband=True)
+                    pot = self._pair_potential(pair)
                     out[j] -= s_ik * phi[i] * pot
         return out
 
@@ -289,10 +288,10 @@ class FockExchangeOperator:
         if targets is None:
             targets = phi
         w_rows = sigma.T @ phi  # (N, ngrid)
-        out = self.backend.zeros_like(targets)
+        out = np.zeros_like(targets)
         n = phi.shape[0]
         for j in range(targets.shape[0]):
-            acc = self.backend.zeros(self.grid.ngrid)
+            acc = np.zeros(self.grid.ngrid, dtype=complex)
             for start in range(0, n, self.batch_size):
                 blk = slice(start, min(start + self.batch_size, n))
                 pair = phi[blk].conj() * targets[j][None, :]

@@ -99,12 +99,6 @@ class Hamiltonian:
         self._exx_sigma_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (phi, sigma)
         self._ace: Optional[ACEOperator] = None
 
-    # -- numerics engine ------------------------------------------------------
-    @property
-    def backend(self):
-        """The numerics backend (owned by the grid) this Hamiltonian runs on."""
-        return self.grid.backend
-
     # -- electron count -------------------------------------------------------
     @property
     def n_electrons(self) -> float:

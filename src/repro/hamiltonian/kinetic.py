@@ -50,7 +50,7 @@ class KineticOperator:
 
     def apply_g(self, phi_g: np.ndarray) -> np.ndarray:
         """Apply to a sphere block ``(..., npw)``."""
-        out = self.grid.backend.empty_like(np.asarray(phi_g))
+        out = np.empty_like(np.asarray(phi_g))
         np.multiply(phi_g, self._diag, out=out)
         return out
 

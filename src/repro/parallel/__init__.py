@@ -14,14 +14,13 @@ from repro.parallel.machine import MachineSpec, FUGAKU_ARM, A100_GPU, machine_by
 from repro.parallel.ledger import CostLedger, CommRecord
 from repro.parallel.comm import SimComm
 from repro.parallel.layouts import BandLayout, GridLayout, transpose_band_to_grid, transpose_grid_to_band
-from repro.parallel.distfock import PATTERNS, DistributedFockExchange, rank_counter_views
+from repro.parallel.distfock import PATTERNS, DistributedFockExchange
 from repro.parallel.context import ParallelContext, ParallelRunInfo
 
 __all__ = [
     "PATTERNS",
     "ParallelContext",
     "ParallelRunInfo",
-    "rank_counter_views",
     "MachineSpec",
     "FUGAKU_ARM",
     "A100_GPU",

@@ -24,7 +24,6 @@ from repro.parallel.distfock import (
     DistributedFockExchange,
     merge_counters,
     merged_rank_counters,
-    rank_counter_views,
 )
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec, machine_by_name
@@ -143,7 +142,7 @@ class ParallelContext:
         """The per-rank counter views (created once, then reused so the
         cumulative tallies survive Hamiltonian rebuilds)."""
         if self._rank_backends is None:
-            self._rank_backends = rank_counter_views(backend, self.nranks)
+            self._rank_backends = [backend.view() for _ in range(self.nranks)]
         return self._rank_backends
 
     def fock_operator(self, grid, kernel_g: np.ndarray, batch_size: int) -> DistributedFockExchange:

@@ -42,8 +42,8 @@ That exactness holds by construction, not by luck of the shard sizes:
 * an arbitrary target block is sharded by whole target tiles and each
   rank runs the serial operator on its shard (nothing to return);
 * each rank executes its FFTs through a rank-scoped
-  :class:`~repro.backend.counting.CountingBackend` view (fresh counters,
-  shared engine), so per-rank tallies are exact and their
+  :meth:`~repro.backend.Backend.view` (fresh counters, same engine
+  settings), so per-rank tallies are exact and their
   merge equals the serial transform count — nothing is double-counted
   into the shared grid backend.
 
@@ -62,7 +62,7 @@ from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Backend, CountingBackend, FFTCounters
+from repro.backend import Backend, FFTCounters
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator, band_tiles, symmetric_tile_pairs
 from repro.occupation.sigma import (
@@ -80,20 +80,6 @@ Pattern = Literal["bcast", "ring", "async-ring"]
 PATTERNS: Tuple[str, ...] = ("bcast", "ring", "async-ring")
 
 COMPLEX_BYTES = 16.0
-
-
-def rank_counter_views(backend: Backend, nranks: int) -> List[Backend]:
-    """One counter scope per rank over a shared engine.
-
-    For a counting backend each view is
-    :meth:`~repro.backend.counting.CountingBackend.view` — own
-    :class:`~repro.backend.FFTCounters`, shared inner engine.  For an
-    uncounted backend the engine itself is reused (there is nothing to
-    scope).
-    """
-    if isinstance(backend, CountingBackend):
-        return [backend.view() for _ in range(nranks)]
-    return [backend for _ in range(nranks)]
 
 
 def merged_rank_counters(backends: Sequence[Backend]) -> Optional[List[FFTCounters]]:
@@ -153,7 +139,7 @@ class DistributedFockExchange:
         self.use_shm = bool(use_shm)
         self.kernel_g = np.asarray(kernel_g, dtype=float)
         if rank_backends is None:
-            rank_backends = rank_counter_views(grid.backend, comm.nranks)
+            rank_backends = [grid.backend.view() for _ in range(comm.nranks)]
         require(
             len(rank_backends) == comm.nranks,
             f"need {comm.nranks} rank backends, got {len(rank_backends)}",
@@ -172,11 +158,6 @@ class DistributedFockExchange:
     def ledger(self):
         """The communication :class:`~repro.parallel.ledger.CostLedger`."""
         return self.comm.ledger
-
-    @property
-    def backend(self) -> Backend:
-        """The shared grid backend (protocol parity with the serial op)."""
-        return self.grid.backend
 
     def fft_by_rank(self) -> Optional[List[FFTCounters]]:
         """Per-rank FFT tallies (``None`` when the engine is uncounted)."""
@@ -312,7 +293,7 @@ class DistributedFockExchange:
         tiles = band_tiles(n, self.batch_size)
         owner = np.repeat(np.arange(p), partition_sizes(len(tiles), p))
         empty = np.empty((0, self.grid.ngrid), dtype=complex)
-        acc = self.backend.zeros_like(phi_src)
+        acc = np.zeros_like(phi_src)
         # one wave per lower tile i: its pairs (i, j >= i) are computed,
         # their partials returned, and every owner adds what arrived in
         # the order the serial loop adds it — ascending source tile for

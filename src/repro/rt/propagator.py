@@ -153,7 +153,6 @@ class PropagatorBase:
     ) -> None:
         self.ham = ham
         self.grid = ham.grid
-        self.backend = ham.backend
         self.track_sigma = list(track_sigma or [])
         self.record_energy = record_energy
         self._coords = cell_centered_coordinates(self.grid)

@@ -40,18 +40,6 @@ def rng():
     return default_rng(42)
 
 
-@pytest.fixture()
-def seed_numpy():
-    """Registry name of the per-axis seed FFT engine (``oracles.py``), registered for one test."""
-    from oracles import SeedNumpyBackend
-
-    from repro.backend import register_backend, unregister_backend
-
-    register_backend("seed_numpy", SeedNumpyBackend)
-    yield "seed_numpy"
-    unregister_backend("seed_numpy")
-
-
 @pytest.fixture(scope="session")
 def lda_ground_state(small_grid):
     """Converged LDA ground state at 8000 K (session-cached)."""

@@ -39,19 +39,15 @@ class SeedNumpyBackend(Backend):
     ``np.fft.fftn(a, axes=...)`` makes three out-of-place axis passes, each
     into a fresh batch-sized array, and the result is then scaled into the
     caller's ``out`` — twice the batch's bytes in transients even for
-    ``out is a``.  ``NumpyBackend`` is one pocketfft call with the scale
-    folded in since 1.11.0 and must agree with this to round-off.
+    ``out is a``.  ``Backend`` is one pocketfft call with the scale folded
+    in since 1.11.0 and must agree with this to round-off.  Only
+    ``_fftn`` / ``_ifftn`` are overridden, so counting is the engine's own
+    and a test can ``monkeypatch`` the two onto ``Backend`` itself.
     """
-
-    name = "seed_numpy"
-    _axes = (-3, -2, -1)
-
-    def __init__(self, fft_workers=1):
-        pass
 
     def _fftn(self, a, out):
         scale = 1.0 / float(np.prod(a.shape[-3:]))
-        r = np.fft.fftn(a, axes=self._axes)
+        r = np.fft.fftn(a, axes=(-3, -2, -1))
         if out is None:
             r *= scale
             return r
@@ -60,7 +56,7 @@ class SeedNumpyBackend(Backend):
 
     def _ifftn(self, a, out):
         scale = float(np.prod(a.shape[-3:]))
-        r = np.fft.ifftn(a, axes=self._axes)
+        r = np.fft.ifftn(a, axes=(-3, -2, -1))
         if out is None:
             r *= scale
             return r

@@ -182,7 +182,7 @@ def test_scf_config_maps_onto_scf_options():
 def test_builtin_components_registered():
     comps = available_components()
     # `repro components` lists what the registries hold and nothing else
-    assert set(comps) == {"cell", "functional", "field", "propagator", "backend"}
+    assert set(comps) == {"cell", "functional", "field", "propagator"}
     assert "silicon_cubic" in comps["cell"]
     assert {"lda", "hse", "pbe0"} <= set(comps["functional"])
     assert {"zero", "gaussian_pulse", "static_kick"} <= set(comps["field"])
@@ -263,6 +263,9 @@ def test_serve_config_defaults_and_roundtrip():
         ({"retries": 0}, "serve.retries"),
         ({"backoff": -1.0}, "serve.backoff"),
         ({"store": ""}, "serve.store"),
+        ({"port": True}, "serve.port"),
+        ({"workers": True}, "serve.workers"),
+        ({"retries": True}, "serve.retries"),
     ],
 )
 def test_serve_config_invalid_values_named(patch, match):

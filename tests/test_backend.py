@@ -1,6 +1,6 @@
-"""The pluggable numerics backend: parity with the seed oracle, out=/in-place,
-counting, registry and config wiring (the package-wide FFT isolation guard
-is ``fft-isolation`` in ``tests/test_invariants.py``)."""
+"""The FFT engine: parity with the seed oracle, out=/in-place, counting and
+config wiring (the package-wide FFT isolation guard is ``fft-isolation`` in
+``tests/test_invariants.py``)."""
 
 import tracemalloc
 
@@ -12,25 +12,14 @@ from oracles import SeedNumpyBackend
 
 from repro.api import BackendConfig, ConfigError, Simulation, SimulationConfig
 from repro.api.ensemble import apply_overrides
-from repro.backend import (
-    Backend,
-    BackendError,
-    CountingBackend,
-    FFTCounters,
-    NumpyBackend,
-    available_backends,
-    make_backend,
-    register_backend,
-    resolve_backend,
-    unregister_backend,
-)
+from repro.backend import Backend, BackendError, FFTCounters
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.utils.rng import default_rng
 
 
 @pytest.fixture()
 def backend() -> Backend:
-    return make_backend("numpy", count_ffts=False)
+    return Backend(count_ffts=False)
 
 
 @pytest.fixture()
@@ -55,8 +44,9 @@ def test_forward_normalization(backend):
 
 
 def test_bandbyband_matches_batched(backend, batch):
-    assert np.allclose(backend.forward(batch), backend.forward_bandbyband(batch))
-    assert np.allclose(backend.backward(batch), backend.backward_bandbyband(batch))
+    """A per-band loop of transforms gives the batched call's bits."""
+    for transform in (backend.forward, backend.backward):
+        assert np.array_equal(np.stack([transform(band) for band in batch]), transform(batch))
 
 
 def test_out_receives_result(backend, batch):
@@ -87,9 +77,11 @@ def test_inplace_transform(backend, batch):
 
 
 def test_bandbyband_out(backend, batch):
+    """Each band view of a batch receives its own transform in place."""
     ref = backend.forward(batch)
     work = batch.copy()
-    assert backend.forward_bandbyband(work, out=work) is work
+    for band in work:
+        assert backend.forward(band, out=band) is band
     assert np.allclose(work, ref, atol=1e-14)
 
 
@@ -113,7 +105,7 @@ def _roundoff(ref: np.ndarray, multiple: float = 4.0) -> float:
 def test_numpy_backend_matches_seed_convention(batch):
     """The engine keeps the seed convention (``fftn / Ngrid``, ``ifftn *
     Ngrid``), to round-off now that the scale is folded into the transform."""
-    nb = NumpyBackend()
+    nb = Backend()
     n = float(np.prod(batch.shape[-3:]))
     for got, ref in (
         (nb.forward(batch), np.fft.fftn(batch, axes=(-3, -2, -1)) / n),
@@ -135,7 +127,7 @@ def test_numpy_transforms_allocate_no_pass_buffers():
     """The mechanism, without a stopwatch: ``out is a`` allocates nothing
     batch-sized and a call without ``out`` makes exactly one array.  (The
     copying seed engine peaks at 2.0 x the batch's bytes on all four.)"""
-    nb = NumpyBackend()
+    nb = Backend(count_ffts=False)
     rng = default_rng(5)
     w = rng.standard_normal((16, 12, 12, 12)) + 1j * rng.standard_normal((16, 12, 12, 12))
     for transform in (nb.forward, nb.backward):
@@ -153,9 +145,7 @@ _AXIS = st.sampled_from([1, 2, 3, 4, 5, 6, 7, 9, 11, 12, 13])
     grid=st.tuples(_AXIS, _AXIS, _AXIS),
     dtype=st.sampled_from([np.float64, np.complex128, np.float32, np.complex64]),
     out_kind=st.sampled_from(["none", "inplace", "fresh", "strided"]),
-    method=st.sampled_from(
-        ["forward", "backward", "forward_bandbyband", "backward_bandbyband"]
-    ),
+    method=st.sampled_from(["forward", "backward"]),
     seed=st.integers(0, 2**16),
 )
 def test_numpy_backend_matches_seed_engine_to_roundoff(
@@ -182,7 +172,7 @@ def test_numpy_backend_matches_seed_engine_to_roundoff(
         out = np.empty(shape[:-1] + (2 * shape[-1],), dtype=complex)[..., ::2]
     else:
         out = np.empty(shape, dtype=complex)
-    got = getattr(NumpyBackend(), method)(a, out=out)
+    got = getattr(Backend(), method)(a, out=out)
     assert out is None or got is out
     assert got.dtype == ref.dtype == np.complex128
     assert np.abs(got - ref).max() <= _roundoff(ref)
@@ -196,7 +186,7 @@ def test_band_result_independent_of_threads_and_batch(method):
     slices of the same bands)."""
     rng = default_rng(11)
     a = rng.standard_normal((6, 9, 10, 12)) + 1j * rng.standard_normal((6, 9, 10, 12))
-    one, two = (getattr(NumpyBackend(fft_workers=w), method) for w in (1, 2))
+    one, two = (getattr(Backend(fft_workers=w), method) for w in (1, 2))
     batched = one(a)
     assert np.array_equal(two(a), batched)
     assert np.array_equal(two(a.copy(), out=np.empty_like(a)), batched)
@@ -226,7 +216,13 @@ _DENSE_R2 = {
 }
 
 
-def test_trajectories_match_seed_engine(seed_numpy):
+def _swap_in_seed_engine(monkeypatch) -> None:
+    """Run every engine on the per-axis seed bodies; counting is untouched."""
+    monkeypatch.setattr(Backend, "_fftn", SeedNumpyBackend._fftn)
+    monkeypatch.setattr(Backend, "_ifftn", SeedNumpyBackend._ifftn)
+
+
+def test_trajectories_match_seed_engine(monkeypatch):
     """Two steps of PT-IM-ACE and of dense PT-IM on 2 ring ranks, from one
     ground state, on the default engine and on the seed oracle: observables
     and final state within 1e-12 (measured 6.4e-14: per-transform round-off
@@ -235,10 +231,10 @@ def test_trajectories_match_seed_engine(seed_numpy):
     base = Simulation(_STEP_CFG)
     base.ground_state()
     for sections in ({}, _DENSE_R2):
-        new, seed = (
-            base.derive(backend={"name": name}, **sections).propagate()
-            for name in ("numpy", seed_numpy)
-        )
+        new = base.derive(**sections).propagate()
+        with monkeypatch.context() as patch:
+            _swap_in_seed_engine(patch)
+            seed = base.derive(**sections).propagate()
         obs_new, obs_seed = new.observables(), seed.observables()
         assert {"dipole", "energy"} <= set(obs_new)
         for key in obs_new:
@@ -253,28 +249,15 @@ def test_trajectories_match_seed_engine(seed_numpy):
         assert new.fft.transforms > 0 and new.fft == seed.fft
 
 
-# ---------------- allocation -------------------------------------------------
-
-
-def test_allocation_api(backend):
-    a = backend.empty((3, 4), dtype=complex)
-    assert a.shape == (3, 4) and a.dtype == np.complex128
-    z = backend.zeros((2, 2))
-    assert z.dtype == np.complex128 and not z.any()
-    zl = backend.zeros_like(np.empty((5,), dtype=float))
-    assert zl.dtype == np.float64 and not zl.any()
-    assert backend.empty_like(a).shape == a.shape
-
-
-# ---------------- counting wrapper -------------------------------------------
+# ---------------- counting -----------------------------------------------------
 
 
 def test_counting_semantics(batch):
-    cb = make_backend("numpy")  # count_ffts defaults on
-    assert isinstance(cb, CountingBackend) and cb.name == "numpy"
+    cb = Backend()  # count_ffts defaults on
     cb.forward(batch)
     assert cb.counters.transforms == 5 and cb.counters.calls == 1
-    cb.forward_bandbyband(batch)
+    for band in batch:
+        cb.forward(band)
     assert cb.counters.transforms == 10 and cb.counters.calls == 6
     assert cb.counters.by_shape[(4, 6, 8)] == 10
     snap = cb.counters.snapshot()
@@ -283,13 +266,15 @@ def test_counting_semantics(batch):
 
 
 def test_counting_wrapper_is_numerically_transparent(batch):
-    plain, counted = NumpyBackend(), make_backend("numpy")
+    """Counting changes no bits."""
+    plain, counted = Backend(count_ffts=False), Backend()
     assert np.array_equal(counted.forward(batch), plain.forward(batch))
 
 
 def test_count_ffts_false_gives_plain_backend():
-    b = make_backend("numpy", count_ffts=False)
-    assert b.counters is None and isinstance(b, NumpyBackend)
+    b = Backend(count_ffts=False)
+    assert b.counters is None
+    assert b.describe() == "numpy (pocketfft, workers=1)"
 
 
 def test_counters_merge_and_dict_roundtrip():
@@ -305,67 +290,33 @@ def test_counters_merge_and_dict_roundtrip():
     assert back == a
 
 
-# ---------------- registry ----------------------------------------------------
-
-
-def test_registry_lists_builtins():
-    assert available_backends() == ["numpy"]
-
-
-def test_make_backend_unknown_name_lists_registered():
-    with pytest.raises(BackendError, match="registered: .*numpy"):
-        make_backend("cufft")
+# ---------------- the one engine name -------------------------------------------
 
 
 def test_unknown_backend_name_gets_one_sentence_everywhere(tmp_path, capsys):
-    """``scipy`` (an engine name until 1.11) is an ordinary unknown name,
-    answered with what is registered: the same sentence from
-    ``make_backend``, ``Simulation`` and ``repro validate`` (one function,
-    ``repro.backend.backend_factory``)."""
+    """``scipy`` (an engine name until 1.11) is refused at parse time with
+    one sentence, from the config section, ``Simulation`` and ``repro
+    validate`` alike."""
     from repro.api.cli import main
 
-    with pytest.raises(BackendError, match="unknown backend 'scipy'; registered: numpy") as direct:
-        make_backend("scipy", fft_workers=2)
-    with pytest.raises(BackendError) as facade:
-        Simulation({"backend": {"name": "scipy"}}).backend
+    with pytest.raises(ConfigError, match="backend.name must be 'numpy'.*'scipy'") as direct:
+        BackendConfig.from_dict({"name": "scipy", "fft_workers": 2})
+    with pytest.raises(ConfigError) as facade:
+        Simulation({"backend": {"name": "scipy"}})
     assert str(facade.value) == str(direct.value)
     path = tmp_path / "old.toml"
     path.write_text('[backend]\nname = "scipy"\nfft_workers = 2\n')
-    assert main(["validate", str(path)]) != 0
+    assert main(["validate", str(path)]) == 2
     assert str(direct.value) in capsys.readouterr().err
-
-
-def test_register_and_unregister_backend():
-    @register_backend("test_dummy")
-    def _dummy(fft_workers=1):
-        return NumpyBackend(fft_workers)
-
-    try:
-        assert "test_dummy" in available_backends()
-        assert isinstance(make_backend("test_dummy", count_ffts=False), NumpyBackend)
-        with pytest.raises(BackendError, match="already registered"):
-            register_backend("test_dummy", _dummy)
-    finally:
-        unregister_backend("test_dummy")
-    assert "test_dummy" not in available_backends()
-
-
-def test_resolve_backend_fresh_default():
-    a, b = resolve_backend(None), resolve_backend(None)
-    assert a is not b  # never process-global state
-    assert a.counters is not None
-    eng = NumpyBackend()
-    assert resolve_backend(eng) is eng
-    assert resolve_backend("numpy").counters is not None
 
 
 def test_fft_workers_validated_and_honoured():
     with pytest.raises(BackendError, match="fft_workers"):
-        make_backend("numpy", fft_workers=0)
-    assert make_backend("numpy", fft_workers=2, count_ffts=False).fft_workers == 2
+        Backend(fft_workers=0)
+    assert Backend(fft_workers=2, count_ffts=False).fft_workers == 2
 
 
-# ---------------- grid + deprecated shim -------------------------------------
+# ---------------- grid ---------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
@@ -380,11 +331,6 @@ def test_grid_owns_fresh_counting_backend(si_cell_local):
     assert g1.backend.counters is not None
 
 
-def test_grid_accepts_backend_name(si_cell_local):
-    g = PlaneWaveGrid(si_cell_local, ecut=2.0, backend="numpy")
-    assert g.backend.counters is not None
-
-
 def test_grid_consume_matches_plain(si_cell_local):
     grid = PlaneWaveGrid(si_cell_local, ecut=2.0)
     rng = default_rng(1)
@@ -396,7 +342,7 @@ def test_grid_consume_matches_plain(si_cell_local):
     assert np.allclose(back, grid.g_to_r(ref), atol=1e-13)
 
 
-def test_scf_energy_parity_with_seed_engine(seed_numpy):
+def test_scf_energy_parity_with_seed_engine(monkeypatch):
     """From-scratch SCF on the engine (2 threads) agrees with the seed
     oracle at physical tolerance.
 
@@ -409,13 +355,11 @@ def test_scf_energy_parity_with_seed_engine(seed_numpy):
         "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
         "scf": {"nbands": 20, "temperature_k": 8000.0, "density_tol": 1e-6},
     }
-    e = {}
-    for section in ({"name": "numpy", "fft_workers": 2}, {"name": seed_numpy}):
-        cfg = SimulationConfig.from_dict({**base, "backend": section})
-        gs = Simulation(cfg).ground_state()
-        assert gs.converged
-        e[cfg.backend.name] = gs.total_energy
-    assert e["numpy"] == pytest.approx(e[seed_numpy], abs=1e-7)
+    new = Simulation({**base, "backend": {"fft_workers": 2}}).ground_state()
+    _swap_in_seed_engine(monkeypatch)
+    seed = Simulation(base).ground_state()
+    assert new.converged and seed.converged
+    assert new.total_energy == pytest.approx(seed.total_energy, abs=1e-7)
 
 
 # ---------------- config wiring ----------------------------------------------
@@ -437,6 +381,8 @@ def test_backend_config_defaults_and_roundtrip():
         ({"fft_workers": 1.5}, "backend.fft_workers"),
         ({"count_ffts": "yes"}, "backend.count_ffts"),
         ({"workers": 2}, "unknown key"),
+        ({"fft_workers": True}, "backend.fft_workers"),
+        ({"name": "scipy"}, "backend.name"),
     ],
 )
 def test_backend_config_rejects_bad_input(data, match):
@@ -445,21 +391,24 @@ def test_backend_config_rejects_bad_input(data, match):
 
 
 def test_backend_sweep_axis():
-    """`backend.name` works as an ensemble sweep axis."""
+    """`backend.*` keys work as ensemble sweep axes; `name` has one legal value."""
     base = SimulationConfig.from_dict({})
-    cfg = apply_overrides(base, {"backend.name": "plugin", "backend.fft_workers": 4})
-    assert cfg.backend.name == "plugin" and cfg.backend.fft_workers == 4
+    cfg = apply_overrides(base, {"backend.name": "numpy", "backend.fft_workers": 4})
+    assert cfg.backend.name == "numpy" and cfg.backend.fft_workers == 4
+    with pytest.raises(ConfigError, match="backend.name"):
+        apply_overrides(base, {"backend.name": "plugin"})
 
 
 def test_simulation_builds_configured_backend():
     sim = Simulation({"backend": {"fft_workers": 2}})
-    assert sim.backend.counters is not None and sim.backend.inner.fft_workers == 2
+    assert sim.backend.counters is not None and sim.backend.fft_workers == 2
+    assert sim.backend.describe() == "numpy (pocketfft, workers=2) + counters"
     assert sim.grid.backend is sim.backend
 
 
 def test_simulation_unknown_backend_raises():
-    with pytest.raises(BackendError, match="registered"):
-        Simulation({"backend": {"name": "nope"}}).backend
+    with pytest.raises(ConfigError, match="backend.name"):
+        Simulation({"backend": {"name": "nope"}})
 
 
 def test_simulation_uncounted_backend():
@@ -490,3 +439,19 @@ def test_spectrum_is_uncounted_analysis_path():
     signal = (dipole - dipole[0]) * np.exp(-0.003 * times)
     ref = np.fft.rfft(signal, n=64) * dt
     assert np.allclose(strength, (2 * omega / np.pi) * np.imag(ref / 1e-3))
+
+
+def test_view_scopes_fresh_counters(batch):
+    """A rank's view: fresh counters, the engine's settings and bits, and
+    the parent's tally untouched; an uncounted engine is its own view."""
+    parent = Backend(fft_workers=2)
+    ref = parent.forward(batch)
+    before = parent.counters.snapshot()
+    view = parent.view()
+    assert view is not parent and view.fft_workers == 2
+    assert view.counters == FFTCounters()
+    assert np.array_equal(view.forward(batch), ref)
+    assert view.counters.transforms == 5 and view.counters.calls == 1
+    assert parent.counters == before
+    plain = Backend(count_ffts=False)
+    assert plain.view() is plain

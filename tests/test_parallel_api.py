@@ -84,6 +84,7 @@ def test_parallel_config_defaults_inactive_round_trip():
         {"machine": "cray"},
         {"use_shm": "yes"},
         {"nope": 1},
+        {"ranks": True},
     ],
 )
 def test_parallel_config_rejects_bad_values(bad):
@@ -162,6 +163,27 @@ def test_distributed_fft_accounting_matches_serial(serial_sim):
     assert len(by_rank) == 4
     assert all(n > 0 for n in by_rank)  # band shards balance the work
     assert max(by_rank) - min(by_rank) <= max(by_rank) // 2
+
+
+def test_uncounted_distributed_run_matches_counted(serial_sim):
+    """``count_ffts = false`` on 2 ranks with dense exchange every inner
+    iteration: each rank's view is the engine itself, the trajectory is
+    the counted run's bits, and no tally exists anywhere."""
+    serial, _ = serial_sim
+    sections = {
+        "propagation": {
+            "propagator": "ptim",
+            "options": {"density_tol": 1e-5, "fock_mode": "dense-diag"},
+        },
+        "parallel": _parallel_cfg(2, "ring"),
+    }
+    counted_sim = serial.derive(**sections)
+    uncounted_sim = serial.derive(backend={"count_ffts": False}, **sections)
+    counted, uncounted = counted_sim.propagate(), uncounted_sim.propagate()
+    _assert_bitwise(counted.observables(), uncounted.observables())
+    np.testing.assert_array_equal(counted.final_state.phi, uncounted.final_state.phi)
+    assert counted.fft is not None and counted_sim.fft_counters() is not None
+    assert uncounted.fft is None and uncounted_sim.fft_counters() is None
 
 
 # ---------------- ledger invariants ---------------------------------------------
