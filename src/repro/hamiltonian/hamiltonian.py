@@ -94,8 +94,11 @@ class Hamiltonian:
         self.time: float = 0.0
 
         self.exchange_mode: ExchangeMode = "none"
-        # (phi_t, d, q, phi): rotated sources, weights, rotation, the block given
-        self._exx_sources: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = None
+        # (phi_t, d, q, phi): rotated sources, weights, rotation (None when
+        # the block given is already in sigma's eigenbasis), the block given
+        self._exx_sources: Optional[
+            Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]
+        ] = None
         self._exx_sigma_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (phi, sigma)
         self._ace: Optional[ACEOperator] = None
 
@@ -132,19 +135,28 @@ class Hamiltonian:
         sigma: np.ndarray,
         mode: ExchangeMode = "dense-diag",
     ) -> None:
-        """Fix the density matrix defining V_x (dense evaluation modes).
+        """Fix the density matrix ``P = Phi sigma Phi*`` defining V_x (dense
+        evaluation modes); ``phi`` are real-space rows.
 
-        For ``dense-diag`` the sigma eigenbasis rotation is done once here
-        (paper Fig. 2(b)); for ``dense-tripleloop`` the raw (Phi, sigma)
-        pair is kept and Alg. 2 runs on every application.  ``phi`` is
-        remembered by identity: applying the Hamiltonian to this very
-        array takes the half-cost self-application, so do not modify it
-        in place between this call and :meth:`apply`.
+        For ``dense-diag`` a matrix ``sigma`` is decomposed and ``phi``
+        rotated into its eigenbasis here (paper Fig. 2(b)), and the
+        self-application is rotated back.  A vector ``sigma`` is the
+        eigenvalues of rows that already are that eigenbasis (the PT-IM
+        midpoint image, :mod:`repro.occupation.sigma`): they are the
+        sources as given, and their self-application is not rotated.
+        For ``dense-tripleloop`` the raw ``(Phi, sigma)`` pair is kept and
+        Alg. 2 runs on every application.  ``phi`` is remembered by
+        identity: applying the Hamiltonian to this very array takes the
+        half-cost self-application, so do not modify it in place between
+        this call and :meth:`apply`.
         """
         require(self.functional.is_hybrid, "exchange sources need a hybrid functional")
         if mode == "dense-diag":
-            d, q = diagonalize_sigma(hermitize(sigma))
-            self._exx_sources = (rotate_orbitals(phi, q), d, q, phi)
+            if np.ndim(sigma) == 1:
+                self._exx_sources = (phi, sigma, None, phi)
+            else:
+                d, q = diagonalize_sigma(hermitize(sigma))
+                self._exx_sources = (rotate_orbitals(phi, q), d, q, phi)
             self._exx_sigma_pair = None
         elif mode == "dense-tripleloop":
             if not hasattr(self.fock, "apply_mixed_tripleloop"):
@@ -181,10 +193,19 @@ class Hamiltonian:
         This is the outer-SCF "ACE preparation" step of Fig. 4(b): one
         dense (N^2-FFT) evaluation on the real-space rows ``phi``, then
         compression on the sphere (``c`` is the sphere image of ``phi``
-        when the caller has it; ``W`` is packed here, once).
+        when the caller has it; ``W`` is packed here, once).  ``sigma``
+        reads as in :meth:`set_exchange_sources`: a matrix is decomposed
+        and rotated, a vector is the eigenvalues of rows already in
+        sigma's eigenbasis, whose ``W`` is the self-application as it
+        comes.  ``V_ACE = W (Phi* W)^-1 W*`` does not change when its
+        generating block is rotated by a unitary, so both give the
+        operator of ``(Phi, sigma)``.
         """
         require(self.fock is not None, "ACE requires a hybrid functional")
-        w, _, _ = self.fock.apply_mixed_via_diagonalization(phi, sigma)
+        if np.ndim(sigma) == 1:
+            w = self.fock.apply_diag(phi, sigma)
+        else:
+            w, _, _ = self.fock.apply_mixed_via_diagonalization(phi, sigma)
         c = self.grid.to_sphere(phi) if c is None else c
         return ACEOperator.from_dense_action(self.grid, c, self.grid.to_sphere(w, consume=True))
 
@@ -199,10 +220,12 @@ class Hamiltonian:
         if self.exchange_mode == "dense-diag":
             require(self._exx_sources is not None, "exchange sources not set")
             src, d, q, block = self._exx_sources
-            if phi_r is block:
-                # V_x[P] on the block that defines P: the self-application, rotated back
-                return alpha * unrotate_orbitals(self.fock.apply_diag(src, d), q)
-            return alpha * self.fock.apply_diag(src, d, phi_r)
+            if phi_r is not block:
+                return alpha * self.fock.apply_diag(src, d, phi_r)
+            # V_x[P] on the block that defines P: the self-application, in
+            # the basis the block was given in
+            vx = self.fock.apply_diag(src, d)
+            return alpha * (vx if q is None else unrotate_orbitals(vx, q))
         if self.exchange_mode == "dense-tripleloop":
             require(self._exx_sigma_pair is not None, "exchange sources not set")
             phi_s, sigma = self._exx_sigma_pair

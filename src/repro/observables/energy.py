@@ -11,7 +11,7 @@ dynamics — the drift measures integrator quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -53,7 +53,7 @@ def td_total_energy(
     sigma: np.ndarray,
     rho: np.ndarray,
     e_ewald: Optional[float] = None,
-    use_ace: bool = False,
+    eig: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> EnergyBreakdown:
     """Energy of the state ``(Phi, sigma)`` under the current Hamiltonian.
 
@@ -63,22 +63,20 @@ def td_total_energy(
     Parameters
     ----------
     phi:
-        Real-space orbital rows; packed once here for the kinetic,
-        nonlocal and ACE terms, which live on the sphere.
+        Real-space orbital rows; packed once here for the kinetic and
+        nonlocal terms, which live on the sphere.
     rho:
         The state's density, as ``PropagatorBase.density`` builds it
         (the caller has it already for the dipole).
-    use_ace:
-        Evaluate the exchange energy through the currently-set ACE
-        operator instead of the dense operator (cheap; exact on the ACE
-        generating orbitals).
+    eig:
+        ``(d, Q)`` of ``hermitize(sigma)`` when the caller already
+        decomposed it for the density.
     """
     grid = ham.grid
     deg = ham.degeneracy
 
-    d, q = diagonalize_sigma(hermitize(sigma))
-    c = grid.to_sphere(phi)
-    c_t = rotate_orbitals(c, q)
+    d, q = diagonalize_sigma(hermitize(sigma)) if eig is None else eig
+    c_t = rotate_orbitals(grid.to_sphere(phi), q)
     w = deg * d
     ham.update_density(rho)
 
@@ -92,11 +90,8 @@ def td_total_energy(
         e_ewald = ewald_energy(ham.cell)
 
     e_x = 0.0
-    if ham.functional.is_hybrid:
-        if use_ace and ham.exchange_mode == "ace" and ham._ace is not None:
-            e_x = ham.functional.alpha * ham._ace.exchange_energy(c, sigma, deg)
-        elif ham.fock is not None:
-            e_x = ham.functional.alpha * ham.fock.exchange_energy(phi, sigma, deg)
+    if ham.functional.is_hybrid and ham.fock is not None:
+        e_x = ham.functional.alpha * ham.fock.exchange_energy(phi, sigma, deg)
 
     return EnergyBreakdown(
         kinetic=e_kin,

@@ -10,6 +10,16 @@ the Fock-exchange evaluation to pure-state (diagonal-weight) form.
 This module provides that decomposition plus the two density paths —
 *pairwise* (baseline, N^2 band products) and *diag* (N products) — whose
 numerical identity is a core test of the reproduction.
+
+Decompose once, rotate on the sphere.  A PT-IM midpoint ``(c_mid,
+sigma_mid)`` is decomposed once and its *sphere block* rotated,
+``c~ = Q^T c_mid`` (``npw`` wide, not ``ngrid``); the one transform the
+loop makes anyway takes ``c~`` to real space, and the density, ``H`` and
+the dense exchange (or the ACE build) all act on that image.  A diagonal
+sigma is then handed on as the vector ``d`` of its eigenvalues: every
+consumer here and in ``Hamiltonian.set_exchange_sources`` /
+``build_ace`` reads a 1-D ``sigma`` as "these orbitals already are
+sigma's eigenbasis", and neither decomposes nor rotates again.
 """
 
 from __future__ import annotations
@@ -96,12 +106,27 @@ def density_from_orbitals_diag(
 
     Numerically identical to the pairwise path (tested), with O(N Ng)
     accumulation after the O(N^2 Ng) rotation GEMM — the paper's Sec.
-    IV-A1 density reduction.
+    IV-A1 density reduction.  A vector ``sigma`` is the eigenvalues ``d``
+    of rows ``phi`` that already are the eigenbasis image: no
+    decomposition, no rotation.
     """
-    d, q = diagonalize_sigma(hermitize(sigma))
-    phi_t = rotate_orbitals(phi, q)
-    rho = np.einsum("i,ir->r", d, (phi_t.conj() * phi_t).real)
+    if sigma.ndim == 2:
+        d, q = diagonalize_sigma(hermitize(sigma))
+        phi = rotate_orbitals(phi, q)
+    else:
+        d = sigma
+    rho = np.einsum("i,ir->r", d, (phi.conj() * phi).real)
     return degeneracy * rho
+
+
+def clip_and_normalize(rho: np.ndarray, n_electrons: float, dv: float) -> np.ndarray:
+    """``rho`` clipped at 0 and scaled to ``n_electrons`` against quadrature
+    drift (a new array); a density with nothing left is not scaled."""
+    rho = np.maximum(rho, 0.0)
+    total = rho.sum() * dv
+    if total > 0:
+        rho *= n_electrons / total
+    return rho
 
 
 def occupation_bounds_ok(sigma: np.ndarray, atol: float = 1e-8) -> bool:

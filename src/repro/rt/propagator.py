@@ -19,8 +19,11 @@ from repro.hartree.ewald import ewald_energy
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
 from repro.observables.energy import td_total_energy
 from repro.occupation.sigma import (
+    clip_and_normalize,
     density_from_orbitals_diag,
+    diagonalize_sigma,
     hermitize,
+    rotate_orbitals,
     trace_sigma,
 )
 from repro.utils.validation import check_hermitian, require
@@ -166,25 +169,28 @@ class PropagatorBase:
         raise NotImplementedError
 
     # -- driver -----------------------------------------------------------------
-    def density(self, state: TDState) -> np.ndarray:
+    def density(
+        self, state: TDState, eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    ) -> np.ndarray:
+        """The state's density; ``eig`` is ``(d, Q)`` of ``hermitize(state.sigma)``
+        when the caller already decomposed it."""
+        d, q = diagonalize_sigma(hermitize(state.sigma)) if eig is None else eig
         rho = density_from_orbitals_diag(
-            self.grid, state.phi, hermitize(state.sigma), degeneracy=self.ham.degeneracy
+            self.grid, rotate_orbitals(state.phi, q), d, degeneracy=self.ham.degeneracy
         )
-        rho = np.maximum(rho, 0.0)
-        total = rho.sum() * self.grid.dv
-        if total > 0:
-            rho *= self.ham.n_electrons / total
-        return rho
+        return clip_and_normalize(rho, self.ham.n_electrons, self.grid.dv)
 
     def observe(self, state: TDState, stats: Optional[StepStats] = None) -> None:
         """Append the current observables to the record.
 
         Moves the Hamiltonian to the state's time first — otherwise the
         kinetic operator would carry A(t) from whatever midpoint or stage
-        the propagator evaluated last, corrupting the energy.
+        the propagator evaluated last, corrupting the energy.  sigma is
+        decomposed once, for the density and the energy.
         """
         self.ham.set_time(state.time)
-        rho = self.density(state)
+        eig = diagonalize_sigma(hermitize(state.sigma))
+        rho = self.density(state, eig)
         self.record.times.append(state.time)
         self.record.dipole.append(dipole_moment(self.grid, rho, self._coords))
         self.record.particle_number.append(state.particle_number(self.ham.degeneracy))
@@ -196,7 +202,7 @@ class PropagatorBase:
             i, j = key
             self.record.sigma_samples[key].append(complex(state.sigma[i, j]))
         if self.record_energy:
-            e = td_total_energy(self.ham, state.phi, state.sigma, rho, self._e_ewald)
+            e = td_total_energy(self.ham, state.phi, state.sigma, rho, self._e_ewald, eig)
             self.record.energy.append(e.total)
         else:
             self.record.energy.append(np.nan)

@@ -22,7 +22,10 @@ has Jacobian ``-i dt/2 (I - P~) H``, of norm ``dt ecut / 2`` from the
 kinetic energy alone (3.1 at 50 as and ``ecut`` 3): expansive, and more
 so at every higher cutoff, which cost Anderson half its iterations.
 Price per iteration: one ``(N, npw)`` divide, one ``N x N`` ``eigh`` and
-four ``N^3`` products; no transform.
+four ``N^3`` products; no transform.  Working in sigma's eigenbasis
+(below) adds one ``eigh`` of ``sigma_mid`` and two ``N^2 npw`` products,
+the rotation and the rotate-back of ``H c~``, for the density, ``H`` and
+the exchange together.
 
 Stopping.  Iteration ``k`` builds ``rho_mid,k = rho[(X_n + x_k)/2]`` to
 update the Hamiltonian, and the same density is the test:
@@ -51,31 +54,66 @@ Representation.  A step packs ``state.phi`` once (``real -> sphere``),
 iterates on the packed unknown ``x = (c~, sigma)`` — sphere block and
 occupation matrix, ``N npw + N^2`` numbers, same 2-norm as
 ``(Phi_r, sigma)`` because the sphere block is unitary-scaled
-(``grid/fftgrid.py``) — and unpacks once in :meth:`_finish_step`.  One
-inner iteration makes two batched transforms: ``sphere -> real`` of the
-midpoint block (shared by the density, the residual, the dense-exchange
-sources and ``v_eff phi``) and ``real -> sphere`` of the local product
-inside ``Hamiltonian.apply``.  The midpoint algebra, the projector
-``(I - P~)``, the mixer history and Löwdin are all ``npw`` wide.
+(``grid/fftgrid.py``) — and unpacks once in :meth:`_finish_step`.  The
+loop sees each midpoint through its :class:`MidpointImage` (paper Sec.
+IV-A1): ``hermitize(sigma_mid) = Q diag(d) Q*`` is decomposed once and
+the sphere block rotated, ``c~ = Q^T c_mid``, before it is taken to
+real space, ``phi~``.  The density ``Σ d_i |phi~_i|^2``, ``H``, and the
+dense exchange or the ACE build all act on ``(c~, phi~, d)``; only
+``H c~`` goes back, on the sphere, to ``H c_mid`` (``H`` is linear), and
+the exchange's self-application needs no rotation at all.  The last
+midpoint of an ACE inner loop is the first of the next, so one
+PT-IM-ACE step decomposes ``n_inner + 1`` matrices, a dense PT-IM step
+``n + 1``.  The ``pairwise`` / ``dense-tripleloop`` baselines take the
+image unrotated (``c_mid``, the matrix).  One inner iteration makes two
+batched transforms: ``sphere -> real`` of the rotated midpoint block
+(shared by the density, the residual, the dense-exchange sources and
+``v_eff phi``) and ``real -> sphere`` of the local product inside
+``Hamiltonian.apply``.  The midpoint algebra, the projector ``(I -
+P~)``, the mixer history and Löwdin are all ``npw`` wide.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Literal, Optional, Tuple
+from typing import Literal, NamedTuple, Optional, Tuple
 
 import numpy as np
 
 from repro.occupation.sigma import (
+    clip_and_normalize,
     density_from_orbitals_diag,
     density_from_orbitals_pairwise,
+    diagonalize_sigma,
     hermitize,
+    rotate_orbitals,
+    unrotate_orbitals,
 )
 from repro.rt.propagator import PropagatorBase, StepStats, TDState
 from repro.scf.eigensolver import lowdin_orthonormalize
 from repro.scf.mixing import AndersonMixer
 from repro.utils.validation import require
+
+
+class MidpointImage(NamedTuple):
+    """A midpoint ``(c_mid, sigma_mid)`` as the iteration sees it.
+
+    ``c = Q^T c_mid`` is the sphere block in sigma's eigenbasis, ``phi``
+    its real-space rows and ``sigma`` the vector ``d`` of
+    ``hermitize(sigma_mid) = Q diag(d) Q*``.  The baselines' image is
+    unrotated: ``q`` is ``None``, ``c`` is ``c_mid`` and ``sigma`` the
+    hermitized matrix.
+    """
+
+    c: np.ndarray
+    phi: np.ndarray
+    sigma: np.ndarray
+    q: Optional[np.ndarray]
+
+    def back(self, block: np.ndarray) -> np.ndarray:
+        """A sphere block computed on ``c`` (as ``H c``), in ``c_mid``'s basis."""
+        return block if self.q is None else unrotate_orbitals(block, self.q)
 
 
 @dataclass
@@ -106,19 +144,30 @@ class PTIMPropagator(PropagatorBase):
 
     # -- helpers ---------------------------------------------------------------
     def _density(self, phi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+        """Density of real-space rows ``phi`` under ``sigma`` — a Hermitian
+        matrix, or the eigenvalues of an eigenbasis image
+        (:class:`MidpointImage`)."""
         mode = self.options.density_mode
-        sig = hermitize(sigma)
         if mode == "diag":
-            rho = density_from_orbitals_diag(self.grid, phi, sig, self.ham.degeneracy)
+            rho = density_from_orbitals_diag(self.grid, phi, sigma, self.ham.degeneracy)
         elif mode == "pairwise":
-            rho = density_from_orbitals_pairwise(self.grid, phi, sig, self.ham.degeneracy)
+            rho = density_from_orbitals_pairwise(self.grid, phi, sigma, self.ham.degeneracy)
         else:
             raise ValueError(f"bad density_mode {mode!r}")
-        rho = np.maximum(rho, 0.0)
-        total = rho.sum() * self.grid.dv
-        if total > 0:
-            rho *= self.ham.n_electrons / total
-        return rho
+        return clip_and_normalize(rho, self.ham.n_electrons, self.grid.dv)
+
+    def _image(self, c_mid: np.ndarray, sigma_mid: np.ndarray) -> MidpointImage:
+        """The midpoint's image the iteration works on: sigma decomposed
+        once and the sphere block rotated into its eigenbasis, then taken
+        to real space; unrotated for the ``pairwise`` / ``dense-tripleloop``
+        baselines, which never diagonalize."""
+        sigma = hermitize(sigma_mid)
+        opts = self.options
+        if opts.density_mode == "pairwise" or opts.fock_mode == "dense-tripleloop":
+            return MidpointImage(c_mid, self.grid.to_real(c_mid), sigma, None)
+        d, q = diagonalize_sigma(sigma)
+        c = rotate_orbitals(c_mid, q)
+        return MidpointImage(c, self.grid.to_real(c), d, q)
 
     def _pack(self, state: TDState) -> Tuple[TDState, np.ndarray]:
         """``state`` with its orbitals as a sphere block, and the packed
@@ -136,28 +185,29 @@ class PTIMPropagator(PropagatorBase):
         c_g, sigma_g = self._unpack(x, state.nbands)
         return 0.5 * (state.phi + c_g), 0.5 * (state.sigma + sigma_g)
 
-    def _set_midpoint_exchange(self, phi_mid: np.ndarray, sigma_mid: np.ndarray) -> None:
-        """Point the dense exchange at the midpoint density matrix
-        (``phi_mid``: real-space rows)."""
+    def _set_midpoint_exchange(self, image: MidpointImage) -> None:
+        """Point the dense exchange at the midpoint density matrix, given
+        as its image: ``H`` is then applied to the sources themselves."""
         if self.ham.functional.is_hybrid:
-            self.ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=self.options.fock_mode)
+            self.ham.set_exchange_sources(image.phi, image.sigma, mode=self.options.fock_mode)
 
     def _fixed_point_update(
         self,
         state: TDState,
         c_mid: np.ndarray,
-        phi_mid: np.ndarray,
         sigma_mid: np.ndarray,
+        image: MidpointImage,
         dt: float,
         c_out: np.ndarray,
         sigma_out: np.ndarray,
     ) -> None:
         """One evaluation of the IMEX map ``x + M^{-1}(T(x) - x)`` (module
-        docstring) at the midpoint of the packed ``state`` and the current
-        guess ``x = 2 x_mid - X_n`` (``c_mid`` and its real-space image
-        ``phi_mid``), written into ``c_out`` / ``sigma_out``."""
+        docstring) at the midpoint ``(c_mid, sigma_mid)`` of the packed
+        ``state`` and the current guess ``x = 2 x_mid - X_n``, written into
+        ``c_out`` / ``sigma_out``.  ``H`` acts on the midpoint's ``image``;
+        being linear, ``H c_mid`` is that result rotated back."""
         grid = self.grid
-        h_phi = self.ham.apply(c_mid, phi_mid)
+        h_phi = image.back(self.ham.apply(image.c, image.phi))
         # projector P~ built from the (non-orthonormal) midpoint block
         s = grid.inner(c_mid, c_mid)
         c = grid.inner(c_mid, h_phi)  # <phi_k | H phi_l>
@@ -190,18 +240,18 @@ class PTIMPropagator(PropagatorBase):
         dt: float,
         x: np.ndarray,
         max_iter: int,
-        phi_mid: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, int, float, bool, np.ndarray]:
+        image: Optional[MidpointImage] = None,
+    ) -> Tuple[np.ndarray, int, float, bool, MidpointImage]:
         """Anderson-accelerated fixed-point loop (Alg. 1 lines 4-11).
 
         ``state`` is the packed ``(c~_n, sigma_n)`` and ``x`` packs the
         guess for ``{Phi_{n+1}, sigma_{n+1}}`` as one vector (Alg. 1 line
-        8 mixes them together); ``phi_mid`` is the real-space image of
-        their midpoint block when the caller already made it.  Returns
-        the accepted iterate, the number of applications of the map T
-        (at most ``max_iter``), the last midpoint-density residual,
-        whether two consecutive residuals fell below ``density_tol``,
-        and the real-space image of the accepted iterate's midpoint.
+        8 mixes them together); ``image`` is the :meth:`_image` of their
+        midpoint when the caller already made it.  Returns the accepted
+        iterate, the number of applications of the map T (at most
+        ``max_iter``), the last midpoint-density residual, whether two
+        consecutive residuals fell below ``density_tol``, and the image
+        of the accepted iterate's midpoint.
         """
         grid, ham = self.grid, self.ham
         tol = self.options.density_tol
@@ -211,22 +261,22 @@ class PTIMPropagator(PropagatorBase):
         rho_prev, resid, converged = None, np.inf, False
         for n_iter in itertools.count():
             c_mid, sigma_mid = self._midpoint(state, x)
-            if phi_mid is None:
-                phi_mid = grid.to_real(c_mid)
-            rho_mid = self._density(phi_mid, sigma_mid)
+            if image is None:
+                image = self._image(c_mid, sigma_mid)
+            rho_mid = self._density(image.phi, image.sigma)
             if rho_prev is not None:
                 last = resid
                 resid = 2.0 * float(np.abs(rho_mid - rho_prev).sum()) * grid.dv / ham.n_electrons
                 converged = max(last, resid) < tol
             if converged or n_iter == max_iter:
-                return x, n_iter, resid, converged, phi_mid
+                return x, n_iter, resid, converged, image
             rho_prev = rho_mid
             ham.update_density(rho_mid)
             ham.set_time(state.time + 0.5 * dt)
-            self._set_midpoint_exchange(phi_mid, sigma_mid)
-            self._fixed_point_update(state, c_mid, phi_mid, sigma_mid, dt, c_new, sigma_new)
+            self._set_midpoint_exchange(image)
+            self._fixed_point_update(state, c_mid, sigma_mid, image, dt, c_new, sigma_new)
             x = self._mixer.mix(x, gx)
-            phi_mid = None
+            image = None
 
     def _finish_step(self, state: TDState, dt: float, x: np.ndarray) -> TDState:
         """Löwdin orthonormalization + sigma symmetrization (Alg. 1 line

@@ -9,6 +9,14 @@ skinny GEMMs instead of N^2 FFTs — on the cutoff sphere, like the whole
 fixed point (see ``rt/ptim.py``); only the dense evaluation that feeds an
 ACE build sees real-space rows.
 
+Each build starts from the midpoint's eigenbasis image, the one the
+inner loop's last density was taken on: ``W~ = V_x phi~`` is the
+dense operator's self-application with weights ``d``, compressed with
+``c~``.  ``V_ACE = W (Phi* W)^-1 W*`` does not change under a unitary
+rotation of its generating block, so this is the operator of ``(c_mid,
+sigma_mid)``, and a build neither decomposes sigma nor rotates: per
+step ``sigma`` is decomposed ``n_inner + 1`` times.
+
 Outer convergence follows the paper: the exchange energy change between
 consecutive outer iterations falls below ``exchange_tol``; inner
 convergence is the fixed point's midpoint-density test, and the image
@@ -28,7 +36,7 @@ import numpy as np
 
 from repro.occupation.sigma import hermitize
 from repro.rt.propagator import StepStats, TDState
-from repro.rt.ptim import PTIMOptions, PTIMPropagator
+from repro.rt.ptim import MidpointImage, PTIMOptions, PTIMPropagator
 
 
 @dataclass
@@ -48,7 +56,7 @@ class PTIMACEPropagator(PTIMPropagator):
     def __init__(self, ham, options: Optional[PTIMACEOptions] = None, **kwargs) -> None:
         super().__init__(ham, options or PTIMACEOptions(), **kwargs)
 
-    def _set_midpoint_exchange(self, phi_mid: np.ndarray, sigma_mid: np.ndarray) -> None:
+    def _set_midpoint_exchange(self, image: MidpointImage) -> None:
         """Exchange is the fixed compressed operator for a whole inner loop."""
 
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
@@ -65,19 +73,18 @@ class PTIMACEPropagator(PTIMPropagator):
         resid = np.inf
         converged = False
 
-        # each midpoint is taken to real space once: the loop tests its
-        # last iterate on the image the next ACE build needs
-        c_mid, sigma_mid = self._midpoint(packed, x)
-        phi_mid = self.grid.to_real(c_mid)
+        # each midpoint is decomposed and taken to real space once: the
+        # loop tests its last iterate on the image the next ACE build needs
+        image = self._image(*self._midpoint(packed, x))
         for _ in range(opts.max_outer):
             n_outer += 1
-            # one dense (diagonalized, N^2-FFT) exchange evaluation on the
-            # real-space midpoint rows + compression on the sphere
-            ace_mid = ham.build_ace(phi_mid, hermitize(sigma_mid), c_mid)
+            # one dense (N^2-FFT) exchange evaluation on the midpoint's
+            # eigenbasis rows + compression on the sphere
+            ace_mid = ham.build_ace(image.phi, image.sigma, image.c)
             ham.set_ace(ace_mid)
 
-            x, n_inner, resid, inner_converged, phi_mid = self._solve_fixed_point(
-                packed, dt, x, opts.max_inner, phi_mid
+            x, n_inner, resid, inner_converged, image = self._solve_fixed_point(
+                packed, dt, x, opts.max_inner, image
             )
             n_inner_total += n_inner
 

@@ -18,7 +18,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.rt.propagator import PropagatorBase, StepStats, TDState
-from repro.occupation.sigma import density_from_orbitals_diag, hermitize
+from repro.occupation.sigma import clip_and_normalize, density_from_orbitals_diag, hermitize
 
 
 class RK4Propagator(PropagatorBase):
@@ -30,11 +30,7 @@ class RK4Propagator(PropagatorBase):
         """``-i H(t, P[phi, sigma]) phi`` with H rebuilt at this stage."""
         ham = self.ham
         rho = density_from_orbitals_diag(self.grid, phi, hermitize(sigma), ham.degeneracy)
-        rho = np.maximum(rho, 0.0)
-        total = rho.sum() * self.grid.dv
-        if total > 0:
-            rho *= ham.n_electrons / total
-        ham.update_density(rho)
+        ham.update_density(clip_and_normalize(rho, ham.n_electrons, self.grid.dv))
         ham.set_time(t)
         if ham.functional.is_hybrid:
             ham.set_exchange_sources(phi, sigma, mode="dense-diag")

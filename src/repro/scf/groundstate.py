@@ -64,7 +64,7 @@ from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
 from repro.occupation.fermi import fermi_occupations, smearing_entropy
-from repro.occupation.sigma import initial_sigma
+from repro.occupation.sigma import clip_and_normalize, initial_sigma
 from repro.pseudo.database import get_pseudopotential
 from repro.scf.eigensolver import davidson
 from repro.scf.mixing import KerkerMixer
@@ -153,16 +153,9 @@ def default_nbands(n_electrons: float, natom: int, extra_ratio: float = 0.5) -> 
     return int(round(n_electrons / SPIN_DEGENERACY + extra_ratio * natom))
 
 
-def _clip_and_normalize(ham: Hamiltonian, rho: np.ndarray) -> np.ndarray:
-    rho = np.maximum(rho, 0.0)
-    # enforce exact electron count against quadrature drift
-    rho *= ham.n_electrons / (rho.sum() * ham.grid.dv)
-    return rho
-
-
 def _density_from(ham: Hamiltonian, phi: np.ndarray, occ: np.ndarray) -> np.ndarray:
     rho = np.einsum("i,ir->r", occ, (phi.conj() * phi).real)
-    return _clip_and_normalize(ham, rho * ham.degeneracy)
+    return clip_and_normalize(rho * ham.degeneracy, ham.n_electrons, ham.grid.dv)
 
 
 def _start_density(ham: Hamiltonian) -> np.ndarray:
@@ -173,7 +166,8 @@ def _start_density(ham: Hamiltonian) -> np.ndarray:
     charge_g = np.tensordot(z_v, grid.gvec.structure_factors(cell.positions), axes=1)
     # exp(-w^2 G^2 / 2) with w^2 = r_ws^2 / 3
     rho_g = np.exp(-grid.gvec.g2 * (r_ws**2 / 6.0)) * charge_g / cell.volume
-    return _clip_and_normalize(ham, grid.g_to_r(rho_g.ravel(), consume=True).real)
+    rho = grid.g_to_r(rho_g.ravel(), consume=True).real
+    return clip_and_normalize(rho, ham.n_electrons, grid.dv)
 
 
 def _start_orbitals(grid: PlaneWaveGrid, nb: int, rng: np.random.Generator) -> np.ndarray:

@@ -218,7 +218,7 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
         sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
 
 
-def output_density_fixed_point(prop, state, dt, x, max_iter, phi_mid=None):
+def output_density_fixed_point(prop, state, dt, x, max_iter, image=None):
     """``PTIMPropagator._solve_fixed_point`` as it was until PR 18, on
     sphere blocks: the *stopping-rule* oracle.
 
@@ -230,8 +230,8 @@ def output_density_fixed_point(prop, state, dt, x, max_iter, phi_mid=None):
     second order in ``dt``, so the first step of a run "converges" after
     one damped iteration.  Drop-in for the method
     (``monkeypatch.setattr(PTIMPropagator, "_solve_fixed_point",
-    output_density_fixed_point)``): ``phi_mid`` is ignored and the image
-    handed back is a fresh transform, as the old ACE step made it.
+    output_density_fixed_point)``): ``image`` is ignored and the image
+    handed back is made afresh, as the old ACE step made it.
     """
     grid, ham = prop.grid, prop.ham
     nb = state.nbands
@@ -243,11 +243,11 @@ def output_density_fixed_point(prop, state, dt, x, max_iter, phi_mid=None):
     resid, converged = np.inf, False
     for n_iter in range(1, max_iter + 1):
         c_mid, sigma_mid = prop._midpoint(state, x)
-        phi_mid = grid.to_real(c_mid)
-        ham.update_density(prop._density(phi_mid, sigma_mid))
+        image = prop._image(c_mid, sigma_mid)
+        ham.update_density(prop._density(image.phi, image.sigma))
         ham.set_time(state.time + 0.5 * dt)
-        prop._set_midpoint_exchange(phi_mid, sigma_mid)
-        prop._fixed_point_update(state, c_mid, phi_mid, sigma_mid, dt, c_new, sigma_new)
+        prop._set_midpoint_exchange(image)
+        prop._fixed_point_update(state, c_mid, sigma_mid, image, dt, c_new, sigma_new)
 
         rho_out = prop._density(grid.to_real(c_new), sigma_new)
         resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
@@ -256,10 +256,10 @@ def output_density_fixed_point(prop, state, dt, x, max_iter, phi_mid=None):
         if resid < prop.options.density_tol:
             converged = True
             break
-    return x, n_iter, resid, converged, grid.to_real(prop._midpoint(state, x)[0])
+    return x, n_iter, resid, converged, prop._image(*prop._midpoint(state, x))
 
 
-def plain_fixed_point_update(prop, state, c_mid, phi_mid, sigma_mid, dt, c_out, sigma_out):
+def plain_fixed_point_update(prop, state, c_mid, sigma_mid, image, dt, c_out, sigma_out):
     """``PTIMPropagator._fixed_point_update`` as it was until PR 19: the
     *map* oracle, ``T`` of Eq. (6)-(7) itself with nothing inverted.
 
@@ -271,7 +271,7 @@ def plain_fixed_point_update(prop, state, c_mid, phi_mid, sigma_mid, dt, c_out, 
     overrode it to freeze sigma, is folded in.
     """
     grid = prop.grid
-    h_phi = prop.ham.apply(c_mid, phi_mid)
+    h_phi = image.back(prop.ham.apply(image.c, image.phi))
     # projector P~ built from the (non-orthonormal) midpoint block
     s = grid.inner(c_mid, c_mid)
     c = grid.inner(c_mid, h_phi)  # <phi_k | H phi_l>

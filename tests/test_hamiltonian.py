@@ -8,7 +8,7 @@ from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
 from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.kinetic import KineticOperator
-from repro.occupation.sigma import hermitize
+from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals, unrotate_orbitals
 from repro.utils.rng import default_rng
 from repro.xc.hybrid import make_functional
 from repro.utils.testing import random_hermitian_sigma
@@ -246,3 +246,27 @@ def test_lda_apply_adds_no_exchange_block(ham, grid, monkeypatch):
     assert ham.apply_exchange(grid.to_real(c)) is None
     monkeypatch.setattr(np, "zeros_like", lambda *a, **k: pytest.fail("zero block allocated"))
     ham.apply(c)
+
+
+def test_build_ace_from_the_eigenbasis_image_is_the_same_operator(ham_hse, grid):
+    """``V_ACE = W (Phi* W)^-1 W*`` is invariant under a unitary rotation of
+    its generating block: built from the PT-IM midpoint image ``(c~, V_x
+    phi~)`` with the eigenvalue vector, and from ``(c, V_x phi)`` with the
+    matrix, it acts the same on a foreign sphere block.  The image's rows
+    are the dense exchange's own sources, and its self-application is
+    ``V_x phi`` rotated."""
+    rng = default_rng(25)
+    phi = grid.random_orbitals(6, rng)
+    sigma = hermitize(random_hermitian_sigma(6, rng))
+    w, _, _ = ham_hse.fock.apply_mixed_via_diagonalization(phi, sigma)
+    plain = ACEOperator.from_dense_action(grid, grid.to_sphere(phi), grid.to_sphere(w))
+    d, q = diagonalize_sigma(sigma)
+    c_t = rotate_orbitals(grid.to_sphere(phi), q)
+    phi_t = grid.to_real(c_t)
+    rotated = ham_hse.build_ace(phi_t, d, c_t)
+    assert rotated.rank == plain.rank == 6
+    psi = grid.to_sphere(grid.random_orbitals(4, rng))
+    assert _rel_err(rotated.apply(psi), plain.apply(psi)) <= 1e-12
+    ham_hse.set_exchange_sources(phi_t, d)
+    vx = unrotate_orbitals(ham_hse.apply_exchange(phi_t), q)
+    assert _rel_err(vx, ham_hse.functional.alpha * w) <= 1e-12

@@ -1,6 +1,8 @@
 """rt-TDDFT propagators: invariants, cross-method consistency, Fig. 7/8
 claims at laptop scale."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,8 @@ from oracles import output_density_fixed_point, plain_fixed_point_update, real_s
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid import PlaneWaveGrid
 from repro.hamiltonian import Hamiltonian
+from repro.hartree.ewald import ewald_energy
+from repro.observables.energy import td_total_energy
 from repro.rt import (
     GaussianLaserPulse,
     PTIMACEOptions,
@@ -20,9 +24,16 @@ from repro.rt import (
 )
 from repro.rt.gauge import density_matrix_distance
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
-from repro.occupation.sigma import trace_sigma
+from repro.occupation.sigma import (
+    density_from_orbitals_diag,
+    diagonalize_sigma,
+    hermitize,
+    rotate_orbitals,
+    trace_sigma,
+)
 from repro.rt.ptcn import PTCNOptions, PTCNPropagator
 from repro.scf import SCFOptions, run_scf
+from repro.utils.rng import default_rng
 from repro.utils.testing import random_hermitian_sigma
 from repro.xc.hybrid import make_functional
 
@@ -301,7 +312,9 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
     counters = ham.grid.backend.counters
     tally = {"fock": 0, "density": 0}
 
-    dense = ham.fock.apply_mixed_via_diagonalization
+    # the dense evaluation of a build: the exchange's self-application on
+    # the midpoint's eigenbasis rows
+    dense = ham.fock.apply_diag
 
     def counted_dense(*args, **kwargs):
         snap = counters.snapshot()
@@ -315,7 +328,7 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
         tally["density"] += 1
         return density(*args, **kwargs)
 
-    monkeypatch.setattr(ham.fock, "apply_mixed_via_diagonalization", counted_dense)
+    monkeypatch.setattr(ham.fock, "apply_diag", counted_dense)
     monkeypatch.setattr(ptim_module, "density_from_orbitals_diag", counted_density)
     prop = PTIMACEPropagator(
         ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
@@ -658,3 +671,74 @@ def test_propagate_no_double_record_when_divisible(lda_ground_state):
     prop.propagate(_state(gs), dt=dt, n_steps=4, observe_every=2)
     times = np.asarray(prop.record.times)
     assert np.allclose(times / dt, [0.0, 2.0, 4.0])
+
+
+# ---------------- sigma's eigenbasis: one decomposition per midpoint -----------------
+def _count_calls(monkeypatch, func):
+    """The argument tuples of every call to ``func`` made through any loaded
+    ``repro`` module that imported it by name."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return func(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("repro") and getattr(module, func.__name__, None) is func:
+            monkeypatch.setattr(module, func.__name__, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["ptim", "ptim_ace"])
+def test_step_decomposes_each_midpoint_once_and_rotates_sphere_blocks(
+    hse_ground_state, monkeypatch, kind
+):
+    """Exact-repeat counters of one step.  Each midpoint is decomposed
+    once and every rotation is of an ``(nb, npw)`` sphere block: a dense
+    PT-IM step makes ``n + 1`` midpoints (``2 n + 1`` decompositions while
+    the density and the exchange sources each made their own), a
+    PT-IM-ACE step ``n_inner + 1``, since the last midpoint of an inner
+    loop is the first of the next and an ACE build decomposes nothing
+    (``n_inner + 2 n_outer`` before)."""
+    ham, state = _small_hse_state(hse_ground_state)
+    if kind == "ptim":
+        prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-7), record_energy=False)
+    else:
+        prop = PTIMACEPropagator(
+            ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
+        )
+    decompositions = _count_calls(monkeypatch, diagonalize_sigma)
+    rotations = _count_calls(monkeypatch, rotate_orbitals)
+    _, stats = prop.step(state, DT_50AS)
+    n = stats.scf_iterations
+    assert stats.converged and n > stats.outer_iterations
+    assert len(decompositions) == n + 1
+    assert len(rotations) == n + 1
+    assert {block.shape for block, _ in rotations} == {(state.nbands, ham.grid.npw)}
+
+
+def test_observe_decomposes_sigma_once_for_density_and_energy(hse_ground_state, monkeypatch):
+    """``observe`` records, bit for bit, the dipole and energy of the
+    formulas that decomposed sigma once for the density and again for the
+    energy: ``hermitize`` is idempotent, so both saw the same matrix.  The
+    dense exchange energy keeps its own decomposition."""
+    ham, gs = hse_ground_state
+    ham.field = ZeroField()
+    grid, n = ham.grid, 8
+    sigma = hermitize(random_hermitian_sigma(n, default_rng(31)))
+    state = TDState(gs.orbitals[:n].copy(), sigma, 0.0)
+    ham.set_time(state.time)
+    rho = density_from_orbitals_diag(grid, state.phi, hermitize(state.sigma), ham.degeneracy)
+    rho = np.maximum(rho, 0.0)
+    rho *= ham.n_electrons / (rho.sum() * grid.dv)
+    dipole = dipole_moment(grid, rho, cell_centered_coordinates(grid))
+    energy = td_total_energy(ham, state.phi, state.sigma, rho, ewald_energy(ham.cell)).total
+
+    for record_energy, expected in ((False, 1), (True, 2)):
+        prop = PTIMPropagator(ham, record_energy=record_energy)
+        with monkeypatch.context() as patch:
+            decompositions = _count_calls(patch, diagonalize_sigma)
+            prop.observe(state)
+        assert len(decompositions) == expected
+        assert np.array_equal(prop.record.dipole[0], dipole)
+    assert np.array_equal(prop.record.energy[0], energy)
