@@ -7,8 +7,10 @@ changes during SCF / propagation:
 * the density-dependent effective potential (:meth:`update_density`);
 * the vector potential A(t) of the laser (:meth:`set_time`);
 * the exact-exchange configuration (:meth:`set_exchange_sources` /
-  :meth:`set_ace`): dense-diag, dense triple-loop (baseline Alg. 2) or
-  the compressed ACE operator.
+  :meth:`set_ace`): the dense exchange of sigma's eigenbasis image (Sec.
+  IV-A1) or the compressed ACE operator.  The Alg. 2 triple loop is a
+  kernel of :class:`FockExchangeOperator`, kept for Fig. 9 and the
+  tests, not a mode.
 
 ``apply`` evaluates ``H Phi`` for a band block — the operation the whole
 paper optimizes.  It is the one implementation of ``H`` and works on
@@ -28,18 +30,12 @@ from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.hamiltonian.kinetic import KineticOperator
 from repro.hartree.poisson import hartree_energy, hartree_potential
-from repro.occupation.sigma import (
-    diagonalize_sigma,
-    hermitize,
-    rotate_orbitals,
-    unrotate_orbitals,
-)
 from repro.pseudo.local import LocalPseudopotential
 from repro.pseudo.nonlocal_ import NonlocalPseudopotential
 from repro.utils.validation import require
 from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
-ExchangeMode = Literal["none", "dense-diag", "dense-tripleloop", "ace"]
+ExchangeMode = Literal["none", "dense-diag", "ace"]
 
 
 class Hamiltonian:
@@ -94,12 +90,8 @@ class Hamiltonian:
         self.time: float = 0.0
 
         self.exchange_mode: ExchangeMode = "none"
-        # (phi_t, d, q, phi): rotated sources, weights, rotation (None when
-        # the block given is already in sigma's eigenbasis), the block given
-        self._exx_sources: Optional[
-            Tuple[np.ndarray, np.ndarray, Optional[np.ndarray], np.ndarray]
-        ] = None
-        self._exx_sigma_pair: Optional[Tuple[np.ndarray, np.ndarray]] = None  # (phi, sigma)
+        # (phi~, d): sigma's eigenbasis rows and eigenvalues
+        self._exx_sources: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._ace: Optional[ACEOperator] = None
 
     # -- electron count -------------------------------------------------------
@@ -129,46 +121,20 @@ class Hamiltonian:
             self.kinetic.set_vector_potential(self.field.vector_potential(t))
 
     # -- exact exchange configuration --------------------------------------------
-    def set_exchange_sources(
-        self,
-        phi: np.ndarray,
-        sigma: np.ndarray,
-        mode: ExchangeMode = "dense-diag",
-    ) -> None:
-        """Fix the density matrix ``P = Phi sigma Phi*`` defining V_x (dense
-        evaluation modes); ``phi`` are real-space rows.
-
-        For ``dense-diag`` a matrix ``sigma`` is decomposed and ``phi``
-        rotated into its eigenbasis here (paper Fig. 2(b)), and the
-        self-application is rotated back.  A vector ``sigma`` is the
-        eigenvalues of rows that already are that eigenbasis (the PT-IM
-        midpoint image, :mod:`repro.occupation.sigma`): they are the
-        sources as given, and their self-application is not rotated.
-        For ``dense-tripleloop`` the raw ``(Phi, sigma)`` pair is kept and
-        Alg. 2 runs on every application.  ``phi`` is remembered by
-        identity: applying the Hamiltonian to this very array takes the
+    def set_exchange_sources(self, phi: np.ndarray, d: np.ndarray) -> None:
+        """Fix the density matrix ``P = Phi sigma Phi*`` defining the dense
+        V_x, given as sigma's eigenbasis image (paper Fig. 2(b),
+        :mod:`repro.occupation.sigma`): real-space rows ``phi~ = Phi Q``
+        and the eigenvalues ``d``.  The rows are the sources as given, and
+        their self-application needs no rotation.  ``phi`` is remembered
+        by identity: applying the Hamiltonian to this very array takes the
         half-cost self-application, so do not modify it in place between
         this call and :meth:`apply`.
         """
         require(self.functional.is_hybrid, "exchange sources need a hybrid functional")
-        if mode == "dense-diag":
-            if np.ndim(sigma) == 1:
-                self._exx_sources = (phi, sigma, None, phi)
-            else:
-                d, q = diagonalize_sigma(hermitize(sigma))
-                self._exx_sources = (rotate_orbitals(phi, q), d, q, phi)
-            self._exx_sigma_pair = None
-        elif mode == "dense-tripleloop":
-            if not hasattr(self.fock, "apply_mixed_tripleloop"):
-                raise ValueError(
-                    f"exchange mode 'dense-tripleloop' is the serial Alg. 2 reference; "
-                    f"{type(self.fock).__name__} does not implement it (use 'dense-diag')"
-                )
-            self._exx_sigma_pair = (phi, np.asarray(sigma))
-            self._exx_sources = None
-        else:
-            raise ValueError(f"bad dense exchange mode {mode!r}")
-        self.exchange_mode = mode
+        require(np.ndim(d) == 1, "exchange sources take sigma's eigenvalues; decompose sigma first")
+        self._exx_sources = (phi, d)
+        self.exchange_mode = "dense-diag"
         self._ace = None
 
     def set_ace(self, ace: ACEOperator) -> None:
@@ -177,60 +143,42 @@ class Hamiltonian:
         self._ace = ace
         self.exchange_mode = "ace"
         self._exx_sources = None
-        self._exx_sigma_pair = None
 
     def clear_exchange(self) -> None:
         self.exchange_mode = "none"
         self._exx_sources = None
-        self._exx_sigma_pair = None
         self._ace = None
 
     def build_ace(
-        self, phi: np.ndarray, sigma: np.ndarray, c: Optional[np.ndarray] = None
+        self, phi: np.ndarray, d: np.ndarray, c: Optional[np.ndarray] = None
     ) -> ACEOperator:
         """Construct an ACE operator from the dense action on ``phi``.
 
         This is the outer-SCF "ACE preparation" step of Fig. 4(b): one
-        dense (N^2-FFT) evaluation on the real-space rows ``phi``, then
-        compression on the sphere (``c`` is the sphere image of ``phi``
-        when the caller has it; ``W`` is packed here, once).  ``sigma``
-        reads as in :meth:`set_exchange_sources`: a matrix is decomposed
-        and rotated, a vector is the eigenvalues of rows already in
-        sigma's eigenbasis, whose ``W`` is the self-application as it
-        comes.  ``V_ACE = W (Phi* W)^-1 W*`` does not change when its
-        generating block is rotated by a unitary, so both give the
-        operator of ``(Phi, sigma)``.
+        dense (N^2-FFT) self-application on the real-space rows ``phi``,
+        then compression on the sphere (``c`` is the sphere image of
+        ``phi`` when the caller has it; ``W`` is packed here, once).
+        ``(phi, d)`` is sigma's eigenbasis image, as in
+        :meth:`set_exchange_sources`.  ``V_ACE = W (Phi* W)^-1 W*`` does
+        not change when its generating block is rotated by a unitary, so
+        this is the operator of ``(Phi, sigma)``.
         """
         require(self.fock is not None, "ACE requires a hybrid functional")
-        if np.ndim(sigma) == 1:
-            w = self.fock.apply_diag(phi, sigma)
-        else:
-            w, _, _ = self.fock.apply_mixed_via_diagonalization(phi, sigma)
+        w = self.fock.apply_diag(phi, d)
         c = self.grid.to_sphere(phi) if c is None else c
         return ACEOperator.from_dense_action(self.grid, c, self.grid.to_sphere(w, consume=True))
 
     # -- exchange application -------------------------------------------------------
     def apply_exchange(self, phi_r: np.ndarray) -> Optional[np.ndarray]:
-        """``alpha * V_x phi`` in real space for the dense modes; ``None``
+        """``alpha * V_x phi`` in real space for the dense exchange; ``None``
         when there is no dense exchange to add (semilocal, cleared, ACE —
         the compressed operator acts on the sphere inside :meth:`apply`)."""
-        if self.exchange_mode in ("none", "ace"):
+        if self.exchange_mode != "dense-diag":
             return None
-        alpha = self.functional.alpha
-        if self.exchange_mode == "dense-diag":
-            require(self._exx_sources is not None, "exchange sources not set")
-            src, d, q, block = self._exx_sources
-            if phi_r is not block:
-                return alpha * self.fock.apply_diag(src, d, phi_r)
-            # V_x[P] on the block that defines P: the self-application, in
-            # the basis the block was given in
-            vx = self.fock.apply_diag(src, d)
-            return alpha * (vx if q is None else unrotate_orbitals(vx, q))
-        if self.exchange_mode == "dense-tripleloop":
-            require(self._exx_sigma_pair is not None, "exchange sources not set")
-            phi_s, sigma = self._exx_sigma_pair
-            return alpha * self.fock.apply_mixed_tripleloop(phi_s, sigma, targets=phi_r)
-        raise RuntimeError(f"unknown exchange mode {self.exchange_mode!r}")
+        src, d = self._exx_sources
+        # on the block that defines P, the half-cost self-application
+        targets = None if phi_r is src else phi_r
+        return self.functional.alpha * self.fock.apply_diag(src, d, targets)
 
     # -- full application ---------------------------------------------------------
     def apply(

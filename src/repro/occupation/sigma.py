@@ -7,19 +7,18 @@ optimization of Sec. IV-A1 is the eigen-decomposition
 ``sigma = Q D Q*``: rotating orbitals by Q reduces both the density and
 the Fock-exchange evaluation to pure-state (diagonal-weight) form.
 
-This module provides that decomposition plus the two density paths —
-*pairwise* (baseline, N^2 band products) and *diag* (N products) — whose
-numerical identity is a core test of the reproduction.
+This module provides that decomposition plus the two density kernels —
+*pairwise* (baseline, N^2 band products, kept as the reference) and
+*diag* (N products) — whose numerical identity is a core test of the
+reproduction.
 
-Decompose once, rotate on the sphere.  A PT-IM midpoint ``(c_mid,
-sigma_mid)`` is decomposed once and its *sphere block* rotated,
-``c~ = Q^T c_mid`` (``npw`` wide, not ``ngrid``); the one transform the
-loop makes anyway takes ``c~`` to real space, and the density, ``H`` and
-the dense exchange (or the ACE build) all act on that image.  A diagonal
-sigma is then handed on as the vector ``d`` of its eigenvalues: every
-consumer here and in ``Hamiltonian.set_exchange_sources`` /
-``build_ace`` reads a 1-D ``sigma`` as "these orbitals already are
-sigma's eigenbasis", and neither decomposes nor rotates again.
+Decompose once, rotate on the sphere.  sigma reaches the density, ``H``
+and the ACE build in one form, its eigenbasis image ``(phi~ = Phi Q,
+d)``: the caller decomposes once (a PT-IM midpoint rotates its *sphere
+block*, ``c~ = Q^T c_mid``, ``npw`` wide, before the one transform it
+makes anyway) and hands on the rows ``phi~`` with the vector ``d``.
+:func:`density_from_orbitals_diag` and ``Hamiltonian.set_exchange_sources``
+/ ``build_ace`` take that pair and neither decompose nor rotate again.
 """
 
 from __future__ import annotations
@@ -99,22 +98,16 @@ def density_from_orbitals_pairwise(
 def density_from_orbitals_diag(
     grid: PlaneWaveGrid,
     phi: np.ndarray,
-    sigma: np.ndarray,
+    d: np.ndarray,
     degeneracy: float = 1.0,
 ) -> np.ndarray:
-    """Diag-optimized density: rotate by Q then sum ``d_i |phi_tilde_i|^2``.
+    """Diag-optimized density ``Σ_i d_i |phi~_i|^2`` of sigma's eigenbasis
+    image: real-space rows ``phi~ = Phi Q`` and eigenvalues ``d``.
 
     Numerically identical to the pairwise path (tested), with O(N Ng)
-    accumulation after the O(N^2 Ng) rotation GEMM — the paper's Sec.
-    IV-A1 density reduction.  A vector ``sigma`` is the eigenvalues ``d``
-    of rows ``phi`` that already are the eigenbasis image: no
-    decomposition, no rotation.
+    accumulation after the caller's rotation — the paper's Sec. IV-A1
+    density reduction.
     """
-    if sigma.ndim == 2:
-        d, q = diagonalize_sigma(hermitize(sigma))
-        phi = rotate_orbitals(phi, q)
-    else:
-        d = sigma
     rho = np.einsum("i,ir->r", d, (phi.conj() * phi).real)
     return degeneracy * rho
 

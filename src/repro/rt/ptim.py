@@ -39,17 +39,6 @@ where the density matrix is real (every ground state): the first move
 from ``x_0 = X_n`` the first iterate passes one check at any tolerance,
 and ``x_2``, where ``H`` has acted on the imaginary part, does not.
 
-Algorithm-variant switches (``PTIMOptions``) select the baseline or the
-Sec. IV-A1 optimized kernels:
-
-* ``fock_mode``: ``"dense-diag"`` (occupation-matrix diagonalization) or
-  ``"dense-tripleloop"`` (Alg. 2, N^3 FFTs — the baseline, on the serial
-  exchange operator only);
-* ``density_mode``: ``"diag"`` or ``"pairwise"``.
-
-Both pairs are numerically identical (tested); they differ only in cost,
-which is the paper's point.
-
 Representation.  A step packs ``state.phi`` once (``real -> sphere``),
 iterates on the packed unknown ``x = (c~, sigma)`` — sphere block and
 occupation matrix, ``N npw + N^2`` numbers, same 2-norm as
@@ -64,8 +53,7 @@ dense exchange or the ACE build all act on ``(c~, phi~, d)``; only
 the exchange's self-application needs no rotation at all.  The last
 midpoint of an ACE inner loop is the first of the next, so one
 PT-IM-ACE step decomposes ``n_inner + 1`` matrices, a dense PT-IM step
-``n + 1``.  The ``pairwise`` / ``dense-tripleloop`` baselines take the
-image unrotated (``c_mid``, the matrix).  One inner iteration makes two
+``n + 1``.  One inner iteration makes two
 batched transforms: ``sphere -> real`` of the rotated midpoint block
 (shared by the density, the residual, the dense-exchange sources and
 ``v_eff phi``) and ``real -> sphere`` of the local product inside
@@ -84,7 +72,6 @@ import numpy as np
 from repro.occupation.sigma import (
     clip_and_normalize,
     density_from_orbitals_diag,
-    density_from_orbitals_pairwise,
     diagonalize_sigma,
     hermitize,
     rotate_orbitals,
@@ -100,20 +87,18 @@ class MidpointImage(NamedTuple):
     """A midpoint ``(c_mid, sigma_mid)`` as the iteration sees it.
 
     ``c = Q^T c_mid`` is the sphere block in sigma's eigenbasis, ``phi``
-    its real-space rows and ``sigma`` the vector ``d`` of
-    ``hermitize(sigma_mid) = Q diag(d) Q*``.  The baselines' image is
-    unrotated: ``q`` is ``None``, ``c`` is ``c_mid`` and ``sigma`` the
-    hermitized matrix.
+    its real-space rows and ``d`` the eigenvalues of
+    ``hermitize(sigma_mid) = Q diag(d) Q*``.
     """
 
     c: np.ndarray
     phi: np.ndarray
-    sigma: np.ndarray
-    q: Optional[np.ndarray]
+    d: np.ndarray
+    q: np.ndarray
 
     def back(self, block: np.ndarray) -> np.ndarray:
         """A sphere block computed on ``c`` (as ``H c``), in ``c_mid``'s basis."""
-        return block if self.q is None else unrotate_orbitals(block, self.q)
+        return unrotate_orbitals(block, self.q)
 
 
 @dataclass
@@ -123,11 +108,21 @@ class PTIMOptions:
     #: bound on the relative density change of each of the last two
     #: iterates (the residual ``r_k`` of the module docstring)
     density_tol: float = 1.0e-6
+    #: cap on the applications of the map T per step (at least one)
     max_scf: int = 30
     mix_beta: float = 1.0
     mix_history: int = 20
-    fock_mode: Literal["dense-diag", "dense-tripleloop"] = "dense-diag"
-    density_mode: Literal["diag", "pairwise"] = "diag"
+    #: the dense exchange acts on sigma's eigenbasis image (Sec. IV-A1;
+    #: Alg. 2 is a kernel, not a mode): one value, kept as a key so that
+    #: configs naming it keep loading and hashing as before
+    fock_mode: Literal["dense-diag"] = "dense-diag"
+
+    def __post_init__(self) -> None:
+        require(
+            self.fock_mode == "dense-diag", f"fock_mode must be 'dense-diag', got {self.fock_mode!r}"
+        )
+        require(self.max_scf >= 1, f"max_scf must be >= 1, got {self.max_scf}")
+        require(self.density_tol > 0, f"density_tol must be positive, got {self.density_tol}")
 
 
 class PTIMPropagator(PropagatorBase):
@@ -143,29 +138,16 @@ class PTIMPropagator(PropagatorBase):
         self._mixer = AndersonMixer(history=self.options.mix_history, beta=self.options.mix_beta)
 
     # -- helpers ---------------------------------------------------------------
-    def _density(self, phi: np.ndarray, sigma: np.ndarray) -> np.ndarray:
-        """Density of real-space rows ``phi`` under ``sigma`` — a Hermitian
-        matrix, or the eigenvalues of an eigenbasis image
-        (:class:`MidpointImage`)."""
-        mode = self.options.density_mode
-        if mode == "diag":
-            rho = density_from_orbitals_diag(self.grid, phi, sigma, self.ham.degeneracy)
-        elif mode == "pairwise":
-            rho = density_from_orbitals_pairwise(self.grid, phi, sigma, self.ham.degeneracy)
-        else:
-            raise ValueError(f"bad density_mode {mode!r}")
+    def _density(self, image: MidpointImage) -> np.ndarray:
+        """The density ``Σ d_i |phi~_i|^2`` of a midpoint, from its image."""
+        rho = density_from_orbitals_diag(self.grid, image.phi, image.d, self.ham.degeneracy)
         return clip_and_normalize(rho, self.ham.n_electrons, self.grid.dv)
 
     def _image(self, c_mid: np.ndarray, sigma_mid: np.ndarray) -> MidpointImage:
         """The midpoint's image the iteration works on: sigma decomposed
         once and the sphere block rotated into its eigenbasis, then taken
-        to real space; unrotated for the ``pairwise`` / ``dense-tripleloop``
-        baselines, which never diagonalize."""
-        sigma = hermitize(sigma_mid)
-        opts = self.options
-        if opts.density_mode == "pairwise" or opts.fock_mode == "dense-tripleloop":
-            return MidpointImage(c_mid, self.grid.to_real(c_mid), sigma, None)
-        d, q = diagonalize_sigma(sigma)
+        to real space."""
+        d, q = diagonalize_sigma(hermitize(sigma_mid))
         c = rotate_orbitals(c_mid, q)
         return MidpointImage(c, self.grid.to_real(c), d, q)
 
@@ -189,7 +171,7 @@ class PTIMPropagator(PropagatorBase):
         """Point the dense exchange at the midpoint density matrix, given
         as its image: ``H`` is then applied to the sources themselves."""
         if self.ham.functional.is_hybrid:
-            self.ham.set_exchange_sources(image.phi, image.sigma, mode=self.options.fock_mode)
+            self.ham.set_exchange_sources(image.phi, image.d)
 
     def _fixed_point_update(
         self,
@@ -263,7 +245,7 @@ class PTIMPropagator(PropagatorBase):
             c_mid, sigma_mid = self._midpoint(state, x)
             if image is None:
                 image = self._image(c_mid, sigma_mid)
-            rho_mid = self._density(image.phi, image.sigma)
+            rho_mid = self._density(image)
             if rho_prev is not None:
                 last = resid
                 resid = 2.0 * float(np.abs(rho_mid - rho_prev).sum()) * grid.dv / ham.n_electrons

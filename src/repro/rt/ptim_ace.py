@@ -37,6 +37,7 @@ import numpy as np
 from repro.occupation.sigma import hermitize
 from repro.rt.propagator import StepStats, TDState
 from repro.rt.ptim import MidpointImage, PTIMOptions, PTIMPropagator
+from repro.utils.validation import require
 
 
 @dataclass
@@ -46,6 +47,12 @@ class PTIMACEOptions(PTIMOptions):
     exchange_tol: float = 1.0e-6
     max_outer: int = 10
     max_inner: int = 20
+
+    def __post_init__(self) -> None:
+        super().__post_init__()
+        require(self.max_outer >= 1, f"max_outer must be >= 1, got {self.max_outer}")
+        require(self.max_inner >= 1, f"max_inner must be >= 1, got {self.max_inner}")
+        require(self.exchange_tol > 0, f"exchange_tol must be positive, got {self.exchange_tol}")
 
 
 class PTIMACEPropagator(PTIMPropagator):
@@ -80,7 +87,7 @@ class PTIMACEPropagator(PTIMPropagator):
             n_outer += 1
             # one dense (N^2-FFT) exchange evaluation on the midpoint's
             # eigenbasis rows + compression on the sphere
-            ace_mid = ham.build_ace(image.phi, image.sigma, image.c)
+            ace_mid = ham.build_ace(image.phi, image.d, image.c)
             ham.set_ace(ace_mid)
 
             x, n_inner, resid, inner_converged, image = self._solve_fixed_point(

@@ -12,6 +12,10 @@ bodies left ``src`` when the solvers moved onto ``(N, npw)`` sphere
 blocks; they are kept here, verbatim up to the names they call, as the
 oracles the sphere kernels are tested against (the way
 ``test_scf_solvers.py`` keeps the stack-and-solve mixer).
+
+The real-space step builds its densities with the pairwise kernel and,
+on request, its dense exchange with Alg. 2 (:class:`TripleLoopExchange`):
+the two baselines that used to be propagator modes and are now kernels.
 """
 
 import itertools
@@ -20,7 +24,14 @@ import numpy as np
 
 from repro.backend import Backend
 from repro.hamiltonian.ace import ACEOperator
-from repro.occupation.sigma import hermitize
+from repro.occupation.sigma import (
+    clip_and_normalize,
+    density_from_orbitals_diag,
+    density_from_orbitals_pairwise,
+    diagonalize_sigma,
+    hermitize,
+    rotate_orbitals,
+)
 from repro.rt import PTIMACEPropagator, TDState
 from repro.rt.ptcn import PTCNPropagator
 from repro.scf.eigensolver import (
@@ -168,11 +179,33 @@ def real_space_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
     return DavidsonResult(eig, phi, res_norms, max_iter, False)
 
 
-def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
+def matrix_diag_density(grid, phi, sigma, degeneracy=1.0):
+    """``density_from_orbitals_diag`` on a sigma *matrix*, its branch until
+    it took only the eigenbasis image: decompose, rotate the real-space
+    rows, sum ``d_i |phi~_i|^2``."""
+    d, q = diagonalize_sigma(hermitize(sigma))
+    return density_from_orbitals_diag(grid, rotate_orbitals(phi, q), d, degeneracy)
+
+
+class TripleLoopExchange:
+    """The dense exchange of ``(phi, sigma)`` by Alg. 2, the baseline
+    kernel ``FockExchangeOperator.apply_mixed_tripleloop``, as an operator
+    on real-space rows that ``real_space_apply`` takes as ``ace=``."""
+
+    def __init__(self, fock, phi, sigma):
+        self.fock, self.phi, self.sigma = fock, phi, sigma
+
+    def apply(self, targets):
+        return self.fock.apply_mixed_tripleloop(self.phi, self.sigma, targets=targets)
+
+
+def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace, tripleloop=False):
     """The PT-IM inner loop on real-space rows, a mixer per loop, the
     ``(Phi_r, sigma)`` unknowns concatenated and split on every iteration.
-    ``ace`` (real-space) replaces the dense exchange when given.  The
-    stopping rule is ``_solve_fixed_point``'s and the map is the IMEX map of
+    The density is the pairwise kernel's; ``ace`` (real-space) replaces the
+    dense exchange when given, which is otherwise that of sigma's
+    eigenbasis image, or Alg. 2's with ``tripleloop``.  The stopping rule is
+    ``_solve_fixed_point``'s and the map is the IMEX map of
     ``_fixed_point_update`` (the orbital residual divided by
     ``1 + i dt/2 |G|^2/2`` over the whole box, one FFT round trip; the sigma
     resolvent as there): this oracle tests the representation, so it must
@@ -185,7 +218,9 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
     for n_iter in itertools.count():
         phi_mid = 0.5 * (phi_n + phi_g)
         sigma_mid = 0.5 * (sigma_n + sigma_g)
-        rho_mid = prop._density(phi_mid, sigma_mid)
+        sigma_h = hermitize(sigma_mid)
+        rho_mid = density_from_orbitals_pairwise(grid, phi_mid, sigma_h, ham.degeneracy)
+        rho_mid = clip_and_normalize(rho_mid, ham.n_electrons, grid.dv)
         if rho_prev is not None:
             last = resid
             resid = 2.0 * float(np.abs(rho_mid - rho_prev).sum()) * grid.dv / ham.n_electrons
@@ -195,9 +230,14 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace):
         rho_prev = rho_mid
         ham.update_density(rho_mid)
         ham.set_time(state.time + 0.5 * dt)
+        exchange = ace
         if ace is None and ham.functional.is_hybrid:
-            ham.set_exchange_sources(phi_mid, hermitize(sigma_mid), mode=opts.fock_mode)
-        h_phi = real_space_apply(ham, phi_mid, ace=ace)
+            if tripleloop:
+                exchange = TripleLoopExchange(ham.fock, phi_mid, sigma_h)
+            else:
+                d, q = diagonalize_sigma(sigma_h)
+                ham.set_exchange_sources(rotate_orbitals(phi_mid, q), d)
+        h_phi = real_space_apply(ham, phi_mid, ace=exchange)
         c = grid.inner(phi_mid, h_phi)
         h_perp = h_phi - np.linalg.solve(grid.inner(phi_mid, phi_mid), c).T @ phi_mid
         h_sub = 0.5 * (c + c.conj().T)
@@ -238,18 +278,17 @@ def output_density_fixed_point(prop, state, dt, x, max_iter, image=None):
     gx = np.empty_like(x)
     c_new, sigma_new = prop._unpack(gx, nb)
     prop._mixer.reset()
-    c_g, sigma_g = prop._unpack(x, nb)
-    rho_prev = prop._density(grid.to_real(c_g), sigma_g)
+    rho_prev = prop._density(prop._image(*prop._unpack(x, nb)))
     resid, converged = np.inf, False
     for n_iter in range(1, max_iter + 1):
         c_mid, sigma_mid = prop._midpoint(state, x)
         image = prop._image(c_mid, sigma_mid)
-        ham.update_density(prop._density(image.phi, image.sigma))
+        ham.update_density(prop._density(image))
         ham.set_time(state.time + 0.5 * dt)
         prop._set_midpoint_exchange(image)
         prop._fixed_point_update(state, c_mid, sigma_mid, image, dt, c_new, sigma_new)
 
-        rho_out = prop._density(grid.to_real(c_new), sigma_new)
+        rho_out = prop._density(prop._image(c_new, sigma_new))
         resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
         rho_prev = rho_out
         x = prop._mixer.mix(x, gx)
@@ -286,9 +325,11 @@ def plain_fixed_point_update(prop, state, c_mid, sigma_mid, image, dt, c_out, si
         sigma_out[...] = state.sigma
 
 
-def real_space_step(prop, state, dt):
+def real_space_step(prop, state, dt, tripleloop=False):
     """One step of ``prop``'s scheme (PT-IM, PT-IM-ACE or PT-CN) entirely
-    on real-space rows, with ``prop``'s options and Hamiltonian.
+    on real-space rows, with ``prop``'s options and Hamiltonian;
+    ``tripleloop`` evaluates the dense exchange of PT-IM and PT-CN by
+    Alg. 2.
 
     Returns ``(state, (inner, outer, fock applications, ACE builds,
     residual, converged))``.
@@ -321,7 +362,7 @@ def real_space_step(prop, state, dt):
         counts = (n_inner, n_outer, n_outer, n_outer, resid, converged)
     else:
         phi_g, sigma_g, n, resid, converged = _real_space_loop(
-            prop, state, dt, phi_g, sigma_g, opts.max_scf, None
+            prop, state, dt, phi_g, sigma_g, opts.max_scf, None, tripleloop
         )
         counts = (n, 1, n if ham.functional.is_hybrid else 0, 0, resid, converged)
     sigma = state.sigma if isinstance(prop, PTCNPropagator) else hermitize(sigma_g)

@@ -225,6 +225,31 @@ def test_propagator_options_validated():
         PROPAGATORS.build("ptim", None, {"densty_tol": 1e-6})
 
 
+@pytest.mark.parametrize(
+    "name,options,error",
+    [
+        ("ptim", {"max_scf": 0}, ValueError),
+        ("ptim", {"max_scf": -2}, ValueError),
+        ("ptcn", {"density_tol": 0.0}, ValueError),
+        ("ptim", {"density_tol": -1e-6}, ValueError),
+        ("ptim_ace", {"max_outer": 0}, ValueError),
+        ("ptim_ace", {"max_inner": 0}, ValueError),
+        ("ptim_ace", {"exchange_tol": 0.0}, ValueError),
+        ("ptim", {"fock_mode": "dense-tripleloop"}, ValueError),
+        ("ptim", {"density_mode": "pairwise"}, RegistryError),
+    ],
+)
+def test_propagator_options_refuse_what_cannot_run(name, options, error):
+    """An iteration cap below one is no cap (the loop stops on equality, or
+    its body never runs and the step returns the unmoved state), a
+    tolerance of zero is never met, and the exchange and density act on
+    sigma's eigenbasis image only: each is refused by name at build time,
+    before any Hamiltonian is needed."""
+    (key,) = options
+    with pytest.raises(error, match=key):
+        PROPAGATORS.build(name, None, options)
+
+
 def test_config_diff_names_dotted_keys():
     from repro.api import SimulationConfig
 

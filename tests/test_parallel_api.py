@@ -109,17 +109,6 @@ def test_distributed_fock_satisfies_operator_protocol():
     assert isinstance(FockExchangeOperator(grid, kern), FockOperatorLike)
 
 
-def test_tripleloop_baseline_is_refused_on_the_distributed_operator():
-    """The Alg. 2 reference lives on the serial operator only; asking a
-    Hamiltonian over the distributed one for it says so, up front."""
-    ham = Simulation({**CFG, "parallel": _parallel_cfg(2, "ring")}).hamiltonian
-    n = 4
-    phi = np.zeros((n, ham.grid.ngrid), dtype=complex)
-    with pytest.raises(ValueError, match="dense-tripleloop.*DistributedFockExchange does not implement"):
-        ham.set_exchange_sources(phi, np.eye(n), mode="dense-tripleloop")
-    assert ham.exchange_mode == "none"
-
-
 # ---------------- SCF + trajectory parity ---------------------------------------
 @pytest.mark.parametrize("ranks", [2, 4])
 def test_distributed_scf_bitwise_identical_to_serial(serial_sim, ranks):

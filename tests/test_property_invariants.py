@@ -1,11 +1,11 @@
 """Property-based invariants (hypothesis): conservation laws and gauge
 freedom must hold for *random* small systems, not just curated fixtures.
 
-Three families, spanning propagator x fock_mode x density_mode:
+Three families, spanning propagator x functional:
 
 * gauge independence — the density (hence the dipole) is invariant under
   the sigma-diagonalizing orbital rotation freedom of paper Eq. (11),
-  for both density evaluation paths;
+  for both density kernels;
 * step invariants — one PT step from an arbitrary (orthonormal-orbital,
   physical-sigma) state preserves sigma hermiticity, the particle number
   trace, and orbital orthonormality, converged or not;
@@ -23,11 +23,11 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oracles import matrix_diag_density  # noqa: E402
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell  # noqa: E402
 from repro.hamiltonian import Hamiltonian  # noqa: E402
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment  # noqa: E402
 from repro.occupation.sigma import (  # noqa: E402
-    density_from_orbitals_diag,
     density_from_orbitals_pairwise,
     hermitize,
     trace_sigma,
@@ -89,14 +89,18 @@ def test_density_modes_agree(seed, nbands):
     """The diag (rotated) and pairwise density paths are numerically one."""
     state = _random_state(seed, nbands)
     sigma = hermitize(state.sigma)
-    rho_diag = density_from_orbitals_diag(_grid(), state.phi, sigma, 2.0)
+    rho_diag = matrix_diag_density(_grid(), state.phi, sigma, 2.0)
     rho_pair = density_from_orbitals_pairwise(_grid(), state.phi, sigma, 2.0)
     np.testing.assert_allclose(rho_diag, rho_pair, rtol=0.0, atol=1e-10)
 
 
 @SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), nbands=st.integers(2, 6))
-@pytest.mark.parametrize("density", [density_from_orbitals_diag, density_from_orbitals_pairwise])
+@pytest.mark.parametrize(
+    "density",
+    [matrix_diag_density, density_from_orbitals_pairwise],
+    ids=["density_from_orbitals_diag", "density_from_orbitals_pairwise"],
+)
 def test_dipole_gauge_independent(density, seed, nbands):
     """Rotating (Phi, sigma) by any unitary leaves density and dipole alone.
 
@@ -128,13 +132,12 @@ def test_dipole_gauge_independent(density, seed, nbands):
 
 _FAST = dict(density_tol=1e-3, max_scf=4)
 
-#: propagator x functional x algorithm-variant coverage matrix
+#: propagator x functional coverage matrix (the ids name the density and
+#: exchange modes the cases once ran; there is one path now)
 PT_CASES = [
-    ("ptim-lda-diag", "lda", lambda: PTIMPropagator(_ham("lda"), PTIMOptions(density_mode="diag", **_FAST))),
-    ("ptim-lda-pairwise", "lda", lambda: PTIMPropagator(_ham("lda"), PTIMOptions(density_mode="pairwise", **_FAST))),
-    ("ptim-hse-densediag", "hse", lambda: PTIMPropagator(_ham("hse"), PTIMOptions(fock_mode="dense-diag", **_FAST))),
-    ("ptim-hse-tripleloop", "hse", lambda: PTIMPropagator(_ham("hse"), PTIMOptions(fock_mode="dense-tripleloop", **_FAST))),
-    ("ptcn-hse-pairwise", "hse", lambda: PTCNPropagator(_ham("hse"), PTCNOptions(fock_mode="dense-diag", density_mode="pairwise", **_FAST))),
+    ("ptim-lda-diag", "lda", lambda: PTIMPropagator(_ham("lda"), PTIMOptions(**_FAST))),
+    ("ptim-hse-densediag", "hse", lambda: PTIMPropagator(_ham("hse"), PTIMOptions(**_FAST))),
+    ("ptcn-hse-pairwise", "hse", lambda: PTCNPropagator(_ham("hse"), PTCNOptions(**_FAST))),
     ("ptim_ace-hse", "hse", lambda: PTIMACEPropagator(_ham("hse"), PTIMACEOptions(max_outer=2, max_inner=3, **_FAST))),
 ]
 

@@ -6,7 +6,12 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import output_density_fixed_point, plain_fixed_point_update, real_space_step
+from oracles import (
+    matrix_diag_density,
+    output_density_fixed_point,
+    plain_fixed_point_update,
+    real_space_step,
+)
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid import PlaneWaveGrid
 from repro.hamiltonian import Hamiltonian
@@ -25,7 +30,7 @@ from repro.rt import (
 from repro.rt.gauge import density_matrix_distance
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
 from repro.occupation.sigma import (
-    density_from_orbitals_diag,
+    clip_and_normalize,
     diagonalize_sigma,
     hermitize,
     rotate_orbitals,
@@ -188,7 +193,9 @@ def test_ace_double_loop_statistics(hse_ground_state):
 
 
 def test_baseline_fock_mode_matches_diag_mode(hse_ground_state):
-    """One PT-IM step with Alg. 2 triple-loop == with diagonalization."""
+    """One PT-IM step on sigma's eigenbasis image == the same step on real-
+    space rows with the baseline kernels: Alg. 2's triple-loop exchange and
+    the pairwise density (``oracles.real_space_step``)."""
     ham, gs = hse_ground_state
     ham.field = ZeroField()
     # small subsystem to keep the N^3 loop cheap
@@ -197,21 +204,10 @@ def test_baseline_fock_mode_matches_diag_mode(hse_ground_state):
     sigma = gs.sigma[:n, :n].copy()
     state = TDState(phi, sigma, 0.0)
 
-    out = {}
-    for mode in ("dense-diag", "dense-tripleloop"):
-        prop = PTIMPropagator(
-            ham,
-            PTIMOptions(density_tol=1e-9, max_scf=25, fock_mode=mode, density_mode="pairwise"),
-            record_energy=False,
-        )
-        out[mode], _ = prop.step(state.copy(), DT_50AS)
-    dist = density_matrix_distance(
-        ham.grid,
-        out["dense-diag"].phi,
-        out["dense-diag"].sigma,
-        out["dense-tripleloop"].phi,
-        out["dense-tripleloop"].sigma,
-    )
+    prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-9, max_scf=25), record_energy=False)
+    ref, _ = real_space_step(prop, state.copy(), DT_50AS, tripleloop=True)
+    new, _ = prop.step(state.copy(), DT_50AS)
+    dist = density_matrix_distance(ham.grid, new.phi, new.sigma, ref.phi, ref.sigma)
     assert dist < 1e-7
 
 
@@ -728,7 +724,7 @@ def test_observe_decomposes_sigma_once_for_density_and_energy(hse_ground_state, 
     sigma = hermitize(random_hermitian_sigma(n, default_rng(31)))
     state = TDState(gs.orbitals[:n].copy(), sigma, 0.0)
     ham.set_time(state.time)
-    rho = density_from_orbitals_diag(grid, state.phi, hermitize(state.sigma), ham.degeneracy)
+    rho = matrix_diag_density(grid, state.phi, state.sigma, ham.degeneracy)
     rho = np.maximum(rho, 0.0)
     rho *= ham.n_electrons / (rho.sum() * grid.dv)
     dipole = dipole_moment(grid, rho, cell_centered_coordinates(grid))
@@ -742,3 +738,35 @@ def test_observe_decomposes_sigma_once_for_density_and_energy(hse_ground_state, 
         assert len(decompositions) == expected
         assert np.array_equal(prop.record.dipole[0], dipole)
     assert np.array_equal(prop.record.energy[0], energy)
+
+
+def test_rk4_hybrid_step_decomposes_sigma_once(hse_ground_state, monkeypatch):
+    """One HSE RK4 step under a non-diagonal sigma, so that ``Q`` is no
+    permutation: the stages built on sigma's eigenbasis image and rotated
+    back equal ``-i (H_noexch phi + alpha V_x[Phi sigma Phi*] phi)`` staged
+    by hand on the matrix, and sigma, constant over the step, is decomposed
+    once (twice per stage while the density and the exchange sources each
+    decomposed the matrix)."""
+    ham, state = _small_hse_state(hse_ground_state, n=6)
+    sigma = hermitize(random_hermitian_sigma(state.nbands, default_rng(41)))
+    phi, grid, dt = state.phi, ham.grid, AU_PER_ATTOSECOND
+
+    def rhs(block, t):
+        rho = matrix_diag_density(grid, block, sigma, ham.degeneracy)
+        ham.update_density(clip_and_normalize(rho, ham.n_electrons, grid.dv))
+        ham.set_time(t)
+        vx, _, _ = ham.fock.apply_mixed_via_diagonalization(block, sigma)
+        exchange = grid.to_real(grid.to_sphere(ham.functional.alpha * vx))
+        return -1j * (ham.apply_real(block, include_exchange=False) + exchange)
+
+    k1 = rhs(phi, 0.0)
+    k2 = rhs(phi + 0.5 * dt * k1, 0.5 * dt)
+    k3 = rhs(phi + 0.5 * dt * k2, 0.5 * dt)
+    k4 = rhs(phi + dt * k3, dt)
+    increment = (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    decompositions = _count_calls(monkeypatch, diagonalize_sigma)
+    new, _ = RK4Propagator(ham, record_energy=False).step(TDState(phi, sigma, 0.0), dt)
+    assert len(decompositions) == 1
+    assert np.abs((new.phi - phi) - increment).max() <= 1e-12 * np.abs(increment).max()
+    np.testing.assert_array_equal(new.sigma, sigma)
