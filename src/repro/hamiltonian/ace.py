@@ -101,9 +101,10 @@ class ACEOperator:
         amps = (self.xi.conj() @ psi.T) * self.grid.dv  # (rank, nb)
         return -(amps.T @ self.xi)
 
-    def exchange_energy(
-        self, phi: np.ndarray, sigma: np.ndarray, degeneracy: float = 1.0
-    ) -> float:
-        """``(deg/2) Tr[sigma O]`` with ``O_kl = <phi_k|V_ACE phi_l>``."""
-        overlap = self.grid.inner(phi, self.apply(phi))
-        return 0.5 * degeneracy * float(np.trace(sigma @ overlap).real)
+    def exchange_energy(self, phi: np.ndarray, d: np.ndarray, degeneracy: float = 1.0) -> float:
+        """``(deg/2) Σ_i d_i <phi~_i|V_ACE phi~_i>`` on sigma's eigenbasis
+        image ``(phi~, d)`` (see :meth:`FockExchangeOperator.exchange_energy`),
+        with ``<psi|V_ACE psi> = -Σ_k |<xi_k|psi>|^2``: one GEMM."""
+        require(np.ndim(d) == 1, "exchange energy takes sigma's eigenvalues; decompose sigma first")
+        amps = (self.xi.conj() @ phi.T) * self.grid.dv  # (rank, nb)
+        return -0.5 * degeneracy * float(np.dot(d, (amps.conj() * amps).real.sum(axis=0)))

@@ -23,16 +23,16 @@ Three evaluation strategies, all numerically equivalent (tested):
     FFT.  Its potentials ``pot_ab`` yield the partial sum
     ``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
     ``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
-    indices alone, which is what lets
-    :class:`~repro.parallel.distfock.DistributedFockExchange` hand tile
-    pairs to any rank and stay bit-identical.  When the operator acts on
-    its own sources (no ``targets``: every production call — midpoint
-    exchange, ACE build, exchange energy, the hybrid SCF) the kernel is
-    real and even in G, so ``pot_ba = conj(pot_ab)``: each unordered
-    pair ``{I <= J}`` is transformed once and also yields
-    ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
-    instead of the paper's N^2.  An arbitrary target block takes the
-    same kernel over all ``(I, J)`` and uses ``P[I->J]`` only.
+    indices alone, which is what lets the subclass
+    :class:`~repro.parallel.distfock.DistributedFockExchange` override
+    this one method, hand tile pairs to any rank and stay bit-identical.
+    When the operator acts on its own sources (no ``targets``: every
+    production call — midpoint exchange, ACE build, exchange energy, the
+    hybrid SCF) the kernel is real and even in G, so ``pot_ba =
+    conj(pot_ab)``: each unordered pair ``{I <= J}`` is transformed once
+    and also yields ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2
+    Poisson solves instead of the paper's N^2.  An arbitrary target block
+    takes the same kernel over all ``(I, J)`` and uses ``P[I->J]`` only.
 
 Conventions: orbitals are real-space rows ``(N, ngrid)``; pair densities
 carry the continuum normalization through ``grid.dv``-weighted inner
@@ -43,7 +43,7 @@ fraction alpha (applied by the Hamiltonian).
 from __future__ import annotations
 
 from math import isqrt
-from typing import Iterator, List, Optional, Protocol, Tuple, runtime_checkable
+from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -86,35 +86,6 @@ def symmetric_tile_pairs(
                 yield i, j, None
             elif keep.any():
                 yield i, j, keep
-
-
-@runtime_checkable
-class FockOperatorLike(Protocol):
-    """What the Hamiltonian, SCF loop and propagators require of an
-    exchange operator — satisfied by :class:`FockExchangeOperator` and by
-    :class:`~repro.parallel.distfock.DistributedFockExchange`, so the two
-    substitute behind one seam (``Hamiltonian(fock_factory=...)``).  The
-    Alg. 2 baseline ``apply_mixed_tripleloop`` is not part of it: only the
-    serial operator keeps that reference."""
-
-    batch_size: int
-    kernel_g: np.ndarray
-
-    def apply_diag(
-        self, phi_src: np.ndarray, weights: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray: ...
-
-    def apply_mixed_via_diagonalization(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]: ...
-
-    def exchange_energy(
-        self,
-        phi: np.ndarray,
-        sigma: np.ndarray,
-        degeneracy: float = 1.0,
-        vx_phi: Optional[np.ndarray] = None,
-    ) -> float: ...
 
 
 class FockExchangeOperator:
@@ -321,18 +292,19 @@ class FockExchangeOperator:
     def exchange_energy(
         self,
         phi: np.ndarray,
-        sigma: np.ndarray,
+        d: np.ndarray,
         degeneracy: float = 1.0,
         vx_phi: Optional[np.ndarray] = None,
     ) -> float:
-        """``E_x = (deg/2) Re Tr[sigma (Phi | V_x Phi)]`` (no alpha factor).
+        """``E_x = (deg/2) Σ_i d_i Re <phi~_i|V_x phi~_i>`` (no alpha factor).
 
-        Derivation: ``E_x = (deg/2) Tr[P V_x]`` with
-        ``P = Phi sigma Phi^*``; in the orbital basis this is
-        ``Tr[sigma O]`` with ``O_kl = <phi_k|V_x phi_l>``.  For a diagonal
-        pure-state sigma it reduces to ``-(deg/2) Σ_ij f_i f_j (ij|ji)``.
+        ``(phi, d)`` is sigma's eigenbasis image, as for :meth:`apply_diag`;
+        ``vx_phi`` is ``V_x phi`` when the caller has it.  Derivation:
+        ``E_x = (deg/2) Tr[P V_x]`` with ``P = Phi~ D Phi~^*`` is ``Tr[D O]``,
+        ``O_kl = <phi~_k|V_x phi~_l>``: only the overlap's diagonal enters.
         """
+        require(np.ndim(d) == 1, "exchange energy takes sigma's eigenvalues; decompose sigma first")
         if vx_phi is None:
-            vx_phi, _, _ = self.apply_mixed_via_diagonalization(phi, sigma)
-        overlap = self.grid.inner(phi, vx_phi)  # <phi_k | Vx phi_l>
-        return 0.5 * degeneracy * float(np.trace(sigma @ overlap).real)
+            vx_phi = self.apply_diag(phi, d)
+        diag = np.einsum("ir,ir->i", phi.conj(), vx_phi).real * self.grid.dv
+        return 0.5 * degeneracy * float(np.dot(d, diag))

@@ -73,8 +73,8 @@ class Hamiltonian:
         self.kinetic = KineticOperator(grid)
         if functional.is_hybrid:
             # ``fock_factory`` (grid, kernel_g, batch_size) -> operator lets
-            # callers substitute any FockOperatorLike — e.g. the band-parallel
-            # DistributedFockExchange — behind the same protocol
+            # callers substitute a FockExchangeOperator subclass — the
+            # band-parallel DistributedFockExchange
             factory = FockExchangeOperator if fock_factory is None else fock_factory
             self.fock = factory(grid, functional.kernel(grid), fock_batch_size)
         else:

@@ -4,8 +4,9 @@
 + alpha E_x + E_II + E_{G=0}``
 
 evaluated through the sigma eigenbasis (the same diagonalization that
-accelerates the Fock operator).  Field-free, this is conserved by exact
-dynamics — the drift measures integrator quality.
+accelerates the Fock operator), exact exchange included: on ``(Phi Q, d)``.
+Field-free, this is conserved by exact dynamics — the drift measures
+integrator quality.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def td_total_energy(
 
     e_x = 0.0
     if ham.functional.is_hybrid and ham.fock is not None:
-        e_x = ham.functional.alpha * ham.fock.exchange_energy(phi, sigma, deg)
+        e_x = ham.functional.alpha * ham.fock.exchange_energy(rotate_orbitals(phi, q), d, deg)
 
     return EnergyBreakdown(
         kinetic=e_kin,

@@ -19,12 +19,7 @@ import numpy as np
 
 from repro.backend import Backend, FFTCounters
 from repro.parallel.comm import SimComm
-from repro.parallel.distfock import (
-    PATTERNS,
-    DistributedFockExchange,
-    merge_counters,
-    merged_rank_counters,
-)
+from repro.parallel.distfock import PATTERNS, DistributedFockExchange
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec, machine_by_name
 from repro.utils.validation import require
@@ -163,12 +158,18 @@ class ParallelContext:
         distributed work has been built yet)."""
         if self._rank_backends is None:
             return None
-        return merged_rank_counters(self._rank_backends)
+        counters = [b.counters for b in self._rank_backends]
+        return None if any(c is None for c in counters) else counters
 
     def fft_totals(self) -> Optional[FFTCounters]:
         """Merged rank tallies (``None`` when uncounted)."""
         per_rank = self.fft_by_rank()
-        return None if per_rank is None else merge_counters(per_rank)
+        if per_rank is None:
+            return None
+        total = FFTCounters()
+        for c in per_rank:
+            total.merge(c)
+        return total
 
     def session_ledger(self) -> CostLedger:
         """Only the records charged in *this* session (a resumed run's

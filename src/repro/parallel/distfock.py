@@ -47,10 +47,9 @@ That exactness holds by construction, not by luck of the shard sizes:
   merge equals the serial transform count — nothing is double-counted
   into the shared grid backend.
 
-The class is a drop-in protocol twin of ``FockExchangeOperator``
-(``apply_diag`` / ``apply_mixed_via_diagonalization`` /
-``exchange_energy``), which is how
-:class:`~repro.hamiltonian.hamiltonian.Hamiltonian` substitutes it
+The class is a :class:`~repro.hamiltonian.fock.FockExchangeOperator`
+that changes only *where* ``apply_diag`` runs and what ``exchange_energy``
+charges, so :class:`~repro.hamiltonian.hamiltonian.Hamiltonian` runs it
 behind every SCF loop and RT propagator.
 """
 
@@ -62,15 +61,9 @@ from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Backend, FFTCounters
+from repro.backend import Backend
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator, band_tiles, symmetric_tile_pairs
-from repro.occupation.sigma import (
-    diagonalize_sigma,
-    hermitize,
-    rotate_orbitals,
-    unrotate_orbitals,
-)
 from repro.parallel.comm import SimComm
 from repro.parallel.layouts import BandLayout, partition_offsets, partition_sizes
 from repro.utils.validation import require
@@ -82,23 +75,7 @@ PATTERNS: Tuple[str, ...] = ("bcast", "ring", "async-ring")
 COMPLEX_BYTES = 16.0
 
 
-def merged_rank_counters(backends: Sequence[Backend]) -> Optional[List[FFTCounters]]:
-    """The per-rank :class:`FFTCounters` list, or ``None`` when uncounted."""
-    counters = [b.counters for b in backends]
-    if any(c is None for c in counters):
-        return None
-    return counters
-
-
-def merge_counters(counters: Sequence[FFTCounters]) -> FFTCounters:
-    """Sum a list of tallies into one fresh :class:`FFTCounters`."""
-    total = FFTCounters()
-    for c in counters:
-        total.merge(c)
-    return total
-
-
-class DistributedFockExchange:
+class DistributedFockExchange(FockExchangeOperator):
     """Band-parallel screened-exchange executor over a :class:`SimComm`.
 
     Parameters
@@ -132,12 +109,10 @@ class DistributedFockExchange:
         rank_backends: Optional[Sequence[Backend]] = None,
     ) -> None:
         require(pattern in PATTERNS, f"unknown pattern {pattern!r}; use one of {PATTERNS}")
-        self.grid = grid
+        super().__init__(grid, kernel_g, batch_size)
         self.comm = comm
         self.pattern = pattern
-        self.batch_size = int(batch_size)
         self.use_shm = bool(use_shm)
-        self.kernel_g = np.asarray(kernel_g, dtype=float)
         if rank_backends is None:
             rank_backends = [grid.backend.view() for _ in range(comm.nranks)]
         require(
@@ -158,20 +133,6 @@ class DistributedFockExchange:
     def ledger(self):
         """The communication :class:`~repro.parallel.ledger.CostLedger`."""
         return self.comm.ledger
-
-    def fft_by_rank(self) -> Optional[List[FFTCounters]]:
-        """Per-rank FFT tallies (``None`` when the engine is uncounted)."""
-        return merged_rank_counters(self.rank_backends)
-
-    def fft_totals(self) -> Optional[FFTCounters]:
-        """Merged FFT tally over all ranks (``None`` when uncounted)."""
-        per_rank = self.fft_by_rank()
-        return None if per_rank is None else merge_counters(per_rank)
-
-    def _allreduce_participants(self) -> int:
-        if not self.use_shm:
-            return self.comm.nranks
-        return self.comm.machine.nodes(self.comm.nranks)
 
     def _block_compute_seconds(self, n_pairs: float) -> float:
         """Modeled FFT time for ``n_pairs`` pair-density solves."""
@@ -325,42 +286,20 @@ class DistributedFockExchange:
         self.comm.charge_allgatherv(float(acc.nbytes))
         return np.negative(acc, out=acc)
 
-    # -- mixed-state form -------------------------------------------------------
-    def apply_mixed_via_diagonalization(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sec. IV-A1 pipeline on the distributed executor.
-
-        The sigma eigendecomposition operates on a replicated N x N
-        matrix — with ``use_shm`` only one rank per node joins its
-        assembly allreduce (Sec. IV-B3); the rotation and Eq. (13)
-        application are band-parallel.
-        """
-        n = phi.shape[0]
-        self.comm.charge_allreduce(
-            n * n * COMPLEX_BYTES, participants=self._allreduce_participants()
-        )
-        d, q = diagonalize_sigma(hermitize(sigma))
-        phi_t = rotate_orbitals(phi, q)
-        if targets is None:
-            return unrotate_orbitals(self.apply_diag(phi_t, d), q), d, q
-        return self.apply_diag(phi_t, d, targets), d, q
-
     # -- energy -----------------------------------------------------------------
     def exchange_energy(
         self,
         phi: np.ndarray,
-        sigma: np.ndarray,
+        d: np.ndarray,
         degeneracy: float = 1.0,
         vx_phi: Optional[np.ndarray] = None,
     ) -> float:
-        """``E_x = (deg/2) Re Tr[sigma (Phi | V_x Phi)]`` (no alpha factor)."""
-        if vx_phi is None:
-            vx_phi, _, _ = self.apply_mixed_via_diagonalization(phi, sigma)
-        n = phi.shape[0]
-        # the overlap block is assembled across band shards
-        self.comm.charge_allreduce(
-            n * n * COMPLEX_BYTES, participants=self._allreduce_participants()
-        )
-        overlap = self.grid.inner(phi, vx_phi)
-        return 0.5 * degeneracy * float(np.trace(sigma @ overlap).real)
+        """The serial energy, charged as the distributed one is assembled:
+        two replicated N x N matrices, sigma (for its eigendecomposition)
+        and the overlap block, each one allreduce — joined by one rank
+        per node under ``use_shm`` (Sec. IV-B3)."""
+        comm, nbytes = self.comm, phi.shape[0] ** 2 * COMPLEX_BYTES
+        joined = comm.machine.nodes(comm.nranks) if self.use_shm else comm.nranks
+        for _ in ("sigma", "overlap"):
+            comm.charge_allreduce(nbytes, participants=joined)
+        return super().exchange_energy(phi, d, degeneracy, vx_phi)

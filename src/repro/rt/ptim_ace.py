@@ -20,11 +20,12 @@ step ``sigma`` is decomposed ``n_inner + 1`` times.
 Outer convergence follows the paper: the exchange energy change between
 consecutive outer iterations falls below ``exchange_tol``; inner
 convergence is the fixed point's midpoint-density test, and the image
-it is taken on is the one the next ACE build starts from.  Paper
-statistics for 384-atom silicon: ~5 outer x ~13 inner, reducing
-dense-exchange work by ~80 % versus the 25 dense applications of
-single-loop PT-IM; here, on the 8-atom ``si8-hse-ace`` benchmark with the
-IMEX map of ``rt/ptim.py``: 6.7 outer x 5.3 inner, versus 10.
+it is taken on is the one the exchange energy is read on and the next
+ACE build starts from.  Paper statistics for 384-atom silicon: ~5 outer
+x ~13 inner, reducing dense-exchange work by ~80 % versus the 25 dense
+applications of single-loop PT-IM; here, on the 8-atom ``si8-hse-ace``
+benchmark with the IMEX map of ``rt/ptim.py``: 6.7 outer x 5.3 inner,
+versus 10.
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.occupation.sigma import hermitize
 from repro.rt.propagator import StepStats, TDState
 from repro.rt.ptim import MidpointImage, PTIMOptions, PTIMPropagator
 from repro.utils.validation import require
@@ -95,9 +95,9 @@ class PTIMACEPropagator(PTIMPropagator):
             )
             n_inner_total += n_inner
 
-            # outer convergence: exchange-energy stability (Fig. 4(b))
-            c_mid, sigma_mid = self._midpoint(packed, x)
-            ex = ace_mid.exchange_energy(c_mid, hermitize(sigma_mid), ham.degeneracy)
+            # outer convergence: exchange-energy stability (Fig. 4(b)), read
+            # on the accepted iterate's midpoint image
+            ex = ace_mid.exchange_energy(image.c, image.d, ham.degeneracy)
             if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
                 converged = inner_converged
                 break

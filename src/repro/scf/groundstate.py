@@ -321,11 +321,10 @@ def run_scf(
         # hybrid outer convergence: exchange energy change.  One dense
         # (N^2-FFT) application per pass serves this energy and the ACE
         # operator of the next pass (or of the returned state).
-        sigma = initial_sigma(occ)
-        vx_r, _, _ = ham.fock.apply_mixed_via_diagonalization(phi_r[:nbands], sigma)
-        ex = ham.fock.exchange_energy(
-            phi_r[:nbands], sigma, degeneracy=ham.degeneracy, vx_phi=vx_r
-        )
+        # sigma = diag(occ), so (rows, occ) is already its eigenbasis image;
+        # V_x keeps the sigma pipeline's band order, which fixes its bits
+        vx_r, _, _ = ham.fock.apply_mixed_via_diagonalization(phi_r[:nbands], initial_sigma(occ))
+        ex = ham.fock.exchange_energy(phi_r[:nbands], occ, degeneracy=ham.degeneracy, vx_phi=vx_r)
         vx_phi = grid.to_sphere(vx_r, consume=True)
         if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol and density_converged:
             converged = True
@@ -341,7 +340,8 @@ def run_scf(
     sigma = initial_sigma(occ)
     exchange = None
     if ham.functional.is_hybrid and ham.fock is not None:
-        exchange = ham.fock.exchange_energy(phi_phys, sigma, degeneracy=ham.degeneracy)
+        vx_r, _, _ = ham.fock.apply_mixed_via_diagonalization(phi_phys, sigma)
+        exchange = ham.fock.exchange_energy(phi_phys, occ, degeneracy=ham.degeneracy, vx_phi=vx_r)
     e_tot, e_free = total_energy(ham, phi_phys, occ, kt, e_ewald, exchange)
 
     return GroundState(

@@ -352,9 +352,12 @@ def real_space_step(prop, state, dt, tripleloop=False):
                 prop, state, dt, phi_g, sigma_g, opts.max_inner, ace
             )
             n_inner += n
-            ex = ace.exchange_energy(
-                0.5 * (state.phi + phi_g), hermitize(0.5 * (state.sigma + sigma_g)), ham.degeneracy
-            )
+            # the matrix formula (deg/2) Re Tr[sigma <phi|V_ACE phi>], the
+            # reference for the eigenbasis-image energy the propagator reads
+            phi_mid = 0.5 * (state.phi + phi_g)
+            sigma_mid = hermitize(0.5 * (state.sigma + sigma_g))
+            overlap = grid.inner(phi_mid, ace.apply(phi_mid))
+            ex = 0.5 * ham.degeneracy * float(np.trace(sigma_mid @ overlap).real)
             if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol:
                 converged = inner_ok
                 break

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
-from repro.occupation.sigma import hermitize
+from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 from repro.utils.rng import default_rng
 from repro.xc.kernels import bare_coulomb_kernel, erfc_screened_kernel
 from repro.utils.testing import random_hermitian_sigma
@@ -35,6 +35,12 @@ def _setup(grid, seed, n=4):
     phi = grid.random_orbitals(n, rng)
     sigma = random_hermitian_sigma(n, rng)
     return phi, sigma
+
+
+def _image(phi, sigma):
+    """sigma's eigenbasis image ``(phi~ = Phi Q, d)``, the exchange energy's input."""
+    d, q = diagonalize_sigma(hermitize(sigma))
+    return rotate_orbitals(phi, q), d
 
 
 @given(seed=st.integers(min_value=0, max_value=30))
@@ -88,14 +94,36 @@ def test_fock_operator_hermitian(grid, fock):
 
 def test_exchange_energy_negative(grid, fock):
     phi, sigma = _setup(grid, 5)
-    e = fock.exchange_energy(phi, hermitize(sigma), degeneracy=2.0)
+    e = fock.exchange_energy(*_image(phi, sigma), degeneracy=2.0)
     assert e < 0.0
 
 
 def test_exchange_energy_zero_for_empty_sigma(grid, fock):
     phi, _ = _setup(grid, 6)
     sigma = np.zeros((4, 4), dtype=complex)
-    assert fock.exchange_energy(phi, sigma) == pytest.approx(0.0, abs=1e-14)
+    assert fock.exchange_energy(*_image(phi, sigma)) == pytest.approx(0.0, abs=1e-14)
+
+
+def test_image_exchange_energy_matches_matrix_formula(grid, fock):
+    """On sigma's eigenbasis image only the diagonal of the overlap enters:
+    for a non-diagonal sigma, so that ``Q`` is no permutation, the dense
+    and the ACE energies of ``(phi~, d)`` equal ``(deg/2) Re Tr[sigma O]``
+    with ``O_kl = <phi_k|V phi_l>`` on the unrotated block."""
+    phi, sigma = _setup(grid, 17, n=6)
+    sigma = hermitize(sigma)
+    vx, d, q = fock.apply_mixed_via_diagonalization(phi, sigma)
+    assert np.abs(q).max() < 0.99  # every eigenvector mixes bands
+    phi_t = rotate_orbitals(phi, q)
+    ace = ACEOperator.from_dense_action(grid, phi, vx)
+    for v_phi, energy in (
+        (vx, fock.exchange_energy(phi_t, d, degeneracy=2.0)),
+        (ace.apply(phi), ace.exchange_energy(phi_t, d, degeneracy=2.0)),
+    ):
+        matrix = float(np.trace(sigma @ grid.inner(phi, v_phi)).real)  # deg / 2 = 1
+        assert energy < 0.0
+        assert energy == pytest.approx(matrix, rel=1e-12, abs=0.0)
+    with pytest.raises(ValueError, match="eigenvalues"):
+        fock.exchange_energy(phi, sigma)
 
 
 def test_apply_diag_skips_zero_weights(grid, fock):
@@ -255,9 +283,9 @@ def test_ace_zero_action_gives_zero_operator(grid):
 
 def test_ace_exchange_energy_matches_dense_on_generators(grid, fock):
     phi, sigma = _setup(grid, 16)
-    sigma = hermitize(sigma)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
-    ace = ACEOperator.from_dense_action(grid, phi, w)
-    e_dense = fock.exchange_energy(phi, sigma, degeneracy=2.0, vx_phi=w)
-    e_ace = ace.exchange_energy(phi, sigma, degeneracy=2.0)
+    phi_t, d = _image(phi, sigma)
+    w = fock.apply_diag(phi_t, d)
+    ace = ACEOperator.from_dense_action(grid, phi_t, w)
+    e_dense = fock.exchange_energy(phi_t, d, degeneracy=2.0, vx_phi=w)
+    e_ace = ace.exchange_energy(phi_t, d, degeneracy=2.0)
     assert e_ace == pytest.approx(e_dense, rel=1e-9)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator, band_tiles
+from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 from repro.parallel import (
     A100_GPU,
     CostLedger,
@@ -25,6 +26,7 @@ from repro.parallel.layouts import (
 )
 from repro.perf.model import MemoryModel
 from repro.utils.rng import default_rng
+from repro.utils.testing import random_hermitian_sigma
 from repro.xc.kernels import erfc_screened_kernel
 
 
@@ -230,12 +232,56 @@ def test_distributed_self_application_bitwise_serial(grid, monkeypatch, pattern,
     starts = [t.start for t in band_tiles(n, dist.batch_size)]
     expected = {(a, b) for a in starts for b in starts if a <= b} - {(4, 4)}
     assert sorted(executed) == sorted(expected)  # each once, none twice
-    assert dist.fft_totals().transforms == serial_transforms
-    by_rank = [c.transforms for c in dist.fft_by_rank()]
+    by_rank = [b.counters.transforms for b in dist.rank_backends]
+    assert sum(by_rank) == serial_transforms
     assert max(by_rank) - min(by_rank) <= 2 * 16 * 2  # dealt round-robin: within two tile pairs
     returned = ledger.bytes_by_category()["alltoallv"]
     assert (returned > 0.0) == (nranks > 1)
     assert ledger.bytes_by_category()["allgatherv"] == out.nbytes
+
+
+@pytest.mark.parametrize("nranks", [1, 2, 3, 4])
+def test_distributed_exchange_energy_bitwise_serial_and_charged(grid, nranks):
+    """The distributed energy is the serial one, read on sigma's eigenbasis
+    image of a non-diagonal sigma, plus two N x N allreduces per call:
+    sigma and the overlap block."""
+    rng = default_rng(13)
+    n = 10
+    phi = grid.random_orbitals(n, rng)
+    sigma = hermitize(random_hermitian_sigma(n, rng))
+    d, q = diagonalize_sigma(sigma)
+    phi_t = rotate_orbitals(phi, q)
+    kern = erfc_screened_kernel(grid)
+    serial = FockExchangeOperator(grid, kern).exchange_energy(phi_t, d, 2.0)
+    ledger = CostLedger()
+    dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM, ledger))
+    for vx_phi in (None, dist.apply_diag(phi_t, d)):
+        mark = ledger.mark()
+        assert dist.exchange_energy(phi_t, d, 2.0, vx_phi=vx_phi) == serial
+        added = ledger.since_mark(mark).records
+        assert [(r.category, r.nbytes) for r in added if r.category == "allreduce"] == [
+            ("allreduce", n * n * 16.0)
+        ] * 2
+
+
+@pytest.mark.parametrize("operator", ["serial", "distributed"])
+def test_operators_refuse_complex_or_uneven_kernel(grid, operator):
+    """Both operators reuse pot_ba = conj(pot_ab), so both refuse a kernel
+    that is not real, or not even under G -> -G."""
+
+    def build(kernel):
+        if operator == "serial":
+            return FockExchangeOperator(grid, kernel)
+        return DistributedFockExchange(grid, kernel, SimComm(2, FUGAKU_ARM))
+
+    build(erfc_screened_kernel(grid))
+    with pytest.raises(ValueError, match="real"):
+        build(erfc_screened_kernel(grid) * (1.0 + 1e-3j))
+    one_sided = erfc_screened_kernel(grid)
+    box = grid.to_box(one_sided)
+    box[1, 0, 0] *= 2.0  # G = +b1 only
+    with pytest.raises(ValueError, match=r"K\(-G\) = K\(G\)"):
+        build(one_sided)
 
 
 def test_distributed_target_block_bitwise_serial(grid):
