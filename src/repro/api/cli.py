@@ -57,6 +57,7 @@ from repro.api.registry import (
     PROPAGATORS,
     RegistryError,
     available_components,
+    propagator_options,
 )
 from repro.api.simulation import Simulation
 
@@ -434,6 +435,7 @@ def _cmd_validate(args) -> int:
             (PROPAGATORS, vcfg.propagation.propagator),
         ):
             registry.get(key)
+        propagator_options(vcfg.propagation.propagator, dict(vcfg.propagation.options))
 
     _check_registry_keys(cfg)
     # each axis value is validated independently (sum of axis lengths, not

@@ -152,38 +152,42 @@ register_field("gaussian_pulse", GaussianLaserPulse)
 register_field("static_kick", StaticKick)
 
 
-def _options_from(options_cls, options: Dict[str, Any], propagator: str):
-    valid = set(options_cls.__dataclass_fields__)
+#: each built-in propagator's options dataclass (``rk4`` takes none)
+_OPTIONS = {"rk4": None, "ptim": PTIMOptions, "ptim_ace": PTIMACEOptions, "ptcn": PTCNOptions}
+
+
+def propagator_options(propagator: str, options: Dict[str, Any]):
+    """A built-in propagator's options object, built with no Hamiltonian
+    so that ``repro validate`` and a run refuse bad options before any
+    SCF (``None`` for ``rk4`` and for propagators registered elsewhere)."""
+    key = str(propagator).strip().lower()
+    options_cls = _OPTIONS.get(key)
+    valid = set(getattr(options_cls, "__dataclass_fields__", ()))
     unknown = sorted(set(options) - valid)
-    if unknown:
+    if unknown and key in _OPTIONS:
         raise RegistryError(
             f"unknown option(s) {', '.join(unknown)} for propagator "
-            f"{propagator!r}; valid: {', '.join(sorted(valid))}"
+            f"{key!r}; valid: {', '.join(sorted(valid)) or 'none'}"
         )
-    return options_cls(**options)
+    return None if options_cls is None else options_cls(**options)
 
 
 @register_propagator("rk4")
 def _rk4(ham, options: Dict[str, Any], **record_kwargs):
-    if options:
-        raise RegistryError(
-            f"propagator 'rk4' takes no options, got {', '.join(sorted(options))}"
-        )
+    propagator_options("rk4", options)
     return RK4Propagator(ham, **record_kwargs)
 
 
 @register_propagator("ptim")
 def _ptim(ham, options: Dict[str, Any], **record_kwargs):
-    return PTIMPropagator(ham, _options_from(PTIMOptions, options, "ptim"), **record_kwargs)
+    return PTIMPropagator(ham, propagator_options("ptim", options), **record_kwargs)
 
 
 @register_propagator("ptim_ace")
 def _ptim_ace(ham, options: Dict[str, Any], **record_kwargs):
-    return PTIMACEPropagator(
-        ham, _options_from(PTIMACEOptions, options, "ptim_ace"), **record_kwargs
-    )
+    return PTIMACEPropagator(ham, propagator_options("ptim_ace", options), **record_kwargs)
 
 
 @register_propagator("ptcn")
 def _ptcn(ham, options: Dict[str, Any], **record_kwargs):
-    return PTCNPropagator(ham, _options_from(PTCNOptions, options, "ptcn"), **record_kwargs)
+    return PTCNPropagator(ham, propagator_options("ptcn", options), **record_kwargs)

@@ -19,6 +19,7 @@ import time
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.api.config import SimulationConfig
+from repro.api.registry import propagator_options
 from repro.api.simulation import Simulation, SimulationResult
 from repro.store.common import config_hash, group_address, group_key
 
@@ -55,6 +56,9 @@ def run_one(
     :meth:`Simulation.propagate`.
     """
     started = time.perf_counter()
+    prop = sim.config.propagation
+    # options that cannot run are refused before an SCF is spent on them
+    propagator_options(prop.propagator, dict(prop.options))
     if store is not None:
         from repro.store import ResultStore
 

@@ -374,27 +374,18 @@ class Simulation:
         return self._grid
 
     def fft_counters(self) -> Optional[FFTCounters]:
-        """Cumulative FFT tally of this simulation (or ``None``).
-
-        Merges the main backend counters with the distributed-exchange
-        rank views when the ``[parallel]`` section is active.
-        """
+        """Cumulative FFT tally of this simulation's backend (or ``None``),
+        which counts every transform, simulated ranks' exchange work
+        included."""
         counters = self.backend.counters
-        total = counters.snapshot() if counters is not None else None
-        ctx = self.parallel
-        rank_total = ctx.fft_totals() if ctx is not None else None
-        if rank_total is not None:
-            if total is None:
-                total = FFTCounters()
-            total.merge(rank_total)
-        return total
+        return counters.snapshot() if counters is not None else None
 
     # -- parallel execution ---------------------------------------------------
     @property
     def parallel(self) -> Optional[ParallelContext]:
         """The simulated-MPI context (``None`` when ``[parallel]`` is
         inactive).  Owns the cumulative :class:`CostLedger` and the
-        rank-scoped FFT-counter views."""
+        distributed exchange operator whose per-rank tally it reports."""
         cfg = self.config.parallel
         if not cfg.active:
             return None
@@ -527,9 +518,8 @@ class Simulation:
         counters = self.backend.counters
         before = counters.snapshot() if counters is not None else None
         # the propagator build above materialized the Hamiltonian, so the
-        # rank views (when parallel) exist for a coherent before-snapshot
-        rank_before = ctx.fft_totals() if ctx is not None else None
-        ledger_mark = ctx.ledger.mark() if ctx is not None else 0
+        # exchange operator (when parallel) exists for a coherent mark
+        mark = ctx.mark() if ctx is not None else None
         final = propagator.propagate(
             self.state,
             dt=dt_as * AU_PER_ATTOSECOND,
@@ -538,25 +528,14 @@ class Simulation:
             on_step=progress,
         )
         self._state = final
-        fft = counters.since(before) if counters is not None else None
-        if ctx is not None:
-            rank_after = ctx.fft_totals()
-            if rank_after is not None:
-                rank_delta = (
-                    rank_after.since(rank_before) if rank_before is not None else rank_after
-                )
-                if fft is None:
-                    fft = FFTCounters()
-                fft.merge(rank_delta)
-        result = SimulationResult(
+        return SimulationResult(
             config=self.config,
             record=propagator.record,
             final_state=final,
             ground_state=self._gs,
-            fft=fft,
-            parallel=ctx.run_info(ledger_mark) if ctx is not None else None,
+            fft=counters.since(before) if counters is not None else None,
+            parallel=ctx.run_info(mark) if ctx is not None else None,
         )
-        return result
 
     def run(self, store=None, progress=None) -> SimulationResult:
         """Ground state + full configured propagation (the CLI entry).
@@ -585,6 +564,6 @@ class Simulation:
             self.config,
             {},
             self.state,
-            ctx.run_info(0).to_dict() if ctx is not None else None,
+            ctx.run_info().to_dict() if ctx is not None else None,
             ground_state=self._gs,
         )

@@ -32,7 +32,6 @@ round-off.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -161,20 +160,6 @@ class Backend:
         """One-line description for the CLI / logs."""
         counted = " + counters" if self.counters is not None else ""
         return f"numpy (pocketfft, workers={self.fft_workers}){counted}"
-
-    def view(self) -> "Backend":
-        """A new counter scope over the same engine.
-
-        The view transforms bit-for-bit as this engine does but owns
-        fresh :class:`FFTCounters` — how per-rank tallies in the
-        simulated-MPI substrate stay exact.  An uncounted engine has
-        nothing to scope and is its own view.
-        """
-        if self.counters is None:
-            return self
-        scoped = copy.copy(self)
-        scoped.counters = FFTCounters()
-        return scoped
 
     # -- validation ------------------------------------------------------------
     def _accept(self, a: np.ndarray, out: Optional[np.ndarray]) -> None:

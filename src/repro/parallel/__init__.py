@@ -13,7 +13,7 @@ Table I breakdown.
 from repro.parallel.machine import MachineSpec, FUGAKU_ARM, A100_GPU, machine_by_name
 from repro.parallel.ledger import CostLedger, CommRecord
 from repro.parallel.comm import SimComm
-from repro.parallel.layouts import BandLayout, GridLayout, transpose_band_to_grid, transpose_grid_to_band
+from repro.parallel.layouts import BandLayout
 from repro.parallel.distfock import PATTERNS, DistributedFockExchange
 from repro.parallel.context import ParallelContext, ParallelRunInfo
 
@@ -29,8 +29,5 @@ __all__ = [
     "CommRecord",
     "SimComm",
     "BandLayout",
-    "GridLayout",
-    "transpose_band_to_grid",
-    "transpose_grid_to_band",
     "DistributedFockExchange",
 ]

@@ -13,7 +13,7 @@ MPI time.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
@@ -48,10 +48,10 @@ class SimComm:
         self.ledger.add("bcast", self._nbytes(buf), t)
         return [buf.copy() for _ in range(self.nranks)]
 
-    def ring_shift(self, per_rank: Sequence[np.ndarray], displacement: int = 1) -> List[np.ndarray]:
+    def ring_shift(self, per_rank: Sequence[np.ndarray]) -> List[np.ndarray]:
         """One synchronous ring rotation (MPI_Sendrecv with both neighbors).
 
-        Rank r receives the buffer of rank ``r - displacement``; each rank
+        Rank r receives the buffer of rank ``r - 1``; each rank
         sends/receives one neighbor message, so the charged time is one
         single-hop point-to-point transfer of the largest buffer.
         """
@@ -61,13 +61,10 @@ class SimComm:
         max_bytes = max(self._nbytes(b) for b in per_rank)
         t = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
         self.ledger.add("sendrecv", max_bytes, t)
-        return [np.asarray(per_rank[(r - displacement) % self.nranks]).copy() for r in range(self.nranks)]
+        return [np.asarray(per_rank[r - 1]).copy() for r in range(self.nranks)]
 
     def ring_shift_async(
-        self,
-        per_rank: Sequence[np.ndarray],
-        compute_seconds: float,
-        displacement: int = 1,
+        self, per_rank: Sequence[np.ndarray], compute_seconds: float
     ) -> List[np.ndarray]:
         """Asynchronous ring rotation overlapped with ``compute_seconds``.
 
@@ -82,7 +79,7 @@ class SimComm:
         t_comm = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
         wait = max(0.0, t_comm - compute_seconds)
         self.ledger.add("wait", max_bytes, wait)
-        return [np.asarray(per_rank[(r - displacement) % self.nranks]).copy() for r in range(self.nranks)]
+        return [np.asarray(per_rank[r - 1]).copy() for r in range(self.nranks)]
 
     def allreduce_sum(self, per_rank: Sequence[np.ndarray], participants: Optional[int] = None) -> List[np.ndarray]:
         """Sum identical-shaped buffers across ranks (result on every rank).
@@ -134,8 +131,8 @@ class SimComm:
     def alltoallv_blocks(self, blocks: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
         """Full exchange: ``blocks[r][s]`` goes from rank r to rank s.
 
-        Returns ``out[s][r] = blocks[r][s]`` — the transpose primitive of
-        the band/grid layout switch (paper Fig. 1).
+        Returns ``out[s][r] = blocks[r][s]`` — how the exchange returns
+        tile-pair partials to the ranks that own their tiles.
         """
         self._check(blocks)
         for row in blocks:

@@ -2,10 +2,10 @@
 
 :class:`ParallelContext` is what the :class:`~repro.api.simulation.
 Simulation` facade builds from its ``[parallel]`` config section: one
-:class:`~repro.parallel.comm.SimComm` (machine model + cost ledger),
-rank-scoped FFT-counter views over the simulation's backend, and the
-:class:`~repro.parallel.distfock.DistributedFockExchange` factory the
-Hamiltonian substitutes for the serial operator.  :class:`ParallelRunInfo`
+:class:`~repro.parallel.comm.SimComm` (machine model + cost ledger) and
+the :class:`~repro.parallel.distfock.DistributedFockExchange` factory
+the Hamiltonian substitutes for the serial operator, whose per-rank
+transform tally it windows per run.  :class:`ParallelRunInfo`
 is the JSON-safe record of one run's communication accounting — the
 ``parallel`` block carried by results, checkpoints and ensemble records.
 """
@@ -13,11 +13,10 @@ is the JSON-safe record of one run's communication accounting — the
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.backend import Backend, FFTCounters
 from repro.parallel.comm import SimComm
 from repro.parallel.distfock import PATTERNS, DistributedFockExchange
 from repro.parallel.ledger import CostLedger
@@ -31,8 +30,9 @@ class ParallelRunInfo:
 
     ``ledger`` holds the modeled MPI time of *this run* (a delta, not
     the context's cumulative tally); ``fft_rank_transforms`` is the
-    per-rank 3-D transform count of the distributed exchange work —
-    the load-balance view the per-category seconds cannot show.
+    per-rank 3-D transform count of this run's distributed exchange
+    work, a delta too — the load-balance view the per-category seconds
+    cannot show.
     """
 
     ranks: int
@@ -99,9 +99,9 @@ class ParallelContext:
     """One simulation's simulated-MPI execution state.
 
     Owns the communicator (and through it the cumulative
-    :class:`CostLedger`), lazily materializes the rank-scoped backend
-    views when the Hamiltonian requests its exchange operator, and cuts
-    per-run :class:`ParallelRunInfo` deltas for results.
+    :class:`CostLedger`), keeps the exchange operator it builds for the
+    Hamiltonian, and cuts per-run :class:`ParallelRunInfo` deltas of
+    the ledger and that operator's rank tally for results.
     """
 
     def __init__(
@@ -122,7 +122,7 @@ class ParallelContext:
         #: where this session's records start — everything before is the
         #: checkpoint-seeded history of a resumed run
         self.session_mark = self.ledger.mark()
-        self._rank_backends: Optional[List[Backend]] = None
+        self._fock: Optional[DistributedFockExchange] = None
 
     @property
     def nranks(self) -> int:
@@ -132,44 +132,17 @@ class ParallelContext:
     def nodes(self) -> int:
         return self.machine.nodes(self.nranks)
 
-    # -- rank backends ---------------------------------------------------------
-    def rank_backends(self, backend: Backend) -> List[Backend]:
-        """The per-rank counter views (created once, then reused so the
-        cumulative tallies survive Hamiltonian rebuilds)."""
-        if self._rank_backends is None:
-            self._rank_backends = [backend.view() for _ in range(self.nranks)]
-        return self._rank_backends
-
     def fock_operator(self, grid, kernel_g: np.ndarray, batch_size: int) -> DistributedFockExchange:
         """The distributed exchange executor the Hamiltonian plugs in."""
-        return DistributedFockExchange(
+        self._fock = DistributedFockExchange(
             grid,
             kernel_g,
             self.comm,
             pattern=self.pattern,
             batch_size=batch_size,
             use_shm=self.use_shm,
-            rank_backends=self.rank_backends(grid.backend),
         )
-
-    # -- FFT accounting --------------------------------------------------------
-    def fft_by_rank(self) -> Optional[List[FFTCounters]]:
-        """Per-rank exchange-FFT tallies (``None`` when uncounted or no
-        distributed work has been built yet)."""
-        if self._rank_backends is None:
-            return None
-        counters = [b.counters for b in self._rank_backends]
-        return None if any(c is None for c in counters) else counters
-
-    def fft_totals(self) -> Optional[FFTCounters]:
-        """Merged rank tallies (``None`` when uncounted)."""
-        per_rank = self.fft_by_rank()
-        if per_rank is None:
-            return None
-        total = FFTCounters()
-        for c in per_rank:
-            total.merge(c)
-        return total
+        return self._fock
 
     def session_ledger(self) -> CostLedger:
         """Only the records charged in *this* session (a resumed run's
@@ -178,10 +151,22 @@ class ParallelContext:
         return self.ledger.since_mark(self.session_mark)
 
     # -- run records -----------------------------------------------------------
-    def run_info(self, ledger_mark: int) -> ParallelRunInfo:
-        """A :class:`ParallelRunInfo` for everything since ``ledger_mark``
-        (see :meth:`~repro.parallel.ledger.CostLedger.mark`)."""
-        per_rank = self.fft_by_rank()
+    def mark(self) -> Tuple[int, Optional[List[int]]]:
+        """Where a run starts, for :meth:`run_info`: the ledger mark and a
+        copy of the exchange operator's rank tally (``None`` when
+        uncounted or not built)."""
+        tally = None if self._fock is None else self._fock.rank_transforms
+        return self.ledger.mark(), None if tally is None else list(tally)
+
+    def run_info(self, mark: Optional[Tuple[int, Optional[List[int]]]] = None) -> ParallelRunInfo:
+        """A :class:`ParallelRunInfo` for everything since ``mark`` (see
+        :meth:`mark`).  Without one it covers the whole ledger, a resumed
+        run's checkpointed history included, and this session's rank
+        tally — what a checkpoint carries."""
+        ledger_mark, before = (0, None) if mark is None else mark
+        _, ranks = self.mark()
+        if ranks is not None and before is not None:
+            ranks = [n - b for n, b in zip(ranks, before)]
         return ParallelRunInfo(
             ranks=self.nranks,
             pattern=self.pattern,
@@ -189,7 +174,5 @@ class ParallelContext:
             use_shm=self.use_shm,
             nodes=self.nodes,
             ledger=self.ledger.since_mark(ledger_mark),
-            fft_rank_transforms=(
-                None if per_rank is None else [c.transforms for c in per_rank]
-            ),
+            fft_rank_transforms=ranks,
         )

@@ -41,11 +41,11 @@ That exactness holds by construction, not by luck of the shard sizes:
   times the tile count (six orbital blocks at N = 24);
 * an arbitrary target block is sharded by whole target tiles and each
   rank runs the serial operator on its shard (nothing to return);
-* each rank executes its FFTs through a rank-scoped
-  :meth:`~repro.backend.Backend.view` (fresh counters, same engine
-  settings), so per-rank tallies are exact and their
-  merge equals the serial transform count — nothing is double-counted
-  into the shared grid backend.
+* every rank computes on this operator and its grid, so the one
+  :class:`~repro.backend.Backend` tally counts each transform once and
+  equals the serial count; rank ``r``'s share,
+  ``rank_transforms[r]``, is that tally's advance across the work
+  rank ``r`` was dealt.
 
 The class is a :class:`~repro.hamiltonian.fock.FockExchangeOperator`
 that changes only *where* ``apply_diag`` runs and what ``exchange_energy``
@@ -55,13 +55,11 @@ behind every SCF loop and RT propagator.
 
 from __future__ import annotations
 
-import copy
 from itertools import groupby
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import Callable, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.backend import Backend
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator, band_tiles, symmetric_tile_pairs
 from repro.parallel.comm import SimComm
@@ -81,8 +79,8 @@ class DistributedFockExchange(FockExchangeOperator):
     Parameters
     ----------
     grid:
-        The (serial) plane-wave grid; per-rank FFTs run on shallow grid
-        facades re-pointed at rank-scoped backend views.
+        The plane-wave grid; every rank's FFTs run on it, so its backend
+        counts each transform once.
     kernel_g:
         Flat G-space interaction kernel (as for the serial operator).
     comm:
@@ -90,8 +88,8 @@ class DistributedFockExchange(FockExchangeOperator):
     pattern:
         Default communication schedule (``apply*`` calls may override).
     batch_size:
-        Pair-density FFT batch size, forwarded to the per-rank serial
-        operators.
+        Pair-density FFT batch size; the tiles are cut from it and the
+        band count alone, never from the rank count.
     use_shm:
         Model node-shared N x N matrices (Sec. IV-B3): replicated-matrix
         allreduces are charged with one participant per *node* instead
@@ -106,33 +104,34 @@ class DistributedFockExchange(FockExchangeOperator):
         pattern: Pattern = "ring",
         batch_size: int = 16,
         use_shm: bool = False,
-        rank_backends: Optional[Sequence[Backend]] = None,
     ) -> None:
         require(pattern in PATTERNS, f"unknown pattern {pattern!r}; use one of {PATTERNS}")
         super().__init__(grid, kernel_g, batch_size)
         self.comm = comm
         self.pattern = pattern
         self.use_shm = bool(use_shm)
-        if rank_backends is None:
-            rank_backends = [grid.backend.view() for _ in range(comm.nranks)]
-        require(
-            len(rank_backends) == comm.nranks,
-            f"need {comm.nranks} rank backends, got {len(rank_backends)}",
+        #: per rank, the 3-D transforms of the exchange work it was dealt
+        #: (``None`` when the backend does not count)
+        self.rank_transforms: Optional[List[int]] = (
+            None if grid.backend.counters is None else [0] * comm.nranks
         )
-        self.rank_backends = list(rank_backends)
-        self._rank_focks = []
-        for backend in self.rank_backends:
-            rank_grid = copy.copy(grid)
-            rank_grid.backend = backend
-            self._rank_focks.append(
-                FockExchangeOperator(rank_grid, self.kernel_g, self.batch_size)
-            )
 
     # -- bookkeeping -----------------------------------------------------------
     @property
     def ledger(self):
         """The communication :class:`~repro.parallel.ledger.CostLedger`."""
         return self.comm.ledger
+
+    def _as_rank(self, r: int, work: Callable, *args):
+        """``work(*args)`` run as rank ``r``: the backend tally's advance
+        across the call is added to ``rank_transforms[r]``."""
+        if self.rank_transforms is None:
+            return work(*args)
+        counters = self.grid.backend.counters
+        before = counters.transforms
+        out = work(*args)
+        self.rank_transforms[r] += counters.transforms - before
+        return out
 
     def _block_compute_seconds(self, n_pairs: float) -> float:
         """Modeled FFT time for ``n_pairs`` pair-density solves."""
@@ -207,13 +206,6 @@ class DistributedFockExchange(FockExchangeOperator):
             for r in range(p)
         ]
 
-    def _gather(self, shards: List[np.ndarray]) -> np.ndarray:
-        """Reassemble target shards, charging the allgatherv that hands
-        the sharded result back to the (serial) downstream consumers."""
-        out = np.concatenate(shards, axis=0)
-        self.comm.charge_allgatherv(float(out.nbytes))
-        return out
-
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
     def apply_diag(
         self,
@@ -241,12 +233,13 @@ class DistributedFockExchange(FockExchangeOperator):
             shards = self._tile_shards(targets.shape[0])
             n_tgt_max = max(s.stop - s.start for s in shards)
             per_rank = self._collect_sources([phi_src, weights], pattern, n_tgt_max)
-            return self._gather(
-                [
-                    self._rank_focks[r].apply_diag(per_rank[r][0], per_rank[r][1], targets[shards[r]])
-                    for r in range(p)
-                ]
+            serial_apply = super().apply_diag  # before 3.12, super() fails inside a comprehension
+            out = np.concatenate(
+                [self._as_rank(r, serial_apply, *per_rank[r], targets[shards[r]]) for r in range(p)]
             )
+            # the allgatherv that hands the shards back to the serial consumers
+            self.comm.charge_allgatherv(float(out.nbytes))
+            return out
 
         n = phi_src.shape[0]
         per_rank = self._collect_sources([phi_src, weights], pattern, (n + 1) / (2.0 * p))
@@ -267,8 +260,8 @@ class DistributedFockExchange(FockExchangeOperator):
             order: List[Tuple[int, int]] = []  # (sender, target tile) as the serial loop adds
             for k, (_, j, keep) in wave:
                 r = k % p
-                partials = self._rank_focks[r].tile_pair_partials(
-                    per_rank[r][0], weighted[r], tiles[i], tiles[j], keep
+                partials = self._as_rank(
+                    r, self.tile_pair_partials, per_rank[r][0], weighted[r], tiles[i], tiles[j], keep
                 )
                 for t, partial in zip((j, i), partials):
                     if partial is not None:

@@ -1,12 +1,10 @@
-"""Band-index and grid-point parallel layouts (paper Fig. 1).
+"""Band-index sharding (paper Fig. 1, column layout).
 
-PWDFT stores the wavefunction block either distributed over *columns*
-(band-index parallelization — each rank owns whole orbitals; FFTs are
-rank-local) or over *rows* (grid-point parallelization — each rank owns a
-slab of grid points for all orbitals; overlap GEMMs are rank-local with
-one allreduce).  ``MPI_Alltoallv`` transposes between the two; both
-directions are implemented here on top of :class:`SimComm` and verified
-against the serial array.
+PWDFT's band-index parallelization gives each rank whole orbitals, so a
+rank's FFTs are local; this is the layout the distributed exchange
+shards its sources and targets by.  :func:`partition_sizes` /
+:func:`partition_offsets` are the balanced 1-D block partition it cuts
+bands and tiles with.
 """
 
 from __future__ import annotations
@@ -16,7 +14,6 @@ from typing import List
 
 import numpy as np
 
-from repro.parallel.comm import SimComm
 from repro.utils.validation import require
 
 
@@ -55,66 +52,3 @@ class BandLayout:
             out.append(np.ascontiguousarray(phi[off : off + s]))
             off += s
         return out
-
-    def gather(self, shards: List[np.ndarray]) -> np.ndarray:
-        return np.concatenate(shards, axis=0)
-
-    def owner_of_band(self, band: int) -> int:
-        offs = partition_offsets(self.nbands, self.nranks)
-        sizes = partition_sizes(self.nbands, self.nranks)
-        for r, (o, s) in enumerate(zip(offs, sizes)):
-            if o <= band < o + s:
-                return r
-        raise IndexError(band)
-
-
-@dataclass
-class GridLayout:
-    """Grid rows distributed across ranks; every rank holds all bands."""
-
-    nbands: int
-    ngrid: int
-    nranks: int
-
-    def shard(self, phi: np.ndarray) -> List[np.ndarray]:
-        require(phi.shape == (self.nbands, self.ngrid), "phi shape mismatch")
-        sizes = partition_sizes(self.ngrid, self.nranks)
-        out, off = [], 0
-        for s in sizes:
-            out.append(np.ascontiguousarray(phi[:, off : off + s]))
-            off += s
-        return out
-
-    def gather(self, shards: List[np.ndarray]) -> np.ndarray:
-        return np.concatenate(shards, axis=1)
-
-
-def transpose_band_to_grid(
-    comm: SimComm, band_shards: List[np.ndarray], nbands: int, ngrid: int
-) -> List[np.ndarray]:
-    """Band-index -> grid-point layout via the alltoallv primitive."""
-    p = comm.nranks
-    g_sizes = partition_sizes(ngrid, p)
-    g_offs = partition_offsets(ngrid, p)
-    blocks = [
-        [band_shards[r][:, g_offs[s] : g_offs[s] + g_sizes[s]] for s in range(p)]
-        for r in range(p)
-    ]
-    received = comm.alltoallv_blocks(blocks)
-    # rank s now holds, for each source r, that rank's bands on its grid slab
-    return [np.concatenate(received[s], axis=0) for s in range(p)]
-
-
-def transpose_grid_to_band(
-    comm: SimComm, grid_shards: List[np.ndarray], nbands: int, ngrid: int
-) -> List[np.ndarray]:
-    """Grid-point -> band-index layout (inverse transpose)."""
-    p = comm.nranks
-    b_sizes = partition_sizes(nbands, p)
-    b_offs = partition_offsets(nbands, p)
-    blocks = [
-        [grid_shards[r][b_offs[s] : b_offs[s] + b_sizes[s], :] for s in range(p)]
-        for r in range(p)
-    ]
-    received = comm.alltoallv_blocks(blocks)
-    return [np.concatenate(received[s], axis=1) for s in range(p)]

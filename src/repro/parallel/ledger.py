@@ -54,9 +54,6 @@ class CostLedger:
     def reset(self) -> None:
         self.records.clear()
 
-    def merge(self, other: "CostLedger") -> None:
-        self.records.extend(other.records)
-
     def table_row(self) -> Dict[str, float]:
         """Table-I-shaped row: per-category seconds + total."""
         row = self.seconds_by_category()

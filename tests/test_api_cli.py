@@ -127,6 +127,24 @@ def test_cli_validate_unknown_component(tmp_path, capsys):
     assert "unknown propagator" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["max_scf = 0", "typo_tol = 1e-6"])
+def test_cli_refuses_propagation_options_before_the_scf(tmp_path, capsys, option):
+    """A propagation option that cannot run, or an unknown one, is refused
+    by name by `validate`, and by `run` before any ground state is
+    converged or stored."""
+    key = option.split()[0]
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text(TINY_TOML + option + "\n")
+    assert main(["validate", str(cfg)]) == 2
+    assert key in capsys.readouterr().err
+    store = tmp_path / "store"
+    assert main(["run", str(cfg), "--store", str(store)]) == 2
+    out, err = capsys.readouterr()
+    assert key in err
+    assert "ground state" not in out
+    assert not list(store.glob("blobs/ground_states/*.npz"))
+
+
 def test_cli_missing_file(capsys):
     assert main(["run", "no/such/config.toml"]) == 2
     assert "error" in capsys.readouterr().err

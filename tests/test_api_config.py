@@ -237,6 +237,7 @@ def test_propagator_options_validated():
         ("ptim_ace", {"exchange_tol": 0.0}, ValueError),
         ("ptim", {"fock_mode": "dense-tripleloop"}, ValueError),
         ("ptim", {"density_mode": "pairwise"}, RegistryError),
+        ("rk4", {"density_tol": 1e-6}, RegistryError),
     ],
 )
 def test_propagator_options_refuse_what_cannot_run(name, options, error):

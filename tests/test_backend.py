@@ -439,19 +439,3 @@ def test_spectrum_is_uncounted_analysis_path():
     signal = (dipole - dipole[0]) * np.exp(-0.003 * times)
     ref = np.fft.rfft(signal, n=64) * dt
     assert np.allclose(strength, (2 * omega / np.pi) * np.imag(ref / 1e-3))
-
-
-def test_view_scopes_fresh_counters(batch):
-    """A rank's view: fresh counters, the engine's settings and bits, and
-    the parent's tally untouched; an uncounted engine is its own view."""
-    parent = Backend(fft_workers=2)
-    ref = parent.forward(batch)
-    before = parent.counters.snapshot()
-    view = parent.view()
-    assert view is not parent and view.fft_workers == 2
-    assert view.counters == FFTCounters()
-    assert np.array_equal(view.forward(batch), ref)
-    assert view.counters.transforms == 5 and view.counters.calls == 1
-    assert parent.counters == before
-    plain = Backend(count_ffts=False)
-    assert plain.view() is plain

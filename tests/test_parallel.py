@@ -16,14 +16,7 @@ from repro.parallel import (
     SimComm,
     machine_by_name,
 )
-from repro.parallel.layouts import (
-    BandLayout,
-    GridLayout,
-    partition_offsets,
-    partition_sizes,
-    transpose_band_to_grid,
-    transpose_grid_to_band,
-)
+from repro.parallel.layouts import BandLayout, partition_offsets, partition_sizes
 from repro.perf.model import MemoryModel
 from repro.utils.rng import default_rng
 from repro.utils.testing import random_hermitian_sigma
@@ -84,17 +77,9 @@ def test_partition_covers_exactly(total, parts):
 def test_band_layout_roundtrip(grid):
     rng = default_rng(0)
     phi = grid.random_orbitals(7, rng)
-    layout = BandLayout(7, grid.ngrid, 3)
-    assert np.allclose(layout.gather(layout.shard(phi)), phi)
-    assert layout.owner_of_band(0) == 0
-    assert layout.owner_of_band(6) == 2
-
-
-def test_grid_layout_roundtrip(grid):
-    rng = default_rng(1)
-    phi = grid.random_orbitals(5, rng)
-    layout = GridLayout(5, grid.ngrid, 4)
-    assert np.allclose(layout.gather(layout.shard(phi)), phi)
+    shards = BandLayout(7, grid.ngrid, 3).shard(phi)
+    assert [s.shape[0] for s in shards] == [3, 2, 2]
+    np.testing.assert_array_equal(np.concatenate(shards, axis=0), phi)
 
 
 # ---------------- communicator ------------------------------------------------------
@@ -168,20 +153,6 @@ def test_ledger_table_row_totals():
     assert row["bcast"] == pytest.approx(1.5)
 
 
-# ---------------- layout transposes ---------------------------------------------------
-def test_transpose_band_grid_roundtrip(grid):
-    rng = default_rng(2)
-    phi = grid.random_orbitals(6, rng)
-    ledger = CostLedger()
-    comm = SimComm(4, FUGAKU_ARM, ledger)
-    band = BandLayout(6, grid.ngrid, 4).shard(phi)
-    gridsh = transpose_band_to_grid(comm, band, 6, grid.ngrid)
-    assert np.allclose(GridLayout(6, grid.ngrid, 4).gather(gridsh), phi)
-    back = transpose_grid_to_band(comm, gridsh, 6, grid.ngrid)
-    assert np.allclose(BandLayout(6, grid.ngrid, 4).gather(back), phi)
-    assert ledger.seconds_by_category()["alltoallv"] > 0
-
-
 # ---------------- distributed Fock -----------------------------------------------------
 @pytest.mark.parametrize("pattern", ["bcast", "ring", "async-ring"])
 @pytest.mark.parametrize("nranks", [1, 3, 4])
@@ -203,7 +174,9 @@ def test_distributed_fock_matches_serial(grid, pattern, nranks):
 def test_distributed_self_application_bitwise_serial(grid, monkeypatch, pattern, nranks):
     """The tile-pair schedule: bit-identical to serial at every rank count
     (more ranks than the 6 tiles included), every unordered tile pair
-    evaluated by exactly one rank, partials returned under ``alltoallv``."""
+    evaluated by exactly one rank, each transform counted once on the
+    grid's backend and split across the ranks, partials returned under
+    ``alltoallv``."""
     rng = default_rng(11)
     n = 22  # five whole tiles of 4 and a ragged one
     phi = grid.random_orbitals(n, rng)
@@ -226,14 +199,16 @@ def test_distributed_self_application_bitwise_serial(grid, monkeypatch, pattern,
     monkeypatch.setattr(FockExchangeOperator, "tile_pair_partials", recording)
     ledger = CostLedger()
     dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM, ledger), pattern=pattern)
+    snap = counters.snapshot()
     out = dist.apply_diag(phi, w)
     np.testing.assert_array_equal(out, serial)
+    assert counters.since(snap).transforms == serial_transforms
 
     starts = [t.start for t in band_tiles(n, dist.batch_size)]
     expected = {(a, b) for a in starts for b in starts if a <= b} - {(4, 4)}
     assert sorted(executed) == sorted(expected)  # each once, none twice
-    by_rank = [b.counters.transforms for b in dist.rank_backends]
-    assert sum(by_rank) == serial_transforms
+    by_rank = dist.rank_transforms
+    assert len(by_rank) == nranks and sum(by_rank) == serial_transforms
     assert max(by_rank) - min(by_rank) <= 2 * 16 * 2  # dealt round-robin: within two tile pairs
     returned = ledger.bytes_by_category()["alltoallv"]
     assert (returned > 0.0) == (nranks > 1)

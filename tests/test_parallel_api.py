@@ -142,8 +142,8 @@ def test_distributed_trajectory_bitwise_identical(serial_sim, pattern, ranks):
 
 
 def test_distributed_fft_accounting_matches_serial(serial_sim):
-    """Rank-scoped counter views: the merged exchange tally equals the
-    serial transform count — nothing double-counted, nothing lost."""
+    """One backend tally: the distributed run counts the serial transform
+    count — nothing double-counted, nothing lost — and every rank a share."""
     serial, serial_result = serial_sim
     sim = serial.derive(parallel=_parallel_cfg(4, "ring"))
     result = sim.propagate()
@@ -158,8 +158,8 @@ def test_distributed_fft_accounting_matches_serial(serial_sim):
 
 def test_uncounted_distributed_run_matches_counted(serial_sim):
     """``count_ffts = false`` on 2 ranks with dense exchange every inner
-    iteration: each rank's view is the engine itself, the trajectory is
-    the counted run's bits, and no tally exists anywhere."""
+    iteration: the trajectory is the counted run's bits, and no tally
+    exists anywhere, per-rank counts included."""
     serial, _ = serial_sim
     sections = {
         "propagation": {
@@ -175,6 +175,22 @@ def test_uncounted_distributed_run_matches_counted(serial_sim):
     np.testing.assert_array_equal(counted.final_state.phi, uncounted.final_state.phi)
     assert counted.fft is not None and counted_sim.fft_counters() is not None
     assert uncounted.fft is None and uncounted_sim.fft_counters() is None
+    assert counted.parallel.fft_rank_transforms is not None
+    assert uncounted.parallel.fft_rank_transforms is None
+
+
+def test_rank_transforms_are_per_run(serial_sim):
+    """Each result's per-rank counts cover its own run only: the second
+    run's are the difference of the cumulative counts, and their sum is
+    within the run's own backend tally."""
+    serial, _ = serial_sim
+    sim = serial.derive(parallel=_parallel_cfg(2, "ring"))
+    first, second = sim.propagate(n_steps=1), sim.propagate(n_steps=1)
+    once, twice = first.parallel.fft_rank_transforms, second.parallel.fft_rank_transforms
+    assert sum(twice) <= second.fft.transforms
+    assert all(n > 0 for n in twice)
+    cumulative = sim.parallel.run_info().fft_rank_transforms
+    assert twice == [c - n for c, n in zip(cumulative, once)]
 
 
 # ---------------- ledger invariants ---------------------------------------------
