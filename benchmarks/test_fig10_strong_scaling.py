@@ -55,11 +55,11 @@ def test_measured_distributed_fock_scaling(bench_grid, benchmark):
     for p in (2, 4, 8):
         ledger = CostLedger()
         comm = SimComm(p, FUGAKU_ARM, ledger)
-        DistributedFockExchange(bench_grid, kern, comm).apply_diag(phi, w, phi, pattern="ring")
+        DistributedFockExchange(bench_grid, kern, comm).apply_diag(phi, w, pattern="ring")
         totals[p] = ledger.seconds_by_category()["sendrecv"]
     print(f"\n# ring sendrecv seconds per application vs ranks: {totals}")
     assert totals[8] < totals[2] * 4.0  # latency growth only, volume ~flat
 
     comm = SimComm(4, FUGAKU_ARM)
     dist = DistributedFockExchange(bench_grid, kern, comm)
-    benchmark(lambda: dist.apply_diag(phi, w, phi, pattern="ring"))
+    benchmark(lambda: dist.apply_diag(phi, w, pattern="ring"))

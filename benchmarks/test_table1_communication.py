@@ -43,7 +43,7 @@ def test_table1_executed_ledger(bench_grid, benchmark):
     for pattern in ("bcast", "ring", "async-ring"):
         ledger = CostLedger()
         comm = SimComm(4, FUGAKU_ARM, ledger)
-        out = DistributedFockExchange(bench_grid, kern, comm).apply_diag(phi, w, phi, pattern=pattern)
+        out = DistributedFockExchange(bench_grid, kern, comm).apply_diag(phi, w, pattern=pattern)
         rows[pattern] = ledger.seconds_by_category()
         cells = " ".join(f"{k}={v * 1e6:8.2f}" for k, v in rows[pattern].items() if v > 0)
         print(f"#   {pattern:<11}: {cells}")
@@ -57,4 +57,4 @@ def test_table1_executed_ledger(bench_grid, benchmark):
     ledger = CostLedger()
     comm = SimComm(4, FUGAKU_ARM, ledger)
     dist = DistributedFockExchange(bench_grid, kern, comm)
-    benchmark(lambda: dist.apply_diag(phi, w, phi, pattern="async-ring"))
+    benchmark(lambda: dist.apply_diag(phi, w, pattern="async-ring"))

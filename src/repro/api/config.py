@@ -21,6 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 import numpy as np
 
 from repro.constants import SPIN_DEGENERACY
+from repro.utils.validation import is_int
 
 
 class ConfigError(ValueError):
@@ -62,11 +63,6 @@ T = TypeVar("T", bound="_Section")
 def _check(condition: bool, message: str) -> None:
     if not condition:
         raise ConfigError(message)
-
-
-def _is_int(value: Any) -> bool:
-    """An integer config value; ``True`` is not ``1`` (it would hash apart)."""
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,9 @@ class SystemConfig(_Section):
 
     ``cell`` / ``functional`` are registry keys (see
     :mod:`repro.api.registry`); the ``*_params`` dicts are passed verbatim
-    to the registered factory.
+    to the registered factory.  ``dual`` accepts only ``1`` (one grid
+    carries orbitals and density) and stays a key because every config
+    hash covers it.
     """
 
     _context = "system"
@@ -147,9 +145,15 @@ class SystemConfig(_Section):
         _check(isinstance(self.cell, str) and self.cell != "", "system.cell must be a non-empty string")
         _check(isinstance(self.functional, str) and self.functional != "", "system.functional must be a non-empty string")
         _check(self.ecut > 0.0, f"system.ecut must be positive, got {self.ecut}")
-        _check(self.dual in (1, 2), f"system.dual must be 1 or 2, got {self.dual}")
+        _check(
+            is_int(self.dual) and self.dual == 1,
+            f"system.dual must be 1 (one grid carries orbitals and density), got {self.dual!r}",
+        )
         _check(self.degeneracy > 0.0, f"system.degeneracy must be positive, got {self.degeneracy}")
-        _check(self.fock_batch_size >= 1, f"system.fock_batch_size must be >= 1, got {self.fock_batch_size}")
+        _check(
+            is_int(self.fock_batch_size) and self.fock_batch_size >= 1,
+            f"system.fock_batch_size must be an integer >= 1, got {self.fock_batch_size!r}",
+        )
         object.__setattr__(self, "cell_params", dict(self.cell_params))
         object.__setattr__(self, "functional_params", dict(self.functional_params))
 
@@ -173,16 +177,19 @@ class SCFConfig(_Section):
 
     def __post_init__(self) -> None:
         if self.nbands is not None:
-            _check(int(self.nbands) > 0, f"scf.nbands must be positive, got {self.nbands}")
-            object.__setattr__(self, "nbands", int(self.nbands))
+            _check(
+                is_int(self.nbands) and self.nbands > 0,
+                f"scf.nbands must be a positive integer, got {self.nbands!r}",
+            )
         _check(self.temperature_k >= 0.0, f"scf.temperature_k must be >= 0, got {self.temperature_k}")
         _check(self.density_tol > 0.0, f"scf.density_tol must be positive, got {self.density_tol}")
         _check(self.exchange_tol > 0.0, f"scf.exchange_tol must be positive, got {self.exchange_tol}")
         _check(self.davidson_tol > 0.0, f"scf.davidson_tol must be positive, got {self.davidson_tol}")
         _check(0.0 < self.mix_beta <= 1.0, f"scf.mix_beta must be in (0, 1], got {self.mix_beta}")
-        _check(self.mix_history >= 1, f"scf.mix_history must be >= 1, got {self.mix_history}")
-        _check(self.max_scf >= 1, f"scf.max_scf must be >= 1, got {self.max_scf}")
-        _check(self.max_outer >= 1, f"scf.max_outer must be >= 1, got {self.max_outer}")
+        for key in ("mix_history", "max_scf", "max_outer"):
+            value = getattr(self, key)
+            _check(is_int(value) and value >= 1, f"scf.{key} must be an integer >= 1, got {value!r}")
+        _check(is_int(self.seed), f"scf.seed must be an integer, got {self.seed!r}")
 
     def to_options(self):
         """The low-level :class:`repro.scf.SCFOptions` equivalent."""
@@ -225,8 +232,14 @@ class PropagationConfig(_Section):
     def __post_init__(self) -> None:
         _check(isinstance(self.propagator, str) and self.propagator != "", "propagation.propagator must be a non-empty string")
         _check(self.dt_as > 0.0, f"propagation.dt_as must be positive, got {self.dt_as}")
-        _check(self.n_steps >= 0, f"propagation.n_steps must be >= 0, got {self.n_steps}")
-        _check(self.observe_every >= 1, f"propagation.observe_every must be >= 1, got {self.observe_every}")
+        _check(
+            is_int(self.n_steps) and self.n_steps >= 0,
+            f"propagation.n_steps must be an integer >= 0, got {self.n_steps!r}",
+        )
+        _check(
+            is_int(self.observe_every) and self.observe_every >= 1,
+            f"propagation.observe_every must be an integer >= 1, got {self.observe_every!r}",
+        )
         try:
             pairs = tuple((int(i), int(j)) for i, j in self.track_sigma)
         except (TypeError, ValueError) as exc:
@@ -246,10 +259,10 @@ class BackendConfig(_Section):
     is refused at parse time: the key stays because it is part of every
     stored ground state's address and of every config hash.
     ``fft_workers`` sets the transform thread count (wall time only: a
-    band's result does not depend on it); and ``count_ffts`` keeps the
-    :class:`~repro.backend.FFTCounters` instrumentation on (the default
-    — it is how perf results tie back to the paper's analytic FFT
-    tallies).
+    band's result does not depend on it).  ``count_ffts`` is fixed to
+    ``true`` in the same way as ``name``: the engine always carries its
+    :class:`~repro.backend.FFTCounters` (how perf results tie back to the
+    paper's analytic FFT tallies).
     """
 
     _context = "backend"
@@ -264,12 +277,12 @@ class BackendConfig(_Section):
             f"backend.name must be 'numpy' (the one FFT engine), got {self.name!r}",
         )
         _check(
-            _is_int(self.fft_workers) and self.fft_workers >= 1,
+            is_int(self.fft_workers) and self.fft_workers >= 1,
             f"backend.fft_workers must be an integer >= 1, got {self.fft_workers!r}",
         )
         _check(
-            isinstance(self.count_ffts, bool),
-            f"backend.count_ffts must be a boolean, got {self.count_ffts!r}",
+            self.count_ffts is True,
+            f"backend.count_ffts must be true (the engine always counts), got {self.count_ffts!r}",
         )
 
 
@@ -304,7 +317,7 @@ class ParallelConfig(_Section):
         from repro.parallel.distfock import PATTERNS
 
         _check(
-            _is_int(self.ranks) and self.ranks >= 1,
+            is_int(self.ranks) and self.ranks >= 1,
             f"parallel.ranks must be an integer >= 1, got {self.ranks!r}",
         )
         _check(
@@ -373,7 +386,7 @@ class SweepConfig(_Section):
     def __post_init__(self) -> None:
         _check(self.mode in ("grid", "zip"), f"sweep.mode must be 'grid' or 'zip', got {self.mode!r}")
         _check(
-            _is_int(self.workers) and self.workers >= 1,
+            is_int(self.workers) and self.workers >= 1,
             f"sweep.workers must be an integer >= 1, got {self.workers!r}",
         )
         if self.store is not None:
@@ -452,16 +465,16 @@ class ServeConfig(_Section):
             "serve.host must be a non-empty string",
         )
         _check(
-            _is_int(self.port) and 0 <= self.port <= 65535,
+            is_int(self.port) and 0 <= self.port <= 65535,
             f"serve.port must be an integer in [0, 65535], got {self.port!r}",
         )
         _check(
-            _is_int(self.workers) and self.workers >= 1,
+            is_int(self.workers) and self.workers >= 1,
             f"serve.workers must be an integer >= 1, got {self.workers!r}",
         )
         _check(self.timeout >= 0.0, f"serve.timeout must be >= 0, got {self.timeout}")
         _check(
-            _is_int(self.retries) and self.retries >= 1,
+            is_int(self.retries) and self.retries >= 1,
             f"serve.retries must be an integer >= 1, got {self.retries!r}",
         )
         _check(self.backoff >= 0.0, f"serve.backoff must be >= 0, got {self.backoff}")

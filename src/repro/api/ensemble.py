@@ -150,8 +150,8 @@ class RunRecord:
     elapsed: float = 0.0
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
     #: this run's own *propagation* FFT tally — the shared group SCF runs
-    #: before any per-run snapshot and is attributed to no run.  None only
-    #: when the variant's backend is uncounted.
+    #: before any per-run snapshot and is attributed to no run.  None when
+    #: the variant failed, or was restored from a row that holds no tally.
     fft: Optional[FFTCounters] = None
     #: communication accounting (``ParallelRunInfo.to_dict()`` form) when
     #: the variant ran under an active ``[parallel]`` section, else None
@@ -211,8 +211,8 @@ class EnsembleResult:
         """Coverage-aware merged FFT tally over the whole ensemble.
 
         Returns ``FFTCoverage(totals, n_reporting, n_runs)``: ``totals``
-        merges the runs that reported a tally (``None`` when none did —
-        uncounted backends), and ``n_reporting`` / ``n_runs`` make
+        merges the runs that reported a tally (``None`` when none did),
+        and ``n_reporting`` / ``n_runs`` make
         partial coverage explicit instead of letting a partial sum
         masquerade as the ensemble total.  :meth:`summary` flags
         ``n_reporting < n_runs`` in its tally line.

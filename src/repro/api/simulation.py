@@ -166,8 +166,8 @@ class SimulationResult:
     ground_state: Optional[GroundState] = None
     #: FFT tally of the propagate() call that produced this result,
     #: including a lazily-triggered SCF and any distributed-exchange
-    #: rank work (None when the backend is uncounted); in-memory only —
-    #: not persisted by save_npz
+    #: rank work (None on a result read back without one); in-memory
+    #: only — not persisted by save_npz
     fft: Optional[FFTCounters] = None
     #: communication accounting of the propagate() call when the
     #: ``[parallel]`` section is active (None on the serial path);
@@ -361,24 +361,20 @@ class Simulation:
         """The numerics engine built from the ``[backend]`` config section."""
         if self._backend is None:
             cfg = self.config.backend
-            self._backend = Backend(fft_workers=cfg.fft_workers, count_ffts=cfg.count_ffts)
+            self._backend = Backend(fft_workers=cfg.fft_workers)
         return self._backend
 
     @property
     def grid(self) -> PlaneWaveGrid:
         if self._grid is None:
             sys = self.config.system
-            self._grid = PlaneWaveGrid(
-                self.cell, ecut=sys.ecut, dual=sys.dual, backend=self.backend
-            )
+            self._grid = PlaneWaveGrid(self.cell, ecut=sys.ecut, backend=self.backend)
         return self._grid
 
-    def fft_counters(self) -> Optional[FFTCounters]:
-        """Cumulative FFT tally of this simulation's backend (or ``None``),
-        which counts every transform, simulated ranks' exchange work
-        included."""
-        counters = self.backend.counters
-        return counters.snapshot() if counters is not None else None
+    def fft_counters(self) -> FFTCounters:
+        """Cumulative FFT tally of this simulation's backend, which counts
+        every transform, simulated ranks' exchange work included."""
+        return self.backend.counters.snapshot()
 
     # -- parallel execution ---------------------------------------------------
     @property
@@ -516,7 +512,7 @@ class Simulation:
         propagator = self.build_propagator()
         ctx = self.parallel
         counters = self.backend.counters
-        before = counters.snapshot() if counters is not None else None
+        before = counters.snapshot()
         # the propagator build above materialized the Hamiltonian, so the
         # exchange operator (when parallel) exists for a coherent mark
         mark = ctx.mark() if ctx is not None else None
@@ -533,7 +529,7 @@ class Simulation:
             record=propagator.record,
             final_state=final,
             ground_state=self._gs,
-            fft=counters.since(before) if counters is not None else None,
+            fft=counters.since(before),
             parallel=ctx.run_info(mark) if ctx is not None else None,
         )
 

@@ -2,9 +2,8 @@
 
 :class:`Backend` (:mod:`repro.backend.base`) runs each batched 3-D
 transform as one pocketfft call on ``fft_workers`` threads and tallies it
-into :class:`FFTCounters` (unless built with ``count_ffts=False``), which
-is how perf tests verify the paper's analytic FFT tallies against the
-real numerics.
+into its :class:`FFTCounters`, which is how perf tests verify the paper's
+analytic FFT tallies against the real numerics.
 
 The 1-D helpers :func:`rfft` / :func:`rfftfreq` exist so *analysis*
 transforms (dipole-trace spectra) have a home inside this package: they

@@ -18,8 +18,7 @@ diagonalization) and wins its speedups with batched transforms
   fft_workers``.  A band's result depends neither on the thread count
   nor on where the band sits in a batch, so the setting moves wall time
   and no bits — which the serial/distributed bitwise gates rest on;
-* every call is tallied into :class:`FFTCounters` unless the engine is
-  built with ``count_ffts=False``.
+* every call is tallied into the engine's :class:`FFTCounters`.
 
 Transforms use the PWDFT convention: :meth:`Backend.forward` is ``fftn``
 scaled by ``1/Ngrid`` so plane-wave coefficients are directly the
@@ -142,24 +141,19 @@ def _landed_in(r: np.ndarray, out: np.ndarray) -> bool:
 
 
 class Backend:
-    """Batched complex 3-D FFTs on pocketfft, run in the caller's buffer.
+    """Batched complex 3-D FFTs on pocketfft, run in the caller's buffer;
+    every call is recorded in ``counters``, the engine's :class:`FFTCounters`."""
 
-    ``counters`` is an :class:`FFTCounters` when the engine counts (the
-    default) and ``None`` otherwise, so callers can always write
-    ``backend.counters and backend.counters.snapshot()``.
-    """
-
-    def __init__(self, fft_workers: int = 1, count_ffts: bool = True) -> None:
+    def __init__(self, fft_workers: int = 1) -> None:
         workers = int(fft_workers)
         if workers < 1:
             raise BackendError(f"fft_workers must be >= 1, got {fft_workers}")
         self.fft_workers = workers
-        self.counters: Optional[FFTCounters] = FFTCounters() if count_ffts else None
+        self.counters = FFTCounters()
 
     def describe(self) -> str:
         """One-line description for the CLI / logs."""
-        counted = " + counters" if self.counters is not None else ""
-        return f"numpy (pocketfft, workers={self.fft_workers}){counted}"
+        return f"numpy (pocketfft, workers={self.fft_workers}) + counters"
 
     # -- validation ------------------------------------------------------------
     def _accept(self, a: np.ndarray, out: Optional[np.ndarray]) -> None:
@@ -173,8 +167,7 @@ class Backend:
                 raise ValueError(f"out must be complex, got dtype {out.dtype}")
             if not out.flags.writeable:
                 raise ValueError("out buffer is not writeable")
-        if self.counters is not None:
-            self.counters.record(a.shape[-3:], math.prod(a.shape[:-3]))
+        self.counters.record(a.shape[-3:], math.prod(a.shape[:-3]))
 
     # -- public transform API ------------------------------------------------
     def forward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:

@@ -1,12 +1,11 @@
-"""The combined wavefunction/density grid object.
+"""The plane-wave grid: one grid carries orbitals and density.
 
 PWDFT (Sec. VI) uses a wavefunction grid and a density grid twice as fine
 per dimension (e.g. 1536 atoms: 60x90x120 wavefunction grid, 120x180x240
 density grid).  At the scales this reproduction runs numerically, a single
-grid for both is accurate enough and halves memory, so
-:class:`PlaneWaveGrid` defaults to ``dual=1`` but supports the paper's
-``dual=2`` layout, interpolating densities between the two grids in
-G-space.
+grid for both is accurate enough and halves memory, so orbitals,
+densities and potentials all live on :class:`PlaneWaveGrid`'s one
+``shape`` with quadrature weight ``dv``.
 
 Wavefunction storage convention.  At the API boundary (``TDState.phi``,
 ``GroundState.orbitals``, result and checkpoint files, the Fock operators)
@@ -51,9 +50,7 @@ class PlaneWaveGrid:
     ecut:
         Wavefunction kinetic-energy cutoff (hartree).
     shape:
-        Wavefunction FFT grid; computed from ``ecut`` if omitted.
-    dual:
-        Density grid refinement per dimension (paper uses 2).
+        FFT grid; computed from ``ecut`` if omitted.
     backend:
         FFT engine (:class:`repro.backend.Backend`).  Defaults to a
         *fresh* counting engine owned by this grid, so FFT tallies are
@@ -63,42 +60,27 @@ class PlaneWaveGrid:
     cell: UnitCell
     ecut: float
     shape: Optional[Tuple[int, int, int]] = None
-    dual: int = 1
     backend: Optional[Backend] = None
 
     def __post_init__(self) -> None:
         require(self.ecut > 0.0, "ecut must be positive")
-        require(self.dual in (1, 2), "dual must be 1 or 2")
         if self.shape is None:
             self.shape = minimal_fft_shape(self.cell, self.ecut, factor=1.0)
         self.shape = tuple(int(n) for n in self.shape)
         if self.backend is None:
             self.backend = Backend()
         self.gvec = GVectors(self.cell, self.shape, self.ecut)
-        dshape = tuple(self.dual * n for n in self.shape)
-        # density-grid G vectors: cutoff 4*ecut resolves all |phi|^2 products
-        self.gvec_dense = (
-            self.gvec if self.dual == 1 else GVectors(self.cell, dshape, 4.0 * self.ecut)
-        )
 
     # -- sizes (``shape`` is fixed after ``__post_init__``: computed once) -----
     @cached_property
     def ngrid(self) -> int:
-        """Number of wavefunction grid points (the paper's Ng)."""
+        """Number of grid points (the paper's Ng)."""
         return int(np.prod(self.shape))
 
     @cached_property
-    def ngrid_dense(self) -> int:
-        return int(np.prod(self.gvec_dense.shape))
-
-    @cached_property
     def dv(self) -> float:
-        """Real-space quadrature weight on the wavefunction grid."""
+        """Real-space quadrature weight."""
         return self.cell.volume / self.ngrid
-
-    @cached_property
-    def dv_dense(self) -> float:
-        return self.cell.volume / self.ngrid_dense
 
     @property
     def npw(self) -> int:
@@ -208,64 +190,3 @@ class PlaneWaveGrid:
         # Löwdin-free: QR on the coefficient matrix is stable enough here
         q, _ = np.linalg.qr(phi.T)
         return np.ascontiguousarray(q.T) / np.sqrt(self.dv)
-
-    # -- interpolation between grids --------------------------------------------
-    def interpolate_to_dense(self, fr: np.ndarray) -> np.ndarray:
-        """Fourier-interpolate a wavefunction-grid field to the density grid."""
-        if self.dual == 1:
-            return np.asarray(fr).copy()
-        box = self.to_box(np.asarray(fr))
-        fg = self.backend.forward(box)
-        out = _pad_spectrum(fg, self.gvec_dense.shape)
-        dense = self.backend.backward(out)
-        return dense.reshape(dense.shape[:-3] + (self.ngrid_dense,))
-
-    def restrict_from_dense(self, fr_dense: np.ndarray) -> np.ndarray:
-        """Fourier-restrict a density-grid field back to the wavefunction grid."""
-        if self.dual == 1:
-            return np.asarray(fr_dense).copy()
-        box = fr_dense.reshape(fr_dense.shape[:-1] + self.gvec_dense.shape)
-        fg = self.backend.forward(box)
-        out = _crop_spectrum(fg, self.shape)
-        coarse = self.backend.backward(out)
-        return self.to_flat(coarse)
-
-
-def _freq_slices(n_small: int) -> Tuple[slice, slice]:
-    """Positive/negative frequency slices for spectrum padding."""
-    half = n_small // 2
-    return slice(0, half), slice(n_small - half, n_small)
-
-
-def _pad_spectrum(fg: np.ndarray, big_shape: Tuple[int, int, int]) -> np.ndarray:
-    small = fg.shape[-3:]
-    out = np.zeros(fg.shape[:-3] + tuple(big_shape), dtype=fg.dtype)
-    idx_small, idx_big = [], []
-    for ns, nb in zip(small, big_shape):
-        pos, neg = _freq_slices(ns)
-        idx_small.append((pos, neg))
-        idx_big.append((slice(0, pos.stop), slice(nb - (neg.stop - neg.start), nb)))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                out[..., idx_big[0][a], idx_big[1][b], idx_big[2][c]] = fg[
-                    ..., idx_small[0][a], idx_small[1][b], idx_small[2][c]
-                ]
-    return out
-
-
-def _crop_spectrum(fg: np.ndarray, small_shape: Tuple[int, int, int]) -> np.ndarray:
-    big = fg.shape[-3:]
-    out = np.zeros(fg.shape[:-3] + tuple(small_shape), dtype=fg.dtype)
-    idx_small, idx_big = [], []
-    for ns, nb in zip(small_shape, big):
-        pos, neg = _freq_slices(ns)
-        idx_small.append((pos, neg))
-        idx_big.append((slice(0, pos.stop), slice(nb - (neg.stop - neg.start), nb)))
-    for a in range(2):
-        for b in range(2):
-            for c in range(2):
-                out[..., idx_small[0][a], idx_small[1][b], idx_small[2][c]] = fg[
-                    ..., idx_big[0][a], idx_big[1][b], idx_big[2][c]
-                ]
-    return out

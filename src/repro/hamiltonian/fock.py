@@ -26,13 +26,13 @@ Three evaluation strategies, all numerically equivalent (tested):
     indices alone, which is what lets the subclass
     :class:`~repro.parallel.distfock.DistributedFockExchange` override
     this one method, hand tile pairs to any rank and stay bit-identical.
-    When the operator acts on its own sources (no ``targets``: every
-    production call — midpoint exchange, ACE build, exchange energy, the
-    hybrid SCF) the kernel is real and even in G, so ``pot_ba =
-    conj(pot_ab)``: each unordered pair ``{I <= J}`` is transformed once
-    and also yields ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2
-    Poisson solves instead of the paper's N^2.  An arbitrary target block
-    takes the same kernel over all ``(I, J)`` and uses ``P[I->J]`` only.
+    The operator acts only on its own sources — every production call
+    does: midpoint exchange, ACE build, exchange energy, the hybrid SCF —
+    and the kernel is real and even in G, so ``pot_ba = conj(pot_ab)``:
+    each unordered pair ``{I <= J}`` is transformed once and also yields
+    ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
+    instead of the paper's N^2.  Only the two references above take an
+    arbitrary ``targets`` block.
 
 Conventions: orbitals are real-space rows ``(N, ngrid)``; pair densities
 carry the continuum normalization through ``grid.dv``-weighted inner
@@ -182,40 +182,24 @@ class FockExchangeOperator:
         return forward, np.einsum("br,abr->ar", weighted[tile_j].conj(), pot).conj()
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
-    def apply_diag(
-        self, phi_src: np.ndarray, weights: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``(V_x psi_j)(r) = -Σ_i d_i phi_i(r) [K * (phi_i^* psi_j)](r)``.
+    def apply_diag(self, phi_src: np.ndarray, weights: np.ndarray) -> np.ndarray:
+        """``(V_x phi_j)(r) = -Σ_i d_i phi_i(r) [K * (phi_i^* phi_j)](r)`` on the sources.
 
         ``phi_src``: source orbitals (rows), ``weights``: their occupation
-        weights ``d_i`` in [0, 1].  Without ``targets`` the operator acts
-        on its own sources and every unordered orbital pair is
-        transformed once (N(N+1)/2 FFT pairs); with ``targets`` it acts
-        on that block (N_active x N_tgt FFT pairs).  Tile pairs are
-        batched ``batch_size`` pair densities at a time either way.
+        weights ``d_i`` in [0, 1].  The operator acts on its own sources:
+        every unordered orbital pair is transformed once (N(N+1)/2 FFT
+        pairs), ``batch_size`` pair densities per batched transform.
         """
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source orbital")
-        if targets is None:
-            acc = np.zeros_like(phi_src)
-            weighted = weights[:, None] * phi_src
-            tiles = band_tiles(phi_src.shape[0], self.batch_size)
-            for i, j, keep in symmetric_tile_pairs(tiles, weights):
-                forward, backward = self.tile_pair_partials(
-                    phi_src, weighted, tiles[i], tiles[j], keep
-                )
-                acc[tiles[j]] += forward
-                if backward is not None:
-                    acc[tiles[i]] += backward
-        else:
-            acc = np.zeros_like(targets)
-            active = np.abs(weights) > WEIGHT_CUTOFF
-            src = phi_src[active]
-            weighted = weights[active, None] * src
-            for tile_j in band_tiles(targets.shape[0], self.batch_size):
-                for tile_i in band_tiles(src.shape[0], self.batch_size):
-                    pot = self.tile_potentials(src[tile_i], targets[tile_j])
-                    acc[tile_j] += np.einsum("ar,abr->br", weighted[tile_i], pot)
+        acc = np.zeros_like(phi_src)
+        weighted = weights[:, None] * phi_src
+        tiles = band_tiles(phi_src.shape[0], self.batch_size)
+        for i, j, keep in symmetric_tile_pairs(tiles, weights):
+            forward, backward = self.tile_pair_partials(phi_src, weighted, tiles[i], tiles[j], keep)
+            acc[tiles[j]] += forward
+            if backward is not None:
+                acc[tiles[i]] += backward
         return np.negative(acc, out=acc)
 
     # -- mixed-state baseline (paper Alg. 2) -----------------------------------
@@ -272,21 +256,17 @@ class FockExchangeOperator:
         return out
 
     def apply_mixed_via_diagonalization(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
+        self, phi: np.ndarray, sigma: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sec. IV-A1 pipeline: diagonalize sigma, rotate, apply Eq. (13).
 
-        Without ``targets`` this is ``V_x[P] Phi`` on the block that
-        defines ``P``: the rotated block is its own target and the
-        result is rotated back.
-        Returns ``(vx_targets, d, q)`` so callers can reuse the
+        ``V_x[P] Phi`` on the block that defines ``P``: the rotated block
+        is its own target and the result is rotated back.
+        Returns ``(vx_phi, d, q)`` so callers can reuse the
         decomposition (e.g. for the density and ACE construction).
         """
         d, q = diagonalize_sigma(hermitize(sigma))
-        phi_t = rotate_orbitals(phi, q)
-        if targets is None:
-            return unrotate_orbitals(self.apply_diag(phi_t, d), q), d, q
-        return self.apply_diag(phi_t, d, targets), d, q
+        return unrotate_orbitals(self.apply_diag(rotate_orbitals(phi, q), d), q), d, q
 
     # -- energy -----------------------------------------------------------------
     def exchange_energy(

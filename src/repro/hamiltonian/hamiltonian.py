@@ -126,10 +126,10 @@ class Hamiltonian:
         V_x, given as sigma's eigenbasis image (paper Fig. 2(b),
         :mod:`repro.occupation.sigma`): real-space rows ``phi~ = Phi Q``
         and the eigenvalues ``d``.  The rows are the sources as given, and
-        their self-application needs no rotation.  ``phi`` is remembered
-        by identity: applying the Hamiltonian to this very array takes the
-        half-cost self-application, so do not modify it in place between
-        this call and :meth:`apply`.
+        their self-application needs no rotation.  The dense exchange acts
+        on these rows only, recognized by identity: :meth:`apply` must be
+        handed this very array as ``phi_r``, so do not modify it in place
+        between this call and :meth:`apply`.
         """
         require(self.functional.is_hybrid, "exchange sources need a hybrid functional")
         require(np.ndim(d) == 1, "exchange sources take sigma's eigenvalues; decompose sigma first")
@@ -172,13 +172,19 @@ class Hamiltonian:
     def apply_exchange(self, phi_r: np.ndarray) -> Optional[np.ndarray]:
         """``alpha * V_x phi`` in real space for the dense exchange; ``None``
         when there is no dense exchange to add (semilocal, cleared, ACE —
-        the compressed operator acts on the sphere inside :meth:`apply`)."""
+        the compressed operator acts on the sphere inside :meth:`apply`,
+        on any block).  The dense exchange applies only to the block that
+        defines ``P``: ``phi_r`` must be the array given to
+        :meth:`set_exchange_sources`."""
         if self.exchange_mode != "dense-diag":
             return None
         src, d = self._exx_sources
-        # on the block that defines P, the half-cost self-application
-        targets = None if phi_r is src else phi_r
-        return self.functional.alpha * self.fock.apply_diag(src, d, targets)
+        require(
+            phi_r is src,
+            "the dense exchange applies only to the very rows given to "
+            "set_exchange_sources; use set_ace to apply exchange to another block",
+        )
+        return self.functional.alpha * self.fock.apply_diag(src, d)
 
     # -- full application ---------------------------------------------------------
     def apply(
@@ -202,8 +208,8 @@ class Hamiltonian:
         ``phi_r`` is the real-space image of ``c`` when the caller
         already has it (the PT-IM loop transformed the midpoint block for
         its density): two batched transforms per call without it, one
-        with it.  Dense-diag exchange recognizes its source block by the
-        identity of ``phi_r``.
+        with it.  Under the dense exchange ``phi_r`` must be the rows
+        given to :meth:`set_exchange_sources` (see :meth:`apply_exchange`).
         """
         grid = self.grid
         if phi_r is None:

@@ -153,10 +153,10 @@ class ParallelContext:
     # -- run records -----------------------------------------------------------
     def mark(self) -> Tuple[int, Optional[List[int]]]:
         """Where a run starts, for :meth:`run_info`: the ledger mark and a
-        copy of the exchange operator's rank tally (``None`` when
-        uncounted or not built)."""
-        tally = None if self._fock is None else self._fock.rank_transforms
-        return self.ledger.mark(), None if tally is None else list(tally)
+        copy of the exchange operator's rank tally (``None`` before it is
+        built: a semilocal run has none)."""
+        tally = None if self._fock is None else list(self._fock.rank_transforms)
+        return self.ledger.mark(), tally
 
     def run_info(self, mark: Optional[Tuple[int, Optional[List[int]]]] = None) -> ParallelRunInfo:
         """A :class:`ParallelRunInfo` for everything since ``mark`` (see

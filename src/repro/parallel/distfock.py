@@ -1,6 +1,6 @@
 """Distributed Fock-exchange evaluation (paper Alg. 2 + Fig. 5).
 
-Sources and targets are band-sharded across simulated ranks.  Every rank
+Sources are band-sharded across simulated ranks.  Every rank
 must see every source orbital once; the three communication schedules of
 Fig. 5 are implemented *for real* on the shards:
 
@@ -23,9 +23,9 @@ That exactness holds by construction, not by luck of the shard sizes:
 * the unit of work is the serial operator's **tile pair** (see
   :mod:`repro.hamiltonian.fock`): tiles are cut from the band index and
   ``batch_size`` alone, never from the rank count, and the partial sums
-  ``P[I->J]`` a tile pair yields depend only on the two tiles.  When the
-  operator acts on its own sources each unordered pair ``{I <= J}`` is
-  evaluated by exactly one rank — pair ``k`` of the serial enumeration
+  ``P[I->J]`` a tile pair yields depend only on the two tiles.  The
+  operator acts on its own sources, and each unordered pair ``{I <= J}``
+  is evaluated by exactly one rank — pair ``k`` of the serial enumeration
   by rank ``k mod p``, which balances the transforms even where ranks
   outnumber tiles — from the sources every rank has received through the
   schedule (reassembled from the communicated copies, in band order);
@@ -39,8 +39,6 @@ That exactness holds by construction, not by luck of the shard sizes:
   closed by its own exchange and addition: a wave holds at most ``2N``
   partial rows, where a single exchange at the end would hold ``N``
   times the tile count (six orbital blocks at N = 24);
-* an arbitrary target block is sharded by whole target tiles and each
-  rank runs the serial operator on its shard (nothing to return);
 * every rank computes on this operator and its grid, so the one
   :class:`~repro.backend.Backend` tally counts each transform once and
   equals the serial count; rank ``r``'s share,
@@ -63,7 +61,7 @@ import numpy as np
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator, band_tiles, symmetric_tile_pairs
 from repro.parallel.comm import SimComm
-from repro.parallel.layouts import BandLayout, partition_offsets, partition_sizes
+from repro.parallel.layouts import BandLayout, partition_sizes
 from repro.utils.validation import require
 
 Pattern = Literal["bcast", "ring", "async-ring"]
@@ -111,10 +109,7 @@ class DistributedFockExchange(FockExchangeOperator):
         self.pattern = pattern
         self.use_shm = bool(use_shm)
         #: per rank, the 3-D transforms of the exchange work it was dealt
-        #: (``None`` when the backend does not count)
-        self.rank_transforms: Optional[List[int]] = (
-            None if grid.backend.counters is None else [0] * comm.nranks
-        )
+        self.rank_transforms: List[int] = [0] * comm.nranks
 
     # -- bookkeeping -----------------------------------------------------------
     @property
@@ -125,8 +120,6 @@ class DistributedFockExchange(FockExchangeOperator):
     def _as_rank(self, r: int, work: Callable, *args):
         """``work(*args)`` run as rank ``r``: the backend tally's advance
         across the call is added to ``rank_transforms[r]``."""
-        if self.rank_transforms is None:
-            return work(*args)
         counters = self.grid.backend.counters
         before = counters.transforms
         out = work(*args)
@@ -138,13 +131,6 @@ class DistributedFockExchange(FockExchangeOperator):
         ng = self.grid.ngrid
         flops = 2.0 * n_pairs * 5.0 * ng * np.log2(max(ng, 2))
         return self.comm.machine.fft_time(flops)
-
-    def _tile_shards(self, nbands: int) -> List[slice]:
-        """Per rank, the band range of the whole tiles it owns (may be empty)."""
-        tiles = band_tiles(nbands, self.batch_size)
-        edges = [t.start for t in tiles] + [nbands]
-        first = partition_offsets(len(tiles), self.comm.nranks) + [len(tiles)]
-        return [slice(edges[a], edges[b]) for a, b in zip(first[:-1], first[1:])]
 
     # -- schedules ------------------------------------------------------------
     def _collect_sources(
@@ -211,36 +197,22 @@ class DistributedFockExchange(FockExchangeOperator):
         self,
         phi_src: np.ndarray,
         weights: np.ndarray,
-        targets: Optional[np.ndarray] = None,
         *,
         pattern: Optional[Pattern] = None,
     ) -> np.ndarray:
-        """Band-parallel ``V_x`` — serial-bitwise, schedule-charged.
+        """Band-parallel ``V_x`` on its own sources — serial-bitwise,
+        schedule-charged.
 
-        ``phi_src``: (N_src, ngrid) diagonal-weight sources (post sigma
+        ``phi_src``: (N, ngrid) diagonal-weight sources (post sigma
         diagonalization), which reach every rank via the configured
-        pattern.  Without ``targets`` the operator acts on its own
-        sources: the unordered tile pairs are dealt round-robin, partials
+        pattern.  The unordered tile pairs are dealt round-robin, partials
         return to the tile owners in one ``alltoallv`` per wave and are
-        added in the serial order.  With ``targets`` (N_tgt, ngrid) each rank runs
-        the serial operator on its whole-tile target shard.
+        added in the serial order.
         """
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source")
         pattern = self.pattern if pattern is None else pattern
         p = self.comm.nranks
-        if targets is not None:
-            shards = self._tile_shards(targets.shape[0])
-            n_tgt_max = max(s.stop - s.start for s in shards)
-            per_rank = self._collect_sources([phi_src, weights], pattern, n_tgt_max)
-            serial_apply = super().apply_diag  # before 3.12, super() fails inside a comprehension
-            out = np.concatenate(
-                [self._as_rank(r, serial_apply, *per_rank[r], targets[shards[r]]) for r in range(p)]
-            )
-            # the allgatherv that hands the shards back to the serial consumers
-            self.comm.charge_allgatherv(float(out.nbytes))
-            return out
-
         n = phi_src.shape[0]
         per_rank = self._collect_sources([phi_src, weights], pattern, (n + 1) / (2.0 * p))
         weighted = [w[:, None] * src for src, w in per_rank]

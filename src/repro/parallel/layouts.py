@@ -2,7 +2,7 @@
 
 PWDFT's band-index parallelization gives each rank whole orbitals, so a
 rank's FFTs are local; this is the layout the distributed exchange
-shards its sources and targets by.  :func:`partition_sizes` /
+shards its sources by.  :func:`partition_sizes` /
 :func:`partition_offsets` are the balanced 1-D block partition it cuts
 bands and tiles with.
 """

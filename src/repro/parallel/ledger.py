@@ -54,12 +54,6 @@ class CostLedger:
     def reset(self) -> None:
         self.records.clear()
 
-    def table_row(self) -> Dict[str, float]:
-        """Table-I-shaped row: per-category seconds + total."""
-        row = self.seconds_by_category()
-        row["total"] = self.total_seconds()
-        return row
-
     def table1_row(self, compute_seconds: Optional[float] = None) -> Dict[str, float]:
         """A row consumable by :func:`repro.perf.experiments.format_table1`.
 

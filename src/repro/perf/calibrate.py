@@ -2,15 +2,14 @@
 
 Every measured number the paper reports (Fig. 9-11, Table I, Sec. VIII
 prose) is collected here, both as the calibration target for the machine
-models in :mod:`repro.parallel.machine` and as the reference column of
-EXPERIMENTS.md.  Tests in ``tests/test_perf_shape.py`` assert that the
-model reproduces the *shape* of each result (ordering, approximate
-factors) within tolerance bands.
+models in :mod:`repro.parallel.machine` and as the paper column the
+``benchmarks/`` figure tests print.  Tests in ``tests/test_perf_model.py``
+assert that the model reproduces the *shape* of each result (ordering,
+approximate factors) within tolerance bands.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, Tuple
 
 # --- Fig. 9: step-by-step speedups, 384-atom Si -----------------------------
@@ -74,20 +73,6 @@ TABLE1 = {
 HEADLINE_3072_SECONDS = 429.3
 #: largest runs: 1536 atoms on 960 Fugaku nodes, 3072 atoms on 768 A100s
 MAX_ATOMS = {"fugaku-arm": 1536, "a100-gpu": 3072}
-
-
-@dataclass(frozen=True)
-class Anchor:
-    """One paper-vs-model comparison row for EXPERIMENTS.md."""
-
-    experiment: str
-    quantity: str
-    paper: float
-    model: float
-
-    @property
-    def ratio(self) -> float:
-        return self.model / self.paper if self.paper else float("inf")
 
 
 def ranks_for_nodes(machine_name: str, nodes: int) -> int:

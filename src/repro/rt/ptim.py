@@ -80,7 +80,7 @@ from repro.occupation.sigma import (
 from repro.rt.propagator import PropagatorBase, StepStats, TDState
 from repro.scf.eigensolver import lowdin_orthonormalize
 from repro.scf.mixing import AndersonMixer
-from repro.utils.validation import require
+from repro.utils.validation import is_int, require
 
 
 class MidpointImage(NamedTuple):
@@ -121,7 +121,9 @@ class PTIMOptions:
         require(
             self.fock_mode == "dense-diag", f"fock_mode must be 'dense-diag', got {self.fock_mode!r}"
         )
-        require(self.max_scf >= 1, f"max_scf must be >= 1, got {self.max_scf}")
+        for key in ("max_scf", "mix_history"):
+            value = getattr(self, key)
+            require(is_int(value) and value >= 1, f"{key} must be an integer >= 1, got {value!r}")
         require(self.density_tol > 0, f"density_tol must be positive, got {self.density_tol}")
 
 

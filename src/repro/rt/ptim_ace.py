@@ -37,7 +37,7 @@ import numpy as np
 
 from repro.rt.propagator import StepStats, TDState
 from repro.rt.ptim import MidpointImage, PTIMOptions, PTIMPropagator
-from repro.utils.validation import require
+from repro.utils.validation import is_int, require
 
 
 @dataclass
@@ -50,8 +50,9 @@ class PTIMACEOptions(PTIMOptions):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        require(self.max_outer >= 1, f"max_outer must be >= 1, got {self.max_outer}")
-        require(self.max_inner >= 1, f"max_inner must be >= 1, got {self.max_inner}")
+        for key in ("max_outer", "max_inner"):
+            value = getattr(self, key)
+            require(is_int(value) and value >= 1, f"{key} must be an integer >= 1, got {value!r}")
         require(self.exchange_tol > 0, f"exchange_tol must be positive, got {self.exchange_tol}")
 
 

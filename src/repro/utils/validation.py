@@ -15,6 +15,11 @@ def require(condition: bool, message: str) -> None:
         raise ValueError(message)
 
 
+def is_int(value) -> bool:
+    """An integer setting; ``True`` is not ``1`` (in a config it would hash apart)."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def check_square(mat: np.ndarray, name: str = "matrix") -> int:
     """Check ``mat`` is a square 2-D array; return its dimension."""
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:

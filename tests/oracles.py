@@ -199,6 +199,21 @@ class TripleLoopExchange:
         return self.fock.apply_mixed_tripleloop(self.phi, self.sigma, targets=targets)
 
 
+class SelfExchange:
+    """``V_x[P] Phi`` of ``(phi, sigma)`` through the sigma pipeline
+    (``apply_mixed_via_diagonalization``), as an operator that
+    ``real_space_apply`` takes as ``ace=``: the dense exchange acts on the
+    block that defines ``P`` only."""
+
+    def __init__(self, fock, phi, sigma):
+        self.phi = phi
+        self.vx, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
+
+    def apply(self, block):
+        assert block is self.phi, "the dense exchange acts on its own sources only"
+        return self.vx
+
+
 def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace, tripleloop=False):
     """The PT-IM inner loop on real-space rows, a mixer per loop, the
     ``(Phi_r, sigma)`` unknowns concatenated and split on every iteration.
@@ -232,11 +247,8 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace, tripleloop=
         ham.set_time(state.time + 0.5 * dt)
         exchange = ace
         if ace is None and ham.functional.is_hybrid:
-            if tripleloop:
-                exchange = TripleLoopExchange(ham.fock, phi_mid, sigma_h)
-            else:
-                d, q = diagonalize_sigma(sigma_h)
-                ham.set_exchange_sources(rotate_orbitals(phi_mid, q), d)
+            kernel = TripleLoopExchange if tripleloop else SelfExchange
+            exchange = kernel(ham.fock, phi_mid, sigma_h)
         h_phi = real_space_apply(ham, phi_mid, ace=exchange)
         c = grid.inner(phi_mid, h_phi)
         h_perp = h_phi - np.linalg.solve(grid.inner(phi_mid, phi_mid), c).T @ phi_mid

@@ -9,13 +9,17 @@ from repro.api import (
     FIELDS,
     FUNCTIONALS,
     PROPAGATORS,
+    BackendConfig,
     ConfigError,
     Registry,
     RegistryError,
     SCFConfig,
+    Simulation,
     SimulationConfig,
+    SystemConfig,
     available_components,
 )
+from repro.api.cli import main
 from repro.scf.groundstate import SCFOptions
 
 FULL_DICT = {
@@ -23,7 +27,7 @@ FULL_DICT = {
         "cell": "silicon_supercell",
         "cell_params": {"reps": [1, 1, 2]},
         "ecut": 2.5,
-        "dual": 2,
+        "dual": 1,
         "functional": "pbe0",
         "functional_params": {"alpha": 0.3},
     },
@@ -141,6 +145,56 @@ def test_invalid_values_name_the_key(section, patch, match):
         SimulationConfig.from_dict({section: patch})
 
 
+def _validate_exit(tmp_path, data) -> int:
+    """``repro validate`` on ``data`` written as a JSON config file."""
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data))
+    return main(["validate", str(path)])
+
+
+@pytest.mark.parametrize(
+    "section,key",
+    [
+        ("system", "fock_batch_size"),
+        ("scf", "nbands"),
+        ("scf", "max_scf"),
+        ("scf", "max_outer"),
+        ("scf", "mix_history"),
+        ("scf", "seed"),
+        ("propagation", "n_steps"),
+        ("propagation", "observe_every"),
+    ],
+)
+def test_integer_keys_refuse_booleans(tmp_path, capsys, section, key):
+    """``True`` is not ``1``: it would run as one and hash apart from it.
+    Refused by name in the section and by ``repro validate`` (exit 2)."""
+    data = {section: {key: True}}
+    with pytest.raises(ConfigError, match=rf"{section}\.{key}"):
+        SimulationConfig.from_dict(data)
+    assert _validate_exit(tmp_path, data) == 2
+    assert f"{section}.{key}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "section_cls,key,value",
+    [(SystemConfig, "dual", 2), (BackendConfig, "count_ffts", False)],
+)
+def test_single_valued_keys_refused_everywhere(tmp_path, capsys, section_cls, key, value):
+    """``system.dual`` and ``backend.count_ffts`` keep their keys, which
+    every config hash covers, but accept one value each (1 and true):
+    another is refused by name in the section, by ``Simulation`` and by
+    ``repro validate`` (exit 2)."""
+    dotted = f"{section_cls._context}.{key}"
+    with pytest.raises(ConfigError, match=dotted) as direct:
+        section_cls.from_dict({key: value})
+    data = {section_cls._context: {key: value}}
+    with pytest.raises(ConfigError) as facade:
+        Simulation(data)
+    assert str(facade.value) == str(direct.value)
+    assert _validate_exit(tmp_path, data) == 2
+    assert str(direct.value) in capsys.readouterr().err
+
+
 def test_file_format_rejected(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("system: {}")
@@ -238,6 +292,10 @@ def test_propagator_options_validated():
         ("ptim", {"fock_mode": "dense-tripleloop"}, ValueError),
         ("ptim", {"density_mode": "pairwise"}, RegistryError),
         ("rk4", {"density_tol": 1e-6}, RegistryError),
+        ("ptim", {"max_scf": True}, ValueError),
+        ("ptim", {"mix_history": True}, ValueError),
+        ("ptim_ace", {"max_outer": True}, ValueError),
+        ("ptim_ace", {"max_inner": True}, ValueError),
     ],
 )
 def test_propagator_options_refuse_what_cannot_run(name, options, error):

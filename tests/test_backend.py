@@ -19,7 +19,7 @@ from repro.utils.rng import default_rng
 
 @pytest.fixture()
 def backend() -> Backend:
-    return Backend(count_ffts=False)
+    return Backend()
 
 
 @pytest.fixture()
@@ -127,7 +127,7 @@ def test_numpy_transforms_allocate_no_pass_buffers():
     """The mechanism, without a stopwatch: ``out is a`` allocates nothing
     batch-sized and a call without ``out`` makes exactly one array.  (The
     copying seed engine peaks at 2.0 x the batch's bytes on all four.)"""
-    nb = Backend(count_ffts=False)
+    nb = Backend()
     rng = default_rng(5)
     w = rng.standard_normal((16, 12, 12, 12)) + 1j * rng.standard_normal((16, 12, 12, 12))
     for transform in (nb.forward, nb.backward):
@@ -253,7 +253,7 @@ def test_trajectories_match_seed_engine(monkeypatch):
 
 
 def test_counting_semantics(batch):
-    cb = Backend()  # count_ffts defaults on
+    cb = Backend()
     cb.forward(batch)
     assert cb.counters.transforms == 5 and cb.counters.calls == 1
     for band in batch:
@@ -263,18 +263,6 @@ def test_counting_semantics(batch):
     snap = cb.counters.snapshot()
     cb.backward(batch)
     assert cb.counters.since(snap).transforms == 5
-
-
-def test_counting_wrapper_is_numerically_transparent(batch):
-    """Counting changes no bits."""
-    plain, counted = Backend(count_ffts=False), Backend()
-    assert np.array_equal(counted.forward(batch), plain.forward(batch))
-
-
-def test_count_ffts_false_gives_plain_backend():
-    b = Backend(count_ffts=False)
-    assert b.counters is None
-    assert b.describe() == "numpy (pocketfft, workers=1)"
 
 
 def test_counters_merge_and_dict_roundtrip():
@@ -313,7 +301,7 @@ def test_unknown_backend_name_gets_one_sentence_everywhere(tmp_path, capsys):
 def test_fft_workers_validated_and_honoured():
     with pytest.raises(BackendError, match="fft_workers"):
         Backend(fft_workers=0)
-    assert Backend(fft_workers=2, count_ffts=False).fft_workers == 2
+    assert Backend(fft_workers=2).fft_workers == 2
 
 
 # ---------------- grid ---------------------------------------------------------
@@ -412,9 +400,11 @@ def test_simulation_unknown_backend_raises():
 
 
 def test_simulation_uncounted_backend():
-    sim = Simulation({"backend": {"count_ffts": False}})
-    assert sim.backend.counters is None
-    assert sim.fft_counters() is None
+    """There is no uncounted engine: ``count_ffts = false`` is refused by
+    name, and the default simulation's tally is always there."""
+    with pytest.raises(ConfigError, match="backend.count_ffts must be true"):
+        Simulation({"backend": {"count_ffts": False}})
+    assert Simulation({}).fft_counters() == FFTCounters()
 
 
 def test_derive_shares_grid_only_on_same_backend():
@@ -422,7 +412,7 @@ def test_derive_shares_grid_only_on_same_backend():
     _ = sim.grid
     same = sim.derive(propagation={"n_steps": 1})
     assert same._grid is sim._grid
-    other = sim.derive(backend={"count_ffts": False})
+    other = sim.derive(backend={"fft_workers": 2})
     assert other._grid is None  # grid owns the engine: must be rebuilt
     assert other._gs is sim._gs or sim._gs is None
 

@@ -111,21 +111,6 @@ def test_low_pass_is_projection(grid):
     assert np.allclose(p1, p2, atol=1e-12)
 
 
-def test_dual_grid_interpolation_roundtrip():
-    grid = PlaneWaveGrid(silicon_cubic_cell(), ecut=2.0, dual=2)
-    rng = default_rng(5)
-    fg = rng.standard_normal((1, grid.ngrid)) + 0j
-    grid.apply_cutoff(fg)
-    f = grid.g_to_r(fg)
-    dense = grid.interpolate_to_dense(f)
-    back = grid.restrict_from_dense(dense)
-    assert np.allclose(back, f, atol=1e-10)
-    # interpolation preserves the integral
-    assert dense[0].sum() * grid.dv_dense == pytest.approx(
-        f[0].sum() * grid.dv, rel=1e-10
-    )
-
-
 def test_bandbyband_matches_batched(grid):
     """A per-band loop of transforms gives the batched call's bits."""
     rng = default_rng(6)

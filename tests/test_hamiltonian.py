@@ -83,45 +83,42 @@ def test_hybrid_hamiltonian_hermitian_with_exchange(ham_hse, grid):
 
 
 def test_exchange_modes_agree(ham_hse, grid):
-    """``H Phi`` with the exchange of sigma's eigenbasis image is ``H Phi``
+    """``H Phi~`` with the exchange of sigma's eigenbasis image is ``H Phi~``
     without exchange plus ``alpha`` times the Alg. 2 triple loop on the
-    matrix, projected onto the sphere."""
+    matrix, applied to the same rows and projected onto the sphere."""
     rng = default_rng(4)
     phi = grid.random_orbitals(3, rng)
     sigma = hermitize(random_hermitian_sigma(3, rng))
     phi_t, d = _eigenbasis_image(phi, sigma)
     ham_hse.set_exchange_sources(phi_t, d)
-    a = ham_hse.apply_real(phi)
-    vx = ham_hse.functional.alpha * ham_hse.fock.apply_mixed_tripleloop(phi, sigma)
-    b = ham_hse.apply_real(phi, include_exchange=False) + grid.to_real(grid.to_sphere(vx))
+    a = ham_hse.apply_real(phi_t)
+    vx = ham_hse.functional.alpha * ham_hse.fock.apply_mixed_tripleloop(phi, sigma, targets=phi_t)
+    b = ham_hse.apply_real(phi_t, include_exchange=False) + grid.to_real(grid.to_sphere(vx))
     assert np.allclose(a, b, atol=1e-9)
 
 
-def test_dense_diag_self_and_arbitrary_target_routes_agree(ham_hse, grid):
-    """Applying H to the very array given to ``set_exchange_sources``
-    takes the half-cost self-application; an equal-valued copy is just
-    another block and takes the all-pairs route.  Same operator, and the
-    route follows identity, never a comparison of values."""
+def test_dense_diag_refuses_a_foreign_block(ham_hse, grid):
+    """The dense exchange acts on the very array given to
+    ``set_exchange_sources``, recognized by identity, never by value: an
+    equal-valued copy is refused by name, while the sources themselves take
+    the self-application (N(N+1)/2 pair transforms, forward and inverse)."""
     rng = default_rng(8)
     n = 6
     phi = grid.random_orbitals(n, rng)
     phi, d = _eigenbasis_image(phi, random_hermitian_sigma(n, rng))
     ham_hse.set_exchange_sources(phi, d)
     counters = grid.backend.counters
-
-    def exchange_transforms(block):
-        snap = counters.snapshot()
-        ham_hse.apply_real(block, include_exchange=False)
-        base = counters.since(snap).transforms
-        snap = counters.snapshot()
-        out = ham_hse.apply_real(block)
-        return out, counters.since(snap).transforms - base
-
-    via_self, n_self = exchange_transforms(phi)
-    via_targets, n_targets = exchange_transforms(phi.copy())
-    assert n_self == n * (n + 1)
-    assert n_targets == 2 * n * n
-    assert np.abs(via_self - via_targets).max() <= 1e-12 * np.abs(via_targets).max()
+    snap = counters.snapshot()
+    ham_hse.apply_exchange(phi)
+    assert counters.since(snap).transforms == n * (n + 1)
+    for block in (phi.copy(), phi[:3]):
+        with pytest.raises(ValueError, match="set_exchange_sources"):
+            ham_hse.apply_real(block)
+    with pytest.raises(ValueError, match="set_exchange_sources"):
+        ham_hse.apply(grid.to_sphere(phi))  # no real-space image handed in
+    # ACE applies to any block
+    ham_hse.set_ace(ham_hse.build_ace(phi, d))
+    assert ham_hse.apply_real(phi.copy()).shape == phi.shape
 
 
 def test_ace_mode_matches_dense_on_generators(ham_hse, grid):
@@ -241,12 +238,11 @@ def test_sphere_kernel_matches_oracle_hse_dense_diag(pulsed, grid):
     phi = grid.random_orbitals(6, rng)
     phi, d = _eigenbasis_image(phi, random_hermitian_sigma(6, rng))
     ham.set_exchange_sources(phi, d)
-    # self-application (identity of the source block) and a foreign target block
-    for block in (phi, grid.random_orbitals(4, rng)):
-        ref = real_space_apply(ham, block)
-        assert _rel_err(ham.apply_real(block), ref) < 1e-12
-        assert _rel_err(ham.apply_real(block, include_exchange=False),
-                        real_space_apply(ham, block, include_exchange=False)) < 1e-12
+    # the dense exchange acts on its own sources only
+    ref = real_space_apply(ham, phi)
+    assert _rel_err(ham.apply_real(phi), ref) < 1e-12
+    assert _rel_err(ham.apply_real(phi, include_exchange=False),
+                    real_space_apply(ham, phi, include_exchange=False)) < 1e-12
 
 
 def test_lda_apply_adds_no_exchange_block(ham, grid, monkeypatch):

@@ -156,29 +156,6 @@ def test_distributed_fft_accounting_matches_serial(serial_sim):
     assert max(by_rank) - min(by_rank) <= max(by_rank) // 2
 
 
-def test_uncounted_distributed_run_matches_counted(serial_sim):
-    """``count_ffts = false`` on 2 ranks with dense exchange every inner
-    iteration: the trajectory is the counted run's bits, and no tally
-    exists anywhere, per-rank counts included."""
-    serial, _ = serial_sim
-    sections = {
-        "propagation": {
-            "propagator": "ptim",
-            "options": {"density_tol": 1e-5, "fock_mode": "dense-diag"},
-        },
-        "parallel": _parallel_cfg(2, "ring"),
-    }
-    counted_sim = serial.derive(**sections)
-    uncounted_sim = serial.derive(backend={"count_ffts": False}, **sections)
-    counted, uncounted = counted_sim.propagate(), uncounted_sim.propagate()
-    _assert_bitwise(counted.observables(), uncounted.observables())
-    np.testing.assert_array_equal(counted.final_state.phi, uncounted.final_state.phi)
-    assert counted.fft is not None and counted_sim.fft_counters() is not None
-    assert uncounted.fft is None and uncounted_sim.fft_counters() is None
-    assert counted.parallel.fft_rank_transforms is not None
-    assert uncounted.parallel.fft_rank_transforms is None
-
-
 def test_rank_transforms_are_per_run(serial_sim):
     """Each result's per-rank counts cover its own run only: the second
     run's are the difference of the cumulative counts, and their sum is
@@ -206,7 +183,7 @@ def pattern_ledgers():
     for pattern in ("bcast", "ring", "async-ring"):
         ledger = CostLedger()
         comm = SimComm(4, FUGAKU_ARM, ledger)
-        DistributedFockExchange(grid, kern, comm, pattern=pattern).apply_diag(phi, w, phi)
+        DistributedFockExchange(grid, kern, comm, pattern=pattern).apply_diag(phi, w)
         ledgers[pattern] = ledger
     return ledgers
 

@@ -247,6 +247,53 @@ def test_restart_resumes_interrupted_and_queued_jobs(tmp_path):
         assert outcomes == ["interrupted", "ok"]
 
 
+def test_crash_between_add_result_and_finish_ok_resolves_as_cache_hit(tmp_path, monkeypatch):
+    """The worker's promise for a crash after the result is stored but
+    before the job is marked ok: the re-run restores the stored run, runs
+    neither an SCF nor a propagation, and leaves one run row, one run
+    file, one ground-state blob and no temporary file."""
+    import repro.api.simulation as simulation
+    from repro.serve.worker import execute_job
+
+    root = tmp_path / "store"
+    config = make_config(kick=0.008, n_steps=1)
+    store = ResultStore.ensure(root)
+    queue = JobQueue(root)
+    try:
+        job_id = queue.submit(config, max_attempts=2)["job_id"]
+        finish_ok = JobQueue.finish_ok
+        calls = []
+
+        def crash_once(self, job_id, run_id):
+            calls.append(run_id)
+            if len(calls) == 1:
+                raise RuntimeError("worker died after add_result")
+            finish_ok(self, job_id, run_id)
+
+        monkeypatch.setattr(JobQueue, "finish_ok", crash_once)
+        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        assert queue.get(job_id)["status"] == "queued"
+
+        def recompute(*args, **kwargs):
+            pytest.fail("the re-run computed instead of restoring the stored run")
+
+        monkeypatch.setattr(simulation, "run_scf", recompute)
+        monkeypatch.setattr(simulation.Simulation, "propagate", recompute)
+        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+
+        job = queue.get(job_id)
+        assert job["status"] == "ok" and job["attempts"] == 2
+        assert [a["outcome"] for a in queue.attempts(job_id)] == ["error", "ok"]
+        assert len(calls) == 2 and calls[0] == calls[1] == job["run_id"]
+        assert [run.run_id for run in store.query()] == [job["run_id"]]
+        assert len(list((root / "runs").glob("*.npz"))) == 1
+        assert len(store.blobs.ground_state_addresses()) == 1
+        assert not [p for p in root.rglob("*") if ".tmp" in p.name]
+    finally:
+        queue.close()
+        store.close()
+
+
 # ---------------------------------------------------------------------------
 # queue unit tests (no worker processes)
 # ---------------------------------------------------------------------------
