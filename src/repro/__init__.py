@@ -21,7 +21,7 @@ Low-level building blocks remain public:
   evaluation figures and tables.
 """
 
-__version__ = "1.23.0"
+__version__ = "1.24.0"
 
 __all__ = [
     "Simulation",

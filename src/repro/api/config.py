@@ -241,12 +241,16 @@ class PropagationConfig(_Section):
             f"propagation.observe_every must be an integer >= 1, got {self.observe_every!r}",
         )
         try:
-            pairs = tuple((int(i), int(j)) for i, j in self.track_sigma)
+            pairs = tuple((i, j) for i, j in self.track_sigma)
         except (TypeError, ValueError) as exc:
             raise ConfigError(
                 f"propagation.track_sigma must be a list of (i, j) index pairs, "
                 f"got {self.track_sigma!r}"
             ) from exc
+        _check(
+            all(is_int(index) and index >= 0 for pair in pairs for index in pair),
+            f"propagation.track_sigma indices must be integers >= 0, got {self.track_sigma!r}",
+        )
         object.__setattr__(self, "track_sigma", pairs)
         object.__setattr__(self, "options", dict(self.options))
 

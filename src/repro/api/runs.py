@@ -18,9 +18,10 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
-from repro.api.config import SimulationConfig
+from repro.api.config import ConfigError, SimulationConfig
 from repro.api.registry import propagator_options
 from repro.api.simulation import Simulation, SimulationResult
+from repro.scf.groundstate import default_nbands
 from repro.store.common import config_hash, group_address, group_key
 
 
@@ -59,6 +60,7 @@ def run_one(
     prop = sim.config.propagation
     # options that cannot run are refused before an SCF is spent on them
     propagator_options(prop.propagator, dict(prop.options))
+    _check_tracked_bands(sim)
     if store is not None:
         from repro.store import ResultStore
 
@@ -75,6 +77,16 @@ def run_one(
     elapsed = time.perf_counter() - started
     run_id = None if store is None else store.add_result(result, elapsed=elapsed)
     return RunOutcome(run_id, result, elapsed, False)
+
+
+def _check_tracked_bands(sim: Simulation) -> None:
+    """Refuse a ``track_sigma`` index past the bands the SCF will return."""
+    top = max((max(pair) for pair in sim.config.propagation.track_sigma), default=None)
+    if top is None:
+        return
+    nbands = sim.config.scf.nbands or default_nbands(sim.hamiltonian.n_electrons, sim.cell.natom)
+    if top >= nbands:
+        raise ConfigError(f"propagation.track_sigma index {top} is out of range for {nbands} bands")
 
 
 class RunPlan(NamedTuple):

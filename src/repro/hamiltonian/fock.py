@@ -1,6 +1,6 @@
 """The Fock exchange operator — the paper's dominant cost.
 
-Three evaluation strategies, all numerically equivalent (tested):
+Three evaluation kernels, all numerically equivalent (tested):
 
 ``apply_mixed_tripleloop``
     Paper Alg. 2 verbatim: for every (k, i, j) band triple the pair
@@ -15,12 +15,12 @@ Three evaluation strategies, all numerically equivalent (tested):
 
 ``apply_diag``
     Sec. IV-A1: after ``sigma = Q D Q*`` and ``phi_tilde = Phi Q``, the
-    operator takes the pure-state form Eq. (13) with diagonal weights.
-    It is evaluated tile pair by tile pair.  The bands are cut into
-    *tiles* of ``isqrt(batch_size)`` consecutive orbitals (4 for the
-    default 16), so the pair densities ``phi_a* phi_b`` of one *tile
-    pair* ``(I, J)``, ``a`` in ``I``, ``b`` in ``J``, fill one batched
-    FFT.  Its potentials ``pot_ab`` yield the partial sum
+    operator takes the pure-state form Eq. (13) with diagonal weights;
+    the caller (``repro.rt``) decomposes and rotates.  It is evaluated
+    tile pair by tile pair.  The bands are cut into *tiles* of
+    ``isqrt(batch_size)`` consecutive orbitals (4 for the default 16),
+    so the pair densities ``phi_a* phi_b`` of one *tile pair* ``(I, J)``,
+    ``a`` in ``I``, ``b`` in ``J``, fill one batched FFT.  Its potentials ``pot_ab`` yield the partial sum
     ``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
     ``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
     indices alone, which is what lets the subclass
@@ -48,12 +48,6 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
-from repro.occupation.sigma import (
-    diagonalize_sigma,
-    hermitize,
-    rotate_orbitals,
-    unrotate_orbitals,
-)
 from repro.utils.validation import check_square, require
 
 #: occupation weights at or below this contribute nothing as sources
@@ -254,19 +248,6 @@ class FockExchangeOperator:
                 acc += np.einsum("kr,kr->r", w_rows[blk], pot)
             out[j] = -acc
         return out
-
-    def apply_mixed_via_diagonalization(
-        self, phi: np.ndarray, sigma: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sec. IV-A1 pipeline: diagonalize sigma, rotate, apply Eq. (13).
-
-        ``V_x[P] Phi`` on the block that defines ``P``: the rotated block
-        is its own target and the result is rotated back.
-        Returns ``(vx_phi, d, q)`` so callers can reuse the
-        decomposition (e.g. for the density and ACE construction).
-        """
-        d, q = diagonalize_sigma(hermitize(sigma))
-        return unrotate_orbitals(self.apply_diag(rotate_orbitals(phi, q), d), q), d, q
 
     # -- energy -----------------------------------------------------------------
     def exchange_energy(

@@ -1,9 +1,10 @@
 """Macroscopic electronic current density (velocity gauge).
 
-``j(t) = -(deg/Ω) Σ_i w_i <phi_i| (-i∇ + A) |phi_i>``
+``j(t) = -(deg/Ω) Σ_i d_i <phi~_i| (-i∇ + A) |phi~_i>``
 
-— the natural velocity-gauge observable (its time integral gives the
-induced dipole, so it complements :mod:`repro.observables.dipole`).
+on sigma's eigenbasis image ``(phi~ = Phi Q, d)`` — the natural
+velocity-gauge observable (its time integral gives the induced dipole,
+so it complements :mod:`repro.observables.dipole`).
 """
 
 from __future__ import annotations
@@ -11,20 +12,17 @@ from __future__ import annotations
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
-from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 
 
 def current_density(
     grid: PlaneWaveGrid,
-    phi: np.ndarray,
-    sigma: np.ndarray,
+    phi_t: np.ndarray,
+    d: np.ndarray,
     vector_potential: np.ndarray | None = None,
     degeneracy: float = 2.0,
 ) -> np.ndarray:
-    """Average current density vector (a.u.) of the state ``(Phi, sigma)``."""
+    """Average current density vector (a.u.) of sigma's image ``(phi_t, d)``."""
     a = np.zeros(3) if vector_potential is None else np.asarray(vector_potential, float)
-    d, q = diagonalize_sigma(hermitize(sigma))
-    phi_t = rotate_orbitals(phi, q)
     w = degeneracy * d
     phi_g = grid.r_to_g(phi_t)
     g = grid.gvec.cartesian.reshape(-1, 3)  # (ngrid, 3)

@@ -3,8 +3,8 @@
 ``E[Phi, sigma] = Tr[sigma Phi* (T + V_nl) Phi] + E_loc + E_H + E_xc
 + alpha E_x + E_II + E_{G=0}``
 
-evaluated through the sigma eigenbasis (the same diagonalization that
-accelerates the Fock operator), exact exchange included: on ``(Phi Q, d)``.
+evaluated on sigma's eigenbasis image ``(phi~ = Phi Q, d)``, exact
+exchange included, which ``PropagatorBase.observe`` makes once.
 Field-free, this is conserved by exact dynamics — the drift measures
 integrator quality.
 """
@@ -12,13 +12,12 @@ integrator quality.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
-from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 
 
 @dataclass(frozen=True)
@@ -50,34 +49,29 @@ class EnergyBreakdown:
 
 def td_total_energy(
     ham: Hamiltonian,
-    phi: np.ndarray,
-    sigma: np.ndarray,
+    phi_t: np.ndarray,
+    d: np.ndarray,
     rho: np.ndarray,
     e_ewald: Optional[float] = None,
-    eig: Optional[Tuple[np.ndarray, np.ndarray]] = None,
 ) -> EnergyBreakdown:
-    """Energy of the state ``(Phi, sigma)`` under the current Hamiltonian.
+    """Energy of the state with sigma's image ``(phi_t, d)`` under the current ``H``.
 
     Updates the Hamiltonian's density-dependent pieces as a side effect
     (they are recomputed from ``rho``).
 
     Parameters
     ----------
-    phi:
-        Real-space orbital rows; packed once here for the kinetic and
-        nonlocal terms, which live on the sphere.
+    phi_t, d:
+        Real-space rows ``phi~ = Phi Q`` and sigma's eigenvalues; the rows
+        are packed once here for the kinetic and nonlocal terms.
     rho:
         The state's density, as ``PropagatorBase.density`` builds it
         (the caller has it already for the dipole).
-    eig:
-        ``(d, Q)`` of ``hermitize(sigma)`` when the caller already
-        decomposed it for the density.
     """
     grid = ham.grid
     deg = ham.degeneracy
 
-    d, q = diagonalize_sigma(hermitize(sigma)) if eig is None else eig
-    c_t = rotate_orbitals(grid.to_sphere(phi), q)
+    c_t = grid.to_sphere(phi_t)
     w = deg * d
     ham.update_density(rho)
 
@@ -92,7 +86,7 @@ def td_total_energy(
 
     e_x = 0.0
     if ham.functional.is_hybrid and ham.fock is not None:
-        e_x = ham.functional.alpha * ham.fock.exchange_energy(rotate_orbitals(phi, q), d, deg)
+        e_x = ham.functional.alpha * ham.fock.exchange_energy(phi_t, d, deg)
 
     return EnergyBreakdown(
         kinetic=e_kin,

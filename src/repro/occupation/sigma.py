@@ -12,13 +12,13 @@ This module provides that decomposition plus the two density kernels —
 *diag* (N products) — whose numerical identity is a core test of the
 reproduction.
 
-Decompose once, rotate on the sphere.  sigma reaches the density, ``H``
-and the ACE build in one form, its eigenbasis image ``(phi~ = Phi Q,
-d)``: the caller decomposes once (a PT-IM midpoint rotates its *sphere
+Decompose once, rotate on the sphere.  sigma reaches every consumer in
+one form, its eigenbasis image ``(phi~ = Phi Q, d)``: a propagator in
+``repro.rt`` decomposes once (a PT-IM midpoint rotates its *sphere
 block*, ``c~ = Q^T c_mid``, ``npw`` wide, before the one transform it
 makes anyway) and hands on the rows ``phi~`` with the vector ``d``.
-:func:`density_from_orbitals_diag` and ``Hamiltonian.set_exchange_sources``
-/ ``build_ace`` take that pair and neither decompose nor rotate again.
+The density, ``H``, the ACE build and every energy and the current take
+that pair and neither decompose nor rotate again.
 """
 
 from __future__ import annotations
@@ -121,8 +121,3 @@ def clip_and_normalize(rho: np.ndarray, n_electrons: float, dv: float) -> np.nda
         rho *= n_electrons / total
     return rho
 
-
-def occupation_bounds_ok(sigma: np.ndarray, atol: float = 1e-8) -> bool:
-    """Check all eigenvalues of sigma lie in [0, 1] (physical occupations)."""
-    d, _ = diagonalize_sigma(hermitize(sigma))
-    return bool(d.min() >= -atol and d.max() <= 1.0 + atol)

@@ -26,7 +26,7 @@ from repro.occupation.sigma import (
     rotate_orbitals,
     trace_sigma,
 )
-from repro.utils.validation import check_hermitian, require
+from repro.utils.validation import require
 
 #: the ``sigma_<i>_<j>`` series :meth:`PropagationRecord.as_arrays` names
 _SIGMA_KEY = re.compile(r"sigma_(-?\d+)_(-?\d+)$")
@@ -169,15 +169,9 @@ class PropagatorBase:
         raise NotImplementedError
 
     # -- driver -----------------------------------------------------------------
-    def density(
-        self, state: TDState, eig: Optional[Tuple[np.ndarray, np.ndarray]] = None
-    ) -> np.ndarray:
-        """The state's density; ``eig`` is ``(d, Q)`` of ``hermitize(state.sigma)``
-        when the caller already decomposed it."""
-        d, q = diagonalize_sigma(hermitize(state.sigma)) if eig is None else eig
-        rho = density_from_orbitals_diag(
-            self.grid, rotate_orbitals(state.phi, q), d, degeneracy=self.ham.degeneracy
-        )
+    def density(self, phi_t: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """The density of sigma's eigenbasis image: rows ``Phi Q``, eigenvalues ``d``."""
+        rho = density_from_orbitals_diag(self.grid, phi_t, d, degeneracy=self.ham.degeneracy)
         return clip_and_normalize(rho, self.ham.n_electrons, self.grid.dv)
 
     def observe(self, state: TDState, stats: Optional[StepStats] = None) -> None:
@@ -185,12 +179,13 @@ class PropagatorBase:
 
         Moves the Hamiltonian to the state's time first — otherwise the
         kinetic operator would carry A(t) from whatever midpoint or stage
-        the propagator evaluated last, corrupting the energy.  sigma is
-        decomposed once, for the density and the energy.
+        the propagator evaluated last, corrupting the energy.  One
+        decomposition and one rotation serve the density and the energy.
         """
         self.ham.set_time(state.time)
-        eig = diagonalize_sigma(hermitize(state.sigma))
-        rho = self.density(state, eig)
+        d, q = diagonalize_sigma(hermitize(state.sigma))
+        phi_t = rotate_orbitals(state.phi, q)
+        rho = self.density(phi_t, d)
         self.record.times.append(state.time)
         self.record.dipole.append(dipole_moment(self.grid, rho, self._coords))
         self.record.particle_number.append(state.particle_number(self.ham.degeneracy))
@@ -202,7 +197,7 @@ class PropagatorBase:
             i, j = key
             self.record.sigma_samples[key].append(complex(state.sigma[i, j]))
         if self.record_energy:
-            e = td_total_energy(self.ham, state.phi, state.sigma, rho, self._e_ewald, eig)
+            e = td_total_energy(self.ham, phi_t, d, rho, self._e_ewald)
             self.record.energy.append(e.total)
         else:
             self.record.energy.append(np.nan)

@@ -53,7 +53,8 @@ dense exchange or the ACE build all act on ``(c~, phi~, d)``; only
 the exchange's self-application needs no rotation at all.  The last
 midpoint of an ACE inner loop is the first of the next, so one
 PT-IM-ACE step decomposes ``n_inner + 1`` matrices, a dense PT-IM step
-``n + 1``.  One inner iteration makes two
+``n + 1``.  Nothing outside ``rt/`` decomposes or rotates (``observe``
+does it once per recorded state).  One inner iteration makes two
 batched transforms: ``sphere -> real`` of the rotated midpoint block
 (shared by the density, the residual, the dense-exchange sources and
 ``v_eff phi``) and ``real -> sphere`` of the local product inside
@@ -70,8 +71,6 @@ from typing import Literal, NamedTuple, Optional, Tuple
 import numpy as np
 
 from repro.occupation.sigma import (
-    clip_and_normalize,
-    density_from_orbitals_diag,
     diagonalize_sigma,
     hermitize,
     rotate_orbitals,
@@ -140,11 +139,6 @@ class PTIMPropagator(PropagatorBase):
         self._mixer = AndersonMixer(history=self.options.mix_history, beta=self.options.mix_beta)
 
     # -- helpers ---------------------------------------------------------------
-    def _density(self, image: MidpointImage) -> np.ndarray:
-        """The density ``Σ d_i |phi~_i|^2`` of a midpoint, from its image."""
-        rho = density_from_orbitals_diag(self.grid, image.phi, image.d, self.ham.degeneracy)
-        return clip_and_normalize(rho, self.ham.n_electrons, self.grid.dv)
-
     def _image(self, c_mid: np.ndarray, sigma_mid: np.ndarray) -> MidpointImage:
         """The midpoint's image the iteration works on: sigma decomposed
         once and the sphere block rotated into its eigenbasis, then taken
@@ -247,7 +241,7 @@ class PTIMPropagator(PropagatorBase):
             c_mid, sigma_mid = self._midpoint(state, x)
             if image is None:
                 image = self._image(c_mid, sigma_mid)
-            rho_mid = self._density(image)
+            rho_mid = self.density(image.phi, image.d)
             if rho_prev is not None:
                 last = resid
                 resid = 2.0 * float(np.abs(rho_mid - rho_prev).sum()) * grid.dv / ham.n_electrons

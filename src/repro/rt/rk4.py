@@ -22,8 +22,6 @@ import numpy as np
 
 from repro.rt.propagator import PropagatorBase, StepStats, TDState
 from repro.occupation.sigma import (
-    clip_and_normalize,
-    density_from_orbitals_diag,
     diagonalize_sigma,
     hermitize,
     rotate_orbitals,
@@ -41,8 +39,7 @@ class RK4Propagator(PropagatorBase):
         ``Q diag(d) Q*`` is the step's sigma."""
         ham = self.ham
         phi_t = rotate_orbitals(phi, q)
-        rho = density_from_orbitals_diag(self.grid, phi_t, d, ham.degeneracy)
-        ham.update_density(clip_and_normalize(rho, ham.n_electrons, self.grid.dv))
+        ham.update_density(self.density(phi_t, d))
         ham.set_time(t)
         if ham.functional.is_hybrid:
             ham.set_exchange_sources(phi_t, d)

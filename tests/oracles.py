@@ -31,6 +31,7 @@ from repro.occupation.sigma import (
     diagonalize_sigma,
     hermitize,
     rotate_orbitals,
+    unrotate_orbitals,
 )
 from repro.rt import PTIMACEPropagator, TDState
 from repro.rt.ptcn import PTCNPropagator
@@ -179,12 +180,27 @@ def real_space_davidson(grid, apply_h, phi0, tol=1e-7, max_iter=60, nconv=None):
     return DavidsonResult(eig, phi, res_norms, max_iter, False)
 
 
+def eigenbasis_image(phi, sigma):
+    """sigma's eigenbasis image ``(phi~ = Phi Q, d)`` of real-space rows, as
+    ``PropagatorBase.observe`` makes it: decompose ``hermitize(sigma)``,
+    rotate the rows."""
+    d, q = diagonalize_sigma(hermitize(sigma))
+    return rotate_orbitals(phi, q), d
+
+
 def matrix_diag_density(grid, phi, sigma, degeneracy=1.0):
     """``density_from_orbitals_diag`` on a sigma *matrix*, its branch until
     it took only the eigenbasis image: decompose, rotate the real-space
     rows, sum ``d_i |phi~_i|^2``."""
+    return density_from_orbitals_diag(grid, *eigenbasis_image(phi, sigma), degeneracy)
+
+
+def mixed_exchange(fock, phi, sigma):
+    """``V_x[P] Phi`` with ``P = Phi sigma Phi*``, on the block that defines
+    ``P``, by Sec. IV-A1: decompose sigma, rotate, ``apply_diag`` on the
+    rotated block (its own target), rotate back."""
     d, q = diagonalize_sigma(hermitize(sigma))
-    return density_from_orbitals_diag(grid, rotate_orbitals(phi, q), d, degeneracy)
+    return unrotate_orbitals(fock.apply_diag(rotate_orbitals(phi, q), d), q)
 
 
 class TripleLoopExchange:
@@ -200,14 +216,13 @@ class TripleLoopExchange:
 
 
 class SelfExchange:
-    """``V_x[P] Phi`` of ``(phi, sigma)`` through the sigma pipeline
-    (``apply_mixed_via_diagonalization``), as an operator that
-    ``real_space_apply`` takes as ``ace=``: the dense exchange acts on the
-    block that defines ``P`` only."""
+    """``V_x[P] Phi`` of ``(phi, sigma)`` by :func:`mixed_exchange`, as an
+    operator that ``real_space_apply`` takes as ``ace=``: the dense
+    exchange acts on the block that defines ``P`` only."""
 
     def __init__(self, fock, phi, sigma):
         self.phi = phi
-        self.vx, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
+        self.vx = mixed_exchange(fock, phi, sigma)
 
     def apply(self, block):
         assert block is self.phi, "the dense exchange acts on its own sources only"
@@ -290,17 +305,19 @@ def output_density_fixed_point(prop, state, dt, x, max_iter, image=None):
     gx = np.empty_like(x)
     c_new, sigma_new = prop._unpack(gx, nb)
     prop._mixer.reset()
-    rho_prev = prop._density(prop._image(*prop._unpack(x, nb)))
+    start = prop._image(*prop._unpack(x, nb))
+    rho_prev = prop.density(start.phi, start.d)
     resid, converged = np.inf, False
     for n_iter in range(1, max_iter + 1):
         c_mid, sigma_mid = prop._midpoint(state, x)
         image = prop._image(c_mid, sigma_mid)
-        ham.update_density(prop._density(image))
+        ham.update_density(prop.density(image.phi, image.d))
         ham.set_time(state.time + 0.5 * dt)
         prop._set_midpoint_exchange(image)
         prop._fixed_point_update(state, c_mid, sigma_mid, image, dt, c_new, sigma_new)
 
-        rho_out = prop._density(prop._image(c_new, sigma_new))
+        out = prop._image(c_new, sigma_new)
+        rho_out = prop.density(out.phi, out.d)
         resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
         rho_prev = rho_out
         x = prop._mixer.mix(x, gx)
@@ -358,7 +375,7 @@ def real_space_step(prop, state, dt, tripleloop=False):
             n_outer += 1
             phi_mid = 0.5 * (state.phi + phi_g)
             sigma_mid = hermitize(0.5 * (state.sigma + sigma_g))
-            w, _, _ = ham.fock.apply_mixed_via_diagonalization(phi_mid, sigma_mid)
+            w = mixed_exchange(ham.fock, phi_mid, sigma_mid)
             ace = ACEOperator.from_dense_action(grid, phi_mid, w)
             phi_g, sigma_g, n, resid, inner_ok = _real_space_loop(
                 prop, state, dt, phi_g, sigma_g, opts.max_inner, ace

@@ -145,6 +145,24 @@ def test_cli_refuses_propagation_options_before_the_scf(tmp_path, capsys, option
     assert not list(store.glob("blobs/ground_states/*.npz"))
 
 
+@pytest.mark.parametrize("nbands", ["nbands = 20", ""])
+def test_cli_run_refuses_untracked_bands_before_the_scf(tmp_path, capsys, nbands):
+    """A tracked sigma element past the SCF's band count (given, or the
+    default of 20 for 8-atom silicon) is refused by name before any ground
+    state is converged or stored, not by an ``IndexError`` after it."""
+    cfg = tmp_path / "bad.toml"
+    toml = TINY_TOML.replace("nbands = 20\n", nbands + "\n")
+    cfg.write_text(toml.replace('propagator = "ptim"', 'propagator = "ptim"\ntrack_sigma = [[0, 20]]'))
+    assert main(["validate", str(cfg)]) == 0
+    capsys.readouterr()
+    store = tmp_path / "store"
+    assert main(["run", str(cfg), "--store", str(store)]) == 2
+    out, err = capsys.readouterr()
+    assert "propagation.track_sigma" in err and "20 bands" in err
+    assert "ground state" not in out
+    assert not list(store.glob("blobs/ground_states/*.npz"))
+
+
 def test_cli_missing_file(capsys):
     assert main(["run", "no/such/config.toml"]) == 2
     assert "error" in capsys.readouterr().err

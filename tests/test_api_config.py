@@ -175,6 +175,19 @@ def test_integer_keys_refuse_booleans(tmp_path, capsys, section, key):
     assert f"{section}.{key}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("pairs", [[[-1, 0.7]], [[0, -1]], [[0, 2.0]], [[True, 0]], [["1", 2]]])
+def test_track_sigma_indices_are_integers_from_zero(tmp_path, capsys, pairs):
+    """A tracked sigma element is a pair of band indices: a negative one
+    would sample from the end and a float or a boolean would be truncated
+    to some other band, so each is refused by name (``repro validate``
+    exit 2) instead of stored."""
+    data = {"propagation": {"track_sigma": pairs}}
+    with pytest.raises(ConfigError, match=r"propagation\.track_sigma"):
+        SimulationConfig.from_dict(data)
+    assert _validate_exit(tmp_path, data) == 2
+    assert "propagation.track_sigma" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "section_cls,key,value",
     [(SystemConfig, "dual", 2), (BackendConfig, "count_ffts", False)],

@@ -52,9 +52,10 @@ def test_ptcn_orthonormal_output(lda_ground_state):
 
 # ---------------- current density -----------------------------------------------
 def test_current_zero_for_real_ground_state(lda_ground_state):
-    """A time-reversal-symmetric ground state carries no current."""
+    """A time-reversal-symmetric ground state carries no current.  Its
+    ``sigma = diag(occ)`` is its own eigenbasis image ``(orbitals, occ)``."""
     ham, gs = lda_ground_state
-    j = current_density(ham.grid, gs.orbitals, gs.sigma)
+    j = current_density(ham.grid, gs.orbitals, gs.occupations)
     assert np.abs(j).max() < 1e-6
 
 
@@ -74,10 +75,10 @@ def test_current_diamagnetic_response():
     from repro.scf.eigensolver import lowdin_orthonormalize
 
     phi = lowdin_orthonormalize(grid, phi)
-    sigma = np.eye(8, dtype=complex) * 0.5
+    d = np.full(8, 0.5)  # sigma = I / 2
     a = np.array([0.02, 0.0, 0.0])
-    j0 = current_density(grid, phi, sigma, vector_potential=None)
-    j1 = current_density(grid, phi, sigma, vector_potential=a)
+    j0 = current_density(grid, phi, d, vector_potential=None)
+    j1 = current_density(grid, phi, d, vector_potential=a)
     n_e = 2.0 * 0.5 * 8
     expected_shift = -a * n_e / grid.cell.volume
     assert np.allclose(j1 - j0, expected_shift, atol=1e-12)
@@ -93,6 +94,5 @@ def test_current_gauge_covariant_sign():
     rng = default_rng(1)
     phi = grid.random_orbitals(3, rng)
     phi = lowdin_orthonormalize(grid, np.concatenate([phi, phi.conj()], axis=0))
-    sigma = np.eye(6, dtype=complex)
-    j = current_density(grid, phi, sigma, vector_potential=np.array([0.05, 0, 0]))
+    j = current_density(grid, phi, np.ones(6), vector_potential=np.array([0.05, 0, 0]))
     assert j[0] < 0.0

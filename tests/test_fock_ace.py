@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import eigenbasis_image, mixed_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
@@ -37,12 +38,6 @@ def _setup(grid, seed, n=4):
     return phi, sigma
 
 
-def _image(phi, sigma):
-    """sigma's eigenbasis image ``(phi~ = Phi Q, d)``, the exchange energy's input."""
-    d, q = diagonalize_sigma(hermitize(sigma))
-    return rotate_orbitals(phi, q), d
-
-
 @given(seed=st.integers(min_value=0, max_value=30))
 @settings(max_examples=6, deadline=None)
 def test_tripleloop_equals_grouped(grid, fock, seed):
@@ -58,7 +53,7 @@ def test_tripleloop_equals_grouped(grid, fock, seed):
 def test_diagonalization_equals_grouped(grid, fock, seed):
     """Sec. IV-A1: the sigma-eigenbasis form is the same operator."""
     phi, sigma = _setup(grid, seed)
-    a, d, q = fock.apply_mixed_via_diagonalization(phi, sigma)
+    a = mixed_exchange(fock, phi, sigma)
     b = fock.apply_mixed_grouped(phi, hermitize(sigma))
     assert np.allclose(a, b, atol=1e-10)
 
@@ -76,7 +71,7 @@ def test_fft_count_reduction(grid):
     triple = eng.counters.since(snap).transforms
 
     snap = eng.counters.snapshot()
-    fock.apply_mixed_via_diagonalization(phi, sigma)
+    mixed_exchange(fock, phi, sigma)
     diag = eng.counters.since(snap).transforms
 
     assert triple == 2 * n**3  # (k, i, j) loop, forward+inverse each
@@ -94,14 +89,14 @@ def test_fock_operator_hermitian(grid, fock):
 
 def test_exchange_energy_negative(grid, fock):
     phi, sigma = _setup(grid, 5)
-    e = fock.exchange_energy(*_image(phi, sigma), degeneracy=2.0)
+    e = fock.exchange_energy(*eigenbasis_image(phi, sigma), degeneracy=2.0)
     assert e < 0.0
 
 
 def test_exchange_energy_zero_for_empty_sigma(grid, fock):
     phi, _ = _setup(grid, 6)
     sigma = np.zeros((4, 4), dtype=complex)
-    assert fock.exchange_energy(*_image(phi, sigma)) == pytest.approx(0.0, abs=1e-14)
+    assert fock.exchange_energy(*eigenbasis_image(phi, sigma)) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_image_exchange_energy_matches_matrix_formula(grid, fock):
@@ -111,7 +106,8 @@ def test_image_exchange_energy_matches_matrix_formula(grid, fock):
     with ``O_kl = <phi_k|V phi_l>`` on the unrotated block."""
     phi, sigma = _setup(grid, 17, n=6)
     sigma = hermitize(sigma)
-    vx, d, q = fock.apply_mixed_via_diagonalization(phi, sigma)
+    vx = mixed_exchange(fock, phi, sigma)
+    d, q = diagonalize_sigma(sigma)
     assert np.abs(q).max() < 0.99  # every eigenvector mixes bands
     phi_t = rotate_orbitals(phi, q)
     ace = ACEOperator.from_dense_action(grid, phi, vx)
@@ -162,7 +158,8 @@ def test_tile_pair_kernel_matches_per_target_oracle(grid, n):
     phi, sigma = _setup(grid, 20 + n, n=n)
     sigma = hermitize(sigma)
     assert np.abs(sigma - np.diag(np.diag(sigma))).max() > 1e-3
-    vx_self, d, q = fock.apply_mixed_via_diagonalization(phi, sigma)
+    vx_self = mixed_exchange(fock, phi, sigma)
+    d, q = diagonalize_sigma(sigma)
     phi_t = q.T @ phi
     ref_t = apply_diag_per_target(fock, phi_t, d, phi_t)
     assert _rel_err(fock.apply_diag(phi_t, d), ref_t) <= 1e-13
@@ -239,7 +236,7 @@ def test_ace_exact_on_generating_orbitals(grid, fock):
     """Lin's construction: V_ACE phi_i == V_x phi_i for the generators."""
     phi, sigma = _setup(grid, 11)
     sigma = hermitize(sigma)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
+    w = mixed_exchange(fock, phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     assert np.allclose(ace.apply(phi), w, atol=1e-9)
 
@@ -248,7 +245,7 @@ def test_ace_negative_semidefinite(grid, fock):
     """<psi|V_ACE|psi> <= 0 for any psi — by construction -xi xi*."""
     phi, sigma = _setup(grid, 12)
     sigma = hermitize(sigma)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
+    w = mixed_exchange(fock, phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     rng = default_rng(13)
     psi = grid.random_orbitals(3, rng)
@@ -261,7 +258,7 @@ def test_ace_rank_adaptive(grid, fock):
     rng = default_rng(14)
     phi = grid.random_orbitals(5, rng)
     sigma = np.diag([1.0, 1.0, 0.0, 0.0, 0.0]).astype(complex)
-    w, _, _ = fock.apply_mixed_via_diagonalization(phi, sigma)
+    w = mixed_exchange(fock, phi, sigma)
     ace = ACEOperator.from_dense_action(grid, phi, w)
     # the operator acts within the 2-orbital occupied span: rank <= 5 but
     # energy content concentrated; exactness still holds
@@ -279,7 +276,7 @@ def test_ace_zero_action_gives_zero_operator(grid):
 
 def test_ace_exchange_energy_matches_dense_on_generators(grid, fock):
     phi, sigma = _setup(grid, 16)
-    phi_t, d = _image(phi, sigma)
+    phi_t, d = eigenbasis_image(phi, sigma)
     w = fock.apply_diag(phi_t, d)
     ace = ACEOperator.from_dense_action(grid, phi_t, w)
     e_dense = fock.exchange_energy(phi_t, d, degeneracy=2.0, vx_phi=w)

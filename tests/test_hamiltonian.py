@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import real_space_apply
+from oracles import eigenbasis_image, mixed_exchange, real_space_apply
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
 from repro.hamiltonian.ace import ACEOperator
@@ -33,13 +33,6 @@ def ham_hse(grid):
     rho = np.full(grid.ngrid, h.n_electrons / grid.cell.volume)
     h.update_density(rho)
     return h
-
-
-def _eigenbasis_image(phi, sigma):
-    """``(phi~ = Phi Q, d)`` of ``hermitize(sigma) = Q diag(d) Q*``: the
-    form in which sigma reaches the exchange."""
-    d, q = diagonalize_sigma(hermitize(sigma))
-    return rotate_orbitals(phi, q), d
 
 
 def test_electron_count(ham):
@@ -75,7 +68,7 @@ def test_operator_hermiticity_cross_elements(ham, grid):
 def test_hybrid_hamiltonian_hermitian_with_exchange(ham_hse, grid):
     rng = default_rng(3)
     phi = grid.random_orbitals(4, rng)
-    phi_t, d = _eigenbasis_image(phi, random_hermitian_sigma(4, rng))
+    phi_t, d = eigenbasis_image(phi, random_hermitian_sigma(4, rng))
     ham_hse.set_exchange_sources(phi_t, d)
     c = grid.to_sphere(phi_t)
     m = ham_hse.subspace_matrix(c, ham_hse.apply(c, phi_t))
@@ -89,7 +82,7 @@ def test_exchange_modes_agree(ham_hse, grid):
     rng = default_rng(4)
     phi = grid.random_orbitals(3, rng)
     sigma = hermitize(random_hermitian_sigma(3, rng))
-    phi_t, d = _eigenbasis_image(phi, sigma)
+    phi_t, d = eigenbasis_image(phi, sigma)
     ham_hse.set_exchange_sources(phi_t, d)
     a = ham_hse.apply_real(phi_t)
     vx = ham_hse.functional.alpha * ham_hse.fock.apply_mixed_tripleloop(phi, sigma, targets=phi_t)
@@ -105,7 +98,7 @@ def test_dense_diag_refuses_a_foreign_block(ham_hse, grid):
     rng = default_rng(8)
     n = 6
     phi = grid.random_orbitals(n, rng)
-    phi, d = _eigenbasis_image(phi, random_hermitian_sigma(n, rng))
+    phi, d = eigenbasis_image(phi, random_hermitian_sigma(n, rng))
     ham_hse.set_exchange_sources(phi, d)
     counters = grid.backend.counters
     snap = counters.snapshot()
@@ -124,7 +117,7 @@ def test_dense_diag_refuses_a_foreign_block(ham_hse, grid):
 def test_ace_mode_matches_dense_on_generators(ham_hse, grid):
     rng = default_rng(5)
     phi = grid.random_orbitals(3, rng)
-    phi_t, d = _eigenbasis_image(phi, random_hermitian_sigma(3, rng))
+    phi_t, d = eigenbasis_image(phi, random_hermitian_sigma(3, rng))
     ham_hse.set_exchange_sources(phi_t, d)
     dense = ham_hse.apply_real(phi_t)
     ham_hse.set_ace(ham_hse.build_ace(phi_t, d))
@@ -222,9 +215,9 @@ def test_sphere_kernel_matches_oracle_hse_ace(pulsed, grid):
     rng = default_rng(22)
     phi = grid.random_orbitals(6, rng)
     sigma = hermitize(random_hermitian_sigma(6, rng))
-    w, _, _ = ham.fock.apply_mixed_via_diagonalization(phi, sigma)
+    w = mixed_exchange(ham.fock, phi, sigma)
     ace_r = ACEOperator.from_dense_action(grid, phi, w)  # real-space rows, as before PR 16
-    phi_t, d = _eigenbasis_image(phi, sigma)
+    phi_t, d = eigenbasis_image(phi, sigma)
     ham.set_ace(ham.build_ace(phi_t, d))
     assert ham._ace.xi.shape == (ace_r.rank, grid.npw)
     for block in (phi, grid.random_orbitals(4, rng)):  # generators and foreign targets
@@ -236,7 +229,7 @@ def test_sphere_kernel_matches_oracle_hse_dense_diag(pulsed, grid):
     ham = pulsed("hse")
     rng = default_rng(23)
     phi = grid.random_orbitals(6, rng)
-    phi, d = _eigenbasis_image(phi, random_hermitian_sigma(6, rng))
+    phi, d = eigenbasis_image(phi, random_hermitian_sigma(6, rng))
     ham.set_exchange_sources(phi, d)
     # the dense exchange acts on its own sources only
     ref = real_space_apply(ham, phi)
@@ -264,7 +257,7 @@ def test_build_ace_from_the_eigenbasis_image_is_the_same_operator(ham_hse, grid)
     rng = default_rng(25)
     phi = grid.random_orbitals(6, rng)
     sigma = hermitize(random_hermitian_sigma(6, rng))
-    w, _, _ = ham_hse.fock.apply_mixed_via_diagonalization(phi, sigma)
+    w = mixed_exchange(ham_hse.fock, phi, sigma)
     plain = ACEOperator.from_dense_action(grid, grid.to_sphere(phi), grid.to_sphere(w))
     d, q = diagonalize_sigma(sigma)
     c_t = rotate_orbitals(grid.to_sphere(phi), q)

@@ -1,4 +1,4 @@
-"""Six invariants of ``src/repro``, checked on its syntax trees.
+"""Seven invariants of ``src/repro``, checked on its syntax trees.
 
 Each check takes ``(rel, tree)`` — a file's path inside the ``repro``
 package (``store/index.py``) and its parsed module — and yields the nodes
@@ -25,6 +25,10 @@ allowlist: a violation is fixed in the code.
 - ``pickle-safety``: nothing unpicklable (connections, locks, events,
   open files) is stored on the worker pool's objects or sent to a
   spawned process.
+- ``sigma-image``: ``hamiltonian/``, ``observables/`` and ``scf/`` take
+  sigma only as its eigenbasis image ``(phi~, d)``: they import neither
+  ``diagonalize_sigma`` nor ``rotate_orbitals`` / ``unrotate_orbitals``,
+  so only the propagators decompose.
 """
 
 import ast
@@ -108,7 +112,7 @@ def flagged(check, rel, tree):
     return [line for line, _ in sorted(sites)]
 
 
-# ---------------- the six checks ----------------------------------------------
+# ---------------- the seven checks --------------------------------------------
 
 SQLITE_HOME = ("store/common.py",)
 
@@ -304,6 +308,31 @@ def pickle_safety(rel, tree):
                     yield sub
 
 
+#: the layers that take sigma only as its eigenbasis image
+IMAGE_ONLY = ("hamiltonian/", "observables/", "scf/")
+DECOMPOSITION = ("diagonalize_sigma", "rotate_orbitals", "unrotate_orbitals")
+
+
+def _decomposes(name):
+    return (
+        name is not None
+        and name.startswith("repro.occupation.")
+        and name.rsplit(".", 1)[-1] in DECOMPOSITION
+    )
+
+
+def sigma_image(rel, tree):
+    if not rel.startswith(IMAGE_ONLY):
+        return
+    imports = imports_of(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and not node.level:
+            if any(_decomposes(f"{node.module}.{alias.name}") for alias in node.names):
+                yield node
+        elif isinstance(node, ast.Attribute) and _decomposes(dotted(node, imports)):
+            yield node
+
+
 CHECKS = {
     "sqlite-discipline": sqlite_discipline,
     "atomic-io": atomic_io,
@@ -311,6 +340,7 @@ CHECKS = {
     "determinism": determinism,
     "config-immutability": config_immutability,
     "pickle-safety": pickle_safety,
+    "sigma-image": sigma_image,
 }
 
 
@@ -337,7 +367,7 @@ def test_src_holds(rule, src_trees):
 
 def test_scopes_name_real_paths():
     """A renamed package must not switch a check off silently."""
-    scopes = (SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY)
+    scopes = (SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY, IMAGE_ONLY)
     missing = [
         entry
         for scope in scopes

@@ -14,6 +14,7 @@ from test_invariants import (
     fft_isolation,
     flagged,
     pickle_safety,
+    sigma_image,
     sqlite_discipline,
 )
 
@@ -303,3 +304,42 @@ def test_pickle_safety_clean_paths_and_plain_data_pass():
 def test_pickle_safety_scopes_to_boundary_modules():
     # the queue's own connection (one per process, never pickled) is its business
     assert lines(pickle_safety, PICKLE_BAD, "serve/queue.py") == []
+
+
+# ---------------- sigma-image -----------------------------------------------
+
+
+SIGMA_BAD = """\
+import repro.occupation.sigma as occ
+from repro.occupation import diagonalize_sigma
+from repro.occupation.sigma import hermitize, rotate_orbitals, unrotate_orbitals
+
+def energy(phi, sigma):
+    d, q = occ.diagonalize_sigma(hermitize(sigma))
+    return occ.rotate_orbitals(phi, q), d
+"""
+
+SIGMA_CLEAN = """\
+from repro.occupation.sigma import clip_and_normalize, density_from_orbitals_diag, hermitize
+
+def density(grid, phi_t, d, n_electrons):
+    rho = density_from_orbitals_diag(grid, phi_t, d)
+    return clip_and_normalize(rho, n_electrons, grid.dv)
+"""
+
+
+def test_sigma_image_flags_every_import_and_attribute_form():
+    # the package re-export, the module's names (one line), and two
+    # attribute chains through a module alias
+    assert lines(sigma_image, SIGMA_BAD, "observables/energy.py") == [2, 3, 6, 7]
+
+
+def test_sigma_image_clean_image_consumer_passes():
+    assert lines(sigma_image, SIGMA_CLEAN, "scf/groundstate.py") == []
+
+
+def test_sigma_image_scopes_to_image_only_layers():
+    assert lines(sigma_image, SIGMA_BAD, "hamiltonian/fock.py") == [2, 3, 6, 7]
+    # the propagators and the occupation algebra itself decompose
+    assert lines(sigma_image, SIGMA_BAD, "rt/propagator.py") == []
+    assert lines(sigma_image, SIGMA_BAD, "occupation/sigma.py") == []

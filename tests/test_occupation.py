@@ -18,7 +18,6 @@ from repro.occupation.sigma import (
     diagonalize_sigma,
     hermitize,
     initial_sigma,
-    occupation_bounds_ok,
     rotate_orbitals,
     sigma_commutator,
     trace_sigma,
@@ -124,12 +123,6 @@ def test_commutator_antihermitian_generator():
     assert np.allclose(c, -c.conj().T, atol=1e-12)
     # and traceless
     assert abs(np.trace(c)) < 1e-12
-
-
-def test_occupation_bounds_check():
-    rng = default_rng(3)
-    assert occupation_bounds_ok(random_hermitian_sigma(5, rng))
-    assert not occupation_bounds_ok(np.diag([1.5, 0.0]).astype(complex))
 
 
 # ---------------- density paths ------------------------------------------------

@@ -4,6 +4,7 @@ paper-shape assertions for Figs. 9-11 and Table I."""
 import numpy as np
 import pytest
 
+from oracles import mixed_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import hermitize
@@ -72,7 +73,7 @@ def test_fock_fft_counts_match_analytic():
     assert measured_triple == 2 * n**3
 
     snap = eng.counters.snapshot()
-    fock.apply_mixed_via_diagonalization(phi, sigma)
+    mixed_exchange(fock, phi, sigma)
     measured_diag = eng.counters.since(snap).transforms
     # every eigenvalue active: each unordered pair once, half the model's
     # N^2 (repro.perf.counts keeps the paper's count, which has no symmetry)

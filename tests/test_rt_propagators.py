@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from oracles import (
+    eigenbasis_image,
     matrix_diag_density,
+    mixed_exchange,
     output_density_fixed_point,
     plain_fixed_point_update,
     real_space_step,
@@ -47,6 +49,11 @@ DT_50AS = 50.0 * AU_PER_ATTOSECOND
 
 def _state(gs):
     return TDState(gs.orbitals.copy(), gs.sigma.copy(), 0.0)
+
+
+def _density(prop, state):
+    """``prop.density`` of ``state``, handed the eigenbasis image ``observe`` hands it."""
+    return prop.density(*eigenbasis_image(state.phi, state.sigma))
 
 
 # ---------------- field-free invariants (hybrid) ----------------------------------
@@ -150,8 +157,8 @@ def test_ptim_first_step_from_perturbed_occupations_is_tolerance_independent(lda
         prop = PTIMPropagator(ham, PTIMOptions(density_tol=tol, max_scf=40), record_energy=False)
         new, stats = prop.step(state, DT_50AS)
         assert stats.converged and stats.scf_iterations > 1
-        dipoles.append(dipole_moment(ham.grid, prop.density(new), coords))
-    start = dipole_moment(ham.grid, prop.density(state), coords)
+        dipoles.append(dipole_moment(ham.grid, _density(prop, new), coords))
+    start = dipole_moment(ham.grid, _density(prop, state), coords)
     assert np.abs(dipoles[1] - start).max() > 1e-3  # there is motion to miss
     assert np.abs(dipoles[0] - dipoles[1]).max() < 1e-5
 
@@ -301,7 +308,7 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
     ``_pack`` and ``_finish_step``.  The density is built once per
     midpoint: ``n_inner + n_outer`` times, not ``2 n_inner + n_outer``.
     """
-    import repro.rt.ptim as ptim_module
+    import repro.rt.propagator as propagator_module
 
     ham, state = _small_hse_state(hse_ground_state)
     nb = state.nbands
@@ -318,14 +325,14 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
         tally["fock"] += counters.since(snap).transforms
         return out
 
-    density = ptim_module.density_from_orbitals_diag
+    density = propagator_module.density_from_orbitals_diag
 
     def counted_density(*args, **kwargs):
         tally["density"] += 1
         return density(*args, **kwargs)
 
     monkeypatch.setattr(ham.fock, "apply_diag", counted_dense)
-    monkeypatch.setattr(ptim_module, "density_from_orbitals_diag", counted_density)
+    monkeypatch.setattr(propagator_module, "density_from_orbitals_diag", counted_density)
     prop = PTIMACEPropagator(
         ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
     )
@@ -368,7 +375,7 @@ def test_three_steps_match_real_space_oracle(lda_ground_state, hse_ground_state,
         assert converged and stats.converged
         assert (stats.scf_iterations, stats.outer_iterations) == (n_inner, n_outer)
         dip_new, dip_ref = (
-            dipole_moment(grid, prop.density(st), cell_centered_coordinates(grid)) for st in (new, ref)
+            dipole_moment(grid, _density(prop, st), cell_centered_coordinates(grid)) for st in (new, ref)
         )
         assert np.abs(dip_new - dip_ref).max() < 1e-10
         assert abs(_trace_sigma2(new.sigma) - _trace_sigma2(ref.sigma)) < 1e-10
@@ -409,7 +416,7 @@ def test_stopping_rule_accuracy_against_output_density_rule(hse_ground_state, mo
         for _ in range(n_steps):
             state, stats = prop.step(state, DT_50AS)
             assert stats.converged
-            dipoles.append(dipole_moment(grid, prop.density(state), coords))
+            dipoles.append(dipole_moment(grid, _density(prop, state), coords))
             purities.append(_trace_sigma2(state.sigma))
         return np.asarray(dipoles), np.asarray(purities)
 
@@ -469,7 +476,7 @@ def map_trajectory(lda_ground_state, hse_ground_state):
         coords = cell_centered_coordinates(ham.grid)
         dipoles, purities, applications = [], [], 0
         for state, stats in _converged_steps(prop, _state(gs), 3, plain):
-            dipoles.append(dipole_moment(ham.grid, prop.density(state), coords))
+            dipoles.append(dipole_moment(ham.grid, _density(prop, state), coords))
             purities.append(_trace_sigma2(state.sigma))
             applications += stats.scf_iterations
         cache[kind, tol, plain] = np.asarray(dipoles), np.asarray(purities), applications
@@ -715,30 +722,56 @@ def test_step_decomposes_each_midpoint_once_and_rotates_sphere_blocks(
 
 def test_observe_decomposes_sigma_once_for_density_and_energy(hse_ground_state, monkeypatch):
     """``observe`` records, bit for bit, the dipole and energy of the
-    formulas that decomposed sigma once for the density and again for the
-    energy: ``hermitize`` is idempotent, so both saw the same matrix.  The
-    exact exchange energy is read on the same eigenbasis image, so the
-    energy adds no decomposition."""
+    formulas on sigma's eigenbasis image, and makes that image once: one
+    decomposition and one rotation of the real-space rows serve the
+    density, the kinetic and nonlocal terms (packed from the rotated rows)
+    and the exact exchange, with or without the energy."""
     ham, gs = hse_ground_state
     ham.field = ZeroField()
     grid, n = ham.grid, 8
     sigma = hermitize(random_hermitian_sigma(n, default_rng(31)))
     state = TDState(gs.orbitals[:n].copy(), sigma, 0.0)
     ham.set_time(state.time)
+    phi_t, d = eigenbasis_image(state.phi, state.sigma)
     rho = matrix_diag_density(grid, state.phi, state.sigma, ham.degeneracy)
     rho = np.maximum(rho, 0.0)
     rho *= ham.n_electrons / (rho.sum() * grid.dv)
     dipole = dipole_moment(grid, rho, cell_centered_coordinates(grid))
-    energy = td_total_energy(ham, state.phi, state.sigma, rho, ewald_energy(ham.cell)).total
+    energy = td_total_energy(ham, phi_t, d, rho, ewald_energy(ham.cell)).total
 
     for record_energy in (False, True):
         prop = PTIMPropagator(ham, record_energy=record_energy)
         with monkeypatch.context() as patch:
             decompositions = _count_calls(patch, diagonalize_sigma)
+            rotations = _count_calls(patch, rotate_orbitals)
             prop.observe(state)
         assert len(decompositions) == 1
+        assert len(rotations) == 1
         assert np.array_equal(prop.record.dipole[0], dipole)
     assert np.array_equal(prop.record.energy[0], energy)
+
+
+def test_hybrid_scf_decomposes_no_sigma(small_grid, monkeypatch):
+    """The SCF's ``sigma = diag(occ)`` is its own eigenbasis image
+    ``(rows, occ)``: the dense exchange of every hybrid pass and the final
+    exchange energy run without one decomposition or rotation."""
+    ham = Hamiltonian(small_grid, make_functional("hse"), field=ZeroField())
+    applications = []
+    apply_diag = ham.fock.apply_diag
+
+    def counted(phi, weights):
+        applications.append(phi.shape)
+        return apply_diag(phi, weights)
+
+    monkeypatch.setattr(ham.fock, "apply_diag", counted)
+    decompositions = _count_calls(monkeypatch, diagonalize_sigma)
+    rotations = _count_calls(monkeypatch, rotate_orbitals)
+    gs = run_scf(ham, SCFOptions(nbands=20, density_tol=1e-4, max_scf=4, max_outer=2))
+    assert gs.orbitals.shape[0] == 20
+    # one dense application at the end of each of the two passes (the
+    # semilocal bootstrap's builds the first ACE), one for the final energy
+    assert len(applications) == 3
+    assert decompositions == [] and rotations == []
 
 
 def test_rk4_hybrid_step_decomposes_sigma_once(hse_ground_state, monkeypatch):
@@ -756,7 +789,7 @@ def test_rk4_hybrid_step_decomposes_sigma_once(hse_ground_state, monkeypatch):
         rho = matrix_diag_density(grid, block, sigma, ham.degeneracy)
         ham.update_density(clip_and_normalize(rho, ham.n_electrons, grid.dv))
         ham.set_time(t)
-        vx, _, _ = ham.fock.apply_mixed_via_diagonalization(block, sigma)
+        vx = mixed_exchange(ham.fock, block, sigma)
         exchange = grid.to_real(grid.to_sphere(ham.functional.alpha * vx))
         return -1j * (ham.apply_real(block, include_exchange=False) + exchange)
 
