@@ -13,7 +13,8 @@ Commands
     Expand a config with a ``[sweep]`` section into a run grid and
     execute it (``--workers N``: N processes drain the store's job
     queue, this one and N - 1 spawned workers), or list the grid with
-    ``--dry-run``; saves an ensemble ``.npz``.
+    ``--dry-run``; ``--store DIR`` keeps the runs, and re-running
+    against it restores them.
 ``validate CONFIG``
     Parse + validate a config and print its normalized JSON (including
     the ``[sweep] store`` target / ``--store`` path when given).
@@ -119,10 +120,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--workers", type=int, default=None, help="override sweep.workers")
     sweep.add_argument(
         "--dry-run", action="store_true", help="list the expanded run grid and exit"
-    )
-    sweep.add_argument(
-        "--output", default=None, metavar="NPZ",
-        help="ensemble output path (default: sweep.output from the config)",
     )
     sweep.add_argument(
         "--store", default=None, metavar="DIR",
@@ -388,18 +385,22 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    from dataclasses import replace
+
     from repro.api.config import load_sweep_file
     from repro.api.ensemble import expand_sweep, run_ensemble
 
     base, sweep = load_sweep_file(args.config)
+    if args.workers is not None:
+        sweep = replace(sweep, workers=args.workers)  # refused as sweep.workers
     variants = expand_sweep(base, sweep)
-    workers = sweep.workers if args.workers is None else args.workers
 
     if args.dry_run or not args.quiet:
         print(
             f"sweep: {len(variants)} runs "
             f"({' x '.join(f'{k}[{len(v)}]' for k, v in sweep.axes.items()) or 'base only'}, "
-            f"mode {sweep.mode}) | workers {workers} (this process + {workers - 1} spawned)"
+            f"mode {sweep.mode}) | workers {sweep.workers} "
+            f"(this process + {sweep.workers - 1} spawned)"
         )
     if args.dry_run:
         print(f"{'run':>4}  overrides")
@@ -411,12 +412,8 @@ def _cmd_sweep(args) -> int:
     if store and not args.quiet:
         print(f"store: {store} (completed variants restore instead of re-running)")
     progress = None if args.quiet else print
-    result = run_ensemble(base, sweep, workers=workers, progress=progress, store=store)
+    result = run_ensemble(base, sweep, progress=progress, store=store)
     print(result.summary())
-    output = args.output if args.output is not None else sweep.output
-    if output:
-        path = result.save_npz(output)
-        print(f"ensemble saved to {path}")
     return 0 if not result.failures else 1
 
 

@@ -29,31 +29,31 @@ class ConfigError(ValueError):
 
 
 class ResultError(ConfigError):
-    """A result/ensemble file is missing, unreadable, or from a newer
-    format version; the message always names the offending path.
+    """A result file is missing, unreadable, or from a newer format
+    version; the message always names the offending path.
 
     Subclasses :class:`ConfigError` so existing handlers (and the CLI's
     ``ValueError`` net) keep working, while loaders can be precise."""
 
 
-def open_result_npz(path, kind: str):
-    """Open an ``.npz`` artifact with readable failure modes.
+def open_result_npz(path):
+    """Open a result ``.npz`` (run output, checkpoint, stored run) with
+    readable failure modes.
 
     Missing files and corrupt/truncated archives raise
-    :class:`ResultError` naming the path and the artifact ``kind``
-    (``"result"``, ``"ensemble"``, ...) instead of surfacing raw
+    :class:`ResultError` naming the path instead of surfacing raw
     ``FileNotFoundError`` / ``zipfile.BadZipFile`` tracebacks.
     """
     import zipfile
 
     path = Path(path)
     if not path.exists():
-        raise ResultError(f"{kind} file {path} does not exist")
+        raise ResultError(f"result file {path} does not exist")
     try:
         return np.load(path, allow_pickle=False)
     except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
         raise ResultError(
-            f"{path} is not a readable {kind} file (corrupt or not an .npz): {exc}"
+            f"{path} is not a readable result file (corrupt or not an .npz): {exc}"
         ) from exc
 
 
@@ -367,16 +367,15 @@ class SweepConfig(_Section):
     ``workers`` is how many processes compute when
     :func:`repro.api.ensemble.run_ensemble` executes the expanded runs:
     1 (the default) is the calling process alone, N the calling process
-    and N - 1 spawned worker processes.  ``output`` is the
-    default ``EnsembleResult`` npz path used by ``repro sweep`` when
-    ``--output`` is not given.
+    and N - 1 spawned worker processes.
 
     ``store`` (or ``repro sweep --store DIR``) points at a
-    :class:`repro.store.ResultStore` study directory: finished runs are
-    appended to it as they complete, and re-running the sweep *resumes*
-    it — variants already completed in the store (matched by config
-    hash) are restored instead of recomputed, and their shared ground
-    states are read back from the store's content-addressed blobs.
+    :class:`repro.store.ResultStore` study directory, the one place a
+    sweep persists: finished runs are appended to it as they complete,
+    and re-running the sweep *resumes* it — variants already completed
+    in the store (matched by config hash) are restored instead of
+    recomputed, and their shared ground states are read back from the
+    store's content-addressed blobs.
     """
 
     _context = "sweep"
@@ -384,7 +383,6 @@ class SweepConfig(_Section):
     axes: Dict[str, Any] = field(default_factory=dict)
     mode: str = "grid"
     workers: int = 1
-    output: Optional[str] = None
     store: Optional[str] = None
 
     def __post_init__(self) -> None:

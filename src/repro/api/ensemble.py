@@ -5,9 +5,8 @@ The paper's results are *families* of trajectories — field amplitudes
 so the facade gets a first-class multi-run layer:
 
     base, sweep = load_sweep_file("sweep_absorption.toml")
-    result = run_ensemble(base, sweep, workers=2)
+    result = run_ensemble(base, sweep, workers=2, store="study")
     omega, strengths = result.dipole_spectra(kick=2e-3)
-    result.save_npz("ensemble.npz")
 
 :func:`expand_sweep` crosses the :class:`~repro.api.config.SweepConfig`
 axes into concrete :class:`~repro.api.config.SimulationConfig` variants;
@@ -16,7 +15,9 @@ spawned workers, draining the store's job queue — through the one run
 kernel of :mod:`repro.api.runs`, converging each distinct (system, scf)
 ground state exactly once and each distinct config hash at most once;
 and :class:`EnsembleResult` collects per-run observables, status and errors
-with ``save_npz``/``load_npz`` and spectrum aggregation built in.
+with spectrum aggregation built in.  The store is the sweep's only
+persistent result: calling :func:`run_ensemble` again on a finished store
+restores every variant from it and runs nothing.
 
 ``repro sweep`` exposes the same engine on the command line.
 """
@@ -25,27 +26,18 @@ from __future__ import annotations
 
 import contextlib
 import itertools
-import json
 import tempfile
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.api.config import (
-    ConfigError,
-    ResultError,
-    SimulationConfig,
-    SweepConfig,
-    open_result_npz,
-)
+from repro.api.config import ConfigError, SimulationConfig, SweepConfig
 from repro.api import runs
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
 from repro.store.common import config_hash
-from repro.utils.io import atomic_savez
 
 
 class FFTCoverage(NamedTuple):
@@ -58,9 +50,6 @@ class FFTCoverage(NamedTuple):
     @property
     def complete(self) -> bool:
         return self.n_reporting == self.n_runs
-
-#: schema version stamped into ensemble ``.npz`` files
-ENSEMBLE_VERSION = 1
 
 
 # --------------------------------------------------------------------------
@@ -325,11 +314,6 @@ class EnsembleResult:
         assert omega_ref is not None
         return omega_ref, np.stack(strengths)
 
-    def mean_dipole_spectrum(self, **kwargs) -> Tuple[np.ndarray, np.ndarray]:
-        """``(omega, mean strength)`` averaged over the successful runs."""
-        omega, strengths = self.dipole_spectra(**kwargs)
-        return omega, strengths.mean(axis=0)
-
     # -- reporting ----------------------------------------------------------
     def summary(self) -> str:
         """Per-run status table + one-line tally (the CLI output)."""
@@ -377,90 +361,6 @@ class EnsembleResult:
                 )
         return "\n".join(lines)
 
-    # -- persistence --------------------------------------------------------
-    def save_npz(self, path) -> Path:
-        """Persist the whole ensemble to one ``.npz``.
-
-        Layout: an ``ensemble_json`` metadata blob (base config, sweep,
-        per-run overrides/status/errors) plus ``run{i:04d}_{key}`` arrays
-        for every successful run's observables, dtype-preserving.
-        """
-        path = Path(path)
-        meta = {
-            "version": ENSEMBLE_VERSION,
-            "base_config": self.base_config.to_dict(),
-            "sweep": self.sweep.to_dict(),
-            "runs": [
-                {
-                    "index": r.index,
-                    "overrides": r.overrides,
-                    "config": r.config.to_dict(),
-                    "status": r.status,
-                    "error": r.error,
-                    "elapsed": r.elapsed,
-                    "fft": r.fft.to_dict() if r.fft is not None else None,
-                    "parallel": r.parallel,
-                }
-                for r in self.runs
-            ],
-        }
-        payload: Dict[str, Any] = {"ensemble_json": np.str_(json.dumps(meta, sort_keys=True))}
-        for r in self.runs:
-            for key, arr in r.arrays.items():
-                payload[f"run{r.index:04d}_{key}"] = np.asarray(arr)
-        return atomic_savez(path, **payload)
-
-    @classmethod
-    def load_npz(cls, path) -> "EnsembleResult":
-        """Rebuild an :class:`EnsembleResult` written by :meth:`save_npz`.
-
-        Restored runs carry configs, statuses, errors and observable
-        arrays; final states stay in the result store, not the ensemble
-        file.
-        """
-        path = Path(path)
-        with open_result_npz(path, "ensemble") as data:
-            if "ensemble_json" not in data:
-                raise ResultError(
-                    f"{path} is not a repro ensemble file (missing ensemble_json)"
-                )
-            meta = json.loads(str(data["ensemble_json"]))
-            version = int(meta.get("version", 0))
-            if version > ENSEMBLE_VERSION:
-                raise ResultError(
-                    f"ensemble file {path} has version {version}; "
-                    f"this build reads <= {ENSEMBLE_VERSION}"
-                )
-            runs = []
-            for entry in meta["runs"]:
-                index = int(entry["index"])
-                prefix = f"run{index:04d}_"
-                arrays = {
-                    name[len(prefix):]: np.array(data[name])
-                    for name in data.files
-                    if name.startswith(prefix)
-                }
-                fft_meta = entry.get("fft")
-                runs.append(
-                    RunRecord(
-                        index=index,
-                        overrides=dict(entry["overrides"]),
-                        config=SimulationConfig.from_dict(entry["config"]),
-                        status=str(entry["status"]),
-                        error=entry.get("error"),
-                        elapsed=float(entry.get("elapsed", 0.0)),
-                        arrays=arrays,
-                        fft=FFTCounters.from_dict(fft_meta) if fft_meta else None,
-                        parallel=entry.get("parallel"),
-                    )
-                )
-        meta["sweep"].pop("scheduler", None)  # files written by <= 1.7 record it
-        return cls(
-            base_config=SimulationConfig.from_dict(meta["base_config"]),
-            sweep=SweepConfig.from_dict(meta["sweep"]),
-            runs=runs,
-        )
-
 
 # --------------------------------------------------------------------------
 # execution
@@ -501,12 +401,14 @@ def run_ensemble(
     passes ``print``).
 
     ``store`` (a :class:`~repro.store.ResultStore` or study directory;
-    default ``sweep.store``) makes the sweep resumable: runs append to it
-    as they finish, a variant whose config hash maps to a completed stored
-    run is restored instead of recomputed (its SCF too, from the group's
-    blob), and interrupted or failed runs are re-queued.  Workers share
-    the store's job queue, blobs and cache hits with any job service on
-    it; without a store they share a temporary one, removed on return.
+    default ``sweep.store``) is where the sweep's result persists: runs
+    append to it as they finish, a variant whose config hash maps to a
+    completed stored run is restored instead of recomputed (its SCF too,
+    from the group's blob), and interrupted or failed runs are re-queued.
+    So calling this again on a finished store is how a sweep is read
+    back: every variant restores and nothing runs.  Workers share the
+    store's job queue, blobs and cache hits with any job service on it;
+    without a store they share a temporary one, removed on return.
 
     Each distinct config hash runs once (duplicate grid points are filled
     from that one run) and each (system, scf, backend-engine) group

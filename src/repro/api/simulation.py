@@ -118,7 +118,7 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
     block only the ``ledger`` exists.
     """
     path = Path(path)
-    with open_result_npz(path, "result") as data:
+    with open_result_npz(path) as data:
         if "config_json" not in data:
             raise ResultError(f"{path} is not a repro result file (missing config_json)")
         version = int(data["result_version"]) if "result_version" in data else 0

@@ -100,7 +100,7 @@ class FFTCounters:
         for shape, n in other.by_shape.items():
             self.by_shape[shape] = self.by_shape.get(shape, 0) + n
 
-    # -- JSON-safe IO (ensemble .npz metadata, process-pool returns) ---------
+    # -- JSON-safe IO (store rows, process-pool returns) ----------------------
     def to_dict(self) -> Dict[str, object]:
         """Plain-JSON form; grid shapes become ``"n1xn2xn3"`` keys."""
         return {

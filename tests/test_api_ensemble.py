@@ -54,6 +54,9 @@ def test_sweep_defaults_and_n_runs():
         ({"bogus": 1}, "unknown key"),
         ({"workers": 2.5}, "sweep.workers"),
         ({"workers": True}, "sweep.workers"),
+        # keys of earlier releases are refused by name
+        ({"scheduler": "thread"}, "unknown key.*sweep.scheduler"),
+        ({"output": "x.npz"}, r"sweep\.output.*store"),
     ],
 )
 def test_sweep_config_rejects_bad_input(data, match):
@@ -63,7 +66,7 @@ def test_sweep_config_rejects_bad_input(data, match):
 
 def test_sweep_config_round_trips():
     sweep = SweepConfig.from_dict(
-        {"axes": {"field.params.kick": [1e-3, 2e-3]}, "workers": 3, "output": "x.npz"}
+        {"axes": {"field.params.kick": [1e-3, 2e-3]}, "workers": 3, "store": "study"}
     )
     assert SweepConfig.from_dict(sweep.to_dict()) == sweep
 
@@ -189,48 +192,6 @@ def test_stacked_rejects_ragged_shapes():
         result.stacked("dipole")
 
 
-def test_ensemble_npz_round_trip(tmp_path):
-    result = _fake_result(("ok", "error"))
-    path = result.save_npz(tmp_path / "ens.npz")
-    loaded = EnsembleResult.load_npz(path)
-    assert len(loaded) == 2
-    assert loaded.base_config == result.base_config
-    assert loaded.sweep == result.sweep
-    assert loaded.runs[0].overrides == {"scf.seed": 0}
-    assert loaded.runs[1].status == "error"
-    assert loaded.runs[1].error == "ValueError: boom"
-    for key, arr in result.runs[0].arrays.items():
-        loaded_arr = loaded.runs[0].arrays[key]
-        assert loaded_arr.dtype == arr.dtype  # complex survives
-        np.testing.assert_array_equal(loaded_arr, arr)
-    assert loaded.runs[0].fft == result.runs[0].fft  # tallies survive the file
-    assert loaded.runs[1].fft is None
-
-
-def test_ensemble_load_reads_files_written_before_scheduler_was_removed(tmp_path):
-    """A version-1 ensemble file records ``sweep.scheduler``; the strict
-    parser rejects that key in configs, but our own old files still load."""
-    result = _fake_result(("ok", "ok"))
-    path = result.save_npz(tmp_path / "ens.npz")
-    with np.load(path) as data:
-        payload = {name: data[name] for name in data.files}
-    meta = json.loads(str(payload["ensemble_json"]))
-    meta["sweep"]["scheduler"] = "thread"
-    payload["ensemble_json"] = np.str_(json.dumps(meta))
-    np.savez(tmp_path / "old.npz", **payload)
-    loaded = EnsembleResult.load_npz(tmp_path / "old.npz")
-    assert loaded.sweep == result.sweep
-    with pytest.raises(ConfigError, match=r"unknown key.*scheduler"):
-        SweepConfig.from_dict(meta["sweep"])
-
-
-def test_ensemble_load_rejects_foreign_npz(tmp_path):
-    path = tmp_path / "junk.npz"
-    np.savez(path, a=np.zeros(3))
-    with pytest.raises(ConfigError, match="not a repro ensemble file"):
-        EnsembleResult.load_npz(path)
-
-
 def test_summary_lists_every_run():
     result = _fake_result(("ok", "error"))
     text = result.summary()
@@ -290,28 +251,29 @@ def test_dipole_spectra_shapes_and_kick_normalization(serial_run):
     result, _ = serial_run
     omega, strengths = result.dipole_spectra(damping=0.01)
     assert strengths.shape == (4, len(omega))
-    omega_m, mean = result.mean_dipole_spectrum(damping=0.01)
-    np.testing.assert_allclose(mean, strengths.mean(axis=0))
-    np.testing.assert_array_equal(omega_m, omega)
 
 
 def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
-    """Acceptance path: `repro sweep ... --workers 2` through the real CLI,
-    ensemble npz written, stacked spectra identical to the serial runs."""
+    """Acceptance path: `repro sweep ... --workers 2 --store` through the
+    real CLI, read back by re-running against the store, stacked spectra
+    identical to the serial runs."""
     serial_result, _ = serial_run
-    out_path = tmp_path / "cli_sweep.npz"
-    rc = cli_main(["sweep", str(SWEEP_TOML), "--workers", "2", "--output", str(out_path)])
+    store = tmp_path / "study"
+    rc = cli_main(["sweep", str(SWEEP_TOML), "--workers", "2", "--store", str(store)])
     captured = capsys.readouterr().out
     assert rc == 0
     assert "4/4 runs ok" in captured
-    assert out_path.exists()
 
-    loaded = EnsembleResult.load_npz(out_path)
+    base, sweep = load_sweep_file(SWEEP_TOML)
+    messages = []
+    loaded = run_ensemble(base, sweep, store=store, workers=1, progress=messages.append)
+    assert sum("restored from store" in m for m in messages) == 4
+    assert len(messages) == 4
     assert [r.status for r in loaded.runs] == ["ok"] * 4
     assert [r.overrides for r in loaded.runs] == [r.overrides for r in serial_result.runs]
     # worker processes' FFT tallies come back with the results (through
-    # the store row, and survive the npz round trip) instead of dying with
-    # the worker's engine — and match the in-process tallies exactly
+    # the store row) instead of dying with the worker's engine — and match
+    # the in-process tallies exactly
     for got, ref in zip(loaded.runs, serial_result.runs):
         assert got.fft is not None
         assert got.fft == ref.fft
@@ -488,6 +450,24 @@ def test_cli_sweep_dry_run(capsys):
     lines = [l for l in out.splitlines() if l.strip().startswith(tuple("0123"))]
     assert len(lines) == 4
     assert "propagator='ptcn'" in out
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_sweep_dry_run_refuses_bad_workers(workers, capsys):
+    """``--workers`` goes through ``SweepConfig``'s validation before the
+    banner, so a dry run refuses it exactly as a real run does."""
+    rc = cli_main(["sweep", str(SWEEP_TOML), "--dry-run", "--workers", workers])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert "sweep.workers" in captured.err
+    assert "spawned" not in captured.out
+
+
+def test_cli_validate_refuses_removed_sweep_output(tmp_path, capsys):
+    bad = tmp_path / "bad.toml"
+    bad.write_text('[sweep]\noutput = "x.npz"\n')
+    assert cli_main(["validate", str(bad)]) == 2
+    assert "sweep.output" in capsys.readouterr().err
 
 
 def test_cli_validate_reports_sweep(capsys):

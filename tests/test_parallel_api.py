@@ -317,21 +317,20 @@ def test_sweep_over_patterns_yields_per_pattern_ledgers(serial_sim):
     # every run reports its FFT tally under the parallel path too
     coverage = result.fft_totals()
     assert coverage.complete
-    npz = result.save_npz  # round-trip checked in ensemble suite; here: dicts survive
-    del npz
     for r in result.runs:
         assert r.parallel["ranks"] == 4
 
 
 def test_sweep_parallel_npz_round_trips_ledgers(serial_sim, tmp_path):
-    from repro.api.ensemble import EnsembleResult
-
+    """Ledgers survive the store's run files: a second call restores them."""
     base = SimulationConfig.from_dict({**CFG, "parallel": _parallel_cfg(2, "bcast")})
     base = base.replace(propagation={"n_steps": 0})
     sweep = SweepConfig.from_dict({"axes": {"parallel.ranks": [2, 3]}})
-    result = run_ensemble(base, sweep, workers=1)
-    path = result.save_npz(tmp_path / "par_sweep.npz")
-    loaded = EnsembleResult.load_npz(path)
+    store = tmp_path / "study"
+    result = run_ensemble(base, sweep, workers=1, store=store)
+    messages = []
+    loaded = run_ensemble(base, sweep, workers=1, store=store, progress=messages.append)
+    assert sum("restored from store" in m for m in messages) == 2
     for got, ref in zip(loaded.runs, result.runs):
         assert got.parallel == ref.parallel
     assert len(loaded.parallel_ledgers()) == 2

@@ -16,7 +16,6 @@ import pytest
 
 from repro.api import (
     ConfigError,
-    EnsembleResult,
     ResultError,
     Simulation,
     SimulationConfig,
@@ -470,8 +469,6 @@ def test_result_load_missing_file_names_path(tmp_path):
     missing = tmp_path / "gone.npz"
     with pytest.raises(ResultError, match="gone.npz"):
         SimulationResult.load_npz(missing)
-    with pytest.raises(ResultError, match="gone.npz"):
-        EnsembleResult.load_npz(missing)
     # ResultError is a ConfigError: existing except ConfigError nets catch it
     assert issubclass(ResultError, ConfigError)
 
@@ -481,8 +478,6 @@ def test_result_load_corrupt_file_names_path(tmp_path):
     corrupt.write_bytes(b"PK\x03\x04 definitely not a real zip")
     with pytest.raises(ResultError, match="corrupt.npz"):
         SimulationResult.load_npz(corrupt)
-    with pytest.raises(ResultError, match="corrupt.npz"):
-        EnsembleResult.load_npz(corrupt)
 
 
 def test_result_load_rejects_newer_version(tmp_path, real_result):
@@ -493,19 +488,6 @@ def test_result_load_rejects_newer_version(tmp_path, real_result):
     np.savez(tmp_path / "future.npz", **payload)
     with pytest.raises(ResultError, match="result_version 99"):
         SimulationResult.load_npz(tmp_path / "future.npz")
-
-
-def test_ensemble_load_rejects_newer_version(tmp_path):
-    meta = {"version": 99, "base_config": CFG, "sweep": {}, "runs": []}
-    np.savez(tmp_path / "ens.npz", ensemble_json=np.str_(json.dumps(meta)))
-    with pytest.raises(ResultError, match="version 99"):
-        EnsembleResult.load_npz(tmp_path / "ens.npz")
-
-
-def test_wrong_kind_file_rejected(tmp_path, real_result):
-    path = real_result.save_npz(tmp_path / "res.npz")
-    with pytest.raises(ResultError, match="ensemble"):
-        EnsembleResult.load_npz(path)
 
 
 # ---------------- atomic writes (satellite 1) ----------------------------------
@@ -598,27 +580,6 @@ def test_dropped_fetch_preserves_previous_file(tmp_path, monkeypatch):
     with pytest.raises(ConnectionResetError):
         client.fetch("j1", target)
     assert target.read_bytes() == b"previous result"
-    assert [p.name for p in tmp_path.iterdir()] == [target.name]
-
-
-def test_crash_mid_ensemble_write_preserves_previous_file(tmp_path, monkeypatch):
-    from repro.api import RunRecord, SweepConfig
-
-    cfg = make_config()
-    ens = EnsembleResult(
-        base_config=cfg,
-        sweep=SweepConfig.from_dict({}),
-        runs=[RunRecord(0, {}, cfg, status="ok", arrays=synth_arrays())],
-    )
-    target = tmp_path / "ens.npz"
-    ens.save_npz(target)
-    before = target.read_bytes()
-    monkeypatch.setattr(np, "savez", _partial_then_crash())
-    with pytest.raises(OSError, match="disk died"):
-        ens.save_npz(target)
-    monkeypatch.undo()
-    assert target.read_bytes() == before
-    assert EnsembleResult.load_npz(target).runs[0].status == "ok"
     assert [p.name for p in tmp_path.iterdir()] == [target.name]
 
 
