@@ -266,23 +266,22 @@ def _finish(sim: Simulation, result, args) -> None:
                 f"FFTs: {result.fft.transforms} transforms in "
                 f"{result.fft.calls} calls ({sim.backend.describe()})"
             )
-        ctx = sim.parallel
-        if ctx is not None:
-            # this session's measured accounting (SCF + propagation as
-            # executed here; a resumed run's checkpointed history is
-            # excluded so the comm and FFT windows match), rendered with
-            # the same formatter as the analytic Table I
-            from repro.perf.report import measured_breakdown_report
+        info = result.parallel
+        if info is not None:
+            # the run's own accounting (its propagation window, as stored,
+            # so a reused run prints what its first run printed), rendered
+            # with the same formatter as the analytic Table I
+            from repro.perf.experiments import format_table1, measured_table1
 
-            print(
-                measured_breakdown_report(
-                    {ctx.pattern: ctx.session_ledger()},
-                    ctx.machine,
-                    sim.cell.natom,
-                    ctx.nranks,
-                    fft={ctx.pattern: sim.fft_counters()},
-                )
+            table = measured_table1(
+                {info.pattern: info.ledger},
+                info.machine,
+                sim.cell.natom,
+                info.ranks,
+                fft={info.pattern: result.fft},
             )
+            print("measured communication breakdown (modeled seconds, executed schedules)")
+            print(format_table1(table))
     if args.output:
         path = result.save_npz(args.output)
         print(f"observables saved to {path}")

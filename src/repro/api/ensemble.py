@@ -153,6 +153,13 @@ class RunRecord:
     def label(self) -> str:
         return SweepVariant(self.index, self.overrides, self.config).label()
 
+    @property
+    def ledger(self) -> Optional[CostLedger]:
+        """The decoded communication ledger of a parallel run, else None."""
+        if self.parallel is None:
+            return None
+        return CostLedger.from_dict(dict(self.parallel.get("ledger", {})))
+
 
 class EnsembleResult:
     """Everything one sweep produced: per-run records + aggregation.
@@ -225,14 +232,9 @@ class EnsembleResult:
         one measured ledger per grid point — the Fig. 5 / Table I
         trade-off from a single command.
         """
-        out: Dict[str, CostLedger] = {}
-        for r in self.runs:
-            if r.parallel is None:
-                continue
-            out[f"run{r.index} {r.label()}"] = CostLedger.from_dict(
-                dict(r.parallel.get("ledger", {}))
-            )
-        return out
+        return {
+            f"run{r.index} {r.label()}": r.ledger for r in self.runs if r.parallel is not None
+        }
 
     # -- aggregation --------------------------------------------------------
     def stacked(self, key: str) -> np.ndarray:
@@ -327,14 +329,8 @@ class EnsembleResult:
             ffts = f"{r.fft.transforms}" if r.fft is not None else "-"
             row = f"{r.index:>4}  {r.status:<6} {r.elapsed:7.2f} {ffts:>9}"
             if with_comm:
-                if r.parallel is not None:
-                    seconds = sum(
-                        agg.get("seconds", 0.0)
-                        for agg in r.parallel.get("ledger", {}).values()
-                    )
-                    row += f" {seconds:>10.3e}"
-                else:
-                    row += f" {'-':>10}"
+                ledger = r.ledger
+                row += f" {'-':>10}" if ledger is None else f" {ledger.total_seconds():>10.3e}"
             lines.append(f"{row}  {r.label()}{note}")
         n_ok = len(self.ok)
         tally = f"{n_ok}/{len(self.runs)} runs ok"
@@ -352,13 +348,7 @@ class EnsembleResult:
         if with_comm:
             lines.append("per-run communication (modeled s by MPI category):")
             for label, ledger in self.parallel_ledgers().items():
-                seconds = ledger.seconds_by_category()
-                cells = "  ".join(
-                    f"{cat} {val:.3e}" for cat, val in seconds.items() if val > 0.0
-                )
-                lines.append(
-                    f"  {label}: {cells or '(none)'}  | total {ledger.total_seconds():.3e}"
-                )
+                lines.append(f"  {label}: {ledger.describe()}")
         return "\n".join(lines)
 
 

@@ -206,17 +206,6 @@ class SimulationResult:
         stored = read_result_npz(path, expected_config)
         return stored.config, {**_final_state_arrays(stored.final_state), **stored.observables}
 
-    @staticmethod
-    def load_parallel_npz(path) -> Optional[ParallelRunInfo]:
-        """The ``parallel`` block of a :meth:`save_npz` file (or ``None``).
-
-        Round-trips the run's communication accounting — rank/pattern/
-        machine settings plus the per-category :class:`CostLedger`
-        aggregates — separately from the observable arrays.
-        """
-        parallel = read_result_npz(path).parallel
-        return ParallelRunInfo.from_dict(parallel) if parallel else None
-
     def summary(self) -> str:
         """Human-readable observable table (what the CLI and examples print)."""
         r = self.record

@@ -43,9 +43,6 @@ class ParallelRunInfo:
     ledger: CostLedger = field(default_factory=CostLedger)
     fft_rank_transforms: Optional[List[int]] = None
 
-    def total_comm_seconds(self) -> float:
-        return self.ledger.total_seconds()
-
     # -- JSON-safe IO --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         out: Dict[str, Any] = {
@@ -80,13 +77,7 @@ class ParallelRunInfo:
             f"parallel: ranks={self.ranks} pattern={self.pattern} "
             f"machine={self.machine} nodes={self.nodes} shm={shm}"
         ]
-        seconds = self.ledger.seconds_by_category()
-        cells = "  ".join(
-            f"{cat} {seconds[cat]:.3e}" for cat in seconds if seconds[cat] > 0.0
-        )
-        lines.append(
-            f"  comm (modeled s): {cells or '(none)'}  | total {self.total_comm_seconds():.3e}"
-        )
+        lines.append(f"  comm (modeled s): {self.ledger.describe()}")
         if self.fft_rank_transforms:
             lines.append(
                 "  exchange FFTs by rank: "

@@ -112,11 +112,6 @@ class DistributedFockExchange(FockExchangeOperator):
         self.rank_transforms: List[int] = [0] * comm.nranks
 
     # -- bookkeeping -----------------------------------------------------------
-    @property
-    def ledger(self):
-        """The communication :class:`~repro.parallel.ledger.CostLedger`."""
-        return self.comm.ledger
-
     def _as_rank(self, r: int, work: Callable, *args):
         """``work(*args)`` run as rank ``r``: the backend tally's advance
         across the call is added to ``rank_transforms[r]``."""
@@ -127,10 +122,11 @@ class DistributedFockExchange(FockExchangeOperator):
         return out
 
     def _block_compute_seconds(self, n_pairs: float) -> float:
-        """Modeled FFT time for ``n_pairs`` pair-density solves."""
-        ng = self.grid.ngrid
-        flops = 2.0 * n_pairs * 5.0 * ng * np.log2(max(ng, 2))
-        return self.comm.machine.fft_time(flops)
+        """Transfer-hiding FFT time of ``n_pairs`` pair-density solves (two
+        transforms each): the per-transform price and overlap fraction the
+        analytic model charges its async-ring wait with."""
+        machine = self.comm.machine
+        return machine.overlap_efficiency * 2.0 * n_pairs * machine.fft_box_time(self.grid.ngrid)
 
     # -- schedules ------------------------------------------------------------
     def _collect_sources(

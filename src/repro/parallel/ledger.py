@@ -8,7 +8,7 @@ Categories use the paper's Table I column names: ``alltoallv``,
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 TABLE1_CATEGORIES = ("alltoallv", "sendrecv", "wait", "allgatherv", "allreduce", "bcast")
 
@@ -54,21 +54,11 @@ class CostLedger:
     def reset(self) -> None:
         self.records.clear()
 
-    def table1_row(self, compute_seconds: Optional[float] = None) -> Dict[str, float]:
-        """A row consumable by :func:`repro.perf.experiments.format_table1`.
-
-        Per-category seconds plus ``total_comm`` and ``comm_ratio``;
-        ``compute_seconds`` (e.g. the modeled FFT time of the measured
-        transform tally) sets the denominator ``comm / (comm + compute)``.
-        Without it the ratio is reported as 1.0 — communication against
-        itself.
-        """
-        row = self.seconds_by_category()
-        total = self.total_seconds()
-        row["total_comm"] = total
-        denom = total + (compute_seconds or 0.0)
-        row["comm_ratio"] = (total / denom) if denom > 0.0 else 0.0
-        return row
+    def describe(self) -> str:
+        """One summary line: the non-zero categories, then the total."""
+        seconds = self.seconds_by_category()
+        cells = "  ".join(f"{c} {v:.3e}" for c, v in seconds.items() if v > 0.0)
+        return f"{cells or '(none)'}  | total {self.total_seconds():.3e}"
 
     # -- deltas (result/checkpoint accounting) -------------------------------
     def mark(self) -> int:

@@ -43,9 +43,9 @@ class MachineSpec:
         Effective bandwidth *divisor* for broadcast trees relative to
         point-to-point — captures the network congestion the ring method
         avoids (paper Sec. IV-B1).
-    flop_efficiency / fft_efficiency:
-        Sustained fraction of peak for GEMM-like and FFT-like kernels
-        (FFTs are bandwidth-bound; see Sec. VIII-B "PWDFT is
+    flop_efficiency:
+        Sustained fraction of peak for GEMM-like kernels.  FFTs are priced
+        by bandwidth instead (:meth:`fft_box_time`; Sec. VIII-B "PWDFT is
         bandwidth-bound").
     """
 
@@ -59,7 +59,6 @@ class MachineSpec:
     mem_per_rank: float
     bcast_bw_penalty: float = 2.0
     flop_efficiency: float = 0.5
-    fft_efficiency: float = 0.10
     #: effective memory passes per 3-D FFT (bandwidth-bound model)
     fft_passes: float = 8.0
     #: host-staging bandwidth for network traffic (bytes/s); None = direct
@@ -170,10 +169,6 @@ class MachineSpec:
             eff *= min(1.0, 0.15 + 0.85 * char_flops / self.gemm_ramp_flops)
         return flops / (self.flops_per_rank * eff)
 
-    def fft_time(self, flops: float) -> float:
-        """Flop-based FFT estimate (legacy; prefer fft_box_time)."""
-        return flops / (self.flops_per_rank * self.fft_efficiency)
-
     def fft_box_time(self, ngrid: int) -> float:
         """Bandwidth-bound time of one complex 3-D FFT of ``ngrid`` points.
 
@@ -201,7 +196,6 @@ FUGAKU_ARM = MachineSpec(
     mem_per_rank=8.0e9,
     bcast_bw_penalty=1.7,
     flop_efficiency=0.30,
-    fft_efficiency=0.075,
     fft_passes=40.0,
     bl_sigma_fill=0.015,
     eigh_ranks_cap=8,
@@ -224,7 +218,6 @@ A100_GPU = MachineSpec(
     mem_per_rank=40.0e9,
     bcast_bw_penalty=3.0,
     flop_efficiency=0.50,
-    fft_efficiency=0.10,
     fft_passes=10.0,
     bl_sigma_fill=0.015,
     eigh_ranks_cap=64,

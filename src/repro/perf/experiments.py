@@ -151,15 +151,17 @@ def measured_table1(
     variant names) to the :class:`CostLedger` each run charged; ``fft``
     (optional, same keys) supplies the runs' measured FFT tallies so
     ``comm_ratio`` is communication over modeled comm + compute rather
-    than communication over itself.
+    than communication over itself (1.0 without a tally).
     """
     machine = machine_by_name(machine) if isinstance(machine, str) else machine
     rows = {}
     for label, ledger in ledgers.items():
-        compute = None
+        compute = 0.0
         if fft is not None and fft.get(label) is not None:
             compute = modeled_fft_seconds(fft[label], machine, nranks)
-        rows[label] = ledger.table1_row(compute_seconds=compute)
+        row = rows[label] = ledger.seconds_by_category()
+        total = row["total_comm"] = ledger.total_seconds()
+        row["comm_ratio"] = total / (total + compute) if total + compute > 0.0 else 0.0
     return {
         "machine": machine.name,
         "natom": int(natom),

@@ -5,10 +5,10 @@
 communication breakdown plus compute phases — the engine behind the
 Fig. 9/10/11 generators in :mod:`repro.perf.experiments`.
 
-The FFT term uses a size-dependent sustained efficiency: small
-distributed FFT boxes run far below peak, larger ones approach the
-machine's ``fft_efficiency`` (both platforms are bandwidth-bound,
-Sec. VIII-B/C).
+The FFT term is bandwidth-bound (both platforms are, Sec. VIII-B/C):
+``MachineSpec.fft_box_time`` per transform, whose sustained bandwidth
+ramps with box size, slowed further when too few bands per rank are
+left to batch.
 
 ``MemoryModel`` is the per-rank footprint beside it, the paper's
 weak-scaling memory limit.

@@ -77,20 +77,3 @@ def scaling_report(machines: Iterable[str] = MACHINES) -> str:
     """Full multi-platform projection report."""
     return "\n".join(machine_report(m) for m in machines)
 
-
-def measured_breakdown_report(ledgers, machine, natom, nranks, fft=None) -> str:
-    """Table-I-style text for *measured* run ledgers.
-
-    ``ledgers``/``fft`` map row labels (patterns) to each run's
-    :class:`~repro.parallel.ledger.CostLedger` / measured
-    :class:`~repro.backend.FFTCounters`; rendering reuses
-    :func:`~repro.perf.experiments.format_table1`, so the executed
-    accounting reads exactly like the analytic model's table.
-    """
-    from repro.perf.experiments import measured_table1
-
-    lines = [
-        "measured communication breakdown (modeled seconds, executed schedules)",
-        format_table1(measured_table1(ledgers, machine, natom, nranks, fft=fft)),
-    ]
-    return "\n".join(lines)

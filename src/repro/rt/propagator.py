@@ -73,9 +73,6 @@ class StepStats:
     #: relative density change between its final two iterates
     residual: float = 0.0
     converged: bool = True
-    #: modeled MPI seconds this step charged to the distributed-exchange
-    #: ledger (0.0 on the serial path) — filled by PropagatorBase.propagate
-    comm_seconds: float = 0.0
 
 
 @dataclass
@@ -223,18 +220,11 @@ class PropagatorBase:
         """
         require(dt > 0 and n_steps >= 0, "dt must be positive, n_steps >= 0")
         require(observe_every >= 1, "observe_every must be >= 1")
-        # distributed exchange carries a communication ledger; per-step
-        # deltas land in StepStats so trajectories expose where the
-        # modeled MPI time went
-        ledger = getattr(self.ham.fock, "ledger", None)
         self.observe(state)
         stats = None
         last_observed = 0
         for n in range(1, n_steps + 1):
-            mark = ledger.mark() if ledger is not None else 0
             state, stats = self.step(state, dt)
-            if ledger is not None and stats is not None:
-                stats.comm_seconds = ledger.since_mark(mark).total_seconds()
             if n % observe_every == 0:
                 self.observe(state, stats)
                 last_observed = n

@@ -113,9 +113,6 @@ class GroundState:
     scf_iterations: int
     converged: bool
     history: List[float] = field(default_factory=list)
-    #: modeled MPI seconds the SCF charged to the distributed-exchange
-    #: ledger (0.0 on the serial path)
-    comm_seconds: float = 0.0
 
     def to_arrays(self, prefix: str = "") -> Dict[str, np.ndarray]:
         """Every field as an npz-ready array under ``prefix + field name``."""
@@ -245,11 +242,6 @@ def run_scf(
     # convergence of a degenerate cluster cut at the top
     nguard = max(2, nbands // 8)
 
-    # distributed exchange charges a communication ledger; the SCF's share
-    # is recorded on the returned ground state
-    ledger = getattr(ham.fock, "ledger", None)
-    ledger_mark = ledger.mark() if ledger is not None else 0
-
     # Davidson iterates on sphere blocks `phi`; their real-space rows `phi_r`,
     # unpacked once per iteration, feed the density and the dense exchange
     phi = _start_orbitals(grid, nbands + nguard, default_rng(opts.seed))
@@ -354,7 +346,4 @@ def run_scf(
         scf_iterations=n_iter,
         converged=converged,
         history=history,
-        comm_seconds=(
-            ledger.since_mark(ledger_mark).total_seconds() if ledger is not None else 0.0
-        ),
     )

@@ -5,6 +5,7 @@ exercises the full config → SCF → propagate → save path, not physics.
 """
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -224,6 +225,26 @@ def test_cli_run_parallel_flags_print_breakdown(capsys):
     assert "parallel: ranks=2 pattern=bcast" in out  # result summary block
     assert "measured communication breakdown" in out
     assert "total_comm" in out and "bcast" in out
+
+
+def test_cli_reused_parallel_run_prints_its_own_table1(tmp_path, capsys):
+    """The measured Table I is the run's own ledger (its propagation
+    window, as stored): a run reused from the store prints the row its
+    first run printed, and that row's total is the summary's."""
+    cfg = REPO_ROOT / "examples" / "configs" / "parallel_ring.toml"
+    args = ["run", str(cfg), "--ranks", "2", "--steps", "1", "--store", str(tmp_path / "store")]
+    rows, totals = [], []
+    for _ in range(2):
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        rows.append(next(line for line in out.splitlines() if line.startswith("ring ")))
+        totals.append(float(re.search(r"comm \(modeled s\):.*\| total (\S+)", out).group(1)))
+    assert "reused from" in out
+    assert rows[0] == rows[1] and totals[0] == totals[1]
+    # alltoallv sendrecv wait allgatherv allreduce bcast total_comm comm_ratio
+    total_comm = float(rows[1].split()[7])
+    assert total_comm > 0.0
+    assert total_comm == pytest.approx(totals[1], rel=5e-3)
 
 
 def test_cli_run_store_reuses_completed_run(tmp_path, capsys):

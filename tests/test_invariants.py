@@ -1,4 +1,4 @@
-"""Seven invariants of ``src/repro``, checked on its syntax trees.
+"""Eight invariants of ``src/repro``, checked on its syntax trees.
 
 Each check takes ``(rel, tree)`` — a file's path inside the ``repro``
 package (``store/index.py``) and its parsed module — and yields the nodes
@@ -29,6 +29,11 @@ allowlist: a violation is fixed in the code.
   sigma only as its eigenbasis image ``(phi~, d)``: they import neither
   ``diagonalize_sigma`` nor ``rotate_orbitals`` / ``unrotate_orbitals``,
   so only the propagators decompose.
+- ``ledger-isolation``: the physics packages import nothing from
+  ``repro.parallel`` or ``repro.perf`` and never name ``ledger`` (an
+  attribute, or a ``getattr`` / ``hasattr`` string): modeled
+  communication time is read only by ``parallel/``, ``perf/`` and the
+  reports, per run or per session, never probed for per step or per SCF.
 """
 
 import ast
@@ -112,7 +117,7 @@ def flagged(check, rel, tree):
     return [line for line, _ in sorted(sites)]
 
 
-# ---------------- the seven checks --------------------------------------------
+# ---------------- the eight checks --------------------------------------------
 
 SQLITE_HOME = ("store/common.py",)
 
@@ -333,6 +338,41 @@ def sigma_image(rel, tree):
             yield node
 
 
+#: the physics packages
+LEDGER_FREE = (
+    "grid/", "hamiltonian/", "hartree/", "xc/", "pseudo/", "occupation/",
+    "scf/", "rt/", "observables/",
+)
+ACCOUNTING = ("repro.parallel", "repro.perf")
+
+
+def _accounting(module):
+    return any(module == pkg or module.startswith(pkg + ".") for pkg in ACCOUNTING)
+
+
+def ledger_isolation(rel, tree):
+    if not rel.startswith(LEDGER_FREE):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(_accounting(alias.name) for alias in node.names):
+                yield node
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if _accounting(node.module) or any(
+                _accounting(f"{node.module}.{alias.name}") for alias in node.names
+            ):
+                yield node
+        elif isinstance(node, ast.Attribute) and node.attr == "ledger":
+            yield node
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id in ("getattr", "hasattr")
+            and text_of(argument(node, 1, "name")) == "ledger"
+        ):
+            yield node
+
+
 CHECKS = {
     "sqlite-discipline": sqlite_discipline,
     "atomic-io": atomic_io,
@@ -341,6 +381,7 @@ CHECKS = {
     "config-immutability": config_immutability,
     "pickle-safety": pickle_safety,
     "sigma-image": sigma_image,
+    "ledger-isolation": ledger_isolation,
 }
 
 
@@ -367,7 +408,9 @@ def test_src_holds(rule, src_trees):
 
 def test_scopes_name_real_paths():
     """A renamed package must not switch a check off silently."""
-    scopes = (SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY, IMAGE_ONLY)
+    scopes = (
+        SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY, IMAGE_ONLY, LEDGER_FREE,
+    )
     missing = [
         entry
         for scope in scopes

@@ -13,6 +13,7 @@ from test_invariants import (
     determinism,
     fft_isolation,
     flagged,
+    ledger_isolation,
     pickle_safety,
     sigma_image,
     sqlite_discipline,
@@ -343,3 +344,44 @@ def test_sigma_image_scopes_to_image_only_layers():
     # the propagators and the occupation algebra itself decompose
     assert lines(sigma_image, SIGMA_BAD, "rt/propagator.py") == []
     assert lines(sigma_image, SIGMA_BAD, "occupation/sigma.py") == []
+
+
+# ---------------- ledger-isolation ------------------------------------------
+
+
+LEDGER_BAD = """\
+import repro.perf.model
+from repro.parallel.ledger import CostLedger
+from repro import parallel
+
+def propagate(self, state):
+    ledger = getattr(self.ham.fock, "ledger", None)
+    seconds = self.ham.fock.ledger.total_seconds()
+    if hasattr(self.ham.fock, "ledger"):
+        return state
+"""
+
+LEDGER_CLEAN = """\
+from repro.hamiltonian.fock import FockExchangeOperator
+
+def propagate(self, state, ledger=None):
+    # a local called ledger is not a probe; only the attribute and its string are
+    stats = getattr(self.ham.fock, "rank_transforms", None)
+    return state, ledger
+"""
+
+
+def test_ledger_isolation_flags_imports_attributes_and_probes():
+    # the three accounting imports, the getattr string, the attribute, the hasattr
+    assert lines(ledger_isolation, LEDGER_BAD, "rt/propagator.py") == [1, 2, 3, 6, 7, 8]
+
+
+def test_ledger_isolation_clean_physics_passes():
+    assert lines(ledger_isolation, LEDGER_CLEAN, "scf/groundstate.py") == []
+
+
+def test_ledger_isolation_scopes_to_physics_only():
+    assert lines(ledger_isolation, LEDGER_BAD, "observables/energy.py") == [1, 2, 3, 6, 7, 8]
+    # the substrate and the reports are where the ledger lives
+    for rel in ("parallel/context.py", "perf/report.py", "api/cli.py", "backend/base.py"):
+        assert lines(ledger_isolation, LEDGER_BAD, rel) == []

@@ -144,15 +144,6 @@ def test_ledger_rejects_unknown_category():
         CostLedger().add("gossip", 1.0, 1.0)
 
 
-def test_ledger_table_row_totals():
-    ledger = CostLedger()
-    ledger.add("bcast", 100.0, 1.5)
-    ledger.add("sendrecv", 50.0, 0.5)
-    row = ledger.table1_row()
-    assert row["total_comm"] == pytest.approx(2.0)
-    assert row["bcast"] == pytest.approx(1.5)
-
-
 # ---------------- distributed Fock -----------------------------------------------------
 @pytest.mark.parametrize("pattern", ["bcast", "ring", "async-ring"])
 @pytest.mark.parametrize("nranks", [1, 3, 4])

@@ -14,7 +14,7 @@ import pytest
 from repro.api import Simulation, SimulationConfig
 from repro.api.config import ConfigError, ParallelConfig
 from repro.api.ensemble import SweepConfig, run_ensemble
-from repro.api.simulation import SimulationResult
+from repro.api.simulation import SimulationResult, read_result_npz
 from repro.backend import FFTCounters
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
@@ -119,11 +119,12 @@ def test_distributed_scf_bitwise_identical_to_serial(serial_sim, ranks):
     serial, _ = serial_sim
     sim = Simulation({**CFG, "parallel": _parallel_cfg(ranks, "ring")})
     gs_p, gs_s = sim.ground_state(), serial.ground_state()
+    # the SCF's own modeled MPI time: all this session has charged so far
+    assert sim.parallel.session_ledger().total_seconds() > 0.0
+    assert serial.parallel is None
     np.testing.assert_array_equal(gs_p.orbitals, gs_s.orbitals)
     np.testing.assert_array_equal(gs_p.sigma, gs_s.sigma)
     assert gs_p.total_energy == gs_s.total_energy
-    assert gs_p.comm_seconds > 0.0  # the SCF's own modeled MPI time
-    assert gs_s.comm_seconds == 0.0
 
 
 @pytest.mark.parametrize("pattern", ["bcast", "ring", "async-ring"])
@@ -138,7 +139,7 @@ def test_distributed_trajectory_bitwise_identical(serial_sim, pattern, ranks):
     assert result.parallel is not None
     assert result.parallel.ranks == ranks and result.parallel.pattern == pattern
     if ranks > 1:
-        assert result.parallel.total_comm_seconds() > 0.0
+        assert result.parallel.ledger.total_seconds() > 0.0
 
 
 def test_distributed_fft_accounting_matches_serial(serial_sim):
@@ -233,6 +234,8 @@ def test_ledger_round_trip_and_mark():
     again = CostLedger.from_dict(ledger.to_dict())
     assert again.seconds_by_category() == ledger.seconds_by_category()
     assert again.bytes_by_category() == ledger.bytes_by_category()
+    assert again.describe() == "sendrecv 5.000e-01  bcast 1.500e+00  | total 2.000e+00"
+    assert CostLedger().describe() == "(none)  | total 0.000e+00"
 
 
 # ---------------- result / checkpoint round trips --------------------------------
@@ -246,14 +249,14 @@ def test_result_npz_round_trips_parallel_block(serial_sim, tmp_path):
     assert config.parallel.active and config.parallel.pattern == "async-ring"
     np.testing.assert_array_equal(arrays["dipole"], result.observables()["dipole"])
     # and the parallel block round-trips separately
-    info = SimulationResult.load_parallel_npz(path)
+    info = ParallelRunInfo.from_dict(read_result_npz(path).parallel)
     assert isinstance(info, ParallelRunInfo)
     assert (info.ranks, info.pattern, info.machine) == (2, "async-ring", "fugaku-arm")
     assert info.ledger.seconds_by_category() == result.parallel.ledger.seconds_by_category()
     assert info.fft_rank_transforms == result.parallel.fft_rank_transforms
     # serial files have no block
     serial_path = serial.propagate(n_steps=0).save_npz(tmp_path / "ser.npz")
-    assert SimulationResult.load_parallel_npz(serial_path) is None
+    assert read_result_npz(serial_path).parallel is None
 
 
 def test_summary_carries_parallel_block(serial_sim):
@@ -314,6 +317,8 @@ def test_sweep_over_patterns_yields_per_pattern_ledgers(serial_sim):
     assert by_pattern["ring"].seconds_by_category()["sendrecv"] > 0.0
     text = result.summary()
     assert "comm (s)" in text and "per-run communication" in text
+    for r in result.runs:
+        assert f"  run{r.index} {r.label()}: {r.ledger.describe()}" in text.splitlines()
     # every run reports its FFT tally under the parallel path too
     coverage = result.fft_totals()
     assert coverage.complete
@@ -352,6 +357,14 @@ def test_measured_table1_formats_with_model_renderer(pattern_ledgers):
         assert row["total_comm"] > 0.0
     text = format_table1(table)
     assert "bcast" in text and "async-ring" in text and "fugaku-arm" in text
+    # without a tally, communication is measured against itself
+    ledger = CostLedger()
+    ledger.add("bcast", 100.0, 1.5)
+    ledger.add("sendrecv", 50.0, 0.5)
+    row = measured_table1({"ring": ledger}, "fugaku-arm", natom=8, nranks=4)["rows"]["ring"]
+    assert row["bcast"] == pytest.approx(1.5)
+    assert row["total_comm"] == pytest.approx(2.0)
+    assert row["comm_ratio"] == 1.0
     assert modeled_fft_seconds(fft, "fugaku-arm", nranks=4) == pytest.approx(
         modeled_fft_seconds(fft, "fugaku-arm", nranks=1) / 4.0
     )
