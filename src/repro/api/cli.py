@@ -445,53 +445,18 @@ def _cmd_validate(args) -> int:
         print(f"sweep: {sweep.n_runs} runs over {', '.join(sweep.axes)}")
     store = args.store if args.store is not None else sweep.store
     if store:
-        for line in _validate_store_path(store):
-            print(line)
+        # the opener's own test: an unusable path raises (exit 2), a store
+        # this build cannot open is reported as warnings (the config is fine)
+        from repro.store import inspect_store
+
+        check = inspect_store(store)
+        if check.meta is None:
+            print(f"store: {store} (new, created on first run)")
+        else:
+            print(f"store: {store} (backend sqlite, schema {check.schema_version})")
+        for problem in check.problems:
+            print(f"warning: {problem}")
     return 0
-
-
-def _validate_store_path(path) -> List[str]:
-    """Validate a ``[store]`` target for ``repro validate``.
-
-    Unusable paths (not a directory, unrelated non-empty directory, no
-    write permission) raise :class:`ConfigError`; a store this build
-    cannot open (written by a newer build, or by repro <= 1.9) is
-    reported as printable warnings — the config itself is fine, and the
-    peek creates and alters nothing.
-    """
-    import os
-
-    from repro.api.config import ConfigError
-    from repro.store.store import store_schema_info
-
-    from pathlib import Path
-
-    p = Path(path)
-    if (p / "store.json").exists():
-        info = store_schema_info(p)
-        return [
-            f"store: {p} (backend {info['backend']}, "
-            f"schema {info['schema_version']})"
-        ] + [f"warning: {problem}" for problem in info["problems"]]
-    if p.exists():
-        if not p.is_dir():
-            raise ConfigError(f"store path {p} exists and is not a directory")
-        if any(p.iterdir()):
-            raise ConfigError(
-                f"store path {p} is a non-empty directory without store.json; "
-                f"refusing to adopt it as a result store"
-            )
-        if not os.access(p, os.W_OK):
-            raise ConfigError(f"store path {p} is not writable")
-        return [f"store: {p} (empty, will be initialized on first run)"]
-    ancestor = p.absolute()
-    while not ancestor.exists() and ancestor != ancestor.parent:
-        ancestor = ancestor.parent
-    if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
-        raise ConfigError(
-            f"store path {p} is not writable ({ancestor} denies write access)"
-        )
-    return [f"store: {p} (will be created under {ancestor})"]
 
 
 def _cmd_results(args) -> int:

@@ -21,7 +21,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 import numpy as np
 
 from repro.constants import SPIN_DEGENERACY
-from repro.utils.validation import is_int
+from repro.utils.validation import is_int, is_real
 
 
 class ConfigError(ValueError):
@@ -144,12 +144,15 @@ class SystemConfig(_Section):
     def __post_init__(self) -> None:
         _check(isinstance(self.cell, str) and self.cell != "", "system.cell must be a non-empty string")
         _check(isinstance(self.functional, str) and self.functional != "", "system.functional must be a non-empty string")
-        _check(self.ecut > 0.0, f"system.ecut must be positive, got {self.ecut}")
+        _check(is_real(self.ecut) and self.ecut > 0.0, f"system.ecut must be a positive number, got {self.ecut!r}")
         _check(
             is_int(self.dual) and self.dual == 1,
             f"system.dual must be 1 (one grid carries orbitals and density), got {self.dual!r}",
         )
-        _check(self.degeneracy > 0.0, f"system.degeneracy must be positive, got {self.degeneracy}")
+        _check(
+            is_real(self.degeneracy) and self.degeneracy > 0.0,
+            f"system.degeneracy must be a positive number, got {self.degeneracy!r}",
+        )
         _check(
             is_int(self.fock_batch_size) and self.fock_batch_size >= 1,
             f"system.fock_batch_size must be an integer >= 1, got {self.fock_batch_size!r}",
@@ -181,11 +184,17 @@ class SCFConfig(_Section):
                 is_int(self.nbands) and self.nbands > 0,
                 f"scf.nbands must be a positive integer, got {self.nbands!r}",
             )
-        _check(self.temperature_k >= 0.0, f"scf.temperature_k must be >= 0, got {self.temperature_k}")
-        _check(self.density_tol > 0.0, f"scf.density_tol must be positive, got {self.density_tol}")
-        _check(self.exchange_tol > 0.0, f"scf.exchange_tol must be positive, got {self.exchange_tol}")
-        _check(self.davidson_tol > 0.0, f"scf.davidson_tol must be positive, got {self.davidson_tol}")
-        _check(0.0 < self.mix_beta <= 1.0, f"scf.mix_beta must be in (0, 1], got {self.mix_beta}")
+        _check(
+            is_real(self.temperature_k) and self.temperature_k >= 0.0,
+            f"scf.temperature_k must be a number >= 0, got {self.temperature_k!r}",
+        )
+        for key in ("density_tol", "exchange_tol", "davidson_tol"):
+            value = getattr(self, key)
+            _check(is_real(value) and value > 0.0, f"scf.{key} must be a positive number, got {value!r}")
+        _check(
+            is_real(self.mix_beta) and 0.0 < self.mix_beta <= 1.0,
+            f"scf.mix_beta must be a number in (0, 1], got {self.mix_beta!r}",
+        )
         for key in ("mix_history", "max_scf", "max_outer"):
             value = getattr(self, key)
             _check(is_int(value) and value >= 1, f"scf.{key} must be an integer >= 1, got {value!r}")
@@ -231,7 +240,11 @@ class PropagationConfig(_Section):
 
     def __post_init__(self) -> None:
         _check(isinstance(self.propagator, str) and self.propagator != "", "propagation.propagator must be a non-empty string")
-        _check(self.dt_as > 0.0, f"propagation.dt_as must be positive, got {self.dt_as}")
+        _check(is_real(self.dt_as) and self.dt_as > 0.0, f"propagation.dt_as must be a positive number, got {self.dt_as!r}")
+        _check(
+            isinstance(self.record_energy, bool),
+            f"propagation.record_energy must be a boolean, got {self.record_energy!r}",
+        )
         _check(
             is_int(self.n_steps) and self.n_steps >= 0,
             f"propagation.n_steps must be an integer >= 0, got {self.n_steps!r}",
@@ -474,12 +487,12 @@ class ServeConfig(_Section):
             is_int(self.workers) and self.workers >= 1,
             f"serve.workers must be an integer >= 1, got {self.workers!r}",
         )
-        _check(self.timeout >= 0.0, f"serve.timeout must be >= 0, got {self.timeout}")
+        _check(is_real(self.timeout) and self.timeout >= 0.0, f"serve.timeout must be a number >= 0, got {self.timeout!r}")
         _check(
             is_int(self.retries) and self.retries >= 1,
             f"serve.retries must be an integer >= 1, got {self.retries!r}",
         )
-        _check(self.backoff >= 0.0, f"serve.backoff must be >= 0, got {self.backoff}")
+        _check(is_real(self.backoff) and self.backoff >= 0.0, f"serve.backoff must be a number >= 0, got {self.backoff!r}")
         if self.store is not None:
             _check(
                 isinstance(self.store, str) and self.store != "",

@@ -8,9 +8,11 @@ The counts mirror the paper's complexity statements:
 * ACE: ~5 dense applications per step instead of 25 (Sec. IV-A2), with
   the inner loop applying rank-N GEMMs.
 
-For small systems the FFT counts here are *asserted equal* to the
+For a small system the tests check the dense-Fock counts against the
 instrumented :class:`~repro.backend.FFTCounters` tallies of the real
-numerics (see tests) — the same formulas then drive paper-scale
+numerics: the triple loop's 2 N^3 transforms equal the tally, while the
+diagonalized kernel's tally is N(N+1) (each unordered pair once) and the
+model keeps the paper's 2 N^2.  The same formulas then drive paper-scale
 projections.
 
 System-size relations (paper Sec. VI): silicon with 4 valence electrons

@@ -34,6 +34,7 @@ from repro.store.common import (
     utc_now,
 )
 from repro.store.schema import ensure_schema
+from repro.store.store import inspect_store
 
 #: every state a job row can be in
 JOB_STATUSES = ("queued", "running", "ok", "error", "cancelled")
@@ -69,13 +70,16 @@ class JobQueue:
     def __init__(self, root) -> None:
         self.root = Path(root)
         self.path = self.root / "index.sqlite"
-        if not self.path.exists() and not (self.root / "store.json").exists():
+        check = inspect_store(self.root)
+        if check.meta is None:
             raise StoreError(
                 f"no result store at {self.root}; the job queue lives inside "
                 f"a store's index — create one first (ResultStore or repro run --store)"
             )
+        if check.problems:
+            raise StoreError(check.problems[0])
         self._conn = connect_sqlite(self.path)
-        self.schema_version = ensure_schema(self._conn, self.path)
+        ensure_schema(self._conn, self.path)
         self._lock = threading.RLock()
 
     def close(self) -> None:

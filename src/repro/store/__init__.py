@@ -1,11 +1,13 @@
 """``repro.store`` — resumable, content-addressed result store.
 
 One :class:`ResultStore` per study directory: each finished run is one
-result file (the file ``SimulationResult.save_npz`` writes), configs and
-ground states are deduplicated by content address (every variant in a
+result file (the file ``SimulationResult.save_npz`` writes), ground
+states are deduplicated by content address (every variant in a
 shared-SCF sweep group points at one ground-state blob), and a
-schema-versioned index answers queries by dotted config key, status, and
-time window.
+schema-versioned index of :class:`StoredRun` rows answers queries by
+dotted config key, status, and time window.  :func:`inspect_store` is
+the one test of whether a path can hold a store and whether this build
+opens the store there.
 
 Entry points:
 
@@ -29,7 +31,7 @@ from repro.store.common import (
 from repro.store.index import SqliteRunIndex
 from repro.store.query import StoredRun, parse_when, parse_where
 from repro.store.schema import SCHEMA_VERSION, ensure_schema
-from repro.store.store import STORE_VERSION, ResultStore, store_schema_info
+from repro.store.store import STORE_VERSION, ResultStore, inspect_store
 
 __all__ = [
     "BlobStore",
@@ -45,8 +47,8 @@ __all__ = [
     "flatten_dotted",
     "group_address",
     "group_key",
+    "inspect_store",
     "parse_when",
     "parse_where",
     "run_id_for",
-    "store_schema_info",
 ]

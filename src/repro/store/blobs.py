@@ -1,14 +1,13 @@
-"""Content-addressed blob storage for configs and ground states.
+"""Content-addressed blob storage for ground states.
 
 Layout inside a study directory::
 
     blobs/
-      configs/<sha256>.json          # exact SimulationConfig.to_json()
       ground_states/<sha256>.npz     # one converged SCF per (system, scf,
                                      # backend-engine) group
 
 Writing is idempotent: the address *is* the content identity, so putting
-the same config or the same group's ground state twice touches one file
+the same group's ground state twice touches one file
 — a 500-variant sweep whose variants share one SCF stores exactly one
 ground-state blob, however many runs reference it.  All writes are
 atomic (temp file + rename) so a killed process never leaves a partial
@@ -24,8 +23,8 @@ import numpy as np
 
 from repro.api.config import SimulationConfig
 from repro.scf.groundstate import GroundState
-from repro.store.common import config_hash, group_address
-from repro.utils.io import atomic_savez, atomic_write_text
+from repro.store.common import group_address
+from repro.utils.io import atomic_savez
 
 
 class BlobStore:
@@ -33,17 +32,7 @@ class BlobStore:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.configs_dir = self.root / "configs"
         self.ground_states_dir = self.root / "ground_states"
-
-    # -- configs -------------------------------------------------------------
-    def put_config(self, config: SimulationConfig) -> str:
-        """Store a config blob; returns its content address (idempotent)."""
-        address = config_hash(config)
-        path = self.configs_dir / f"{address}.json"
-        if not path.exists():
-            atomic_write_text(path, config.to_json())
-        return address
 
     # -- ground states -------------------------------------------------------
     def put_ground_state(self, config: SimulationConfig, gs: GroundState) -> str:
@@ -80,7 +69,3 @@ class BlobStore:
             return []
         return sorted(p.stem for p in self.ground_states_dir.glob("*.npz"))
 
-    def config_addresses(self) -> List[str]:
-        if not self.configs_dir.exists():
-            return []
-        return sorted(p.stem for p in self.configs_dir.glob("*.json"))

@@ -1,4 +1,4 @@
-"""The queryable run index: one row (a plain dict) per run.
+"""The queryable run index: one row (a :class:`~repro.store.query.StoredRun`) per run.
 
 A single ``index.sqlite`` file whose schema :mod:`repro.store.schema`
 creates and versions; dotted-key filters run in SQL against the
@@ -10,45 +10,44 @@ job service can share one study directory.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional
+from typing import Any, List, Mapping, Optional
 
+from repro.api.config import SimulationConfig
 from repro.store.common import (
-    StoreError,
     canonical_json,
     connect_sqlite,
     flatten_dotted,
     run_immediate,
 )
+from repro.store.query import StoredRun
 from repro.store.schema import ensure_schema
 
-#: row keys the index stores and returns
-ROW_KEYS = (
-    "run_id",
-    "config_hash",
-    "gs_address",
-    "status",
-    "error",
-    "created",
-    "updated",
-    "elapsed",
-    "n_times",
-    "config",
-    "overrides",
-    "fft",
-    "parallel",
+#: the row's JSON text columns, stored as ``<field>_json``
+_JSON_FIELDS = ("config", "overrides", "fft", "parallel")
+
+#: ``runs`` columns in :class:`StoredRun` field order (the DDL's order)
+COLUMNS = tuple(
+    f"{f.name}_json" if f.name in _JSON_FIELDS else f.name for f in fields(StoredRun)
 )
 
 
-def _normalize_row(row: Mapping[str, Any]) -> Dict[str, Any]:
-    out = {key: row.get(key) for key in ROW_KEYS}
-    if out["run_id"] is None or out["config_hash"] is None or out["status"] is None:
-        raise StoreError(f"index row needs run_id/config_hash/status, got {dict(row)!r}")
-    out["config"] = dict(out["config"] or {})
-    out["overrides"] = dict(out["overrides"] or {})
-    out["elapsed"] = float(out["elapsed"] or 0.0)
-    out["n_times"] = int(out["n_times"] or 0)
-    return out
+def _encode(name: str, value: Any) -> Any:
+    if name not in _JSON_FIELDS or value is None:
+        return value
+    return canonical_json(value.to_dict() if name == "config" else value)
+
+
+def _decode(name: str, value: Any) -> Any:
+    if name not in _JSON_FIELDS or value is None:
+        return value
+    value = json.loads(value)
+    return SimulationConfig.from_dict(value) if name == "config" else value
+
+
+def _run_from(record) -> StoredRun:
+    return StoredRun(*(_decode(f.name, v) for f, v in zip(fields(StoredRun), record)))
 
 
 class SqliteRunIndex:
@@ -64,99 +63,44 @@ class SqliteRunIndex:
         # writers (and reads from helper threads) without SQLITE_BUSY
         # surfacing as data loss
         self._conn = connect_sqlite(self.path)
-        self.schema_version = ensure_schema(self._conn, self.path)
+        ensure_schema(self._conn, self.path)
 
     def close(self) -> None:
         self._conn.close()
 
     # -- writes --------------------------------------------------------------
-    def upsert(self, row: Mapping[str, Any]) -> None:
-        r = _normalize_row(row)
-        run_immediate(self._conn, lambda conn: self._upsert_locked(conn, r))
+    def upsert(self, run: StoredRun) -> None:
+        run_immediate(self._conn, lambda conn: self._upsert_locked(conn, run))
 
-    def _upsert_locked(self, conn, r: Dict[str, Any]) -> None:
+    def _upsert_locked(self, conn, run: StoredRun) -> None:
         conn.execute(
-            """
-            INSERT OR REPLACE INTO runs (
-                run_id, config_hash, gs_address, status, error, created,
-                updated, elapsed, n_times, config_json, overrides_json,
-                fft_json, parallel_json
-            ) VALUES (?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?, ?)
-            """,
-            (
-                r["run_id"],
-                r["config_hash"],
-                r["gs_address"],
-                r["status"],
-                r["error"],
-                r["created"],
-                r["updated"],
-                r["elapsed"],
-                r["n_times"],
-                canonical_json(r["config"]),
-                canonical_json(r["overrides"]),
-                canonical_json(r["fft"]) if r["fft"] is not None else None,
-                canonical_json(r["parallel"]) if r["parallel"] is not None else None,
-            ),
+            f"INSERT OR REPLACE INTO runs ({', '.join(COLUMNS)}) "
+            f"VALUES ({', '.join('?' * len(COLUMNS))})",
+            [_encode(f.name, getattr(run, f.name)) for f in fields(StoredRun)],
         )
-        conn.execute("DELETE FROM config_kv WHERE run_id = ?", (r["run_id"],))
+        conn.execute("DELETE FROM config_kv WHERE run_id = ?", (run.run_id,))
         conn.executemany(
             "INSERT INTO config_kv (run_id, key, value) VALUES (?, ?, ?)",
             [
-                (r["run_id"], key, canonical_json(value))
-                for key, value in flatten_dotted(r["config"]).items()
+                (run.run_id, key, canonical_json(value))
+                for key, value in flatten_dotted(run.config.to_dict()).items()
             ],
         )
 
-    def delete(self, run_id: str) -> None:
-        def _delete(conn):
-            conn.execute("DELETE FROM runs WHERE run_id = ?", (run_id,))
-            conn.execute("DELETE FROM config_kv WHERE run_id = ?", (run_id,))
-
-        run_immediate(self._conn, _delete)
-
     # -- reads ---------------------------------------------------------------
-    _COLUMNS = (
-        "run_id, config_hash, gs_address, status, error, created, updated, "
-        "elapsed, n_times, config_json, overrides_json, fft_json, parallel_json"
-    )
-
-    def _row_from(self, record) -> Dict[str, Any]:
-        (
-            run_id, config_hash, gs_address, status, error, created, updated,
-            elapsed, n_times, config_json, overrides_json, fft_json, parallel_json,
-        ) = record
-        return _normalize_row(
-            {
-                "run_id": run_id,
-                "config_hash": config_hash,
-                "gs_address": gs_address,
-                "status": status,
-                "error": error,
-                "created": created,
-                "updated": updated,
-                "elapsed": elapsed,
-                "n_times": n_times,
-                "config": json.loads(config_json),
-                "overrides": json.loads(overrides_json) if overrides_json else {},
-                "fft": json.loads(fft_json) if fft_json else None,
-                "parallel": json.loads(parallel_json) if parallel_json else None,
-            }
-        )
-
-    def get(self, run_id: str) -> Optional[Dict[str, Any]]:
+    def get(self, run_id: str) -> Optional[StoredRun]:
         record = self._conn.execute(
-            f"SELECT {self._COLUMNS} FROM runs WHERE run_id = ?", (run_id,)
+            f"SELECT {', '.join(COLUMNS)} FROM runs WHERE run_id = ?", (run_id,)
         ).fetchone()
-        return self._row_from(record) if record else None
+        return _run_from(record) if record else None
 
-    def find_by_config(self, config_hash: str) -> Optional[Dict[str, Any]]:
+    def find_by_config(self, config_hash: str) -> Optional[StoredRun]:
         record = self._conn.execute(
-            f"SELECT {self._COLUMNS} FROM runs WHERE config_hash = ? "
+            f"SELECT {', '.join(COLUMNS)} FROM runs WHERE config_hash = ? "
             f"ORDER BY updated DESC LIMIT 1",
             (config_hash,),
         ).fetchone()
-        return self._row_from(record) if record else None
+        return _run_from(record) if record else None
 
     def rows(
         self,
@@ -166,11 +110,8 @@ class SqliteRunIndex:
         until: Optional[float] = None,
         limit: Optional[int] = None,
         offset: int = 0,
-    ) -> List[Dict[str, Any]]:
-        columns = ", ".join(
-            f"runs.{col.strip()}" for col in self._COLUMNS.split(",")
-        )
-        sql = f"SELECT {columns} FROM runs"
+    ) -> List[StoredRun]:
+        sql = f"SELECT {', '.join('runs.' + col for col in COLUMNS)} FROM runs"
         clauses: List[str] = []
         params: List[Any] = []
         for i, (key, value) in enumerate(dict(where or {}).items()):
@@ -197,7 +138,7 @@ class SqliteRunIndex:
             # offset-without-limit paging case
             sql += " LIMIT ? OFFSET ?"
             params += [-1 if limit is None else int(limit), int(offset)]
-        return [self._row_from(rec) for rec in self._conn.execute(sql, params)]
+        return [_run_from(rec) for rec in self._conn.execute(sql, params)]
 
     def count(self) -> int:
         return int(self._conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0])

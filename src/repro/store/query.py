@@ -1,8 +1,9 @@
 """Typed query surface over the run index.
 
-:class:`StoredRun` is the user-facing view of one index row (config
-parsed back into a :class:`SimulationConfig`, overrides labeled the same
-way sweep variants are); the CLI helpers parse ``--where key=value`` /
+:class:`StoredRun` is one row of the run index, as written and as read
+back (the ``runs`` table's columns in field order, config parsed into a
+:class:`SimulationConfig`, overrides labeled the same way sweep variants
+are); the CLI helpers parse ``--where key=value`` /
 ``--since 2026-08-01`` arguments into the filters
 :meth:`ResultStore.query <repro.store.store.ResultStore.query>` takes —
 status, dotted config keys, creation-time window.
@@ -13,7 +14,7 @@ from __future__ import annotations
 import datetime as _dt
 import json
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Dict, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.store.common import StoreError
@@ -21,7 +22,12 @@ from repro.store.common import StoreError
 
 @dataclass(frozen=True)
 class StoredRun:
-    """One indexed run: identity, status, provenance, accounting."""
+    """One indexed run: identity, status, provenance, accounting.
+
+    The fields are the ``runs`` table's columns in DDL order
+    (:mod:`repro.store.schema`); ``config``, ``overrides``, ``fft`` and
+    ``parallel`` are stored as ``<name>_json`` text.
+    """
 
     run_id: str
     config_hash: str
@@ -36,24 +42,6 @@ class StoredRun:
     overrides: Dict[str, Any]
     fft: Optional[Dict[str, Any]]
     parallel: Optional[Dict[str, Any]]
-
-    @classmethod
-    def from_row(cls, row: Mapping[str, Any]) -> "StoredRun":
-        return cls(
-            run_id=row["run_id"],
-            config_hash=row["config_hash"],
-            gs_address=row.get("gs_address"),
-            status=row["status"],
-            error=row.get("error"),
-            created=float(row["created"]),
-            updated=float(row["updated"]),
-            elapsed=float(row.get("elapsed") or 0.0),
-            n_times=int(row.get("n_times") or 0),
-            config=SimulationConfig.from_dict(row["config"]),
-            overrides=dict(row.get("overrides") or {}),
-            fft=row.get("fft"),
-            parallel=row.get("parallel"),
-        )
 
     @property
     def ok(self) -> bool:

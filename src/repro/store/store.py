@@ -6,7 +6,6 @@ On-disk layout::
       store.json            # store metadata: version, index backend
       index.sqlite          # queryable run index (and the job queue)
       blobs/
-        configs/<sha>.json         # content-addressed config provenance
         ground_states/<sha>.npz    # one SCF per (system, scf, engine) group
       runs/
         <run_id>.npz        # the run's result file
@@ -29,10 +28,12 @@ add finished runs to it, ``repro sweep --store`` resumes from it, and
 
 from __future__ import annotations
 
+import dataclasses
 import json
+import os
 import shutil
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -69,8 +70,47 @@ StoreLike = Union["ResultStore", str, Path]
 INDEX_BACKEND = "sqlite"
 
 
-def _check_index_backend(meta: Mapping[str, Any], root: Path) -> None:
-    """``store.json`` comes from disk: a backend this build lacks is refused by name."""
+class StoreCheck(NamedTuple):
+    """What :func:`inspect_store` finds at a usable store path."""
+
+    #: ``store.json``; ``None`` where a store would be created
+    meta: Optional[Dict[str, Any]]
+    #: the index's schema version (``None``: no index yet)
+    schema_version: Optional[int]
+    #: why this build cannot open the store, in the words the opener raises
+    problems: List[str]
+
+
+def inspect_store(root) -> StoreCheck:
+    """Can ``root`` hold a result store, and does this build open the one there?
+
+    The one test of a store path, run by :class:`ResultStore` before it
+    creates anything, by the job queue, and by ``repro validate --store``
+    (which prints the problems as warnings).  It reads ``store.json`` and
+    the index schema version and creates and alters nothing.  A path
+    that can never hold a store — a regular file, a non-empty directory
+    without ``store.json``, a location nobody can write, a ``store.json``
+    naming a removed index backend — raises :class:`StoreError`.
+    """
+    root = Path(root)
+    meta_path = root / "store.json"
+    if root.exists() and not root.is_dir():
+        raise StoreError(f"store path {root} exists and is not a directory")
+    if not meta_path.exists():
+        if root.exists() and any(root.iterdir()):
+            raise StoreError(
+                f"{root} exists and is not a result store (no store.json); "
+                f"refusing to adopt a non-empty directory"
+            )
+        ancestor = root.absolute()
+        while not ancestor.exists():
+            ancestor = ancestor.parent
+        if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
+            raise StoreError(
+                f"store path {root} is not writable ({ancestor} denies write access)"
+            )
+        return StoreCheck(None, None, [])
+    meta = json.loads(meta_path.read_text())
     backend = str(meta.get("backend", INDEX_BACKEND))
     if backend != INDEX_BACKEND:
         raise StoreError(
@@ -78,6 +118,25 @@ def _check_index_backend(meta: Mapping[str, Any], root: Path) -> None:
             f"1.8.0 ({INDEX_BACKEND} is the only run index); open it with "
             f"repro < 1.8 and re-add its runs to a new store"
         )
+    problems = [
+        version_problem("store_version", int(meta.get("store_version", 0)), STORE_VERSION)
+    ]
+    version: Optional[int] = None
+    sqlite_path = root / SqliteRunIndex.filename
+    if sqlite_path.exists():
+        # connect_sqlite, not a raw sqlite3.connect: even this read-only
+        # peek must honor WAL mode and the busy timeout, or it races the
+        # 4-process write hammer straight into SQLITE_BUSY
+        conn = connect_sqlite(sqlite_path)
+        try:
+            version = read_schema_version(conn)
+        finally:
+            conn.close()
+        if version:  # 0: an index no opener has initialized yet
+            problems.append(version_problem("index schema version", version, SCHEMA_VERSION))
+    return StoreCheck(
+        meta, version, [f"store {root} has {problem}" for problem in problems if problem]
+    )
 
 
 def _fft_dict(fft) -> Optional[Dict[str, Any]]:
@@ -98,37 +157,15 @@ class ResultStore:
 
     def __init__(self, root, create: bool = True) -> None:
         self.root = Path(root)
-        meta_path = self.root / "store.json"
-        if meta_path.exists():
-            meta = json.loads(meta_path.read_text())
-            _check_index_backend(meta, self.root)
-            problem = version_problem(
-                "store_version", int(meta.get("store_version", 0)), STORE_VERSION
-            )
-            if problem:
-                raise StoreError(f"store {self.root} has {problem}")
-        elif self.root.exists() and any(self.root.iterdir()):
-            raise StoreError(
-                f"{self.root} exists and is not a result store (no store.json); "
-                f"refusing to adopt a non-empty directory"
-            )
-        elif not create:
-            raise StoreError(f"no result store at {self.root}")
-        else:
+        check = inspect_store(self.root)
+        if check.problems:
+            raise StoreError(check.problems[0])
+        if check.meta is None:
+            if not create:
+                raise StoreError(f"no result store at {self.root}")
             self.root.mkdir(parents=True, exist_ok=True)
-            atomic_write_text(
-                meta_path,
-                json.dumps(
-                    {
-                        "store_version": STORE_VERSION,
-                        "backend": INDEX_BACKEND,
-                        "created": utc_now(),
-                    },
-                    sort_keys=True,
-                    indent=2,
-                )
-                + "\n",
-            )
+            meta = {"store_version": STORE_VERSION, "backend": INDEX_BACKEND, "created": utc_now()}
+            atomic_write_text(self.root / "store.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
         self.blobs = BlobStore(self.root / "blobs")
         self.runs_dir = self.root / "runs"
         self.index = SqliteRunIndex(self.root)
@@ -149,10 +186,6 @@ class ResultStore:
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r}, runs={len(self)})"
-
-    @property
-    def schema_version(self) -> int:
-        return self.index.schema_version
 
     def _run_path(self, run_id: str) -> Path:
         return self.runs_dir / f"{run_id}.npz"
@@ -192,26 +225,15 @@ class ResultStore:
         run_id = run_id or run_id_for(config)
         prior = self.index.get(run_id)
         now = utc_now()
-        self.blobs.put_config(config)
         if overrides is None:
-            overrides = prior["overrides"] if prior else {}
-        row = {
-            "run_id": run_id,
-            "config_hash": config_hash(config),
-            "gs_address": prior["gs_address"] if prior else None,
-            "status": status,
-            "error": None,
-            "created": prior["created"] if prior else now,
-            "updated": now,
-            "elapsed": 0.0,
-            "n_times": 0,
-            "config": config.to_dict(),
-            "overrides": dict(overrides),
-            "fft": None,
-            "parallel": None,
-        }
-        row.update(fields)
-        self.index.upsert(row)
+            overrides = prior.overrides if prior else {}
+        run = StoredRun(
+            run_id=run_id, config_hash=config_hash(config),
+            gs_address=prior.gs_address if prior else None, status=status, error=None,
+            created=prior.created if prior else now, updated=now, elapsed=0.0, n_times=0,
+            config=config, overrides=dict(overrides), fft=None, parallel=None,
+        )
+        self.index.upsert(dataclasses.replace(run, **fields))
         return run_id
 
     def add_run(
@@ -229,7 +251,7 @@ class ResultStore:
     ) -> str:
         """Store one finished run (the low-level entry all writers share).
 
-        Config and ground state go to the content-addressed blobs
+        The ground state goes to the content-addressed blobs
         (deduplicated), trajectory and final state become the run's
         result file, and the index row flips to ``ok``.  Re-adding an
         existing ``run_id`` replaces its file atomically (latest wins);
@@ -302,13 +324,13 @@ class ResultStore:
 
     # -- lookup / materialization ---------------------------------------------
     def get(self, run_id: str) -> StoredRun:
-        row = self.index.get(run_id)
-        if row is None:
+        run = self.index.get(run_id)
+        if run is None:
             raise StoreError(
                 f"store {self.root} has no run {run_id!r}; "
                 f"list ids with: repro results ls {self.root}"
             )
-        return StoredRun.from_row(row)
+        return run
 
     def find_completed(self, config: SimulationConfig) -> Optional[StoredRun]:
         """The completed stored run for exactly this config (else ``None``).
@@ -316,10 +338,8 @@ class ResultStore:
         The config-hash match is what sweep resume uses: a variant whose
         hash maps to an ``ok`` row is restored instead of recomputed.
         """
-        row = self.index.find_by_config(config_hash(config))
-        if row is None or row["status"] != "ok":
-            return None
-        return StoredRun.from_row(row)
+        run = self.index.find_by_config(config_hash(config))
+        return run if run is not None and run.ok else None
 
     def result_path(self, run_id: str) -> Path:
         """The result file of a completed run (``runs/<run_id>.npz``)."""
@@ -383,46 +403,7 @@ class ResultStore:
         ``limit``/``offset`` page through the match set in creation
         order (service stores accumulate thousands of runs).
         """
-        rows = self.index.rows(
+        return self.index.rows(
             status=status, where=where, since=since, until=until, limit=limit, offset=offset
         )
-        return [StoredRun.from_row(row) for row in rows]
 
-
-def store_schema_info(root) -> Dict[str, Any]:
-    """Peek at a store's versions without opening, creating or altering it.
-
-    Returns ``{"store_version", "backend", "schema_version",
-    "code_schema_version", "problems"}``; ``problems`` lists, in the
-    words :class:`ResultStore` would raise, why this build cannot open
-    the store (empty when it can).  ``repro validate`` prints them as
-    warnings instead of failing on them.
-    """
-    root = Path(root)
-    meta_path = root / "store.json"
-    if not meta_path.exists():
-        raise StoreError(f"no result store at {root} (missing store.json)")
-    meta = json.loads(meta_path.read_text())
-    _check_index_backend(meta, root)
-    store_version = int(meta.get("store_version", 0))
-    problems = [version_problem("store_version", store_version, STORE_VERSION)]
-    version: Optional[int] = None
-    sqlite_path = root / "index.sqlite"
-    if sqlite_path.exists():
-        # connect_sqlite, not a raw sqlite3.connect: even this read-only
-        # peek must honor WAL mode and the busy timeout, or it races the
-        # 4-process write hammer straight into SQLITE_BUSY
-        conn = connect_sqlite(sqlite_path)
-        try:
-            version = read_schema_version(conn)
-        finally:
-            conn.close()
-        if version:  # 0: an index no opener has initialized yet
-            problems.append(version_problem("index schema version", version, SCHEMA_VERSION))
-    return {
-        "store_version": store_version,
-        "backend": INDEX_BACKEND,
-        "schema_version": version,
-        "code_schema_version": SCHEMA_VERSION,
-        "problems": [f"store {root} has {problem}" for problem in problems if problem],
-    }

@@ -6,6 +6,8 @@ broadcast errors surface deep inside a propagation step.
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 
@@ -18,6 +20,11 @@ def require(condition: bool, message: str) -> None:
 def is_int(value) -> bool:
     """An integer setting; ``True`` is not ``1`` (in a config it would hash apart)."""
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A number setting, not coerced: ``3`` stays ``3``; a boolean or a string is refused."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def check_square(mat: np.ndarray, name: str = "matrix") -> int:

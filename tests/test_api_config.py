@@ -138,11 +138,32 @@ def test_unknown_section_key_names_dotted_path(section, key):
         ("scf", {"mix_beta": 0.0}, r"scf\.mix_beta"),
         ("scf", {"mix_beta": 1.5}, r"scf\.mix_beta"),
         ("scf", {"mix_history": 0}, r"scf\.mix_history"),
+        # number keys refuse booleans and non-numbers by name; a boolean
+        # key refuses a truthy string
+        ("system", {"ecut": "3"}, r"system\.ecut"),
+        ("system", {"ecut": True}, r"system\.ecut"),
+        ("system", {"degeneracy": True}, r"system\.degeneracy"),
+        ("scf", {"temperature_k": True}, r"scf\.temperature_k"),
+        ("scf", {"density_tol": "1e-6"}, r"scf\.density_tol"),
+        ("scf", {"exchange_tol": True}, r"scf\.exchange_tol"),
+        ("scf", {"davidson_tol": True}, r"scf\.davidson_tol"),
+        ("scf", {"mix_beta": True}, r"scf\.mix_beta"),
+        ("propagation", {"dt_as": "50"}, r"propagation\.dt_as"),
+        ("propagation", {"record_energy": "false"}, r"propagation\.record_energy"),
+        ("propagation", {"record_energy": 0}, r"propagation\.record_energy"),
     ],
 )
 def test_invalid_values_name_the_key(section, patch, match):
     with pytest.raises(ConfigError, match=match):
         SimulationConfig.from_dict({section: patch})
+
+
+def test_number_keys_are_not_coerced():
+    """An integer given for a number key stays an integer, so every config
+    that loaded before the number checks keeps its hash."""
+    cfg = SimulationConfig.from_dict({"system": {"ecut": 3}, "scf": {"temperature_k": 0}})
+    assert cfg.to_dict()["system"]["ecut"] == 3
+    assert type(cfg.system.ecut) is int and type(cfg.scf.temperature_k) is int
 
 
 def _validate_exit(tmp_path, data) -> int:
@@ -363,6 +384,9 @@ def test_serve_config_defaults_and_roundtrip():
         ({"port": True}, "serve.port"),
         ({"workers": True}, "serve.workers"),
         ({"retries": True}, "serve.retries"),
+        ({"timeout": True}, "serve.timeout"),
+        ({"timeout": "60"}, "serve.timeout"),
+        ({"backoff": True}, "serve.backoff"),
     ],
 )
 def test_serve_config_invalid_values_named(patch, match):

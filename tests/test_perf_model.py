@@ -22,6 +22,7 @@ from repro.perf.counts import (
     PTIM_SCF_PER_STEP,
     SystemSize,
     VARIANTS,
+    _dense_fock_counts,
     variant_counts,
 )
 from repro.perf.experiments import (
@@ -54,7 +55,13 @@ def test_scf_statistics_match_paper():
 
 # ---------------- count validation against instrumented numerics ----------------------
 def test_fock_fft_counts_match_analytic():
-    """The formulas projecting to paper scale equal the measured counts."""
+    """The dense-Fock count formula against the measured transforms.
+
+    Alg. 2 with a dense sigma (fill factor 1): the model's 2 N^3 equals
+    the measured count.  The diagonalized kernel solves each unordered
+    pair once, N(N+1) transforms; the model keeps the paper's 2 N^2,
+    which has no pair symmetry, so both numbers are pinned apart.
+    """
     grid = PlaneWaveGrid(silicon_cubic_cell(), ecut=2.0)
     rng = default_rng(0)
     n = 4
@@ -66,18 +73,15 @@ def test_fock_fft_counts_match_analytic():
     snap = eng.counters.snapshot()
     fock.apply_mixed_tripleloop(phi, sigma)
     measured_triple = eng.counters.since(snap).transforms
-    # Alg. 2 with a dense sigma: 2 N^3 transforms — the analytic count
-    # with fill factor 1 (all sigma entries active)
-    c = variant_counts(SystemSize(8), 1, "BL", bl_sigma_fill=1.0)
-    # per application: 2 * N * N * (fill*N); here derive directly:
-    assert measured_triple == 2 * n**3
+    model = _dense_fock_counts(n, grid.ngrid, 1, triple_loop=True, bl_sigma_fill=1.0)
+    assert measured_triple == model.fft_transforms == 2 * n**3
 
     snap = eng.counters.snapshot()
     mixed_exchange(fock, phi, sigma)
     measured_diag = eng.counters.since(snap).transforms
-    # every eigenvalue active: each unordered pair once, half the model's
-    # N^2 (repro.perf.counts keeps the paper's count, which has no symmetry)
+    model = _dense_fock_counts(n, grid.ngrid, 1, triple_loop=False)
     assert measured_diag == n * (n + 1)
+    assert model.fft_transforms == 2 * n**2
 
 
 def test_variant_counts_fock_reduction():

@@ -34,7 +34,8 @@ from repro.store import (
 )
 from repro.store.common import connect_sqlite
 from repro.store.schema import SCHEMA_VERSION
-from repro.store.store import STORE_VERSION, store_schema_info
+from repro.store.index import COLUMNS
+from repro.store.store import STORE_VERSION, inspect_store
 
 CFG = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -114,6 +115,106 @@ def test_missing_store_not_created_when_create_false(tmp_path):
     assert not (tmp_path / "nope").exists()
 
 
+def test_regular_file_is_not_a_store_path(tmp_path, capsys):
+    """A regular file as the store path is refused by name, by the opener
+    and by every CLI verb that takes a store (exit 2, no traceback)."""
+    from repro.api.cli import main
+
+    f = tmp_path / "f"
+    f.write_text("")
+    for create in (True, False):
+        with pytest.raises(StoreError, match="not a directory"):
+            ResultStore(f, create=create)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG))
+    for argv in (
+        ["run", str(cfg), "--store", str(f)],
+        ["sweep", str(cfg), "--store", str(f)],
+        ["results", "ls", str(f)],
+        ["validate", str(cfg), "--store", str(f)],
+    ):
+        assert main(argv) == 2, argv
+        assert "not a directory" in capsys.readouterr().err, argv
+
+
+def _file_path(root):
+    root.write_text("")
+
+
+def _foreign_directory(root):
+    root.mkdir()
+    (root / "stuff.txt").write_text("not a store")
+
+
+def _jsonl_backend(root):
+    root.mkdir()
+    (root / "store.json").write_text(json.dumps({"store_version": 1, "backend": "jsonl"}))
+
+
+def _store_version_1(root):
+    (root / "runs" / "r000000000000").mkdir(parents=True)
+    (root / "store.json").write_text(json.dumps({"store_version": 1, "backend": "sqlite"}))
+
+
+def _schema(version):
+    def make(root):
+        ResultStore(root).close()
+        conn = connect_sqlite(root / "index.sqlite")
+        conn.execute(f"UPDATE meta SET value = '{version}' WHERE key = 'schema_version'")
+        conn.close()
+
+    return make
+
+
+@pytest.mark.parametrize(
+    "make, stream",
+    [
+        (_file_path, "error"),
+        (_foreign_directory, "error"),
+        (_jsonl_backend, "error"),
+        (_store_version_1, "warning"),
+        (_schema(3), "warning"),
+        (_schema(99), "warning"),
+    ],
+    ids=["file", "foreign", "jsonl", "store_version_1", "schema_3", "schema_99"],
+)
+def test_validate_prints_the_line_the_opener_raises(tmp_path, capsys, make, stream):
+    """``repro validate --store`` runs the opener's own test: the refusal
+    ``ResultStore`` raises is the line validate prints, as an ``error:``
+    (exit 2) for a path that can never hold a store or a ``warning:``
+    (exit 0) for a store this build does not open.  Neither creates or
+    alters anything."""
+    from repro.api.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(CFG))
+    root = tmp_path / "study"
+    make(root)
+    meta = root / "store.json"
+    before = _tree(tmp_path), meta.read_bytes() if meta.exists() else None
+    with pytest.raises(StoreError) as refused:
+        ResultStore(root)
+    code = main(["validate", str(cfg), "--store", str(root)])
+    out, err = capsys.readouterr()
+    if stream == "error":
+        assert (code, err) == (2, f"error: {refused.value}\n")
+    else:
+        assert code == 0
+        assert f"warning: {refused.value}\n" in out
+    assert (_tree(tmp_path), meta.read_bytes() if meta.exists() else None) == before
+
+
+def test_run_row_columns_are_the_ddl_columns(tmp_path):
+    """``StoredRun``'s fields name the ``runs`` table's columns in order,
+    so the row dataclass and the DDL cannot drift apart."""
+    ResultStore(tmp_path / "study").close()
+    conn = connect_sqlite(tmp_path / "study" / "index.sqlite")
+    try:
+        assert COLUMNS == tuple(row[1] for row in conn.execute("PRAGMA table_info(runs)"))
+    finally:
+        conn.close()
+
+
 # ---------------- content-addressed blobs -------------------------------------
 
 
@@ -128,7 +229,6 @@ def test_one_ground_state_blob_per_shared_scf_group(tmp_path, real_result):
             ground_state=real_result.ground_state,
         )
     assert len(store.blobs.ground_state_addresses()) == 1
-    assert len(store.blobs.config_addresses()) == len(kicks)
     # every run row points at the same group blob
     addresses = {run.gs_address for run in store.query()}
     assert addresses == {group_address(make_config(kick=0.001))}
@@ -173,7 +273,7 @@ def test_index_queries(tmp_path):
     store.close()
 
 
-def test_rerun_replaces_and_delete_forgets(tmp_path):
+def test_rerun_replaces_the_stored_run(tmp_path):
     store = ResultStore(tmp_path / "study")
     cfg = make_config()
     rid = store.add_run(cfg, synth_arrays(n=4), synth_state())
@@ -183,8 +283,6 @@ def test_rerun_replaces_and_delete_forgets(tmp_path):
     run = store.get(rid)
     assert run.n_times == 9 and run.created == first_created
     assert store.load_arrays(rid)["times"].shape == (9,)
-    store.index.delete(rid)
-    assert store.index.get(rid) is None
     store.close()
 
 
@@ -224,11 +322,11 @@ def test_store_written_by_1_9_is_refused_by_name(tmp_path):
     before = _tree(root), (root / "store.json").read_bytes()
     with pytest.raises(StoreError, match=r"store_version 1, written by repro <= 1\.9.*results export"):
         ResultStore(root)
-    info = store_schema_info(root)
-    assert info["store_version"] == 1 and info["schema_version"] is None
-    assert len(info["problems"]) == 1
-    assert "store_version 1, written by repro <= 1.9" in info["problems"][0]
-    assert "repro results export" in info["problems"][0]
+    check = inspect_store(root)
+    assert check.meta["store_version"] == 1 and check.schema_version is None
+    assert len(check.problems) == 1
+    assert "store_version 1, written by repro <= 1.9" in check.problems[0]
+    assert "repro results export" in check.problems[0]
     assert (_tree(root), (root / "store.json").read_bytes()) == before
 
 
@@ -253,16 +351,16 @@ def test_schema_3_index_is_refused_by_name(tmp_path, capsys):
     before = _tree(root), columns()
     with pytest.raises(StoreError, match=r"schema version 3, written by repro <= 1\.9.*results export"):
         ResultStore(root)
-    info = store_schema_info(root)
-    assert info["schema_version"] == 3 and info["code_schema_version"] == SCHEMA_VERSION
-    assert [("schema version 3" in p, "repro results export" in p) for p in info["problems"]] == [(True, True)]
+    check = inspect_store(root)
+    assert check.schema_version == 3 != SCHEMA_VERSION
+    assert [("schema version 3" in p, "repro results export" in p) for p in check.problems] == [(True, True)]
     # repro validate --store prints the same words as a warning and exits 0
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CFG))
     assert main(["validate", str(cfg), "--store", str(root)]) == 0
-    assert f"warning: {info['problems'][0]}" in capsys.readouterr().out
+    assert f"warning: {check.problems[0]}" in capsys.readouterr().out
     assert (_tree(root), columns()) == before
-    assert store_schema_info(root)["schema_version"] == 3
+    assert inspect_store(root).schema_version == 3
 
 
 def test_newer_sqlite_schema_refused(tmp_path):
@@ -274,10 +372,9 @@ def test_newer_sqlite_schema_refused(tmp_path):
     with pytest.raises(StoreError, match="schema version 99"):
         ResultStore(tmp_path / "study")
     # validate's peek reports it as data instead of raising
-    info = store_schema_info(tmp_path / "study")
-    assert info["schema_version"] == 99
-    assert info["code_schema_version"] == SCHEMA_VERSION
-    assert "schema version 99, newer than" in info["problems"][0]
+    check = inspect_store(tmp_path / "study")
+    assert check.schema_version == 99 != SCHEMA_VERSION
+    assert "schema version 99, newer than" in check.problems[0]
 
 
 def test_store_naming_a_removed_index_backend_is_refused(tmp_path):
@@ -292,7 +389,7 @@ def test_store_naming_a_removed_index_backend_is_refused(tmp_path):
     with pytest.raises(StoreError, match=r"'jsonl'.*removed in 1\.8\.0"):
         ResultStore(root)
     with pytest.raises(StoreError, match=r"removed in 1\.8\.0"):
-        store_schema_info(root)
+        inspect_store(root)
     assert not (root / "index.sqlite").exists()  # nothing was created on the way
 
 
@@ -327,7 +424,7 @@ def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
     # one layout per object: nothing else lives in a store directory
     assert sorted(p.name for p in root.iterdir()) == ["blobs", "index.sqlite", "runs", "store.json"]
     assert [p.name for p in (root / "runs").iterdir()] == [f"{rid}.npz"]
-    assert sorted(p.name for p in (root / "blobs").iterdir()) == ["configs", "ground_states"]
+    assert [p.name for p in (root / "blobs").iterdir()] == ["ground_states"]
 
 
 def test_load_result_restores_state_and_accounting(tmp_path, real_result):

@@ -15,7 +15,7 @@ import numpy as np
 from repro.api import SimulationConfig
 from repro.rt.propagator import TDState
 from repro.store import ResultStore
-from repro.store.store import store_schema_info
+from repro.store.store import inspect_store
 
 BASE = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -93,5 +93,5 @@ def test_four_process_write_hammer(tmp_path):
     finally:
         store.close()
 
-    info = store_schema_info(root)
-    assert info["backend"] == "sqlite"
+    check = inspect_store(root)
+    assert check.meta["backend"] == "sqlite"
