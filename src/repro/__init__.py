@@ -21,6 +21,8 @@ Low-level building blocks remain public:
   evaluation figures and tables.
 """
 
+from repro.utils.lazy import lazy_exports
+
 __version__ = "1.27.0"
 
 __all__ = [
@@ -41,12 +43,26 @@ __all__ = [
 ]
 
 
-def __getattr__(name: str):
-    # lazy facade re-export: keeps `import repro.constants`-style imports
-    # from pulling in the full api subsystem (and avoids import cycles
-    # while the package initializes)
-    if name in __all__:
-        import repro.api as _api
+#: public name -> defining module, imported on first use (see
+#: :mod:`repro.utils.lazy`): ``import repro.constants``-style imports do
+#: not pull in the api subsystem
+_EXPORTS = {
+    "Simulation": "repro.api.simulation",
+    "SimulationResult": "repro.api.simulation",
+    **dict.fromkeys(
+        (
+            "SimulationConfig", "SystemConfig", "SCFConfig", "FieldConfig",
+            "PropagationConfig", "BackendConfig", "ConfigError",
+        ),
+        "repro.api.config",
+    ),
+    **dict.fromkeys(
+        (
+            "register_cell", "register_functional", "register_field",
+            "register_propagator", "available_components",
+        ),
+        "repro.api.registry",
+    ),
+}
 
-        return getattr(_api, name)
-    raise AttributeError(f"module 'repro' has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

@@ -7,61 +7,49 @@ runs); ``python -m repro`` exposes the same surface on the command line,
 including ``repro sweep``.  The low-level modules (:mod:`repro.scf`,
 :mod:`repro.rt`, :mod:`repro.hamiltonian`, ...) remain fully supported
 for custom wiring.
+
+Only a process that computes imports the physics (``scipy`` and the
+Fock/SCF/propagator stack).  Each name here is imported on first use
+(:mod:`repro.utils.lazy`), so configs, the result store and the job
+service are reached without it; :mod:`repro.api.simulation`,
+:mod:`repro.api.ensemble` and :mod:`repro.serve.worker` import it,
+because whoever imports them computes.
 """
 
-from repro.api.config import (
-    BackendConfig,
-    ConfigError,
-    FieldConfig,
-    ParallelConfig,
-    PropagationConfig,
-    ResultError,
-    SCFConfig,
-    ServeConfig,
-    SimulationConfig,
-    SweepConfig,
-    SystemConfig,
-    load_serve_file,
-    load_sweep_file,
-)
-from repro.api.ensemble import (
-    EnsembleResult,
-    FFTCoverage,
-    RunRecord,
-    SweepVariant,
-    apply_overrides,
-    expand_sweep,
-    run_ensemble,
-)
-from repro.api.registry import (
-    CELLS,
-    FIELDS,
-    FUNCTIONALS,
-    PROPAGATORS,
-    Registry,
-    RegistryError,
-    available_components,
-    register_cell,
-    register_field,
-    register_functional,
-    register_propagator,
-)
-from repro.api.simulation import Simulation, SimulationResult
+from repro.utils.lazy import lazy_exports
 
-#: re-exported lazily from :mod:`repro.store` — that package imports
-#: :mod:`repro.api.simulation` to materialize stored runs, so a module-
-#: level import here would re-enter a half-initialized ``repro.store``
-#: whenever ``import repro.store`` comes first
-_STORE_EXPORTS = ("ResultStore", "StoredRun", "StoreError")
+#: public name -> defining module, imported on first use
+_EXPORTS = {
+    **dict.fromkeys(
+        (
+            "BackendConfig", "ConfigError", "FieldConfig", "ParallelConfig",
+            "PropagationConfig", "ResultError", "SCFConfig", "ServeConfig",
+            "SimulationConfig", "SweepConfig", "SystemConfig", "load_serve_file",
+            "load_sweep_file", "RegistryError",
+        ),
+        ".config",
+    ),
+    **dict.fromkeys(
+        (
+            "EnsembleResult", "FFTCoverage", "RunRecord", "SweepVariant",
+            "apply_overrides", "expand_sweep", "run_ensemble",
+        ),
+        ".ensemble",
+    ),
+    **dict.fromkeys(
+        (
+            "CELLS", "FIELDS", "FUNCTIONALS", "PROPAGATORS", "Registry",
+            "available_components", "register_cell", "register_field",
+            "register_functional", "register_propagator",
+        ),
+        ".registry",
+    ),
+    "Simulation": ".simulation",
+    "SimulationResult": ".simulation",
+    **dict.fromkeys(("ResultStore", "StoredRun", "StoreError"), "repro.store"),
+}
 
-
-def __getattr__(name):
-    if name in _STORE_EXPORTS:
-        import repro.store as _store
-
-        return getattr(_store, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "BackendConfig",

@@ -49,18 +49,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.api.registry import (
-    CELLS,
-    FIELDS,
-    FUNCTIONALS,
-    PROPAGATORS,
-    RegistryError,
-    available_components,
-    propagator_options,
-)
-from repro.api.simulation import Simulation
+if TYPE_CHECKING:
+    from repro.api.simulation import Simulation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -293,6 +285,7 @@ def _finish(sim: Simulation, result, args) -> None:
 def _cmd_run(args) -> int:
     from repro.api.config import ConfigError, load_sweep_file
     from repro.api.runs import run_one
+    from repro.api.simulation import Simulation
 
     base, sweep = load_sweep_file(args.config)
     if sweep.axes:
@@ -370,6 +363,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_resume(args) -> int:
+    from repro.api.simulation import Simulation
+
     sim = Simulation.resume(args.result_file)
     cfg = sim.config
     if not args.quiet:
@@ -419,6 +414,13 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.api.config import load_sweep_file
     from repro.api.ensemble import apply_overrides
+    from repro.api.registry import (
+        CELLS,
+        FIELDS,
+        FUNCTIONALS,
+        PROPAGATORS,
+        propagator_options,
+    )
 
     cfg, sweep = load_sweep_file(args.config)
 
@@ -693,6 +695,8 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_components(args) -> int:
+    from repro.api.registry import available_components
+
     for kind, names in available_components().items():
         print(f"{kind}: {', '.join(names)}")
     return 0
@@ -722,6 +726,9 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
+    # after parsing: --help and usage errors import nothing of the program
+    from repro.api.config import RegistryError
+
     try:
         return _COMMANDS[args.command](args)
     except (ValueError, RegistryError, FileNotFoundError) as exc:

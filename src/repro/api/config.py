@@ -28,6 +28,16 @@ class ConfigError(ValueError):
     """Invalid simulation config; the message names the bad key."""
 
 
+class RegistryError(KeyError):
+    """Unknown or duplicate registry key (message names the valid keys).
+
+    Raised by :mod:`repro.api.registry`; defined here so that a caller
+    can catch it without importing the registered components."""
+
+    def __str__(self) -> str:  # KeyError quotes its arg; keep the message readable
+        return self.args[0]
+
+
 class ResultError(ConfigError):
     """A result file is missing, unreadable, or from a newer format
     version; the message always names the offending path.
@@ -331,7 +341,7 @@ class ParallelConfig(_Section):
     enabled: Optional[bool] = None
 
     def __post_init__(self) -> None:
-        from repro.parallel.distfock import PATTERNS
+        from repro.parallel.comm import PATTERNS
 
         _check(
             is_int(self.ranks) and self.ranks >= 1,

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional
 
+from repro.api.config import RegistryError
 from repro.grid.cell import silicon_cubic_cell, silicon_supercell
 from repro.rt.field import GaussianLaserPulse, StaticKick, ZeroField
 from repro.rt.ptcn import PTCNOptions, PTCNPropagator
@@ -28,13 +29,6 @@ from repro.rt.ptim import PTIMOptions, PTIMPropagator
 from repro.rt.ptim_ace import PTIMACEOptions, PTIMACEPropagator
 from repro.rt.rk4 import RK4Propagator
 from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
-
-
-class RegistryError(KeyError):
-    """Unknown or duplicate registry key (message names the valid keys)."""
-
-    def __str__(self) -> str:  # KeyError quotes its arg; keep the message readable
-        return self.args[0]
 
 
 class Registry:

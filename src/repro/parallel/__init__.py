@@ -10,12 +10,21 @@ communication time per MPI-operation category, reproducing the paper's
 Table I breakdown.
 """
 
-from repro.parallel.machine import MachineSpec, FUGAKU_ARM, A100_GPU, machine_by_name
-from repro.parallel.ledger import CostLedger, CommRecord
-from repro.parallel.comm import SimComm
-from repro.parallel.layouts import BandLayout
-from repro.parallel.distfock import PATTERNS, DistributedFockExchange
-from repro.parallel.context import ParallelContext, ParallelRunInfo
+from repro.utils.lazy import lazy_exports
+
+#: public name -> submodule, imported on first use: the machine specs and
+#: the pattern names are read by config validation in processes that
+#: never build the exchange operator
+_EXPORTS = {
+    **dict.fromkeys(("MachineSpec", "FUGAKU_ARM", "A100_GPU", "machine_by_name"), ".machine"),
+    **dict.fromkeys(("CostLedger", "CommRecord"), ".ledger"),
+    **dict.fromkeys(("PATTERNS", "SimComm"), ".comm"),
+    "BandLayout": ".layouts",
+    "DistributedFockExchange": ".distfock",
+    **dict.fromkeys(("ParallelContext", "ParallelRunInfo"), ".context"),
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 __all__ = [
     "PATTERNS",

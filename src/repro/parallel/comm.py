@@ -13,13 +13,20 @@ MPI time.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec
 from repro.utils.validation import require
+
+Pattern = Literal["bcast", "ring", "async-ring"]
+
+#: the orbital-exchange schedules :class:`~repro.parallel.distfock.DistributedFockExchange`
+#: runs over this communicator; named here so that config validation
+#: reads them without importing the exchange operator
+PATTERNS: Tuple[str, ...] = ("bcast", "ring", "async-ring")
 
 
 class SimComm:

@@ -54,19 +54,15 @@ behind every SCF loop and RT propagator.
 from __future__ import annotations
 
 from itertools import groupby
-from typing import Callable, List, Literal, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator, band_tiles, symmetric_tile_pairs
-from repro.parallel.comm import SimComm
+from repro.parallel.comm import PATTERNS, Pattern, SimComm
 from repro.parallel.layouts import BandLayout, partition_sizes
 from repro.utils.validation import require
-
-Pattern = Literal["bcast", "ring", "async-ring"]
-
-PATTERNS: Tuple[str, ...] = ("bcast", "ring", "async-ring")
 
 COMPLEX_BYTES = 16.0
 

@@ -29,27 +29,26 @@ Layers
 
 Entry points: ``repro serve CONFIG``, ``repro submit CONFIG --url``,
 ``repro jobs ls|show|watch|fetch|cancel``.
+
+The service process only routes, so it imports numpy and nothing
+heavier; each spawned worker imports :mod:`repro.serve.worker`, and with
+it the physics, in its own process (the rule of :mod:`repro.api`), and
+never imports the HTTP server or client.
 """
 
-import importlib
+from repro.utils.lazy import lazy_exports
 
-#: public name -> submodule, imported on first use: a spawned worker
-#: imports :mod:`repro.serve.worker` and should not pay, in start-up
-#: time and resident memory, for the HTTP server and client it never runs
+#: public name -> submodule, imported on first use
 _EXPORTS = {
-    "JOB_STATUSES": "queue",
-    "JobQueue": "queue",
-    "JobService": "service",
-    "ServeClient": "client",
-    "ServeError": "client",
-    "WorkerPool": "pool",
+    "JOB_STATUSES": ".queue",
+    "JobQueue": ".queue",
+    "JobService": ".service",
+    "ServeClient": ".client",
+    "ServeError": ".client",
+    "WorkerPool": ".pool",
 }
 
-
-def __getattr__(name):
-    if name in _EXPORTS:
-        return getattr(importlib.import_module(f"repro.serve.{_EXPORTS[name]}"), name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
 
 __all__ = [

@@ -2,7 +2,8 @@
 
 Workers are **spawned** processes (never forked: the server runs HTTP
 handler threads, and forking a threaded process is undefined behavior
-waiting to happen) running :func:`repro.serve.worker.worker_main`.
+waiting to happen) running :func:`repro.serve.worker.worker_main`,
+which each child imports itself.
 :func:`drain`, the batch form every sweep runs on, spawns one
 fewer than it was asked for and computes in the calling process too.
 
@@ -30,8 +31,27 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.serve.queue import TERMINAL_STATUSES, JobQueue
-from repro.serve.worker import execute_job, worker_main
 from repro.store.common import pid_alive
+
+
+# The two entries into repro.serve.worker import it, and with it the
+# physics, where they run: the supervising process imports only this
+# module, so it never pays for the run kernel its workers execute.
+
+
+def _worker_process(store_root: str, worker_id: str, options: Dict[str, Any]) -> None:
+    """The spawn target: :func:`repro.serve.worker.worker_main` in the child."""
+    from repro.serve.worker import worker_main
+
+    worker_main(store_root, worker_id, options)
+
+
+def execute_job(store, queue: JobQueue, job: Dict[str, Any], options: Dict[str, Any]) -> None:
+    """:func:`repro.serve.worker.execute_job`, for a draining caller."""
+    from repro.serve.worker import execute_job as execute
+
+    execute(store, queue, job, options)
+
 
 #: tells apart the pools one process creates (a sweep beside a service)
 _pool_numbers = itertools.count()
@@ -68,7 +88,7 @@ class WorkerPool:
         self._generation[slot] = gen
         worker_id = f"{self.tag}w{slot}g{gen}"
         proc = self._ctx.Process(
-            target=worker_main,
+            target=_worker_process,
             args=(self.store_root, worker_id, self.options),
             name=f"repro-serve-{worker_id}",
             daemon=True,
@@ -180,6 +200,11 @@ def drain(
     live pool on the same store already holds is waited for, not
     duplicated.  On the way out, by return or by exception, the workers
     are stopped and nothing of this batch is left claimable or running.
+
+    Another pool's worker counts as alive when its pid passes
+    :func:`~repro.store.common.pid_alive`, which only means something on
+    this host: a live worker of a pool on another host sharing the store
+    is taken for dead, and its claim is requeued.
     """
     queue = JobQueue(store.root)
     pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1)

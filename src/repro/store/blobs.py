@@ -17,14 +17,16 @@ blob under a valid address.
 from __future__ import annotations
 
 from pathlib import Path
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
 import numpy as np
 
 from repro.api.config import SimulationConfig
-from repro.scf.groundstate import GroundState
 from repro.store.common import group_address
 from repro.utils.io import atomic_savez
+
+if TYPE_CHECKING:
+    from repro.scf.groundstate import GroundState
 
 
 class BlobStore:
@@ -53,6 +55,8 @@ class BlobStore:
 
     def get_ground_state(self, address: str) -> Optional[GroundState]:
         """The stored :class:`GroundState` at ``address`` (``None`` if absent)."""
+        from repro.scf.groundstate import GroundState
+
         path = self.ground_state_path(address)
         if not path.exists():
             return None

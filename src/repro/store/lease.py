@@ -29,11 +29,13 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import os
-from typing import Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Iterator
 
 from repro.api.config import SimulationConfig
-from repro.scf.groundstate import GroundState
 from repro.store.common import group_address
+
+if TYPE_CHECKING:
+    from repro.scf.groundstate import GroundState
 
 
 @contextlib.contextmanager

@@ -33,16 +33,11 @@ import json
 import os
 import shutil
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Union
 
 import numpy as np
 
 from repro.api.config import SimulationConfig
-from repro.api.simulation import SimulationResult, read_result_npz, write_result_npz
-from repro.backend import FFTCounters
-from repro.parallel.context import ParallelRunInfo
-from repro.rt.propagator import PropagationRecord, TDState
-from repro.scf.groundstate import GroundState
 from repro.store.blobs import BlobStore
 from repro.store.common import (
     StoreError,
@@ -57,6 +52,14 @@ from repro.store.query import StoredRun
 from repro.store.schema import SCHEMA_VERSION, version_problem
 from repro.store.schema import schema_version as read_schema_version
 from repro.utils.io import atomic_write_text
+
+if TYPE_CHECKING:
+    # the physics types, for annotations only: a process that serves or
+    # queries the store never imports them; the methods that build or
+    # write arrays import what they use
+    from repro.api.simulation import SimulationResult
+    from repro.rt.propagator import TDState
+    from repro.scf.groundstate import GroundState
 
 #: version of the directory layout (not the index schema); 1 kept each
 #: run as a directory of several files (repro <= 1.9)
@@ -142,6 +145,8 @@ def inspect_store(root) -> StoreCheck:
 def _fft_dict(fft) -> Optional[Dict[str, Any]]:
     if fft is None:
         return None
+    from repro.backend import FFTCounters
+
     return fft.to_dict() if isinstance(fft, FFTCounters) else dict(fft)
 
 
@@ -257,6 +262,8 @@ class ResultStore:
         existing ``run_id`` replaces its file atomically (latest wins);
         until the new file is complete the row keeps serving the old one.
         """
+        from repro.api.simulation import write_result_npz
+
         run_id = run_id or run_id_for(config)
         if ground_state is not None:
             gs_address = self.blobs.put_ground_state(config, ground_state)
@@ -357,6 +364,8 @@ class ResultStore:
 
     def load_arrays(self, run_id: str) -> Dict[str, np.ndarray]:
         """The run's observable series (bitwise what was stored)."""
+        from repro.api.simulation import read_result_npz
+
         self.get(run_id)  # raise the readable error for unknown ids
         return read_result_npz(self._run_path(run_id)).observables
 
@@ -370,6 +379,11 @@ class ResultStore:
         (round-trip tested).  ``with_ground_state=True`` also loads the
         group's SCF blob (off by default — it is the large block).
         """
+        from repro.api.simulation import SimulationResult, read_result_npz
+        from repro.backend import FFTCounters
+        from repro.parallel.context import ParallelRunInfo
+        from repro.rt.propagator import PropagationRecord
+
         run = self._completed(run_id)
         stored = read_result_npz(self._run_path(run_id), expected_config=run.config)
         ground_state = None

@@ -1,17 +1,6 @@
-"""Shared helpers: validation, atomic IO, deterministic RNG."""
+"""Shared helpers: validation, atomic IO, deterministic RNG, lazy facades.
 
-from repro.utils.validation import (
-    check_hermitian,
-    check_square,
-    check_unitary,
-    require,
-)
-from repro.utils.rng import default_rng
-
-__all__ = [
-    "check_hermitian",
-    "check_square",
-    "check_unitary",
-    "require",
-    "default_rng",
-]
+Import the module that defines a helper (``repro.utils.validation``,
+``repro.utils.io``, ...): this package re-exports nothing, so the
+facades that import :mod:`repro.utils.lazy` do not import numpy for it.
+"""

@@ -6,6 +6,7 @@ stored run must export to exactly the bytes-for-bytes content that
 ``SimulationResult.save_npz`` would have written.
 """
 
+import errno
 import io
 import json
 import os
@@ -652,6 +653,70 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         assert store.get(done.run_id).n_times == 9
         assert np.array_equal(store.load_arrays(done.run_id)["energy"], synth_arrays(n=9)["energy"])
         assert [p.name for p in target.parent.iterdir()] == [target.name]
+        store.close()
+
+
+def _disk_full_after_part():
+    """A savez stand-in that writes part of the file, then finds the disk full."""
+
+    def fake(path, **payload):
+        with open(path, "wb") as fh:
+            fh.write(b"PK\x03\x04 first block of the archive")
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+
+    return fake
+
+
+def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
+    """ENOSPC inside the run file's write: ``add_run`` raises, leaves no
+    file, no temp file and no row; a re-add keeps serving the previous
+    file; a job fails its attempt naming the errno; with space again, the
+    next write of the same config succeeds."""
+    from repro.serve.queue import JobQueue
+    from repro.serve.worker import execute_job
+
+    root = tmp_path / "study"
+    store = ResultStore(root)
+    queue = JobQueue(root)
+    config = real_result.config
+    # the group's SCF is already a blob, so the job's only write is its run
+    store.put_ground_state(config, real_result.ground_state)
+    try:
+        monkeypatch.setattr(np, "savez", _disk_full_after_part())
+        with pytest.raises(OSError) as excinfo:
+            store.add_run(config, synth_arrays(), synth_state())
+        assert excinfo.value.errno == errno.ENOSPC
+        assert list(store.runs_dir.iterdir()) == []
+        assert store.query() == []
+
+        job_id = queue.submit(config, max_attempts=2)["job_id"]
+        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        job = queue.get(job_id)
+        assert job["status"] == "queued"
+        assert f"[Errno {errno.ENOSPC}]" in job["error"]
+        assert [a["outcome"] for a in queue.attempts(job_id)] == ["error"]
+        assert list(store.runs_dir.iterdir()) == []
+        monkeypatch.undo()
+
+        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        job = queue.get(job_id)
+        assert job["status"] == "ok"
+        target = store.result_path(job["run_id"])
+        before = target.read_bytes()
+
+        monkeypatch.setattr(np, "savez", _disk_full_after_part())
+        with pytest.raises(OSError):
+            store.add_run(config, synth_arrays(n=9), synth_state())
+        monkeypatch.undo()
+        assert target.read_bytes() == before
+        assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
+        assert store.get(job["run_id"]).n_times == len(real_result.record.times)
+
+        store.add_run(config, synth_arrays(n=9), synth_state())
+        assert store.get(job["run_id"]).n_times == 9
+        assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
+    finally:
+        queue.close()
         store.close()
 
 
