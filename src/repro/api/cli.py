@@ -294,6 +294,8 @@ def _cmd_run(args) -> int:
             f"{args.config} defines a sweep of {sweep.n_runs} run(s); "
             f"execute it with: repro sweep {args.config}"
         )
+    if args.steps is not None:
+        base = base.replace(propagation={"n_steps": args.steps})
     if args.fft_workers is not None:
         base = base.replace(backend={"fft_workers": args.fft_workers})
     par_overrides = {}
@@ -340,9 +342,7 @@ def _cmd_run(args) -> int:
                 f"{cfg.propagation.propagator} ..."
             )
 
-    outcome = run_one(
-        sim, store, _propagation_starts, reuse=not args.rerun, n_steps=args.steps
-    )
+    outcome = run_one(sim, store, _propagation_starts, reuse=not args.rerun)
     if outcome.reused:
         # idempotent by content: the store already holds this exact
         # config's completed run — reused instead of appending a
@@ -379,14 +379,11 @@ def _cmd_resume(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    from dataclasses import replace
-
-    from repro.api.config import load_sweep_file
+    from repro.api.config import load_sweep_file, overridden
     from repro.api.ensemble import expand_sweep, run_ensemble
 
     base, sweep = load_sweep_file(args.config)
-    if args.workers is not None:
-        sweep = replace(sweep, workers=args.workers)  # refused as sweep.workers
+    sweep = overridden(sweep, workers=args.workers)  # refused as sweep.workers
     variants = expand_sweep(base, sweep)
 
     if args.dry_run or not args.quiet:
@@ -525,10 +522,15 @@ def _cmd_results(args) -> int:
 def _cmd_serve(args) -> int:
     import time
 
-    from repro.api.config import ConfigError, load_serve_file
+    from repro.api.config import ConfigError, load_serve_file, overridden
     from repro.serve import JobService
 
     base, serve_cfg = load_serve_file(args.config)
+    # flags are refused by the [serve] declarations before anything binds
+    serve_cfg = overridden(
+        serve_cfg, host=args.host, port=args.port, workers=args.workers,
+        timeout=args.timeout, retries=args.retries,
+    )
     store_path = args.store if args.store is not None else serve_cfg.store
     if not store_path:
         raise ConfigError(
@@ -537,11 +539,11 @@ def _cmd_serve(args) -> int:
         )
     service = JobService(
         store_path,
-        host=args.host if args.host is not None else serve_cfg.host,
-        port=args.port if args.port is not None else serve_cfg.port,
-        workers=args.workers if args.workers is not None else serve_cfg.workers,
-        timeout=args.timeout if args.timeout is not None else serve_cfg.timeout,
-        retries=args.retries if args.retries is not None else serve_cfg.retries,
+        host=serve_cfg.host,
+        port=serve_cfg.port,
+        workers=serve_cfg.workers,
+        timeout=serve_cfg.timeout,
+        retries=serve_cfg.retries,
         backoff=serve_cfg.backoff,
         log_requests=not args.quiet,
     )

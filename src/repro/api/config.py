@@ -7,25 +7,29 @@ results and checkpoints embed the exact config that produced them.
 
 Parsing is strict: unknown keys and invalid values raise
 :class:`ConfigError` naming the offending dotted key (``system.ecut``,
-``propagation.options`` ...) rather than silently ignoring typos.
+``propagation.options`` ...) rather than silently ignoring typos.  Each
+key is declared once, beside its default, with
+:func:`~repro.utils.validation.setting` (kind, bounds, choices); one
+checker refuses a value by that declaration, and a section's
+``__post_init__`` keeps only what normalises a value or crosses keys.
+Values are never coerced: ``3`` stays ``3``, so a config's hash is the
+hash of what was written.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
 from repro.constants import SPIN_DEGENERACY
-from repro.utils.validation import is_int, is_real
-
-
-class ConfigError(ValueError):
-    """Invalid simulation config; the message names the bad key."""
+from repro.parallel.comm import PATTERNS
+from repro.parallel.machine import machine_by_name
+from repro.utils.validation import ConfigError, check_settings, is_int, setting
 
 
 class RegistryError(KeyError):
@@ -77,10 +81,13 @@ def _check(condition: bool, message: str) -> None:
 
 @dataclass(frozen=True)
 class _Section:
-    """Shared strict dict IO for one config section."""
+    """Shared strict dict IO and declared-key check for one config section."""
 
     #: dotted prefix used in error messages ("system", "scf", ...)
     _context = "config"
+
+    def __post_init__(self) -> None:
+        check_settings(self, self._context)
 
     @classmethod
     def from_dict(cls: Type[T], data: Optional[Mapping[str, Any]]) -> T:
@@ -108,6 +115,12 @@ class _Section:
                 continue
             out[f.name] = _plain(value)
         return out
+
+
+def overridden(section: T, **values: Any) -> T:
+    """``section`` with each value that is not ``None`` in place of its
+    key, refused by the key's declaration like a parsed one."""
+    return dataclasses.replace(section, **{k: v for k, v in values.items() if v is not None})
 
 
 def _plain(value: Any) -> Any:
@@ -142,79 +155,46 @@ class SystemConfig(_Section):
 
     _context = "system"
 
-    cell: str = "silicon_cubic"
-    cell_params: Dict[str, Any] = field(default_factory=dict)
-    ecut: float = 3.0
-    dual: int = 1
-    functional: str = "hse"
-    functional_params: Dict[str, Any] = field(default_factory=dict)
-    degeneracy: float = SPIN_DEGENERACY
-    fock_batch_size: int = 16
+    cell: str = setting("silicon_cubic", str)
+    cell_params: Dict[str, Any] = setting({}, dict)
+    ecut: float = setting(3.0, float, lo=0, open=True)
+    dual: int = setting(1, int, choices=(1,))
+    functional: str = setting("hse", str)
+    functional_params: Dict[str, Any] = setting({}, dict)
+    degeneracy: float = setting(SPIN_DEGENERACY, float, lo=0, open=True)
+    fock_batch_size: int = setting(16, int, lo=1)
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.cell, str) and self.cell != "", "system.cell must be a non-empty string")
-        _check(isinstance(self.functional, str) and self.functional != "", "system.functional must be a non-empty string")
-        _check(is_real(self.ecut) and self.ecut > 0.0, f"system.ecut must be a positive number, got {self.ecut!r}")
-        _check(
-            is_int(self.dual) and self.dual == 1,
-            f"system.dual must be 1 (one grid carries orbitals and density), got {self.dual!r}",
-        )
-        _check(
-            is_real(self.degeneracy) and self.degeneracy > 0.0,
-            f"system.degeneracy must be a positive number, got {self.degeneracy!r}",
-        )
-        _check(
-            is_int(self.fock_batch_size) and self.fock_batch_size >= 1,
-            f"system.fock_batch_size must be an integer >= 1, got {self.fock_batch_size!r}",
-        )
+        super().__post_init__()
         object.__setattr__(self, "cell_params", dict(self.cell_params))
         object.__setattr__(self, "functional_params", dict(self.functional_params))
 
 
 @dataclass(frozen=True)
-class SCFConfig(_Section):
-    """Ground-state solver knobs (mirror of :class:`repro.scf.SCFOptions`)."""
+class SCFOptions:
+    """Knobs of the ground-state solver, as :func:`repro.scf.run_scf`
+    takes them: declared here, checked only by :class:`SCFConfig` (a
+    solver test may ask for a tolerance that is never met)."""
+
+    #: default: Ne/2 + Natom/2 extra (paper: tests)
+    nbands: Optional[int] = setting(None, int, lo=1, optional=True, what="a positive band count")
+    temperature_k: float = setting(8000.0, float, lo=0)
+    density_tol: float = setting(1.0e-6, float, lo=0, open=True)
+    exchange_tol: float = setting(1.0e-6, float, lo=0, open=True)
+    max_scf: int = setting(60, int, lo=1)
+    max_outer: int = setting(10, int, lo=1)
+    davidson_tol: float = setting(1.0e-7, float, lo=0, open=True)
+    mix_beta: float = setting(0.5, float, lo=0, hi=1, open=True)
+    mix_history: int = setting(20, int, lo=1)
+    seed: int = setting(7, int)
+
+
+@dataclass(frozen=True)
+class SCFConfig(_Section, SCFOptions):
+    """The ``[scf]`` section: :class:`SCFOptions`' keys, checked, so a
+    section is the options ``run_scf`` takes."""
 
     _context = "scf"
-
-    nbands: Optional[int] = None
-    temperature_k: float = 8000.0
-    density_tol: float = 1.0e-6
-    exchange_tol: float = 1.0e-6
-    max_scf: int = 60
-    max_outer: int = 10
-    davidson_tol: float = 1.0e-7
-    mix_beta: float = 0.5
-    mix_history: int = 20
-    seed: int = 7
-
-    def __post_init__(self) -> None:
-        if self.nbands is not None:
-            _check(
-                is_int(self.nbands) and self.nbands > 0,
-                f"scf.nbands must be a positive integer, got {self.nbands!r}",
-            )
-        _check(
-            is_real(self.temperature_k) and self.temperature_k >= 0.0,
-            f"scf.temperature_k must be a number >= 0, got {self.temperature_k!r}",
-        )
-        for key in ("density_tol", "exchange_tol", "davidson_tol"):
-            value = getattr(self, key)
-            _check(is_real(value) and value > 0.0, f"scf.{key} must be a positive number, got {value!r}")
-        _check(
-            is_real(self.mix_beta) and 0.0 < self.mix_beta <= 1.0,
-            f"scf.mix_beta must be a number in (0, 1], got {self.mix_beta!r}",
-        )
-        for key in ("mix_history", "max_scf", "max_outer"):
-            value = getattr(self, key)
-            _check(is_int(value) and value >= 1, f"scf.{key} must be an integer >= 1, got {value!r}")
-        _check(is_int(self.seed), f"scf.seed must be an integer, got {self.seed!r}")
-
-    def to_options(self):
-        """The low-level :class:`repro.scf.SCFOptions` equivalent."""
-        from repro.scf.groundstate import SCFOptions
-
-        return SCFOptions(**{f.name: getattr(self, f.name) for f in fields(self)})
 
 
 @dataclass(frozen=True)
@@ -223,11 +203,11 @@ class FieldConfig(_Section):
 
     _context = "field"
 
-    kind: str = "zero"
-    params: Dict[str, Any] = field(default_factory=dict)
+    kind: str = setting("zero", str)
+    params: Dict[str, Any] = setting({}, dict)
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.kind, str) and self.kind != "", "field.kind must be a non-empty string")
+        super().__post_init__()
         params = dict(self.params)
         if "polarization" in params:
             params["polarization"] = tuple(params["polarization"])
@@ -240,29 +220,16 @@ class PropagationConfig(_Section):
 
     _context = "propagation"
 
-    propagator: str = "ptim_ace"
-    dt_as: float = 50.0
-    n_steps: int = 10
-    observe_every: int = 1
-    track_sigma: Tuple[Tuple[int, int], ...] = ()
-    record_energy: bool = True
-    options: Dict[str, Any] = field(default_factory=dict)
+    propagator: str = setting("ptim_ace", str)
+    dt_as: float = setting(50.0, float, lo=0, open=True)
+    n_steps: int = setting(10, int, lo=0)
+    observe_every: int = setting(1, int, lo=1)
+    track_sigma: Tuple[Tuple[int, int], ...] = setting((), tuple)
+    record_energy: bool = setting(True, bool)
+    options: Dict[str, Any] = setting({}, dict)
 
     def __post_init__(self) -> None:
-        _check(isinstance(self.propagator, str) and self.propagator != "", "propagation.propagator must be a non-empty string")
-        _check(is_real(self.dt_as) and self.dt_as > 0.0, f"propagation.dt_as must be a positive number, got {self.dt_as!r}")
-        _check(
-            isinstance(self.record_energy, bool),
-            f"propagation.record_energy must be a boolean, got {self.record_energy!r}",
-        )
-        _check(
-            is_int(self.n_steps) and self.n_steps >= 0,
-            f"propagation.n_steps must be an integer >= 0, got {self.n_steps!r}",
-        )
-        _check(
-            is_int(self.observe_every) and self.observe_every >= 1,
-            f"propagation.observe_every must be an integer >= 1, got {self.observe_every!r}",
-        )
+        super().__post_init__()
         try:
             pairs = tuple((i, j) for i, j in self.track_sigma)
         except (TypeError, ValueError) as exc:
@@ -294,23 +261,9 @@ class BackendConfig(_Section):
 
     _context = "backend"
 
-    name: str = "numpy"
-    fft_workers: int = 1
-    count_ffts: bool = True
-
-    def __post_init__(self) -> None:
-        _check(
-            self.name == "numpy",
-            f"backend.name must be 'numpy' (the one FFT engine), got {self.name!r}",
-        )
-        _check(
-            is_int(self.fft_workers) and self.fft_workers >= 1,
-            f"backend.fft_workers must be an integer >= 1, got {self.fft_workers!r}",
-        )
-        _check(
-            self.count_ffts is True,
-            f"backend.count_ffts must be true (the engine always counts), got {self.count_ffts!r}",
-        )
+    name: str = setting("numpy", str, choices=("numpy",))
+    fft_workers: int = setting(1, int, lo=1)
+    count_ffts: bool = setting(True, bool, choices=(True,))
 
 
 @dataclass(frozen=True)
@@ -334,34 +287,14 @@ class ParallelConfig(_Section):
 
     _context = "parallel"
 
-    ranks: int = 1
-    pattern: str = "ring"
-    machine: str = "fugaku-arm"
-    use_shm: bool = True
-    enabled: Optional[bool] = None
+    ranks: int = setting(1, int, lo=1)
+    pattern: str = setting("ring", str, choices=PATTERNS)
+    machine: str = setting("fugaku-arm", str)
+    use_shm: bool = setting(True, bool)
+    enabled: Optional[bool] = setting(None, bool, optional=True)
 
     def __post_init__(self) -> None:
-        from repro.parallel.comm import PATTERNS
-
-        _check(
-            is_int(self.ranks) and self.ranks >= 1,
-            f"parallel.ranks must be an integer >= 1, got {self.ranks!r}",
-        )
-        _check(
-            self.pattern in PATTERNS,
-            f"parallel.pattern must be one of {', '.join(PATTERNS)}, got {self.pattern!r}",
-        )
-        _check(
-            isinstance(self.use_shm, bool),
-            f"parallel.use_shm must be a boolean, got {self.use_shm!r}",
-        )
-        if self.enabled is not None:
-            _check(
-                isinstance(self.enabled, bool),
-                f"parallel.enabled must be a boolean, got {self.enabled!r}",
-            )
-        from repro.parallel.machine import machine_by_name
-
+        super().__post_init__()
         try:
             spec = machine_by_name(self.machine)
         except KeyError as exc:
@@ -403,23 +336,13 @@ class SweepConfig(_Section):
 
     _context = "sweep"
 
-    axes: Dict[str, Any] = field(default_factory=dict)
-    mode: str = "grid"
-    workers: int = 1
-    store: Optional[str] = None
+    axes: Dict[str, Any] = setting({}, dict)
+    mode: str = setting("grid", str, choices=("grid", "zip"))
+    workers: int = setting(1, int, lo=1)
+    store: Optional[str] = setting(None, str, optional=True)
 
     def __post_init__(self) -> None:
-        _check(self.mode in ("grid", "zip"), f"sweep.mode must be 'grid' or 'zip', got {self.mode!r}")
-        _check(
-            is_int(self.workers) and self.workers >= 1,
-            f"sweep.workers must be an integer >= 1, got {self.workers!r}",
-        )
-        if self.store is not None:
-            _check(
-                isinstance(self.store, str) and self.store != "",
-                f"sweep.store must be a non-empty directory path, got {self.store!r}",
-            )
-        _check(isinstance(self.axes, Mapping), f"sweep.axes must be a table of path = [values], got {type(self.axes).__name__}")
+        super().__post_init__()
         axes: Dict[str, Tuple[Any, ...]] = {}
         for path, values in self.axes.items():
             _check(
@@ -476,38 +399,13 @@ class ServeConfig(_Section):
 
     _context = "serve"
 
-    host: str = "127.0.0.1"
-    port: int = 8752
-    workers: int = 2
-    timeout: float = 0.0
-    retries: int = 3
-    backoff: float = 0.5
-    store: Optional[str] = None
-
-    def __post_init__(self) -> None:
-        _check(
-            isinstance(self.host, str) and self.host != "",
-            "serve.host must be a non-empty string",
-        )
-        _check(
-            is_int(self.port) and 0 <= self.port <= 65535,
-            f"serve.port must be an integer in [0, 65535], got {self.port!r}",
-        )
-        _check(
-            is_int(self.workers) and self.workers >= 1,
-            f"serve.workers must be an integer >= 1, got {self.workers!r}",
-        )
-        _check(is_real(self.timeout) and self.timeout >= 0.0, f"serve.timeout must be a number >= 0, got {self.timeout!r}")
-        _check(
-            is_int(self.retries) and self.retries >= 1,
-            f"serve.retries must be an integer >= 1, got {self.retries!r}",
-        )
-        _check(is_real(self.backoff) and self.backoff >= 0.0, f"serve.backoff must be a number >= 0, got {self.backoff!r}")
-        if self.store is not None:
-            _check(
-                isinstance(self.store, str) and self.store != "",
-                f"serve.store must be a non-empty directory path, got {self.store!r}",
-            )
+    host: str = setting("127.0.0.1", str)
+    port: int = setting(8752, int, lo=0, hi=65535)
+    workers: int = setting(2, int, lo=1)
+    timeout: float = setting(0.0, float, lo=0)
+    retries: int = setting(3, int, lo=1)
+    backoff: float = setting(0.5, float, lo=0)
+    store: Optional[str] = setting(None, str, optional=True)
 
 
 def load_serve_file(path) -> Tuple["SimulationConfig", ServeConfig]:

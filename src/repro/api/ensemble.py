@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Seq
 
 import numpy as np
 
-from repro.api.config import ConfigError, SimulationConfig, SweepConfig
+from repro.api.config import ConfigError, SimulationConfig, SweepConfig, overridden
 from repro.api import runs
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
@@ -408,9 +408,7 @@ def run_ensemble(
     from repro.serve.pool import drain
     from repro.store import ResultStore
 
-    n_workers = sweep.workers if workers is None else int(workers)
-    if n_workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {n_workers}")
+    n_workers = overridden(sweep, workers=workers).workers  # refused as sweep.workers
     say = progress if progress is not None else (lambda line: None)
     variants = expand_sweep(base, sweep)
     records = [RunRecord(v.index, v.overrides, v.config) for v in variants]

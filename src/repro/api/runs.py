@@ -18,7 +18,7 @@ from __future__ import annotations
 import time
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
-from repro.api.config import ConfigError, SimulationConfig
+from repro.api.config import ConfigError, SimulationConfig, overridden
 from repro.api.registry import propagator_options
 from repro.api.simulation import Simulation, SimulationResult
 from repro.scf.groundstate import default_nbands
@@ -54,14 +54,22 @@ def run_one(
     and then after every completed step.  ``reuse=False`` recomputes
     even when the store holds the config's completed run; ``window``
     forwards ``n_steps`` / ``dt_as`` / ``observe_every`` to
-    :meth:`Simulation.propagate`.
+    :meth:`Simulation.propagate`, and with a store must equal the
+    config's keys.
     """
     started = time.perf_counter()
     prop = sim.config.propagation
-    # options that cannot run are refused before an SCF is spent on them
+    # a window or options that cannot run are refused before an SCF is
+    # spent on them
+    ran = overridden(prop, **window)
     propagator_options(prop.propagator, dict(prop.options))
     _check_tracked_bands(sim)
     if store is not None:
+        for key in (k for k in window if getattr(ran, k) != getattr(prop, k)):
+            raise ConfigError(
+                f"propagation.{key} = {getattr(ran, key)!r} is not the config's "
+                f"{getattr(prop, key)!r}: a stored run is filed under its config's hash"
+            )
         from repro.store import ResultStore
 
         store = ResultStore.ensure(store)
@@ -71,8 +79,7 @@ def run_one(
             return RunOutcome(done.run_id, result, done.elapsed, True)
     sim.ground_state(store)
     if progress is not None:
-        n_steps = window.get("n_steps")
-        progress(0, sim.config.propagation.n_steps if n_steps is None else int(n_steps))
+        progress(0, ran.n_steps)
     result = sim.propagate(progress=progress, **window)
     elapsed = time.perf_counter() - started
     run_id = None if store is None else store.add_result(result, elapsed=elapsed)

@@ -30,6 +30,7 @@ from repro.api.config import (
     SimulationConfig,
     check_config_matches,
     open_result_npz,
+    overridden,
 )
 from repro.api.registry import CELLS, FIELDS, FUNCTIONALS, PROPAGATORS
 from repro.backend import Backend, FFTCounters
@@ -424,7 +425,7 @@ class Simulation:
         if self._gs is None:
 
             def converge() -> GroundState:
-                return run_scf(self.hamiltonian, self.config.scf.to_options())
+                return run_scf(self.hamiltonian, self.config.scf)
 
             if store is None:
                 self._gs = converge()
@@ -465,13 +466,16 @@ class Simulation:
         """Run the configured propagation from the current state.
 
         Arguments override the corresponding ``propagation`` config keys
-        for this call only.  The simulation's state advances, so calling
-        again continues the trajectory.
+        for this call only, refused by those keys' declarations.  The
+        simulation's state advances, so calling again continues the
+        trajectory.
 
         ``store`` (a :class:`~repro.store.ResultStore` or a directory
         path) appends the finished result — trajectory, final state,
         config, and the converged ground state of its shared-SCF group —
-        to the study's result store before returning.
+        to the study's result store before returning; a stored run is
+        filed under its config's hash, so the arguments must then equal
+        the config's keys.
 
         ``progress`` is an optional ``callable(step, n_steps)`` invoked
         after every completed propagation step (and, with a ``store``,
@@ -487,17 +491,9 @@ class Simulation:
                 self, store, progress, reuse=False,
                 n_steps=n_steps, dt_as=dt_as, observe_every=observe_every,
             ).result
-        prop_cfg = self.config.propagation
-        n_steps = prop_cfg.n_steps if n_steps is None else int(n_steps)
-        dt_as = prop_cfg.dt_as if dt_as is None else float(dt_as)
-        observe_every = (
-            prop_cfg.observe_every if observe_every is None else int(observe_every)
+        prop = overridden(
+            self.config.propagation, n_steps=n_steps, dt_as=dt_as, observe_every=observe_every
         )
-        if n_steps < 0:
-            raise ConfigError(f"n_steps must be >= 0, got {n_steps}")
-        if dt_as <= 0.0:
-            raise ConfigError(f"dt_as must be positive, got {dt_as}")
-
         propagator = self.build_propagator()
         ctx = self.parallel
         counters = self.backend.counters
@@ -507,9 +503,9 @@ class Simulation:
         mark = ctx.mark() if ctx is not None else None
         final = propagator.propagate(
             self.state,
-            dt=dt_as * AU_PER_ATTOSECOND,
-            n_steps=n_steps,
-            observe_every=observe_every,
+            dt=prop.dt_as * AU_PER_ATTOSECOND,
+            n_steps=prop.n_steps,
+            observe_every=prop.observe_every,
             on_step=progress,
         )
         self._state = final

@@ -79,7 +79,7 @@ from repro.occupation.sigma import (
 from repro.rt.propagator import PropagatorBase, StepStats, TDState
 from repro.scf.eigensolver import lowdin_orthonormalize
 from repro.scf.mixing import AndersonMixer
-from repro.utils.validation import is_int, require
+from repro.utils.validation import check_settings, setting
 
 
 class MidpointImage(NamedTuple):
@@ -102,28 +102,23 @@ class MidpointImage(NamedTuple):
 
 @dataclass
 class PTIMOptions:
-    """Fixed-point solver knobs (tolerance and history: paper Sec. VI)."""
+    """Fixed-point solver knobs (tolerance and history: paper Sec. VI),
+    the keys of a config's ``[propagation.options]``."""
 
     #: bound on the relative density change of each of the last two
     #: iterates (the residual ``r_k`` of the module docstring)
-    density_tol: float = 1.0e-6
+    density_tol: float = setting(1.0e-6, float, lo=0, open=True)
     #: cap on the applications of the map T per step (at least one)
-    max_scf: int = 30
-    mix_beta: float = 1.0
-    mix_history: int = 20
+    max_scf: int = setting(30, int, lo=1)
+    mix_beta: float = setting(1.0, float, lo=0, hi=1, open=True)
+    mix_history: int = setting(20, int, lo=1)
     #: the dense exchange acts on sigma's eigenbasis image (Sec. IV-A1;
     #: Alg. 2 is a kernel, not a mode): one value, kept as a key so that
     #: configs naming it keep loading and hashing as before
-    fock_mode: Literal["dense-diag"] = "dense-diag"
+    fock_mode: Literal["dense-diag"] = setting("dense-diag", str, choices=("dense-diag",))
 
     def __post_init__(self) -> None:
-        require(
-            self.fock_mode == "dense-diag", f"fock_mode must be 'dense-diag', got {self.fock_mode!r}"
-        )
-        for key in ("max_scf", "mix_history"):
-            value = getattr(self, key)
-            require(is_int(value) and value >= 1, f"{key} must be an integer >= 1, got {value!r}")
-        require(self.density_tol > 0, f"density_tol must be positive, got {self.density_tol}")
+        check_settings(self, "propagation.options")
 
 
 class PTIMPropagator(PropagatorBase):

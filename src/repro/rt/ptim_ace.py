@@ -37,23 +37,16 @@ import numpy as np
 
 from repro.rt.propagator import StepStats, TDState
 from repro.rt.ptim import MidpointImage, PTIMOptions, PTIMPropagator
-from repro.utils.validation import is_int, require
+from repro.utils.validation import setting
 
 
 @dataclass
 class PTIMACEOptions(PTIMOptions):
     """Double-loop controls (inherits the PT-IM fixed-point knobs)."""
 
-    exchange_tol: float = 1.0e-6
-    max_outer: int = 10
-    max_inner: int = 20
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
-        for key in ("max_outer", "max_inner"):
-            value = getattr(self, key)
-            require(is_int(value) and value >= 1, f"{key} must be an integer >= 1, got {value!r}")
-        require(self.exchange_tol > 0, f"exchange_tol must be positive, got {self.exchange_tol}")
+    exchange_tol: float = setting(1.0e-6, float, lo=0, open=True)
+    max_outer: int = setting(10, int, lo=1)
+    max_inner: int = setting(20, int, lo=1)
 
 
 class PTIMACEPropagator(PTIMPropagator):

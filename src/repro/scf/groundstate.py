@@ -58,6 +58,8 @@ from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
+# declared beside the [scf] section that checks them
+from repro.api.config import SCFOptions
 from repro.constants import SPIN_DEGENERACY, kelvin_to_hartree
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.ace import ACEOperator
@@ -69,7 +71,7 @@ from repro.pseudo.database import get_pseudopotential
 from repro.scf.eigensolver import davidson
 from repro.scf.mixing import KerkerMixer
 from repro.utils.rng import default_rng
-from repro.utils.validation import require
+from repro.utils.validation import declaration, require
 
 
 #: eigensolve tolerance per unit of density change: a residual r moves the output density by O(r)
@@ -80,22 +82,6 @@ _DAVIDSON_TOL_CAP = 1e-3
 _INNER_TOL_PER_JUMP = 0.1
 #: a hybrid's semilocal bootstrap stop: a tenth of the smallest jump an eigensolve at the cap resolves
 _BOOTSTRAP_TOL = _INNER_TOL_PER_JUMP * _DAVIDSON_TOL_CAP / _DAVIDSON_TOL_PER_DRHO
-
-
-@dataclass
-class SCFOptions:
-    """Knobs of the ground-state solver."""
-
-    nbands: Optional[int] = None  #: default: Ne/2 + Natom/2 extra (paper: tests)
-    temperature_k: float = 8000.0
-    density_tol: float = 1.0e-6
-    exchange_tol: float = 1.0e-6
-    max_scf: int = 60
-    max_outer: int = 10
-    davidson_tol: float = 1e-7
-    mix_beta: float = 0.5
-    mix_history: int = 20
-    seed: int = 7
 
 
 @dataclass
@@ -227,13 +213,13 @@ def run_scf(
     opts = options or SCFOptions()
     grid = ham.grid
     kt = kelvin_to_hartree(opts.temperature_k)
-    # `is None`, not truthiness: an explicit nbands=0 must error below,
-    # not silently fall back to the default band count
+    # `is None`, not truthiness: an explicit nbands=0 is refused by its
+    # declaration, never replaced by the default band count
     if opts.nbands is None:
         nbands = default_nbands(ham.n_electrons, ham.cell.natom)
     else:
-        nbands = int(opts.nbands)
-    require(nbands > 0, f"nbands must be a positive band count, got {opts.nbands!r}")
+        declaration(SCFOptions, "nbands").check(opts.nbands, "nbands")
+        nbands = opts.nbands
     require(
         nbands * ham.degeneracy >= ham.n_electrons,
         f"{nbands} bands cannot hold {ham.n_electrons} electrons",

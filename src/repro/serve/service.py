@@ -22,11 +22,12 @@ import threading
 import time
 from typing import Any, Dict, Optional, Tuple
 
-from repro.api.config import SimulationConfig
+from repro.api.config import ServeConfig, SimulationConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.pool import WorkerPool
 from repro.serve.queue import JobQueue, job_id_for
 from repro.store.common import utc_now
+from repro.utils.validation import declaration
 
 #: seconds between supervisor passes
 SUPERVISE_EVERY_S = 0.25
@@ -150,16 +151,24 @@ class JobService:
         Idempotent by content hash — resubmitting an identical config
         returns the existing job.  A config whose exact result already
         sits in the store never reaches the queue: the job is born
-        ``ok`` pointing at the stored run.
+        ``ok`` pointing at the stored run.  ``max_attempts`` and
+        ``timeout`` are refused by name unless ``serve.retries`` and
+        ``serve.timeout`` would accept them.
         """
+        if max_attempts is None:
+            max_attempts = self.retries
+        if timeout is None:
+            timeout = self.timeout
+        declaration(ServeConfig, "retries").check(max_attempts, "max_attempts")
+        declaration(ServeConfig, "timeout").check(timeout, "timeout")
         if not isinstance(config, SimulationConfig):
             config = SimulationConfig.from_dict(config)
         cached = self.store.find_completed(config)
         before = self.queue.get(job_id_for(config))
         job = self.queue.submit(
             config,
-            max_attempts=self.retries if max_attempts is None else int(max_attempts),
-            timeout=self.timeout if timeout is None else float(timeout),
+            max_attempts=max_attempts,
+            timeout=timeout,
             run_id=cached.run_id if cached is not None else None,
         )
         created = before is None or before["status"] in ("error", "cancelled")

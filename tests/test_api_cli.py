@@ -128,7 +128,7 @@ def test_cli_validate_unknown_component(tmp_path, capsys):
     assert "unknown propagator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["max_scf = 0", "typo_tol = 1e-6"])
+@pytest.mark.parametrize("option", ["max_scf = 0", "typo_tol = 1e-6", "mix_beta = 0"])
 def test_cli_refuses_propagation_options_before_the_scf(tmp_path, capsys, option):
     """A propagation option that cannot run, or an unknown one, is refused
     by name by `validate`, and by `run` before any ground state is
@@ -144,6 +144,14 @@ def test_cli_refuses_propagation_options_before_the_scf(tmp_path, capsys, option
     assert key in err
     assert "ground state" not in out
     assert not list(store.glob("blobs/ground_states/*.npz"))
+
+
+def test_cli_validate_refuses_a_string_tolerance(tmp_path, capsys):
+    """A quoted number is refused by its dotted key, exit 2, not a traceback."""
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text('[propagation.options]\ndensity_tol = "1e-6"\n')
+    assert main(["validate", str(cfg)]) == 2
+    assert "propagation.options.density_tol" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("nbands", ["nbands = 20", ""])
@@ -263,6 +271,48 @@ def test_cli_run_store_reuses_completed_run(tmp_path, capsys):
     assert "reused from" not in third
     # a reused run still renders the observable table
     assert "final" in second or "t (" in second or len(second) > 0
+
+
+def test_cli_run_steps_is_the_stored_config(tmp_path, capsys):
+    """``--steps N`` edits the config before anything runs: the stored run
+    is filed under the N-step config's hash, so the config's own length
+    is not answered by it, and a bad N is refused before the SCF."""
+    from repro.store import ResultStore
+
+    cfg = tmp_path / "tiny.toml"
+    cfg.write_text(TINY_TOML)
+    store = tmp_path / "store"
+    assert main(["run", str(cfg), "--steps", "1", "--store", str(store)]) == 0
+    assert "reused from" not in capsys.readouterr().out
+    assert main(["run", str(cfg), "--store", str(store)]) == 0
+    assert "reused from" not in capsys.readouterr().out
+    assert main(["run", str(cfg), "--steps", "1", "--store", str(store)]) == 0
+    assert "reused from" in capsys.readouterr().out
+    opened = ResultStore(store)
+    runs = {r.config.propagation.n_steps: r.n_times for r in opened.query()}
+    opened.close()
+    assert runs == {1: 2, 2: 3}
+
+    assert main(["run", str(cfg), "--steps", "-1", "--store", str(tmp_path / "other")]) == 2
+    out, err = capsys.readouterr()
+    assert "propagation.n_steps" in err and "ground state" not in out
+
+
+def test_cli_serve_overrides_obey_the_serve_section(tmp_path, capsys, monkeypatch):
+    """``repro serve`` flags are refused by the ``[serve]`` declarations
+    before anything binds or a store is made."""
+    from repro.serve.service import JobService
+
+    def never(self):
+        raise AssertionError("a refused flag reached JobService.start")
+
+    monkeypatch.setattr(JobService, "start", never)
+    cfg = REPO_ROOT / "examples" / "configs" / "serve.toml"
+    store = tmp_path / "s"
+    for flag, value, key in (("--workers", "0", "serve.workers"), ("--port", "70000", "serve.port")):
+        assert main(["serve", str(cfg), "--store", str(store), flag, value]) == 2
+        assert key in capsys.readouterr().err
+    assert not store.exists()
 
 
 def test_cli_run_reports_steps_that_did_not_converge(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Config layer: strict parsing, round-trips, registry wiring."""
 
+import dataclasses
 import json
 
 import pytest
@@ -20,7 +21,11 @@ from repro.api import (
     available_components,
 )
 from repro.api.cli import main
+from repro.api.config import _Section
+from repro.rt.ptim import PTIMOptions
+from repro.rt.ptim_ace import PTIMACEOptions
 from repro.scf.groundstate import SCFOptions
+from repro.utils.validation import declaration
 
 FULL_DICT = {
     "system": {
@@ -158,6 +163,33 @@ def test_invalid_values_name_the_key(section, patch, match):
         SimulationConfig.from_dict({section: patch})
 
 
+#: every settings class and the dotted scope its refusals name
+SETTING_CLASSES = [(cls, cls._context) for cls in _Section.__subclasses__()] + [
+    (PTIMOptions, "propagation.options"),
+    (PTIMACEOptions, "propagation.options"),
+]
+
+
+@pytest.mark.parametrize(
+    "cls, scope, key",
+    [
+        pytest.param(cls, scope, f.name, id=f"{cls.__name__}.{f.name}")
+        for cls, scope in SETTING_CLASSES
+        for f in dataclasses.fields(cls)
+        if not f.name.startswith("_")
+    ],
+)
+def test_every_setting_is_declared(cls, scope, key):
+    """Each config key and propagator option carries one declaration, and
+    a number or integer key refuses a boolean by its dotted name: a key
+    added without a declaration fails here."""
+    rule = declaration(cls, key)
+    assert rule is not None
+    if rule.kind in (int, float):
+        with pytest.raises(ConfigError, match=rf"{scope}\.{key}\b"):
+            cls(**{key: True})
+
+
 def test_number_keys_are_not_coerced():
     """An integer given for a number key stays an integer, so every config
     that loaded before the number checks keeps its hash."""
@@ -260,8 +292,8 @@ def test_replace_unknown_section_rejected():
 
 
 def test_scf_config_maps_onto_scf_options():
-    cfg = SCFConfig.from_dict({"nbands": 12, "temperature_k": 300.0, "seed": 3})
-    opts = cfg.to_options()
+    """The ``[scf]`` section is the solver's options: each key declared once."""
+    opts = SCFConfig.from_dict({"nbands": 12, "temperature_k": 300.0, "seed": 3})
     assert isinstance(opts, SCFOptions)
     assert (opts.nbands, opts.temperature_k, opts.seed) == (12, 300.0, 3)
 
@@ -330,6 +362,10 @@ def test_propagator_options_validated():
         ("ptim", {"mix_history": True}, ValueError),
         ("ptim_ace", {"max_outer": True}, ValueError),
         ("ptim_ace", {"max_inner": True}, ValueError),
+        ("ptim", {"mix_beta": 0}, ValueError),
+        ("ptim", {"mix_beta": 1.5}, ValueError),
+        ("ptim", {"density_tol": "1e-6"}, ValueError),
+        ("ptim_ace", {"exchange_tol": True}, ValueError),
     ],
 )
 def test_propagator_options_refuse_what_cannot_run(name, options, error):

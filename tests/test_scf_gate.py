@@ -95,7 +95,7 @@ def test_from_scratch_scf_within_its_tolerances_of_a_tight_reference(group):
     config["scf"].update(overrides)
     sim = Simulation.from_config(config)
     ham = sim.hamiltonian
-    opts = sim.config.scf.to_options()
+    opts = sim.config.scf
     hybrid = ham.functional.is_hybrid
 
     gs = run_scf(ham, opts)

@@ -168,6 +168,27 @@ def test_e2e_bad_submit_is_400(e2e):
     assert err.value.status == 400
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_attempts", 0),
+        ("max_attempts", -2),
+        ("max_attempts", 2.7),
+        ("max_attempts", True),
+        ("timeout", -5),
+        ("timeout", True),
+    ],
+)
+def test_e2e_submit_refuses_job_policy_serve_would_refuse(e2e, field, value):
+    """``max_attempts`` and ``timeout`` obey ``serve.retries`` and
+    ``serve.timeout``: neither is truncated, and a boolean is not a count;
+    the 400 names the field."""
+    payload = {"config": e2e["configs"][0].to_dict(), field: value}
+    with pytest.raises(ServeError, match=field) as err:
+        e2e["client"]._json("/jobs", payload=payload)
+    assert err.value.status == 400
+
+
 def test_e2e_cancel_then_result_is_409(e2e):
     """Cancelling a live job sticks, and its result stays unavailable."""
     client = e2e["client"]
