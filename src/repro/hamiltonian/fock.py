@@ -23,16 +23,17 @@ Three evaluation kernels, all numerically equivalent (tested):
     ``a`` in ``I``, ``b`` in ``J``, fill one batched FFT.  Its potentials ``pot_ab`` yield the partial sum
     ``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
     ``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
-    indices alone, which is what lets the subclass
-    :class:`~repro.parallel.distfock.DistributedFockExchange` override
-    this one method, hand tile pairs to any rank and stay bit-identical.
+    indices alone, so who computes a tile pair does not move a bit.
     The operator acts only on its own sources — every production call
     does: midpoint exchange, ACE build, exchange energy, the hybrid SCF —
     and the kernel is real and even in G, so ``pot_ba = conj(pot_ab)``:
     each unordered pair ``{I <= J}`` is transformed once and also yields
     ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
-    instead of the paper's N^2.  Only the two references above take an
-    arbitrary ``targets`` block.
+    instead of the paper's N^2.  It is written once, as the rank program
+    of the band-parallel exchange (Sec. IV-B, Fig. 5),
+    :meth:`FockExchangeOperator.self_application`, and run here on one
+    rank by :func:`lockstep`, every request answered with the rank's own
+    part: no communicator, no ledger.
 
 Conventions: orbitals are real-space rows ``(N, ngrid)``; pair densities
 carry the continuum normalization through ``grid.dv``-weighted inner
@@ -42,13 +43,19 @@ fraction alpha (applied by the Hamiltonian).
 
 from __future__ import annotations
 
+from itertools import groupby
 from math import isqrt
-from typing import Iterator, List, Optional, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+)
 
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.utils.validation import check_square, require
+
+if TYPE_CHECKING:
+    from repro.backend.base import FFTCounters
 
 #: occupation weights at or below this contribute nothing as sources
 WEIGHT_CUTOFF = 1e-14
@@ -80,6 +87,87 @@ def symmetric_tile_pairs(
                 yield i, j, None
             elif keep.any():
                 yield i, j, keep
+
+
+class Collective(NamedTuple):
+    """A request a rank program yields, then is sent the reply to: ``op``
+    names the collective, ``data`` is this rank's part (for
+    ``alltoallv_blocks``, a list of arrays per destination rank) and
+    ``args`` what every rank passes alike."""
+
+    op: str
+    data: Any
+    args: Tuple = ()
+
+
+RankProgram = Generator[Collective, Any, Any]
+
+
+def lockstep(
+    programs: Sequence[RankProgram],
+    answer: Callable[[str, Tuple, List[Any]], List[Any]],
+    counters: FFTCounters,
+) -> Tuple[List[Any], List[int]]:
+    """Run one rank program per rank in lockstep: each round advances every
+    program to its next request, then ``answer(op, args, parts)`` replies
+    to all of them at once, one reply per rank.
+
+    Requests that differ in collective or arguments raise ``RuntimeError``
+    naming each rank's, before ``answer`` sees them; an exception inside a
+    program propagates unchanged, before its round is answered, and every
+    program is closed.  Returns the programs' results and, per rank, the
+    advance of ``counters.transforms`` while that rank ran."""
+    transforms = [0] * len(programs)
+    replies: List[Any] = [None] * len(programs)
+    try:
+        while True:
+            requests: List[Collective] = []
+            for r, program in enumerate(programs):
+                before = counters.transforms
+                try:
+                    requests.append(program.send(replies[r]))
+                except StopIteration as done:
+                    # the value only: the exception's traceback holds this frame
+                    requests.append(Collective("returned", done.value))
+                transforms[r] += counters.transforms - before
+            asked = [(q.op, q.args) for q in requests]
+            if len(set(asked)) > 1:
+                ranks = "; ".join(f"rank {r}: {op}{args}" for r, (op, args) in enumerate(asked))
+                raise RuntimeError(f"rank programs out of step: {ranks}")
+            parts = [q.data for q in requests]
+            if asked[0][0] == "returned":
+                return parts, transforms
+            replies = answer(*asked[0], parts)
+    finally:
+        for program in programs:
+            program.close()
+
+
+def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) -> RankProgram:
+    """Every rank's ``(shard, weight_shard)`` on this rank, in band order,
+    through ``pattern`` (Fig. 5): each owner broadcasts its shard
+    (``bcast``), or shards rotate one neighbor hop per step (``ring``);
+    an ``async-ring`` orbital hop overlaps the ``(nbands + 1) / (2 p)``
+    pair solves per orbital in hand, the weights riding synchronous hops."""
+    held = [(shard, weight_shard)] * p  # held[owner] = (orbitals, weights)
+    if pattern == "bcast":
+        for root in range(p):
+            block = yield Collective("bcast", shard if rank == root else None, (root,))
+            w = yield Collective("bcast", weight_shard if rank == root else None, (root,))
+            held[root] = (block, w)
+    elif pattern in ("ring", "async-ring"):
+        block, w = shard, weight_shard
+        for step in range(1, p):
+            if pattern == "async-ring":
+                block = yield Collective("ring_shift_async", block, ((nbands + 1) / (2.0 * p),))
+            else:
+                block = yield Collective("ring_shift", block)
+            w = yield Collective("ring_shift", w)
+            held[(rank - step) % p] = (block, w)
+    else:
+        raise ValueError(f"unknown pattern {pattern!r}; use bcast, ring or async-ring")
+    blocks, weights = zip(*held)
+    return np.concatenate(blocks, axis=0), np.concatenate(weights)
 
 
 class FockExchangeOperator:
@@ -183,18 +271,67 @@ class FockExchangeOperator:
         weights ``d_i`` in [0, 1].  The operator acts on its own sources:
         every unordered orbital pair is transformed once (N(N+1)/2 FFT
         pairs), ``batch_size`` pair densities per batched transform.
+        The one-rank run of :meth:`self_application`.
         """
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source orbital")
-        acc = np.zeros_like(phi_src)
-        weighted = weights[:, None] * phi_src
-        tiles = band_tiles(phi_src.shape[0], self.batch_size)
-        for i, j, keep in symmetric_tile_pairs(tiles, weights):
-            forward, backward = self.tile_pair_partials(phi_src, weighted, tiles[i], tiles[j], keep)
-            acc[tiles[j]] += forward
-            if backward is not None:
-                acc[tiles[i]] += backward
-        return np.negative(acc, out=acc)
+        program = self.self_application(phi_src, weights, phi_src.shape[0])
+        # the only rank: each reply is its own part, no communicator, no ledger
+        return lockstep([program], lambda op, args, parts: parts, self.grid.backend.counters)[0][0]
+
+    def self_application(
+        self,
+        shard: np.ndarray,
+        weight_shard: np.ndarray,
+        nbands: int,
+        rank: int = 0,
+        nranks: int = 1,
+        pattern: str = "bcast",
+    ) -> RankProgram:
+        """Rank ``rank`` of ``nranks``'s part of :meth:`apply_diag`, from its
+        band shard of the ``nbands`` sources; it owns a balanced block of
+        whole tiles.  It collects every shard through ``pattern`` (bitwise
+        the serial sources), evaluates tile pair ``k`` if ``k ≡ rank (mod
+        nranks)``, returns each *wave*'s partials — the pairs ``(I, J >=
+        I)`` of one lower tile, at most ``2N`` rows — unreduced to their
+        tile owners in one ``alltoallv_blocks``, adds what it receives in
+        ascending source tile, the serial order, and returns ``V_x`` of
+        all sources, gathered by ``allgatherv``.  A partial for its own
+        tile is added as soon as it is computed unless an earlier one for
+        that tile is still in flight, so the one-rank run holds no wave."""
+        p = nranks
+        phi, weights = yield from _sources(shard, weight_shard, nbands, rank, p, pattern)
+        weighted = weights[:, None] * phi
+        tiles = band_tiles(nbands, self.batch_size)
+        # the balanced partition of repro.parallel.layouts.partition_sizes,
+        # which BandLayout cuts bands with (physics imports no repro.parallel)
+        owned = np.array_split(np.arange(len(tiles)), p)
+        owner = np.repeat(np.arange(p), [len(o) for o in owned])
+        mine = [tiles[t] for t in owned[rank]]
+        lo = mine[0].start if mine else 0
+        acc = np.zeros_like(phi[lo : mine[-1].stop if mine else 0])
+        pairs = enumerate(symmetric_tile_pairs(tiles, weights))
+        for _, wave in groupby(pairs, key=lambda item: item[1][0]):
+            outbox: List[List[np.ndarray]] = [[] for _ in range(p)]
+            late: List[Tuple[int, int]] = []  # (sender, tile) to add after the exchange
+            for k, (i, j, keep) in wave:
+                sender, partials = k % p, (None, None)
+                if sender == rank:
+                    partials = self.tile_pair_partials(phi, weighted, tiles[i], tiles[j], keep)
+                for t, partial in zip((j,) if i == j else (j, i), partials):
+                    if owner[t] == rank and sender == rank and all(t != q for _, q in late):
+                        # its own, with nothing before it in the serial order in flight
+                        acc[tiles[t].start - lo : tiles[t].stop - lo] += partial
+                        continue
+                    if owner[t] == rank:
+                        late.append((sender, t))
+                    if sender == rank:
+                        outbox[owner[t]].append(partial)
+            inbox = [iter(parts) for parts in (yield Collective("alltoallv_blocks", outbox))]
+            del outbox  # peak memory: one copy of the wave alive at a time
+            for sender, t in late:
+                acc[tiles[t].start - lo : tiles[t].stop - lo] += next(inbox[sender])
+        return (yield Collective("allgatherv", np.negative(acc, out=acc)))
 
     # -- mixed-state baseline (paper Alg. 2) -----------------------------------
     def apply_mixed_tripleloop(

@@ -3,11 +3,11 @@
 The paper's systems innovation (Sec. IV-B) is about *communication
 patterns*: replacing orbital broadcasts with (asynchronous) ring
 point-to-point rotation, and replicated N x N matrices with node-level
-shared memory.  This package executes those distributed algorithms
-deterministically on per-rank numpy shards — numerically identical to the
-serial code (tested) — while a :class:`CostLedger` tallies modeled
-communication time per MPI-operation category, reproducing the paper's
-Table I breakdown.
+shared memory.  This package runs the exchange's one rank program on
+per-rank numpy shards under :class:`SimComm`'s lockstep driver — bitwise
+the serial operator, that program's one-rank run — while a
+:class:`CostLedger` tallies modeled communication time per MPI-operation
+category, reproducing the paper's Table I breakdown.
 """
 
 from repro.utils.lazy import lazy_exports

@@ -3,7 +3,10 @@
 ``SimComm`` owns ``nranks`` logical ranks; collective arguments are lists
 with one numpy array per rank.  Operations *actually move the data* (so
 distributed algorithms built on top are numerically exact) and charge the
-machine model's time to a :class:`CostLedger`.
+machine model's time to a :class:`CostLedger`.  :meth:`SimComm.run`
+drives a rank program (one generator per rank, such as
+:meth:`~repro.hamiltonian.fock.FockExchangeOperator.self_application`)
+over them in lockstep.
 
 Timing convention: ranks run in lockstep, so for an operation performed
 concurrently by all ranks we charge the *per-rank critical-path* time
@@ -13,13 +16,17 @@ MPI time.
 
 from __future__ import annotations
 
-from typing import List, Literal, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec
 from repro.utils.validation import require
+
+if TYPE_CHECKING:  # config validation imports this module without the physics
+    from repro.backend.base import FFTCounters
+    from repro.hamiltonian.fock import RankProgram
 
 Pattern = Literal["bcast", "ring", "async-ring"]
 
@@ -43,8 +50,12 @@ class SimComm:
         require(len(per_rank) == self.nranks, f"expected {self.nranks} rank buffers, got {len(per_rank)}")
 
     @staticmethod
-    def _nbytes(a: np.ndarray) -> float:
-        return float(np.asarray(a).nbytes)
+    def _nbytes(a: np.ndarray | List[np.ndarray]) -> float:
+        return float(sum(x.nbytes for x in a) if isinstance(a, list) else np.asarray(a).nbytes)
+
+    @staticmethod
+    def _copy(a: np.ndarray | List[np.ndarray]) -> np.ndarray | List[np.ndarray]:
+        return [x.copy() for x in a] if isinstance(a, list) else np.asarray(a).copy()
 
     # -- collectives --------------------------------------------------------------
     def bcast(self, per_rank: List[Optional[np.ndarray]], root: int) -> List[np.ndarray]:
@@ -62,13 +73,7 @@ class SimComm:
         sends/receives one neighbor message, so the charged time is one
         single-hop point-to-point transfer of the largest buffer.
         """
-        self._check(per_rank)
-        if self.nranks == 1:
-            return [np.asarray(per_rank[0]).copy()]
-        max_bytes = max(self._nbytes(b) for b in per_rank)
-        t = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
-        self.ledger.add("sendrecv", max_bytes, t)
-        return [np.asarray(per_rank[r - 1]).copy() for r in range(self.nranks)]
+        return self._rotate(per_rank, "sendrecv", 0.0)
 
     def ring_shift_async(
         self, per_rank: Sequence[np.ndarray], compute_seconds: float
@@ -79,13 +84,14 @@ class SimComm:
         computes on the block it already holds; only the *excess* of
         communication over computation is charged, as MPI_Wait time.
         """
+        return self._rotate(per_rank, "wait", compute_seconds)
+
+    def _rotate(self, per_rank: Sequence[np.ndarray], kind: str, hidden: float) -> List[np.ndarray]:
         self._check(per_rank)
-        if self.nranks == 1:
-            return [np.asarray(per_rank[0]).copy()]
-        max_bytes = max(self._nbytes(b) for b in per_rank)
-        t_comm = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
-        wait = max(0.0, t_comm - compute_seconds)
-        self.ledger.add("wait", max_bytes, wait)
+        if self.nranks > 1:
+            max_bytes = max(self._nbytes(b) for b in per_rank)
+            t_comm = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
+            self.ledger.add(kind, max_bytes, max(0.0, t_comm - hidden))
         return [np.asarray(per_rank[r - 1]).copy() for r in range(self.nranks)]
 
     def allreduce_sum(self, per_rank: Sequence[np.ndarray], participants: Optional[int] = None) -> List[np.ndarray]:
@@ -139,7 +145,8 @@ class SimComm:
         """Full exchange: ``blocks[r][s]`` goes from rank r to rank s.
 
         Returns ``out[s][r] = blocks[r][s]`` — how the exchange returns
-        tile-pair partials to the ranks that own their tiles.
+        tile-pair partials to the ranks that own their tiles.  A block is
+        an array, or a list of arrays sent as one message.
         """
         self._check(blocks)
         for row in blocks:
@@ -150,4 +157,35 @@ class SimComm:
         )
         t = self.machine.alltoallv_time(send_bytes, self.nranks)
         self.ledger.add("alltoallv", send_bytes, t)
-        return [[np.asarray(blocks[r][s]).copy() for r in range(self.nranks)] for s in range(self.nranks)]
+        return [[self._copy(blocks[r][s]) for r in range(self.nranks)] for s in range(self.nranks)]
+
+    # -- the lockstep driver ----------------------------------------------------
+    def run(
+        self, programs: Sequence[RankProgram], counters: FFTCounters
+    ) -> Tuple[List[Any], List[int]]:
+        """Run one rank program per rank under
+        :func:`~repro.hamiltonian.fock.lockstep`, each round's requests
+        answered by one call of their list-form collective: mismatched
+        requests and a failing rank raise before their round is charged.
+        Returns the results and, per rank, its ``counters.transforms``."""
+        from repro.hamiltonian.fock import lockstep
+
+        require(len(programs) == self.nranks, f"expected {self.nranks} rank programs")
+        return lockstep(programs, self._collective, counters)
+
+    def _collective(self, op: str, args: Tuple, data: List[Any]) -> List[Any]:
+        """One round's collective, called once: each rank's reply."""
+        if op in ("bcast", "ring_shift", "alltoallv_blocks"):
+            return getattr(self, op)(data, *args)
+        if op == "ring_shift_async":
+            # the hop hides behind the pair solves (two transforms each) on
+            # the largest block in hand, priced as the analytic model does
+            m, n_pairs = self.machine, max(b.shape[0] for b in data) * args[0]
+            hidden = m.overlap_efficiency * 2.0 * n_pairs * m.fft_box_time(data[0].shape[-1])
+            return self.ring_shift_async(data, hidden)
+        if op == "allgatherv":
+            gathered = np.concatenate(data, axis=0)
+            self.charge_allgatherv(float(gathered.nbytes))
+            return [gathered] * self.nranks
+        raise ValueError(f"no collective {op!r}")
+

@@ -4,7 +4,8 @@ PWDFT's band-index parallelization gives each rank whole orbitals, so a
 rank's FFTs are local; this is the layout the distributed exchange
 shards its sources by.  :func:`partition_sizes` /
 :func:`partition_offsets` are the balanced 1-D block partition it cuts
-bands and tiles with.
+bands with; the exchange's rank program cuts its tiles by the same
+partition (``np.array_split``).
 """
 
 from __future__ import annotations

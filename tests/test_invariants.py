@@ -1,4 +1,4 @@
-"""Eight invariants of ``src/repro``, checked on its syntax trees.
+"""Nine invariants of ``src/repro``, checked on its syntax trees.
 
 Each check takes ``(rel, tree)`` — a file's path inside the ``repro``
 package (``store/index.py``) and its parsed module — and yields the nodes
@@ -34,6 +34,10 @@ allowlist: a violation is fixed in the code.
   attribute, or a ``getattr`` / ``hasattr`` string): modeled
   communication time is read only by ``parallel/``, ``perf/`` and the
   reports, per run or per session, never probed for per step or per SCF.
+- ``tile-pair-loop``: only ``hamiltonian/fock.py`` calls
+  ``symmetric_tile_pairs`` or ``tile_pair_partials``: the exchange's
+  self-application is one rank program, which the serial operator and
+  every rank of the distributed one run alike.
 """
 
 import ast
@@ -117,7 +121,7 @@ def flagged(check, rel, tree):
     return [line for line, _ in sorted(sites)]
 
 
-# ---------------- the eight checks --------------------------------------------
+# ---------------- the nine checks ---------------------------------------------
 
 SQLITE_HOME = ("store/common.py",)
 
@@ -373,6 +377,18 @@ def ledger_isolation(rel, tree):
             yield node
 
 
+TILE_LOOP_HOME = ("hamiltonian/fock.py",)
+TILE_LOOP = ("symmetric_tile_pairs", "tile_pair_partials")
+
+
+def tile_pair_loop(rel, tree):
+    if rel in TILE_LOOP_HOME:
+        return
+    for call, name in calls(tree, imports_of(tree)):
+        if (attr_of(call) or (name or "").rsplit(".", 1)[-1]) in TILE_LOOP:
+            yield call
+
+
 CHECKS = {
     "sqlite-discipline": sqlite_discipline,
     "atomic-io": atomic_io,
@@ -382,6 +398,7 @@ CHECKS = {
     "pickle-safety": pickle_safety,
     "sigma-image": sigma_image,
     "ledger-isolation": ledger_isolation,
+    "tile-pair-loop": tile_pair_loop,
 }
 
 
@@ -410,6 +427,7 @@ def test_scopes_name_real_paths():
     """A renamed package must not switch a check off silently."""
     scopes = (
         SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY, IMAGE_ONLY, LEDGER_FREE,
+        TILE_LOOP_HOME,
     )
     missing = [
         entry

@@ -17,6 +17,7 @@ from test_invariants import (
     pickle_safety,
     sigma_image,
     sqlite_discipline,
+    tile_pair_loop,
 )
 
 
@@ -385,3 +386,41 @@ def test_ledger_isolation_scopes_to_physics_only():
     # the substrate and the reports are where the ledger lives
     for rel in ("parallel/context.py", "perf/report.py", "api/cli.py", "backend/base.py"):
         assert lines(ledger_isolation, LEDGER_BAD, rel) == []
+
+
+# ---------------- tile-pair-loop --------------------------------------------
+
+
+TILE_LOOP_BAD = """\
+import repro.hamiltonian.fock as fock
+from repro.hamiltonian.fock import symmetric_tile_pairs as pairs
+
+def apply_diag(self, phi, weighted, tiles, weights):
+    for i, j, keep in pairs(tiles, weights):
+        self.tile_pair_partials(phi, weighted, tiles[i], tiles[j], keep)
+    return list(fock.symmetric_tile_pairs(tiles, weights))
+"""
+
+TILE_LOOP_CLEAN = """\
+from repro.hamiltonian.fock import band_tiles, symmetric_tile_pairs
+
+def apply_diag(self, phi, weights):
+    # importing the names is not running the loop; a rank program is
+    programs = [self.self_application(phi, weights, len(phi), r, 2) for r in range(2)]
+    return self.comm.run(programs, self.grid.backend.counters), band_tiles(len(phi), 16)
+"""
+
+
+def test_tile_pair_loop_flags_calls_through_every_name():
+    # the aliased function, the method, the module attribute
+    assert lines(tile_pair_loop, TILE_LOOP_BAD, "parallel/distfock.py") == [5, 6, 7]
+
+
+def test_tile_pair_loop_clean_driver_passes():
+    assert lines(tile_pair_loop, TILE_LOOP_CLEAN, "parallel/distfock.py") == []
+
+
+def test_tile_pair_loop_scopes_to_all_but_the_operator():
+    assert lines(tile_pair_loop, TILE_LOOP_BAD, "hamiltonian/fock.py") == []
+    for rel in ("hamiltonian/ace.py", "rt/ptim.py", "api/runs.py"):
+        assert lines(tile_pair_loop, TILE_LOOP_BAD, rel) == [5, 6, 7]

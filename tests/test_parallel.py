@@ -1,12 +1,16 @@
 """Simulated-MPI substrate: communicator, layouts, SHM, distributed Fock."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backend.base import FFTCounters
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
-from repro.hamiltonian.fock import FockExchangeOperator, band_tiles
+from repro.hamiltonian.fock import Collective, FockExchangeOperator, band_tiles
 from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 from repro.parallel import (
     A100_GPU,
@@ -264,6 +268,110 @@ def test_pattern_cost_ordering(grid):
         totals[pattern] = ledger.total_seconds()
     assert totals["bcast"] > totals["ring"]
     assert totals["ring"] >= totals["async-ring"]
+
+
+# ---------------- the lockstep driver ------------------------------------------------------
+def _program(*requests, fail=None, closed=None):
+    """A rank program that asks for ``requests`` in turn, then raises
+    ``fail`` if given, else returns the replies it got."""
+    replies = []
+    try:
+        for request in requests:
+            replies.append((yield request))
+        if fail is not None:
+            raise fail
+        return replies
+    finally:
+        if closed is not None:
+            closed.append(True)
+
+
+def test_driver_refuses_mismatched_requests_before_any_charge():
+    ledger = CostLedger()
+    comm = SimComm(3, FUGAKU_ARM, ledger)
+    counters = FFTCounters()
+    block = np.zeros((2, 4), dtype=complex)
+    agreed = Collective("bcast", block, (0,))
+    programs = [
+        _program(agreed, Collective("bcast", block, (0,))),
+        _program(agreed, Collective("ring_shift", block)),
+        _program(agreed, Collective("bcast", block, (1,))),
+    ]
+    with pytest.raises(RuntimeError, match="out of step") as err:
+        comm.run(programs, counters)
+    message = str(err.value)
+    for named in ("rank 0: bcast(0,)", "rank 1: ring_shift()", "rank 2: bcast(1,)"):
+        assert named in message
+    # the agreed first round was charged whole; the refused one not at all
+    assert [r.category for r in ledger.records] == ["bcast"]
+
+    ledger.reset()
+    early = [_program(), _program(Collective("ring_shift", block)), _program()]
+    with pytest.raises(RuntimeError, match=r"rank 0: returned\(\); rank 1: ring_shift\(\)"):
+        comm.run(early, counters)
+    assert ledger.records == []
+
+
+def test_driver_propagates_a_rank_failure_unchanged_and_uncharged():
+    ledger = CostLedger()
+    comm = SimComm(2, FUGAKU_ARM, ledger)
+    block = np.ones((1, 4), dtype=complex)
+    boom = ArithmeticError("rank 1 fails in its second round")
+    closed = []
+    programs = [
+        _program(Collective("ring_shift", block), Collective("ring_shift", block), closed=closed),
+        _program(Collective("ring_shift", block), fail=boom, closed=closed),
+    ]
+    with pytest.raises(ArithmeticError) as err:
+        comm.run(programs, FFTCounters())
+    assert err.value is boom
+    assert [r.category for r in ledger.records] == ["sendrecv"]  # the first round, whole
+    assert closed == [True, True]  # the waiting rank is closed, not left suspended
+
+
+def test_driver_credits_each_rank_the_transforms_it_ran():
+    counters = FFTCounters()
+
+    def program(transforms):
+        counters.transforms += transforms
+        return (yield Collective("ring_shift", np.zeros(2)))
+
+    comm = SimComm(3, FUGAKU_ARM)
+    results, by_rank = comm.run([program(n) for n in (5, 0, 2)], counters)
+    assert by_rank == [5, 0, 2]
+    assert [r.tolist() for r in results] == [[0.0, 0.0]] * 3
+
+
+def test_distributed_result_is_freed_by_reference_counting(grid):
+    """A lockstep run leaves no reference cycle behind, so the result and
+    every rank's buffers go when the caller drops them, not at the next
+    garbage collection (a cycle per call once held a run's worth of
+    results: +55 MB peak RSS on the 2-rank dense benchmark)."""
+    rng = default_rng(6)
+    phi = grid.random_orbitals(9, rng)
+    dist = DistributedFockExchange(grid, erfc_screened_kernel(grid), SimComm(2, FUGAKU_ARM))
+    gc.collect()
+    gc.disable()
+    try:
+        out = weakref.ref(dist.apply_diag(phi, rng.random(9)))
+        assert out() is None
+    finally:
+        gc.enable()
+
+
+def test_serial_operator_calls_no_communicator(grid, monkeypatch):
+    """The one-rank run answers every request itself: no ``SimComm``
+    method runs, so no ledger is charged (the serial workload's
+    ``parallel.comm.calls == 0``)."""
+    called = []
+    for name, member in vars(SimComm).items():
+        if callable(member) and not name.startswith("__"):
+            monkeypatch.setattr(SimComm, name, lambda *a, _name=name, **k: called.append(_name))
+    rng = default_rng(5)
+    phi = grid.random_orbitals(9, rng)
+    out = FockExchangeOperator(grid, erfc_screened_kernel(grid)).apply_diag(phi, rng.random(9))
+    assert out.shape == phi.shape and np.all(np.isfinite(out))
+    assert called == []
 
 
 # ---------------- shared memory ---------------------------------------------------------
