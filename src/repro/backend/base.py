@@ -27,11 +27,17 @@ unscaled ``ifftn * Ngrid``; ``backward(forward(x)) == x`` to machine
 precision.  The per-axis body this engine replaced in 1.11.0 is the
 ``SeedNumpyBackend`` oracle in ``tests/oracles.py``; the two agree to
 round-off.
+
+The first :class:`Backend` a process builds also fixes glibc's malloc
+thresholds for that process (:func:`_fix_malloc_thresholds`), so only
+processes that compute pay for, and profit from, the policy.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
+import os
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -41,6 +47,52 @@ import scipy.fft as _sfft
 _AXES = (-3, -2, -1)
 #: input dtypes pocketfft already transforms in double precision
 _DOUBLE = (np.dtype(np.float64), np.dtype(np.complex128))
+
+
+#: glibc's ``mallopt`` parameters (``malloc.h``)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+#: glibc's ``DEFAULT_MMAP_THRESHOLD_MAX`` on 64-bit, and the trim threshold
+#: its dynamic rule pairs with it (twice the mmap threshold)
+_MMAP_THRESHOLD = 32 << 20
+_TRIM_THRESHOLD = 64 << 20
+_malloc_fixed = False
+
+
+def _fix_malloc_thresholds() -> None:
+    """Pin glibc's mmap and trim thresholds once per process.
+
+    By default glibc raises both thresholds to follow the largest block
+    freed so far, so what a tile- or band-sized temporary costs depends on
+    the process's allocation history: below the threshold it is reused
+    from the heap, above it every allocation maps fresh zeroed pages and
+    every free unmaps them.  Setting the values glibc reaches by itself
+    after freeing one 32 MiB block makes that state the starting one and
+    switches the history-dependent rule off.  Blocks above 32 MiB are
+    still mapped, and a process keeps up to 64 MiB of freed heap instead
+    of returning it.  Nothing is done without ``mallopt`` (not glibc), or
+    when the environment already configures glibc's malloc, so a
+    launcher's explicit policy wins.
+    """
+    global _malloc_fixed
+    if _malloc_fixed:
+        return
+    _malloc_fixed = True
+    env = os.environ
+    if (
+        "MALLOC_MMAP_THRESHOLD_" in env
+        or "MALLOC_TRIM_THRESHOLD_" in env
+        or "glibc.malloc." in env.get("GLIBC_TUNABLES", "")
+    ):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
 
 
 class BackendError(ValueError):
@@ -150,6 +202,7 @@ class Backend:
             raise BackendError(f"fft_workers must be >= 1, got {fft_workers}")
         self.fft_workers = workers
         self.counters = FFTCounters()
+        _fix_malloc_thresholds()
 
     def describe(self) -> str:
         """One-line description for the CLI / logs."""

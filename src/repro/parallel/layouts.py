@@ -2,10 +2,9 @@
 
 PWDFT's band-index parallelization gives each rank whole orbitals, so a
 rank's FFTs are local; this is the layout the distributed exchange
-shards its sources by.  :func:`partition_sizes` /
-:func:`partition_offsets` are the balanced 1-D block partition it cuts
-bands with; the exchange's rank program cuts its tiles by the same
-partition (``np.array_split``).
+shards its sources by.  :func:`partition_sizes` is the balanced 1-D
+block partition it cuts bands with; the exchange's rank program cuts its
+tiles by the same partition (``np.array_split``).
 """
 
 from __future__ import annotations
@@ -22,14 +21,6 @@ def partition_sizes(total: int, parts: int) -> List[int]:
     """Balanced 1-D block partition (first ``total % parts`` get +1)."""
     base, extra = divmod(total, parts)
     return [base + (1 if p < extra else 0) for p in range(parts)]
-
-
-def partition_offsets(total: int, parts: int) -> List[int]:
-    sizes = partition_sizes(total, parts)
-    offs = [0]
-    for s in sizes[:-1]:
-        offs.append(offs[-1] + s)
-    return offs
 
 
 @dataclass

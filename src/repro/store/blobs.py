@@ -16,6 +16,7 @@ blob under a valid address.
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
@@ -27,6 +28,10 @@ from repro.utils.io import atomic_savez
 
 if TYPE_CHECKING:
     from repro.scf.groundstate import GroundState
+
+#: a blob's file name: its sha256 address; a writer killed mid-write leaves
+#: ``.<address>.npz.tmp-<pid>.npz`` beside it, which is no blob
+_BLOB_NAME = re.compile(r"[0-9a-f]{64}\.npz")
 
 
 class BlobStore:
@@ -71,5 +76,7 @@ class BlobStore:
     def ground_state_addresses(self) -> List[str]:
         if not self.ground_states_dir.exists():
             return []
-        return sorted(p.stem for p in self.ground_states_dir.glob("*.npz"))
+        return sorted(
+            p.stem for p in self.ground_states_dir.glob("*.npz") if _BLOB_NAME.fullmatch(p.name)
+        )
 

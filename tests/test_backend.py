@@ -1,8 +1,15 @@
 """The FFT engine: parity with the seed oracle, out=/in-place, counting and
-config wiring (the package-wide FFT isolation guard is ``fft-isolation`` in
+config wiring, and the allocator policy the first engine of a process
+sets (the package-wide FFT isolation guard is ``fft-isolation`` in
 ``tests/test_invariants.py``)."""
 
+import os
+import platform
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -429,3 +436,79 @@ def test_spectrum_is_uncounted_analysis_path():
     signal = (dipole - dipole[0]) * np.exp(-0.003 * times)
     ref = np.fft.rfft(signal, n=64) * dt
     assert np.allclose(strength, (2 * omega / np.pi) * np.imag(ref / 1e-3))
+
+
+# ---------------- allocator policy -----------------------------------------------
+
+WARM_FOCK_FAULTS = textwrap.dedent(
+    """\
+    import resource
+    from repro.grid import PlaneWaveGrid, silicon_cubic_cell
+    from repro.parallel import FUGAKU_ARM, DistributedFockExchange, SimComm
+    from repro.utils.rng import default_rng
+    from repro.xc.kernels import erfc_screened_kernel
+
+    grid = PlaneWaveGrid(silicon_cubic_cell(), ecut=3.0)
+    assert grid.shape == (12, 12, 12), grid.shape
+    rng = default_rng(0)
+    phi = grid.random_orbitals(24, rng)
+    w = rng.random(24)
+    dist = DistributedFockExchange(grid, erfc_screened_kernel(grid), SimComm(2, FUGAKU_ARM))
+    for _ in range(3):
+        dist.apply_diag(phi, w)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    for _ in range(5):
+        dist.apply_diag(phi, w)
+    print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / 5)
+    """
+)
+
+
+def _warm_fock_faults_per_call(**env_extra) -> float:
+    """Minor page faults per warm 2-rank dense ``apply_diag`` (N = 24, 12^3
+    grid), in a fresh interpreter whose malloc settings are its own."""
+    env = {
+        k: v
+        for k, v in os.environ.items()
+        if not k.startswith(("MALLOC_", "GLIBC_TUNABLES"))
+    }
+    src = Path(__file__).resolve().parent.parent / "src"
+    env["PYTHONPATH"] = str(src)
+    env.update(env_extra)
+    proc = subprocess.run(
+        [sys.executable, "-c", WARM_FOCK_FAULTS],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return float(proc.stdout.split()[-1])
+
+
+glibc_only = pytest.mark.skipif(
+    platform.libc_ver()[0] != "glibc", reason="the policy is glibc's mallopt"
+)
+
+
+@glibc_only
+def test_warm_dense_exchange_reuses_its_heap():
+    """The first engine pins glibc's thresholds, so a warm exchange call's
+    tile- and band-sized temporaries come back from the heap instead of
+    fresh zeroed pages (about 1 400 faults per call under glibc's
+    history-dependent default)."""
+    assert _warm_fock_faults_per_call() < 50
+
+
+@glibc_only
+@pytest.mark.parametrize(
+    "env",
+    [
+        {"MALLOC_MMAP_THRESHOLD_": "131072"},
+        {"GLIBC_TUNABLES": "glibc.malloc.mmap_threshold=131072"},
+    ],
+)
+def test_launcher_malloc_settings_win(env):
+    """An environment that configures glibc's malloc is left alone: with
+    a 128 KiB mmap threshold every pair-density batch is mapped afresh."""
+    assert _warm_fock_faults_per_call(**env) > 1000

@@ -1,4 +1,4 @@
-"""Nine invariants of ``src/repro``, checked on its syntax trees.
+"""Ten invariants of ``src/repro``, checked on its syntax trees.
 
 Each check takes ``(rel, tree)`` — a file's path inside the ``repro``
 package (``store/index.py``) and its parsed module — and yields the nodes
@@ -38,6 +38,9 @@ allowlist: a violation is fixed in the code.
   ``symmetric_tile_pairs`` or ``tile_pair_partials``: the exchange's
   self-application is one rank program, which the serial operator and
   every rank of the distributed one run alike.
+- ``libc-isolation``: only ``backend/`` imports ``ctypes``, so the C
+  calls that change a whole process (glibc's malloc thresholds) have one
+  owner, which runs them once in every process that computes.
 """
 
 import ast
@@ -121,7 +124,7 @@ def flagged(check, rel, tree):
     return [line for line, _ in sorted(sites)]
 
 
-# ---------------- the nine checks ---------------------------------------------
+# ---------------- the ten checks ---------------------------------------------
 
 SQLITE_HOME = ("store/common.py",)
 
@@ -389,6 +392,21 @@ def tile_pair_loop(rel, tree):
             yield call
 
 
+LIBC_HOME = ("backend/",)
+
+
+def libc_isolation(rel, tree):
+    if rel.startswith(LIBC_HOME):
+        return
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            if any(alias.name.split(".")[0] == "ctypes" for alias in node.names):
+                yield node
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            if node.module.split(".")[0] == "ctypes":
+                yield node
+
+
 CHECKS = {
     "sqlite-discipline": sqlite_discipline,
     "atomic-io": atomic_io,
@@ -399,6 +417,7 @@ CHECKS = {
     "sigma-image": sigma_image,
     "ledger-isolation": ledger_isolation,
     "tile-pair-loop": tile_pair_loop,
+    "libc-isolation": libc_isolation,
 }
 
 
@@ -427,7 +446,7 @@ def test_scopes_name_real_paths():
     """A renamed package must not switch a check off silently."""
     scopes = (
         SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY, IMAGE_ONLY, LEDGER_FREE,
-        TILE_LOOP_HOME,
+        TILE_LOOP_HOME, LIBC_HOME,
     )
     missing = [
         entry

@@ -14,6 +14,7 @@ from test_invariants import (
     fft_isolation,
     flagged,
     ledger_isolation,
+    libc_isolation,
     pickle_safety,
     sigma_image,
     sqlite_discipline,
@@ -424,3 +425,40 @@ def test_tile_pair_loop_scopes_to_all_but_the_operator():
     assert lines(tile_pair_loop, TILE_LOOP_BAD, "hamiltonian/fock.py") == []
     for rel in ("hamiltonian/ace.py", "rt/ptim.py", "api/runs.py"):
         assert lines(tile_pair_loop, TILE_LOOP_BAD, rel) == [5, 6, 7]
+
+
+# ---------------- libc-isolation --------------------------------------------
+
+
+LIBC_BAD = """\
+import ctypes
+import ctypes.util as cu
+from ctypes import CDLL
+
+def pin(threshold):
+    CDLL(None).mallopt(-3, threshold)
+"""
+
+LIBC_CLEAN = """\
+import os
+
+from repro.backend import Backend
+
+def pin(workers):
+    # building the engine is what applies the process's allocator policy
+    return Backend(workers), os.environ.get("CTYPES")
+"""
+
+
+def test_libc_isolation_flags_every_import_form():
+    assert lines(libc_isolation, LIBC_BAD, "serve/worker.py") == [1, 2, 3]
+
+
+def test_libc_isolation_clean_code_passes():
+    assert lines(libc_isolation, LIBC_CLEAN, "api/simulation.py") == []
+
+
+def test_libc_isolation_scopes_to_all_but_the_backend():
+    assert lines(libc_isolation, LIBC_BAD, "backend/base.py") == []
+    for rel in ("serve/pool.py", "store/lease.py", "parallel/comm.py", "api/cli.py"):
+        assert lines(libc_isolation, LIBC_BAD, rel) == [1, 2, 3]

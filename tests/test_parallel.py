@@ -20,7 +20,7 @@ from repro.parallel import (
     SimComm,
     machine_by_name,
 )
-from repro.parallel.layouts import BandLayout, partition_offsets, partition_sizes
+from repro.parallel.layouts import BandLayout, partition_sizes
 from repro.perf.model import MemoryModel
 from repro.utils.rng import default_rng
 from repro.utils.testing import random_hermitian_sigma
@@ -73,9 +73,6 @@ def test_partition_covers_exactly(total, parts):
     sizes = partition_sizes(total, parts)
     assert sum(sizes) == total
     assert max(sizes) - min(sizes) <= 1
-    offs = partition_offsets(total, parts)
-    assert offs[0] == 0
-    assert all(offs[i + 1] == offs[i] + sizes[i] for i in range(parts - 1))
 
 
 def test_band_layout_roundtrip(grid):
