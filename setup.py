@@ -12,7 +12,7 @@ _readme = Path(__file__).parent / "README.md"
 
 setup(
     name="repro",
-    version="1.28.0",
+    version="1.29.0",
     description=(
         "Finite-temperature hybrid-functional rt-TDDFT reproduction: "
         "PT-IM / PT-IM-ACE propagators, plane-wave Kohn-Sham stack, "

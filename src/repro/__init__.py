@@ -23,7 +23,7 @@ Low-level building blocks remain public:
 
 from repro.utils.lazy import lazy_exports
 
-__version__ = "1.28.0"
+__version__ = "1.29.0"
 
 __all__ = [
     "Simulation",

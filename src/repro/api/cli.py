@@ -133,8 +133,8 @@ def _build_parser() -> argparse.ArgumentParser:
     res_ls = rsub.add_parser("ls", help="list stored runs (filterable)")
     res_ls.add_argument("store", help="result-store directory")
     res_ls.add_argument(
-        "--status", choices=("ok", "error", "running"), default=None,
-        help="only runs in this state",
+        "--status", default=None, metavar="STATE",
+        help="only runs in this state (queued, running, ok, error or cancelled)",
     )
     res_ls.add_argument(
         "--where", action="append", default=[], metavar="KEY=VALUE",
@@ -214,8 +214,8 @@ def _build_parser() -> argparse.ArgumentParser:
     jobs = sub.add_parser("jobs", help="inspect and manage jobs on a running server")
     jsub = jobs.add_subparsers(dest="jobs_command", required=True)
     jobs_ls = jsub.add_parser("ls", help="list jobs")
-    jobs_ls.add_argument("--status", choices=("queued", "running", "ok", "error", "cancelled"),
-                         default=None, help="only jobs in this state")
+    jobs_ls.add_argument("--status", default=None, metavar="STATE",
+                         help="only jobs in this state (as for results ls)")
     jobs_ls.add_argument("--limit", type=int, default=None, metavar="N")
     jobs_ls.add_argument("--offset", type=int, default=0, metavar="N")
     jobs_show = jsub.add_parser("show", help="one job: status, progress, attempt history")

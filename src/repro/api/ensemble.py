@@ -415,7 +415,6 @@ def run_ensemble(
     by_hash: Dict[str, List[RunRecord]] = {}
     for record in records:
         by_hash.setdefault(config_hash(record.config), []).append(record)
-    labels = {chash: group[0].overrides for chash, group in by_hash.items()}
 
     def settle(chash, done, restored=False):
         how = f"restored from store ({done.run_id})" if restored else f"ok ({done.elapsed:.2f} s)"
@@ -426,14 +425,12 @@ def run_ensemble(
             record.parallel, record.elapsed = done.parallel, done.elapsed
             say(f"run {record.index} [{record.label()}]: {how}")
 
-    def on_done(job) -> None:
-        chash = job["config_hash"]
-        if job["status"] == "ok":
-            settle(chash, store_obj.get(job["run_id"]))
+    def on_done(run) -> None:
+        chash = run.config_hash
+        if run.ok:
+            settle(chash, run)
             return
-        error = (job["error"] or job["status"]).splitlines()[0]
-        # persisted before announced, should the progress callback abort the sweep
-        store_obj.mark_error(by_hash[chash][0].config, error, overrides=labels[chash])
+        error = (run.error or run.status).splitlines()[0]
         for record in by_hash[chash]:
             record.status, record.error = "error", error
             say(f"run {record.index} [{record.label()}]: error (0.00 s)")
@@ -453,7 +450,8 @@ def run_ensemble(
             # converge side by side instead of one process blocked on a lease
             firsts = {config_hash(config) for config in _announce_groups(plan, say)}
             order = sorted(plan.pending, key=lambda chash: chash not in firsts)
-            for chash in order:
-                store_obj.begin_run(plan.pending[chash], overrides=labels[chash])
-            drain(store_obj, [plan.pending[h] for h in order], min(n_workers, len(order)), on_done)
+            drain(
+                store_obj, [plan.pending[h] for h in order], min(n_workers, len(order)),
+                on_done, labels=[by_hash[h][0].overrides for h in order],
+            )
     return EnsembleResult(base_config=base, sweep=sweep, runs=records)

@@ -6,7 +6,8 @@ persist, never redoing a finished config hash, timing itself once.
 :func:`plan_runs` is the same decision taken for a batch up front:
 which hashes the store already holds, which are left, and which
 shared-SCF groups those need.  ``Simulation.run(store=)`` and ``repro
-run --store`` call the kernel directly; a sweep
+run --store`` call the kernel directly, their run recorded as a job of
+the store's queue; a sweep
 (:func:`~repro.api.ensemble.run_ensemble`) plans its batch and hands
 the pending hashes to the store's job queue, whose workers — the
 calling process among them — call the kernel per job.  So resume,
@@ -15,6 +16,7 @@ coalescing, persistence and failure handling exist once.
 
 from __future__ import annotations
 
+import contextlib
 import time
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
@@ -44,6 +46,7 @@ def run_one(
     progress: Optional[Callable[[int, int], None]] = None,
     *,
     reuse: bool = True,
+    claimed: bool = False,
     **window,
 ) -> RunOutcome:
     """Run ``sim``'s config to a stored result, doing only what is missing.
@@ -56,6 +59,14 @@ def run_one(
     forwards ``n_steps`` / ``dt_as`` / ``observe_every`` to
     :meth:`Simulation.propagate`, and with a store must equal the
     config's keys.
+
+    A stored run is a job: its row is finished by the store's
+    :meth:`~repro.store.store.ResultStore.add_result`.  A queue worker
+    has already claimed that row (``claimed=True``) and reports a
+    failure itself; any other caller's run records its own row and
+    attempt (:meth:`~repro.serve.queue.JobQueue.recording`), and an
+    exception fails that attempt before it propagates.  A re-run of an
+    ``ok`` row leaves it ``ok`` until the new result lands.
     """
     started = time.perf_counter()
     prop = sim.config.propagation
@@ -77,12 +88,14 @@ def run_one(
         if done is not None:
             result = store.load_result(done.run_id, with_ground_state=True)
             return RunOutcome(done.run_id, result, done.elapsed, True)
-    sim.ground_state(store)
-    if progress is not None:
-        progress(0, ran.n_steps)
-    result = sim.propagate(progress=progress, **window)
-    elapsed = time.perf_counter() - started
-    run_id = None if store is None else store.add_result(result, elapsed=elapsed)
+    recording = store is not None and not claimed
+    with store.queue.recording(sim.config) if recording else contextlib.nullcontext():
+        sim.ground_state(store)
+        if progress is not None:
+            progress(0, ran.n_steps)
+        result = sim.propagate(progress=progress, **window)
+        elapsed = time.perf_counter() - started
+        run_id = None if store is None else store.add_result(result, elapsed=elapsed)
     return RunOutcome(run_id, result, elapsed, False)
 
 

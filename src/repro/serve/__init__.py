@@ -1,8 +1,9 @@
 """``repro.serve`` — a long-running simulation job service.
 
-Built on :mod:`repro.store`: jobs are durable rows in the store's own
-schema-versioned index (they survive server restarts), results land in
-the same content-addressed store every other entry point reads, and
+Built on :mod:`repro.store`: a job is a run's one durable row in the
+store's own schema-versioned index (it survives server restarts, and
+its id is the run's id), results land in the same content-addressed
+store every other entry point reads, and
 concurrent jobs sharing a ``(system, scf, backend)`` group coalesce
 onto one SCF through the store's ground-state lease
 (:mod:`repro.store.lease`).
@@ -10,14 +11,16 @@ onto one SCF through the store's ground-state lease
 Layers
 ------
 :class:`~repro.serve.queue.JobQueue`
-    The durable queue: submit/claim/retry/recover as atomic SQLite
+    The durable queue and the one owner of the run rows:
+    submit/claim/begin/finish/retry/recover as atomic SQLite
     transactions against the study's ``index.sqlite``.
 :mod:`repro.serve.worker`
     The worker-process entry point: claim → the run kernel
     (:func:`repro.api.runs.run_one`) with live progress → report.
 :class:`~repro.serve.pool.WorkerPool`
     Spawned worker processes plus the supervisor logic: respawn dead
-    workers, requeue their jobs, enforce per-job deadlines;
+    workers, requeue their jobs and those of any other process that is
+    gone (a killed ``repro run --store``), enforce per-job deadlines;
     :func:`~repro.serve.pool.drain` is its batch form, which parallel
     sweeps run on: N computing processes are the caller and N - 1
     spawned.

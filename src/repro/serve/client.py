@@ -3,7 +3,7 @@
 Wraps :mod:`urllib.request` — the same zero-dependency stance as the
 server — and is what ``repro submit`` / ``repro jobs`` drive.  Server
 error bodies (``{"error": ...}``) surface as :class:`ServeError` with
-the server's message, so CLI users see "job j1a2b3 is queued" rather
+the server's message, so CLI users see "job r1a2b3c4d5e6f is queued" rather
 than a bare HTTP 409.
 """
 

@@ -4,7 +4,7 @@ Routes (all JSON unless noted)::
 
     GET  /healthz               liveness + version
     GET  /stats                 queue counts, workers, store size, uptime
-    GET  /jobs[?status=&limit=&offset=]   list jobs
+    GET  /jobs[?status=&limit=&offset=]   list jobs (400: a negative page)
     POST /jobs                  submit {"config": {...}} — idempotent
     GET  /jobs/<id>             one job: status, progress, attempts
     GET  /jobs/<id>/result      the stored run as a result .npz (binary)
@@ -26,23 +26,26 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 from urllib.parse import parse_qs, urlparse
 
+from repro.store.query import StoredRun
+
 #: request body cap — a simulation config is a few KB; anything larger
 #: is not a config
 MAX_BODY_BYTES = 1 << 20
 
 
-def job_view(job: Dict[str, Any], attempts=None, config: bool = False) -> Dict[str, Any]:
-    """The wire form of a job row (`config_json` expanded on demand)."""
-    out = {
-        key: job[key]
+def job_view(job: StoredRun, attempts=None, config: bool = False) -> Dict[str, Any]:
+    """The wire form of a job row (``run_id`` once it has a result)."""
+    out = {"job_id": job.run_id}
+    out.update(
+        (key, getattr(job, key))
         for key in (
-            "job_id", "config_hash", "status", "error", "run_id", "worker",
-            "attempts", "max_attempts", "timeout", "created", "updated",
-            "started", "finished", "progress", "message",
+            "config_hash", "status", "error", "worker", "attempts", "max_attempts",
+            "timeout", "created", "updated", "started", "finished", "progress", "message",
         )
-    }
+    )
+    out["run_id"] = job.run_id if job.ok else None
     if config:
-        out["config"] = json.loads(job["config_json"])
+        out["config"] = job.config.to_dict()
     if attempts is not None:
         out["history"] = attempts
     return out
@@ -150,14 +153,10 @@ class JobRequestHandler(BaseHTTPRequestHandler):
         if job is None:
             self._error(f"no job {job_id!r}", 404)
             return
-        if job["status"] != "ok":
-            self._error(
-                f"job {job_id} is {job['status']} "
-                f"({job['error'] or 'no result yet'})",
-                409,
-            )
+        if not job.ok:
+            self._error(f"job {job_id} is {job.status} ({job.error or 'no result yet'})", 409)
             return
-        self._stream_file(service.store.result_path(job["run_id"]), f"{job_id}.npz")
+        self._stream_file(service.store.result_path(job.run_id), f"{job_id}.npz")
 
     def _route_post(self) -> None:
         service = self.server.service

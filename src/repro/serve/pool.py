@@ -18,7 +18,10 @@ a few times a second:
 - a **job past its deadline** gets its worker killed (there is no safe
   way to interrupt a propagation mid-step from outside) and the
   attempt reported as a timeout; the respawn happens on the next tick;
-- a **cancelled job still executing** likewise gets its worker killed.
+- a **cancelled job still executing** likewise gets its worker killed;
+- a job whose worker is **another process that is gone** — a stored run
+  (``repro run --store``) or another pool's worker killed outright — is
+  requeued (:meth:`JobQueue.recover`).
 """
 
 from __future__ import annotations
@@ -27,11 +30,12 @@ import itertools
 import multiprocessing as mp
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.serve.queue import TERMINAL_STATUSES, JobQueue
 from repro.store.common import pid_alive
+from repro.store.query import StoredRun
 
 
 # The two entries into repro.serve.worker import it, and with it the
@@ -46,7 +50,7 @@ def _worker_process(store_root: str, worker_id: str, options: Dict[str, Any]) ->
     worker_main(store_root, worker_id, options)
 
 
-def execute_job(store, queue: JobQueue, job: Dict[str, Any], options: Dict[str, Any]) -> None:
+def execute_job(store, queue: JobQueue, job: StoredRun, options: Dict[str, Any]) -> None:
     """:func:`repro.serve.worker.execute_job`, for a draining caller."""
     from repro.serve.worker import execute_job as execute
 
@@ -133,24 +137,25 @@ class WorkerPool:
         return False
 
     def tick(self, backoff: float = 0.5) -> None:
-        """One supervisor pass: reap the dead, enforce deadlines, respawn."""
+        """One supervisor pass: enforce deadlines, reap the dead, respawn,
+        requeue the orphans of other processes."""
         # deadline enforcement first, so an over-budget worker is already
         # dead when the reaping pass below requeues its job
         for job in self.queue.expired():
-            if job["worker"]:
-                self.kill_worker(job["worker"])
+            if job.worker:
+                self.kill_worker(job.worker)
             self.queue.fail_attempt(
-                job["job_id"],
-                f"timed out after {job['timeout']:g}s",
+                job.run_id,
+                f"timed out after {job.timeout:g}s",
                 backoff=backoff,
                 outcome="timeout",
             )
         # cancelled jobs whose worker is still burning cycles
         for job in self.queue.jobs(status="cancelled"):
-            if job["worker"] and job["worker"] in self._ids.values():
-                worker_jobs = self.queue.running_for(job["worker"])
+            if job.worker and job.worker in self._ids.values():
+                worker_jobs = self.queue.running_for(job.worker)
                 if not worker_jobs:  # it really is still on the cancelled job
-                    self.kill_worker(job["worker"])
+                    self.kill_worker(job.worker)
         for slot, proc in list(self._procs.items()):
             if proc.is_alive():
                 continue
@@ -159,13 +164,15 @@ class WorkerPool:
             # on its behalf — the claim already consumed the attempt
             for job in self.queue.running_for(worker_id):
                 self.queue.fail_attempt(
-                    job["job_id"],
+                    job.run_id,
                     f"worker {worker_id} died (exitcode {proc.exitcode})",
                     backoff=backoff,
                     outcome="crashed",
                 )
             self.queue.remove_worker(worker_id)
             self._spawn(slot)
+        # this pool's own workers were reaped above, by their exit codes
+        self.queue.recover(alive=pid_alive, keep=list(self._ids.values()))
 
 
 #: longest a draining caller that found nothing to claim sleeps before it
@@ -177,7 +184,8 @@ def drain(
     store,
     configs: Sequence[SimulationConfig],
     n_workers: int,
-    on_done: Callable[[Dict[str, Any]], None],
+    on_done: Callable[[StoredRun], None],
+    labels: Sequence[Mapping[str, Any]],
 ) -> None:
     """Run ``configs`` through ``store``'s queue on ``n_workers`` processes.
 
@@ -188,36 +196,33 @@ def drain(
     others, and then does what they do (claim,
     :func:`~repro.serve.worker.execute_job`) between supervisor passes,
     handing each job row to ``on_done`` as it turns terminal; it returns
-    when all have.  So the first job starts at once, beside the
+    when all have.  ``labels`` (one per config) file each row's sweep
+    overrides at submit.  So the first job starts at once, beside the
     children's spawn and import instead of after them; the price is that
     a job a child finishes is handed to ``on_done`` when the caller next
     finishes its own, not the moment it lands.
 
     ``max_attempts=1``: a config that raises, or whose spawned worker is
     killed, is an ``error`` job, not a retry.  What kills the *caller*
-    ends the batch; its claim is requeued by the next call on the store
-    (:meth:`JobQueue.recover`).  A job some other
-    live pool on the same store already holds is waited for, not
-    duplicated.  On the way out, by return or by exception, the workers
+    ends the batch; its claim is requeued by the next supervisor pass on
+    the store (:meth:`WorkerPool.tick`).  A job some other live process
+    on the same store already holds is waited for, not duplicated.  On the way out, by return or by exception, the workers
     are stopped and nothing of this batch is left claimable or running.
 
-    Another pool's worker counts as alive when its pid passes
+    Another process's worker counts as alive when its pid passes
     :func:`~repro.store.common.pid_alive`, which only means something on
     this host: a live worker of a pool on another host sharing the store
     is taken for dead, and its claim is requeued.
     """
-    queue = JobQueue(store.root)
+    queue = store.queue
     pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1)
     me = f"{pool.tag}caller"
     waiting: List[str] = []
     try:
-        # a claim whose worker is gone (a batch or server that was killed
-        # outright) has nobody left to finish it: requeue, as a booting
-        # server does, and keep what live workers of other pools hold
-        queue.recover(
-            alive=[w["worker_id"] for w in queue.workers() if pid_alive(w["pid"])]
-        )
-        waiting = [queue.submit(config, max_attempts=1)["job_id"] for config in configs]
+        waiting = [
+            queue.submit(config, max_attempts=1, overrides=label)[0].run_id
+            for config, label in zip(configs, labels)
+        ]
         queue.register_worker(me, os.getpid())
         pool.start()
         while waiting:
@@ -228,7 +233,7 @@ def drain(
                 queue.heartbeat(me)
             for job_id in list(waiting):
                 job = queue.get(job_id)
-                if job is not None and job["status"] in TERMINAL_STATUSES:
+                if job is not None and job.status in TERMINAL_STATUSES:
                     waiting.remove(job_id)
                     on_done(job)
             if mine is None and waiting:
@@ -238,4 +243,3 @@ def drain(
         for job_id in waiting:
             queue.cancel(job_id)
         queue.remove_worker(me)
-        queue.close()

@@ -1,28 +1,39 @@
-"""The durable job queue: rows in the store's own SQLite index.
+"""The one owner of a study's run rows: the durable job queue.
 
-Jobs live in the ``jobs`` table of the store's index schema (see
-:mod:`repro.store.schema`), so the queue inherits everything the store
-already guarantees: schema versioning, WAL-mode concurrent access, and
-durability — a server restart finds its queued and running jobs exactly
-where it left them.
+A run is one row of the ``jobs`` table in the store's ``index.sqlite``
+(see :mod:`repro.store.schema`), read back as a
+:class:`~repro.store.query.StoredRun`: the config as submitted, its
+queue state and attempt history, and once it is ``ok`` its result's
+accounting.  Every way a run is made walks the same rows — a service
+worker or a sweep's drain claims a submitted row, a stored run of
+``Simulation.run(store=)`` / ``repro run --store`` begins its own, and
+:meth:`~repro.store.store.ResultStore.add_run` finishes either — so
+every stored run has an attempt, a worker and a history.  This module
+is the only one that issues SQL against these tables.
 
 Every state transition is one ``BEGIN IMMEDIATE`` transaction
 (:func:`repro.store.common.run_immediate`), which is what makes the
 queue safe to drive from many processes at once: two workers racing to
 claim the same job serialize on the database write lock, and exactly one
-of them wins.
+of them wins.  The states are ``queued``, ``running``, ``ok``,
+``error`` and ``cancelled``; a cancel wins over a finish.
 
 Attempt accounting is claim-side: ``attempts`` increments when a worker
 *takes* a job, not when it fails — so a worker that dies without ever
 reporting back (SIGKILL, OOM) still consumed one attempt, and a
-crash-looping job cannot retry forever.
+crash-looping job cannot retry forever.  ``attempts`` is the number of
+the row's ``job_attempts`` rows and never exceeds ``max_attempts``.
 """
 
 from __future__ import annotations
 
+import contextlib
+import json
+import os
 import threading
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.config import SimulationConfig
 from repro.store.common import (
@@ -30,36 +41,50 @@ from repro.store.common import (
     canonical_json,
     config_hash,
     connect_sqlite,
+    flatten_dotted,
+    run_id_for,
     run_immediate,
     utc_now,
 )
-from repro.store.schema import ensure_schema
-from repro.store.store import inspect_store
+from repro.store.query import StoredRun
+from repro.store.schema import INDEX_FILENAME, ensure_schema, inspect_store
 
-#: every state a job row can be in
+#: every state a row can be in
 JOB_STATUSES = ("queued", "running", "ok", "error", "cancelled")
 
 #: states a job can never leave on its own
 TERMINAL_STATUSES = ("ok", "error", "cancelled")
 
-_JOB_COLUMNS = (
-    "job_id, config_hash, config_json, status, error, run_id, worker, "
-    "attempts, max_attempts, timeout, created, updated, started, finished, "
-    "deadline, not_before, progress, message"
+#: the row's JSON text columns, stored as ``<field>_json``
+_JSON_FIELDS = ("overrides", "fft", "parallel")
+
+#: ``jobs`` columns in :class:`StoredRun` field order (the DDL's order)
+COLUMNS = tuple(
+    f"{f.name}_json" if f.name in _JSON_FIELDS else f.name for f in fields(StoredRun)
 )
 
+_SELECT = f"SELECT {', '.join(COLUMNS)} FROM jobs"
 
-def job_id_for(config: SimulationConfig) -> str:
-    """Deterministic job id: ``j`` + the config hash prefix.
 
-    The same identity scheme as run ids — submitting one config twice
-    addresses one job, which is what makes ``POST /jobs`` idempotent.
-    """
-    return "j" + config_hash(config)[:12]
+def _decode(name: str, value: Any) -> Any:
+    return json.loads(value) if name in _JSON_FIELDS and value is not None else value
+
+
+def _row(record) -> StoredRun:
+    return StoredRun(*(_decode(f.name, v) for f, v in zip(fields(StoredRun), record)))
+
+
+def _json(value: Optional[Mapping[str, Any]]) -> Optional[str]:
+    return None if value is None else canonical_json(dict(value))
+
+
+def own_worker_id() -> str:
+    """The worker name of a stored run this thread records itself."""
+    return f"p{os.getpid()}t{threading.get_native_id()}run"
 
 
 class JobQueue:
-    """Durable job/worker tables of one study's ``index.sqlite``.
+    """Durable run/job/worker tables of one study's ``index.sqlite``.
 
     Each process (server, every worker) opens its *own* queue on the
     same store directory; cross-process safety comes from the database,
@@ -69,7 +94,7 @@ class JobQueue:
 
     def __init__(self, root) -> None:
         self.root = Path(root)
-        self.path = self.root / "index.sqlite"
+        self.path = self.root / INDEX_FILENAME
         check = inspect_store(self.root)
         if check.meta is None:
             raise StoreError(
@@ -89,11 +114,54 @@ class JobQueue:
         with self._lock:
             return run_immediate(self._conn, fn)
 
-    # -- row marshalling ------------------------------------------------------
+    def _read(self, sql: str, params: Sequence[Any] = ()) -> List[Any]:
+        with self._lock:
+            return self._conn.execute(sql, params).fetchall()
+
     @staticmethod
-    def _job_from(record) -> Dict[str, Any]:
-        keys = [k.strip() for k in _JOB_COLUMNS.split(",")]
-        return dict(zip(keys, record))
+    def _get(conn, run_id: str) -> Optional[StoredRun]:
+        record = conn.execute(f"{_SELECT} WHERE run_id = ?", (run_id,)).fetchone()
+        return _row(record) if record else None
+
+    @staticmethod
+    def _insert(
+        conn, config: SimulationConfig, overrides, now: float,
+        max_attempts: int = 1, timeout: float = 0.0,
+    ) -> Tuple[str, bool]:
+        """Add a ``queued`` row for ``config`` unless it has one: ``(id, inserted)``."""
+        run_id = run_id_for(config)
+        data = config.to_dict()
+        inserted = conn.execute(
+            "INSERT OR IGNORE INTO jobs (run_id, config_hash, status, max_attempts, "
+            "timeout, created, updated, config_json, overrides_json) "
+            "VALUES (?, ?, 'queued', ?, ?, ?, ?, ?, ?)",
+            (
+                run_id, config_hash(config), int(max_attempts), float(timeout),
+                now, now, canonical_json(data), _json(overrides or {}),
+            ),
+        ).rowcount
+        if inserted:
+            conn.executemany(
+                "INSERT INTO config_kv (run_id, key, value) VALUES (?, ?, ?)",
+                [(run_id, key, canonical_json(v)) for key, v in flatten_dotted(data).items()],
+            )
+        return run_id, bool(inserted)
+
+    @staticmethod
+    def _start_attempt(conn, run_id: str, worker_id: str, now: float) -> None:
+        """The row turns ``running`` on ``worker_id``'s next attempt."""
+        conn.execute(
+            "UPDATE jobs SET status = 'running', worker = ?, attempts = attempts + 1, "
+            "max_attempts = MAX(max_attempts, attempts + 1), updated = ?, started = ?, "
+            "finished = NULL, deadline = CASE WHEN timeout > 0 THEN ? + timeout END, "
+            "progress = 0.0, message = NULL WHERE run_id = ?",
+            (worker_id, now, now, now, run_id),
+        )
+        conn.execute(
+            "INSERT INTO job_attempts (run_id, attempt, worker, started) "
+            "SELECT run_id, attempts, worker, started FROM jobs WHERE run_id = ?",
+            (run_id,),
+        )
 
     # -- submission -----------------------------------------------------------
     def submit(
@@ -101,70 +169,41 @@ class JobQueue:
         config: SimulationConfig,
         max_attempts: int = 3,
         timeout: float = 0.0,
-        run_id: Optional[str] = None,
-    ) -> Dict[str, Any]:
-        """Enqueue a config; idempotent by content hash.
+        overrides: Optional[Mapping[str, Any]] = None,
+    ) -> Tuple[StoredRun, bool]:
+        """Enqueue a config; idempotent by content hash.  ``(row, created)``.
 
-        An existing job for the same config is returned as-is when it is
-        queued, running, or done (``ok``); a failed or cancelled job is
-        re-armed with a fresh attempt budget.  ``run_id`` (when the
-        store already holds a completed run for this config) records the
-        job as ``ok`` immediately — the cache-hit fast path.
+        An existing row for the same config is returned as-is when it is
+        queued, running, or done (``ok``: the stored run is the cache
+        hit); a failed or cancelled one is re-armed as a fresh request —
+        a clean attempt budget and history, and ``created`` now.
+        ``created`` says whether this call inserted or re-armed the row.
+        ``overrides`` labels a new or re-armed row (a sweep's variant).
         """
-        job_id = job_id_for(config)
-        chash = config_hash(config)
-        cjson = canonical_json(config.to_dict())
         now = utc_now()
 
         def _submit(conn):
-            record = conn.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if record is not None:
-                job = self._job_from(record)
-                if job["status"] not in ("error", "cancelled"):
-                    return job
-                # failed/cancelled: a resubmission is a fresh request —
-                # re-arm with a clean attempt budget and error slate
-                conn.execute(
-                    "UPDATE jobs SET status = 'queued', error = NULL, "
-                    "worker = NULL, attempts = 0, max_attempts = ?, "
-                    "timeout = ?, updated = ?, started = NULL, "
-                    "finished = NULL, deadline = NULL, not_before = 0.0, "
-                    "progress = 0.0, message = NULL WHERE job_id = ?",
-                    (int(max_attempts), float(timeout), now, job_id),
-                )
-            else:
-                status = "ok" if run_id is not None else "queued"
-                conn.execute(
-                    "INSERT INTO jobs (job_id, config_hash, config_json, "
-                    "status, run_id, attempts, max_attempts, timeout, "
-                    "created, updated, finished, progress, message) "
-                    "VALUES (?, ?, ?, ?, ?, 0, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        job_id,
-                        chash,
-                        cjson,
-                        status,
-                        run_id,
-                        int(max_attempts),
-                        float(timeout),
-                        now,
-                        now,
-                        now if run_id is not None else None,
-                        1.0 if run_id is not None else 0.0,
-                        "cached" if run_id is not None else None,
-                    ),
-                )
-            rec = conn.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            return self._job_from(rec)
+            run_id, inserted = self._insert(
+                conn, config, overrides, now, max_attempts=max_attempts, timeout=timeout
+            )
+            row = self._get(conn, run_id)
+            if inserted or row.status not in ("error", "cancelled"):
+                return row, inserted
+            conn.execute("DELETE FROM job_attempts WHERE run_id = ?", (run_id,))
+            conn.execute(
+                "UPDATE jobs SET status = 'queued', error = NULL, worker = NULL, "
+                "attempts = 0, max_attempts = ?, timeout = ?, created = ?, "
+                "updated = ?, started = NULL, finished = NULL, deadline = NULL, "
+                "not_before = 0.0, progress = 0.0, message = NULL, "
+                "overrides_json = COALESCE(?, overrides_json) WHERE run_id = ?",
+                (int(max_attempts), float(timeout), now, now, _json(overrides), run_id),
+            )
+            return self._get(conn, run_id), True
 
         return self._txn(_submit)
 
     # -- worker side ----------------------------------------------------------
-    def claim(self, worker_id: str) -> Optional[Dict[str, Any]]:
+    def claim(self, worker_id: str) -> Optional[StoredRun]:
         """Atomically take the oldest runnable job (or ``None``).
 
         Runnable means ``queued`` with its retry backoff (``not_before``)
@@ -175,38 +214,67 @@ class JobQueue:
 
         def _claim(conn):
             record = conn.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE status = 'queued' "
-                f"AND not_before <= ? ORDER BY created, job_id LIMIT 1",
+                "SELECT run_id FROM jobs WHERE status = 'queued' AND not_before <= ? "
+                "ORDER BY created, run_id LIMIT 1",
                 (now,),
             ).fetchone()
             if record is None:
                 return None
-            job = self._job_from(record)
-            attempt = int(job["attempts"]) + 1
-            deadline = now + job["timeout"] if job["timeout"] > 0 else None
-            conn.execute(
-                "UPDATE jobs SET status = 'running', worker = ?, attempts = ?, "
-                "updated = ?, started = ?, deadline = ?, progress = 0.0, "
-                "message = NULL WHERE job_id = ?",
-                (worker_id, attempt, now, now, deadline, job["job_id"]),
-            )
-            conn.execute(
-                "INSERT OR REPLACE INTO job_attempts "
-                "(job_id, attempt, worker, started) VALUES (?, ?, ?, ?)",
-                (job["job_id"], attempt, worker_id, now),
-            )
+            self._start_attempt(conn, record[0], worker_id, now)
             conn.execute(
                 "UPDATE workers SET state = 'busy', job_id = ?, heartbeat = ? "
                 "WHERE worker_id = ?",
-                (job["job_id"], now, worker_id),
+                (record[0], now, worker_id),
             )
-            job.update(
-                status="running", worker=worker_id, attempts=attempt,
-                started=now, updated=now, deadline=deadline, progress=0.0,
-            )
-            return job
+            return self._get(conn, record[0])
 
         return self._txn(_claim)
+
+    def begin(self, config: SimulationConfig) -> StoredRun:
+        """A stored run takes its row: ``running`` on this thread's worker.
+
+        The worker (:func:`own_worker_id`) is registered with this pid,
+        so a supervisor that finds the pid gone requeues the row.  The
+        row is created when missing and taken from whatever state it is
+        in — the caller is about to compute it — with one more attempt;
+        ``max_attempts`` grows to allow it when the budget is spent, so
+        this attempt is the last.  An ``ok`` row is left as it is until
+        the new result lands (:meth:`finish_ok` then records the
+        attempt), so a re-run that fails or is killed leaves the stored
+        run readable.  Unlike :meth:`claim`, it takes this config's row,
+        not the oldest queued.
+        """
+        now = utc_now()
+
+        def _begin(conn):
+            run_id, _ = self._insert(conn, config, None, now)
+            if self._get(conn, run_id).status != "ok":
+                self._register(conn, own_worker_id(), os.getpid(), now, "busy", run_id)
+                self._start_attempt(conn, run_id, own_worker_id(), now)
+            return self._get(conn, run_id)
+
+        return self._txn(_begin)
+
+    @contextlib.contextmanager
+    def recording(self, config: SimulationConfig) -> Iterator[StoredRun]:
+        """The body computes ``config``'s stored run, recorded on its row.
+
+        :meth:`begin` on entry; the body finishes the row when it stores
+        the result (:meth:`finish_ok`), an exception fails the attempt
+        before it propagates, and the worker's registration goes either
+        way.  An ``ok`` row is not begun, so nothing here touches it.
+        """
+        row = self.begin(config)
+        if row.status != "running":
+            yield row
+            return
+        try:
+            yield row
+        except BaseException as exc:
+            self.fail_attempt(row.run_id, f"{type(exc).__name__}: {exc}")
+            raise
+        finally:
+            self.remove_worker(row.worker)
 
     def progress(self, job_id: str, fraction: float, message: Optional[str] = None) -> None:
         """Publish live progress (``0.0``–``1.0``) for a running job."""
@@ -214,37 +282,62 @@ class JobQueue:
         self._txn(
             lambda conn: conn.execute(
                 "UPDATE jobs SET progress = ?, message = ?, updated = ? "
-                "WHERE job_id = ? AND status = 'running'",
+                "WHERE run_id = ? AND status = 'running'",
                 (max(0.0, min(1.0, float(fraction))), message, now, job_id),
             )
         )
 
-    def finish_ok(self, job_id: str, run_id: str) -> None:
-        """Mark a job done, pointing at its stored run."""
+    def finish_ok(
+        self,
+        config: SimulationConfig,
+        *,
+        overrides: Optional[Mapping[str, Any]] = None,
+        gs_address: Optional[str] = None,
+        elapsed: float = 0.0,
+        n_times: int = 0,
+        fft: Optional[Mapping[str, Any]] = None,
+        parallel: Optional[Mapping[str, Any]] = None,
+    ) -> StoredRun:
+        """The config's run is stored: its row turns ``ok`` with these columns.
+
+        A ``running`` row closes its current attempt.  A row nobody began
+        (a result added on its own; a re-run of an ``ok`` row) gets one
+        attempt, begun and finished here.  A ``cancelled`` row stays
+        cancelled: a worker that raced past the cancel cannot resurrect
+        the job.
+        """
         now = utc_now()
 
         def _ok(conn):
-            # status-guarded: a job cancelled mid-run stays cancelled even
-            # if its worker finishes before the supervisor kills it
+            run_id, _ = self._insert(conn, config, overrides, now)
+            row = self._get(conn, run_id)
+            if row.status == "cancelled":
+                return row
+            if row.status != "running":
+                self._start_attempt(conn, run_id, own_worker_id(), now)
             conn.execute(
-                "UPDATE jobs SET status = 'ok', run_id = ?, error = NULL, "
-                "updated = ?, finished = ?, deadline = NULL, progress = 1.0 "
-                "WHERE job_id = ? AND status = 'running'",
-                (run_id, now, now, job_id),
+                "UPDATE jobs SET status = 'ok', error = NULL, updated = ?, finished = ?, "
+                "deadline = NULL, progress = 1.0, gs_address = ?, elapsed = ?, "
+                "n_times = ?, fft_json = ?, parallel_json = ?, "
+                "overrides_json = COALESCE(?, overrides_json) WHERE run_id = ?",
+                (
+                    now, now, gs_address, float(elapsed), int(n_times), _json(fft),
+                    _json(parallel), _json(overrides), run_id,
+                ),
             )
             conn.execute(
-                "UPDATE job_attempts SET finished = ?, outcome = 'ok' "
-                "WHERE job_id = ? AND attempt = "
-                "(SELECT attempts FROM jobs WHERE job_id = ?)",
-                (now, job_id, job_id),
+                "UPDATE job_attempts SET finished = ?, outcome = 'ok' WHERE run_id = ? "
+                "AND attempt = (SELECT attempts FROM jobs WHERE run_id = ?)",
+                (now, run_id, run_id),
             )
+            return self._get(conn, run_id)
 
-        self._txn(_ok)
+        return self._txn(_ok)
 
     def fail_attempt(
         self, job_id: str, error: str, backoff: float = 0.5,
         outcome: str = "error",
-    ) -> Dict[str, Any]:
+    ) -> StoredRun:
         """Record a failed attempt: requeue with backoff, or give up.
 
         Used for execution errors, per-job timeouts, *and* worker deaths
@@ -255,44 +348,35 @@ class JobQueue:
         now = utc_now()
 
         def _fail(conn):
-            record = conn.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if record is None:
+            job = self._get(conn, job_id)
+            if job is None:
                 raise StoreError(f"queue has no job {job_id!r}")
-            job = self._job_from(record)
-            if job["status"] != "running":
+            if job.status != "running":
                 return job  # cancelled (or already resolved) meanwhile
-            attempt = int(job["attempts"])
-            exhausted = attempt >= int(job["max_attempts"])
-            if exhausted:
+            if job.attempts >= job.max_attempts:
                 conn.execute(
                     "UPDATE jobs SET status = 'error', error = ?, updated = ?, "
-                    "finished = ?, worker = NULL, deadline = NULL "
-                    "WHERE job_id = ?",
+                    "finished = ?, worker = NULL, deadline = NULL WHERE run_id = ?",
                     (str(error), now, now, job_id),
                 )
             else:
-                not_before = now + float(backoff) * (2 ** max(0, attempt - 1))
+                not_before = now + float(backoff) * (2 ** max(0, job.attempts - 1))
                 conn.execute(
                     "UPDATE jobs SET status = 'queued', error = ?, updated = ?, "
                     "worker = NULL, deadline = NULL, not_before = ?, "
-                    "progress = 0.0 WHERE job_id = ?",
+                    "progress = 0.0 WHERE run_id = ?",
                     (str(error), now, not_before, job_id),
                 )
             conn.execute(
                 "UPDATE job_attempts SET finished = ?, outcome = ?, error = ? "
-                "WHERE job_id = ? AND attempt = ?",
-                (now, outcome, str(error), job_id, attempt),
+                "WHERE run_id = ? AND attempt = ?",
+                (now, outcome, str(error), job_id, job.attempts),
             )
-            rec = conn.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            return self._job_from(rec)
+            return self._get(conn, job_id)
 
         return self._txn(_fail)
 
-    def cancel(self, job_id: str) -> Dict[str, Any]:
+    def cancel(self, job_id: str) -> StoredRun:
         """Cancel a job; returns the row *before* the transition.
 
         The prior status tells the caller whether a worker is still
@@ -302,16 +386,13 @@ class JobQueue:
         now = utc_now()
 
         def _cancel(conn):
-            record = conn.execute(
-                f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?", (job_id,)
-            ).fetchone()
-            if record is None:
+            job = self._get(conn, job_id)
+            if job is None:
                 raise StoreError(f"queue has no job {job_id!r}")
-            job = self._job_from(record)
-            if job["status"] not in TERMINAL_STATUSES:
+            if job.status not in TERMINAL_STATUSES:
                 conn.execute(
                     "UPDATE jobs SET status = 'cancelled', updated = ?, "
-                    "finished = ?, deadline = NULL WHERE job_id = ?",
+                    "finished = ?, deadline = NULL WHERE run_id = ?",
                     (now, now, job_id),
                 )
             return job
@@ -319,72 +400,89 @@ class JobQueue:
         return self._txn(_cancel)
 
     # -- recovery / supervision ----------------------------------------------
-    def recover(self, alive: Sequence[str] = ()) -> int:
-        """Requeue every ``running`` job whose worker is not one of ``alive``.
+    def recover(
+        self, alive: Callable[[int], bool] = lambda pid: False, keep: Sequence[str] = ()
+    ) -> int:
+        """Requeue every ``running`` job whose worker is gone; how many.
 
-        A booting server passes nothing (the workers of its last life are
-        all gone); a batch beside other pools passes the ids of the
-        workers that still live, and forgets the rest.  Attempts already
+        A worker lives when it is one of ``keep`` or is registered with a
+        pid that ``alive`` accepts; the registrations of the others are
+        forgotten.  A booting server passes nothing (the workers of its
+        last life are all gone); a supervisor's pass keeps its own
+        workers, which it reaps itself, and asks
+        :func:`~repro.store.common.pid_alive` of the rest — a stored run
+        killed outright, another pool's worker.  Attempts already
         consumed stay consumed; the interrupted attempt is closed in the
         history so a post-mortem can see it.
         """
         now = utc_now()
-        alive = list(alive)
-        gone = f"NOT IN ({', '.join('?' * len(alive))})"
+
+        def _gone(conn):
+            """The running rows whose worker is gone, and the dead registrations."""
+            registered = conn.execute("SELECT worker_id, pid FROM workers").fetchall()
+            dead = [w for w, pid in registered if w not in keep and not alive(pid)]
+            live = set(keep) | {w for w, _ in registered if w not in dead}
+            running = conn.execute(
+                "SELECT run_id, attempts, worker FROM jobs WHERE status = 'running'"
+            ).fetchall()
+            return [(job_id, n) for job_id, n, worker in running if worker not in live], dead
 
         def _recover(conn):
-            rows = conn.execute(
-                "SELECT job_id, attempts FROM jobs WHERE status = 'running' "
-                f"AND (worker IS NULL OR worker {gone})",
-                alive,
-            ).fetchall()
-            for job_id, attempt in rows:
+            orphans, dead = _gone(conn)
+            for job_id, attempt in orphans:
                 conn.execute(
                     "UPDATE jobs SET status = 'queued', worker = NULL, "
                     "deadline = NULL, not_before = 0.0, progress = 0.0, "
-                    "updated = ? WHERE job_id = ?",
+                    "updated = ? WHERE run_id = ?",
                     (now, job_id),
                 )
                 conn.execute(
                     "UPDATE job_attempts SET finished = ?, "
-                    "outcome = 'interrupted' WHERE job_id = ? AND attempt = ?",
+                    "outcome = 'interrupted' WHERE run_id = ? AND attempt = ?",
                     (now, job_id, attempt),
                 )
-            conn.execute(f"DELETE FROM workers WHERE worker_id {gone}", alive)
-            return len(rows)
+            conn.executemany("DELETE FROM workers WHERE worker_id = ?", [(w,) for w in dead])
+            return len(orphans)
 
+        with self._lock:
+            # a supervisor asks a few times a second: take the write lock
+            # only when there is something to requeue or forget
+            if not any(_gone(self._conn)):
+                return 0
         return self._txn(_recover)
 
-    def running_for(self, worker_id: str) -> List[Dict[str, Any]]:
+    def running_for(self, worker_id: str) -> List[StoredRun]:
         """Jobs currently claimed by one worker (0 or 1 in practice)."""
-        records = self._conn.execute(
-            f"SELECT {_JOB_COLUMNS} FROM jobs WHERE status = 'running' "
-            f"AND worker = ?",
-            (worker_id,),
-        ).fetchall()
-        return [self._job_from(r) for r in records]
+        return [
+            _row(r)
+            for r in self._read(
+                f"{_SELECT} WHERE status = 'running' AND worker = ?", (worker_id,)
+            )
+        ]
 
-    def expired(self) -> List[Dict[str, Any]]:
+    def expired(self) -> List[StoredRun]:
         """Running jobs past their deadline (the supervisor kills these)."""
-        now = utc_now()
-        records = self._conn.execute(
-            f"SELECT {_JOB_COLUMNS} FROM jobs WHERE status = 'running' "
-            f"AND deadline IS NOT NULL AND deadline < ?",
-            (now,),
-        ).fetchall()
-        return [self._job_from(r) for r in records]
+        return [
+            _row(r)
+            for r in self._read(
+                f"{_SELECT} WHERE status = 'running' AND deadline IS NOT NULL "
+                f"AND deadline < ?",
+                (utc_now(),),
+            )
+        ]
 
     # -- worker registry ------------------------------------------------------
+    @staticmethod
+    def _register(conn, worker_id: str, pid: int, now: float, state: str, job_id) -> None:
+        conn.execute(
+            "INSERT OR REPLACE INTO workers "
+            "(worker_id, pid, started, heartbeat, state, job_id) VALUES (?, ?, ?, ?, ?, ?)",
+            (worker_id, int(pid), now, now, state, job_id),
+        )
+
     def register_worker(self, worker_id: str, pid: int) -> None:
         now = utc_now()
-        self._txn(
-            lambda conn: conn.execute(
-                "INSERT OR REPLACE INTO workers "
-                "(worker_id, pid, started, heartbeat, state, job_id) "
-                "VALUES (?, ?, ?, ?, 'idle', NULL)",
-                (worker_id, int(pid), now, now),
-            )
-        )
+        self._txn(lambda conn: self._register(conn, worker_id, pid, now, "idle", None))
 
     def heartbeat(self, worker_id: str, state: str = "idle", job_id: Optional[str] = None) -> None:
         now = utc_now()
@@ -404,61 +502,79 @@ class JobQueue:
         )
 
     def workers(self) -> List[Dict[str, Any]]:
-        records = self._conn.execute(
-            "SELECT worker_id, pid, started, heartbeat, state, job_id "
-            "FROM workers ORDER BY worker_id"
-        ).fetchall()
         keys = ("worker_id", "pid", "started", "heartbeat", "state", "job_id")
+        records = self._read(f"SELECT {', '.join(keys)} FROM workers ORDER BY worker_id")
         return [dict(zip(keys, r)) for r in records]
 
     # -- queries --------------------------------------------------------------
-    def get(self, job_id: str) -> Optional[Dict[str, Any]]:
-        record = self._conn.execute(
-            f"SELECT {_JOB_COLUMNS} FROM jobs WHERE job_id = ?", (job_id,)
-        ).fetchone()
-        return self._job_from(record) if record else None
+    def get(self, job_id: str) -> Optional[StoredRun]:
+        with self._lock:
+            return self._get(self._conn, job_id)
 
     def jobs(
-        self, status: Optional[str] = None, limit: Optional[int] = None,
+        self,
+        status: Optional[str] = None,
+        where: Optional[Mapping[str, Any]] = None,
+        since: Optional[float] = None,
+        until: Optional[float] = None,
+        limit: Optional[int] = None,
         offset: int = 0,
-    ) -> List[Dict[str, Any]]:
-        sql = f"SELECT {_JOB_COLUMNS} FROM jobs"
+    ) -> List[StoredRun]:
+        """Rows by status, dotted config keys and creation window, paged.
+
+        The one query behind ``repro results ls``, ``repro jobs ls`` and
+        ``GET /jobs``: ``limit``/``offset`` page through the match set in
+        creation order, and a status outside :data:`JOB_STATUSES` or a
+        negative ``limit``/``offset`` is refused by name.
+        """
+        for name, value in (("limit", limit), ("offset", offset)):
+            if value is not None and int(value) < 0:
+                raise StoreError(f"{name} must be >= 0, got {value}")
+        sql = f"SELECT {', '.join('jobs.' + col for col in COLUMNS)} FROM jobs"
+        clauses: List[str] = []
         params: List[Any] = []
+        for i, (key, value) in enumerate(dict(where or {}).items()):
+            alias = f"kv{i}"
+            sql += (
+                f" JOIN config_kv AS {alias} ON {alias}.run_id = jobs.run_id"
+                f" AND {alias}.key = ? AND {alias}.value = ?"
+            )
+            params += [key, canonical_json(value)]
         if status is not None:
             if status not in JOB_STATUSES:
                 raise StoreError(
-                    f"unknown job status {status!r}; "
-                    f"one of: {', '.join(JOB_STATUSES)}"
+                    f"unknown status {status!r}; one of: {', '.join(JOB_STATUSES)}"
                 )
-            sql += " WHERE status = ?"
+            clauses.append("jobs.status = ?")
             params.append(status)
-        sql += " ORDER BY created, job_id"
+        if since is not None:
+            clauses.append("jobs.created >= ?")
+            params.append(float(since))
+        if until is not None:
+            clauses.append("jobs.created <= ?")
+            params.append(float(until))
+        if clauses:
+            sql += " WHERE " + " AND ".join(clauses)
+        sql += " ORDER BY jobs.created, jobs.run_id"
         if limit is not None or offset:
+            # sqlite treats LIMIT -1 as "no limit", which is exactly the
+            # offset-without-limit paging case
             sql += " LIMIT ? OFFSET ?"
             params += [-1 if limit is None else int(limit), int(offset)]
-        return [self._job_from(r) for r in self._conn.execute(sql, params)]
+        return [_row(r) for r in self._read(sql, params)]
 
     def attempts(self, job_id: str) -> List[Dict[str, Any]]:
         """Full attempt history of one job, oldest first."""
-        records = self._conn.execute(
-            "SELECT job_id, attempt, worker, started, finished, outcome, error "
-            "FROM job_attempts WHERE job_id = ? ORDER BY attempt",
+        keys = ("attempt", "worker", "started", "finished", "outcome", "error")
+        records = self._read(
+            f"SELECT {', '.join(keys)} FROM job_attempts WHERE run_id = ? ORDER BY attempt",
             (job_id,),
-        ).fetchall()
-        keys = ("job_id", "attempt", "worker", "started", "finished", "outcome", "error")
+        )
         return [dict(zip(keys, r)) for r in records]
 
     def counts(self) -> Dict[str, int]:
         """Jobs per status (all statuses present, zeros included)."""
         out = {status: 0 for status in JOB_STATUSES}
-        for status, n in self._conn.execute(
-            "SELECT status, COUNT(*) FROM jobs GROUP BY status"
-        ):
+        for status, n in self._read("SELECT status, COUNT(*) FROM jobs GROUP BY status"):
             out[status] = int(n)
         return out
-
-
-def job_config(job: Dict[str, Any]) -> SimulationConfig:
-    """The :class:`SimulationConfig` a job row was submitted with."""
-    return SimulationConfig.from_json(job["config_json"])
-

@@ -2,9 +2,8 @@
 
 One :class:`JobService` owns everything ``repro serve`` runs:
 
-- the study's :class:`~repro.store.ResultStore` (the queue lives
-  inside its index database);
-- a :class:`~repro.serve.queue.JobQueue` over that index;
+- the study's :class:`~repro.store.ResultStore` and its
+  :class:`~repro.serve.queue.JobQueue`, whose rows are the study's runs;
 - a :class:`~repro.serve.pool.WorkerPool` of spawned processes plus a
   supervisor thread ticking it (respawn dead workers, requeue their
   jobs, enforce deadlines);
@@ -25,8 +24,8 @@ from typing import Any, Dict, Optional, Tuple
 from repro.api.config import ServeConfig, SimulationConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.pool import WorkerPool
-from repro.serve.queue import JobQueue, job_id_for
 from repro.store.common import utc_now
+from repro.store.query import StoredRun
 from repro.utils.validation import declaration
 
 #: seconds between supervisor passes
@@ -56,7 +55,7 @@ class JobService:
         from repro.store import ResultStore
 
         self.store = ResultStore.ensure(store_root)
-        self.queue = JobQueue(self.store.root)
+        self.queue = self.store.queue
         self.host = host
         self.requested_port = int(port)
         self.timeout = float(timeout)
@@ -109,7 +108,6 @@ class JobService:
             self._supervisor.join(timeout=5.0)
             self._supervisor = None
         self.pool.stop()
-        self.queue.close()
         self.store.close()
 
     def __enter__(self) -> "JobService":
@@ -145,15 +143,15 @@ class JobService:
         config,
         max_attempts: Optional[int] = None,
         timeout: Optional[float] = None,
-    ) -> Tuple[Dict[str, Any], bool]:
+    ) -> Tuple[StoredRun, bool]:
         """Submit a config; returns ``(job, created)``.
 
         Idempotent by content hash — resubmitting an identical config
-        returns the existing job.  A config whose exact result already
-        sits in the store never reaches the queue: the job is born
-        ``ok`` pointing at the stored run.  ``max_attempts`` and
-        ``timeout`` are refused by name unless ``serve.retries`` and
-        ``serve.timeout`` would accept them.
+        returns the existing job, and a config whose run the store
+        already holds is that ``ok`` row: nothing is queued.
+        ``created`` is whether this call made (or re-armed) the row.
+        ``max_attempts`` and ``timeout`` are refused by name unless
+        ``serve.retries`` and ``serve.timeout`` would accept them.
         """
         if max_attempts is None:
             max_attempts = self.retries
@@ -163,18 +161,9 @@ class JobService:
         declaration(ServeConfig, "timeout").check(timeout, "timeout")
         if not isinstance(config, SimulationConfig):
             config = SimulationConfig.from_dict(config)
-        cached = self.store.find_completed(config)
-        before = self.queue.get(job_id_for(config))
-        job = self.queue.submit(
-            config,
-            max_attempts=max_attempts,
-            timeout=timeout,
-            run_id=cached.run_id if cached is not None else None,
-        )
-        created = before is None or before["status"] in ("error", "cancelled")
-        return job, created
+        return self.queue.submit(config, max_attempts=max_attempts, timeout=timeout)
 
-    def submit_payload(self, payload: Dict[str, Any]) -> Tuple[Dict[str, Any], bool]:
+    def submit_payload(self, payload: Dict[str, Any]) -> Tuple[StoredRun, bool]:
         """``POST /jobs`` body -> :meth:`submit` arguments."""
         if "config" not in payload:
             raise ValueError('request body must carry a "config" object')
@@ -190,11 +179,11 @@ class JobService:
             timeout=payload.get("timeout"),
         )
 
-    def cancel(self, job_id: str) -> Dict[str, Any]:
+    def cancel(self, job_id: str) -> StoredRun:
         """Cancel a job; a running job's worker is killed (then respawned)."""
         prior = self.queue.cancel(job_id)
-        if prior["status"] == "running" and prior["worker"]:
-            self.pool.kill_worker(prior["worker"])
+        if prior.status == "running" and prior.worker:
+            self.pool.kill_worker(prior.worker)
         job = self.queue.get(job_id)
         assert job is not None
         return job
@@ -215,7 +204,7 @@ class JobService:
             "jobs": counts,
             "total_jobs": sum(counts.values()),
             "workers": self.queue.workers(),
-            "stored_runs": len(self.store),
+            "stored_runs": counts["ok"],
             "ground_state_blobs": len(self.store.blobs.ground_state_addresses()),
             "recovered_on_boot": self.recovered,
             "uptime_s": (

@@ -1,8 +1,8 @@
 """Worker-process entry point: claim → execute → report, forever.
 
 ``worker_main`` is the target the pool spawns.  Each worker owns its
-*own* :class:`~repro.store.ResultStore` and
-:class:`~repro.serve.queue.JobQueue` handles on the shared study
+*own* :class:`~repro.store.ResultStore` handle (and with it its
+:class:`~repro.serve.queue.JobQueue`) on the shared study
 directory (SQLite connections cannot cross a process boundary) and
 loops: claim the oldest runnable job, execute it through the ordinary
 :class:`~repro.api.simulation.Simulation` facade, append the result to
@@ -12,9 +12,10 @@ Each job is one call of the run kernel (:func:`repro.api.runs.run_one`)
 against the shared store — cache hit, else the group's ground state
 (blob, or one lease-elected SCF across all workers), propagation,
 append — with a throttled progress callback publishing ``step /
-n_steps`` into the job row for ``GET /jobs/<id>``.  The result lands in
-the store first, then the job flips to ``ok`` (a crash between the two
-re-runs the job, which then resolves as a cache hit).
+n_steps`` into the job row for ``GET /jobs/<id>``.  The result file
+lands in the store first, then the job's row turns ``ok`` with the
+result's columns (a crash between the two re-runs the job, which then
+finishes the row from the file instead of recomputing).
 
 Failures are reported as failed attempts (the queue requeues with
 backoff or gives up); a worker killed outright reports nothing — the
@@ -30,7 +31,8 @@ from typing import Any, Dict, Optional
 
 from repro.api.runs import run_one
 from repro.api.simulation import Simulation
-from repro.serve.queue import JobQueue, job_config
+from repro.serve.queue import JobQueue
+from repro.store.query import StoredRun
 
 #: seconds a worker that found nothing to claim sleeps before it looks again
 IDLE_SLEEP_S = 0.1
@@ -40,10 +42,10 @@ IDLE_SLEEP_S = 0.1
 PROGRESS_EVERY_S = 0.25
 
 
-def execute_job(store, queue: JobQueue, job: Dict[str, Any], options: Dict[str, Any]) -> None:
+def execute_job(store, queue: JobQueue, job: StoredRun, options: Dict[str, Any]) -> None:
     """Run one claimed job to a terminal report (ok or failed attempt)."""
     backoff = float(options.get("backoff", 0.5))
-    job_id = job["job_id"]
+    job_id = job.run_id
     last = [0.0]
 
     def _progress(step: int, n_steps: int) -> None:
@@ -58,8 +60,8 @@ def execute_job(store, queue: JobQueue, job: Dict[str, Any], options: Dict[str, 
 
     try:
         queue.progress(job_id, 0.0, "converging ground state")
-        outcome = run_one(Simulation(job_config(job)), store, _progress)
-        queue.finish_ok(job_id, outcome.run_id)
+        # the store finishes the row it claimed when it adds the result
+        run_one(Simulation(job.config), store, _progress, claimed=True)
     except Exception as exc:  # noqa: BLE001 - every job error becomes a report
         error = f"{type(exc).__name__}: {exc}\n{traceback.format_exc(limit=5)}"
         queue.fail_attempt(job_id, error, backoff=backoff)
@@ -81,7 +83,7 @@ def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any
 
     options = dict(options or {})
     store = ResultStore(store_root, create=False)
-    queue = JobQueue(store_root)
+    queue = store.queue
     queue.register_worker(worker_id, os.getpid())
     parent = mp.parent_process()
     try:
@@ -91,7 +93,7 @@ def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any
                 queue.heartbeat(worker_id, state="idle")
                 time.sleep(IDLE_SLEEP_S)
                 continue
-            queue.heartbeat(worker_id, state="busy", job_id=job["job_id"])
+            queue.heartbeat(worker_id, state="busy", job_id=job.run_id)
             execute_job(store, queue, job, options)
             queue.heartbeat(worker_id, state="idle")
     except KeyboardInterrupt:
@@ -100,5 +102,4 @@ def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any
         pass
     finally:
         queue.remove_worker(worker_id)
-        queue.close()
         store.close()

@@ -5,9 +5,11 @@ result file (the file ``SimulationResult.save_npz`` writes), ground
 states are deduplicated by content address (every variant in a
 shared-SCF sweep group points at one ground-state blob), and a
 schema-versioned index of :class:`StoredRun` rows answers queries by
-dotted config key, status, and time window.  :func:`inspect_store` is
-the one test of whether a path can hold a store and whether this build
-opens the store there.
+dotted config key, status, and time window.  A run's row is its job
+row — one id, one table (``jobs``, owned by
+:class:`~repro.serve.queue.JobQueue`), one state machine — whichever
+verb made it.  :func:`inspect_store` is the one test of whether a path
+can hold a store and whether this build opens the store there.
 
 Entry points:
 
@@ -18,37 +20,30 @@ Entry points:
 - ``repro results ls|show|export`` — query and materialize stored runs
 """
 
-from repro.store.blobs import BlobStore
-from repro.store.common import (
-    StoreError,
-    canonical_json,
-    config_hash,
-    flatten_dotted,
-    group_address,
-    group_key,
-    run_id_for,
-)
-from repro.store.index import SqliteRunIndex
-from repro.store.query import StoredRun, parse_when, parse_where
-from repro.store.schema import SCHEMA_VERSION, ensure_schema
-from repro.store.store import STORE_VERSION, ResultStore, inspect_store
+from repro.utils.lazy import lazy_exports
 
-__all__ = [
-    "BlobStore",
-    "ResultStore",
-    "SCHEMA_VERSION",
-    "STORE_VERSION",
-    "SqliteRunIndex",
-    "StoreError",
-    "StoredRun",
-    "canonical_json",
-    "config_hash",
-    "ensure_schema",
-    "flatten_dotted",
-    "group_address",
-    "group_key",
-    "inspect_store",
-    "parse_when",
-    "parse_where",
-    "run_id_for",
-]
+#: public name -> submodule, imported on first use (so the job queue,
+#: which the store's modules and the store's opener both import, can
+#: import ``repro.store.common`` without the store itself)
+_EXPORTS = {
+    "BlobStore": ".blobs",
+    "ResultStore": ".store",
+    "SCHEMA_VERSION": ".schema",
+    "STORE_VERSION": ".schema",
+    "StoreError": ".common",
+    "StoredRun": ".query",
+    "canonical_json": ".common",
+    "config_hash": ".common",
+    "ensure_schema": ".schema",
+    "flatten_dotted": ".common",
+    "group_address": ".common",
+    "group_key": ".common",
+    "inspect_store": ".schema",
+    "parse_when": ".query",
+    "parse_where": ".query",
+    "run_id_for": ".common",
+}
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

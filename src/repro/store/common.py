@@ -46,10 +46,11 @@ def config_hash(config) -> str:
 
 
 def run_id_for(config) -> str:
-    """Default run id: ``r`` + the leading 12 hex chars of the config hash.
+    """The run's id: ``r`` + the leading 12 hex chars of the config hash.
 
-    Stable across processes and sessions, so re-running the same config
-    against the same store addresses the same run record.
+    Stable across processes and sessions, so re-running or resubmitting
+    the same config against the same store addresses the same row — the
+    id of its job, its run and its ``runs/<id>.npz`` alike.
     """
     return "r" + config_hash(config)[:12]
 
@@ -57,10 +58,10 @@ def run_id_for(config) -> str:
 def group_key(config) -> str:
     """Ground-state sharing key: canonical (system, scf, backend-engine).
 
-    The same grouping rule as the ensemble engine's ``_gs_key`` (which
-    now delegates here): variants that differ only in field/propagation/
-    parallel sections — or in backend tuning knobs — share one converged
-    SCF, so a store keeps exactly one ground-state blob per group.
+    Variants that differ only in field/propagation/parallel sections — or
+    in backend tuning knobs — share one converged SCF: the sweep planner
+    (:func:`repro.api.runs.plan_runs`) converges each group once, and a
+    store keeps exactly one ground-state blob per group.
     """
     return canonical_json(
         {
@@ -116,7 +117,7 @@ def pid_alive(pid: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# sqlite concurrency helpers (shared by the run index and the job queue)
+# sqlite concurrency helpers (the job queue and the schema peek)
 # --------------------------------------------------------------------------
 
 #: default seconds a writer waits on a locked database before giving up

@@ -1,17 +1,18 @@
-"""Typed query surface over the run index.
+"""The read model of a run row, and the CLI's query filters.
 
-:class:`StoredRun` is one row of the run index, as written and as read
-back (the ``runs`` table's columns in field order, config parsed into a
-:class:`SimulationConfig`, overrides labeled the same way sweep variants
-are); the CLI helpers parse ``--where key=value`` /
-``--since 2026-08-01`` arguments into the filters
-:meth:`ResultStore.query <repro.store.store.ResultStore.query>` takes —
-status, dotted config keys, creation-time window.
+:class:`StoredRun` is one row of the ``jobs`` table, as
+:class:`~repro.serve.queue.JobQueue` reads it back: the table's columns
+in field order, config parsed into a :class:`SimulationConfig`,
+overrides labeled the same way sweep variants are.  The CLI helpers
+parse ``--where key=value`` / ``--since 2026-08-01`` arguments into the
+filters :meth:`ResultStore.query <repro.store.store.ResultStore.query>`
+takes — status, dotted config keys, creation-time window.
 """
 
 from __future__ import annotations
 
 import datetime as _dt
+import functools
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
@@ -22,26 +23,44 @@ from repro.store.common import StoreError
 
 @dataclass(frozen=True)
 class StoredRun:
-    """One indexed run: identity, status, provenance, accounting.
+    """One run: identity, queue state, provenance, result accounting.
 
-    The fields are the ``runs`` table's columns in DDL order
-    (:mod:`repro.store.schema`); ``config``, ``overrides``, ``fft`` and
-    ``parallel`` are stored as ``<name>_json`` text.
+    The fields are the ``jobs`` table's columns in DDL order
+    (:mod:`repro.store.schema`); ``overrides``, ``fft`` and ``parallel``
+    are stored as ``<name>_json`` text.  ``config_json`` is kept as
+    text and parsed into :attr:`config` on first use: listing a queue
+    reads rows by the hundred and looks at no config.  The result
+    columns (``gs_address`` onward) describe ``runs/<run_id>.npz`` once
+    the row is ``ok``.
     """
 
     run_id: str
     config_hash: str
-    gs_address: Optional[str]
     status: str
     error: Optional[str]
+    worker: Optional[str]
+    attempts: int
+    max_attempts: int
+    timeout: float
     created: float
     updated: float
+    started: Optional[float]
+    finished: Optional[float]
+    deadline: Optional[float]
+    not_before: float
+    progress: float
+    message: Optional[str]
+    config_json: str
+    overrides: Dict[str, Any]
+    gs_address: Optional[str]
     elapsed: float
     n_times: int
-    config: SimulationConfig
-    overrides: Dict[str, Any]
     fft: Optional[Dict[str, Any]]
     parallel: Optional[Dict[str, Any]]
+
+    @functools.cached_property
+    def config(self) -> SimulationConfig:
+        return SimulationConfig.from_json(self.config_json)
 
     @property
     def ok(self) -> bool:

@@ -4,7 +4,7 @@ On-disk layout::
 
     study/
       store.json            # store metadata: version, index backend
-      index.sqlite          # queryable run index (and the job queue)
+      index.sqlite          # one row per run: the job queue (schema 5)
       blobs/
         ground_states/<sha>.npz    # one SCF per (system, scf, engine) group
       runs/
@@ -15,9 +15,15 @@ On-disk layout::
 writes (one writer, :func:`~repro.api.simulation.write_result_npz`), so
 :meth:`ResultStore.export` is a file copy and ``SimulationResult.load_npz``
 reads a stored run in place.  It is written once, when the run
-finishes, by temp file + rename: re-running a config replaces the old
-file whole, and a writer killed part-way leaves the previous run
-readable.
+finishes, by temp file + rename, and then the run's row turns ``ok``:
+re-running a config replaces the old file whole, and a writer killed
+part-way leaves the previous run readable.
+
+A run's row is its job row (:class:`~repro.serve.queue.JobQueue` owns
+the table; :class:`~repro.store.query.StoredRun` reads it): the store
+reads rows and finishes them only through its queue, so a run stored by
+a service worker, a sweep or ``Simulation.run(store=)`` has one id, one
+row and an attempt history alike.
 
 The store is the durable layer between the engines and the filesystem:
 :meth:`Simulation.propagate(store=...) <repro.api.simulation.Simulation.propagate>`
@@ -28,29 +34,19 @@ add finished runs to it, ``repro sweep --store`` resumes from it, and
 
 from __future__ import annotations
 
-import dataclasses
 import json
-import os
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 import numpy as np
 
 from repro.api.config import SimulationConfig
+from repro.serve.queue import JobQueue
 from repro.store.blobs import BlobStore
-from repro.store.common import (
-    StoreError,
-    config_hash,
-    connect_sqlite,
-    group_address,
-    run_id_for,
-    utc_now,
-)
-from repro.store.index import SqliteRunIndex
+from repro.store.common import StoreError, group_address, run_id_for, utc_now
 from repro.store.query import StoredRun
-from repro.store.schema import SCHEMA_VERSION, version_problem
-from repro.store.schema import schema_version as read_schema_version
+from repro.store.schema import INDEX_BACKEND, STORE_VERSION, inspect_store
 from repro.utils.io import atomic_write_text
 
 if TYPE_CHECKING:
@@ -61,85 +57,7 @@ if TYPE_CHECKING:
     from repro.rt.propagator import TDState
     from repro.scf.groundstate import GroundState
 
-#: version of the directory layout (not the index schema); 1 kept each
-#: run as a directory of several files (repro <= 1.9)
-STORE_VERSION = 2
-
 StoreLike = Union["ResultStore", str, Path]
-
-
-#: the one index backend; ``store.json`` records it so an older build
-#: that still had others refuses a store it cannot read
-INDEX_BACKEND = "sqlite"
-
-
-class StoreCheck(NamedTuple):
-    """What :func:`inspect_store` finds at a usable store path."""
-
-    #: ``store.json``; ``None`` where a store would be created
-    meta: Optional[Dict[str, Any]]
-    #: the index's schema version (``None``: no index yet)
-    schema_version: Optional[int]
-    #: why this build cannot open the store, in the words the opener raises
-    problems: List[str]
-
-
-def inspect_store(root) -> StoreCheck:
-    """Can ``root`` hold a result store, and does this build open the one there?
-
-    The one test of a store path, run by :class:`ResultStore` before it
-    creates anything, by the job queue, and by ``repro validate --store``
-    (which prints the problems as warnings).  It reads ``store.json`` and
-    the index schema version and creates and alters nothing.  A path
-    that can never hold a store — a regular file, a non-empty directory
-    without ``store.json``, a location nobody can write, a ``store.json``
-    naming a removed index backend — raises :class:`StoreError`.
-    """
-    root = Path(root)
-    meta_path = root / "store.json"
-    if root.exists() and not root.is_dir():
-        raise StoreError(f"store path {root} exists and is not a directory")
-    if not meta_path.exists():
-        if root.exists() and any(root.iterdir()):
-            raise StoreError(
-                f"{root} exists and is not a result store (no store.json); "
-                f"refusing to adopt a non-empty directory"
-            )
-        ancestor = root.absolute()
-        while not ancestor.exists():
-            ancestor = ancestor.parent
-        if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
-            raise StoreError(
-                f"store path {root} is not writable ({ancestor} denies write access)"
-            )
-        return StoreCheck(None, None, [])
-    meta = json.loads(meta_path.read_text())
-    backend = str(meta.get("backend", INDEX_BACKEND))
-    if backend != INDEX_BACKEND:
-        raise StoreError(
-            f"store {root} uses index backend {backend!r}, which was removed in "
-            f"1.8.0 ({INDEX_BACKEND} is the only run index); open it with "
-            f"repro < 1.8 and re-add its runs to a new store"
-        )
-    problems = [
-        version_problem("store_version", int(meta.get("store_version", 0)), STORE_VERSION)
-    ]
-    version: Optional[int] = None
-    sqlite_path = root / SqliteRunIndex.filename
-    if sqlite_path.exists():
-        # connect_sqlite, not a raw sqlite3.connect: even this read-only
-        # peek must honor WAL mode and the busy timeout, or it races the
-        # 4-process write hammer straight into SQLITE_BUSY
-        conn = connect_sqlite(sqlite_path)
-        try:
-            version = read_schema_version(conn)
-        finally:
-            conn.close()
-        if version:  # 0: an index no opener has initialized yet
-            problems.append(version_problem("index schema version", version, SCHEMA_VERSION))
-    return StoreCheck(
-        meta, version, [f"store {root} has {problem}" for problem in problems if problem]
-    )
 
 
 def _fft_dict(fft) -> Optional[Dict[str, Any]]:
@@ -173,7 +91,8 @@ class ResultStore:
             atomic_write_text(self.root / "store.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
         self.blobs = BlobStore(self.root / "blobs")
         self.runs_dir = self.root / "runs"
-        self.index = SqliteRunIndex(self.root)
+        #: the owner of the run rows; the store reads and finishes them through it
+        self.queue = JobQueue(self.root)
 
     # -- lifecycle -----------------------------------------------------------
     @classmethod
@@ -184,10 +103,10 @@ class ResultStore:
         return cls(store, **kwargs)
 
     def close(self) -> None:
-        self.index.close()
+        self.queue.close()
 
     def __len__(self) -> int:
-        return self.index.count()
+        return sum(self.queue.counts().values())
 
     def __repr__(self) -> str:
         return f"ResultStore({str(self.root)!r}, runs={len(self)})"
@@ -195,52 +114,11 @@ class ResultStore:
     def _run_path(self, run_id: str) -> Path:
         return self.runs_dir / f"{run_id}.npz"
 
-    # -- registration / writing ---------------------------------------------
-    def begin_run(
-        self,
-        config: SimulationConfig,
-        overrides: Optional[Mapping[str, Any]] = None,
-        run_id: Optional[str] = None,
-    ) -> str:
-        """Register a run as ``running`` before it executes.
+    def _gs_address(self, config: SimulationConfig) -> Optional[str]:
+        address = group_address(config)
+        return address if self.blobs.ground_state_path(address).exists() else None
 
-        An interrupted process leaves the row in ``running`` status —
-        which is exactly what resume looks for to re-queue the variant.
-        Re-registering an existing run keeps its original ``created``
-        timestamp.
-        """
-        return self._write_row(config, run_id, "running", overrides)
-
-    def _write_row(
-        self,
-        config: SimulationConfig,
-        run_id: Optional[str],
-        status: str,
-        overrides: Optional[Mapping[str, Any]],
-        **fields,
-    ) -> str:
-        """Upsert the run's index row — every writer's one way in.
-
-        ``created``, ``gs_address`` and the sweep label carry over from
-        the row already there unless the writer sets them: a sweep's
-        parent labels the row in :meth:`begin_run`, and the worker that
-        later finishes the run knows only the config and must not blank
-        the label.
-        """
-        run_id = run_id or run_id_for(config)
-        prior = self.index.get(run_id)
-        now = utc_now()
-        if overrides is None:
-            overrides = prior.overrides if prior else {}
-        run = StoredRun(
-            run_id=run_id, config_hash=config_hash(config),
-            gs_address=prior.gs_address if prior else None, status=status, error=None,
-            created=prior.created if prior else now, updated=now, elapsed=0.0, n_times=0,
-            config=config, overrides=dict(overrides), fft=None, parallel=None,
-        )
-        self.index.upsert(dataclasses.replace(run, **fields))
-        return run_id
-
+    # -- writing ---------------------------------------------------------------
     def add_run(
         self,
         config: SimulationConfig,
@@ -248,7 +126,6 @@ class ResultStore:
         final_state: TDState,
         *,
         overrides: Optional[Mapping[str, Any]] = None,
-        run_id: Optional[str] = None,
         fft=None,
         parallel: Optional[Mapping[str, Any]] = None,
         elapsed: float = 0.0,
@@ -258,40 +135,35 @@ class ResultStore:
 
         The ground state goes to the content-addressed blobs
         (deduplicated), trajectory and final state become the run's
-        result file, and the index row flips to ``ok``.  Re-adding an
-        existing ``run_id`` replaces its file atomically (latest wins);
-        until the new file is complete the row keeps serving the old one.
+        result file, and then the run's row turns ``ok``
+        (:meth:`JobQueue.finish_ok`).  Re-adding a config replaces its
+        file atomically (latest wins); until the new file is complete the
+        row keeps serving the old one.
         """
         from repro.api.simulation import write_result_npz
 
-        run_id = run_id or run_id_for(config)
         if ground_state is not None:
-            gs_address = self.blobs.put_ground_state(config, ground_state)
-        else:
-            gs_address = group_address(config)
-            if not self.blobs.ground_state_path(gs_address).exists():
-                gs_address = None
+            self.blobs.put_ground_state(config, ground_state)
         arrays = {key: np.asarray(arr) for key, arr in arrays.items()}
         parallel = dict(parallel) if parallel is not None else None
+        run_id = run_id_for(config)
         write_result_npz(self._run_path(run_id), config, arrays, final_state, parallel)
-        return self._write_row(
+        self.queue.finish_ok(
             config,
-            run_id,
-            "ok",
-            overrides,
-            gs_address=gs_address,
+            overrides=overrides,
+            gs_address=self._gs_address(config),
             elapsed=float(elapsed),
-            n_times=int(arrays["times"].shape[0]) if "times" in arrays else 0,
+            n_times=len(arrays.get("times", ())),
             fft=_fft_dict(fft),
             parallel=parallel,
         )
+        return run_id
 
     def add_result(
         self,
         result: SimulationResult,
         *,
         overrides: Optional[Mapping[str, Any]] = None,
-        run_id: Optional[str] = None,
         elapsed: float = 0.0,
     ) -> str:
         """Store a :class:`SimulationResult` (the facade entry point)."""
@@ -300,24 +172,10 @@ class ResultStore:
             result.observables(),
             result.final_state,
             overrides=overrides,
-            run_id=run_id,
             fft=result.fft,
             parallel=result.parallel.to_dict() if result.parallel is not None else None,
             elapsed=elapsed,
             ground_state=result.ground_state,
-        )
-
-    def mark_error(
-        self,
-        config: SimulationConfig,
-        error: str,
-        overrides: Optional[Mapping[str, Any]] = None,
-        run_id: Optional[str] = None,
-        elapsed: float = 0.0,
-    ) -> str:
-        """Record a failed run (kept in the index, re-queued on resume)."""
-        return self._write_row(
-            config, run_id, "error", overrides, error=str(error), elapsed=float(elapsed)
         )
 
     # -- ground-state cache ---------------------------------------------------
@@ -331,7 +189,7 @@ class ResultStore:
 
     # -- lookup / materialization ---------------------------------------------
     def get(self, run_id: str) -> StoredRun:
-        run = self.index.get(run_id)
+        run = self.queue.get(run_id)
         if run is None:
             raise StoreError(
                 f"store {self.root} has no run {run_id!r}; "
@@ -343,10 +201,28 @@ class ResultStore:
         """The completed stored run for exactly this config (else ``None``).
 
         The config-hash match is what sweep resume uses: a variant whose
-        hash maps to an ``ok`` row is restored instead of recomputed.
+        row is ``ok`` is restored instead of recomputed.  So is one whose
+        result file a process wrote and then died before finishing the
+        row: the row is finished here from the file (its elapsed seconds
+        and FFT tally died with the writer) — unless it was cancelled,
+        which :meth:`JobQueue.finish_ok` keeps.
         """
-        run = self.index.find_by_config(config_hash(config))
-        return run if run is not None and run.ok else None
+        run = self.queue.get(run_id_for(config))
+        if run is None or run.ok:
+            return run
+        path = self._run_path(run.run_id)
+        if not path.exists():
+            return None
+        from repro.api.simulation import read_result_npz
+
+        stored = read_result_npz(path, expected_config=config)
+        done = self.queue.finish_ok(
+            config,
+            gs_address=self._gs_address(config),
+            n_times=len(stored.observables.get("times", ())),
+            parallel=stored.parallel,
+        )
+        return done if done.ok else None
 
     def result_path(self, run_id: str) -> Path:
         """The result file of a completed run (``runs/<run_id>.npz``)."""
@@ -417,7 +293,7 @@ class ResultStore:
         ``limit``/``offset`` page through the match set in creation
         order (service stores accumulate thousands of runs).
         """
-        return self.index.rows(
+        return self.queue.jobs(
             status=status, where=where, since=since, until=until, limit=limit, offset=offset
         )
 

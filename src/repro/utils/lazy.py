@@ -1,6 +1,7 @@
 """Lazy re-exports for the package facades.
 
-A facade (``repro``, ``repro.api``, ``repro.parallel``, ``repro.serve``)
+A facade (``repro``, ``repro.api``, ``repro.parallel``, ``repro.serve``,
+``repro.store``)
 names its public objects in a map from name to defining module and
 imports that module the first time the name is read, not when the
 facade is.  So a process that only routes — the job service, ``repro

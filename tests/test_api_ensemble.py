@@ -311,9 +311,9 @@ def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypa
     with JobService(tmp_path / "served", port=0, workers=2, backoff=0.0) as service:
         jobs = [service.submit(run.config)[0] for run in reference.runs]
         assert service.wait_all(timeout_s=300.0)
-        finals = [service.queue.get(job["job_id"]) for job in jobs]
-        assert [job["status"] for job in finals] == ["ok"] * 4
-        served = [service.store.load_result(job["run_id"]) for job in finals]
+        finals = [service.queue.get(job.run_id) for job in jobs]
+        assert [job.status for job in finals] == ["ok"] * 4
+        served = [service.store.load_result(job.run_id) for job in finals]
         assert len(service.store.blobs.ground_state_addresses()) == 1
 
     for ensemble in (alone, unstored, stored):

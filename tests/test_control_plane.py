@@ -90,7 +90,7 @@ def test_a_served_study_never_imports_the_physics(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "facade", ["repro", "repro.api", "repro.parallel", "repro.serve"]
+    "facade", ["repro", "repro.api", "repro.parallel", "repro.serve", "repro.store"]
 )
 def test_every_lazy_export_resolves(facade):
     """Each name of ``__all__`` resolves, ``dir()`` lists it, and a star

@@ -53,7 +53,7 @@ def _rows(store_dir):
 
 def _assert_nothing_half_done(store_dir):
     jobs, workers = _rows(store_dir)
-    assert [job for job in jobs if job["status"] == "running"] == []
+    assert [job for job in jobs if job.status == "running"] == []
     assert [w for w in workers if w["pid"] == os.getpid()] == []
     store = ResultStore(store_dir, create=False)
     try:
@@ -81,16 +81,16 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
     assert len(spawned) == workers - 1
 
     jobs, left = _rows(store_dir)
-    first = min(jobs, key=lambda job: job["started"])
-    assert first["worker"].endswith("caller")
+    first = min(jobs, key=lambda job: job.started)
+    assert first.worker.endswith("caller")
     if workers == 1:
-        assert all(job["worker"].endswith("caller") for job in jobs)
+        assert all(job.worker.endswith("caller") for job in jobs)
     # the caller's row is gone; those of children that got as far as
     # registering stay until the next recover() and say when each came up:
     # after the first job was already running
     assert len(left) <= workers - 1 and all(w["pid"] != os.getpid() for w in left)
-    assert all(first["started"] < w["started"] for w in left)
-    assert all(job["attempts"] == 1 for job in jobs)
+    assert all(first.started < w["started"] for w in left)
+    assert all(job.attempts == 1 for job in jobs)
 
 
 def test_a_progress_callback_that_raises_leaves_nothing_half_done(store_dir, base):
@@ -171,7 +171,7 @@ def test_a_killed_caller_is_requeued_by_the_next_call(store_dir, base, tmp_path)
             while not held and time.monotonic() < deadline and caller.poll() is None:
                 held = [
                     job for job in queue.jobs(status="running")
-                    if job["worker"].endswith("caller")
+                    if job.worker.endswith("caller")
                 ]
                 time.sleep(0.02)
             assert len(held) == 1
@@ -187,9 +187,9 @@ def test_a_killed_caller_is_requeued_by_the_next_call(store_dir, base, tmp_path)
             pass
     assert [r.status for r in result.runs] == ["ok"] * 2
     jobs, _ = _rows(store_dir)
-    attempts = {job["job_id"]: job["attempts"] for job in jobs}
-    assert attempts[held[0]["job_id"]] == 2  # the dead caller's, then the one that finished it
-    assert sorted(job["status"] for job in jobs) == ["ok", "ok"]
+    attempts = {job.run_id: job.attempts for job in jobs}
+    assert attempts[held[0].run_id] == 2  # the dead caller's, then the one that finished it
+    assert sorted(job.status for job in jobs) == ["ok", "ok"]
 
 
 def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):
@@ -200,12 +200,12 @@ def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):
     theirs = WorkerPool(str(store_dir), queue, n_workers=1)
     config = base.replace(propagation={"n_steps": 12})
     try:
-        job_id = queue.submit(config, max_attempts=3)["job_id"]
+        job_id = queue.submit(config, max_attempts=3)[0].run_id
         theirs.start()
         deadline = time.monotonic() + 120.0
-        while queue.get(job_id)["status"] != "running" and time.monotonic() < deadline:
+        while queue.get(job_id).status != "running" and time.monotonic() < deadline:
             time.sleep(0.01)
-        holder = queue.get(job_id)["worker"]
+        holder = queue.get(job_id).worker
         assert holder and theirs.pid_of(holder) is not None and ours.pid_of(holder) is None
 
         ours.start()
@@ -214,11 +214,11 @@ def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):
         assert ours.kill_worker(doomed)
         ours.tick(backoff=0.0)  # reaps its own dead worker, and only its own
 
-        while queue.get(job_id)["status"] == "running" and time.monotonic() < deadline:
+        while queue.get(job_id).status == "running" and time.monotonic() < deadline:
             theirs.tick(backoff=0.0)
             time.sleep(0.05)
         job = queue.get(job_id)
-        assert (job["status"], job["attempts"]) == ("ok", 1)
+        assert (job.status, job.attempts) == ("ok", 1)
         assert [a["outcome"] for a in queue.attempts(job_id)] == ["ok"]
     finally:
         ours.stop()

@@ -1,0 +1,189 @@
+"""The run row's state machine, driven at random (hypothesis).
+
+A run is one row of the store's ``jobs`` table, whichever way it was
+made.  The machine below drives one config's row through every
+transition a run can take — submit, claim, finish, a failed attempt,
+cancel, a deadline running out, a supervisor's pass, a stored run that
+records itself (and finishes, fails, or is killed outright), a re-run,
+the resume lookup — in random order, and after every step checks what
+must always hold of every row:
+
+- ``attempts`` is the number of its ``job_attempts`` rows;
+- ``attempts`` never exceeds ``max_attempts``;
+- a cancel wins: a row cancelled while queued or running stays
+  cancelled until someone asks for it again (a submit or a stored run);
+- a ``running`` row names its worker, and a supervisor can tell whether
+  that worker lives: a claimer, or a registered process;
+- an ``ok`` row has its result file, and its columns describe that file.
+
+The results are synthetic arrays (no physics), so a step is a few
+SQLite transactions and at most one small ``.npz``.
+"""
+
+import contextlib
+import shutil
+import tempfile
+import time
+
+import numpy as np
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import settings, strategies as st  # noqa: E402
+from hypothesis.stateful import (  # noqa: E402
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
+
+from repro.api import SimulationConfig  # noqa: E402
+from repro.rt.propagator import TDState  # noqa: E402
+from repro.serve.queue import own_worker_id  # noqa: E402
+from repro.store import ResultStore, run_id_for  # noqa: E402
+
+CONFIG = SimulationConfig.from_dict({"field": {"kind": "static_kick", "params": {"kick": 1e-3}}})
+RUN_ID = run_id_for(CONFIG)
+WORKERS = ("w0", "w1")
+
+
+def _result(n_times):
+    arrays = {"times": np.arange(float(n_times)), "dipole": np.zeros((n_times, 3))}
+    state = TDState(phi=np.ones((1, 2), dtype=complex), sigma=np.eye(1, dtype=complex), time=1.0)
+    return arrays, state
+
+
+class RunRows(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.root = tempfile.mkdtemp(prefix="repro-run-rows-")
+        self.store = ResultStore(self.root)
+        self.queue = self.store.queue
+        #: the worker whose claim has not been reported yet
+        self.holder = None
+        #: cancelled before it finished, and not asked for since
+        self.cancelled = False
+
+    def teardown(self):
+        self.store.close()
+        shutil.rmtree(self.root, ignore_errors=True)
+
+    def _row(self):
+        return self.queue.get(RUN_ID)
+
+    # -- transitions ---------------------------------------------------------
+    @rule(max_attempts=st.integers(1, 3), timed=st.booleans())
+    def submit(self, max_attempts, timed):
+        before = self._row()
+        row, created = self.queue.submit(
+            CONFIG, max_attempts=max_attempts, timeout=1e-6 if timed else 0.0
+        )
+        assert created == (before is None or before.status in ("error", "cancelled"))
+        self.cancelled = self.cancelled and row.status == "cancelled"
+
+    @rule(worker=st.sampled_from(WORKERS))
+    def claim(self, worker):
+        row = self.queue.claim(worker)
+        if row is not None:
+            assert (row.run_id, row.status, row.worker) == (RUN_ID, "running", worker)
+            self.holder = worker
+
+    @precondition(lambda self: self.holder)
+    @rule(n_times=st.integers(1, 4))
+    def finish(self, n_times):
+        """The claim's holder stores its result (``ResultStore.add_run``)."""
+        self.holder = None
+        self.store.add_run(CONFIG, *_result(n_times), elapsed=0.5)
+
+    @precondition(lambda self: self.holder)
+    @rule()
+    def fail(self):
+        self.holder = None
+        self.queue.fail_attempt(RUN_ID, "boom", backoff=0.0)
+
+    @precondition(lambda self: self._row() is not None)
+    @rule()
+    def cancel(self):
+        if self.queue.cancel(RUN_ID).status in ("queued", "running"):
+            self.cancelled = True
+
+    @rule(alive=st.lists(st.sampled_from(WORKERS), unique=True))
+    def supervise(self, alive):
+        """A supervisor's pass: fail a job past its deadline, then requeue
+        the rows whose worker is gone — a claimer not in ``alive``, and any
+        registered process (here, a stored run killed outright)."""
+        time.sleep(2e-6)
+        for job in self.queue.expired():
+            self.holder = None
+            self.queue.fail_attempt(job.run_id, "timed out", backoff=0.0, outcome="timeout")
+        self.queue.recover(keep=alive)
+        if self.holder not in alive:
+            self.holder = None
+        assert self.queue.workers() == []
+
+    @rule(n_times=st.integers(1, 4), how=st.sampled_from(("ok", "fails", "killed")))
+    def stored_run(self, n_times, how):
+        """``run_one`` with a store records its own run on the row; over an
+        ``ok`` row (``repro run --rerun``) the row stays as it is until the
+        new result lands.  A run killed outright leaves what ``begin`` did."""
+        before = self._row()
+        rerun = before is not None and before.ok
+        if how == "killed":
+            row = self.queue.begin(CONFIG)
+        else:
+            with contextlib.ExitStack() as stack:
+                if how == "fails":
+                    stack.enter_context(pytest.raises(FloatingPointError))
+                row = stack.enter_context(self.queue.recording(CONFIG))
+                if how == "fails":
+                    raise FloatingPointError("diverged")
+                self.store.add_run(CONFIG, *_result(n_times), elapsed=0.25)
+        if rerun:
+            assert row == before
+            if how != "ok":
+                assert self._row() == before
+            return
+        assert (row.status, row.worker) == ("running", own_worker_id())
+        self.holder, self.cancelled = None, False  # a claim's holder lost the row to this run
+        registered = [w["worker_id"] for w in self.queue.workers()]
+        assert registered == ([own_worker_id()] if how == "killed" else [])
+
+    @rule()
+    def resume_lookup(self):
+        """A sweep's plan: the ok row, or a result file finished into one."""
+        done = self.store.find_completed(CONFIG)
+        assert done is None or done.ok
+
+    # -- invariants ----------------------------------------------------------
+    @invariant()
+    def attempts_are_the_history(self):
+        row = self._row()
+        if row is not None:
+            assert row.attempts == len(self.queue.attempts(RUN_ID)), row
+            assert row.attempts <= row.max_attempts, row
+
+    @invariant()
+    def cancel_wins(self):
+        if self.cancelled:
+            assert self._row().status == "cancelled"
+
+    @invariant()
+    def running_rows_name_a_worker_that_can_be_judged(self):
+        row = self._row()
+        if row is not None and row.status == "running":
+            registered = [w["worker_id"] for w in self.queue.workers()]
+            assert row.worker in WORKERS or row.worker in registered, row
+
+    @invariant()
+    def ok_rows_describe_their_file(self):
+        row = self._row()
+        if row is not None and row.ok:
+            arrays = self.store.load_arrays(RUN_ID)
+            assert row.n_times == len(arrays["times"]) > 0, row
+            assert row.finished is not None and row.progress == 1.0, row
+
+
+RunRows.TestCase.settings = settings(
+    max_examples=20, stateful_step_count=20, deadline=None, derandomize=True
+)
+TestRunRows = RunRows.TestCase

@@ -12,6 +12,8 @@ unit tests never spawn a process at all.
 import json
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import numpy as np
@@ -19,8 +21,8 @@ import pytest
 
 from repro.api import Simulation, SimulationConfig, SimulationResult
 from repro.serve import JobQueue, JobService, ServeClient, ServeError
-from repro.serve.queue import TERMINAL_STATUSES, job_id_for
-from repro.store import ResultStore, group_address
+from repro.serve.queue import TERMINAL_STATUSES
+from repro.store import ResultStore, group_address, run_id_for
 
 BASE = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -162,6 +164,14 @@ def test_e2e_unknown_job_is_404(e2e):
     assert err.value.status == 404
 
 
+def test_e2e_negative_paging_is_400(e2e):
+    """``GET /jobs`` refuses a negative ``limit`` or ``offset`` by name."""
+    for page, name in (({"limit": -1}, "limit"), ({"limit": 2, "offset": -3}, "offset")):
+        with pytest.raises(ServeError, match=f"{name} must be >= 0") as err:
+            e2e["client"].jobs(**page)
+        assert err.value.status == 400
+
+
 def test_e2e_bad_submit_is_400(e2e):
     with pytest.raises(ServeError) as err:
         e2e["client"]._json("/jobs", payload={"nonsense": 1})
@@ -241,6 +251,46 @@ def test_sigkilled_worker_job_is_retried_to_completion(tmp_path):
         assert outcomes == ["crashed", "ok"]
 
 
+def test_a_killed_stored_run_is_requeued_by_a_live_service(tmp_path):
+    """``repro run --store`` SIGKILLed beside a running service: its row is
+    left ``running``, the service's supervisor finds the run's process
+    gone and requeues it, and a submit of that config runs it to ``ok``."""
+    root = tmp_path / "store"
+    config = make_config(kick=0.009, n_steps=60)
+    store = ResultStore.ensure(root)
+    store.put_ground_state(config, Simulation(config).ground_state())
+    store.close()
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config.to_dict()))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in sys.path if p)}
+
+    with JobService(root, port=0, workers=1, backoff=0.0) as service:
+        run = subprocess.Popen(
+            [sys.executable, "-m", "repro", "run", str(cfg), "--store", str(root)],
+            env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120.0
+            job = None
+            while time.monotonic() < deadline and run.poll() is None:
+                job = service.queue.get(run_id_for(config))
+                if job is not None and job.status == "running":
+                    break
+                time.sleep(0.02)
+            assert job is not None and job.status == "running", job
+            assert job.worker.startswith(f"p{run.pid}t")
+        finally:
+            run.kill()
+            run.wait(timeout=10.0)
+        job, created = service.submit(config)
+        assert not created and job.run_id == run_id_for(config)
+        assert service.wait_all(timeout_s=120.0)
+        done = service.queue.get(job.run_id)
+        assert (done.status, done.attempts) == ("ok", 2)
+        outcomes = [a["outcome"] for a in service.queue.attempts(done.run_id)]
+        assert outcomes == ["interrupted", "ok"]
+
+
 def test_restart_resumes_interrupted_and_queued_jobs(tmp_path):
     """A dead server's running + queued jobs complete after a reboot."""
     root = tmp_path / "store"
@@ -251,20 +301,20 @@ def test_restart_resumes_interrupted_and_queued_jobs(tmp_path):
     queue.submit(config_a)
     queue.submit(config_b)
     claimed = queue.claim("w-departed")  # simulates a crashed worker
-    assert claimed["job_id"] == job_id_for(config_a)
+    assert claimed.run_id == run_id_for(config_a)
     queue.close()
 
     with JobService(root, port=0, workers=2, backoff=0.0) as service:
         assert service.recovered == 1
         assert service.stats()["recovered_on_boot"] == 1
         assert service.wait_all(timeout_s=300.0)
-        done_a = service.queue.get(job_id_for(config_a))
-        done_b = service.queue.get(job_id_for(config_b))
-        assert done_a["status"] == "ok"
-        assert done_b["status"] == "ok"
+        done_a = service.queue.get(run_id_for(config_a))
+        done_b = service.queue.get(run_id_for(config_b))
+        assert done_a.status == "ok"
+        assert done_b.status == "ok"
         # the interrupted claim consumed the first attempt
-        assert done_a["attempts"] == 2
-        outcomes = [a["outcome"] for a in service.queue.attempts(done_a["job_id"])]
+        assert done_a.attempts == 2
+        outcomes = [a["outcome"] for a in service.queue.attempts(done_a.run_id)]
         assert outcomes == ["interrupted", "ok"]
 
 
@@ -281,19 +331,19 @@ def test_crash_between_add_result_and_finish_ok_resolves_as_cache_hit(tmp_path, 
     store = ResultStore.ensure(root)
     queue = JobQueue(root)
     try:
-        job_id = queue.submit(config, max_attempts=2)["job_id"]
+        job_id = queue.submit(config, max_attempts=2)[0].run_id
         finish_ok = JobQueue.finish_ok
         calls = []
 
-        def crash_once(self, job_id, run_id):
-            calls.append(run_id)
+        def crash_once(self, config, **result):
+            calls.append(run_id_for(config))
             if len(calls) == 1:
                 raise RuntimeError("worker died after add_result")
-            finish_ok(self, job_id, run_id)
+            return finish_ok(self, config, **result)
 
         monkeypatch.setattr(JobQueue, "finish_ok", crash_once)
         execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
-        assert queue.get(job_id)["status"] == "queued"
+        assert queue.get(job_id).status == "queued"
 
         def recompute(*args, **kwargs):
             pytest.fail("the re-run computed instead of restoring the stored run")
@@ -303,10 +353,10 @@ def test_crash_between_add_result_and_finish_ok_resolves_as_cache_hit(tmp_path, 
         execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
 
         job = queue.get(job_id)
-        assert job["status"] == "ok" and job["attempts"] == 2
+        assert job.status == "ok" and job.attempts == 2
         assert [a["outcome"] for a in queue.attempts(job_id)] == ["error", "ok"]
-        assert len(calls) == 2 and calls[0] == calls[1] == job["run_id"]
-        assert [run.run_id for run in store.query()] == [job["run_id"]]
+        assert len(calls) == 2 and calls[0] == calls[1] == job.run_id
+        assert [run.run_id for run in store.query()] == [job.run_id]
         assert len(list((root / "runs").glob("*.npz"))) == 1
         assert len(store.blobs.ground_state_addresses()) == 1
         assert not [p for p in root.rglob("*") if ".tmp" in p.name]
@@ -330,19 +380,24 @@ def queue(tmp_path):
 
 def test_queue_submit_is_idempotent(queue):
     config = make_config()
-    first = queue.submit(config)
-    again = queue.submit(config)
-    assert first["job_id"] == again["job_id"] == job_id_for(config)
-    assert again["status"] == "queued"
+    first, created = queue.submit(config)
+    again, created_again = queue.submit(config)
+    assert (created, created_again) == (True, False)
+    assert first.run_id == again.run_id == run_id_for(config)
+    assert again.status == "queued"
     assert queue.counts()["queued"] == 1
 
 
 def test_queue_submit_with_run_id_is_born_ok(queue):
-    job = queue.submit(make_config(), run_id="r0123456789ab")
-    assert job["status"] == "ok"
-    assert job["run_id"] == "r0123456789ab"
-    assert job["progress"] == 1.0
-    assert job["message"] == "cached"
+    config = make_config()
+    queue.finish_ok(config)  # the store holds this config's run
+    stored = queue.get(run_id_for(config))
+    job, created = queue.submit(config)
+    assert not created
+    assert job.status == "ok"
+    assert job.run_id == run_id_for(config)
+    assert job.progress == 1.0
+    assert job == stored  # the ok row is the cache hit, returned untouched
     assert queue.claim("w0") is None
 
 
@@ -352,53 +407,54 @@ def test_queue_claim_consumes_attempt_and_orders_fifo(queue):
     queue.submit(config_a)
     queue.submit(config_b)
     job = queue.claim("w0")
-    assert job["job_id"] == job_id_for(config_a)
-    assert job["status"] == "running"
-    assert job["attempts"] == 1
-    assert queue.running_for("w0")[0]["job_id"] == job["job_id"]
+    assert job.run_id == run_id_for(config_a)
+    assert job.status == "running"
+    assert job.attempts == 1
+    assert queue.running_for("w0")[0].run_id == job.run_id
 
 
 def test_queue_failed_attempt_requeues_with_backoff(queue):
     queue.submit(make_config(), max_attempts=3)
     job = queue.claim("w0")
-    failed = queue.fail_attempt(job["job_id"], "boom", backoff=30.0)
-    assert failed["status"] == "queued"
-    assert failed["error"] == "boom"
-    assert failed["not_before"] > time.time() + 10.0
+    failed = queue.fail_attempt(job.run_id, "boom", backoff=30.0)
+    assert failed.status == "queued"
+    assert failed.error == "boom"
+    assert failed.not_before > time.time() + 10.0
     assert queue.claim("w0") is None  # backoff still holds
 
 
 def test_queue_exhausted_attempts_land_in_error(queue):
     queue.submit(make_config(), max_attempts=1)
     job = queue.claim("w0")
-    failed = queue.fail_attempt(job["job_id"], "boom", backoff=0.0)
-    assert failed["status"] == "error"
+    failed = queue.fail_attempt(job.run_id, "boom", backoff=0.0)
+    assert failed.status == "error"
     assert queue.claim("w0") is None
-    history = queue.attempts(job["job_id"])
+    history = queue.attempts(job.run_id)
     assert [a["outcome"] for a in history] == ["error"]
 
 
 def test_queue_resubmit_rearms_failed_job(queue):
     config = make_config()
     queue.submit(config, max_attempts=1)
-    queue.fail_attempt(queue.claim("w0")["job_id"], "boom", backoff=0.0)
-    rearmed = queue.submit(config, max_attempts=2)
-    assert rearmed["status"] == "queued"
-    assert rearmed["attempts"] == 0
-    assert rearmed["max_attempts"] == 2
-    assert rearmed["error"] is None
+    queue.fail_attempt(queue.claim("w0").run_id, "boom", backoff=0.0)
+    rearmed, created = queue.submit(config, max_attempts=2)
+    assert created
+    assert rearmed.status == "queued"
+    assert rearmed.attempts == 0
+    assert rearmed.max_attempts == 2
+    assert rearmed.error is None
 
 
 def test_queue_cancel_blocks_finish(queue):
     config = make_config()
     queue.submit(config)
     job = queue.claim("w0")
-    prior = queue.cancel(job["job_id"])
-    assert prior["status"] == "running"  # the row before the transition
+    prior = queue.cancel(job.run_id)
+    assert prior.status == "running"  # the row before the transition
     # a worker that raced past the cancel cannot resurrect the job
-    queue.finish_ok(job["job_id"], "r0123456789ab")
-    assert queue.get(job["job_id"])["status"] == "cancelled"
-    assert queue.get(job["job_id"])["status"] in TERMINAL_STATUSES
+    queue.finish_ok(config)
+    assert queue.get(job.run_id).status == "cancelled"
+    assert queue.get(job.run_id).status in TERMINAL_STATUSES
 
 
 def test_queue_deadline_set_only_with_timeout(queue):
@@ -406,11 +462,11 @@ def test_queue_deadline_set_only_with_timeout(queue):
     queue.submit(make_config(kick=0.002), timeout=0.01)
     no_deadline = queue.claim("w0")
     with_deadline = queue.claim("w1")
-    assert no_deadline["deadline"] is None
-    assert with_deadline["deadline"] is not None
+    assert no_deadline.deadline is None
+    assert with_deadline.deadline is not None
     time.sleep(0.05)
     expired = queue.expired()
-    assert [j["job_id"] for j in expired] == [with_deadline["job_id"]]
+    assert [j.run_id for j in expired] == [with_deadline.run_id]
 
 
 def test_queue_recover_requeues_running_jobs(queue):
@@ -418,12 +474,12 @@ def test_queue_recover_requeues_running_jobs(queue):
     queue.register_worker("w0", pid=os.getpid())
     job = queue.claim("w0")
     assert queue.recover() == 1
-    requeued = queue.get(job["job_id"])
-    assert requeued["status"] == "queued"
-    assert requeued["attempts"] == 1  # consumed attempt stays consumed
-    assert requeued["not_before"] == 0.0
+    requeued = queue.get(job.run_id)
+    assert requeued.status == "queued"
+    assert requeued.attempts == 1  # consumed attempt stays consumed
+    assert requeued.not_before == 0.0
     assert queue.workers() == []
-    outcomes = [a["outcome"] for a in queue.attempts(job["job_id"])]
+    outcomes = [a["outcome"] for a in queue.attempts(job.run_id)]
     assert outcomes == ["interrupted"]
 
 

@@ -10,6 +10,7 @@ import errno
 import io
 import json
 import os
+import re
 import sqlite3
 import subprocess
 import sys
@@ -27,6 +28,7 @@ from repro.api import (
     SimulationResult,
 )
 from repro.rt.propagator import TDState
+from repro.serve.queue import COLUMNS, JobQueue
 from repro.store import (
     ResultStore,
     StoreError,
@@ -39,7 +41,6 @@ from repro.store import (
 )
 from repro.store.common import connect_sqlite
 from repro.store.schema import SCHEMA_VERSION
-from repro.store.index import COLUMNS
 from repro.store.store import STORE_VERSION, inspect_store
 
 CFG = {
@@ -210,12 +211,12 @@ def test_validate_prints_the_line_the_opener_raises(tmp_path, capsys, make, stre
 
 
 def test_run_row_columns_are_the_ddl_columns(tmp_path):
-    """``StoredRun``'s fields name the ``runs`` table's columns in order,
+    """``StoredRun``'s fields name the ``jobs`` table's columns in order,
     so the row dataclass and the DDL cannot drift apart."""
     ResultStore(tmp_path / "study").close()
     conn = connect_sqlite(tmp_path / "study" / "index.sqlite")
     try:
-        assert COLUMNS == tuple(row[1] for row in conn.execute("PRAGMA table_info(runs)"))
+        assert COLUMNS == tuple(row[1] for row in conn.execute("PRAGMA table_info(jobs)"))
     finally:
         conn.close()
 
@@ -301,12 +302,19 @@ def test_run_ids_are_config_addressed():
 # ---------------- the run index ------------------------------------------------
 
 
+def _record_error(store, config, error):
+    """A stored run that began and failed: its row is ``error``."""
+    with pytest.raises(RuntimeError), store.queue.recording(config):
+        raise RuntimeError(error)
+    return run_id_for(config)
+
+
 def test_index_queries(tmp_path):
     store = ResultStore(tmp_path / "study")
     for i, kick in enumerate((0.001, 0.002, 0.003)):
         store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
     failing = make_config(kick=0.009)
-    store.mark_error(failing, "boom", overrides={"field.params.kick": 0.009})
+    _record_error(store, failing, "boom")
     assert len(store) == 4
 
     assert [r.status for r in store.query(status="error")] == ["error"]
@@ -340,10 +348,11 @@ def test_rerun_replaces_the_stored_run(tmp_path):
 def test_running_rows_are_not_completed(tmp_path):
     store = ResultStore(tmp_path / "study")
     cfg = make_config()
-    rid = store.begin_run(cfg, overrides={"field.params.kick": 0.001})
-    assert store.get(rid).status == "running"
-    assert store.find_completed(cfg) is None  # interrupted -> re-queued
-    store.add_run(cfg, synth_arrays(), synth_state())
+    with store.queue.recording(cfg) as row:
+        rid = row.run_id
+        assert store.get(rid).status == "running"
+        assert store.find_completed(cfg) is None  # interrupted -> re-queued
+        store.add_run(cfg, synth_arrays(), synth_state())
     assert store.find_completed(cfg).run_id == rid
     store.close()
 
@@ -371,47 +380,57 @@ def test_store_written_by_1_9_is_refused_by_name(tmp_path):
         json.dumps({"store_version": 1, "backend": "sqlite", "chunk_steps": 256})
     )
     before = _tree(root), (root / "store.json").read_bytes()
-    with pytest.raises(StoreError, match=r"store_version 1, written by repro <= 1\.9.*results export"):
+    with pytest.raises(StoreError, match=r"store_version 1, written by repro 1\.5 to 1\.9.*results export"):
         ResultStore(root)
     check = inspect_store(root)
     assert check.meta["store_version"] == 1 and check.schema_version is None
     assert len(check.problems) == 1
-    assert "store_version 1, written by repro <= 1.9" in check.problems[0]
+    assert "store_version 1, written by repro 1.5 to 1.9" in check.problems[0]
     assert "repro results export" in check.problems[0]
     assert (_tree(root), (root / "store.json").read_bytes()) == before
 
 
-def test_schema_3_index_is_refused_by_name(tmp_path, capsys):
-    """An ``index.sqlite`` at schema 3 under a current ``store.json``."""
+@pytest.mark.parametrize(
+    "version, writers", [(3, "1.6 to 1.9"), (4, "1.10 to 1.28")], ids=["schema_3", "schema_4"]
+)
+def test_older_schema_index_is_refused_by_name(tmp_path, capsys, version, writers):
+    """An ``index.sqlite`` at an older schema under a current ``store.json``
+    is refused by name, naming the releases that wrote it, by every opener."""
     from repro.api.cli import main
 
     root = tmp_path / "old"
     ResultStore(root).close()
     conn = connect_sqlite(root / "index.sqlite")
-    conn.execute("UPDATE meta SET value = '3' WHERE key = 'schema_version'")
-    conn.execute("ALTER TABLE runs ADD COLUMN n_chunks INTEGER NOT NULL DEFAULT 0")
+    conn.execute(f"UPDATE meta SET value = '{version}' WHERE key = 'schema_version'")
+    conn.execute("ALTER TABLE jobs ADD COLUMN n_chunks INTEGER NOT NULL DEFAULT 0")
     conn.close()
 
     def columns():
         conn = connect_sqlite(root / "index.sqlite")
         try:
-            return [row[1] for row in conn.execute("PRAGMA table_info(runs)")]
+            return [row[1] for row in conn.execute("PRAGMA table_info(jobs)")]
         finally:
             conn.close()
 
     before = _tree(root), columns()
-    with pytest.raises(StoreError, match=r"schema version 3, written by repro <= 1\.9.*results export"):
+    words = rf"schema version {version}, written by repro {re.escape(writers)};.*results export"
+    with pytest.raises(StoreError, match=words):
         ResultStore(root)
+    with pytest.raises(StoreError, match=words):
+        JobQueue(root)
     check = inspect_store(root)
-    assert check.schema_version == 3 != SCHEMA_VERSION
-    assert [("schema version 3" in p, "repro results export" in p) for p in check.problems] == [(True, True)]
-    # repro validate --store prints the same words as a warning and exits 0
+    assert check.schema_version == version != SCHEMA_VERSION
+    assert [(f"schema version {version}" in p, "repro results export" in p) for p in check.problems] == [(True, True)]
+    # repro validate --store prints the same words as a warning and exits 0;
+    # repro results ls refuses them as an error, exit 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CFG))
     assert main(["validate", str(cfg), "--store", str(root)]) == 0
     assert f"warning: {check.problems[0]}" in capsys.readouterr().out
+    assert main(["results", "ls", str(root)]) == 2
+    assert f"error: {check.problems[0]}" in capsys.readouterr().err
     assert (_tree(root), columns()) == before
-    assert inspect_store(root).schema_version == 3
+    assert inspect_store(root).schema_version == version
 
 
 def test_newer_sqlite_schema_refused(tmp_path):
@@ -493,7 +512,7 @@ def test_load_result_restores_state_and_accounting(tmp_path, real_result):
     assert store.get(rid).elapsed == 1.25
     # a failed run never materializes
     bad = make_config(kick=0.9)
-    bad_id = store.mark_error(bad, "diverged")
+    bad_id = _record_error(store, bad, "diverged")
     with pytest.raises(StoreError, match="status 'error'"):
         store.load_result(bad_id)
     store.close()
@@ -509,6 +528,35 @@ def test_simulation_propagate_store_appends(tmp_path, real_result):
     back = store.load_arrays(run.run_id)
     for key, arr in result.observables().items():
         assert np.array_equal(back[key], arr), key
+    store.close()
+
+
+def test_a_failed_rerun_leaves_the_stored_run_readable(tmp_path, real_result):
+    """A re-run of a stored run (``propagate(store=)``, ``repro run --rerun``)
+    that fails leaves the ``ok`` row, its accounting and its file as they were."""
+    from repro.api.cli import main
+
+    root = tmp_path / "study"
+    sim = Simulation.from_config(CFG)
+    sim._gs = real_result.ground_state
+    result = sim.propagate(store=root)
+    store = ResultStore(root, create=False)
+    before = store.find_completed(result.config)
+    assert before.elapsed > 0.0 and before.fft
+
+    def diverge(step, n_steps):
+        if step:
+            raise FloatingPointError("diverged")
+
+    with pytest.raises(FloatingPointError):
+        sim.propagate(store=store, progress=diverge)
+    assert store.get(before.run_id) == before
+    assert store.queue.workers() == []
+    export = tmp_path / "export.npz"
+    assert main(["results", "export", str(root), before.run_id, str(export)]) == 0
+    _, arrays = SimulationResult.load_npz(export)
+    for key, arr in result.observables().items():
+        assert np.array_equal(arrays[key], arr), key
     store.close()
 
 
@@ -583,6 +631,29 @@ def test_query_limit_offset_pages_in_order(tmp_path):
     # paging composes with filters
     assert len(store.query(status="ok", limit=3)) == 3
     store.close()
+
+
+def test_negative_paging_is_refused_by_name(tmp_path, capsys):
+    """SQLite reads a negative LIMIT as "no limit" and a negative OFFSET as
+    0; the one paging query refuses both by name instead, and ``repro
+    results ls`` exits 2 with that line."""
+    from repro.api.cli import main
+
+    store = ResultStore(tmp_path / "study")
+    for i, kick in enumerate((0.001, 0.002, 0.003, 0.004)):
+        store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
+    with pytest.raises(StoreError, match="limit must be >= 0, got -1"):
+        store.query(limit=-1)
+    with pytest.raises(StoreError, match="offset must be >= 0, got -3"):
+        store.query(limit=2, offset=-3)
+    store.close()
+    for argv, refusal in (
+        (["--limit", "-1"], "limit must be >= 0, got -1"),
+        (["--limit", "2", "--offset", "-3"], "offset must be >= 0, got -3"),
+    ):
+        assert main(["results", "ls", str(tmp_path / "study"), *argv]) == 2
+        out, err = capsys.readouterr()
+        assert refusal in err and "run(s)" not in out
 
 
 def test_dotted_key_query_finds_one_run_among_hundreds(tmp_path):
@@ -739,19 +810,19 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
         assert list(store.runs_dir.iterdir()) == []
         assert store.query() == []
 
-        job_id = queue.submit(config, max_attempts=2)["job_id"]
+        job_id = queue.submit(config, max_attempts=2)[0].run_id
         execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
         job = queue.get(job_id)
-        assert job["status"] == "queued"
-        assert f"[Errno {errno.ENOSPC}]" in job["error"]
+        assert job.status == "queued"
+        assert f"[Errno {errno.ENOSPC}]" in job.error
         assert [a["outcome"] for a in queue.attempts(job_id)] == ["error"]
         assert list(store.runs_dir.iterdir()) == []
         monkeypatch.undo()
 
         execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
         job = queue.get(job_id)
-        assert job["status"] == "ok"
-        target = store.result_path(job["run_id"])
+        assert job.status == "ok"
+        target = store.result_path(job.run_id)
         before = target.read_bytes()
 
         monkeypatch.setattr(np, "savez", _disk_full_after_part())
@@ -760,10 +831,10 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
         monkeypatch.undo()
         assert target.read_bytes() == before
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
-        assert store.get(job["run_id"]).n_times == len(real_result.record.times)
+        assert store.get(job.run_id).n_times == len(real_result.record.times)
 
         store.add_run(config, synth_arrays(n=9), synth_state())
-        assert store.get(job["run_id"]).n_times == 9
+        assert store.get(job.run_id).n_times == 9
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
     finally:
         queue.close()

@@ -209,7 +209,8 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
     import time
 
     import repro.serve.pool as pool_mod
-    from repro.serve.queue import JobQueue, job_id_for
+    from repro.serve.queue import JobQueue
+    from repro.store import run_id_for
 
     sweep = SweepConfig.from_dict(
         {
@@ -222,7 +223,7 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
     )
     store_dir = tmp_path / "study"
     ResultStore(store_dir).close()
-    victim = job_id_for(
+    victim = run_id_for(
         base_config.replace(propagation={"propagator": "ptim", "n_steps": 5000})
     )
 
@@ -235,10 +236,10 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
 
     def execute_once_the_victim_is_taken(store, queue, job, options):
         deadline = time.monotonic() + 240.0
-        while queue.get(victim)["status"] == "queued" and time.monotonic() < deadline:
+        while queue.get(victim).status == "queued" and time.monotonic() < deadline:
             time.sleep(0.02)
         taken = queue.get(victim)
-        assert taken["status"] != "queued" and taken["worker"] != job["worker"]
+        assert taken.status != "queued" and taken.worker != job.worker
         return real_execute_job(store, queue, job, options)
 
     monkeypatch.setattr(pool_mod, "execute_job", execute_once_the_victim_is_taken)
@@ -249,9 +250,9 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
             deadline = time.monotonic() + 240.0
             while time.monotonic() < deadline:
                 job = queue.get(victim)
-                if job and job["status"] == "running" and job["progress"] > 0.0:
+                if job and job.status == "running" and job.progress > 0.0:
                     pids = {w["worker_id"]: w["pid"] for w in queue.workers()}
-                    os.kill(pids[job["worker"]], signal.SIGKILL)
+                    os.kill(pids[job.worker], signal.SIGKILL)
                     return
                 time.sleep(0.05)
         finally:
@@ -272,10 +273,10 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
     assert list(store.blobs.ground_states_dir.glob("*.lock")) == []
     store.close()
     queue = JobQueue(store_dir)
-    jobs = {job["job_id"]: job for job in queue.jobs()}
+    jobs = {job.run_id: job for job in queue.jobs()}
     queue.close()
-    assert sorted(job["status"] for job in jobs.values()) == ["error", "error", "ok"]
-    assert all(job["attempts"] == 1 for job in jobs.values())
+    assert sorted(job.status for job in jobs.values()) == ["error", "error", "ok"]
+    assert all(job.attempts == 1 for job in jobs.values())
 
 
 def test_cli_sweep_store_resume(tmp_path, capsys):
