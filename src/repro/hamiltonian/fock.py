@@ -80,6 +80,10 @@ def symmetric_tile_pairs(
     Decided from the full weight vector, so every rank count agrees.
     """
     active = np.abs(weights) > WEIGHT_CUTOFF
+    if active.all():
+        for i in range(len(tiles)):
+            yield from ((i, j, None) for j in range(i, len(tiles)))
+        return
     for i, tile_i in enumerate(tiles):
         for j in range(i, len(tiles)):
             keep = active[tile_i, None] | active[None, tiles[j]]
@@ -213,32 +217,52 @@ class FockExchangeOperator:
 
     # -- the tile-pair kernel ---------------------------------------------------
     def tile_potentials(
-        self,
-        left: np.ndarray,
-        right: np.ndarray,
-        keep: Optional[np.ndarray] = None,
-        *,
-        hermitian: bool = False,
+        self, left: np.ndarray, right: np.ndarray, keep: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """``pot[a, b] = K * (left_a^* right_b)`` as one ``(nl, nr, ngrid)`` block.
 
         Only the pairs in the boolean mask ``keep`` (default: all) are
-        transformed; the others stay zero.  ``hermitian`` says ``right``
-        is ``left``: of the kept pairs only ``a <= b`` are transformed
-        and ``pot[b, a]`` is filled in as ``conj(pot[a, b])``.
+        transformed; the others stay zero.
         """
         nl, nr = left.shape[0], right.shape[0]
-        if keep is None and not hermitian:
+        if keep is None:
             pair = left.conj()[:, None, :] * right[None, :, :]
             return self._pair_potential(pair.reshape(nl * nr, -1)).reshape(nl, nr, -1)
-        mask = np.ones((nl, nr), dtype=bool) if keep is None else keep
-        ia, ib = np.nonzero(np.triu(mask) if hermitian else mask)
+        ia, ib = np.nonzero(keep)
         pot = np.zeros((nl, nr, self.grid.ngrid), dtype=complex)
         pot[ia, ib] = self._pair_potential(left[ia].conj() * right[ib])
-        if hermitian:
-            off = ia != ib
-            pot[ib[off], ia[off]] = pot[ia[off], ib[off]].conj()
         return pot
+
+    def _hermitian_tile_partial(
+        self, rows: np.ndarray, weighted: np.ndarray, keep: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """``P[I->I]_b = Σ_a w_a pot_ab`` of a tile with itself.
+
+        Only the kept pairs ``a <= b`` are transformed, row ``a``'s pairs
+        into consecutive rows of one batch, and ``pot_ba`` is read as
+        ``conj(pot_ab)``.  Each target sums its sources in ascending
+        ``a``: row ``a`` adds ``w_a pot_ab`` to every ``b >= a``, then
+        ``Σ_{b > a} w_b conj(pot_ab)`` to ``a``.
+        """
+        n = rows.shape[0]
+        if keep is None:
+            cols, sizes, own = [slice(a, n) for a in range(n)], range(n, 0, -1), [1] * n
+        else:
+            cols = [a + np.flatnonzero(keep[a, a:]) for a in range(n)]
+            sizes, own = [len(c) for c in cols], [int(keep[a, a]) for a in range(n)]
+        starts = np.cumsum([0, *sizes])
+        pair = np.empty((starts[-1], rows.shape[1]), dtype=complex)
+        conj = rows.conj()
+        for a, c in enumerate(cols):
+            np.multiply(conj[a], rows[c], out=pair[starts[a] : starts[a + 1]])
+        pot = self._pair_potential(pair)
+        out = np.zeros_like(rows)
+        for a, c in enumerate(cols):
+            u = pot[starts[a] : starts[a + 1]]
+            out[c] += weighted[a] * u
+            if len(u) > own[a]:  # pairs (a, b > a): pot_ba = conj(pot_ab)
+                out[a] += (weighted[c][own[a] :] * u[own[a] :].conj()).sum(axis=0)
+        return out
 
     def tile_pair_partials(
         self,
@@ -252,16 +276,17 @@ class FockExchangeOperator:
 
         ``weighted`` is ``d[:, None] * phi``.  Returns ``(P[I->J],
         P[J->I])`` from one set of transforms; the second is ``None``
-        on the diagonal ``I == J``.  The result depends on nothing but
+        on the diagonal ``I == J``.  Each is one broadcast product summed
+        over its source band axis.  The result depends on nothing but
         the two tiles and ``keep`` — whoever computes it gets these bits.
         """
-        diagonal = tile_i == tile_j
-        pot = self.tile_potentials(phi[tile_i], phi[tile_j], keep, hermitian=diagonal)
-        forward = np.einsum("ar,abr->br", weighted[tile_i], pot)
-        if diagonal:
-            return forward, None
+        if tile_i == tile_j:
+            return self._hermitian_tile_partial(phi[tile_i], weighted[tile_i], keep), None
+        pot = self.tile_potentials(phi[tile_i], phi[tile_j], keep)
+        forward = (weighted[tile_i][:, None] * pot).sum(axis=0)
         # Σ_b w_b conj(pot_ab) = conj(Σ_b conj(w_b) pot_ab): no conj(pot) temporary
-        return forward, np.einsum("br,abr->ar", weighted[tile_j].conj(), pot).conj()
+        backward = (weighted[tile_j].conj()[None] * pot).sum(axis=1)
+        return forward, np.conjugate(backward, out=backward)
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
     def apply_diag(self, phi_src: np.ndarray, weights: np.ndarray) -> np.ndarray:

@@ -10,7 +10,8 @@ changes during SCF / propagation:
   :meth:`set_ace`): the dense exchange of sigma's eigenbasis image (Sec.
   IV-A1) or the compressed ACE operator.  The Alg. 2 triple loop is a
   kernel of :class:`FockExchangeOperator`, kept for Fig. 9 and the
-  tests, not a mode.
+  tests, not a mode.  The dense ``H``, an ACE build and the exchange
+  energy reach the dense exchange through :meth:`dense_exchange`.
 
 ``apply`` evaluates ``H Phi`` for a band block — the operation the whole
 paper optimizes.  It is the one implementation of ``H`` and works on
@@ -36,6 +37,13 @@ from repro.utils.validation import require
 from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 ExchangeMode = Literal["none", "dense-diag", "ace"]
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """``a`` and ``b`` hold the same bytes in the same shape and dtype."""
+    if a.shape != b.shape or a.dtype != b.dtype:
+        return False
+    return np.array_equal(np.ascontiguousarray(a).view(np.uint8), b.view(np.uint8))
 
 
 class Hamiltonian:
@@ -93,6 +101,8 @@ class Hamiltonian:
         # (phi~, d): sigma's eigenbasis rows and eigenvalues
         self._exx_sources: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self._ace: Optional[ACEOperator] = None
+        # the last dense self-application: copies of its (phi~, d), and V_x phi~
+        self._dense_record: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]] = None
 
     # -- electron count -------------------------------------------------------
     @property
@@ -164,11 +174,35 @@ class Hamiltonian:
         this is the operator of ``(Phi, sigma)``.
         """
         require(self.fock is not None, "ACE requires a hybrid functional")
-        w = self.fock.apply_diag(phi, d)
+        w = self.dense_exchange(phi, d)
         c = self.grid.to_sphere(phi) if c is None else c
+        # a read-only W (the record's) is transformed out of place
         return ACEOperator.from_dense_action(self.grid, c, self.grid.to_sphere(w, consume=True))
 
     # -- exchange application -------------------------------------------------------
+    def dense_exchange(self, phi: np.ndarray, d: np.ndarray) -> np.ndarray:
+        """``V_x phi`` (no alpha) of the dense exchange on its own sources,
+        sigma's eigenbasis image ``(phi, d)``: the Hamiltonian's one entry
+        to the dense self-application, returned read-only.
+
+        ``V_x`` depends on ``(phi, d)`` and the fixed kernel alone — not on
+        the density, the time or A(t) — so a request bit-identical to the
+        last one (shape included) is answered from a one-entry record with
+        no transform and no communication: a recorded energy's application
+        is the one the next step starts from.  The record keeps copies of
+        the request, and ``d`` is compared first, so a miss costs almost
+        nothing.  The kernel, ``self.fock.apply_diag``, keeps no record.
+        """
+        require(self.fock is not None, "the dense exchange needs a hybrid functional")
+        d = np.asarray(d, dtype=float)
+        record = self._dense_record
+        if record is not None and _same_bits(d, record[1]) and _same_bits(phi, record[0]):
+            return record[2]
+        vx = self.fock.apply_diag(phi, d)
+        vx.flags.writeable = False
+        self._dense_record = (phi.copy(), d.copy(), vx)
+        return vx
+
     def apply_exchange(self, phi_r: np.ndarray) -> Optional[np.ndarray]:
         """``alpha * V_x phi`` in real space for the dense exchange; ``None``
         when there is no dense exchange to add (semilocal, cleared, ACE —
@@ -184,7 +218,7 @@ class Hamiltonian:
             "the dense exchange applies only to the very rows given to "
             "set_exchange_sources; use set_ace to apply exchange to another block",
         )
-        return self.functional.alpha * self.fock.apply_diag(src, d)
+        return self.functional.alpha * self.dense_exchange(src, d)
 
     # -- full application ---------------------------------------------------------
     def apply(

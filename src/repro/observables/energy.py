@@ -63,7 +63,9 @@ def td_total_energy(
     ----------
     phi_t, d:
         Real-space rows ``phi~ = Phi Q`` and sigma's eigenvalues; the rows
-        are packed once here for the kinetic and nonlocal terms.
+        are packed once here for the kinetic and nonlocal terms, and the
+        exchange term reads ``V_x phi~`` from ``ham.dense_exchange``, whose
+        record then starts the next step.
     rho:
         The state's density, as ``PropagatorBase.density`` builds it
         (the caller has it already for the dipole).
@@ -86,7 +88,8 @@ def td_total_energy(
 
     e_x = 0.0
     if ham.functional.is_hybrid and ham.fock is not None:
-        e_x = ham.functional.alpha * ham.fock.exchange_energy(phi_t, d, deg)
+        vx = ham.dense_exchange(phi_t, d)
+        e_x = ham.functional.alpha * ham.fock.exchange_energy(phi_t, d, deg, vx_phi=vx)
 
     return EnergyBreakdown(
         kinetic=e_kin,

@@ -67,6 +67,8 @@ class StepStats:
     #: applications of the fixed-point map T (one ``H`` each), all loops
     scf_iterations: int = 0
     outer_iterations: int = 0
+    #: dense exchange applications the step asks for (per PT-IM iteration,
+    #: ACE build or RK4 stage); the Hamiltonian's record may answer the first
     fock_applications: int = 0
     ace_builds: int = 0
     #: the last stopping residual of the step's (last) fixed-point loop:
@@ -139,8 +141,11 @@ class PropagatorBase:
         Occupation-matrix elements to record each step, e.g.
         ``[(0, 2), (22, 22)]`` for the paper's Fig. 8.
     record_energy:
-        Total-energy evaluation costs a dense exchange application for
-        hybrids; disable for timing runs.
+        Record the total energy of each observed state.  For a hybrid
+        this applies the dense exchange to the state's eigenbasis image,
+        which the next step's first dense evaluation asks for again and
+        gets from the Hamiltonian's record: only an observation no step
+        starts from (the last) costs an application of its own.
     """
 
     name = "base"

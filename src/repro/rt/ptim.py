@@ -47,7 +47,12 @@ occupation matrix, ``N npw + N^2`` numbers, same 2-norm as
 loop sees each midpoint through its :class:`MidpointImage` (paper Sec.
 IV-A1): ``hermitize(sigma_mid) = Q diag(d) Q*`` is decomposed once and
 the sphere block rotated, ``c~ = Q^T c_mid``, before it is taken to
-real space, ``phi~``.  The density ``Σ d_i |phi~_i|^2``, ``H``, and the
+real space, ``phi~``.  The first midpoint is the state itself, imaged
+as ``observe`` images it: real-space rows rotated, ``phi~ = Phi_n Q``,
+then packed.  Its ``phi~`` is bit for bit the rows a recorded energy's
+exchange was evaluated on, so the step's first dense self-application
+or ACE build is answered from ``Hamiltonian.dense_exchange``'s record.
+The density ``Σ d_i |phi~_i|^2``, ``H``, and the
 dense exchange or the ACE build all act on ``(c~, phi~, d)``; only
 ``H c~`` goes back, on the sphere, to ``H c_mid`` (``H`` is linear), and
 the exchange's self-application needs no rotation at all.  The last
@@ -58,7 +63,8 @@ does it once per recorded state).  One inner iteration makes two
 batched transforms: ``sphere -> real`` of the rotated midpoint block
 (shared by the density, the residual, the dense-exchange sources and
 ``v_eff phi``) and ``real -> sphere`` of the local product inside
-``Hamiltonian.apply``.  The midpoint algebra, the projector ``(I -
+``Hamiltonian.apply``; the start's image costs one batch too, its
+``real -> sphere``.  The midpoint algebra, the projector ``(I -
 P~)``, the mixer history and Löwdin are all ``npw`` wide.
 """
 
@@ -142,6 +148,14 @@ class PTIMPropagator(PropagatorBase):
         c = rotate_orbitals(c_mid, q)
         return MidpointImage(c, self.grid.to_real(c), d, q)
 
+    def _start_image(self, state: TDState) -> MidpointImage:
+        """The image of the first midpoint, which is ``state`` itself:
+        sigma decomposed and the real-space rows rotated, as ``observe``
+        does, then packed."""
+        d, q = diagonalize_sigma(hermitize(state.sigma))
+        phi = rotate_orbitals(state.phi, q)
+        return MidpointImage(self.grid.to_sphere(phi), phi, d, q)
+
     def _pack(self, state: TDState) -> Tuple[TDState, np.ndarray]:
         """``state`` with its orbitals as a sphere block, and the packed
         vector ``x = (c~, sigma)`` that starts the fixed-point iteration."""
@@ -213,18 +227,17 @@ class PTIMPropagator(PropagatorBase):
         dt: float,
         x: np.ndarray,
         max_iter: int,
-        image: Optional[MidpointImage] = None,
+        image: MidpointImage,
     ) -> Tuple[np.ndarray, int, float, bool, MidpointImage]:
         """Anderson-accelerated fixed-point loop (Alg. 1 lines 4-11).
 
         ``state`` is the packed ``(c~_n, sigma_n)`` and ``x`` packs the
         guess for ``{Phi_{n+1}, sigma_{n+1}}`` as one vector (Alg. 1 line
-        8 mixes them together); ``image`` is the :meth:`_image` of their
-        midpoint when the caller already made it.  Returns the accepted
-        iterate, the number of applications of the map T (at most
-        ``max_iter``), the last midpoint-density residual, whether two
-        consecutive residuals fell below ``density_tol``, and the image
-        of the accepted iterate's midpoint.
+        8 mixes them together); ``image`` is the image of their midpoint.
+        Returns the accepted iterate, the number of applications of the
+        map T (at most ``max_iter``), the last midpoint-density residual,
+        whether two consecutive residuals fell below ``density_tol``, and
+        the image of the accepted iterate's midpoint.
         """
         grid, ham = self.grid, self.ham
         tol = self.options.density_tol
@@ -232,10 +245,8 @@ class PTIMPropagator(PropagatorBase):
         c_new, sigma_new = self._unpack(gx, state.nbands)
         self._mixer.reset()
         rho_prev, resid, converged = None, np.inf, False
+        c_mid, sigma_mid = self._midpoint(state, x)
         for n_iter in itertools.count():
-            c_mid, sigma_mid = self._midpoint(state, x)
-            if image is None:
-                image = self._image(c_mid, sigma_mid)
             rho_mid = self.density(image.phi, image.d)
             if rho_prev is not None:
                 last = resid
@@ -249,7 +260,8 @@ class PTIMPropagator(PropagatorBase):
             self._set_midpoint_exchange(image)
             self._fixed_point_update(state, c_mid, sigma_mid, image, dt, c_new, sigma_new)
             x = self._mixer.mix(x, gx)
-            image = None
+            c_mid, sigma_mid = self._midpoint(state, x)
+            image = self._image(c_mid, sigma_mid)
 
     def _finish_step(self, state: TDState, dt: float, x: np.ndarray) -> TDState:
         """Löwdin orthonormalization + sigma symmetrization (Alg. 1 line
@@ -261,7 +273,9 @@ class PTIMPropagator(PropagatorBase):
     # -- the step -------------------------------------------------------------
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
         packed, x = self._pack(state)
-        x, n_scf, resid, converged, _ = self._solve_fixed_point(packed, dt, x, self.options.max_scf)
+        x, n_scf, resid, converged, _ = self._solve_fixed_point(
+            packed, dt, x, self.options.max_scf, self._start_image(state)
+        )
         stats = StepStats(
             scf_iterations=n_scf,
             outer_iterations=1,

@@ -1,15 +1,17 @@
 """PT-IM-ACE: the double-SCF-loop propagator of paper Fig. 4(b).
 
 The expensive dense Fock operator is evaluated only in the *outer* loop,
-where the two ACE operators are refreshed (at ``t_n`` — reused across
-outer iterations since ``Phi_n, sigma_n`` are fixed — and at the current
-midpoint estimate).  The *inner* loop then runs the PT-IM fixed-point
-iteration with the compressed midpoint operator, whose application is two
-skinny GEMMs instead of N^2 FFTs — on the cutoff sphere, like the whole
-fixed point (see ``rt/ptim.py``); only the dense evaluation that feeds an
-ACE build sees real-space rows.
+where each iteration builds one ACE operator, on the current midpoint
+estimate.  The *inner* loop then runs the PT-IM fixed-point iteration
+with that compressed operator, whose application is two skinny GEMMs
+instead of N^2 FFTs — on the cutoff sphere, like the whole fixed point
+(see ``rt/ptim.py``); only the dense evaluation that feeds an ACE build
+sees real-space rows.  The first build's midpoint is the state itself,
+imaged as ``observe`` images it, so when the state's energy was recorded
+its dense self-application is answered from the record
+(``Hamiltonian.dense_exchange``) and the step computes one fewer.
 
-Each build starts from the midpoint's eigenbasis image, the one the
+Each later build starts from the midpoint's eigenbasis image the last
 inner loop's last density was taken on: ``W~ = V_x phi~`` is the
 dense operator's self-application with weights ``d``, compressed with
 ``c~``.  ``V_ACE = W (Phi* W)^-1 W*`` does not change under a unitary
@@ -76,7 +78,7 @@ class PTIMACEPropagator(PTIMPropagator):
 
         # each midpoint is decomposed and taken to real space once: the
         # loop tests its last iterate on the image the next ACE build needs
-        image = self._image(*self._midpoint(packed, x))
+        image = self._start_image(state)
         for _ in range(opts.max_outer):
             n_outer += 1
             # one dense (N^2-FFT) exchange evaluation on the midpoint's

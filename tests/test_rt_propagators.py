@@ -17,6 +17,7 @@ from oracles import (
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid import PlaneWaveGrid
 from repro.hamiltonian import Hamiltonian
+from repro.hamiltonian.fock import FockExchangeOperator
 from repro.hartree.ewald import ewald_energy
 from repro.observables.energy import td_total_energy
 from repro.rt import (
@@ -31,6 +32,7 @@ from repro.rt import (
 )
 from repro.rt.gauge import density_matrix_distance
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
+from repro.parallel import FUGAKU_ARM, DistributedFockExchange, SimComm
 from repro.occupation.sigma import (
     clip_and_normalize,
     diagonalize_sigma,
@@ -264,6 +266,95 @@ def test_shared_driver_matches_hand_written_loops(hse_ground_state, kind):
     assert stats.residual == pytest.approx(resid, rel=1e-6)
     np.testing.assert_allclose(new.phi, ref.phi, rtol=0.0, atol=1e-12)
     np.testing.assert_allclose(new.sigma, ref.sigma, rtol=0.0, atol=1e-12)
+
+
+def _count_kernel_calls(monkeypatch, cls):
+    """One entry per call of ``cls.apply_diag``, the dense exchange kernel."""
+    calls = []
+    kernel = cls.apply_diag
+
+    def counted(self, *args, **kwargs):
+        calls.append(args[0].shape)
+        return kernel(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "apply_diag", counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind", ["ptim", "ptim-r2", "ptim_ace", "rk4"])
+def test_recorded_energy_starts_the_next_step(hse_ground_state, monkeypatch, kind):
+    """Exact-repeat counters of two steps.  A recorded energy applies the
+    dense exchange to the state's eigenbasis image, and the next step's
+    first dense evaluation (PT-IM's first iteration, PT-IM-ACE's first
+    build, RK4's first stage) asks for it bit for bit, so the
+    ``Hamiltonian`` answers it from its record: recording costs one
+    application per observation that no step starts from, and the
+    trajectory does not depend on ``record_energy`` or ``observe_every``.
+    ``ptim-r2`` runs the exchange on two simulated ranks."""
+    base, state = _small_hse_state(hse_ground_state)
+    factory, kernel = None, FockExchangeOperator
+    dt = AU_PER_ATTOSECOND if kind == "rk4" else DT_50AS
+    if kind == "ptim-r2":
+        kernel = DistributedFockExchange
+
+        def factory(grid, kernel_g, batch_size):
+            return DistributedFockExchange(grid, kernel_g, SimComm(2, FUGAKU_ARM), batch_size=batch_size)
+
+    calls = _count_kernel_calls(monkeypatch, kernel)
+
+    def run(record_energy, observe_every=1):
+        ham = Hamiltonian(base.grid, base.functional, field=base.field, fock_factory=factory)
+        options = dict(track_sigma=[(0, 1)], record_energy=record_energy)
+        if kind == "ptim_ace":
+            opts = PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7)
+            prop = PTIMACEPropagator(ham, opts, **options)
+        elif kind == "rk4":
+            prop = RK4Propagator(ham, **options)
+        else:
+            prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-7), **options)
+        before = len(calls)
+        final = prop.propagate(state, dt, n_steps=2, observe_every=observe_every)
+        return final, prop.record, len(calls) - before
+
+    final, record, n = run(False)
+    assert n > 2 and np.isnan(record.energy).all()
+    for observe_every, observed, starts in ((1, [0, 1, 2], 2), (2, [0, 2], 1)):
+        other, other_record, n_other = run(True, observe_every)
+        # one application per recorded energy, less one per step begun from it
+        assert n_other == n + len(observed) - starts
+        assert np.isfinite(other_record.energy).all()
+        assert np.array_equal(other.phi, final.phi)
+        assert np.array_equal(other.sigma, final.sigma)
+        assert np.array_equal(np.asarray(other_record.dipole), np.asarray(record.dipole)[observed])
+        samples = np.asarray(record.sigma_samples[(0, 1)])[observed]
+        assert np.array_equal(np.asarray(other_record.sigma_samples[(0, 1)]), samples)
+
+
+def test_dense_exchange_record_answers_only_a_bit_identical_request(
+    hse_ground_state, monkeypatch
+):
+    """The record answers a request equal to the last one in every bit of
+    ``(phi~, d)`` and its shape, read-only; one ulp of one weight or one
+    orbital value, or a band fewer, is evaluated afresh, and the record
+    holds a copy of its request, not the caller's array."""
+    base, state = _small_hse_state(hse_ground_state, n=6)
+    ham = Hamiltonian(base.grid, base.functional)
+    calls = _count_kernel_calls(monkeypatch, FockExchangeOperator)
+    phi, d = eigenbasis_image(state.phi, state.sigma)
+    vx = ham.dense_exchange(phi, d)
+    assert not vx.flags.writeable and len(calls) == 1
+    assert ham.dense_exchange(phi.copy(), d.copy()) is vx and len(calls) == 1
+
+    nudged = d.copy()
+    nudged[2] = np.nextafter(nudged[2], 1.0)
+    fresh = ham.dense_exchange(phi, nudged)
+    assert len(calls) == 2 and fresh is not vx
+    assert np.array_equal(fresh, ham.fock.apply_diag(phi, nudged))
+    phi[0, 0] = complex(np.nextafter(phi[0, 0].real, np.inf), phi[0, 0].imag)
+    ham.dense_exchange(phi, nudged)
+    assert len(calls) == 4
+    ham.dense_exchange(phi[:5], nudged[:5])
+    assert len(calls) == 5
 
 
 def test_inner_iteration_costs_two_orbital_transforms_and_a_hartree_pair(lda_ground_state):
@@ -697,12 +788,14 @@ def test_step_decomposes_each_midpoint_once_and_rotates_sphere_blocks(
     hse_ground_state, monkeypatch, kind
 ):
     """Exact-repeat counters of one step.  Each midpoint is decomposed
-    once and every rotation is of an ``(nb, npw)`` sphere block: a dense
-    PT-IM step makes ``n + 1`` midpoints (``2 n + 1`` decompositions while
-    the density and the exchange sources each made their own), a
-    PT-IM-ACE step ``n_inner + 1``, since the last midpoint of an inner
-    loop is the first of the next and an ACE build decomposes nothing
-    (``n_inner + 2 n_outer`` before)."""
+    once: a dense PT-IM step makes ``n + 1`` midpoints (``2 n + 1``
+    decompositions while the density and the exchange sources each made
+    their own), a PT-IM-ACE step ``n_inner + 1``, since the last midpoint
+    of an inner loop is the first of the next and an ACE build decomposes
+    nothing (``n_inner + 2 n_outer`` before).  The first midpoint is the
+    state, whose real-space rows are rotated as ``observe`` rotates them:
+    one ``(nb, ngrid)`` rotation, and every other is of an ``(nb, npw)``
+    sphere block."""
     ham, state = _small_hse_state(hse_ground_state)
     if kind == "ptim":
         prop = PTIMPropagator(ham, PTIMOptions(density_tol=1e-7), record_energy=False)
@@ -717,7 +810,8 @@ def test_step_decomposes_each_midpoint_once_and_rotates_sphere_blocks(
     assert stats.converged and n > stats.outer_iterations
     assert len(decompositions) == n + 1
     assert len(rotations) == n + 1
-    assert {block.shape for block, _ in rotations} == {(state.nbands, ham.grid.npw)}
+    assert rotations[0][0].shape == (state.nbands, ham.grid.ngrid)
+    assert {block.shape for block, _ in rotations[1:]} == {(state.nbands, ham.grid.npw)}
 
 
 def test_observe_decomposes_sigma_once_for_density_and_energy(hse_ground_state, monkeypatch):
