@@ -5,10 +5,13 @@ Commands
 ``run CONFIG``
     Converge the ground state and run the configured propagation from a
     ``.toml``/``.json`` config file; optionally save results/checkpoint.
+    Unless ``--quiet`` or reused from the store, it ends with where the
+    run's seconds went: the spans of :mod:`repro.trace` under the root
+    span ``api.run``, one row each.
 ``resume NPZ``
     Continue the trajectory a result file ends in for more steps: a
     checkpoint (carries the ground state) or any ``--output`` /
-    ``results export`` / ``jobs fetch`` file.
+    ``results export`` / ``jobs fetch`` file; ends with the same split.
 ``sweep CONFIG``
     Expand a config with a ``[sweep]`` section into a run grid and
     execute it (``--workers N``: N processes drain the store's job
@@ -31,7 +34,8 @@ Commands
 ``components``
     List every registered cell / functional / field / propagator.
 ``perf``
-    Print the paper-evaluation performance projection report.
+    Print the paper-evaluation performance projection report, through
+    the same table formatter (:mod:`repro.perf.experiments`).
 
 Exit codes
 ----------
@@ -250,7 +254,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _finish(sim: Simulation, result, args) -> None:
+def _finish(sim: Simulation, result, args, mark=None) -> None:
+    """Print the run's results; ``mark``, the span snapshot taken before
+    the run (``None`` when nothing was computed), also prints its split."""
     if not args.quiet:
         print(result.summary())
         if result.fft is not None:
@@ -274,6 +280,11 @@ def _finish(sim: Simulation, result, args) -> None:
             )
             print("measured communication breakdown (modeled seconds, executed schedules)")
             print(format_table1(table))
+        if mark is not None:
+            from repro.perf.experiments import format_split
+            from repro.trace import recorder
+
+            print(format_split(recorder().since(mark)))
     if args.output:
         path = result.save_npz(args.output)
         print(f"observables saved to {path}")
@@ -286,6 +297,7 @@ def _cmd_run(args) -> int:
     from repro.api.config import ConfigError, load_sweep_file
     from repro.api.runs import run_one
     from repro.api.simulation import Simulation
+    from repro.trace import recorder
 
     base, sweep = load_sweep_file(args.config)
     if sweep.axes:
@@ -342,6 +354,7 @@ def _cmd_run(args) -> int:
                 f"{cfg.propagation.propagator} ..."
             )
 
+    mark = recorder().snapshot()
     outcome = run_one(sim, store, _propagation_starts, reuse=not args.rerun)
     if outcome.reused:
         # idempotent by content: the store already holds this exact
@@ -358,12 +371,13 @@ def _cmd_run(args) -> int:
         )
     elif store is not None:
         print(f"run {outcome.run_id} stored in {store.root}")
-    _finish(sim, outcome.result, args)
+    _finish(sim, outcome.result, args, None if outcome.reused else mark)
     return 0
 
 
 def _cmd_resume(args) -> int:
     from repro.api.simulation import Simulation
+    from repro.trace import recorder, span
 
     sim = Simulation.resume(args.result_file)
     cfg = sim.config
@@ -373,8 +387,10 @@ def _cmd_resume(args) -> int:
             f"resuming at t = {sim.state.time:.3f} a.u.; propagating {n} more "
             f"x {cfg.propagation.dt_as:g} as with {cfg.propagation.propagator} ..."
         )
-    result = sim.propagate(n_steps=args.steps)
-    _finish(sim, result, args)
+    mark = recorder().snapshot()
+    with span("api.run"):
+        result = sim.propagate(n_steps=args.steps)
+    _finish(sim, result, args, mark)
     return 0
 
 
@@ -705,7 +721,7 @@ def _cmd_components(args) -> int:
 
 
 def _cmd_perf(args) -> int:
-    from repro.perf.report import MACHINES, scaling_report
+    from repro.perf.experiments import MACHINES, scaling_report
 
     machines = (args.machine,) if args.machine else MACHINES
     print(scaling_report(machines))

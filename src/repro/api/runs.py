@@ -2,7 +2,8 @@
 
 :func:`run_one` is the run kernel: cache hit → group ground state (in
 memory / the store's blob / one lease-elected SCF) → propagate →
-persist, never redoing a finished config hash, timing itself once.
+persist, never redoing a finished config hash; its body is the root
+span ``api.run`` of :mod:`repro.trace`.
 :func:`plan_runs` is the same decision taken for a batch up front:
 which hashes the store already holds, which are left, and which
 shared-SCF groups those need.  ``Simulation.run(store=)`` and ``repro
@@ -17,7 +18,6 @@ coalescing, persistence and failure handling exist once.
 from __future__ import annotations
 
 import contextlib
-import time
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.api.config import ConfigError, SimulationConfig, overridden
@@ -25,6 +25,7 @@ from repro.api.registry import propagator_options
 from repro.api.simulation import Simulation, SimulationResult
 from repro.scf.groundstate import default_nbands
 from repro.store.common import config_hash, group_address, group_key
+from repro.trace import span
 
 
 class RunOutcome(NamedTuple):
@@ -33,8 +34,9 @@ class RunOutcome(NamedTuple):
     #: the stored run's id (``None`` without a store)
     run_id: Optional[str]
     result: SimulationResult
-    #: kernel wall seconds, ground state included; a reused run reports
-    #: the seconds it took when it was computed
+    #: kernel wall seconds (the open ``api.run`` span's, before the store
+    #: write), ground state included; a reused run reports the seconds
+    #: it took when it was computed
     elapsed: float
     #: the store already held this exact config: nothing was computed
     reused: bool
@@ -68,35 +70,35 @@ def run_one(
     exception fails that attempt before it propagates.  A re-run of an
     ``ok`` row leaves it ``ok`` until the new result lands.
     """
-    started = time.perf_counter()
-    prop = sim.config.propagation
-    # a window or options that cannot run are refused before an SCF is
-    # spent on them
-    ran = overridden(prop, **window)
-    propagator_options(prop.propagator, dict(prop.options))
-    _check_tracked_bands(sim)
-    if store is not None:
-        for key in (k for k in window if getattr(ran, k) != getattr(prop, k)):
-            raise ConfigError(
-                f"propagation.{key} = {getattr(ran, key)!r} is not the config's "
-                f"{getattr(prop, key)!r}: a stored run is filed under its config's hash"
-            )
-        from repro.store import ResultStore
+    with span("api.run") as clock:
+        prop = sim.config.propagation
+        # a window or options that cannot run are refused before an SCF is
+        # spent on them
+        ran = overridden(prop, **window)
+        propagator_options(prop.propagator, dict(prop.options))
+        _check_tracked_bands(sim)
+        if store is not None:
+            for key in (k for k in window if getattr(ran, k) != getattr(prop, k)):
+                raise ConfigError(
+                    f"propagation.{key} = {getattr(ran, key)!r} is not the config's "
+                    f"{getattr(prop, key)!r}: a stored run is filed under its config's hash"
+                )
+            from repro.store import ResultStore
 
-        store = ResultStore.ensure(store)
-        done = store.find_completed(sim.config) if reuse else None
-        if done is not None:
-            result = store.load_result(done.run_id, with_ground_state=True)
-            return RunOutcome(done.run_id, result, done.elapsed, True)
-    recording = store is not None and not claimed
-    with store.queue.recording(sim.config) if recording else contextlib.nullcontext():
-        sim.ground_state(store)
-        if progress is not None:
-            progress(0, ran.n_steps)
-        result = sim.propagate(progress=progress, **window)
-        elapsed = time.perf_counter() - started
-        run_id = None if store is None else store.add_result(result, elapsed=elapsed)
-    return RunOutcome(run_id, result, elapsed, False)
+            store = ResultStore.ensure(store)
+            done = store.find_completed(sim.config) if reuse else None
+            if done is not None:
+                result = store.load_result(done.run_id, with_ground_state=True)
+                return RunOutcome(done.run_id, result, done.elapsed, True)
+        recording = store is not None and not claimed
+        with store.queue.recording(sim.config) if recording else contextlib.nullcontext():
+            sim.ground_state(store)
+            if progress is not None:
+                progress(0, ran.n_steps)
+            result = sim.propagate(progress=progress, **window)
+            elapsed = clock()
+            run_id = None if store is None else store.add_result(result, elapsed=elapsed)
+        return RunOutcome(run_id, result, elapsed, False)
 
 
 def _check_tracked_bands(sim: Simulation) -> None:

@@ -44,6 +44,8 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 import scipy.fft as _sfft
 
+from repro.trace import traced
+
 _AXES = (-3, -2, -1)
 #: input dtypes pocketfft already transforms in double precision
 _DOUBLE = (np.dtype(np.float64), np.dtype(np.complex128))
@@ -223,6 +225,7 @@ class Backend:
         self.counters.record(a.shape[-3:], math.prod(a.shape[:-3]))
 
     # -- public transform API ------------------------------------------------
+    @traced("backend.fft")
     def forward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Real space -> reciprocal space (normalized by 1/Ngrid).
 
@@ -238,6 +241,7 @@ class Backend:
         self._accept(a, out)
         return self._fftn(a, out)
 
+    @traced("backend.fft")
     def backward(self, a: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Reciprocal space -> real space (inverse of :meth:`forward`)."""
         a = np.asarray(a)

@@ -36,6 +36,7 @@ import numpy as np
 from repro.backend import Backend
 from repro.grid.cell import UnitCell
 from repro.grid.gvectors import GVectors, minimal_fft_shape
+from repro.trace import traced
 from repro.utils.validation import require
 
 
@@ -171,6 +172,7 @@ class PlaneWaveGrid:
         return self.to_real(self.to_sphere(fr))
 
     # -- linear algebra on orbital blocks ---------------------------------------
+    @traced("grid.inner")
     def inner(self, bra: np.ndarray, ket: np.ndarray) -> np.ndarray:
         """Overlap block ``<bra_i|ket_j>`` with quadrature weight.
 

@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 from repro.utils.validation import require
 
 
@@ -91,6 +92,7 @@ class ACEOperator:
     def rank(self) -> int:
         return self.xi.shape[0]
 
+    @traced("hamiltonian.ace.apply")
     def apply(self, psi: np.ndarray) -> np.ndarray:
         """``V_ACE psi = -xi (xi | psi)`` for a band block in ``xi``'s representation.
 

@@ -52,6 +52,7 @@ from typing import (
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 from repro.utils.validation import check_square, require
 
 if TYPE_CHECKING:
@@ -289,6 +290,7 @@ class FockExchangeOperator:
         return forward, np.conjugate(backward, out=backward)
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
+    @traced("hamiltonian.fock.apply_diag")
     def apply_diag(self, phi_src: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """``(V_x phi_j)(r) = -Σ_i d_i phi_i(r) [K * (phi_i^* phi_j)](r)`` on the sources.
 
@@ -412,6 +414,7 @@ class FockExchangeOperator:
         return out
 
     # -- energy -----------------------------------------------------------------
+    @traced("hamiltonian.fock.exchange_energy")
     def exchange_energy(
         self,
         phi: np.ndarray,

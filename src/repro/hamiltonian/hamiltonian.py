@@ -33,6 +33,7 @@ from repro.hamiltonian.kinetic import KineticOperator
 from repro.hartree.poisson import hartree_energy, hartree_potential
 from repro.pseudo.local import LocalPseudopotential
 from repro.pseudo.nonlocal_ import NonlocalPseudopotential
+from repro.trace import traced
 from repro.utils.validation import require
 from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
@@ -61,6 +62,7 @@ class Hamiltonian:
         Electrons per orbital (2 for the paper's spin-restricted setup).
     """
 
+    @traced("hamiltonian.init")
     def __init__(
         self,
         grid: PlaneWaveGrid,
@@ -111,6 +113,7 @@ class Hamiltonian:
         return self.local_pseudo.zion_total
 
     # -- density-dependent pieces ------------------------------------------------
+    @traced("hamiltonian.update_density")
     def update_density(self, rho: np.ndarray) -> None:
         """Rebuild ``V_H + V_xc`` (and their energies) from a real density."""
         require(rho.shape == (self.grid.ngrid,), "density must be flat on the grid")
@@ -159,6 +162,7 @@ class Hamiltonian:
         self._exx_sources = None
         self._ace = None
 
+    @traced("hamiltonian.build_ace")
     def build_ace(
         self, phi: np.ndarray, d: np.ndarray, c: Optional[np.ndarray] = None
     ) -> ACEOperator:
@@ -221,6 +225,7 @@ class Hamiltonian:
         return self.functional.alpha * self.dense_exchange(src, d)
 
     # -- full application ---------------------------------------------------------
+    @traced("hamiltonian.apply")
     def apply(
         self,
         c: np.ndarray,

@@ -15,6 +15,7 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 
 
 class KineticOperator:
@@ -48,6 +49,7 @@ class KineticOperator:
         """Current kinetic diagonal on the cutoff sphere, shape ``(npw,)``."""
         return self._diag
 
+    @traced("hamiltonian.kinetic.apply_g")
     def apply_g(self, phi_g: np.ndarray) -> np.ndarray:
         """Apply to a sphere block ``(..., npw)``."""
         out = np.empty_like(np.asarray(phi_g))

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 
 
 def coulomb_kernel_g(grid: PlaneWaveGrid, gzero: float = 0.0) -> np.ndarray:
@@ -59,6 +60,7 @@ def solve_poisson_g(
     return grid.g_to_r(vg, consume=True)
 
 
+@traced("hartree.potential")
 def hartree_potential(grid: PlaneWaveGrid, rho_flat: np.ndarray) -> np.ndarray:
     """Real Hartree potential of a real density (flat arrays)."""
     # the astype() copy is ours to destroy

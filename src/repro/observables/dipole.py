@@ -14,6 +14,7 @@ from typing import Optional
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 
 
 def cell_centered_coordinates(grid: PlaneWaveGrid) -> np.ndarray:
@@ -31,6 +32,7 @@ def cell_centered_coordinates(grid: PlaneWaveGrid) -> np.ndarray:
     return frac @ grid.cell.lattice
 
 
+@traced("observables.dipole")
 def dipole_moment(
     grid: PlaneWaveGrid,
     rho: np.ndarray,

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
+from repro.trace import traced
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,7 @@ class EnergyBreakdown:
         )
 
 
+@traced("observables.energy")
 def td_total_energy(
     ham: Hamiltonian,
     phi_t: np.ndarray,

@@ -13,6 +13,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.constants import SPIN_DEGENERACY
+from repro.trace import traced
 from repro.utils.validation import require
 
 
@@ -65,6 +66,7 @@ def find_fermi_level(
     return 0.5 * (lo + hi)
 
 
+@traced("occupation.fermi")
 def fermi_occupations(
     eps: np.ndarray,
     n_electrons: float,

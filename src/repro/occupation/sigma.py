@@ -28,6 +28,7 @@ from typing import Tuple
 import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 from repro.utils.validation import check_hermitian, check_square, require
 
 
@@ -50,6 +51,7 @@ def trace_sigma(sigma: np.ndarray) -> float:
     return float(np.trace(sigma).real)
 
 
+@traced("occupation.diagonalize_sigma")
 def diagonalize_sigma(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Eigen-decomposition ``sigma = Q diag(d) Q*`` (paper Eq. (11)).
 
@@ -61,6 +63,7 @@ def diagonalize_sigma(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return d, q
 
 
+@traced("occupation.rotate_orbitals")
 def rotate_orbitals(phi: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Basis change ``phi_tilde = Phi Q`` (orbitals are rows: ``Q^T @ Phi``)."""
     return np.ascontiguousarray(q.T @ phi)
@@ -95,6 +98,7 @@ def density_from_orbitals_pairwise(
     return degeneracy * rho.real
 
 
+@traced("occupation.density_diag")
 def density_from_orbitals_diag(
     grid: PlaneWaveGrid,
     phi: np.ndarray,

@@ -22,6 +22,7 @@ import numpy as np
 
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec
+from repro.trace import traced
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # config validation imports this module without the physics
@@ -58,6 +59,7 @@ class SimComm:
         return [x.copy() for x in a] if isinstance(a, list) else np.asarray(a).copy()
 
     # -- collectives --------------------------------------------------------------
+    @traced("parallel.comm")
     def bcast(self, per_rank: List[Optional[np.ndarray]], root: int) -> List[np.ndarray]:
         """Broadcast rank ``root``'s buffer to every rank."""
         self._check(per_rank)
@@ -66,6 +68,7 @@ class SimComm:
         self.ledger.add("bcast", self._nbytes(buf), t)
         return [buf.copy() for _ in range(self.nranks)]
 
+    @traced("parallel.comm")
     def ring_shift(self, per_rank: Sequence[np.ndarray]) -> List[np.ndarray]:
         """One synchronous ring rotation (MPI_Sendrecv with both neighbors).
 
@@ -75,6 +78,7 @@ class SimComm:
         """
         return self._rotate(per_rank, "sendrecv", 0.0)
 
+    @traced("parallel.comm")
     def ring_shift_async(
         self, per_rank: Sequence[np.ndarray], compute_seconds: float
     ) -> List[np.ndarray]:
@@ -94,6 +98,7 @@ class SimComm:
             self.ledger.add(kind, max_bytes, max(0.0, t_comm - hidden))
         return [np.asarray(per_rank[r - 1]).copy() for r in range(self.nranks)]
 
+    @traced("parallel.comm")
     def allreduce_sum(self, per_rank: Sequence[np.ndarray], participants: Optional[int] = None) -> List[np.ndarray]:
         """Sum identical-shaped buffers across ranks (result on every rank).
 
@@ -107,6 +112,7 @@ class SimComm:
         self.ledger.add("allreduce", self._nbytes(per_rank[0]), t)
         return [total.copy() for _ in range(self.nranks)]
 
+    @traced("parallel.comm")
     def allgatherv(self, per_rank: Sequence[np.ndarray]) -> List[np.ndarray]:
         """Concatenate every rank's buffer on all ranks (axis 0)."""
         self._check(per_rank)
@@ -124,6 +130,7 @@ class SimComm:
     # would cost on the machine — data movement already happened through
     # the replicated arrays, so only the ledger is touched.
 
+    @traced("parallel.comm")
     def charge_allreduce(self, nbytes: float, participants: Optional[int] = None) -> float:
         """Charge one allreduce of ``nbytes``; returns the modeled seconds.
 
@@ -135,12 +142,14 @@ class SimComm:
         self.ledger.add("allreduce", float(nbytes), t)
         return t
 
+    @traced("parallel.comm")
     def charge_allgatherv(self, nbytes_total: float) -> float:
         """Charge one allgatherv of ``nbytes_total`` distributed bytes."""
         t = self.machine.allgatherv_time(float(nbytes_total), self.nranks)
         self.ledger.add("allgatherv", float(nbytes_total), t)
         return t
 
+    @traced("parallel.comm")
     def alltoallv_blocks(self, blocks: Sequence[Sequence[np.ndarray]]) -> List[List[np.ndarray]]:
         """Full exchange: ``blocks[r][s]`` goes from rank r to rank s.
 

@@ -43,6 +43,7 @@ from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.parallel.comm import PATTERNS, Pattern, SimComm
 from repro.parallel.layouts import BandLayout
+from repro.trace import traced
 from repro.utils.validation import require
 
 COMPLEX_BYTES = 16.0
@@ -89,6 +90,7 @@ class DistributedFockExchange(FockExchangeOperator):
         self.rank_transforms: List[int] = [0] * comm.nranks
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
+    @traced("parallel.distfock.apply_diag")
     def apply_diag(
         self,
         phi_src: np.ndarray,

@@ -1,14 +1,20 @@
-"""Generators for the paper's evaluation artifacts (Figs. 9-11, Table I).
+"""Generators for the paper's evaluation artifacts (Figs. 9-11, Table I),
+and the one text-table formatter that prints them.
 
-Each function returns plain dict/list structures (easy to print or
-assert on) with the same rows/series the paper reports; the benchmark
-harness under ``benchmarks/`` prints them next to the paper values from
-:mod:`repro.perf.calibrate`.
+Each generator returns plain dict/list structures (easy to print or
+assert on) with the same rows/series the paper reports.
+:func:`format_table` renders every table the package prints: the
+projection report of ``repro perf`` (Fig. 9-11 and Table I next to the
+paper values from :mod:`repro.perf.calibrate`, also
+``examples/scaling_projection.py``), a parallel run's measured Table I
+and a run's measured split (:func:`format_split`).
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, Optional, Sequence
+import re
+from string import Formatter
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -18,8 +24,13 @@ from repro.parallel.machine import MachineSpec, machine_by_name
 from repro.perf.calibrate import (
     FIG9_NATOM,
     FIG9_NODES,
+    FIG9_SPEEDUPS,
+    FIG9_TOTAL_SPEEDUP,
+    STRONG_SCALING,
+    TABLE1,
     TABLE1_NATOM,
     TABLE1_NODES,
+    WEAK_ANCHORS,
     WEAK_SCALING_ATOMS,
     WEAK_SCALING_RULE,
     ranks_for_nodes,
@@ -170,23 +181,104 @@ def measured_table1(
     }
 
 
+def format_table(row: str, rows: Iterable[Mapping[str, Any]], header: Sequence[str] = ()) -> List[str]:
+    """The lines of a text table: each of ``rows`` through the ``str.format``
+    template ``row``, whose fields name row keys, after a ``header`` line
+    (one title per field, set in its field's width and alignment) when
+    one is given.  Every table the package prints is made here."""
+    lines = [row.format(**r) for r in rows]
+    if not header:
+        return lines
+    titles = "".join(
+        text + format(title, re.match(r"[<>^]?\d*", spec).group())
+        for (text, _, spec, _), title in zip(Formatter().parse(row), header)
+    )
+    return [titles, *lines]
+
+
 def format_table1(result: Dict) -> str:
     """Render a Table-I-like text table (model or measured rows)."""
-    cols = ("alltoallv", "sendrecv", "wait", "allgatherv", "allreduce", "bcast", "total_comm", "comm_ratio")
-    header = f"{'variant':<12}" + "".join(f"{c:>12}" for c in cols)
-    lines = [f"# {result['machine']} | {result['natom']} atoms | {result['nodes']} nodes", header]
+    seconds = ("alltoallv", "sendrecv", "wait", "allgatherv", "allreduce", "bcast", "total_comm")
+    rows = []
     for variant, row in result["rows"].items():
         # measured small-system ledgers are fractions of a millisecond;
         # fall back to scientific notation where fixed-point would read 0.00
-        seconds = [row[c] for c in cols if c != "comm_ratio"]
-        small = 0.0 < max(abs(v) for v in seconds) < 0.05
-        cells = ""
-        for c in cols:
-            if c == "comm_ratio":
-                cells += f"{row[c] * 100.0:>12.2f}"
-            elif small:
-                cells += f"{row[c]:>12.2e}"
-            else:
-                cells += f"{row[c]:>12.2f}"
-        lines.append(f"{variant:<12}" + cells)
-    return "\n".join(lines)
+        spec = ".2e" if 0.0 < max(abs(row[c]) for c in seconds) < 0.05 else ".2f"
+        cells = {c: format(row[c], spec) for c in seconds}
+        rows.append({"variant": variant, **cells, "comm_ratio": f"{row['comm_ratio'] * 100.0:.2f}"})
+    cols = ("variant", *seconds, "comm_ratio")
+    return "\n".join([
+        f"# {result['machine']} | {result['natom']} atoms | {result['nodes']} nodes",
+        *format_table(
+            "{variant:<12}" + "".join(f"{{{c}:>12}}" for c in cols[1:]), rows, cols
+        ),
+    ])
+
+
+def format_split(spans: Mapping[str, Any]) -> str:
+    """Where a run's seconds went: the root span ``api.run``'s total, then
+    every other span's self seconds (largest first) and share of it, then
+    the root's own time as ``unattributed``.  ``spans`` maps names to
+    :class:`~repro.trace.SpanStats`; the rows below the root sum to it."""
+    root = spans["api.run"]
+    rows = [{"span": "api.run", "calls": root.calls, "seconds": root.total_s}]
+    rows += sorted(
+        ({"span": k, "calls": s.calls, "seconds": s.self_s} for k, s in spans.items() if k != "api.run"),
+        key=lambda r: -r["seconds"],
+    )
+    rows.append({"span": "unattributed", "calls": "", "seconds": root.self_s})
+    for r in rows:
+        r["share"] = r["seconds"] / root.total_s
+    return "\n".join([
+        "where the seconds went (measured: api.run's total, then each span's own seconds)",
+        *format_table(
+            "{span:<34}{calls:>8}{seconds:>12.4f}{share:>9.1%}", rows, ("span", "calls", "seconds", "share")
+        ),
+    ])
+
+
+MACHINES = ("fugaku-arm", "a100-gpu")
+
+
+def machine_report(machine: str) -> str:
+    """The four evaluation blocks for one platform, beside the paper's numbers."""
+    fig9 = fig9_step_by_step(machine)
+    speedup = fig9["incremental_speedup"]
+    stages = [
+        {"stage": stage, "t": t, "speedup": f"{speedup[stage]:.2f}" if stage in speedup else "",
+         "paper": FIG9_SPEEDUPS[machine].get(stage, "")}
+        for stage, t in fig9["step_seconds"].items()
+    ]
+    strong = STRONG_SCALING[machine]
+    n0, n1 = strong["nodes"]
+    weak = fig11_weak_scaling(machine)["rows"]
+    for row in weak:
+        anchor = WEAK_ANCHORS.get((machine, row["natom"]))
+        row["mark"] = f"  (paper {anchor:.1f} s)" if anchor else ""
+    paper_totals = {v: TABLE1[machine][v]["total_comm"] for v in ("ACE", "Ring", "Async")}
+    return "\n".join([
+        "=" * 78,
+        f"Fig 9 | {machine} | 384-atom Si | {fig9['nodes']} nodes",
+        *format_table(
+            "{stage:<8}{t:>12.1f}{speedup:>10}{paper!s:>8}",
+            stages,
+            ("stage", "t/step (s)", "speedup", "paper"),
+        ),
+        f"total speedup: {fig9['total_speedup']:.1f}x (paper {FIG9_TOTAL_SPEEDUP[machine]}x)\n",
+        f"Fig 10 | strong scaling | {strong['natom']} atoms",
+        *format_table(
+            "  {nodes:>5} nodes  {seconds:>9.1f} s  eff {efficiency:.1%}",
+            fig10_strong_scaling(machine, strong["natom"], [n0, 2 * n0, 4 * n0, n1])["rows"],
+        ),
+        f"  paper endpoint: {strong['speedup']}x speedup, {strong['efficiency']:.1%} efficiency\n",
+        "Fig 11 | weak scaling",
+        *format_table("  {natom:>5} atoms / {nodes:>4} nodes  {seconds:>9.1f} s{mark}", weak),
+        "",
+        format_table1(table1_communication(machine)),
+        f"paper totals: {paper_totals}\n",
+    ])
+
+
+def scaling_report(machines: Iterable[str] = MACHINES) -> str:
+    """The full multi-platform projection report (``repro perf``)."""
+    return "\n".join(machine_report(m) for m in machines)

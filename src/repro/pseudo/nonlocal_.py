@@ -38,6 +38,7 @@ import numpy as np
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.pseudo.database import get_pseudopotential
 from repro.pseudo.hgh import h_matrix, projector_fourier
+from repro.trace import traced
 
 
 def _real_sph_harm(l: int, m: int, unit_g: np.ndarray) -> np.ndarray:
@@ -71,6 +72,7 @@ class NonlocalPseudopotential:
 
     grid: PlaneWaveGrid
 
+    @traced("pseudo.nonlocal.init")
     def __post_init__(self) -> None:
         grid = self.grid
         cell = grid.cell
@@ -143,6 +145,7 @@ class NonlocalPseudopotential:
         shape ``(nproj, nbands)``."""
         return self.beta_sphere.conj() @ c.T
 
+    @traced("pseudo.nonlocal.apply_g")
     def apply_g(self, c: np.ndarray) -> np.ndarray:
         """``V_nl phi`` for a sphere block ``(nbands, npw)``."""
         if self.nprojectors == 0:

@@ -26,6 +26,7 @@ from repro.occupation.sigma import (
     rotate_orbitals,
     trace_sigma,
 )
+from repro.trace import traced
 from repro.utils.validation import require
 
 #: the ``sigma_<i>_<j>`` series :meth:`PropagationRecord.as_arrays` names
@@ -176,6 +177,7 @@ class PropagatorBase:
         rho = density_from_orbitals_diag(self.grid, phi_t, d, degeneracy=self.ham.degeneracy)
         return clip_and_normalize(rho, self.ham.n_electrons, self.grid.dv)
 
+    @traced("rt.observe")
     def observe(self, state: TDState, stats: Optional[StepStats] = None) -> None:
         """Append the current observables to the record.
 

@@ -85,6 +85,7 @@ from repro.occupation.sigma import (
 from repro.rt.propagator import PropagatorBase, StepStats, TDState
 from repro.scf.eigensolver import lowdin_orthonormalize
 from repro.scf.mixing import AndersonMixer
+from repro.trace import traced
 from repro.utils.validation import check_settings, setting
 
 
@@ -178,6 +179,7 @@ class PTIMPropagator(PropagatorBase):
         if self.ham.functional.is_hybrid:
             self.ham.set_exchange_sources(image.phi, image.d)
 
+    @traced("rt.fixed_point_update")
     def _fixed_point_update(
         self,
         state: TDState,
@@ -271,6 +273,7 @@ class PTIMPropagator(PropagatorBase):
         return TDState(phi, hermitize(sigma), state.time + dt)
 
     # -- the step -------------------------------------------------------------
+    @traced("rt.step")
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
         packed, x = self._pack(state)
         x, n_scf, resid, converged, _ = self._solve_fixed_point(

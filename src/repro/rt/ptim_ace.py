@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.rt.propagator import StepStats, TDState
 from repro.rt.ptim import MidpointImage, PTIMOptions, PTIMPropagator
+from repro.trace import traced
 from repro.utils.validation import setting
 
 
@@ -62,6 +63,7 @@ class PTIMACEPropagator(PTIMPropagator):
     def _set_midpoint_exchange(self, image: MidpointImage) -> None:
         """Exchange is the fixed compressed operator for a whole inner loop."""
 
+    @traced("rt.step")
     def step(self, state: TDState, dt: float) -> Tuple[TDState, StepStats]:
         opts: PTIMACEOptions = self.options  # type: ignore[assignment]
         ham = self.ham

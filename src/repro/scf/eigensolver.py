@@ -19,6 +19,7 @@ import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.occupation.sigma import hermitize
+from repro.trace import traced
 from repro.utils.validation import require
 
 
@@ -29,6 +30,7 @@ def _inverse_sqrt(s: np.ndarray) -> np.ndarray:
     return (u / np.sqrt(lam)[None, :]) @ u.conj().T
 
 
+@traced("scf.lowdin")
 def lowdin_orthonormalize(grid: PlaneWaveGrid, phi: np.ndarray) -> np.ndarray:
     """Löwdin (symmetric) orthonormalization ``Phi S^{-1/2}``.
 
@@ -84,6 +86,7 @@ class DavidsonResult:
     converged: bool
 
 
+@traced("scf.davidson")
 def davidson(
     grid: PlaneWaveGrid,
     apply_h: Callable[[np.ndarray], np.ndarray],

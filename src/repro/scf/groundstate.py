@@ -70,6 +70,7 @@ from repro.occupation.sigma import clip_and_normalize, initial_sigma
 from repro.pseudo.database import get_pseudopotential
 from repro.scf.eigensolver import davidson
 from repro.scf.mixing import KerkerMixer
+from repro.trace import traced
 from repro.utils.rng import default_rng
 from repro.utils.validation import declaration, require
 
@@ -200,6 +201,7 @@ def total_energy(
     return e_tot, e_tot - kt * entropy
 
 
+@traced("scf.run_scf")
 def run_scf(
     ham: Hamiltonian,
     options: Optional[SCFOptions] = None,

@@ -47,6 +47,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.trace import traced
 from repro.utils.validation import require
 
 
@@ -92,6 +93,7 @@ class AndersonMixer:
         """Forget the history; the buffers stay allocated for the next loop."""
         self._count = 0
 
+    @traced("scf.anderson_mix")
     def mix(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
         """Produce the next iterate from ``x`` and the map output ``g(x)``.
 
@@ -163,6 +165,7 @@ class KerkerMixer:
     def reset(self) -> None:
         self.anderson.reset()
 
+    @traced("scf.kerker_mix")
     def mix(self, rho: np.ndarray, rho_new: np.ndarray) -> np.ndarray:
         resid = rho_new - rho
         resid_g = self.grid.r_to_g(resid.astype(complex), consume=True) * self._filter

@@ -15,6 +15,7 @@ import urllib.request
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from repro.trace import traced
 from repro.utils.io import atomic_write_stream
 
 
@@ -71,6 +72,7 @@ class ServeClient:
     def stats(self) -> Dict[str, Any]:
         return self._json("/stats")
 
+    @traced("serve.http.post_jobs")
     def submit(
         self,
         config,
@@ -131,6 +133,7 @@ class ServeClient:
                 )
             time.sleep(poll_s)
 
+    @traced("serve.http.fetch")
     def fetch(self, job_id: str, path) -> Path:
         """Download a finished job's result ``.npz`` to ``path``."""
         with self._request(f"/jobs/{job_id}/result") as resp:

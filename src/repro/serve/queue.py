@@ -48,6 +48,7 @@ from repro.store.common import (
 )
 from repro.store.query import StoredRun
 from repro.store.schema import INDEX_FILENAME, ensure_schema, inspect_store
+from repro.trace import traced
 
 #: every state a row can be in
 JOB_STATUSES = ("queued", "running", "ok", "error", "cancelled")
@@ -164,6 +165,7 @@ class JobQueue:
         )
 
     # -- submission -----------------------------------------------------------
+    @traced("serve.queue.submit")
     def submit(
         self,
         config: SimulationConfig,

@@ -26,6 +26,7 @@ from repro.serve.http import ServeHTTPServer
 from repro.serve.pool import WorkerPool
 from repro.store.common import utc_now
 from repro.store.query import StoredRun
+from repro.trace import traced
 from repro.utils.validation import declaration
 
 #: seconds between supervisor passes
@@ -138,6 +139,7 @@ class JobService:
                     return
 
     # -- operations (shared by HTTP and direct callers) -----------------------
+    @traced("serve.service.submit")
     def submit(
         self,
         config,

@@ -47,6 +47,7 @@ from repro.store.blobs import BlobStore
 from repro.store.common import StoreError, group_address, run_id_for, utc_now
 from repro.store.query import StoredRun
 from repro.store.schema import INDEX_BACKEND, STORE_VERSION, inspect_store
+from repro.trace import traced
 from repro.utils.io import atomic_write_text
 
 if TYPE_CHECKING:
@@ -119,6 +120,7 @@ class ResultStore:
         return address if self.blobs.ground_state_path(address).exists() else None
 
     # -- writing ---------------------------------------------------------------
+    @traced("store.add_result")
     def add_run(
         self,
         config: SimulationConfig,
@@ -179,6 +181,7 @@ class ResultStore:
         )
 
     # -- ground-state cache ---------------------------------------------------
+    @traced("store.put_ground_state")
     def put_ground_state(self, config: SimulationConfig, gs: GroundState) -> str:
         """Store (dedup) the config's group SCF; returns the group address."""
         return self.blobs.put_ground_state(config, gs)
@@ -197,6 +200,7 @@ class ResultStore:
             )
         return run
 
+    @traced("store.find_completed")
     def find_completed(self, config: SimulationConfig) -> Optional[StoredRun]:
         """The completed stored run for exactly this config (else ``None``).
 
@@ -245,6 +249,7 @@ class ResultStore:
         self.get(run_id)  # raise the readable error for unknown ids
         return read_result_npz(self._run_path(run_id)).observables
 
+    @traced("store.load_result")
     def load_result(
         self, run_id: str, with_ground_state: bool = False
     ) -> SimulationResult:

@@ -18,6 +18,7 @@ import numpy as np
 
 from repro.constants import HSE06_ALPHA, HSE06_OMEGA
 from repro.grid.fftgrid import PlaneWaveGrid
+from repro.trace import traced
 from repro.xc.kernels import exchange_kernel
 from repro.xc.lda import lda_xc
 
@@ -36,6 +37,7 @@ class SemilocalFunctional:
     def is_hybrid(self) -> bool:
         return False
 
+    @traced("xc.semilocal")
     def semilocal(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(eps_xc, v_xc)`` of the semilocal part."""
         return lda_xc(rho)
@@ -69,6 +71,7 @@ class HybridFunctional:
     def is_hybrid(self) -> bool:
         return True
 
+    @traced("xc.semilocal")
     def semilocal(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """Semilocal remainder.
 

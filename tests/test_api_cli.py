@@ -59,6 +59,31 @@ def _cli(args, cwd):
     )
 
 
+def _split(out):
+    """``(span, seconds)`` rows of the measured split ``out`` prints, root
+    first; ``[]`` when it prints none."""
+    lines = out.splitlines()
+    at = next((i for i, line in enumerate(lines) if line.startswith("where the seconds went")), None)
+    if at is None:
+        return []
+    rows = []
+    for line in lines[at + 2:]:
+        m = re.fullmatch(r"(\S+) +\d* +(\d+\.\d{4}) +\d+\.\d%", line)
+        if m is None:
+            break
+        rows.append((m.group(1), float(m.group(2))))
+    return rows
+
+
+def _assert_split_sums_to_its_root(out):
+    rows = _split(out)
+    (root, total), *below = rows
+    assert root == "api.run" and below[-1][0] == "unattributed"
+    assert {"rt.step", "backend.fft"} <= {name for name, _ in below}
+    # each row is printed to 1e-4 s
+    assert sum(seconds for _, seconds in below) == pytest.approx(total, abs=5e-5 * len(rows))
+
+
 @pytest.fixture(scope="module")
 def tiny_config(tmp_path_factory):
     path = tmp_path_factory.mktemp("cli") / "tiny.toml"
@@ -76,6 +101,8 @@ def test_cli_run_resume_smoke(tiny_config):
     assert proc.returncode == 0, proc.stderr
     assert "converged" in proc.stdout
     assert (workdir / "out.npz").exists() and (workdir / "ck.npz").exists()
+    _assert_split_sums_to_its_root(proc.stdout)
+    assert "scf.run_scf" in dict(_split(proc.stdout))
 
     config, arrays = SimulationResult.load_npz(workdir / "out.npz")
     assert config.propagation.propagator == "ptim"
@@ -94,6 +121,8 @@ def test_cli_run_resume_smoke(tiny_config):
     proc = _cli(["resume", "out.npz", "--steps", "1", "--output", "more2.npz"], cwd=workdir)
     assert proc.returncode == 0, proc.stderr
     assert "resuming at t = " in proc.stdout
+    _assert_split_sums_to_its_root(proc.stdout)
+    assert "scf.run_scf" not in dict(_split(proc.stdout))
     _, more2 = SimulationResult.load_npz(workdir / "more2.npz")
     assert sorted(more2) == sorted(more)
     for key in more:
@@ -263,12 +292,18 @@ def test_cli_run_store_reuses_completed_run(tmp_path, capsys):
     assert main(["run", str(cfg), "--store", str(store)]) == 0
     first = capsys.readouterr().out
     assert "reused from" not in first
+    _assert_split_sums_to_its_root(first)
     assert main(["run", str(cfg), "--store", str(store)]) == 0
     second = capsys.readouterr().out
     assert "reused from" in second and "--rerun to recompute" in second
+    # nothing was computed, so there is no split to print
+    assert _split(second) == []
     assert main(["run", str(cfg), "--store", str(store), "--rerun"]) == 0
     third = capsys.readouterr().out
     assert "reused from" not in third
+    _assert_split_sums_to_its_root(third)
+    assert main(["run", str(cfg), "--store", str(store), "--rerun", "--quiet"]) == 0
+    assert _split(capsys.readouterr().out) == []
     # a reused run still renders the observable table
     assert "final" in second or "t (" in second or len(second) > 0
 

@@ -1,4 +1,4 @@
-"""Ten invariants of ``src/repro``, checked on its syntax trees.
+"""Eleven invariants of ``src/repro``, checked on its syntax trees.
 
 Each check takes ``(rel, tree)`` — a file's path inside the ``repro``
 package (``store/index.py``) and its parsed module — and yields the nodes
@@ -41,6 +41,10 @@ allowlist: a violation is fixed in the code.
 - ``libc-isolation``: only ``backend/`` imports ``ctypes``, so the C
   calls that change a whole process (glibc's malloc thresholds) have one
   owner, which runs them once in every process that computes.
+- ``one-timer``: only ``trace.py`` reads ``time.perf_counter``,
+  ``perf_counter_ns`` or ``process_time``, so every measured second is a
+  span of the one recorder; ``time.time`` (timestamps) and
+  ``time.monotonic`` (deadlines) stay free.
 """
 
 import ast
@@ -407,6 +411,22 @@ def libc_isolation(rel, tree):
                 yield node
 
 
+TIMER_HOME = ("trace.py",)
+TIMERS = ("time.perf_counter", "time.perf_counter_ns", "time.process_time")
+
+
+def one_timer(rel, tree):
+    if rel in TIMER_HOME:
+        return
+    imports = imports_of(tree)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "time":
+            if any(f"time.{alias.name}" in TIMERS for alias in node.names):
+                yield node
+        elif isinstance(node, (ast.Attribute, ast.Name)) and dotted(node, imports) in TIMERS:
+            yield node
+
+
 CHECKS = {
     "sqlite-discipline": sqlite_discipline,
     "atomic-io": atomic_io,
@@ -418,6 +438,7 @@ CHECKS = {
     "ledger-isolation": ledger_isolation,
     "tile-pair-loop": tile_pair_loop,
     "libc-isolation": libc_isolation,
+    "one-timer": one_timer,
 }
 
 
@@ -446,7 +467,7 @@ def test_scopes_name_real_paths():
     """A renamed package must not switch a check off silently."""
     scopes = (
         SQLITE_HOME, DURABLE, FFT_HOME, PHYSICS, CONFIG_HOME, BOUNDARY, IMAGE_ONLY, LEDGER_FREE,
-        TILE_LOOP_HOME, LIBC_HOME,
+        TILE_LOOP_HOME, LIBC_HOME, TIMER_HOME,
     )
     missing = [
         entry

@@ -15,6 +15,7 @@ from test_invariants import (
     flagged,
     ledger_isolation,
     libc_isolation,
+    one_timer,
     pickle_safety,
     sigma_image,
     sqlite_discipline,
@@ -115,7 +116,7 @@ def test_atomic_io_clean_and_append_pass():
 
 def test_atomic_io_only_in_durable_layers():
     # only the durable layers: perf reports and examples may write plainly
-    assert lines(atomic_io, ATOMIC_BAD, "perf/report.py") == []
+    assert lines(atomic_io, ATOMIC_BAD, "perf/experiments.py") == []
     assert lines(atomic_io, ATOMIC_BAD, "serve/http.py") == [4, 5, 7, 8]
     assert lines(atomic_io, ATOMIC_BAD, "api/simulation.py") == [4, 5, 7, 8]
 
@@ -385,7 +386,7 @@ def test_ledger_isolation_clean_physics_passes():
 def test_ledger_isolation_scopes_to_physics_only():
     assert lines(ledger_isolation, LEDGER_BAD, "observables/energy.py") == [1, 2, 3, 6, 7, 8]
     # the substrate and the reports are where the ledger lives
-    for rel in ("parallel/context.py", "perf/report.py", "api/cli.py", "backend/base.py"):
+    for rel in ("parallel/context.py", "perf/experiments.py", "api/cli.py", "backend/base.py"):
         assert lines(ledger_isolation, LEDGER_BAD, rel) == []
 
 
@@ -462,3 +463,45 @@ def test_libc_isolation_scopes_to_all_but_the_backend():
     assert lines(libc_isolation, LIBC_BAD, "backend/base.py") == []
     for rel in ("serve/pool.py", "store/lease.py", "parallel/comm.py", "api/cli.py"):
         assert lines(libc_isolation, LIBC_BAD, rel) == [1, 2, 3]
+
+
+# ---------------- one-timer -------------------------------------------------
+
+
+TIMER_BAD = """\
+import time
+from time import perf_counter_ns as ns
+
+def run(sim):
+    t0 = time.perf_counter()
+    clock = time.process_time
+    sim.run()
+    return time.perf_counter() - t0, clock(), ns()
+"""
+
+TIMER_CLEAN = """\
+import time
+
+from repro.trace import span
+
+def run(sim, budget_s):
+    deadline = time.monotonic() + budget_s   # deadlines and timestamps are fine
+    with span("api.run") as elapsed:
+        sim.run()
+        return elapsed(), time.time(), time.monotonic() < deadline
+"""
+
+
+def test_one_timer_flags_every_read_of_a_clock():
+    # the aliased import, two attribute reads, then an attribute and the alias on one line
+    assert lines(one_timer, TIMER_BAD, "api/runs.py") == [2, 5, 6, 8, 8]
+
+
+def test_one_timer_clean_code_passes():
+    assert lines(one_timer, TIMER_CLEAN, "api/runs.py") == []
+
+
+def test_one_timer_scopes_to_all_but_the_recorder():
+    assert lines(one_timer, TIMER_BAD, "trace.py") == []
+    for rel in ("serve/pool.py", "perf/calibrate.py", "rt/ptim.py", "utils/timing.py"):
+        assert lines(one_timer, TIMER_BAD, rel) == [2, 5, 6, 8, 8]
