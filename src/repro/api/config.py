@@ -123,6 +123,14 @@ def overridden(section: T, **values: Any) -> T:
     return dataclasses.replace(section, **{k: v for k, v in values.items() if v is not None})
 
 
+def overrides_label(overrides: Dict[str, Any]) -> str:
+    """Compact ``key=value`` tag of a sweep point's dotted ``overrides``
+    (CLI tables, error lines), ``(base)`` for none."""
+    if not overrides:
+        return "(base)"
+    return " ".join(f"{k.split('.')[-1]}={v!r}" for k, v in overrides.items())
+
+
 def _plain(value: Any) -> Any:
     if isinstance(value, tuple):
         return [_plain(v) for v in value]

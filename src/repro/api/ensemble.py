@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Seq
 
 import numpy as np
 
-from repro.api.config import ConfigError, SimulationConfig, SweepConfig, overridden
+from repro.api.config import ConfigError, SimulationConfig, SweepConfig, overridden, overrides_label
 from repro.api import runs
 from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
@@ -66,10 +66,7 @@ class SweepVariant:
     config: SimulationConfig
 
     def label(self) -> str:
-        """Compact ``key=value`` string identifying the point (CLI tables)."""
-        if not self.overrides:
-            return "(base)"
-        return " ".join(f"{k.split('.')[-1]}={v!r}" for k, v in self.overrides.items())
+        return overrides_label(self.overrides)
 
 
 def apply_overrides(
@@ -151,7 +148,7 @@ class RunRecord:
         return self.status == "ok"
 
     def label(self) -> str:
-        return SweepVariant(self.index, self.overrides, self.config).label()
+        return overrides_label(self.overrides)
 
     @property
     def ledger(self) -> Optional[CostLedger]:

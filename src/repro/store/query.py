@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Sequence
 
-from repro.api.config import SimulationConfig
+from repro.api.config import SimulationConfig, overrides_label
 from repro.store.common import StoreError
 
 
@@ -67,12 +67,7 @@ class StoredRun:
         return self.status == "ok"
 
     def label(self) -> str:
-        """Compact ``key=value`` tag (same format as sweep variants)."""
-        if not self.overrides:
-            return "(base)"
-        return " ".join(
-            f"{k.split('.')[-1]}={v!r}" for k, v in self.overrides.items()
-        )
+        return overrides_label(self.overrides)
 
     def created_iso(self) -> str:
         return _dt.datetime.fromtimestamp(

@@ -1,7 +1,7 @@
 """Shared fixtures: small silicon systems sized for fast tests.
 
 Session-scoped ground states are computed once; tests that mutate state
-must copy.  Grids are deliberately tiny (ecut 2.5-3 Ha) — every algebraic
+must copy.  Grids are deliberately tiny (ecut 2-3 Ha) — every algebraic
 identity tested is resolution-independent.
 """
 

@@ -2,9 +2,8 @@
 
 Real-space-row oracles for the sphere-block solvers (and the
 generalized Ritz step they were written with),
-:class:`SeedNumpyBackend`, the copying default FFT engine,
-:func:`output_density_fixed_point`, the PT-IM stopping rule until PR 18,
-and :func:`plain_fixed_point_update`, the PT-IM map until PR 19.
+:class:`SeedNumpyBackend`, the copying default FFT engine, and
+:func:`plain_fixed_point_update`, the PT-IM map before the IMEX map.
 
 Until PR 16 every orbital block inside ``Hamiltonian.apply``, ``davidson``
 and the PT-IM fixed point was ``(N, ngrid)`` real-space rows.  Those
@@ -283,48 +282,6 @@ def _real_space_loop(prop, state, dt, phi_g, sigma_g, max_iter, ace, tripleloop=
         )
         phi_g = x_next[: nb * grid.ngrid].reshape(nb, grid.ngrid)
         sigma_g = x_next[nb * grid.ngrid :].reshape(nb, nb)
-
-
-def output_density_fixed_point(prop, state, dt, x, max_iter, image=None):
-    """``PTIMPropagator._solve_fixed_point`` as it was until PR 18, on
-    sphere blocks: the *stopping-rule* oracle.
-
-    The residual is the change between successive *output* densities
-    ``rho[T(x_k)]``, starting from ``rho[x_0]``, and the loop returns the
-    mixed iterate the first time it falls below ``density_tol``.  That
-    costs a third batched transform and a second density per iteration,
-    and from a state whose density matrix is real the first residual is
-    second order in ``dt``, so the first step of a run "converges" after
-    one damped iteration.  Drop-in for the method
-    (``monkeypatch.setattr(PTIMPropagator, "_solve_fixed_point",
-    output_density_fixed_point)``): ``image`` is ignored and the image
-    handed back is made afresh, as the old ACE step made it.
-    """
-    grid, ham = prop.grid, prop.ham
-    nb = state.nbands
-    gx = np.empty_like(x)
-    c_new, sigma_new = prop._unpack(gx, nb)
-    prop._mixer.reset()
-    start = prop._image(*prop._unpack(x, nb))
-    rho_prev = prop.density(start.phi, start.d)
-    resid, converged = np.inf, False
-    for n_iter in range(1, max_iter + 1):
-        c_mid, sigma_mid = prop._midpoint(state, x)
-        image = prop._image(c_mid, sigma_mid)
-        ham.update_density(prop.density(image.phi, image.d))
-        ham.set_time(state.time + 0.5 * dt)
-        prop._set_midpoint_exchange(image)
-        prop._fixed_point_update(state, c_mid, sigma_mid, image, dt, c_new, sigma_new)
-
-        out = prop._image(c_new, sigma_new)
-        rho_out = prop.density(out.phi, out.d)
-        resid = float(np.abs(rho_out - rho_prev).sum()) * grid.dv / ham.n_electrons
-        rho_prev = rho_out
-        x = prop._mixer.mix(x, gx)
-        if resid < prop.options.density_tol:
-            converged = True
-            break
-    return x, n_iter, resid, converged, prop._image(*prop._midpoint(state, x))
 
 
 def plain_fixed_point_update(prop, state, c_mid, sigma_mid, image, dt, c_out, sigma_out):

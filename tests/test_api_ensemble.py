@@ -288,14 +288,13 @@ def test_cli_sweep_process_pool_matches_serial(serial_run, tmp_path, capsys):
 
 def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypatch):
     """One engine: the same four configs through ``run_ensemble`` on the
-    caller alone and beside a spawned worker (without a store), on a
-    spawned worker with a store, and through ``JobService.submit`` give
-    the reference sweep's observables bit for bit and its per-run FFT
-    tallies exactly, converge one ground state per group, and leave no
-    temporary store behind."""
+    caller alone and beside a spawned worker (without a store), and on a
+    spawned worker with a store, give the reference sweep's observables
+    bit for bit and its per-run FFT tallies exactly, converge one ground
+    state per group, and leave no temporary store behind.  The served
+    path's parity is ``test_serve.py``'s end-to-end run."""
     import tempfile
 
-    from repro.serve import JobService
     from repro.store import ResultStore
 
     reference, _ = serial_run
@@ -308,27 +307,16 @@ def test_every_entry_point_matches_in_process_run(serial_run, tmp_path, monkeypa
     unstored = run_ensemble(base, sweep, workers=2)
     assert list(scratch.iterdir()) == []  # the temporary stores are gone
     stored = run_ensemble(base, sweep, workers=2, store=tmp_path / "study")
-    with JobService(tmp_path / "served", port=0, workers=2, backoff=0.0) as service:
-        jobs = [service.submit(run.config)[0] for run in reference.runs]
-        assert service.wait_all(timeout_s=300.0)
-        finals = [service.queue.get(job.run_id) for job in jobs]
-        assert [job.status for job in finals] == ["ok"] * 4
-        served = [service.store.load_result(job.run_id) for job in finals]
-        assert len(service.store.blobs.ground_state_addresses()) == 1
 
     for ensemble in (alone, unstored, stored):
         assert [r.status for r in ensemble.runs] == ["ok"] * 4
         assert [r.overrides for r in ensemble.runs] == [r.overrides for r in reference.runs]
-    for i, ref in enumerate(reference.runs):
-        ensembles = (alone, unstored, stored)
-        legs = (*(e.runs[i].arrays for e in ensembles), served[i].observables())
-        tallies = (*(e.runs[i].fft for e in ensembles), served[i].fft)
-        for arrays, fft in zip(legs, tallies):
-            assert set(arrays) == set(ref.arrays)
+        for i, (run, ref) in enumerate(zip(ensemble.runs, reference.runs)):
+            assert set(run.arrays) == set(ref.arrays)
             for key, expected in ref.arrays.items():
                 # energy is NaN when not recorded; everything else bit for bit
-                assert np.array_equal(arrays[key], expected, equal_nan=True), (i, key)
-            assert fft == ref.fft, i
+                assert np.array_equal(run.arrays[key], expected, equal_nan=True), (i, key)
+            assert run.fft == ref.fft, i
 
     store = ResultStore(tmp_path / "study", create=False)
     assert len(store.blobs.ground_state_addresses()) == 1

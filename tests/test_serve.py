@@ -102,16 +102,18 @@ def test_e2e_one_ground_state_blob_per_group(e2e):
 
 
 def test_e2e_results_bitwise_identical_to_direct_run(e2e):
-    """Served results must be the same bytes a direct run produces."""
+    """Served results must be the same bytes a direct run produces, and
+    each run's stored FFT tally the direct run's."""
     store = ResultStore(e2e["root"], create=False)
     try:
         for config, job in zip(e2e["configs"], e2e["finals"]):
-            direct = Simulation(config).run().observables()
+            direct = Simulation(config).run()
             stored = store.load_arrays(job["run_id"])
-            for name, expected in direct.items():
+            for name, expected in direct.observables().items():
                 got = stored[name]
                 assert got.dtype == np.asarray(expected).dtype
                 assert np.array_equal(got, expected), (job["run_id"], name)
+            assert store.load_result(job["run_id"]).fft == direct.fft, job["run_id"]
     finally:
         store.close()
 
