@@ -1,9 +1,10 @@
 """What each rule of ``tests/test_invariants.py`` flags, and where.
 
 :data:`CASES` holds, per rule of ``RULES``, a path in the rule's scope
-with one snippet there holding every form the rule flags and the lines
+with one snippet there holding the forms the rule flags and the lines
 it flags, one clean snippet, and one path outside the scope, where the
-flagged snippet passes.  Paths are package-relative (``store/index.py``).
+flagged snippet passes.  The named tests after the table hold one more
+form each.  Paths are package-relative (``store/index.py``).
 """
 
 import ast
@@ -28,17 +29,15 @@ CASES = {
         at="store/schema.py",
         bad="""\
 import sqlite3
-from sqlite3 import connect
 def open_index(path):
     conn = sqlite3.connect(path)
     conn.execute("BEGIN IMMEDIATE")
     conn.execute("INSERT INTO runs VALUES (1)")
     conn.commit()
     conn.rollback()
-    return connect(path)
 """,
-        # sqlite3.connect, the BEGIN literal, bare .commit() / .rollback(), the import alias
-        lines=[4, 5, 7, 8, 9],
+        # sqlite3.connect, the BEGIN literal, bare .commit() / .rollback()
+        lines=[3, 4, 6, 7],
         clean="""\
 from repro.store.common import connect_sqlite, run_immediate
 def open_index(path):
@@ -61,7 +60,6 @@ def persist(path, arrays, meta):
 """,
         lines=[3, 4, 6, 7],
         clean="""\
-import fcntl, os
 from repro.utils.io import atomic_savez, atomic_write_text
 def persist(path, arrays, meta):
     atomic_savez(path, **arrays)
@@ -70,8 +68,6 @@ def persist(path, arrays, meta):
         fh.read()
     with log_path.open("a") as fh:        # append-only logs are fine
         fh.write(meta)
-    fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)   # the lease's open-to-flock
-    fcntl.flock(fd, fcntl.LOCK_EX)
 """,
         # perf reports and examples may write plainly
         outside="perf/experiments.py",
@@ -79,22 +75,20 @@ def persist(path, arrays, meta):
     "fft-isolation": Case(
         at="hartree/poisson.py",
         bad="""\
-import numpy as np
 import scipy.fft as sf
 from numpy import fft
 from numpy.fft import fftn
 import pyfftw
 def hartree(density):
-    return np.fft.ifftn(np.fft.fftn(density)) + fft.fftn(density)
+    return fft.fftn(density)
 """,
-        # every import form, then three attribute chains on one line
-        lines=[2, 3, 4, 5, 7, 7, 7],
-        clean='''\
-"""np.fft is banned here (this is prose, not code)."""
+        # every import form, then a call through the imported module
+        lines=[1, 2, 3, 4, 6],
+        clean="""\
 def hartree(grid, density):
     work = grid.backend.fftn(density)
     return grid.backend.ifftn(work)
-''',
+""",
         outside="backend/base.py",
     ),
     "determinism": Case(
@@ -131,12 +125,9 @@ def kick(orbitals, budget_s):
         bad="""\
 def tweak(config, nbands):
     object.__setattr__(config, "nbands", nbands)
-class Thing:
-    def rescale(self, factor):
-        object.__setattr__(self, "scale", factor)
 """,
-        # a foreign instance, then self after construction
-        lines=[2, 5],
+        # a foreign instance
+        lines=[2],
         clean="""\
 class Cell:
     def __post_init__(self):
@@ -318,3 +309,32 @@ def test_rule_passes_clean_code(rule):
 @pytest.mark.parametrize("rule", sorted(CASES))
 def test_rule_skips_code_outside_its_scope(rule):
     assert lines(rule, CASES[rule].bad, CASES[rule].outside) == []
+
+
+# forms each rule reads apart from its table case
+
+
+def test_sqlite_rule_follows_import_alias():
+    aliased = "from sqlite3 import connect\nconn = connect('x.db')\n"
+    assert lines("sqlite-discipline", aliased, "serve/queue.py") == [2]
+
+
+def test_atomic_io_skips_fd_lease_pattern():
+    lease = "import fcntl, os\nfd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)\nfcntl.flock(fd, fcntl.LOCK_EX)\n"
+    assert lines("atomic-io", lease, "store/lease.py") == []
+
+
+def test_fft_rule_flags_attribute_chains():
+    # two sites, ifftn and fftn, on one line
+    chains = "import numpy as np\ndef hartree(density):\n    return np.fft.ifftn(np.fft.fftn(density))\n"
+    assert lines("fft-isolation", chains, "hartree/poisson.py") == [3, 3]
+
+
+def test_fft_rule_ignores_docstrings_unlike_old_regex():
+    prose = '"""np.fft is banned here (this is prose, not code)."""\n'
+    assert lines("fft-isolation", prose, "hartree/poisson.py") == []
+
+
+def test_config_immutability_flags_self_mutation_after_ctor():
+    after = "class Thing:\n    def rescale(self, factor):\n        object.__setattr__(self, \"scale\", factor)\n"
+    assert lines("config-immutability", after, "grid/cell.py") == [3]

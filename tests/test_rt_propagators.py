@@ -511,32 +511,19 @@ def _plain_map_density_change(prop, state, dt, x):
     return 2.0 * change * grid.dv / ham.n_electrons
 
 
-@pytest.mark.parametrize("kind", ["ptim-hse", "ptim_ace-hse", "ptcn-lda"])
-def test_working_tolerance_step_is_within_its_tolerance_bound(
-    lda_ground_state, hse_ground_state, kind
-):
-    """Three steps under the Fig. 7 pulse at ``density_tol = 1e-6`` against
-    the same steps at 1e-11, and every accepted iterate against the plain map.
+@pytest.fixture(scope="module")
+def working_tolerance(lda_ground_state, hse_ground_state):
+    """``get(kind, density_tol)``: three steps under the Fig. 7 pulse, cached
+    across the two tests below: the dipoles and, for each step, the plain
+    map's midpoint-density change from the accepted iterate."""
+    cache = {}
 
-    Bound on the dipole, from the tolerance alone: a residual below ``tol``
-    leaves at most ``tol * N_e`` of density (1-norm) misplaced per step,
-    cell-centred coordinates reach ``L / 2``, and errors of successive steps
-    at worst add: ``|delta d| <= n_steps * N_e * (L / 2) * tol``.
-
-    ``M`` is invertible, so the IMEX map ``x + M^{-1}(T(x) - x)`` and ``T``
-    have the same fixed points: the accepted iterate ``x*`` of each step is
-    one of ``T`` to the loop's tolerance.  The plain step ``T(x*) - x*`` is
-    ``M`` times the IMEX step, and the orbital block's ``|M|`` is at most
-    ``|1 + i dt/2 ecut|`` (3.3 here, above the sigma block's), so one
-    application of ``T`` moves the midpoint density by at most that factor
-    times ``tol``, to first order: the change the loop's own test reads."""
-    scheme, functional = kind.split("-")
-    ham, gs = hse_ground_state if functional == "hse" else lda_ground_state
-    ham.field = GaussianLaserPulse(amplitude=0.02, wavelength_nm=380.0, center_fs=0.05, fwhm_fs=0.08)
-    grid, n_steps, tol = ham.grid, 3, 1e-6
-    coords = cell_centered_coordinates(grid)
-
-    def trajectory(density_tol):
+    def get(kind, density_tol):
+        if (kind, density_tol) in cache:
+            return cache[kind, density_tol]
+        scheme, functional = kind.split("-")
+        ham, gs = hse_ground_state if functional == "hse" else lda_ground_state
+        ham.field = GaussianLaserPulse(amplitude=0.02, wavelength_nm=380.0, center_fs=0.05, fwhm_fs=0.08)
         common = dict(density_tol=density_tol, max_scf=120)
         if scheme == "ptim":
             prop = PTIMPropagator(ham, PTIMOptions(**common), record_energy=False)
@@ -552,16 +539,47 @@ def test_working_tolerance_step_is_within_its_tolerance_bound(
             return finish(state, dt, x)
 
         prop._finish_step = checked_finish
-        steps = _converged_steps(prop, _state(gs), n_steps, plain=False)
-        dipoles = [dipole_moment(grid, _density(prop, state), coords) for state, _ in steps]
-        return np.asarray(dipoles), np.asarray(changes)
+        coords = cell_centered_coordinates(ham.grid)
+        steps = _converged_steps(prop, _state(gs), 3, plain=False)
+        dipoles = [dipole_moment(ham.grid, _density(prop, state), coords) for state, _ in steps]
+        cache[kind, density_tol] = np.asarray(dipoles), np.asarray(changes)
+        return cache[kind, density_tol]
 
-    (ref, ref_changes), (run, run_changes) = trajectory(1e-11), trajectory(tol)
-    half_box = 0.5 * np.linalg.norm(grid.cell.lattice, axis=1).max()
-    assert np.abs(run - ref).max() < n_steps * ham.n_electrons * half_box * tol
+    return get
+
+
+MAP_KINDS = ["ptim-hse", "ptim_ace-hse", "ptcn-lda"]
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_imex_map_has_the_plain_maps_fixed_point(working_tolerance, hse_ground_state, kind):
+    """``M`` is invertible, so the IMEX map ``x + M^{-1}(T(x) - x)`` and ``T``
+    have the same fixed points: the accepted iterate ``x*`` of each step is
+    one of ``T`` to the loop's tolerance.  The plain step ``T(x*) - x*`` is
+    ``M`` times the IMEX step, and the orbital block's ``|M|`` is at most
+    ``|1 + i dt/2 ecut|`` (3.3 here, above the sigma block's), so one
+    application of ``T`` moves the midpoint density by at most that factor
+    times ``tol``, to first order: the change the loop's own test reads."""
+    grid = hse_ground_state[0].grid  # the LDA fixture's grid too
     stiffness = abs(1.0 + 0.5j * DT_50AS * grid.kinetic_sphere).max()
-    assert ref_changes.max() < stiffness * 1e-11
-    assert run_changes.max() < stiffness * tol
+    for tol in (1e-11, 1e-6):
+        _, changes = working_tolerance(kind, tol)
+        assert changes.max() < stiffness * tol
+
+
+@pytest.mark.parametrize("kind", MAP_KINDS)
+def test_working_tolerance_step_is_within_its_tolerance_bound(working_tolerance, hse_ground_state, kind):
+    """Three steps at ``density_tol = 1e-6`` against the same steps at 1e-11.
+
+    Bound on the dipole, from the tolerance alone: a residual below ``tol``
+    leaves at most ``tol * N_e`` of density (1-norm) misplaced per step,
+    cell-centred coordinates reach ``L / 2``, and errors of successive steps
+    at worst add: ``|delta d| <= n_steps * N_e * (L / 2) * tol``."""
+    ham, _ = hse_ground_state  # N_e and the cell are the LDA fixture's too
+    n_steps, tol = 3, 1e-6
+    (ref, _), (run, _) = working_tolerance(kind, 1e-11), working_tolerance(kind, tol)
+    half_box = 0.5 * np.linalg.norm(ham.grid.cell.lattice, axis=1).max()
+    assert np.abs(run - ref).max() < n_steps * ham.n_electrons * half_box * tol
 
 
 def test_imex_iteration_count_does_not_grow_with_the_cutoff(si_cell):
