@@ -8,8 +8,9 @@ including ``repro sweep``.  The low-level modules (:mod:`repro.scf`,
 :mod:`repro.rt`, :mod:`repro.hamiltonian`, ...) remain fully supported
 for custom wiring.
 
-Only a process that computes imports the physics (``scipy`` and the
-Fock/SCF/propagator stack).  Each name here is imported on first use
+Only a process that computes imports the physics: the Fock/SCF/propagator
+stack on numpy and pocketfft's extension, which :mod:`repro.backend.base`
+loads without any SciPy package.  Each name here is imported on first use
 (:mod:`repro.utils.lazy`), so configs, the result store and the job
 service are reached without it; :mod:`repro.api.simulation`,
 :mod:`repro.api.ensemble` and :mod:`repro.serve.worker` import it,

@@ -3,22 +3,27 @@
 PWDFT's hot loop is FFTs: the paper counts Fock-exchange cost directly in
 "number of FFTs" (N^3 for the mixed-state baseline, N^2 after occupation
 diagonalization) and wins its speedups with batched transforms
-(multi-batch cuFFT, Sec. III-B).  The CPU analogue here, on
-``scipy.fft`` (the C++ pocketfft):
+(multi-batch cuFFT, Sec. III-B).  The CPU analogue here is pocketfft's
+C++ extension, the very ``c2c`` that ``scipy.fft`` calls, bound without
+importing ``scipy.fft`` (:func:`_bind_pocketfft`):
 
 * transforms are batched complex 3-D FFTs over the *last three* axes
   (any leading axes form the batch), one pocketfft call each;
 * the ``1/Ngrid`` normalization is folded into the forward transform
   (``norm="forward"``), so there is no separate full-array scale pass;
-* ``out is a`` runs truly in place (``overwrite_x``); a distinct ``out``
-  is filled with ``a`` and transformed in place, so ``a`` is only read; a
-  call without ``out`` makes exactly one ``complex128`` array, whatever
-  the input dtype;
+* ``out is a`` runs truly in place; a distinct ``out`` is filled with
+  ``a`` and transformed in place, so ``a`` is only read; a call without
+  ``out`` makes exactly one ``complex128`` array, whatever the input dtype;
 * ``workers=N`` fans one batch across threads, from ``[backend]
   fft_workers``.  A band's result depends neither on the thread count
   nor on where the band sits in a batch, so the setting moves wall time
   and no bits — which the serial/distributed bitwise gates rest on;
 * every call is tallied into the engine's :class:`FFTCounters`.
+
+Each call passes ``c2c`` exactly what ``scipy.fft.fftn`` / ``ifftn`` with
+``norm="forward"`` pass it, so every transform is bit-identical to
+``scipy.fft``'s (``tests/test_backend.py``).  A computing process thus
+loads numpy and this one extension, not SciPy's Python packages.
 
 Transforms use the PWDFT convention: :meth:`Backend.forward` is ``fftn``
 scaled by ``1/Ngrid`` so plane-wave coefficients are directly the
@@ -28,27 +33,74 @@ precision.  The per-axis body this engine replaced in 1.11.0 is the
 ``SeedNumpyBackend`` oracle in ``tests/oracles.py``; the two agree to
 round-off.
 
-The first :class:`Backend` a process builds also fixes glibc's malloc
-thresholds for that process (:func:`_fix_malloc_thresholds`), so only
-processes that compute pay for, and profit from, the policy.
+The first :class:`Backend` a process builds also sets two policies for
+that process: glibc's malloc thresholds (:func:`_fix_malloc_thresholds`)
+and one BLAS thread (:func:`_pin_blas_threads`), so only processes that
+compute pay for, and profit from, them.
 """
 
 from __future__ import annotations
 
 import ctypes
+import functools
+import glob
+import importlib.util
 import math
 import os
+import sys
 from dataclasses import dataclass, field
+from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
 from typing import Dict, Optional, Tuple
 
 import numpy as np
-import scipy.fft as _sfft
 
 from repro.trace import traced
 
-_AXES = (-3, -2, -1)
 #: input dtypes pocketfft already transforms in double precision
 _DOUBLE = (np.dtype(np.float64), np.dtype(np.complex128))
+
+#: pocketfft's extension, under the name ``scipy.fft`` imports it by
+_POCKETFFT = "scipy.fft._pocketfft.pypocketfft"
+
+
+def _pocketfft_path() -> Optional[str]:
+    """The extension's file in scipy's package directory, or None.
+
+    ``find_spec`` on the top-level name only locates the package; on the
+    dotted name it would import the parents, ``scipy.fft`` included.
+    """
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or spec.origin is None:
+        return None
+    folder = os.path.join(os.path.dirname(spec.origin), "fft", "_pocketfft")
+    for suffix in EXTENSION_SUFFIXES:
+        path = os.path.join(folder, "pypocketfft" + suffix)
+        if os.path.isfile(path):
+            return path
+    return None
+
+
+def _bind_pocketfft(path: Optional[str]):
+    """pocketfft's ``c2c(a, axes, forward, inorm, out, nthreads)``.
+
+    The module is loaded from ``path`` and registered in ``sys.modules``
+    under its canonical name, so a later ``import scipy.fft`` reuses it;
+    without a path it is obtained by importing ``scipy.fft``.  A module
+    already loaded either way is reused.
+    """
+    module = sys.modules.get(_POCKETFFT)
+    if module is None and path is None:
+        module = importlib.import_module(_POCKETFFT)
+    elif module is None:
+        loader = ExtensionFileLoader(_POCKETFFT, path)
+        spec = importlib.util.spec_from_file_location(_POCKETFFT, path, loader=loader)
+        module = importlib.util.module_from_spec(spec)
+        loader.exec_module(module)
+        sys.modules[_POCKETFFT] = module
+    return module.c2c
+
+
+_c2c = _bind_pocketfft(_pocketfft_path())
 
 
 #: glibc's ``mallopt`` parameters (``malloc.h``)
@@ -58,9 +110,9 @@ _M_MMAP_THRESHOLD = -3
 #: its dynamic rule pairs with it (twice the mmap threshold)
 _MMAP_THRESHOLD = 32 << 20
 _TRIM_THRESHOLD = 64 << 20
-_malloc_fixed = False
 
 
+@functools.cache
 def _fix_malloc_thresholds() -> None:
     """Pin glibc's mmap and trim thresholds once per process.
 
@@ -76,10 +128,6 @@ def _fix_malloc_thresholds() -> None:
     when the environment already configures glibc's malloc, so a
     launcher's explicit policy wins.
     """
-    global _malloc_fixed
-    if _malloc_fixed:
-        return
-    _malloc_fixed = True
     env = os.environ
     if (
         "MALLOC_MMAP_THRESHOLD_" in env
@@ -95,6 +143,51 @@ def _fix_malloc_thresholds() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD)
+
+
+#: the variables through which a launcher chooses BLAS's thread count
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _openblas() -> Optional[ctypes.CDLL]:
+    """numpy's bundled OpenBLAS (``libscipy_openblas64_``), or None.
+
+    The wheels ship it beside the package (``numpy.libs``, or
+    ``numpy/.dylibs``); numpy has loaded it already, so this opens the
+    same library, not a second copy.  A numpy built against another BLAS
+    has none.
+    """
+    package = os.path.dirname(np.__file__)
+    found = [
+        path
+        for folder in (package + ".libs", os.path.join(package, ".dylibs"))
+        for path in glob.glob(os.path.join(folder, "libscipy_openblas64_*"))
+    ]
+    return ctypes.CDLL(found[0]) if found else None
+
+
+@functools.cache
+def _pin_blas_threads() -> None:
+    """Run BLAS on one thread in this process, once.
+
+    At this package's sizes (tens of bands, a few thousand grid points)
+    every gemm and ``eigh`` is far below OpenBLAS's threading break-even,
+    and a process that threads its BLAS over every CPU competes with the
+    other computing processes of a sweep or a pool for them.  Pinning
+    every computing process, not only pool workers, keeps a job's bits
+    independent of which process ran it.  numpy's bundled OpenBLAS is the
+    only BLAS a computing process maps; nothing is done without it, or
+    when the environment names a thread count, so a launcher's choice
+    wins.
+    """
+    if any(name in os.environ for name in _BLAS_THREAD_VARS):
+        return
+    lib = _openblas()
+    setter = getattr(lib, "scipy_openblas_set_num_threads64_", None)
+    if setter is not None:
+        setter.argtypes = (ctypes.c_int,)
+        setter.restype = None
+        setter(1)
 
 
 class BackendError(ValueError):
@@ -180,20 +273,6 @@ class FFTCounters:
         return out
 
 
-def _landed_in(r: np.ndarray, out: np.ndarray) -> bool:
-    """True when ``r`` is ``out``'s buffer already holding the result.
-
-    pocketfft's overwrite path transforms in place but returns a *new*
-    ndarray object wrapping the same memory; copying then would double
-    the cost of every in-place transform.
-    """
-    return (
-        r.shape == out.shape
-        and r.strides == out.strides
-        and r.__array_interface__["data"][0] == out.__array_interface__["data"][0]
-    )
-
-
 class Backend:
     """Batched complex 3-D FFTs on pocketfft, run in the caller's buffer;
     every call is recorded in ``counters``, the engine's :class:`FFTCounters`."""
@@ -205,6 +284,7 @@ class Backend:
         self.fft_workers = workers
         self.counters = FFTCounters()
         _fix_malloc_thresholds()
+        _pin_blas_threads()
 
     def describe(self) -> str:
         """One-line description for the CLI / logs."""
@@ -249,25 +329,27 @@ class Backend:
         return self._ifftn(a, out)
 
     # -- the pocketfft body ----------------------------------------------------
-    def _c2c(self, a: np.ndarray, out: Optional[np.ndarray], func) -> np.ndarray:
+    def _transform(self, a: np.ndarray, out: Optional[np.ndarray], forward: bool) -> np.ndarray:
+        """One ``c2c`` call as ``scipy.fft`` makes it for ``norm="forward"``:
+        ``inorm`` 2 scales the forward leg by ``1/Ngrid``, 0 leaves the
+        inverse unscaled.  Double-precision input without ``out`` goes in
+        unconverted (a real one takes pocketfft's real-input path)."""
+        axes = [a.ndim - 3, a.ndim - 2, a.ndim - 1]
+        inorm = 2 if forward else 0
         if out is None:
             if a.dtype in _DOUBLE:
-                return func(a, axes=_AXES, norm="forward", workers=self.fft_workers)
+                return _c2c(a, axes, forward, inorm, None, self.fft_workers)
             out = a = a.astype(np.complex128)  # float32 in must not mean complex64 out
         if out is not a:
             np.copyto(out, a)
-        r = func(
-            out, axes=_AXES, norm="forward", overwrite_x=True, workers=self.fft_workers
-        )
-        if not _landed_in(r, out):  # pocketfft declined in-place (layout/dtype)
-            np.copyto(out, r)
+        _c2c(out, axes, forward, inorm, out, self.fft_workers)
         return out
 
     def _fftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """Normalized forward transform over the last three axes."""
-        return self._c2c(a, out, _sfft.fftn)
+        return self._transform(a, out, True)
 
     def _ifftn(self, a: np.ndarray, out: Optional[np.ndarray]) -> np.ndarray:
         """Unscaled inverse transform over the last three axes (the
         ``norm="forward"`` scaling lives on the forward leg)."""
-        return self._c2c(a, out, _sfft.ifftn)
+        return self._transform(a, out, False)

@@ -11,10 +11,16 @@ import math
 from typing import Dict
 
 import numpy as np
-from scipy.special import erfc
 
 from repro.grid.cell import UnitCell
 from repro.pseudo.database import get_pseudopotential
+
+#: ``math.erfc`` elementwise: the real-space sum has tens of thousands of
+#: terms, a few milliseconds per cell
+_erfc = np.vectorize(math.erfc, otypes=[float])
+#: :func:`ewald_energy` by cell content (lattice, species, positions) and
+#: splitting
+_computed: Dict[tuple, float] = {}
 
 
 def _ion_charges(cell: UnitCell) -> np.ndarray:
@@ -24,6 +30,9 @@ def _ion_charges(cell: UnitCell) -> np.ndarray:
 def ewald_energy(cell: UnitCell, eta: float | None = None, tol: float = 1e-10) -> float:
     """Ion–ion electrostatic energy (hartree) of the periodic cell.
 
+    Computed once per process for each cell content and splitting: the
+    SCF and every propagator ask for the same cell's.
+
     Parameters
     ----------
     eta:
@@ -32,6 +41,13 @@ def ewald_energy(cell: UnitCell, eta: float | None = None, tol: float = 1e-10) -
     tol:
         Target truncation error; sets the real/reciprocal shell cutoffs.
     """
+    key = (cell.lattice.tobytes(), cell.species, cell.positions.tobytes(), eta, tol)
+    if key not in _computed:
+        _computed[key] = _ewald_sum(cell, eta, tol)
+    return _computed[key]
+
+
+def _ewald_sum(cell: UnitCell, eta: float | None, tol: float) -> float:
     charges = _ion_charges(cell)
     natom = cell.natom
     volume = cell.volume
@@ -67,7 +83,7 @@ def ewald_energy(cell: UnitCell, eta: float | None = None, tol: float = 1e-10) -
         # exclude the self term (r == 0 in the home cell)
         mask = r > 1e-10
         contrib = np.zeros_like(r)
-        contrib[mask] = erfc(sqrt_eta * r[mask]) / r[mask]
+        contrib[mask] = _erfc(sqrt_eta * r[mask]) / r[mask]
         e_real += charges[a] * float((charges[None, :] * contrib).sum())
     e_real *= 0.5
 

@@ -7,7 +7,7 @@ imports that module the first time the name is read, not when the
 facade is.  So a process that only routes — the job service, ``repro
 jobs``, ``repro results`` — reaches ``repro.api.config`` or
 ``repro.serve.queue`` through a facade without importing the physics
-(``scipy`` and the Fock/SCF/propagator stack) that other names of the
+(pocketfft and the Fock/SCF/propagator stack) that other names of the
 same facade pull in::
 
     _EXPORTS = {"JobQueue": ".queue", "JobService": ".service"}

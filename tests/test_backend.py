@@ -1,6 +1,7 @@
-"""The FFT engine: parity with the seed oracle, out=/in-place, counting and
-config wiring, and the allocator policy the first engine of a process
-sets (the package-wide FFT isolation guard is ``fft-isolation`` in
+"""The FFT engine: scipy.fft's bits through its own binding, parity with
+the seed oracle, out=/in-place, counting and config wiring, and the
+allocator and BLAS policies the first engine of a process sets (the
+package-wide FFT isolation guard is ``fft-isolation`` in
 ``tests/test_invariants.py``)."""
 
 import os
@@ -13,10 +14,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.fft as sfft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import SeedNumpyBackend
 
+import repro.backend.base as backend_base
 from repro.api import BackendConfig, ConfigError, Simulation, SimulationConfig
 from repro.api.ensemble import apply_overrides
 from repro.backend import Backend, BackendError, FFTCounters
@@ -99,6 +102,53 @@ def test_out_validation(backend, batch):
         backend.forward(batch, out=np.empty(batch.shape))
     with pytest.raises(ValueError, match=">= 3 dims"):
         backend.forward(np.zeros((4, 4), dtype=complex))
+
+
+@pytest.fixture(params=["direct", "fallback"])
+def binding(request, monkeypatch):
+    """The engine on the extension bound from its file, or, with that
+    file forced to miss, on the module ``import scipy.fft`` loads."""
+    if request.param == "fallback":
+        monkeypatch.delitem(sys.modules, backend_base._POCKETFFT)
+        monkeypatch.setattr(backend_base, "_pocketfft_path", lambda: None)
+        c2c = backend_base._bind_pocketfft(backend_base._pocketfft_path())
+        assert backend_base._POCKETFFT in sys.modules
+        monkeypatch.setattr(backend_base, "_c2c", c2c)
+    return request.param
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_transforms_are_scipy_fft_bits(binding, workers):
+    """Every transform is ``array_equal`` to the ``scipy.fft.fftn`` /
+    ``ifftn(norm="forward")`` call the engine made before it bound
+    pocketfft itself: double-precision input without ``out`` as it is
+    (a real one on pocketfft's real-input path), anything else as
+    ``complex128``; unbatched and batched, no ``out``, in place, a
+    distinct ``out`` and a strided view, on one thread or two."""
+    rng = default_rng(7)
+    for shape in ((5, 6, 7), (2, 3, 4, 6, 5)):
+        z = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for a in (z, z.real.copy(), z.real.astype(np.float32)):
+            for method, scipy_fn in (("forward", sfft.fftn), ("backward", sfft.ifftn)):
+                transform = getattr(Backend(fft_workers=workers), method)
+
+                def ref(x):
+                    return scipy_fn(x, axes=(-3, -2, -1), norm="forward", workers=workers)
+
+                as_complex = ref(a.astype(np.complex128))
+                got = transform(a)
+                assert got.dtype == np.complex128
+                assert np.array_equal(got, as_complex if a.dtype == np.float32 else ref(a))
+                keep = a.copy()
+                fresh = np.empty(shape, dtype=complex)
+                strided = np.empty(shape[:-1] + (2 * shape[-1],), dtype=complex)[..., ::2]
+                for out in (fresh, strided):
+                    assert transform(a, out=out) is out
+                    assert np.array_equal(out, as_complex)
+                assert np.array_equal(a, keep)
+                work = a.astype(np.complex128)
+                assert transform(work, out=work) is work
+                assert np.array_equal(work, as_complex)
 
 
 def _roundoff(ref: np.ndarray, multiple: float = 4.0) -> float:
@@ -512,3 +562,50 @@ def test_launcher_malloc_settings_win(env):
     """An environment that configures glibc's malloc is left alone: with
     a 128 KiB mmap threshold every pair-density batch is mapped afresh."""
     assert _warm_fock_faults_per_call(**env) > 1000
+
+
+# ---------------- BLAS policy ------------------------------------------------------
+
+BLAS_THREADS = textwrap.dedent(
+    """\
+    from repro.backend import Backend
+    from repro.backend.base import _openblas
+
+    lib = _openblas()
+    if lib is None:
+        print("none")
+    else:
+        before = lib.scipy_openblas_get_num_threads64_()
+        Backend()
+        print(before, lib.scipy_openblas_get_num_threads64_())
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "env", [{}, {"OPENBLAS_NUM_THREADS": "2"}, {"OMP_NUM_THREADS": "2"}, {"MKL_NUM_THREADS": "2"}]
+)
+def test_first_engine_runs_blas_on_one_thread(env):
+    """In a fresh interpreter, numpy's bundled OpenBLAS runs on one thread
+    after the first engine; a launcher that names a thread count keeps
+    it (OpenBLAS reads the first two variables itself)."""
+    clean = {k: v for k, v in os.environ.items() if k not in backend_base._BLAS_THREAD_VARS}
+    clean["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    proc = subprocess.run(
+        [sys.executable, "-c", BLAS_THREADS],
+        env={**clean, **env},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    if proc.stdout.split() == ["none"]:
+        pytest.skip("numpy is not linked to its bundled OpenBLAS")
+    before, after = (int(n) for n in proc.stdout.split())
+    if not env:
+        assert after == 1
+    else:
+        assert after == before
+        if "MKL_NUM_THREADS" not in env:
+            affinity = getattr(os, "sched_getaffinity", None)
+            assert before == min(2, len(affinity(0)) if affinity else os.cpu_count())

@@ -2,8 +2,8 @@
 
 The job service, ``repro results`` and ``repro jobs`` route configs,
 rows and files; they never run a transform.  These tests hold them to
-numpy and nothing heavier, and hold the lazy facades to their
-``__all__``.
+numpy and nothing heavier, hold a computing process to numpy and
+pocketfft's extension, and hold the lazy facades to their ``__all__``.
 """
 
 import importlib
@@ -87,6 +87,46 @@ def test_a_served_study_never_imports_the_physics(tmp_path):
     assert "run" in proc.stdout and "job(s) on" in proc.stdout
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
     assert (tmp_path / "job.npz").stat().st_size > 0
+
+
+#: SciPy's Python packages: its FFT and special-function layers and the
+#: array-API layer both import (which imports ``numpy.f2py``)
+SCIPY_PACKAGES = ("scipy.fft", "scipy.special", "scipy._lib._array_api")
+
+_HYBRID_RUN = """
+import json
+import sys
+
+sys.path[:0] = {path!r}
+
+from repro import Simulation
+
+result = Simulation({{
+    "system": {{"cell": "silicon_cubic", "ecut": 2.0, "functional": "hse"}},
+    "scf": {{"nbands": 20, "density_tol": 1e-3, "exchange_tol": 1e-3, "max_scf": 4}},
+    "field": {{"kind": "static_kick", "params": {{"kick": 0.001}}}},
+    "propagation": {{"propagator": "ptim_ace", "dt_as": 50.0, "n_steps": 1}},
+}}).run()
+assert result.fft.transforms > 0
+loaded = sorted(m for m in {packages!r} if m in sys.modules)
+binding = sys.modules["scipy.fft._pocketfft.pypocketfft"]
+import scipy.fft
+
+print(json.dumps([loaded, scipy.fft._pocketfft.basic.pfft is binding]))
+"""
+
+
+def test_a_computing_process_loads_no_scipy_package(tmp_path):
+    """A hybrid ground state and PT-IM-ACE step run on numpy and the one
+    pocketfft extension: no SciPy package is imported, and a later
+    ``import scipy.fft`` reuses the extension module the engine bound."""
+    script = tmp_path / "hybrid_run.py"
+    script.write_text(_HYBRID_RUN.format(path=sys.path, packages=SCIPY_PACKAGES))
+    proc = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=600
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == [[], True]
 
 
 @pytest.mark.parametrize(

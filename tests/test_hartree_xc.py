@@ -4,8 +4,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.special
 
-from repro.grid import PlaneWaveGrid, silicon_cubic_cell
+import repro.hartree.ewald as ewald_module
+from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.grid.cell import UnitCell
 from repro.hartree.ewald import ewald_energy
 from repro.hartree.poisson import hartree_energy, hartree_potential, solve_poisson_g
@@ -92,6 +94,24 @@ def test_ewald_nacl_like_madelung():
     cell1 = UnitCell(np.eye(3) * a, ("H",), np.zeros((1, 3)))
     cell2 = UnitCell(np.eye(3) * 2 * a, ("H",), np.zeros((1, 3)))
     assert ewald_energy(cell2) == pytest.approx(0.5 * ewald_energy(cell1), rel=1e-8)
+
+
+def test_ewald_erfc_matches_scipy_on_the_shipped_cells(monkeypatch):
+    """``math.erfc``, elementwise, is ``scipy.special.erfc`` within 1e-15
+    absolute (measured 1.1e-16) on every real-space argument the Ewald sums
+    of the two shipped cells evaluate, and within 1e-13 relative down the
+    1e-10 tail (measured 1.3e-14)."""
+    seen = []
+    erfc = ewald_module._erfc
+    monkeypatch.setattr(ewald_module, "_erfc", lambda x: seen.append(x) or erfc(x))
+    monkeypatch.setattr(ewald_module, "_computed", {})
+    for cell in (silicon_cubic_cell(), silicon_supercell((2, 1, 1))):
+        ewald_energy(cell)
+    x = np.concatenate(seen)
+    assert x.size > 10_000
+    ours, ref = erfc(x), scipy.special.erfc(x)
+    assert np.abs(ours - ref).max() <= 1e-15
+    assert (np.abs(ours - ref) / ref).max() <= 1e-13
 
 
 # ---------------- LDA ----------------------------------------------------------
