@@ -25,24 +25,6 @@ from repro.utils.lazy import lazy_exports
 
 __version__ = "1.29.0"
 
-__all__ = [
-    "Simulation",
-    "SimulationResult",
-    "SimulationConfig",
-    "SystemConfig",
-    "SCFConfig",
-    "FieldConfig",
-    "PropagationConfig",
-    "BackendConfig",
-    "ConfigError",
-    "register_cell",
-    "register_functional",
-    "register_field",
-    "register_propagator",
-    "available_components",
-]
-
-
 #: public name -> defining module, imported on first use (see
 #: :mod:`repro.utils.lazy`): ``import repro.constants``-style imports do
 #: not pull in the api subsystem
@@ -66,3 +48,5 @@ _EXPORTS = {
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = sorted(_EXPORTS)

@@ -52,41 +52,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "BackendConfig",
-    "ConfigError",
-    "ResultError",
-    "ResultStore",
-    "StoreError",
-    "StoredRun",
-    "FieldConfig",
-    "ParallelConfig",
-    "PropagationConfig",
-    "SCFConfig",
-    "ServeConfig",
-    "SimulationConfig",
-    "SweepConfig",
-    "SystemConfig",
-    "load_serve_file",
-    "load_sweep_file",
-    "EnsembleResult",
-    "FFTCoverage",
-    "RunRecord",
-    "SweepVariant",
-    "apply_overrides",
-    "expand_sweep",
-    "run_ensemble",
-    "CELLS",
-    "FIELDS",
-    "FUNCTIONALS",
-    "PROPAGATORS",
-    "Registry",
-    "RegistryError",
-    "available_components",
-    "register_cell",
-    "register_field",
-    "register_functional",
-    "register_propagator",
-    "Simulation",
-    "SimulationResult",
-]
+__all__ = sorted(_EXPORTS)

@@ -207,6 +207,13 @@ class Hamiltonian:
         self._dense_record = (phi.copy(), d.copy(), vx)
         return vx
 
+    def exchange_energy(self, phi: np.ndarray, d: np.ndarray) -> float:
+        """``E_x`` (no alpha) of sigma's eigenbasis image ``(phi, d)``, from
+        :meth:`dense_exchange`'s ``V_x phi``: the SCF's outer-loop measure
+        and the total energy's exchange term read it alike."""
+        vx = self.dense_exchange(phi, d)
+        return self.fock.exchange_energy(phi, d, self.degeneracy, vx_phi=vx)
+
     def apply_exchange(self, phi_r: np.ndarray) -> Optional[np.ndarray]:
         """``alpha * V_x phi`` in real space for the dense exchange; ``None``
         when there is no dense exchange to add (semilocal, cleared, ACE —

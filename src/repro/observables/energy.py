@@ -6,7 +6,8 @@
 evaluated on sigma's eigenbasis image ``(phi~ = Phi Q, d)``, exact
 exchange included, which ``PropagatorBase.observe`` makes once.
 Field-free, this is conserved by exact dynamics — the drift measures
-integrator quality.
+integrator quality.  It is the ground state's energy too: ``run_scf``
+reports it on ``(orbitals, occ)``, the image of its diagonal sigma(0).
 """
 
 from __future__ import annotations
@@ -66,8 +67,8 @@ def td_total_energy(
     phi_t, d:
         Real-space rows ``phi~ = Phi Q`` and sigma's eigenvalues; the rows
         are packed once here for the kinetic and nonlocal terms, and the
-        exchange term reads ``V_x phi~`` from ``ham.dense_exchange``, whose
-        record then starts the next step.
+        exchange term reads ``V_x phi~`` from ``ham.dense_exchange`` (through
+        ``ham.exchange_energy``), whose record then starts the next step.
     rho:
         The state's density, as ``PropagatorBase.density`` builds it
         (the caller has it already for the dipole).
@@ -90,8 +91,7 @@ def td_total_energy(
 
     e_x = 0.0
     if ham.functional.is_hybrid and ham.fock is not None:
-        vx = ham.dense_exchange(phi_t, d)
-        e_x = ham.functional.alpha * ham.fock.exchange_energy(phi_t, d, deg, vx_phi=vx)
+        e_x = ham.functional.alpha * ham.exchange_energy(phi_t, d)
 
     return EnergyBreakdown(
         kinetic=e_kin,

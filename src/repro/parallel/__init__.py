@@ -26,17 +26,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-__all__ = [
-    "PATTERNS",
-    "ParallelContext",
-    "ParallelRunInfo",
-    "MachineSpec",
-    "FUGAKU_ARM",
-    "A100_GPU",
-    "machine_by_name",
-    "CostLedger",
-    "CommRecord",
-    "SimComm",
-    "BandLayout",
-    "DistributedFockExchange",
-]
+__all__ = sorted(_EXPORTS)

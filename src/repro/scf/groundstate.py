@@ -7,6 +7,14 @@ single SCF loop and hybrids with the nested ACE loop (outer loop refreshes
 the exchange operator from the current orbitals, inner loop converges the
 density at fixed exchange) — the ground-state analogue of Fig. 4(b).
 
+**The ground state is evaluated by the functions every state uses.**
+``sigma(0) = diag(occ)`` is its own eigenbasis image ``(orbitals, occ)``,
+so the density is ``density_from_orbitals_diag``, the energy is
+``td_total_energy`` and the exchange comes from the Hamiltonian's one
+dense entry, ``dense_exchange``: each outer pass's ``exchange_energy``
+calls it, and ``build_ace`` of the next pass's operator is answered from
+its record, as in the propagators.
+
 **Tolerances follow the error of the operator they are solved under.**
 Neither an eigensolve nor an inner density loop is asked for more than the
 fixed point it belongs to can use:
@@ -62,11 +70,11 @@ import numpy as np
 from repro.api.config import SCFOptions
 from repro.constants import SPIN_DEGENERACY, kelvin_to_hartree
 from repro.grid.fftgrid import PlaneWaveGrid
-from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.hartree.ewald import ewald_energy
+from repro.observables.energy import td_total_energy
 from repro.occupation.fermi import fermi_occupations, smearing_entropy
-from repro.occupation.sigma import clip_and_normalize, initial_sigma
+from repro.occupation.sigma import clip_and_normalize, density_from_orbitals_diag, initial_sigma
 from repro.pseudo.database import get_pseudopotential
 from repro.scf.eigensolver import davidson
 from repro.scf.mixing import KerkerMixer
@@ -137,11 +145,6 @@ def default_nbands(n_electrons: float, natom: int, extra_ratio: float = 0.5) -> 
     return int(round(n_electrons / SPIN_DEGENERACY + extra_ratio * natom))
 
 
-def _density_from(ham: Hamiltonian, phi: np.ndarray, occ: np.ndarray) -> np.ndarray:
-    rho = np.einsum("i,ir->r", occ, (phi.conj() * phi).real)
-    return clip_and_normalize(rho * ham.degeneracy, ham.n_electrons, ham.grid.dv)
-
-
 def _start_density(ham: Hamiltonian) -> np.ndarray:
     """Superposed Gaussian valence charges of the atoms (module docstring)."""
     grid, cell = ham.grid, ham.cell
@@ -163,42 +166,6 @@ def _start_orbitals(grid: PlaneWaveGrid, nb: int, rng: np.random.Generator) -> n
     c *= _DAVIDSON_TOL_CAP / np.sqrt(grid.npw)
     c[np.arange(nb), lowest] += 1.0
     return c / np.sqrt(grid.dv)
-
-
-def total_energy(
-    ham: Hamiltonian,
-    phi: np.ndarray,
-    occ: np.ndarray,
-    kt: float,
-    e_ewald: Optional[float] = None,
-    exchange_energy: Optional[float] = None,
-) -> tuple[float, float]:
-    """Kohn–Sham total energy and Mermin free energy (hartree).
-
-    ``E = T_s + E_loc + E_nl + E_H + E_xc + alpha E_x + E_II + E_{G=0}``
-    evaluated from orbitals/occupations with the Hamiltonian's cached
-    density-dependent pieces.
-    """
-    grid = ham.grid
-    deg = ham.degeneracy
-    w = deg * np.asarray(occ, float)
-    c = grid.to_sphere(phi)
-    e_kin = ham.kinetic.energy(c, w)
-    e_nl = ham.nonlocal_pseudo.energy(c, w)
-    rho = ham.rho
-    require(rho is not None, "update_density must run before total_energy")
-    e_loc = float(np.dot(rho, ham.local_pseudo.v_real)) * grid.dv
-    e_h = ham.e_hartree
-    e_xc = ham.e_xc_semilocal
-    e_g0 = ham.local_pseudo.energy_g0(ham.n_electrons)
-    if e_ewald is None:
-        e_ewald = ewald_energy(ham.cell)
-    e_x = 0.0
-    if ham.functional.is_hybrid and exchange_energy is not None:
-        e_x = ham.functional.alpha * exchange_energy
-    e_tot = e_kin + e_loc + e_nl + e_h + e_xc + e_x + e_ewald + e_g0
-    entropy = smearing_entropy(occ, degeneracy=deg)
-    return e_tot, e_tot - kt * entropy
 
 
 @traced("scf.run_scf")
@@ -250,7 +217,6 @@ def run_scf(
 
     outer_range = range(opts.max_outer) if ham.functional.is_hybrid else range(1)
     prev_ex = None
-    vx_phi = None  # dense V_x Phi of the pass just ended on phi[:nbands], packed
     for outer in outer_range:
         # the density change under the operator just installed is not known
         # yet: the pass starts at the cap, not at the previous pass's d_rho
@@ -261,7 +227,8 @@ def run_scf(
                 ham.clear_exchange()  # first pass: semilocal only (bootstrap)
                 inner_tol = max(opts.density_tol, _BOOTSTRAP_TOL)
             else:
-                ham.set_ace(ACEOperator.from_dense_action(grid, phi[:nbands], vx_phi))
+                # the pass just ended evaluated this V_x: the record answers it
+                ham.set_ace(ham.build_ace(phi_r[:nbands], occ, c=phi[:nbands]))
             # the fixed-point map changed (new exchange operator): stale
             # mixing history would poison the extrapolation
             mixer.reset()
@@ -279,7 +246,8 @@ def run_scf(
             occ_full, mu = fermi_occupations(eig_all, ham.n_electrons, kt, ham.degeneracy)
             occ = occ_full[:nbands]
             phi_r = grid.to_real(phi)
-            rho_new = _density_from(ham, phi_r, occ_full)
+            rho_new = density_from_orbitals_diag(grid, phi_r, occ_full, ham.degeneracy)
+            rho_new = clip_and_normalize(rho_new, ham.n_electrons, grid.dv)
             d_rho = float(np.abs(rho_new - rho).sum()) * grid.dv / ham.n_electrons
             history.append(d_rho)
             rho = mixer.mix(rho, rho_new)
@@ -302,13 +270,11 @@ def run_scf(
         # (N^2-FFT) application per pass serves this energy and the ACE
         # operator of the next pass (or of the returned state).
         # sigma = diag(occ), so (rows, occ) is already its eigenbasis image
-        vx_r = ham.fock.apply_diag(phi_r[:nbands], occ)
-        ex = ham.fock.exchange_energy(phi_r[:nbands], occ, degeneracy=ham.degeneracy, vx_phi=vx_r)
-        vx_phi = grid.to_sphere(vx_r, consume=True)
+        ex = ham.exchange_energy(phi_r[:nbands], occ)
         if prev_ex is not None and abs(ex - prev_ex) < opts.exchange_tol and density_converged:
             converged = True
             # refresh ACE one final time so the returned state is consistent
-            ham.set_ace(ACEOperator.from_dense_action(grid, phi[:nbands], vx_phi))
+            ham.set_ace(ham.build_ace(phi_r[:nbands], occ, c=phi[:nbands]))
             break
         prev_ex = ex
 
@@ -316,17 +282,15 @@ def run_scf(
     # final occupations re-solved over the returned bands only, so the
     # initial sigma of the dynamics holds exactly n_electrons
     occ, mu = fermi_occupations(eig, ham.n_electrons, kt, ham.degeneracy)
-    sigma = initial_sigma(occ)
-    exchange = None
-    if ham.functional.is_hybrid and ham.fock is not None:
-        exchange = ham.fock.exchange_energy(phi_phys, occ, degeneracy=ham.degeneracy)
-    e_tot, e_free = total_energy(ham, phi_phys, occ, kt, e_ewald, exchange)
+    # sigma(0) = diag(occ) is its own eigenbasis image
+    e_tot = td_total_energy(ham, phi_phys, occ, rho, e_ewald).total
+    e_free = e_tot - kt * smearing_entropy(occ, degeneracy=ham.degeneracy)
 
     return GroundState(
         orbitals=phi_phys,
         eigenvalues=eig,
         occupations=occ,
-        sigma=sigma,
+        sigma=initial_sigma(occ),
         fermi_level=mu,
         density=rho,
         total_energy=e_tot,

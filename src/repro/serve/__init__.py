@@ -53,12 +53,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
 
-
-__all__ = [
-    "JOB_STATUSES",
-    "JobQueue",
-    "JobService",
-    "ServeClient",
-    "ServeError",
-    "WorkerPool",
-]
+__all__ = sorted(_EXPORTS)

@@ -50,7 +50,6 @@ class JobService:
         timeout: float = 0.0,
         retries: int = 3,
         backoff: float = 0.5,
-        worker_options: Optional[Dict[str, Any]] = None,
         log_requests: bool = False,
     ) -> None:
         from repro.store import ResultStore
@@ -63,10 +62,8 @@ class JobService:
         self.retries = int(retries)
         self.backoff = float(backoff)
         self.log_requests = log_requests
-        options = dict(worker_options or {})
-        options.setdefault("backoff", self.backoff)
         self.pool = WorkerPool(
-            str(self.store.root), self.queue, n_workers=workers, options=options
+            str(self.store.root), self.queue, n_workers=workers, options={"backoff": self.backoff}
         )
         self._http: Optional[ServeHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None

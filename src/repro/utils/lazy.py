@@ -12,6 +12,7 @@ same facade pull in::
 
     _EXPORTS = {"JobQueue": ".queue", "JobService": ".service"}
     __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+    __all__ = sorted(_EXPORTS)
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
-"""Eleven invariants of ``src/repro``, checked on its syntax trees.
+"""Twelve invariants of ``src/repro``, checked on its syntax trees.
 
 :data:`RULES` is their one table: each row names the files its rule
 reads (paths inside the ``repro`` package, ``store/`` for a package) and
-what it forbids there.  Six rules forbid imports, names or attributes and
+what it forbids there.  Seven rules forbid imports, names or attributes and
 share one walker, :func:`forbidden`; five carry their own check.
 ``test_src_holds`` lists each violation in the package as
 ``src/repro/<rel>:<line>``; ``tests/test_lint.py`` pins what each rule
@@ -335,6 +335,12 @@ RULES = {
     # operator and every rank of the distributed one run alike
     "tile-pair-loop": Rule(
         home=("hamiltonian/fock.py",), attrs=("symmetric_tile_pairs", "tile_pair_partials")
+    ),
+    # the dense exchange's self-application and the ACE built from it are
+    # reached through the Hamiltonian (``dense_exchange``, ``build_ace``),
+    # the one entry the SCF and the propagators share
+    "dense-exchange-entry": Rule(
+        home=("hamiltonian/", "parallel/"), attrs=("apply_diag", "from_dense_action")
     ),
     # the C calls that change a whole process (glibc's malloc thresholds)
     # have one owner, which runs them once in every process that computes

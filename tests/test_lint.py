@@ -237,6 +237,28 @@ def apply_diag(self, phi, weights):
 """,
         outside="hamiltonian/fock.py",
     ),
+    "dense-exchange-entry": Case(
+        at="scf/groundstate.py",
+        bad="""\
+from repro.hamiltonian.ace import ACEOperator
+def outer_pass(ham, grid, phi, phi_r, occ):
+    vx_r = ham.fock.apply_diag(phi_r, occ)
+    ace = ACEOperator.from_dense_action(grid, phi, grid.to_sphere(vx_r))
+    kernel = getattr(ham.fock, "apply_diag")
+    return ace, kernel
+""",
+        # the kernel, the compression, then the kernel by name
+        lines=[3, 4, 5],
+        clean="""\
+def outer_pass(ham, phi, phi_r, occ):
+    # the entry answers the build's repeat of the energy's request from its record
+    vx_r = ham.dense_exchange(phi_r, occ)
+    ex = ham.fock.exchange_energy(phi_r, occ, vx_phi=vx_r)
+    ham.set_ace(ham.build_ace(phi_r, occ, c=phi))
+    return ex
+""",
+        outside="hamiltonian/hamiltonian.py",
+    ),
     "libc-isolation": Case(
         at="serve/worker.py",
         bad="""\

@@ -8,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from make_golden import CONFIGS
 from oracles import _generalized_lowest, real_space_apply, real_space_davidson, real_space_teter
+from repro.api import Simulation
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.hamiltonian import Hamiltonian
+from repro.observables.energy import td_total_energy
 from repro.scf import groundstate
 from repro.scf.eigensolver import (
     DavidsonResult,
@@ -579,6 +582,17 @@ def test_scf_reasonable_silicon_energy(lda_ground_state):
     _, gs = lda_ground_state
     per_atom = gs.total_energy / 8.0
     assert -5.0 < per_atom < -3.0
+
+
+@pytest.mark.parametrize("group", ["ptim", "ptim_ace"])
+def test_scf_energy_is_the_energy_of_every_other_state(group):
+    """The ground state reports ``td_total_energy`` of its own image:
+    sigma(0) = diag(occ), so (orbitals, occupations) is its eigenbasis
+    image, bit for bit (golden LDA and HSE groups, field-free)."""
+    sim = Simulation.from_config({key: CONFIGS[group][key] for key in ("system", "scf")})
+    gs = sim.ground_state()
+    energy = td_total_energy(sim.hamiltonian, gs.orbitals, gs.occupations, gs.density)
+    assert gs.total_energy == energy.total
 
 
 def test_start_density_holds_the_electrons_and_is_nonnegative(ham):
