@@ -32,7 +32,7 @@ _EXPORTS = {
     ),
     **dict.fromkeys(
         (
-            "EnsembleResult", "FFTCoverage", "RunRecord", "SweepVariant",
+            "EnsembleResult", "FFTCoverage", "RunRecord",
             "apply_overrides", "expand_sweep", "run_ensemble",
         ),
         ".ensemble",

@@ -297,6 +297,7 @@ def _cmd_run(args) -> int:
     from repro.api.config import ConfigError, load_sweep_file
     from repro.api.runs import run_one
     from repro.api.simulation import Simulation
+    from repro.store.common import run_id_for
     from repro.trace import recorder
 
     base, sweep = load_sweep_file(args.config)
@@ -355,23 +356,19 @@ def _cmd_run(args) -> int:
             )
 
     mark = recorder().snapshot()
-    outcome = run_one(sim, store, _propagation_starts, reuse=not args.rerun)
-    if outcome.reused:
+    result, reused = run_one(sim, store, _propagation_starts, reuse=not args.rerun)
+    if reused:
         # idempotent by content: the store already holds this exact
         # config's completed run — reused instead of appending a
         # recomputed copy of the same trajectory
         print(
-            f"run {outcome.run_id} reused from {store.root} "
+            f"run {run_id_for(cfg)} reused from {store.root} "
             f"(identical config already completed; --rerun to recompute)"
         )
-        sim = Simulation(
-            cfg,
-            ground_state=outcome.result.ground_state,
-            state=outcome.result.final_state,
-        )
+        sim = Simulation(cfg, ground_state=result.ground_state, state=result.final_state)
     elif store is not None:
-        print(f"run {outcome.run_id} stored in {store.root}")
-    _finish(sim, outcome.result, args, None if outcome.reused else mark)
+        print(f"run {run_id_for(cfg)} stored in {store.root}")
+    _finish(sim, result, args, None if reused else mark)
     return 0
 
 

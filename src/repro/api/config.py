@@ -50,27 +50,6 @@ class ResultError(ConfigError):
     ``ValueError`` net) keep working, while loaders can be precise."""
 
 
-def open_result_npz(path):
-    """Open a result ``.npz`` (run output, checkpoint, stored run) with
-    readable failure modes.
-
-    Missing files and corrupt/truncated archives raise
-    :class:`ResultError` naming the path instead of surfacing raw
-    ``FileNotFoundError`` / ``zipfile.BadZipFile`` tracebacks.
-    """
-    import zipfile
-
-    path = Path(path)
-    if not path.exists():
-        raise ResultError(f"result file {path} does not exist")
-    try:
-        return np.load(path, allow_pickle=False)
-    except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
-        raise ResultError(
-            f"{path} is not a readable result file (corrupt or not an .npz): {exc}"
-        ) from exc
-
-
 T = TypeVar("T", bound="_Section")
 
 

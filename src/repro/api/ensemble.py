@@ -9,13 +9,15 @@ so the facade gets a first-class multi-run layer:
     omega, strengths = result.dipole_spectra(kick=2e-3)
 
 :func:`expand_sweep` crosses the :class:`~repro.api.config.SweepConfig`
-axes into concrete :class:`~repro.api.config.SimulationConfig` variants;
-:func:`run_ensemble` executes them — this process, alone or beside
+axes into pending :class:`RunRecord` grid points, each with its concrete
+:class:`~repro.api.config.SimulationConfig`; :func:`run_ensemble`
+executes them — this process, alone or beside
 spawned workers, draining the store's job queue — through the one run
 kernel of :mod:`repro.api.runs`, converging each distinct (system, scf)
 ground state exactly once and each distinct config hash at most once;
-and :class:`EnsembleResult` collects per-run observables, status and errors
-with spectrum aggregation built in.  The store is the sweep's only
+and :class:`EnsembleResult` collects each point's stored run row
+(status, error, timing, tallies) and observables, with spectrum
+aggregation built in.  The store is the sweep's only
 persistent result: calling :func:`run_ensemble` again on a finished store
 restores every variant from it and runs nothing.
 
@@ -38,6 +40,7 @@ from repro.backend import FFTCounters
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
 from repro.store.common import config_hash
+from repro.store.query import StoredRun
 
 
 class FFTCoverage(NamedTuple):
@@ -55,18 +58,6 @@ class FFTCoverage(NamedTuple):
 # --------------------------------------------------------------------------
 # sweep expansion
 # --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class SweepVariant:
-    """One expanded grid point: its index, overrides, and full config."""
-
-    index: int
-    overrides: Dict[str, Any]
-    config: SimulationConfig
-
-    def label(self) -> str:
-        return overrides_label(self.overrides)
 
 
 def apply_overrides(
@@ -98,25 +89,26 @@ def apply_overrides(
     return SimulationConfig.from_dict(data)
 
 
-def expand_sweep(base: SimulationConfig, sweep: SweepConfig) -> List[SweepVariant]:
+def expand_sweep(base: SimulationConfig, sweep: SweepConfig) -> List["RunRecord"]:
     """All grid points of ``sweep`` applied to ``base``, in axis order.
 
     ``mode = "grid"`` crosses the axes (last axis fastest, like nested
     loops in declaration order); ``mode = "zip"`` pairs them.  An empty
-    axes table yields the single base config.
+    axes table yields the single base config.  Each point is a pending
+    :class:`RunRecord`.
     """
     paths = list(sweep.axes)
     if not paths:
-        return [SweepVariant(0, {}, base)]
+        return [RunRecord(0, {}, base)]
     if sweep.mode == "zip":
         combos: Sequence[Tuple[Any, ...]] = list(zip(*(sweep.axes[p] for p in paths)))
     else:
         combos = list(itertools.product(*(sweep.axes[p] for p in paths)))
-    variants = []
+    records = []
     for i, values in enumerate(combos):
         overrides = dict(zip(paths, values))
-        variants.append(SweepVariant(i, overrides, apply_overrides(base, overrides)))
-    return variants
+        records.append(RunRecord(i, overrides, apply_overrides(base, overrides)))
+    return records
 
 
 # --------------------------------------------------------------------------
@@ -126,26 +118,56 @@ def expand_sweep(base: SimulationConfig, sweep: SweepConfig) -> List[SweepVarian
 
 @dataclass
 class RunRecord:
-    """Outcome of one ensemble member: observables or a captured error."""
+    """One grid point of a sweep: pending until it settles on its run row.
+
+    Status, error, seconds and tallies are read from :attr:`run`, the
+    store's row for the point's config; the observables are loaded
+    when the point settles ``ok``, because the store a sweep without
+    ``store=`` ran on is gone when it returns.
+    """
 
     index: int
     overrides: Dict[str, Any]
     config: SimulationConfig
-    status: str = "pending"  #: "ok" or "error"
-    error: Optional[str] = None
-    elapsed: float = 0.0
+    #: the stored run this point settled on (``None`` while pending)
+    run: Optional[StoredRun] = None
     arrays: Dict[str, np.ndarray] = field(default_factory=dict)
-    #: this run's own *propagation* FFT tally — the shared group SCF runs
-    #: before any per-run snapshot and is attributed to no run.  None when
-    #: the variant failed, or was restored from a row that holds no tally.
-    fft: Optional[FFTCounters] = None
-    #: communication accounting (``ParallelRunInfo.to_dict()`` form) when
-    #: the variant ran under an active ``[parallel]`` section, else None
-    parallel: Optional[Dict[str, Any]] = None
 
     @property
     def ok(self) -> bool:
-        return self.status == "ok"
+        return self.run is not None and self.run.ok
+
+    @property
+    def status(self) -> str:
+        """``"pending"``, ``"ok"`` or ``"error"``."""
+        if self.run is None:
+            return "pending"
+        return "ok" if self.run.ok else "error"
+
+    @property
+    def error(self) -> Optional[str]:
+        """The first line of a failed run's error, else ``None``."""
+        if self.run is None or self.run.ok:
+            return None
+        return (self.run.error or self.run.status).splitlines()[0]
+
+    @property
+    def elapsed(self) -> float:
+        """The kernel's wall seconds for the run (0 unless ``ok``)."""
+        return self.run.elapsed if self.ok else 0.0
+
+    @property
+    def fft(self) -> Optional[FFTCounters]:
+        """The run's own *propagation* FFT tally — the shared group SCF
+        runs before any per-run snapshot and is attributed to no run.
+        ``None`` unless ``ok``, or when the row holds no tally."""
+        return FFTCounters.from_dict(self.run.fft) if self.ok and self.run.fft else None
+
+    @property
+    def parallel(self) -> Optional[Dict[str, Any]]:
+        """``ParallelRunInfo.to_dict()`` of a run under an active
+        ``[parallel]`` section, else ``None``."""
+        return self.run.parallel if self.ok else None
 
     def label(self) -> str:
         return overrides_label(self.overrides)
@@ -407,30 +429,20 @@ def run_ensemble(
 
     n_workers = overridden(sweep, workers=workers).workers  # refused as sweep.workers
     say = progress if progress is not None else (lambda line: None)
-    variants = expand_sweep(base, sweep)
-    records = [RunRecord(v.index, v.overrides, v.config) for v in variants]
+    records = expand_sweep(base, sweep)
     by_hash: Dict[str, List[RunRecord]] = {}
     for record in records:
         by_hash.setdefault(config_hash(record.config), []).append(record)
 
-    def settle(chash, done, restored=False):
-        how = f"restored from store ({done.run_id})" if restored else f"ok ({done.elapsed:.2f} s)"
-        fft = FFTCounters.from_dict(done.fft) if done.fft else None
-        arrays = store_obj.load_arrays(done.run_id)
-        for record in by_hash[chash]:
-            record.status, record.arrays, record.fft = "ok", dict(arrays), fft
-            record.parallel, record.elapsed = done.parallel, done.elapsed
+    def settle(run, restored=False):
+        if restored:
+            how = f"restored from store ({run.run_id})"
+        else:
+            how = f"ok ({run.elapsed:.2f} s)" if run.ok else "error (0.00 s)"
+        arrays = store_obj.load_result(run.run_id).observables() if run.ok else {}
+        for record in by_hash[run.config_hash]:
+            record.run, record.arrays = run, dict(arrays)
             say(f"run {record.index} [{record.label()}]: {how}")
-
-    def on_done(run) -> None:
-        chash = run.config_hash
-        if run.ok:
-            settle(chash, run)
-            return
-        error = (run.error or run.status).splitlines()[0]
-        for record in by_hash[chash]:
-            record.status, record.error = "error", error
-            say(f"run {record.index} [{record.label()}]: error (0.00 s)")
 
     store_like = store if store is not None else sweep.store
     with contextlib.ExitStack() as stack:
@@ -439,9 +451,9 @@ def run_ensemble(
         store_obj = ResultStore.ensure(store_like)
         if store_obj is not store_like:
             stack.callback(store_obj.close)  # opened here, closed here
-        plan = runs.plan_runs((v.config for v in variants), store_obj)
-        for chash, done in plan.restored.items():
-            settle(chash, done, restored=True)
+        plan = runs.plan_runs((r.config for r in records), store_obj)
+        for done in plan.restored.values():
+            settle(done, restored=True)
         if plan.pending:
             # each group's first variant ahead of the rest, so the group SCFs
             # converge side by side instead of one process blocked on a lease
@@ -449,6 +461,6 @@ def run_ensemble(
             order = sorted(plan.pending, key=lambda chash: chash not in firsts)
             drain(
                 store_obj, [plan.pending[h] for h in order], min(n_workers, len(order)),
-                on_done, labels=[by_hash[h][0].overrides for h in order],
+                settle, labels=[by_hash[h][0].overrides for h in order],
             )
     return EnsembleResult(base_config=base, sweep=sweep, runs=records)

@@ -28,20 +28,6 @@ from repro.store.common import config_hash, group_address, group_key
 from repro.trace import span
 
 
-class RunOutcome(NamedTuple):
-    """What :func:`run_one` hands back."""
-
-    #: the stored run's id (``None`` without a store)
-    run_id: Optional[str]
-    result: SimulationResult
-    #: kernel wall seconds (the open ``api.run`` span's, before the store
-    #: write), ground state included; a reused run reports the seconds
-    #: it took when it was computed
-    elapsed: float
-    #: the store already held this exact config: nothing was computed
-    reused: bool
-
-
 def run_one(
     sim: Simulation,
     store=None,
@@ -50,8 +36,10 @@ def run_one(
     reuse: bool = True,
     claimed: bool = False,
     **window,
-) -> RunOutcome:
-    """Run ``sim``'s config to a stored result, doing only what is missing.
+) -> Tuple[SimulationResult, bool]:
+    """Run ``sim``'s config to a stored result, doing only what is missing:
+    ``(result, reused)``, ``reused`` when the store held the config's
+    completed run and nothing was computed.
 
     ``sim`` carries the config plus whatever is already in memory (a
     ground state, a grid shared with its siblings).  ``progress(step,
@@ -63,12 +51,14 @@ def run_one(
     config's keys.
 
     A stored run is a job: its row is finished by the store's
-    :meth:`~repro.store.store.ResultStore.add_result`.  A queue worker
-    has already claimed that row (``claimed=True``) and reports a
-    failure itself; any other caller's run records its own row and
-    attempt (:meth:`~repro.serve.queue.JobQueue.recording`), and an
-    exception fails that attempt before it propagates.  A re-run of an
-    ``ok`` row leaves it ``ok`` until the new result lands.
+    :meth:`~repro.store.store.ResultStore.add_result`, with the seconds of
+    the ``api.run`` span so far; its id is its config's
+    :func:`~repro.store.common.run_id_for`.  A queue worker has already
+    claimed that row (``claimed=True``) and reports a failure itself;
+    any other caller's run records its own row and attempt
+    (:meth:`~repro.serve.queue.JobQueue.recording`), and an exception
+    fails that attempt before it propagates.  A re-run of an ``ok`` row
+    leaves it ``ok`` until the new result lands.
     """
     with span("api.run") as clock:
         prop = sim.config.propagation
@@ -88,17 +78,16 @@ def run_one(
             store = ResultStore.ensure(store)
             done = store.find_completed(sim.config) if reuse else None
             if done is not None:
-                result = store.load_result(done.run_id, with_ground_state=True)
-                return RunOutcome(done.run_id, result, done.elapsed, True)
+                return store.load_result(done.run_id, with_ground_state=True), True
         recording = store is not None and not claimed
         with store.queue.recording(sim.config) if recording else contextlib.nullcontext():
             sim.ground_state(store)
             if progress is not None:
                 progress(0, ran.n_steps)
             result = sim.propagate(progress=progress, **window)
-            elapsed = clock()
-            run_id = None if store is None else store.add_result(result, elapsed=elapsed)
-        return RunOutcome(run_id, result, elapsed, False)
+            if store is not None:
+                store.add_result(result, elapsed=clock())
+        return result, False
 
 
 def _check_tracked_bands(sim: Simulation) -> None:

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Mapping, NamedTuple, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
 
 import numpy as np
 
@@ -29,7 +29,6 @@ from repro.api.config import (
     ResultError,
     SimulationConfig,
     check_config_matches,
-    open_result_npz,
     overridden,
 )
 from repro.api.registry import CELLS, FIELDS, FUNCTIONALS, PROPAGATORS
@@ -39,6 +38,7 @@ from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.parallel.context import ParallelContext, ParallelRunInfo
 from repro.parallel.ledger import CostLedger
+from repro.parallel.machine import machine_by_name
 from repro.rt.propagator import PropagationRecord, TDState
 from repro.scf.groundstate import GroundState, run_scf
 from repro.utils.io import atomic_savez
@@ -94,29 +94,36 @@ def write_result_npz(
     return atomic_savez(path, **payload)
 
 
-class StoredResult(NamedTuple):
-    """What a result file holds, parsed."""
+def open_result_npz(path):
+    """Open a result ``.npz`` with readable failure modes: a missing file
+    or a corrupt/truncated archive raises :class:`ResultError` naming the
+    path instead of a raw ``FileNotFoundError`` / ``BadZipFile``."""
+    import zipfile
 
-    config: SimulationConfig
-    #: the observable series, exactly as written
-    observables: Dict[str, np.ndarray]
-    final_state: TDState
-    #: :meth:`ParallelRunInfo.to_dict` of a parallel run, else ``None``
-    parallel: Optional[Dict[str, Any]]
-    #: the converged ground state a checkpoint carries, else ``None``
-    ground_state: Optional[GroundState] = None
+    path = Path(path)
+    if not path.exists():
+        raise ResultError(f"result file {path} does not exist")
+    try:
+        return np.load(path, allow_pickle=False)
+    except (zipfile.BadZipFile, ValueError, OSError, EOFError) as exc:
+        raise ResultError(
+            f"{path} is not a readable result file (corrupt or not an .npz): {exc}"
+        ) from exc
 
 
-def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) -> StoredResult:
+def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) -> "SimulationResult":
     """The one reader of the layout :func:`write_result_npz` writes.
 
     Raises :class:`ResultError` naming the path for a missing, unreadable,
     wrong-kind or too-new file, and :class:`ConfigError` naming the
     differing keys when the embedded config is not ``expected_config``.
-    A checkpoint written by repro <= 1.13 (``phi`` / ``sigma`` / ``time``
+    A checkpoint comes back with ``record`` ``None`` and its ground
+    state; a file holds no FFT tally, so ``fft`` is ``None``.  A
+    checkpoint written by repro <= 1.13 (``phi`` / ``sigma`` / ``time``
     / ``parallel_ledger_json``, its own ``version``) reads as the file
-    :meth:`Simulation.save_checkpoint` writes now; of its ``parallel``
-    block only the ``ledger`` exists.
+    :meth:`Simulation.save_checkpoint` writes now; it kept only the
+    ledger, so the rest of its ``parallel`` block is the config's
+    ``[parallel]`` section.
     """
     path = Path(path)
     with open_result_npz(path) as data:
@@ -130,9 +137,16 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
             )
         config = SimulationConfig.from_json(str(data["config_json"]))
         check_config_matches(config, expected_config, path)
-        parallel = json.loads(str(data["parallel_json"])) if "parallel_json" in data else None
+        parallel = None
+        if "parallel_json" in data:
+            parallel = ParallelRunInfo.from_dict(json.loads(str(data["parallel_json"])))
         if "parallel_ledger_json" in data:
-            parallel = {"ledger": json.loads(str(data["parallel_ledger_json"]))}
+            par = config.parallel
+            parallel = ParallelRunInfo(
+                par.ranks, par.pattern, par.machine, par.use_shm,
+                machine_by_name(par.machine).nodes(par.ranks),
+                CostLedger.from_dict(json.loads(str(data["parallel_ledger_json"]))),
+            )
         ground_state = None
         if GS_PREFIX + "orbitals" in data:
             ground_state = GroundState.from_arrays(data, f"result file {path}", prefix=GS_PREFIX)
@@ -149,26 +163,36 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
         sigma=arrays.pop("final_sigma"),
         time=float(arrays.pop("final_time")),
     )
-    return StoredResult(config, arrays, final_state, parallel, ground_state)
+    try:
+        record = PropagationRecord.from_arrays(arrays) if arrays else None
+    except ValueError as exc:
+        raise ResultError(f"result file {path}: {exc}") from exc
+    return SimulationResult(config, record, final_state, ground_state, parallel=parallel)
 
 
 @dataclass
 class SimulationResult:
     """Everything one propagation produced, with provenance.
 
-    ``record`` holds the observable time series; ``final_state`` is the
-    state the trajectory ended in (feed it back through a checkpoint to
-    continue); ``config`` is the exact configuration that ran.
+    ``record`` holds the observable time series (``None`` for a
+    checkpoint, which has none); ``final_state`` is the state the
+    trajectory ended in (feed it back through a checkpoint to
+    continue); ``config`` is the exact configuration that ran.  The one
+    type a run's outcome has in memory: :meth:`Simulation.propagate`
+    returns it, :func:`read_result_npz` reads it back from any result
+    file, and :meth:`ResultStore.load_result
+    <repro.store.store.ResultStore.load_result>` adds the ``fft`` tally
+    its row kept.
     """
 
     config: SimulationConfig
-    record: PropagationRecord
+    record: Optional[PropagationRecord]
     final_state: TDState
     ground_state: Optional[GroundState] = None
     #: FFT tally of the propagate() call that produced this result,
     #: including a lazily-triggered SCF and any distributed-exchange
-    #: rank work (None on a result read back without one); in-memory
-    #: only — not persisted by save_npz
+    #: rank work (None on a result read from a file); not in the file —
+    #: the store keeps it on the run's row
     fft: Optional[FFTCounters] = None
     #: communication accounting of the propagate() call when the
     #: ``[parallel]`` section is active (None on the serial path);
@@ -176,8 +200,9 @@ class SimulationResult:
     parallel: Optional[ParallelRunInfo] = None
 
     def observables(self) -> Dict[str, np.ndarray]:
-        """The recorded series as plain arrays (keys: times, dipole, ...)."""
-        return self.record.as_arrays()
+        """The recorded series as plain arrays (keys: times, dipole, ...);
+        ``{}`` for a checkpoint."""
+        return self.record.as_arrays() if self.record is not None else {}
 
     def save_npz(self, path) -> Path:
         """Persist observables + final state + config to one ``.npz``.
@@ -195,21 +220,15 @@ class SimulationResult:
     def load_npz(
         path, expected_config: Optional[SimulationConfig] = None
     ) -> Tuple[SimulationConfig, Dict[str, np.ndarray]]:
-        """Read back ``(config, arrays)`` from :meth:`save_npz` output.
-
-        ``expected_config`` (when given) must match the config embedded
-        in the file; a mismatch raises :class:`ConfigError` naming the
-        differing keys — guarding against stacking or comparing results
-        produced by a different setup.  A missing or unreadable file,
-        and a ``result_version`` newer than this build, raise
-        :class:`ResultError` naming the path.
-        """
-        stored = read_result_npz(path, expected_config)
-        return stored.config, {**_final_state_arrays(stored.final_state), **stored.observables}
+        """Read back ``(config, arrays)`` from :meth:`save_npz` output:
+        :func:`read_result_npz`'s result (and refusals) as one dict of
+        the final-state and observable arrays."""
+        result = read_result_npz(path, expected_config)
+        return result.config, {**_final_state_arrays(result.final_state), **result.observables()}
 
     def summary(self) -> str:
         """Human-readable observable table (what the CLI and examples print)."""
-        r = self.record
+        r = self.record if self.record is not None else PropagationRecord()
         lines = [
             f"{'t (as)':>9} {'dipole_x':>12} {'E_tot (Ha)':>15} {'N_e':>10} {'outer/inner':>12}"
         ]
@@ -303,9 +322,7 @@ class Simulation:
             stored.config,
             ground_state=stored.ground_state,
             state=stored.final_state,
-            parallel_ledger=(
-                CostLedger.from_dict(stored.parallel["ledger"]) if stored.parallel else None
-            ),
+            parallel_ledger=stored.parallel.ledger if stored.parallel is not None else None,
         )
 
     def derive(self, **sections) -> "Simulation":
@@ -490,7 +507,7 @@ class Simulation:
             return run_one(
                 self, store, progress, reuse=False,
                 n_steps=n_steps, dt_as=dt_as, observe_every=observe_every,
-            ).result
+            )[0]
         prop = overridden(
             self.config.propagation, n_steps=n_steps, dt_as=dt_as, observe_every=observe_every
         )
@@ -531,7 +548,7 @@ class Simulation:
         """
         from repro.api.runs import run_one
 
-        return run_one(self, store, progress).result
+        return run_one(self, store, progress)[0]
 
     # -- checkpointing --------------------------------------------------------
     def save_checkpoint(self, path) -> Path:

@@ -17,7 +17,11 @@ writes (one writer, :func:`~repro.api.simulation.write_result_npz`), so
 reads a stored run in place.  It is written once, when the run
 finishes, by temp file + rename, and then the run's row turns ``ok``:
 re-running a config replaces the old file whole, and a writer killed
-part-way leaves the previous run readable.
+part-way leaves the previous run readable.  It is read back by the one
+reader, :func:`~repro.api.simulation.read_result_npz`, and only
+through :meth:`ResultStore.load_result`, which serves a run whose row
+is ``ok`` and nothing else; :meth:`ResultStore.find_completed` reads a
+file whose row its writer did not live to finish.
 
 A run's row is its job row (:class:`~repro.serve.queue.JobQueue` owns
 the table; :class:`~repro.store.query.StoredRun` reads it): the store
@@ -37,7 +41,7 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Union
 
 import numpy as np
 
@@ -55,18 +59,11 @@ if TYPE_CHECKING:
     # queries the store never imports them; the methods that build or
     # write arrays import what they use
     from repro.api.simulation import SimulationResult
+    from repro.backend import FFTCounters
     from repro.rt.propagator import TDState
     from repro.scf.groundstate import GroundState
 
 StoreLike = Union["ResultStore", str, Path]
-
-
-def _fft_dict(fft) -> Optional[Dict[str, Any]]:
-    if fft is None:
-        return None
-    from repro.backend import FFTCounters
-
-    return fft.to_dict() if isinstance(fft, FFTCounters) else dict(fft)
 
 
 class ResultStore:
@@ -128,7 +125,7 @@ class ResultStore:
         final_state: TDState,
         *,
         overrides: Optional[Mapping[str, Any]] = None,
-        fft=None,
+        fft: Optional[FFTCounters] = None,
         parallel: Optional[Mapping[str, Any]] = None,
         elapsed: float = 0.0,
         ground_state: Optional[GroundState] = None,
@@ -156,7 +153,7 @@ class ResultStore:
             gs_address=self._gs_address(config),
             elapsed=float(elapsed),
             n_times=len(arrays.get("times", ())),
-            fft=_fft_dict(fft),
+            fft=fft.to_dict() if fft is not None else None,
             parallel=parallel,
         )
         return run_id
@@ -223,8 +220,8 @@ class ResultStore:
         done = self.queue.finish_ok(
             config,
             gs_address=self._gs_address(config),
-            n_times=len(stored.observables.get("times", ())),
-            parallel=stored.parallel,
+            n_times=len(stored.observables().get("times", ())),
+            parallel=stored.parallel.to_dict() if stored.parallel is not None else None,
         )
         return done if done.ok else None
 
@@ -242,42 +239,28 @@ class ResultStore:
             )
         return run
 
-    def load_arrays(self, run_id: str) -> Dict[str, np.ndarray]:
-        """The run's observable series (bitwise what was stored)."""
-        from repro.api.simulation import read_result_npz
-
-        self.get(run_id)  # raise the readable error for unknown ids
-        return read_result_npz(self._run_path(run_id)).observables
-
     @traced("store.load_result")
     def load_result(
         self, run_id: str, with_ground_state: bool = False
     ) -> SimulationResult:
-        """Materialize a stored run back into a :class:`SimulationResult`.
+        """A completed run's :class:`SimulationResult`: its result file
+        through the one reader, plus the FFT tally its row kept.
 
-        The result is bit-identical to the one originally stored:
         ``save_npz`` on it reproduces the stored file's content
-        (round-trip tested).  ``with_ground_state=True`` also loads the
-        group's SCF blob (off by default — it is the large block).
+        (round-trip tested); its observables are ``.observables()``.
+        ``with_ground_state=True`` also loads the group's SCF blob (off
+        by default — it is the large block).  A run that is not ``ok``
+        raises :class:`StoreError` naming its status.
         """
-        from repro.api.simulation import SimulationResult, read_result_npz
+        from repro.api.simulation import read_result_npz
         from repro.backend import FFTCounters
-        from repro.parallel.context import ParallelRunInfo
-        from repro.rt.propagator import PropagationRecord
 
         run = self._completed(run_id)
-        stored = read_result_npz(self._run_path(run_id), expected_config=run.config)
-        ground_state = None
+        result = read_result_npz(self._run_path(run.run_id), expected_config=run.config)
+        result.fft = FFTCounters.from_dict(run.fft) if run.fft else None
         if with_ground_state and run.gs_address:
-            ground_state = self.blobs.get_ground_state(run.gs_address)
-        return SimulationResult(
-            config=run.config,
-            record=PropagationRecord.from_arrays(stored.observables),
-            final_state=stored.final_state,
-            ground_state=ground_state,
-            fft=FFTCounters.from_dict(run.fft) if run.fft else None,
-            parallel=ParallelRunInfo.from_dict(stored.parallel) if stored.parallel else None,
-        )
+            result.ground_state = self.blobs.get_ground_state(run.gs_address)
+        return result
 
     def export(self, run_id: str, path) -> Path:
         """Copy a completed run's result file to ``path``."""

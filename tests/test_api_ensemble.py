@@ -7,6 +7,7 @@ same ground state, the trajectories must agree to round-off wherever
 the runs execute (the acceptance bar for the engine).
 """
 
+import dataclasses
 import json
 from pathlib import Path
 
@@ -145,6 +146,7 @@ def _fake_result(statuses=("ok", "ok")):
     cfg = SimulationConfig.from_dict({})
     runs = []
     from repro.backend import FFTCounters
+    from repro.store.query import StoredRun
 
     for i, status in enumerate(statuses):
         arrays = {}
@@ -157,16 +159,20 @@ def _fake_result(statuses=("ok", "ok")):
             }
             fft = FFTCounters()
             fft.record((4, 4, 4), 2 * (i + 1))
+        row = StoredRun(**{
+            **dict.fromkeys(f.name for f in dataclasses.fields(StoredRun)),
+            "status": status,
+            "error": None if status == "ok" else "ValueError: boom",
+            "elapsed": 0.5,
+            "fft": fft.to_dict() if fft is not None else None,
+        })
         runs.append(
             RunRecord(
                 index=i,
                 overrides={"scf.seed": i},
                 config=apply_overrides(cfg, {"scf.seed": i}),
-                status=status,
-                error=None if status == "ok" else "ValueError: boom",
-                elapsed=0.5,
+                run=row,
                 arrays=arrays,
-                fft=fft,
             )
         )
     return EnsembleResult(cfg, SweepConfig.from_dict({"axes": {"scf.seed": [0, 1]}}), runs)
@@ -359,7 +365,8 @@ def test_duplicate_grid_points_run_once(tmp_path, monkeypatch):
 
 def test_fft_totals_flags_partial_coverage():
     result = _fake_result(("ok", "ok"))
-    result.runs[1].fft = None  # e.g. an uncounted backend on one variant
+    # e.g. a row restored from a store that kept no tally
+    result.runs[1].run = dataclasses.replace(result.runs[1].run, fft=None)
     coverage = result.fft_totals()
     assert not coverage.complete
     assert (coverage.n_reporting, coverage.n_runs) == (1, 2)

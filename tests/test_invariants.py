@@ -1,8 +1,8 @@
-"""Twelve invariants of ``src/repro``, checked on its syntax trees.
+"""Thirteen invariants of ``src/repro``, checked on its syntax trees.
 
 :data:`RULES` is their one table: each row names the files its rule
 reads (paths inside the ``repro`` package, ``store/`` for a package) and
-what it forbids there.  Seven rules forbid imports, names or attributes and
+what it forbids there.  Eight rules forbid imports, names or attributes and
 share one walker, :func:`forbidden`; five carry their own check.
 ``test_src_holds`` lists each violation in the package as
 ``src/repro/<rel>:<line>``; ``tests/test_lint.py`` pins what each rule
@@ -350,6 +350,16 @@ RULES = {
     "one-timer": Rule(
         home=("trace.py",),
         names=("time.perf_counter", "time.perf_counter_ns", "time.process_time"),
+    ),
+    # a result file is parsed, and a trajectory rebuilt from its arrays, by
+    # ``read_result_npz`` alone, so every way back in returns one type
+    "one-result-reader": Rule(
+        home=("api/simulation.py", "rt/"),
+        names=(
+            "repro.api.simulation.open_result_npz",
+            "repro.rt.PropagationRecord.from_arrays",
+            "repro.rt.propagator.PropagationRecord.from_arrays",
+        ),
     ),
 }
 

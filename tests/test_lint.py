@@ -303,6 +303,27 @@ def run(sim, budget_s):
 """,
         outside="trace.py",
     ),
+    "one-result-reader": Case(
+        at="store/store.py",
+        bad="""\
+from repro.api.simulation import open_result_npz
+from repro.rt.propagator import PropagationRecord
+import repro.rt as rt
+def load(path):
+    with open_result_npz(path) as data:
+        arrays = {k: data[k] for k in data.files}
+    record = PropagationRecord.from_arrays(arrays)
+    return record, rt.PropagationRecord.from_arrays(arrays)
+""",
+        # the import, its call, then both spellings of the rebuild
+        lines=[1, 5, 7, 8],
+        clean="""\
+from repro.api.simulation import read_result_npz
+def load(path):
+    return read_result_npz(path).observables()
+""",
+        outside="api/simulation.py",
+    ),
 }
 
 

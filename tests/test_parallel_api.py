@@ -14,7 +14,7 @@ import pytest
 from repro.api import Simulation, SimulationConfig
 from repro.api.config import ConfigError, ParallelConfig
 from repro.api.ensemble import SweepConfig, run_ensemble
-from repro.api.simulation import SimulationResult, read_result_npz
+from repro.api.simulation import SimulationResult, read_result_npz, write_result_npz
 from repro.backend import FFTCounters
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
@@ -249,7 +249,7 @@ def test_result_npz_round_trips_parallel_block(serial_sim, tmp_path):
     assert config.parallel.active and config.parallel.pattern == "async-ring"
     np.testing.assert_array_equal(arrays["dipole"], result.observables()["dipole"])
     # and the parallel block round-trips separately
-    info = ParallelRunInfo.from_dict(read_result_npz(path).parallel)
+    info = read_result_npz(path).parallel
     assert isinstance(info, ParallelRunInfo)
     assert (info.ranks, info.pattern, info.machine) == (2, "async-ring", "fugaku-arm")
     assert info.ledger.seconds_by_category() == result.parallel.ledger.seconds_by_category()
@@ -257,6 +257,34 @@ def test_result_npz_round_trips_parallel_block(serial_sim, tmp_path):
     # serial files have no block
     serial_path = serial.propagate(n_steps=0).save_npz(tmp_path / "ser.npz")
     assert read_result_npz(serial_path).parallel is None
+
+
+@pytest.mark.parametrize("kind", ["serial", "parallel", "checkpoint"])
+def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
+    """A file read back and written again is the same file, member for
+    member, in order, the ``parallel_json`` text included; a checkpoint
+    reads back with no record and still prints a summary."""
+    serial, _ = serial_sim
+    sim = serial if kind == "serial" else serial.derive(parallel=_parallel_cfg(2, "ring"))
+    result = sim.propagate(n_steps=0 if kind == "serial" else 1)
+    first = tmp_path / "first.npz"
+    if kind == "checkpoint":
+        sim.save_checkpoint(first)
+    else:
+        result.save_npz(first)
+    back = read_result_npz(first)
+    again = write_result_npz(
+        tmp_path / "again.npz", back.config, back.observables(), back.final_state,
+        back.parallel.to_dict() if back.parallel is not None else None, back.ground_state,
+    )
+    with np.load(first) as a, np.load(again) as b:
+        assert a.files == b.files
+        for key in a.files:
+            assert np.array_equal(a[key], b[key], equal_nan=a[key].dtype.kind in "fc"), key
+        assert ("parallel_json" in a.files) == (kind != "serial")
+    if kind == "checkpoint":
+        assert back.record is None and back.observables() == {}
+        assert "parallel: ranks=2 pattern=ring" in back.summary()
 
 
 def test_summary_carries_parallel_block(serial_sim):

@@ -48,7 +48,13 @@ WORKERS = ("w0", "w1")
 
 
 def _result(n_times):
-    arrays = {"times": np.arange(float(n_times)), "dipole": np.zeros((n_times, 3))}
+    arrays = {
+        "times": np.arange(float(n_times)),
+        "dipole": np.zeros((n_times, 3)),
+        "energy": np.zeros(n_times),
+        "particle_number": np.ones(n_times),
+        "field": np.zeros((n_times, 3)),
+    }
     state = TDState(phi=np.ones((1, 2), dtype=complex), sigma=np.eye(1, dtype=complex), time=1.0)
     return arrays, state
 
@@ -178,7 +184,7 @@ class RunRows(RuleBasedStateMachine):
     def ok_rows_describe_their_file(self):
         row = self._row()
         if row is not None and row.ok:
-            arrays = self.store.load_arrays(RUN_ID)
+            arrays = self.store.load_result(RUN_ID).observables()
             assert row.n_times == len(arrays["times"]) > 0, row
             assert row.finished is not None and row.progress == 1.0, row
 

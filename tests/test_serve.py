@@ -108,7 +108,7 @@ def test_e2e_results_bitwise_identical_to_direct_run(e2e):
     try:
         for config, job in zip(e2e["configs"], e2e["finals"]):
             direct = Simulation(config).run()
-            stored = store.load_arrays(job["run_id"])
+            stored = store.load_result(job["run_id"]).observables()
             for name, expected in direct.observables().items():
                 got = stored[name]
                 assert got.dtype == np.asarray(expected).dtype

@@ -341,7 +341,7 @@ def test_rerun_replaces_the_stored_run(tmp_path):
     assert rid2 == rid  # same config, same address: latest wins
     run = store.get(rid)
     assert run.n_times == 9 and run.created == first_created
-    assert store.load_arrays(rid)["times"].shape == (9,)
+    assert store.load_result(rid).observables()["times"].shape == (9,)
     store.close()
 
 
@@ -510,11 +510,12 @@ def test_load_result_restores_state_and_accounting(tmp_path, real_result):
         back.ground_state.orbitals, real_result.ground_state.orbitals
     )
     assert store.get(rid).elapsed == 1.25
-    # a failed run never materializes
-    bad = make_config(kick=0.9)
-    bad_id = _record_error(store, bad, "diverged")
-    with pytest.raises(StoreError, match="status 'error'"):
-        store.load_result(bad_id)
+    # a failed or a queued run never materializes
+    bad_id = _record_error(store, make_config(kick=0.9), "diverged")
+    queued, _ = store.queue.submit(make_config(kick=0.8))
+    for run_id, status in ((bad_id, "error"), (queued.run_id, "queued")):
+        with pytest.raises(StoreError, match=f"status '{status}'"):
+            store.load_result(run_id)
     store.close()
 
 
@@ -525,7 +526,7 @@ def test_simulation_propagate_store_appends(tmp_path, real_result):
     store = ResultStore.ensure(tmp_path / "study")
     run = store.find_completed(result.config)
     assert run is not None and run.elapsed > 0.0
-    back = store.load_arrays(run.run_id)
+    back = store.load_result(run.run_id).observables()
     for key, arr in result.observables().items():
         assert np.array_equal(back[key], arr), key
     store.close()
@@ -772,7 +773,7 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         # a following clean re-run replaces it
         rewrite()
         assert store.get(done.run_id).n_times == 9
-        assert np.array_equal(store.load_arrays(done.run_id)["energy"], synth_arrays(n=9)["energy"])
+        assert np.array_equal(store.load_result(done.run_id).observables()["energy"], synth_arrays(n=9)["energy"])
         assert [p.name for p in target.parent.iterdir()] == [target.name]
         store.close()
 

@@ -40,6 +40,7 @@ def _arrays(seed: int):
         "times": np.arange(3.0),
         "dipole": rng.normal(size=(3, 3)),
         "energy": rng.normal(size=3),
+        "particle_number": np.full(3, 8.0),
         "field": rng.normal(size=(3, 3)),
     }
 
@@ -88,7 +89,7 @@ def test_four_process_write_hammer(tmp_path):
         assert [r.run_id for r in paged] == [r.run_id for r in store.query()]
         # spot-check one run fully materializes after the stampede
         run_id = rows[0].run_id
-        arrays = store.load_arrays(run_id)
+        arrays = store.load_result(run_id).observables()
         assert arrays["times"].shape == (3,)
     finally:
         store.close()
