@@ -271,12 +271,13 @@ def _finish(sim: Simulation, result, args, mark=None) -> None:
             # with the same formatter as the analytic Table I
             from repro.perf.experiments import format_table1, measured_table1
 
+            par = result.config.parallel
             table = measured_table1(
-                {info.pattern: info.ledger},
-                info.machine,
+                {par.pattern: info.ledger},
+                par.machine,
                 sim.cell.natom,
-                info.ranks,
-                fft={info.pattern: result.fft},
+                par.ranks,
+                fft={par.pattern: result.fft},
             )
             print("measured communication breakdown (modeled seconds, executed schedules)")
             print(format_table1(table))

@@ -51,7 +51,7 @@ def run_one(
     config's keys.
 
     A stored run is a job: its row is finished by the store's
-    :meth:`~repro.store.store.ResultStore.add_result`, with the seconds of
+    :meth:`~repro.store.store.ResultStore.add_run`, with the seconds of
     the ``api.run`` span so far; its id is its config's
     :func:`~repro.store.common.run_id_for`.  A queue worker has already
     claimed that row (``claimed=True``) and reports a failure itself;
@@ -86,7 +86,7 @@ def run_one(
                 progress(0, ran.n_steps)
             result = sim.propagate(progress=progress, **window)
             if store is not None:
-                store.add_result(result, elapsed=clock())
+                store.add_run(result, elapsed=clock())
         return result, False
 
 

@@ -38,7 +38,6 @@ from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.hamiltonian import Hamiltonian
 from repro.parallel.context import ParallelContext, ParallelRunInfo
 from repro.parallel.ledger import CostLedger
-from repro.parallel.machine import machine_by_name
 from repro.rt.propagator import PropagationRecord, TDState
 from repro.scf.groundstate import GroundState, run_scf
 from repro.utils.io import atomic_savez
@@ -63,34 +62,28 @@ def _final_state_arrays(state: TDState) -> Dict[str, Any]:
     }
 
 
-def write_result_npz(
-    path,
-    config: SimulationConfig,
-    observables: Mapping[str, np.ndarray],
-    final_state: TDState,
-    parallel: Optional[Mapping[str, Any]] = None,
-    ground_state: Optional[GroundState] = None,
-) -> Path:
-    """The one writer of the result-file layout.
+def write_result_npz(path, result: "SimulationResult") -> Path:
+    """The one writer of the result-file layout, from the one result type.
 
     :meth:`SimulationResult.save_npz`, the result store's
     ``runs/<run_id>.npz`` and :meth:`Simulation.save_checkpoint` are
-    this file: config provenance, the final state, the optional
-    ``parallel`` accounting dict, every observable series and, for a
-    checkpoint, the converged ground state under ``gs_*`` — written
-    atomically, so replacing an existing file leaves the old one or the
-    new one, never a torn one.
+    this file: config provenance, the final state, the ``parallel``
+    block when the run had one, every observable series and — for a
+    result without a record, i.e. a checkpoint — the converged ground
+    state under ``gs_*``; the keys :func:`read_result_npz` reads back.
+    It is written atomically, so replacing an existing file leaves the
+    old one or the new one, never a torn one.
     """
     payload: Dict[str, Any] = {
         "result_version": np.int64(RESULT_VERSION),
-        "config_json": np.str_(config.to_json()),
-        **_final_state_arrays(final_state),
+        "config_json": np.str_(result.config.to_json()),
+        **_final_state_arrays(result.final_state),
     }
-    if parallel is not None:
-        payload["parallel_json"] = np.str_(json.dumps(dict(parallel), sort_keys=True))
-    payload.update(observables)
-    if ground_state is not None:
-        payload.update(ground_state.to_arrays(prefix=GS_PREFIX))
+    if result.parallel is not None:
+        payload["parallel_json"] = np.str_(json.dumps(result.parallel.to_dict(), sort_keys=True))
+    payload.update(result.observables())
+    if result.record is None and result.ground_state is not None:
+        payload.update(result.ground_state.to_arrays(prefix=GS_PREFIX))
     return atomic_savez(path, **payload)
 
 
@@ -121,9 +114,9 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
     state; a file holds no FFT tally, so ``fft`` is ``None``.  A
     checkpoint written by repro <= 1.13 (``phi`` / ``sigma`` / ``time``
     / ``parallel_ledger_json``, its own ``version``) reads as the file
-    :meth:`Simulation.save_checkpoint` writes now; it kept only the
-    ledger, so the rest of its ``parallel`` block is the config's
-    ``[parallel]`` section.
+    :meth:`Simulation.save_checkpoint` writes now: its ``parallel``
+    block is that ledger, as every block is the ledger plus the rank
+    tally.
     """
     path = Path(path)
     with open_result_npz(path) as data:
@@ -141,12 +134,8 @@ def read_result_npz(path, expected_config: Optional[SimulationConfig] = None) ->
         if "parallel_json" in data:
             parallel = ParallelRunInfo.from_dict(json.loads(str(data["parallel_json"])))
         if "parallel_ledger_json" in data:
-            par = config.parallel
-            parallel = ParallelRunInfo(
-                par.ranks, par.pattern, par.machine, par.use_shm,
-                machine_by_name(par.machine).nodes(par.ranks),
-                CostLedger.from_dict(json.loads(str(data["parallel_ledger_json"]))),
-            )
+            ledger = CostLedger.from_dict(json.loads(str(data["parallel_ledger_json"])))
+            parallel = ParallelRunInfo(ledger)
         ground_state = None
         if GS_PREFIX + "orbitals" in data:
             ground_state = GroundState.from_arrays(data, f"result file {path}", prefix=GS_PREFIX)
@@ -179,10 +168,12 @@ class SimulationResult:
     trajectory ended in (feed it back through a checkpoint to
     continue); ``config`` is the exact configuration that ran.  The one
     type a run's outcome has in memory: :meth:`Simulation.propagate`
-    returns it, :func:`read_result_npz` reads it back from any result
-    file, and :meth:`ResultStore.load_result
-    <repro.store.store.ResultStore.load_result>` adds the ``fft`` tally
-    its row kept.
+    returns it, :func:`write_result_npz` writes every result file from
+    it (a checkpoint is a result without a record), :func:`read_result_npz`
+    reads it back from any of them, and :meth:`ResultStore.add_run
+    <repro.store.store.ResultStore.add_run>` /
+    :meth:`~repro.store.store.ResultStore.load_result` store it and add
+    back the ``fft`` tally its row kept.
     """
 
     config: SimulationConfig
@@ -195,8 +186,8 @@ class SimulationResult:
     #: the store keeps it on the run's row
     fft: Optional[FFTCounters] = None
     #: communication accounting of the propagate() call when the
-    #: ``[parallel]`` section is active (None on the serial path);
-    #: persisted by save_npz as a ``parallel_json`` block
+    #: ``[parallel]`` section is active (None on the serial path): what
+    #: ``config.parallel`` cannot say, written as a ``parallel_json`` block
     parallel: Optional[ParallelRunInfo] = None
 
     def observables(self) -> Dict[str, np.ndarray]:
@@ -211,10 +202,7 @@ class SimulationResult:
         complex128); :meth:`load_npz` round-trips the payload and can
         enforce that the file belongs to an expected config.
         """
-        parallel = self.parallel.to_dict() if self.parallel is not None else None
-        return write_result_npz(
-            path, self.config, self.observables(), self.final_state, parallel
-        )
+        return write_result_npz(path, self)
 
     @staticmethod
     def load_npz(
@@ -243,7 +231,7 @@ class SimulationResult:
                 + ("" if stats.converged else " not converged")
             )
         if self.parallel is not None:
-            lines.extend(self.parallel.summary_lines())
+            lines.extend(self.parallel.summary_lines(self.config.parallel))
         steps = r.stats[1:]  # row 0 is the initial state, not a step
         failed = [s.residual for s in steps if not s.converged]
         if failed:
@@ -552,16 +540,13 @@ class Simulation:
 
     # -- checkpointing --------------------------------------------------------
     def save_checkpoint(self, path) -> Path:
-        """Snapshot state + config + ground state as a result file with
-        no observables, for :meth:`resume`.  Parallel runs persist their
+        """Snapshot state + config + ground state as a result without a
+        record, for :meth:`resume`.  Parallel runs persist their
         cumulative communication tally so a resumed trajectory keeps
         accounting where it left off."""
         ctx = self.parallel
-        return write_result_npz(
-            path,
-            self.config,
-            {},
-            self.state,
-            ctx.run_info().to_dict() if ctx is not None else None,
-            ground_state=self._gs,
+        checkpoint = SimulationResult(
+            self.config, None, self.state, self._gs,
+            parallel=ctx.run_info() if ctx is not None else None,
         )
+        return write_result_npz(path, checkpoint)

@@ -28,54 +28,44 @@ from repro.utils.validation import require
 class ParallelRunInfo:
     """Communication accounting of one run under a ``[parallel]`` section.
 
-    ``ledger`` holds the modeled MPI time of *this run* (a delta, not
-    the context's cumulative tally); ``fft_rank_transforms`` is the
-    per-rank 3-D transform count of this run's distributed exchange
-    work, a delta too — the load-balance view the per-category seconds
-    cannot show.
+    It keeps only what the run's config cannot say: ``ledger``, the
+    modeled MPI time of *this run* (a delta, not the context's
+    cumulative tally), and ``fft_rank_transforms``, the per-rank 3-D
+    transform count of this run's distributed exchange work, a delta
+    too — the load-balance view the per-category seconds cannot show.
+    Ranks, pattern, machine and ``use_shm`` are the config's
+    ``[parallel]`` section, and the node count is the machine's.
     """
 
-    ranks: int
-    pattern: str
-    machine: str
-    use_shm: bool
-    nodes: int
     ledger: CostLedger = field(default_factory=CostLedger)
     fft_rank_transforms: Optional[List[int]] = None
 
     # -- JSON-safe IO --------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "ranks": int(self.ranks),
-            "pattern": self.pattern,
-            "machine": self.machine,
-            "use_shm": bool(self.use_shm),
-            "nodes": int(self.nodes),
-            "ledger": self.ledger.to_dict(),
-        }
+        out: Dict[str, Any] = {"ledger": self.ledger.to_dict()}
         if self.fft_rank_transforms is not None:
             out["fft_rank_transforms"] = [int(n) for n in self.fft_rank_transforms]
         return out
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "ParallelRunInfo":
+        """The block :meth:`to_dict` writes; a block of an earlier build
+        also repeats the config's layout (``ranks``, ``pattern``,
+        ``machine``, ``use_shm``, ``nodes``), which is ignored."""
         ranks = data.get("fft_rank_transforms")
         return cls(
-            ranks=int(data["ranks"]),
-            pattern=str(data["pattern"]),
-            machine=str(data["machine"]),
-            use_shm=bool(data["use_shm"]),
-            nodes=int(data["nodes"]),
             ledger=CostLedger.from_dict(dict(data.get("ledger", {}))),
             fft_rank_transforms=None if ranks is None else [int(n) for n in ranks],
         )
 
-    def summary_lines(self) -> List[str]:
-        """The ``parallel`` block of ``SimulationResult.summary()``."""
-        shm = "on" if self.use_shm else "off"
+    def summary_lines(self, section) -> List[str]:
+        """The ``parallel`` block of ``SimulationResult.summary()``;
+        ``section`` is the run config's ``[parallel]`` section."""
+        nodes = machine_by_name(section.machine).nodes(section.ranks)
+        shm = "on" if section.use_shm else "off"
         lines = [
-            f"parallel: ranks={self.ranks} pattern={self.pattern} "
-            f"machine={self.machine} nodes={self.nodes} shm={shm}"
+            f"parallel: ranks={section.ranks} pattern={section.pattern} "
+            f"machine={section.machine} nodes={nodes} shm={shm}"
         ]
         lines.append(f"  comm (modeled s): {self.ledger.describe()}")
         if self.fft_rank_transforms:
@@ -119,10 +109,6 @@ class ParallelContext:
     def nranks(self) -> int:
         return self.comm.nranks
 
-    @property
-    def nodes(self) -> int:
-        return self.machine.nodes(self.nranks)
-
     def fock_operator(self, grid, kernel_g: np.ndarray, batch_size: int) -> DistributedFockExchange:
         """The distributed exchange executor the Hamiltonian plugs in."""
         self._fock = DistributedFockExchange(
@@ -158,12 +144,4 @@ class ParallelContext:
         _, ranks = self.mark()
         if ranks is not None and before is not None:
             ranks = [n - b for n, b in zip(ranks, before)]
-        return ParallelRunInfo(
-            ranks=self.nranks,
-            pattern=self.pattern,
-            machine=self.machine.name,
-            use_shm=self.use_shm,
-            nodes=self.nodes,
-            ledger=self.ledger.since_mark(ledger_mark),
-            fft_rank_transforms=ranks,
-        )
+        return ParallelRunInfo(self.ledger.since_mark(ledger_mark), ranks)

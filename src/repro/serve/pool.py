@@ -43,18 +43,18 @@ from repro.store.query import StoredRun
 # module, so it never pays for the run kernel its workers execute.
 
 
-def _worker_process(store_root: str, worker_id: str, options: Dict[str, Any]) -> None:
+def _worker_process(store_root: str, worker_id: str, backoff: float) -> None:
     """The spawn target: :func:`repro.serve.worker.worker_main` in the child."""
     from repro.serve.worker import worker_main
 
-    worker_main(store_root, worker_id, options)
+    worker_main(store_root, worker_id, backoff)
 
 
-def execute_job(store, queue: JobQueue, job: StoredRun, options: Dict[str, Any]) -> None:
+def execute_job(store, queue: JobQueue, job: StoredRun, backoff: float) -> None:
     """:func:`repro.serve.worker.execute_job`, for a draining caller."""
     from repro.serve.worker import execute_job as execute
 
-    execute(store, queue, job, options)
+    execute(store, queue, job, backoff)
 
 
 #: tells apart the pools one process creates (a sweep beside a service)
@@ -62,19 +62,20 @@ _pool_numbers = itertools.count()
 
 
 class WorkerPool:
-    """``n`` spawned worker processes over one store's job queue."""
+    """``n`` spawned worker processes over one store's job queue; a job
+    one of them fails is retried ``backoff`` seconds later, doubling."""
 
     def __init__(
         self,
         store_root: str,
         queue: JobQueue,
         n_workers: int = 2,
-        options: Optional[Dict[str, Any]] = None,
+        backoff: float = 0.5,
     ) -> None:
         self.store_root = str(store_root)
         self.queue = queue
         self.n_workers = int(n_workers)
-        self.options = dict(options or {})
+        self.backoff = float(backoff)
         self._ctx = mp.get_context("spawn")
         #: prefix of every worker id of this pool: pools share the store's
         #: ``workers`` table, and one pool must never take another's row
@@ -93,7 +94,7 @@ class WorkerPool:
         worker_id = f"{self.tag}w{slot}g{gen}"
         proc = self._ctx.Process(
             target=_worker_process,
-            args=(self.store_root, worker_id, self.options),
+            args=(self.store_root, worker_id, self.backoff),
             name=f"repro-serve-{worker_id}",
             daemon=True,
         )
@@ -215,7 +216,7 @@ def drain(
     is taken for dead, and its claim is requeued.
     """
     queue = store.queue
-    pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1)
+    pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1, backoff=0.0)
     me = f"{pool.tag}caller"
     waiting: List[str] = []
     try:
@@ -229,7 +230,7 @@ def drain(
             pool.tick(backoff=0.0)
             mine = queue.claim(me)
             if mine is not None:
-                execute_job(store, queue, mine, {"backoff": 0.0})
+                execute_job(store, queue, mine, 0.0)
                 queue.heartbeat(me)
             for job_id in list(waiting):
                 job = queue.get(job_id)

@@ -402,20 +402,18 @@ class JobQueue:
         return self._txn(_cancel)
 
     # -- recovery / supervision ----------------------------------------------
-    def recover(
-        self, alive: Callable[[int], bool] = lambda pid: False, keep: Sequence[str] = ()
-    ) -> int:
+    def recover(self, alive: Callable[[int], bool], keep: Sequence[str] = ()) -> int:
         """Requeue every ``running`` job whose worker is gone; how many.
 
         A worker lives when it is one of ``keep`` or is registered with a
         pid that ``alive`` accepts; the registrations of the others are
-        forgotten.  A booting server passes nothing (the workers of its
-        last life are all gone); a supervisor's pass keeps its own
-        workers, which it reaps itself, and asks
-        :func:`~repro.store.common.pid_alive` of the rest — a stored run
-        killed outright, another pool's worker.  Attempts already
-        consumed stay consumed; the interrupted attempt is closed in the
-        history so a post-mortem can see it.
+        forgotten.  A booting server and a supervisor's pass both ask
+        :func:`~repro.store.common.pid_alive`, so a stored run or an old
+        worker still finishing its job keeps its row, and a stored run
+        killed outright or another pool's dead worker loses it; the
+        supervisor also keeps its own workers, which it reaps itself.
+        Attempts already consumed stay consumed; the interrupted attempt
+        is closed in the history so a post-mortem can see it.
         """
         now = utc_now()
 

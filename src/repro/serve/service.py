@@ -9,10 +9,13 @@ One :class:`JobService` owns everything ``repro serve`` runs:
   jobs, enforce deadlines);
 - a :class:`~repro.serve.http.ServeHTTPServer` on its own thread.
 
-Boot is where durability pays off: jobs found ``running`` belong to
-workers that no longer exist and are requeued; jobs found ``queued``
-simply wait their turn — restarting the server resumes the study
-exactly where it stopped.
+Boot is where durability pays off: a job found ``running`` is requeued
+when its worker's process is gone, by the supervisor's own rule
+(:meth:`~repro.serve.queue.JobQueue.recover` with
+:func:`~repro.store.common.pid_alive`), and left to a process that still
+runs it (a stored run, an old worker finishing its last job); jobs found
+``queued`` simply wait their turn — restarting the server resumes the
+study exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.api.config import ServeConfig, SimulationConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.pool import WorkerPool
-from repro.store.common import utc_now
+from repro.store.common import pid_alive, utc_now
 from repro.store.query import StoredRun
 from repro.trace import traced
 from repro.utils.validation import declaration
@@ -63,7 +66,7 @@ class JobService:
         self.backoff = float(backoff)
         self.log_requests = log_requests
         self.pool = WorkerPool(
-            str(self.store.root), self.queue, n_workers=workers, options={"backoff": self.backoff}
+            str(self.store.root), self.queue, n_workers=workers, backoff=self.backoff
         )
         self._http: Optional[ServeHTTPServer] = None
         self._http_thread: Optional[threading.Thread] = None
@@ -75,7 +78,7 @@ class JobService:
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "JobService":
         """Recover the queue, start workers, supervisor, and listener."""
-        self.recovered = self.queue.recover()
+        self.recovered = self.queue.recover(alive=pid_alive)
         self._stop.clear()
         self._started_at = utc_now()
         self.pool.start()

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import time
 import traceback
-from typing import Any, Dict, Optional
 
 from repro.api.runs import run_one
 from repro.api.simulation import Simulation
@@ -42,9 +41,9 @@ IDLE_SLEEP_S = 0.1
 PROGRESS_EVERY_S = 0.25
 
 
-def execute_job(store, queue: JobQueue, job: StoredRun, options: Dict[str, Any]) -> None:
-    """Run one claimed job to a terminal report (ok or failed attempt)."""
-    backoff = float(options.get("backoff", 0.5))
+def execute_job(store, queue: JobQueue, job: StoredRun, backoff: float) -> None:
+    """Run one claimed job to a terminal report: ok, or a failed attempt
+    retried ``backoff`` seconds later (doubling per attempt)."""
     job_id = job.run_id
     last = [0.0]
 
@@ -67,7 +66,7 @@ def execute_job(store, queue: JobQueue, job: StoredRun, options: Dict[str, Any])
         queue.fail_attempt(job_id, error, backoff=backoff)
 
 
-def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any]] = None) -> None:
+def worker_main(store_root: str, worker_id: str, backoff: float) -> None:
     """The spawned worker process: register, then claim/execute forever.
 
     The pool terminates workers on shutdown, and an unhandled crash is
@@ -81,7 +80,6 @@ def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any
 
     from repro.store import ResultStore
 
-    options = dict(options or {})
     store = ResultStore(store_root, create=False)
     queue = store.queue
     queue.register_worker(worker_id, os.getpid())
@@ -94,7 +92,7 @@ def worker_main(store_root: str, worker_id: str, options: Optional[Dict[str, Any
                 time.sleep(IDLE_SLEEP_S)
                 continue
             queue.heartbeat(worker_id, state="busy", job_id=job.run_id)
-            execute_job(store, queue, job, options)
+            execute_job(store, queue, job, backoff)
             queue.heartbeat(worker_id, state="idle")
     except KeyboardInterrupt:
         # a Ctrl-C on the server's process group reaches workers too;

@@ -12,9 +12,13 @@ On-disk layout::
 
 ``runs/<run_id>.npz`` *is* the file
 :meth:`SimulationResult.save_npz <repro.api.simulation.SimulationResult.save_npz>`
-writes (one writer, :func:`~repro.api.simulation.write_result_npz`), so
+writes: :meth:`ResultStore.add_run` takes a
+:class:`~repro.api.simulation.SimulationResult` and hands it to the one
+writer, :func:`~repro.api.simulation.write_result_npz`, so
 :meth:`ResultStore.export` is a file copy and ``SimulationResult.load_npz``
-reads a stored run in place.  It is written once, when the run
+reads a stored run in place.  The row's result columns (sample count,
+``parallel`` block, ground-state address) are computed from that same
+result, in one place.  The file is written once, when the run
 finishes, by temp file + rename, and then the run's row turns ``ok``:
 re-running a config replaces the old file whole, and a writer killed
 part-way leaves the previous run readable.  It is read back by the one
@@ -41,9 +45,7 @@ from __future__ import annotations
 import json
 import shutil
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, List, Mapping, Optional, Union
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.config import SimulationConfig
 from repro.serve.queue import JobQueue
@@ -59,8 +61,6 @@ if TYPE_CHECKING:
     # queries the store never imports them; the methods that build or
     # write arrays import what they use
     from repro.api.simulation import SimulationResult
-    from repro.backend import FFTCounters
-    from repro.rt.propagator import TDState
     from repro.scf.groundstate import GroundState
 
 StoreLike = Union["ResultStore", str, Path]
@@ -112,70 +112,51 @@ class ResultStore:
     def _run_path(self, run_id: str) -> Path:
         return self.runs_dir / f"{run_id}.npz"
 
-    def _gs_address(self, config: SimulationConfig) -> Optional[str]:
-        address = group_address(config)
-        return address if self.blobs.ground_state_path(address).exists() else None
+    def _result_columns(self, result: SimulationResult) -> Dict[str, Any]:
+        """The row's columns that a stored result determines, for
+        :meth:`JobQueue.finish_ok`: its group's ground-state blob (when
+        stored), its sample count and its ``parallel`` block."""
+        address = group_address(result.config)
+        record = result.record
+        return {
+            "gs_address": address if self.blobs.ground_state_path(address).exists() else None,
+            "n_times": len(record.times) if record is not None else 0,
+            "parallel": result.parallel.to_dict() if result.parallel is not None else None,
+        }
 
     # -- writing ---------------------------------------------------------------
     @traced("store.add_result")
     def add_run(
-        self,
-        config: SimulationConfig,
-        arrays: Mapping[str, np.ndarray],
-        final_state: TDState,
-        *,
-        overrides: Optional[Mapping[str, Any]] = None,
-        fft: Optional[FFTCounters] = None,
-        parallel: Optional[Mapping[str, Any]] = None,
-        elapsed: float = 0.0,
-        ground_state: Optional[GroundState] = None,
-    ) -> str:
-        """Store one finished run (the low-level entry all writers share).
-
-        The ground state goes to the content-addressed blobs
-        (deduplicated), trajectory and final state become the run's
-        result file, and then the run's row turns ``ok``
-        (:meth:`JobQueue.finish_ok`).  Re-adding a config replaces its
-        file atomically (latest wins); until the new file is complete the
-        row keeps serving the old one.
-        """
-        from repro.api.simulation import write_result_npz
-
-        if ground_state is not None:
-            self.blobs.put_ground_state(config, ground_state)
-        arrays = {key: np.asarray(arr) for key, arr in arrays.items()}
-        parallel = dict(parallel) if parallel is not None else None
-        run_id = run_id_for(config)
-        write_result_npz(self._run_path(run_id), config, arrays, final_state, parallel)
-        self.queue.finish_ok(
-            config,
-            overrides=overrides,
-            gs_address=self._gs_address(config),
-            elapsed=float(elapsed),
-            n_times=len(arrays.get("times", ())),
-            fft=fft.to_dict() if fft is not None else None,
-            parallel=parallel,
-        )
-        return run_id
-
-    def add_result(
         self,
         result: SimulationResult,
         *,
         overrides: Optional[Mapping[str, Any]] = None,
         elapsed: float = 0.0,
     ) -> str:
-        """Store a :class:`SimulationResult` (the facade entry point)."""
-        return self.add_run(
-            result.config,
-            result.observables(),
-            result.final_state,
+        """Store one finished run, the one entry every writer shares.
+
+        The ground state goes to the content-addressed blobs
+        (deduplicated), the result becomes the run's result file, and
+        then the run's row turns ``ok`` (:meth:`JobQueue.finish_ok`) with
+        the result's FFT tally and ``elapsed``.  Re-adding a config
+        replaces its file atomically (latest wins); until the new file is
+        complete the row keeps serving the old one.
+        """
+        from repro.api.simulation import write_result_npz
+
+        config = result.config
+        if result.ground_state is not None:
+            self.blobs.put_ground_state(config, result.ground_state)
+        run_id = run_id_for(config)
+        write_result_npz(self._run_path(run_id), result)
+        self.queue.finish_ok(
+            config,
             overrides=overrides,
-            fft=result.fft,
-            parallel=result.parallel.to_dict() if result.parallel is not None else None,
-            elapsed=elapsed,
-            ground_state=result.ground_state,
+            elapsed=float(elapsed),
+            fft=result.fft.to_dict() if result.fft is not None else None,
+            **self._result_columns(result),
         )
+        return run_id
 
     # -- ground-state cache ---------------------------------------------------
     @traced("store.put_ground_state")
@@ -217,12 +198,7 @@ class ResultStore:
         from repro.api.simulation import read_result_npz
 
         stored = read_result_npz(path, expected_config=config)
-        done = self.queue.finish_ok(
-            config,
-            gs_address=self._gs_address(config),
-            n_times=len(stored.observables().get("times", ())),
-            parallel=stored.parallel.to_dict() if stored.parallel is not None else None,
-        )
+        done = self.queue.finish_ok(config, **self._result_columns(stored))
         return done if done.ok else None
 
     def result_path(self, run_id: str) -> Path:

@@ -376,7 +376,7 @@ def test_cli_results_ls_paging_summary(tmp_path, capsys):
     import numpy as _np
 
     from repro.api import SimulationConfig
-    from repro.rt.propagator import TDState
+    from repro.rt.propagator import PropagationRecord, TDState
     from repro.store import ResultStore
 
     store_dir = tmp_path / "store"
@@ -391,18 +391,19 @@ def test_cli_results_ls_paging_summary(tmp_path, capsys):
     for i in range(5):
         data = _json.loads(_json.dumps(base))
         data["field"]["params"]["kick"] = 0.001 * (i + 1)
-        arrays = {
+        record = PropagationRecord.from_arrays({
             "times": _np.arange(3.0),
             "dipole": rng.normal(size=(3, 3)),
             "energy": rng.normal(size=3),
+            "particle_number": _np.full(3, 8.0),
             "field": rng.normal(size=(3, 3)),
-        }
+        })
         state = TDState(
             phi=rng.normal(size=(2, 4)) + 0j,
             sigma=_np.zeros((2, 2), dtype=complex),
             time=1.0,
         )
-        store.add_run(SimulationConfig.from_dict(data), arrays, state)
+        store.add_run(SimulationResult(SimulationConfig.from_dict(data), record, state))
     store.close()
 
     assert main(["results", "ls", str(store_dir)]) == 0

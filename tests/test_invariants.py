@@ -1,8 +1,8 @@
-"""Thirteen invariants of ``src/repro``, checked on its syntax trees.
+"""Fourteen invariants of ``src/repro``, checked on its syntax trees.
 
 :data:`RULES` is their one table: each row names the files its rule
 reads (paths inside the ``repro`` package, ``store/`` for a package) and
-what it forbids there.  Eight rules forbid imports, names or attributes and
+what it forbids there.  Nine rules forbid imports, names or attributes and
 share one walker, :func:`forbidden`; five carry their own check.
 ``test_src_holds`` lists each violation in the package as
 ``src/repro/<rel>:<line>``; ``tests/test_lint.py`` pins what each rule
@@ -104,9 +104,16 @@ class Rule(NamedTuple):
     attrs: Tuple[str, ...] = ()
     #: the check of a rule of another shape: ``tree`` -> offending nodes
     check: Optional[Callable] = None
+    #: ``(path, name)``: a file read by the rule that may reach that one of
+    #: ``names`` all the same
+    owners: Tuple[Tuple[str, str], ...] = ()
 
     def reads(self, rel):
         return (not self.inside or rel.startswith(self.inside)) and not rel.startswith(self.home)
+
+    def in_file(self, rel):
+        """The rule as it holds in the file ``rel``: its owned names dropped."""
+        return self._replace(names=tuple(n for n in self.names if (rel, n) not in self.owners))
 
 
 def forbidden(rule, tree):
@@ -139,7 +146,7 @@ def flagged(rule, rel, tree):
     ``rel`` (a nested attribute chain can reach one site twice)."""
     if not rule.reads(rel):
         return []
-    nodes = rule.check(tree) if rule.check else forbidden(rule, tree)
+    nodes = rule.check(tree) if rule.check else forbidden(rule.in_file(rel), tree)
     return [line for line, _ in sorted({(node.lineno, node.col_offset) for node in nodes})]
 
 
@@ -285,6 +292,9 @@ def pickle_safety(tree):
                     yield sub
 
 
+WRITE_RESULT = "repro.api.simulation.write_result_npz"
+ATOMIC_SAVEZ = "repro.utils.io.atomic_savez"
+
 PHYSICS = (
     "grid/", "hamiltonian/", "hartree/", "xc/", "pseudo/", "occupation/", "scf/", "rt/",
     "observables/",
@@ -361,6 +371,18 @@ RULES = {
             "repro.rt.propagator.PropagationRecord.from_arrays",
         ),
     ),
+    # a result file is written from a ``SimulationResult`` by
+    # ``write_result_npz`` alone, which the store calls for its run files;
+    # the raw atomic ``.npz`` write serves it and the ground-state blobs
+    "one-result-writer": Rule(
+        home=("api/simulation.py",),
+        names=(WRITE_RESULT, ATOMIC_SAVEZ),
+        owners=(
+            ("store/store.py", WRITE_RESULT),
+            ("store/blobs.py", ATOMIC_SAVEZ),
+            ("utils/io.py", ATOMIC_SAVEZ),
+        ),
+    ),
 }
 
 
@@ -388,7 +410,7 @@ def test_scopes_name_real_paths():
     missing = [
         entry
         for rule in RULES.values()
-        for entry in (*rule.inside, *rule.home)
+        for entry in (*rule.inside, *rule.home, *(path for path, _ in rule.owners))
         if not ((SRC / entry).is_dir() if entry.endswith("/") else (SRC / entry).is_file())
     ]
     assert missing == []

@@ -324,6 +324,26 @@ def load(path):
 """,
         outside="api/simulation.py",
     ),
+    "one-result-writer": Case(
+        at="serve/worker.py",
+        bad="""\
+from repro.api.simulation import write_result_npz
+from repro.utils.io import atomic_savez
+import repro.api.simulation as sim
+def persist(path, result, arrays):
+    write_result_npz(path, result)
+    atomic_savez(path, **arrays)
+    return sim.write_result_npz(path, result)
+""",
+        # both imports, both calls, then the writer through its module
+        lines=[1, 2, 5, 6, 7],
+        clean="""\
+def persist(path, result, store):
+    result.save_npz(path)
+    return store.add_run(result)
+""",
+        outside="api/simulation.py",
+    ),
 }
 
 
@@ -381,3 +401,9 @@ def test_fft_rule_ignores_docstrings_unlike_old_regex():
 def test_config_immutability_flags_self_mutation_after_ctor():
     after = "class Thing:\n    def rescale(self, factor):\n        object.__setattr__(self, \"scale\", factor)\n"
     assert lines("config-immutability", after, "grid/cell.py") == [3]
+
+
+def test_one_result_writer_owners_reach_only_their_own_name():
+    both = "from repro.api.simulation import write_result_npz\nfrom repro.utils.io import atomic_savez\n"
+    assert lines("one-result-writer", both, "store/store.py") == [2]
+    assert lines("one-result-writer", both, "store/blobs.py") == [1]

@@ -137,7 +137,7 @@ def test_distributed_trajectory_bitwise_identical(serial_sim, pattern, ranks):
     result = sim.propagate()
     _assert_bitwise(serial_result.observables(), result.observables())
     assert result.parallel is not None
-    assert result.parallel.ranks == ranks and result.parallel.pattern == pattern
+    assert (result.config.parallel.ranks, result.config.parallel.pattern) == (ranks, pattern)
     if ranks > 1:
         assert result.parallel.ledger.total_seconds() > 0.0
 
@@ -248,10 +248,11 @@ def test_result_npz_round_trips_parallel_block(serial_sim, tmp_path):
     config, arrays = SimulationResult.load_npz(path)
     assert config.parallel.active and config.parallel.pattern == "async-ring"
     np.testing.assert_array_equal(arrays["dipole"], result.observables()["dipole"])
-    # and the parallel block round-trips separately
-    info = read_result_npz(path).parallel
+    # and the parallel block round-trips separately; the layout is the config's
+    back = read_result_npz(path)
+    info, par = back.parallel, back.config.parallel
     assert isinstance(info, ParallelRunInfo)
-    assert (info.ranks, info.pattern, info.machine) == (2, "async-ring", "fugaku-arm")
+    assert (par.ranks, par.pattern, par.machine) == (2, "async-ring", "fugaku-arm")
     assert info.ledger.seconds_by_category() == result.parallel.ledger.seconds_by_category()
     assert info.fft_rank_transforms == result.parallel.fft_rank_transforms
     # serial files have no block
@@ -262,8 +263,11 @@ def test_result_npz_round_trips_parallel_block(serial_sim, tmp_path):
 @pytest.mark.parametrize("kind", ["serial", "parallel", "checkpoint"])
 def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
     """A file read back and written again is the same file, member for
-    member, in order, the ``parallel_json`` text included; a checkpoint
-    reads back with no record and still prints a summary."""
+    member, in order, the ``parallel_json`` text included — written
+    directly, or stored by ``ResultStore.add_run`` and loaded back; a
+    checkpoint reads back with no record and still prints a summary."""
+    from repro.store import ResultStore
+
     serial, _ = serial_sim
     sim = serial if kind == "serial" else serial.derive(parallel=_parallel_cfg(2, "ring"))
     result = sim.propagate(n_steps=0 if kind == "serial" else 1)
@@ -273,18 +277,66 @@ def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
     else:
         result.save_npz(first)
     back = read_result_npz(first)
-    again = write_result_npz(
-        tmp_path / "again.npz", back.config, back.observables(), back.final_state,
-        back.parallel.to_dict() if back.parallel is not None else None, back.ground_state,
-    )
-    with np.load(first) as a, np.load(again) as b:
-        assert a.files == b.files
-        for key in a.files:
-            assert np.array_equal(a[key], b[key], equal_nan=a[key].dtype.kind in "fc"), key
-        assert ("parallel_json" in a.files) == (kind != "serial")
+    again = write_result_npz(tmp_path / "again.npz", back)
+    store = ResultStore(tmp_path / "store")
+    stored = store.load_result(store.add_run(back)).save_npz(tmp_path / "stored.npz")
+    store.close()
+    for copy in (again, stored):
+        with np.load(first) as a, np.load(copy) as b:
+            assert a.files == b.files
+            for key in a.files:
+                assert np.array_equal(a[key], b[key], equal_nan=a[key].dtype.kind in "fc"), key
+            assert ("parallel_json" in a.files) == (kind != "serial")
     if kind == "checkpoint":
         assert back.record is None and back.observables() == {}
         assert "parallel: ranks=2 pattern=ring" in back.summary()
+
+
+def test_a_parallel_file_of_the_earlier_layout_reads_and_resumes(serial_sim, tmp_path):
+    """A parallel block written before it held only the ledger and the rank
+    tally (it also repeated ``ranks``, ``pattern``, ``machine``, ``use_shm``
+    and ``nodes``) reads with its ledger, resumes bitwise, and, stored as
+    a row, prints in a sweep's summary."""
+    import json
+
+    from repro.store import ResultStore, run_id_for
+
+    serial, _ = serial_sim
+    sim = serial.derive(parallel=_parallel_cfg(2, "ring"))
+    result = sim.propagate()
+    block = {
+        **result.parallel.to_dict(),
+        "ranks": 2, "pattern": "ring", "machine": "fugaku-arm", "use_shm": True, "nodes": 1,
+    }
+    old = tmp_path / "old.npz"
+    np.savez(
+        old,
+        result_version=np.int64(1),
+        config_json=np.str_(sim.config.to_json()),
+        final_phi=result.final_state.phi,
+        final_sigma=result.final_state.sigma,
+        final_time=np.float64(result.final_state.time),
+        parallel_json=np.str_(json.dumps(block, sort_keys=True)),
+        **result.observables(),
+    )
+    info = read_result_npz(old).parallel
+    assert info.ledger.to_dict() == result.parallel.ledger.to_dict()
+    assert info.fft_rank_transforms == result.parallel.fft_rank_transforms
+
+    resumed = Simulation.resume(old).propagate(n_steps=1)
+    cont = sim.propagate(n_steps=1)
+    _assert_bitwise(cont.observables(), resumed.observables())
+    np.testing.assert_array_equal(cont.final_state.phi, resumed.final_state.phi)
+
+    store = ResultStore(tmp_path / "store")
+    rid = run_id_for(sim.config)
+    store.runs_dir.mkdir(exist_ok=True)
+    (store.runs_dir / f"{rid}.npz").write_bytes(old.read_bytes())
+    store.queue.finish_ok(sim.config, n_times=len(result.record.times), parallel=block)
+    ensemble = run_ensemble(sim.config, SweepConfig(), workers=1, store=store)
+    store.close()
+    assert ensemble.runs[0].run.parallel == block
+    assert f"  run0 (base): {info.ledger.describe()}" in ensemble.summary().splitlines()
 
 
 def test_summary_carries_parallel_block(serial_sim):
@@ -351,7 +403,8 @@ def test_sweep_over_patterns_yields_per_pattern_ledgers(serial_sim):
     coverage = result.fft_totals()
     assert coverage.complete
     for r in result.runs:
-        assert r.parallel["ranks"] == 4
+        assert r.config.parallel.ranks == 4
+        assert set(r.parallel) == {"ledger", "fft_rank_transforms"}
 
 
 def test_sweep_parallel_npz_round_trips_ledgers(serial_sim, tmp_path):

@@ -37,8 +37,8 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
-from repro.api import SimulationConfig  # noqa: E402
-from repro.rt.propagator import TDState  # noqa: E402
+from repro.api import SimulationConfig, SimulationResult  # noqa: E402
+from repro.rt.propagator import PropagationRecord, TDState  # noqa: E402
 from repro.serve.queue import own_worker_id  # noqa: E402
 from repro.store import ResultStore, run_id_for  # noqa: E402
 
@@ -56,7 +56,7 @@ def _result(n_times):
         "field": np.zeros((n_times, 3)),
     }
     state = TDState(phi=np.ones((1, 2), dtype=complex), sigma=np.eye(1, dtype=complex), time=1.0)
-    return arrays, state
+    return SimulationResult(CONFIG, PropagationRecord.from_arrays(arrays), state)
 
 
 class RunRows(RuleBasedStateMachine):
@@ -99,7 +99,7 @@ class RunRows(RuleBasedStateMachine):
     def finish(self, n_times):
         """The claim's holder stores its result (``ResultStore.add_run``)."""
         self.holder = None
-        self.store.add_run(CONFIG, *_result(n_times), elapsed=0.5)
+        self.store.add_run(_result(n_times), elapsed=0.5)
 
     @precondition(lambda self: self.holder)
     @rule()
@@ -122,7 +122,7 @@ class RunRows(RuleBasedStateMachine):
         for job in self.queue.expired():
             self.holder = None
             self.queue.fail_attempt(job.run_id, "timed out", backoff=0.0, outcome="timeout")
-        self.queue.recover(keep=alive)
+        self.queue.recover(alive=lambda pid: False, keep=alive)
         if self.holder not in alive:
             self.holder = None
         assert self.queue.workers() == []
@@ -143,7 +143,7 @@ class RunRows(RuleBasedStateMachine):
                 row = stack.enter_context(self.queue.recording(CONFIG))
                 if how == "fails":
                     raise FloatingPointError("diverged")
-                self.store.add_run(CONFIG, *_result(n_times), elapsed=0.25)
+                self.store.add_run(_result(n_times), elapsed=0.25)
         if rerun:
             assert row == before
             if how != "ok":

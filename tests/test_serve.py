@@ -23,6 +23,7 @@ from repro.api import Simulation, SimulationConfig, SimulationResult
 from repro.serve import JobQueue, JobService, ServeClient, ServeError
 from repro.serve.queue import TERMINAL_STATUSES
 from repro.store import ResultStore, group_address, run_id_for
+from repro.store.common import pid_alive
 
 BASE = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -344,7 +345,7 @@ def test_crash_between_add_result_and_finish_ok_resolves_as_cache_hit(tmp_path, 
             return finish_ok(self, config, **result)
 
         monkeypatch.setattr(JobQueue, "finish_ok", crash_once)
-        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        execute_job(store, queue, queue.claim("w0"), 0.0)
         assert queue.get(job_id).status == "queued"
 
         def recompute(*args, **kwargs):
@@ -352,7 +353,7 @@ def test_crash_between_add_result_and_finish_ok_resolves_as_cache_hit(tmp_path, 
 
         monkeypatch.setattr(simulation, "run_scf", recompute)
         monkeypatch.setattr(simulation.Simulation, "propagate", recompute)
-        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        execute_job(store, queue, queue.claim("w0"), 0.0)
 
         job = queue.get(job_id)
         assert job.status == "ok" and job.attempts == 2
@@ -472,10 +473,12 @@ def test_queue_deadline_set_only_with_timeout(queue):
 
 
 def test_queue_recover_requeues_running_jobs(queue):
+    gone = subprocess.Popen([sys.executable, "-c", ""])
+    gone.wait()  # reaped: its pid names no process
     queue.submit(make_config())
-    queue.register_worker("w0", pid=os.getpid())
+    queue.register_worker("w0", pid=gone.pid)
     job = queue.claim("w0")
-    assert queue.recover() == 1
+    assert queue.recover(alive=pid_alive) == 1
     requeued = queue.get(job.run_id)
     assert requeued.status == "queued"
     assert requeued.attempts == 1  # consumed attempt stays consumed
@@ -483,6 +486,22 @@ def test_queue_recover_requeues_running_jobs(queue):
     assert queue.workers() == []
     outcomes = [a["outcome"] for a in queue.attempts(job.run_id)]
     assert outcomes == ["interrupted"]
+
+
+def test_booting_service_leaves_a_live_run_its_row(tmp_path):
+    """Boot requeues by the supervisor's rule: a row a stored run of this
+    (live) process has begun stays ``running``, its attempt open."""
+    root = tmp_path / "store"
+    ResultStore.ensure(root).close()
+    queue = JobQueue(root)
+    try:
+        row = queue.begin(make_config(kick=0.003))
+        with JobService(root, port=0, workers=0) as service:
+            assert service.recovered == 0
+            assert queue.get(row.run_id).status == "running"
+        assert [a["outcome"] for a in queue.attempts(row.run_id)] == [None]
+    finally:
+        queue.close()
 
 
 def test_queue_requires_existing_store(tmp_path):

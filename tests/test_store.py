@@ -27,7 +27,7 @@ from repro.api import (
     SimulationConfig,
     SimulationResult,
 )
-from repro.rt.propagator import TDState
+from repro.rt.propagator import PropagationRecord, TDState
 from repro.serve.queue import COLUMNS, JobQueue
 from repro.store import (
     ResultStore,
@@ -76,6 +76,12 @@ def synth_state(seed=1):
         sigma=rng.normal(size=(2, 2)) + 0j,
         time=2.5,
     )
+
+
+def synth_result(config, n=5, seed=0, ground_state=None) -> SimulationResult:
+    """A result of ``config`` over the synthetic trajectory and state."""
+    record = PropagationRecord.from_arrays(synth_arrays(n, seed))
+    return SimulationResult(config, record, synth_state(), ground_state)
 
 
 @pytest.fixture(scope="module")
@@ -230,10 +236,7 @@ def test_one_ground_state_blob_per_shared_scf_group(tmp_path, real_result):
     kicks = (0.001, 0.002, 0.003, 0.004)
     for kick in kicks:
         cfg = make_config(kick=kick)
-        store.add_run(
-            cfg, synth_arrays(), synth_state(),
-            ground_state=real_result.ground_state,
-        )
+        store.add_run(synth_result(cfg, ground_state=real_result.ground_state))
     assert len(store.blobs.ground_state_addresses()) == 1
     # every run row points at the same group blob
     addresses = {run.gs_address for run in store.query()}
@@ -312,7 +315,7 @@ def _record_error(store, config, error):
 def test_index_queries(tmp_path):
     store = ResultStore(tmp_path / "study")
     for i, kick in enumerate((0.001, 0.002, 0.003)):
-        store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
+        store.add_run(synth_result(make_config(kick=kick), seed=i))
     failing = make_config(kick=0.009)
     _record_error(store, failing, "boom")
     assert len(store) == 4
@@ -335,9 +338,9 @@ def test_index_queries(tmp_path):
 def test_rerun_replaces_the_stored_run(tmp_path):
     store = ResultStore(tmp_path / "study")
     cfg = make_config()
-    rid = store.add_run(cfg, synth_arrays(n=4), synth_state())
+    rid = store.add_run(synth_result(cfg, n=4))
     first_created = store.get(rid).created
-    rid2 = store.add_run(cfg, synth_arrays(n=9, seed=3), synth_state())
+    rid2 = store.add_run(synth_result(cfg, n=9, seed=3))
     assert rid2 == rid  # same config, same address: latest wins
     run = store.get(rid)
     assert run.n_times == 9 and run.created == first_created
@@ -352,7 +355,7 @@ def test_running_rows_are_not_completed(tmp_path):
         rid = row.run_id
         assert store.get(rid).status == "running"
         assert store.find_completed(cfg) is None  # interrupted -> re-queued
-        store.add_run(cfg, synth_arrays(), synth_state())
+        store.add_run(synth_result(cfg))
     assert store.find_completed(cfg).run_id == rid
     store.close()
 
@@ -480,7 +483,7 @@ def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
     direct = real_result.save_npz(tmp_path / "direct.npz")
     root = tmp_path / "study"
     store = ResultStore(root)
-    rid = store.add_result(real_result)
+    rid = store.add_run(real_result)
     stored = root / "runs" / f"{rid}.npz"
     _same_npz(direct, stored)
     _same_npz(direct, store.export(rid, tmp_path / "exported.npz"))
@@ -499,7 +502,7 @@ def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
 
 def test_load_result_restores_state_and_accounting(tmp_path, real_result):
     store = ResultStore(tmp_path / "study")
-    rid = store.add_result(real_result, elapsed=1.25)
+    rid = store.add_run(real_result, elapsed=1.25)
     back = store.load_result(rid, with_ground_state=True)
     assert back.config == real_result.config
     assert np.array_equal(back.final_state.phi, real_result.final_state.phi)
@@ -621,7 +624,7 @@ def test_parse_when_end_of_day():
 def test_query_limit_offset_pages_in_order(tmp_path):
     store = ResultStore(tmp_path / "study")
     for i, kick in enumerate((0.001, 0.002, 0.003, 0.004, 0.005)):
-        store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
+        store.add_run(synth_result(make_config(kick=kick), seed=i))
     everything = [r.run_id for r in store.query()]
     assert len(everything) == 5
     first_two = [r.run_id for r in store.query(limit=2)]
@@ -642,7 +645,7 @@ def test_negative_paging_is_refused_by_name(tmp_path, capsys):
 
     store = ResultStore(tmp_path / "study")
     for i, kick in enumerate((0.001, 0.002, 0.003, 0.004)):
-        store.add_run(make_config(kick=kick), synth_arrays(seed=i), synth_state())
+        store.add_run(synth_result(make_config(kick=kick), seed=i))
     with pytest.raises(StoreError, match="limit must be >= 0, got -1"):
         store.query(limit=-1)
     with pytest.raises(StoreError, match="offset must be >= 0, got -3"):
@@ -665,7 +668,7 @@ def test_dotted_key_query_finds_one_run_among_hundreds(tmp_path):
     store = ResultStore(tmp_path / "study")
     for i, kick in enumerate(kicks):
         store.add_run(
-            make_config(kick=kick), synth_arrays(seed=i), synth_state(),
+            synth_result(make_config(kick=kick), seed=i),
             overrides={"field.params.kick": kick}, elapsed=0.1,
         )
     hits = store.query(where={"field.params.kick": kicks[n_runs // 2]}, status="ok")
@@ -736,10 +739,10 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         target = store.runs_dir / f"{run_id_for(real_result.config)}.npz"
 
         def write():
-            store.add_result(real_result)
+            store.add_run(real_result)
 
         def rewrite():
-            store.add_run(real_result.config, synth_arrays(n=9), synth_state())
+            store.add_run(synth_result(real_result.config, n=9))
     else:
         target = tmp_path / f"{what}.npz"
 
@@ -806,13 +809,13 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
     try:
         monkeypatch.setattr(np, "savez", _disk_full_after_part())
         with pytest.raises(OSError) as excinfo:
-            store.add_run(config, synth_arrays(), synth_state())
+            store.add_run(synth_result(config))
         assert excinfo.value.errno == errno.ENOSPC
         assert list(store.runs_dir.iterdir()) == []
         assert store.query() == []
 
         job_id = queue.submit(config, max_attempts=2)[0].run_id
-        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        execute_job(store, queue, queue.claim("w0"), 0.0)
         job = queue.get(job_id)
         assert job.status == "queued"
         assert f"[Errno {errno.ENOSPC}]" in job.error
@@ -820,7 +823,7 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
         assert list(store.runs_dir.iterdir()) == []
         monkeypatch.undo()
 
-        execute_job(store, queue, queue.claim("w0"), {"backoff": 0.0})
+        execute_job(store, queue, queue.claim("w0"), 0.0)
         job = queue.get(job_id)
         assert job.status == "ok"
         target = store.result_path(job.run_id)
@@ -828,13 +831,13 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
 
         monkeypatch.setattr(np, "savez", _disk_full_after_part())
         with pytest.raises(OSError):
-            store.add_run(config, synth_arrays(n=9), synth_state())
+            store.add_run(synth_result(config, n=9))
         monkeypatch.undo()
         assert target.read_bytes() == before
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
         assert store.get(job.run_id).n_times == len(real_result.record.times)
 
-        store.add_run(config, synth_arrays(n=9), synth_state())
+        store.add_run(synth_result(config, n=9))
         assert store.get(job.run_id).n_times == 9
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
     finally:

@@ -12,8 +12,8 @@ import multiprocessing as mp
 
 import numpy as np
 
-from repro.api import SimulationConfig
-from repro.rt.propagator import TDState
+from repro.api import SimulationConfig, SimulationResult
+from repro.rt.propagator import PropagationRecord, TDState
 from repro.store import ResultStore
 from repro.store.store import inspect_store
 
@@ -59,7 +59,8 @@ def _hammer(root: str, proc: int, runs: int) -> None:
     try:
         for i in range(runs):
             tag = proc * runs + i
-            store.add_run(_config(tag), _arrays(tag), _state(tag))
+            record = PropagationRecord.from_arrays(_arrays(tag))
+            store.add_run(SimulationResult(_config(tag), record, _state(tag)))
     finally:
         store.close()
 

@@ -234,13 +234,13 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
     # spawned worker has the victim.
     real_execute_job = pool_mod.execute_job
 
-    def execute_once_the_victim_is_taken(store, queue, job, options):
+    def execute_once_the_victim_is_taken(store, queue, job, backoff):
         deadline = time.monotonic() + 240.0
         while queue.get(victim).status == "queued" and time.monotonic() < deadline:
             time.sleep(0.02)
         taken = queue.get(victim)
         assert taken.status != "queued" and taken.worker != job.worker
-        return real_execute_job(store, queue, job, options)
+        return real_execute_job(store, queue, job, backoff)
 
     monkeypatch.setattr(pool_mod, "execute_job", execute_once_the_victim_is_taken)
 
