@@ -19,9 +19,9 @@ a few times a second:
   way to interrupt a propagation mid-step from outside) and the
   attempt reported as a timeout; the respawn happens on the next tick;
 - a **cancelled job still executing** likewise gets its worker killed;
-- a job whose worker is **another process that is gone** — a stored run
-  (``repro run --store``) or another pool's worker killed outright — is
-  requeued (:meth:`JobQueue.recover`).
+- a job whose worker is **another process that is gone** (holds its lock
+  no more) — a stored run (``repro run --store``) or another pool's
+  worker killed outright — is requeued (:meth:`JobQueue.recover`).
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
 from repro.api.config import SimulationConfig
 from repro.serve.queue import TERMINAL_STATUSES, JobQueue
-from repro.store.common import pid_alive
 from repro.store.query import StoredRun
 
 
@@ -137,7 +136,7 @@ class WorkerPool:
                 return True
         return False
 
-    def tick(self, backoff: float = 0.5) -> None:
+    def tick(self) -> None:
         """One supervisor pass: enforce deadlines, reap the dead, respawn,
         requeue the orphans of other processes."""
         # deadline enforcement first, so an over-budget worker is already
@@ -148,7 +147,7 @@ class WorkerPool:
             self.queue.fail_attempt(
                 job.run_id,
                 f"timed out after {job.timeout:g}s",
-                backoff=backoff,
+                backoff=self.backoff,
                 outcome="timeout",
             )
         # cancelled jobs whose worker is still burning cycles
@@ -167,13 +166,12 @@ class WorkerPool:
                 self.queue.fail_attempt(
                     job.run_id,
                     f"worker {worker_id} died (exitcode {proc.exitcode})",
-                    backoff=backoff,
+                    backoff=self.backoff,
                     outcome="crashed",
                 )
-            self.queue.remove_worker(worker_id)
             self._spawn(slot)
-        # this pool's own workers were reaped above, by their exit codes
-        self.queue.recover(alive=pid_alive, keep=list(self._ids.values()))
+        # this pool's live workers are kept; those reaped above are forgotten
+        self.queue.recover(keep=list(self._ids.values()))
 
 
 #: longest a draining caller that found nothing to claim sleeps before it
@@ -193,7 +191,7 @@ def drain(
     The batch form of the service (every ``run_ensemble`` sweep runs on
     it).  ``n_workers`` processes compute: **the caller and
     ``n_workers - 1`` spawned**, so 1 is the caller alone.  The caller
-    submits, registers itself as a worker of the queue, starts the
+    registers itself as a worker of the queue, submits, starts the
     others, and then does what they do (claim,
     :func:`~repro.serve.worker.execute_job`) between supervisor passes,
     handing each job row to ``on_done`` as it turns terminal; it returns
@@ -204,43 +202,37 @@ def drain(
     finishes its own, not the moment it lands.
 
     ``max_attempts=1``: a config that raises, or whose spawned worker is
-    killed, is an ``error`` job, not a retry.  What kills the *caller*
-    ends the batch; its claim is requeued by the next supervisor pass on
-    the store (:meth:`WorkerPool.tick`).  A job some other live process
-    on the same store already holds is waited for, not duplicated.  On the way out, by return or by exception, the workers
-    are stopped and nothing of this batch is left claimable or running.
-
-    Another process's worker counts as alive when its pid passes
-    :func:`~repro.store.common.pid_alive`, which only means something on
-    this host: a live worker of a pool on another host sharing the store
-    is taken for dead, and its claim is requeued.
+    killed, is an ``error`` job, not a retry.  The caller is a worker
+    (:meth:`JobQueue.serving`): what kills it ends the batch and drops
+    its lock, and the next supervisor pass on the store requeues its
+    claim.  A job some other live process on the same store already holds
+    is waited for, not duplicated.  On the way out, by return or by
+    exception, the workers are stopped and nothing of this batch is left
+    claimable or running.
     """
     queue = store.queue
     pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1, backoff=0.0)
-    me = f"{pool.tag}caller"
     waiting: List[str] = []
-    try:
-        waiting = [
-            queue.submit(config, max_attempts=1, overrides=label)[0].run_id
-            for config, label in zip(configs, labels)
-        ]
-        queue.register_worker(me, os.getpid())
-        pool.start()
-        while waiting:
-            pool.tick(backoff=0.0)
-            mine = queue.claim(me)
-            if mine is not None:
-                execute_job(store, queue, mine, 0.0)
-                queue.heartbeat(me)
-            for job_id in list(waiting):
-                job = queue.get(job_id)
-                if job is not None and job.status in TERMINAL_STATUSES:
-                    waiting.remove(job_id)
-                    on_done(job)
-            if mine is None and waiting:
-                time.sleep(DRAIN_IDLE_S)
-    finally:
-        pool.stop()
-        for job_id in waiting:
-            queue.cancel(job_id)
-        queue.remove_worker(me)
+    with queue.serving(f"{pool.tag}caller") as me:
+        try:
+            waiting = [
+                queue.submit(config, max_attempts=1, overrides=label)[0].run_id
+                for config, label in zip(configs, labels)
+            ]
+            pool.start()
+            while waiting:
+                pool.tick()
+                mine = queue.claim(me)
+                if mine is not None:
+                    execute_job(store, queue, mine, 0.0)
+                for job_id in list(waiting):
+                    job = queue.get(job_id)
+                    if job is not None and job.status in TERMINAL_STATUSES:
+                        waiting.remove(job_id)
+                        on_done(job)
+                if mine is None and waiting:
+                    time.sleep(DRAIN_IDLE_S)
+        finally:
+            pool.stop()
+            for job_id in waiting:
+                queue.cancel(job_id)

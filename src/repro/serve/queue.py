@@ -23,6 +23,10 @@ Attempt accounting is claim-side: ``attempts`` increments when a worker
 reporting back (SIGKILL, OOM) still consumed one attempt, and a
 crash-looping job cannot retry forever.  ``attempts`` is the number of
 the row's ``job_attempts`` rows and never exceeds ``max_attempts``.
+
+A worker is alive while it holds its lock, ``workers/<worker_id>.lock``
+in the store (:mod:`repro.store.lease`), from before any row names it
+until that row is final; its state is the ``running`` row naming it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ import os
 import threading
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from repro.api.config import SimulationConfig
 from repro.store.common import (
@@ -46,6 +50,7 @@ from repro.store.common import (
     run_immediate,
     utc_now,
 )
+from repro.store.lease import exclusive, held
 from repro.store.query import StoredRun
 from repro.store.schema import INDEX_FILENAME, ensure_schema, inspect_store
 from repro.trace import traced
@@ -65,6 +70,8 @@ COLUMNS = tuple(
 )
 
 _SELECT = f"SELECT {', '.join(COLUMNS)} FROM jobs"
+
+_REGISTER = "INSERT OR REPLACE INTO workers (worker_id, pid, started) VALUES (?, ?, ?)"
 
 
 def _decode(name: str, value: Any) -> Any:
@@ -118,6 +125,12 @@ class JobQueue:
     def _read(self, sql: str, params: Sequence[Any] = ()) -> List[Any]:
         with self._lock:
             return self._conn.execute(sql, params).fetchall()
+
+    def _rows(self, where: str, params: Sequence[Any]) -> List[StoredRun]:
+        return [_row(r) for r in self._read(f"{_SELECT} WHERE {where}", params)]
+
+    def _write(self, sql: str, params: Sequence[Any]) -> None:
+        self._txn(lambda conn: conn.execute(sql, params))
 
     @staticmethod
     def _get(conn, run_id: str) -> Optional[StoredRun]:
@@ -223,11 +236,6 @@ class JobQueue:
             if record is None:
                 return None
             self._start_attempt(conn, record[0], worker_id, now)
-            conn.execute(
-                "UPDATE workers SET state = 'busy', job_id = ?, heartbeat = ? "
-                "WHERE worker_id = ?",
-                (record[0], now, worker_id),
-            )
             return self._get(conn, record[0])
 
         return self._txn(_claim)
@@ -235,8 +243,9 @@ class JobQueue:
     def begin(self, config: SimulationConfig) -> StoredRun:
         """A stored run takes its row: ``running`` on this thread's worker.
 
-        The worker (:func:`own_worker_id`) is registered with this pid,
-        so a supervisor that finds the pid gone requeues the row.  The
+        The worker (:func:`own_worker_id`) is registered with this pid;
+        called bare, without its lock (:meth:`recording`), it leaves the
+        row a killed run leaves, which :meth:`recover` requeues.  The
         row is created when missing and taken from whatever state it is
         in — the caller is about to compute it — with one more attempt;
         ``max_attempts`` grows to allow it when the budget is spent, so
@@ -251,7 +260,7 @@ class JobQueue:
         def _begin(conn):
             run_id, _ = self._insert(conn, config, None, now)
             if self._get(conn, run_id).status != "ok":
-                self._register(conn, own_worker_id(), os.getpid(), now, "busy", run_id)
+                conn.execute(_REGISTER, (own_worker_id(), os.getpid(), now))
                 self._start_attempt(conn, run_id, own_worker_id(), now)
             return self._get(conn, run_id)
 
@@ -261,32 +270,31 @@ class JobQueue:
     def recording(self, config: SimulationConfig) -> Iterator[StoredRun]:
         """The body computes ``config``'s stored run, recorded on its row.
 
-        :meth:`begin` on entry; the body finishes the row when it stores
-        the result (:meth:`finish_ok`), an exception fails the attempt
-        before it propagates, and the worker's registration goes either
-        way.  An ``ok`` row is not begun, so nothing here touches it.
+        The worker's lock is held throughout.  :meth:`begin` on entry;
+        the body finishes the row when it stores the result
+        (:meth:`finish_ok`), an exception fails the attempt before it
+        propagates, and the worker's registration goes either way.  An
+        ``ok`` row is not begun, so nothing here touches it.
         """
-        row = self.begin(config)
-        if row.status != "running":
-            yield row
-            return
-        try:
-            yield row
-        except BaseException as exc:
-            self.fail_attempt(row.run_id, f"{type(exc).__name__}: {exc}")
-            raise
-        finally:
-            self.remove_worker(row.worker)
+        with self._alive_as(own_worker_id()):
+            row = self.begin(config)
+            if row.status != "running":
+                yield row
+                return
+            try:
+                yield row
+            except BaseException as exc:
+                self.fail_attempt(row.run_id, f"{type(exc).__name__}: {exc}")
+                raise
+            finally:
+                self.remove_worker(row.worker)
 
     def progress(self, job_id: str, fraction: float, message: Optional[str] = None) -> None:
         """Publish live progress (``0.0``–``1.0``) for a running job."""
-        now = utc_now()
-        self._txn(
-            lambda conn: conn.execute(
-                "UPDATE jobs SET progress = ?, message = ?, updated = ? "
-                "WHERE run_id = ? AND status = 'running'",
-                (max(0.0, min(1.0, float(fraction))), message, now, job_id),
-            )
+        self._write(
+            "UPDATE jobs SET progress = ?, message = ?, updated = ? "
+            "WHERE run_id = ? AND status = 'running'",
+            (max(0.0, min(1.0, float(fraction))), message, utc_now(), job_id),
         )
 
     def finish_ok(
@@ -402,30 +410,28 @@ class JobQueue:
         return self._txn(_cancel)
 
     # -- recovery / supervision ----------------------------------------------
-    def recover(self, alive: Callable[[int], bool], keep: Sequence[str] = ()) -> int:
+    def recover(self, keep: Sequence[str] = ()) -> int:
         """Requeue every ``running`` job whose worker is gone; how many.
 
-        A worker lives when it is one of ``keep`` or is registered with a
-        pid that ``alive`` accepts; the registrations of the others are
-        forgotten.  A booting server and a supervisor's pass both ask
-        :func:`~repro.store.common.pid_alive`, so a stored run or an old
-        worker still finishing its job keeps its row, and a stored run
-        killed outright or another pool's dead worker loses it; the
-        supervisor also keeps its own workers, which it reaps itself.
-        Attempts already consumed stay consumed; the interrupted attempt
-        is closed in the history so a post-mortem can see it.
+        A worker lives when it is one of ``keep`` (a supervisor's own,
+        which it reaps itself) or holds its lock
+        (:func:`~repro.store.lease.held`); the others' registrations and
+        lock files are forgotten.  Attempts already consumed stay
+        consumed; the interrupted attempt is closed in the history so a
+        post-mortem can see it.
         """
         now = utc_now()
 
         def _gone(conn):
             """The running rows whose worker is gone, and the dead registrations."""
-            registered = conn.execute("SELECT worker_id, pid FROM workers").fetchall()
-            dead = [w for w, pid in registered if w not in keep and not alive(pid)]
-            live = set(keep) | {w for w, _ in registered if w not in dead}
             running = conn.execute(
                 "SELECT run_id, attempts, worker FROM jobs WHERE status = 'running'"
             ).fetchall()
-            return [(job_id, n) for job_id, n, worker in running if worker not in live], dead
+            registered = [w for (w,) in conn.execute("SELECT worker_id FROM workers")]
+            workers = {worker for *_, worker in running}.union(registered)
+            dead = {w for w in workers if w not in keep and not held(self._lock_file(w))}
+            orphans = [(job_id, n) for job_id, n, worker in running if worker in dead]
+            return orphans, [w for w in registered if w in dead]
 
         def _recover(conn):
             orphans, dead = _gone(conn)
@@ -453,58 +459,51 @@ class JobQueue:
 
     def running_for(self, worker_id: str) -> List[StoredRun]:
         """Jobs currently claimed by one worker (0 or 1 in practice)."""
-        return [
-            _row(r)
-            for r in self._read(
-                f"{_SELECT} WHERE status = 'running' AND worker = ?", (worker_id,)
-            )
-        ]
+        return self._rows("status = 'running' AND worker = ?", (worker_id,))
 
     def expired(self) -> List[StoredRun]:
         """Running jobs past their deadline (the supervisor kills these)."""
-        return [
-            _row(r)
-            for r in self._read(
-                f"{_SELECT} WHERE status = 'running' AND deadline IS NOT NULL "
-                f"AND deadline < ?",
-                (utc_now(),),
-            )
-        ]
+        return self._rows("status = 'running' AND deadline < ?", (utc_now(),))
 
     # -- worker registry ------------------------------------------------------
-    @staticmethod
-    def _register(conn, worker_id: str, pid: int, now: float, state: str, job_id) -> None:
-        conn.execute(
-            "INSERT OR REPLACE INTO workers "
-            "(worker_id, pid, started, heartbeat, state, job_id) VALUES (?, ?, ?, ?, ?, ?)",
-            (worker_id, int(pid), now, now, state, job_id),
-        )
+    def _lock_file(self, worker_id: str) -> Path:
+        return self.root / "workers" / f"{worker_id}.lock"
+
+    def _alive_as(self, worker_id: str):
+        """Hold ``worker_id``'s lock: alive to every :meth:`recover` meanwhile."""
+        (self.root / "workers").mkdir(exist_ok=True)
+        return exclusive(self._lock_file(worker_id))
+
+    @contextlib.contextmanager
+    def serving(self, worker_id: str) -> Iterator[str]:
+        """The body is this process as the registered, live ``worker_id``:
+        its lock is taken before, and dropped after, any row names it.  A
+        pool worker and a draining caller claim under it."""
+        with self._alive_as(worker_id):
+            self.register_worker(worker_id, os.getpid())
+            try:
+                yield worker_id
+            finally:
+                self.remove_worker(worker_id)
 
     def register_worker(self, worker_id: str, pid: int) -> None:
-        now = utc_now()
-        self._txn(lambda conn: self._register(conn, worker_id, pid, now, "idle", None))
-
-    def heartbeat(self, worker_id: str, state: str = "idle", job_id: Optional[str] = None) -> None:
-        now = utc_now()
-        self._txn(
-            lambda conn: conn.execute(
-                "UPDATE workers SET heartbeat = ?, state = ?, job_id = ? "
-                "WHERE worker_id = ?",
-                (now, state, job_id, worker_id),
-            )
-        )
+        self._write(_REGISTER, (worker_id, int(pid), utc_now()))
 
     def remove_worker(self, worker_id: str) -> None:
-        self._txn(
-            lambda conn: conn.execute(
-                "DELETE FROM workers WHERE worker_id = ?", (worker_id,)
-            )
-        )
+        self._write("DELETE FROM workers WHERE worker_id = ?", (worker_id,))
 
     def workers(self) -> List[Dict[str, Any]]:
-        keys = ("worker_id", "pid", "started", "heartbeat", "state", "job_id")
-        records = self._read(f"SELECT {', '.join(keys)} FROM workers ORDER BY worker_id")
-        return [dict(zip(keys, r)) for r in records]
+        """Registered workers, each ``busy`` on the ``running`` row naming it
+        (``job_id``) or ``idle``."""
+        records = self._read(
+            "SELECT workers.worker_id, pid, workers.started, MIN(jobs.run_id) FROM workers "
+            "LEFT JOIN jobs ON jobs.worker = workers.worker_id AND jobs.status = 'running' "
+            "GROUP BY workers.worker_id ORDER BY workers.worker_id"
+        )
+        return [
+            dict(worker_id=w, pid=pid, started=t, state="busy" if job else "idle", job_id=job)
+            for w, pid, t, job in records
+        ]
 
     # -- queries --------------------------------------------------------------
     def get(self, job_id: str) -> Optional[StoredRun]:

@@ -10,12 +10,11 @@ One :class:`JobService` owns everything ``repro serve`` runs:
 - a :class:`~repro.serve.http.ServeHTTPServer` on its own thread.
 
 Boot is where durability pays off: a job found ``running`` is requeued
-when its worker's process is gone, by the supervisor's own rule
-(:meth:`~repro.serve.queue.JobQueue.recover` with
-:func:`~repro.store.common.pid_alive`), and left to a process that still
-runs it (a stored run, an old worker finishing its last job); jobs found
-``queued`` simply wait their turn — restarting the server resumes the
-study exactly where it stopped.
+when its worker no longer holds its lock in the store, by the
+supervisor's own rule (:meth:`~repro.serve.queue.JobQueue.recover`), and
+left to a process that still runs it (a stored run, an old worker
+finishing its last job); jobs found ``queued`` simply wait their turn —
+restarting the server resumes the study exactly where it stopped.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ from typing import Any, Dict, Optional, Tuple
 from repro.api.config import ServeConfig, SimulationConfig
 from repro.serve.http import ServeHTTPServer
 from repro.serve.pool import WorkerPool
-from repro.store.common import pid_alive, utc_now
+from repro.store.common import utc_now
 from repro.store.query import StoredRun
 from repro.trace import traced
 from repro.utils.validation import declaration
@@ -78,7 +77,7 @@ class JobService:
     # -- lifecycle ------------------------------------------------------------
     def start(self) -> "JobService":
         """Recover the queue, start workers, supervisor, and listener."""
-        self.recovered = self.queue.recover(alive=pid_alive)
+        self.recovered = self.queue.recover()
         self._stop.clear()
         self._started_at = utc_now()
         self.pool.start()
@@ -131,7 +130,7 @@ class JobService:
     def _supervise(self) -> None:
         while not self._stop.wait(SUPERVISE_EVERY_S):
             try:
-                self.pool.tick(backoff=self.backoff)
+                self.pool.tick()
             except Exception:  # noqa: BLE001 - supervision must survive races
                 # a tick racing a shutdown can see closed handles; the
                 # next tick (or the stop flag) resolves it

@@ -20,7 +20,8 @@ finishes the row from the file instead of recomputing).
 Failures are reported as failed attempts (the queue requeues with
 backoff or gives up); a worker killed outright reports nothing — the
 supervisor notices the dead process and fails the attempt on its
-behalf.
+behalf, and any other supervisor on the store sees the worker's lock
+(:meth:`~repro.serve.queue.JobQueue.serving`) dropped with it.
 """
 
 from __future__ import annotations
@@ -76,28 +77,23 @@ def worker_main(store_root: str, worker_id: str, backoff: float) -> None:
     it stopped nobody), the worker finishes the job it has and leaves.
     """
     import multiprocessing as mp
-    import os
 
     from repro.store import ResultStore
 
     store = ResultStore(store_root, create=False)
     queue = store.queue
-    queue.register_worker(worker_id, os.getpid())
     parent = mp.parent_process()
     try:
-        while parent is None or parent.is_alive():
-            job = queue.claim(worker_id)
-            if job is None:
-                queue.heartbeat(worker_id, state="idle")
-                time.sleep(IDLE_SLEEP_S)
-                continue
-            queue.heartbeat(worker_id, state="busy", job_id=job.run_id)
-            execute_job(store, queue, job, backoff)
-            queue.heartbeat(worker_id, state="idle")
+        with queue.serving(worker_id):
+            while parent is None or parent.is_alive():
+                job = queue.claim(worker_id)
+                if job is None:
+                    time.sleep(IDLE_SLEEP_S)
+                    continue
+                execute_job(store, queue, job, backoff)
     except KeyboardInterrupt:
         # a Ctrl-C on the server's process group reaches workers too;
         # exit quietly — the queue requeues anything claimed on next boot
         pass
     finally:
-        queue.remove_worker(worker_id)
         store.close()

@@ -11,7 +11,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import json
-import os
 import sqlite3
 import time
 from typing import Any, Dict, Mapping
@@ -96,24 +95,6 @@ def flatten_dotted(data: Mapping[str, Any], prefix: str = "") -> Dict[str, Any]:
 def utc_now() -> float:
     """Unix timestamp used for index ``created``/``updated`` columns."""
     return time.time()
-
-
-def pid_alive(pid: int) -> bool:
-    """Is a process with this pid running on this host?
-
-    The liveness test behind stale job claims, same-host by construction
-    (a database on a local directory).  The ground-state lease needs
-    none: it is a kernel lock, dropped with its holder.
-    """
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:
-        return True
-    return True
 
 
 # --------------------------------------------------------------------------

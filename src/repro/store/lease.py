@@ -22,6 +22,11 @@ local: a store on a network filesystem whose ``flock`` does not reach
 other hosts degrades to one SCF per host, and the blob write is
 content-addressed and idempotent (first writer wins), so a duplicate SCF
 wastes time but can never corrupt the cache or produce a second blob.
+
+The same lock tells whether a job row's worker is alive: it holds
+:func:`exclusive` on its lock file while a row can name it, and a
+supervisor asks :func:`held` (on a network filesystem as above, a worker
+on another host is taken for dead).
 """
 
 from __future__ import annotations
@@ -39,7 +44,7 @@ if TYPE_CHECKING:
 
 
 @contextlib.contextmanager
-def _exclusive(path) -> Iterator[None]:
+def exclusive(path) -> Iterator[None]:
     """Hold ``flock(LOCK_EX)`` on the file at ``path``; gone from disk after."""
     while True:
         fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
@@ -65,6 +70,29 @@ def _exclusive(path) -> Iterator[None]:
         os.close(fd)
 
 
+def held(path) -> bool:
+    """Whether someone holds ``flock`` on the file at ``path``: a
+    non-blocking probe that unlinks a file it finds free, as
+    :func:`exclusive` unlinks its own, so no stale file outlives it."""
+    while True:
+        try:
+            fd = os.open(path, os.O_RDWR)
+        except FileNotFoundError:
+            return False
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # a file replaced meanwhile has a new holder: probe it afresh
+            if os.path.samestat(os.fstat(fd), os.stat(path)):
+                os.unlink(path)
+                return False
+        except BlockingIOError:
+            return True
+        except FileNotFoundError:
+            return False
+        finally:
+            os.close(fd)
+
+
 def coalesced_ground_state(
     store, config: SimulationConfig, converge: Callable[[], GroundState]
 ) -> GroundState:
@@ -81,7 +109,7 @@ def coalesced_ground_state(
         return cached
     gs_dir = store.blobs.ground_states_dir
     gs_dir.mkdir(parents=True, exist_ok=True)
-    with _exclusive(gs_dir / f"{group_address(config)}.lock"):
+    with exclusive(gs_dir / f"{group_address(config)}.lock"):
         cached = store.load_ground_state(config)
         if cached is None:
             cached = converge()

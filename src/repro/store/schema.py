@@ -100,7 +100,7 @@ _SCHEMA = (
     )
     """,
     "CREATE INDEX config_kv_key_value ON config_kv (key, value)",
-    # live worker registrations (pid + heartbeat)
+    # worker registrations (heartbeat, state and job_id are written no more)
     """
     CREATE TABLE workers (
         worker_id TEXT PRIMARY KEY,

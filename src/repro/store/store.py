@@ -9,6 +9,7 @@ On-disk layout::
         ground_states/<sha>.npz    # one SCF per (system, scf, engine) group
       runs/
         <run_id>.npz        # the run's result file
+      workers/<id>.lock     # held by each live worker (repro.serve.queue)
 
 ``runs/<run_id>.npz`` *is* the file
 :meth:`SimulationResult.save_npz <repro.api.simulation.SimulationResult.save_npz>`

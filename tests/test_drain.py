@@ -196,8 +196,8 @@ def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):
     """A sweep beside a service: killing a worker of one pool must not fail
     the job a worker of the other is running (both used to be ``w0g1``)."""
     queue = JobQueue(store_dir)
-    ours = WorkerPool(str(store_dir), queue, n_workers=1)
-    theirs = WorkerPool(str(store_dir), queue, n_workers=1)
+    ours = WorkerPool(str(store_dir), queue, n_workers=1, backoff=0.0)
+    theirs = WorkerPool(str(store_dir), queue, n_workers=1, backoff=0.0)
     config = base.replace(propagation={"n_steps": 12})
     try:
         job_id = queue.submit(config, max_attempts=3)[0].run_id
@@ -212,10 +212,10 @@ def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):
         (doomed,) = ours._ids.values()
         assert doomed != holder
         assert ours.kill_worker(doomed)
-        ours.tick(backoff=0.0)  # reaps its own dead worker, and only its own
+        ours.tick()  # reaps its own dead worker, and only its own
 
         while queue.get(job_id).status == "running" and time.monotonic() < deadline:
-            theirs.tick(backoff=0.0)
+            theirs.tick()
             time.sleep(0.05)
         job = queue.get(job_id)
         assert (job.status, job.attempts) == ("ok", 1)

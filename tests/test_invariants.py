@@ -1,8 +1,8 @@
-"""Fourteen invariants of ``src/repro``, checked on its syntax trees.
+"""Fifteen invariants of ``src/repro``, checked on its syntax trees.
 
 :data:`RULES` is their one table: each row names the files its rule
 reads (paths inside the ``repro`` package, ``store/`` for a package) and
-what it forbids there.  Nine rules forbid imports, names or attributes and
+what it forbids there.  Ten rules forbid imports, names or attributes and
 share one walker, :func:`forbidden`; five carry their own check.
 ``test_src_holds`` lists each violation in the package as
 ``src/repro/<rel>:<line>``; ``tests/test_lint.py`` pins what each rule
@@ -383,6 +383,10 @@ RULES = {
             ("utils/io.py", ATOMIC_SAVEZ),
         ),
     ),
+    # whether a process lives is asked of the kernel lock it holds
+    # (``store/lease.py``: ``exclusive`` / ``held``), never of its pid,
+    # which another process may have taken since
+    "one-liveness-rule": Rule(home=("store/lease.py",), names=("fcntl", "os.kill")),
 }
 
 

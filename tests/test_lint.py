@@ -344,6 +344,28 @@ def persist(path, result, store):
 """,
         outside="api/simulation.py",
     ),
+    "one-liveness-rule": Case(
+        at="store/common.py",
+        bad="""\
+import fcntl
+from os import kill
+import os
+def alive(pid, fd):
+    fcntl.flock(fd, fcntl.LOCK_SH)
+    os.kill(pid, 0)
+    return kill(pid, 0)
+""",
+        # both imports, the lock call and its flag, then both spellings of the signal
+        lines=[1, 2, 5, 5, 6, 7],
+        clean="""\
+import os
+from repro.store.lease import held
+def alive(root, worker_id, proc):
+    proc.kill()  # a process object of our own, not a pid
+    return held(os.path.join(root, "workers", worker_id + ".lock"))
+""",
+        outside="store/lease.py",
+    ),
 }
 
 

@@ -122,7 +122,7 @@ class RunRows(RuleBasedStateMachine):
         for job in self.queue.expired():
             self.holder = None
             self.queue.fail_attempt(job.run_id, "timed out", backoff=0.0, outcome="timeout")
-        self.queue.recover(alive=lambda pid: False, keep=alive)
+        self.queue.recover(keep=alive)
         if self.holder not in alive:
             self.holder = None
         assert self.queue.workers() == []

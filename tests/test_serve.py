@@ -9,6 +9,7 @@ crash/restart tests boot their own short-lived services; the queue
 unit tests never spawn a process at all.
 """
 
+import contextlib
 import json
 import os
 import signal
@@ -23,7 +24,6 @@ from repro.api import Simulation, SimulationConfig, SimulationResult
 from repro.serve import JobQueue, JobService, ServeClient, ServeError
 from repro.serve.queue import TERMINAL_STATUSES
 from repro.store import ResultStore, group_address, run_id_for
-from repro.store.common import pid_alive
 
 BASE = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -472,13 +472,27 @@ def test_queue_deadline_set_only_with_timeout(queue):
     assert [j.run_id for j in expired] == [with_deadline.run_id]
 
 
-def test_queue_recover_requeues_running_jobs(queue):
-    gone = subprocess.Popen([sys.executable, "-c", ""])
-    gone.wait()  # reaped: its pid names no process
-    queue.submit(make_config())
-    queue.register_worker("w0", pid=gone.pid)
-    job = queue.claim("w0")
-    assert queue.recover(alive=pid_alive) == 1
+@pytest.mark.parametrize("pid_of", ["reaped", "reused"])
+def test_queue_recover_requeues_running_jobs(queue, pid_of):
+    """A worker whose lock nobody holds is gone, whatever its pid names: no
+    process (a reaped child), or an unrelated live one (a reused pid).  The
+    lock file its killed holder left goes with its registration."""
+    other = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
+    if pid_of == "reaped":
+        other.kill()
+        other.wait()  # reaped: its pid names no process
+    left = queue.root / "workers" / "w0.lock"
+    try:
+        queue.submit(make_config())
+        queue.register_worker("w0", pid=other.pid)
+        job = queue.claim("w0")
+        left.parent.mkdir()
+        left.touch()
+        assert queue.recover() == 1
+    finally:
+        other.kill()
+        other.wait()
+    assert not left.exists()
     requeued = queue.get(job.run_id)
     assert requeued.status == "queued"
     assert requeued.attempts == 1  # consumed attempt stays consumed
@@ -488,18 +502,47 @@ def test_queue_recover_requeues_running_jobs(queue):
     assert outcomes == ["interrupted"]
 
 
-def test_booting_service_leaves_a_live_run_its_row(tmp_path):
+@pytest.mark.parametrize("end", ["ok", "failed"])
+def test_workers_report_the_row_each_one_runs(queue, end):
+    """A worker's state and job are read off the ``running`` row naming it."""
+    config = make_config()
+    queue.submit(config)
+    queue.register_worker("w0", pid=os.getpid())
+
+    def state():
+        return [(w["worker_id"], w["state"], w["job_id"]) for w in queue.workers()]
+
+    assert state() == [("w0", "idle", None)]
+    job = queue.claim("w0")
+    assert state() == [("w0", "busy", job.run_id)]
+    if end == "ok":
+        queue.finish_ok(config)
+    else:
+        queue.fail_attempt(job.run_id, "boom")
+    assert state() == [("w0", "idle", None)]
+
+
+@pytest.mark.parametrize("run", ["live", "killed"])
+def test_booting_service_leaves_a_live_run_its_row(tmp_path, run):
     """Boot requeues by the supervisor's rule: a row a stored run of this
-    (live) process has begun stays ``running``, its attempt open."""
+    (live) process is recording stays ``running``, its attempt open; the
+    row a killed run left (begun, its lock gone) is requeued."""
     root = tmp_path / "store"
     ResultStore.ensure(root).close()
+    config = make_config(kick=0.003)
     queue = JobQueue(root)
     try:
-        row = queue.begin(make_config(kick=0.003))
-        with JobService(root, port=0, workers=0) as service:
-            assert service.recovered == 0
-            assert queue.get(row.run_id).status == "running"
-        assert [a["outcome"] for a in queue.attempts(row.run_id)] == [None]
+        with contextlib.ExitStack() as stack:
+            if run == "live":
+                row = stack.enter_context(queue.recording(config))
+            else:
+                row = queue.begin(config)
+            with JobService(root, port=0, workers=0) as service:
+                assert service.recovered == (run == "killed")
+                status = queue.get(row.run_id).status
+                assert status == ("running" if run == "live" else "queued")
+        outcome = None if run == "live" else "interrupted"
+        assert [a["outcome"] for a in queue.attempts(row.run_id)] == [outcome]
     finally:
         queue.close()
 
