@@ -135,6 +135,15 @@ class PlaneWaveGrid:
         return self.gvec.kinetic.ravel()
 
     @cached_property
+    def coulomb_kernel(self) -> np.ndarray:
+        """The Hartree ``4π/G²`` on the flat grid, G = 0 dropped; read-only."""
+        g2 = self.gvec.g2.ravel()
+        with np.errstate(divide="ignore"):
+            kernel = np.where(g2 > 1e-12, 4.0 * np.pi / g2, 0.0)
+        kernel.flags.writeable = False
+        return kernel
+
+    @cached_property
     def kinetic_sphere(self) -> np.ndarray:
         """``|G|^2 / 2`` of the sphere's plane waves, shape ``(npw,)``."""
         return self.kinetic_flat[self.sphere_index]

@@ -24,6 +24,8 @@ Three evaluation kernels, all numerically equivalent (tested):
     ``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
     ``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
     indices alone, so who computes a tile pair does not move a bit.
+    Weights are applied per tile, ``d[t, None] * phi[t]``, where a tile
+    pair uses them: no rank holds a weighted copy of its sources.
     The operator acts only on its own sources — every production call
     does: midpoint exchange, ACE build, exchange energy, the hybrid SCF —
     and the kernel is real and even in G, so ``pot_ba = conj(pot_ab)``:
@@ -171,6 +173,8 @@ def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) 
             held[(rank - step) % p] = (block, w)
     else:
         raise ValueError(f"unknown pattern {pattern!r}; use bcast, ring or async-ring")
+    if p == 1:
+        return held[0]
     blocks, weights = zip(*held)
     return np.concatenate(blocks, axis=0), np.concatenate(weights)
 
@@ -268,25 +272,28 @@ class FockExchangeOperator:
     def tile_pair_partials(
         self,
         phi: np.ndarray,
-        weighted: np.ndarray,
+        weights: np.ndarray,
         tile_i: slice,
         tile_j: slice,
         keep: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Both partial sums of the unordered tile pair ``{I <= J}`` of ``phi``.
 
-        ``weighted`` is ``d[:, None] * phi``.  Returns ``(P[I->J],
-        P[J->I])`` from one set of transforms; the second is ``None``
-        on the diagonal ``I == J``.  Each is one broadcast product summed
+        ``weights`` are the occupations ``d``; each tile's sources are
+        scaled here, ``d[t, None] * phi[t]``.  Returns ``(P[I->J],
+        P[J->I])`` from one set of transforms; the second is ``None`` on
+        the diagonal ``I == J``.  Each is one broadcast product summed
         over its source band axis.  The result depends on nothing but
         the two tiles and ``keep`` — whoever computes it gets these bits.
         """
+        weighted_i = weights[tile_i, None] * phi[tile_i]
         if tile_i == tile_j:
-            return self._hermitian_tile_partial(phi[tile_i], weighted[tile_i], keep), None
+            return self._hermitian_tile_partial(phi[tile_i], weighted_i, keep), None
         pot = self.tile_potentials(phi[tile_i], phi[tile_j], keep)
-        forward = (weighted[tile_i][:, None] * pot).sum(axis=0)
+        forward = (weighted_i[:, None] * pot).sum(axis=0)
         # Σ_b w_b conj(pot_ab) = conj(Σ_b conj(w_b) pot_ab): no conj(pot) temporary
-        backward = (weighted[tile_j].conj()[None] * pot).sum(axis=1)
+        conj_j = np.conjugate(weights[tile_j, None] * phi[tile_j])
+        backward = (conj_j[None] * pot).sum(axis=1)
         return forward, np.conjugate(backward, out=backward)
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
@@ -328,7 +335,6 @@ class FockExchangeOperator:
         that tile is still in flight, so the one-rank run holds no wave."""
         p = nranks
         phi, weights = yield from _sources(shard, weight_shard, nbands, rank, p, pattern)
-        weighted = weights[:, None] * phi
         tiles = band_tiles(nbands, self.batch_size)
         # the balanced partition of repro.parallel.layouts.partition_sizes,
         # which BandLayout cuts bands with (physics imports no repro.parallel)
@@ -344,7 +350,7 @@ class FockExchangeOperator:
             for k, (i, j, keep) in wave:
                 sender, partials = k % p, (None, None)
                 if sender == rank:
-                    partials = self.tile_pair_partials(phi, weighted, tiles[i], tiles[j], keep)
+                    partials = self.tile_pair_partials(phi, weights, tiles[i], tiles[j], keep)
                 for t, partial in zip((j,) if i == j else (j, i), partials):
                     if owner[t] == rank and sender == rank and all(t != q for _, q in late):
                         # its own, with nothing before it in the serial order in flight

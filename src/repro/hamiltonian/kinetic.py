@@ -28,17 +28,17 @@ class KineticOperator:
         self._diag = grid.kinetic_sphere
 
     def set_vector_potential(self, a: Optional[np.ndarray]) -> None:
-        """Update A(t); ``None`` resets to the field-free operator."""
+        """Update A(t), ``None`` for the field-free operator; an unchanged
+        A(t) (PT-IM's inner iterations) keeps the diagonal."""
         if a is None:
             a = np.zeros(3)
         a = np.asarray(a, dtype=float)
         if a.shape != (3,):
             raise ValueError(f"vector potential must be a 3-vector, got {a.shape}")
-        self._a = a
-        if np.any(a != 0.0):
-            self._diag = self.grid.kinetic_sphere + (self._g_cart @ a) + 0.5 * float(a @ a)
-        else:
-            self._diag = self.grid.kinetic_sphere
+        if np.array_equal(a, self._a):
+            return
+        self._a = a.copy()
+        self._diag = self.grid.kinetic_sphere + (self._g_cart @ a) + 0.5 * float(a @ a)
 
     @property
     def vector_potential(self) -> np.ndarray:

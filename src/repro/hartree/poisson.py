@@ -2,15 +2,16 @@
 
 With our FFT convention (``rho(r) = Σ_G c_G e^{iGr}``), the Hartree
 potential is diagonal in G: ``V_H(G) = 4π c_G / G²`` with the G = 0
-component set to zero (jellium compensation for neutral cells).  The same
-kernel machinery evaluates the pair "Poisson-like equations" at the heart
-of the Fock exchange operator (paper Sec. II-B) via
-:func:`solve_poisson_g` with a custom kernel.
+component set to zero (jellium compensation for neutral cells).  The
+kernel is the grid's, made once per grid
+(:attr:`~repro.grid.fftgrid.PlaneWaveGrid.coulomb_kernel`).  The pair
+"Poisson-like equations" of the Fock exchange operator (paper Sec. II-B)
+apply their own kernel (:mod:`repro.hamiltonian.fock`).
 """
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -18,24 +19,8 @@ from repro.grid.fftgrid import PlaneWaveGrid
 from repro.trace import traced
 
 
-def coulomb_kernel_g(grid: PlaneWaveGrid, gzero: float = 0.0) -> np.ndarray:
-    """Bare Coulomb kernel ``4π/G²`` (flat), with the G=0 entry ``gzero``."""
-    g2 = grid.to_flat(grid.gvec.g2[None])[0]
-    kernel = np.zeros_like(g2)
-    nz = g2 > 1e-12
-    kernel[nz] = 4.0 * np.pi / g2[nz]
-    kernel[~nz] = gzero
-    return kernel
-
-
-def solve_poisson_g(
-    grid: PlaneWaveGrid,
-    rho_flat: np.ndarray,
-    kernel: Optional[np.ndarray] = None,
-    *,
-    consume: bool = False,
-) -> np.ndarray:
-    """Apply an interaction kernel to a (possibly complex) density field.
+def solve_poisson_g(grid: PlaneWaveGrid, rho_flat: np.ndarray, *, consume: bool = False) -> np.ndarray:
+    """Apply the Coulomb kernel to a (possibly complex) density field.
 
     Parameters
     ----------
@@ -43,8 +28,6 @@ def solve_poisson_g(
         Density(-like) field on the wavefunction grid, flat shape
         ``(..., ngrid)``; batched inputs are transformed in one batched FFT
         (the multi-batch strategy of paper Sec. III-B).
-    kernel:
-        Flat G-space kernel; defaults to the bare Coulomb kernel.
     consume:
         Declare ``rho_flat`` a temporary the backend may transform in
         place (values identical either way).
@@ -53,11 +36,9 @@ def solve_poisson_g(
     -------
     The real-space potential ``(..., ngrid)`` (complex dtype preserved).
     """
-    if kernel is None:
-        kernel = coulomb_kernel_g(grid)
     rho_g = grid.r_to_g(np.asarray(rho_flat), consume=consume)
-    vg = rho_g * kernel
-    return grid.g_to_r(vg, consume=True)
+    rho_g *= grid.coulomb_kernel
+    return grid.g_to_r(rho_g, consume=True)
 
 
 @traced("hartree.potential")

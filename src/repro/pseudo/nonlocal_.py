@@ -20,11 +20,13 @@ What is evaluated once: the radial factor ``p̃_i^l(|G|)`` (a 512-point
 Fourier–Bessel quadrature per value) depends on the species, ``(l, i)``
 and ``|G|`` only — not on the atom and not on the direction of ``G``.
 Each ``(species, l, i)`` table is therefore computed once per object, on
-the distinct ``|G|`` values of the grid (77 of 1728 points at 12³), and
-gathered back to the grid; grid points that share ``|G|`` receive the
-very number the quadrature gives for that ``|G|``, so this is exact, not
-an interpolation.  Only the structure factor, ``Y_lm`` and the product
-are per atom.  Nothing outlives the object.
+the distinct ``|G|`` values of the whole grid (77 of 1728 points at 12³),
+and gathered to the cutoff sphere; sphere points that share ``|G|``
+receive the very number the quadrature gives for that ``|G|``, so this is
+exact, not an interpolation.  ``|G|``, ``Ĝ`` and each atom's structure
+factor are gathered to the sphere too, so the per-atom products and the
+table itself are ``npw`` wide, never ``ngrid``.  Nothing outlives the
+object.
 """
 
 from __future__ import annotations
@@ -59,15 +61,14 @@ class NonlocalPseudopotential:
 
     Attributes
     ----------
-    beta_g:
-        Projector coefficient fields, shape ``(nprojectors, ngrid)`` in
-        G space (flat).
     beta_sphere:
-        The table the operator applies: ``sqrt(Ω) beta_g`` on the cutoff
+        The table the operator applies: ``sqrt(Ω) β`` on the cutoff
         sphere, shape ``(nprojectors, npw)``.
     coupling:
         Block-diagonal coupling matrix ``h`` over all projectors,
         shape ``(nprojectors, nprojectors)``.
+    labels:
+        ``(atom, symbol, l, m, i)`` of each projector row.
     """
 
     grid: PlaneWaveGrid
@@ -77,12 +78,15 @@ class NonlocalPseudopotential:
         grid = self.grid
         cell = grid.cell
         volume = cell.volume
-        q = np.sqrt(grid.gvec.g2)
-        q_flat = grid.to_flat(q[None])[0]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            unit_g = grid.gvec.cartesian / np.where(q[..., None] > 1e-12, q[..., None], 1.0)
-        unit_flat = unit_g.reshape(-1, 3)
+        sphere = grid.sphere_index
+        q_flat = grid.to_flat(np.sqrt(grid.gvec.g2)[None])[0]
+        # the radial tables are evaluated on the whole grid's |G| shells:
+        # the quadrature's last bit depends on how many values it is given
         q_shell, shell_of = np.unique(q_flat, return_inverse=True)
+        shell_of = shell_of[sphere]
+        q = q_flat[sphere, None]
+        with np.errstate(invalid="ignore", divide="ignore"):
+            unit = grid.gvec.cartesian.reshape(-1, 3)[sphere] / np.where(q > 1e-12, q, 1.0)
         radial_of: Dict[Tuple[str, int], List[np.ndarray]] = {}
 
         betas: List[np.ndarray] = []
@@ -91,11 +95,9 @@ class NonlocalPseudopotential:
 
         for atom_index, symbol in enumerate(cell.species):
             params = get_pseudopotential(symbol)
-            if params.lmax < 0:
-                continue
             sfac = grid.to_flat(
                 grid.gvec.structure_factor(cell.positions[atom_index])[None]
-            )[0]
+            )[0][sphere]
             for l in range(params.lmax + 1):
                 nproj = params.nproj(l)
                 if nproj == 0:
@@ -107,36 +109,25 @@ class NonlocalPseudopotential:
                     ]
                 radial = radial_of[symbol, l]
                 h = h_matrix(params, l)
+                phase = (-1j) ** l
                 for m in range(-l, l + 1):
-                    ylm = _real_sph_harm(l, m, unit_flat)
-                    phase = (-1j) ** l
-                    group: List[np.ndarray] = []
+                    ylm = _real_sph_harm(l, m, unit)
                     for i in range(nproj):
-                        beta = (phase / volume) * radial[i] * ylm * sfac
-                        group.append(beta)
+                        betas.append(np.sqrt(volume) * ((phase / volume) * radial[i] * ylm * sfac))
                         labels.append((atom_index, symbol, l, m, i))
-                    betas.extend(group)
                     blocks.append(h)
 
-        if betas:
-            self.beta_g: np.ndarray = np.ascontiguousarray(np.vstack(betas))
-            dim = sum(b.shape[0] for b in blocks)
-            coupling = np.zeros((dim, dim))
-            off = 0
-            for b in blocks:
-                n = b.shape[0]
-                coupling[off : off + n, off : off + n] = b
-                off += n
-            self.coupling: np.ndarray = coupling
-        else:
-            self.beta_g = np.zeros((0, grid.ngrid), dtype=complex)
-            self.coupling = np.zeros((0, 0))
+        self.coupling: np.ndarray = np.zeros((len(labels), len(labels)))
+        off = 0
+        for b in blocks:
+            self.coupling[off : off + len(b), off : off + len(b)] = b
+            off += len(b)
         self.labels = labels
-        self.beta_sphere: np.ndarray = np.sqrt(volume) * self.beta_g[:, grid.sphere_index]
+        self.beta_sphere: np.ndarray = np.array(betas, dtype=complex).reshape(-1, grid.npw)
 
     @property
     def nprojectors(self) -> int:
-        return self.beta_g.shape[0]
+        return self.beta_sphere.shape[0]
 
     # -- application ---------------------------------------------------------
     def project(self, c: np.ndarray) -> np.ndarray:
@@ -148,14 +139,10 @@ class NonlocalPseudopotential:
     @traced("pseudo.nonlocal.apply_g")
     def apply_g(self, c: np.ndarray) -> np.ndarray:
         """``V_nl phi`` for a sphere block ``(nbands, npw)``."""
-        if self.nprojectors == 0:
-            return np.zeros_like(c)
         return (self.coupling @ self.project(c)).T @ self.beta_sphere
 
     def energy(self, c: np.ndarray, weights: np.ndarray) -> float:
         """Nonlocal energy ``Σ_n w_n <phi_n|V_nl|phi_n>`` of a sphere block."""
-        if self.nprojectors == 0:
-            return 0.0
         amps = self.project(c)  # (nproj, nbands)
         per_band = np.einsum("pn,pq,qn->n", amps.conj(), self.coupling, amps).real
         return self.grid.dv * float(np.dot(np.asarray(weights, float), per_band))

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import multiprocessing as mp
 import os
+import sys
 import time
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
 
@@ -43,10 +44,15 @@ from repro.store.query import StoredRun
 
 
 def _worker_process(store_root: str, worker_id: str, backoff: float) -> None:
-    """The spawn target: :func:`repro.serve.worker.worker_main` in the child."""
+    """The spawn target: :func:`repro.serve.worker.worker_main` in the child,
+    then an exit with no interpreter teardown (its store is closed, its row
+    and lock gone), which would make each :meth:`WorkerPool.stop` ~30 ms longer."""
     from repro.serve.worker import worker_main
 
     worker_main(store_root, worker_id, backoff)
+    sys.stdout.flush()
+    sys.stderr.flush()
+    os._exit(0)
 
 
 def execute_job(store, queue: JobQueue, job: StoredRun, backoff: float) -> None:
@@ -106,6 +112,8 @@ class WorkerPool:
             self._spawn(slot)
 
     def stop(self) -> None:
+        """SIGTERM every worker (it leaves through ``serving``, row and lock
+        file gone); one still there after 5 s is killed."""
         for proc in self._procs.values():
             if proc.is_alive():
                 proc.terminate()
@@ -151,11 +159,9 @@ class WorkerPool:
                 outcome="timeout",
             )
         # cancelled jobs whose worker is still burning cycles
-        for job in self.queue.jobs(status="cancelled"):
-            if job.worker and job.worker in self._ids.values():
-                worker_jobs = self.queue.running_for(job.worker)
-                if not worker_jobs:  # it really is still on the cancelled job
-                    self.kill_worker(job.worker)
+        for job in self.queue.cancelled_on(list(self._ids.values())):
+            if not self.queue.running_for(job.worker):  # still on the cancelled job
+                self.kill_worker(job.worker)
         for slot, proc in list(self._procs.items()):
             if proc.is_alive():
                 continue

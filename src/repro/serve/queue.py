@@ -461,6 +461,11 @@ class JobQueue:
         """Jobs currently claimed by one worker (0 or 1 in practice)."""
         return self._rows("status = 'running' AND worker = ?", (worker_id,))
 
+    def cancelled_on(self, workers: Sequence[str]) -> List[StoredRun]:
+        """Cancelled jobs naming one of ``workers`` (not the whole history)."""
+        marks = ", ".join("?" * len(workers))
+        return self._rows(f"status = 'cancelled' AND worker IN ({marks})", workers)
+
     def expired(self) -> List[StoredRun]:
         """Running jobs past their deadline (the supervisor kills these)."""
         return self._rows("status = 'running' AND deadline < ?", (utc_now(),))

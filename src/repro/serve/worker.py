@@ -26,6 +26,7 @@ behalf, and any other supervisor on the store sees the worker's lock
 
 from __future__ import annotations
 
+import signal
 import time
 import traceback
 
@@ -70,8 +71,10 @@ def execute_job(store, queue: JobQueue, job: StoredRun, backoff: float) -> None:
 def worker_main(store_root: str, worker_id: str, backoff: float) -> None:
     """The spawned worker process: register, then claim/execute forever.
 
-    The pool terminates workers on shutdown, and an unhandled crash is
-    surfaced by the supervisor (dead process → failed attempt → respawn).
+    The pool's SIGTERM on shutdown raises ``KeyboardInterrupt``, so the
+    worker leaves through ``serving``, registration and lock file gone.
+    An unhandled crash is surfaced by the supervisor (dead process →
+    failed attempt → respawn).
     The loop's one exit of its own is for a worker nobody supervises any
     more: when the process that spawned it is gone (killed outright, so
     it stopped nobody), the worker finishes the job it has and leaves.
@@ -83,6 +86,7 @@ def worker_main(store_root: str, worker_id: str, backoff: float) -> None:
     store = ResultStore(store_root, create=False)
     queue = store.queue
     parent = mp.parent_process()
+    signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         with queue.serving(worker_id):
             while parent is None or parent.is_alive():
@@ -92,8 +96,8 @@ def worker_main(store_root: str, worker_id: str, backoff: float) -> None:
                     continue
                 execute_job(store, queue, job, backoff)
     except KeyboardInterrupt:
-        # a Ctrl-C on the server's process group reaches workers too;
-        # exit quietly — the queue requeues anything claimed on next boot
+        # the pool's SIGTERM, or a Ctrl-C on the server's process group;
+        # exit quietly — the next supervisor pass requeues a claimed job
         pass
     finally:
         store.close()

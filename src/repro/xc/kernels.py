@@ -21,21 +21,16 @@ from repro.grid.fftgrid import PlaneWaveGrid
 
 
 def bare_coulomb_kernel(grid: PlaneWaveGrid) -> np.ndarray:
-    """``4π/G²`` with the divergent G=0 entry set to zero (flat array)."""
-    g2 = grid.to_flat(grid.gvec.g2[None])[0]
-    kernel = np.zeros_like(g2)
-    nz = g2 > 1e-12
-    kernel[nz] = 4.0 * np.pi / g2[nz]
-    return kernel
+    """``4π/G²`` with the divergent G=0 entry set to zero (flat array):
+    a copy of the grid's Hartree kernel."""
+    return grid.coulomb_kernel.copy()
 
 
 def erfc_screened_kernel(grid: PlaneWaveGrid, omega: float = HSE06_OMEGA) -> np.ndarray:
     """Short-range (erfc-screened) Coulomb kernel in G space (flat array)."""
-    g2 = grid.to_flat(grid.gvec.g2[None])[0]
-    kernel = np.empty_like(g2)
-    nz = g2 > 1e-12
-    kernel[nz] = (4.0 * np.pi / g2[nz]) * (1.0 - np.exp(-g2[nz] / (4.0 * omega**2)))
-    kernel[~nz] = np.pi / omega**2
+    g2 = grid.gvec.g2.ravel()
+    kernel = grid.coulomb_kernel * (1.0 - np.exp(-g2 / (4.0 * omega**2)))
+    kernel[g2 <= 1e-12] = np.pi / omega**2
     return kernel
 
 

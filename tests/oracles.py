@@ -1,7 +1,8 @@
 """Oracles: bodies that left ``src``, kept for the tests to compare against.
 
 Real-space-row oracles for the sphere-block solvers (and the
-generalized Ritz step they were written with),
+generalized Ritz step they were written with), the whole-grid projector
+table :func:`per_atom_projectors` the nonlocal operator no longer holds,
 :class:`SeedNumpyBackend`, the copying default FFT engine, and
 :func:`plain_fixed_point_update`, the PT-IM map before the IMEX map.
 
@@ -20,6 +21,7 @@ the two baselines that used to be propagator modes and are now kernels.
 import itertools
 
 import numpy as np
+from scipy.linalg import block_diag
 
 from repro.backend import Backend
 from repro.hamiltonian.ace import ACEOperator
@@ -32,6 +34,9 @@ from repro.occupation.sigma import (
     rotate_orbitals,
     unrotate_orbitals,
 )
+from repro.pseudo.database import get_pseudopotential
+from repro.pseudo.hgh import h_matrix, projector_fourier
+from repro.pseudo.nonlocal_ import _real_sph_harm
 from repro.rt import PTIMACEPropagator, TDState
 from repro.rt.ptcn import PTCNPropagator
 from repro.scf.eigensolver import (
@@ -42,6 +47,44 @@ from repro.scf.eigensolver import (
     lowdin_orthonormalize,
 )
 from repro.scf.mixing import AndersonMixer
+
+
+def per_atom_projectors(grid):
+    """Every Kleinman–Bylander projector on the whole grid, the construction
+    before the per-species, per-|G|-shell tables: ``projector_fourier`` on
+    every grid point inside the atom loop.  Returns the ``(nproj, ngrid)``
+    table ``β(G)``, the coupling and the labels."""
+    cell = grid.cell
+    q = np.sqrt(grid.gvec.g2)
+    q_flat = grid.to_flat(q[None])[0]
+    unit_flat = (grid.gvec.cartesian / np.where(q[..., None] > 1e-12, q[..., None], 1.0)).reshape(-1, 3)
+    betas, blocks, labels = [], [], []
+    for atom_index, symbol in enumerate(cell.species):
+        params = get_pseudopotential(symbol)
+        sfac = grid.to_flat(grid.gvec.structure_factor(cell.positions[atom_index])[None])[0]
+        for l in range(params.lmax + 1):
+            nproj = params.nproj(l)
+            radial = [projector_fourier(params, l, i, q_flat) for i in range(nproj)]
+            for m in range(-l, l + 1):
+                ylm = _real_sph_harm(l, m, unit_flat)
+                for i in range(nproj):
+                    betas.append(((-1j) ** l / cell.volume) * radial[i] * ylm * sfac)
+                    labels.append((atom_index, symbol, l, m, i))
+                blocks.append(h_matrix(params, l))
+    return np.vstack(betas), block_diag(*blocks), labels
+
+
+_FULL_GRID_PROJECTORS = {}
+
+
+def full_grid_projectors(grid):
+    """:func:`per_atom_projectors` of ``grid``'s cell, shape and cutoff, made
+    once per test session (about a second each)."""
+    cell = grid.cell
+    key = (grid.shape, grid.ecut, cell.lattice.tobytes(), cell.positions.tobytes(), cell.species)
+    if key not in _FULL_GRID_PROJECTORS:
+        _FULL_GRID_PROJECTORS[key] = per_atom_projectors(grid)
+    return _FULL_GRID_PROJECTORS[key]
 
 
 class SeedNumpyBackend(Backend):
@@ -97,7 +140,8 @@ def real_space_apply(ham, phi_r, *, include_exchange=True, ace=None):
     """``H Phi`` on real-space rows: the pre-PR-16 ``Hamiltonian.apply``.
 
     Three full-box transforms, kinetic and projectors over all ``ngrid``
-    coefficients, the mask applied at the end.  ``ace`` is a *real-space*
+    coefficients (the projectors its own table, :func:`full_grid_projectors`),
+    the mask applied at the end.  ``ace`` is a *real-space*
     compressed operator (``ACEOperator.from_dense_action`` on real-space
     rows) standing in for the one ``set_ace`` used to hold.
     """
@@ -107,10 +151,10 @@ def real_space_apply(ham, phi_r, *, include_exchange=True, ace=None):
     g = grid.gvec.cartesian.reshape(-1, 3)
     a = ham.kinetic.vector_potential
     h_g = phi_g * (0.5 * (grid.gvec.g2.ravel() + 2.0 * (g @ a) + float(a @ a)))
-    nl = ham.nonlocal_pseudo
-    if nl.nprojectors:
-        amps = grid.cell.volume * (nl.beta_g.conj() @ phi_g.T)
-        h_g += (nl.beta_g.T @ (nl.coupling @ amps)).T
+    beta_g, coupling, _ = full_grid_projectors(grid)
+    if len(beta_g):
+        amps = grid.cell.volume * (beta_g.conj() @ phi_g.T)
+        h_g += (beta_g.T @ (coupling @ amps)).T
     local = ham.v_eff[None, :] * phi_r
     if include_exchange and ace is not None:
         local = local + ham.functional.alpha * ace.apply(phi_r)

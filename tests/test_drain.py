@@ -66,6 +66,27 @@ def _assert_nothing_half_done(store_dir):
         store.close()
 
 
+def _stop_once_registered(monkeypatch):
+    """Make ``WorkerPool.stop`` first wait (at most 20 s) until every
+    spawned worker has registered; the registrations it then stops are
+    appended to the returned list."""
+    stopped = []
+    real_stop = WorkerPool.stop
+
+    def stop(self):
+        deadline = time.monotonic() + 20.0
+        while True:
+            rows = [w for w in self.queue.workers() if w["worker_id"].startswith(f"{self.tag}w")]
+            if len(rows) == len(self._procs) or time.monotonic() > deadline:
+                break
+            time.sleep(0.02)
+        stopped.extend(rows)
+        real_stop(self)
+
+    monkeypatch.setattr(WorkerPool, "stop", stop)
+    return stopped
+
+
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch):
     spawned = []
@@ -76,6 +97,7 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
         real_spawn(self, slot)
 
     monkeypatch.setattr(WorkerPool, "_spawn", counting_spawn)
+    stopped = _stop_once_registered(monkeypatch)
     result = run_ensemble(base, _kicks(4), workers=workers, store=store_dir)
     assert [r.status for r in result.runs] == ["ok"] * 4
     assert len(spawned) == workers - 1
@@ -85,12 +107,25 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
     assert first.worker.endswith("caller")
     if workers == 1:
         assert all(job.worker.endswith("caller") for job in jobs)
-    # the caller's row is gone; those of children that got as far as
-    # registering stay until the next recover() and say when each came up:
-    # after the first job was already running
-    assert len(left) <= workers - 1 and all(w["pid"] != os.getpid() for w in left)
-    assert all(first.started < w["started"] for w in left)
+    # the children's registrations as the pool stopped them say when each
+    # came up: after the first job was already running
+    assert len(stopped) == workers - 1 and all(w["pid"] != os.getpid() for w in stopped)
+    assert all(first.started < w["started"] for w in stopped)
+    assert left == []
     assert all(job.attempts == 1 for job in jobs)
+
+
+def test_a_stopped_pool_leaves_no_worker_behind(store_dir, base, monkeypatch):
+    """The pool's SIGTERM unwinds each worker through its ``serving`` block:
+    after a ``workers = 2`` stored sweep whose child had registered, the
+    ``workers`` table and directory are empty with no ``recover()`` since."""
+    stopped = _stop_once_registered(monkeypatch)
+    result = run_ensemble(base, _kicks(2), workers=2, store=store_dir)
+    assert [r.status for r in result.runs] == ["ok"] * 2
+    assert len(stopped) == 1
+    _, left = _rows(store_dir)
+    assert left == []
+    assert list((store_dir / "workers").iterdir()) == []
 
 
 def test_a_progress_callback_that_raises_leaves_nothing_half_done(store_dir, base):

@@ -6,13 +6,15 @@ operator; ACE reproduces the dense action exactly on its generating
 orbitals.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import eigenbasis_image, mixed_exchange
-from repro.grid import PlaneWaveGrid, silicon_cubic_cell
+from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
@@ -206,6 +208,27 @@ def test_pruning_under_symmetry_keeps_empty_orbitals_as_targets(grid):
     snap = counters.snapshot()
     assert not fock.apply_diag(phi, np.zeros(n)).any()
     assert counters.since(snap).transforms == 0
+
+
+def test_self_application_holds_no_second_block():
+    """A one-rank ``apply_diag`` peaks less than one ``(N, ngrid)`` block
+    above its result: each tile's sources are weighted where a tile pair
+    uses them, and the rank works on the caller's rows, not a copy.  A
+    batch of 4 pairs keeps one tile pair's scratch well below a block, so
+    what is measured is whether any block besides the result is held."""
+    grid = PlaneWaveGrid(silicon_supercell([2, 1, 1]), ecut=3.0)
+    fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=4)
+    phi = grid.random_orbitals(24, np.random.default_rng(41))
+    w = np.linspace(0.1, 1.0, 24)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fock.apply_diag(phi, w)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak - out.nbytes < phi.nbytes
 
 
 def test_kernel_must_be_real_and_even(grid):

@@ -177,6 +177,26 @@ def test_set_time_updates_field(grid):
     assert np.linalg.norm(ham.kinetic.vector_potential) < np.linalg.norm(a0)
 
 
+def test_set_time_rebuilds_the_kinetic_diagonal_only_when_a_moves(grid):
+    """PT-IM sets one midpoint time on every inner iteration: an unchanged
+    A(t) keeps the diagonal, a new one rebuilds it to the same bits as a
+    fresh operator's."""
+    from repro.rt.field import GaussianLaserPulse
+
+    pulse = GaussianLaserPulse(amplitude=0.01, center_fs=0.0, fwhm_fs=1.0)
+    ham = Hamiltonian(grid, make_functional("lda"), field=pulse)
+    ham.set_time(0.3)
+    diag = ham.kinetic.diagonal_g
+    ham.set_time(0.3)
+    assert ham.kinetic.diagonal_g is diag
+    ham.set_time(0.4)
+    assert ham.kinetic.diagonal_g is not diag
+    fresh = KineticOperator(grid)
+    fresh.set_vector_potential(pulse.vector_potential(0.4))
+    assert np.array_equal(ham.kinetic.diagonal_g, fresh.diagonal_g)
+    assert not np.array_equal(diag, fresh.diagonal_g)
+
+
 # ---------------- the sphere kernel against the real-space-row oracle --------------
 def _rel_err(got, ref):
     return np.abs(got - ref).max() / np.abs(ref).max()

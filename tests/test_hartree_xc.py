@@ -58,6 +58,22 @@ def test_hartree_energy_scales_quadratically(grid):
     assert e2 == pytest.approx(4.0 * e1, rel=1e-10)
 
 
+def test_hartree_kernel_is_made_once_per_grid(grid, monkeypatch):
+    """The Coulomb kernel is the grid's, made on first use and read-only: a
+    later solve reads no G-vector table, and the potential is that of
+    ``4π/G²`` (G = 0 dropped) to the bit."""
+    rho = np.abs(default_rng(3).standard_normal(grid.ngrid))
+    g2 = grid.gvec.g2.ravel()
+    kernel = np.zeros_like(g2)
+    kernel[g2 > 1e-12] = 4.0 * math.pi / g2[g2 > 1e-12]
+    expected = grid.g_to_r(grid.r_to_g(rho.astype(complex)) * kernel).real
+    first = hartree_potential(grid, rho)
+    assert not grid.coulomb_kernel.flags.writeable
+    monkeypatch.setattr(grid, "gvec", None)
+    assert np.array_equal(hartree_potential(grid, rho), first)
+    assert np.array_equal(first, expected)
+
+
 def test_solve_poisson_batched(grid):
     rng = default_rng(2)
     rho = rng.standard_normal((3, grid.ngrid)).astype(complex)

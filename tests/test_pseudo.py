@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 import scipy.special
-from scipy.linalg import block_diag
 
 import repro.pseudo.nonlocal_ as nonlocal_module
+from oracles import full_grid_projectors
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.pseudo.database import PSEUDO_DATABASE, get_pseudopotential
 from repro.pseudo.hgh import (
@@ -21,7 +21,7 @@ from repro.pseudo.hgh import (
     spherical_jn,
 )
 from repro.pseudo.local import LocalPseudopotential
-from repro.pseudo.nonlocal_ import NonlocalPseudopotential, _real_sph_harm
+from repro.pseudo.nonlocal_ import NonlocalPseudopotential
 from repro.utils.rng import default_rng
 
 
@@ -172,44 +172,33 @@ def test_nonlocal_energy_real_and_matches_apply(small_grid):
     assert e == pytest.approx(float(np.dot(w, per_band)), rel=1e-12)
     # the sphere table is the full-box one, gathered: same energy from
     # PWDFT coefficients and <beta|phi> = Omega sum_G beta*(G) c(G)
-    amps = small_grid.cell.volume * (nl.beta_g.conj() @ small_grid.r_to_g(phi).T)
+    beta_g, _, _ = full_grid_projectors(small_grid)
+    amps = small_grid.cell.volume * (beta_g.conj() @ small_grid.r_to_g(phi).T)
     full = np.einsum("pn,pq,qn->n", amps.conj(), nl.coupling, amps).real
     assert e == pytest.approx(float(np.dot(w, full)), rel=1e-12)
 
 
 # ---------------- radial tables once per species and |G| shell ---------------------
-def per_atom_projectors(grid):
-    """The pre-PR-14 construction: ``projector_fourier`` on every grid
-    point inside the atom loop.  Kept as the oracle for the per-species,
-    per-|G|-shell tables."""
-    cell = grid.cell
-    q = np.sqrt(grid.gvec.g2)
-    q_flat = grid.to_flat(q[None])[0]
-    unit_flat = (grid.gvec.cartesian / np.where(q[..., None] > 1e-12, q[..., None], 1.0)).reshape(-1, 3)
-    betas, blocks, labels = [], [], []
-    for atom_index, symbol in enumerate(cell.species):
-        params = get_pseudopotential(symbol)
-        sfac = grid.to_flat(grid.gvec.structure_factor(cell.positions[atom_index])[None])[0]
-        for l in range(params.lmax + 1):
-            nproj = params.nproj(l)
-            radial = [projector_fourier(params, l, i, q_flat) for i in range(nproj)]
-            for m in range(-l, l + 1):
-                ylm = _real_sph_harm(l, m, unit_flat)
-                for i in range(nproj):
-                    betas.append(((-1j) ** l / cell.volume) * radial[i] * ylm * sfac)
-                    labels.append((atom_index, symbol, l, m, i))
-                blocks.append(h_matrix(params, l))
-    return np.vstack(betas), block_diag(*blocks), labels
-
-
 @pytest.mark.parametrize("reps, ecut", [([1, 1, 1], 3.0), ([2, 1, 1], 2.0)])
 def test_nonlocal_matches_per_atom_oracle(reps, ecut):
     grid = PlaneWaveGrid(silicon_supercell(reps), ecut=ecut)
     nl = NonlocalPseudopotential(grid)
-    beta_ref, coupling_ref, labels_ref = per_atom_projectors(grid)
-    assert np.abs(nl.beta_g - beta_ref).max() <= 1e-15 * np.abs(beta_ref).max()
+    beta_ref, coupling_ref, labels_ref = full_grid_projectors(grid)
+    beta_ref = np.sqrt(grid.cell.volume) * beta_ref[:, grid.sphere_index]
+    assert np.abs(nl.beta_sphere - beta_ref).max() <= 1e-15 * np.abs(beta_ref).max()
     assert np.array_equal(nl.coupling, coupling_ref)
     assert nl.labels == labels_ref
+
+
+def test_nonlocal_holds_nothing_grid_sized():
+    """The projectors are held on the cutoff sphere only: no array of the
+    operator has an ``ngrid`` axis."""
+    grid = PlaneWaveGrid(silicon_supercell([2, 1, 1]), ecut=2.0)
+    nl = NonlocalPseudopotential(grid)
+    arrays = {k: v for k, v in vars(nl).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == {"beta_sphere", "coupling"}
+    assert nl.beta_sphere.shape == (80, grid.npw)
+    assert all(grid.ngrid not in a.shape for a in arrays.values())
 
 
 def test_nonlocal_radial_tables_once_per_species_and_shell(monkeypatch):

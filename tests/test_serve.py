@@ -472,6 +472,37 @@ def test_queue_deadline_set_only_with_timeout(queue):
     assert [j.run_id for j in expired] == [with_deadline.run_id]
 
 
+def test_a_supervisor_pass_reads_only_its_own_workers_cancelled_rows(queue, monkeypatch):
+    """The supervisor's cost does not grow with the study's history: of
+    1 000 cancelled rows naming other workers and one naming its own, a
+    pass reads that one row, and replaces the worker still on it."""
+    import sqlite3
+
+    import repro.serve.queue as queue_module
+    from repro.serve.pool import WorkerPool
+
+    pool = WorkerPool(str(queue.root), queue, n_workers=1, backoff=0.0)
+    own = f"{pool.tag}w0g1"
+    conn = sqlite3.connect(queue.path)
+    with conn:
+        conn.executemany(
+            "INSERT INTO jobs (run_id, config_hash, status, worker, created, updated, "
+            "config_json) VALUES (?, '', 'cancelled', ?, ?, ?, '{}')",
+            [(f"r{i:012x}", own if i == 0 else f"gone{i % 7}", i, i) for i in range(1001)],
+        )
+    conn.close()
+    read = []
+    decode = queue_module._row
+    monkeypatch.setattr(queue_module, "_row", lambda record: read.append(record[0]) or decode(record))
+    pool.start()
+    try:
+        pool.tick()
+        assert read == [f"r{0:012x}"]
+        assert pool.pid_of(f"{pool.tag}w0g2") is not None  # killed and respawned
+    finally:
+        pool.stop()
+
+
 @pytest.mark.parametrize("pid_of", ["reaped", "reused"])
 def test_queue_recover_requeues_running_jobs(queue, pid_of):
     """A worker whose lock nobody holds is gone, whatever its pid names: no
