@@ -26,7 +26,7 @@ setup(
     packages=find_packages("src"),
     python_requires=">=3.11",
     install_requires=["numpy>=2.0", "scipy"],
-    extras_require={"test": ["pytest", "pytest-benchmark", "hypothesis"]},
+    extras_require={"test": ["pytest", "hypothesis"]},
     entry_points={"console_scripts": ["repro = repro.__main__:main"]},
     classifiers=[
         "Programming Language :: Python :: 3.11",

@@ -1,41 +1,32 @@
 """The Fock exchange operator — the paper's dominant cost.
 
-Three evaluation kernels, all numerically equivalent (tested):
+One evaluation kernel, :meth:`FockExchangeOperator.apply_diag`.
+Sec. IV-A1: after ``sigma = Q D Q*`` and ``phi_tilde = Phi Q``, the
+operator takes the pure-state form Eq. (13) with diagonal weights;
+the caller (``repro.rt``) decomposes and rotates.  It is evaluated
+tile pair by tile pair.  The bands are cut into *tiles* of
+``isqrt(batch_size)`` consecutive orbitals (4 for the default 16),
+so the pair densities ``phi_a* phi_b`` of one *tile pair* ``(I, J)``,
+``a`` in ``I``, ``b`` in ``J``, fill one batched FFT.  Its potentials ``pot_ab`` yield the partial sum
+``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
+``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
+indices alone, so who computes a tile pair does not move a bit.
+Weights are applied per tile, ``d[t, None] * phi[t]``, where a tile
+pair uses them: no rank holds a weighted copy of its sources.
+The operator acts only on its own sources — every production call
+does: midpoint exchange, ACE build, exchange energy, the hybrid SCF —
+and the kernel is real and even in G, so ``pot_ba = conj(pot_ab)``:
+each unordered pair ``{I <= J}`` is transformed once and also yields
+``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
+instead of the paper's N^2.  It is written once, as the rank program
+of the band-parallel exchange (Sec. IV-B, Fig. 5),
+:meth:`FockExchangeOperator.self_application`, and run here on one
+rank by :func:`lockstep`, every request answered with the rank's own
+part: no communicator, no ledger.
 
-``apply_mixed_tripleloop``
-    Paper Alg. 2 verbatim: for every (k, i, j) band triple the pair
-    density ``phi_k* ⊙ phi_j`` is FFT'd, multiplied by the kernel,
-    inverse-FFT'd and accumulated with weight ``sigma_ik`` — N^3 FFTs.
-    The FFT result depends only on (k, j) but the memory-constrained
-    distributed loop recomputes it per i, exactly as in PWDFT's baseline.
-
-``apply_mixed_grouped``
-    Reference N^2-FFT evaluation without diagonalizing sigma (pre-contract
-    ``W = sigma^T Phi``); used to validate the other two.
-
-``apply_diag``
-    Sec. IV-A1: after ``sigma = Q D Q*`` and ``phi_tilde = Phi Q``, the
-    operator takes the pure-state form Eq. (13) with diagonal weights;
-    the caller (``repro.rt``) decomposes and rotates.  It is evaluated
-    tile pair by tile pair.  The bands are cut into *tiles* of
-    ``isqrt(batch_size)`` consecutive orbitals (4 for the default 16),
-    so the pair densities ``phi_a* phi_b`` of one *tile pair* ``(I, J)``,
-    ``a`` in ``I``, ``b`` in ``J``, fill one batched FFT.  Its potentials ``pot_ab`` yield the partial sum
-    ``P[I->J]_b = Σ_a d_a phi_a pot_ab`` and ``V_x phi_J`` is
-    ``-Σ_I P[I->J]`` summed in ascending ``I`` — an order fixed by band
-    indices alone, so who computes a tile pair does not move a bit.
-    Weights are applied per tile, ``d[t, None] * phi[t]``, where a tile
-    pair uses them: no rank holds a weighted copy of its sources.
-    The operator acts only on its own sources — every production call
-    does: midpoint exchange, ACE build, exchange energy, the hybrid SCF —
-    and the kernel is real and even in G, so ``pot_ba = conj(pot_ab)``:
-    each unordered pair ``{I <= J}`` is transformed once and also yields
-    ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
-    instead of the paper's N^2.  It is written once, as the rank program
-    of the band-parallel exchange (Sec. IV-B, Fig. 5),
-    :meth:`FockExchangeOperator.self_application`, and run here on one
-    rank by :func:`lockstep`, every request answered with the rank's own
-    part: no communicator, no ledger.
+The paper's Alg. 2 triple loop (N^3 transforms, sigma undecomposed) and
+the grouped N^2 mixed-state reference it is checked against are test
+oracles (``tests/oracles.py``); no run takes them.
 
 Conventions: orbitals are real-space rows ``(N, ngrid)``; pair densities
 carry the continuum normalization through ``grid.dv``-weighted inner
@@ -55,7 +46,7 @@ import numpy as np
 
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.trace import traced
-from repro.utils.validation import check_square, require
+from repro.utils.validation import require
 
 if TYPE_CHECKING:
     from repro.backend.base import FFTCounters
@@ -365,59 +356,6 @@ class FockExchangeOperator:
             for sender, t in late:
                 acc[tiles[t].start - lo : tiles[t].stop - lo] += next(inbox[sender])
         return (yield Collective("allgatherv", np.negative(acc, out=acc)))
-
-    # -- mixed-state baseline (paper Alg. 2) -----------------------------------
-    def apply_mixed_tripleloop(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """Alg. 2: N^3 band-by-band FFTs with per-i recomputation.
-
-        Faithful to the memory-constrained distributed loop: the (k, j)
-        pair potential is recomputed inside the i loop.  Use only for
-        small N (tests, micro-benchmarks).
-        """
-        check_square(sigma, "sigma")
-        n = phi.shape[0]
-        require(sigma.shape[0] == n, "sigma must match band count")
-        if targets is None:
-            targets = phi
-        out = np.zeros_like(targets)
-        for k in range(n):
-            for i in range(n):
-                s_ik = sigma[i, k]
-                if abs(s_ik) < 1e-15:
-                    continue
-                for j in range(targets.shape[0]):
-                    pair = phi[k].conj() * targets[j]
-                    pot = self._pair_potential(pair)
-                    out[j] -= s_ik * phi[i] * pot
-        return out
-
-    def apply_mixed_grouped(
-        self, phi: np.ndarray, sigma: np.ndarray, targets: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """N^2-FFT mixed-state reference: contract over i before the k loop.
-
-        ``V_x psi_j = -Σ_k W_k(r) [K * (phi_k^* psi_j)](r)`` with
-        ``W = sigma^T Phi`` (row k = Σ_i sigma_ik phi_i).  Validates both
-        the triple loop and the diagonalized path.
-        """
-        check_square(sigma, "sigma")
-        require(sigma.shape[0] == phi.shape[0], "sigma must match band count")
-        if targets is None:
-            targets = phi
-        w_rows = sigma.T @ phi  # (N, ngrid)
-        out = np.zeros_like(targets)
-        n = phi.shape[0]
-        for j in range(targets.shape[0]):
-            acc = np.zeros(self.grid.ngrid, dtype=complex)
-            for start in range(0, n, self.batch_size):
-                blk = slice(start, min(start + self.batch_size, n))
-                pair = phi[blk].conj() * targets[j][None, :]
-                pot = self._pair_potential(pair)
-                acc += np.einsum("kr,kr->r", w_rows[blk], pot)
-            out[j] = -acc
-        return out
 
     # -- energy -----------------------------------------------------------------
     @traced("hamiltonian.fock.exchange_energy")

@@ -2,8 +2,8 @@
 
 Every measured number the paper reports (Fig. 9-11, Table I, Sec. VIII
 prose) is collected here, both as the calibration target for the machine
-models in :mod:`repro.parallel.machine` and as the paper column the
-``benchmarks/`` figure tests print.  Tests in ``tests/test_perf_model.py``
+models in :mod:`repro.parallel.machine` and as the paper column
+``repro perf`` prints beside the model.  Tests in ``tests/test_perf_model.py``
 assert that the model reproduces the *shape* of each result (ordering,
 approximate factors) within tolerance bands.
 """

@@ -160,8 +160,7 @@ class WorkerPool:
             )
         # cancelled jobs whose worker is still burning cycles
         for job in self.queue.cancelled_on(list(self._ids.values())):
-            if not self.queue.running_for(job.worker):  # still on the cancelled job
-                self.kill_worker(job.worker)
+            self.kill_worker(job.worker)
         for slot, proc in list(self._procs.items()):
             if proc.is_alive():
                 continue

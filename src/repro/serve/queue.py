@@ -177,6 +177,16 @@ class JobQueue:
             (run_id,),
         )
 
+    @staticmethod
+    def _close_cancelled(conn, run_id: str, now: float) -> None:
+        """A worker reached the end of a cancelled job: its open attempt
+        closes ``cancelled``, and :meth:`cancelled_on` no longer names it."""
+        conn.execute(
+            "UPDATE job_attempts SET finished = ?, outcome = 'cancelled' WHERE run_id = ? "
+            "AND attempt = (SELECT attempts FROM jobs WHERE run_id = ?) AND finished IS NULL",
+            (now, run_id, run_id),
+        )
+
     # -- submission -----------------------------------------------------------
     @traced("serve.queue.submit")
     def submit(
@@ -314,7 +324,7 @@ class JobQueue:
         (a result added on its own; a re-run of an ``ok`` row) gets one
         attempt, begun and finished here.  A ``cancelled`` row stays
         cancelled: a worker that raced past the cancel cannot resurrect
-        the job.
+        the job; its attempt closes ``cancelled``.
         """
         now = utc_now()
 
@@ -322,6 +332,7 @@ class JobQueue:
             run_id, _ = self._insert(conn, config, overrides, now)
             row = self._get(conn, run_id)
             if row.status == "cancelled":
+                self._close_cancelled(conn, run_id, now)
                 return row
             if row.status != "running":
                 self._start_attempt(conn, run_id, own_worker_id(), now)
@@ -354,6 +365,8 @@ class JobQueue:
         — all three consumed the attempt at claim time.  The job lands
         in ``error`` once its attempt budget is spent, otherwise goes
         back to ``queued`` with an exponentially growing ``not_before``.
+        A job cancelled meanwhile stays cancelled, its attempt closed
+        ``cancelled``.
         """
         now = utc_now()
 
@@ -361,6 +374,8 @@ class JobQueue:
             job = self._get(conn, job_id)
             if job is None:
                 raise StoreError(f"queue has no job {job_id!r}")
+            if job.status == "cancelled":
+                self._close_cancelled(conn, job_id, now)
             if job.status != "running":
                 return job  # cancelled (or already resolved) meanwhile
             if job.attempts >= job.max_attempts:
@@ -462,9 +477,15 @@ class JobQueue:
         return self._rows("status = 'running' AND worker = ?", (worker_id,))
 
     def cancelled_on(self, workers: Sequence[str]) -> List[StoredRun]:
-        """Cancelled jobs naming one of ``workers`` (not the whole history)."""
+        """Cancelled jobs one of ``workers`` is still on: the row names it
+        and its attempt is open (not the whole history)."""
         marks = ", ".join("?" * len(workers))
-        return self._rows(f"status = 'cancelled' AND worker IN ({marks})", workers)
+        return self._rows(
+            f"status = 'cancelled' AND worker IN ({marks}) AND EXISTS (SELECT 1 FROM "
+            "job_attempts a WHERE a.run_id = jobs.run_id AND a.attempt = jobs.attempts "
+            "AND a.finished IS NULL)",
+            workers,
+        )
 
     def expired(self) -> List[StoredRun]:
         """Running jobs past their deadline (the supervisor kills these)."""

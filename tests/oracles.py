@@ -15,7 +15,10 @@ oracles the sphere kernels are tested against (the way
 
 The real-space step builds its densities with the pairwise kernel and,
 on request, its dense exchange with Alg. 2 (:class:`TripleLoopExchange`):
-the two baselines that used to be propagator modes and are now kernels.
+the two baselines that used to be propagator modes.  The Alg. 2 triple
+loop itself, :func:`tripleloop_exchange`, and the grouped mixed-state
+reference :func:`grouped_exchange` were ``FockExchangeOperator`` methods
+until no run took them.
 """
 
 import itertools
@@ -246,16 +249,58 @@ def mixed_exchange(fock, phi, sigma):
     return unrotate_orbitals(fock.apply_diag(rotate_orbitals(phi, q), d), q)
 
 
+def tripleloop_exchange(fock, phi, sigma, targets=None):
+    """``V_x[P] targets`` of ``P = Phi sigma Phi*`` by paper Alg. 2: N^3
+    band-by-band transforms, the (k, j) pair potential recomputed inside
+    the i loop as the memory-constrained distributed baseline does.
+    Through ``fock``'s pair solve, so the grid's backend counts 2 N^3
+    transforms for a dense sigma (no alpha factor)."""
+    n = phi.shape[0]
+    assert sigma.shape == (n, n), "sigma must match band count"
+    if targets is None:
+        targets = phi
+    out = np.zeros_like(targets)
+    for k in range(n):
+        for i in range(n):
+            s_ik = sigma[i, k]
+            if abs(s_ik) < 1e-15:
+                continue
+            for j in range(targets.shape[0]):
+                pot = fock._pair_potential(phi[k].conj() * targets[j])
+                out[j] -= s_ik * phi[i] * pot
+    return out
+
+
+def grouped_exchange(fock, phi, sigma, targets=None):
+    """The N^2-transform mixed-state reference: contract over i before the
+    k loop, ``V_x psi_j = -Σ_k W_k [K * (phi_k^* psi_j)]`` with ``W =
+    sigma^T Phi``, ``fock.batch_size`` pair densities per transform."""
+    n = phi.shape[0]
+    assert sigma.shape == (n, n), "sigma must match band count"
+    if targets is None:
+        targets = phi
+    w_rows = sigma.T @ phi
+    out = np.zeros_like(targets)
+    for j in range(targets.shape[0]):
+        acc = np.zeros(fock.grid.ngrid, dtype=complex)
+        for start in range(0, n, fock.batch_size):
+            blk = slice(start, min(start + fock.batch_size, n))
+            pot = fock._pair_potential(phi[blk].conj() * targets[j][None, :])
+            acc += np.einsum("kr,kr->r", w_rows[blk], pot)
+        out[j] = -acc
+    return out
+
+
 class TripleLoopExchange:
-    """The dense exchange of ``(phi, sigma)`` by Alg. 2, the baseline
-    kernel ``FockExchangeOperator.apply_mixed_tripleloop``, as an operator
-    on real-space rows that ``real_space_apply`` takes as ``ace=``."""
+    """The dense exchange of ``(phi, sigma)`` by Alg. 2
+    (:func:`tripleloop_exchange`), as an operator on real-space rows that
+    ``real_space_apply`` takes as ``ace=``."""
 
     def __init__(self, fock, phi, sigma):
         self.fock, self.phi, self.sigma = fock, phi, sigma
 
     def apply(self, targets):
-        return self.fock.apply_mixed_tripleloop(self.phi, self.sigma, targets=targets)
+        return tripleloop_exchange(self.fock, self.phi, self.sigma, targets=targets)
 
 
 class SelfExchange:

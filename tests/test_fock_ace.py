@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigenbasis_image, mixed_exchange
+from oracles import eigenbasis_image, grouped_exchange, mixed_exchange, tripleloop_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
@@ -45,8 +45,8 @@ def _setup(grid, seed, n=4):
 def test_tripleloop_equals_grouped(grid, fock, seed):
     """Alg. 2 (N^3 FFTs) == grouped (N^2 FFTs) mixed-state evaluation."""
     phi, sigma = _setup(grid, seed)
-    a = fock.apply_mixed_tripleloop(phi, sigma)
-    b = fock.apply_mixed_grouped(phi, sigma)
+    a = tripleloop_exchange(fock, phi, sigma)
+    b = grouped_exchange(fock, phi, sigma)
     assert np.allclose(a, b, atol=1e-10)
 
 
@@ -56,7 +56,7 @@ def test_diagonalization_equals_grouped(grid, fock, seed):
     """Sec. IV-A1: the sigma-eigenbasis form is the same operator."""
     phi, sigma = _setup(grid, seed)
     a = mixed_exchange(fock, phi, sigma)
-    b = fock.apply_mixed_grouped(phi, hermitize(sigma))
+    b = grouped_exchange(fock, phi, hermitize(sigma))
     assert np.allclose(a, b, atol=1e-10)
 
 
@@ -69,7 +69,7 @@ def test_fft_count_reduction(grid):
     n = 4
 
     snap = eng.counters.snapshot()
-    fock.apply_mixed_tripleloop(phi, sigma)
+    tripleloop_exchange(fock, phi, sigma)
     triple = eng.counters.since(snap).transforms
 
     snap = eng.counters.snapshot()
@@ -84,7 +84,7 @@ def test_fft_count_reduction(grid):
 
 def test_fock_operator_hermitian(grid, fock):
     phi, sigma = _setup(grid, 3)
-    vx = fock.apply_mixed_grouped(phi, hermitize(sigma))
+    vx = grouped_exchange(fock, phi, hermitize(sigma))
     m = grid.inner(phi, vx)
     assert np.abs(m - m.conj().T).max() < 1e-10
 
@@ -249,8 +249,8 @@ def test_batch_size_invariance(grid):
     sigma = hermitize(sigma)
     f1 = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=1)
     f8 = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=8)
-    a = f1.apply_mixed_grouped(phi, sigma)
-    b = f8.apply_mixed_grouped(phi, sigma)
+    a = grouped_exchange(f1, phi, sigma)
+    b = grouped_exchange(f8, phi, sigma)
     assert np.allclose(a, b, atol=1e-12)
 
 

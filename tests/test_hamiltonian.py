@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import eigenbasis_image, mixed_exchange, real_space_apply
+from oracles import eigenbasis_image, mixed_exchange, real_space_apply, tripleloop_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
 from repro.hamiltonian.ace import ACEOperator
@@ -85,7 +85,7 @@ def test_exchange_modes_agree(ham_hse, grid):
     phi_t, d = eigenbasis_image(phi, sigma)
     ham_hse.set_exchange_sources(phi_t, d)
     a = ham_hse.apply_real(phi_t)
-    vx = ham_hse.functional.alpha * ham_hse.fock.apply_mixed_tripleloop(phi, sigma, targets=phi_t)
+    vx = ham_hse.functional.alpha * tripleloop_exchange(ham_hse.fock, phi, sigma, targets=phi_t)
     b = ham_hse.apply_real(phi_t, include_exchange=False) + grid.to_real(grid.to_sphere(vx))
     assert np.allclose(a, b, atol=1e-9)
 

@@ -205,6 +205,36 @@ def test_ledger_invariants_across_patterns(pattern_ledgers):
         assert vol[p]["allgatherv"] > 0.0
 
 
+def test_table1_categories_migrate_across_patterns(pattern_ledgers):
+    """Table I's executed counterpart: the dense exchange's traffic moves
+    from broadcasts to ring hops, and the total falls bcast > ring >=
+    async-ring, whose only sendrecv left is the small weight vector."""
+    sec = {p: led.seconds_by_category() for p, led in pattern_ledgers.items()}
+    assert sec["bcast"]["bcast"] > 0 and sec["bcast"]["sendrecv"] == 0
+    assert sec["ring"]["sendrecv"] > 0 and sec["ring"]["bcast"] == 0
+    assert sec["async-ring"]["sendrecv"] > 0
+    total = {p: sum(v.values()) for p, v in sec.items()}
+    assert total["bcast"] > total["ring"] >= total["async-ring"]
+
+
+def test_ring_sendrecv_grows_only_by_latency_with_ranks(small_grid):
+    """Fig. 10's non-scalable term: the ring's per-rank volume stays flat,
+    so its sendrecv seconds per application at 8 ranks stay below 4x
+    those at 2."""
+    rng = default_rng(1)
+    phi = small_grid.random_orbitals(8, rng)
+    w = rng.random(8)
+    kern = erfc_screened_kernel(small_grid)
+    sendrecv = {}
+    for p in (2, 8):
+        ledger = CostLedger()
+        DistributedFockExchange(small_grid, kern, SimComm(p, FUGAKU_ARM, ledger)).apply_diag(
+            phi, w, pattern="ring"
+        )
+        sendrecv[p] = ledger.seconds_by_category()["sendrecv"]
+    assert sendrecv[8] < 4.0 * sendrecv[2]
+
+
 def test_use_shm_cheapens_matrix_allreduce():
     """Sec. IV-B3: node-shared matrices shrink the allreduce to one
     participant per node (16 ranks -> 4 nodes on the ARM model)."""

@@ -4,7 +4,7 @@ paper-shape assertions for Figs. 9-11 and Table I."""
 import numpy as np
 import pytest
 
-from oracles import mixed_exchange
+from oracles import mixed_exchange, tripleloop_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import hermitize
@@ -71,7 +71,7 @@ def test_fock_fft_counts_match_analytic():
 
     eng = grid.backend
     snap = eng.counters.snapshot()
-    fock.apply_mixed_tripleloop(phi, sigma)
+    tripleloop_exchange(fock, phi, sigma)
     measured_triple = eng.counters.since(snap).transforms
     model = _dense_fock_counts(n, grid.ngrid, 1, triple_loop=True, bl_sigma_fill=1.0)
     assert measured_triple == model.fft_transforms == 2 * n**3
@@ -202,7 +202,7 @@ def test_strong_scaling_speedup_sublinear(machine):
     effs = [row["efficiency"] for row in r["rows"]]
     assert effs[0] == pytest.approx(1.0)
     assert all(e1 >= e2 - 1e-9 for e1, e2 in zip(effs, effs[1:])), "efficiency must fall"
-    assert effs[-1] < 0.75  # far from ideal at 16-32x, like the paper
+    assert 0.1 < effs[-1] < 0.75  # far from ideal at 16-32x, like the paper
     # but still a real speedup
     assert r["rows"][-1]["speedup"] > 3.0
 

@@ -458,6 +458,18 @@ def test_queue_cancel_blocks_finish(queue):
     queue.finish_ok(config)
     assert queue.get(job.run_id).status == "cancelled"
     assert queue.get(job.run_id).status in TERMINAL_STATUSES
+    # but it did reach the end of it: the attempt is closed
+    assert [a["outcome"] for a in queue.attempts(job.run_id)] == ["cancelled"]
+    assert queue.cancelled_on(["w0"]) == []
+
+
+def test_a_cancelled_job_that_fails_closes_its_attempt_cancelled(queue):
+    queue.submit(make_config())
+    job = queue.claim("w0")
+    queue.cancel(job.run_id)
+    assert queue.fail_attempt(job.run_id, "boom").status == "cancelled"
+    assert [a["outcome"] for a in queue.attempts(job.run_id)] == ["cancelled"]
+    assert queue.cancelled_on(["w0"]) == []
 
 
 def test_queue_deadline_set_only_with_timeout(queue):
@@ -472,10 +484,12 @@ def test_queue_deadline_set_only_with_timeout(queue):
     assert [j.run_id for j in expired] == [with_deadline.run_id]
 
 
-def test_a_supervisor_pass_reads_only_its_own_workers_cancelled_rows(queue, monkeypatch):
-    """The supervisor's cost does not grow with the study's history: of
-    1 000 cancelled rows naming other workers and one naming its own, a
-    pass reads that one row, and replaces the worker still on it."""
+@contextlib.contextmanager
+def _pass_over_cancelled_rows(queue, monkeypatch, attempt_open):
+    """One supervisor pass of a one-worker pool over 1 000 cancelled rows
+    naming other workers and one naming its own, whose attempt is open
+    (the worker is still on the job) or closed ``cancelled`` (it reached
+    the end and is idle).  Yields the pool, its worker and the rows read."""
     import sqlite3
 
     import repro.serve.queue as queue_module
@@ -486,9 +500,14 @@ def test_a_supervisor_pass_reads_only_its_own_workers_cancelled_rows(queue, monk
     conn = sqlite3.connect(queue.path)
     with conn:
         conn.executemany(
-            "INSERT INTO jobs (run_id, config_hash, status, worker, created, updated, "
-            "config_json) VALUES (?, '', 'cancelled', ?, ?, ?, '{}')",
+            "INSERT INTO jobs (run_id, config_hash, status, worker, attempts, created, "
+            "updated, config_json) VALUES (?, '', 'cancelled', ?, 1, ?, ?, '{}')",
             [(f"r{i:012x}", own if i == 0 else f"gone{i % 7}", i, i) for i in range(1001)],
+        )
+        conn.execute(
+            "INSERT INTO job_attempts (run_id, attempt, worker, started, finished, outcome) "
+            "VALUES (?, 1, ?, 0.0, ?, ?)",
+            (f"r{0:012x}", own, *((None, None) if attempt_open else (1.0, "cancelled"))),
         )
     conn.close()
     read = []
@@ -497,10 +516,27 @@ def test_a_supervisor_pass_reads_only_its_own_workers_cancelled_rows(queue, monk
     pool.start()
     try:
         pool.tick()
-        assert read == [f"r{0:012x}"]
-        assert pool.pid_of(f"{pool.tag}w0g2") is not None  # killed and respawned
+        yield pool, own, read
     finally:
         pool.stop()
+
+
+def test_a_supervisor_pass_reads_only_its_own_workers_cancelled_rows(queue, monkeypatch):
+    """The supervisor's cost does not grow with the study's history, and
+    an idle worker whose cancelled job's attempt is closed survives the
+    pass: no row is read, nothing is killed."""
+    with _pass_over_cancelled_rows(queue, monkeypatch, attempt_open=False) as (pool, own, read):
+        assert read == []
+        assert pool.pid_of(own) is not None
+        assert pool.pid_of(f"{pool.tag}w0g2") is None
+
+
+def test_a_supervisor_pass_replaces_a_worker_still_on_a_cancelled_job(queue, monkeypatch):
+    """A worker whose cancelled job's attempt is still open is on it: the
+    pass reads that one row of the 1 001 and replaces the worker."""
+    with _pass_over_cancelled_rows(queue, monkeypatch, attempt_open=True) as (pool, own, read):
+        assert read == [f"r{0:012x}"]
+        assert pool.pid_of(f"{pool.tag}w0g2") is not None  # killed and respawned
 
 
 @pytest.mark.parametrize("pid_of", ["reaped", "reused"])
