@@ -199,12 +199,6 @@ class EnsembleResult:
         self.runs = runs
 
     # -- bookkeeping --------------------------------------------------------
-    def __len__(self) -> int:
-        return len(self.runs)
-
-    def __iter__(self):
-        return iter(self.runs)
-
     @property
     def ok(self) -> List[RunRecord]:
         """The successful runs, in grid order."""

@@ -9,9 +9,9 @@ changes during SCF / propagation:
 * the exact-exchange configuration (:meth:`set_exchange_sources` /
   :meth:`set_ace`): the dense exchange of sigma's eigenbasis image (Sec.
   IV-A1) or the compressed ACE operator.  The Alg. 2 triple loop is a
-  kernel of :class:`FockExchangeOperator`, kept for Fig. 9 and the
-  tests, not a mode.  The dense ``H``, an ACE build and the exchange
-  energy reach the dense exchange through :meth:`dense_exchange`.
+  test oracle (``tests/oracles.py``), not a mode.  The dense ``H``, an
+  ACE build and the exchange energy reach the dense exchange through
+  :meth:`dense_exchange`.
 
 ``apply`` evaluates ``H Phi`` for a band block — the operation the whole
 paper optimizes.  It is the one implementation of ``H`` and works on

@@ -105,10 +105,6 @@ class ParallelContext:
         self.session_mark = self.ledger.mark()
         self._fock: Optional[DistributedFockExchange] = None
 
-    @property
-    def nranks(self) -> int:
-        return self.comm.nranks
-
     def fock_operator(self, grid, kernel_g: np.ndarray, batch_size: int) -> DistributedFockExchange:
         """The distributed exchange executor the Hamiltonian plugs in."""
         self._fock = DistributedFockExchange(

@@ -150,14 +150,6 @@ def _semilocal_h_counts(n: int, ng: int, p: int) -> StepCounts:
 #: rotation — the "other calculations" of paper Sec. III-C
 SUBSPACE_GEMMS_PER_SCF = 25.0
 
-#: SCF iterations per step that carry the subspace/iteration overhead
-def scf_units(variant: str) -> int:
-    """Total fixed-point iterations per time step for a variant."""
-    if variant in ("BL", "Diag"):
-        return PTIM_SCF_PER_STEP
-    return ACE_OUTER_PER_STEP * ACE_INNER_PER_OUTER
-
-
 def _subspace_counts(n: int, ng: int, p: int) -> StepCounts:
     """Overlaps, projector application, mixing, dense algebra per SCF."""
     c = StepCounts()

@@ -16,12 +16,11 @@ weak-scaling memory limit.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict
 
 from repro.parallel.machine import MachineSpec
-from repro.perf.counts import CPLX, StepCounts, SystemSize, scf_units, variant_counts
+from repro.perf.counts import CPLX, StepCounts, SystemSize, variant_counts
 
 
 @dataclass

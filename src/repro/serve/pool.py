@@ -18,7 +18,8 @@ a few times a second:
 - a **job past its deadline** gets its worker killed (there is no safe
   way to interrupt a propagation mid-step from outside) and the
   attempt reported as a timeout; the respawn happens on the next tick;
-- a **cancelled job still executing** likewise gets its worker killed;
+- a **cancelled job still executing** likewise gets its worker killed,
+  and its attempt is closed ``cancelled`` when that worker is reaped;
 - a job whose worker is **another process that is gone** (holds its lock
   no more) — a stored run (``repro run --store``) or another pool's
   worker killed outright — is requeued (:meth:`JobQueue.recover`).
@@ -159,15 +160,17 @@ class WorkerPool:
                 outcome="timeout",
             )
         # cancelled jobs whose worker is still burning cycles
-        for job in self.queue.cancelled_on(list(self._ids.values())):
-            self.kill_worker(job.worker)
+        for job in self.queue.open_on(list(self._ids.values())):
+            if job.status == "cancelled":
+                self.kill_worker(job.worker)
         for slot, proc in list(self._procs.items()):
             if proc.is_alive():
                 continue
             worker_id = self._ids[slot]
-            # the worker died without reporting: fail its claimed job(s)
-            # on its behalf — the claim already consumed the attempt
-            for job in self.queue.running_for(worker_id):
+            # the worker died without reporting: fail each job it was on
+            # on its behalf — the claim already consumed the attempt; one
+            # cancelled under it (killed by the cancel) closes ``cancelled``
+            for job in self.queue.open_on([worker_id]):
                 self.queue.fail_attempt(
                     job.run_id,
                     f"worker {worker_id} died (exitcode {proc.exitcode})",

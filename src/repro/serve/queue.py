@@ -180,7 +180,7 @@ class JobQueue:
     @staticmethod
     def _close_cancelled(conn, run_id: str, now: float) -> None:
         """A worker reached the end of a cancelled job: its open attempt
-        closes ``cancelled``, and :meth:`cancelled_on` no longer names it."""
+        closes ``cancelled``, and :meth:`open_on` no longer names it."""
         conn.execute(
             "UPDATE job_attempts SET finished = ?, outcome = 'cancelled' WHERE run_id = ? "
             "AND attempt = (SELECT attempts FROM jobs WHERE run_id = ?) AND finished IS NULL",
@@ -472,17 +472,14 @@ class JobQueue:
                 return 0
         return self._txn(_recover)
 
-    def running_for(self, worker_id: str) -> List[StoredRun]:
-        """Jobs currently claimed by one worker (0 or 1 in practice)."""
-        return self._rows("status = 'running' AND worker = ?", (worker_id,))
-
-    def cancelled_on(self, workers: Sequence[str]) -> List[StoredRun]:
-        """Cancelled jobs one of ``workers`` is still on: the row names it
-        and its attempt is open (not the whole history)."""
+    def open_on(self, workers: Sequence[str]) -> List[StoredRun]:
+        """The jobs one of ``workers`` is on: the row names it and its
+        attempt is open (not the whole history) — ``running``, or
+        cancelled under it."""
         marks = ", ".join("?" * len(workers))
         return self._rows(
-            f"status = 'cancelled' AND worker IN ({marks}) AND EXISTS (SELECT 1 FROM "
-            "job_attempts a WHERE a.run_id = jobs.run_id AND a.attempt = jobs.attempts "
+            f"worker IN ({marks}) AND EXISTS (SELECT 1 FROM job_attempts a "
+            "WHERE a.run_id = jobs.run_id AND a.attempt = jobs.attempts "
             "AND a.finished IS NULL)",
             workers,
         )

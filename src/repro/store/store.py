@@ -107,9 +107,6 @@ class ResultStore:
     def __len__(self) -> int:
         return sum(self.queue.counts().values())
 
-    def __repr__(self) -> str:
-        return f"ResultStore({str(self.root)!r}, runs={len(self)})"
-
     def _run_path(self, run_id: str) -> Path:
         return self.runs_dir / f"{run_id}.npz"
 

@@ -9,7 +9,8 @@ seconds of top-level spans, so it grows with the number of names and not
 with the length of a run.  :meth:`Recorder.snapshot` and
 :meth:`Recorder.since` attribute one run, as
 :class:`~repro.backend.FFTCounters` do; a test swaps in a fresh recorder
-with :func:`recording`.
+with :func:`recording`, which also installs a given recorder (a
+subclass that acts on a span's entry or exit).
 
 This is the one module that reads ``time.perf_counter``.  Each thread
 nests its own spans (the serve HTTP threads open ``serve.*`` spans while
@@ -24,7 +25,7 @@ import functools
 import threading
 import time
 from contextlib import contextmanager
-from typing import Callable, Dict, Iterator, List, NamedTuple, TypeVar
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, TypeVar
 
 _clock = time.perf_counter
 
@@ -47,9 +48,9 @@ class Recorder:
         self.top_s = 0.0
         self._threads = threading.local()
 
-    def _open(self) -> List[float]:
+    def _open(self, name: str) -> List[float]:
         """The calling thread's open spans (each one's child seconds so
-        far), with one more pushed."""
+        far), with one more pushed for span ``name``."""
         try:
             stack = self._threads.stack
         except AttributeError:
@@ -95,11 +96,13 @@ def recorder() -> Recorder:
 
 
 @contextmanager
-def recording() -> Iterator[Recorder]:
-    """Record into a fresh recorder for the block (a span open at either
-    edge closes where it opened)."""
+def recording(recorder: Optional[Recorder] = None) -> Iterator[Recorder]:
+    """Record into ``recorder`` (default a fresh one) for the block (a span
+    open at either edge closes where it opened).  A subclass sees every
+    span's entry in :meth:`Recorder._open` and its exit in
+    :meth:`Recorder._close`."""
     global _active
-    previous, _active = _active, Recorder()
+    previous, _active = _active, Recorder() if recorder is None else recorder
     try:
         yield _active
     finally:
@@ -113,7 +116,7 @@ def traced(name: str) -> Callable[[F], F]:
         @functools.wraps(fn)
         def timed(*args, **kwargs):
             rec = _active
-            stack = rec._open()
+            stack = rec._open(name)
             start = _clock()
             try:
                 return fn(*args, **kwargs)
@@ -129,7 +132,7 @@ def traced(name: str) -> Callable[[F], F]:
 def span(name: str) -> Iterator[Callable[[], float]]:
     """Record the block as span ``name``; yields its seconds-so-far reader."""
     rec = _active
-    stack = rec._open()
+    stack = rec._open(name)
     start = _clock()
     try:
         yield lambda: _clock() - start

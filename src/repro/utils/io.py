@@ -18,6 +18,8 @@ from typing import Any
 
 import numpy as np
 
+from repro.trace import span
+
 
 def _npz_target(path) -> Path:
     """The path :func:`numpy.savez` would actually write for ``path``.
@@ -43,7 +45,10 @@ def atomic_savez(path, **payload: Any) -> Path:
     target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.parent / f".{target.name}.tmp-{os.getpid()}.npz"
     try:
-        np.savez(tmp, **payload)
+        # the span's exit is the one point where the temp file is complete
+        # and not yet renamed
+        with span("io.savez"):
+            np.savez(tmp, **payload)
         os.replace(tmp, target)
     finally:
         tmp.unlink(missing_ok=True)

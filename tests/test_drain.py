@@ -6,10 +6,6 @@ ground state, put into the store up front, so no leg converges an SCF.
 """
 
 import os
-import signal
-import subprocess
-import sys
-import textwrap
 import time
 
 import make_golden
@@ -170,61 +166,6 @@ def test_an_interrupt_in_the_callers_variant_leaves_nothing_half_done(
     monkeypatch.setattr(worker_mod, "run_one", real_run_one)
     again = run_ensemble(base, _kicks(5), workers=2, store=store_dir)
     assert [r.status for r in again.runs] == ["ok"] * 5
-
-
-_HANGING_CALLER = """
-    import sys, time
-    sys.path[:0] = {path!r}
-    import make_golden
-    import repro.serve.worker as worker_mod
-    from repro.api import SimulationConfig, SweepConfig, run_ensemble
-
-    if __name__ == "__main__":  # not in the spawned child, which re-imports this file
-        worker_mod.run_one = lambda *args, **kwargs: time.sleep(600.0)
-        base = SimulationConfig.from_dict({config!r})
-        sweep = SweepConfig.from_dict({{"axes": {{"field.params.kick": [1e-3, 2e-3]}}}})
-        run_ensemble(base, sweep, workers=2, store={store!r})
-"""
-
-
-def test_a_killed_caller_is_requeued_by_the_next_call(store_dir, base, tmp_path):
-    """SIGKILL the calling process while it holds a claim: nobody is left to
-    report it, the orphaned child finishes what it has and leaves, and the
-    next ``run_ensemble`` on the store requeues the claim and completes."""
-    script = tmp_path / "hanging_caller.py"
-    script.write_text(
-        textwrap.dedent(_HANGING_CALLER).format(
-            path=[p for p in sys.path if p], config=CONFIG, store=str(store_dir)
-        )
-    )
-    caller = subprocess.Popen([sys.executable, str(script)], start_new_session=True)
-    try:
-        queue = JobQueue(store_dir)
-        try:
-            deadline = time.monotonic() + 120.0
-            held = []
-            while not held and time.monotonic() < deadline and caller.poll() is None:
-                held = [
-                    job for job in queue.jobs(status="running")
-                    if job.worker.endswith("caller")
-                ]
-                time.sleep(0.02)
-            assert len(held) == 1
-            caller.kill()
-            caller.wait(timeout=10.0)
-        finally:
-            queue.close()
-        result = run_ensemble(base, _kicks(2), workers=2, store=store_dir)
-    finally:
-        try:  # whatever of the session is still alive
-            os.killpg(caller.pid, signal.SIGKILL)
-        except ProcessLookupError:
-            pass
-    assert [r.status for r in result.runs] == ["ok"] * 2
-    jobs, _ = _rows(store_dir)
-    attempts = {job.run_id: job.attempts for job in jobs}
-    assert attempts[held[0].run_id] == 2  # the dead caller's, then the one that finished it
-    assert sorted(job.status for job in jobs) == ["ok", "ok"]
 
 
 def test_two_pools_on_one_store_do_not_share_worker_ids(store_dir, base):

@@ -12,10 +12,6 @@ import json
 import os
 import re
 import sqlite3
-import subprocess
-import sys
-import textwrap
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -246,52 +242,6 @@ def test_one_ground_state_blob_per_shared_scf_group(tmp_path, real_result):
     assert np.array_equal(gs.orbitals, real_result.ground_state.orbitals)
     assert np.array_equal(gs.occupations, real_result.ground_state.occupations)
     assert gs.converged == real_result.ground_state.converged
-    store.close()
-
-
-STALLED_BLOB_WRITER = textwrap.dedent(
-    """\
-    import sys, time
-    import numpy as np
-    from repro.api import SimulationConfig
-    from repro.store.blobs import BlobStore
-
-    class Stall:
-        def __array__(self, dtype=None, copy=None):
-            print("writing", flush=True)
-            time.sleep(600)
-
-    class StalledGroundState:
-        def to_arrays(self):
-            return {"orbitals": np.zeros(4), "stall": Stall()}
-
-    BlobStore(sys.argv[1]).put_ground_state(SimulationConfig.from_dict({}), StalledGroundState())
-    """
-)
-
-
-def test_writer_killed_mid_blob_leaves_no_phantom_ground_state(tmp_path, real_result):
-    """The pool SIGKILLs a worker on deadline or cancel: killed inside the
-    blob's ``np.savez``, it leaves its temp file beside the blobs, and the
-    inventory (``/stats``, the bench's one-blob checks) must not count it."""
-    store = ResultStore(tmp_path / "study")
-    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
-    writer = subprocess.Popen(
-        [sys.executable, "-c", STALLED_BLOB_WRITER, str(store.blobs.root)],
-        env=env,
-        stdout=subprocess.PIPE,
-        text=True,
-    )
-    try:
-        assert writer.stdout.readline().strip() == "writing"
-    finally:
-        writer.kill()  # SIGKILL, as the pool ends a worker
-        writer.wait(timeout=60)
-        writer.stdout.close()
-    assert [p.name.startswith(".") for p in store.blobs.ground_states_dir.iterdir()] == [True]
-    assert store.blobs.ground_state_addresses() == []
-    store.blobs.put_ground_state(make_config(), real_result.ground_state)
-    assert store.blobs.ground_state_addresses() == [group_address(make_config())]
     store.close()
 
 
