@@ -132,13 +132,25 @@ def lockstep(
             if len(set(asked)) > 1:
                 ranks = "; ".join(f"rank {r}: {op}{args}" for r, (op, args) in enumerate(asked))
                 raise RuntimeError(f"rank programs out of step: {ranks}")
-            parts = [q.data for q in requests]
             if asked[0][0] == "returned":
-                return parts, transforms
-            replies = answer(*asked[0], parts)
+                return [q.data for q in requests], transforms
+            replies = answer(*asked[0], [q.data for q in requests])  # unnamed: freed with the replies
     finally:
         for program in programs:
             program.close()
+
+
+class _Rows:
+    """The sources' rows, read from the shards that hold them in band
+    order: a slice is a view into one shard, or joined where it straddles two."""
+
+    def __init__(self, blocks: Sequence[np.ndarray]) -> None:
+        self.blocks, self.starts = blocks, np.cumsum([0, *map(len, blocks)])
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        parts = [b[max(rows.start - lo, 0) : rows.stop - lo] for b, lo in zip(self.blocks, self.starts)
+                 if lo < rows.stop and lo + len(b) > rows.start]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) -> RankProgram:
@@ -146,7 +158,8 @@ def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) 
     through ``pattern`` (Fig. 5): each owner broadcasts its shard
     (``bcast``), or shards rotate one neighbor hop per step (``ring``);
     an ``async-ring`` orbital hop overlaps the ``(nbands + 1) / (2 p)``
-    pair solves per orbital in hand, the weights riding synchronous hops."""
+    pair solves per orbital in hand, the weights riding synchronous hops.
+    The orbitals stay its shard and views of the others' (:class:`_Rows`)."""
     held = [(shard, weight_shard)] * p  # held[owner] = (orbitals, weights)
     if pattern == "bcast":
         for root in range(p):
@@ -164,10 +177,7 @@ def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) 
             held[(rank - step) % p] = (block, w)
     else:
         raise ValueError(f"unknown pattern {pattern!r}; use bcast, ring or async-ring")
-    if p == 1:
-        return held[0]
-    blocks, weights = zip(*held)
-    return np.concatenate(blocks, axis=0), np.concatenate(weights)
+    return _Rows([block for block, _ in held]), np.concatenate([w for _, w in held])
 
 
 class FockExchangeOperator:
@@ -323,7 +333,8 @@ class FockExchangeOperator:
         ascending source tile, the serial order, and returns ``V_x`` of
         all sources, gathered by ``allgatherv``.  A partial for its own
         tile is added as soon as it is computed unless an earlier one for
-        that tile is still in flight, so the one-rank run holds no wave."""
+        that tile is still in flight, so the one-rank run holds no wave.
+        Its working set: :func:`_sources`' rows, its tiles' sums, one wave, one tile pair."""
         p = nranks
         phi, weights = yield from _sources(shard, weight_shard, nbands, rank, p, pattern)
         tiles = band_tiles(nbands, self.batch_size)
@@ -333,7 +344,7 @@ class FockExchangeOperator:
         owner = np.repeat(np.arange(p), [len(o) for o in owned])
         mine = [tiles[t] for t in owned[rank]]
         lo = mine[0].start if mine else 0
-        acc = np.zeros_like(phi[lo : mine[-1].stop if mine else 0])
+        acc = np.zeros(((mine[-1].stop if mine else 0) - lo, shard.shape[1]), dtype=shard.dtype)
         pairs = enumerate(symmetric_tile_pairs(tiles, weights))
         for _, wave in groupby(pairs, key=lambda item: item[1][0]):
             outbox: List[List[np.ndarray]] = [[] for _ in range(p)]
@@ -351,10 +362,10 @@ class FockExchangeOperator:
                         late.append((sender, t))
                     if sender == rank:
                         outbox[owner[t]].append(partial)
-            inbox = [iter(parts) for parts in (yield Collective("alltoallv_blocks", outbox))]
-            del outbox  # peak memory: one copy of the wave alive at a time
+            inbox = yield Collective("alltoallv_blocks", outbox)
+            del outbox  # peak memory: each partial is freed once added
             for sender, t in late:
-                acc[tiles[t].start - lo : tiles[t].stop - lo] += next(inbox[sender])
+                acc[tiles[t].start - lo : tiles[t].stop - lo] += inbox[sender].pop(0)
         return (yield Collective("allgatherv", np.negative(acc, out=acc)))
 
     # -- energy -----------------------------------------------------------------

@@ -1,10 +1,12 @@
-"""The simulated communicator: real data movement, modeled time.
+"""The simulated communicator: shared replies, modeled time.
 
 ``SimComm`` owns ``nranks`` logical ranks; collective arguments are lists
-with one numpy array per rank.  Operations *actually move the data* (so
-distributed algorithms built on top are numerically exact) and charge the
-machine model's time to a :class:`CostLedger`.  :meth:`SimComm.run`
-drives a rank program (one generator per rank, such as
+with one numpy array per rank.  Each reply is a *read-only view* of the
+one buffer holding its data (the sender's, or the one sum or gather),
+shared as ranks on one node share memory: results are exact, no rank
+holds a copy, and writing into a reply raises.  The ledger still charges
+every message the machine model's time (:class:`CostLedger`).
+:meth:`SimComm.run` drives a rank program (one generator per rank, such as
 :meth:`~repro.hamiltonian.fock.FockExchangeOperator.self_application`)
 over them in lockstep.
 
@@ -55,8 +57,11 @@ class SimComm:
         return float(sum(x.nbytes for x in a) if isinstance(a, list) else np.asarray(a).nbytes)
 
     @staticmethod
-    def _copy(a: np.ndarray | List[np.ndarray]) -> np.ndarray | List[np.ndarray]:
-        return [x.copy() for x in a] if isinstance(a, list) else np.asarray(a).copy()
+    def _shared(a: np.ndarray | List[np.ndarray]) -> np.ndarray | List[np.ndarray]:
+        """Every reply: a read-only view of ``a`` (of each array of a list)."""
+        if isinstance(a, list):
+            return [SimComm._shared(x) for x in a]
+        return np.lib.stride_tricks.as_strided(a, writeable=False)
 
     # -- collectives --------------------------------------------------------------
     @traced("parallel.comm")
@@ -66,7 +71,7 @@ class SimComm:
         buf = np.asarray(per_rank[root])
         t = self.machine.bcast_time(self._nbytes(buf), self.nranks)
         self.ledger.add("bcast", self._nbytes(buf), t)
-        return [buf.copy() for _ in range(self.nranks)]
+        return [self._shared(buf)] * self.nranks
 
     @traced("parallel.comm")
     def ring_shift(self, per_rank: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -96,7 +101,7 @@ class SimComm:
             max_bytes = max(self._nbytes(b) for b in per_rank)
             t_comm = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
             self.ledger.add(kind, max_bytes, max(0.0, t_comm - hidden))
-        return [np.asarray(per_rank[r - 1]).copy() for r in range(self.nranks)]
+        return [self._shared(per_rank[r - 1]) for r in range(self.nranks)]
 
     @traced("parallel.comm")
     def allreduce_sum(self, per_rank: Sequence[np.ndarray], participants: Optional[int] = None) -> List[np.ndarray]:
@@ -110,7 +115,7 @@ class SimComm:
         p = self.nranks if participants is None else participants
         t = self.machine.allreduce_time(self._nbytes(per_rank[0]), p)
         self.ledger.add("allreduce", self._nbytes(per_rank[0]), t)
-        return [total.copy() for _ in range(self.nranks)]
+        return [self._shared(total)] * self.nranks
 
     @traced("parallel.comm")
     def allgatherv(self, per_rank: Sequence[np.ndarray]) -> List[np.ndarray]:
@@ -120,7 +125,7 @@ class SimComm:
         total_bytes = sum(self._nbytes(b) for b in per_rank)
         t = self.machine.allgatherv_time(total_bytes, self.nranks)
         self.ledger.add("allgatherv", total_bytes, t)
-        return [gathered.copy() for _ in range(self.nranks)]
+        return [self._shared(gathered)] * self.nranks
 
     # -- accounting-only charges ------------------------------------------------
     # The distributed algorithms in this package leave some exchanges
@@ -166,7 +171,7 @@ class SimComm:
         )
         t = self.machine.alltoallv_time(send_bytes, self.nranks)
         self.ledger.add("alltoallv", send_bytes, t)
-        return [[self._copy(blocks[r][s]) for r in range(self.nranks)] for s in range(self.nranks)]
+        return [[self._shared(blocks[r][s]) for r in range(self.nranks)] for s in range(self.nranks)]
 
     # -- the lockstep driver ----------------------------------------------------
     def run(
@@ -184,7 +189,7 @@ class SimComm:
 
     def _collective(self, op: str, args: Tuple, data: List[Any]) -> List[Any]:
         """One round's collective, called once: each rank's reply."""
-        if op in ("bcast", "ring_shift", "alltoallv_blocks"):
+        if op in ("bcast", "ring_shift", "alltoallv_blocks", "allgatherv"):
             return getattr(self, op)(data, *args)
         if op == "ring_shift_async":
             # the hop hides behind the pair solves (two transforms each) on
@@ -192,9 +197,5 @@ class SimComm:
             m, n_pairs = self.machine, max(b.shape[0] for b in data) * args[0]
             hidden = m.overlap_efficiency * 2.0 * n_pairs * m.fft_box_time(data[0].shape[-1])
             return self.ring_shift_async(data, hidden)
-        if op == "allgatherv":
-            gathered = np.concatenate(data, axis=0)
-            self.charge_allgatherv(float(gathered.nbytes))
-            return [gathered] * self.nranks
         raise ValueError(f"no collective {op!r}")
 

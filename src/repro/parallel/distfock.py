@@ -3,10 +3,9 @@
 Sources are band-sharded across simulated ranks, and each rank runs the
 one self-application program,
 :meth:`~repro.hamiltonian.fock.FockExchangeOperator.self_application`,
-under :meth:`~repro.parallel.comm.SimComm.run`, which moves its data and
-charges its collectives.  Every rank must see every source orbital once;
-the three communication schedules of Fig. 5 are implemented *for real*
-on the shards:
+under :meth:`~repro.parallel.comm.SimComm.run`, which shares (never
+copies) its data and charges its collectives.  Every rank must see every
+source orbital once; the three schedules of Fig. 5 run on the shards:
 
 ``bcast``
     each source block is broadcast from its owner (Fig. 5(a));

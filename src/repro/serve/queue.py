@@ -178,13 +178,14 @@ class JobQueue:
         )
 
     @staticmethod
-    def _close_cancelled(conn, run_id: str, now: float) -> None:
-        """A worker reached the end of a cancelled job: its open attempt
-        closes ``cancelled``, and :meth:`open_on` no longer names it."""
+    def _close_open(conn, run_id: str, now: float, outcome: str, error: Optional[str] = None) -> None:
+        """The row's open attempt, if any, closes with ``outcome``: the one
+        way an attempt ends (a closed one is never rewritten, and
+        :meth:`open_on` no longer names it)."""
         conn.execute(
-            "UPDATE job_attempts SET finished = ?, outcome = 'cancelled' WHERE run_id = ? "
+            "UPDATE job_attempts SET finished = ?, outcome = ?, error = ? WHERE run_id = ? "
             "AND attempt = (SELECT attempts FROM jobs WHERE run_id = ?) AND finished IS NULL",
-            (now, run_id, run_id),
+            (now, outcome, error, run_id, run_id),
         )
 
     # -- submission -----------------------------------------------------------
@@ -257,13 +258,13 @@ class JobQueue:
         called bare, without its lock (:meth:`recording`), it leaves the
         row a killed run leaves, which :meth:`recover` requeues.  The
         row is created when missing and taken from whatever state it is
-        in — the caller is about to compute it — with one more attempt;
+        in — the caller is about to compute it — with one more attempt
+        (a killed run's open one closes ``interrupted``, as in :meth:`recover`);
         ``max_attempts`` grows to allow it when the budget is spent, so
         this attempt is the last.  An ``ok`` row is left as it is until
         the new result lands (:meth:`finish_ok` then records the
         attempt), so a re-run that fails or is killed leaves the stored
-        run readable.  Unlike :meth:`claim`, it takes this config's row,
-        not the oldest queued.
+        run readable.  Unlike :meth:`claim`, it takes this config's row.
         """
         now = utc_now()
 
@@ -271,6 +272,7 @@ class JobQueue:
             run_id, _ = self._insert(conn, config, None, now)
             if self._get(conn, run_id).status != "ok":
                 conn.execute(_REGISTER, (own_worker_id(), os.getpid(), now))
+                self._close_open(conn, run_id, now, "interrupted")
                 self._start_attempt(conn, run_id, own_worker_id(), now)
             return self._get(conn, run_id)
 
@@ -332,7 +334,7 @@ class JobQueue:
             run_id, _ = self._insert(conn, config, overrides, now)
             row = self._get(conn, run_id)
             if row.status == "cancelled":
-                self._close_cancelled(conn, run_id, now)
+                self._close_open(conn, run_id, now, "cancelled")
                 return row
             if row.status != "running":
                 self._start_attempt(conn, run_id, own_worker_id(), now)
@@ -346,11 +348,7 @@ class JobQueue:
                     _json(parallel), _json(overrides), run_id,
                 ),
             )
-            conn.execute(
-                "UPDATE job_attempts SET finished = ?, outcome = 'ok' WHERE run_id = ? "
-                "AND attempt = (SELECT attempts FROM jobs WHERE run_id = ?)",
-                (now, run_id, run_id),
-            )
+            self._close_open(conn, run_id, now, "ok")
             return self._get(conn, run_id)
 
         return self._txn(_ok)
@@ -375,7 +373,7 @@ class JobQueue:
             if job is None:
                 raise StoreError(f"queue has no job {job_id!r}")
             if job.status == "cancelled":
-                self._close_cancelled(conn, job_id, now)
+                self._close_open(conn, job_id, now, "cancelled")
             if job.status != "running":
                 return job  # cancelled (or already resolved) meanwhile
             if job.attempts >= job.max_attempts:
@@ -392,11 +390,7 @@ class JobQueue:
                     "progress = 0.0 WHERE run_id = ?",
                     (str(error), now, not_before, job_id),
                 )
-            conn.execute(
-                "UPDATE job_attempts SET finished = ?, outcome = ?, error = ? "
-                "WHERE run_id = ? AND attempt = ?",
-                (now, outcome, str(error), job_id, job.attempts),
-            )
+            self._close_open(conn, job_id, now, outcome, str(error))
             return self._get(conn, job_id)
 
         return self._txn(_fail)
@@ -439,29 +433,23 @@ class JobQueue:
 
         def _gone(conn):
             """The running rows whose worker is gone, and the dead registrations."""
-            running = conn.execute(
-                "SELECT run_id, attempts, worker FROM jobs WHERE status = 'running'"
-            ).fetchall()
+            running = conn.execute("SELECT run_id, worker FROM jobs WHERE status = 'running'").fetchall()
             registered = [w for (w,) in conn.execute("SELECT worker_id FROM workers")]
-            workers = {worker for *_, worker in running}.union(registered)
+            workers = {worker for _, worker in running}.union(registered)
             dead = {w for w in workers if w not in keep and not held(self._lock_file(w))}
-            orphans = [(job_id, n) for job_id, n, worker in running if worker in dead]
+            orphans = [job_id for job_id, worker in running if worker in dead]
             return orphans, [w for w in registered if w in dead]
 
         def _recover(conn):
             orphans, dead = _gone(conn)
-            for job_id, attempt in orphans:
+            for job_id in orphans:
                 conn.execute(
                     "UPDATE jobs SET status = 'queued', worker = NULL, "
                     "deadline = NULL, not_before = 0.0, progress = 0.0, "
                     "updated = ? WHERE run_id = ?",
                     (now, job_id),
                 )
-                conn.execute(
-                    "UPDATE job_attempts SET finished = ?, "
-                    "outcome = 'interrupted' WHERE run_id = ? AND attempt = ?",
-                    (now, job_id, attempt),
-                )
+                self._close_open(conn, job_id, now, "interrupted")
             conn.executemany("DELETE FROM workers WHERE worker_id = ?", [(w,) for w in dead])
             return len(orphans)
 

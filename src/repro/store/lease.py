@@ -104,12 +104,13 @@ def coalesced_ground_state(
     recomputing.  A ``converge()`` that raises publishes nothing and the
     next waiter tries for itself.
     """
+    lock = store.blobs.ground_states_dir / f"{group_address(config)}.lock"
     cached = store.load_ground_state(config)
     if cached is not None:
+        held(lock)  # unlinks the lock of a holder killed after it published
         return cached
-    gs_dir = store.blobs.ground_states_dir
-    gs_dir.mkdir(parents=True, exist_ok=True)
-    with exclusive(gs_dir / f"{group_address(config)}.lock"):
+    lock.parent.mkdir(parents=True, exist_ok=True)
+    with exclusive(lock):
         cached = store.load_ground_state(config)
         if cached is None:
             cached = converge()

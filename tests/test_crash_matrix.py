@@ -129,6 +129,7 @@ def _assert_recovered(service, job_id, case, unfaulted):
     assert tuple(a["outcome"] for a in history) == case.history
     assert [run.run_id for run in store.query()] == [job_id]
     assert store.blobs.ground_state_addresses() == [group_address(unfaulted.config)]
+    assert list((root / "blobs" / "ground_states").glob("*.lock")) == []  # no lease outlives it
     if case.leftover:  # the kill's temp file is there, and counted by neither
         assert [p for p in (root / case.leftover).iterdir() if ".tmp-" in p.name]
     if case.kind == "cancel":

@@ -194,3 +194,13 @@ def test_a_raising_converge_publishes_nothing_and_frees_the_lease(store, config)
     assert _locks(store) == []
     gs = coalesced_ground_state(store, config, lambda: make_golden.load_ground_state(CONFIG))
     assert gs.orbitals.size > 0 and _locks(store) == []
+
+
+def test_a_hit_unlinks_the_lock_a_holder_killed_after_publishing_left(store, config):
+    """A holder killed between publishing the blob and dropping the lease
+    leaves its lock file; the next caller finds the blob and removes it."""
+    gs = coalesced_ground_state(store, config, lambda: make_golden.load_ground_state(CONFIG))
+    stale = store.blobs.ground_states_dir / f"{store.blobs.ground_state_addresses()[0]}.lock"
+    stale.touch()  # what the kill leaves: nobody holds it
+    again = coalesced_ground_state(store, config, lambda: pytest.fail("the blob is published"))
+    assert again.orbitals.shape == gs.orbitals.shape and _locks(store) == []

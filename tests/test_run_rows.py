@@ -10,6 +10,7 @@ must always hold of every row:
 
 - ``attempts`` is the number of its ``job_attempts`` rows;
 - ``attempts`` never exceeds ``max_attempts``;
+- only the last attempt can still be open;
 - a cancel wins: a row cancelled while queued or running stays
   cancelled until someone asks for it again (a submit or a stored run);
 - a ``running`` row names its worker, and a supervisor can tell whether
@@ -167,6 +168,11 @@ class RunRows(RuleBasedStateMachine):
         if row is not None:
             assert row.attempts == len(self.queue.attempts(RUN_ID)), row
             assert row.attempts <= row.max_attempts, row
+
+    @invariant()
+    def only_the_last_attempt_is_open(self):
+        history = self.queue.attempts(RUN_ID)
+        assert all(a["finished"] is not None for a in history[:-1]), history
 
     @invariant()
     def cancel_wins(self):

@@ -545,6 +545,25 @@ def test_booting_service_leaves_a_live_run_its_row(tmp_path, run):
         queue.close()
 
 
+def test_a_rerun_closes_the_attempt_a_killed_run_left_open(tmp_path):
+    """A stored run that finds the row a killed one left ``running``
+    closes that attempt ``interrupted`` before it starts its own, as a
+    supervisor's pass would have: no attempt stays open for good."""
+    from repro.api.runs import run_one
+
+    store = ResultStore.ensure(tmp_path / "store")
+    config = make_config(kick=0.004)
+    try:
+        store.queue.begin(config)  # the row a killed stored run leaves
+        run_one(Simulation(config), store)
+        assert store.queue.recover() == 0
+        history = store.queue.attempts(run_id_for(config))
+        assert [a["outcome"] for a in history] == ["interrupted", "ok"]
+        assert all(a["finished"] for a in history)
+    finally:
+        store.close()
+
+
 def test_queue_requires_existing_store(tmp_path):
     from repro.store import StoreError
 
