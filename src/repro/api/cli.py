@@ -285,7 +285,7 @@ def _finish(sim: Simulation, result, args, mark=None) -> None:
             from repro.perf.experiments import format_split
             from repro.trace import recorder
 
-            print(format_split(recorder().since(mark)))
+            print(format_split(recorder().since(mark).spans))
     if args.output:
         path = result.save_npz(args.output)
         print(f"observables saved to {path}")

@@ -241,9 +241,9 @@ class BackendConfig(_Section):
     stored ground state's address and of every config hash.
     ``fft_workers`` sets the transform thread count (wall time only: a
     band's result does not depend on it).  ``count_ffts`` is fixed to
-    ``true`` in the same way as ``name``: the engine always carries its
-    :class:`~repro.backend.FFTCounters` (how perf results tie back to the
-    paper's analytic FFT tallies).
+    ``true`` in the same way as ``name``: the engine always counts every
+    transform into the process's tally (:mod:`repro.trace`), which is how
+    perf results tie back to the paper's analytic FFT tallies.
     """
 
     _context = "backend"
@@ -260,8 +260,9 @@ class ParallelConfig(_Section):
     ``ranks`` band-shards the Fock-exchange work over a
     :class:`~repro.parallel.comm.SimComm`; ``pattern`` picks the paper's
     Fig. 5 communication schedule (``bcast``, ``ring``, ``async-ring``);
-    ``machine`` selects the hardware cost model charged to the
-    :class:`~repro.parallel.ledger.CostLedger`; ``use_shm`` models
+    ``machine`` selects the hardware cost model that prices each message
+    counted into the process's tally, which a run's
+    :class:`~repro.parallel.ledger.CostLedger` reads; ``use_shm`` models
     node-shared N x N matrices (allreduces join one rank per node,
     Sec. IV-B3).  Results are bit-identical to the serial path at every
     rank count and pattern — only the communication accounting differs.

@@ -36,17 +36,18 @@ import numpy as np
 
 from repro.api.config import ConfigError, SimulationConfig, SweepConfig, overridden, overrides_label
 from repro.api import runs
-from repro.backend import FFTCounters
+from repro.backend.base import FFT, FFTTally
 from repro.observables.spectrum import absorption_spectrum
 from repro.parallel.ledger import CostLedger
 from repro.store.common import config_hash
 from repro.store.query import StoredRun
+from repro.trace import Tally
 
 
 class FFTCoverage(NamedTuple):
     """Merged ensemble FFT tally + how many runs actually reported one."""
 
-    totals: Optional[FFTCounters]
+    totals: Optional[FFTTally]
     n_reporting: int
     n_runs: int
 
@@ -157,11 +158,11 @@ class RunRecord:
         return self.run.elapsed if self.ok else 0.0
 
     @property
-    def fft(self) -> Optional[FFTCounters]:
+    def fft(self) -> Optional[FFTTally]:
         """The run's own *propagation* FFT tally — the shared group SCF
         runs before any per-run snapshot and is attributed to no run.
         ``None`` unless ``ok``, or when the row holds no tally."""
-        return FFTCounters.from_dict(self.run.fft) if self.ok and self.run.fft else None
+        return FFTTally(**self.run.fft) if self.ok and self.run.fft else None
 
     @property
     def parallel(self) -> Optional[Dict[str, Any]]:
@@ -226,16 +227,11 @@ class EnsembleResult:
         masquerade as the ensemble total.  :meth:`summary` flags
         ``n_reporting < n_runs`` in its tally line.
         """
-        total: Optional[FFTCounters] = None
-        n_reporting = 0
-        for r in self.runs:
-            if r.fft is None:
-                continue
-            n_reporting += 1
-            if total is None:
-                total = FFTCounters()
-            total.merge(r.fft)
-        return FFTCoverage(total, n_reporting, len(self.runs))
+        reporting = [r.fft for r in self.runs if r.fft is not None]
+        total = Tally()
+        for fft in reporting:
+            total.merge(Tally.from_dict(FFT, fft._asdict()))
+        return FFTCoverage(FFTTally.of(total) if reporting else None, len(reporting), len(self.runs))
 
     def parallel_ledgers(self) -> Dict[str, "CostLedger"]:
         """Per-run communication ledgers keyed by run label.

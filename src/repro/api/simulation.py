@@ -32,7 +32,7 @@ from repro.api.config import (
     overridden,
 )
 from repro.api.registry import CELLS, FIELDS, FUNCTIONALS, PROPAGATORS
-from repro.backend import Backend, FFTCounters
+from repro.backend import Backend, FFTTally
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.hamiltonian import Hamiltonian
@@ -40,6 +40,7 @@ from repro.parallel.context import ParallelContext, ParallelRunInfo
 from repro.parallel.ledger import CostLedger
 from repro.rt.propagator import PropagationRecord, TDState
 from repro.scf.groundstate import GroundState, run_scf
+from repro.trace import window
 from repro.utils.io import atomic_savez
 
 ConfigLike = Union[SimulationConfig, Mapping[str, Any]]
@@ -180,11 +181,11 @@ class SimulationResult:
     record: Optional[PropagationRecord]
     final_state: TDState
     ground_state: Optional[GroundState] = None
-    #: FFT tally of the propagate() call that produced this result,
+    #: FFT counts of the propagate() call that produced this result,
     #: including a lazily-triggered SCF and any distributed-exchange
     #: rank work (None on a result read from a file); not in the file —
     #: the store keeps it on the run's row
-    fft: Optional[FFTCounters] = None
+    fft: Optional[FFTTally] = None
     #: communication accounting of the propagate() call when the
     #: ``[parallel]`` section is active (None on the serial path): what
     #: ``config.parallel`` cannot say, written as a ``parallel_json`` block
@@ -224,16 +225,21 @@ class SimulationResult:
             stats = r.stats[i]
             energy = r.energy[i]
             e_str = f"{energy:15.8f}" if np.isfinite(energy) else f"{'-':>15}"
+            # a result read back from a file does not know its solver counts
+            counts = (
+                f"{'n/a':>5}/{'n/a':<5}" if stats.scf_iterations is None
+                else f"{stats.outer_iterations:>5}/{stats.scf_iterations:<5}"
+            )
             lines.append(
                 f"{t / AU_PER_ATTOSECOND:9.1f} {r.dipole[i][0]:12.6f} {e_str} "
-                f"{r.particle_number[i]:10.6f} "
-                f"{stats.outer_iterations:>5}/{stats.scf_iterations:<5}"
-                + ("" if stats.converged else " not converged")
+                f"{r.particle_number[i]:10.6f} {counts}"
+                + (" not converged" if stats.converged is False else "")
             )
         if self.parallel is not None:
             lines.extend(self.parallel.summary_lines(self.config.parallel))
         steps = r.stats[1:]  # row 0 is the initial state, not a step
-        failed = [s.residual for s in steps if not s.converged]
+        # unknown convergence (None) is neither failed nor converged
+        failed = [s.residual for s in steps if s.converged is False]
         if failed:
             lines.append(
                 f"{len(failed)} of {len(steps)} steps did not converge "
@@ -366,17 +372,19 @@ class Simulation:
             self._grid = PlaneWaveGrid(self.cell, ecut=sys.ecut, backend=self.backend)
         return self._grid
 
-    def fft_counters(self) -> FFTCounters:
-        """Cumulative FFT tally of this simulation's backend, which counts
-        every transform, simulated ranks' exchange work included."""
-        return self.backend.counters.snapshot()
+    def fft_counters(self) -> FFTTally:
+        """The FFT counts since this simulation's backend was built: every
+        transform, simulated ranks' exchange work included.  The tally is
+        the process's, so another simulation computing meanwhile in this
+        process is counted too."""
+        return FFTTally.of(self.backend.window())
 
     # -- parallel execution ---------------------------------------------------
     @property
     def parallel(self) -> Optional[ParallelContext]:
         """The simulated-MPI context (``None`` when ``[parallel]`` is
-        inactive).  Owns the cumulative :class:`CostLedger` and the
-        distributed exchange operator whose per-rank tally it reports."""
+        inactive).  Builds the distributed exchange operator and reads
+        each run's communication off the tally."""
         cfg = self.config.parallel
         if not cfg.active:
             return None
@@ -386,7 +394,7 @@ class Simulation:
                 pattern=cfg.pattern,
                 machine=cfg.machine,
                 use_shm=cfg.use_shm,
-                ledger=self._parallel_ledger_seed,
+                history=self._parallel_ledger_seed,
             )
         return self._parallel
 
@@ -501,11 +509,9 @@ class Simulation:
         )
         propagator = self.build_propagator()
         ctx = self.parallel
-        counters = self.backend.counters
-        before = counters.snapshot()
         # the propagator build above materialized the Hamiltonian, so the
-        # exchange operator (when parallel) exists for a coherent mark
-        mark = ctx.mark() if ctx is not None else None
+        # exchange operator (when parallel) exists before the run opens
+        run = window()
         final = propagator.propagate(
             self.state,
             dt=prop.dt_as * AU_PER_ATTOSECOND,
@@ -514,13 +520,14 @@ class Simulation:
             on_step=progress,
         )
         self._state = final
+        tally = run()
         return SimulationResult(
             config=self.config,
             record=propagator.record,
             final_state=final,
             ground_state=self._gs,
-            fft=counters.since(before),
-            parallel=ctx.run_info(mark) if ctx is not None else None,
+            fft=FFTTally.of(tally),
+            parallel=ctx.run_info(tally) if ctx is not None else None,
         )
 
     def run(self, store=None, progress=None) -> SimulationResult:

@@ -1,9 +1,10 @@
 """``repro.backend`` — the one FFT engine behind every grid transform.
 
 :class:`Backend` (:mod:`repro.backend.base`) runs each batched 3-D
-transform as one pocketfft call on ``fft_workers`` threads and tallies it
-into its :class:`FFTCounters`, which is how perf tests verify the paper's
-analytic FFT tallies against the real numerics.
+transform as one pocketfft call on ``fft_workers`` threads and counts it
+into the process's tally (:mod:`repro.trace`); :class:`FFTTally` reads a
+slice of it, which is how perf tests verify the paper's analytic FFT
+tallies against the real numerics.
 
 The 1-D helpers :func:`rfft` / :func:`rfftfreq` exist so *analysis*
 transforms (dipole-trace spectra) have a home inside this package: they
@@ -19,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.backend.base import Backend, BackendError, FFTCounters
+from repro.backend.base import Backend, BackendError, FFTTally
 
-__all__ = ["Backend", "BackendError", "FFTCounters", "rfft", "rfftfreq"]
+__all__ = ["Backend", "BackendError", "FFTTally", "rfft", "rfftfreq"]
 
 
 def rfft(a: np.ndarray, n: Optional[int] = None, axis: int = -1) -> np.ndarray:

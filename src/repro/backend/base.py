@@ -18,7 +18,9 @@ importing ``scipy.fft`` (:func:`_bind_pocketfft`):
   fft_workers``.  A band's result depends neither on the thread count
   nor on where the band sits in a batch, so the setting moves wall time
   and no bits — which the serial/distributed bitwise gates rest on;
-* every call is tallied into the engine's :class:`FFTCounters`.
+* every call counts its transforms, itself, its grid points and its
+  shape into the process's tally (:mod:`repro.trace`), which
+  :class:`FFTTally` reads.
 
 Each call passes ``c2c`` exactly what ``scipy.fft.fftn`` / ``ifftn`` with
 ``norm="forward"`` pass it, so every transform is bit-identical to
@@ -48,13 +50,12 @@ import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader
-from typing import Dict, Optional, Tuple
+from typing import Dict, NamedTuple, Optional, Tuple
 
 import numpy as np
 
-from repro.trace import traced
+from repro.trace import Tally, recorder, traced, window
 
 #: input dtypes pocketfft already transforms in double precision
 _DOUBLE = (np.dtype(np.float64), np.dtype(np.complex128))
@@ -194,95 +195,49 @@ class BackendError(ValueError):
     """Invalid backend configuration."""
 
 
-@dataclass
-class FFTCounters:
-    """Tally of 3-D FFT invocations.
+#: the counts every transform call adds to the tally (:mod:`repro.trace`)
+FFT = "backend.fft"
+TRANSFORMS, CALLS, POINTS = f"{FFT}.transforms", f"{FFT}.calls", f"{FFT}.points"
+
+
+@functools.cache
+def _shape_name(shape: Tuple[int, ...]) -> str:
+    return f"{FFT}.by_shape." + "x".join(str(n) for n in shape)
+
+
+class FFTTally(NamedTuple):
+    """What the backend counted in one slice of the tally, in the form of
+    a row's ``fft_json``.
 
     ``transforms`` counts individual 3-D transforms (a batch of ``B``
     counts ``B``); ``calls`` counts backend invocations (a batch counts 1),
-    so a band-by-band loop and one batched call are distinguishable.
+    so a band-by-band loop and one batched call are distinguishable;
+    ``by_shape`` counts transforms per ``"n1xn2xn3"`` grid.
     """
 
     transforms: int = 0
     calls: int = 0
     points: int = 0
-    by_shape: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
-
-    def record(self, shape: Tuple[int, int, int], batch: int) -> None:
-        self.transforms += batch
-        self.calls += 1
-        self.points += batch * math.prod(shape)
-        self.by_shape[shape] = self.by_shape.get(shape, 0) + batch
-
-    def reset(self) -> None:
-        self.transforms = 0
-        self.calls = 0
-        self.points = 0
-        self.by_shape.clear()
-
-    def snapshot(self) -> "FFTCounters":
-        out = FFTCounters(self.transforms, self.calls, self.points)
-        out.by_shape = dict(self.by_shape)
-        return out
-
-    def since(self, earlier: "FFTCounters") -> "FFTCounters":
-        """Difference between this tally and an earlier snapshot."""
-        out = FFTCounters(
-            self.transforms - earlier.transforms,
-            self.calls - earlier.calls,
-            self.points - earlier.points,
-        )
-        out.by_shape = {
-            k: self.by_shape.get(k, 0) - earlier.by_shape.get(k, 0)
-            for k in set(self.by_shape) | set(earlier.by_shape)
-            if self.by_shape.get(k, 0) != earlier.by_shape.get(k, 0)
-        }
-        return out
-
-    def merge(self, other: "FFTCounters") -> None:
-        """Accumulate another tally into this one (ensemble aggregation)."""
-        self.transforms += other.transforms
-        self.calls += other.calls
-        self.points += other.points
-        for shape, n in other.by_shape.items():
-            self.by_shape[shape] = self.by_shape.get(shape, 0) + n
-
-    # -- JSON-safe IO (store rows, process-pool returns) ----------------------
-    def to_dict(self) -> Dict[str, object]:
-        """Plain-JSON form; grid shapes become ``"n1xn2xn3"`` keys."""
-        return {
-            "transforms": self.transforms,
-            "calls": self.calls,
-            "points": self.points,
-            "by_shape": {
-                "x".join(str(n) for n in shape): count
-                for shape, count in sorted(self.by_shape.items())
-            },
-        }
+    by_shape: Dict[str, int] = {}  # never mutated: each tally gets its own
 
     @classmethod
-    def from_dict(cls, data: Dict[str, object]) -> "FFTCounters":
-        out = cls(
-            int(data.get("transforms", 0)),
-            int(data.get("calls", 0)),
-            int(data.get("points", 0)),
-        )
-        for key, count in dict(data.get("by_shape", {})).items():
-            shape = tuple(int(n) for n in str(key).split("x"))
-            out.by_shape[shape] = int(count)
-        return out
+    def of(cls, tally: Tally) -> "FFTTally":
+        """The backend's counts in ``tally``."""
+        return cls(**tally.to_dict(FFT))
 
 
 class Backend:
     """Batched complex 3-D FFTs on pocketfft, run in the caller's buffer;
-    every call is recorded in ``counters``, the engine's :class:`FFTCounters`."""
+    every call is counted into the process's tally."""
 
     def __init__(self, fft_workers: int = 1) -> None:
         workers = int(fft_workers)
         if workers < 1:
             raise BackendError(f"fft_workers must be >= 1, got {fft_workers}")
         self.fft_workers = workers
-        self.counters = FFTCounters()
+        #: reads the process's tally from this engine's construction on: what
+        #: a simulation holding it counted (and anything else that computed)
+        self.window = window()
         _fix_malloc_thresholds()
         _pin_blas_threads()
 
@@ -292,7 +247,7 @@ class Backend:
 
     # -- validation ------------------------------------------------------------
     def _accept(self, a: np.ndarray, out: Optional[np.ndarray]) -> None:
-        """Validate a transform call and record it in the counters."""
+        """Validate a transform call and count it into the process's tally."""
         if a.ndim < 3:
             raise ValueError(f"FFT input must have >= 3 dims, got shape {a.shape}")
         if out is not None:
@@ -302,7 +257,11 @@ class Backend:
                 raise ValueError(f"out must be complex, got dtype {out.dtype}")
             if not out.flags.writeable:
                 raise ValueError("out buffer is not writeable")
-        self.counters.record(a.shape[-3:], math.prod(a.shape[:-3]))
+        batch, shape, rec = math.prod(a.shape[:-3]), a.shape[-3:], recorder()
+        rec.count(TRANSFORMS, batch)
+        rec.count(CALLS)
+        rec.count(POINTS, batch * math.prod(shape))
+        rec.count(_shape_name(shape), batch)
 
     # -- public transform API ------------------------------------------------
     @traced("backend.fft")

@@ -39,17 +39,15 @@ from __future__ import annotations
 from itertools import groupby
 from math import isqrt
 from typing import (
-    TYPE_CHECKING, Any, Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
+    Any, Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
 )
 
 import numpy as np
 
+from repro.backend.base import TRANSFORMS
 from repro.grid.fftgrid import PlaneWaveGrid
-from repro.trace import traced
+from repro.trace import recorder, traced
 from repro.utils.validation import require
-
-if TYPE_CHECKING:
-    from repro.backend.base import FFTCounters
 
 #: occupation weights at or below this contribute nothing as sources
 WEIGHT_CUTOFF = 1e-14
@@ -101,11 +99,14 @@ class Collective(NamedTuple):
 RankProgram = Generator[Collective, Any, Any]
 
 
+def rank_transforms(rank: int) -> str:
+    """The count of the 3-D transforms rank ``rank`` of a :func:`lockstep` run made."""
+    return f"lockstep.rank{rank}.transforms"
+
+
 def lockstep(
-    programs: Sequence[RankProgram],
-    answer: Callable[[str, Tuple, List[Any]], List[Any]],
-    counters: FFTCounters,
-) -> Tuple[List[Any], List[int]]:
+    programs: Sequence[RankProgram], answer: Callable[[str, Tuple, List[Any]], List[Any]]
+) -> List[Any]:
     """Run one rank program per rank in lockstep: each round advances every
     program to its next request, then ``answer(op, args, parts)`` replies
     to all of them at once, one reply per rank.
@@ -113,27 +114,32 @@ def lockstep(
     Requests that differ in collective or arguments raise ``RuntimeError``
     naming each rank's, before ``answer`` sees them; an exception inside a
     program propagates unchanged, before its round is answered, and every
-    program is closed.  Returns the programs' results and, per rank, the
-    advance of ``counters.transforms`` while that rank ran."""
+    program is closed.  Returns the programs' results, once each rank's
+    share of the transforms (the advance of the tally's transform count
+    while it ran) is counted as :func:`rank_transforms`."""
+    rec = recorder()
+    counts = rec.counts
     transforms = [0] * len(programs)
     replies: List[Any] = [None] * len(programs)
     try:
         while True:
             requests: List[Collective] = []
             for r, program in enumerate(programs):
-                before = counters.transforms
+                before = counts.get(TRANSFORMS, 0)
                 try:
                     requests.append(program.send(replies[r]))
                 except StopIteration as done:
                     # the value only: the exception's traceback holds this frame
                     requests.append(Collective("returned", done.value))
-                transforms[r] += counters.transforms - before
+                transforms[r] += counts.get(TRANSFORMS, 0) - before
             asked = [(q.op, q.args) for q in requests]
             if len(set(asked)) > 1:
                 ranks = "; ".join(f"rank {r}: {op}{args}" for r, (op, args) in enumerate(asked))
                 raise RuntimeError(f"rank programs out of step: {ranks}")
             if asked[0][0] == "returned":
-                return [q.data for q in requests], transforms
+                for r, n in enumerate(transforms):
+                    rec.count(rank_transforms(r), n)
+                return [q.data for q in requests]
             replies = answer(*asked[0], [q.data for q in requests])  # unnamed: freed with the replies
     finally:
         for program in programs:
@@ -312,7 +318,7 @@ class FockExchangeOperator:
         require(weights.shape == (phi_src.shape[0],), "one weight per source orbital")
         program = self.self_application(phi_src, weights, phi_src.shape[0])
         # the only rank: each reply is its own part, no communicator, no ledger
-        return lockstep([program], lambda op, args, parts: parts, self.grid.backend.counters)[0][0]
+        return lockstep([program], lambda op, args, parts: parts)[0]
 
     def self_application(
         self,

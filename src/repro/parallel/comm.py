@@ -4,8 +4,9 @@
 with one numpy array per rank.  Each reply is a *read-only view* of the
 one buffer holding its data (the sender's, or the one sum or gather),
 shared as ranks on one node share memory: results are exact, no rank
-holds a copy, and writing into a reply raises.  The ledger still charges
-every message the machine model's time (:class:`CostLedger`).
+holds a copy, and writing into a reply raises.  Every message is still
+charged into the process's tally with the machine model's time
+(:func:`~repro.parallel.ledger.charge`).
 :meth:`SimComm.run` drives a rank program (one generator per rank, such as
 :meth:`~repro.hamiltonian.fock.FockExchangeOperator.self_application`)
 over them in lockstep.
@@ -22,13 +23,12 @@ from typing import TYPE_CHECKING, Any, List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.parallel.ledger import CostLedger
+from repro.parallel.ledger import charge
 from repro.parallel.machine import MachineSpec
 from repro.trace import traced
 from repro.utils.validation import require
 
 if TYPE_CHECKING:  # config validation imports this module without the physics
-    from repro.backend.base import FFTCounters
     from repro.hamiltonian.fock import RankProgram
 
 Pattern = Literal["bcast", "ring", "async-ring"]
@@ -42,11 +42,10 @@ PATTERNS: Tuple[str, ...] = ("bcast", "ring", "async-ring")
 class SimComm:
     """A deterministic stand-in for an MPI communicator."""
 
-    def __init__(self, nranks: int, machine: MachineSpec, ledger: Optional[CostLedger] = None) -> None:
+    def __init__(self, nranks: int, machine: MachineSpec) -> None:
         require(nranks >= 1, "need at least one rank")
         self.nranks = nranks
         self.machine = machine
-        self.ledger = ledger if ledger is not None else CostLedger()
 
     # -- helpers ---------------------------------------------------------------
     def _check(self, per_rank: Sequence[np.ndarray]) -> None:
@@ -70,7 +69,7 @@ class SimComm:
         self._check(per_rank)
         buf = np.asarray(per_rank[root])
         t = self.machine.bcast_time(self._nbytes(buf), self.nranks)
-        self.ledger.add("bcast", self._nbytes(buf), t)
+        charge("bcast", self._nbytes(buf), t)
         return [self._shared(buf)] * self.nranks
 
     @traced("parallel.comm")
@@ -100,7 +99,7 @@ class SimComm:
         if self.nranks > 1:
             max_bytes = max(self._nbytes(b) for b in per_rank)
             t_comm = self.machine.p2p_time(max_bytes, self.nranks, neighbor=True)
-            self.ledger.add(kind, max_bytes, max(0.0, t_comm - hidden))
+            charge(kind, max_bytes, max(0.0, t_comm - hidden))
         return [self._shared(per_rank[r - 1]) for r in range(self.nranks)]
 
     @traced("parallel.comm")
@@ -114,7 +113,7 @@ class SimComm:
         total = np.sum([np.asarray(b) for b in per_rank], axis=0)
         p = self.nranks if participants is None else participants
         t = self.machine.allreduce_time(self._nbytes(per_rank[0]), p)
-        self.ledger.add("allreduce", self._nbytes(per_rank[0]), t)
+        charge("allreduce", self._nbytes(per_rank[0]), t)
         return [self._shared(total)] * self.nranks
 
     @traced("parallel.comm")
@@ -124,7 +123,7 @@ class SimComm:
         gathered = np.concatenate([np.asarray(b) for b in per_rank], axis=0)
         total_bytes = sum(self._nbytes(b) for b in per_rank)
         t = self.machine.allgatherv_time(total_bytes, self.nranks)
-        self.ledger.add("allgatherv", total_bytes, t)
+        charge("allgatherv", total_bytes, t)
         return [self._shared(gathered)] * self.nranks
 
     # -- accounting-only charges ------------------------------------------------
@@ -133,7 +132,7 @@ class SimComm:
     # assembled by serial numpy, and gathered results feed serial
     # consumers.  These helpers charge the modeled time such an exchange
     # would cost on the machine — data movement already happened through
-    # the replicated arrays, so only the ledger is touched.
+    # the replicated arrays, so only the tally is touched.
 
     @traced("parallel.comm")
     def charge_allreduce(self, nbytes: float, participants: Optional[int] = None) -> float:
@@ -144,14 +143,14 @@ class SimComm:
         """
         p = self.nranks if participants is None else max(int(participants), 1)
         t = self.machine.allreduce_time(float(nbytes), p)
-        self.ledger.add("allreduce", float(nbytes), t)
+        charge("allreduce", float(nbytes), t)
         return t
 
     @traced("parallel.comm")
     def charge_allgatherv(self, nbytes_total: float) -> float:
         """Charge one allgatherv of ``nbytes_total`` distributed bytes."""
         t = self.machine.allgatherv_time(float(nbytes_total), self.nranks)
-        self.ledger.add("allgatherv", float(nbytes_total), t)
+        charge("allgatherv", float(nbytes_total), t)
         return t
 
     @traced("parallel.comm")
@@ -170,22 +169,20 @@ class SimComm:
             for r, row in enumerate(blocks)
         )
         t = self.machine.alltoallv_time(send_bytes, self.nranks)
-        self.ledger.add("alltoallv", send_bytes, t)
+        charge("alltoallv", send_bytes, t)
         return [[self._shared(blocks[r][s]) for r in range(self.nranks)] for s in range(self.nranks)]
 
     # -- the lockstep driver ----------------------------------------------------
-    def run(
-        self, programs: Sequence[RankProgram], counters: FFTCounters
-    ) -> Tuple[List[Any], List[int]]:
+    def run(self, programs: Sequence[RankProgram]) -> List[Any]:
         """Run one rank program per rank under
         :func:`~repro.hamiltonian.fock.lockstep`, each round's requests
         answered by one call of their list-form collective: mismatched
         requests and a failing rank raise before their round is charged.
-        Returns the results and, per rank, its ``counters.transforms``."""
+        Returns the results."""
         from repro.hamiltonian.fock import lockstep
 
         require(len(programs) == self.nranks, f"expected {self.nranks} rank programs")
-        return lockstep(programs, self._collective, counters)
+        return lockstep(programs, self._collective)
 
     def _collective(self, op: str, args: Tuple, data: List[Any]) -> List[Any]:
         """One round's collective, called once: each rank's reply."""

@@ -2,25 +2,27 @@
 
 :class:`ParallelContext` is what the :class:`~repro.api.simulation.
 Simulation` facade builds from its ``[parallel]`` config section: one
-:class:`~repro.parallel.comm.SimComm` (machine model + cost ledger) and
-the :class:`~repro.parallel.distfock.DistributedFockExchange` factory
-the Hamiltonian substitutes for the serial operator, whose per-rank
-transform tally it windows per run.  :class:`ParallelRunInfo`
-is the JSON-safe record of one run's communication accounting — the
-``parallel`` block carried by results, checkpoints and ensemble records.
+:class:`~repro.parallel.comm.SimComm` (the machine model) and the
+:class:`~repro.parallel.distfock.DistributedFockExchange` factory the
+Hamiltonian substitutes for the serial operator.  Both count into the
+process's tally (:mod:`repro.trace`); :class:`ParallelRunInfo` is the
+JSON-safe record of one run's slice of it — the ``parallel`` block
+carried by results, checkpoints and ensemble records.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
+from repro.hamiltonian.fock import rank_transforms
 from repro.parallel.comm import SimComm
 from repro.parallel.distfock import PATTERNS, DistributedFockExchange
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec, machine_by_name
+from repro.trace import Tally, window
 from repro.utils.validation import require
 
 
@@ -28,11 +30,11 @@ from repro.utils.validation import require
 class ParallelRunInfo:
     """Communication accounting of one run under a ``[parallel]`` section.
 
-    It keeps only what the run's config cannot say: ``ledger``, the
-    modeled MPI time of *this run* (a delta, not the context's
-    cumulative tally), and ``fft_rank_transforms``, the per-rank 3-D
-    transform count of this run's distributed exchange work, a delta
-    too — the load-balance view the per-category seconds cannot show.
+    It keeps only what the run's config cannot say, both read off the
+    run's slice of the tally: ``ledger``, the modeled MPI time of *this
+    run*, and ``fft_rank_transforms``, the per-rank 3-D transform count
+    of its distributed exchange work — the load-balance view the
+    per-category seconds cannot show.
     Ranks, pattern, machine and ``use_shm`` are the config's
     ``[parallel]`` section, and the node count is the machine's.
     """
@@ -79,10 +81,10 @@ class ParallelRunInfo:
 class ParallelContext:
     """One simulation's simulated-MPI execution state.
 
-    Owns the communicator (and through it the cumulative
-    :class:`CostLedger`), keeps the exchange operator it builds for the
-    Hamiltonian, and cuts per-run :class:`ParallelRunInfo` deltas of
-    the ledger and that operator's rank tally for results.
+    Owns the communicator, keeps the exchange operator it builds for the
+    Hamiltonian, and reads per-run :class:`ParallelRunInfo` off slices of
+    the process's tally, from the window opened when it was built (its
+    session) on.
     """
 
     def __init__(
@@ -91,18 +93,17 @@ class ParallelContext:
         pattern: str,
         machine: "MachineSpec | str",
         use_shm: bool = True,
-        ledger: Optional[CostLedger] = None,
+        history: Optional[CostLedger] = None,
     ) -> None:
         require(nranks >= 1, "need at least one rank")
         require(pattern in PATTERNS, f"unknown pattern {pattern!r}; use one of {PATTERNS}")
         self.machine = machine_by_name(machine) if isinstance(machine, str) else machine
         self.pattern = pattern
         self.use_shm = bool(use_shm)
-        self.ledger = ledger if ledger is not None else CostLedger()
-        self.comm = SimComm(nranks, self.machine, self.ledger)
-        #: where this session's records start — everything before is the
-        #: checkpoint-seeded history of a resumed run
-        self.session_mark = self.ledger.mark()
+        self.comm = SimComm(nranks, self.machine)
+        #: the checkpointed communication a resumed run continues from
+        self.history = history if history is not None else CostLedger()
+        self.session = window()
         self._fock: Optional[DistributedFockExchange] = None
 
     def fock_operator(self, grid, kernel_g: np.ndarray, batch_size: int) -> DistributedFockExchange:
@@ -118,26 +119,19 @@ class ParallelContext:
         return self._fock
 
     def session_ledger(self) -> CostLedger:
-        """Only the records charged in *this* session (a resumed run's
-        checkpoint-seeded history excluded) — the window matching this
-        process's FFT counters."""
-        return self.ledger.since_mark(self.session_mark)
+        """Only what was charged in *this* session, since the context was
+        built (a resumed run's checkpointed history excluded)."""
+        return CostLedger(self.session())
 
-    # -- run records -----------------------------------------------------------
-    def mark(self) -> Tuple[int, Optional[List[int]]]:
-        """Where a run starts, for :meth:`run_info`: the ledger mark and a
-        copy of the exchange operator's rank tally (``None`` before it is
-        built: a semilocal run has none)."""
-        tally = None if self._fock is None else list(self._fock.rank_transforms)
-        return self.ledger.mark(), tally
-
-    def run_info(self, mark: Optional[Tuple[int, Optional[List[int]]]] = None) -> ParallelRunInfo:
-        """A :class:`ParallelRunInfo` for everything since ``mark`` (see
-        :meth:`mark`).  Without one it covers the whole ledger, a resumed
-        run's checkpointed history included, and this session's rank
-        tally — what a checkpoint carries."""
-        ledger_mark, before = (0, None) if mark is None else mark
-        _, ranks = self.mark()
-        if ranks is not None and before is not None:
-            ranks = [n - b for n, b in zip(ranks, before)]
-        return ParallelRunInfo(self.ledger.since_mark(ledger_mark), ranks)
+    def run_info(self, tally: Optional[Tally] = None) -> ParallelRunInfo:
+        """A :class:`ParallelRunInfo` of one run's slice of the tally.
+        Without one it covers the session and a resumed run's checkpointed
+        history — what a checkpoint carries.  The rank tally is ``None``
+        until the exchange operator is built: a semilocal run has none."""
+        if tally is None:
+            tally = self.session()
+            tally.merge(self.history.tally)
+        ranks = None
+        if self._fock is not None:
+            ranks = [tally.counts.get(rank_transforms(r), 0) for r in range(self.comm.nranks)]
+        return ParallelRunInfo(CostLedger(tally), ranks)

@@ -22,9 +22,8 @@ three are *bit-identical* to it at every rank count, by construction:
 tiles and the order partials are added in depend on band indices alone,
 never on the rank count.  The schedules differ only in what the ledger
 records, which is the entire point of Sec. IV-B.  Every rank computes on
-this operator's grid, so the one :class:`~repro.backend.Backend` tally
-counts each transform once; ``rank_transforms[r]`` is its advance while
-rank ``r`` ran.
+this operator's grid, so the tally counts each transform once, and
+:func:`~repro.hamiltonian.fock.lockstep` counts each rank's share.
 
 The class is a :class:`~repro.hamiltonian.fock.FockExchangeOperator`
 that changes only *where* ``apply_diag`` runs and what ``exchange_energy``
@@ -34,7 +33,7 @@ behind every SCF loop and RT propagator.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -54,12 +53,12 @@ class DistributedFockExchange(FockExchangeOperator):
     Parameters
     ----------
     grid:
-        The plane-wave grid; every rank's FFTs run on it, so its backend
-        counts each transform once.
+        The plane-wave grid; every rank's FFTs run on it, so each
+        transform is counted once.
     kernel_g:
         Flat G-space interaction kernel (as for the serial operator).
     comm:
-        Simulated communicator carrying the machine model and ledger.
+        Simulated communicator carrying the machine model.
     pattern:
         Default communication schedule (``apply*`` calls may override).
     batch_size:
@@ -85,8 +84,6 @@ class DistributedFockExchange(FockExchangeOperator):
         self.comm = comm
         self.pattern = pattern
         self.use_shm = bool(use_shm)
-        #: per rank, the 3-D transforms of the exchange work it was dealt
-        self.rank_transforms: List[int] = [0] * comm.nranks
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
     @traced("parallel.distfock.apply_diag")
@@ -107,9 +104,7 @@ class DistributedFockExchange(FockExchangeOperator):
         layout = BandLayout(n, self.grid.ngrid, p)
         shards = enumerate(zip(layout.shard(phi_src), layout.shard(weights)))
         programs = [self.self_application(phi, w, n, r, p, pattern) for r, (phi, w) in shards]
-        results, transforms = self.comm.run(programs, self.grid.backend.counters)
-        self.rank_transforms = [a + b for a, b in zip(self.rank_transforms, transforms)]
-        return results[0]
+        return self.comm.run(programs)[0]
 
     # -- energy -----------------------------------------------------------------
     def exchange_energy(

@@ -1,58 +1,65 @@
 """Communication cost ledger — the accounting behind Table I.
 
-Every simulated MPI operation records ``(category, bytes, seconds)``.
-Categories use the paper's Table I column names: ``alltoallv``,
-``sendrecv``, ``wait``, ``allgatherv``, ``allreduce``, ``bcast``.
+Every simulated MPI operation is :func:`charge`\\ d into the process's
+tally (:mod:`repro.trace`) as the counts ``parallel.comm.<category>.
+{seconds,nbytes,count}``.  Categories use the paper's Table I column
+names: ``alltoallv``, ``sendrecv``, ``wait``, ``allgatherv``,
+``allreduce``, ``bcast``.  A :class:`CostLedger` reads them off one
+slice of the tally.  Seconds are counted exactly, as fractions: a run's
+share is then the difference of two sums without rounding, and reads
+as its own sum rounded once, not as the rounding error of everything
+charged before it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from fractions import Fraction
+from typing import Any, Dict
+
+from repro.trace import Tally, recorder
 
 TABLE1_CATEGORIES = ("alltoallv", "sendrecv", "wait", "allgatherv", "allreduce", "bcast")
 
+COMM = "parallel.comm"
 
-@dataclass
-class CommRecord:
-    """One communication event."""
+#: per category, the names of its seconds, bytes and message counts
+_NAMES = {
+    c: tuple(f"{COMM}.{c}.{f}" for f in ("seconds", "nbytes", "count")) for c in TABLE1_CATEGORIES
+}
 
-    category: str
-    nbytes: float
-    seconds: float
-    count: int = 1
+
+def _names(category: str):
+    try:
+        return _NAMES[category]
+    except KeyError:
+        raise ValueError(f"unknown category {category!r}; use one of {TABLE1_CATEGORIES}") from None
+
+
+def charge(category: str, nbytes: float, seconds: float) -> None:
+    """Count one message of ``category`` into the process's tally."""
+    rec = recorder()
+    for name, n in zip(_names(category), (Fraction(seconds), nbytes, 1)):
+        rec.count(name, n)
 
 
 @dataclass
 class CostLedger:
-    """Accumulates modeled communication time per MPI category."""
+    """Modeled communication time per MPI category, in one slice of the tally."""
 
-    records: List[CommRecord] = field(default_factory=list)
+    tally: Tally = field(default_factory=Tally)
 
-    def add(self, category: str, nbytes: float, seconds: float, count: int = 1) -> None:
-        if category not in TABLE1_CATEGORIES:
-            raise ValueError(
-                f"unknown category {category!r}; use one of {TABLE1_CATEGORIES}"
-            )
-        self.records.append(CommRecord(category, nbytes, seconds, count))
+    def _by_category(self, index: int) -> Dict[str, Any]:
+        return {c: self.tally.counts.get(_NAMES[c][index], 0) for c in TABLE1_CATEGORIES}
 
     def seconds_by_category(self) -> Dict[str, float]:
-        out = {c: 0.0 for c in TABLE1_CATEGORIES}
-        for r in self.records:
-            out[r.category] += r.seconds
-        return out
+        return {c: float(s) for c, s in self._by_category(0).items()}
 
     def bytes_by_category(self) -> Dict[str, float]:
-        out = {c: 0.0 for c in TABLE1_CATEGORIES}
-        for r in self.records:
-            out[r.category] += r.nbytes
-        return out
+        return {c: float(n) for c, n in self._by_category(1).items()}
 
     def total_seconds(self) -> float:
-        return sum(r.seconds for r in self.records)
-
-    def reset(self) -> None:
-        self.records.clear()
+        return float(sum(self._by_category(0).values()))
 
     def describe(self) -> str:
         """One summary line: the non-zero categories, then the total."""
@@ -60,45 +67,22 @@ class CostLedger:
         cells = "  ".join(f"{c} {v:.3e}" for c, v in seconds.items() if v > 0.0)
         return f"{cells or '(none)'}  | total {self.total_seconds():.3e}"
 
-    # -- deltas (result/checkpoint accounting) -------------------------------
-    def mark(self) -> int:
-        """Position marker for :meth:`since_mark` (records only append)."""
-        return len(self.records)
-
-    def since_mark(self, mark: int) -> "CostLedger":
-        """New ledger holding copies of the records appended after ``mark``."""
-        return CostLedger(
-            records=[
-                CommRecord(r.category, r.nbytes, r.seconds, r.count)
-                for r in self.records[mark:]
-            ]
-        )
-
     # -- JSON-safe IO (result .npz blocks, checkpoints) ----------------------
     def to_dict(self) -> Dict[str, Dict[str, float]]:
-        """Aggregated per-category ``{seconds, nbytes, count}`` (JSON-safe).
-
-        Individual records are folded into one aggregate per category —
-        the Table-I quantities survive exactly; per-event granularity
-        (which no consumer reads back) does not.
-        """
-        out: Dict[str, Dict[str, float]] = {}
-        for r in self.records:
-            agg = out.setdefault(r.category, {"seconds": 0.0, "nbytes": 0.0, "count": 0})
-            agg["seconds"] += r.seconds
-            agg["nbytes"] += r.nbytes
-            agg["count"] += r.count
-        return out
+        """Per charged category (its count moved) ``{seconds, nbytes,
+        count}``, JSON-safe; seconds or bytes that did not move read 0.0."""
+        return {
+            c: {"seconds": float(agg.get("seconds", 0)), "nbytes": float(agg.get("nbytes", 0)),
+                "count": agg["count"]}
+            for c, agg in self.tally.to_dict(COMM).items() if "count" in agg
+        }
 
     @classmethod
     def from_dict(cls, data: Dict[str, Dict[str, float]]) -> "CostLedger":
-        """Rebuild (one aggregate record per category) from :meth:`to_dict`."""
-        ledger = cls()
-        for category, agg in data.items():
-            ledger.add(
-                category,
-                float(agg.get("nbytes", 0.0)),
-                float(agg.get("seconds", 0.0)),
-                count=int(agg.get("count", 1)),
-            )
-        return ledger
+        """Rebuild from :meth:`to_dict`; an unknown category is refused."""
+        tally = Tally.from_dict(COMM, data)
+        for category in data:
+            seconds = _names(category)[0]
+            if seconds in tally.counts:
+                tally.counts[seconds] = Fraction(tally.counts[seconds])
+        return cls(tally)

@@ -9,8 +9,8 @@ The counts mirror the paper's complexity statements:
   the inner loop applying rank-N GEMMs.
 
 For a small system the tests check the dense-Fock counts against the
-instrumented :class:`~repro.backend.FFTCounters` tallies of the real
-numerics: the triple loop's 2 N^3 transforms equal the tally, while the
+transforms the real numerics count into the process's tally
+(:mod:`repro.trace`): the triple loop's 2 N^3 transforms equal the tally, while the
 diagonalized kernel's tally is N(N+1) (each unordered pair once) and the
 model keeps the paper's 2 N^2.  The same formulas then drive paper-scale
 projections.

@@ -12,13 +12,12 @@ and a run's measured split (:func:`format_split`).
 
 from __future__ import annotations
 
+import math
 import re
 from string import Formatter
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
-import numpy as np
-
-from repro.backend import FFTCounters
+from repro.backend import FFTTally
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec, machine_by_name
 from repro.perf.calibrate import (
@@ -130,19 +129,19 @@ def table1_communication(machine_name: str, natom: int = TABLE1_NATOM, nodes: in
 
 
 def modeled_fft_seconds(
-    counters: FFTCounters, machine: "MachineSpec | str", nranks: int = 1
+    fft: FFTTally, machine: "MachineSpec | str", nranks: int = 1
 ) -> float:
     """Modeled per-rank compute time of a *measured* FFT tally.
 
-    Every executed 3-D transform in ``counters.by_shape`` is priced with
+    Every executed 3-D transform in ``fft.by_shape`` is priced with
     the machine's bandwidth-bound :meth:`~repro.parallel.machine.
     MachineSpec.fft_box_time`; the total is divided by ``nranks`` because
     the tally merges all ranks' work while Table I reports per-rank time.
     """
     machine = machine_by_name(machine) if isinstance(machine, str) else machine
     total = sum(
-        count * machine.fft_box_time(int(np.prod(shape)))
-        for shape, count in counters.by_shape.items()
+        count * machine.fft_box_time(math.prod(int(n) for n in shape.split("x")))
+        for shape, count in fft.by_shape.items()
     )
     return total / max(int(nranks), 1)
 
@@ -152,7 +151,7 @@ def measured_table1(
     machine: "MachineSpec | str",
     natom: int,
     nranks: int,
-    fft: Optional[Mapping[str, FFTCounters]] = None,
+    fft: Optional[Mapping[str, FFTTally]] = None,
 ) -> Dict:
     """A Table-I result dict from *measured* run ledgers.
 

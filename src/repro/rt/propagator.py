@@ -9,7 +9,7 @@ the paper plots (dipole x, total energy, selected sigma elements).
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -63,19 +63,22 @@ class TDState:
 
 @dataclass
 class StepStats:
-    """Per-step solver statistics (SCF counts drive the perf model)."""
+    """Per-step solver statistics (SCF counts drive the perf model).
+
+    A step read back from a file has every field ``None``: files hold no
+    solver statistics, so each one is unknown there."""
 
     #: applications of the fixed-point map T (one ``H`` each), all loops
-    scf_iterations: int = 0
-    outer_iterations: int = 0
+    scf_iterations: Optional[int] = 0
+    outer_iterations: Optional[int] = 0
     #: dense exchange applications the step asks for (per PT-IM iteration,
     #: ACE build or RK4 stage); the Hamiltonian's record may answer the first
-    fock_applications: int = 0
-    ace_builds: int = 0
+    fock_applications: Optional[int] = 0
+    ace_builds: Optional[int] = 0
     #: the last stopping residual of the step's (last) fixed-point loop:
     #: relative density change between its final two iterates
-    residual: float = 0.0
-    converged: bool = True
+    residual: Optional[float] = 0.0
+    converged: Optional[bool] = True
 
 
 @dataclass
@@ -108,8 +111,8 @@ class PropagationRecord:
     def from_arrays(cls, arrays: Mapping[str, np.ndarray]) -> "PropagationRecord":
         """Inverse of :meth:`as_arrays`: ``from_arrays(a).as_arrays()``
         reproduces ``a`` bit for bit.  Per-step solver stats are not part
-        of the arrays, so the rebuilt record carries default
-        :class:`StepStats`."""
+        of the arrays, so every field of the rebuilt record's
+        :class:`StepStats` is ``None``."""
         required = ("times", "dipole", "energy", "particle_number", "field")
         missing = [key for key in required if key not in arrays]
         if missing:
@@ -120,7 +123,7 @@ class PropagationRecord:
             energy=[float(e) for e in arrays["energy"]],
             particle_number=[float(x) for x in arrays["particle_number"]],
             field_values=list(np.asarray(arrays["field"])),
-            stats=[StepStats() for _ in arrays["times"]],
+            stats=[StepStats(*[None] * len(fields(StepStats))) for _ in arrays["times"]],
         )
         for key, arr in arrays.items():
             m = _SIGMA_KEY.match(key)

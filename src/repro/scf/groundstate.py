@@ -107,25 +107,30 @@ class GroundState:
     free_energy: float
     scf_iterations: int
     converged: bool
-    history: List[float] = field(default_factory=list)
+    history: Optional[List[float]] = field(default_factory=list)
 
     def to_arrays(self, prefix: str = "") -> Dict[str, np.ndarray]:
-        """Every field as an npz-ready array under ``prefix + field name``."""
-        return {prefix + f.name: np.asarray(getattr(self, f.name)) for f in fields(self)}
+        """Every known field as an npz-ready array under ``prefix + field
+        name`` (one read back as ``None`` is left out)."""
+        return {
+            prefix + f.name: np.asarray(getattr(self, f.name))
+            for f in fields(self) if getattr(self, f.name) is not None
+        }
 
     @classmethod
     def from_arrays(cls, data: Mapping[str, np.ndarray], source, prefix: str = "") -> "GroundState":
         """Inverse of :meth:`to_arrays` on a loaded npz (``source`` names it in errors).
 
         The one codec of store blobs (no prefix) and checkpoints
-        (``gs_``).  A field added after the file was written falls back
-        to its dataclass default; one without a default is an error.
+        (``gs_``).  A field added after the file was written reads as
+        ``None``, unknown; one without a default is an error.
         """
         kwargs = {}
         for f in fields(cls):
             key = prefix + f.name
             if key not in data:
                 if f.default is not MISSING or f.default_factory is not MISSING:
+                    kwargs[f.name] = None
                     continue
                 raise ValueError(f"{source} is missing ground-state field {key!r}")
             value = np.array(data[key])

@@ -151,7 +151,7 @@ class ResultStore:
             config,
             overrides=overrides,
             elapsed=float(elapsed),
-            fft=result.fft.to_dict() if result.fft is not None else None,
+            fft=result.fft._asdict() if result.fft is not None else None,
             **self._result_columns(result),
         )
         return run_id
@@ -227,11 +227,11 @@ class ResultStore:
         raises :class:`StoreError` naming its status.
         """
         from repro.api.simulation import read_result_npz
-        from repro.backend import FFTCounters
+        from repro.backend import FFTTally
 
         run = self._completed(run_id)
         result = read_result_npz(self._run_path(run.run_id), expected_config=run.config)
-        result.fft = FFTCounters.from_dict(run.fft) if run.fft else None
+        result.fft = FFTTally(**run.fft) if run.fft else None
         if with_ground_state and run.gs_address:
             result.ground_state = self.blobs.get_ground_state(run.gs_address)
         return result

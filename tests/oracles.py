@@ -27,6 +27,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from repro.backend import Backend
+from repro.backend.base import TRANSFORMS
 from repro.hamiltonian.ace import ACEOperator
 from repro.occupation.sigma import (
     clip_and_normalize,
@@ -50,6 +51,7 @@ from repro.scf.eigensolver import (
     lowdin_orthonormalize,
 )
 from repro.scf.mixing import AndersonMixer
+from repro.trace import recorder
 
 
 def per_atom_projectors(grid):
@@ -445,3 +447,9 @@ def real_space_step(prop, state, dt, tripleloop=False):
         counts = (n, 1, n if ham.functional.is_hybrid else 0, 0, resid, converged)
     sigma = state.sigma if isinstance(prop, PTCNPropagator) else hermitize(sigma_g)
     return TDState(lowdin_orthonormalize(grid, phi_g), sigma, state.time + dt), counts
+
+
+def transforms_since(snap) -> int:
+    """The 3-D transforms counted into the process's tally since ``snap``
+    (``repro.trace.recorder().snapshot()``)."""
+    return recorder().since(snap).counts.get(TRANSFORMS, 0)

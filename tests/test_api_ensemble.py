@@ -145,7 +145,6 @@ def test_load_sweep_file_roundtrip(tmp_path):
 def _fake_result(statuses=("ok", "ok")):
     cfg = SimulationConfig.from_dict({})
     runs = []
-    from repro.backend import FFTCounters
     from repro.store.query import StoredRun
 
     for i, status in enumerate(statuses):
@@ -157,14 +156,14 @@ def _fake_result(statuses=("ok", "ok")):
                 "dipole": np.ones((8, 3)) * (i + 1),
                 "sigma_0_2": np.full(8, 1j * (i + 1), dtype=complex),
             }
-            fft = FFTCounters()
-            fft.record((4, 4, 4), 2 * (i + 1))
+            n = 2 * (i + 1)
+            fft = {"transforms": n, "calls": 1, "points": 64 * n, "by_shape": {"4x4x4": n}}
         row = StoredRun(**{
             **dict.fromkeys(f.name for f in dataclasses.fields(StoredRun)),
             "status": status,
             "error": None if status == "ok" else "ValueError: boom",
             "elapsed": 0.5,
-            "fft": fft.to_dict() if fft is not None else None,
+            "fft": fft,
         })
         runs.append(
             RunRecord(

@@ -4,6 +4,7 @@ allocator and BLAS policies the first engine of a process sets (the
 package-wide FFT isolation guard is ``fft-isolation`` in
 ``tests/test_invariants.py``)."""
 
+import json
 import os
 import platform
 import subprocess
@@ -22,8 +23,9 @@ from oracles import SeedNumpyBackend
 import repro.backend.base as backend_base
 from repro.api import BackendConfig, ConfigError, Simulation, SimulationConfig
 from repro.api.ensemble import apply_overrides
-from repro.backend import Backend, BackendError, FFTCounters
+from repro.backend import Backend, BackendError, FFTTally
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
+from repro.trace import Tally, recording
 from repro.utils.rng import default_rng
 
 
@@ -311,28 +313,50 @@ def test_trajectories_match_seed_engine(monkeypatch):
 
 def test_counting_semantics(batch):
     cb = Backend()
-    cb.forward(batch)
-    assert cb.counters.transforms == 5 and cb.counters.calls == 1
-    for band in batch:
-        cb.forward(band)
-    assert cb.counters.transforms == 10 and cb.counters.calls == 6
-    assert cb.counters.by_shape[(4, 6, 8)] == 10
-    snap = cb.counters.snapshot()
-    cb.backward(batch)
-    assert cb.counters.since(snap).transforms == 5
+    with recording() as rec:
+        cb.forward(batch)
+        fft = FFTTally.of(rec.snapshot())
+        assert fft.transforms == 5 and fft.calls == 1
+        for band in batch:
+            cb.forward(band)
+        fft = FFTTally.of(rec.snapshot())
+        assert fft.transforms == 10 and fft.calls == 6
+        assert fft.by_shape["4x6x8"] == 10
+        snap = rec.snapshot()
+        cb.backward(batch)
+        assert FFTTally.of(rec.since(snap)).transforms == 5
+    # the engine's window reads the recorder it was built under
+    assert FFTTally.of(cb.window()).transforms == 0
 
 
 def test_counters_merge_and_dict_roundtrip():
-    a = FFTCounters()
-    a.record((4, 4, 4), 3)
-    b = FFTCounters()
-    b.record((4, 4, 4), 2)
-    b.record((6, 6, 6), 1)
-    a.merge(b)
-    assert a.transforms == 6 and a.calls == 3
-    assert a.by_shape == {(4, 4, 4): 5, (6, 6, 6): 1}
-    back = FFTCounters.from_dict(a.to_dict())
+    cb = Backend()
+    with recording() as first:
+        cb.forward(np.zeros((3, 4, 4, 4), dtype=complex))
+    with recording() as second:
+        cb.forward(np.zeros((2, 4, 4, 4), dtype=complex))
+        cb.forward(np.zeros((6, 6, 6), dtype=complex))
+    merged = first.snapshot()
+    merged.merge(second.snapshot())
+    a = FFTTally.of(merged)
+    assert a.transforms == 6 and a.calls == 3 and a.points == 5 * 64 + 216
+    assert a.by_shape == {"4x4x4": 5, "6x6x6": 1}
+    assert a._asdict() == {
+        "transforms": 6, "calls": 3, "points": 536, "by_shape": {"4x4x4": 5, "6x6x6": 1},
+    }
+    back = FFTTally(**json.loads(json.dumps(a._asdict())))
     assert back == a
+
+
+def test_tally_merge_and_dict_roundtrip_keep_spans_and_counts():
+    """The one slice type: ``merge`` adds spans and counts, and the counts
+    under a prefix round-trip through their JSON tree."""
+    a = Tally({"x": (1, 2.0, 1.5)}, {"p.a.b": 2, "p.c": 0.5, "q": 1})
+    a.merge(Tally({"x": (2, 1.0, 0.5), "y": (1, 1.0, 1.0)}, {"p.a.b": 3, "r": 4}))
+    assert a.spans == {"x": (3, 3.0, 2.0), "y": (1, 1.0, 1.0)}
+    assert a.counts == {"p.a.b": 5, "p.c": 0.5, "q": 1, "r": 4}
+    assert a.to_dict("p") == {"a": {"b": 5}, "c": 0.5}
+    assert Tally.from_dict("p", a.to_dict("p")) == Tally(counts={"p.a.b": 5, "p.c": 0.5})
 
 
 # ---------------- the one engine name -------------------------------------------
@@ -373,7 +397,9 @@ def test_grid_owns_fresh_counting_backend(si_cell_local):
     g1 = PlaneWaveGrid(si_cell_local, ecut=2.0)
     g2 = PlaneWaveGrid(si_cell_local, ecut=2.0)
     assert g1.backend is not g2.backend  # no shared global engine
-    assert g1.backend.counters is not None
+    with recording() as rec:
+        g1.backend.forward(np.zeros((4, 4, 4), dtype=complex))
+    assert FFTTally.of(rec.snapshot()).transforms == 1
 
 
 def test_grid_consume_matches_plain(si_cell_local):
@@ -446,7 +472,7 @@ def test_backend_sweep_axis():
 
 def test_simulation_builds_configured_backend():
     sim = Simulation({"backend": {"fft_workers": 2}})
-    assert sim.backend.counters is not None and sim.backend.fft_workers == 2
+    assert sim.backend.fft_workers == 2
     assert sim.backend.describe() == "numpy (pocketfft, workers=2) + counters"
     assert sim.grid.backend is sim.backend
 
@@ -461,7 +487,7 @@ def test_simulation_uncounted_backend():
     name, and the default simulation's tally is always there."""
     with pytest.raises(ConfigError, match="backend.count_ffts must be true"):
         Simulation({"backend": {"count_ffts": False}})
-    assert Simulation({}).fft_counters() == FFTCounters()
+    assert Simulation({}).fft_counters() == FFTTally()
 
 
 def test_derive_shares_grid_only_on_same_backend():

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.backend import Backend
+from repro.backend import Backend, FFTTally
+from repro.trace import recording
 from repro.utils.rng import default_rng
 
 
@@ -29,39 +30,37 @@ def test_forward_normalization(engine):
 def test_counter_batched_vs_calls(engine):
     rng = default_rng(1)
     a = rng.standard_normal((5, 4, 4, 4)).astype(complex)
-    engine.forward(a)
-    assert engine.counters.transforms == 5
-    assert engine.counters.calls == 1
-    for band in a:
-        engine.forward(band)
-    assert engine.counters.transforms == 10
-    assert engine.counters.calls == 6  # 1 batched + 5 singles
+    with recording() as rec:
+        engine.forward(a)
+        assert FFTTally.of(rec.snapshot()).transforms == 5
+        assert FFTTally.of(rec.snapshot()).calls == 1
+        for band in a:
+            engine.forward(band)
+    fft = FFTTally.of(rec.snapshot())
+    assert fft.transforms == 10
+    assert fft.calls == 6  # 1 batched + 5 singles
+    assert fft.points == 10 * 4 ** 3
 
 
 def test_counter_by_shape(engine):
     a = np.zeros((2, 4, 4, 4), dtype=complex)
     b = np.zeros((6, 6, 6), dtype=complex)
-    engine.forward(a)
-    engine.forward(b)
-    assert engine.counters.by_shape[(4, 4, 4)] == 2
-    assert engine.counters.by_shape[(6, 6, 6)] == 1
+    with recording() as rec:
+        engine.forward(a)
+        engine.forward(b)
+    assert FFTTally.of(rec.snapshot()).by_shape == {"4x4x4": 2, "6x6x6": 1}
 
 
 def test_counter_snapshot_since(engine):
     a = np.zeros((3, 4, 4, 4), dtype=complex)
-    engine.forward(a)
-    snap = engine.counters.snapshot()
-    engine.forward(a)
-    delta = engine.counters.since(snap)
+    with recording() as rec:
+        engine.forward(a)
+        snap = rec.snapshot()
+        engine.forward(a)
+        delta = FFTTally.of(rec.since(snap))
     assert delta.transforms == 3
     assert delta.calls == 1
-
-
-def test_counter_reset(engine):
-    engine.forward(np.zeros((4, 4, 4), dtype=complex))
-    engine.counters.reset()
-    assert engine.counters.transforms == 0
-    assert engine.counters.by_shape == {}
+    assert delta.by_shape == {"4x4x4": 3}
 
 
 def test_rejects_low_dim(engine):

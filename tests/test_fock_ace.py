@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigenbasis_image, grouped_exchange, mixed_exchange, tripleloop_exchange
+from oracles import (
+    eigenbasis_image, grouped_exchange, mixed_exchange, transforms_since, tripleloop_exchange,
+)
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.hamiltonian.ace import ACEOperator
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
+from repro.trace import recorder
 from repro.utils.rng import default_rng
 from repro.xc.kernels import bare_coulomb_kernel, erfc_screened_kernel
 from repro.utils.testing import random_hermitian_sigma
@@ -65,16 +68,15 @@ def test_fft_count_reduction(grid):
     fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=64)
     phi, sigma = _setup(grid, 7, n=4)
     sigma = hermitize(sigma)
-    eng = grid.backend
     n = 4
 
-    snap = eng.counters.snapshot()
+    snap = recorder().snapshot()
     tripleloop_exchange(fock, phi, sigma)
-    triple = eng.counters.since(snap).transforms
+    triple = transforms_since(snap)
 
-    snap = eng.counters.snapshot()
+    snap = recorder().snapshot()
     mixed_exchange(fock, phi, sigma)
-    diag = eng.counters.since(snap).transforms
+    diag = transforms_since(snap)
 
     assert triple == 2 * n**3  # (k, i, j) loop, forward+inverse each
     # every eigenvalue of this sigma is active: each unordered orbital
@@ -175,13 +177,12 @@ def test_self_application_transform_count(grid):
     n = 10
     phi, _ = _setup(grid, 31, n=n)
     w = np.linspace(0.1, 1.0, n)
-    counters = grid.backend.counters
-    snap = counters.snapshot()
+    snap = recorder().snapshot()
     fock.apply_diag(phi, w)
-    assert counters.since(snap).transforms == n * (n + 1)
-    snap = counters.snapshot()
+    assert transforms_since(snap) == n * (n + 1)
+    snap = recorder().snapshot()
     apply_diag_per_target(fock, phi, w, phi)
-    assert counters.since(snap).transforms == 2 * n * n
+    assert transforms_since(snap) == 2 * n * n
 
 
 def test_pruning_under_symmetry_keeps_empty_orbitals_as_targets(grid):
@@ -194,10 +195,9 @@ def test_pruning_under_symmetry_keeps_empty_orbitals_as_targets(grid):
     phi, _ = _setup(grid, 32, n=n)
     w = np.where(np.arange(n) % 2 == 0, np.linspace(0.2, 1.0, n), 0.0)
     n_active = int(np.count_nonzero(w))
-    counters = grid.backend.counters
-    snap = counters.snapshot()
+    snap = recorder().snapshot()
     out = fock.apply_diag(phi, w)
-    used = counters.since(snap).transforms
+    used = transforms_since(snap)
     # unordered pairs with at least one active member
     assert used == 2 * (n_active * (n_active + 1) // 2 + n_active * (n - n_active))
     assert used <= 2 * n_active * n
@@ -205,9 +205,9 @@ def test_pruning_under_symmetry_keeps_empty_orbitals_as_targets(grid):
     assert _rel_err(out, ref) <= 1e-13
     assert np.abs(out[1]).max() > 0.0  # an empty orbital is still a target
     # nothing active: nothing transformed, zero result
-    snap = counters.snapshot()
+    snap = recorder().snapshot()
     assert not fock.apply_diag(phi, np.zeros(n)).any()
-    assert counters.since(snap).transforms == 0
+    assert transforms_since(snap) == 0
 
 
 def test_self_application_holds_no_second_block():

@@ -102,6 +102,8 @@ class Rule(NamedTuple):
     #: member names read in no form: ``x.name``, ``getattr(x, "name")``,
     #: ``hasattr(x, "name")``, or a name imported as ``<module>.name``
     attrs: Tuple[str, ...] = ()
+    #: prefixes no string literal starts with (a count's name, say)
+    texts: Tuple[str, ...] = ()
     #: the check of a rule of another shape: ``tree`` -> offending nodes
     check: Optional[Callable] = None
     #: ``(path, name)``: a file read by the rule that may reach that one of
@@ -117,8 +119,9 @@ class Rule(NamedTuple):
 
 
 def forbidden(rule, tree):
-    """The imports, names, attribute chains and probes of ``tree`` that
-    reach ``rule.names`` or read ``rule.attrs``."""
+    """The imports, names, attribute chains, probes and string literals of
+    ``tree`` that reach ``rule.names``, read ``rule.attrs`` or start with
+    one of ``rule.texts``."""
     imports = imports_of(tree)
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -135,6 +138,8 @@ def forbidden(rule, tree):
             hit = reaches(origin, rule.names) or (origin or "").rsplit(".", 1)[-1] in rule.attrs
         elif isinstance(node, ast.Call) and dotted(node.func, imports) in ("getattr", "hasattr"):
             hit = text_of(argument(node, 1, "name")) in rule.attrs
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            hit = node.value.startswith(rule.texts)
         else:
             hit = False
         if hit:
@@ -337,9 +342,19 @@ RULES = {
         ),
     ),
     # modeled communication time is read only by ``parallel/``, ``perf/``
-    # and the reports, per run or per session, never probed per step or per SCF
+    # and the reports, per run or per session, never probed per step or per
+    # SCF.  It is counted into the process's tally, so physics neither
+    # reaches the recorder (``lockstep``'s transform read in ``fock.py`` is
+    # the one owner) nor names a ``parallel.*`` count
     "ledger-isolation": Rule(
-        inside=PHYSICS, names=("repro.parallel", "repro.perf"), attrs=("ledger",)
+        inside=PHYSICS,
+        names=(
+            "repro.parallel", "repro.perf",
+            *(f"repro.trace.{n}" for n in ("recorder", "recording", "window", "_active")),
+        ),
+        attrs=("ledger",),
+        texts=("parallel.",),
+        owners=(("hamiltonian/fock.py", "repro.trace.recorder"),),
     ),
     # the exchange's self-application is one rank program, which the serial
     # operator and every rank of the distributed one run alike

@@ -198,20 +198,25 @@ def density(grid, phi_t, d, n_electrons):
 import repro.perf.model
 from repro.parallel.ledger import CostLedger
 from repro import parallel
+from repro.trace import recorder
 def propagate(self, state):
     ledger = getattr(self.ham.fock, "ledger", None)
     seconds = self.ham.fock.ledger.total_seconds()
+    waited = recorder().counts["parallel.comm.wait.seconds"]
     if hasattr(self.ham.fock, "ledger"):
         return state
 """,
-        # the three accounting imports, the getattr string, the attribute, the hasattr
-        lines=[1, 2, 3, 5, 6, 7],
+        # the three accounting imports and the recorder's, the getattr string,
+        # the attribute, the recorder and a count's name (two sites), the hasattr
+        lines=[1, 2, 3, 4, 6, 7, 8, 8, 9],
         clean="""\
 from repro.hamiltonian.fock import FockExchangeOperator
+from repro.trace import traced
+@traced("rt.step")
 def propagate(self, state, ledger=None):
     # a local called ledger is not a probe; only the attribute and its string are
-    stats = getattr(self.ham.fock, "rank_transforms", None)
-    return state, ledger
+    stats = getattr(self.ham.fock, "batch_size", None)
+    return state, ledger, "parallel"
 """,
         # the substrate is where the ledger lives
         outside="parallel/context.py",
@@ -233,7 +238,7 @@ from repro.hamiltonian.fock import band_tiles, symmetric_tile_pairs
 def apply_diag(self, phi, weights):
     # importing the names is not running the loop; a rank program is
     programs = [self.self_application(phi, weights, len(phi), r, 2) for r in range(2)]
-    return self.comm.run(programs, self.grid.backend.counters), band_tiles(len(phi), 16)
+    return self.comm.run(programs), band_tiles(len(phi), 16)
 """,
         outside="hamiltonian/fock.py",
     ),
@@ -423,6 +428,17 @@ def test_fft_rule_ignores_docstrings_unlike_old_regex():
 def test_config_immutability_flags_self_mutation_after_ctor():
     after = "class Thing:\n    def rescale(self, factor):\n        object.__setattr__(self, \"scale\", factor)\n"
     assert lines("config-immutability", after, "grid/cell.py") == [3]
+
+
+def test_ledger_isolation_owner_reaches_the_recorder_but_names_no_comm_count():
+    # ``lockstep`` reads the transform count; a ``parallel.*`` count stays out of reach
+    read = (
+        "from repro.trace import recorder\n"
+        "counts = recorder().counts\n"
+        "seconds = counts['parallel.comm.wait.seconds']\n"
+    )
+    assert lines("ledger-isolation", read, "hamiltonian/fock.py") == [3]
+    assert lines("ledger-isolation", read, "hamiltonian/ace.py") == [1, 2, 3]
 
 
 def test_one_result_writer_owners_reach_only_their_own_name():

@@ -9,9 +9,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backend.base import FFTCounters
+from repro.backend.base import TRANSFORMS
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
-from repro.hamiltonian.fock import Collective, FockExchangeOperator, band_tiles
+from repro.hamiltonian.fock import Collective, FockExchangeOperator, band_tiles, rank_transforms
 from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 from repro.parallel import (
     A100_GPU,
@@ -22,7 +22,9 @@ from repro.parallel import (
     machine_by_name,
 )
 from repro.parallel.layouts import BandLayout, partition_sizes
+from repro.parallel.ledger import charge
 from repro.perf.model import MemoryModel
+from repro.trace import recorder, recording
 from repro.utils.rng import default_rng
 from repro.utils.testing import random_hermitian_sigma
 from repro.xc.kernels import erfc_screened_kernel
@@ -86,12 +88,14 @@ def test_band_layout_roundtrip(grid):
 
 # ---------------- communicator ------------------------------------------------------
 def test_bcast_moves_data_and_charges_time():
-    ledger = CostLedger()
-    comm = SimComm(4, FUGAKU_ARM, ledger)
+    comm = SimComm(4, FUGAKU_ARM)
     data = [np.full(10, r, dtype=float) for r in range(4)]
-    out = comm.bcast(data, root=2)
+    with recording() as rec:
+        out = comm.bcast(data, root=2)
     assert all(np.allclose(o, 2.0) for o in out)
+    ledger = CostLedger(rec.snapshot())
     assert ledger.seconds_by_category()["bcast"] > 0
+    assert ledger.to_dict()["bcast"]["nbytes"] == 80.0 and ledger.to_dict()["bcast"]["count"] == 1
 
 
 def test_ring_shift_rotation():
@@ -106,14 +110,16 @@ def test_ring_shift_rotation():
 
 
 def test_async_ring_wait_accounting():
-    ledger = CostLedger()
-    comm = SimComm(4, FUGAKU_ARM, ledger)
+    comm = SimComm(4, FUGAKU_ARM)
     data = [np.zeros(2**20) for _ in range(4)]
-    comm.ring_shift_async(data, compute_seconds=0.0)  # nothing to hide behind
-    full_wait = ledger.seconds_by_category()["wait"]
-    ledger.reset()
-    comm.ring_shift_async(data, compute_seconds=1.0)  # fully hidden
-    assert ledger.seconds_by_category()["wait"] == 0.0
+    with recording() as rec:
+        comm.ring_shift_async(data, compute_seconds=0.0)  # nothing to hide behind
+    full_wait = CostLedger(rec.snapshot()).seconds_by_category()["wait"]
+    with recording() as rec:
+        comm.ring_shift_async(data, compute_seconds=1.0)  # fully hidden
+    hidden = CostLedger(rec.snapshot())
+    assert hidden.seconds_by_category()["wait"] == 0.0
+    assert hidden.to_dict()["wait"]["count"] == 1  # still one message
     assert full_wait > 0.0
 
 
@@ -126,11 +132,11 @@ def test_allreduce_sums():
 
 def test_allreduce_shm_participants_cheaper():
     m = FUGAKU_ARM
-    ledger_full = CostLedger()
-    SimComm(16, m, ledger_full).allreduce_sum([np.zeros(4096)] * 16)
-    ledger_shm = CostLedger()
-    SimComm(16, m, ledger_shm).allreduce_sum([np.zeros(4096)] * 16, participants=4)
-    assert ledger_shm.total_seconds() < ledger_full.total_seconds()
+    with recording() as full:
+        SimComm(16, m).allreduce_sum([np.zeros(4096)] * 16)
+    with recording() as shm:
+        SimComm(16, m).allreduce_sum([np.zeros(4096)] * 16, participants=4)
+    assert CostLedger(shm.snapshot()).total_seconds() < CostLedger(full.snapshot()).total_seconds()
 
 
 def test_allgatherv_concatenates():
@@ -174,14 +180,18 @@ def test_a_rank_that_writes_into_a_received_block_raises():
         received[0] = -1.0
 
     with pytest.raises(ValueError, match="read-only"):
-        SimComm(2, FUGAKU_ARM).run([program(b) for b in sent], FFTCounters())
+        SimComm(2, FUGAKU_ARM).run([program(b) for b in sent])
     np.testing.assert_array_equal(sent[0], np.arange(3.0))
     np.testing.assert_array_equal(sent[1], np.arange(3.0) + 10.0)
 
 
 def test_ledger_rejects_unknown_category():
-    with pytest.raises(ValueError):
-        CostLedger().add("gossip", 1.0, 1.0)
+    with recording() as rec:
+        with pytest.raises(ValueError, match="gossip"):
+            charge("gossip", 1.0, 1.0)
+    assert rec.snapshot().counts == {}
+    with pytest.raises(ValueError, match="gossip"):
+        CostLedger.from_dict({"gossip": {"seconds": 1.0, "nbytes": 1.0, "count": 1}})
 
 
 # ---------------- distributed Fock -----------------------------------------------------
@@ -215,32 +225,32 @@ def test_distributed_self_application_bitwise_serial(grid, monkeypatch, pattern,
     w[[3, 4, 5, 6, 7, 13]] = 0.0  # tile 1 is empty: pair (1, 1) is pruned, by every rank
     kern = erfc_screened_kernel(grid)
     serial_op = FockExchangeOperator(grid, kern)
-    counters = grid.backend.counters
-    snap = counters.snapshot()
-    serial = serial_op.apply_diag(phi, w)
-    serial_transforms = counters.since(snap).transforms
+    with recording() as rec:
+        serial = serial_op.apply_diag(phi, w)
+    serial_transforms = rec.counts[TRANSFORMS]
 
     executed = []
     kernel = FockExchangeOperator.tile_pair_partials
 
-    def recording(self, phi, weighted, tile_i, tile_j, keep=None):
+    def counted(self, phi, weighted, tile_i, tile_j, keep=None):
         executed.append((tile_i.start, tile_j.start))
         return kernel(self, phi, weighted, tile_i, tile_j, keep)
 
-    monkeypatch.setattr(FockExchangeOperator, "tile_pair_partials", recording)
-    ledger = CostLedger()
-    dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM, ledger), pattern=pattern)
-    snap = counters.snapshot()
-    out = dist.apply_diag(phi, w)
+    monkeypatch.setattr(FockExchangeOperator, "tile_pair_partials", counted)
+    dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM), pattern=pattern)
+    with recording() as rec:
+        out = dist.apply_diag(phi, w)
     np.testing.assert_array_equal(out, serial)
-    assert counters.since(snap).transforms == serial_transforms
+    assert rec.counts[TRANSFORMS] == serial_transforms
 
     starts = [t.start for t in band_tiles(n, dist.batch_size)]
     expected = {(a, b) for a in starts for b in starts if a <= b} - {(4, 4)}
     assert sorted(executed) == sorted(expected)  # each once, none twice
-    by_rank = dist.rank_transforms
-    assert len(by_rank) == nranks and sum(by_rank) == serial_transforms
+    by_rank = [rec.counts.get(rank_transforms(r), 0) for r in range(nranks)]
+    assert sum(by_rank) == serial_transforms
+    assert rank_transforms(nranks) not in rec.counts
     assert max(by_rank) - min(by_rank) <= 2 * 16 * 2  # dealt round-robin: within two tile pairs
+    ledger = CostLedger(rec.snapshot())
     returned = ledger.bytes_by_category()["alltoallv"]
     assert (returned > 0.0) == (nranks > 1)
     assert ledger.bytes_by_category()["allgatherv"] == out.nbytes
@@ -259,15 +269,12 @@ def test_distributed_exchange_energy_bitwise_serial_and_charged(grid, nranks):
     phi_t = rotate_orbitals(phi, q)
     kern = erfc_screened_kernel(grid)
     serial = FockExchangeOperator(grid, kern).exchange_energy(phi_t, d, 2.0)
-    ledger = CostLedger()
-    dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM, ledger))
+    dist = DistributedFockExchange(grid, kern, SimComm(nranks, FUGAKU_ARM))
     for vx_phi in (None, dist.apply_diag(phi_t, d)):
-        mark = ledger.mark()
+        mark = recorder().snapshot()
         assert dist.exchange_energy(phi_t, d, 2.0, vx_phi=vx_phi) == serial
-        added = ledger.since_mark(mark).records
-        assert [(r.category, r.nbytes) for r in added if r.category == "allreduce"] == [
-            ("allreduce", n * n * 16.0)
-        ] * 2
+        added = CostLedger(recorder().since(mark)).to_dict()
+        assert (added["allreduce"]["count"], added["allreduce"]["nbytes"]) == (2, 2 * n * n * 16.0)
 
 
 @pytest.mark.parametrize("operator", ["serial", "distributed"])
@@ -298,10 +305,10 @@ def test_pattern_cost_ordering(grid):
     kern = erfc_screened_kernel(grid)
     totals = {}
     for pattern in ("bcast", "ring", "async-ring"):
-        ledger = CostLedger()
-        comm = SimComm(4, FUGAKU_ARM, ledger)
-        DistributedFockExchange(grid, kern, comm).apply_diag(phi, w, pattern=pattern)
-        totals[pattern] = ledger.total_seconds()
+        comm = SimComm(4, FUGAKU_ARM)
+        with recording() as rec:
+            DistributedFockExchange(grid, kern, comm).apply_diag(phi, w, pattern=pattern)
+        totals[pattern] = CostLedger(rec.snapshot()).total_seconds()
     assert totals["bcast"] > totals["ring"]
     assert totals["ring"] >= totals["async-ring"]
 
@@ -323,9 +330,7 @@ def _program(*requests, fail=None, closed=None):
 
 
 def test_driver_refuses_mismatched_requests_before_any_charge():
-    ledger = CostLedger()
-    comm = SimComm(3, FUGAKU_ARM, ledger)
-    counters = FFTCounters()
+    comm = SimComm(3, FUGAKU_ARM)
     block = np.zeros((2, 4), dtype=complex)
     agreed = Collective("bcast", block, (0,))
     programs = [
@@ -333,24 +338,24 @@ def test_driver_refuses_mismatched_requests_before_any_charge():
         _program(agreed, Collective("ring_shift", block)),
         _program(agreed, Collective("bcast", block, (1,))),
     ]
-    with pytest.raises(RuntimeError, match="out of step") as err:
-        comm.run(programs, counters)
+    with recording() as rec:
+        with pytest.raises(RuntimeError, match="out of step") as err:
+            comm.run(programs)
     message = str(err.value)
     for named in ("rank 0: bcast(0,)", "rank 1: ring_shift()", "rank 2: bcast(1,)"):
         assert named in message
     # the agreed first round was charged whole; the refused one not at all
-    assert [r.category for r in ledger.records] == ["bcast"]
+    assert {c: v["count"] for c, v in CostLedger(rec.snapshot()).to_dict().items()} == {"bcast": 1}
 
-    ledger.reset()
     early = [_program(), _program(Collective("ring_shift", block)), _program()]
-    with pytest.raises(RuntimeError, match=r"rank 0: returned\(\); rank 1: ring_shift\(\)"):
-        comm.run(early, counters)
-    assert ledger.records == []
+    with recording() as rec:
+        with pytest.raises(RuntimeError, match=r"rank 0: returned\(\); rank 1: ring_shift\(\)"):
+            comm.run(early)
+    assert CostLedger(rec.snapshot()).to_dict() == {}
 
 
 def test_driver_propagates_a_rank_failure_unchanged_and_uncharged():
-    ledger = CostLedger()
-    comm = SimComm(2, FUGAKU_ARM, ledger)
+    comm = SimComm(2, FUGAKU_ARM)
     block = np.ones((1, 4), dtype=complex)
     boom = ArithmeticError("rank 1 fails in its second round")
     closed = []
@@ -358,23 +363,24 @@ def test_driver_propagates_a_rank_failure_unchanged_and_uncharged():
         _program(Collective("ring_shift", block), Collective("ring_shift", block), closed=closed),
         _program(Collective("ring_shift", block), fail=boom, closed=closed),
     ]
-    with pytest.raises(ArithmeticError) as err:
-        comm.run(programs, FFTCounters())
+    with recording() as rec:
+        with pytest.raises(ArithmeticError) as err:
+            comm.run(programs)
     assert err.value is boom
-    assert [r.category for r in ledger.records] == ["sendrecv"]  # the first round, whole
+    # the first round, whole
+    assert {c: v["count"] for c, v in CostLedger(rec.snapshot()).to_dict().items()} == {"sendrecv": 1}
     assert closed == [True, True]  # the waiting rank is closed, not left suspended
 
 
 def test_driver_credits_each_rank_the_transforms_it_ran():
-    counters = FFTCounters()
-
     def program(transforms):
-        counters.transforms += transforms
+        recorder().count(TRANSFORMS, transforms)
         return (yield Collective("ring_shift", np.zeros(2)))
 
     comm = SimComm(3, FUGAKU_ARM)
-    results, by_rank = comm.run([program(n) for n in (5, 0, 2)], counters)
-    assert by_rank == [5, 0, 2]
+    with recording() as rec:
+        results = comm.run([program(n) for n in (5, 0, 2)])
+    assert [rec.counts[rank_transforms(r)] for r in range(3)] == [5, 0, 2]
     assert [r.tolist() for r in results] == [[0.0, 0.0]] * 3
 
 

@@ -15,7 +15,7 @@ from repro.api import Simulation, SimulationConfig
 from repro.api.config import ConfigError, ParallelConfig
 from repro.api.ensemble import SweepConfig, run_ensemble
 from repro.api.simulation import SimulationResult, read_result_npz, write_result_npz
-from repro.backend import FFTCounters
+from repro.backend import FFTTally
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.parallel import (
@@ -25,6 +25,8 @@ from repro.parallel import (
     ParallelRunInfo,
     SimComm,
 )
+from repro.parallel.ledger import charge
+from repro.trace import recording
 from repro.utils.rng import default_rng
 from repro.xc.kernels import erfc_screened_kernel
 
@@ -182,10 +184,10 @@ def pattern_ledgers():
     kern = erfc_screened_kernel(grid)
     ledgers = {}
     for pattern in ("bcast", "ring", "async-ring"):
-        ledger = CostLedger()
-        comm = SimComm(4, FUGAKU_ARM, ledger)
-        DistributedFockExchange(grid, kern, comm, pattern=pattern).apply_diag(phi, w)
-        ledgers[pattern] = ledger
+        comm = SimComm(4, FUGAKU_ARM)
+        with recording() as rec:
+            DistributedFockExchange(grid, kern, comm, pattern=pattern).apply_diag(phi, w)
+        ledgers[pattern] = CostLedger(rec.snapshot())
     return ledgers
 
 
@@ -227,11 +229,11 @@ def test_ring_sendrecv_grows_only_by_latency_with_ranks(small_grid):
     kern = erfc_screened_kernel(small_grid)
     sendrecv = {}
     for p in (2, 8):
-        ledger = CostLedger()
-        DistributedFockExchange(small_grid, kern, SimComm(p, FUGAKU_ARM, ledger)).apply_diag(
-            phi, w, pattern="ring"
-        )
-        sendrecv[p] = ledger.seconds_by_category()["sendrecv"]
+        with recording() as rec:
+            DistributedFockExchange(small_grid, kern, SimComm(p, FUGAKU_ARM)).apply_diag(
+                phi, w, pattern="ring"
+            )
+        sendrecv[p] = CostLedger(rec.snapshot()).seconds_by_category()["sendrecv"]
     assert sendrecv[8] < 4.0 * sendrecv[2]
 
 
@@ -245,23 +247,32 @@ def test_use_shm_cheapens_matrix_allreduce():
     kern = erfc_screened_kernel(grid)
     seconds = {}
     for use_shm in (False, True):
-        ledger = CostLedger()
-        comm = SimComm(16, FUGAKU_ARM, ledger)
-        DistributedFockExchange(
-            grid, kern, comm, pattern="ring", use_shm=use_shm
-        ).exchange_energy(phi, d)
-        seconds[use_shm] = ledger.seconds_by_category()["allreduce"]
+        comm = SimComm(16, FUGAKU_ARM)
+        with recording() as rec:
+            DistributedFockExchange(
+                grid, kern, comm, pattern="ring", use_shm=use_shm
+            ).exchange_energy(phi, d)
+        seconds[use_shm] = CostLedger(rec.snapshot()).seconds_by_category()["allreduce"]
     assert 0.0 < seconds[True] < seconds[False]
 
 
 def test_ledger_round_trip_and_mark():
-    ledger = CostLedger()
-    ledger.add("bcast", 100.0, 1.5)
-    mark = ledger.mark()
-    ledger.add("sendrecv", 50.0, 0.5, count=2)
-    delta = ledger.since_mark(mark)
+    with recording() as rec:
+        charge("bcast", 100.0, 1.5)
+        charge("allreduce", 8.0, 0.0)
+        mark = rec.snapshot()
+        charge("sendrecv", 50.0, 0.25)
+        charge("sendrecv", 0.0, 0.25)
+        charge("allreduce", 8.0, 0.0)  # a message priced at zero is still charged
+        delta = CostLedger(rec.since(mark))
     assert delta.total_seconds() == pytest.approx(0.5)
+    assert delta.to_dict() == {
+        "sendrecv": {"seconds": 0.5, "nbytes": 50.0, "count": 2},
+        "allreduce": {"seconds": 0.0, "nbytes": 8.0, "count": 1},
+    }
+    ledger = CostLedger(rec.snapshot())
     again = CostLedger.from_dict(ledger.to_dict())
+    assert again.to_dict() == ledger.to_dict()
     assert again.seconds_by_category() == ledger.seconds_by_category()
     assert again.bytes_by_category() == ledger.bytes_by_category()
     assert again.describe() == "sendrecv 5.000e-01  bcast 1.500e+00  | total 2.000e+00"
@@ -320,6 +331,68 @@ def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
     if kind == "checkpoint":
         assert back.record is None and back.observables() == {}
         assert "parallel: ranks=2 pattern=ring" in back.summary()
+
+
+@pytest.mark.parametrize("kind", ["result", "checkpoint", "checkpoint-1.13"])
+def test_a_result_read_back_holds_only_what_its_file_holds(serial_sim, kind, tmp_path):
+    """Every field of a result read back came from its file or is None: a
+    file holds no FFT tally and no solver statistics, so they read as
+    unknown (``summary()`` prints n/a and claims no convergence), a
+    ledger block is read as written (a <= 1.13 one too, with no rank
+    tally), and a ground-state field the file lacks is None."""
+    import json
+    from dataclasses import fields
+
+    from repro.rt import StepStats
+    from repro.scf import GroundState
+
+    serial, _ = serial_sim
+    sim = serial.derive(parallel=_parallel_cfg(2, "ring"))
+    result = sim.propagate(n_steps=1)
+    path = tmp_path / f"{kind}.npz"
+    if kind == "result":
+        result.save_npz(path)
+    elif kind == "checkpoint":
+        sim.save_checkpoint(path)
+    else:
+        gs = {k: v for k, v in sim.ground_state().to_arrays(prefix="gs_").items() if k != "gs_history"}
+        np.savez(
+            path, version=np.int64(1), config_json=np.str_(sim.config.to_json()),
+            phi=sim.state.phi, sigma=sim.state.sigma, time=np.float64(sim.state.time),
+            parallel_ledger_json=np.str_(
+                json.dumps({"allreduce": {"seconds": 0.5, "nbytes": 64.0, "count": 2}})
+            ),
+            **gs,
+        )
+    back = read_result_npz(path)
+    with np.load(path) as data:
+        assert back.config == SimulationConfig.from_json(str(data["config_json"]))
+        assert back.fft is None
+        block = "parallel_ledger_json" if kind == "checkpoint-1.13" else "parallel_json"
+        written = json.loads(str(data[block]))
+        if kind == "checkpoint-1.13":
+            assert back.parallel.ledger.to_dict() == written
+            assert back.parallel.fft_rank_transforms is None
+        else:
+            assert back.parallel.to_dict() == written
+        prefix = "" if kind == "checkpoint-1.13" else "final_"
+        np.testing.assert_array_equal(back.final_state.phi, data[prefix + "phi"])
+        np.testing.assert_array_equal(back.final_state.sigma, data[prefix + "sigma"])
+        assert back.final_state.time == data[prefix + "time"]
+        if kind == "result":
+            assert back.ground_state is None
+            for key, series in back.observables().items():
+                np.testing.assert_array_equal(series, data[key])
+            assert {getattr(s, f.name) for s in back.record.stats for f in fields(StepStats)} == {None}
+            text = back.summary()
+            assert "n/a" in text and "not converge" not in text
+            return
+        assert back.record is None
+        for f in fields(GroundState):
+            if "gs_" + f.name in data:
+                np.testing.assert_array_equal(getattr(back.ground_state, f.name), data["gs_" + f.name])
+            else:
+                assert (kind, f.name, getattr(back.ground_state, f.name)) == ("checkpoint-1.13", "history", None)
 
 
 def test_a_parallel_file_of_the_earlier_layout_reads_and_resumes(serial_sim, tmp_path):
@@ -382,17 +455,18 @@ def test_checkpoint_resume_continues_ledger_and_layout(serial_sim, tmp_path):
     serial, serial_result = serial_sim
     sim = serial.derive(parallel=_parallel_cfg(2, "ring"))
     sim.propagate()
-    saved_total = sim.parallel.ledger.total_seconds()
+    saved_total = sim.parallel.run_info().ledger.total_seconds()
     assert saved_total > 0.0
     ckpt = sim.save_checkpoint(tmp_path / "ck.npz")
 
     resumed = Simulation.resume(ckpt)
     assert resumed.config.parallel == sim.config.parallel  # layout survives
     # the checkpointed tally seeds the resumed context ...
-    assert resumed.parallel.ledger.total_seconds() == pytest.approx(saved_total)
+    assert resumed.parallel.run_info().ledger.total_seconds() == pytest.approx(saved_total)
+    assert resumed.parallel.session_ledger().total_seconds() == 0.0
     result = resumed.propagate(n_steps=1)
     # ... and keeps growing from there
-    assert resumed.parallel.ledger.total_seconds() > saved_total
+    assert resumed.parallel.run_info().ledger.total_seconds() > saved_total
     assert result.parallel is not None
     # the resumed step is bitwise the uninterrupted serial continuation
     cont = Simulation(
@@ -456,8 +530,7 @@ def test_sweep_parallel_npz_round_trips_ledgers(serial_sim, tmp_path):
 def test_measured_table1_formats_with_model_renderer(pattern_ledgers):
     from repro.perf.experiments import format_table1, measured_table1, modeled_fft_seconds
 
-    fft = FFTCounters()
-    fft.record((12, 12, 12), 64)
+    fft = FFTTally(transforms=64, calls=1, points=64 * 12**3, by_shape={"12x12x12": 64})
     table = measured_table1(
         pattern_ledgers, "fugaku-arm", natom=8, nranks=4,
         fft={p: fft for p in pattern_ledgers},
@@ -469,9 +542,10 @@ def test_measured_table1_formats_with_model_renderer(pattern_ledgers):
     text = format_table1(table)
     assert "bcast" in text and "async-ring" in text and "fugaku-arm" in text
     # without a tally, communication is measured against itself
-    ledger = CostLedger()
-    ledger.add("bcast", 100.0, 1.5)
-    ledger.add("sendrecv", 50.0, 0.5)
+    with recording() as rec:
+        charge("bcast", 100.0, 1.5)
+        charge("sendrecv", 50.0, 0.5)
+    ledger = CostLedger(rec.snapshot())
     row = measured_table1({"ring": ledger}, "fugaku-arm", natom=8, nranks=4)["rows"]["ring"]
     assert row["bcast"] == pytest.approx(1.5)
     assert row["total_comm"] == pytest.approx(2.0)

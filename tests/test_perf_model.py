@@ -4,7 +4,7 @@ paper-shape assertions for Figs. 9-11 and Table I."""
 import numpy as np
 import pytest
 
-from oracles import mixed_exchange, tripleloop_exchange
+from oracles import mixed_exchange, transforms_since, tripleloop_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import hermitize
@@ -34,6 +34,7 @@ from repro.perf.experiments import (
 )
 from repro.perf.model import StepTimeModel
 from repro.parallel.machine import A100_GPU, FUGAKU_ARM
+from repro.trace import recorder
 from repro.utils.rng import default_rng
 from repro.xc.kernels import erfc_screened_kernel
 from repro.utils.testing import random_hermitian_sigma
@@ -69,16 +70,15 @@ def test_fock_fft_counts_match_analytic():
     sigma = hermitize(random_hermitian_sigma(n, rng))
     fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=64)
 
-    eng = grid.backend
-    snap = eng.counters.snapshot()
+    snap = recorder().snapshot()
     tripleloop_exchange(fock, phi, sigma)
-    measured_triple = eng.counters.since(snap).transforms
+    measured_triple = transforms_since(snap)
     model = _dense_fock_counts(n, grid.ngrid, 1, triple_loop=True, bl_sigma_fill=1.0)
     assert measured_triple == model.fft_transforms == 2 * n**3
 
-    snap = eng.counters.snapshot()
+    snap = recorder().snapshot()
     mixed_exchange(fock, phi, sigma)
-    measured_diag = eng.counters.since(snap).transforms
+    measured_diag = transforms_since(snap)
     model = _dense_fock_counts(n, grid.ngrid, 1, triple_loop=False)
     assert measured_diag == n * (n + 1)
     assert model.fft_transforms == 2 * n**2

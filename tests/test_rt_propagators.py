@@ -12,6 +12,7 @@ from oracles import (
     mixed_exchange,
     plain_fixed_point_update,
     real_space_step,
+    transforms_since,
 )
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid import PlaneWaveGrid
@@ -41,6 +42,7 @@ from repro.occupation.sigma import (
 )
 from repro.rt.ptcn import PTCNOptions, PTCNPropagator
 from repro.scf import SCFOptions, run_scf
+from repro.trace import recorder
 from repro.utils.rng import default_rng
 from repro.utils.testing import random_hermitian_sigma
 from repro.xc.hybrid import make_functional
@@ -382,17 +384,16 @@ def test_inner_iteration_costs_two_orbital_transforms_and_a_hartree_pair(lda_gro
     ham.field = GaussianLaserPulse(amplitude=0.02, center_fs=0.05, fwhm_fs=0.08)
     nb = 10
     state = TDState(gs.orbitals[:nb].copy(), gs.sigma[:nb, :nb].copy(), 0.0)
-    counters = ham.grid.backend.counters
 
     def transforms(max_scf):
         prop = PTIMPropagator(
             ham, PTIMOptions(density_tol=1e-14, max_scf=max_scf), record_energy=False
         )
-        snap = counters.snapshot()
+        snap = recorder().snapshot()
         _, stats = prop.step(state, DT_50AS)
         assert not stats.converged and stats.scf_iterations == max_scf
         assert np.isfinite(stats.residual)
-        return counters.since(snap).transforms
+        return transforms_since(snap)
 
     assert transforms(3) == 3 * nb + 3 * (2 * nb + 2)
     assert transforms(4) - transforms(3) == 2 * nb + 2
@@ -417,7 +418,6 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
 
     ham, state = _small_hse_state(hse_ground_state)
     nb = state.nbands
-    counters = ham.grid.backend.counters
     tally = {"fock": 0, "density": 0}
 
     # the dense evaluation of a build: the exchange's self-application on
@@ -425,9 +425,9 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
     dense = ham.fock.apply_diag
 
     def counted_dense(*args, **kwargs):
-        snap = counters.snapshot()
+        snap = recorder().snapshot()
         out = dense(*args, **kwargs)
-        tally["fock"] += counters.since(snap).transforms
+        tally["fock"] += transforms_since(snap)
         return out
 
     density = propagator_module.density_from_orbitals_diag
@@ -441,9 +441,9 @@ def test_ace_step_transforms_each_midpoint_once(hse_ground_state, monkeypatch):
     prop = PTIMACEPropagator(
         ham, PTIMACEOptions(density_tol=1e-7, exchange_tol=1e-7), record_energy=False
     )
-    snap = counters.snapshot()
+    snap = recorder().snapshot()
     _, stats = prop.step(state, DT_50AS)
-    total = counters.since(snap).transforms
+    total = transforms_since(snap)
     n_inner, n_outer = stats.scf_iterations, stats.outer_iterations
     assert stats.converged and n_inner > n_outer > 1
     assert total - tally["fock"] == (2 * nb + 2) * n_inner + nb * (n_outer + 3)

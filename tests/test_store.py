@@ -458,7 +458,7 @@ def test_load_result_restores_state_and_accounting(tmp_path, real_result):
     assert np.array_equal(back.final_state.phi, real_result.final_state.phi)
     assert np.array_equal(back.final_state.sigma, real_result.final_state.sigma)
     assert back.final_state.time == real_result.final_state.time
-    assert back.fft.to_dict() == real_result.fft.to_dict()
+    assert back.fft == real_result.fft
     assert np.array_equal(
         back.ground_state.orbitals, real_result.ground_state.orbitals
     )

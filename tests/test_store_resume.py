@@ -118,7 +118,7 @@ def test_interrupted_sweep_resumes_without_recomputation(
         # per-run FFT tallies match the reference exactly: the restored
         # runs carry their *stored* counts (nothing re-transformed), the
         # re-run ones recompute to the identical tally
-        assert ours.fft.to_dict() == ref.fft.to_dict(), ours.index
+        assert ours.fft == ref.fft, ours.index
     # every recorded field but elapsed (wall time: restored runs keep the
     # stored one) equals the uninterrupted run's
     assert resumed.base_config == uninterrupted.base_config

@@ -11,6 +11,7 @@ import threading
 
 import pytest
 
+from repro import trace
 from repro.api import Simulation
 from repro.api.runs import run_one
 from repro.rt import TDState
@@ -38,11 +39,9 @@ def test_a_hybrid_run_is_covered_by_its_named_layers(hse_ground_state):
     _, gs = hse_ground_state
     state = TDState(gs.orbitals[:8].copy(), gs.sigma[:8, :8].copy(), 0.0)
     sim = Simulation(HYBRID, ground_state=gs, state=state)
-    counters = sim.backend.counters
-    before = counters.snapshot()
     with recording() as rec:
         result, _ = run_one(sim)
-    spans = rec.snapshot()
+    spans = rec.snapshot().spans
     root = spans["api.run"]
 
     assert root.calls == 1
@@ -50,7 +49,7 @@ def test_a_hybrid_run_is_covered_by_its_named_layers(hse_ground_state):
     assert sum(s.self_s for s in spans.values()) == pytest.approx(root.total_s, rel=1e-9)
     covered = 1.0 - (root.self_s + spans["rt.step"].self_s) / root.total_s
     assert covered >= 0.9, sorted(spans.items(), key=lambda kv: -kv[1].self_s)
-    assert spans["backend.fft"].calls == counters.since(before).calls
+    assert spans["backend.fft"].calls == rec.counts["backend.fft.calls"]
     assert spans["rt.step"].calls == HYBRID["propagation"]["n_steps"]
     inner = sum(s.scf_iterations for s in result.record.stats)
     assert spans["rt.fixed_point_update"].calls == inner
@@ -67,7 +66,7 @@ def test_a_span_that_raises_is_counted_and_the_stack_unwinds():
                 fails()
         with span("test.after"):
             pass
-    spans = rec.snapshot()
+    spans = rec.snapshot().spans
     assert spans["test.fails"].calls == spans["test.outer"].calls == 1
     outer = spans["test.outer"]
     assert outer.self_s == pytest.approx(outer.total_s - spans["test.fails"].total_s, abs=1e-12)
@@ -82,14 +81,23 @@ def test_since_attributes_one_window_and_recording_restores_the_recorder():
 
     with recording() as rec:
         call()
+        rec.count("test.items", 3)
         mark = rec.snapshot()
+        opened = trace.window()
         with recording() as inner:
             call()
+            trace.recorder().count("test.items")
         assert call() == 7
+        rec.count("test.items", 2)
+        rec.count("test.other")
         window = rec.since(mark)
-    assert inner.snapshot()["test.call"].calls == 1
-    assert rec.snapshot()["test.call"].calls == 2
-    assert list(window) == ["test.call"] and window["test.call"].calls == 1
+    assert inner.snapshot().spans["test.call"].calls == 1
+    assert inner.snapshot().counts == {"test.items": 1}
+    assert rec.snapshot().spans["test.call"].calls == 2
+    assert list(window.spans) == ["test.call"] and window.spans["test.call"].calls == 1
+    # a count unchanged since the mark is not in the window
+    assert window.counts == {"test.items": 2, "test.other": 1}
+    assert opened() == window
 
 
 def test_each_thread_nests_its_own_spans():
@@ -128,6 +136,6 @@ def test_each_thread_nests_its_own_spans():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads) and errors == []
-    spans = rec.snapshot()
+    spans = rec.snapshot().spans
     assert 0 < spans["test.branch"].calls <= 8000 and 0 < spans["test.leaf"].calls <= 16000
     assert all(s.self_s >= 0.0 for s in spans.values())
