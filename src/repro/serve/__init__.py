@@ -11,9 +11,9 @@ onto one SCF through the store's ground-state lease
 Layers
 ------
 :class:`~repro.serve.queue.JobQueue`
-    The durable queue and the one owner of the run rows:
-    submit/claim/begin/finish/retry/recover as atomic SQLite
-    transactions against the study's ``index.sqlite``.
+    The durable queue and the one owner of the run rows: the job
+    lifecycle, one table of events (:data:`~repro.serve.queue.EVENTS`),
+    applied in atomic SQLite transactions on the study's ``index.sqlite``.
 :mod:`repro.serve.worker`
     The worker-process entry point: claim → the run kernel
     (:func:`repro.api.runs.run_one`) with live progress → report.

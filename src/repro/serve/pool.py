@@ -9,20 +9,14 @@ fewer than it was asked for and computes in the calling process too.
 
 The pool itself holds no job state — the queue is the single source of
 truth.  :meth:`WorkerPool.tick` is the supervisor pass the service runs
-a few times a second:
-
-- a **dead worker** (crashed, OOM-killed, SIGKILLed) gets its claimed
-  job reported as a failed attempt — requeued with backoff or marked
-  ``error`` if the budget is gone — and a fresh worker is spawned in
-  its slot;
-- a **job past its deadline** gets its worker killed (there is no safe
-  way to interrupt a propagation mid-step from outside) and the
-  attempt reported as a timeout; the respawn happens on the next tick;
-- a **cancelled job still executing** likewise gets its worker killed,
-  and its attempt is closed ``cancelled`` when that worker is reaped;
-- a job whose worker is **another process that is gone** (holds its lock
-  no more) — a stored run (``repro run --store``) or another pool's
-  worker killed outright — is requeued (:meth:`JobQueue.recover`).
+a few times a second: it kills a worker whose job is past its deadline
+or cancelled (there is no safe way to interrupt a propagation mid-step
+from outside), reports each job a dead worker was on as a failed
+attempt (``timeout`` or ``crashed``) and respawns the worker, and reaps
+the rows of any other process that is gone (:meth:`JobQueue.recover`):
+a stored run (``repro run --store``), another pool's worker killed
+outright.  What each report does to a row is its event's row of the
+lifecycle table (:data:`repro.serve.queue.EVENTS`).
 """
 
 from __future__ import annotations

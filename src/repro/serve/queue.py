@@ -15,14 +15,17 @@ Every state transition is one ``BEGIN IMMEDIATE`` transaction
 (:func:`repro.store.common.run_immediate`), which is what makes the
 queue safe to drive from many processes at once: two workers racing to
 claim the same job serialize on the database write lock, and exactly one
-of them wins.  The states are ``queued``, ``running``, ``ok``,
-``error`` and ``cancelled``; a cancel wins over a finish.
+of them wins.
 
-Attempt accounting is claim-side: ``attempts`` increments when a worker
-*takes* a job, not when it fails — so a worker that dies without ever
-reporting back (SIGKILL, OOM) still consumed one attempt, and a
-crash-looping job cannot retry forever.  ``attempts`` is the number of
-the row's ``job_attempts`` rows and never exceeds ``max_attempts``.
+The lifecycle is one table, :data:`EVENTS`: per event, the statuses it
+moves from, the status it moves to, what becomes of the row's open
+attempt and the columns it sets.  A row is born ``queued``;
+:meth:`JobQueue._move` applies an event and is the only code that
+changes a status or opens or closes an attempt.  ``attempts`` is the
+number of the row's ``job_attempts`` rows and never exceeds
+``max_attempts``: a claim opens one, so a worker that dies without
+reporting back (SIGKILL, OOM) still consumed it, and a crash-looping job
+cannot retry forever.
 
 A worker is alive while it holds its lock, ``workers/<worker_id>.lock``
 in the store (:mod:`repro.store.lease`), from before any row names it
@@ -37,7 +40,7 @@ import os
 import threading
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from repro.api.config import SimulationConfig
 from repro.store.common import (
@@ -53,13 +56,95 @@ from repro.store.common import (
 from repro.store.lease import exclusive, held
 from repro.store.query import StoredRun
 from repro.store.schema import INDEX_FILENAME, ensure_schema, inspect_store
-from repro.trace import traced
+from repro.trace import span, traced
+
+
+class Event(NamedTuple):
+    """One row of the lifecycle table."""
+
+    #: the statuses it moves from
+    source: Tuple[str, ...]
+    #: the status it moves to (``None``: unchanged)
+    to: Optional[str]
+    #: ``"open"``: a new attempt opens on ``:worker`` and ``attempts`` counts
+    #: up; ``"clear"``: the history goes and ``attempts`` restarts at 0
+    attempt: str
+    #: the outcomes the open attempt, if any, closes with: the first, or
+    #: the one the caller names (none: it stays open)
+    closes: Tuple[str, ...]
+    #: the other columns it sets, as SQL over ``:now`` and the caller's values
+    sets: str
+    #: the statuses it leaves as they are: a race or a repeat, not an error
+    quiet: Tuple[str, ...] = ()
+
+
+#: what a claim or a begin sets: the row is ``running`` on ``:worker``'s
+#: next attempt, its budget grown to allow it, its deadline clock started
+_START = (
+    "worker = :worker, attempts = attempts + 1, max_attempts = MAX(max_attempts, attempts + 1), "
+    "updated = :now, started = :now, finished = NULL, "
+    "deadline = CASE WHEN timeout > 0 THEN :now + timeout END, progress = 0.0, message = NULL"
+)
+
+#: how a failed attempt closes: an execution error, a deadline, a dead worker
+_FAILED = ("error", "timeout", "crashed")
+
+#: a failed attempt's report on a row that left ``running`` meanwhile
+_RESOLVED = ("queued", "ok", "error")
+
+#: the job lifecycle, one row per event (README's "Job service" shows it)
+EVENTS: Dict[str, Event] = {
+    "claim": Event(("queued",), "running", "open", (), _START),
+    # a stored run takes its row from any state (so does a result nobody
+    # began), a killed run's open attempt closed first
+    "begin": Event(
+        ("queued", "running", "ok", "error", "cancelled"), "running", "open", ("interrupted",), _START
+    ),
+    "finish": Event(
+        ("running",), "ok", "", ("ok",),
+        "error = NULL, updated = :now, finished = :now, deadline = NULL, progress = 1.0, "
+        "gs_address = :gs_address, elapsed = :elapsed, n_times = :n_times, fft_json = :fft, "
+        "parallel_json = :parallel, overrides_json = COALESCE(:overrides, overrides_json)",
+    ),
+    "retry": Event(
+        ("running",), "queued", "", _FAILED,
+        "error = :error, updated = :now, worker = NULL, deadline = NULL, "
+        "not_before = :not_before, progress = 0.0",
+        quiet=_RESOLVED,
+    ),
+    "give_up": Event(
+        ("running",), "error", "", _FAILED,
+        "error = :error, updated = :now, finished = :now, worker = NULL, deadline = NULL",
+        quiet=_RESOLVED,
+    ),
+    # a running row's attempt stays open until its worker ends (close_cancelled)
+    "cancel": Event(
+        ("queued", "running"), "cancelled", "", (), "updated = :now, finished = :now, deadline = NULL",
+        quiet=("ok", "error", "cancelled"),
+    ),
+    # a worker that raced past the cancel, failed under it or is gone
+    "close_cancelled": Event(("cancelled",), None, "", ("cancelled",), ""),
+    # the supervisor's: the row's worker no longer holds its lock
+    "reap": Event(
+        ("running",), "queued", "", ("interrupted",),
+        "worker = NULL, deadline = NULL, not_before = 0.0, progress = 0.0, updated = :now",
+    ),
+    # a submit of a failed or cancelled row: a fresh request
+    "rearm": Event(
+        ("error", "cancelled"), "queued", "clear", (),
+        "error = NULL, worker = NULL, attempts = 0, max_attempts = :max_attempts, "
+        "timeout = :timeout, created = :now, updated = :now, started = NULL, finished = NULL, "
+        "deadline = NULL, not_before = 0.0, progress = 0.0, message = NULL, "
+        "overrides_json = COALESCE(:overrides, overrides_json)",
+        quiet=("queued", "running", "ok"),
+    ),
+}
 
 #: every state a row can be in
-JOB_STATUSES = ("queued", "running", "ok", "error", "cancelled")
+JOB_STATUSES = tuple(dict.fromkeys(s for e in EVENTS.values() for s in (*e.source, e.to) if s))
 
-#: states a job can never leave on its own
-TERMINAL_STATUSES = ("ok", "error", "cancelled")
+#: states a job can never leave on its own: the ones a cancel leaves as they are
+TERMINAL_STATUSES = EVENTS["cancel"].quiet
 
 #: the row's JSON text columns, stored as ``<field>_json``
 _JSON_FIELDS = ("overrides", "fft", "parallel")
@@ -162,31 +247,45 @@ class JobQueue:
         return run_id, bool(inserted)
 
     @staticmethod
-    def _start_attempt(conn, run_id: str, worker_id: str, now: float) -> None:
-        """The row turns ``running`` on ``worker_id``'s next attempt."""
-        conn.execute(
-            "UPDATE jobs SET status = 'running', worker = ?, attempts = attempts + 1, "
-            "max_attempts = MAX(max_attempts, attempts + 1), updated = ?, started = ?, "
-            "finished = NULL, deadline = CASE WHEN timeout > 0 THEN ? + timeout END, "
-            "progress = 0.0, message = NULL WHERE run_id = ?",
-            (worker_id, now, now, now, run_id),
-        )
-        conn.execute(
-            "INSERT INTO job_attempts (run_id, attempt, worker, started) "
-            "SELECT run_id, attempts, worker, started FROM jobs WHERE run_id = ?",
-            (run_id,),
-        )
+    def _move(conn, run_id: str, event: str, now: float, **values) -> bool:
+        """Apply ``event``'s row of :data:`EVENTS` to ``run_id``'s row in the
+        caller's transaction; ``False`` when the row's status is one the
+        event leaves as it is.  An event from a status the table has no row
+        for is refused.
 
-    @staticmethod
-    def _close_open(conn, run_id: str, now: float, outcome: str, error: Optional[str] = None) -> None:
-        """The row's open attempt, if any, closes with ``outcome``: the one
-        way an attempt ends (a closed one is never rewritten, and
-        :meth:`open_on` no longer names it)."""
-        conn.execute(
-            "UPDATE job_attempts SET finished = ?, outcome = ?, error = ? WHERE run_id = ? "
-            "AND attempt = (SELECT attempts FROM jobs WHERE run_id = ?) AND finished IS NULL",
-            (now, outcome, error, run_id, run_id),
-        )
+        ``values`` fill the row's ``sets``; ``outcome`` picks one of its
+        ``closes``, ``error`` is the closed attempt's (and the row's)."""
+        move = EVENTS[event]
+        with span(f"serve.queue.{event}"):
+            record = conn.execute("SELECT status FROM jobs WHERE run_id = ?", (run_id,)).fetchone()
+            if record is None:
+                raise StoreError(f"queue has no job {run_id!r}")
+            status = record[0]
+            if status in move.quiet:
+                return False
+            if status not in move.source:
+                raise StoreError(f"run {run_id!r}: the job lifecycle has no {event!r} from {status!r}")
+            values = {"error": None, **values, "run_id": run_id, "now": now, "to": move.to}
+            values.setdefault("outcome", move.closes[0] if move.closes else None)
+            if move.attempt == "clear":
+                conn.execute("DELETE FROM job_attempts WHERE run_id = :run_id", values)
+            if move.closes:
+                # a closed attempt is never rewritten, and open_on no longer names it
+                conn.execute(
+                    "UPDATE job_attempts SET finished = :now, outcome = :outcome, error = :error "
+                    "WHERE run_id = :run_id AND finished IS NULL "
+                    "AND attempt = (SELECT attempts FROM jobs WHERE run_id = :run_id)",
+                    values,
+                )
+            if move.to is not None:
+                conn.execute(f"UPDATE jobs SET status = :to, {move.sets} WHERE run_id = :run_id", values)
+            if move.attempt == "open":
+                conn.execute(
+                    "INSERT INTO job_attempts (run_id, attempt, worker, started) "
+                    "SELECT run_id, attempts, worker, started FROM jobs WHERE run_id = :run_id",
+                    values,
+                )
+        return True
 
     # -- submission -----------------------------------------------------------
     @traced("serve.queue.submit")
@@ -201,10 +300,10 @@ class JobQueue:
 
         An existing row for the same config is returned as-is when it is
         queued, running, or done (``ok``: the stored run is the cache
-        hit); a failed or cancelled one is re-armed as a fresh request —
-        a clean attempt budget and history, and ``created`` now.
-        ``created`` says whether this call inserted or re-armed the row.
-        ``overrides`` labels a new or re-armed row (a sweep's variant).
+        hit); a failed or cancelled one is re-armed (``rearm``) as a fresh
+        request.  ``created`` says whether this call inserted or re-armed
+        the row.  ``overrides`` labels a new or re-armed row (a sweep's
+        variant).
         """
         now = utc_now()
 
@@ -212,19 +311,11 @@ class JobQueue:
             run_id, inserted = self._insert(
                 conn, config, overrides, now, max_attempts=max_attempts, timeout=timeout
             )
-            row = self._get(conn, run_id)
-            if inserted or row.status not in ("error", "cancelled"):
-                return row, inserted
-            conn.execute("DELETE FROM job_attempts WHERE run_id = ?", (run_id,))
-            conn.execute(
-                "UPDATE jobs SET status = 'queued', error = NULL, worker = NULL, "
-                "attempts = 0, max_attempts = ?, timeout = ?, created = ?, "
-                "updated = ?, started = NULL, finished = NULL, deadline = NULL, "
-                "not_before = 0.0, progress = 0.0, message = NULL, "
-                "overrides_json = COALESCE(?, overrides_json) WHERE run_id = ?",
-                (int(max_attempts), float(timeout), now, now, _json(overrides), run_id),
+            rearmed = not inserted and self._move(
+                conn, run_id, "rearm", now, max_attempts=int(max_attempts),
+                timeout=float(timeout), overrides=_json(overrides),
             )
-            return self._get(conn, run_id), True
+            return self._get(conn, run_id), inserted or rearmed
 
         return self._txn(_submit)
 
@@ -246,22 +337,18 @@ class JobQueue:
             ).fetchone()
             if record is None:
                 return None
-            self._start_attempt(conn, record[0], worker_id, now)
+            self._move(conn, record[0], "claim", now, worker=worker_id)
             return self._get(conn, record[0])
 
         return self._txn(_claim)
 
     def begin(self, config: SimulationConfig) -> StoredRun:
-        """A stored run takes its row: ``running`` on this thread's worker.
+        """A stored run takes its row (``begin``) on this thread's worker.
 
         The worker (:func:`own_worker_id`) is registered with this pid;
         called bare, without its lock (:meth:`recording`), it leaves the
         row a killed run leaves, which :meth:`recover` requeues.  The
-        row is created when missing and taken from whatever state it is
-        in — the caller is about to compute it — with one more attempt
-        (a killed run's open one closes ``interrupted``, as in :meth:`recover`);
-        ``max_attempts`` grows to allow it when the budget is spent, so
-        this attempt is the last.  An ``ok`` row is left as it is until
+        row is created when missing.  An ``ok`` row is left as it is until
         the new result lands (:meth:`finish_ok` then records the
         attempt), so a re-run that fails or is killed leaves the stored
         run readable.  Unlike :meth:`claim`, it takes this config's row.
@@ -272,8 +359,7 @@ class JobQueue:
             run_id, _ = self._insert(conn, config, None, now)
             if self._get(conn, run_id).status != "ok":
                 conn.execute(_REGISTER, (own_worker_id(), os.getpid(), now))
-                self._close_open(conn, run_id, now, "interrupted")
-                self._start_attempt(conn, run_id, own_worker_id(), now)
+                self._move(conn, run_id, "begin", now, worker=own_worker_id())
             return self._get(conn, run_id)
 
         return self._txn(_begin)
@@ -320,35 +406,25 @@ class JobQueue:
         fft: Optional[Mapping[str, Any]] = None,
         parallel: Optional[Mapping[str, Any]] = None,
     ) -> StoredRun:
-        """The config's run is stored: its row turns ``ok`` with these columns.
-
-        A ``running`` row closes its current attempt.  A row nobody began
-        (a result added on its own; a re-run of an ``ok`` row) gets one
-        attempt, begun and finished here.  A ``cancelled`` row stays
-        cancelled: a worker that raced past the cancel cannot resurrect
-        the job; its attempt closes ``cancelled``.
-        """
+        """The config's run is stored: its row turns ``ok`` (``finish``)
+        with these columns, or closes under a cancel.  A row nobody began
+        (a result added on its own; a re-run of an ``ok`` row) is begun
+        here first, on this thread's worker."""
         now = utc_now()
 
         def _ok(conn):
             run_id, _ = self._insert(conn, config, overrides, now)
-            row = self._get(conn, run_id)
-            if row.status == "cancelled":
-                self._close_open(conn, run_id, now, "cancelled")
-                return row
-            if row.status != "running":
-                self._start_attempt(conn, run_id, own_worker_id(), now)
-            conn.execute(
-                "UPDATE jobs SET status = 'ok', error = NULL, updated = ?, finished = ?, "
-                "deadline = NULL, progress = 1.0, gs_address = ?, elapsed = ?, "
-                "n_times = ?, fft_json = ?, parallel_json = ?, "
-                "overrides_json = COALESCE(?, overrides_json) WHERE run_id = ?",
-                (
-                    now, now, gs_address, float(elapsed), int(n_times), _json(fft),
-                    _json(parallel), _json(overrides), run_id,
-                ),
+            status = self._get(conn, run_id).status
+            if status == "cancelled":
+                self._move(conn, run_id, "close_cancelled", now)
+                return self._get(conn, run_id)
+            if status != "running":
+                self._move(conn, run_id, "begin", now, worker=own_worker_id())
+            self._move(
+                conn, run_id, "finish", now, gs_address=gs_address, elapsed=float(elapsed),
+                n_times=int(n_times), fft=_json(fft), parallel=_json(parallel),
+                overrides=_json(overrides),
             )
-            self._close_open(conn, run_id, now, "ok")
             return self._get(conn, run_id)
 
         return self._txn(_ok)
@@ -357,15 +433,10 @@ class JobQueue:
         self, job_id: str, error: str, backoff: float = 0.5,
         outcome: str = "error",
     ) -> StoredRun:
-        """Record a failed attempt: requeue with backoff, or give up.
-
-        Used for execution errors, per-job timeouts, *and* worker deaths
-        — all three consumed the attempt at claim time.  The job lands
-        in ``error`` once its attempt budget is spent, otherwise goes
-        back to ``queued`` with an exponentially growing ``not_before``.
-        A job cancelled meanwhile stays cancelled, its attempt closed
-        ``cancelled``.
-        """
+        """Record a failed attempt (an execution error, a per-job timeout or
+        a worker death, ``outcome``): ``give_up`` once the attempt budget
+        is spent, else ``retry`` after ``backoff`` seconds, doubling per
+        attempt; a row cancelled meanwhile closes under the cancel."""
         now = utc_now()
 
         def _fail(conn):
@@ -373,24 +444,13 @@ class JobQueue:
             if job is None:
                 raise StoreError(f"queue has no job {job_id!r}")
             if job.status == "cancelled":
-                self._close_open(conn, job_id, now, "cancelled")
-            if job.status != "running":
-                return job  # cancelled (or already resolved) meanwhile
-            if job.attempts >= job.max_attempts:
-                conn.execute(
-                    "UPDATE jobs SET status = 'error', error = ?, updated = ?, "
-                    "finished = ?, worker = NULL, deadline = NULL WHERE run_id = ?",
-                    (str(error), now, now, job_id),
-                )
+                self._move(conn, job_id, "close_cancelled", now)
             else:
-                not_before = now + float(backoff) * (2 ** max(0, job.attempts - 1))
-                conn.execute(
-                    "UPDATE jobs SET status = 'queued', error = ?, updated = ?, "
-                    "worker = NULL, deadline = NULL, not_before = ?, "
-                    "progress = 0.0 WHERE run_id = ?",
-                    (str(error), now, not_before, job_id),
+                self._move(
+                    conn, job_id, "give_up" if job.attempts >= job.max_attempts else "retry",
+                    now, error=str(error), outcome=outcome,
+                    not_before=now + float(backoff) * (2 ** max(0, job.attempts - 1)),
                 )
-            self._close_open(conn, job_id, now, outcome, str(error))
             return self._get(conn, job_id)
 
         return self._txn(_fail)
@@ -406,52 +466,43 @@ class JobQueue:
 
         def _cancel(conn):
             job = self._get(conn, job_id)
-            if job is None:
-                raise StoreError(f"queue has no job {job_id!r}")
-            if job.status not in TERMINAL_STATUSES:
-                conn.execute(
-                    "UPDATE jobs SET status = 'cancelled', updated = ?, "
-                    "finished = ?, deadline = NULL WHERE run_id = ?",
-                    (now, now, job_id),
-                )
+            self._move(conn, job_id, "cancel", now)
             return job
 
         return self._txn(_cancel)
 
     # -- recovery / supervision ----------------------------------------------
     def recover(self, keep: Sequence[str] = ()) -> int:
-        """Requeue every ``running`` job whose worker is gone; how many.
+        """Requeue every ``running`` job whose worker is gone (``reap``);
+        how many.  A ``cancelled`` row whose worker is gone with its
+        attempt open closes under the cancel.
 
         A worker lives when it is one of ``keep`` (a supervisor's own,
         which it reaps itself) or holds its lock
         (:func:`~repro.store.lease.held`); the others' registrations and
-        lock files are forgotten.  Attempts already consumed stay
-        consumed; the interrupted attempt is closed in the history so a
-        post-mortem can see it.
+        lock files are forgotten.
         """
         now = utc_now()
 
         def _gone(conn):
-            """The running rows whose worker is gone, and the dead registrations."""
-            running = conn.execute("SELECT run_id, worker FROM jobs WHERE status = 'running'").fetchall()
+            """The rows whose attempt is open on a gone worker, and the dead registrations."""
+            held_rows = conn.execute(
+                "SELECT jobs.run_id, jobs.worker, status FROM jobs JOIN job_attempts a "
+                "ON a.run_id = jobs.run_id AND a.attempt = jobs.attempts "
+                "WHERE status IN ('running', 'cancelled') AND a.finished IS NULL"
+            ).fetchall()
             registered = [w for (w,) in conn.execute("SELECT worker_id FROM workers")]
-            workers = {worker for _, worker in running}.union(registered)
+            workers = {worker for _, worker, _ in held_rows}.union(registered)
             dead = {w for w in workers if w not in keep and not held(self._lock_file(w))}
-            orphans = [job_id for job_id, worker in running if worker in dead]
+            orphans = [(job_id, status) for job_id, worker, status in held_rows if worker in dead]
             return orphans, [w for w in registered if w in dead]
 
         def _recover(conn):
             orphans, dead = _gone(conn)
-            for job_id in orphans:
-                conn.execute(
-                    "UPDATE jobs SET status = 'queued', worker = NULL, "
-                    "deadline = NULL, not_before = 0.0, progress = 0.0, "
-                    "updated = ? WHERE run_id = ?",
-                    (now, job_id),
-                )
-                self._close_open(conn, job_id, now, "interrupted")
+            for job_id, status in orphans:
+                self._move(conn, job_id, "reap" if status == "running" else "close_cancelled", now)
             conn.executemany("DELETE FROM workers WHERE worker_id = ?", [(w,) for w in dead])
-            return len(orphans)
+            return sum(status == "running" for _, status in orphans)
 
         with self._lock:
             # a supervisor asks a few times a second: take the write lock

@@ -9,12 +9,10 @@ One :class:`JobService` owns everything ``repro serve`` runs:
   jobs, enforce deadlines);
 - a :class:`~repro.serve.http.ServeHTTPServer` on its own thread.
 
-Boot is where durability pays off: a job found ``running`` is requeued
-when its worker no longer holds its lock in the store, by the
-supervisor's own rule (:meth:`~repro.serve.queue.JobQueue.recover`), and
-left to a process that still runs it (a stored run, an old worker
-finishing its last job); jobs found ``queued`` simply wait their turn —
-restarting the server resumes the study exactly where it stopped.
+Boot is where durability pays off: it reaps the rows of processes that
+are gone by the supervisor's own rule
+(:meth:`~repro.serve.queue.JobQueue.recover`), so restarting the server
+resumes the study exactly where it stopped.
 """
 
 from __future__ import annotations

@@ -3,10 +3,14 @@
 A run is one row of the store's ``jobs`` table, whichever way it was
 made.  The machine below drives one config's row through every
 transition a run can take — submit, claim, finish, a failed attempt,
-cancel, a deadline running out, a supervisor's pass, a stored run that
-records itself (and finishes, fails, or is killed outright), a re-run,
-the resume lookup — in random order, and after every step checks what
-must always hold of every row:
+cancel, a deadline running out, a supervisor's pass (also after a
+claimer is killed outright), a stored run that records itself (and
+finishes, fails, or is killed outright), a re-run, the resume lookup —
+in random order.  Every event the queue applies is
+checked against its row of the lifecycle table (``EVENTS``): the status
+before and after and what became of the attempts; across the run every
+row of the table is reached.  After every step it checks what must
+always hold of every row:
 
 - ``attempts`` is the number of its ``job_attempts`` rows;
 - ``attempts`` never exceeds ``max_attempts``;
@@ -15,6 +19,8 @@ must always hold of every row:
   cancelled until someone asks for it again (a submit or a stored run);
 - a ``running`` row names its worker, and a supervisor can tell whether
   that worker lives: a claimer, or a registered process;
+- after a supervisor's pass, no attempt is open on a worker that is
+  neither alive nor registered (nothing would ever close it);
 - an ``ok`` row has its result file, and its columns describe that file.
 
 The results are synthetic arrays (no physics), so a step is a few
@@ -22,9 +28,11 @@ SQLite transactions and at most one small ``.npz``.
 """
 
 import contextlib
+import inspect
 import shutil
 import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,14 +46,47 @@ from hypothesis.stateful import (  # noqa: E402
     rule,
 )
 
+import repro  # noqa: E402
 from repro.api import SimulationConfig, SimulationResult  # noqa: E402
 from repro.rt.propagator import PropagationRecord, TDState  # noqa: E402
-from repro.serve.queue import own_worker_id  # noqa: E402
+from repro.serve.queue import EVENTS, JobQueue, own_worker_id  # noqa: E402
 from repro.store import ResultStore, run_id_for  # noqa: E402
 
 CONFIG = SimulationConfig.from_dict({"field": {"kind": "static_kick", "params": {"kick": 1e-3}}})
 RUN_ID = run_id_for(CONFIG)
 WORKERS = ("w0", "w1")
+
+#: the events applied across a run of the machine
+REACHED = set()
+
+
+def _state(conn, run_id):
+    """``(status, attempts, [(attempt, outcome, open), ...])`` of the row."""
+    record = conn.execute("SELECT status, attempts FROM jobs WHERE run_id = ?", (run_id,)).fetchone()
+    history = conn.execute(
+        "SELECT attempt, outcome, finished IS NULL FROM job_attempts WHERE run_id = ? ORDER BY attempt",
+        (run_id,),
+    ).fetchall()
+    return (*(record or (None, 0)), [tuple(a) for a in history])
+
+
+def _is_a_row_of_the_table(event, before, after):
+    """The transition ``before`` -> ``after`` is what ``event``'s row says."""
+    (status, attempts, history), (now_status, now_attempts, now_history) = before, after
+    assert status in event.source
+    assert now_status == (event.to or status)
+    if event.attempt == "clear":
+        assert (now_attempts, now_history) == (0, [])
+        return
+    opened = event.attempt == "open"
+    assert now_attempts == attempts + opened == len(now_history)
+    was_open = bool(history) and history[-1][2]
+    if was_open:  # the open attempt closes with one of the row's outcomes, or stays open
+        _, outcome, still_open = now_history[len(history) - 1]
+        assert still_open if not event.closes else outcome in event.closes and not still_open
+    assert now_history[: len(history) - was_open] == history[: len(history) - was_open]
+    if opened:
+        assert now_history[-1][2]
 
 
 def _result(n_times):
@@ -70,6 +111,19 @@ class RunRows(RuleBasedStateMachine):
         self.holder = None
         #: cancelled before it finished, and not asked for since
         self.cancelled = False
+        move = self.queue._move
+
+        def observed(conn, run_id, event, now, **values):
+            before = _state(conn, run_id)
+            moved = move(conn, run_id, event, now, **values)
+            if moved:
+                _is_a_row_of_the_table(EVENTS[event], before, _state(conn, run_id))
+                REACHED.add(event)
+            else:
+                assert _state(conn, run_id) == before
+            return moved
+
+        self.queue._move = observed
 
     def teardown(self):
         self.store.close()
@@ -127,6 +181,23 @@ class RunRows(RuleBasedStateMachine):
         if self.holder not in alive:
             self.holder = None
         assert self.queue.workers() == []
+        # and none is registered any more: an open attempt is on a live claimer
+        open_on = [a["worker"] for a in self.queue.attempts(RUN_ID) if a["finished"] is None]
+        assert set(open_on) <= set(alive), open_on
+
+    @rule(worker=st.sampled_from(WORKERS), end=st.sampled_from(("fails", "killed", "cancelled")))
+    def claimed_job_ends(self, worker, end):
+        """A worker claims the row, then its job fails, or the worker is
+        killed outright before a supervisor's pass — also by a cancel of
+        its job, as the service kills it."""
+        self.submit(max_attempts=2, timed=False)
+        self.claim(worker)
+        if end == "fails" and self.holder:
+            self.fail()
+            return
+        if end == "cancelled":
+            self.cancel()
+        self.supervise([w for w in WORKERS if w != worker])
 
     @rule(n_times=st.integers(1, 4), how=st.sampled_from(("ok", "fails", "killed")))
     def stored_run(self, n_times, how):
@@ -195,7 +266,29 @@ class RunRows(RuleBasedStateMachine):
             assert row.finished is not None and row.progress == 1.0, row
 
 
-RunRows.TestCase.settings = settings(
-    max_examples=20, stateful_step_count=20, deadline=None, derandomize=True
-)
-TestRunRows = RunRows.TestCase
+class TestRunRows(RunRows.TestCase):
+    settings = settings(max_examples=20, stateful_step_count=20, deadline=None, derandomize=True)
+
+    def runTest(self):
+        """The machine's runs reach every row of the lifecycle table."""
+        REACHED.clear()
+        super().runTest()
+        assert REACHED == set(EVENTS), sorted(set(EVENTS) - REACHED)
+
+
+def test_only_the_table_writes_a_status_or_an_attempt():
+    """``git grep -n "SET status" src/repro`` finds one statement, ``_move``'s,
+    and so do the statements that open and close an attempt."""
+    src = Path(repro.__file__).parent
+    hits = {
+        needle: [
+            f"{path.relative_to(src)}:{n}"
+            for path in sorted(src.rglob("*.py"))
+            for n, line in enumerate(path.read_text().splitlines(), 1)
+            if needle in line
+        ]
+        for needle in ("SET status", "INSERT INTO job_attempts", "UPDATE job_attempts")
+    }
+    lines, start = inspect.getsourcelines(JobQueue._move)
+    inside = {f"serve/queue.py:{n}" for n in range(start, start + len(lines))}
+    assert all(len(found) == 1 and set(found) <= inside for found in hits.values()), hits

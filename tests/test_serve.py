@@ -1,12 +1,13 @@
-"""repro.serve: queue semantics, coalesced SCF, crash retry, HTTP API.
+"""repro.serve: queue semantics, coalesced SCF, supervision, HTTP API.
 
 The heavy end-to-end checks share one module-scoped service run: four
 jobs (three sharing a ``(system, scf, backend)`` ground-state group)
 go through a real server on an ephemeral port with four spawned
 workers, and the assertions then pick the run apart — statuses, blob
 counts, bitwise parity against direct :meth:`Simulation.run`.  The
-crash/restart tests boot their own short-lived services; the queue
-unit tests never spawn a process at all.
+queue unit tests never spawn a process at all; what a killed worker,
+stored run or server leaves is the crash matrix's
+(``tests/test_crash_matrix.py``).
 """
 
 import contextlib
@@ -219,85 +220,6 @@ def test_e2e_cancel_then_result_is_409(e2e):
 
 
 # ---------------------------------------------------------------------------
-# crash recovery
-# ---------------------------------------------------------------------------
-
-
-def test_restart_resumes_interrupted_and_queued_jobs(tmp_path):
-    """A dead server's running + queued jobs complete after a reboot."""
-    root = tmp_path / "store"
-    ResultStore.ensure(root).close()
-    config_a = make_config(kick=0.006)
-    config_b = make_config(kick=0.007)
-    queue = JobQueue(root)
-    queue.submit(config_a)
-    queue.submit(config_b)
-    claimed = queue.claim("w-departed")  # simulates a crashed worker
-    assert claimed.run_id == run_id_for(config_a)
-    queue.close()
-
-    with JobService(root, port=0, workers=2, backoff=0.0) as service:
-        assert service.recovered == 1
-        assert service.stats()["recovered_on_boot"] == 1
-        assert service.wait_all(timeout_s=300.0)
-        done_a = service.queue.get(run_id_for(config_a))
-        done_b = service.queue.get(run_id_for(config_b))
-        assert done_a.status == "ok"
-        assert done_b.status == "ok"
-        # the interrupted claim consumed the first attempt
-        assert done_a.attempts == 2
-        outcomes = [a["outcome"] for a in service.queue.attempts(done_a.run_id)]
-        assert outcomes == ["interrupted", "ok"]
-
-
-def test_crash_between_add_result_and_finish_ok_resolves_as_cache_hit(tmp_path, monkeypatch):
-    """The worker's promise for a crash after the result is stored but
-    before the job is marked ok: the re-run restores the stored run, runs
-    neither an SCF nor a propagation, and leaves one run row, one run
-    file, one ground-state blob and no temporary file."""
-    import repro.api.simulation as simulation
-    from repro.serve.worker import execute_job
-
-    root = tmp_path / "store"
-    config = make_config(kick=0.008, n_steps=1)
-    store = ResultStore.ensure(root)
-    queue = JobQueue(root)
-    try:
-        job_id = queue.submit(config, max_attempts=2)[0].run_id
-        finish_ok = JobQueue.finish_ok
-        calls = []
-
-        def crash_once(self, config, **result):
-            calls.append(run_id_for(config))
-            if len(calls) == 1:
-                raise RuntimeError("worker died after add_result")
-            return finish_ok(self, config, **result)
-
-        monkeypatch.setattr(JobQueue, "finish_ok", crash_once)
-        execute_job(store, queue, queue.claim("w0"), 0.0)
-        assert queue.get(job_id).status == "queued"
-
-        def recompute(*args, **kwargs):
-            pytest.fail("the re-run computed instead of restoring the stored run")
-
-        monkeypatch.setattr(simulation, "run_scf", recompute)
-        monkeypatch.setattr(simulation.Simulation, "propagate", recompute)
-        execute_job(store, queue, queue.claim("w0"), 0.0)
-
-        job = queue.get(job_id)
-        assert job.status == "ok" and job.attempts == 2
-        assert [a["outcome"] for a in queue.attempts(job_id)] == ["error", "ok"]
-        assert len(calls) == 2 and calls[0] == calls[1] == job.run_id
-        assert [run.run_id for run in store.query()] == [job.run_id]
-        assert len(list((root / "runs").glob("*.npz"))) == 1
-        assert len(store.blobs.ground_state_addresses()) == 1
-        assert not [p for p in root.rglob("*") if ".tmp" in p.name]
-    finally:
-        queue.close()
-        store.close()
-
-
-# ---------------------------------------------------------------------------
 # queue unit tests (no worker processes)
 # ---------------------------------------------------------------------------
 
@@ -399,6 +321,38 @@ def test_a_cancelled_job_that_fails_closes_its_attempt_cancelled(queue):
     assert queue.fail_attempt(job.run_id, "boom").status == "cancelled"
     assert [a["outcome"] for a in queue.attempts(job.run_id)] == ["cancelled"]
     assert queue.open_on(["w0"]) == []
+
+
+@pytest.mark.parametrize("left_by", ["a killed stored run", "a departed claimer"])
+def test_recover_closes_a_cancelled_rows_attempt_on_a_gone_worker(queue, left_by):
+    """A row cancelled after its worker died unreaped (a stored run killed
+    outright, a claimer gone) closes its attempt ``cancelled`` on the next
+    supervisor pass, which forgets that worker: no attempt stays open on a
+    worker nobody can reap any more."""
+    config = make_config()
+    if left_by == "a killed stored run":
+        row = queue.begin(config)  # bare: the row and registration a SIGKILL leaves
+    else:
+        queue.submit(config)
+        row = queue.claim("w-departed")
+    assert queue.cancel(row.run_id).status == "running"
+    assert queue.recover() == 0  # nothing to requeue
+    assert queue.get(row.run_id).status == "cancelled"
+    history = queue.attempts(row.run_id)
+    assert [(a["outcome"], a["finished"] is not None) for a in history] == [("cancelled", True)]
+    assert queue.open_on([row.worker]) == [] and queue.workers() == []
+
+
+def test_an_event_the_lifecycle_has_no_row_for_is_refused(queue):
+    """``_move`` refuses, by run, event and status, a call the table has
+    no row for (a programming error, not a race); nothing is written."""
+    from repro.store import StoreError
+
+    run_id = queue.submit(make_config())[0].run_id
+    refused = f"run '{run_id}': the job lifecycle has no 'finish' from 'queued'"
+    with pytest.raises(StoreError, match=refused):
+        queue._txn(lambda conn: queue._move(conn, run_id, "finish", time.time()))
+    assert (queue.get(run_id).status, queue.attempts(run_id)) == ("queued", [])
 
 
 def test_queue_deadline_set_only_with_timeout(queue):
