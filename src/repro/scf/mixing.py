@@ -61,9 +61,6 @@ class LinearMixer:
     def mix(self, x: np.ndarray, gx: np.ndarray) -> np.ndarray:
         return x + self.beta * (gx - x)
 
-    def reset(self) -> None:  # interface parity with AndersonMixer
-        pass
-
 
 class AndersonMixer:
     """Anderson acceleration with bounded history.

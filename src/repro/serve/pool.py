@@ -210,31 +210,37 @@ def drain(
     claim.  A job some other live process on the same store already holds
     is waited for, not duplicated.  On the way out, by return or by
     exception, the workers are stopped and nothing of this batch is left
-    claimable or running.
+    claimable or running; after an exception one supervisor pass, once
+    the caller's lock is dropped, closes the attempts the stopped workers
+    and the caller left open on the cancelled rows.
     """
     queue = store.queue
     pool = WorkerPool(str(store.root), queue, n_workers=n_workers - 1, backoff=0.0)
     waiting: List[str] = []
-    with queue.serving(f"{pool.tag}caller") as me:
-        try:
-            waiting = [
-                queue.submit(config, max_attempts=1, overrides=label)[0].run_id
-                for config, label in zip(configs, labels)
-            ]
-            pool.start()
-            while waiting:
-                pool.tick()
-                mine = queue.claim(me)
-                if mine is not None:
-                    execute_job(store, queue, mine, 0.0)
-                for job_id in list(waiting):
-                    job = queue.get(job_id)
-                    if job is not None and job.status in TERMINAL_STATUSES:
-                        waiting.remove(job_id)
-                        on_done(job)
-                if mine is None and waiting:
-                    time.sleep(DRAIN_IDLE_S)
-        finally:
-            pool.stop()
-            for job_id in waiting:
-                queue.cancel(job_id)
+    try:
+        with queue.serving(f"{pool.tag}caller") as me:
+            try:
+                waiting = [
+                    queue.submit(config, max_attempts=1, overrides=label)[0].run_id
+                    for config, label in zip(configs, labels)
+                ]
+                pool.start()
+                while waiting:
+                    pool.tick()
+                    mine = queue.claim(me)
+                    if mine is not None:
+                        execute_job(store, queue, mine, 0.0)
+                    for job_id in list(waiting):
+                        job = queue.get(job_id)
+                        if job is not None and job.status in TERMINAL_STATUSES:
+                            waiting.remove(job_id)
+                            on_done(job)
+                    if mine is None and waiting:
+                        time.sleep(DRAIN_IDLE_S)
+            finally:
+                pool.stop()
+                for job_id in waiting:
+                    queue.cancel(job_id)
+    finally:
+        if waiting:
+            queue.recover()

@@ -18,7 +18,6 @@ resumes the study exactly where it stopped.
 from __future__ import annotations
 
 import threading
-import time
 from typing import Any, Dict, Optional, Tuple
 
 from repro.api.config import ServeConfig, SimulationConfig
@@ -210,15 +209,4 @@ class JobService:
                 utc_now() - self._started_at if self._started_at else 0.0
             ),
         }
-
-    # -- convenience for tests/tools ------------------------------------------
-    def wait_all(self, timeout_s: float = 120.0, poll_s: float = 0.1) -> bool:
-        """Block until no job is queued or running (or the timeout hits)."""
-        deadline = time.monotonic() + timeout_s
-        while time.monotonic() < deadline:
-            counts = self.queue.counts()
-            if counts["queued"] == 0 and counts["running"] == 0:
-                return True
-            time.sleep(poll_s)
-        return False
 

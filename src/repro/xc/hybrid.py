@@ -30,10 +30,6 @@ class SemilocalFunctional:
     name: str = "LDA-PZ81"
 
     @property
-    def alpha(self) -> float:
-        return 0.0
-
-    @property
     def is_hybrid(self) -> bool:
         return False
 
@@ -41,9 +37,6 @@ class SemilocalFunctional:
     def semilocal(self, rho: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """``(eps_xc, v_xc)`` of the semilocal part."""
         return lda_xc(rho)
-
-    def kernel(self, grid: PlaneWaveGrid) -> np.ndarray:
-        raise RuntimeError("semilocal functional has no exchange kernel")
 
 
 @dataclass(frozen=True)

@@ -157,7 +157,9 @@ def test_cli_validate_unknown_component(tmp_path, capsys):
     assert "unknown propagator" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("option", ["max_scf = 0", "typo_tol = 1e-6", "mix_beta = 0"])
+@pytest.mark.parametrize(
+    "option", ["max_scf = 0", "typo_tol = 1e-6", "mix_beta = 0", 'fock_mode = "dense-tripleloop"']
+)
 def test_cli_refuses_propagation_options_before_the_scf(tmp_path, capsys, option):
     """A propagation option that cannot run, or an unknown one, is refused
     by name by `validate`, and by `run` before any ground state is
@@ -199,6 +201,17 @@ def test_cli_run_refuses_untracked_bands_before_the_scf(tmp_path, capsys, nbands
     assert "propagation.track_sigma" in err and "20 bands" in err
     assert "ground state" not in out
     assert not list(store.glob("blobs/ground_states/*.npz"))
+
+
+def test_cli_run_names_its_engine_and_the_measured_split(tiny_config, capsys):
+    """``--fft-workers`` reaches the engine: the tally line names its
+    thread count; the split opens at the root span and names the step's
+    fixed-point update."""
+    assert main(["run", str(tiny_config), "--fft-workers", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.endswith("workers=2) + counters)") for line in lines)
+    assert any(line.startswith("api.run ") for line in lines)
+    assert any(line.startswith("rt.fixed_point_update ") for line in lines)
 
 
 def test_cli_missing_file(capsys):

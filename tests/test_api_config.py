@@ -309,6 +309,21 @@ def test_builtin_components_registered():
     assert {"rk4", "ptim", "ptim_ace", "ptcn"} <= set(comps["propagator"])
 
 
+def test_builtin_factories_build_through_the_registry():
+    """``silicon_supercell`` takes its ``reps`` as a TOML list, and ``pbe0``
+    is the unscreened hybrid under its own name unless one is given."""
+    from repro.grid.cell import silicon_cubic_cell
+
+    cell = CELLS.build("silicon_supercell", reps=[2, 1, 1])
+    base = silicon_cubic_cell()
+    assert cell.natom == 16
+    assert cell.volume == pytest.approx(2.0 * base.volume, rel=1e-12)
+    pbe0 = FUNCTIONALS.build("pbe0")
+    assert pbe0.is_hybrid and not pbe0.screened and pbe0.name == "PBE0-LDA"
+    assert pbe0.alpha == FUNCTIONALS.build("hse").alpha
+    assert FUNCTIONALS.build("pbe0", name="mine", alpha=0.5).name == "mine"
+
+
 @pytest.mark.parametrize("registry", [CELLS, FUNCTIONALS, FIELDS, PROPAGATORS])
 def test_unknown_registry_key_lists_known(registry):
     with pytest.raises(RegistryError) as err:

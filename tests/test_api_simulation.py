@@ -5,10 +5,12 @@ A single module-scoped LDA ground state is shared through
 expensive SCF runs once.
 """
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from repro.api import ConfigError, RegistryError, Simulation, SimulationResult
+from repro.api import ConfigError, RegistryError, Simulation, SimulationConfig, SimulationResult
 
 CFG = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -54,6 +56,16 @@ def test_derive_shares_and_isolates(base_sim):
     other = base_sim.derive(system={"ecut": 2.5})
     assert other._gs is None  # changed system: must re-converge
     assert other._grid is None
+
+
+def test_from_file_builds_the_shipped_quickstart():
+    """The package docstring's quickstart: a config file to a lazy
+    simulation, nothing converged until asked."""
+    path = Path(__file__).resolve().parent.parent / "examples" / "configs" / "quickstart.toml"
+    sim = Simulation.from_file(path)
+    assert sim.config == SimulationConfig.from_file(path)
+    assert sim.config.propagation.propagator == "ptim_ace"
+    assert sim.functional.is_hybrid and sim.cell.natom == 8
 
 
 def test_unknown_component_surfaces_at_build():

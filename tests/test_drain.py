@@ -47,10 +47,25 @@ def _rows(store_dir):
         queue.close()
 
 
+def _open_attempts(store_dir):
+    """``(run_id, attempt, worker)`` of each attempt with no ``finished``."""
+    queue = JobQueue(store_dir)
+    try:
+        return [
+            (job.run_id, a["attempt"], a["worker"])
+            for job in queue.jobs()
+            for a in queue.attempts(job.run_id)
+            if a["finished"] is None
+        ]
+    finally:
+        queue.close()
+
+
 def _assert_nothing_half_done(store_dir):
     jobs, workers = _rows(store_dir)
     assert [job for job in jobs if job.status == "running"] == []
     assert [w for w in workers if w["pid"] == os.getpid()] == []
+    assert _open_attempts(store_dir) == []
     store = ResultStore(store_dir, create=False)
     try:
         assert list(store.blobs.ground_states_dir.glob("*.lock")) == []
@@ -126,17 +141,32 @@ def test_a_stopped_pool_leaves_no_worker_behind(store_dir, base, monkeypatch):
 
 def test_a_progress_callback_that_raises_leaves_nothing_half_done(store_dir, base):
     """The first ``ok`` line is the caller's own variant (it starts before any
-    child is up); aborting there stops the children and keeps what finished."""
+    child is up); aborting there, once the child is on a job of its own,
+    stops the child mid-job and keeps what finished."""
 
     class Abort(Exception):
         pass
 
+    queue = JobQueue(store_dir)
+    cut = []
+
     def progress(line):
         if line.startswith("run") and ": ok" in line:
+            deadline = time.monotonic() + 20.0
+            while not cut and time.monotonic() < deadline:
+                cut.extend(
+                    job.run_id for job in queue.jobs(status="running")
+                    if not job.worker.endswith("caller")
+                )
+                time.sleep(0.002)
             raise Abort(line)
 
-    with pytest.raises(Abort):
-        run_ensemble(base, _kicks(4), workers=2, store=store_dir, progress=progress)
+    try:
+        with pytest.raises(Abort):
+            run_ensemble(base, _kicks(4), workers=2, store=store_dir, progress=progress)
+    finally:
+        queue.close()
+    assert cut
     assert _assert_nothing_half_done(store_dir) >= 1
     again = run_ensemble(base, _kicks(4), workers=2, store=store_dir)
     assert [r.status for r in again.runs] == ["ok"] * 4

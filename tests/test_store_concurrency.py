@@ -9,12 +9,15 @@ function: the spawn start method pickles it by qualified name.
 
 import json
 import multiprocessing as mp
+import sqlite3
 
 import numpy as np
+import pytest
 
 from repro.api import SimulationConfig, SimulationResult
 from repro.rt.propagator import PropagationRecord, TDState
-from repro.store import ResultStore
+from repro.store import ResultStore, common
+from repro.store.common import connect_sqlite, run_immediate
 from repro.store.store import inspect_store
 
 BASE = {
@@ -97,3 +100,59 @@ def test_four_process_write_hammer(tmp_path):
 
     check = inspect_store(root)
     assert check.meta["backend"] == "sqlite"
+
+
+def _two_connections(tmp_path):
+    """One index, a holder at the default busy timeout and a writer that
+    gives up on a held lock after 10 ms."""
+    path = tmp_path / "index.sqlite"
+    holder = connect_sqlite(path)
+    holder.execute("CREATE TABLE t (x INTEGER)")
+    return holder, connect_sqlite(path, timeout_s=0.01)
+
+
+def test_a_busy_transaction_is_retried_whole_once_the_lock_is_released(tmp_path, monkeypatch):
+    """A second connection holds the write lock past the busy timeout: the
+    ``BEGIN IMMEDIATE`` fails busy, backs off and begins again, and the
+    body runs once, with the lock held, after the holder commits."""
+    holder, writer = _two_connections(tmp_path)
+    holder.execute("BEGIN IMMEDIATE")
+    holder.execute("INSERT INTO t VALUES (1)")
+    sleeps, seen = [], []
+
+    def backoff(seconds):  # the holder commits during the first backoff
+        sleeps.append(seconds)
+        if holder.in_transaction:
+            holder.execute("COMMIT")
+
+    def body(conn):
+        seen.append(conn.execute("SELECT COUNT(*) FROM t").fetchone()[0])
+        conn.execute("INSERT INTO t VALUES (2)")
+        return "committed"
+
+    monkeypatch.setattr(common.time, "sleep", backoff)
+    try:
+        assert run_immediate(writer, body) == "committed"
+        assert sleeps == [0.02] and seen == [1]
+        assert [x for (x,) in holder.execute("SELECT x FROM t ORDER BY x")] == [1, 2]
+    finally:
+        holder.close()
+        writer.close()
+
+
+def test_a_non_busy_error_raises_at_once(tmp_path, monkeypatch):
+    holder, writer = _two_connections(tmp_path)
+    sleeps, runs = [], []
+
+    def body(conn):
+        runs.append(1)
+        conn.execute("INSERT INTO no_such_table VALUES (1)")
+
+    monkeypatch.setattr(common.time, "sleep", sleeps.append)
+    try:
+        with pytest.raises(sqlite3.OperationalError, match="no such table"):
+            run_immediate(writer, body)
+        assert runs == [1] and sleeps == [] and not writer.in_transaction
+    finally:
+        holder.close()
+        writer.close()
