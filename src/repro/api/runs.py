@@ -20,7 +20,7 @@ from __future__ import annotations
 import contextlib
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
-from repro.api.config import ConfigError, SimulationConfig, overridden
+from repro.api.config import ConfigError, SimulationConfig
 from repro.api.registry import propagator_options
 from repro.api.simulation import Simulation, SimulationResult
 from repro.scf.groundstate import default_nbands
@@ -35,7 +35,6 @@ def run_one(
     *,
     reuse: bool = True,
     claimed: bool = False,
-    **window,
 ) -> Tuple[SimulationResult, bool]:
     """Run ``sim``'s config to a stored result, doing only what is missing:
     ``(result, reused)``, ``reused`` when the store held the config's
@@ -45,10 +44,12 @@ def run_one(
     ground state, a grid shared with its siblings).  ``progress(step,
     n_steps)`` is called with step 0 once the ground state is in hand
     and then after every completed step.  ``reuse=False`` recomputes
-    even when the store holds the config's completed run; ``window``
-    forwards ``n_steps`` / ``dt_as`` / ``observe_every`` to
-    :meth:`Simulation.propagate`, and with a store must equal the
-    config's keys.
+    even when the store holds the config's completed run.
+
+    A stored run is its config's trajectory from t = 0, so with a store
+    a ``sim`` whose state is already past t = 0 (advanced by
+    :meth:`Simulation.propagate`, or built by :meth:`Simulation.resume`)
+    is refused before any SCF and before the store is opened.
 
     A stored run is a job: its row is finished by the store's
     :meth:`~repro.store.store.ResultStore.add_run`, with the seconds of
@@ -62,16 +63,14 @@ def run_one(
     """
     with span("api.run") as clock:
         prop = sim.config.propagation
-        # a window or options that cannot run are refused before an SCF is
-        # spent on them
-        ran = overridden(prop, **window)
+        # options that cannot run are refused before an SCF is spent on them
         propagator_options(prop.propagator, dict(prop.options))
         _check_tracked_bands(sim)
         if store is not None:
-            for key in (k for k in window if getattr(ran, k) != getattr(prop, k)):
+            if sim.time != 0.0:
                 raise ConfigError(
-                    f"propagation.{key} = {getattr(ran, key)!r} is not the config's "
-                    f"{getattr(prop, key)!r}: a stored run is filed under its config's hash"
+                    f"this simulation's state is at t = {sim.time!r} a.u.: a stored run "
+                    "is its config's trajectory from t = 0"
                 )
             from repro.store import ResultStore
 
@@ -83,8 +82,8 @@ def run_one(
         with store.queue.recording(sim.config) if recording else contextlib.nullcontext():
             sim.ground_state(store)
             if progress is not None:
-                progress(0, ran.n_steps)
-            result = sim.propagate(progress=progress, **window)
+                progress(0, prop.n_steps)
+            result = sim.propagate(progress=progress)
             if store is not None:
                 store.add_run(result, elapsed=clock())
         return result, False

@@ -449,6 +449,11 @@ class Simulation:
         return self._gs
 
     @property
+    def time(self) -> float:
+        """Time (a.u.) of the current state; 0 before any, with no SCF."""
+        return self._state.time if self._state is not None else 0.0
+
+    @property
     def state(self) -> TDState:
         """Current propagation state (initialized from the ground state)."""
         if self._state is None:
@@ -473,7 +478,6 @@ class Simulation:
         n_steps: Optional[int] = None,
         dt_as: Optional[float] = None,
         observe_every: Optional[int] = None,
-        store=None,
         progress=None,
     ) -> SimulationResult:
         """Run the configured propagation from the current state.
@@ -481,29 +485,13 @@ class Simulation:
         Arguments override the corresponding ``propagation`` config keys
         for this call only, refused by those keys' declarations.  The
         simulation's state advances, so calling again continues the
-        trajectory.
-
-        ``store`` (a :class:`~repro.store.ResultStore` or a directory
-        path) appends the finished result — trajectory, final state,
-        config, and the converged ground state of its shared-SCF group —
-        to the study's result store before returning; a stored run is
-        filed under its config's hash, so the arguments must then equal
-        the config's keys.
+        trajectory.  Nothing is stored: a stored run is its config's
+        trajectory from t = 0, which only :meth:`run` files.
 
         ``progress`` is an optional ``callable(step, n_steps)`` invoked
-        after every completed propagation step (and, with a ``store``,
-        once with step 0 before the first) — the hook ``repro serve``
+        after every completed propagation step — the hook ``repro serve``
         workers use to publish live job progress.
         """
-        if store is not None:
-            from repro.api.runs import run_one
-
-            # persisting is the kernel's job; reuse=False because this
-            # call continues *this* simulation's trajectory
-            return run_one(
-                self, store, progress, reuse=False,
-                n_steps=n_steps, dt_as=dt_as, observe_every=observe_every,
-            )[0]
         prop = overridden(
             self.config.propagation, n_steps=n_steps, dt_as=dt_as, observe_every=observe_every
         )
@@ -537,9 +525,10 @@ class Simulation:
         identical completed run in the store is returned instead of
         recomputed, the SCF for this config's shared-SCF group comes
         from the store's blob cache when present (skipping
-        :func:`run_scf` entirely), and the finished run is appended.
-        ``progress(step, n_steps)`` is called with step 0 when the
-        propagation starts, then after every step.
+        :func:`run_scf` entirely), and the finished run is appended; a
+        simulation past t = 0 is refused.  ``progress(step, n_steps)`` is
+        called with step 0 when the propagation starts, then after every
+        step.
         """
         from repro.api.runs import run_one
 

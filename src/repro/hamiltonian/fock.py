@@ -344,8 +344,8 @@ class FockExchangeOperator:
         p = nranks
         phi, weights = yield from _sources(shard, weight_shard, nbands, rank, p, pattern)
         tiles = band_tiles(nbands, self.batch_size)
-        # the balanced partition of repro.parallel.layouts.partition_sizes,
-        # which BandLayout cuts bands with (physics imports no repro.parallel)
+        # the balanced block partition DistributedFockExchange.apply_diag
+        # shards bands with (physics imports no repro.parallel)
         owned = np.array_split(np.arange(len(tiles)), p)
         owner = np.repeat(np.arange(p), [len(o) for o in owned])
         mine = [tiles[t] for t in owned[rank]]

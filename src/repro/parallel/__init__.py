@@ -20,7 +20,6 @@ _EXPORTS = {
     **dict.fromkeys(("MachineSpec", "FUGAKU_ARM", "A100_GPU", "machine_by_name"), ".machine"),
     "CostLedger": ".ledger",
     **dict.fromkeys(("PATTERNS", "SimComm"), ".comm"),
-    "BandLayout": ".layouts",
     "DistributedFockExchange": ".distfock",
     **dict.fromkeys(("ParallelContext", "ParallelRunInfo"), ".context"),
 }

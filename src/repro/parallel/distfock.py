@@ -40,7 +40,6 @@ import numpy as np
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.parallel.comm import PATTERNS, Pattern, SimComm
-from repro.parallel.layouts import BandLayout
 from repro.trace import traced
 from repro.utils.validation import require
 
@@ -60,7 +59,7 @@ class DistributedFockExchange(FockExchangeOperator):
     comm:
         Simulated communicator carrying the machine model.
     pattern:
-        Default communication schedule (``apply*`` calls may override).
+        The communication schedule every ``apply_diag`` runs.
     batch_size:
         Pair-density FFT batch size; the tiles are cut from it and the
         band count alone, never from the rank count.
@@ -87,23 +86,17 @@ class DistributedFockExchange(FockExchangeOperator):
 
     # -- pure-state / diagonalized form (Eq. (13)) -----------------------------
     @traced("parallel.distfock.apply_diag")
-    def apply_diag(
-        self,
-        phi_src: np.ndarray,
-        weights: np.ndarray,
-        *,
-        pattern: Optional[Pattern] = None,
-    ) -> np.ndarray:
+    def apply_diag(self, phi_src: np.ndarray, weights: np.ndarray) -> np.ndarray:
         """Band-parallel ``V_x`` on its own sources, serial-bitwise and
-        schedule-charged: each rank runs :meth:`self_application` from its
-        band shard of ``(phi_src, weights)``, in lockstep under the comm."""
+        charged by :attr:`pattern`: each rank runs :meth:`self_application`
+        from its band shard of ``(phi_src, weights)`` — the balanced block
+        partition, the first ``n % p`` shards one band longer — in lockstep
+        under the comm."""
         weights = np.asarray(weights, dtype=float)
         require(weights.shape == (phi_src.shape[0],), "one weight per source")
-        pattern = self.pattern if pattern is None else pattern
         p, n = self.comm.nranks, phi_src.shape[0]
-        layout = BandLayout(n, self.grid.ngrid, p)
-        shards = enumerate(zip(layout.shard(phi_src), layout.shard(weights)))
-        programs = [self.self_application(phi, w, n, r, p, pattern) for r, (phi, w) in shards]
+        shards = enumerate(zip(np.array_split(phi_src, p), np.array_split(weights, p)))
+        programs = [self.self_application(phi, w, n, r, p, self.pattern) for r, (phi, w) in shards]
         return self.comm.run(programs)[0]
 
     # -- energy -----------------------------------------------------------------

@@ -1,11 +1,12 @@
 """Paper anchors and calibration notes.
 
-Every measured number the paper reports (Fig. 9-11, Table I, Sec. VIII
-prose) is collected here, both as the calibration target for the machine
-models in :mod:`repro.parallel.machine` and as the paper column
-``repro perf`` prints beside the model.  Tests in ``tests/test_perf_model.py``
-assert that the model reproduces the *shape* of each result (ordering,
-approximate factors) within tolerance bands.
+The paper's measured numbers (Fig. 9-11, Table I, Sec. VIII prose) that
+the models or tests read are collected here, both as the calibration
+target for the machine models in :mod:`repro.parallel.machine` and as
+the paper column ``repro perf`` prints beside the model.  Tests in
+``tests/test_perf_model.py`` assert that the model reproduces the
+*shape* of each result (ordering, approximate factors) within tolerance
+bands.
 """
 
 from __future__ import annotations
@@ -23,12 +24,6 @@ FIG9_TOTAL_SPEEDUP = {"fugaku-arm": 55.15, "a100-gpu": 41.44}
 #: nodes used in the Fig. 9 test (x4 ranks per node)
 FIG9_NODES = {"fugaku-arm": 240, "a100-gpu": 24}
 FIG9_NATOM = 384
-
-# --- Sec. VIII-A2 prose anchors ----------------------------------------------
-#: H*Phi seconds per step before ACE (25 dense) and after (inner loop)
-HPHI_SECONDS = {"fugaku-arm": (148.5, 6.0), "a100-gpu": (110.6, 20.3)}
-#: total ACE preparation seconds per step
-ACE_PREP_SECONDS = {"fugaku-arm": 23.0, "a100-gpu": 17.4}
 
 # --- Fig. 10: strong scaling ---------------------------------------------------
 #: (natom, node range, speedup achieved over the range, parallel efficiency)
@@ -71,8 +66,6 @@ TABLE1 = {
 # --- headline ---------------------------------------------------------------------
 #: 3072 atoms (12288 electrons) on 192 GPU nodes: seconds per 50 as step
 HEADLINE_3072_SECONDS = 429.3
-#: largest runs: 1536 atoms on 960 Fugaku nodes, 3072 atoms on 768 A100s
-MAX_ATOMS = {"fugaku-arm": 1536, "a100-gpu": 3072}
 
 
 def ranks_for_nodes(machine_name: str, nodes: int) -> int:

@@ -13,8 +13,8 @@ can hold a store and whether this build opens the store there.
 
 Entry points:
 
-- ``Simulation.propagate(store=...)`` / ``run_ensemble(store=...)`` —
-  store each run as it finishes
+- ``Simulation.run(store=...)`` / ``run_ensemble(store=...)`` —
+  store each run as it finishes, its config's trajectory from t = 0
 - ``repro sweep --store DIR`` — resumable sweeps (completed variants
   are restored, not recomputed)
 - ``repro results ls|show|export`` — query and materialize stored runs

@@ -35,10 +35,10 @@ a service worker, a sweep or ``Simulation.run(store=)`` has one id, one
 row and an attempt history alike.
 
 The store is the durable layer between the engines and the filesystem:
-:meth:`Simulation.propagate(store=...) <repro.api.simulation.Simulation.propagate>`
-and :func:`run_ensemble(store=...) <repro.api.ensemble.run_ensemble>`
-add finished runs to it, ``repro sweep --store`` resumes from it, and
-``repro results`` queries it.
+:func:`~repro.api.runs.run_one` — behind ``Simulation.run(store=...)``,
+``repro run --store`` and every sweep or service job — is the one way a
+run enters it, ``repro sweep --store`` resumes from it, and ``repro
+results`` queries it.
 """
 
 from __future__ import annotations
@@ -133,19 +133,29 @@ class ResultStore:
     ) -> str:
         """Store one finished run, the one entry every writer shares.
 
-        The ground state goes to the content-addressed blobs
-        (deduplicated), the result becomes the run's result file, and
-        then the run's row turns ``ok`` (:meth:`JobQueue.finish_ok`) with
-        the result's FFT tally and ``elapsed``.  Re-adding a config
-        replaces its file atomically (latest wins); until the new file is
-        complete the row keeps serving the old one.
+        A stored run is its config's trajectory from t = 0: a result with
+        no record (a checkpoint) or whose first sample is later (a
+        continuation) is refused before anything is written.  The ground
+        state goes to the content-addressed blobs (deduplicated), the
+        result becomes the run's result file, and then the run's row
+        turns ``ok`` (:meth:`JobQueue.finish_ok`) with the result's FFT
+        tally and ``elapsed``.  Re-adding a config replaces its file
+        atomically (latest wins); until the new file is complete the row
+        keeps serving the old one.
         """
         from repro.api.simulation import write_result_npz
 
         config = result.config
+        run_id = run_id_for(config)
+        times = result.record.times if result.record is not None else []
+        if not times or times[0] != 0.0:
+            first = f"starts at t = {times[0]!r} a.u." if times else "has no samples"
+            raise StoreError(
+                f"run {run_id}: the result {first}; a stored run is its "
+                "config's trajectory from t = 0"
+            )
         if result.ground_state is not None:
             self.blobs.put_ground_state(config, result.ground_state)
-        run_id = run_id_for(config)
         write_result_npz(self._run_path(run_id), result)
         self.queue.finish_ok(
             config,

@@ -5,6 +5,7 @@ A single module-scoped LDA ground state is shared through
 expensive SCF runs once.
 """
 
+import re
 from pathlib import Path
 
 import numpy as np
@@ -82,24 +83,26 @@ def test_propagate_argument_validation(base_sim):
         sim.propagate(dt_as=0.0)
 
 
-def test_propagate_window_obeys_the_propagation_declarations(base_sim, tmp_path):
-    """Each override is checked as ``propagation.<key>``; with a store the
-    window must be the config's, which names the stored run's hash."""
-    from repro.api.runs import run_one
-
+def test_propagate_window_obeys_the_propagation_declarations(base_sim):
+    """Each override is checked as ``propagation.<key>`` before a step."""
     sim = _fresh(base_sim)
     with pytest.raises(ConfigError, match=r"propagation\.observe_every"):
         sim.propagate(observe_every=0)
     with pytest.raises(ConfigError, match=r"propagation\.n_steps"):
         sim.propagate(n_steps=2.0)
-    store = tmp_path / "store"
-    for key, value in (("n_steps", 1), ("dt_as", 25.0), ("observe_every", 2)):
-        with pytest.raises(ConfigError, match=rf"propagation\.{key}"):
-            run_one(sim, store, **{key: value})
-        with pytest.raises(ConfigError, match=rf"propagation\.{key}"):
-            sim.propagate(store=store, **{key: value})
-    assert not store.exists()
     assert sim.state.time == 0.0
+
+
+def test_a_simulation_past_t0_is_not_stored(base_sim, tmp_path):
+    """A stored run is its config's trajectory from t = 0: after
+    ``propagate()`` the simulation's ``run(store=)`` is refused, naming t,
+    before the store directory is made."""
+    sim = _fresh(base_sim)
+    sim.propagate(n_steps=1)
+    store = tmp_path / "store"
+    with pytest.raises(ConfigError, match=re.escape(f"t = {sim.state.time!r}")):
+        sim.run(store=store)
+    assert not store.exists()
 
 
 # ---------------- checkpoint / resume ------------------------------------------

@@ -1,4 +1,4 @@
-"""Simulated-MPI substrate: communicator, layouts, SHM, distributed Fock."""
+"""Simulated-MPI substrate: communicator, SHM, distributed Fock."""
 
 import gc
 import tracemalloc
@@ -6,8 +6,6 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.backend.base import TRANSFORMS
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
@@ -21,7 +19,6 @@ from repro.parallel import (
     SimComm,
     machine_by_name,
 )
-from repro.parallel.layouts import BandLayout, partition_sizes
 from repro.parallel.ledger import charge
 from repro.perf.model import MemoryModel
 from repro.trace import recorder, recording
@@ -67,23 +64,6 @@ def test_single_rank_comm_free():
     m = FUGAKU_ARM
     assert m.bcast_time(1e6, 1) == 0.0
     assert m.allreduce_time(1e6, 1) == 0.0
-
-
-# ---------------- partitions -------------------------------------------------------
-@given(total=st.integers(min_value=1, max_value=200), parts=st.integers(min_value=1, max_value=16))
-@settings(max_examples=50, deadline=None)
-def test_partition_covers_exactly(total, parts):
-    sizes = partition_sizes(total, parts)
-    assert sum(sizes) == total
-    assert max(sizes) - min(sizes) <= 1
-
-
-def test_band_layout_roundtrip(grid):
-    rng = default_rng(0)
-    phi = grid.random_orbitals(7, rng)
-    shards = BandLayout(7, grid.ngrid, 3).shard(phi)
-    assert [s.shape[0] for s in shards] == [3, 2, 2]
-    np.testing.assert_array_equal(np.concatenate(shards, axis=0), phi)
 
 
 # ---------------- communicator ------------------------------------------------------
@@ -205,8 +185,8 @@ def test_distributed_fock_matches_serial(grid, pattern, nranks):
     kern = erfc_screened_kernel(grid)
     serial = FockExchangeOperator(grid, kern).apply_diag(phi, w)
     comm = SimComm(nranks, FUGAKU_ARM)
-    dist = DistributedFockExchange(grid, kern, comm)
-    out = dist.apply_diag(phi, w, pattern=pattern)
+    dist = DistributedFockExchange(grid, kern, comm, pattern=pattern)
+    out = dist.apply_diag(phi, w)
     assert np.allclose(out, serial, atol=1e-11)
 
 
@@ -307,7 +287,7 @@ def test_pattern_cost_ordering(grid):
     for pattern in ("bcast", "ring", "async-ring"):
         comm = SimComm(4, FUGAKU_ARM)
         with recording() as rec:
-            DistributedFockExchange(grid, kern, comm).apply_diag(phi, w, pattern=pattern)
+            DistributedFockExchange(grid, kern, comm, pattern=pattern).apply_diag(phi, w)
         totals[pattern] = CostLedger(rec.snapshot()).total_seconds()
     assert totals["bcast"] > totals["ring"]
     assert totals["ring"] >= totals["async-ring"]

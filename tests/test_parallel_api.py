@@ -230,9 +230,8 @@ def test_ring_sendrecv_grows_only_by_latency_with_ranks(small_grid):
     sendrecv = {}
     for p in (2, 8):
         with recording() as rec:
-            DistributedFockExchange(small_grid, kern, SimComm(p, FUGAKU_ARM)).apply_diag(
-                phi, w, pattern="ring"
-            )
+            comm = SimComm(p, FUGAKU_ARM)
+            DistributedFockExchange(small_grid, kern, comm, pattern="ring").apply_diag(phi, w)
         sendrecv[p] = CostLedger(rec.snapshot()).seconds_by_category()["sendrecv"]
     assert sendrecv[8] < 4.0 * sendrecv[2]
 
@@ -306,11 +305,13 @@ def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
     """A file read back and written again is the same file, member for
     member, in order, the ``parallel_json`` text included — written
     directly, or stored by ``ResultStore.add_run`` and loaded back; a
-    checkpoint reads back with no record and still prints a summary."""
-    from repro.store import ResultStore
+    checkpoint reads back with no record, still prints a summary, and is
+    not a run the store takes."""
+    from repro.store import ResultStore, StoreError, run_id_for
 
     serial, _ = serial_sim
-    sim = serial if kind == "serial" else serial.derive(parallel=_parallel_cfg(2, "ring"))
+    # a fresh derive() per case: a stored run is a trajectory from t = 0
+    sim = serial.derive() if kind == "serial" else serial.derive(parallel=_parallel_cfg(2, "ring"))
     result = sim.propagate(n_steps=0 if kind == "serial" else 1)
     first = tmp_path / "first.npz"
     if kind == "checkpoint":
@@ -318,11 +319,15 @@ def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
     else:
         result.save_npz(first)
     back = read_result_npz(first)
-    again = write_result_npz(tmp_path / "again.npz", back)
+    copies = [write_result_npz(tmp_path / "again.npz", back)]
     store = ResultStore(tmp_path / "store")
-    stored = store.load_result(store.add_run(back)).save_npz(tmp_path / "stored.npz")
+    if kind == "checkpoint":
+        with pytest.raises(StoreError, match=run_id_for(back.config)):
+            store.add_run(back)
+    else:
+        copies.append(store.load_result(store.add_run(back)).save_npz(tmp_path / "stored.npz"))
     store.close()
-    for copy in (again, stored):
+    for copy in copies:
         with np.load(first) as a, np.load(copy) as b:
             assert a.files == b.files
             for key in a.files:

@@ -7,15 +7,18 @@ stored run must export to exactly the bytes-for-bytes content that
 """
 
 import errno
+import inspect
 import io
 import json
 import os
 import re
 import sqlite3
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import repro
 from repro.api import (
     ConfigError,
     ResultError,
@@ -23,6 +26,7 @@ from repro.api import (
     SimulationConfig,
     SimulationResult,
 )
+from repro.api.runs import run_one
 from repro.rt.propagator import PropagationRecord, TDState
 from repro.serve.queue import COLUMNS, JobQueue
 from repro.store import (
@@ -472,10 +476,10 @@ def test_load_result_restores_state_and_accounting(tmp_path, real_result):
     store.close()
 
 
-def test_simulation_propagate_store_appends(tmp_path, real_result):
+def test_simulation_run_store_appends(tmp_path, real_result):
     sim = Simulation.from_config(CFG)
     sim._gs = real_result.ground_state
-    result = sim.propagate(store=tmp_path / "study")
+    result = sim.run(store=tmp_path / "study")
     store = ResultStore.ensure(tmp_path / "study")
     run = store.find_completed(result.config)
     assert run is not None and run.elapsed > 0.0
@@ -486,14 +490,14 @@ def test_simulation_propagate_store_appends(tmp_path, real_result):
 
 
 def test_a_failed_rerun_leaves_the_stored_run_readable(tmp_path, real_result):
-    """A re-run of a stored run (``propagate(store=)``, ``repro run --rerun``)
+    """A re-run of a stored run (``run_one(reuse=False)``, ``repro run --rerun``)
     that fails leaves the ``ok`` row, its accounting and its file as they were."""
     from repro.api.cli import main
 
     root = tmp_path / "study"
     sim = Simulation.from_config(CFG)
     sim._gs = real_result.ground_state
-    result = sim.propagate(store=root)
+    result = sim.run(store=root)
     store = ResultStore(root, create=False)
     before = store.find_completed(result.config)
     assert before.elapsed > 0.0 and before.fft
@@ -503,7 +507,7 @@ def test_a_failed_rerun_leaves_the_stored_run_readable(tmp_path, real_result):
             raise FloatingPointError("diverged")
 
     with pytest.raises(FloatingPointError):
-        sim.propagate(store=store, progress=diverge)
+        run_one(sim.derive(), store, diverge, reuse=False)
     assert store.get(before.run_id) == before
     assert store.queue.workers() == []
     export = tmp_path / "export.npz"
@@ -512,6 +516,60 @@ def test_a_failed_rerun_leaves_the_stored_run_readable(tmp_path, real_result):
     for key, arr in result.observables().items():
         assert np.array_equal(arrays[key], arr), key
     store.close()
+
+
+def test_a_resumed_simulation_is_not_stored(tmp_path, real_result):
+    """``Simulation.resume(file).run(store=)`` continues past t = 0, so it
+    is refused, naming t, even where the store holds the config's ``ok``
+    run: the caller gets no cache hit for a trajectory it did not ask for."""
+    path = real_result.save_npz(tmp_path / "run.npz")
+    root, empty = tmp_path / "study", tmp_path / "empty"
+    store = ResultStore(root)
+    before = store.get(store.add_run(real_result))
+    t = real_result.final_state.time
+    for target in (root, empty):
+        with pytest.raises(ConfigError, match=re.escape(f"t = {t!r}")):
+            Simulation.resume(path).run(store=target)
+    assert store.get(before.run_id) == before
+    assert not empty.exists()
+    store.close()
+
+
+def test_add_run_refuses_what_is_not_a_run_from_t0(tmp_path, real_result):
+    """A continuation (first sample past t = 0) and a checkpoint (no
+    record) are refused, naming the run id, before any blob, file or row
+    is written."""
+    root = tmp_path / "study"
+    store = ResultStore(root)
+    config, gs = real_result.config, real_result.ground_state
+    later = synth_arrays()
+    later["times"] = later["times"] + real_result.final_state.time
+    continuation = SimulationResult(config, PropagationRecord.from_arrays(later), synth_state(), gs)
+    checkpoint = SimulationResult(config, None, real_result.final_state, gs)
+    rid = run_id_for(config)
+    for result in (continuation, checkpoint):
+        with pytest.raises(StoreError, match=rid):
+            store.add_run(result)
+    assert store.queue.get(rid) is None
+    assert list(root.glob("runs/*")) == [] and list(root.glob("blobs/*/*")) == []
+    store.close()
+
+
+def test_only_run_one_stores_a_run():
+    """``git grep -n "add_run(" src/repro`` finds the method's definition
+    and one call, :func:`~repro.api.runs.run_one`'s: a second way into the
+    store would be a second call."""
+    src = Path(repro.__file__).parent
+    calls = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if "add_run(" in line and "def add_run(" not in line
+    ]
+    lines, start = inspect.getsourcelines(run_one)
+    assert len(calls) == 1 and calls[0] in {
+        f"api/runs.py:{n}" for n in range(start, start + len(lines))
+    }, calls
 
 
 def test_simulation_run_reuses_stored_ground_state(tmp_path, real_result, monkeypatch):
