@@ -18,8 +18,14 @@ does: midpoint exchange, ACE build, exchange energy, the hybrid SCF —
 and the kernel is real and even in G, so ``pot_ba = conj(pot_ab)``:
 each unordered pair ``{I <= J}`` is transformed once and also yields
 ``P[J->I]_a = Σ_b d_b phi_b conj(pot_ab)`` — N(N+1)/2 Poisson solves
-instead of the paper's N^2.  It is written once, as the rank program
-of the band-parallel exchange (Sec. IV-B, Fig. 5),
+instead of the paper's N^2.  Every unordered pair is transformed
+whatever the weights, so the tile-pair schedule (which pairs, in which
+order, on which rank) depends on the band count and ``batch_size``
+only, never on the data.  At the paper's finite temperatures every
+weight is a positive occupation; an input with zero weights also
+transforms the pairs of two empty orbitals, which add zero.  It is
+written once, as the rank program of the band-parallel exchange
+(Sec. IV-B, Fig. 5),
 :meth:`FockExchangeOperator.self_application`, and run here on one
 rank by :func:`lockstep`, every request answered with the rank's own
 part: no communicator, no ledger.
@@ -36,7 +42,7 @@ fraction alpha (applied by the Hamiltonian).
 
 from __future__ import annotations
 
-from itertools import groupby
+from itertools import combinations_with_replacement, groupby
 from math import isqrt
 from typing import (
     Any, Callable, Generator, Iterator, List, NamedTuple, Optional, Sequence, Tuple,
@@ -49,9 +55,6 @@ from repro.grid.fftgrid import PlaneWaveGrid
 from repro.trace import recorder, traced
 from repro.utils.validation import require
 
-#: occupation weights at or below this contribute nothing as sources
-WEIGHT_CUTOFF = 1e-14
-
 
 def band_tiles(nbands: int, batch_size: int) -> List[slice]:
     """Consecutive band tiles whose pairs fill one ``batch_size`` FFT batch."""
@@ -59,30 +62,14 @@ def band_tiles(nbands: int, batch_size: int) -> List[slice]:
     return [slice(start, min(start + size, nbands)) for start in range(0, nbands, size)]
 
 
-def symmetric_tile_pairs(
-    tiles: List[slice], weights: np.ndarray
-) -> Iterator[Tuple[int, int, Optional[np.ndarray]]]:
-    """Unordered tile pairs ``(i, j, keep)``, ``i <= j``, of a self-application.
+def symmetric_tile_pairs(tiles: List[slice]) -> Iterator[Tuple[int, int]]:
+    """Unordered tile pairs ``(i, j)``, ``i <= j``, of a self-application.
 
     Lexicographic order, which visits the contributions to any one tile
-    in ascending source tile.  An orbital pair is needed unless *both*
-    weights are negligible (an empty orbital is still a target):
-    ``keep`` is the boolean ``(len I, len J)`` mask of needed pairs,
-    ``None`` for all of them, and tile pairs needing none are left out.
-    Decided from the full weight vector, so every rank count agrees.
+    in ascending source tile.  Every pair, whatever the weights: the
+    schedule is the tile list's alone, so every rank count agrees on it.
     """
-    active = np.abs(weights) > WEIGHT_CUTOFF
-    if active.all():
-        for i in range(len(tiles)):
-            yield from ((i, j, None) for j in range(i, len(tiles)))
-        return
-    for i, tile_i in enumerate(tiles):
-        for j in range(i, len(tiles)):
-            keep = active[tile_i, None] | active[None, tiles[j]]
-            if keep.all():
-                yield i, j, None
-            elif keep.any():
-                yield i, j, keep
+    return combinations_with_replacement(range(len(tiles)), 2)
 
 
 class Collective(NamedTuple):
@@ -228,61 +215,38 @@ class FockExchangeOperator:
         return self.grid.g_to_r(pg, consume=True)
 
     # -- the tile-pair kernel ---------------------------------------------------
-    def tile_potentials(
-        self, left: np.ndarray, right: np.ndarray, keep: Optional[np.ndarray] = None
-    ) -> np.ndarray:
-        """``pot[a, b] = K * (left_a^* right_b)`` as one ``(nl, nr, ngrid)`` block.
-
-        Only the pairs in the boolean mask ``keep`` (default: all) are
-        transformed; the others stay zero.
-        """
+    def tile_potentials(self, left: np.ndarray, right: np.ndarray) -> np.ndarray:
+        """``pot[a, b] = K * (left_a^* right_b)`` as one ``(nl, nr, ngrid)`` block."""
         nl, nr = left.shape[0], right.shape[0]
-        if keep is None:
-            pair = left.conj()[:, None, :] * right[None, :, :]
-            return self._pair_potential(pair.reshape(nl * nr, -1)).reshape(nl, nr, -1)
-        ia, ib = np.nonzero(keep)
-        pot = np.zeros((nl, nr, self.grid.ngrid), dtype=complex)
-        pot[ia, ib] = self._pair_potential(left[ia].conj() * right[ib])
-        return pot
+        pair = left.conj()[:, None, :] * right[None, :, :]
+        return self._pair_potential(pair.reshape(nl * nr, -1)).reshape(nl, nr, -1)
 
-    def _hermitian_tile_partial(
-        self, rows: np.ndarray, weighted: np.ndarray, keep: Optional[np.ndarray] = None
-    ) -> np.ndarray:
+    def _hermitian_tile_partial(self, rows: np.ndarray, weighted: np.ndarray) -> np.ndarray:
         """``P[I->I]_b = Σ_a w_a pot_ab`` of a tile with itself.
 
-        Only the kept pairs ``a <= b`` are transformed, row ``a``'s pairs
-        into consecutive rows of one batch, and ``pot_ba`` is read as
+        Only the pairs ``a <= b`` are transformed, row ``a``'s pairs into
+        consecutive rows of one batch, and ``pot_ba`` is read as
         ``conj(pot_ab)``.  Each target sums its sources in ascending
         ``a``: row ``a`` adds ``w_a pot_ab`` to every ``b >= a``, then
         ``Σ_{b > a} w_b conj(pot_ab)`` to ``a``.
         """
         n = rows.shape[0]
-        if keep is None:
-            cols, sizes, own = [slice(a, n) for a in range(n)], range(n, 0, -1), [1] * n
-        else:
-            cols = [a + np.flatnonzero(keep[a, a:]) for a in range(n)]
-            sizes, own = [len(c) for c in cols], [int(keep[a, a]) for a in range(n)]
-        starts = np.cumsum([0, *sizes])
+        starts = np.cumsum([0, *range(n, 0, -1)])
         pair = np.empty((starts[-1], rows.shape[1]), dtype=complex)
         conj = rows.conj()
-        for a, c in enumerate(cols):
-            np.multiply(conj[a], rows[c], out=pair[starts[a] : starts[a + 1]])
+        for a in range(n):
+            np.multiply(conj[a], rows[a:], out=pair[starts[a] : starts[a + 1]])
         pot = self._pair_potential(pair)
         out = np.zeros_like(rows)
-        for a, c in enumerate(cols):
+        for a in range(n):
             u = pot[starts[a] : starts[a + 1]]
-            out[c] += weighted[a] * u
-            if len(u) > own[a]:  # pairs (a, b > a): pot_ba = conj(pot_ab)
-                out[a] += (weighted[c][own[a] :] * u[own[a] :].conj()).sum(axis=0)
+            out[a:] += weighted[a] * u
+            if len(u) > 1:  # pairs (a, b > a): pot_ba = conj(pot_ab)
+                out[a] += (weighted[a + 1 :] * u[1:].conj()).sum(axis=0)
         return out
 
     def tile_pair_partials(
-        self,
-        phi: np.ndarray,
-        weights: np.ndarray,
-        tile_i: slice,
-        tile_j: slice,
-        keep: Optional[np.ndarray] = None,
+        self, phi: np.ndarray, weights: np.ndarray, tile_i: slice, tile_j: slice
     ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
         """Both partial sums of the unordered tile pair ``{I <= J}`` of ``phi``.
 
@@ -291,12 +255,12 @@ class FockExchangeOperator:
         P[J->I])`` from one set of transforms; the second is ``None`` on
         the diagonal ``I == J``.  Each is one broadcast product summed
         over its source band axis.  The result depends on nothing but
-        the two tiles and ``keep`` — whoever computes it gets these bits.
+        the two tiles — whoever computes it gets these bits.
         """
         weighted_i = weights[tile_i, None] * phi[tile_i]
         if tile_i == tile_j:
-            return self._hermitian_tile_partial(phi[tile_i], weighted_i, keep), None
-        pot = self.tile_potentials(phi[tile_i], phi[tile_j], keep)
+            return self._hermitian_tile_partial(phi[tile_i], weighted_i), None
+        pot = self.tile_potentials(phi[tile_i], phi[tile_j])
         forward = (weighted_i[:, None] * pot).sum(axis=0)
         # Σ_b w_b conj(pot_ab) = conj(Σ_b conj(w_b) pot_ab): no conj(pot) temporary
         conj_j = np.conjugate(weights[tile_j, None] * phi[tile_j])
@@ -340,6 +304,9 @@ class FockExchangeOperator:
         all sources, gathered by ``allgatherv``.  A partial for its own
         tile is added as soon as it is computed unless an earlier one for
         that tile is still in flight, so the one-rank run holds no wave.
+        The schedule — which tile pairs, dealt to which rank, in which
+        waves — depends on ``nbands`` and ``batch_size`` only, not on the
+        weights, so every rank derives it alike.
         Its working set: :func:`_sources`' rows, its tiles' sums, one wave, one tile pair."""
         p = nranks
         phi, weights = yield from _sources(shard, weight_shard, nbands, rank, p, pattern)
@@ -351,14 +318,14 @@ class FockExchangeOperator:
         mine = [tiles[t] for t in owned[rank]]
         lo = mine[0].start if mine else 0
         acc = np.zeros(((mine[-1].stop if mine else 0) - lo, shard.shape[1]), dtype=shard.dtype)
-        pairs = enumerate(symmetric_tile_pairs(tiles, weights))
+        pairs = enumerate(symmetric_tile_pairs(tiles))
         for _, wave in groupby(pairs, key=lambda item: item[1][0]):
             outbox: List[List[np.ndarray]] = [[] for _ in range(p)]
             late: List[Tuple[int, int]] = []  # (sender, tile) to add after the exchange
-            for k, (i, j, keep) in wave:
+            for k, (i, j) in wave:
                 sender, partials = k % p, (None, None)
                 if sender == rank:
-                    partials = self.tile_pair_partials(phi, weights, tiles[i], tiles[j], keep)
+                    partials = self.tile_pair_partials(phi, weights, tiles[i], tiles[j])
                 for t, partial in zip((j,) if i == j else (j, i), partials):
                     if owner[t] == rank and sender == rank and all(t != q for _, q in late):
                         # its own, with nothing before it in the serial order in flight

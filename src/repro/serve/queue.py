@@ -104,7 +104,7 @@ EVENTS: Dict[str, Event] = {
         ("running",), "ok", "", ("ok",),
         "error = NULL, updated = :now, finished = :now, deadline = NULL, progress = 1.0, "
         "gs_address = :gs_address, elapsed = :elapsed, n_times = :n_times, fft_json = :fft, "
-        "parallel_json = :parallel, overrides_json = COALESCE(:overrides, overrides_json)",
+        "parallel_json = :parallel",
     ),
     "retry": Event(
         ("running",), "queued", "", _FAILED,
@@ -399,7 +399,6 @@ class JobQueue:
         self,
         config: SimulationConfig,
         *,
-        overrides: Optional[Mapping[str, Any]] = None,
         gs_address: Optional[str] = None,
         elapsed: float = 0.0,
         n_times: int = 0,
@@ -413,7 +412,7 @@ class JobQueue:
         now = utc_now()
 
         def _ok(conn):
-            run_id, _ = self._insert(conn, config, overrides, now)
+            run_id, _ = self._insert(conn, config, None, now)
             status = self._get(conn, run_id).status
             if status == "cancelled":
                 self._move(conn, run_id, "close_cancelled", now)
@@ -423,7 +422,6 @@ class JobQueue:
             self._move(
                 conn, run_id, "finish", now, gs_address=gs_address, elapsed=float(elapsed),
                 n_times=int(n_times), fft=_json(fft), parallel=_json(parallel),
-                overrides=_json(overrides),
             )
             return self._get(conn, run_id)
 

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import shutil
+import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
@@ -65,6 +66,21 @@ if TYPE_CHECKING:
     from repro.scf.groundstate import GroundState
 
 StoreLike = Union["ResultStore", str, Path]
+
+
+def require_run_from_t0(run_id: str, result: SimulationResult) -> None:
+    """Refuse, naming ``run_id``, a result that is not its config's
+    trajectory from t = 0: one with no record (a checkpoint) or whose
+    first sample is later (a continuation).  The one rule of what a stored
+    run is, for :meth:`ResultStore.add_run` and
+    :meth:`ResultStore.find_completed` alike."""
+    times = result.record.times if result.record is not None else []
+    if not times or times[0] != 0.0:
+        first = f"starts at t = {times[0]!r} a.u." if times else "has no samples"
+        raise StoreError(
+            f"run {run_id}: the result {first}; a stored run is its "
+            "config's trajectory from t = 0"
+        )
 
 
 class ResultStore:
@@ -124,42 +140,30 @@ class ResultStore:
 
     # -- writing ---------------------------------------------------------------
     @traced("store.add_result")
-    def add_run(
-        self,
-        result: SimulationResult,
-        *,
-        overrides: Optional[Mapping[str, Any]] = None,
-        elapsed: float = 0.0,
-    ) -> str:
+    def add_run(self, result: SimulationResult, *, elapsed: float = 0.0) -> str:
         """Store one finished run, the one entry every writer shares.
 
         A stored run is its config's trajectory from t = 0: a result with
         no record (a checkpoint) or whose first sample is later (a
-        continuation) is refused before anything is written.  The ground
-        state goes to the content-addressed blobs (deduplicated), the
-        result becomes the run's result file, and then the run's row
-        turns ``ok`` (:meth:`JobQueue.finish_ok`) with the result's FFT
-        tally and ``elapsed``.  Re-adding a config replaces its file
-        atomically (latest wins); until the new file is complete the row
-        keeps serving the old one.
+        continuation) is refused (:func:`require_run_from_t0`) before
+        anything is written.  The ground state goes to the
+        content-addressed blobs (deduplicated), the result becomes the
+        run's result file, and then the run's row turns ``ok``
+        (:meth:`JobQueue.finish_ok`) with the result's FFT tally and
+        ``elapsed``.  Re-adding a config replaces its file atomically
+        (latest wins); until the new file is complete the row keeps
+        serving the old one.
         """
         from repro.api.simulation import write_result_npz
 
         config = result.config
         run_id = run_id_for(config)
-        times = result.record.times if result.record is not None else []
-        if not times or times[0] != 0.0:
-            first = f"starts at t = {times[0]!r} a.u." if times else "has no samples"
-            raise StoreError(
-                f"run {run_id}: the result {first}; a stored run is its "
-                "config's trajectory from t = 0"
-            )
+        require_run_from_t0(run_id, result)
         if result.ground_state is not None:
             self.blobs.put_ground_state(config, result.ground_state)
         write_result_npz(self._run_path(run_id), result)
         self.queue.finish_ok(
             config,
-            overrides=overrides,
             elapsed=float(elapsed),
             fft=result.fft._asdict() if result.fft is not None else None,
             **self._result_columns(result),
@@ -195,7 +199,12 @@ class ResultStore:
         result file a process wrote and then died before finishing the
         row: the row is finished here from the file (its elapsed seconds
         and FFT tally died with the writer) — unless it was cancelled,
-        which :meth:`JobQueue.finish_ok` keeps.
+        which :meth:`JobQueue.finish_ok` keeps.  A file that is not a run
+        from t = 0 (:func:`require_run_from_t0`: a checkpoint, or a
+        continuation an older build stored) is not served: a
+        ``RuntimeWarning`` names the run id, the row stays as it is and
+        the file is kept, for the config's next stored run to replace
+        whole (deleting it here could race a live writer's rename).
         """
         run = self.queue.get(run_id_for(config))
         if run is None or run.ok:
@@ -206,6 +215,11 @@ class ResultStore:
         from repro.api.simulation import read_result_npz
 
         stored = read_result_npz(path, expected_config=config)
+        try:
+            require_run_from_t0(run.run_id, stored)
+        except StoreError as refused:
+            warnings.warn(f"{refused}; its file {path} is not served", RuntimeWarning)
+            return None
         done = self.queue.finish_ok(config, **self._result_columns(stored))
         return done if done.ok else None
 

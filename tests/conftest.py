@@ -63,5 +63,3 @@ def hse_ground_state(small_grid):
 def random_orbitals(small_grid, rng):
     return small_grid.random_orbitals(8, rng)
 
-
-from repro.utils.testing import random_hermitian_sigma  # noqa: E402,F401  (re-export for tests)

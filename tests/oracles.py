@@ -19,15 +19,21 @@ the two baselines that used to be propagator modes.  The Alg. 2 triple
 loop itself, :func:`tripleloop_exchange`, and the grouped mixed-state
 reference :func:`grouped_exchange` were ``FockExchangeOperator`` methods
 until no run took them.
+
+Test states and state metrics only tests use: :func:`random_hermitian_sigma`
+and the gauge helpers (:func:`apply_gauge`, :func:`density_matrix_distance`,
+:func:`recover_gauge`), which were ``repro.utils.testing`` and ``repro.rt.gauge``.
 """
 
 import itertools
+from typing import Tuple
 
 import numpy as np
 from scipy.linalg import block_diag
 
 from repro.backend import Backend
 from repro.backend.base import TRANSFORMS
+from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.ace import ACEOperator
 from repro.occupation.sigma import (
     clip_and_normalize,
@@ -52,6 +58,7 @@ from repro.scf.eigensolver import (
 )
 from repro.scf.mixing import AndersonMixer
 from repro.trace import recorder
+from repro.utils.validation import check_unitary, require
 
 
 def per_atom_projectors(grid):
@@ -453,3 +460,73 @@ def transforms_since(snap) -> int:
     """The 3-D transforms counted into the process's tally since ``snap``
     (``repro.trace.recorder().snapshot()``)."""
     return recorder().since(snap).counts.get(TRANSFORMS, 0)
+
+
+# ---------------- test states and gauge-invariant state metrics ----------------
+def random_hermitian_sigma(n: int, rng: np.random.Generator, scale: float = 0.3) -> np.ndarray:
+    """A physical-ish occupation matrix: Hermitian, eigenvalues in [0, 1].
+
+    Random Hermitian eigenvectors with Fermi-like eigenvalue profile —
+    the generic mixed-state sigma the PT-IM algebra must handle.
+    """
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    h = 0.5 * (a + a.conj().T)
+    lam, u = np.linalg.eigh(h)
+    occ = 1.0 / (1.0 + np.exp(scale * np.arange(n) - 2.0))
+    return (u * occ[None, :]) @ u.conj().T
+
+
+# Physical observables depend only on the density matrix
+# ``P = Phi sigma Phi*`` (Eq. (2)), which is invariant under
+# ``Phi -> Phi U``, ``sigma -> U* sigma U`` for unitary ``U`` — the freedom
+# the PT gauge exploits.  These helpers quantify how close two propagated
+# states are *as density matrices*, independent of gauge, so PT-IM
+# trajectories can be compared against RK4 references directly.
+def apply_gauge(phi: np.ndarray, sigma: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Gauge transform ``(Phi U, U* sigma U)`` (orbitals as rows)."""
+    check_unitary(u, "gauge matrix")
+    phi_new = np.ascontiguousarray(u.T @ phi)
+    sigma_new = u.conj().T @ sigma @ u
+    return phi_new, sigma_new
+
+
+def density_matrix_product_trace(
+    grid: PlaneWaveGrid,
+    phi_a: np.ndarray,
+    sigma_a: np.ndarray,
+    phi_b: np.ndarray,
+    sigma_b: np.ndarray,
+) -> float:
+    """``Tr[P_A P_B]`` via band-space overlaps (no Ng x Ng objects).
+
+    ``Tr[P_A P_B] = Tr[sigma_A (Phi_A|Phi_B) sigma_B (Phi_B|Phi_A)]``.
+    """
+    s_ab = grid.inner(phi_a, phi_b)
+    return float(np.trace(sigma_a @ s_ab @ sigma_b @ s_ab.conj().T).real)
+
+
+def density_matrix_distance(
+    grid: PlaneWaveGrid,
+    phi_a: np.ndarray,
+    sigma_a: np.ndarray,
+    phi_b: np.ndarray,
+    sigma_b: np.ndarray,
+) -> float:
+    """Frobenius distance ``|P_A - P_B|_F`` — a gauge-invariant state metric."""
+    taa = density_matrix_product_trace(grid, phi_a, sigma_a, phi_a, sigma_a)
+    tbb = density_matrix_product_trace(grid, phi_b, sigma_b, phi_b, sigma_b)
+    tab = density_matrix_product_trace(grid, phi_a, sigma_a, phi_b, sigma_b)
+    val = taa + tbb - 2.0 * tab
+    return float(np.sqrt(max(val, 0.0)))
+
+
+def recover_gauge(grid: PlaneWaveGrid, phi_pt: np.ndarray, psi_ref: np.ndarray) -> np.ndarray:
+    """Best unitary ``U`` aligning ``Psi_ref U ~ Phi_pt`` (orthogonal Procrustes).
+
+    Useful for inspecting how slowly the PT orbitals rotate relative to
+    the Schrödinger-gauge orbitals.
+    """
+    require(phi_pt.shape == psi_ref.shape, "blocks must have equal shape")
+    m = grid.inner(psi_ref, phi_pt)
+    u_svd, _, vh = np.linalg.svd(m)
+    return u_svd @ vh

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from oracles import density_matrix_distance
 from repro.constants import AU_PER_ATTOSECOND
 from repro.observables.current import current_density
 from repro.rt import PTCNOptions, PTCNPropagator, PTIMOptions, PTIMPropagator, TDState, ZeroField
-from repro.rt.gauge import density_matrix_distance
 
 DT = 50.0 * AU_PER_ATTOSECOND
 

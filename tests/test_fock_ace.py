@@ -14,7 +14,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
-    eigenbasis_image, grouped_exchange, mixed_exchange, transforms_since, tripleloop_exchange,
+    eigenbasis_image,
+    grouped_exchange,
+    mixed_exchange,
+    random_hermitian_sigma,
+    transforms_since,
+    tripleloop_exchange,
 )
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.hamiltonian.ace import ACEOperator
@@ -23,7 +28,6 @@ from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 from repro.trace import recorder
 from repro.utils.rng import default_rng
 from repro.xc.kernels import bare_coulomb_kernel, erfc_screened_kernel
-from repro.utils.testing import random_hermitian_sigma
 
 
 @pytest.fixture(scope="module")
@@ -61,27 +65,6 @@ def test_diagonalization_equals_grouped(grid, fock, seed):
     a = mixed_exchange(fock, phi, sigma)
     b = grouped_exchange(fock, phi, hermitize(sigma))
     assert np.allclose(a, b, atol=1e-10)
-
-
-def test_fft_count_reduction(grid):
-    """The instrumented engine confirms N^3 -> N^2 transforms."""
-    fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=64)
-    phi, sigma = _setup(grid, 7, n=4)
-    sigma = hermitize(sigma)
-    n = 4
-
-    snap = recorder().snapshot()
-    tripleloop_exchange(fock, phi, sigma)
-    triple = transforms_since(snap)
-
-    snap = recorder().snapshot()
-    mixed_exchange(fock, phi, sigma)
-    diag = transforms_since(snap)
-
-    assert triple == 2 * n**3  # (k, i, j) loop, forward+inverse each
-    # every eigenvalue of this sigma is active: each unordered orbital
-    # pair is transformed once, forward+inverse
-    assert diag == n * (n + 1)
 
 
 def test_fock_operator_hermitian(grid, fock):
@@ -185,29 +168,24 @@ def test_self_application_transform_count(grid):
     assert transforms_since(snap) == 2 * n * n
 
 
-def test_pruning_under_symmetry_keeps_empty_orbitals_as_targets(grid):
-    """Half the weights exactly zero, interleaved so no tile is empty: a
-    pair is skipped only when both weights are negligible, the empty
-    orbitals still get their V_x row, and the transforms never exceed the
-    2 N_active N of the per-target loop."""
+def test_empty_orbitals_are_targets_and_every_pair_is_transformed(grid):
+    """Half the weights exactly zero, interleaved so no tile is empty: the
+    empty orbitals still get their V_x row and the result is the
+    per-target loop's; all weights zero give a zero result.  Whatever the
+    weights, the schedule is the same: N(N+1) transforms."""
     fock = FockExchangeOperator(grid, erfc_screened_kernel(grid))
     n = 10
     phi, _ = _setup(grid, 32, n=n)
     w = np.where(np.arange(n) % 2 == 0, np.linspace(0.2, 1.0, n), 0.0)
-    n_active = int(np.count_nonzero(w))
     snap = recorder().snapshot()
     out = fock.apply_diag(phi, w)
-    used = transforms_since(snap)
-    # unordered pairs with at least one active member
-    assert used == 2 * (n_active * (n_active + 1) // 2 + n_active * (n - n_active))
-    assert used <= 2 * n_active * n
+    assert transforms_since(snap) == n * (n + 1)
     ref = apply_diag_per_target(fock, phi, w, phi)
     assert _rel_err(out, ref) <= 1e-13
     assert np.abs(out[1]).max() > 0.0  # an empty orbital is still a target
-    # nothing active: nothing transformed, zero result
     snap = recorder().snapshot()
     assert not fock.apply_diag(phi, np.zeros(n)).any()
-    assert transforms_since(snap) == 0
+    assert transforms_since(snap) == n * (n + 1)
 
 
 def test_self_application_holds_no_second_block():

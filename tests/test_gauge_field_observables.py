@@ -3,19 +3,19 @@
 import numpy as np
 import pytest
 
+from oracles import (
+    apply_gauge,
+    density_matrix_distance,
+    density_matrix_product_trace,
+    random_hermitian_sigma,
+    recover_gauge,
+)
 from repro.constants import AU_PER_FEMTOSECOND
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
 from repro.observables.spectrum import absorption_spectrum
 from repro.rt.field import GaussianLaserPulse, StaticKick, ZeroField
-from repro.rt.gauge import (
-    apply_gauge,
-    density_matrix_distance,
-    density_matrix_product_trace,
-    recover_gauge,
-)
 from repro.utils.rng import default_rng
-from repro.utils.testing import random_hermitian_sigma
 
 
 @pytest.fixture(scope="module")

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from oracles import (
-    eigenbasis_image, mixed_exchange, real_space_apply, transforms_since, tripleloop_exchange,
+    eigenbasis_image,
+    mixed_exchange,
+    random_hermitian_sigma,
+    real_space_apply,
+    transforms_since,
+    tripleloop_exchange,
 )
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian import Hamiltonian
@@ -14,7 +19,6 @@ from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals
 from repro.trace import recorder
 from repro.utils.rng import default_rng
 from repro.xc.hybrid import make_functional
-from repro.utils.testing import random_hermitian_sigma
 
 
 @pytest.fixture(scope="module")

@@ -226,10 +226,10 @@ def propagate(self, state, ledger=None):
         bad="""\
 import repro.hamiltonian.fock as fock
 from repro.hamiltonian.fock import symmetric_tile_pairs as pairs
-def apply_diag(self, phi, weighted, tiles, weights):
-    for i, j, keep in pairs(tiles, weights):
-        self.tile_pair_partials(phi, weighted, tiles[i], tiles[j], keep)
-    return list(fock.symmetric_tile_pairs(tiles, weights))
+def apply_diag(self, phi, weights, tiles):
+    for i, j in pairs(tiles):
+        self.tile_pair_partials(phi, weights, tiles[i], tiles[j])
+    return list(fock.symmetric_tile_pairs(tiles))
 """,
         # the aliased function, the method, the module attribute
         lines=[4, 5, 6],

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import matrix_diag_density
+from oracles import matrix_diag_density, random_hermitian_sigma
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.occupation.fermi import (
     fermi_dirac,
@@ -23,7 +23,6 @@ from repro.occupation.sigma import (
     trace_sigma,
 )
 from repro.utils.rng import default_rng
-from repro.utils.testing import random_hermitian_sigma
 
 
 # ---------------- Fermi-Dirac ---------------------------------------------------

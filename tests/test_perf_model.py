@@ -4,7 +4,7 @@ paper-shape assertions for Figs. 9-11 and Table I."""
 import numpy as np
 import pytest
 
-from oracles import mixed_exchange, transforms_since, tripleloop_exchange
+from oracles import mixed_exchange, random_hermitian_sigma, transforms_since, tripleloop_exchange
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell
 from repro.hamiltonian.fock import FockExchangeOperator
 from repro.occupation.sigma import hermitize
@@ -37,7 +37,6 @@ from repro.parallel.machine import A100_GPU, FUGAKU_ARM
 from repro.trace import recorder
 from repro.utils.rng import default_rng
 from repro.xc.kernels import erfc_screened_kernel
-from repro.utils.testing import random_hermitian_sigma
 
 
 # ---------------- system sizes ------------------------------------------------------

@@ -7,10 +7,12 @@ import numpy as np
 import pytest
 
 from oracles import (
+    density_matrix_distance,
     eigenbasis_image,
     matrix_diag_density,
     mixed_exchange,
     plain_fixed_point_update,
+    random_hermitian_sigma,
     real_space_step,
     transforms_since,
 )
@@ -30,7 +32,6 @@ from repro.rt import (
     TDState,
     ZeroField,
 )
-from repro.rt.gauge import density_matrix_distance
 from repro.observables.dipole import cell_centered_coordinates, dipole_moment
 from repro.parallel import FUGAKU_ARM, DistributedFockExchange, SimComm
 from repro.occupation.sigma import (
@@ -44,7 +45,6 @@ from repro.rt.ptcn import PTCNOptions, PTCNPropagator
 from repro.scf import SCFOptions, run_scf
 from repro.trace import recorder
 from repro.utils.rng import default_rng
-from repro.utils.testing import random_hermitian_sigma
 from repro.xc.hybrid import make_functional
 
 DT_50AS = 50.0 * AU_PER_ATTOSECOND

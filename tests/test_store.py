@@ -555,6 +555,40 @@ def test_add_run_refuses_what_is_not_a_run_from_t0(tmp_path, real_result):
     store.close()
 
 
+def test_an_orphan_file_that_is_not_a_run_from_t0_is_not_served(tmp_path, real_result):
+    """A result file whose writer died before finishing the row is served
+    only as a run from t = 0: an orphan continuation is reported by run id
+    and restored neither by ``find_completed`` nor by a sweep, its row
+    stays not-``ok`` and the file is kept until the sweep's own run of the
+    config replaces it."""
+    from repro.api import SweepConfig, run_ensemble
+    from repro.api.simulation import write_result_npz
+
+    root = tmp_path / "study"
+    store = ResultStore(root)
+    config, gs = real_result.config, real_result.ground_state
+    store.put_ground_state(config, gs)
+    rid = store.queue.begin(config).run_id  # the row a killed writer leaves
+    later = synth_arrays()
+    later["times"] = later["times"] + real_result.final_state.time
+    orphan = store.runs_dir / f"{rid}.npz"
+    write_result_npz(orphan, SimulationResult(config, PropagationRecord.from_arrays(later), synth_state()))
+    with pytest.warns(RuntimeWarning, match=f"run {rid}: the result starts at t = "):
+        assert store.find_completed(config) is None
+    assert store.get(rid).status == "running" and orphan.exists()
+
+    lines = []
+    sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [config.field.params["kick"]]}})
+    with pytest.warns(RuntimeWarning, match=rid):
+        ensemble = run_ensemble(config, sweep, workers=1, progress=lines.append, store=store)
+    assert not any(f"restored from store ({rid})" in line for line in lines)
+    assert ensemble.runs[0].run.run_id == rid and store.get(rid).ok
+    back = store.load_result(rid)
+    assert back.record.times[0] == 0.0
+    assert np.array_equal(back.record.times, real_result.record.times)
+    store.close()
+
+
 def test_only_run_one_stores_a_run():
     """``git grep -n "add_run(" src/repro`` finds the method's definition
     and one call, :func:`~repro.api.runs.run_one`'s: a second way into the
@@ -675,10 +709,7 @@ def test_dotted_key_query_finds_one_run_among_hundreds(tmp_path):
     kicks = [1e-3 + 1e-6 * i for i in range(n_runs)]
     store = ResultStore(tmp_path / "study")
     for i, kick in enumerate(kicks):
-        store.add_run(
-            synth_result(make_config(kick=kick), seed=i),
-            overrides={"field.params.kick": kick}, elapsed=0.1,
-        )
+        store.add_run(synth_result(make_config(kick=kick), seed=i), elapsed=0.1)
     hits = store.query(where={"field.params.kick": kicks[n_runs // 2]}, status="ok")
     assert [r.run_id for r in hits] == [run_id_for(make_config(kick=kicks[n_runs // 2]))]
     assert store.get(run_id_for(make_config(kick=kicks[n_runs // 3]))).ok
