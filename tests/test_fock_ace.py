@@ -67,6 +67,26 @@ def test_diagonalization_equals_grouped(grid, fock, seed):
     assert np.allclose(a, b, atol=1e-10)
 
 
+def test_fft_count_reduction(grid):
+    """The instrumented engine confirms N^3 -> N^2 transforms."""
+    fock = FockExchangeOperator(grid, erfc_screened_kernel(grid), batch_size=64)
+    phi, sigma = _setup(grid, 7, n=4)
+    sigma = hermitize(sigma)
+    n = 4
+
+    snap = recorder().snapshot()
+    tripleloop_exchange(fock, phi, sigma)
+    triple = transforms_since(snap)
+
+    snap = recorder().snapshot()
+    mixed_exchange(fock, phi, sigma)
+    diag = transforms_since(snap)
+
+    assert triple == 2 * n**3  # (k, i, j) loop, forward+inverse each
+    # each unordered orbital pair is transformed once, forward+inverse
+    assert diag == n * (n + 1)
+
+
 def test_fock_operator_hermitian(grid, fock):
     phi, sigma = _setup(grid, 3)
     vx = grouped_exchange(fock, phi, hermitize(sigma))
