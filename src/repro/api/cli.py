@@ -425,34 +425,27 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.api.config import load_sweep_file
     from repro.api.ensemble import apply_overrides
-    from repro.api.registry import (
-        CELLS,
-        FIELDS,
-        FUNCTIONALS,
-        PROPAGATORS,
-        propagator_options,
-    )
+    from repro.api.registry import PROPAGATORS, propagator_options
+    from repro.api.simulation import Simulation
 
     cfg, sweep = load_sweep_file(args.config)
 
-    def _check_registry_keys(vcfg) -> None:
-        # surface registry typos at validate time, before any expensive build
-        for registry, key in (
-            (CELLS, vcfg.system.cell),
-            (FUNCTIONALS, vcfg.system.functional),
-            (FIELDS, vcfg.field.kind),
-            (PROPAGATORS, vcfg.propagation.propagator),
-        ):
-            registry.get(key)
+    def _check_components(vcfg) -> None:
+        # build the cell, functional and field with their params, as `run`
+        # does before its SCF, and look up the propagator and its options
+        sim = Simulation(vcfg)
+        for component in ("cell", "functional", "field"):
+            getattr(sim, component)
+        PROPAGATORS.get(vcfg.propagation.propagator)
         propagator_options(vcfg.propagation.propagator, dict(vcfg.propagation.options))
 
-    _check_registry_keys(cfg)
+    _check_components(cfg)
     # each axis value is validated independently (sum of axis lengths, not
     # the cartesian product — a 4x10^4 grid must not stall `validate`);
-    # registry-backed keys and malformed paths all surface this way
+    # registry keys, component params and malformed paths all surface this way
     for path, values in sweep.axes.items():
         for value in values:
-            _check_registry_keys(apply_overrides(cfg, {path: value}))
+            _check_components(apply_overrides(cfg, {path: value}))
     print(cfg.to_json(indent=2))
     if sweep.axes:
         print(f"sweep: {sweep.n_runs} runs over {', '.join(sweep.axes)}")

@@ -72,16 +72,13 @@ class _Section:
     def from_dict(cls: Type[T], data: Optional[Mapping[str, Any]]) -> T:
         data = dict(data or {})
         valid = {f.name for f in fields(cls) if not f.name.startswith("_")}
-        unknown = sorted(set(data) - valid)
+        unknown = sorted(map(str, set(data) - valid))
         _check(
             not unknown,
             f"unknown key(s) {', '.join(cls._context + '.' + k for k in unknown)}; "
             f"valid keys: {', '.join(sorted(valid))}",
         )
-        try:
-            return cls(**data)
-        except TypeError as exc:
-            raise ConfigError(f"bad {cls._context} section: {exc}") from exc
+        return cls(**data)
 
     def to_dict(self) -> Dict[str, Any]:
         """Plain nested dict with JSON/TOML-safe values (``None`` dropped)."""
@@ -196,7 +193,8 @@ class FieldConfig(_Section):
     def __post_init__(self) -> None:
         super().__post_init__()
         params = dict(self.params)
-        if "polarization" in params:
+        # one spelling of a vector; the field refuses what is not a 3-vector
+        if isinstance(params.get("polarization"), (list, np.ndarray)):
             params["polarization"] = tuple(params["polarization"])
         object.__setattr__(self, "params", params)
 
@@ -508,7 +506,7 @@ class SimulationConfig:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationConfig":
         _check(isinstance(data, Mapping), f"config must be a mapping, got {type(data).__name__}")
-        unknown = sorted(set(data) - set(cls._SECTIONS))
+        unknown = sorted(map(str, set(data) - set(cls._SECTIONS)))
         _check(
             not unknown,
             f"unknown config section(s) {', '.join(unknown)}; "
@@ -571,17 +569,10 @@ class SimulationConfig:
         )
         updates: Dict[str, Any] = {}
         for name, value in sections.items():
-            cls = self._SECTIONS[name]
-            if isinstance(value, cls):
-                updates[name] = value
-            elif isinstance(value, Mapping):
+            if isinstance(value, Mapping):
                 merged = {**getattr(self, name).to_dict(), **dict(value)}
                 # an explicit None clears an optional key (e.g. scf.nbands)
-                merged = {k: v for k, v in merged.items() if v is not None}
-                updates[name] = cls.from_dict(merged)
-            else:
-                raise ConfigError(
-                    f"config section {name!r} must be a mapping or {cls.__name__}, "
-                    f"got {type(value).__name__}"
-                )
+                value = {k: v for k, v in merged.items() if v is not None}
+            updates[name] = value
+        # __post_init__ parses each mapping and refuses any other non-section
         return dataclasses.replace(self, **updates)

@@ -25,7 +25,6 @@ from typing import Any, Dict, Mapping, Optional, Tuple, Union
 import numpy as np
 
 from repro.api.config import (
-    ConfigError,
     ResultError,
     SimulationConfig,
     check_config_matches,
@@ -270,14 +269,9 @@ class Simulation:
         state: Optional[TDState] = None,
         parallel_ledger: Optional[CostLedger] = None,
     ) -> None:
-        if isinstance(config, SimulationConfig):
-            self.config = config
-        elif isinstance(config, Mapping):
-            self.config = SimulationConfig.from_dict(config)
-        else:
-            raise ConfigError(
-                f"config must be a SimulationConfig or mapping, got {type(config).__name__}"
-            )
+        if not isinstance(config, SimulationConfig):
+            config = SimulationConfig.from_dict(config)  # refuses what is not a mapping
+        self.config = config
         self._cell = None
         self._backend: Optional[Backend] = None
         self._grid: Optional[PlaneWaveGrid] = None

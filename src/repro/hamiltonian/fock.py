@@ -159,7 +159,7 @@ def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) 
             block = yield Collective("bcast", shard if rank == root else None, (root,))
             w = yield Collective("bcast", weight_shard if rank == root else None, (root,))
             held[root] = (block, w)
-    elif pattern in ("ring", "async-ring"):
+    else:  # "ring" or "async-ring": DistributedFockExchange refuses any other
         block, w = shard, weight_shard
         for step in range(1, p):
             if pattern == "async-ring":
@@ -168,8 +168,6 @@ def _sources(shard, weight_shard, nbands: int, rank: int, p: int, pattern: str) 
                 block = yield Collective("ring_shift", block)
             w = yield Collective("ring_shift", w)
             held[(rank - step) % p] = (block, w)
-    else:
-        raise ValueError(f"unknown pattern {pattern!r}; use bcast, ring or async-ring")
     return _Rows([block for block, _ in held]), np.concatenate([w for _, w in held])
 
 

@@ -34,7 +34,7 @@ class KineticOperator:
             a = np.zeros(3)
         a = np.asarray(a, dtype=float)
         if a.shape != (3,):
-            raise ValueError(f"vector potential must be a 3-vector, got {a.shape}")
+            raise ValueError(f"vector potential must be a 3-vector, got shape {a.shape}")
         if np.array_equal(a, self._a):
             return
         self._a = a.copy()

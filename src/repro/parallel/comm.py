@@ -185,14 +185,14 @@ class SimComm:
         return lockstep(programs, self._collective)
 
     def _collective(self, op: str, args: Tuple, data: List[Any]) -> List[Any]:
-        """One round's collective, called once: each rank's reply."""
-        if op in ("bcast", "ring_shift", "alltoallv_blocks", "allgatherv"):
-            return getattr(self, op)(data, *args)
+        """One round's collective, called once: each rank's reply.  The
+        ops are those the rank programs of :mod:`repro.hamiltonian.fock`
+        ask for, each this class's list-form method of that name."""
         if op == "ring_shift_async":
             # the hop hides behind the pair solves (two transforms each) on
             # the largest block in hand, priced as the analytic model does
             m, n_pairs = self.machine, max(b.shape[0] for b in data) * args[0]
             hidden = m.overlap_efficiency * 2.0 * n_pairs * m.fft_box_time(data[0].shape[-1])
             return self.ring_shift_async(data, hidden)
-        raise ValueError(f"no collective {op!r}")
+        return getattr(self, op)(data, *args)
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from repro.hamiltonian.fock import rank_transforms
 from repro.parallel.comm import SimComm
-from repro.parallel.distfock import PATTERNS, DistributedFockExchange
+from repro.parallel.distfock import DistributedFockExchange
 from repro.parallel.ledger import CostLedger
 from repro.parallel.machine import MachineSpec, machine_by_name
 from repro.trace import Tally, window
@@ -96,7 +96,6 @@ class ParallelContext:
         history: Optional[CostLedger] = None,
     ) -> None:
         require(nranks >= 1, "need at least one rank")
-        require(pattern in PATTERNS, f"unknown pattern {pattern!r}; use one of {PATTERNS}")
         self.machine = machine_by_name(machine) if isinstance(machine, str) else machine
         self.pattern = pattern
         self.use_shm = bool(use_shm)

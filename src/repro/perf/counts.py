@@ -176,14 +176,12 @@ def _fock_comm_counts(n: int, ng: int, p: int, pattern: str, batch: int = 16) ->
     elif pattern == "ring":
         c.sendrecv_bytes = volume * (p - 1.0) / p
         c.sendrecv_messages = max(p - 1.0, 0.0)
-    elif pattern == "async-ring":
+    else:  # "async-ring", the one left: variant_counts picks from the three
         c.async_steps = max(p - 1.0, 0.0)
         c.async_block_bytes = (n / p) * ng * CPLX
         # FFT work available per ring step to hide the transfer:
         # the local targets x one received source block
         c.async_overlap_fft = 2.0 * (n / p) * (n / p)
-    else:
-        raise ValueError(pattern)
     return c
 
 

@@ -101,6 +101,8 @@ class HGHParameters:
         require(self.rloc > 0, "rloc must be positive")
         require(len(self.cloc) == 4, "cloc must have 4 entries")
         require(len(self.rl) == len(self.h_diag), "rl / h_diag channel mismatch")
+        # the nonlocal projectors' real harmonics stop at p
+        require(self.lmax <= 1, f"{self.symbol}: channels beyond l = 1 are not implemented")
 
     @property
     def lmax(self) -> int:

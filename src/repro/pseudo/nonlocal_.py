@@ -44,15 +44,14 @@ from repro.trace import traced
 
 
 def _real_sph_harm(l: int, m: int, unit_g: np.ndarray) -> np.ndarray:
-    """Real spherical harmonics for l <= 1 on unit vectors, flat shape."""
+    """Real spherical harmonics for l <= 1 on unit vectors, flat shape
+    (:class:`~repro.pseudo.hgh.HGHParameters` refuses a higher channel)."""
     if l == 0:
         return np.full(unit_g.shape[:-1], 0.5 / math.sqrt(math.pi))
-    if l == 1:
-        c = math.sqrt(3.0 / (4.0 * math.pi))
-        # order m = -1, 0, 1 -> y, z, x
-        comp = {-1: 1, 0: 2, 1: 0}[m]
-        return c * unit_g[..., comp]
-    raise NotImplementedError(f"l={l} spherical harmonics not implemented (HGH set needs l<=1)")
+    c = math.sqrt(3.0 / (4.0 * math.pi))
+    # order m = -1, 0, 1 -> y, z, x
+    comp = {-1: 1, 0: 2, 1: 0}[m]
+    return c * unit_g[..., comp]
 
 
 @dataclass

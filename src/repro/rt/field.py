@@ -21,6 +21,17 @@ import numpy as np
 from repro.constants import AU_PER_FEMTOSECOND, laser_omega_from_wavelength_nm
 
 
+def _polarization(value) -> np.ndarray:
+    """``value`` as a float 3-vector, refused by name when it is not one."""
+    try:
+        pol = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        pol = np.empty(0)
+    if pol.shape != (3,):
+        raise ValueError(f"polarization must be a 3-vector of numbers, got {value!r}")
+    return pol
+
+
 @dataclass(frozen=True)
 class ZeroField:
     """No external field (energy-conservation tests)."""
@@ -58,7 +69,7 @@ class GaussianLaserPulse:
     polarization: Tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        pol = np.asarray(self.polarization, dtype=float)
+        pol = _polarization(self.polarization)
         n = np.linalg.norm(pol)
         if n < 1e-12:
             raise ValueError("polarization must be a nonzero vector")
@@ -112,6 +123,9 @@ class StaticKick:
 
     kick: float = 1e-3
     polarization: Tuple[float, float, float] = (1.0, 0.0, 0.0)
+
+    def __post_init__(self) -> None:
+        _polarization(self.polarization)
 
     def vector_potential(self, t: float) -> np.ndarray:
         if t < 0.0:

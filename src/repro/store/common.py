@@ -129,7 +129,12 @@ def connect_sqlite(path, timeout_s: float = SQLITE_BUSY_TIMEOUT_S) -> sqlite3.Co
     return conn
 
 
-def run_immediate(conn: sqlite3.Connection, fn, attempts: int = 8, base_sleep: float = 0.02):
+#: :func:`run_immediate`'s whole-transaction attempts and first backoff (s, doubled per retry)
+IMMEDIATE_ATTEMPTS = 8
+IMMEDIATE_BASE_SLEEP_S = 0.02
+
+
+def run_immediate(conn: sqlite3.Connection, fn):
     """Run ``fn(conn)`` inside ``BEGIN IMMEDIATE`` ... ``COMMIT``, whole-
     transaction retried on ``SQLITE_BUSY``.
 
@@ -141,7 +146,8 @@ def run_immediate(conn: sqlite3.Connection, fn, attempts: int = 8, base_sleep: f
     expires under sustained contention; ``fn`` must therefore be safe to
     re-run (ours are pure upserts).
     """
-    for attempt in range(attempts):
+    attempt = 1
+    while True:
         try:
             conn.execute("BEGIN IMMEDIATE")
             try:
@@ -157,7 +163,7 @@ def run_immediate(conn: sqlite3.Connection, fn, attempts: int = 8, base_sleep: f
             if conn.in_transaction:
                 with contextlib.suppress(sqlite3.OperationalError):
                     conn.execute("ROLLBACK")
-            if not _is_busy(exc) or attempt == attempts - 1:
+            if not _is_busy(exc) or attempt == IMMEDIATE_ATTEMPTS:
                 raise
-            time.sleep(base_sleep * (2 ** attempt))
-    raise StoreError("unreachable: run_immediate exhausted without raising")
+            time.sleep(IMMEDIATE_BASE_SLEEP_S * 2 ** (attempt - 1))
+            attempt += 1

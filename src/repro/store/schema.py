@@ -222,7 +222,7 @@ def inspect_store(root) -> StoreCheck:
             ancestor = ancestor.parent
         if not ancestor.is_dir() or not os.access(ancestor, os.W_OK):
             raise StoreError(
-                f"store path {root} is not writable ({ancestor} denies write access)"
+                f"store path {root} is not writable ({ancestor} is not a writable directory)"
             )
         return StoreCheck(None, None, [])
     meta = json.loads(meta_path.read_text())

@@ -45,11 +45,13 @@ from __future__ import annotations
 
 import json
 import shutil
+import sys
 import warnings
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
 
 from repro.api.config import SimulationConfig
+from repro.constants import AU_PER_ATTOSECOND
 from repro.serve.queue import JobQueue
 from repro.store.blobs import BlobStore
 from repro.store.common import StoreError, group_address, run_id_for, utc_now
@@ -69,17 +71,31 @@ StoreLike = Union["ResultStore", str, Path]
 
 
 def require_run_from_t0(run_id: str, result: SimulationResult) -> None:
-    """Refuse, naming ``run_id``, a result that is not its config's
-    trajectory from t = 0: one with no record (a checkpoint) or whose
-    first sample is later (a continuation).  The one rule of what a stored
-    run is, for :meth:`ResultStore.add_run` and
-    :meth:`ResultStore.find_completed` alike."""
+    """Refuse, naming ``run_id``, a result that is not its config's whole
+    trajectory from t = 0: one with no record (a checkpoint), whose first
+    sample is later (a continuation), or whose samples are not its
+    config's (a ``propagate`` that overrode ``n_steps``, ``dt_as`` or
+    ``observe_every``).  The one rule of what a stored run is, for
+    :meth:`ResultStore.add_run` and :meth:`ResultStore.find_completed`."""
     times = result.record.times if result.record is not None else []
     if not times or times[0] != 0.0:
         first = f"starts at t = {times[0]!r} a.u." if times else "has no samples"
         raise StoreError(
             f"run {run_id}: the result {first}; a stored run is its "
             "config's trajectory from t = 0"
+        )
+    prop = result.config.propagation
+    n, every = prop.n_steps, prop.observe_every
+    # propagate records t = 0, every `every`-th step and the last one
+    samples = 1 + n // every + (n % every != 0)
+    end = n * (prop.dt_as * AU_PER_ATTOSECOND)
+    # t is n additions of dt, each rounding a partial sum <= end by half an
+    # ulp, plus dt's and end's own roundings: (n + 3) / 2 ulps, doubled
+    if len(times) != samples or abs(times[-1] - end) > (n + 3) * sys.float_info.epsilon * end:
+        raise StoreError(
+            f"run {run_id}: the result has {len(times)} samples to t = {times[-1]!r} a.u., "
+            f"its config (n_steps = {n}, dt_as = {prop.dt_as!r}, observe_every = {every}) "
+            f"records {samples} to t = {end!r}; a stored run is its config's whole trajectory"
         )
 
 
@@ -143,9 +159,9 @@ class ResultStore:
     def add_run(self, result: SimulationResult, *, elapsed: float = 0.0) -> str:
         """Store one finished run, the one entry every writer shares.
 
-        A stored run is its config's trajectory from t = 0: a result with
-        no record (a checkpoint) or whose first sample is later (a
-        continuation) is refused (:func:`require_run_from_t0`) before
+        A stored run is its config's whole trajectory from t = 0: anything
+        else (a checkpoint, a continuation, a ``propagate`` that overrode
+        a propagation key) is refused (:func:`require_run_from_t0`) before
         anything is written.  The ground state goes to the
         content-addressed blobs (deduplicated), the result becomes the
         run's result file, and then the run's row turns ``ok``
@@ -199,12 +215,11 @@ class ResultStore:
         result file a process wrote and then died before finishing the
         row: the row is finished here from the file (its elapsed seconds
         and FFT tally died with the writer) — unless it was cancelled,
-        which :meth:`JobQueue.finish_ok` keeps.  A file that is not a run
-        from t = 0 (:func:`require_run_from_t0`: a checkpoint, or a
-        continuation an older build stored) is not served: a
-        ``RuntimeWarning`` names the run id, the row stays as it is and
-        the file is kept, for the config's next stored run to replace
-        whole (deleting it here could race a live writer's rename).
+        which :meth:`JobQueue.finish_ok` keeps.  A file that is not the
+        config's whole run from t = 0 (:func:`require_run_from_t0`) is not
+        served: a ``RuntimeWarning`` names the run id, the row stays as it
+        is and the file is kept, for the config's next stored run to
+        replace whole (deleting it here could race a live writer's rename).
         """
         run = self.queue.get(run_id_for(config))
         if run is None or run.ok:

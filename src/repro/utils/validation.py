@@ -139,10 +139,3 @@ def check_hermitian(mat: np.ndarray, name: str = "matrix", atol: float = 1e-10) 
     if dev > atol:
         raise ValueError(f"{name} is not Hermitian (max deviation {dev:.3e} > {atol:.1e})")
 
-
-def check_unitary(mat: np.ndarray, name: str = "matrix", atol: float = 1e-8) -> None:
-    """Check ``mat`` is unitary within ``atol``."""
-    n = check_square(mat, name)
-    dev = np.abs(mat.conj().T @ mat - np.eye(n)).max()
-    if dev > atol:
-        raise ValueError(f"{name} is not unitary (max deviation {dev:.3e} > {atol:.1e})")

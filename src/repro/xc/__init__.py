@@ -6,7 +6,7 @@ from repro.xc.kernels import (
     erfc_screened_kernel,
     exchange_kernel,
 )
-from repro.xc.hybrid import HybridFunctional, SemilocalFunctional, make_functional
+from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 __all__ = [
     "lda_exchange",
@@ -17,5 +17,4 @@ __all__ = [
     "exchange_kernel",
     "HybridFunctional",
     "SemilocalFunctional",
-    "make_functional",
 ]

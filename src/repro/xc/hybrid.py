@@ -58,7 +58,7 @@ class HybridFunctional:
         if not (0.0 < self.alpha <= 1.0):
             raise ValueError(f"alpha must be in (0, 1], got {self.alpha}")
         if self.screened and self.omega <= 0.0:
-            raise ValueError("screened hybrid requires omega > 0")
+            raise ValueError(f"omega must be > 0 for a screened hybrid, got {self.omega}")
 
     @property
     def is_hybrid(self) -> bool:
@@ -80,14 +80,3 @@ class HybridFunctional:
         """G-space interaction kernel of the exact-exchange term."""
         return exchange_kernel(grid, screened=self.screened, omega=self.omega)
 
-
-def make_functional(name: str) -> SemilocalFunctional | HybridFunctional:
-    """Factory by name: ``"lda"``, ``"hse"`` (screened), ``"pbe0"`` (bare)."""
-    key = name.strip().lower()
-    if key in ("lda", "pz81", "semilocal"):
-        return SemilocalFunctional()
-    if key in ("hse", "hse06", "hybrid"):
-        return HybridFunctional()
-    if key in ("pbe0", "global-hybrid"):
-        return HybridFunctional(screened=False, name="PBE0-LDA")
-    raise ValueError(f"unknown functional {name!r}; use 'lda', 'hse', or 'pbe0'")

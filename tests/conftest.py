@@ -15,7 +15,7 @@ from repro.hamiltonian import Hamiltonian
 from repro.rt import ZeroField
 from repro.scf import SCFOptions, run_scf
 from repro.utils.rng import default_rng
-from repro.xc.hybrid import make_functional
+from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 
 @pytest.fixture(scope="session")
@@ -43,7 +43,7 @@ def rng():
 @pytest.fixture(scope="session")
 def lda_ground_state(small_grid):
     """Converged LDA ground state at 8000 K (session-cached)."""
-    ham = Hamiltonian(small_grid, make_functional("lda"), field=ZeroField())
+    ham = Hamiltonian(small_grid, SemilocalFunctional(), field=ZeroField())
     gs = run_scf(ham, SCFOptions(temperature_k=8000.0, nbands=24, density_tol=1e-6, max_scf=40))
     return ham, gs
 
@@ -51,7 +51,7 @@ def lda_ground_state(small_grid):
 @pytest.fixture(scope="session")
 def hse_ground_state(small_grid):
     """Converged screened-hybrid ground state at 8000 K (session-cached)."""
-    ham = Hamiltonian(small_grid, make_functional("hse"), field=ZeroField())
+    ham = Hamiltonian(small_grid, HybridFunctional(), field=ZeroField())
     gs = run_scf(
         ham,
         SCFOptions(temperature_k=8000.0, nbands=24, density_tol=1e-6, max_scf=30, max_outer=15),

@@ -22,7 +22,10 @@ until no run took them.
 
 Test states and state metrics only tests use: :func:`random_hermitian_sigma`
 and the gauge helpers (:func:`apply_gauge`, :func:`density_matrix_distance`,
-:func:`recover_gauge`), which were ``repro.utils.testing`` and ``repro.rt.gauge``.
+:func:`recover_gauge`), which were ``repro.utils.testing`` and ``repro.rt.gauge``,
+with :func:`check_unitary`, which was ``repro.utils.validation``'s.
+:func:`recorded_times` gives the sample times of a config's whole run, for
+synthetic results the store takes.
 """
 
 import itertools
@@ -32,6 +35,7 @@ import numpy as np
 from scipy.linalg import block_diag
 
 from repro.backend import Backend
+from repro.constants import AU_PER_ATTOSECOND
 from repro.backend.base import TRANSFORMS
 from repro.grid.fftgrid import PlaneWaveGrid
 from repro.hamiltonian.ace import ACEOperator
@@ -58,7 +62,7 @@ from repro.scf.eigensolver import (
 )
 from repro.scf.mixing import AndersonMixer
 from repro.trace import recorder
-from repro.utils.validation import check_unitary, require
+from repro.utils.validation import check_square, require
 
 
 def per_atom_projectors(grid):
@@ -482,6 +486,14 @@ def random_hermitian_sigma(n: int, rng: np.random.Generator, scale: float = 0.3)
 # the PT gauge exploits.  These helpers quantify how close two propagated
 # states are *as density matrices*, independent of gauge, so PT-IM
 # trajectories can be compared against RK4 references directly.
+def check_unitary(mat: np.ndarray, name: str = "matrix", atol: float = 1e-8) -> None:
+    """Check ``mat`` is unitary within ``atol``."""
+    n = check_square(mat, name)
+    dev = np.abs(mat.conj().T @ mat - np.eye(n)).max()
+    if dev > atol:
+        raise ValueError(f"{name} is not unitary (max deviation {dev:.3e} > {atol:.1e})")
+
+
 def apply_gauge(phi: np.ndarray, sigma: np.ndarray, u: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Gauge transform ``(Phi U, U* sigma U)`` (orbitals as rows)."""
     check_unitary(u, "gauge matrix")
@@ -530,3 +542,13 @@ def recover_gauge(grid: PlaneWaveGrid, phi_pt: np.ndarray, psi_ref: np.ndarray) 
     m = grid.inner(psi_ref, phi_pt)
     u_svd, _, vh = np.linalg.svd(m)
     return u_svd @ vh
+
+
+def recorded_times(config) -> np.ndarray:
+    """The sample times ``propagate`` records over ``config``'s whole run:
+    t = 0, every ``observe_every``-th step and the last, at ``k · dt``."""
+    prop = config.propagation
+    steps = list(range(0, prop.n_steps + 1, prop.observe_every))
+    if steps[-1] != prop.n_steps:
+        steps.append(prop.n_steps)
+    return np.array(steps, dtype=float) * (prop.dt_as * AU_PER_ATTOSECOND)

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import SimulationResult
+from repro.api import SimulationConfig, SimulationResult
 from repro.api.cli import main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -254,6 +254,127 @@ def test_shipped_serve_config_validates_and_loads(capsys):
     assert sim.system.functional == "lda"
 
 
+def _refusal(argv, capsys) -> str:
+    """``repro <argv>`` exits 2 with one ``error:`` line on stderr; that line."""
+    assert main(argv) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    return lines[0]
+
+
+@pytest.mark.parametrize(
+    "section, refusal",
+    [
+        ('[field]\nkind = "gaussian_pulse"\nparams = {polarization = [1, 0]}\n',
+         "polarization must be a 3-vector of numbers, got (1, 0)"),
+        ('[field]\nkind = "static_kick"\nparams = {polarization = [1, 0]}\n',
+         "polarization must be a 3-vector of numbers, got (1, 0)"),
+        ('[field]\nkind = "static_kick"\nparams = {polarization = 5}\n',
+         "polarization must be a 3-vector of numbers, got 5"),
+        ("[system]\nfunctional_params = {alpha = 2.0}\n", "alpha must be in (0, 1], got 2.0"),
+        ("[system]\nfunctional_params = {omega = 0.0}\n", "omega must be > 0 for a screened hybrid, got 0.0"),
+        ("[system]\nfunctional_params = {beta = 1}\n", "bad parameters for functional 'hse': "),
+        ("[system]\ncell_params = {spacing = 1}\n", "bad parameters for cell 'silicon_cubic': "),
+    ],
+    ids=["pulse-polarization", "kick-polarization", "scalar-polarization", "alpha", "omega",
+         "unknown-functional-param", "unknown-cell-param"],
+)
+def test_cli_validate_builds_each_component_with_its_params(tmp_path, capsys, section, refusal):
+    """``validate`` builds the cell, the functional and the field with
+    their params, as ``run`` does, so what their constructors refuse exits
+    2 here, named, and not only after ``run``'s SCF."""
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text(section)
+    line = _refusal(["validate", str(cfg)], capsys)
+    assert refusal in line
+    assert section.split("{")[1].split()[0] in line  # the param the section sets is named
+
+
+def test_cli_run_refuses_a_polarization_before_the_scf(tmp_path, capsys):
+    cfg = tmp_path / "bad.toml"
+    cfg.write_text(TINY_TOML.replace("fwhm_fs = 0.08\n", "fwhm_fs = 0.08\npolarization = [1, 0]\n"))
+    store = tmp_path / "store"
+    assert main(["run", str(cfg), "--store", str(store)]) == 2
+    out, err = capsys.readouterr()
+    assert err == "error: polarization must be a 3-vector of numbers, got (1, 0)\n"
+    assert "ground state" not in out
+    assert not list(store.glob("blobs/ground_states/*.npz"))
+
+
+def test_cli_validate_refuses_a_json_config_that_does_not_parse(tmp_path, capsys):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text('{"system": {"ecut": 3.0,}}')
+    assert f"invalid JSON in {cfg}: " in _refusal(["validate", str(cfg)], capsys)
+
+
+def test_cli_serve_refuses_a_config_without_a_store(tmp_path, capsys):
+    """Nothing binds: the refusal names the file and both ways to give a store."""
+    cfg = tmp_path / "serve.toml"
+    cfg.write_text("[serve]\nworkers = 1\n")
+    line = _refusal(["serve", str(cfg)], capsys)
+    assert f"{cfg} has no serve.store and no --store was given" in line
+
+
+def test_cli_refuses_a_store_path_under_a_regular_file(tmp_path, capsys):
+    """A path no store can be made at is refused before anything is created."""
+    blocker = tmp_path / "blocker"
+    blocker.write_text("a file, not a directory")
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(TINY_TOML)
+    store = blocker / "study"
+    line = _refusal(["validate", str(cfg), "--store", str(store)], capsys)
+    assert f"store path {store} is not writable ({blocker} is not a writable directory)" in line
+    assert blocker.read_text() == "a file, not a directory"
+
+
+def _crafted_result_file(path, drop):
+    """A synthetic result file, or its checkpoint when ``drop`` is a
+    ``gs_*`` member, written by the one writer and rewritten without
+    member ``drop``: what a foreign or hand-edited file may hold."""
+    from repro.api.simulation import write_result_npz
+    from repro.rt.propagator import PropagationRecord, TDState
+    from repro.scf import GroundState
+
+    config = SimulationConfig.from_dict({"propagation": {"n_steps": 1}})
+    state = TDState(phi=np.ones((2, 4), dtype=complex), sigma=np.eye(2, dtype=complex), time=1.0)
+    if drop.startswith("gs_"):
+        gs = GroundState(
+            orbitals=np.ones((2, 4), dtype=complex), eigenvalues=np.zeros(2), occupations=np.ones(2),
+            sigma=np.eye(2, dtype=complex), fermi_level=0.0, density=np.ones(4), total_energy=-1.0,
+            free_energy=-1.0, scf_iterations=3, converged=True,
+        )
+        result = SimulationResult(config, None, state, gs)
+    else:
+        series = {"times": np.arange(2.0), "dipole": np.zeros((2, 3)), "energy": np.zeros(2),
+                  "particle_number": np.ones(2), "field": np.zeros((2, 3))}
+        result = SimulationResult(config, PropagationRecord.from_arrays(series), state)
+    write_result_npz(path, result)
+    with np.load(path) as data:
+        kept = {key: data[key] for key in data.files if key != drop}
+    assert len(kept) == len(data.files) - 1
+    np.savez(path, **kept)
+    return path
+
+
+@pytest.mark.parametrize(
+    "drop, refusal",
+    [
+        ("energy", "trajectory arrays are missing series: energy"),
+        ("gs_sigma", "is missing ground-state field 'gs_sigma'"),
+    ],
+)
+def test_cli_resume_refuses_a_result_file_missing_a_member(tmp_path, capsys, drop, refusal):
+    """A result file without one of its series, or a checkpoint without a
+    ground-state field, is refused naming the file and the member."""
+    from repro.api import ResultError
+
+    path = _crafted_result_file(tmp_path / "crafted.npz", drop)
+    line = _refusal(["resume", str(path), "--steps", "1"], capsys)
+    assert f"result file {path}" in line and refusal in line
+    with pytest.raises(ResultError if drop == "energy" else ValueError, match=re.escape(refusal)):
+        SimulationResult.load_npz(path)
+
+
 def test_cli_validate_bad_parallel_section(tmp_path, capsys):
     bad = tmp_path / "bad.toml"
     bad.write_text('[parallel]\npattern = "gossip"\n')
@@ -388,6 +509,7 @@ def test_cli_results_ls_paging_summary(tmp_path, capsys):
 
     import numpy as _np
 
+    from oracles import recorded_times
     from repro.api import SimulationConfig
     from repro.rt.propagator import PropagationRecord, TDState
     from repro.store import ResultStore
@@ -404,8 +526,9 @@ def test_cli_results_ls_paging_summary(tmp_path, capsys):
     for i in range(5):
         data = _json.loads(_json.dumps(base))
         data["field"]["params"]["kick"] = 0.001 * (i + 1)
+        config = SimulationConfig.from_dict(data)
         record = PropagationRecord.from_arrays({
-            "times": _np.arange(3.0),
+            "times": recorded_times(config),
             "dipole": rng.normal(size=(3, 3)),
             "energy": rng.normal(size=3),
             "particle_number": _np.full(3, 8.0),
@@ -416,7 +539,7 @@ def test_cli_results_ls_paging_summary(tmp_path, capsys):
             sigma=_np.zeros((2, 2), dtype=complex),
             time=1.0,
         )
-        store.add_run(SimulationResult(SimulationConfig.from_dict(data), record, state))
+        store.add_run(SimulationResult(config, record, state))
     store.close()
 
     assert main(["results", "ls", str(store_dir)]) == 0

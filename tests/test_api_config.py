@@ -291,6 +291,26 @@ def test_replace_unknown_section_rejected():
         cfg.replace(propagtion={})
 
 
+def test_what_a_config_file_cannot_hold_is_refused_by_name():
+    """A section value that is neither a mapping nor its section class is
+    refused by the config's constructor, which ``replace`` goes through;
+    ``Simulation`` refuses a config that is neither through ``from_dict``."""
+    cfg = SimulationConfig.from_dict({})
+    words = "config section 'system' must be a mapping or SystemConfig, got int"
+    with pytest.raises(ConfigError, match=words):
+        SimulationConfig(system=5)
+    with pytest.raises(ConfigError, match=words):
+        cfg.replace(system=5)
+    assert cfg.replace(system=SystemConfig(ecut=2.0)).system.ecut == 2.0
+    with pytest.raises(ConfigError, match="config must be a mapping, got int"):
+        Simulation(5)
+    # a Python dict may carry keys a config file cannot: named, not a TypeError
+    with pytest.raises(ConfigError, match=r"unknown key\(s\) system\.1; valid keys: "):
+        SimulationConfig.from_dict({"system": {1: 2}})
+    with pytest.raises(ConfigError, match=r"unknown config section\(s\) 1; valid sections: "):
+        SimulationConfig.from_dict({1: {}})
+
+
 def test_scf_config_maps_onto_scf_options():
     """The ``[scf]`` section is the solver's options: each key declared once."""
     opts = SCFConfig.from_dict({"nbands": 12, "temperature_k": 300.0, "seed": 3})

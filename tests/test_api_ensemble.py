@@ -406,6 +406,16 @@ def test_dipole_spectra_rejects_missing_and_zero_kick():
         zero.dipole_spectra()
 
 
+def test_dipole_spectra_refuse_no_runs_and_differing_grids():
+    """Spectra need a successful run, and one frequency grid for all."""
+    with pytest.raises(ValueError, match="no successful runs to compute spectra from"):
+        _fake_result(("error", "error")).dipole_spectra(kick=1e-3)
+    stepped = _fake_result(("ok", "ok"))
+    stepped.runs[1].arrays["times"] = np.linspace(0.0, 2.0, 8)  # twice the step
+    with pytest.raises(ValueError, match="runs disagree on the frequency grid"):
+        stepped.dipole_spectra(kick=1e-3)
+
+
 def test_cli_run_refuses_sweep_config(capsys, tmp_path):
     """`repro validate` accepts sweep files, so `repro run` must point at
     `repro sweep` instead of calling the [sweep] section a typo."""

@@ -104,6 +104,12 @@ def test_out_validation(backend, batch):
         backend.forward(batch, out=np.empty(batch.shape))
     with pytest.raises(ValueError, match=">= 3 dims"):
         backend.forward(np.zeros((4, 4), dtype=complex))
+    # a SimComm reply is read-only: as ``out`` it is refused, not written through
+    reply = np.empty(batch.shape, dtype=complex)
+    reply.flags.writeable = False
+    for transform in (backend.forward, backend.backward):
+        with pytest.raises(ValueError, match="out buffer is not writeable"):
+            transform(batch, out=reply)
 
 
 @pytest.fixture(params=["direct", "fallback"])

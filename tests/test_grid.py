@@ -198,13 +198,13 @@ def test_packed_unknown_has_the_norm_of_the_real_space_unknown(grid):
     goes 63.8 -> 77.3."""
     from repro.hamiltonian import Hamiltonian
     from repro.rt import PTIMPropagator, TDState
-    from repro.xc.hybrid import make_functional
+    from repro.xc.hybrid import SemilocalFunctional
 
     rng = default_rng(30)
     nb = 6
     phi = grid.random_orbitals(nb, rng) * rng.uniform(0.5, 2.0, (nb, 1))
     sigma = rng.standard_normal((nb, nb)) + 1j * rng.standard_normal((nb, nb))
-    prop = PTIMPropagator(Hamiltonian(grid, make_functional("lda")), record_energy=False)
+    prop = PTIMPropagator(Hamiltonian(grid, SemilocalFunctional()), record_energy=False)
     packed, x = prop._pack(TDState(phi, sigma, 0.0))
     assert x.shape == (nb * grid.npw + nb * nb,)
     real_space_unknown = np.concatenate([phi.ravel(), sigma.ravel()])

@@ -18,7 +18,8 @@ from repro.hamiltonian.kinetic import KineticOperator
 from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals, unrotate_orbitals
 from repro.trace import recorder
 from repro.utils.rng import default_rng
-from repro.xc.hybrid import make_functional
+from repro.api.registry import FUNCTIONALS
+from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 
 @pytest.fixture(scope="module")
@@ -28,7 +29,7 @@ def grid():
 
 @pytest.fixture()
 def ham(grid):
-    h = Hamiltonian(grid, make_functional("lda"))
+    h = Hamiltonian(grid, SemilocalFunctional())
     rho = np.full(grid.ngrid, h.n_electrons / grid.cell.volume)
     h.update_density(rho)
     return h
@@ -36,7 +37,7 @@ def ham(grid):
 
 @pytest.fixture()
 def ham_hse(grid):
-    h = Hamiltonian(grid, make_functional("hse"))
+    h = Hamiltonian(grid, HybridFunctional())
     rho = np.full(grid.ngrid, h.n_electrons / grid.cell.volume)
     h.update_density(rho)
     return h
@@ -173,7 +174,7 @@ def test_set_time_updates_field(grid):
     from repro.rt.field import GaussianLaserPulse
 
     pulse = GaussianLaserPulse(amplitude=0.01, center_fs=0.0, fwhm_fs=1.0)
-    ham = Hamiltonian(grid, make_functional("lda"), field=pulse)
+    ham = Hamiltonian(grid, SemilocalFunctional(), field=pulse)
     rho = np.full(grid.ngrid, ham.n_electrons / grid.cell.volume)
     ham.update_density(rho)
     ham.set_time(0.0)
@@ -190,7 +191,7 @@ def test_set_time_rebuilds_the_kinetic_diagonal_only_when_a_moves(grid):
     from repro.rt.field import GaussianLaserPulse
 
     pulse = GaussianLaserPulse(amplitude=0.01, center_fs=0.0, fwhm_fs=1.0)
-    ham = Hamiltonian(grid, make_functional("lda"), field=pulse)
+    ham = Hamiltonian(grid, SemilocalFunctional(), field=pulse)
     ham.set_time(0.3)
     diag = ham.kinetic.diagonal_g
     ham.set_time(0.3)
@@ -215,7 +216,7 @@ def pulsed(grid):
 
     def build(functional):
         pulse = GaussianLaserPulse(amplitude=0.05, center_fs=0.0, fwhm_fs=1.0)
-        h = Hamiltonian(grid, make_functional(functional), field=pulse)
+        h = Hamiltonian(grid, FUNCTIONALS.build(functional), field=pulse)
         rho = 1.0 + 0.3 * default_rng(20).random(grid.ngrid)
         h.update_density(rho * h.n_electrons / (rho.sum() * grid.dv))
         h.set_time(0.3)
@@ -295,3 +296,19 @@ def test_build_ace_from_the_eigenbasis_image_is_the_same_operator(ham_hse, grid)
     ham_hse.set_exchange_sources(phi_t, d)
     vx = unrotate_orbitals(ham_hse.apply_exchange(phi_t), q)
     assert _rel_err(vx, ham_hse.functional.alpha * w) <= 1e-12
+
+
+def test_a_vector_potential_that_is_not_a_3_vector_is_refused(grid):
+    """A registered field is code from outside: one whose A(t) is not a
+    3-vector is refused by name when the Hamiltonian moves to its time."""
+
+    class PlanarField:
+        def vector_potential(self, t):
+            return np.zeros(2)
+
+        def electric_field(self, t):
+            return np.zeros(2)
+
+    ham = Hamiltonian(grid, SemilocalFunctional(), field=PlanarField())
+    with pytest.raises(ValueError, match=r"vector potential must be a 3-vector, got shape \(2,\)"):
+        ham.set_time(0.0)

@@ -93,6 +93,11 @@ def test_initial_sigma_rejects_unphysical():
         initial_sigma(np.array([1.2, 0.0]))
 
 
+def test_a_sigma_that_is_not_square_is_refused_by_name():
+    with pytest.raises(ValueError, match=r"sigma must be square 2-D, got shape \(2, 3\)"):
+        hermitize(np.zeros((2, 3)))
+
+
 def test_hermitize_fixed_point():
     rng = default_rng(0)
     a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))

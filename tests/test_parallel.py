@@ -175,6 +175,31 @@ def test_ledger_rejects_unknown_category():
 
 
 # ---------------- distributed Fock -----------------------------------------------------
+def test_a_pattern_name_is_refused_before_any_rank_runs(grid):
+    """The distributed exchange's pattern gate: its rank programs'
+    schedule (``_sources``) takes only the patterns it lets through."""
+    with pytest.raises(ValueError, match="unknown pattern 'gossip'"):
+        DistributedFockExchange(grid, erfc_screened_kernel(grid), SimComm(2, FUGAKU_ARM), pattern="gossip")
+
+
+def test_every_collective_a_rank_program_asks_for_is_a_comm_method():
+    """``SimComm`` answers an op with its method of that name: the ops are
+    the literals the rank programs of ``repro.hamiltonian.fock`` yield
+    (``returned`` ends a program; ``lockstep`` takes it)."""
+    import ast
+    import inspect
+
+    import repro.hamiltonian.fock as fock
+
+    ops = {
+        node.args[0].value
+        for node in ast.walk(ast.parse(inspect.getsource(fock)))
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "Collective"
+    } - {"returned"}
+    assert ops == {"bcast", "ring_shift", "ring_shift_async", "alltoallv_blocks", "allgatherv"}
+    assert all(callable(getattr(SimComm, op)) for op in ops)
+
+
 @pytest.mark.parametrize("pattern", ["bcast", "ring", "async-ring"])
 @pytest.mark.parametrize("nranks", [1, 3, 4])
 def test_distributed_fock_matches_serial(grid, pattern, nranks):

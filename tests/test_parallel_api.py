@@ -310,9 +310,9 @@ def test_the_one_reader_round_trips(serial_sim, kind, tmp_path):
     from repro.store import ResultStore, StoreError, run_id_for
 
     serial, _ = serial_sim
-    # a fresh derive() per case: a stored run is a trajectory from t = 0
+    # a fresh derive() per case: a stored run is its config's whole trajectory from t = 0
     sim = serial.derive() if kind == "serial" else serial.derive(parallel=_parallel_cfg(2, "ring"))
-    result = sim.propagate(n_steps=0 if kind == "serial" else 1)
+    result = sim.propagate()
     first = tmp_path / "first.npz"
     if kind == "checkpoint":
         sim.save_checkpoint(first)

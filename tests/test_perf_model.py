@@ -83,6 +83,12 @@ def test_fock_fft_counts_match_analytic():
     assert model.fft_transforms == 2 * n**2
 
 
+def test_variant_counts_refuse_an_unknown_variant():
+    """The model's one name gate: each variant then picks its own pattern."""
+    with pytest.raises(ValueError, match="unknown variant 'Turbo'"):
+        variant_counts(SystemSize(384), 4, "Turbo")
+
+
 def test_variant_counts_fock_reduction():
     """Diag removes the O(N) factor; ACE removes the 25 -> 5 factor."""
     size = SystemSize(384)

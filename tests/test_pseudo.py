@@ -11,6 +11,7 @@ from oracles import full_grid_projectors
 from repro.grid import PlaneWaveGrid, silicon_cubic_cell, silicon_supercell
 from repro.pseudo.database import PSEUDO_DATABASE, get_pseudopotential
 from repro.pseudo.hgh import (
+    HGHParameters,
     _JL_SERIES_BELOW,
     h_matrix,
     local_potential_g,
@@ -217,3 +218,14 @@ def test_nonlocal_radial_tables_once_per_species_and_shell(monkeypatch):
     assert sorted(c[:3] for c in calls) == [("Si", 0, 0), ("Si", 0, 1), ("Si", 1, 0)]
     assert n_shells < grid.ngrid // 10
     assert all(nq <= n_shells for *_, nq in calls)
+
+
+def test_a_channel_past_p_is_refused_where_it_is_made():
+    """The projectors' real harmonics stop at l = 1: a parameter set with
+    a d channel is refused when it is built, so the database holds none."""
+    with pytest.raises(ValueError, match="Xx: channels beyond l = 1 are not implemented"):
+        HGHParameters(
+            symbol="Xx", zion=1.0, rloc=0.5, cloc=(0.0, 0.0, 0.0, 0.0),
+            rl=(0.5, 0.5, 0.5), h_diag=((1.0,), (1.0,), (1.0,)),
+        )
+    assert max(params.lmax for params in PSEUDO_DATABASE.values()) == 1

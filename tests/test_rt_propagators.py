@@ -45,7 +45,7 @@ from repro.rt.ptcn import PTCNOptions, PTCNPropagator
 from repro.scf import SCFOptions, run_scf
 from repro.trace import recorder
 from repro.utils.rng import default_rng
-from repro.xc.hybrid import make_functional
+from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 DT_50AS = 50.0 * AU_PER_ATTOSECOND
 
@@ -602,7 +602,7 @@ def test_imex_iteration_count_does_not_grow_with_the_cutoff(si_cell):
     1e-8); with ``|G|^2/2`` inverted exactly it does not (14.0 -> 14.5)."""
     mean_iterations = {}
     for ecut in (2.0, 5.0):
-        ham = Hamiltonian(PlaneWaveGrid(si_cell, ecut=ecut), make_functional("lda"), field=ZeroField())
+        ham = Hamiltonian(PlaneWaveGrid(si_cell, ecut=ecut), SemilocalFunctional(), field=ZeroField())
         gs = run_scf(ham, SCFOptions(temperature_k=8000.0, nbands=20, density_tol=1e-6, max_scf=40))
         ham.field = GaussianLaserPulse(amplitude=0.02, center_fs=0.05, fwhm_fs=0.08)
         for plain in (False, True):
@@ -848,7 +848,7 @@ def test_hybrid_scf_decomposes_no_sigma(small_grid, monkeypatch):
     """The SCF's ``sigma = diag(occ)`` is its own eigenbasis image
     ``(rows, occ)``: the dense exchange of every hybrid pass and the final
     exchange energy run without one decomposition or rotation."""
-    ham = Hamiltonian(small_grid, make_functional("hse"), field=ZeroField())
+    ham = Hamiltonian(small_grid, HybridFunctional(), field=ZeroField())
     applications = []
     apply_diag = ham.fock.apply_diag
 

@@ -47,6 +47,7 @@ from hypothesis.stateful import (  # noqa: E402
 )
 
 import repro  # noqa: E402
+from oracles import recorded_times  # noqa: E402
 from repro.api import SimulationConfig, SimulationResult  # noqa: E402
 from repro.rt.propagator import PropagationRecord, TDState  # noqa: E402
 from repro.serve.queue import EVENTS, JobQueue, own_worker_id  # noqa: E402
@@ -89,9 +90,12 @@ def _is_a_row_of_the_table(event, before, after):
         assert now_history[-1][2]
 
 
-def _result(n_times):
+def _result():
+    """A whole run of ``CONFIG`` (the store takes nothing else)."""
+    times = recorded_times(CONFIG)
+    n_times = len(times)
     arrays = {
-        "times": np.arange(float(n_times)),
+        "times": times,
         "dipole": np.zeros((n_times, 3)),
         "energy": np.zeros(n_times),
         "particle_number": np.ones(n_times),
@@ -150,11 +154,11 @@ class RunRows(RuleBasedStateMachine):
             self.holder = worker
 
     @precondition(lambda self: self.holder)
-    @rule(n_times=st.integers(1, 4))
-    def finish(self, n_times):
+    @rule()
+    def finish(self):
         """The claim's holder stores its result (``ResultStore.add_run``)."""
         self.holder = None
-        self.store.add_run(_result(n_times), elapsed=0.5)
+        self.store.add_run(_result(), elapsed=0.5)
 
     @precondition(lambda self: self.holder)
     @rule()
@@ -199,8 +203,8 @@ class RunRows(RuleBasedStateMachine):
             self.cancel()
         self.supervise([w for w in WORKERS if w != worker])
 
-    @rule(n_times=st.integers(1, 4), how=st.sampled_from(("ok", "fails", "killed")))
-    def stored_run(self, n_times, how):
+    @rule(how=st.sampled_from(("ok", "fails", "killed")))
+    def stored_run(self, how):
         """``run_one`` with a store records its own run on the row; over an
         ``ok`` row (``repro run --rerun``) the row stays as it is until the
         new result lands.  A run killed outright leaves what ``begin`` did."""
@@ -215,7 +219,7 @@ class RunRows(RuleBasedStateMachine):
                 row = stack.enter_context(self.queue.recording(CONFIG))
                 if how == "fails":
                     raise FloatingPointError("diverged")
-                self.store.add_run(_result(n_times), elapsed=0.25)
+                self.store.add_run(_result(), elapsed=0.25)
         if rerun:
             assert row == before
             if how != "ok":

@@ -26,7 +26,8 @@ from repro.scf.eigensolver import (
 from repro.scf.groundstate import default_nbands
 from repro.scf.mixing import AndersonMixer, KerkerMixer, LinearMixer
 from repro.utils.rng import default_rng
-from repro.xc.hybrid import make_functional
+from repro.api.registry import FUNCTIONALS
+from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +37,7 @@ def grid():
 
 @pytest.fixture(scope="module")
 def ham(grid):
-    h = Hamiltonian(grid, make_functional("lda"))
+    h = Hamiltonian(grid, SemilocalFunctional())
     rho = np.full(grid.ngrid, h.n_electrons / grid.cell.volume)
     h.update_density(rho)
     return h
@@ -106,7 +107,7 @@ def test_davidson_warm_start_fast(grid):
     # cell's degenerate multiplets, which otherwise admit stuck interior
     # bands when the block cuts a cluster)
     rng = default_rng(6)
-    h = Hamiltonian(grid, make_functional("lda"))
+    h = Hamiltonian(grid, SemilocalFunctional())
     h.update_density(np.full(grid.ngrid, h.n_electrons / grid.cell.volume))
     h.v_eff = h.v_eff + 0.05 * rng.standard_normal(grid.ngrid)
     phi = grid.to_sphere(grid.random_orbitals(6, rng))
@@ -176,7 +177,7 @@ class RowCountingH:
 def split_ham(grid):
     """LDA Hamiltonian with the cubic cell's degenerate multiplets lifted,
     so an iteration count does not hang on round-off inside a cluster."""
-    h = Hamiltonian(grid, make_functional("lda"))
+    h = Hamiltonian(grid, SemilocalFunctional())
     h.update_density(np.full(grid.ngrid, h.n_electrons / grid.cell.volume))
     h.v_eff = h.v_eff + 0.05 * default_rng(6).standard_normal(grid.ngrid)
     return h
@@ -607,7 +608,7 @@ def test_start_density_of_a_supercell_repeats_the_cell(grid, ham):
     n1, n2, n3 = grid.shape
     sgrid = PlaneWaveGrid(silicon_supercell((2, 1, 1)), ecut=grid.ecut, shape=(2 * n1, n2, n3))
     rho = grid.to_box(groundstate._start_density(ham))
-    rho_super = sgrid.to_box(groundstate._start_density(Hamiltonian(sgrid, make_functional("lda"))))
+    rho_super = sgrid.to_box(groundstate._start_density(Hamiltonian(sgrid, SemilocalFunctional())))
     np.testing.assert_allclose(rho_super, np.concatenate([rho, rho]), rtol=0.0, atol=1e-12 * rho.max())
 
 
@@ -650,7 +651,7 @@ def test_hybrid_scf_one_dense_exchange_per_outer_pass(tiny_grid, exchange_tol, p
     application evaluates the returned state's energy."""
     from repro.scf import SCFOptions, run_scf
 
-    h = Hamiltonian(tiny_grid, make_functional("hse"))
+    h = Hamiltonian(tiny_grid, HybridFunctional())
     dense_calls = []
     apply_diag = h.fock.apply_diag
     h.fock.apply_diag = lambda *a, **k: dense_calls.append(1) or apply_diag(*a, **k)
@@ -669,7 +670,7 @@ def test_hybrid_scf_not_converged_while_the_density_is_not(tiny_grid):
     while the last density change is still above ``density_tol``."""
     from repro.scf import SCFOptions, run_scf
 
-    h = Hamiltonian(tiny_grid, make_functional("hse"))
+    h = Hamiltonian(tiny_grid, HybridFunctional())
     opts = SCFOptions(nbands=20, density_tol=1e-2, max_scf=2, max_outer=3, exchange_tol=1e3)
     gs = run_scf(h, opts)
     assert gs.history[-1] >= opts.density_tol
@@ -702,7 +703,7 @@ def test_scf_converged_needs_the_last_eigensolve_converged(tiny_grid, monkeypatc
     from repro.scf import SCFOptions, run_scf
 
     opts = SCFOptions(nbands=20, density_tol=1e-3, exchange_tol=1e-2, max_outer=6)
-    h = Hamiltonian(tiny_grid, make_functional(functional))
+    h = Hamiltonian(tiny_grid, FUNCTIONALS.build(functional))
     solve = groundstate.davidson
     for flags, converged in (
         (lambda k, result: k != 1 and result.converged, True),
@@ -724,7 +725,7 @@ def test_hybrid_scf_tolerances_follow_the_operator_they_are_solved_under(tiny_gr
     import repro.scf.groundstate as groundstate
     from repro.scf import SCFOptions, run_scf
 
-    h = Hamiltonian(tiny_grid, make_functional("hse"))
+    h = Hamiltonian(tiny_grid, HybridFunctional())
     wrapped, seen = _davidson_reporting(groundstate.davidson, lambda k, result: result.converged)
     monkeypatch.setattr(groundstate, "davidson", wrapped)
     pass_starts = []

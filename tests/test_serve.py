@@ -22,6 +22,7 @@ import pytest
 
 from repro.api import Simulation, SimulationConfig, SimulationResult
 from repro.serve import JobQueue, JobService, ServeClient, ServeError
+from repro.serve.http import MAX_BODY_BYTES
 from repro.serve.queue import TERMINAL_STATUSES
 from repro.store import ResultStore, group_address, run_id_for
 
@@ -181,6 +182,54 @@ def test_e2e_bad_submit_is_400(e2e):
     assert err.value.status == 400
 
 
+def _post_jobs(url, body: bytes, length=None):
+    """``POST /jobs`` with ``body`` raw and a ``Content-Length`` of
+    ``length`` (default: the body's); the reply's status and error."""
+    from http.client import HTTPConnection
+    from urllib.parse import urlparse
+
+    where = urlparse(url)
+    conn = HTTPConnection(where.hostname, where.port, timeout=30)
+    try:
+        conn.putrequest("POST", "/jobs")
+        conn.putheader("Content-Length", str(len(body) if length is None else length))
+        conn.endheaders(body)
+        reply = conn.getresponse()
+        return reply.status, json.loads(reply.read())["error"]
+    finally:
+        conn.close()
+
+
+@pytest.mark.parametrize(
+    "body, length, refusal",
+    [
+        (b"", None, "request body required"),
+        (b"", MAX_BODY_BYTES + 1, f"request body too large ({MAX_BODY_BYTES + 1} bytes)"),
+        (b'{"config": ', None, "request body is not valid JSON: "),
+        (b"[1, 2]", None, "request body must be a JSON object"),
+        (b'{"config": {}, "priority": 9}', None, "unknown field(s) priority; valid: config, max_attempts, timeout"),
+    ],
+    ids=["empty", "too-large", "not-json", "not-an-object", "unknown-field"],
+)
+def test_e2e_a_bad_jobs_body_is_400_naming_it(e2e, body, length, refusal):
+    """A ``POST /jobs`` body the service cannot take is a 400 whose error
+    says what is wrong with it; nothing is queued."""
+    before = [job["job_id"] for job in e2e["client"].jobs()]
+    status, error = _post_jobs(e2e["service"].url, body, length)
+    assert status == 400 and error.startswith(refusal), (status, error)
+    assert [job["job_id"] for job in e2e["client"].jobs()] == before
+
+
+def test_e2e_an_unknown_status_filter_is_400(e2e, capsys):
+    from repro.api.cli import main
+
+    with pytest.raises(ServeError, match="unknown status 'bogus'; one of: queued") as err:
+        e2e["client"].jobs(status="bogus")
+    assert err.value.status == 400
+    assert main(["jobs", "ls", "--status", "bogus", "--url", e2e["service"].url]) == 2
+    assert capsys.readouterr().err.startswith("error: unknown status 'bogus'")
+
+
 @pytest.mark.parametrize(
     "field, value",
     [
@@ -208,6 +257,9 @@ def test_e2e_cancel_then_result_is_409(e2e):
     config = make_config(kick=0.009, n_steps=400)
     job = client.submit(config)
     assert job["status"] in ("queued", "running")
+    # a wait that runs out names the job and the status it is still in
+    with pytest.raises(ServeError, match=rf"job {job['job_id']} still (queued|running) after 0s"):
+        client.wait(job["job_id"], timeout_s=0.0)
     cancelled = client.cancel(job["job_id"])
     assert cancelled["status"] == "cancelled"
     with pytest.raises(ServeError) as err:
@@ -353,6 +405,28 @@ def test_an_event_the_lifecycle_has_no_row_for_is_refused(queue):
     with pytest.raises(StoreError, match=refused):
         queue._txn(lambda conn: queue._move(conn, run_id, "finish", time.time()))
     assert (queue.get(run_id).status, queue.attempts(run_id)) == ("queued", [])
+
+
+def test_queue_refuses_an_unknown_job_by_id(queue):
+    """Cancelling or failing an attempt of a job the queue does not have is
+    refused naming the id (``POST /jobs/<id>/cancel`` answers 404 first)."""
+    from repro.store import StoreError
+
+    with pytest.raises(StoreError, match="queue has no job 'jnope'"):
+        queue.cancel("jnope")
+    with pytest.raises(StoreError, match="queue has no job 'jnope'"):
+        queue.fail_attempt("jnope", "boom")
+    assert queue.get("jnope") is None
+
+
+def test_client_names_a_server_it_cannot_reach(capsys):
+    """Nothing listens on port 9 (discard): the client says where it looked."""
+    from repro.api.cli import main
+
+    with pytest.raises(ServeError, match=r"cannot reach job server at http://127\.0\.0\.1:9 "):
+        ServeClient("http://127.0.0.1:9", timeout_s=5.0).healthz()
+    assert main(["jobs", "ls", "--url", "http://127.0.0.1:9"]) == 2
+    assert "error: cannot reach job server at http://127.0.0.1:9" in capsys.readouterr().err
 
 
 def test_queue_deadline_set_only_with_timeout(queue):

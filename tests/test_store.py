@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 import repro
+from oracles import recorded_times
 from repro.api import (
     ConfigError,
     ResultError,
@@ -78,10 +79,12 @@ def synth_state(seed=1):
     )
 
 
-def synth_result(config, n=5, seed=0, ground_state=None) -> SimulationResult:
-    """A result of ``config`` over the synthetic trajectory and state."""
-    record = PropagationRecord.from_arrays(synth_arrays(n, seed))
-    return SimulationResult(config, record, synth_state(), ground_state)
+def synth_result(config, seed=0, ground_state=None) -> SimulationResult:
+    """A whole run of ``config`` over a synthetic trajectory and state: its
+    samples sit at the times ``propagate`` records them."""
+    times = recorded_times(config)
+    arrays = {**synth_arrays(len(times), seed), "times": times}
+    return SimulationResult(config, PropagationRecord.from_arrays(arrays), synth_state(), ground_state)
 
 
 @pytest.fixture(scope="module")
@@ -292,13 +295,14 @@ def test_index_queries(tmp_path):
 def test_rerun_replaces_the_stored_run(tmp_path):
     store = ResultStore(tmp_path / "study")
     cfg = make_config()
-    rid = store.add_run(synth_result(cfg, n=4))
+    rid = store.add_run(synth_result(cfg))
     first_created = store.get(rid).created
-    rid2 = store.add_run(synth_result(cfg, n=9, seed=3))
+    latest = synth_result(cfg, seed=3)
+    rid2 = store.add_run(latest)
     assert rid2 == rid  # same config, same address: latest wins
     run = store.get(rid)
-    assert run.n_times == 9 and run.created == first_created
-    assert store.load_result(rid).observables()["times"].shape == (9,)
+    assert run.n_times == 3 and run.created == first_created
+    assert np.array_equal(store.load_result(rid).observables()["energy"], latest.observables()["energy"])
     store.close()
 
 
@@ -402,6 +406,25 @@ def test_newer_sqlite_schema_refused(tmp_path):
     check = inspect_store(tmp_path / "study")
     assert check.schema_version == 99 != SCHEMA_VERSION
     assert "schema version 99, newer than" in check.problems[0]
+
+
+def test_ensure_schema_refuses_an_index_at_another_version(tmp_path):
+    """The openers peek first (``inspect_store``, above); ``ensure_schema``,
+    on the connection they then write through, refuses in the same words an
+    index stamped with another version meanwhile, and leaves it as it was."""
+    from repro.store import ensure_schema
+    from repro.store.schema import schema_version
+
+    ResultStore(tmp_path / "study").close()
+    path = tmp_path / "study" / "index.sqlite"
+    conn = connect_sqlite(path)
+    try:
+        conn.execute("UPDATE meta SET value = '99' WHERE key = 'schema_version'")
+        with pytest.raises(StoreError, match=re.escape(f"store index {path} has schema version 99, newer than")):
+            ensure_schema(conn, path)
+        assert schema_version(conn) == 99
+    finally:
+        conn.close()
 
 
 def test_store_naming_a_removed_index_backend_is_refused(tmp_path):
@@ -586,6 +609,69 @@ def test_an_orphan_file_that_is_not_a_run_from_t0_is_not_served(tmp_path, real_r
     back = store.load_result(rid)
     assert back.record.times[0] == 0.0
     assert np.array_equal(back.record.times, real_result.record.times)
+    store.close()
+
+
+@pytest.mark.parametrize(
+    "override, samples",
+    [({"n_steps": 1}, 2), ({"observe_every": 2}, 2), ({"dt_as": 40.0}, 3)],
+    ids=["n_steps", "observe_every", "dt_as"],
+)
+def test_add_run_refuses_what_is_not_the_configs_whole_run(tmp_path, real_result, override, samples):
+    """A ``propagate`` that overrides ``n_steps``, ``observe_every`` or
+    ``dt_as`` starts at t = 0 but is not its config's whole trajectory:
+    ``add_run`` refuses it, naming the run id, both sample counts and both
+    end times, before any blob, file or row is written."""
+    root = tmp_path / "study"
+    store = ResultStore(root)
+    result = Simulation(real_result.config, ground_state=real_result.ground_state).propagate(**override)
+    rid, end = run_id_for(result.config), real_result.record.times[-1]
+    refusal = (
+        f"run {rid}: the result has {samples} samples to t = {result.record.times[-1]!r} a.u., its "
+        f"config (n_steps = 2, dt_as = 50.0, observe_every = 1) records 3 to t = {end!r}"
+    )
+    with pytest.raises(StoreError, match=re.escape(refusal)):
+        store.add_run(result)
+    assert store.queue.get(rid) is None
+    assert list(root.glob("runs/*")) == [] and list(root.glob("blobs/*/*")) == []
+    store.close()
+
+
+@pytest.mark.parametrize("door", ["find_completed", "sweep", "repro run --store"])
+def test_an_orphan_short_run_is_not_served(tmp_path, real_result, door, capsys):
+    """An orphan ``propagate(n_steps=1)`` file of a 2-step config (a writer
+    that died before finishing the row) is not the config's run: none of
+    the doors serves it, and the config's own run replaces it whole."""
+    from repro.api import SweepConfig, run_ensemble
+    from repro.api.cli import main
+
+    root = tmp_path / "study"
+    store = ResultStore(root)
+    config, gs = real_result.config, real_result.ground_state
+    store.put_ground_state(config, gs)
+    rid = store.queue.begin(config).run_id
+    orphan = store.runs_dir / f"{rid}.npz"
+    Simulation(config, ground_state=gs).propagate(n_steps=1).save_npz(orphan)
+    refusal = f"run {rid}: the result has 2 samples"
+    if door == "find_completed":
+        with pytest.warns(RuntimeWarning, match=refusal):
+            assert store.find_completed(config) is None
+        assert store.get(rid).status == "running" and orphan.exists()
+    elif door == "sweep":
+        lines = []
+        sweep = SweepConfig.from_dict({"axes": {"field.params.kick": [config.field.params["kick"]]}})
+        with pytest.warns(RuntimeWarning, match=refusal):
+            run_ensemble(config, sweep, workers=1, progress=lines.append, store=store)
+        assert not any(f"restored from store ({rid})" in line for line in lines)
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(config.to_json())
+        with pytest.warns(RuntimeWarning, match=refusal):
+            assert main(["run", str(path), "--store", str(root)]) == 0
+        assert "reused from" not in capsys.readouterr().out
+    if door != "find_completed":
+        assert store.get(rid).ok
+        assert np.array_equal(store.load_result(rid).record.times, real_result.record.times)
     store.close()
 
 
@@ -781,7 +867,7 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
             store.add_run(real_result)
 
         def rewrite():
-            store.add_run(synth_result(real_result.config, n=9))
+            store.add_run(synth_result(real_result.config, seed=3))
     else:
         target = tmp_path / f"{what}.npz"
 
@@ -814,8 +900,8 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         assert np.array_equal(back.final_state.sigma, real_result.final_state.sigma)
         # a following clean re-run replaces it
         rewrite()
-        assert store.get(done.run_id).n_times == 9
-        assert np.array_equal(store.load_result(done.run_id).observables()["energy"], synth_arrays(n=9)["energy"])
+        energy = store.load_result(done.run_id).observables()["energy"]
+        assert np.array_equal(energy, synth_result(real_result.config, seed=3).observables()["energy"])
         assert [p.name for p in target.parent.iterdir()] == [target.name]
         store.close()
 
@@ -870,14 +956,14 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
 
         monkeypatch.setattr(np, "savez", _disk_full_after_part())
         with pytest.raises(OSError):
-            store.add_run(synth_result(config, n=9))
+            store.add_run(synth_result(config, seed=3))
         monkeypatch.undo()
         assert target.read_bytes() == before
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
         assert store.get(job.run_id).n_times == len(real_result.record.times)
 
-        store.add_run(synth_result(config, n=9))
-        assert store.get(job.run_id).n_times == 9
+        store.add_run(synth_result(config, seed=3))
+        assert target.read_bytes() != before
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
     finally:
         queue.close()

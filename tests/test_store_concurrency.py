@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.api import SimulationConfig, SimulationResult
+from repro.constants import AU_PER_ATTOSECOND
 from repro.rt.propagator import PropagationRecord, TDState
 from repro.store import ResultStore, common
 from repro.store.common import connect_sqlite, run_immediate
@@ -38,9 +39,10 @@ def _config(tag: int) -> SimulationConfig:
 
 
 def _arrays(seed: int):
+    """A whole run of ``BASE`` (two steps, each recorded), the store's rule."""
     rng = np.random.default_rng(seed)
     return {
-        "times": np.arange(3.0),
+        "times": np.arange(3.0) * (BASE["propagation"]["dt_as"] * AU_PER_ATTOSECOND),
         "dipole": rng.normal(size=(3, 3)),
         "energy": rng.normal(size=3),
         "particle_number": np.full(3, 8.0),
