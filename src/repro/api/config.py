@@ -512,7 +512,8 @@ class SimulationConfig:
             f"unknown config section(s) {', '.join(unknown)}; "
             f"valid sections: {', '.join(cls._SECTIONS)}",
         )
-        return cls(**{name: sec.from_dict(data.get(name)) for name, sec in cls._SECTIONS.items()})
+        # __post_init__ parses each section's mapping and refuses any other value by name
+        return cls(**{name: data.get(name, {}) for name in cls._SECTIONS})
 
     @classmethod
     def from_file(cls, path) -> "SimulationConfig":

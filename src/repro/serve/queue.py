@@ -439,7 +439,9 @@ class JobQueue:
 
         def _fail(conn):
             job = self._get(conn, job_id)
-            if job is None or job.status == "cancelled":  # _move refuses a missing job
+            if job is None:
+                raise StoreError(f"queue has no job {job_id!r}")
+            if job.status == "cancelled":
                 self._move(conn, job_id, "close_cancelled", now)
             else:
                 self._move(

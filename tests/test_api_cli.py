@@ -301,6 +301,18 @@ def test_cli_run_refuses_a_polarization_before_the_scf(tmp_path, capsys):
     assert not list(store.glob("blobs/ground_states/*.npz"))
 
 
+@pytest.mark.parametrize(
+    "name, text, got",
+    [("bad.toml", "system = 5\n", "int"), ("bad.json", '{"system": [1, 2]}', "list")],
+    ids=["toml-int", "json-list"],
+)
+def test_cli_validate_refuses_a_section_that_is_not_a_table(tmp_path, capsys, name, text, got):
+    cfg = tmp_path / name
+    cfg.write_text(text)
+    line = _refusal(["validate", str(cfg)], capsys)
+    assert f"config section 'system' must be a mapping or SystemConfig, got {got}" in line
+
+
 def test_cli_validate_refuses_a_json_config_that_does_not_parse(tmp_path, capsys):
     cfg = tmp_path / "bad.json"
     cfg.write_text('{"system": {"ecut": 3.0,}}')

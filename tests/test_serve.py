@@ -208,8 +208,9 @@ def _post_jobs(url, body: bytes, length=None):
         (b'{"config": ', None, "request body is not valid JSON: "),
         (b"[1, 2]", None, "request body must be a JSON object"),
         (b'{"config": {}, "priority": 9}', None, "unknown field(s) priority; valid: config, max_attempts, timeout"),
+        (b'{"config": {"system": 5}}', None, "config section 'system' must be a mapping or SystemConfig, got int"),
     ],
-    ids=["empty", "too-large", "not-json", "not-an-object", "unknown-field"],
+    ids=["empty", "too-large", "not-json", "not-an-object", "unknown-field", "section-not-an-object"],
 )
 def test_e2e_a_bad_jobs_body_is_400_naming_it(e2e, body, length, refusal):
     """A ``POST /jobs`` body the service cannot take is a 400 whose error

@@ -877,6 +877,7 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         rewrite = write
     write()
     before = target.read_bytes()
+    row = store.get(run_id_for(real_result.config)) if what == "stored-run" else None
 
     monkeypatch.setattr(np, "savez", _partial_then_crash())
     with pytest.raises(OSError, match="disk died"):
@@ -891,8 +892,9 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
     elif what == "checkpoint":
         Simulation.resume(target)
     else:
+        # nor did the failed rewrite finish the row: it is still the first write's
         done = store.find_completed(real_result.config)
-        assert done is not None and done.n_times == len(real_result.record.times)
+        assert done == row and done.fft == real_result.fft._asdict()
         back = store.load_result(done.run_id)
         for key, arr in real_result.observables().items():
             assert np.array_equal(back.observables()[key], arr), key
@@ -902,6 +904,8 @@ def test_crash_mid_write_preserves_previous_file(tmp_path, real_result, what, mo
         rewrite()
         energy = store.load_result(done.run_id).observables()["energy"]
         assert np.array_equal(energy, synth_result(real_result.config, seed=3).observables()["energy"])
+        assert store.get(done.run_id).fft is None  # the synthetic result's (no FFT tally)
+        assert store.get(done.run_id).finished >= row.finished
         assert [p.name for p in target.parent.iterdir()] == [target.name]
         store.close()
 
@@ -953,6 +957,8 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
         assert job.status == "ok"
         target = store.result_path(job.run_id)
         before = target.read_bytes()
+        row = store.get(job.run_id)
+        assert row.elapsed > 0.0  # the job's own time, where add_run writes 0.0
 
         monkeypatch.setattr(np, "savez", _disk_full_after_part())
         with pytest.raises(OSError):
@@ -960,11 +966,14 @@ def test_full_disk_during_the_result_write(tmp_path, real_result, monkeypatch):
         monkeypatch.undo()
         assert target.read_bytes() == before
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
-        assert store.get(job.run_id).n_times == len(real_result.record.times)
+        assert store.get(job.run_id) == row
 
         store.add_run(synth_result(config, seed=3))
         assert target.read_bytes() != before
         assert [p.name for p in store.runs_dir.iterdir()] == [target.name]
+        assert (store.get(job.run_id).elapsed, store.get(job.run_id).finished >= row.finished) == (0.0, True)
+        energy = store.load_result(job.run_id).observables()["energy"]
+        assert np.array_equal(energy, synth_result(config, seed=3).observables()["energy"])
     finally:
         queue.close()
         store.close()
