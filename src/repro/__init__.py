@@ -38,13 +38,7 @@ _EXPORTS = {
         ),
         "repro.api.config",
     ),
-    **dict.fromkeys(
-        (
-            "register_cell", "register_functional", "register_field",
-            "register_propagator", "available_components",
-        ),
-        "repro.api.registry",
-    ),
+    "COMPONENTS": "repro.api.components",
 }
 
 __getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)

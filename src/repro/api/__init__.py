@@ -1,7 +1,10 @@
 """``repro.api`` — the declarative front door to the whole package.
 
-One import gives configs, registries, the :class:`Simulation` facade,
-checkpointing, and the ensemble sweep engine (:class:`SweepConfig` +
+One import gives configs, the component table (:data:`COMPONENTS`,
+every name a config's ``system.cell``, ``system.functional``,
+``field.kind`` and ``propagation.propagator`` can take, and
+:func:`build`), the :class:`Simulation` facade, checkpointing, and the
+ensemble sweep engine (:class:`SweepConfig` +
 :func:`run_ensemble` -> :class:`EnsembleResult` for whole families of
 runs); ``python -m repro`` exposes the same surface on the command line,
 including ``repro sweep``.  The low-level modules (:mod:`repro.scf`,
@@ -26,7 +29,7 @@ _EXPORTS = {
             "BackendConfig", "ConfigError", "FieldConfig", "ParallelConfig",
             "PropagationConfig", "ResultError", "SCFConfig", "ServeConfig",
             "SimulationConfig", "SweepConfig", "SystemConfig", "load_serve_file",
-            "load_sweep_file", "RegistryError",
+            "load_sweep_file",
         ),
         ".config",
     ),
@@ -37,14 +40,7 @@ _EXPORTS = {
         ),
         ".ensemble",
     ),
-    **dict.fromkeys(
-        (
-            "CELLS", "FIELDS", "FUNCTIONALS", "PROPAGATORS", "Registry",
-            "available_components", "register_cell", "register_field",
-            "register_functional", "register_propagator",
-        ),
-        ".registry",
-    ),
+    **dict.fromkeys(("COMPONENTS", "build"), ".components"),
     "Simulation": ".simulation",
     "SimulationResult": ".simulation",
     **dict.fromkeys(("ResultStore", "StoredRun", "StoreError"), "repro.store"),

@@ -32,7 +32,7 @@ Commands
 ``jobs ls|show|watch|fetch|cancel``
     Inspect and manage jobs on a running server.
 ``components``
-    List every registered cell / functional / field / propagator.
+    List every cell / functional / field / propagator a config can name.
 ``perf``
     Print the paper-evaluation performance projection report, through
     the same table formatter (:mod:`repro.perf.experiments`).
@@ -45,8 +45,8 @@ Exit codes
     The command ran but the outcome is a failure: failed sweep
     variants, failed submitted/watched jobs.
 2
-    Usage error: bad flags, unparseable or invalid config, unknown
-    registry keys, unreadable store paths.
+    Usage error: bad flags, unparseable or invalid config (an unknown
+    component name among them), unreadable store paths.
 """
 
 from __future__ import annotations
@@ -78,8 +78,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="run band-parallel over P simulated ranks (overrides parallel.ranks)",
     )
     run.add_argument(
-        "--pattern", choices=("bcast", "ring", "async-ring"), default=None,
-        help="Fock-exchange communication schedule (overrides parallel.pattern)",
+        "--pattern", default=None, metavar="NAME",
+        help="Fock-exchange communication schedule: bcast, ring, async-ring "
+             "(overrides parallel.pattern)",
     )
     run.add_argument(
         "--machine", default=None, metavar="NAME",
@@ -242,14 +243,12 @@ def _build_parser() -> argparse.ArgumentParser:
         jp.add_argument("--url", default="http://127.0.0.1:8752",
                         help="job-server address (default %(default)s)")
 
-    sub.add_parser("components", help="list registered cells/functionals/fields/propagators")
+    sub.add_parser("components", help="list the cells/functionals/fields/propagators a config names")
 
     perf = sub.add_parser("perf", help="print the performance-model projection report")
     perf.add_argument(
-        "--machine",
-        choices=("fugaku-arm", "a100-gpu"),
-        default=None,
-        help="restrict the report to one platform",
+        "--machine", default=None, metavar="NAME",
+        help="restrict the report to one platform (fugaku-arm, a100-gpu)",
     )
     return parser
 
@@ -425,24 +424,23 @@ def _cmd_sweep(args) -> int:
 def _cmd_validate(args) -> int:
     from repro.api.config import load_sweep_file
     from repro.api.ensemble import apply_overrides
-    from repro.api.registry import PROPAGATORS, propagator_options
+    from repro.api.components import propagator_options
     from repro.api.simulation import Simulation
 
     cfg, sweep = load_sweep_file(args.config)
 
     def _check_components(vcfg) -> None:
         # build the cell, functional and field with their params, as `run`
-        # does before its SCF, and look up the propagator and its options
+        # does before its SCF, and the propagator's options
         sim = Simulation(vcfg)
         for component in ("cell", "functional", "field"):
             getattr(sim, component)
-        PROPAGATORS.get(vcfg.propagation.propagator)
-        propagator_options(vcfg.propagation.propagator, dict(vcfg.propagation.options))
+        propagator_options(vcfg.propagation.propagator, vcfg.propagation.options)
 
     _check_components(cfg)
     # each axis value is validated independently (sum of axis lengths, not
     # the cartesian product — a 4x10^4 grid must not stall `validate`);
-    # registry keys, component params and malformed paths all surface this way
+    # component params and malformed paths all surface this way
     for path, values in sweep.axes.items():
         for value in values:
             _check_components(apply_overrides(cfg, {path: value}))
@@ -704,17 +702,19 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_components(args) -> int:
-    from repro.api.registry import available_components
+    from repro.api.components import COMPONENTS
 
-    for kind, names in available_components().items():
-        print(f"{kind}: {', '.join(names)}")
+    for kind, names in COMPONENTS.items():
+        print(f"{kind}: {', '.join(sorted(names))}")
     return 0
 
 
 def _cmd_perf(args) -> int:
+    from repro.api.config import ParallelConfig
     from repro.perf.experiments import MACHINES, scaling_report
 
-    machines = (args.machine,) if args.machine else MACHINES
+    # a machine name is refused by `parallel.machine`'s one gate
+    machines = (ParallelConfig(machine=args.machine).machine,) if args.machine else MACHINES
     print(scaling_report(machines))
     return 0
 
@@ -735,12 +735,9 @@ _COMMANDS = {
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    # after parsing: --help and usage errors import nothing of the program
-    from repro.api.config import RegistryError
-
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, RegistryError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError) as exc:
         # ValueError covers ConfigError plus the low-level require() checks
         # (e.g. "N bands cannot hold M electrons") reachable from user configs
         print(f"error: {exc}", file=sys.stderr)

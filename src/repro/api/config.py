@@ -26,20 +26,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple, Type, TypeVar
 
 import numpy as np
 
+from repro.api.components import COMPONENTS
 from repro.constants import SPIN_DEGENERACY
 from repro.parallel.comm import PATTERNS
 from repro.parallel.machine import machine_by_name
 from repro.utils.validation import ConfigError, check_settings, is_int, setting
-
-
-class RegistryError(KeyError):
-    """Unknown or duplicate registry key (message names the valid keys).
-
-    Raised by :mod:`repro.api.registry`; defined here so that a caller
-    can catch it without importing the registered components."""
-
-    def __str__(self) -> str:  # KeyError quotes its arg; keep the message readable
-        return self.args[0]
 
 
 class ResultError(ConfigError):
@@ -130,20 +121,20 @@ def _json_safe(value: Any) -> Any:
 class SystemConfig(_Section):
     """What is simulated: cell, basis, functional.
 
-    ``cell`` / ``functional`` are registry keys (see
-    :mod:`repro.api.registry`); the ``*_params`` dicts are passed verbatim
-    to the registered factory.  ``dual`` accepts only ``1`` (one grid
+    ``cell`` / ``functional`` are names of :data:`~repro.api.components.COMPONENTS`,
+    refused here when unknown; the ``*_params`` dicts are passed verbatim
+    to the named factory.  ``dual`` accepts only ``1`` (one grid
     carries orbitals and density) and stays a key because every config
     hash covers it.
     """
 
     _context = "system"
 
-    cell: str = setting("silicon_cubic", str)
+    cell: str = setting("silicon_cubic", str, choices=tuple(COMPONENTS["cell"]))
     cell_params: Dict[str, Any] = setting({}, dict)
     ecut: float = setting(3.0, float, lo=0, open=True)
     dual: int = setting(1, int, choices=(1,))
-    functional: str = setting("hse", str)
+    functional: str = setting("hse", str, choices=tuple(COMPONENTS["functional"]))
     functional_params: Dict[str, Any] = setting({}, dict)
     degeneracy: float = setting(SPIN_DEGENERACY, float, lo=0, open=True)
     fock_batch_size: int = setting(16, int, lo=1)
@@ -183,11 +174,11 @@ class SCFConfig(_Section, SCFOptions):
 
 @dataclass(frozen=True)
 class FieldConfig(_Section):
-    """External driving field: a registry ``kind`` plus its parameters."""
+    """External driving field: a component ``kind`` plus its parameters."""
 
     _context = "field"
 
-    kind: str = setting("zero", str)
+    kind: str = setting("zero", str, choices=tuple(COMPONENTS["field"]))
     params: Dict[str, Any] = setting({}, dict)
 
     def __post_init__(self) -> None:
@@ -205,7 +196,7 @@ class PropagationConfig(_Section):
 
     _context = "propagation"
 
-    propagator: str = setting("ptim_ace", str)
+    propagator: str = setting("ptim_ace", str, choices=tuple(COMPONENTS["propagator"]))
     dt_as: float = setting(50.0, float, lo=0, open=True)
     n_steps: int = setting(10, int, lo=0)
     observe_every: int = setting(1, int, lo=1)

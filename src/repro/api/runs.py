@@ -21,7 +21,7 @@ import contextlib
 from typing import Any, Callable, Dict, Iterable, NamedTuple, Optional, Tuple
 
 from repro.api.config import ConfigError, SimulationConfig
-from repro.api.registry import propagator_options
+from repro.api.components import propagator_options
 from repro.api.simulation import Simulation, SimulationResult
 from repro.scf.groundstate import default_nbands
 from repro.store.common import config_hash, group_address, group_key
@@ -64,7 +64,7 @@ def run_one(
     with span("api.run") as clock:
         prop = sim.config.propagation
         # options that cannot run are refused before an SCF is spent on them
-        propagator_options(prop.propagator, dict(prop.options))
+        propagator_options(prop.propagator, prop.options)
         _check_tracked_bands(sim)
         if store is not None:
             if sim.time != 0.0:

@@ -9,8 +9,8 @@ Hamiltonian → ``run_scf`` → propagator) used by every entry point with::
     sim.save_checkpoint("ckpt.npz")   # ... later ...
     Simulation.resume("ckpt.npz").propagate(n_steps=100)
 
-Components are built lazily from the config through the registries in
-:mod:`repro.api.registry`; the low-level objects stay reachable
+Components are built lazily from the config through the one name table
+of :mod:`repro.api.components`; the low-level objects stay reachable
 (``sim.grid``, ``sim.hamiltonian``) so facade users can drop down
 whenever the high-level surface is too coarse.
 """
@@ -30,7 +30,7 @@ from repro.api.config import (
     check_config_matches,
     overridden,
 )
-from repro.api.registry import CELLS, FIELDS, FUNCTIONALS, PROPAGATORS
+from repro.api.components import build, propagator_options
 from repro.backend import Backend, FFTTally
 from repro.constants import AU_PER_ATTOSECOND
 from repro.grid.fftgrid import PlaneWaveGrid
@@ -348,7 +348,7 @@ class Simulation:
     def cell(self):
         if self._cell is None:
             sys = self.config.system
-            self._cell = CELLS.build(sys.cell, **sys.cell_params)
+            self._cell = build("cell", sys.cell, **sys.cell_params)
         return self._cell
 
     @property
@@ -395,13 +395,13 @@ class Simulation:
     @property
     def functional(self):
         sys = self.config.system
-        return FUNCTIONALS.build(sys.functional, **sys.functional_params)
+        return build("functional", sys.functional, **sys.functional_params)
 
     @property
     def field(self):
         if self._field is None:
             fld = self.config.field
-            self._field = FIELDS.build(fld.kind, **fld.params)
+            self._field = build("field", fld.kind, **fld.params)
         return self._field
 
     @property
@@ -459,10 +459,12 @@ class Simulation:
     def build_propagator(self):
         """The configured propagator over this simulation's Hamiltonian."""
         prop = self.config.propagation
-        return PROPAGATORS.build(
+        options = propagator_options(prop.propagator, prop.options)
+        return build(
+            "propagator",
             prop.propagator,
             self.hamiltonian,
-            dict(prop.options),
+            **({} if options is None else {"options": options}),
             track_sigma=[tuple(p) for p in prop.track_sigma],
             record_energy=prop.record_energy,
         )

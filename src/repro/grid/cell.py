@@ -116,7 +116,7 @@ def silicon_cubic_cell(lattice_constant: float = SILICON_LATTICE_BOHR) -> UnitCe
 
 
 def silicon_supercell(
-    reps: Sequence[int], lattice_constant: float = SILICON_LATTICE_BOHR
+    reps: Sequence[int] = (1, 1, 1), lattice_constant: float = SILICON_LATTICE_BOHR
 ) -> UnitCell:
     """Silicon supercell of ``8 * n1 * n2 * n3`` atoms.
 

@@ -21,15 +21,19 @@ import numpy as np
 from repro.constants import AU_PER_FEMTOSECOND, laser_omega_from_wavelength_nm
 
 
-def _polarization(value) -> np.ndarray:
-    """``value`` as a float 3-vector, refused by name when it is not one."""
+def _polarization(value) -> Tuple[float, float, float]:
+    """``value`` as a unit 3-vector, refused by name when it is not a
+    nonzero 3-vector of numbers (a unit axis vector is kept bit for bit)."""
     try:
         pol = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
         pol = np.empty(0)
     if pol.shape != (3,):
         raise ValueError(f"polarization must be a 3-vector of numbers, got {value!r}")
-    return pol
+    n = np.linalg.norm(pol)
+    if n < 1e-12:
+        raise ValueError(f"polarization must be a nonzero vector, got {value!r}")
+    return tuple(pol / n)
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class GaussianLaserPulse:
     fwhm_fs:
         Intensity FWHM of the envelope in femtoseconds.
     polarization:
-        Unit vector; the paper polarizes along x.
+        Direction, normalized to a unit vector; the paper polarizes along x.
     """
 
     amplitude: float = 0.01
@@ -69,11 +73,7 @@ class GaussianLaserPulse:
     polarization: Tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        pol = _polarization(self.polarization)
-        n = np.linalg.norm(pol)
-        if n < 1e-12:
-            raise ValueError("polarization must be a nonzero vector")
-        object.__setattr__(self, "polarization", tuple(pol / n))
+        object.__setattr__(self, "polarization", _polarization(self.polarization))
 
     @property
     def omega(self) -> float:
@@ -117,20 +117,22 @@ class StaticKick:
     """Delta-kick field for absorption-spectrum runs.
 
     An instantaneous momentum boost at t=0 is represented by a constant
-    vector potential ``A = kick`` for t > 0 (the standard velocity-gauge
-    delta kick: E(t) = -kick * delta(t)).
+    vector potential ``A = kick * e_pol`` for t > 0 (the standard
+    velocity-gauge delta kick: E(t) = -kick * delta(t) * e_pol), with
+    ``polarization`` normalized to the unit vector ``e_pol`` as the
+    pulse's is, so ``|A| = kick`` in any direction.
     """
 
     kick: float = 1e-3
     polarization: Tuple[float, float, float] = (1.0, 0.0, 0.0)
 
     def __post_init__(self) -> None:
-        _polarization(self.polarization)
+        object.__setattr__(self, "polarization", _polarization(self.polarization))
 
     def vector_potential(self, t: float) -> np.ndarray:
         if t < 0.0:
             return np.zeros(3)
-        return self.kick * np.asarray(self.polarization, dtype=float)
+        return self.kick * np.asarray(self.polarization)
 
     def electric_field(self, t: float) -> np.ndarray:
         return np.zeros(3)

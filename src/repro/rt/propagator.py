@@ -153,6 +153,8 @@ class PropagatorBase:
     """
 
     name = "base"
+    #: the dataclass of the ``[propagation.options]`` it takes (``None``: none)
+    options_class = None
 
     def __init__(
         self,

@@ -17,7 +17,7 @@ sigma, PT-IM and PT-CN trajectories agree to the integrator order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Tuple
 
 from repro.occupation.sigma import hermitize
 from repro.rt.propagator import StepStats, TDState
@@ -39,9 +39,7 @@ class PTCNPropagator(PTIMPropagator):
     """
 
     name = "pt-cn"
-
-    def __init__(self, ham, options: Optional[PTCNOptions] = None, **kwargs) -> None:
-        super().__init__(ham, options or PTCNOptions(), **kwargs)
+    options_class = PTCNOptions
 
     def _sigma_update(self, state, h_sub, sigma_mid, dt, sigma_out) -> None:
         """The occupation matrix frozen: its residual is zero, no resolvent."""

@@ -132,10 +132,11 @@ class PTIMPropagator(PropagatorBase):
     """Single-loop PT-IM (Fig. 4(a)): dense exchange in every SCF iteration."""
 
     name = "pt-im"
+    options_class = PTIMOptions
 
     def __init__(self, ham, options: Optional[PTIMOptions] = None, **kwargs) -> None:
         super().__init__(ham, **kwargs)
-        self.options = options or PTIMOptions()
+        self.options = options or self.options_class()
         # one mixer for the propagator's lifetime: every fixed-point loop
         # resets it, so its history buffers are allocated once
         self._mixer = AndersonMixer(history=self.options.mix_history, beta=self.options.mix_beta)

@@ -56,9 +56,7 @@ class PTIMACEPropagator(PTIMPropagator):
     """PT-IM with adaptively compressed exchange (paper Sec. IV-A2)."""
 
     name = "pt-im-ace"
-
-    def __init__(self, ham, options: Optional[PTIMACEOptions] = None, **kwargs) -> None:
-        super().__init__(ham, options or PTIMACEOptions(), **kwargs)
+    options_class = PTIMACEOptions
 
     def _set_midpoint_exchange(self, image: MidpointImage) -> None:
         """Exchange is the fixed compressed operator for a whole inner loop."""

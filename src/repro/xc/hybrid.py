@@ -80,3 +80,7 @@ class HybridFunctional:
         """G-space interaction kernel of the exact-exchange term."""
         return exchange_kernel(grid, screened=self.screened, omega=self.omega)
 
+
+def pbe0(name: str = "PBE0-LDA", **params) -> HybridFunctional:
+    """The unscreened global hybrid, config name ``pbe0``."""
+    return HybridFunctional(screened=False, name=name, **params)

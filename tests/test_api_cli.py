@@ -154,7 +154,8 @@ def test_cli_validate_unknown_component(tmp_path, capsys):
     bad = tmp_path / "bad.toml"
     bad.write_text('[propagation]\npropagator = "magic"\n')
     assert main(["validate", str(bad)]) == 2
-    assert "unknown propagator" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "propagation.propagator must be one of " in err and "got 'magic'" in err
 
 
 @pytest.mark.parametrize(
@@ -271,13 +272,18 @@ def _refusal(argv, capsys) -> str:
          "polarization must be a 3-vector of numbers, got (1, 0)"),
         ('[field]\nkind = "static_kick"\nparams = {polarization = 5}\n',
          "polarization must be a 3-vector of numbers, got 5"),
-        ("[system]\nfunctional_params = {alpha = 2.0}\n", "alpha must be in (0, 1], got 2.0"),
-        ("[system]\nfunctional_params = {omega = 0.0}\n", "omega must be > 0 for a screened hybrid, got 0.0"),
+        ('[field]\nkind = "static_kick"\nparams = {polarization = [0, 0, 0]}\n',
+         "field.params: bad parameters for field 'static_kick': "
+         "polarization must be a nonzero vector, got (0, 0, 0)"),
+        ("[system]\nfunctional_params = {alpha = 2.0}\n",
+         "bad parameters for functional 'hse': alpha must be in (0, 1], got 2.0"),
+        ("[system]\nfunctional_params = {omega = 0.0}\n",
+         "bad parameters for functional 'hse': omega must be > 0 for a screened hybrid, got 0.0"),
         ("[system]\nfunctional_params = {beta = 1}\n", "bad parameters for functional 'hse': "),
         ("[system]\ncell_params = {spacing = 1}\n", "bad parameters for cell 'silicon_cubic': "),
     ],
-    ids=["pulse-polarization", "kick-polarization", "scalar-polarization", "alpha", "omega",
-         "unknown-functional-param", "unknown-cell-param"],
+    ids=["pulse-polarization", "kick-polarization", "scalar-polarization", "kick-zero-polarization",
+         "alpha", "omega", "unknown-functional-param", "unknown-cell-param"],
 )
 def test_cli_validate_builds_each_component_with_its_params(tmp_path, capsys, section, refusal):
     """``validate`` builds the cell, the functional and the field with
@@ -296,7 +302,10 @@ def test_cli_run_refuses_a_polarization_before_the_scf(tmp_path, capsys):
     store = tmp_path / "store"
     assert main(["run", str(cfg), "--store", str(store)]) == 2
     out, err = capsys.readouterr()
-    assert err == "error: polarization must be a 3-vector of numbers, got (1, 0)\n"
+    assert err == (
+        "error: field.params: bad parameters for field 'gaussian_pulse': "
+        "polarization must be a 3-vector of numbers, got (1, 0)\n"
+    )
     assert "ground state" not in out
     assert not list(store.glob("blobs/ground_states/*.npz"))
 
@@ -395,6 +404,35 @@ def test_cli_validate_bad_parallel_section(tmp_path, capsys):
     bad.write_text('[parallel]\nmachine = "cray"\n')
     assert main(["validate", str(bad)]) == 2
     assert "parallel.machine" in capsys.readouterr().err
+
+
+def test_cli_run_refuses_an_unknown_pattern_before_the_scf(tmp_path, capsys):
+    """``--pattern`` has no copy of the pattern names: a misspelled one is
+    refused by ``parallel.pattern``'s declaration, before any SCF."""
+    cfg = tmp_path / "cfg.toml"
+    cfg.write_text(TINY_TOML)
+    store = tmp_path / "store"
+    line = _refusal(["run", str(cfg), "--pattern", "ringg", "--store", str(store)], capsys)
+    assert line.startswith("error: parallel.pattern must be one of ") and "got 'ringg'" in line
+    assert not store.exists()
+
+
+def test_cli_perf_refuses_an_unknown_machine(capsys):
+    line = _refusal(["perf", "--machine", "nope"], capsys)
+    assert "unknown machine 'nope'" in line
+    assert "fugaku-arm" in line and "a100-gpu" in line
+
+
+def test_cli_sweep_refuses_an_unknown_component_before_any_run(tmp_path, capsys):
+    """Each sweep point is parsed when the grid is expanded, so a
+    misspelled propagator exits 2 naming the key before a store, a row or
+    an SCF exists."""
+    cfg = tmp_path / "sweep.toml"
+    cfg.write_text(TINY_TOML + '\n[sweep.axes]\n"propagation.propagator" = ["ptim", "ptm"]\n')
+    store = tmp_path / "store"
+    line = _refusal(["sweep", str(cfg), "--store", str(store)], capsys)
+    assert line.startswith("error: propagation.propagator must be one of ") and "got 'ptm'" in line
+    assert not store.exists()
 
 
 def test_cli_run_parallel_flags_print_breakdown(capsys):

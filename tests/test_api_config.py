@@ -6,21 +6,17 @@ import json
 import pytest
 
 from repro.api import (
-    CELLS,
-    FIELDS,
-    FUNCTIONALS,
-    PROPAGATORS,
+    COMPONENTS,
     BackendConfig,
     ConfigError,
-    Registry,
-    RegistryError,
     SCFConfig,
     Simulation,
     SimulationConfig,
     SystemConfig,
-    available_components,
+    build,
 )
 from repro.api.cli import main
+from repro.api.components import factory, propagator_options
 from repro.api.config import _Section
 from repro.rt.ptim import PTIMOptions
 from repro.rt.ptim_ace import PTIMACEOptions
@@ -318,15 +314,18 @@ def test_scf_config_maps_onto_scf_options():
     assert (opts.nbands, opts.temperature_k, opts.seed) == (12, 300.0, 3)
 
 
-# ---------------- registries ---------------------------------------------------
+# ---------------- component table ----------------------------------------------
 def test_builtin_components_registered():
-    comps = available_components()
-    # `repro components` lists what the registries hold and nothing else
-    assert set(comps) == {"cell", "functional", "field", "propagator"}
-    assert "silicon_cubic" in comps["cell"]
-    assert {"lda", "hse", "pbe0"} <= set(comps["functional"])
-    assert {"zero", "gaussian_pulse", "static_kick"} <= set(comps["field"])
-    assert {"rk4", "ptim", "ptim_ace", "ptcn"} <= set(comps["propagator"])
+    # `repro components` lists the table and nothing else
+    assert set(COMPONENTS) == {"cell", "functional", "field", "propagator"}
+    assert set(COMPONENTS["cell"]) == {"silicon_cubic", "silicon_supercell"}
+    assert set(COMPONENTS["functional"]) == {"lda", "hse", "pbe0"}
+    assert set(COMPONENTS["field"]) == {"zero", "gaussian_pulse", "static_kick"}
+    assert set(COMPONENTS["propagator"]) == {"rk4", "ptim", "ptim_ace", "ptcn"}
+    # every entry names a factory that exists
+    for kind, names in COMPONENTS.items():
+        for name in names:
+            assert callable(factory(kind, name)), (kind, name)
 
 
 def test_builtin_factories_build_through_the_registry():
@@ -334,50 +333,48 @@ def test_builtin_factories_build_through_the_registry():
     is the unscreened hybrid under its own name unless one is given."""
     from repro.grid.cell import silicon_cubic_cell
 
-    cell = CELLS.build("silicon_supercell", reps=[2, 1, 1])
+    cell = build("cell", "silicon_supercell", reps=[2, 1, 1])
     base = silicon_cubic_cell()
     assert cell.natom == 16
     assert cell.volume == pytest.approx(2.0 * base.volume, rel=1e-12)
-    pbe0 = FUNCTIONALS.build("pbe0")
+    assert build("cell", "silicon_supercell").natom == 8
+    pbe0 = build("functional", "pbe0")
     assert pbe0.is_hybrid and not pbe0.screened and pbe0.name == "PBE0-LDA"
-    assert pbe0.alpha == FUNCTIONALS.build("hse").alpha
-    assert FUNCTIONALS.build("pbe0", name="mine", alpha=0.5).name == "mine"
+    assert pbe0.alpha == build("functional", "hse").alpha
+    assert build("functional", "pbe0", name="mine", alpha=0.5).name == "mine"
 
 
-@pytest.mark.parametrize("registry", [CELLS, FUNCTIONALS, FIELDS, PROPAGATORS])
+@pytest.mark.parametrize(
+    "registry",
+    [("system", "cell"), ("system", "functional"), ("field", "kind"), ("propagation", "propagator")],
+)
 def test_unknown_registry_key_lists_known(registry):
-    with pytest.raises(RegistryError) as err:
-        registry.get("no_such_component")
-    message = str(err.value)
-    assert "no_such_component" in message
-    for name in registry.names():
-        assert name in message
-
-
-def test_register_decorator_and_duplicate_rejection():
-    reg = Registry("widget")
-
-    @reg.register("one")
-    def make_one():
-        return 1
-
-    assert reg.get("one") is make_one
-    assert reg.build("one") == 1
-    assert "one" in reg
-    with pytest.raises(RegistryError, match="already registered"):
-        reg.register("one", lambda: 2)
-    reg.unregister("one")
-    assert "one" not in reg
+    """A name outside the component table is refused when the config is
+    parsed, naming its dotted key and every valid name; names are exact,
+    so a capitalized one is refused too."""
+    section, key = registry
+    kind = "field" if key == "kind" else key
+    for name in ("no_such_component", sorted(COMPONENTS[kind])[0].upper()):
+        with pytest.raises(ConfigError) as err:
+            SimulationConfig.from_dict({section: {key: name}})
+        message = str(err.value)
+        assert message.startswith(f"{section}.{key} must be one of ")
+        assert message.endswith(f"got {name!r}")
+        for valid in COMPONENTS[kind]:
+            assert repr(valid) in message
 
 
 def test_registry_bad_parameters_named():
-    with pytest.raises(RegistryError, match="bad parameters for field 'zero'"):
-        FIELDS.build("zero", bogus=1)
+    with pytest.raises(ConfigError, match=r"^field\.params: bad parameters for field 'zero': "):
+        build("field", "zero", bogus=1)
+    # a factory's ValueError is named the same way as its TypeError
+    with pytest.raises(ConfigError, match=r"^system\.functional_params: bad parameters for functional 'hse': alpha"):
+        build("functional", "hse", alpha=2.0)
 
 
 def test_propagator_options_validated():
-    with pytest.raises(RegistryError, match="unknown option"):
-        PROPAGATORS.build("ptim", None, {"densty_tol": 1e-6})
+    with pytest.raises(ConfigError, match="unknown option"):
+        propagator_options("ptim", {"densty_tol": 1e-6})
 
 
 @pytest.mark.parametrize(
@@ -391,8 +388,8 @@ def test_propagator_options_validated():
         ("ptim_ace", {"max_inner": 0}, ValueError),
         ("ptim_ace", {"exchange_tol": 0.0}, ValueError),
         ("ptim", {"fock_mode": "dense-tripleloop"}, ValueError),
-        ("ptim", {"density_mode": "pairwise"}, RegistryError),
-        ("rk4", {"density_tol": 1e-6}, RegistryError),
+        ("ptim", {"density_mode": "pairwise"}, ConfigError),
+        ("rk4", {"density_tol": 1e-6}, ConfigError),
         ("ptim", {"max_scf": True}, ValueError),
         ("ptim", {"mix_history": True}, ValueError),
         ("ptim_ace", {"max_outer": True}, ValueError),
@@ -411,7 +408,7 @@ def test_propagator_options_refuse_what_cannot_run(name, options, error):
     before any Hamiltonian is needed."""
     (key,) = options
     with pytest.raises(error, match=key):
-        PROPAGATORS.build(name, None, options)
+        propagator_options(name, options)
 
 
 def test_config_diff_names_dotted_keys():

@@ -377,20 +377,21 @@ def test_per_run_failures_are_captured_not_fatal():
     base, _ = load_sweep_file(SWEEP_TOML)
     base = base.replace(propagation={"n_steps": 1})
     sweep = SweepConfig.from_dict(
-        # the bad name only surfaces when the run builds its propagator
-        {"axes": {"propagation.propagator": ["ptim", "warp-drive"]}}
+        # an option is checked only when its run builds the propagator's options
+        {"axes": {"propagation.options.max_scf": [30, 0]}}
     )
     result = run_ensemble(base, sweep)
     assert [r.status for r in result.runs] == ["ok", "error"]
-    assert "warp-drive" in result.failures[0].error
+    assert "propagation.options.max_scf" in result.failures[0].error
     assert result.stacked("dipole").shape == (1, 2, 3)  # the good run survived
 
 
 def test_ground_state_failure_marks_whole_group_not_sweep():
     base, _ = load_sweep_file(SWEEP_TOML)
-    sweep = SweepConfig.from_dict({"axes": {"system.cell": ["unobtainium"]}})
+    sweep = SweepConfig.from_dict({"axes": {"system.cell_params.unobtainium": [1]}})
     result = run_ensemble(base, sweep)  # must not raise
     assert [r.status for r in result.runs] == ["error"]
+    assert "bad parameters for cell 'silicon_cubic'" in result.failures[0].error
     assert "unobtainium" in result.failures[0].error
 
 

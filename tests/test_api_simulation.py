@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.api import ConfigError, RegistryError, Simulation, SimulationConfig, SimulationResult
+from repro.api import ConfigError, Simulation, SimulationConfig, SimulationResult
 
 CFG = {
     "system": {"cell": "silicon_cubic", "ecut": 2.0, "functional": "lda"},
@@ -70,9 +70,10 @@ def test_from_file_builds_the_shipped_quickstart():
 
 
 def test_unknown_component_surfaces_at_build():
-    sim = Simulation.from_config({**CFG, "system": {**CFG["system"], "functional": "b3lyp"}})
-    with pytest.raises(RegistryError, match="unknown functional 'b3lyp'"):
-        _ = sim.hamiltonian
+    """An unknown name is refused when the config is parsed, before any
+    component is built."""
+    with pytest.raises(ConfigError, match=r"^system\.functional must be one of .*'hse'.*, got 'b3lyp'$"):
+        Simulation.from_config({**CFG, "system": {**CFG["system"], "functional": "b3lyp"}})
 
 
 def test_propagate_argument_validation(base_sim):

@@ -89,6 +89,23 @@ def test_a_served_study_never_imports_the_physics(tmp_path):
     assert (tmp_path / "job.npz").stat().st_size > 0
 
 
+def test_listing_the_components_loads_no_physics(tmp_path):
+    """``repro components`` reads the component table, not the factories."""
+    script = (
+        f"import json, sys\nsys.path[:0] = {sys.path!r}\n"
+        "from repro.api.cli import main\n"
+        "assert main(['components']) == 0\n"
+        f"print(json.dumps(sorted(m for m in sys.modules if any("
+        f"m == p or m.startswith(p + '.') for p in {PHYSICS!r}))))\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr[-3000:]
+    assert "propagator: ptcn, ptim, ptim_ace, rk4" in proc.stdout
+    assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
+
+
 #: SciPy's Python packages: its FFT and special-function layers and the
 #: array-API layer both import (which imports ``numpy.f2py``)
 SCIPY_PACKAGES = ("scipy.fft", "scipy.special", "scipy._lib._array_api")

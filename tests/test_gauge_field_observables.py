@@ -97,6 +97,17 @@ def test_pulse_polarization_normalized():
         GaussianLaserPulse(polarization=(0.0, 0.0, 0.0))
 
 
+def test_kick_polarization_normalized():
+    """The kick's direction is normalized as the pulse's is, so |A| is the
+    kick in any direction; a unit axis vector is kept bit for bit."""
+    kick = StaticKick(kick=1e-3, polarization=(1, 1, 0))
+    assert np.linalg.norm(kick.vector_potential(1.0)) == pytest.approx(1e-3, rel=1e-15)
+    along_z = StaticKick(kick=2e-3, polarization=(0, 0, 1)).vector_potential(1.0)
+    assert along_z.tobytes() == (2e-3 * np.array([0.0, 0.0, 1.0])).tobytes()
+    with pytest.raises(ValueError, match="polarization must be a nonzero vector"):
+        StaticKick(polarization=[0, 0, 0])
+
+
 def test_pulse_envelope_decays():
     pulse = GaussianLaserPulse(center_fs=1.0, fwhm_fs=0.5)
     far = 20.0 * AU_PER_FEMTOSECOND

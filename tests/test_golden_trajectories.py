@@ -25,14 +25,14 @@ import numpy as np
 import pytest
 
 import make_golden
-from repro.api import PROPAGATORS, SimulationConfig
+from repro.api import COMPONENTS, SimulationConfig
 
 GOLDEN_TOL = 1e-10
 
 
 def test_every_registered_propagator_has_a_golden_config():
     """New propagators must come with a golden reference run."""
-    missing = set(PROPAGATORS.names()) - set(make_golden.CONFIGS)
+    missing = set(COMPONENTS["propagator"]) - set(make_golden.CONFIGS)
     assert not missing, (
         f"propagator(s) {sorted(missing)} have no golden config; add them to "
         f"tests/make_golden.py CONFIGS and run: PYTHONPATH=src python tests/make_golden.py"

@@ -18,7 +18,7 @@ from repro.hamiltonian.kinetic import KineticOperator
 from repro.occupation.sigma import diagonalize_sigma, hermitize, rotate_orbitals, unrotate_orbitals
 from repro.trace import recorder
 from repro.utils.rng import default_rng
-from repro.api.registry import FUNCTIONALS
+from repro.api.components import build as build_component
 from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 
@@ -216,7 +216,7 @@ def pulsed(grid):
 
     def build(functional):
         pulse = GaussianLaserPulse(amplitude=0.05, center_fs=0.0, fwhm_fs=1.0)
-        h = Hamiltonian(grid, FUNCTIONALS.build(functional), field=pulse)
+        h = Hamiltonian(grid, build_component("functional", functional), field=pulse)
         rho = 1.0 + 0.3 * default_rng(20).random(grid.ngrid)
         h.update_density(rho * h.n_electrons / (rho.sum() * grid.dv))
         h.set_time(0.3)
@@ -299,8 +299,9 @@ def test_build_ace_from_the_eigenbasis_image_is_the_same_operator(ham_hse, grid)
 
 
 def test_a_vector_potential_that_is_not_a_3_vector_is_refused(grid):
-    """A registered field is code from outside: one whose A(t) is not a
-    3-vector is refused by name when the Hamiltonian moves to its time."""
+    """A field handed to the Hamiltonian is code from outside: one whose
+    A(t) is not a 3-vector is refused by name when the Hamiltonian moves
+    to its time."""
 
     class PlanarField:
         def vector_potential(self, t):

@@ -39,7 +39,7 @@ from repro.rt.ptim_ace import PTIMACEOptions, PTIMACEPropagator  # noqa: E402
 from repro.rt.propagator import TDState  # noqa: E402
 from repro.rt.rk4 import RK4Propagator  # noqa: E402
 from repro.utils.rng import default_rng  # noqa: E402
-from repro.api.registry import FUNCTIONALS  # noqa: E402
+from repro.api.components import build as build_component  # noqa: E402
 
 SETTINGS = settings(max_examples=5, deadline=None, derandomize=True)
 
@@ -57,7 +57,7 @@ def _grid() -> PlaneWaveGrid:
 def _ham(functional: str) -> Hamiltonian:
     if functional not in _HAMS:
         _HAMS[functional] = Hamiltonian(
-            _grid(), FUNCTIONALS.build(functional), field=ZeroField()
+            _grid(), build_component("functional", functional), field=ZeroField()
         )
     return _HAMS[functional]
 

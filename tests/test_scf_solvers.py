@@ -26,7 +26,7 @@ from repro.scf.eigensolver import (
 from repro.scf.groundstate import default_nbands
 from repro.scf.mixing import AndersonMixer, KerkerMixer, LinearMixer
 from repro.utils.rng import default_rng
-from repro.api.registry import FUNCTIONALS
+from repro.api.components import build as build_component
 from repro.xc.hybrid import HybridFunctional, SemilocalFunctional
 
 
@@ -703,7 +703,7 @@ def test_scf_converged_needs_the_last_eigensolve_converged(tiny_grid, monkeypatc
     from repro.scf import SCFOptions, run_scf
 
     opts = SCFOptions(nbands=20, density_tol=1e-3, exchange_tol=1e-2, max_outer=6)
-    h = Hamiltonian(tiny_grid, FUNCTIONALS.build(functional))
+    h = Hamiltonian(tiny_grid, build_component("functional", functional))
     solve = groundstate.davidson
     for flags, converged in (
         (lambda k, result: k != 1 and result.converged, True),

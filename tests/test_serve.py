@@ -221,6 +221,22 @@ def test_e2e_a_bad_jobs_body_is_400_naming_it(e2e, body, length, refusal):
     assert [job["job_id"] for job in e2e["client"].jobs()] == before
 
 
+def test_an_unknown_component_name_is_400_and_writes_no_row(tmp_path):
+    """A misspelled cell is refused when ``POST /jobs`` parses the config,
+    naming its key and the valid cells, and no row is written: the job is
+    not queued to use up its attempts on a name no worker can build."""
+    with JobService(tmp_path / "store", port=0, workers=1) as service:
+        body = {"config": {"system": {"cell": "silicon_cubc"}}}
+        status, error = _post_jobs(service.url, json.dumps(body).encode())
+        assert status == 400
+        assert error == (
+            "system.cell must be one of 'silicon_cubic', 'silicon_supercell', got 'silicon_cubc'"
+        )
+        client = ServeClient(service.url)
+        assert client.jobs() == []
+        assert client.stats()["total_jobs"] == 0
+
+
 def test_e2e_an_unknown_status_filter_is_400(e2e, capsys):
     from repro.api.cli import main
 

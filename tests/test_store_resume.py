@@ -216,7 +216,8 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
         {
             "mode": "zip",
             "axes": {
-                "propagation.propagator": ["ptim", "warp-drive", "ptim"],
+                # an option is checked only when its run starts: max_scf = 0 raises
+                "propagation.options.max_scf": [30, 0, 30],
                 "propagation.n_steps": [2, 2, 5000],  # the last one never finishes
             },
         }
@@ -224,7 +225,7 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
     store_dir = tmp_path / "study"
     ResultStore(store_dir).close()
     victim = run_id_for(
-        base_config.replace(propagation={"propagator": "ptim", "n_steps": 5000})
+        base_config.replace(propagation={"options": {"max_scf": 30}, "n_steps": 5000})
     )
 
     # The calling process computes too, and whoever is free takes the next
@@ -265,7 +266,7 @@ def test_worker_pool_isolates_a_raising_and_a_killed_variant(
     assert not killer.is_alive()
 
     assert [r.status for r in result.runs] == ["ok", "error", "error"]
-    assert "warp-drive" in result.runs[1].error
+    assert "propagation.options.max_scf" in result.runs[1].error
     assert "died" in result.runs[2].error
     store = ResultStore.ensure(store_dir)
     assert sorted(r.status for r in store.query()) == ["error", "error", "ok"]
