@@ -11,7 +11,7 @@ Commands
 ``resume NPZ``
     Continue the trajectory a result file ends in for more steps: a
     checkpoint (carries the ground state) or any ``--output`` /
-    ``results export`` / ``jobs fetch`` file; ends with the same split.
+    ``jobs fetch`` file; ends with the same split.
 ``sweep CONFIG``
     Expand a config with a ``[sweep]`` section into a run grid and
     execute it (``--workers N``: N processes drain the store's job
@@ -21,16 +21,15 @@ Commands
 ``validate CONFIG``
     Parse + validate a config and print its normalized JSON (including
     the ``[sweep] store`` target / ``--store`` path when given).
-``results ls|show|export STORE``
-    Query a result store's run index, materialize a stored run back
-    into a full result, or export it as a standalone ``.npz``.
 ``serve CONFIG``
     Run the long-lived job service over a result store: durable queue,
     process worker pool, HTTP/JSON API (see :mod:`repro.serve`).
 ``submit CONFIG``
     Submit a config (or its ``[sweep]`` expansion) to a running server.
-``jobs ls|show|watch|fetch|cancel``
-    Inspect and manage jobs on a running server.
+``jobs ls|show|fetch|watch|cancel TARGET``
+    Read the runs of a result-store directory or a running server's URL
+    alike: list (filterable), show one with its attempts, copy out its
+    result ``.npz``; ``watch`` and ``cancel`` act on a server's jobs.
 ``components``
     List every cell / functional / field / propagator a config can name.
 ``perf``
@@ -53,6 +52,9 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
+import time
+from pathlib import Path
 from typing import TYPE_CHECKING, List, Optional
 
 if TYPE_CHECKING:
@@ -105,7 +107,7 @@ def _build_parser() -> argparse.ArgumentParser:
     resume = sub.add_parser("resume", help="continue the trajectory a result file ends in")
     resume.add_argument(
         "result_file", metavar="NPZ",
-        help="checkpoint, --output, results-export or jobs-fetch .npz of a previous run",
+        help="checkpoint, --output or jobs-fetch .npz of a previous run",
     )
     resume.add_argument("--steps", type=int, default=None, help="override propagation.n_steps")
     resume.add_argument("--output", default=None, metavar="NPZ", help="save observables + config")
@@ -132,50 +134,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--store", default=None, metavar="DIR",
         help="also validate this result-store path (overrides sweep.store)",
     )
-
-    results = sub.add_parser("results", help="query and export runs from a result store")
-    rsub = results.add_subparsers(dest="results_command", required=True)
-    res_ls = rsub.add_parser("ls", help="list stored runs (filterable)")
-    res_ls.add_argument("store", help="result-store directory")
-    res_ls.add_argument(
-        "--status", default=None, metavar="STATE",
-        help="only runs in this state (queued, running, ok, error or cancelled)",
-    )
-    res_ls.add_argument(
-        "--where", action="append", default=[], metavar="KEY=VALUE",
-        help="dotted config-key filter, e.g. field.params.kick=0.002 (repeatable)",
-    )
-    res_ls.add_argument(
-        "--since", default=None, metavar="WHEN",
-        help="only runs created at/after WHEN (ISO date or unix timestamp)",
-    )
-    res_ls.add_argument(
-        "--until", default=None, metavar="WHEN",
-        help="only runs created at/before WHEN (ISO date or unix timestamp; "
-             "a plain date covers through the end of that day)",
-    )
-    res_ls.add_argument(
-        "--limit", type=int, default=None, metavar="N",
-        help="show at most N runs (creation order)",
-    )
-    res_ls.add_argument(
-        "--offset", type=int, default=0, metavar="N",
-        help="skip the first N matching runs (paging with --limit)",
-    )
-    res_show = rsub.add_parser(
-        "show", help="materialize one stored run and print its summary"
-    )
-    res_show.add_argument("store", help="result-store directory")
-    res_show.add_argument("run_id", help="run id (see: repro results ls)")
-    res_show.add_argument(
-        "--config", action="store_true", help="also print the run's full config JSON"
-    )
-    res_export = rsub.add_parser(
-        "export", help="write a stored run as a standalone result .npz"
-    )
-    res_export.add_argument("store", help="result-store directory")
-    res_export.add_argument("run_id", help="run id (see: repro results ls)")
-    res_export.add_argument("output", metavar="NPZ", help="output path")
 
     serve = sub.add_parser(
         "serve", help="run the job service (durable queue + worker pool + HTTP API)"
@@ -216,32 +174,62 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="block until every submitted job is terminal; "
                              "exit nonzero when any failed")
 
-    jobs = sub.add_parser("jobs", help="inspect and manage jobs on a running server")
+    jobs = sub.add_parser(
+        "jobs", help="read the runs of a result-store directory or a running job server"
+    )
     jsub = jobs.add_subparsers(dest="jobs_command", required=True)
-    jobs_ls = jsub.add_parser("ls", help="list jobs")
-    jobs_ls.add_argument("--status", default=None, metavar="STATE",
-                         help="only jobs in this state (as for results ls)")
-    jobs_ls.add_argument("--limit", type=int, default=None, metavar="N")
-    jobs_ls.add_argument("--offset", type=int, default=0, metavar="N")
-    jobs_show = jsub.add_parser("show", help="one job: status, progress, attempt history")
-    jobs_show.add_argument("job_id")
-    jobs_show.add_argument("--config", action="store_true",
-                           help="also print the job's full config JSON")
-    jobs_watch = jsub.add_parser(
-        "watch", help="poll one job (or the whole queue) until it settles"
+
+    def jobs_verb(name: str, help: str) -> argparse.ArgumentParser:
+        verb = jsub.add_parser(name, help=help)
+        verb.add_argument(
+            "target", metavar="TARGET",
+            help="result-store directory, or job-server URL (http://HOST:PORT)",
+        )
+        return verb
+
+    jobs_ls = jobs_verb("ls", "list runs (filterable)")
+    jobs_ls.add_argument(
+        "--status", default=None, metavar="STATE",
+        help="only runs in this state (queued, running, ok, error or cancelled)",
+    )
+    jobs_ls.add_argument(
+        "--where", action="append", default=[], metavar="KEY=VALUE",
+        help="dotted config-key filter, e.g. field.params.kick=0.002 (repeatable)",
+    )
+    jobs_ls.add_argument(
+        "--since", default=None, metavar="WHEN",
+        help="only runs created at/after WHEN (ISO date or unix timestamp)",
+    )
+    jobs_ls.add_argument(
+        "--until", default=None, metavar="WHEN",
+        help="only runs created at/before WHEN (ISO date or unix timestamp; "
+             "a plain date covers through the end of that day)",
+    )
+    jobs_ls.add_argument(
+        "--limit", type=int, default=None, metavar="N",
+        help="show at most N runs (creation order)",
+    )
+    jobs_ls.add_argument(
+        "--offset", type=int, default=0, metavar="N",
+        help="skip the first N matching runs (paging with --limit)",
+    )
+    jobs_show = jobs_verb("show", "one run: its row, attempt history and result summary")
+    jobs_show.add_argument("run_id", help="run id (see: repro jobs ls)")
+    jobs_show.add_argument(
+        "--config", action="store_true", help="also print the run's full config JSON"
+    )
+    jobs_fetch = jobs_verb("fetch", "copy a finished run's result .npz to a path")
+    jobs_fetch.add_argument("run_id", help="run id (see: repro jobs ls)")
+    jobs_fetch.add_argument("output", metavar="NPZ", help="output path")
+    jobs_watch = jobs_verb(
+        "watch", "poll one job (or the whole queue) on a server until it settles"
     )
     jobs_watch.add_argument("job_id", nargs="?", default=None,
                             help="job to watch (default: until the queue drains)")
     jobs_watch.add_argument("--timeout", type=float, default=3600.0, metavar="S",
                             help="give up after S seconds (default %(default)s)")
-    jobs_fetch = jsub.add_parser("fetch", help="download a finished job's result .npz")
-    jobs_fetch.add_argument("job_id")
-    jobs_fetch.add_argument("output", metavar="NPZ", help="output path")
-    jobs_cancel = jsub.add_parser("cancel", help="cancel a queued or running job")
+    jobs_cancel = jobs_verb("cancel", "cancel a queued or running job on a server")
     jobs_cancel.add_argument("job_id")
-    for jp in (jobs_ls, jobs_show, jobs_watch, jobs_fetch, jobs_cancel):
-        jp.add_argument("--url", default="http://127.0.0.1:8752",
-                        help="job-server address (default %(default)s)")
 
     sub.add_parser("components", help="list the cells/functionals/fields/propagators a config names")
 
@@ -294,7 +282,7 @@ def _finish(sim: Simulation, result, args, mark=None) -> None:
 
 
 def _cmd_run(args) -> int:
-    from repro.api.config import ConfigError, load_sweep_file
+    from repro.api.config import ConfigError, load_sweep_file, overridden
     from repro.api.runs import run_one
     from repro.api.simulation import Simulation
     from repro.store.common import run_id_for
@@ -307,22 +295,16 @@ def _cmd_run(args) -> int:
             f"{args.config} defines a sweep of {sweep.n_runs} run(s); "
             f"execute it with: repro sweep {args.config}"
         )
-    if args.steps is not None:
-        base = base.replace(propagation={"n_steps": args.steps})
-    if args.fft_workers is not None:
-        base = base.replace(backend={"fft_workers": args.fft_workers})
-    par_overrides = {}
-    if args.ranks is not None:
-        par_overrides["ranks"] = args.ranks
-    if args.pattern is not None:
-        par_overrides["pattern"] = args.pattern
-    if args.machine is not None:
-        par_overrides["machine"] = args.machine
-    if par_overrides:
+    # each flag is refused by its key's declaration, as a parsed value is
+    base = base.replace(
+        propagation=overridden(base.propagation, n_steps=args.steps),
+        backend=overridden(base.backend, fft_workers=args.fft_workers),
+    )
+    par_flags = {"ranks": args.ranks, "pattern": args.pattern, "machine": args.machine}
+    if any(value is not None for value in par_flags.values()):
         # an explicit parallel flag opts into the distributed path even
         # at one rank (parity smokes); ranks > 1 would activate anyway
-        par_overrides.setdefault("enabled", True)
-        base = base.replace(parallel=par_overrides)
+        base = base.replace(parallel=overridden(base.parallel, enabled=True, **par_flags))
     sim = Simulation(base)
     cfg = sim.config
     store = None
@@ -463,70 +445,7 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-def _cmd_results(args) -> int:
-    from repro.store import ResultStore, parse_when, parse_where
-
-    store = ResultStore(args.store, create=False)
-    try:
-        if args.results_command == "ls":
-            runs = store.query(
-                status=args.status,
-                where=parse_where(args.where),
-                since=parse_when(args.since),
-                until=parse_when(args.until, end=True),
-                limit=args.limit,
-                offset=args.offset,
-            )
-            print(
-                f"{'run id':<14} {'status':<8} {'created (UTC)':<20} "
-                f"{'t (s)':>8} {'steps':>6}  overrides"
-            )
-            for run in runs:
-                note = f"  !! {run.error.splitlines()[-1]}" if run.error else ""
-                print(
-                    f"{run.run_id:<14} {run.status:<8} {run.created_iso():<20} "
-                    f"{run.elapsed:>8.2f} {run.n_times:>6}  {run.label()}{note}"
-                )
-            if args.limit is not None or args.offset:
-                print(
-                    f"{len(runs)} run(s) shown (offset {args.offset}) "
-                    f"of {len(store)} total in {store.root}"
-                )
-            else:
-                print(f"{len(runs)} run(s) in {store.root}")
-        elif args.results_command == "show":
-            run = store.get(args.run_id)
-            print(f"run {run.run_id} [{run.label()}]: {run.status}")
-            print(
-                f"  created {run.created_iso()} UTC | elapsed {run.elapsed:.2f} s "
-                f"| {run.n_times} observations"
-            )
-            print(f"  config hash {run.config_hash}")
-            if run.gs_address:
-                print(f"  ground-state blob {run.gs_address}")
-            if run.error:
-                print(f"  error: {run.error}")
-            if run.ok:
-                result = store.load_result(run.run_id)
-                print(result.summary())
-                if result.fft is not None:
-                    print(
-                        f"FFTs: {result.fft.transforms} transforms in "
-                        f"{result.fft.calls} calls"
-                    )
-            if args.config:
-                print(run.config.to_json(indent=2))
-        else:  # export
-            path = store.export(args.run_id, args.output)
-            print(f"run {args.run_id} exported to {path}")
-    finally:
-        store.close()
-    return 0
-
-
 def _cmd_serve(args) -> int:
-    import time
-
     from repro.api.config import ConfigError, load_serve_file, overridden
     from repro.serve import JobService
 
@@ -574,7 +493,7 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     from repro.api.config import load_sweep_file
     from repro.api.ensemble import expand_sweep
-    from repro.serve import ServeClient
+    from repro.serve.client import ServeClient, stored_run
 
     base, sweep = load_sweep_file(args.config)
     variants = expand_sweep(base, sweep)
@@ -589,18 +508,9 @@ def _cmd_submit(args) -> int:
     if not args.wait:
         print(f"{len(submitted)} job(s) submitted to {args.url}")
         return 0
-    failed = 0
-    for job in submitted:
-        final = client.wait(job["job_id"])
-        line = f"{final['job_id']}  {final['status']:<8}"
-        if final["status"] == "ok":
-            line += f" run {final['run_id']}"
-        else:
-            failed += 1
-            if final["error"]:
-                line += f" {final['error'].splitlines()[0]}"
-        print(line)
-    return 1 if failed else 0
+    finals = [stored_run(client.wait(job["job_id"])) for job in submitted]
+    _print_listing(finals)
+    return 0 if all(run.ok for run in finals) else 1
 
 
 def _watch_line(job) -> str:
@@ -612,92 +522,126 @@ def _watch_line(job) -> str:
     )
 
 
+def _print_listing(runs) -> None:
+    """Rows, one line each: ``jobs ls`` of either target, ``submit --wait``."""
+    print(
+        f"{'run id':<14} {'status':<9} {'att':>3} {'created (UTC)':<20} "
+        f"{'t (s)':>8} {'steps':>6}  overrides"
+    )
+    for run in runs:
+        note = f"  !! {run.error.splitlines()[0]}" if run.error else ""
+        print(
+            f"{run.run_id:<14} {run.status:<9} {run.attempts:>3} {run.created_iso():<20} "
+            f"{run.elapsed:>8.2f} {run.n_times:>6}  {run.label()}{note}"
+        )
+
+
 def _cmd_jobs(args) -> int:
-    import sys as _sys
-    import time
-
-    from repro.serve import ServeClient
-
-    client = ServeClient(args.url)
-    if args.jobs_command == "ls":
-        jobs = client.jobs(status=args.status, limit=args.limit, offset=args.offset)
-        print(
-            f"{'job id':<14} {'status':<9} {'att':>3} {'progress':>8} "
-            f"{'run id':<14} note"
+    on_server = args.target.startswith(("http://", "https://"))
+    if args.jobs_command in ("watch", "cancel") and not on_server:
+        raise ValueError(
+            f"jobs {args.jobs_command} needs a job-server URL (http://HOST:PORT), "
+            f"got {args.target!r}: a store directory has no live jobs"
         )
-        for job in jobs:
-            note = ""
-            if job["error"]:
-                note = f"!! {job['error'].splitlines()[0]}"
-            elif job["message"]:
-                note = job["message"]
-            print(
-                f"{job['job_id']:<14} {job['status']:<9} {job['attempts']:>3} "
-                f"{100 * float(job['progress'] or 0):>7.0f}% "
-                f"{job['run_id'] or '-':<14} {note}"
-            )
-        print(f"{len(jobs)} job(s) on {args.url}")
-        return 0
-    if args.jobs_command == "show":
-        job = client.job(args.job_id)
-        print(f"job {job['job_id']}: {job['status']}")
-        print(
-            f"  attempts {job['attempts']}/{job['max_attempts']} | "
-            f"progress {100 * float(job['progress'] or 0):.0f}% | "
-            f"timeout {job['timeout']:g}s | worker {job['worker'] or '-'}"
-        )
-        if job["run_id"]:
-            print(f"  run {job['run_id']}")
-        if job["error"]:
-            print(f"  error: {job['error'].splitlines()[0]}")
-        for att in job.get("history", []):
-            took = (
-                f"{att['finished'] - att['started']:.2f}s"
-                if att["finished"] and att["started"] else "-"
-            )
-            print(
-                f"  attempt {att['attempt']}: {att['outcome'] or 'running'} "
-                f"on {att['worker'] or '-'} ({took})"
-            )
-        if args.config:
-            import json as _json
+    # a store directory and a server read rows alike: one code prints either
+    if on_server:
+        from repro.serve import ServeClient
 
-            print(_json.dumps(job["config"], indent=2, sort_keys=True))
-        return 0
-    if args.jobs_command == "watch":
-        if args.job_id is not None:
-            final = client.wait(
+        target = ServeClient(args.target)
+    else:
+        from repro.store import ResultStore
+
+        target = ResultStore(args.target, create=False)
+    try:
+        if args.jobs_command == "ls":
+            from repro.store import parse_when, parse_where
+
+            runs = target.query(
+                status=args.status,
+                where=parse_where(args.where),
+                since=parse_when(args.since),
+                until=parse_when(args.until, end=True),
+                limit=args.limit,
+                offset=args.offset,
+            )
+            _print_listing(runs)
+            if args.limit is not None or args.offset:
+                print(
+                    f"{len(runs)} run(s) shown (offset {args.offset}) "
+                    f"of {len(target)} total in {args.target}"
+                )
+            else:
+                print(f"{len(runs)} run(s) in {args.target}")
+        elif args.jobs_command == "show":
+            run, attempts = target.history(args.run_id)
+            print(f"run {run.run_id} [{run.label()}]: {run.status}")
+            print(
+                f"  created {run.created_iso()} UTC | elapsed {run.elapsed:.2f} s "
+                f"| {run.n_times} observations"
+            )
+            print(
+                f"  attempts {run.attempts}/{run.max_attempts} | timeout {run.timeout:g}s "
+                f"| worker {run.worker or '-'}"
+            )
+            print(f"  config hash {run.config_hash}")
+            if run.gs_address:
+                print(f"  ground-state blob {run.gs_address}")
+            if run.error:
+                print(f"  error: {run.error}")
+            for att in attempts:
+                took = (
+                    f"{att['finished'] - att['started']:.2f}s"
+                    if att["finished"] and att["started"] else "-"
+                )
+                print(
+                    f"  attempt {att['attempt']}: {att['outcome'] or 'running'} "
+                    f"on {att['worker'] or '-'} ({took})"
+                )
+            if run.fft:
+                print(f"FFTs: {run.fft['transforms']} transforms in {run.fft['calls']} calls")
+            if run.ok:
+                # the summary is read from the file `jobs fetch` writes
+                from repro.api.simulation import read_result_npz
+
+                with tempfile.TemporaryDirectory() as tmp:
+                    path = target.fetch(run.run_id, Path(tmp) / "result.npz")
+                    print(read_result_npz(path, expected_config=run.config).summary())
+            if args.config:
+                print(run.config.to_json(indent=2))
+        elif args.jobs_command == "fetch":
+            path = target.fetch(args.run_id, args.output)
+            print(f"run {args.run_id} saved to {path}")
+        elif args.jobs_command == "cancel":
+            job = target.cancel(args.job_id)
+            print(f"job {job['job_id']} is now {job['status']}")
+        elif args.job_id is not None:  # watch one job
+            final = target.wait(
                 args.job_id,
                 timeout_s=args.timeout,
                 progress=lambda j: print("\r" + _watch_line(j), end="", flush=True),
             )
             print()
             return 0 if final["status"] == "ok" else 1
-        deadline = time.monotonic() + args.timeout
-        while True:
-            stats = client.stats()
-            counts = stats["jobs"]
-            print(
-                f"\rqueued {counts['queued']}  running {counts['running']}  "
-                f"ok {counts['ok']}  error {counts['error']}  "
-                f"cancelled {counts['cancelled']}   ",
-                end="", flush=True,
-            )
-            if counts["queued"] == 0 and counts["running"] == 0:
-                print()
-                return 1 if counts["error"] else 0
-            if time.monotonic() >= deadline:
-                print()
-                print(f"error: queue not drained after {args.timeout:g}s", file=_sys.stderr)
-                return 1
-            time.sleep(0.5)
-    if args.jobs_command == "fetch":
-        path = client.fetch(args.job_id, args.output)
-        print(f"job {args.job_id} result saved to {path}")
-        return 0
-    # cancel
-    job = client.cancel(args.job_id)
-    print(f"job {job['job_id']} is now {job['status']}")
+        else:  # watch the whole queue
+            deadline = time.monotonic() + args.timeout
+            while True:
+                counts = target.stats()["jobs"]
+                print(
+                    f"\rqueued {counts['queued']}  running {counts['running']}  "
+                    f"ok {counts['ok']}  error {counts['error']}  "
+                    f"cancelled {counts['cancelled']}   ",
+                    end="", flush=True,
+                )
+                if counts["queued"] == 0 and counts["running"] == 0:
+                    print()
+                    return 1 if counts["error"] else 0
+                if time.monotonic() >= deadline:
+                    print()
+                    print(f"error: queue not drained after {args.timeout:g}s", file=sys.stderr)
+                    return 1
+                time.sleep(0.5)
+    finally:
+        target.close()
     return 0
 
 
@@ -711,11 +655,12 @@ def _cmd_components(args) -> int:
 
 def _cmd_perf(args) -> int:
     from repro.api.config import ParallelConfig
-    from repro.perf.experiments import MACHINES, scaling_report
+    from repro.perf.experiments import scaling_report
 
-    # a machine name is refused by `parallel.machine`'s one gate
-    machines = (ParallelConfig(machine=args.machine).machine,) if args.machine else MACHINES
-    print(scaling_report(machines))
+    if args.machine is None:
+        print(scaling_report())
+    else:  # a machine name is refused by `parallel.machine`'s one gate
+        print(scaling_report((ParallelConfig(machine=args.machine).machine,)))
     return 0
 
 
@@ -724,7 +669,6 @@ _COMMANDS = {
     "resume": _cmd_resume,
     "sweep": _cmd_sweep,
     "validate": _cmd_validate,
-    "results": _cmd_results,
     "serve": _cmd_serve,
     "submit": _cmd_submit,
     "jobs": _cmd_jobs,

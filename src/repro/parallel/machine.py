@@ -226,7 +226,8 @@ A100_GPU = MachineSpec(
     per_iteration_overhead=0.12,
 )
 
-_MACHINES: Dict[str, MachineSpec] = {m.name: m for m in (FUGAKU_ARM, A100_GPU)}
+#: every machine model, by name: the one list of platforms
+MACHINES: Dict[str, MachineSpec] = {m.name: m for m in (FUGAKU_ARM, A100_GPU)}
 
 
 def machine_by_name(name: str) -> MachineSpec:
@@ -237,6 +238,6 @@ def machine_by_name(name: str) -> MachineSpec:
     if key in ("gpu", "a100"):
         key = "a100-gpu"
     try:
-        return _MACHINES[key]
+        return MACHINES[key]
     except KeyError:
-        raise KeyError(f"unknown machine {name!r}; available: {sorted(_MACHINES)}") from None
+        raise KeyError(f"unknown machine {name!r}; available: {sorted(MACHINES)}") from None

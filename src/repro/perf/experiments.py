@@ -19,7 +19,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence
 
 from repro.backend import FFTTally
 from repro.parallel.ledger import CostLedger
-from repro.parallel.machine import MachineSpec, machine_by_name
+from repro.parallel.machine import MACHINES, MachineSpec, machine_by_name
 from repro.perf.calibrate import (
     FIG9_NATOM,
     FIG9_NODES,
@@ -234,9 +234,6 @@ def format_split(spans: Mapping[str, Any]) -> str:
             "{span:<34}{calls:>8}{seconds:>12.4f}{share:>9.1%}", rows, ("span", "calls", "seconds", "share")
         ),
     ])
-
-
-MACHINES = ("fugaku-arm", "a100-gpu")
 
 
 def machine_report(machine: str) -> str:

@@ -28,10 +28,10 @@ Layers
     The composed server: store + queue + pool + a stdlib
     ``ThreadingHTTPServer`` JSON API.
 :class:`~repro.serve.client.ServeClient`
-    Stdlib HTTP client used by ``repro submit`` / ``repro jobs``.
+    Stdlib HTTP client used by ``repro submit`` / ``repro jobs URL``.
 
 Entry points: ``repro serve CONFIG``, ``repro submit CONFIG --url``,
-``repro jobs ls|show|watch|fetch|cancel``.
+``repro jobs ls|show|fetch|watch|cancel URL`` (the first three read a store directory too).
 
 The service process only routes, so it imports numpy and nothing
 heavier; each spawned worker imports :mod:`repro.serve.worker`, and with

@@ -1,9 +1,10 @@
 """Stdlib HTTP client for a running ``repro serve`` instance.
 
 Wraps :mod:`urllib.request` — the same zero-dependency stance as the
-server — and is what ``repro submit`` / ``repro jobs`` drive.  Server
-error bodies (``{"error": ...}``) surface as :class:`ServeError` with
-the server's message, so CLI users see "job r1a2b3c4d5e6f is queued" rather
+server — and is what ``repro submit`` / ``repro jobs URL`` drive; it
+reads rows as :class:`~repro.store.ResultStore` does.  Server error
+bodies (``{"error": ...}``) surface as :class:`ServeError` with the
+server's message, so CLI users see "job r1a2b3c4d5e6f is queued" rather
 than a bare HTTP 409.
 """
 
@@ -12,9 +13,12 @@ from __future__ import annotations
 import json
 import urllib.error
 import urllib.request
+from dataclasses import fields
 from pathlib import Path
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, List, Mapping, Optional, Tuple
+from urllib.parse import urlencode
 
+from repro.store.query import StoredRun
 from repro.trace import traced
 from repro.utils.io import atomic_write_stream
 
@@ -31,6 +35,13 @@ class ServeError(ValueError):
         self.status = status
 
 
+def stored_run(view: Mapping[str, Any]) -> StoredRun:
+    """The row a :func:`~repro.serve.http.job_view` carries, the one place a view
+    turns back into a :class:`StoredRun` (a listing's has no config to read)."""
+    values = {**view, "run_id": view["job_id"], "config_json": json.dumps(view.get("config"))}
+    return StoredRun(**{f.name: values[f.name] for f in fields(StoredRun)})
+
+
 class ServeClient:
     """Talk to one job server at ``url`` (e.g. ``http://127.0.0.1:8752``)."""
 
@@ -45,8 +56,7 @@ class ServeClient:
             self.url + path,
             data=data,
             headers={"Content-Type": "application/json"} if data else {},
-            method="POST" if data is not None or path.endswith("/cancel") else "GET",
-        )
+        )  # a request with a body (cancel's is ``{}``) is a POST
         try:
             return urllib.request.urlopen(req, timeout=self.timeout_s)
         except urllib.error.HTTPError as exc:
@@ -89,22 +99,34 @@ class ServeClient:
             payload["timeout"] = float(timeout)
         return self._json("/jobs", payload)
 
-    def jobs(
-        self, status: Optional[str] = None, limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> List[Dict[str, Any]]:
-        query = []
-        if status is not None:
-            query.append(f"status={status}")
-        if limit is not None:
-            query.append(f"limit={int(limit)}")
-        if offset:
-            query.append(f"offset={int(offset)}")
-        path = "/jobs" + ("?" + "&".join(query) if query else "")
-        return self._json(path)["jobs"]
+    def jobs(self, **filters) -> List[Dict[str, Any]]:
+        """``GET /jobs``: the views of the rows
+        :meth:`JobQueue.jobs <repro.serve.queue.JobQueue.jobs>` finds for the
+        same filters (``where`` a dotted-key dict, ``since``/``until`` unix
+        times); the server refuses one it does not know."""
+        where = filters.pop("where", None) or {}
+        query = [("where", f"{key}={json.dumps(value)}") for key, value in where.items()]
+        query += [(key, value) for key, value in filters.items() if value is not None]
+        return self._json("/jobs?" + urlencode(query))["jobs"]
 
     def job(self, job_id: str) -> Dict[str, Any]:
         return self._json(f"/jobs/{job_id}")
+
+    # -- the rows, read as a store directory reads them -----------------------
+    def query(self, **filters) -> List[StoredRun]:
+        """:meth:`jobs` as rows (:meth:`ResultStore.query <repro.store.ResultStore.query>`)."""
+        return [stored_run(view) for view in self.jobs(**filters)]
+
+    def history(self, job_id: str) -> Tuple[StoredRun, List[Dict[str, Any]]]:
+        """One row, with its config, and its attempts, oldest first."""
+        view = self.job(job_id)
+        return stored_run(view), view["history"]
+
+    def __len__(self) -> int:
+        return int(self.stats()["total_jobs"])
+
+    def close(self) -> None:
+        """Nothing to release: each request is its own connection."""
 
     def cancel(self, job_id: str) -> Dict[str, Any]:
         return self._json(f"/jobs/{job_id}/cancel", payload={})

@@ -581,10 +581,10 @@ class JobQueue:
     ) -> List[StoredRun]:
         """Rows by status, dotted config keys and creation window, paged.
 
-        The one query behind ``repro results ls``, ``repro jobs ls`` and
-        ``GET /jobs``: ``limit``/``offset`` page through the match set in
-        creation order, and a status outside :data:`JOB_STATUSES` or a
-        negative ``limit``/``offset`` is refused by name.
+        The one query behind ``repro jobs ls DIR`` and ``GET /jobs``:
+        ``limit``/``offset`` page through the match set in creation order,
+        and a status outside :data:`JOB_STATUSES` or a negative
+        ``limit``/``offset`` is refused by name.
         """
         for name, value in (("limit", limit), ("offset", offset)):
             if value is not None and int(value) < 0:

@@ -17,7 +17,7 @@ Entry points:
   store each run as it finishes, its config's trajectory from t = 0
 - ``repro sweep --store DIR`` — resumable sweeps (completed variants
   are restored, not recomputed)
-- ``repro results ls|show|export`` — query and materialize stored runs
+- ``repro jobs ls|show|fetch DIR`` — list, show and copy out stored runs
 """
 
 from repro.utils.lazy import lazy_exports

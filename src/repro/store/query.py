@@ -3,10 +3,10 @@
 :class:`StoredRun` is one row of the ``jobs`` table, as
 :class:`~repro.serve.queue.JobQueue` reads it back: the table's columns
 in field order, config parsed into a :class:`SimulationConfig`,
-overrides labeled the same way sweep variants are.  The CLI helpers
-parse ``--where key=value`` / ``--since 2026-08-01`` arguments into the
-filters :meth:`ResultStore.query <repro.store.store.ResultStore.query>`
-takes — status, dotted config keys, creation-time window.
+overrides labeled the same way sweep variants are.  The filter parsers
+read ``--where key=value`` / ``--since 2026-08-01`` (as CLI arguments or
+``GET /jobs`` parameters) into the filters :meth:`JobQueue.jobs
+<repro.serve.queue.JobQueue.jobs>` takes — status, config keys, window.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def version_problem(
     return (
         f"{what} {found}, written by {writer}; this build reads only {ours} "
         f"and upgrades nothing in place: export its runs with the build that "
-        f"wrote it (repro results export) and add them to a new store"
+        f"wrote it (repro jobs fetch STORE RUN_ID NPZ) and add them to a new store"
     )
 
 

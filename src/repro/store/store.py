@@ -16,7 +16,7 @@ On-disk layout::
 writes: :meth:`ResultStore.add_run` takes a
 :class:`~repro.api.simulation.SimulationResult` and hands it to the one
 writer, :func:`~repro.api.simulation.write_result_npz`, so
-:meth:`ResultStore.export` is a file copy and ``SimulationResult.load_npz``
+:meth:`ResultStore.fetch` is a file copy and ``SimulationResult.load_npz``
 reads a stored run in place.  The row's result columns (sample count,
 ``parallel`` block, ground-state address) are computed from that same
 result, in one place.  The file is written once, when the run
@@ -37,8 +37,8 @@ row and an attempt history alike.
 The store is the durable layer between the engines and the filesystem:
 :func:`~repro.api.runs.run_one` — behind ``Simulation.run(store=...)``,
 ``repro run --store`` and every sweep or service job — is the one way a
-run enters it, ``repro sweep --store`` resumes from it, and ``repro
-results`` queries it.
+run enters it, ``repro sweep --store`` resumes from it, and ``repro jobs
+DIR`` reads it as ``repro jobs URL`` reads a server's.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ import shutil
 import sys
 import warnings
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, List, Mapping, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple, Union
 
 from repro.api.config import SimulationConfig
 from repro.constants import AU_PER_ATTOSECOND
@@ -202,7 +202,7 @@ class ResultStore:
         if run is None:
             raise StoreError(
                 f"store {self.root} has no run {run_id!r}; "
-                f"list ids with: repro results ls {self.root}"
+                f"list ids with: repro jobs ls {self.root}"
             )
         return run
 
@@ -275,26 +275,16 @@ class ResultStore:
             result.ground_state = self.blobs.get_ground_state(run.gs_address)
         return result
 
-    def export(self, run_id: str, path) -> Path:
+    def history(self, run_id: str) -> Tuple[StoredRun, List[Dict[str, Any]]]:
+        """One run's row and its attempts, oldest first."""
+        return self.get(run_id), self.queue.attempts(run_id)
+
+    def fetch(self, run_id: str, path) -> Path:
         """Copy a completed run's result file to ``path``."""
         return Path(shutil.copyfile(self.result_path(run_id), path))
 
     # -- queries ---------------------------------------------------------------
-    def query(
-        self,
-        status: Optional[str] = None,
-        where: Optional[Mapping[str, Any]] = None,
-        since: Optional[float] = None,
-        until: Optional[float] = None,
-        limit: Optional[int] = None,
-        offset: int = 0,
-    ) -> List[StoredRun]:
-        """Filtered runs: by status, dotted config keys, creation window.
-
-        ``limit``/``offset`` page through the match set in creation
-        order (service stores accumulate thousands of runs).
-        """
-        return self.queue.jobs(
-            status=status, where=where, since=since, until=until, limit=limit, offset=offset
-        )
-
+    def query(self, **filters) -> List[StoredRun]:
+        """Runs by status, dotted config keys and creation window, paged in
+        creation order (:meth:`JobQueue.jobs <repro.serve.queue.JobQueue.jobs>`)."""
+        return self.queue.jobs(**filters)

@@ -5,7 +5,7 @@ A facade (``repro``, ``repro.api``, ``repro.parallel``, ``repro.serve``,
 names its public objects in a map from name to defining module and
 imports that module the first time the name is read, not when the
 facade is.  So a process that only routes — the job service, ``repro
-jobs``, ``repro results`` — reaches ``repro.api.config`` or
+jobs`` on a store directory or a server — reaches ``repro.api.config`` or
 ``repro.serve.queue`` through a facade without importing the physics
 (pocketfft and the Fock/SCF/propagator stack) that other names of the
 same facade pull in::

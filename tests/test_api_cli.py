@@ -226,6 +226,16 @@ def test_cli_perf_report(capsys):
     assert "Fig 9" in out and "Fig 11" in out and "fugaku-arm" in out
 
 
+def test_cli_perf_prints_every_machine_of_the_table(capsys):
+    """With no ``--machine``, ``repro perf`` prints one block per machine
+    model of ``parallel.machine.MACHINES``, in the table's order."""
+    from repro.parallel.machine import MACHINES
+
+    assert main(["perf"]) == 0
+    heads = [line for line in capsys.readouterr().out.splitlines() if line.startswith("Fig 9 | ")]
+    assert [head.split(" | ")[1] for head in heads] == list(MACHINES)
+
+
 def test_shipped_quickstart_config_validates(capsys):
     cfg = REPO_ROOT / "examples" / "configs" / "quickstart.toml"
     assert main(["validate", str(cfg)]) == 0
@@ -553,7 +563,7 @@ def test_cli_run_reports_steps_that_did_not_converge(tmp_path, capsys):
     assert "not converge" not in capsys.readouterr().out
 
 
-def test_cli_results_ls_paging_summary(tmp_path, capsys):
+def test_cli_jobs_ls_paging_summary(tmp_path, capsys):
     """--limit/--offset page and the summary line says what was shown."""
     import json as _json
 
@@ -592,12 +602,29 @@ def test_cli_results_ls_paging_summary(tmp_path, capsys):
         store.add_run(SimulationResult(config, record, state))
     store.close()
 
-    assert main(["results", "ls", str(store_dir)]) == 0
+    assert main(["jobs", "ls", str(store_dir)]) == 0
     assert "5 run(s) in" in capsys.readouterr().out
-    assert main(["results", "ls", str(store_dir), "--limit", "2"]) == 0
+    assert main(["jobs", "ls", str(store_dir), "--limit", "2"]) == 0
     out = capsys.readouterr().out
     assert "2 run(s) shown (offset 0) of 5 total" in out
     assert main([
-        "results", "ls", str(store_dir), "--limit", "2", "--offset", "4",
+        "jobs", "ls", str(store_dir), "--limit", "2", "--offset", "4",
     ]) == 0
     assert "1 run(s) shown (offset 4) of 5 total" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["results", "ls", "study"], "invalid choice: 'results'"),
+        (["jobs", "ls", "--url", "http://127.0.0.1:9"], "unrecognized arguments: --url"),
+    ],
+    ids=["results", "jobs-url"],
+)
+def test_cli_the_old_read_verbs_are_refused_by_the_parser(capsys, argv, refusal):
+    """``repro jobs TARGET`` is the one read verb: ``repro results`` and
+    ``jobs --url`` are gone, not aliased, so argparse refuses them (exit 2)."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert refusal in capsys.readouterr().err

@@ -1,9 +1,10 @@
 """Only a process that computes imports the physics.
 
-The job service, ``repro results`` and ``repro jobs`` route configs,
-rows and files; they never run a transform.  These tests hold them to
-numpy and nothing heavier, hold a computing process to numpy and
-pocketfft's extension, and hold the lazy facades to their ``__all__``.
+The job service and ``repro jobs`` (on a store directory or a server)
+route configs, rows and files; they never run a transform.  These tests
+hold them to numpy and nothing heavier, hold a computing process to
+numpy and pocketfft's extension, and hold the lazy facades to their
+``__all__``.
 """
 
 import importlib
@@ -56,8 +57,11 @@ if __name__ == "__main__":  # not in the spawned worker, which re-imports this f
         client.fetch(job["job_id"], {fetched!r})
         assert [j["job_id"] for j in client.jobs()] == [job["job_id"]]
         assert client.stats()["jobs"]["ok"] == 1
-        assert main(["results", "ls", root]) == 0
-        assert main(["jobs", "ls", "--url", service.url]) == 0
+        # the filters parse in the listing process and, for the URL, in the
+        # server's handler thread: neither loads the physics
+        for target in (root, service.url):
+            assert main(["jobs", "ls", target, "--where", "field.params.kick=0.001",
+                         "--since", "2000-01-01"]) == 0
     loaded = sorted(
         m for m in sys.modules
         if any(m == p or m.startswith(p + ".") for p in PHYSICS)
@@ -69,8 +73,9 @@ if __name__ == "__main__":  # not in the spawned worker, which re-imports this f
 def test_a_served_study_never_imports_the_physics(tmp_path):
     """Boot, a ``[parallel]`` config validated and run to ``ok`` by a
     worker, its result fetched, the job list and stats read, and the
-    ``results ls`` / ``jobs ls`` verbs: none of it loads scipy or a
-    physics module in the serving process."""
+    ``jobs ls`` verb, filtered by ``--where`` and ``--since``, against the
+    store directory and the URL: none of it loads scipy or a physics
+    module in the serving process."""
     script = tmp_path / "served_study.py"
     script.write_text(
         _SERVED_STUDY.format(
@@ -84,7 +89,7 @@ def test_a_served_study_never_imports_the_physics(tmp_path):
         [sys.executable, str(script)], capture_output=True, text=True, timeout=600
     )
     assert proc.returncode == 0, proc.stderr[-3000:]
-    assert "run" in proc.stdout and "job(s) on" in proc.stdout
+    assert proc.stdout.count("1 run(s) in ") == 2
     assert json.loads(proc.stdout.strip().splitlines()[-1]) == []
     assert (tmp_path / "job.npz").stat().st_size > 0
 

@@ -15,8 +15,8 @@ state, on any host: the trajectories reproduce at round-off under
 another BLAS thread count and on the per-axis seed FFT engine.  What it
 does not test is the SCF: a re-converged ground state is host-dependent
 at ``density_tol`` (1e-6 LDA / 1e-5 HSE here), four orders above this
-tolerance.  From-scratch SCF bounds derived from the solver tolerances
-are ROADMAP item 0(c), still open.
+tolerance.  A re-converged ground state is bounded by the solver
+tolerances in ``tests/test_scf_gate.py``.
 """
 
 import json

@@ -122,11 +122,12 @@ def test_local_potential_g_fourier_consistency():
         assert num_short + gauss_tail == pytest.approx(analytic[i], rel=1e-5)
 
 
-def test_g0_correction_positive_for_si():
+def test_g0_correction_negative_for_si():
     si = get_pseudopotential("Si")
-    # alpha-Z for Si HGH is a known negative number (C1 < 0 dominates)
+    # alpha-Z for Si HGH is negative (about -4.98): the C1 < 0 Gaussian
+    # term outweighs the positive Z rloc^2 / 2 term
     val = local_potential_g0_correction(si)
-    assert np.isfinite(val)
+    assert np.isfinite(val) and val < 0.0
 
 
 def test_database_lookup_error_lists_available():

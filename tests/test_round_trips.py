@@ -73,7 +73,7 @@ def test_ci_smoke_round_trip(tmp_path):
     _repro("components", cwd=tmp_path)
     # a verb that only routes: exit 2 on a dead address, no scipy imported
     dead = _python(
-        ["-X", "importtime", "-m", "repro", "jobs", "ls", "--url", "http://127.0.0.1:9"],
+        ["-X", "importtime", "-m", "repro", "jobs", "ls", "http://127.0.0.1:9"],
         tmp_path,
         code=2,
     )
@@ -152,10 +152,10 @@ def test_store_round_trip(tmp_path):
     omega, strengths = result.dipole_spectra()
     assert strengths.shape == (4, len(omega))
 
-    listed = _repro("results", "ls", study, "--status", "ok", cwd=tmp_path).stdout
+    listed = _repro("jobs", "ls", study, "--status", "ok", cwd=tmp_path).stdout
     run_id = listed.splitlines()[1].split()[0]
-    _repro("results", "show", study, run_id, cwd=tmp_path)
-    _repro("results", "export", study, run_id, "exported.npz", cwd=tmp_path)
+    _repro("jobs", "show", study, run_id, cwd=tmp_path)
+    _repro("jobs", "fetch", study, run_id, "exported.npz", cwd=tmp_path)
     config, arrays = SimulationResult.load_npz(tmp_path / "exported.npz")
     assert "times" in arrays and "dipole" in arrays
     _, stored = SimulationResult.load_npz(study / "runs" / f"{run_id}.npz", expected_config=config)
@@ -210,12 +210,12 @@ def test_serve_round_trip(tmp_path):
                 assert server.poll() is None and time.monotonic() < deadline
                 time.sleep(0.2)
         _repro("submit", cfg, "--url", url, cwd=tmp_path)
-        _repro("jobs", "watch", "--url", url, "--timeout", "900", cwd=tmp_path)
-        listed = _repro("jobs", "ls", "--url", url, "--status", "ok", cwd=tmp_path).stdout
+        _repro("jobs", "watch", url, "--timeout", "900", cwd=tmp_path)
+        listed = _repro("jobs", "ls", url, "--status", "ok", cwd=tmp_path).stdout
         job_id = listed.splitlines()[1].split()[0]
-        _repro("jobs", "show", job_id, "--url", url, cwd=tmp_path)
-        _repro("results", "show", "study", job_id, cwd=tmp_path)
-        _repro("jobs", "fetch", job_id, "job.npz", "--url", url, cwd=tmp_path)
+        _repro("jobs", "show", url, job_id, cwd=tmp_path)
+        _repro("jobs", "show", "study", job_id, cwd=tmp_path)
+        _repro("jobs", "fetch", url, job_id, "job.npz", cwd=tmp_path)
         assert _get(f"{url}/stats")["jobs"]["ok"] == 3
         # "/scipy/", not "scipy": numpy's wheels map their own libscipy_openblas
         assert "/scipy/" not in Path(f"/proc/{server.pid}/maps").read_text()

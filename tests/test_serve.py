@@ -13,6 +13,7 @@ stored run or server leaves is the crash matrix's
 import contextlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -176,6 +177,84 @@ def test_e2e_negative_paging_is_400(e2e):
         assert err.value.status == 400
 
 
+def test_e2e_jobs_ls_filters_by_where_against_a_url(e2e, capsys):
+    """``GET /jobs`` takes the store's filters: ``jobs ls URL --where``
+    lists the one run of that kick, and the client's typed filters (a
+    number, a string, a creation window) select as the store's do."""
+    from repro.api.cli import main
+
+    url, client = e2e["service"].url, e2e["client"]
+    assert main(["jobs", "ls", url, "--where", "field.params.kick=0.002"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line.split()[:2] for line in lines[1:-1]] == [[e2e["finals"][1]["job_id"], "ok"]]
+    assert lines[-1] == f"1 run(s) in {url}"
+    wanted = [e2e["finals"][3]["job_id"]]
+    assert [r.run_id for r in client.query(where={"scf.nbands": 16, "propagation.propagator": "ptim"})] == wanted
+    created = max(view["created"] for view in client.jobs())
+    assert client.query(since=created + 60.0) == [] and len(client.query(until=created)) >= 4
+
+
+@pytest.mark.parametrize(
+    "query, refusal",
+    [
+        ("where=nokey", "--where filter 'nokey' must look like dotted.config.key=value"),
+        ("since=yesterday", "bad timestamp 'yesterday'"),
+        ("until=2026-13-01", "bad timestamp '2026-13-01'"),
+        ("stauts=ok", "unknown filter(s) stauts; valid: status, where, since, until, limit, offset"),
+    ],
+    ids=["where", "since", "until", "unknown"],
+)
+def test_e2e_a_bad_jobs_filter_is_400_naming_it(e2e, query, refusal):
+    """The server parses ``GET /jobs``'s filters with the CLI's parsers, so
+    a filter it cannot read, or does not know, is a 400 that names it."""
+    with pytest.raises(ServeError, match=re.escape(refusal)) as err:
+        e2e["client"]._json(f"/jobs?{query}")
+    assert err.value.status == 400
+
+
+def test_get_jobs_filters_are_the_queue_query_arguments():
+    """``GET /jobs`` knows exactly the filters :meth:`JobQueue.jobs` takes."""
+    import inspect
+
+    from repro.serve.http import FILTERS
+
+    assert FILTERS == tuple(inspect.signature(JobQueue.jobs).parameters)[1:]
+
+
+def test_e2e_jobs_reads_a_directory_and_its_server_alike(e2e, capsys):
+    """``jobs ls`` and ``jobs show`` print the same lines for one store read
+    by directory and by URL, apart from the target's name: the view is the
+    row, and both targets print through one printer."""
+    from repro.api.cli import main
+
+    url, root = e2e["service"].url, str(e2e["root"])
+    job_id = e2e["finals"][0]["job_id"]
+    printed = {}
+    for target in (root, url):
+        assert main(["jobs", "ls", target, "--status", "ok"]) == 0
+        listing = capsys.readouterr().out.replace(target, "TARGET")
+        assert main(["jobs", "show", target, job_id, "--config"]) == 0
+        printed[target] = listing, capsys.readouterr().out
+    assert printed[root] == printed[url]
+    listing, shown = printed[url]
+    assert listing.splitlines()[-1] == "4 run(s) in TARGET"
+    assert "  attempt 1: ok on " in shown and "FFTs: " in shown and "dipole_x" in shown
+
+
+def test_e2e_submit_wait_prints_the_rows_as_jobs_ls_does(e2e, tmp_path, capsys):
+    """``submit --wait`` prints the finished rows through the listing printer."""
+    from repro.api.cli import main
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(e2e["configs"][1].to_json())
+    assert main(["submit", str(cfg), "--url", e2e["service"].url, "--wait"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    job_id = e2e["finals"][1]["job_id"]
+    assert lines[0].split() == [job_id, "ok", "(base)"]
+    assert lines[1].split()[:3] == ["run", "id", "status"]
+    assert lines[2].split()[:3] == [job_id, "ok", "1"] and len(lines) == 3
+
+
 def test_e2e_bad_submit_is_400(e2e):
     with pytest.raises(ServeError) as err:
         e2e["client"]._json("/jobs", payload={"nonsense": 1})
@@ -243,7 +322,7 @@ def test_e2e_an_unknown_status_filter_is_400(e2e, capsys):
     with pytest.raises(ServeError, match="unknown status 'bogus'; one of: queued") as err:
         e2e["client"].jobs(status="bogus")
     assert err.value.status == 400
-    assert main(["jobs", "ls", "--status", "bogus", "--url", e2e["service"].url]) == 2
+    assert main(["jobs", "ls", e2e["service"].url, "--status", "bogus"]) == 2
     assert capsys.readouterr().err.startswith("error: unknown status 'bogus'")
 
 
@@ -442,7 +521,7 @@ def test_client_names_a_server_it_cannot_reach(capsys):
 
     with pytest.raises(ServeError, match=r"cannot reach job server at http://127\.0\.0\.1:9 "):
         ServeClient("http://127.0.0.1:9", timeout_s=5.0).healthz()
-    assert main(["jobs", "ls", "--url", "http://127.0.0.1:9"]) == 2
+    assert main(["jobs", "ls", "http://127.0.0.1:9"]) == 2
     assert "error: cannot reach job server at http://127.0.0.1:9" in capsys.readouterr().err
 
 

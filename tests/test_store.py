@@ -145,7 +145,7 @@ def test_regular_file_is_not_a_store_path(tmp_path, capsys):
     for argv in (
         ["run", str(cfg), "--store", str(f)],
         ["sweep", str(cfg), "--store", str(f)],
-        ["results", "ls", str(f)],
+        ["jobs", "ls", str(f)],
         ["validate", str(cfg), "--store", str(f)],
     ):
         assert main(argv) == 2, argv
@@ -341,13 +341,13 @@ def test_store_written_by_1_9_is_refused_by_name(tmp_path):
         json.dumps({"store_version": 1, "backend": "sqlite", "chunk_steps": 256})
     )
     before = _tree(root), (root / "store.json").read_bytes()
-    with pytest.raises(StoreError, match=r"store_version 1, written by repro 1\.5 to 1\.9.*results export"):
+    with pytest.raises(StoreError, match=r"store_version 1, written by repro 1\.5 to 1\.9.*jobs fetch"):
         ResultStore(root)
     check = inspect_store(root)
     assert check.meta["store_version"] == 1 and check.schema_version is None
     assert len(check.problems) == 1
     assert "store_version 1, written by repro 1.5 to 1.9" in check.problems[0]
-    assert "repro results export" in check.problems[0]
+    assert "repro jobs fetch" in check.problems[0]
     assert (_tree(root), (root / "store.json").read_bytes()) == before
 
 
@@ -374,21 +374,21 @@ def test_older_schema_index_is_refused_by_name(tmp_path, capsys, version, writer
             conn.close()
 
     before = _tree(root), columns()
-    words = rf"schema version {version}, written by repro {re.escape(writers)};.*results export"
+    words = rf"schema version {version}, written by repro {re.escape(writers)};.*jobs fetch"
     with pytest.raises(StoreError, match=words):
         ResultStore(root)
     with pytest.raises(StoreError, match=words):
         JobQueue(root)
     check = inspect_store(root)
     assert check.schema_version == version != SCHEMA_VERSION
-    assert [(f"schema version {version}" in p, "repro results export" in p) for p in check.problems] == [(True, True)]
+    assert [(f"schema version {version}" in p, "repro jobs fetch" in p) for p in check.problems] == [(True, True)]
     # repro validate --store prints the same words as a warning and exits 0;
-    # repro results ls refuses them as an error, exit 2
+    # repro jobs ls refuses them as an error, exit 2
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(CFG))
     assert main(["validate", str(cfg), "--store", str(root)]) == 0
     assert f"warning: {check.problems[0]}" in capsys.readouterr().out
-    assert main(["results", "ls", str(root)]) == 2
+    assert main(["jobs", "ls", str(root)]) == 2
     assert f"error: {check.problems[0]}" in capsys.readouterr().err
     assert (_tree(root), columns()) == before
     assert inspect_store(root).schema_version == version
@@ -463,7 +463,7 @@ def test_stored_run_exports_bit_identical_npz(tmp_path, real_result):
     rid = store.add_run(real_result)
     stored = root / "runs" / f"{rid}.npz"
     _same_npz(direct, stored)
-    _same_npz(direct, store.export(rid, tmp_path / "exported.npz"))
+    _same_npz(direct, store.fetch(rid, tmp_path / "exported.npz"))
     _same_npz(direct, store.load_result(rid).save_npz(tmp_path / "resaved.npz"))
     config, arrays = SimulationResult.load_npz(stored, expected_config=real_result.config)
     assert config == real_result.config
@@ -534,7 +534,7 @@ def test_a_failed_rerun_leaves_the_stored_run_readable(tmp_path, real_result):
     assert store.get(before.run_id) == before
     assert store.queue.workers() == []
     export = tmp_path / "export.npz"
-    assert main(["results", "export", str(root), before.run_id, str(export)]) == 0
+    assert main(["jobs", "fetch", str(root), before.run_id, str(export)]) == 0
     _, arrays = SimulationResult.load_npz(export)
     for key, arr in result.observables().items():
         assert np.array_equal(arrays[key], arr), key
@@ -765,10 +765,69 @@ def test_query_limit_offset_pages_in_order(tmp_path):
     store.close()
 
 
+def test_jobs_show_on_a_store_directory_prints_the_attempt_history(tmp_path, capsys):
+    """``repro jobs show DIR ID`` reads a row's attempts from the store
+    itself, with no server: the failed attempt, then the run that landed,
+    each on the worker that made it, then the stored result's summary."""
+    from repro.api.cli import main
+    from repro.serve.queue import own_worker_id
+
+    store = ResultStore(tmp_path / "study")
+    config = make_config(kick=0.002)
+    row = store.queue.begin(config)
+    store.queue.fail_attempt(row.run_id, "FloatingPointError: diverged")
+    store.add_run(synth_result(config), elapsed=0.5)
+    store.close()
+    assert main(["jobs", "show", str(tmp_path / "study"), row.run_id]) == 0
+    out = capsys.readouterr().out
+    attempts = [line for line in out.splitlines() if line.startswith("  attempt ")]
+    assert [line.split(" (")[0] for line in attempts] == [
+        f"  attempt 1: error on {own_worker_id()}",
+        f"  attempt 2: ok on {own_worker_id()}",
+    ]
+    assert f"run {row.run_id} [(base)]: ok" in out and "  attempts 2/2 " in out
+    assert "dipole_x" in out  # the summary, read from the fetched file
+
+
+@pytest.mark.parametrize("verb", [["watch"], ["cancel", "r000000000000"]], ids=["watch", "cancel"])
+def test_jobs_watch_and_cancel_refuse_a_store_directory(tmp_path, capsys, verb):
+    """Live jobs are a server's: ``jobs watch`` / ``jobs cancel`` given a
+    directory exit 2 with one line naming it, before opening anything."""
+    from repro.api.cli import main
+
+    study = str(tmp_path / "study")
+    assert main(["jobs", verb[0], study, *verb[1:]]) == 2
+    assert capsys.readouterr().err == (
+        f"error: jobs {verb[0]} needs a job-server URL (http://HOST:PORT), "
+        f"got {study!r}: a store directory has no live jobs\n"
+    )
+    assert not (tmp_path / "study").exists()
+
+
+def test_every_refusal_hint_names_a_command_the_parser_accepts(tmp_path):
+    """A refusal that says what to run next names a command this build's
+    parser takes: the unknown-run hint (``jobs ls STORE``) and the
+    older-store hint (``jobs fetch STORE RUN_ID NPZ``)."""
+    from repro.api.cli import _build_parser
+
+    store = ResultStore(tmp_path / "study")
+    with pytest.raises(StoreError) as unknown:
+        store.get("r000000000000")
+    store.close()
+    old = tmp_path / "old"
+    old.mkdir()
+    (old / "store.json").write_text(json.dumps({"store_version": 1, "backend": "sqlite"}))
+    hints = [str(unknown.value), *inspect_store(old).problems]
+    commands = [re.search(r"repro ([^()]+?)(?:\)|$)", hint).group(1).split() for hint in hints]
+    assert [command[:2] for command in commands] == [["jobs", "ls"], ["jobs", "fetch"]]
+    for command in commands:
+        _build_parser().parse_args(command)
+
+
 def test_negative_paging_is_refused_by_name(tmp_path, capsys):
     """SQLite reads a negative LIMIT as "no limit" and a negative OFFSET as
     0; the one paging query refuses both by name instead, and ``repro
-    results ls`` exits 2 with that line."""
+    jobs ls`` exits 2 with that line."""
     from repro.api.cli import main
 
     store = ResultStore(tmp_path / "study")
@@ -783,7 +842,7 @@ def test_negative_paging_is_refused_by_name(tmp_path, capsys):
         (["--limit", "-1"], "limit must be >= 0, got -1"),
         (["--limit", "2", "--offset", "-3"], "offset must be >= 0, got -3"),
     ):
-        assert main(["results", "ls", str(tmp_path / "study"), *argv]) == 2
+        assert main(["jobs", "ls", str(tmp_path / "study"), *argv]) == 2
         out, err = capsys.readouterr()
         assert refusal in err and "run(s)" not in out
 

@@ -298,6 +298,6 @@ def test_cli_sweep_store_resume(tmp_path, capsys):
     assert second.count("restored from store") == 2
 
     # the stored runs are visible to the query CLI
-    assert cli_main(["results", "ls", store_dir, "--status", "ok"]) == 0
+    assert cli_main(["jobs", "ls", store_dir, "--status", "ok"]) == 0
     listing = capsys.readouterr().out
     assert "2 run(s)" in listing
