@@ -92,11 +92,9 @@ class ServeClient:
         """Submit a config (a :class:`SimulationConfig` or nested dict)."""
         if hasattr(config, "to_dict"):
             config = config.to_dict()
-        payload: Dict[str, Any] = {"config": config}
-        if max_attempts is not None:
-            payload["max_attempts"] = int(max_attempts)
-        if timeout is not None:
-            payload["timeout"] = float(timeout)
+        # sent as given: the server refuses a value its policy would not take
+        policy = {"max_attempts": max_attempts, "timeout": timeout}
+        payload = {"config": config, **{k: v for k, v in policy.items() if v is not None}}
         return self._json("/jobs", payload)
 
     def jobs(self, **filters) -> List[Dict[str, Any]]:

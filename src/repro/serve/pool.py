@@ -78,8 +78,8 @@ class WorkerPool:
         self.backoff = float(backoff)
         self._ctx = mp.get_context("spawn")
         #: prefix of every worker id of this pool: pools share the store's
-        #: ``workers`` table, and one pool must never take another's row
-        #: (or fail another's job) for its own
+        #: ``workers/`` lock files, and one pool must never take another's
+        #: row (or fail another's job) for its own
         self.tag = f"p{os.getpid()}n{next(_pool_numbers)}"
         #: slot -> live process; worker ids encode slot + generation so a
         #: respawned worker never aliases its predecessor's claimed jobs
@@ -172,7 +172,7 @@ class WorkerPool:
                     outcome="crashed",
                 )
             self._spawn(slot)
-        # this pool's live workers are kept; those reaped above are forgotten
+        # this pool's live workers are kept; the lock files of those reaped above go
         self.queue.recover(keep=list(self._ids.values()))
 
 
@@ -193,7 +193,7 @@ def drain(
     The batch form of the service (every ``run_ensemble`` sweep runs on
     it).  ``n_workers`` processes compute: **the caller and
     ``n_workers - 1`` spawned**, so 1 is the caller alone.  The caller
-    registers itself as a worker of the queue, submits, starts the
+    takes its worker's lock, submits, starts the
     others, and then does what they do (claim,
     :func:`~repro.serve.worker.execute_job`) between supervisor passes,
     handing each job row to ``on_done`` as it turns terminal; it returns

@@ -27,9 +27,10 @@ number of the row's ``job_attempts`` rows and never exceeds
 reporting back (SIGKILL, OOM) still consumed it, and a crash-looping job
 cannot retry forever.
 
-A worker is alive while it holds its lock, ``workers/<worker_id>.lock``
-in the store (:mod:`repro.store.lease`), from before any row names it
-until that row is final; its state is the ``running`` row naming it.
+A worker is its lock file, ``workers/<worker_id>.lock`` in the store
+(:mod:`repro.store.lease`): held, with its pid and start time, from
+before any row names it until that row is final.  Its state is the
+``running`` row naming it; no table records workers.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ from repro.store.common import (
     run_immediate,
     utc_now,
 )
-from repro.store.lease import exclusive, held
+from repro.store.lease import exclusive, holders
 from repro.store.query import StoredRun
 from repro.store.schema import INDEX_FILENAME, ensure_schema, inspect_store
 from repro.trace import span, traced
@@ -156,8 +157,6 @@ COLUMNS = tuple(
 
 _SELECT = f"SELECT {', '.join(COLUMNS)} FROM jobs"
 
-_REGISTER = "INSERT OR REPLACE INTO workers (worker_id, pid, started) VALUES (?, ?, ?)"
-
 
 def _decode(name: str, value: Any) -> Any:
     return json.loads(value) if name in _JSON_FIELDS and value is not None else value
@@ -177,7 +176,7 @@ def own_worker_id() -> str:
 
 
 class JobQueue:
-    """Durable run/job/worker tables of one study's ``index.sqlite``.
+    """Durable run and attempt tables of one study's ``index.sqlite``.
 
     Each process (server, every worker) opens its *own* queue on the
     same store directory; cross-process safety comes from the database,
@@ -199,6 +198,7 @@ class JobQueue:
         self._conn = connect_sqlite(self.path)
         ensure_schema(self._conn, self.path)
         self._lock = threading.RLock()
+        self._lock_dir = self.root / "workers"  # one lock file per live worker
 
     def close(self) -> None:
         self._conn.close()
@@ -213,9 +213,6 @@ class JobQueue:
 
     def _rows(self, where: str, params: Sequence[Any]) -> List[StoredRun]:
         return [_row(r) for r in self._read(f"{_SELECT} WHERE {where}", params)]
-
-    def _write(self, sql: str, params: Sequence[Any]) -> None:
-        self._txn(lambda conn: conn.execute(sql, params))
 
     @staticmethod
     def _get(conn, run_id: str) -> Optional[StoredRun]:
@@ -345,20 +342,19 @@ class JobQueue:
     def begin(self, config: SimulationConfig) -> StoredRun:
         """A stored run takes its row (``begin``) on this thread's worker.
 
-        The worker (:func:`own_worker_id`) is registered with this pid;
-        called bare, without its lock (:meth:`recording`), it leaves the
-        row a killed run leaves, which :meth:`recover` requeues.  The
-        row is created when missing.  An ``ok`` row is left as it is until
-        the new result lands (:meth:`finish_ok` then records the
-        attempt), so a re-run that fails or is killed leaves the stored
-        run readable.  Unlike :meth:`claim`, it takes this config's row.
+        Called bare, without the worker's (:func:`own_worker_id`) lock
+        (:meth:`recording`), it leaves the row a killed run leaves, which
+        :meth:`recover` requeues.  The row is created when missing.  An
+        ``ok`` row is left as it is until the new result lands
+        (:meth:`finish_ok` then records the attempt), so a re-run that
+        fails or is killed leaves the stored run readable.  Unlike
+        :meth:`claim`, it takes this config's row.
         """
         now = utc_now()
 
         def _begin(conn):
             run_id, _ = self._insert(conn, config, None, now)
             if self._get(conn, run_id).status != "ok":
-                conn.execute(_REGISTER, (own_worker_id(), os.getpid(), now))
                 self._move(conn, run_id, "begin", now, worker=own_worker_id())
             return self._get(conn, run_id)
 
@@ -368,32 +364,28 @@ class JobQueue:
     def recording(self, config: SimulationConfig) -> Iterator[StoredRun]:
         """The body computes ``config``'s stored run, recorded on its row.
 
-        The worker's lock is held throughout.  :meth:`begin` on entry;
-        the body finishes the row when it stores the result
-        (:meth:`finish_ok`), an exception fails the attempt before it
-        propagates, and the worker's registration goes either way.  An
-        ``ok`` row is not begun, so nothing here touches it.
+        The worker's lock is held throughout (:meth:`serving`).
+        :meth:`begin` on entry; the body finishes the row when it stores
+        the result (:meth:`finish_ok`), and an exception fails the attempt
+        before it propagates.  An ``ok`` row is not begun, so nothing here
+        touches it.
         """
-        with self._alive_as(own_worker_id()):
+        with self.serving(own_worker_id()):
             row = self.begin(config)
-            if row.status != "running":
-                yield row
-                return
             try:
                 yield row
             except BaseException as exc:
-                self.fail_attempt(row.run_id, f"{type(exc).__name__}: {exc}")
+                if row.status == "running":
+                    self.fail_attempt(row.run_id, f"{type(exc).__name__}: {exc}")
                 raise
-            finally:
-                self.remove_worker(row.worker)
 
     def progress(self, job_id: str, fraction: float, message: Optional[str] = None) -> None:
         """Publish live progress (``0.0``–``1.0``) for a running job."""
-        self._write(
+        values = (max(0.0, min(1.0, float(fraction))), message, utc_now(), job_id)
+        self._txn(lambda conn: conn.execute(
             "UPDATE jobs SET progress = ?, message = ?, updated = ? "
-            "WHERE run_id = ? AND status = 'running'",
-            (max(0.0, min(1.0, float(fraction))), message, utc_now(), job_id),
-        )
+            "WHERE run_id = ? AND status = 'running'", values,
+        ))
 
     def finish_ok(
         self,
@@ -477,35 +469,33 @@ class JobQueue:
 
         A worker lives when it is one of ``keep`` (a supervisor's own,
         which it reaps itself) or holds its lock
-        (:func:`~repro.store.lease.held`); the others' registrations and
-        lock files are forgotten.
+        (:func:`~repro.store.lease.holders`, which unlinks every free lock
+        file).
         """
         now = utc_now()
 
         def _gone(conn):
-            """The rows whose attempt is open on a gone worker, and the dead registrations."""
-            held_rows = conn.execute(
+            """The rows whose attempt is open on a gone worker."""
+            # rows first: a worker that takes its lock after the listing
+            # cannot be on one of these
+            open_rows = conn.execute(
                 "SELECT jobs.run_id, jobs.worker, status FROM jobs JOIN job_attempts a "
                 "ON a.run_id = jobs.run_id AND a.attempt = jobs.attempts "
                 "WHERE status IN ('running', 'cancelled') AND a.finished IS NULL"
             ).fetchall()
-            registered = [w for (w,) in conn.execute("SELECT worker_id FROM workers")]
-            workers = {worker for _, worker, _ in held_rows}.union(registered)
-            dead = {w for w in workers if w not in keep and not held(self._lock_file(w))}
-            orphans = [(job_id, status) for job_id, worker, status in held_rows if worker in dead]
-            return orphans, [w for w in registered if w in dead]
+            live = set(keep).union(holders(self._lock_dir))
+            return [(job_id, status) for job_id, worker, status in open_rows if worker not in live]
 
         def _recover(conn):
-            orphans, dead = _gone(conn)
+            orphans = _gone(conn)
             for job_id, status in orphans:
                 self._move(conn, job_id, "reap" if status == "running" else "close_cancelled", now)
-            conn.executemany("DELETE FROM workers WHERE worker_id = ?", [(w,) for w in dead])
             return sum(status == "running" for _, status in orphans)
 
         with self._lock:
             # a supervisor asks a few times a second: take the write lock
-            # only when there is something to requeue or forget
-            if not any(_gone(self._conn)):
+            # only when there is something to requeue or close
+            if not _gone(self._conn):
                 return 0
         return self._txn(_recover)
 
@@ -525,44 +515,28 @@ class JobQueue:
         """Running jobs past their deadline (the supervisor kills these)."""
         return self._rows("status = 'running' AND deadline < ?", (utc_now(),))
 
-    # -- worker registry ------------------------------------------------------
-    def _lock_file(self, worker_id: str) -> Path:
-        return self.root / "workers" / f"{worker_id}.lock"
-
-    def _alive_as(self, worker_id: str):
-        """Hold ``worker_id``'s lock: alive to every :meth:`recover` meanwhile."""
-        (self.root / "workers").mkdir(exist_ok=True)
-        return exclusive(self._lock_file(worker_id))
-
+    # -- workers ------------------------------------------------------------
     @contextlib.contextmanager
     def serving(self, worker_id: str) -> Iterator[str]:
-        """The body is this process as the registered, live ``worker_id``:
-        its lock is taken before, and dropped after, any row names it.  A
-        pool worker and a draining caller claim under it."""
-        with self._alive_as(worker_id):
-            self.register_worker(worker_id, os.getpid())
-            try:
-                yield worker_id
-            finally:
-                self.remove_worker(worker_id)
-
-    def register_worker(self, worker_id: str, pid: int) -> None:
-        self._write(_REGISTER, (worker_id, int(pid), utc_now()))
-
-    def remove_worker(self, worker_id: str) -> None:
-        self._write("DELETE FROM workers WHERE worker_id = ?", (worker_id,))
+        """The body is this process as the live ``worker_id``: its lock is
+        taken before, and dropped after, any row names it.  A pool worker
+        and a draining caller claim under it."""
+        self._lock_dir.mkdir(exist_ok=True)
+        with exclusive(self._lock_dir / f"{worker_id}.lock"):
+            yield worker_id
 
     def workers(self) -> List[Dict[str, Any]]:
-        """Registered workers, each ``busy`` on the ``running`` row naming it
-        (``job_id``) or ``idle``."""
-        records = self._read(
-            "SELECT workers.worker_id, pid, workers.started, MIN(jobs.run_id) FROM workers "
-            "LEFT JOIN jobs ON jobs.worker = workers.worker_id AND jobs.status = 'running' "
-            "GROUP BY workers.worker_id ORDER BY workers.worker_id"
-        )
+        """The workers holding their lock, each ``busy`` on the ``running``
+        row naming it (``job_id``) or ``idle``; one that has not yet
+        written its pid is not listed yet."""
+        live = {w: note for w, note in holders(self._lock_dir).items() if note}
+        busy = dict(self._read(
+            "SELECT worker, MIN(run_id) FROM jobs WHERE status = 'running' GROUP BY worker"
+        ))
         return [
-            dict(worker_id=w, pid=pid, started=t, state="busy" if job else "idle", job_id=job)
-            for w, pid, t, job in records
+            dict(worker_id=w, pid=pid, started=started,
+                 state="busy" if w in busy else "idle", job_id=busy.get(w))
+            for w, (pid, started) in live.items()
         ]
 
     # -- queries --------------------------------------------------------------

@@ -69,10 +69,10 @@ def execute_job(store, queue: JobQueue, job: StoredRun, backoff: float) -> None:
 
 
 def worker_main(store_root: str, worker_id: str, backoff: float) -> None:
-    """The spawned worker process: register, then claim/execute forever.
+    """The spawned worker process: take its lock, then claim/execute forever.
 
     The pool's SIGTERM on shutdown raises ``KeyboardInterrupt``, so the
-    worker leaves through ``serving``, registration and lock file gone.
+    worker leaves through ``serving``, its lock file gone.
     An unhandled crash is surfaced by the supervisor (dead process →
     failed attempt → respawn).
     The loop's one exit of its own is for a worker nobody supervises any

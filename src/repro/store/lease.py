@@ -23,10 +23,10 @@ other hosts degrades to one SCF per host, and the blob write is
 content-addressed and idempotent (first writer wins), so a duplicate SCF
 wastes time but can never corrupt the cache or produce a second blob.
 
-The same lock tells whether a job row's worker is alive: it holds
-:func:`exclusive` on its lock file while a row can name it, and a
-supervisor asks :func:`held` (on a network filesystem as above, a worker
-on another host is taken for dead).
+The same lock is the one record of a job row's worker: it holds
+:func:`exclusive` on its lock file, which names its pid and start time,
+while a row can name it, and a supervisor lists :func:`holders` (on a
+network filesystem as above, a worker on another host is taken for dead).
 """
 
 from __future__ import annotations
@@ -34,10 +34,11 @@ from __future__ import annotations
 import contextlib
 import fcntl
 import os
-from typing import TYPE_CHECKING, Callable, Iterator
+from pathlib import Path
+from typing import TYPE_CHECKING, Callable, Dict, Iterator, Optional
 
 from repro.api.config import SimulationConfig
-from repro.store.common import group_address
+from repro.store.common import group_address, utc_now
 
 if TYPE_CHECKING:
     from repro.scf.groundstate import GroundState
@@ -45,7 +46,8 @@ if TYPE_CHECKING:
 
 @contextlib.contextmanager
 def exclusive(path) -> Iterator[None]:
-    """Hold ``flock(LOCK_EX)`` on the file at ``path``; gone from disk after."""
+    """Hold ``flock(LOCK_EX)`` on the file at ``path``, which holds this
+    process's pid and start time meanwhile; gone from disk after."""
     while True:
         fd = os.open(path, os.O_CREAT | os.O_RDWR, 0o644)
         try:
@@ -61,6 +63,10 @@ def exclusive(path) -> Iterator[None]:
             raise
         os.close(fd)
     try:
+        # over a stale file's note, then cut to length: no torn line is ever read
+        note = f"{os.getpid()} {utc_now()!r}\n".encode()
+        os.pwrite(fd, note, 0)
+        os.ftruncate(fd, len(note))
         yield
     finally:
         # unlinked while still held, so nobody can lock the name in between
@@ -70,27 +76,45 @@ def exclusive(path) -> Iterator[None]:
         os.close(fd)
 
 
-def held(path) -> bool:
-    """Whether someone holds ``flock`` on the file at ``path``: a
+def _probe(path) -> Optional[tuple]:
+    """The holder's ``(pid, start time)`` if someone holds ``flock`` on the
+    file at ``path`` (``()`` until it has written them), else ``None``: a
     non-blocking probe that unlinks a file it finds free, as
     :func:`exclusive` unlinks its own, so no stale file outlives it."""
     while True:
         try:
             fd = os.open(path, os.O_RDWR)
         except FileNotFoundError:
-            return False
+            return None
         try:
             fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
             # a file replaced meanwhile has a new holder: probe it afresh
             if os.path.samestat(os.fstat(fd), os.stat(path)):
                 os.unlink(path)
-                return False
+                return None
         except BlockingIOError:
-            return True
+            note, end, _ = os.pread(fd, 64, 0).decode().partition("\n")
+            if not end:
+                return ()
+            pid, started = note.split()
+            return int(pid), float(started)
         except FileNotFoundError:
-            return False
+            return None
         finally:
             os.close(fd)
+
+
+def held(path) -> bool:
+    """Whether someone holds ``flock`` on the file at ``path`` (a free
+    file is unlinked)."""
+    return _probe(path) is not None
+
+
+def holders(directory) -> Dict[str, tuple]:
+    """The held ``*.lock`` files under ``directory`` by stem, each its
+    holder's ``(pid, start time)`` (``()`` until written); the free go."""
+    found = {path.stem: _probe(path) for path in sorted(Path(directory).glob("*.lock"))}
+    return {name: holder for name, holder in found.items() if holder is not None}
 
 
 def coalesced_ground_state(

@@ -100,7 +100,8 @@ _SCHEMA = (
     )
     """,
     "CREATE INDEX config_kv_key_value ON config_kv (key, value)",
-    # worker registrations (heartbeat, state and job_id are written no more)
+    # worker registrations, written by releases up to 1.29.0: nothing reads
+    # or writes them now (a worker is its lock file); the next bump drops it
     """
     CREATE TABLE workers (
         worker_id TEXT PRIMARY KEY,
@@ -146,7 +147,7 @@ def version_problem(
     return (
         f"{what} {found}, written by {writer}; this build reads only {ours} "
         f"and upgrades nothing in place: export its runs with the build that "
-        f"wrote it (repro jobs fetch STORE RUN_ID NPZ) and add them to a new store"
+        f"wrote it (repro results export STORE RUN_ID NPZ) and add them to a new store"
     )
 
 

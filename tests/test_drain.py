@@ -77,10 +77,10 @@ def _assert_nothing_half_done(store_dir):
         store.close()
 
 
-def _stop_once_registered(monkeypatch):
+def _stop_once_listed(monkeypatch):
     """Make ``WorkerPool.stop`` first wait (at most 20 s) until every
-    spawned worker has registered; the registrations it then stops are
-    appended to the returned list."""
+    spawned worker holds its lock and is listed by ``workers()``; the
+    entries it then stops are appended to the returned list."""
     stopped = []
     real_stop = WorkerPool.stop
 
@@ -108,7 +108,7 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
         real_spawn(self, slot)
 
     monkeypatch.setattr(WorkerPool, "_spawn", counting_spawn)
-    stopped = _stop_once_registered(monkeypatch)
+    stopped = _stop_once_listed(monkeypatch)
     result = run_ensemble(base, _kicks(4), workers=workers, store=store_dir)
     assert [r.status for r in result.runs] == ["ok"] * 4
     assert len(spawned) == workers - 1
@@ -118,7 +118,7 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
     assert first.worker.endswith("caller")
     if workers == 1:
         assert all(job.worker.endswith("caller") for job in jobs)
-    # the children's registrations as the pool stopped them say when each
+    # the children's entries as the pool stopped them say when each
     # came up: after the first job was already running
     assert len(stopped) == workers - 1 and all(w["pid"] != os.getpid() for w in stopped)
     assert all(first.started < w["started"] for w in stopped)
@@ -128,9 +128,10 @@ def test_the_caller_is_one_of_the_workers(store_dir, base, workers, monkeypatch)
 
 def test_a_stopped_pool_leaves_no_worker_behind(store_dir, base, monkeypatch):
     """The pool's SIGTERM unwinds each worker through its ``serving`` block:
-    after a ``workers = 2`` stored sweep whose child had registered, the
-    ``workers`` table and directory are empty with no ``recover()`` since."""
-    stopped = _stop_once_registered(monkeypatch)
+    after a ``workers = 2`` stored sweep whose child held its lock, no
+    worker is listed and the ``workers/`` directory is empty with no
+    ``recover()`` since."""
+    stopped = _stop_once_listed(monkeypatch)
     result = run_ensemble(base, _kicks(2), workers=2, store=store_dir)
     assert [r.status for r in result.runs] == ["ok"] * 2
     assert len(stopped) == 1

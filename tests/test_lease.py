@@ -20,7 +20,7 @@ import pytest
 
 from repro.api import SimulationConfig
 from repro.store import ResultStore
-from repro.store.lease import coalesced_ground_state
+from repro.store.lease import coalesced_ground_state, exclusive, holders
 
 CONFIG = make_golden.CONFIGS["ptim"]
 
@@ -204,3 +204,17 @@ def test_a_hit_unlinks_the_lock_a_holder_killed_after_publishing_left(store, con
     stale.touch()  # what the kill leaves: nobody holds it
     again = coalesced_ground_state(store, config, lambda: pytest.fail("the blob is published"))
     assert again.orbitals.shape == gs.orbitals.shape and _locks(store) == []
+
+
+def test_holders_lists_each_held_lock_with_its_pid_and_unlinks_the_free(tmp_path):
+    """A held ``*.lock`` is listed by name with its holder's pid and start
+    time, also over the longer note a killed holder left in the same file;
+    a free one is unlinked."""
+    (tmp_path / "w0.lock").write_text(f"{2**22} {time.time() - 1e6!r} and more\n")
+    (tmp_path / "gone.lock").write_text("123 1.0\n")
+    before = time.time()
+    with exclusive(tmp_path / "w0.lock"):
+        ((name, (pid, started)),) = holders(tmp_path).items()
+        assert (name, pid) == ("w0", os.getpid()) and before <= started <= time.time()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["w0.lock"]
+    assert holders(tmp_path) == {} and list(tmp_path.iterdir()) == []

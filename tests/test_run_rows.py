@@ -18,9 +18,10 @@ always hold of every row:
 - a cancel wins: a row cancelled while queued or running stays
   cancelled until someone asks for it again (a submit or a stored run);
 - a ``running`` row names its worker, and a supervisor can tell whether
-  that worker lives: a claimer, or a registered process;
-- after a supervisor's pass, no attempt is open on a worker that is
-  neither alive nor registered (nothing would ever close it);
+  that worker lives: a claimer, or this process's stored run (alive
+  while it holds its lock);
+- after a supervisor's pass, no attempt is open on a worker that is not
+  alive (nothing would ever close it);
 - an ``ok`` row has its result file, and its columns describe that file.
 
 The results are synthetic arrays (no physics), so a step is a few
@@ -29,6 +30,7 @@ SQLite transactions and at most one small ``.npz``.
 
 import contextlib
 import inspect
+import re
 import shutil
 import tempfile
 import time
@@ -176,7 +178,7 @@ class RunRows(RuleBasedStateMachine):
     def supervise(self, alive):
         """A supervisor's pass: fail a job past its deadline, then requeue
         the rows whose worker is gone — a claimer not in ``alive``, and any
-        registered process (here, a stored run killed outright)."""
+        worker whose lock is free (here, a stored run killed outright)."""
         time.sleep(2e-6)
         for job in self.queue.expired():
             self.holder = None
@@ -184,8 +186,8 @@ class RunRows(RuleBasedStateMachine):
         self.queue.recover(keep=alive)
         if self.holder not in alive:
             self.holder = None
-        assert self.queue.workers() == []
-        # and none is registered any more: an open attempt is on a live claimer
+        assert self.queue.workers() == []  # no lock is held
+        # an open attempt is on a live claimer
         open_on = [a["worker"] for a in self.queue.attempts(RUN_ID) if a["finished"] is None]
         assert set(open_on) <= set(alive), open_on
 
@@ -227,8 +229,7 @@ class RunRows(RuleBasedStateMachine):
             return
         assert (row.status, row.worker) == ("running", own_worker_id())
         self.holder, self.cancelled = None, False  # a claim's holder lost the row to this run
-        registered = [w["worker_id"] for w in self.queue.workers()]
-        assert registered == ([own_worker_id()] if how == "killed" else [])
+        assert self.queue.workers() == []  # a killed run's lock went with it
 
     @rule()
     def resume_lookup(self):
@@ -258,8 +259,7 @@ class RunRows(RuleBasedStateMachine):
     def running_rows_name_a_worker_that_can_be_judged(self):
         row = self._row()
         if row is not None and row.status == "running":
-            registered = [w["worker_id"] for w in self.queue.workers()]
-            assert row.worker in WORKERS or row.worker in registered, row
+            assert row.worker in WORKERS or row.worker == own_worker_id(), row
 
     @invariant()
     def ok_rows_describe_their_file(self):
@@ -296,3 +296,17 @@ def test_only_the_table_writes_a_status_or_an_attempt():
     lines, start = inspect.getsourcelines(JobQueue._move)
     inside = {f"serve/queue.py:{n}" for n in range(start, start + len(lines))}
     assert all(len(found) == 1 and set(found) <= inside for found in hits.values()), hits
+
+
+def test_no_sql_reads_or_writes_the_workers_table():
+    """A worker is its lock file: outside ``store/schema.py``'s DDL no
+    statement names the ``workers`` table."""
+    src = Path(repro.__file__).parent
+    hits = [
+        f"{path.relative_to(src)}:{n}"
+        for path in sorted(src.rglob("*.py"))
+        if path.relative_to(src).as_posix() != "store/schema.py"
+        for n, line in enumerate(path.read_text().splitlines(), 1)
+        if re.search(r"\b(FROM|INTO|UPDATE|JOIN) workers\b", line)
+    ]
+    assert hits == []

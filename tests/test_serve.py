@@ -5,15 +5,18 @@ jobs (three sharing a ``(system, scf, backend)`` ground-state group)
 go through a real server on an ephemeral port with four spawned
 workers, and the assertions then pick the run apart — statuses, blob
 counts, bitwise parity against direct :meth:`Simulation.run`.  The
-queue unit tests never spawn a process at all; what a killed worker,
-stored run or server leaves is the crash matrix's
-(``tests/test_crash_matrix.py``).
+queue unit tests start no pool (one spawns a child that holds a
+worker's lock until it is SIGKILLed); what a killed worker, stored run
+or server leaves is the crash matrix's (``tests/test_crash_matrix.py``).
 """
 
 import contextlib
 import json
+import multiprocessing as mp
 import os
 import re
+import signal
+import sqlite3
 import subprocess
 import sys
 import time
@@ -326,24 +329,35 @@ def test_e2e_an_unknown_status_filter_is_400(e2e, capsys):
     assert capsys.readouterr().err.startswith("error: unknown status 'bogus'")
 
 
+_REFUSED_POLICY = [
+    ("max_attempts", 0),
+    ("max_attempts", -2),
+    ("max_attempts", 2.7),
+    ("max_attempts", True),
+    ("timeout", -5),
+    ("timeout", True),
+]
+
+
 @pytest.mark.parametrize(
-    "field, value",
+    "route, field, value",
     [
-        ("max_attempts", 0),
-        ("max_attempts", -2),
-        ("max_attempts", 2.7),
-        ("max_attempts", True),
-        ("timeout", -5),
-        ("timeout", True),
+        pytest.param(route, field, value, id=f"{prefix}{field}-{value}")
+        for route, prefix in (("body", ""), ("client", "client-"))
+        for field, value in _REFUSED_POLICY
     ],
 )
-def test_e2e_submit_refuses_job_policy_serve_would_refuse(e2e, field, value):
+def test_e2e_submit_refuses_job_policy_serve_would_refuse(e2e, route, field, value):
     """``max_attempts`` and ``timeout`` obey ``serve.retries`` and
     ``serve.timeout``: neither is truncated, and a boolean is not a count;
-    the 400 names the field."""
-    payload = {"config": e2e["configs"][0].to_dict(), field: value}
+    the 400 names the field, whether the value comes in a raw body or
+    through ``ServeClient.submit``."""
+    config = e2e["configs"][0]
     with pytest.raises(ServeError, match=field) as err:
-        e2e["client"]._json("/jobs", payload=payload)
+        if route == "client":
+            e2e["client"].submit(config, **{field: value})
+        else:
+            e2e["client"]._json("/jobs", payload={"config": config.to_dict(), field: value})
     assert err.value.status == 400
 
 
@@ -475,11 +489,11 @@ def test_a_cancelled_job_that_fails_closes_its_attempt_cancelled(queue):
 def test_recover_closes_a_cancelled_rows_attempt_on_a_gone_worker(queue, left_by):
     """A row cancelled after its worker died unreaped (a stored run killed
     outright, a claimer gone) closes its attempt ``cancelled`` on the next
-    supervisor pass, which forgets that worker: no attempt stays open on a
-    worker nobody can reap any more."""
+    supervisor pass: no attempt stays open on a worker nobody can reap any
+    more."""
     config = make_config()
     if left_by == "a killed stored run":
-        row = queue.begin(config)  # bare: the row and registration a SIGKILL leaves
+        row = queue.begin(config)  # bare: the row a SIGKILL leaves
     else:
         queue.submit(config)
         row = queue.claim("w-departed")
@@ -596,9 +610,9 @@ def test_a_supervisor_pass_replaces_a_worker_still_on_a_cancelled_job(queue, mon
 
 @pytest.mark.parametrize("pid_of", ["reaped", "reused"])
 def test_queue_recover_requeues_running_jobs(queue, pid_of):
-    """A worker whose lock nobody holds is gone, whatever its pid names: no
-    process (a reaped child), or an unrelated live one (a reused pid).  The
-    lock file its killed holder left goes with its registration."""
+    """A worker whose lock nobody holds is gone, whatever pid its lock file
+    names: no process (a reaped child), or an unrelated live one (a reused
+    pid).  The lock file its killed holder left goes."""
     other = subprocess.Popen([sys.executable, "-c", "import time; time.sleep(60)"])
     if pid_of == "reaped":
         other.kill()
@@ -606,10 +620,9 @@ def test_queue_recover_requeues_running_jobs(queue, pid_of):
     left = queue.root / "workers" / "w0.lock"
     try:
         queue.submit(make_config())
-        queue.register_worker("w0", pid=other.pid)
         job = queue.claim("w0")
         left.parent.mkdir()
-        left.touch()
+        left.write_text(f"{other.pid} {time.time()!r}\n")
         assert queue.recover() == 1
     finally:
         other.kill()
@@ -629,19 +642,53 @@ def test_workers_report_the_row_each_one_runs(queue, end):
     """A worker's state and job are read off the ``running`` row naming it."""
     config = make_config()
     queue.submit(config)
-    queue.register_worker("w0", pid=os.getpid())
 
     def state():
         return [(w["worker_id"], w["state"], w["job_id"]) for w in queue.workers()]
 
-    assert state() == [("w0", "idle", None)]
-    job = queue.claim("w0")
-    assert state() == [("w0", "busy", job.run_id)]
-    if end == "ok":
-        queue.finish_ok(config)
-    else:
-        queue.fail_attempt(job.run_id, "boom")
-    assert state() == [("w0", "idle", None)]
+    with queue.serving("w0"):
+        assert state() == [("w0", "idle", None)]
+        job = queue.claim("w0")
+        assert state() == [("w0", "busy", job.run_id)]
+        if end == "ok":
+            queue.finish_ok(config)
+        else:
+            queue.fail_attempt(job.run_id, "boom")
+        assert state() == [("w0", "idle", None)]
+    assert state() == []
+
+
+def _serve_forever(root, worker_id):
+    """A spawned child's body: hold ``worker_id``'s lock until killed."""
+    queue = JobQueue(root)
+    with queue.serving(worker_id):
+        time.sleep(600.0)
+
+
+def test_a_worker_is_its_lock_file(queue):
+    """A child holding ``serving("w0")`` is listed with its own pid and
+    registered nowhere else; SIGKILLed, one ``recover()`` pass leaves no
+    lock file and no worker."""
+    child = mp.get_context("spawn").Process(target=_serve_forever, args=(str(queue.root), "w0"))
+    child.start()
+    try:
+        deadline = time.monotonic() + 60.0
+        while not queue.workers():
+            assert time.monotonic() < deadline, "the child never took its lock"
+            time.sleep(0.02)
+        (listed,) = queue.workers()
+        assert set(listed) == {"worker_id", "pid", "started", "state", "job_id"}
+        assert (listed["worker_id"], listed["pid"], listed["state"]) == ("w0", child.pid, "idle")
+        with contextlib.closing(sqlite3.connect(queue.path)) as conn:
+            assert conn.execute("SELECT COUNT(*) FROM workers").fetchone() == (0,)
+        os.kill(child.pid, signal.SIGKILL)
+        child.join(timeout=30.0)
+        assert child.exitcode == -signal.SIGKILL
+        queue.recover()
+        assert list((queue.root / "workers").iterdir()) == [] and queue.workers() == []
+    finally:
+        child.kill()
+        child.join(timeout=30.0)
 
 
 @pytest.mark.parametrize("run", ["live", "killed"])

@@ -341,13 +341,13 @@ def test_store_written_by_1_9_is_refused_by_name(tmp_path):
         json.dumps({"store_version": 1, "backend": "sqlite", "chunk_steps": 256})
     )
     before = _tree(root), (root / "store.json").read_bytes()
-    with pytest.raises(StoreError, match=r"store_version 1, written by repro 1\.5 to 1\.9.*jobs fetch"):
+    with pytest.raises(StoreError, match=r"store_version 1, written by repro 1\.5 to 1\.9.*results export"):
         ResultStore(root)
     check = inspect_store(root)
     assert check.meta["store_version"] == 1 and check.schema_version is None
     assert len(check.problems) == 1
     assert "store_version 1, written by repro 1.5 to 1.9" in check.problems[0]
-    assert "repro jobs fetch" in check.problems[0]
+    assert "repro results export" in check.problems[0]
     assert (_tree(root), (root / "store.json").read_bytes()) == before
 
 
@@ -374,14 +374,14 @@ def test_older_schema_index_is_refused_by_name(tmp_path, capsys, version, writer
             conn.close()
 
     before = _tree(root), columns()
-    words = rf"schema version {version}, written by repro {re.escape(writers)};.*jobs fetch"
+    words = rf"schema version {version}, written by repro {re.escape(writers)};.*results export"
     with pytest.raises(StoreError, match=words):
         ResultStore(root)
     with pytest.raises(StoreError, match=words):
         JobQueue(root)
     check = inspect_store(root)
     assert check.schema_version == version != SCHEMA_VERSION
-    assert [(f"schema version {version}" in p, "repro jobs fetch" in p) for p in check.problems] == [(True, True)]
+    assert [(f"schema version {version}" in p, "repro results export" in p) for p in check.problems] == [(True, True)]
     # repro validate --store prints the same words as a warning and exits 0;
     # repro jobs ls refuses them as an error, exit 2
     cfg = tmp_path / "cfg.json"
@@ -805,9 +805,10 @@ def test_jobs_watch_and_cancel_refuse_a_store_directory(tmp_path, capsys, verb):
 
 
 def test_every_refusal_hint_names_a_command_the_parser_accepts(tmp_path):
-    """A refusal that says what to run next names a command this build's
-    parser takes: the unknown-run hint (``jobs ls STORE``) and the
-    older-store hint (``jobs fetch STORE RUN_ID NPZ``)."""
+    """A refusal that says what to run next names a command the build it
+    addresses takes: the unknown-run hint this build's parser
+    (``jobs ls STORE``), the older-store hint the writing build's verb
+    (``results export STORE RUN_ID NPZ``, which this parser refuses)."""
     from repro.api.cli import _build_parser
 
     store = ResultStore(tmp_path / "study")
@@ -819,9 +820,10 @@ def test_every_refusal_hint_names_a_command_the_parser_accepts(tmp_path):
     (old / "store.json").write_text(json.dumps({"store_version": 1, "backend": "sqlite"}))
     hints = [str(unknown.value), *inspect_store(old).problems]
     commands = [re.search(r"repro ([^()]+?)(?:\)|$)", hint).group(1).split() for hint in hints]
-    assert [command[:2] for command in commands] == [["jobs", "ls"], ["jobs", "fetch"]]
-    for command in commands:
-        _build_parser().parse_args(command)
+    assert [command[:2] for command in commands] == [["jobs", "ls"], ["results", "export"]]
+    _build_parser().parse_args(commands[0])
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args(commands[1])
 
 
 def test_negative_paging_is_refused_by_name(tmp_path, capsys):
